@@ -543,6 +543,12 @@ func registerMemberMetrics(reg *telemetry.Registry, member *cluster.Member, nn i
 		reg.CounterFunc("dsm_peer_bytes_recv_total",
 			"Wire bytes (headers included) received from this peer.", label,
 			stat(func(ps tcp.PeerStats) int64 { return ps.BytesRecv }))
+		reg.CounterFunc("dsm_peer_writes_total",
+			"Socket writes to this peer; frames sent over writes is the coalescing ratio.", label,
+			stat(func(ps tcp.PeerStats) int64 { return ps.Writes }))
+		reg.CounterFunc("dsm_peer_reads_total",
+			"Socket reads from this peer; frames received over reads is the receive-side ratio.", label,
+			stat(func(ps tcp.PeerStats) int64 { return ps.Reads }))
 		reg.CounterFunc("dsm_peer_heartbeats_total",
 			"Heartbeat frames received from this peer.", label,
 			stat(func(ps tcp.PeerStats) int64 { return ps.Heartbeats }))

@@ -14,9 +14,9 @@
 // internal/wire codec's output, opaque here); channel 1 carries the
 // cluster layer's control messages (bootstrap barrier, distributed
 // quiescence, state gather, shutdown); channel 2 carries heartbeats
-// (empty payload). Multiplexing all of them on the pair connection
-// keeps the "one connection per node pair" property the ISSUE's design
-// calls for. The hlc fields piggyback the sender's hybrid logical
+// (empty payload); channel 3 carries telemetry snapshots. Multiplexing
+// all of them on the pair connection keeps the "one connection per node
+// pair" property the ISSUE's design calls for. The hlc fields piggyback the sender's hybrid logical
 // clock (internal/hlc) on every frame: the receiver folds them into
 // its own clock, which keeps the cluster's oracle event stamps ordered
 // consistently with happens-before no matter how the machines' wall
@@ -38,13 +38,29 @@
 // cannot deadlock on full socket buffers. Self-sends (the daemon's
 // requeue path) loop back to the local inbox without touching a socket.
 //
+// The link is batched at both ends, because a small frame's cost is
+// the socket call and the wake-up it causes, not its bytes. The writer
+// takes everything its queue holds per wake-up and packs it — each
+// frame still under its own header and its own clock stamp — into one
+// slab that leaves in one write; frames sent back to back to one peer
+// (a lock release and the next request) cost the peer one wake-up and
+// one read. The reader reads the socket through one fixed buffer and
+// delivers every complete frame it holds before reading again. Neither
+// waits for a batch to fill: a lone frame goes out at once. A frame
+// larger than the slab or the read buffer is not copied through them:
+// it is written from, and its tail read into, its own buffer. The wire
+// bytes are those that one write per frame would produce.
+//
 // Frame buffers follow the transport ownership rule: Send transfers the
-// buffer; the writer returns it to the frame pool once the bytes are on
-// the wire, and the reader allocates delivery buffers from the same
-// pool (the receiving daemon returns them after decoding).
+// buffer; the writer returns it to the frame pool once its bytes are
+// packed for the wire (or dropped, on a dead link) — exactly once
+// either way — and the reader copies each payload it delivers out of
+// its read buffer into a buffer from the same pool, which the receiving
+// daemon returns after decoding.
 package tcp
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -67,6 +83,16 @@ const maxFrame = 64 << 20
 // headSize is the frame header: [u32 length][u8 channel][i64 hlc
 // wall][u32 hlc logical].
 const headSize = 4 + 1 + 8 + 4
+
+// writeSlabSize is the writer's batch slab: the frames of one wake-up
+// are packed into it and leave in one write. readBufSize is the
+// reader's socket buffer: one read takes in up to that many bytes of
+// frames. Both are per peer; 32 KB holds a flush burst of a few dozen
+// diff frames, and a frame that fits neither is not copied through them.
+const (
+	writeSlabSize = 32 << 10
+	readBufSize   = 32 << 10
+)
 
 // Frame channels.
 const (
@@ -102,10 +128,11 @@ type Options struct {
 	// the protocol is quiet (and idle clocks keep exchanging stamps).
 	HeartbeatInterval time.Duration
 
-	// HeartbeatTimeout > 0 arms a read deadline per frame: a peer that
-	// stays silent for that long (no data, control or heartbeat frames)
-	// is declared dead and OnFatal fires. Pair it with an interval a few
-	// times shorter on every member. Zero disables detection.
+	// HeartbeatTimeout > 0 arms a deadline on every socket read: a peer
+	// that stays silent for that long (no data, control or heartbeat
+	// frames) is declared dead and OnFatal fires. Pair it with an
+	// interval a few times shorter on every member. Close also bounds
+	// its final drain by it. Zero disables both.
 	HeartbeatTimeout time.Duration
 
 	// Flight, when non-nil, records heartbeat send/receive events into
@@ -140,8 +167,10 @@ type peer struct {
 	framesRecv atomic.Int64
 	bytesSent  atomic.Int64
 	bytesRecv  atomic.Int64
+	writes     atomic.Int64 // socket writes (one per flushed batch)
+	reads      atomic.Int64 // socket reads
 	heartbeats atomic.Int64 // heartbeat frames received
-	lastRecv   atomic.Int64 // wall nanos of the last frame read
+	lastRecv   atomic.Int64 // wall nanos of the last socket read that returned bytes
 }
 
 // Transport implements transport.Transport over per-pair TCP
@@ -339,8 +368,10 @@ type PeerStats struct {
 	FramesRecv int64 // frames read from this peer (all channels)
 	BytesSent  int64 // wire bytes written, headers included
 	BytesRecv  int64 // wire bytes read, headers included
+	Writes     int64 // socket writes; FramesSent/Writes is the coalescing ratio
+	Reads      int64 // socket reads; FramesRecv/Reads is the receive-side ratio
 	Heartbeats int64 // heartbeat frames received
-	LastRecv   int64 // wall nanos of the last frame read; 0 when none yet
+	LastRecv   int64 // wall nanos of the last bytes read; 0 when none yet
 }
 
 // PeerStats reports the link counters toward node id; ok is false for
@@ -355,6 +386,8 @@ func (t *Transport) PeerStats(id memory.NodeID) (PeerStats, bool) {
 		FramesRecv: p.framesRecv.Load(),
 		BytesSent:  p.bytesSent.Load(),
 		BytesRecv:  p.bytesRecv.Load(),
+		Writes:     p.writes.Load(),
+		Reads:      p.reads.Load(),
 		Heartbeats: p.heartbeats.Load(),
 		LastRecv:   p.lastRecv.Load(),
 	}, true
@@ -407,7 +440,10 @@ func (t *Transport) CloseData() {
 
 // Close implements transport.Transport: full teardown. Queued frames
 // are still written (graceful drain), then the connections close and
-// every blocked Recv/RecvCtrl returns false.
+// every blocked Recv/RecvCtrl returns false. With HeartbeatTimeout set
+// the drain is bounded by it: a peer that is alive but not reading
+// (stopped, its socket buffers full) gets what fits within the timeout
+// and the rest is dropped, rather than holding Close forever.
 func (t *Transport) Close() {
 	t.closeOnce.Do(func() {
 		t.MarkShutdown()
@@ -418,6 +454,9 @@ func (t *Transport) Close() {
 		t.CloseData()
 		for _, p := range t.peers {
 			if p != nil {
+				if t.hbTimeout > 0 {
+					p.conn.SetWriteDeadline(time.Now().Add(t.hbTimeout))
+				}
 				p.out.Close() // writer drains the queue, then exits
 			}
 		}
@@ -489,63 +528,135 @@ func (t *Transport) fail(p *peer, op string, err error) {
 	})
 }
 
-// writer drains one peer's send queue onto its connection. Each frame
-// goes out as a single writev of header + payload; the payload buffer
-// returns to the frame pool once written. Every frame — heartbeats
-// included — is stamped from the transport's clock at write time, so
-// hybrid logical time rides the existing traffic for free.
+// writer drains one peer's send queue onto its connection: every
+// wake-up takes the whole queue and puts it on the wire in as few
+// writes as it fits. Frames are packed, header and payload, into the
+// slab, which goes out when the next frame does not fit and at the end
+// of the batch; a packed payload returns to the frame pool at once. A
+// frame larger than the slab is never copied: its header joins the
+// slab and its payload rides alongside in the same writev. Every frame
+// — heartbeats included — carries its own header and its own stamp,
+// ticked from the transport's clock as the frame is packed, so hybrid
+// logical time rides the existing traffic for free. After a write
+// error the link is dead: fail is raised once and the writer keeps
+// draining, so senders' queues empty and Close can complete; the
+// frames go nowhere.
 func (t *Transport) writer(p *peer) {
 	defer t.writers.Done()
-	var head [headSize]byte
+	slab := make([]byte, 0, writeSlabSize)
+	var batch []outFrame
+	packed, broken := 0, false // frames with a header in slab; link failed
+	// flush writes the slab, and tail after it when non-nil.
+	flush := func(tail []byte) {
+		if packed > 0 && !broken {
+			var err error
+			if tail == nil {
+				_, err = p.conn.Write(slab)
+			} else {
+				bufs := net.Buffers{slab, tail}
+				_, err = bufs.WriteTo(p.conn)
+			}
+			p.writes.Add(1)
+			if err != nil {
+				broken = true
+				t.fail(p, "write", err)
+			} else {
+				// Bytes before frames: whoever reads a frame count
+				// finds its bytes already counted.
+				p.bytesSent.Add(int64(len(slab) + len(tail)))
+				p.framesSent.Add(int64(packed))
+			}
+		}
+		slab, packed = slab[:0], 0
+	}
 	for {
-		f, ok := p.out.Get()
-		if !ok {
+		var ok bool
+		if batch, ok = p.out.GetAll(batch[:0]); !ok {
 			return
 		}
-		var s hlc.Stamp
-		if t.clock != nil {
-			s = t.clock.Tick()
-		}
-		binary.LittleEndian.PutUint32(head[:4], uint32(len(f.payload)))
-		head[4] = f.tag
-		binary.LittleEndian.PutUint64(head[5:13], uint64(s.Wall))
-		binary.LittleEndian.PutUint32(head[13:17], s.Logical)
-		bufs := net.Buffers{head[:], f.payload}
-		if _, err := bufs.WriteTo(p.conn); err != nil {
+		for _, f := range batch {
+			if !broken {
+				need := headSize + len(f.payload)
+				big := need > cap(slab)
+				if big {
+					need = headSize // only the header is packed
+				}
+				if len(slab)+need > cap(slab) {
+					flush(nil)
+				}
+				slab = t.appendHead(slab, f)
+				packed++
+				if big {
+					flush(f.payload)
+				} else {
+					slab = append(slab, f.payload...)
+				}
+			}
 			if f.payload != nil {
 				transport.PutFrame(f.payload)
 			}
-			t.fail(p, "write", err)
-			// Keep draining so senders' queues empty and Close can
-			// complete; the frames go nowhere.
-			continue
 		}
-		p.framesSent.Add(1)
-		p.bytesSent.Add(int64(headSize + len(f.payload)))
-		if f.payload != nil {
-			transport.PutFrame(f.payload)
-		}
+		flush(nil)
+		clear(batch) // reused: must not keep the returned payloads reachable
 	}
+}
+
+// appendHead appends f's frame header, stamped now, to dst.
+func (t *Transport) appendHead(dst []byte, f outFrame) []byte {
+	var s hlc.Stamp
+	if t.clock != nil {
+		s = t.clock.Tick()
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.payload)))
+	dst = append(dst, f.tag)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Wall))
+	return binary.LittleEndian.AppendUint32(dst, s.Logical)
+}
+
+// socketReader is the reader's view of its connection: each Read is one
+// read of the socket, counted, under a fresh heartbeat deadline. The
+// buffered reader above it comes here only when it holds no complete
+// frame, so the deadline is armed when the reader is about to block,
+// not once per frame.
+type socketReader struct {
+	p       *peer
+	timeout time.Duration
+}
+
+func (r socketReader) Read(b []byte) (int, error) {
+	if r.timeout > 0 {
+		r.p.conn.SetReadDeadline(time.Now().Add(r.timeout))
+	}
+	n, err := r.p.conn.Read(b)
+	r.p.reads.Add(1)
+	if n > 0 {
+		r.p.lastRecv.Store(time.Now().UnixNano())
+	}
+	return n, err
 }
 
 // reader delivers one peer's incoming frames: data to the local inbox,
 // control to the control queue, heartbeats to the void (their stamp
-// and their deadline-resetting arrival are their whole job). With
-// HeartbeatTimeout armed, each read carries a deadline: a peer silent
-// beyond it is declared dead.
+// and their deadline-resetting arrival are their whole job). It reads
+// the socket through one fixed buffer and parses every complete frame
+// the buffer holds before reading again; each delivered payload is
+// copied into its own pooled buffer, and a frame that does not fit the
+// read buffer has its tail read straight into that buffer. With
+// HeartbeatTimeout armed, each socket read carries a deadline: a peer
+// silent beyond it is declared dead.
 func (t *Transport) reader(p *peer) {
 	defer t.readers.Done()
-	var head [headSize]byte
+	br := bufio.NewReaderSize(socketReader{p, t.hbTimeout}, readBufSize)
 	for {
-		if t.hbTimeout > 0 {
-			p.conn.SetReadDeadline(time.Now().Add(t.hbTimeout))
-		}
-		if _, err := io.ReadFull(p.conn, head[:]); err != nil {
+		head, err := br.Peek(headSize)
+		if err != nil {
 			switch {
 			case isTimeout(err):
 				t.fail(p, "read", fmt.Errorf("no frames within %v (silent peer): %w", t.hbTimeout, err))
 			case !errors.Is(err, io.EOF):
 				t.fail(p, "read", err)
+			case len(head) > 0:
+				t.fail(p, "read", io.ErrUnexpectedEOF)
 			default:
 				t.fail(p, "read (peer closed)", err)
 			}
@@ -561,6 +672,7 @@ func (t *Transport) reader(p *peer) {
 			Wall:    int64(binary.LittleEndian.Uint64(head[5:13])),
 			Logical: binary.LittleEndian.Uint32(head[13:17]),
 		}
+		br.Discard(headSize)
 		if t.clock != nil && !stamp.IsZero() {
 			t.clock.Observe(stamp)
 		}
@@ -571,14 +683,13 @@ func (t *Transport) reader(p *peer) {
 		} else {
 			buf = buf[:size]
 		}
-		if _, err := io.ReadFull(p.conn, buf); err != nil {
+		if _, err := io.ReadFull(br, buf); err != nil {
 			transport.PutFrame(buf) // framelint: the early return leaked the pooled buffer
 			t.fail(p, "read", err)
 			return
 		}
 		p.framesRecv.Add(1)
 		p.bytesRecv.Add(int64(headSize + size))
-		p.lastRecv.Store(time.Now().UnixNano())
 		switch tag {
 		case chanData:
 			if t.inboxes[t.local].Put(buf) {

@@ -1,13 +1,18 @@
 package tcp
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/hlc"
 	"repro/internal/live/transport"
 	"repro/internal/live/transport/transporttest"
 	"repro/internal/memory"
@@ -17,7 +22,7 @@ import (
 // connection per node pair, exactly as the cluster bootstrap does
 // (higher id dials lower): the in-process stand-in for n daemon
 // processes.
-func dialMesh(t *testing.T, n int, opt Options) []*Transport {
+func dialMesh(t testing.TB, n int, opt Options) []*Transport {
 	trs, _ := dialMeshConns(t, n, func(int) Options { return opt })
 	return trs
 }
@@ -25,7 +30,7 @@ func dialMesh(t *testing.T, n int, opt Options) []*Transport {
 // dialMeshConns additionally returns the raw per-node connections so
 // fault tests can sever them underneath the transports, and lets each
 // node carry its own Options (per-node fatal handlers).
-func dialMeshConns(t *testing.T, n int, optFor func(node int) Options) ([]*Transport, [][]net.Conn) {
+func dialMeshConns(t testing.TB, n int, optFor func(node int) Options) ([]*Transport, [][]net.Conn) {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	for i := range lns {
@@ -311,5 +316,337 @@ func TestLoopbackSelfSend(t *testing.T) {
 	}
 	if got := trs[0].DataRecv(); got != 1 {
 		t.Fatalf("DataRecv = %d, want 1", got)
+	}
+}
+
+// rawFrame appends one wire frame — header as the writer packs it, then
+// the payload — to dst.
+func rawFrame(dst []byte, tag byte, stamp hlc.Stamp, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = append(dst, tag)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(stamp.Wall))
+	dst = binary.LittleEndian.AppendUint32(dst, stamp.Logical)
+	return append(dst, payload...)
+}
+
+// fill returns n bytes that depend on seed, so frames are distinguishable.
+func fill(n, seed int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*7 + seed)
+	}
+	return b
+}
+
+// pipeTransport builds node 0's transport over one end of an in-memory
+// pipe and returns the other end raw: the test plays peer 1 byte by
+// byte. A pipe write blocks until the reader has taken every byte, so
+// what each read of the transport returns is exactly determined.
+func pipeTransport(t *testing.T, opt Options) (*Transport, net.Conn) {
+	t.Helper()
+	local, remote := net.Pipe()
+	return New(0, []net.Conn{nil, local}, opt), remote
+}
+
+// TestReaderParsesBatchedStream: the reader takes frames as they lie
+// in its buffer, not one per read. A frame whose header or whose body
+// straddles the end of the read buffer, a frame larger than the buffer,
+// and heartbeat, control and telemetry frames in the middle of a data
+// batch all parse, in order, byte for byte, and every frame is counted
+// with its 17 bytes of header.
+func TestReaderParsesBatchedStream(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pad  int // first frame's payload: places the second frame's header
+	}{
+		{"HeaderStraddles", readBufSize - headSize - 8},
+		{"BodyStraddles", readBufSize - 2*headSize - 10},
+		{"EndsOnBoundary", readBufSize - headSize},
+		{"LargerThanBuffer", readBufSize + 4096},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var telem [][]byte
+			tr, raw := pipeTransport(t, Options{
+				OnFatal:     func(err error) { t.Errorf("fatal: %v", err) },
+				OnTelemetry: func(from memory.NodeID, p []byte) { telem = append(telem, append([]byte(nil), p...)) },
+			})
+			data := [][]byte{fill(tc.pad, 1), fill(36, 2), {}, fill(2048, 3), fill(36, 4)}
+			var stream []byte
+			stream = rawFrame(stream, chanData, hlc.Stamp{}, data[0])
+			stream = rawFrame(stream, chanData, hlc.Stamp{}, data[1])
+			stream = rawFrame(stream, chanHeart, hlc.Stamp{}, nil)
+			stream = rawFrame(stream, chanData, hlc.Stamp{}, data[2])
+			stream = rawFrame(stream, chanCtrl, hlc.Stamp{}, []byte("ctrl"))
+			stream = rawFrame(stream, chanData, hlc.Stamp{}, data[3])
+			stream = rawFrame(stream, chanTelem, hlc.Stamp{}, []byte("telem"))
+			stream = rawFrame(stream, chanData, hlc.Stamp{}, data[4])
+			const frames = 8
+			go raw.Write(stream)
+			for i, want := range data {
+				got, ok := tr.Recv(0)
+				if !ok || !bytes.Equal(got, want) {
+					t.Fatalf("data frame %d: got %d bytes ok=%v, want %d", i, len(got), ok, len(want))
+				}
+			}
+			if c, ok := tr.RecvCtrl(); !ok || c.From != 1 || string(c.Payload) != "ctrl" {
+				t.Fatalf("control frame: %+v ok=%v", c, ok)
+			}
+			// The last data frame came after the telemetry frame on the
+			// same reader goroutine, so the handler has run.
+			if len(telem) != 1 || string(telem[0]) != "telem" {
+				t.Fatalf("telemetry frames: %q", telem)
+			}
+			ps, _ := tr.PeerStats(1)
+			if ps.FramesRecv != frames || ps.BytesRecv != int64(len(stream)) || ps.Heartbeats != 1 {
+				t.Fatalf("PeerStats = %+v, want %d frames, %d bytes, 1 heartbeat", ps, frames, len(stream))
+			}
+			if ps.Reads >= frames {
+				t.Fatalf("%d socket reads for %d frames: the reader is not batching", ps.Reads, frames)
+			}
+			tr.MarkShutdown()
+			raw.Close()
+			tr.Close()
+		})
+	}
+}
+
+// TestReaderRejectsBadFrames: inside a batch the reader is as strict as
+// on a frame of its own — an unknown channel, an oversize length and a
+// stream that ends inside a frame each raise the fatal handler.
+func TestReaderRejectsBadFrames(t *testing.T) {
+	good := rawFrame(nil, chanData, hlc.Stamp{}, fill(36, 1))
+	oversize := rawFrame(nil, chanData, hlc.Stamp{}, nil)
+	binary.LittleEndian.PutUint32(oversize, maxFrame+1)
+	for _, tc := range []struct {
+		name string
+		bad  []byte
+		want error // nil: any failure
+	}{
+		{"UnknownChannel", rawFrame(nil, 9, hlc.Stamp{}, []byte("x")), nil},
+		{"Oversize", oversize, nil},
+		{"TruncatedHeader", good[:headSize-3], io.ErrUnexpectedEOF},
+		{"TruncatedBody", good[:headSize+5], io.ErrUnexpectedEOF},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fatal := make(chan error, 1)
+			tr, raw := pipeTransport(t, Options{OnFatal: func(err error) { fatal <- err }})
+			go func() {
+				raw.Write(append(append([]byte(nil), good...), tc.bad...))
+				raw.Close()
+			}()
+			if got, ok := tr.Recv(0); !ok || !bytes.Equal(got, good[headSize:]) {
+				t.Fatalf("frame ahead of the bad one: %d bytes ok=%v", len(got), ok)
+			}
+			select {
+			case err := <-fatal:
+				if tc.want != nil && !errors.Is(err, tc.want) {
+					t.Fatalf("failure reported as %v, want %v", err, tc.want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("bad frame never raised the fatal handler")
+			}
+			if _, ok := tr.Recv(0); ok {
+				t.Fatal("a frame was delivered after the failure")
+			}
+			tr.Close()
+		})
+	}
+}
+
+// readFrames parses n wire frames from r.
+func readFrames(t *testing.T, r io.Reader, n int) (tags []byte, stamps []hlc.Stamp, payloads [][]byte) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		var head [headSize]byte
+		if _, err := io.ReadFull(r, head[:]); err != nil {
+			t.Fatalf("frame %d header: %v", i, err)
+		}
+		payload := make([]byte, binary.LittleEndian.Uint32(head[:4]))
+		if _, err := io.ReadFull(r, payload); err != nil {
+			t.Fatalf("frame %d payload: %v", i, err)
+		}
+		tags = append(tags, head[4])
+		stamps = append(stamps, hlc.Stamp{
+			Wall:    int64(binary.LittleEndian.Uint64(head[5:13])),
+			Logical: binary.LittleEndian.Uint32(head[13:17]),
+		})
+		payloads = append(payloads, payload)
+	}
+	return
+}
+
+// TestWriterCoalescesQueuedFrames: what queues up while the writer is
+// busy leaves in one write, yet the wire is what one write per frame
+// would have produced — every frame under its own 17-byte header with
+// its own, strictly later, clock stamp, in send order — and the link
+// counters count frames and wire bytes, not writes.
+func TestWriterCoalescesQueuedFrames(t *testing.T) {
+	tr, raw := pipeTransport(t, Options{
+		OnFatal: func(err error) { t.Errorf("fatal: %v", err) },
+		Clock:   hlc.New(nil),
+	})
+	// Hold the writer in its first write: one byte of the first frame
+	// read, the rest pending.
+	sent := [][]byte{fill(36, 0)}
+	tr.Send(1, append(transport.GetFrame(), sent[0]...))
+	var one [1]byte
+	if _, err := io.ReadFull(raw, one[:]); err != nil {
+		t.Fatal(err)
+	}
+	// Queue a batch behind it: small frames, an empty one, a control
+	// frame, and one frame larger than the slab in the middle.
+	wantTags := []byte{chanData}
+	for i, size := range []int{36, 0, 2048, 36, writeSlabSize + 1000, 36, 36} {
+		sent = append(sent, fill(size, i+1))
+		wantTags = append(wantTags, chanData)
+		tr.Send(1, append(transport.GetFrame(), sent[len(sent)-1]...))
+		if i == 3 {
+			sent = append(sent, []byte("ctrl"))
+			wantTags = append(wantTags, chanCtrl)
+			tr.SendCtrl(1, []byte("ctrl"))
+		}
+	}
+	wire := 0
+	for _, p := range sent {
+		wire += headSize + len(p)
+	}
+	tags, stamps, payloads := readFrames(t, io.MultiReader(bytes.NewReader(one[:]), raw), len(sent))
+	for i := range sent {
+		if tags[i] != wantTags[i] || !bytes.Equal(payloads[i], sent[i]) {
+			t.Fatalf("frame %d: tag %d, %d bytes; want tag %d, %d bytes", i, tags[i], len(payloads[i]), wantTags[i], len(sent[i]))
+		}
+		if i > 0 && !stamps[i-1].Less(stamps[i]) {
+			t.Fatalf("frame %d stamp %v not after frame %d stamp %v", i, stamps[i], i-1, stamps[i-1])
+		}
+	}
+	var ps PeerStats
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		// The writer counts after its write returns, which trails the
+		// last byte's arrival here.
+		if ps, _ = tr.PeerStats(1); ps.FramesSent == int64(len(sent)) || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if ps.FramesSent != int64(len(sent)) || ps.BytesSent != int64(wire) {
+		t.Fatalf("PeerStats = %+v, want %d frames, %d bytes", ps, len(sent), wire)
+	}
+	// The first frame alone, then the batch: up to the large frame's
+	// payload in one write, what follows it in another.
+	if ps.Writes != 3 {
+		t.Fatalf("%d frames left in %d writes, want 3", len(sent), ps.Writes)
+	}
+	tr.MarkShutdown()
+	raw.Close()
+	tr.Close()
+}
+
+// failingConn fails every write after the first okWrites.
+type failingConn struct {
+	net.Conn
+	okWrites int32
+	writes   atomic.Int32
+}
+
+func (c *failingConn) Write(b []byte) (int, error) {
+	if c.writes.Add(1) > c.okWrites {
+		return 0, errors.New("injected write failure")
+	}
+	return len(b), nil
+}
+
+// TestWriteErrorMidBatch: a write that fails in the middle of a batch
+// raises the fatal handler once, nothing more is written on the dead
+// link, the rest of the queue still drains (Close returns), only what
+// reached the wire is counted, and no payload buffer is returned to the
+// frame pool twice.
+func TestWriteErrorMidBatch(t *testing.T) {
+	local, remote := net.Pipe()
+	defer remote.Close()
+	conn := &failingConn{Conn: local, okWrites: 1}
+	var fatals atomic.Int32
+	tr := New(0, []net.Conn{nil, conn}, Options{OnFatal: func(error) { fatals.Add(1) }})
+	// Frames of half a slab: each write carries one, so the batch needs
+	// many writes and the second one fails.
+	const frames = 40
+	for i := 0; i < frames; i++ {
+		tr.Send(1, append(transport.GetFrame(), fill(writeSlabSize/2, i)...))
+	}
+	for deadline := time.Now().Add(5 * time.Second); tr.peers[1].out.Len() > 0 || fatals.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue not drained after the failure: %d left, %d fatals", tr.peers[1].out.Len(), fatals.Load())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	tr.Send(1, append(transport.GetFrame(), 1)) // a send on the dead link drops quietly
+	tr.Close()
+	if got := fatals.Load(); got != 1 {
+		t.Fatalf("fatal handler fired %d times, want 1", got)
+	}
+	if got := conn.writes.Load(); got != 2 {
+		t.Fatalf("%d writes attempted, want 2 (one good, the failed one, none after)", got)
+	}
+	if ps, _ := tr.PeerStats(1); ps.FramesSent != 1 || ps.BytesSent != headSize+writeSlabSize/2 {
+		t.Fatalf("PeerStats = %+v, want the one frame that was written", ps)
+	}
+	// A buffer put twice would come out of the pool twice.
+	seen := map[*byte]bool{}
+	for i := 0; i < 4*frames; i++ {
+		f := transport.GetFrame()
+		if cap(f) < writeSlabSize/2 {
+			continue
+		}
+		if p := &f[:1][0]; seen[p] {
+			t.Fatal("a payload buffer was returned to the frame pool twice")
+		} else {
+			seen[p] = true
+		}
+	}
+}
+
+// TestCloseDeliversQueuedBurst: Close is a graceful drain — a burst
+// still queued behind the writer when Close is called reaches the peer
+// whole and in order.
+func TestCloseDeliversQueuedBurst(t *testing.T) {
+	trs := dialMesh(t, 2, Options{})
+	trs[1].MarkShutdown() // node 0 closing first is orderly
+	const frames = 2000
+	for i := 0; i < frames; i++ {
+		trs[0].Send(1, append(transport.GetFrame(), byte(i), byte(i>>8)))
+	}
+	trs[0].Close()
+	for i := 0; i < frames; i++ {
+		f, ok := trs[1].Recv(1)
+		if !ok || len(f) != 2 || int(f[0])|int(f[1])<<8 != i {
+			t.Fatalf("frame %d: got %v ok=%v", i, f, ok)
+		}
+	}
+	trs[1].Close()
+}
+
+// TestCloseBoundedWhenPeerStopsReading: a peer that is alive but not
+// reading must not hold Close forever. With a heartbeat timeout set,
+// Close gives the drain that long, drops what could not be written and
+// returns.
+func TestCloseBoundedWhenPeerStopsReading(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	tr, raw := pipeTransport(t, Options{OnFatal: func(error) {}, HeartbeatTimeout: timeout})
+	defer raw.Close() // never read: the writer blocks in its first write
+	for i := 0; i < 100; i++ {
+		tr.Send(1, append(transport.GetFrame(), fill(2048, i)...))
+	}
+	tr.MarkShutdown() // the reader's own silence timeout is not under test
+	done := make(chan struct{})
+	go func() {
+		tr.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * timeout):
+		t.Fatal("Close still blocked on a peer that does not read")
+	}
+	if n := tr.peers[1].out.Len(); n != 0 {
+		t.Fatalf("%d frames left queued after Close", n)
 	}
 }

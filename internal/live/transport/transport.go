@@ -41,9 +41,11 @@ type Transport interface {
 	Close()
 }
 
-// DepthReporter is implemented by backends that track queue depths: the
-// live engine surfaces the peak in its run metrics (the first step
-// toward credit-based backpressure — see ROADMAP).
+// DepthReporter is implemented by backends that track queue depths. A
+// delivery queue is unbounded (see Queue), so its high-water mark is the
+// only evidence of a receiver falling behind: the live engine surfaces
+// it in its run metrics and dsmnode as dsm_inbox_peak. Per-pair credit
+// that would bound it is still open (ROADMAP item 4).
 type DepthReporter interface {
 	// PeakDepth reports the high-water mark, in frames, over the
 	// backend's delivery queues.
@@ -65,13 +67,22 @@ type FatalSink interface {
 
 // Queue is an unbounded, closable FIFO guarded by a mutex and
 // condition variable: Put never blocks (at any fan-in), Get blocks
-// until an element or Close arrives. It backs ChanLoop's per-node
-// inboxes and the live engine's per-thread mailboxes — one
-// implementation of the subtle blocking-queue logic, not two.
+// until an element or Close arrives, GetAll takes everything queued in
+// one critical section. It backs ChanLoop's per-node inboxes, the live
+// engine's per-thread mailboxes, the fault injector's delivery lines
+// and the TCP backend's inbox, control and per-peer send queues — one
+// implementation of the subtle blocking-queue logic.
+//
+// Storage is a power-of-two ring (the idiom of internal/sim's queue)
+// that doubles when full and is kept when empty, so a steady
+// Put→Get cycle allocates nothing. A vacated slot is zeroed: the ring
+// never keeps a delivered element (a frame, a message) reachable.
 type Queue[T any] struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	q      []T
+	buf    []T // ring storage; len(buf) is zero or a power of two
+	head   int // index of the oldest element
+	count  int // queued elements
 	peak   int
 	closed bool
 }
@@ -81,6 +92,19 @@ func NewQueue[T any]() *Queue[T] {
 	q := &Queue[T]{}
 	q.cond = sync.NewCond(&q.mu)
 	return q
+}
+
+// grow doubles the ring, unwrapping the contents to the front.
+func (q *Queue[T]) grow() {
+	n := 2 * len(q.buf)
+	if n == 0 {
+		n = 8
+	}
+	nb := make([]T, n)
+	k := copy(nb, q.buf[q.head:])
+	copy(nb[k:], q.buf[:q.head])
+	q.buf = nb
+	q.head = 0
 }
 
 // Put appends v; it reports false (dropping v) when the queue is
@@ -93,9 +117,13 @@ func (q *Queue[T]) Put(v T) bool {
 		q.mu.Unlock()
 		return false
 	}
-	q.q = append(q.q, v)
-	if len(q.q) > q.peak {
-		q.peak = len(q.q)
+	if q.count == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.head+q.count)&(len(q.buf)-1)] = v
+	q.count++
+	if q.count > q.peak {
+		q.peak = q.count
 	}
 	q.mu.Unlock()
 	q.cond.Signal()
@@ -105,7 +133,7 @@ func (q *Queue[T]) Put(v T) bool {
 // Len reports the current queue depth.
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()
-	n := len(q.q)
+	n := q.count
 	q.mu.Unlock()
 	return n
 }
@@ -118,26 +146,53 @@ func (q *Queue[T]) Peak() int {
 	return p
 }
 
+// wait blocks until the queue holds an element or is closed and reports
+// whether it holds one. The caller holds q.mu.
+func (q *Queue[T]) wait() bool {
+	for q.count == 0 && !q.closed {
+		q.cond.Wait()
+	}
+	return q.count > 0
+}
+
 // Get blocks for the next element; ok reports false once the queue is
 // closed and drained.
 func (q *Queue[T]) Get() (v T, ok bool) {
 	q.mu.Lock()
-	for len(q.q) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.q) == 0 {
+	if !q.wait() {
 		q.mu.Unlock()
 		return v, false
 	}
 	var zero T
-	v = q.q[0]
-	q.q[0] = zero
-	q.q = q.q[1:]
-	if len(q.q) == 0 {
-		q.q = nil // release the drained backing array
-	}
+	v = q.buf[q.head]
+	q.buf[q.head] = zero
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.count--
 	q.mu.Unlock()
 	return v, true
+}
+
+// GetAll blocks like Get, then appends every queued element to dst in
+// order and returns the extended slice; ok reports false (dst returned
+// as given) once the queue is closed and drained. A consumer that can
+// work in batches — the TCP writer — pays one lock and one wake-up per
+// batch rather than per element.
+func (q *Queue[T]) GetAll(dst []T) (all []T, ok bool) {
+	q.mu.Lock()
+	if !q.wait() {
+		q.mu.Unlock()
+		return dst, false
+	}
+	// The queued elements are buf[head:head+n], then buf[:count-n]
+	// where the ring wraps.
+	n := min(q.count, len(q.buf)-q.head)
+	first, wrapped := q.buf[q.head:q.head+n], q.buf[:q.count-n]
+	dst = append(append(dst, first...), wrapped...)
+	clear(first)
+	clear(wrapped)
+	q.head, q.count = 0, 0
+	q.mu.Unlock()
+	return dst, true
 }
 
 // Close marks the queue closed: pending elements drain, then Get
@@ -153,18 +208,32 @@ func (q *Queue[T]) Close() {
 // ownership rule makes pooling safe without reference counting: the
 // sender encodes into GetFrame and transfers the buffer to the
 // transport at Send; whoever consumes the frame last — the daemon after
-// decoding an inbox frame, a TCP writer after the bytes hit the socket,
-// a closed backend dropping a late send — returns it with PutFrame.
-var framePool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 512)
-		return &b
-	},
-}
+// decoding an inbox frame, a TCP writer once the bytes are packed for
+// the socket, a closed backend dropping a late send — returns it with
+// PutFrame.
+//
+// A sync.Pool holds pointers, so a pooled buffer travels in a *[]byte
+// box. The boxes are recycled too: GetFrame empties one into boxPool,
+// PutFrame refills one from it, and a frame hop allocates nothing.
+var (
+	framePool = sync.Pool{
+		New: func() any {
+			b := make([]byte, 0, 512)
+			return &b
+		},
+	}
+	boxPool = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // GetFrame returns an empty frame buffer from the pool; append-encode
 // into it and hand it to a Transport (which owns it afterwards).
-func GetFrame() []byte { return (*(framePool.Get().(*[]byte)))[:0] }
+func GetFrame() []byte {
+	box := framePool.Get().(*[]byte)
+	frame := (*box)[:0]
+	*box = nil
+	boxPool.Put(box)
+	return frame
+}
 
 // maxPooledFrame caps what PutFrame keeps: protocol frames stay well
 // under it, but one-off giants (a cluster-wide state assignment
@@ -178,7 +247,9 @@ func PutFrame(frame []byte) {
 	if cap(frame) > maxPooledFrame {
 		return
 	}
-	framePool.Put(&frame)
+	box := boxPool.Get().(*[]byte)
+	*box = frame
+	framePool.Put(box)
 }
 
 // ChanLoop is the in-process loopback backend: one unbounded FIFO inbox

@@ -44,6 +44,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("SendAfterCloseDrops", func(t *testing.T) { sendAfterClose(t, f) })
 	t.Run("CloseDuringConcurrentSend", func(t *testing.T) { closeDuringSend(t, f) })
 	t.Run("CanonicalWireFrames", func(t *testing.T) { canonicalWireFrames(t, f) })
+	t.Run("BurstMixedSizes", func(t *testing.T) { burstMixedSizes(t, f) })
 }
 
 // FaultMesh is a mesh whose backend detects peer death: Kill makes
@@ -193,6 +194,82 @@ func fifoPerPair(t *testing.T, f Factory) {
 		s, seq := frameSender(frame), frameSeq(frame)
 		if seq != next[s] {
 			t.Fatalf("sender %d frame out of order: got seq %d, want %d", s, seq, next[s])
+		}
+		next[s]++
+	}
+	wg.Wait()
+}
+
+// burstSize is the payload size of a sender's i-th burst frame: mostly
+// the sizes the protocol sends (an empty frame, a 36 B lock message, a
+// 2 KB row), and now and then a frame larger than a batching backend's
+// buffers (the TCP backend reads through 32 KB and packs writes into
+// 32 KB). Only sender 0 sends empty frames, so that they stay
+// attributable; sender 1 sends the bare 4-byte tag in their place.
+func burstSize(sender, i int) int {
+	switch {
+	case i%250 == 100:
+		return 40 << 10
+	case i%250 == 200:
+		return 72 << 10
+	}
+	switch i % 3 {
+	case 0:
+		return 4 * sender
+	case 1:
+		return 36
+	}
+	return 2 << 10
+}
+
+// burstFrame builds sender's i-th burst frame: the (sender, seq) tag of
+// mkFrame and a fill that depends on both, cut to burstSize.
+func burstFrame(sender, i int) []byte {
+	size := burstSize(sender, i)
+	if size == 0 {
+		return transport.GetFrame()
+	}
+	f := mkFrame(sender, i, 0)
+	for j := len(f); j < size; j++ {
+		f = append(f, byte(j*7+i*13+sender))
+	}
+	return f
+}
+
+// burstMixedSizes: two senders each fire 1000 frames back to back at
+// one receiver, sizes mixed across every path a batching backend has
+// (packed with others, alone, larger than its buffers). Nothing may be
+// lost, each sender's frames must arrive in send order, and every
+// payload byte for byte.
+func burstMixedSizes(t *testing.T, f Factory) {
+	m := f(t, 3)
+	defer m.Close()
+	const per = 1000
+	var wg sync.WaitGroup
+	for s := 0; s < 2; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				m.Node(s).Send(2, burstFrame(s, i))
+			}
+		}(s)
+	}
+	next := [2]int{}
+	for got := 0; got < 2*per; got++ {
+		frame, ok := m.Node(2).Recv(2)
+		if !ok {
+			t.Fatalf("transport closed after %d of %d frames", got, 2*per)
+		}
+		s := 0
+		if len(frame) > 0 {
+			s = frameSender(frame)
+		}
+		if s > 1 || next[s] >= per {
+			t.Fatalf("frame %d: unexpected frame of %d bytes from sender %d", got, len(frame), s)
+		}
+		if want := burstFrame(s, next[s]); !bytes.Equal(frame, want) {
+			t.Fatalf("sender %d frame %d: got %d bytes, want %d, or contents differ", s, next[s], len(frame), len(want))
 		}
 		next[s]++
 	}
