@@ -563,7 +563,7 @@ func (n *node) Send(msg wire.Msg, cat stats.Category) {
 // ToThread implements proto.Engine: local daemon→thread handoff,
 // bypassing the transport (within a node there is no wire).
 func (n *node) ToThread(slot int32, msg wire.Msg) {
-	n.threads[slot].mbox.put(msg)
+	n.threads[slot].mbox.put(token{msg: msg})
 }
 
 // Broadcast implements proto.Engine: one frame to every node but the
@@ -692,16 +692,37 @@ func (l *lockedObserver) OnLockGrant(lock uint32, node memory.NodeID) {
 // daemon holding a node lock; closed only by Abort, which turns every
 // parked get into the abortPanic unwind.
 type mailbox struct {
-	q *transport.Queue[any]
+	q *transport.Queue[token]
 }
 
-func newMailbox() *mailbox { return &mailbox{q: transport.NewQueue[any]()} }
+// token is what a mailbox carries, by value so that ToThread boxes
+// nothing: a protocol message, or one of the flush loop's retry timers
+// naming the object to retry.
+type token struct {
+	kind tokenKind
+	obj  memory.ObjectID // retryDiff, retryQuery
+	msg  wire.Msg        // message
+}
 
-func (m *mailbox) put(v any) { m.q.Put(v) }
+type tokenKind uint8
+
+const (
+	message tokenKind = iota
+	// retryDiff: re-send the diff for obj after a broadcast-locator
+	// back-off.
+	retryDiff
+	// retryQuery: re-resolve obj's home through the manager after a
+	// stale-table back-off.
+	retryQuery
+)
+
+func newMailbox() *mailbox { return &mailbox{q: transport.NewQueue[token]()} }
+
+func (m *mailbox) put(v token) { m.q.Put(v) }
 
 func (m *mailbox) peak() int { return m.q.Peak() }
 
-func (m *mailbox) get() any {
+func (m *mailbox) get() token {
 	v, ok := m.q.Get()
 	if !ok {
 		// Only Abort closes mailboxes; unwind to the worker wrapper.

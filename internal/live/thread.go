@@ -71,14 +71,6 @@ func (t *Thread) unpinViews() {
 	t.pins = t.pins[:0]
 }
 
-// retryDiff is an internal timer token: re-send the diff for obj after a
-// broadcast-locator back-off.
-type retryDiff struct{ obj memory.ObjectID }
-
-// retryQuery is an internal timer token: re-resolve obj's home through
-// the manager after a stale-table back-off.
-type retryQuery struct{ obj memory.ObjectID }
-
 // ID returns the global thread index.
 func (t *Thread) ID() int { return t.id }
 
@@ -97,7 +89,7 @@ func (t *Thread) Compute(sim.Time) {}
 
 // recvToken parks the thread on its mailbox with the node lock
 // released, and retakes the lock around the received token.
-func (t *Thread) recvToken() any {
+func (t *Thread) recvToken() token {
 	t.node.mu.Unlock()
 	v := t.mbox.get()
 	t.node.mu.Lock()
@@ -119,8 +111,8 @@ func (t *Thread) backoff() {
 
 // recvMsg blocks for the next protocol message addressed to this thread.
 func (t *Thread) recvMsg() wire.Msg {
-	if m, ok := t.recvToken().(wire.Msg); ok {
-		return m
+	if tok := t.recvToken(); tok.kind == message {
+		return tok.msg
 	}
 	panic(fmt.Sprintf("live: thread %s: stray token in mailbox", t.name))
 }
@@ -458,7 +450,7 @@ func (t *Thread) flushDirty(syncHome memory.NodeID) []wire.ObjDiff {
 			// Our own manager table still names us: the new home's
 			// MgrUpdate is in flight. Re-step after a back-off.
 			mbox := t.mbox
-			time.AfterFunc(t.c.cfg.RetryDelay, func() { mbox.put(retryQuery{obj: obj}) })
+			time.AfterFunc(t.c.cfg.RetryDelay, func() { mbox.put(token{kind: retryQuery, obj: obj}) })
 			return
 		}
 		n.ps.Loc.Learn(obj, h)
@@ -466,15 +458,15 @@ func (t *Thread) flushDirty(syncHome memory.NodeID) []wire.ObjDiff {
 		resend(obj)
 	}
 	for len(outstanding) > 0 {
-		switch msg := t.recvToken().(type) {
+		switch tok := t.recvToken(); tok.kind {
 		case retryDiff:
-			resend(msg.obj)
+			resend(tok.obj)
 		case retryQuery:
-			if pendingQuery[msg.obj] {
-				managerStep(msg.obj)
+			if pendingQuery[tok.obj] {
+				managerStep(tok.obj)
 			}
-		case wire.Msg:
-			switch msg.Kind {
+		case message:
+			switch msg := tok.msg; msg.Kind {
 			case wire.DiffAck:
 				// The ack means the home applied the diff; the encoded
 				// frame carried a copy, so the buffers can be recycled.
@@ -496,7 +488,7 @@ func (t *Thread) flushDirty(syncHome memory.NodeID) []wire.ObjDiff {
 					n.counters.Retries++
 					obj := msg.Obj
 					mbox := t.mbox
-					time.AfterFunc(t.c.cfg.RetryDelay, func() { mbox.put(retryDiff{obj: obj}) })
+					time.AfterFunc(t.c.cfg.RetryDelay, func() { mbox.put(token{kind: retryDiff, obj: obj}) })
 				default:
 					panic("live: diff home miss under forwarding-pointer locator")
 				}
@@ -505,7 +497,7 @@ func (t *Thread) flushDirty(syncHome memory.NodeID) []wire.ObjDiff {
 					// Stale manager table (see managerStep); re-query.
 					obj := msg.Obj
 					mbox := t.mbox
-					time.AfterFunc(t.c.cfg.RetryDelay, func() { mbox.put(retryQuery{obj: obj}) })
+					time.AfterFunc(t.c.cfg.RetryDelay, func() { mbox.put(token{kind: retryQuery, obj: obj}) })
 					break
 				}
 				n.ps.Loc.Learn(msg.Obj, msg.Home)
@@ -514,8 +506,6 @@ func (t *Thread) flushDirty(syncHome memory.NodeID) []wire.ObjDiff {
 			default:
 				panic(fmt.Sprintf("live: thread %s: unexpected %v during flush", t.name, msg.Kind))
 			}
-		default:
-			panic(fmt.Sprintf("live: thread %s: stray %T during flush", t.name, msg))
 		}
 	}
 	return piggy

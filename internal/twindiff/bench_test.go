@@ -1,6 +1,11 @@
 package twindiff
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -25,19 +30,25 @@ func TestPoolRoundTrip(t *testing.T) {
 	cur[3] = 99
 	cur[40], cur[41] = 1, 2
 	d := ComputeInto(&p, tw, cur)
-	if d.WordCount() != 3 || len(d.Runs) != 2 {
+	if d.WordCount() != 3 || d.NumRuns() != 2 {
 		t.Fatalf("diff = %+v", d)
 	}
 	p.PutWords(tw)
 	p.PutDiff(d)
 	// A second cycle must reuse the released buffers and still be correct.
+	if len(p.free) != 2 {
+		t.Fatalf("freelist holds %d buffers after two Puts", len(p.free))
+	}
 	tw2 := TwinInto(&p, cur)
 	cur2 := make([]uint64, 64)
 	copy(cur2, cur)
 	cur2[10] = 7
 	d2 := ComputeInto(&p, tw2, cur2)
-	if d2.WordCount() != 1 || d2.Runs[0].Start != 10 || d2.Runs[0].Words[0] != 7 {
+	if !reflect.DeepEqual(d2, OneRun(10, 7)) {
 		t.Fatalf("diff2 = %+v", d2)
+	}
+	if len(p.free) != 0 {
+		t.Fatalf("second cycle allocated instead of reusing: %d buffers still free", len(p.free))
 	}
 	applied := make([]uint64, 64)
 	copy(applied, cur)
@@ -53,12 +64,12 @@ func TestPoolRoundTrip(t *testing.T) {
 // allocate-per-call behavior (Compute and Twin delegate to it).
 func TestPoolNilIsPlainAllocation(t *testing.T) {
 	var p *Pool
-	buf := p.getWords(8)
+	buf := p.getWords(8, 0)
 	if len(buf) != 8 {
 		t.Fatalf("len = %d", len(buf))
 	}
 	p.PutWords(buf) // must not panic
-	p.PutDiff(Diff{Runs: []Run{{Start: 0, Words: buf}}})
+	p.PutDiff(OneRun(0, buf...))
 }
 
 // TestComputeIntoMatchesCompute: pooled and unpooled compute agree for
@@ -74,20 +85,7 @@ func TestComputeIntoMatchesCompute(t *testing.T) {
 		var pool Pool
 		d1 := Compute(twin, cur)
 		d2 := ComputeInto(&pool, twin, cur)
-		if len(d1.Runs) != len(d2.Runs) {
-			return false
-		}
-		for i := range d1.Runs {
-			if d1.Runs[i].Start != d2.Runs[i].Start || len(d1.Runs[i].Words) != len(d2.Runs[i].Words) {
-				return false
-			}
-			for k := range d1.Runs[i].Words {
-				if d1.Runs[i].Words[k] != d2.Runs[i].Words[k] {
-					return false
-				}
-			}
-		}
-		return true
+		return reflect.DeepEqual(d1, d2)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -130,5 +128,146 @@ func BenchmarkTwindiffComputeMerge(b *testing.B) {
 		}
 		pool.PutDiff(d1)
 		pool.PutDiff(d2)
+	}
+}
+
+// TestPoolFreelistBounded: traffic that hands the pool more than it takes
+// (every fault-in's payload is released at the requester) must not grow
+// the freelist without limit, and an exact-size payload may come back as
+// a twin but never as a diff buffer.
+func TestPoolFreelistBounded(t *testing.T) {
+	var p Pool
+	data := make([]uint64, 32)
+	for i := 0; i < 100_000; i++ {
+		p.PutWords(make([]uint64, 32)) // a decoded payload, released at invalidation
+		p.PutWords(TwinInto(&p, data)) // balanced: drawn and returned
+		if len(p.free) > maxFree {
+			t.Fatalf("cycle %d: freelist holds %d buffers, bound is %d", i, len(p.free), maxFree)
+		}
+	}
+	if len(p.free) != maxFree {
+		t.Fatalf("freelist holds %d buffers after unbalanced traffic, want the bound %d", len(p.free), maxFree)
+	}
+	dense := make([]uint64, 32)
+	for i := range dense {
+		dense[i] = 1
+	}
+	if ComputeInto(&p, data, dense); len(p.free) != maxFree {
+		t.Fatalf("a diff drew a payload buffer without diff slack (%d left free)", len(p.free))
+	}
+}
+
+// TestPoolKeepsSizesApart: a large buffer is not handed out for a small
+// object (it stays for an object of its own size).
+func TestPoolKeepsSizesApart(t *testing.T) {
+	var p Pool
+	p.PutWords(Twin(make([]uint64, 256)))
+	if small := TwinInto(&p, make([]uint64, 1)); cap(small) > 16 {
+		t.Fatalf("1-word twin drew a %d-word buffer", cap(small))
+	}
+	if row := TwinInto(&p, make([]uint64, 256)); len(p.free) != 0 || len(row) != 256 {
+		t.Fatalf("row twin did not reuse the row buffer (%d still free)", len(p.free))
+	}
+}
+
+// sparseRow returns a 256-word row and a copy with every odd word
+// changed — what a red-black SOR half-sweep does to a row.
+func sparseRow() (twin, cur []uint64) {
+	twin = make([]uint64, 256)
+	for i := range twin {
+		twin[i] = uint64(i)*0x9E3779B97F4A7C15 + 1
+	}
+	cur = Twin(twin)
+	for i := 1; i < len(cur); i += 2 {
+		cur[i]++
+	}
+	return twin, cur
+}
+
+// TestHotPathAllocations pins the allocation counts the flat layout
+// exists for: none for a pooled compute and release, none for apply (the
+// one buffer per decoded diff is pinned on the whole frame, in wire).
+func TestHotPathAllocations(t *testing.T) {
+	twin, cur := sparseRow()
+	var p Pool
+	p.PutDiff(ComputeInto(&p, twin, cur))
+	if n := testing.AllocsPerRun(100, func() { p.PutDiff(ComputeInto(&p, twin, cur)) }); n != 0 {
+		t.Errorf("pooled ComputeInto+PutDiff allocates %v times", n)
+	}
+	d := Compute(twin, cur)
+	dst := Twin(twin)
+	if n := testing.AllocsPerRun(100, func() { d.Apply(dst) }); n != 0 {
+		t.Errorf("Apply allocates %v times", n)
+	}
+}
+
+// TestEncodingGolden pins the wire format: a 4-byte run count, then per
+// run [start u32][len u32][len × u64], all little-endian. The sparse row
+// diff is spelled out independently of Encode.
+func TestEncodingGolden(t *testing.T) {
+	small := Merge(OneRun(2, 7, 8), OneRun(100, 0xdeadbeef))
+	want := []byte{
+		2, 0, 0, 0,
+		2, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0,
+		100, 0, 0, 0, 1, 0, 0, 0, 0xef, 0xbe, 0xad, 0xde, 0, 0, 0, 0,
+	}
+	if got := small.Encode(nil); !bytes.Equal(got, want) {
+		t.Fatalf("small diff encodes as\n%x, want\n%x", got, want)
+	}
+	twin, cur := sparseRow()
+	want = binary.LittleEndian.AppendUint32(nil, 128)
+	for i := 1; i < len(cur); i += 2 {
+		want = binary.LittleEndian.AppendUint32(want, uint32(i))
+		want = binary.LittleEndian.AppendUint32(want, 1)
+		want = binary.LittleEndian.AppendUint64(want, cur[i])
+	}
+	d := Compute(twin, cur)
+	if got := d.Encode(nil); !bytes.Equal(got, want) || d.WireSize() != len(want) {
+		t.Fatalf("sparse row diff: %d bytes (WireSize %d), want %d; equal=%v",
+			len(got), d.WireSize(), len(want), bytes.Equal(got, want))
+	}
+}
+
+// TestDecodeRejectsNonCanonical: Apply and Merge assume non-empty,
+// increasing, non-overlapping runs, so Decode lets nothing else in — and
+// decides before it allocates.
+func TestDecodeRejectsNonCanonical(t *testing.T) {
+	run := func(start, n uint32, words ...uint64) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, start)
+		b = binary.LittleEndian.AppendUint32(b, n)
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		return b
+	}
+	diff := func(count uint32, runs ...[]byte) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, count)
+		return append(b, bytes.Join(runs, nil)...)
+	}
+	for name, buf := range map[string][]byte{
+		"empty run":      diff(1, run(3, 0)),
+		"overlap":        diff(2, run(0, 2, 1, 2), run(1, 1, 9)),
+		"out of order":   diff(2, run(5, 1, 1), run(2, 1, 2)),
+		"index overflow": diff(1, run(math.MaxUint32, 1, 1)),
+		"count 2^32-1":   diff(math.MaxUint32, run(0, 1, 1)),
+		"length 2^32-1":  diff(1, run(0, math.MaxUint32, 1)),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := Decode(buf)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4096 {
+			t.Errorf("%s: Decode allocated %d bytes before rejecting", name, grew)
+		}
+	}
+	// Adjacent runs are unusual (Compute emits maximal runs) but well
+	// formed, and must survive a round trip byte for byte.
+	adj := diff(2, run(0, 1, 1), run(1, 1, 2))
+	d, n, err := Decode(adj)
+	if err != nil || n != len(adj) || !bytes.Equal(d.Encode(nil), adj) {
+		t.Fatalf("adjacent runs: n=%d err=%v", n, err)
 	}
 }

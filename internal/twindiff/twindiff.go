@@ -1,96 +1,64 @@
-// Package twindiff implements the twin-and-diff technique of TreadMarks
-// [Keleher et al. 1994] as used by the home-based protocol (paper §1, §3.1):
-// before a cached copy is first written, a twin (snapshot) is taken; at
-// release time the diff — the set of words that changed relative to the
-// twin — is computed and propagated to the object's home, where it is
-// applied to the home copy. Word granularity (8 bytes) matches the
-// object-based GOS, whose coherence unit is a Java object whose fields are
-// word-sized.
 package twindiff
 
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
+	"math"
+	"slices"
 )
 
-// Run is a maximal contiguous range of modified words.
-type Run struct {
-	Start uint32   // first modified word index
-	Words []uint64 // new values
-}
+// Diff is an ordered, non-overlapping set of modified-word runs in one
+// buffer (layout in the package comment). The zero value is the empty diff.
+type Diff struct{ buf []uint64 }
 
-// Diff is an ordered, non-overlapping set of modified-word runs.
-type Diff struct {
-	Runs []Run
-}
+const (
+	// diffSlack is what the worst-case diff of an n-word object needs
+	// beyond n: r runs over w words leave r-1 gaps, so r+w ≤ n+1, plus
+	// the count word.
+	diffSlack = 2
+	// maxFree bounds the freelist: buffers migrate between pools (a reply
+	// drawn at the home is released at the requester), so an unbounded one
+	// grows by an entry per fault-in. A full pool leaves Puts to the GC.
+	maxFree = 256
+)
 
-// Pool is a freelist of word buffers and run slices, letting the hot path
+// Pool is a bounded freelist of object-sized buffers, letting the hot path
 // (a twin per first write of an interval, a diff per release) reuse memory
-// instead of allocating. The zero value is ready to use; a nil *Pool is
-// valid and falls back to plain allocation. Pools are not safe for
-// concurrent use — the simulation gives each node its own.
-//
-// Safety model: losing track of a pooled buffer (e.g. a diff that gets
-// piggybacked on a sync message and never acknowledged directly) is always
-// safe — it is simply garbage collected. Only Put must be called carefully:
-// after Put the buffer may be handed out again, so the caller must hold no
-// live references.
-type Pool struct {
-	words [][]uint64
-	runs  [][]Run
-}
+// instead of allocating. Every buffer it allocates has room for the
+// worst-case diff of the object it was sized for, so twins and diffs recycle
+// into each other; a buffer born elsewhere (a decoded payload) serves as a
+// twin only. The zero value is ready to use; a nil *Pool falls back to plain
+// allocation. Not safe for concurrent use — each node has its own. After a
+// Put the buffer may be handed out again: hold no live references.
+type Pool struct{ free [][]uint64 }
 
-// getWords returns a length-n word buffer, contents undefined.
-func (p *Pool) getWords(n int) []uint64 {
+// getWords returns a length-n buffer, contents undefined, with capacity for
+// slack more words.
+func (p *Pool) getWords(n, slack int) []uint64 {
 	if p != nil {
-		// Scan a bounded window from the top of the freelist: object sizes
-		// within a workload are near-uniform, so the top entry almost
-		// always fits.
-		for i := len(p.words) - 1; i >= 0 && i >= len(p.words)-8; i-- {
-			if cap(p.words[i]) >= n {
-				buf := p.words[i][:n]
-				p.words[i] = p.words[len(p.words)-1]
-				p.words[len(p.words)-1] = nil
-				p.words = p.words[:len(p.words)-1]
+		// Scan a bounded window from the top: a workload's object sizes are
+		// near-uniform. An entry over twice the size waits for its own kind.
+		for i := len(p.free) - 1; i >= 0 && i >= len(p.free)-8; i-- {
+			if c := cap(p.free[i]); c >= n+slack && c <= 2*(n+diffSlack) {
+				buf := p.free[i][:n]
+				p.free = slices.Delete(p.free, i, i+1)
 				return buf
 			}
 		}
 	}
-	return make([]uint64, n)
+	return make([]uint64, n, n+diffSlack)
 }
 
-// getRuns returns an empty run slice to append to.
-func (p *Pool) getRuns() []Run {
-	if p != nil && len(p.runs) > 0 {
-		rs := p.runs[len(p.runs)-1][:0]
-		p.runs[len(p.runs)-1] = nil
-		p.runs = p.runs[:len(p.runs)-1]
-		return rs
-	}
-	return nil
-}
+// PutWords returns a word buffer (a released twin or an invalidated cached
+// copy's data) to the freelist.
+func (p *Pool) PutWords(buf []uint64) { p.PutDiff(Diff{buf}) }
 
-// PutWords returns a word buffer (e.g. a released twin or an invalidated
-// cached copy's data) to the freelist.
-func (p *Pool) PutWords(buf []uint64) {
-	if p == nil || cap(buf) == 0 {
-		return
-	}
-	p.words = append(p.words, buf)
-}
-
-// PutDiff returns d's word buffers and run slice to the freelist. The
-// caller must hold no other references to d's contents.
+// PutDiff returns d's buffer to the freelist. The caller must have
+// computed d itself and hold no other references to it.
 func (p *Pool) PutDiff(d Diff) {
-	if p == nil {
-		return
-	}
-	for i := range d.Runs {
-		p.PutWords(d.Runs[i].Words)
-		d.Runs[i].Words = nil
-	}
-	if cap(d.Runs) > 0 {
-		p.runs = append(p.runs, d.Runs[:0])
+	if p != nil && cap(d.buf) > 0 && len(p.free) < maxFree {
+		p.free = append(p.free, d.buf)
 	}
 }
 
@@ -100,7 +68,7 @@ func Twin(data []uint64) []uint64 { return TwinInto(nil, data) }
 // TwinInto is Twin drawing the snapshot buffer from pool (nil pool = plain
 // allocation).
 func TwinInto(pool *Pool, data []uint64) []uint64 {
-	t := pool.getWords(len(data))
+	t := pool.getWords(len(data), 0)
 	copy(t, data)
 	return t
 }
@@ -110,34 +78,62 @@ func TwinInto(pool *Pool, data []uint64) []uint64 {
 // means the caller twinned a different object.
 func Compute(twin, cur []uint64) Diff { return ComputeInto(nil, twin, cur) }
 
-// ComputeInto is Compute drawing run storage from pool (nil pool = plain
-// allocation).
+// ComputeInto is Compute drawing the diff buffer from pool (nil pool =
+// plain allocation).
 //
 //dsm:hotpath
 func ComputeInto(pool *Pool, twin, cur []uint64) Diff {
 	if len(twin) != len(cur) {
 		panic(fmt.Sprintf("twindiff: twin len %d != cur len %d", len(twin), len(cur)))
 	}
-	var d Diff
-	i := 0
-	for i < len(cur) {
+	var buf []uint64
+	for i := 0; i < len(cur); i++ {
 		if twin[i] == cur[i] {
-			i++
 			continue
 		}
-		j := i
+		j := i + 1
 		for j < len(cur) && twin[j] != cur[j] {
 			j++
 		}
-		run := Run{Start: uint32(i), Words: pool.getWords(j - i)}
-		copy(run.Words, cur[i:j])
-		if d.Runs == nil {
-			d.Runs = pool.getRuns()
+		if buf == nil && pool == nil {
+			buf = make([]uint64, 1, 8) // nobody recycles it: append sizes it to the diff
+		} else if buf == nil {
+			buf = pool.getWords(len(cur), diffSlack)[:1]
+			buf[0] = 0
 		}
-		d.Runs = append(d.Runs, run)
-		i = j
+		buf[0]++
+		buf = append(buf, uint64(i)|uint64(j-i)<<32)
+		buf = append(buf, cur[i:j]...)
+		i = j // cur[j] is unchanged (or the end)
 	}
-	return d
+	return Diff{buf}
+}
+
+// OneRun returns the diff that writes words at start (no words: the empty
+// diff). With Merge it builds diffs by hand, for tests and fuzz seeds; the
+// protocol builds its diffs with Compute.
+func OneRun(start uint32, words ...uint64) Diff {
+	if len(words) == 0 {
+		return Diff{}
+	}
+	return Diff{append([]uint64{1, uint64(start) | uint64(len(words))<<32}, words...)}
+}
+
+// runs returns the buffer past the count word: headers and values.
+func (d Diff) runs() []uint64 { return d.buf[min(1, len(d.buf)):] }
+
+// Runs iterates over the runs in order: the first modified word index and
+// the new values, which alias the diff's buffer.
+func (d Diff) Runs() iter.Seq2[uint32, []uint64] {
+	return func(yield func(uint32, []uint64) bool) {
+		for b := d.runs(); len(b) > 0; {
+			n := 1 + int(b[0]>>32)
+			if !yield(uint32(b[0]), b[1:n]) {
+				return
+			}
+			b = b[n:]
+		}
+	}
 }
 
 // Apply writes the diff's runs into dst (the home copy). Out-of-range runs
@@ -145,133 +141,132 @@ func ComputeInto(pool *Pool, twin, cur []uint64) Diff {
 //
 //dsm:hotpath
 func (d Diff) Apply(dst []uint64) {
-	for _, r := range d.Runs {
-		if int(r.Start)+len(r.Words) > len(dst) {
-			panic(fmt.Sprintf("twindiff: run [%d,%d) exceeds object of %d words",
-				r.Start, int(r.Start)+len(r.Words), len(dst)))
+	for i, buf := 1, d.buf; i < len(buf); {
+		start, n := int(uint32(buf[i])), int(buf[i]>>32)
+		i++
+		if start+n > len(dst) {
+			panic(fmt.Sprintf("twindiff: run [%d,%d) exceeds object of %d words", start, start+n, len(dst)))
 		}
-		copy(dst[r.Start:], r.Words)
+		if n == 1 {
+			dst[start] = buf[i] // red-black rows: not worth a memmove call
+		} else {
+			copy(dst[start:], buf[i:i+n])
+		}
+		i += n
 	}
 }
 
 // Empty reports whether the diff carries no modifications.
-func (d Diff) Empty() bool { return len(d.Runs) == 0 }
+func (d Diff) Empty() bool { return len(d.buf) == 0 }
 
-// WordCount returns the number of modified words carried.
-func (d Diff) WordCount() int {
-	n := 0
-	for _, r := range d.Runs {
-		n += len(r.Words)
+// NumRuns returns the number of runs.
+func (d Diff) NumRuns() int {
+	if d.Empty() {
+		return 0
 	}
-	return n
+	return int(d.buf[0])
 }
 
-// WireSize returns the encoded size in bytes: a 4-byte run count, then per
-// run a 4-byte start, 4-byte length and 8 bytes per word. This is the size
-// charged to the network model for diff propagation.
-func (d Diff) WireSize() int {
-	n := 4
-	for _, r := range d.Runs {
-		n += 8 + 8*len(r.Words)
+// WordCount returns the number of modified words carried.
+func (d Diff) WordCount() int { return len(d.runs()) - d.NumRuns() }
+
+// WireSize returns the encoded size in bytes (a 4-byte run count, 8 bytes
+// per run header and per word): what the network model charges for a diff.
+func (d Diff) WireSize() int { return 4 + 8*len(d.runs()) }
+
+// cursor walks a diff one modified word at a time.
+type cursor struct {
+	buf  []uint64 // unread tail: the current value first, or a header when left is 0
+	idx  uint32   // word index of the current value
+	left uint32   // values left in the open run; 0 once exhausted
+}
+
+// next steps past the current value, if any, and opens the run at a header.
+func (c cursor) next() cursor {
+	if c.left > 0 {
+		c.buf, c.idx, c.left = c.buf[1:], c.idx+1, c.left-1
 	}
-	return n
+	if c.left == 0 && len(c.buf) > 0 {
+		c.buf, c.idx, c.left = c.buf[1:], uint32(c.buf[0]), uint32(c.buf[0]>>32)
+	}
+	return c
 }
 
 // Merge returns the diff equivalent to applying a, then b. Overlapping
 // words take b's values. Used by the home when coalescing diffs from the
 // same interval, and by property tests asserting apply-order equivalence.
 // Runs are ordered and non-overlapping within each diff, so a two-pointer
-// word-level run merge produces the result in O(|a|+|b|) with no
-// intermediate map.
+// word-level merge produces the result in O(|a|+|b|) into one buffer.
 func Merge(a, b Diff) Diff {
-	var out Diff
-	var cur Run
-	emit := func(idx uint32, v uint64) {
-		if cur.Words != nil {
-			if idx == cur.Start+uint32(len(cur.Words)) {
-				cur.Words = append(cur.Words, v)
-				return
-			}
-			out.Runs = append(out.Runs, cur)
-		}
-		cur = Run{Start: idx, Words: append(make([]uint64, 0, 4), v)}
+	if a.Empty() && b.Empty() {
+		return Diff{}
 	}
-	ai, ao := 0, 0 // cursor into a: run index, word offset
-	bi, bo := 0, 0 // cursor into b
-	for ai < len(a.Runs) || bi < len(b.Runs) {
-		aHas, bHas := ai < len(a.Runs), bi < len(b.Runs)
-		var aIdx, bIdx uint32
-		if aHas {
-			aIdx = a.Runs[ai].Start + uint32(ao)
-		}
-		if bHas {
-			bIdx = b.Runs[bi].Start + uint32(bo)
-		}
-		takeA := aHas && (!bHas || aIdx <= bIdx)
-		takeB := bHas && (!aHas || bIdx <= aIdx)
-		switch {
-		case takeA && takeB: // same word: b overwrites a
-			emit(bIdx, b.Runs[bi].Words[bo])
-		case takeA:
-			emit(aIdx, a.Runs[ai].Words[ao])
-		default:
-			emit(bIdx, b.Runs[bi].Words[bo])
-		}
-		if takeA {
-			if ao++; ao == len(a.Runs[ai].Words) {
-				ai, ao = ai+1, 0
+	out := make([]uint64, 1, len(a.buf)+len(b.buf))
+	hdr, start, end := 0, uint64(0), uint64(0) // the open run: header index, extent
+	ca, cb := cursor{buf: a.runs()}.next(), cursor{buf: b.runs()}.next()
+	for ca.left > 0 || cb.left > 0 {
+		var idx, v uint64
+		if cb.left == 0 || ca.left > 0 && ca.idx < cb.idx {
+			idx, v, ca = uint64(ca.idx), ca.buf[0], ca.next()
+		} else {
+			if ca.left > 0 && ca.idx == cb.idx {
+				ca = ca.next() // the same word in both: b overwrites a
 			}
+			idx, v, cb = uint64(cb.idx), cb.buf[0], cb.next()
 		}
-		if takeB {
-			if bo++; bo == len(b.Runs[bi].Words) {
-				bi, bo = bi+1, 0
-			}
+		if hdr == 0 || idx != end {
+			out[0]++
+			hdr, start = len(out), idx
+			out = append(out, 0)
 		}
+		out, end = append(out, v), idx+1
+		out[hdr] = start | (end-start)<<32
 	}
-	if cur.Words != nil {
-		out.Runs = append(out.Runs, cur)
-	}
-	return out
+	return Diff{out}
 }
 
 // Encode appends the wire form of d to buf and returns the result.
 func (d Diff) Encode(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(d.Runs)))
-	for _, r := range d.Runs {
-		buf = binary.LittleEndian.AppendUint32(buf, r.Start)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Words)))
-		for _, w := range r.Words {
-			buf = binary.LittleEndian.AppendUint64(buf, w)
-		}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.NumRuns()))
+	for _, w := range d.runs() {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
 	return buf
 }
 
 // Decode parses a diff from buf, returning the diff and the number of
-// bytes consumed.
+// bytes consumed. It checks every run header before it allocates, and
+// accepts only canonical diffs (see the package comment).
 func Decode(buf []byte) (Diff, int, error) {
 	if len(buf) < 4 {
 		return Diff{}, 0, fmt.Errorf("twindiff: truncated header")
 	}
-	n := int(binary.LittleEndian.Uint32(buf))
+	n := binary.LittleEndian.Uint32(buf)
 	off := 4
-	var d Diff
-	for i := 0; i < n; i++ {
-		if len(buf) < off+8 {
+	end := uint64(0) // one past the previous run's last word
+	for i := uint32(0); i < n; i++ {
+		if len(buf)-off < 8 {
 			return Diff{}, 0, fmt.Errorf("twindiff: truncated run %d header", i)
 		}
-		start := binary.LittleEndian.Uint32(buf[off:])
-		cnt := int(binary.LittleEndian.Uint32(buf[off+4:]))
+		start := uint64(binary.LittleEndian.Uint32(buf[off:]))
+		cnt := uint64(binary.LittleEndian.Uint32(buf[off+4:]))
 		off += 8
-		if len(buf) < off+8*cnt {
+		if uint64(len(buf)-off) < 8*cnt {
 			return Diff{}, 0, fmt.Errorf("twindiff: truncated run %d body", i)
 		}
-		words := make([]uint64, cnt)
-		for k := 0; k < cnt; k++ {
-			words[k] = binary.LittleEndian.Uint64(buf[off:])
-			off += 8
+		if cnt == 0 || start < end || start+cnt > math.MaxUint32 {
+			return Diff{}, 0, fmt.Errorf("twindiff: run %d [%d,+%d) is empty, out of order or out of range", i, start, cnt)
 		}
-		d.Runs = append(d.Runs, Run{Start: start, Words: words})
+		end = start + cnt
+		off += 8 * int(cnt)
 	}
-	return d, off, nil
+	if n == 0 {
+		return Diff{}, off, nil
+	}
+	words := make([]uint64, 1+(off-4)/8)
+	words[0] = uint64(n)
+	for i, src := 1, buf[4:off]; i < len(words); i, src = i+1, src[8:] {
+		words[i] = binary.LittleEndian.Uint64(src)
+	}
+	return Diff{words}, off, nil
 }

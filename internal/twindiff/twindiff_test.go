@@ -32,7 +32,7 @@ func TestComputeSingleRun(t *testing.T) {
 	tw := []uint64{0, 0, 0, 0, 0}
 	cur := []uint64{0, 7, 8, 0, 0}
 	d := Compute(tw, cur)
-	want := Diff{Runs: []Run{{Start: 1, Words: []uint64{7, 8}}}}
+	want := OneRun(1, 7, 8)
 	if !reflect.DeepEqual(d, want) {
 		t.Fatalf("diff = %+v", d)
 	}
@@ -42,8 +42,8 @@ func TestComputeMultipleRuns(t *testing.T) {
 	tw := []uint64{1, 2, 3, 4, 5, 6}
 	cur := []uint64{9, 2, 3, 8, 8, 6}
 	d := Compute(tw, cur)
-	if len(d.Runs) != 2 {
-		t.Fatalf("runs = %d, want 2: %+v", len(d.Runs), d)
+	if d.NumRuns() != 2 {
+		t.Fatalf("runs = %d, want 2: %+v", d.NumRuns(), d)
 	}
 	if d.WordCount() != 3 {
 		t.Fatalf("words = %d, want 3", d.WordCount())
@@ -65,7 +65,7 @@ func TestApplyOutOfRangePanics(t *testing.T) {
 			t.Fatal("no panic on out-of-range apply")
 		}
 	}()
-	d := Diff{Runs: []Run{{Start: 3, Words: []uint64{1, 2}}}}
+	d := OneRun(3, 1, 2)
 	d.Apply(make([]uint64, 4))
 }
 
@@ -81,10 +81,7 @@ func TestApplyReconstructs(t *testing.T) {
 }
 
 func TestWireSizeAccountsRunsAndWords(t *testing.T) {
-	d := Diff{Runs: []Run{
-		{Start: 0, Words: []uint64{1}},
-		{Start: 5, Words: []uint64{2, 3}},
-	}}
+	d := Merge(OneRun(0, 1), OneRun(5, 2, 3))
 	// 4 header + (8+8) + (8+16) = 44
 	if d.WireSize() != 44 {
 		t.Fatalf("WireSize = %d, want 44", d.WireSize())
@@ -92,10 +89,7 @@ func TestWireSizeAccountsRunsAndWords(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	d := Diff{Runs: []Run{
-		{Start: 2, Words: []uint64{7, 8, 9}},
-		{Start: 100, Words: []uint64{0xdeadbeef}},
-	}}
+	d := Merge(OneRun(2, 7, 8, 9), OneRun(100, 0xdeadbeef))
 	buf := d.Encode(nil)
 	if len(buf) != d.WireSize() {
 		t.Fatalf("encoded %d bytes, WireSize says %d", len(buf), d.WireSize())
@@ -110,7 +104,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	d := Diff{Runs: []Run{{Start: 2, Words: []uint64{7, 8}}}}
+	d := OneRun(2, 7, 8)
 	buf := d.Encode(nil)
 	for cut := 1; cut < len(buf); cut++ {
 		if _, _, err := Decode(buf[:cut]); err == nil {
@@ -120,8 +114,8 @@ func TestDecodeTruncated(t *testing.T) {
 }
 
 func TestMergeDisjoint(t *testing.T) {
-	a := Diff{Runs: []Run{{Start: 0, Words: []uint64{1}}}}
-	b := Diff{Runs: []Run{{Start: 2, Words: []uint64{3}}}}
+	a := OneRun(0, 1)
+	b := OneRun(2, 3)
 	m := Merge(a, b)
 	dst := make([]uint64, 4)
 	m.Apply(dst)
@@ -131,8 +125,8 @@ func TestMergeDisjoint(t *testing.T) {
 }
 
 func TestMergeOverlapSecondWins(t *testing.T) {
-	a := Diff{Runs: []Run{{Start: 1, Words: []uint64{10, 11}}}}
-	b := Diff{Runs: []Run{{Start: 2, Words: []uint64{99}}}}
+	a := OneRun(1, 10, 11)
+	b := OneRun(2, 99)
 	m := Merge(a, b)
 	dst := make([]uint64, 4)
 	m.Apply(dst)
@@ -149,10 +143,10 @@ func TestMergeEmpty(t *testing.T) {
 }
 
 func TestMergeCoalescesAdjacent(t *testing.T) {
-	a := Diff{Runs: []Run{{Start: 0, Words: []uint64{1}}}}
-	b := Diff{Runs: []Run{{Start: 1, Words: []uint64{2}}}}
+	a := OneRun(0, 1)
+	b := OneRun(1, 2)
 	m := Merge(a, b)
-	if len(m.Runs) != 1 || m.Runs[0].Start != 0 || len(m.Runs[0].Words) != 2 {
+	if !reflect.DeepEqual(m, OneRun(0, 1, 2)) {
 		t.Fatalf("adjacent runs not coalesced: %+v", m)
 	}
 }

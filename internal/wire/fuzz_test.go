@@ -2,6 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -12,10 +15,7 @@ import (
 // fuzzSeeds are valid encodings of representative messages, so the
 // fuzzer starts from the interesting part of the input space.
 func fuzzSeeds() [][]byte {
-	diff := twindiff.Diff{Runs: []twindiff.Run{
-		{Start: 3, Words: []uint64{1, 2, 3}},
-		{Start: 99, Words: []uint64{0xDEADBEEF}},
-	}}
+	diff := twindiff.Merge(twindiff.OneRun(3, 1, 2, 3), twindiff.OneRun(99, 0xDEADBEEF))
 	msgs := []Msg{
 		{Kind: ObjReq, From: 1, To: 2, Obj: 7, ReplyNode: 1, ReplySlot: 0, Seq: 9},
 		{Kind: ObjReply, From: 2, To: 1, Obj: 7, ReplyNode: 1, Home: 2,
@@ -38,6 +38,39 @@ func fuzzSeeds() [][]byte {
 	return out
 }
 
+// nonCanonicalDiffSeeds are DiffMsg frames whose diff section is well
+// framed but not canonical: an empty run, overlapping runs, runs out of
+// order, a run ending past uint32, and a run count of 2³²−1 over a
+// one-run body. Decode must reject each (the last without sizing an
+// allocation by the count).
+func nonCanonicalDiffSeeds() [][]byte {
+	le := binary.LittleEndian
+	run := func(start, n uint32, words ...uint64) []byte {
+		b := le.AppendUint32(le.AppendUint32(nil, start), n)
+		for _, w := range words {
+			b = le.AppendUint64(b, w)
+		}
+		return b
+	}
+	frame := func(count uint32, runs ...[]byte) []byte {
+		b := Msg{Kind: DiffMsg, From: 1, To: 0, Obj: 3, Home: 1, ReplyNode: 1}.Encode(nil)
+		// Header, empty data section, then the diff section, then the
+		// four empty trailing sections.
+		head, tail := b[:headerSize+4], b[headerSize+8:]
+		out := append([]byte(nil), head...)
+		out = le.AppendUint32(out, count)
+		out = append(out, bytes.Join(runs, nil)...)
+		return append(out, tail...)
+	}
+	return [][]byte{
+		frame(1, run(3, 0)),
+		frame(2, run(0, 2, 1, 2), run(1, 1, 9)),
+		frame(2, run(5, 1, 1), run(2, 1, 2)),
+		frame(1, run(math.MaxUint32, 1, 1)),
+		frame(math.MaxUint32, run(0, 1, 1)),
+	}
+}
+
 // FuzzWireDecode hammers the codec with corrupt and truncated frames.
 // The codec is the live engine's transport boundary, where bytes come
 // from outside the process once a networked backend exists, so Decode
@@ -55,6 +88,12 @@ func FuzzWireDecode(f *testing.F) {
 			mut[0] ^= 0x40
 			f.Add(mut)
 		}
+	}
+	for _, seed := range nonCanonicalDiffSeeds() {
+		if _, err := Decode(seed); err == nil {
+			f.Fatalf("non-canonical diff accepted: %x", seed)
+		}
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
@@ -74,6 +113,24 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		if m2.Kind != m.Kind || len(m2.Data) != len(m.Data) || len(m2.Diffs) != len(m.Diffs) {
 			t.Fatalf("decode/encode/decode drifted: %+v vs %+v", m, m2)
+		}
+		// What Decode lets in, the home applies and merges: neither may
+		// panic on an accepted diff (given an object large enough).
+		for _, od := range append(m.Diffs, ObjDiff{D: m.Diff}) {
+			extent := 0
+			for start, words := range od.D.Runs() {
+				extent = int(start) + len(words)
+			}
+			if extent > 1<<16 {
+				continue
+			}
+			obj := make([]uint64, extent)
+			od.D.Apply(obj)
+			merged := make([]uint64, extent)
+			twindiff.Merge(od.D, od.D).Apply(merged)
+			if !slices.Equal(obj, merged) {
+				t.Fatalf("Merge(d, d) != d for accepted diff %+v", od.D)
+			}
 		}
 	})
 }

@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"encoding/hex"
 	"reflect"
 	"repro/internal/prng"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/memory"
@@ -26,9 +28,9 @@ func sampleMsg() Msg {
 		HasRec:    true,
 		Seq:       1001,
 		Data:      []uint64{10, 20, 30},
-		Diff:      twindiff.Diff{Runs: []twindiff.Run{{Start: 1, Words: []uint64{99}}}},
+		Diff:      twindiff.OneRun(1, 99),
 		Diffs: []ObjDiff{
-			{Obj: 7, D: twindiff.Diff{Runs: []twindiff.Run{{Start: 0, Words: []uint64{1, 2}}}}},
+			{Obj: 7, D: twindiff.OneRun(0, 1, 2)},
 			{Obj: 8, D: twindiff.Diff{}},
 		},
 		Rec:     core.Record{TBase: 2.5, Epoch: 3, AvgDiff: 77.5, DiffObs: 12},
@@ -198,6 +200,41 @@ func TestRandomRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestGoldenPiggybackedLockRel pins the frame of a release carrying two
+// piggybacked diffs, one of them empty. The bytes were produced by the
+// run-of-slices codec this layout replaced: the format did not move.
+func TestGoldenPiggybackedLockRel(t *testing.T) {
+	m := Msg{Kind: LockRel, From: 1, To: 0, Lock: 4, ReplyNode: 1, ReplySlot: 2, Seq: 7,
+		Diffs: []ObjDiff{
+			{Obj: 5, D: twindiff.Merge(twindiff.OneRun(3, 1, 2), twindiff.OneRun(9, 0xDEADBEEF))},
+			{Obj: 6, D: twindiff.Diff{}},
+		}}
+	const want = "0601000000000000000100020000000000040000000000000000000007000000" + // header
+		"00000000" + "00000000" + // no data, empty diff
+		"02000000" + // two piggybacked diffs
+		"05000000" + "02000000" + "0300000002000000" + "0100000000000000" + "0200000000000000" +
+		"0900000001000000" + "efbeadde00000000" +
+		"06000000" + "00000000" +
+		"00000000" + "00000000" // no assigns, no reports
+	got := m.Encode(nil)
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("frame moved:\n got %x\nwant %s", got, want)
+	}
+	dec, err := Decode(got)
+	if err != nil || !reflect.DeepEqual(dec, m) {
+		t.Fatalf("golden frame decodes to %+v (err %v)", dec, err)
+	}
+}
+
+// TestMsgSize: Msg travels by value through handlers, queues and the
+// simulator's event heap, so its size is a cost on every path; a Diff
+// must stay one slice header.
+func TestMsgSize(t *testing.T) {
+	if got := unsafe.Sizeof(Msg{}); got > 192 {
+		t.Fatalf("wire.Msg is %d bytes, want <= 192", got)
+	}
+}
+
 func BenchmarkEncode(b *testing.B) {
 	m := sampleMsg()
 	buf := make([]byte, 0, 1024)
@@ -212,6 +249,39 @@ func BenchmarkDecode(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Decode(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// sparseDiffFrame is a DiffMsg for one red-black SOR row: every second
+// word of 256 changed, 128 one-word runs.
+func sparseDiffFrame() []byte {
+	twin := make([]uint64, 256)
+	cur := twindiff.Twin(twin)
+	for i := 1; i < len(cur); i += 2 {
+		cur[i] = uint64(i)
+	}
+	m := Msg{Kind: DiffMsg, From: 1, To: 0, Obj: 7, Home: 1, ReplyNode: 1, Diff: twindiff.Compute(twin, cur)}
+	return m.Encode(nil)
+}
+
+func TestDecodeSparseDiffAllocatesOnce(t *testing.T) {
+	frame := sparseDiffFrame()
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Fatalf("Decode of a sparse row DiffMsg allocates %v times", n)
+	}
+}
+
+func BenchmarkDecodeSparseDiff(b *testing.B) {
+	frame := sparseDiffFrame()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(frame); err != nil {
 			b.Fatal(err)
 		}
 	}
