@@ -59,6 +59,12 @@ func dedup(m multiFlag) multiFlag {
 	return out
 }
 
+// What -all selects.
+var (
+	allFigs      = multiFlag{"2", "3", "5a", "5b"}
+	allAblations = multiFlag{"locator", "lambda", "tinit", "related", "piggyback", "pathcompress"}
+)
+
 func main() {
 	var figs, ablates multiFlag
 	flag.Var(&figs, "fig", "figures to regenerate: 2, 3, 5a, 5b (repeatable or comma-separated)")
@@ -81,8 +87,7 @@ func main() {
 	flag.Parse()
 
 	if *all {
-		figs = multiFlag{"2", "3", "5a", "5b"}
-		ablates = multiFlag{"locator", "lambda", "tinit", "related", "piggyback", "pathcompress"}
+		figs, ablates = allFigs, allAblations
 	}
 	figs, ablates = dedup(figs), dedup(ablates)
 	if *benchJSON != "" {
@@ -178,38 +183,49 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dsmbench: %d sweep worker(s), %d trial(s) per configuration\n",
 			workers, *trials)
 	}
-	sizes := bench.DefaultSizes()
-	fig3ASP := []int{64, 128, 256, 512}
-	fig3SOR := []int{128, 256, 512, 1024}
-	if *full {
-		sizes = bench.FullSizes()
-		fig3ASP = []int{128, 256, 512, 1024}
+	report, err := produce(os.Stdout, figs, ablates, *full, opts)
+	if err == nil {
+		err = writeArtifact(*jsonPath, report.WriteJSON)
 	}
-
-	fail := func(err error) {
+	if err == nil {
+		err = writeArtifact(*csvPath, report.WriteCSV)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "dsmbench:", err)
 		os.Exit(1)
 	}
-	report := bench.Report{Sizes: sizes, Trials: *trials}
+}
+
+// produce runs the requested figure sweeps and ablations in order,
+// printing each table to w, and returns every row produced.
+func produce(w io.Writer, figs, ablates multiFlag, full bool, opts bench.RunOpts) (bench.Report, error) {
+	sizes := bench.DefaultSizes()
+	fig3ASP := []int{64, 128, 256, 512}
+	fig3SOR := []int{128, 256, 512, 1024}
+	if full {
+		sizes = bench.FullSizes()
+		fig3ASP = []int{128, 256, 512, 1024}
+	}
+	report := bench.Report{Sizes: sizes, Trials: opts.Trials}
 	did5 := false
 	for _, f := range figs {
 		switch f {
 		case "2":
 			rows, err := bench.Fig2(sizes, nil, opts)
 			if err != nil {
-				fail(err)
+				return report, err
 			}
 			report.Fig2 = rows
-			bench.PrintFig2(os.Stdout, sizes, rows)
-			fmt.Println()
+			bench.PrintFig2(w, sizes, rows)
+			fmt.Fprintln(w)
 		case "3":
 			rows, err := bench.Fig3(fig3ASP, fig3SOR, sizes.SORIters, 8, opts)
 			if err != nil {
-				fail(err)
+				return report, err
 			}
 			report.Fig3 = rows
-			bench.PrintFig3(os.Stdout, rows)
-			fmt.Println()
+			bench.PrintFig3(w, rows)
+			fmt.Fprintln(w)
 		case "5a", "5b":
 			if did5 {
 				continue // both panels come from one sweep
@@ -217,19 +233,19 @@ func main() {
 			did5 = true
 			rows, err := bench.Fig5(bench.Fig5Config{}, opts)
 			if err != nil {
-				fail(err)
+				return report, err
 			}
 			report.Fig5 = rows
 			if has(figs, "5a") {
-				bench.PrintFig5a(os.Stdout, rows)
-				fmt.Println()
+				bench.PrintFig5a(w, rows)
+				fmt.Fprintln(w)
 			}
 			if has(figs, "5b") {
-				bench.PrintFig5b(os.Stdout, rows)
-				fmt.Println()
+				bench.PrintFig5b(w, rows)
+				fmt.Fprintln(w)
 			}
 		default:
-			fail(fmt.Errorf("unknown figure %q", f))
+			return report, fmt.Errorf("unknown figure %q", f)
 		}
 	}
 	for _, a := range ablates {
@@ -252,18 +268,13 @@ func main() {
 			err = fmt.Errorf("unknown ablation %q", a)
 		}
 		if err != nil {
-			fail(err)
+			return report, err
 		}
 		report.Ablations = append(report.Ablations, rows...)
-		bench.PrintAblation(os.Stdout, a, rows)
-		fmt.Println()
+		bench.PrintAblation(w, a, rows)
+		fmt.Fprintln(w)
 	}
-	if err := writeArtifact(*jsonPath, report.WriteJSON); err != nil {
-		fail(err)
-	}
-	if err := writeArtifact(*csvPath, report.WriteCSV); err != nil {
-		fail(err)
-	}
+	return report, nil
 }
 
 // writeArtifact writes one artifact to path ("-" = stdout, "" = skip).

@@ -1,9 +1,49 @@
 package main
 
 import (
+	"bytes"
+	"io"
+	"os"
 	"reflect"
 	"testing"
+
+	"repro/internal/bench"
 )
+
+// TestAllMatchesGoldenCSV is the drift gate for the sim engine: every
+// row `dsmbench -all -csv` produces (virtual times, message and byte
+// counts, migrations, retries — 77 rows over all four figures and six
+// ablations) must equal testdata/dsmbench_all.golden.csv byte for byte.
+// A refactor that is supposed to be silent under virtual time leaves
+// this file alone; regenerate it (`go run ./cmd/dsmbench -all -par 1 -q
+// -csv testdata/dsmbench_all.golden.csv` from the repo root) only for a
+// change that means to move the numbers, and say which rows and why.
+func TestAllMatchesGoldenCSV(t *testing.T) {
+	want, err := os.ReadFile("../../testdata/dsmbench_all.golden.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := produce(io.Discard, allFigs, allAblations, false, bench.RunOpts{Trials: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := report.WriteCSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if !bytes.Equal(gl[i], wl[i]) {
+			t.Errorf("line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
+		}
+	}
+	if len(gl) != len(wl) {
+		t.Errorf("got %d lines, want %d", len(gl), len(wl))
+	}
+}
 
 // The historic bug: String() joined with commas but Set never split, so
 // `-fig 2,3` failed downstream as unknown figure "2,3". Set must accept

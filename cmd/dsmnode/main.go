@@ -123,14 +123,15 @@ func exitCode(err error) int {
 }
 
 func main() {
+	// -workers 0 means nodes-1 here (resolved below, once the cluster
+	// size is known).
+	spec := apps.Spec{App: "sor", N: 64, Iters: 4, Cities: 10, Rep: 8, Updates: 2048}
+	spec.Register(flag.CommandLine)
+	flag.Lookup("workers").Usage = "synthetic: worker threads (0 = nodes-1, on nodes 1..workers)"
 	var (
 		id      = flag.Int("id", -1, "this node's id (0..nodes-1; node 0 coordinates and prints the merged report)")
 		peers   = flag.String("peers", "", "comma-separated host:port per node, index = node id (required)")
 		nodes   = flag.Int("nodes", 0, "cluster size; 0 derives it from -peers (set it as a cross-check)")
-		app     = flag.String("app", "sor", "application: asp, sor, nbody, tsp, synthetic")
-		n       = flag.Int("n", 64, "problem size (graph nodes / matrix side / bodies)")
-		iters   = flag.Int("iters", 4, "SOR iterations / Nbody steps")
-		cities  = flag.Int("cities", 10, "TSP cities")
 		threads = flag.Int("threads", 0, "total threads across the cluster (0 = one per node)")
 		policy  = flag.String("policy", "AT", "migration policy: AT, FT<k>, NoHM, JUMP, Jackal[k], Jiajia")
 		loc     = flag.String("locator", "fwdptr", "home locator: fwdptr, manager, broadcast")
@@ -139,9 +140,6 @@ func main() {
 		noPig   = flag.Bool("nopiggyback", false, "disable diff piggybacking on sync messages")
 		seed    = flag.Uint64("seed", 0, "input perturbation seed (0 = canonical paper input)")
 		check   = flag.Bool("check", false, "cluster-wide gate: distributed invariants, merged LRC oracle, digest agreement")
-		rep     = flag.Int("r", 8, "synthetic: repetition of the single-writer pattern")
-		updates = flag.Int("updates", 2048, "synthetic: total counter updates")
-		workers = flag.Int("workers", 0, "synthetic: worker threads (0 = nodes-1, on nodes 1..workers)")
 		timeout = flag.Duration("join-timeout", 20*time.Second, "how long to wait for peers during bootstrap")
 		verbose = flag.Bool("v", false, "log bootstrap progress")
 
@@ -177,8 +175,8 @@ func main() {
 	if *id < 0 || *id >= nn {
 		fatal(fmt.Errorf("-id %d outside cluster of %d", *id, nn))
 	}
-	if *app == "synthetic" && *workers == 0 {
-		*workers = nn - 1
+	if spec.App == "synthetic" && spec.Workers == 0 {
+		spec.Workers = nn - 1
 	}
 
 	// The configuration digest: every member must present the same one
@@ -187,7 +185,7 @@ func main() {
 	// hostname spellings may legitimately differ per process; the
 	// pair-wise hello already validates ids and cluster size.
 	canon := fmt.Sprintf("v1|app=%s|n=%d|iters=%d|cities=%d|nodes=%d|threads=%d|policy=%s|locator=%s|lambda=%g|tinit=%g|nopig=%t|seed=%d|check=%t|r=%d|updates=%d|workers=%d",
-		*app, *n, *iters, *cities, nn, *threads, *policy, *loc, *lambda, *tinit, *noPig, *seed, *check, *rep, *updates, *workers)
+		spec.App, spec.N, spec.Iters, spec.Cities, nn, *threads, *policy, *loc, *lambda, *tinit, *noPig, *seed, *check, spec.Rep, spec.Updates, spec.Workers)
 	h := fnv.New64a()
 	h.Write([]byte(canon))
 
@@ -358,25 +356,11 @@ func main() {
 		},
 	}
 	var res apps.Result
-	switch *app {
-	case "asp":
-		res, err = apps.RunASP(*n, o)
-	case "sor":
-		res, err = apps.RunSOR(*n, *iters, o)
-	case "nbody":
-		res, err = apps.RunNBody(*n, *iters, o)
-	case "tsp":
-		res, err = apps.RunTSP(*cities, o)
-	case "synthetic":
-		if nn < *workers+1 {
-			err = fmt.Errorf("synthetic with %d workers needs at least %d nodes", *workers, *workers+1)
-		} else {
-			res, err = apps.RunSynthetic(apps.SyntheticOpts{
-				Repetition: *rep, TotalUpdates: *updates, Workers: *workers,
-			}, o)
-		}
-	default:
-		err = fmt.Errorf("unknown app %q", *app)
+	if spec.App == "synthetic" && nn < spec.Workers+1 {
+		// A member cannot grow the cluster the way apps.Run would.
+		err = fmt.Errorf("synthetic with %d workers needs at least %d nodes", spec.Workers, spec.Workers+1)
+	} else {
+		res, err = apps.Run(spec, o)
 	}
 	if err != nil {
 		// Tell the cluster (unless the error *is* the cluster verdict,

@@ -63,11 +63,9 @@ func writeOut(path string, render func(io.Writer) error) error {
 }
 
 func main() {
+	spec := apps.Spec{App: "asp", N: 128, Iters: 12, Cities: 10, Rep: 8, Updates: 2048, Workers: 8}
+	spec.Register(flag.CommandLine)
 	var (
-		app     = flag.String("app", "asp", "application: asp, sor, nbody, tsp, synthetic")
-		n       = flag.Int("n", 128, "problem size (graph nodes / matrix side / bodies)")
-		iters   = flag.Int("iters", 12, "SOR iterations / Nbody steps")
-		cities  = flag.Int("cities", 10, "TSP cities")
 		nodes   = flag.Int("nodes", 8, "cluster nodes")
 		threads = flag.Int("threads", 0, "threads (0 = one per node)")
 		policy  = flag.String("policy", "AT", "migration policy: AT, FT<k>, NoHM, JUMP, Jackal[k], Jiajia")
@@ -78,9 +76,6 @@ func main() {
 		lambda  = flag.Float64("lambda", 0, "feedback coefficient λ (0 = paper's 1)")
 		tinit   = flag.Float64("tinit", 0, "initial threshold (0 = paper's 1)")
 		noPig   = flag.Bool("nopiggyback", false, "disable diff piggybacking on sync messages")
-		rep     = flag.Int("r", 8, "synthetic: repetition of the single-writer pattern")
-		updates = flag.Int("updates", 2048, "synthetic: total counter updates")
-		workers = flag.Int("workers", 8, "synthetic: worker threads (on nodes 1..workers)")
 
 		flightCap     = flag.Int("flight", 0, "per-node flight recorder capacity in events (0 = off)")
 		flightText    = flag.String("flight-text", "", "write the merged flight timeline as text to this file (\"-\" = stdout; needs -flight)")
@@ -99,29 +94,7 @@ func main() {
 	if *obsAddr != "" {
 		obs = serveObs(*obsAddr, *policy, *engine, &o)
 	}
-	var (
-		res apps.Result
-		err error
-	)
-	switch *app {
-	case "asp":
-		res, err = apps.RunASP(*n, o)
-	case "sor":
-		res, err = apps.RunSOR(*n, *iters, o)
-	case "nbody":
-		res, err = apps.RunNBody(*n, *iters, o)
-	case "tsp":
-		res, err = apps.RunTSP(*cities, o)
-	case "synthetic":
-		if o.Nodes < *workers+1 {
-			o.Nodes = *workers + 1
-		}
-		res, err = apps.RunSynthetic(apps.SyntheticOpts{
-			Repetition: *rep, TotalUpdates: *updates, Workers: *workers,
-		}, o)
-	default:
-		err = fmt.Errorf("unknown app %q", *app)
-	}
+	res, err := apps.Run(spec, o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dsmrun:", err)
 		os.Exit(1)

@@ -26,41 +26,21 @@ import (
 )
 
 func main() {
+	spec := apps.Spec{App: "sor", N: 128, Iters: 8, Cities: 9, Rep: 4, Updates: 1024, Workers: 8}
+	spec.Register(flag.CommandLine)
+	flag.Lookup("n").Usage = "problem size"
+	flag.Lookup("r").Usage = "synthetic repetition"
+	flag.Lookup("updates").Usage = "synthetic total updates"
+	flag.Lookup("workers").Usage = "synthetic workers"
 	var (
-		app     = flag.String("app", "sor", "application: asp, sor, nbody, tsp, synthetic")
-		n       = flag.Int("n", 128, "problem size")
-		iters   = flag.Int("iters", 8, "SOR iterations / Nbody steps")
-		cities  = flag.Int("cities", 9, "TSP cities")
-		nodes   = flag.Int("nodes", 8, "cluster nodes")
-		rep     = flag.Int("r", 4, "synthetic repetition")
-		updates = flag.Int("updates", 1024, "synthetic total updates")
-		workers = flag.Int("workers", 8, "synthetic workers")
-		top     = flag.Int("top", 16, "objects to show in the pattern report")
+		nodes = flag.Int("nodes", 8, "cluster nodes")
+		top   = flag.Int("top", 16, "objects to show in the pattern report")
 	)
 	flag.Parse()
 
 	tr := dsm.NewTrace()
 	o := apps.Options{Nodes: *nodes, Policy: "NoHM", Trace: tr}
-	var err error
-	switch *app {
-	case "asp":
-		_, err = apps.RunASP(*n, o)
-	case "sor":
-		_, err = apps.RunSOR(*n, *iters, o)
-	case "nbody":
-		_, err = apps.RunNBody(*n, *iters, o)
-	case "tsp":
-		_, err = apps.RunTSP(*cities, o)
-	case "synthetic":
-		if o.Nodes < *workers+1 {
-			o.Nodes = *workers + 1
-		}
-		_, err = apps.RunSynthetic(apps.SyntheticOpts{
-			Repetition: *rep, TotalUpdates: *updates, Workers: *workers,
-		}, o)
-	default:
-		err = fmt.Errorf("unknown app %q", *app)
-	}
+	_, err := apps.Run(spec, o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dsmtrace:", err)
 		os.Exit(1)

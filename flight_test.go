@@ -6,6 +6,7 @@ import (
 
 	dsm "repro"
 	"repro/internal/flight"
+	"repro/internal/memory"
 )
 
 // flightWorkload is a small mixed workload: lock-protected counter
@@ -74,6 +75,24 @@ func TestSimFlightTimelineContent(t *testing.T) {
 		if kinds[k] == 0 {
 			t.Errorf("no %v events recorded", k)
 		}
+	}
+	// Every frame on the wire is recorded once where it leaves and once
+	// where it arrives, whether a daemon or a thread (ObjReq, LockReq,
+	// LockRel, BarrierArrive, MgrQuery) sent it. A broadcast is one send
+	// event (Peer = NoNode) standing for N−1 frames.
+	sends := 0
+	for _, e := range evs {
+		if e.Kind == flight.FrameSend {
+			if e.Peer == memory.NoNode {
+				sends += 4 - 1
+			} else {
+				sends++
+			}
+		}
+	}
+	if total := int(m.TotalMsgs(true)); sends != total || kinds[flight.FrameRecv] != total {
+		t.Errorf("frame-send %d, frame-recv %d, want both = %d messages",
+			sends, kinds[flight.FrameRecv], total)
 	}
 	if m.Migrations > 0 && kinds[flight.Decision] == 0 {
 		t.Error("homes migrated but no decision events recorded")

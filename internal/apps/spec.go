@@ -1,0 +1,61 @@
+package apps
+
+import (
+	"flag"
+	"fmt"
+)
+
+// Spec names an application and its problem size — what the command-line
+// binaries select with -app and its size flags. A binary fills a Spec
+// with its own defaults, registers it on its flag set, and hands the
+// parsed value to Run.
+type Spec struct {
+	// App is one of asp, sor, nbody, tsp, synthetic.
+	App string
+	// N is the problem size: graph nodes (asp), matrix side (sor),
+	// bodies (nbody).
+	N int
+	// Iters is the SOR iteration / Nbody step count.
+	Iters int
+	// Cities is the TSP instance size.
+	Cities int
+	// Rep, Updates and Workers parameterize the synthetic benchmark
+	// (SyntheticOpts.Repetition, TotalUpdates, Workers).
+	Rep, Updates, Workers int
+}
+
+// Register declares the application flags on fs, bound to s; the values
+// s holds when Register is called are the flags' defaults.
+func (s *Spec) Register(fs *flag.FlagSet) {
+	fs.StringVar(&s.App, "app", s.App, "application: asp, sor, nbody, tsp, synthetic")
+	fs.IntVar(&s.N, "n", s.N, "problem size (graph nodes / matrix side / bodies)")
+	fs.IntVar(&s.Iters, "iters", s.Iters, "SOR iterations / Nbody steps")
+	fs.IntVar(&s.Cities, "cities", s.Cities, "TSP cities")
+	fs.IntVar(&s.Rep, "r", s.Rep, "synthetic: repetition of the single-writer pattern")
+	fs.IntVar(&s.Updates, "updates", s.Updates, "synthetic: total counter updates")
+	fs.IntVar(&s.Workers, "workers", s.Workers, "synthetic: worker threads (on nodes 1..workers)")
+}
+
+// Run executes the application s names under o. The synthetic benchmark
+// keeps node 0 for the homes and lock managers, so its cluster is grown
+// to workers+1 nodes when o asks for fewer.
+func Run(s Spec, o Options) (Result, error) {
+	switch s.App {
+	case "asp":
+		return RunASP(s.N, o)
+	case "sor":
+		return RunSOR(s.N, s.Iters, o)
+	case "nbody":
+		return RunNBody(s.N, s.Iters, o)
+	case "tsp":
+		return RunTSP(s.Cities, o)
+	case "synthetic":
+		if o.Nodes < s.Workers+1 {
+			o.Nodes = s.Workers + 1
+		}
+		return RunSynthetic(SyntheticOpts{
+			Repetition: s.Rep, TotalUpdates: s.Updates, Workers: s.Workers,
+		}, o)
+	}
+	return Result{}, fmt.Errorf("unknown app %q", s.App)
+}

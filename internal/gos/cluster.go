@@ -6,10 +6,12 @@
 // access shared objects through software access checks exactly as the
 // distributed JVM's JIT-inlined checks do.
 //
-// The protocol state machines themselves live in internal/proto and are
-// shared with the live goroutine engine (internal/live); this package
-// contributes the virtual-time scheduling, Hockney-model message costs
-// and the deterministic event ordering behind the paper's figures.
+// The protocol itself — the node-side handlers and the thread-side
+// driver — lives in internal/proto and is shared with the live goroutine
+// engine (internal/live); this package contributes the virtual-time
+// scheduling (Node is the proto.Engine, Thread the proto.Host),
+// Hockney-model message costs and the deterministic event ordering
+// behind the paper's figures.
 package gos
 
 import (
@@ -28,7 +30,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
 // LockID names a distributed lock.
@@ -154,11 +155,13 @@ type Cluster struct {
 	env      *sim.Env
 	net      *cnet.Network
 	Counters stats.Counters
-	space    *proto.Space
-	nodes    []*Node
-	flights  []*flight.Recorder
+	// Space holds the declared layout and every node's protocol state;
+	// its AddObject/InitObject/AddLock/AddBarrier and post-run inspection
+	// methods are the cluster's own.
+	*proto.Space
+	nodes   []*Node
+	flights []*flight.Recorder
 
-	started bool
 	endTime sim.Time
 }
 
@@ -194,7 +197,7 @@ func New(cfg Config) *Cluster {
 	}
 	c := &Cluster{cfg: cfg, env: sim.NewEnv()}
 	c.net = cnet.New(c.env, cnet.Config{Model: cfg.Net, Jitter: cfg.Jitter, DebugCheck: cfg.DebugWire}, cfg.Nodes, &c.Counters)
-	c.space = proto.NewSpace(&proto.Shared{
+	c.Space = proto.NewSpace(&proto.Shared{
 		Nodes:        cfg.Nodes,
 		Policy:       cfg.Policy,
 		Locator:      cfg.Locator,
@@ -254,51 +257,9 @@ func (c *Cluster) Config() Config { return c.cfg }
 // Env exposes the simulation environment (read-only use: clock, stats).
 func (c *Cluster) Env() *sim.Env { return c.env }
 
-// shared returns the engine-independent configuration/layout.
-func (c *Cluster) shared() *proto.Shared { return c.space.S }
-
-// AddObject declares a shared object of words 64-bit words homed at home.
-// Must be called before Run. The home node's copy is authoritative from
-// the start ("when an object is created, the creation node becomes its
-// default home node", §5).
-func (c *Cluster) AddObject(words int, home memory.NodeID) memory.ObjectID {
-	c.mustNotBeStarted()
-	return c.space.AddObject(words, home)
-}
-
-// InitObject populates an object's home copy before the run, free of
-// charge (models data that exists before the timed region, e.g. the input
-// graph of ASP).
-func (c *Cluster) InitObject(id memory.ObjectID, fn func(words []uint64)) {
-	c.mustNotBeStarted()
-	c.space.InitObject(id, fn)
-}
-
-// AddLock declares a distributed lock managed by node home.
-func (c *Cluster) AddLock(home memory.NodeID) LockID {
-	c.mustNotBeStarted()
-	return c.space.AddLock(home)
-}
-
-// AddBarrier declares a barrier of parties threads managed by node home.
-func (c *Cluster) AddBarrier(home memory.NodeID, parties int) BarrierID {
-	c.mustNotBeStarted()
-	return c.space.AddBarrier(home, parties)
-}
-
-// NumObjects reports the number of declared shared objects.
-func (c *Cluster) NumObjects() int { return c.space.NumObjects() }
-
-// HomeOf reports the current home of obj (post-run inspection).
-func (c *Cluster) HomeOf(obj memory.ObjectID) memory.NodeID { return c.space.HomeOf(obj) }
-
-// ObjectData returns the authoritative (home) copy of obj's data.
-func (c *Cluster) ObjectData(obj memory.ObjectID) []uint64 { return c.space.ObjectData(obj) }
-
 // Run executes the workers to completion and returns the run metrics.
 func (c *Cluster) Run(workers []Worker) (stats.Metrics, error) {
-	c.mustNotBeStarted()
-	c.started = true
+	c.Seal()
 	for _, n := range c.nodes {
 		n.spawnDaemon()
 	}
@@ -308,17 +269,14 @@ func (c *Cluster) Run(workers []Worker) (stats.Metrics, error) {
 			panic(fmt.Sprintf("gos: worker %d on invalid node %d", i, w.Node))
 		}
 		n := c.nodes[w.Node]
-		t := &Thread{
-			c: c, node: n, id: i, slot: int32(len(n.threads)),
-			name:  w.Name,
-			reply: c.env.NewQueue(fmt.Sprintf("reply-%s", w.Name)),
-		}
+		t := &Thread{c: c, reply: c.env.NewQueue(fmt.Sprintf("reply-%s", w.Name))}
+		t.Driver = proto.NewDriver(n.Node, t, i, int32(len(n.threads)), w.Name)
 		n.threads = append(n.threads, t)
 		fn := w.Fn
 		t.proc = c.env.Spawn(w.Name, func(p *sim.Proc) {
 			fn(t)
-			t.flushCompute()
-			doneQ.Send(t.id)
+			t.SyncPoint()
+			doneQ.Send(t.ID())
 		})
 	}
 	c.env.Spawn("master", func(p *sim.Proc) {
@@ -348,20 +306,6 @@ func (c *Cluster) Run(workers []Worker) (stats.Metrics, error) {
 	return m, err
 }
 
-func (c *Cluster) mustNotBeStarted() {
-	if c.started {
-		panic("gos: cluster already running")
-	}
-}
-
-// CheckInvariants validates global protocol invariants after a run (see
-// proto.Space.CheckInvariants).
-func (c *Cluster) CheckInvariants() error { return c.space.CheckInvariants() }
-
-// Digest fingerprints the final shared-memory contents (see
-// proto.Space.Digest).
-func (c *Cluster) Digest() uint64 { return c.space.Digest() }
-
 // quiesced reports whether no protocol activity remains anywhere.
 func (c *Cluster) quiesced() bool {
 	if c.net.InFlight() > 0 {
@@ -373,18 +317,6 @@ func (c *Cluster) quiesced() bool {
 		}
 	}
 	return true
-}
-
-// send transmits a protocol message, recording it under cat.
-func (c *Cluster) send(msg wire.Msg, cat stats.Category) {
-	c.net.Send(msg, cat)
-}
-
-// deliver enqueues a protocol message on a local queue (same-node
-// daemon→thread handoff, which bypasses the network) through the pooled
-// message-box path, avoiding a per-send struct boxing allocation.
-func (c *Cluster) deliver(q *sim.Queue, msg wire.Msg) {
-	q.Send(c.net.AllocMsg(msg))
 }
 
 // quitMsg tells a daemon to exit after the workload completes.

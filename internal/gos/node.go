@@ -27,7 +27,7 @@ type Node struct {
 
 func newNode(c *Cluster, id memory.NodeID) *Node {
 	n := &Node{c: c, inbox: c.net.Inbox(id)}
-	n.Node = c.space.NewNode(id)
+	n.Node = c.NewNode(id)
 	n.Node.Eng = n
 	n.Node.Counters = &c.Counters
 	return n
@@ -38,13 +38,14 @@ func (n *Node) Send(msg wire.Msg, cat stats.Category) {
 	if f := n.Flight; f != nil {
 		f.Record(flight.Event{Kind: flight.FrameSend, Tag: uint8(cat), Peer: msg.To, Bytes: int32(msg.WireSize())})
 	}
-	n.c.send(msg, cat)
+	n.c.net.Send(msg, cat)
 }
 
 // ToThread implements proto.Engine: local daemon→thread handoff,
-// bypassing the network.
+// bypassing the network, through the pooled message-box path (no
+// per-send struct boxing allocation).
 func (n *Node) ToThread(slot int32, msg wire.Msg) {
-	n.c.deliver(n.threads[slot].reply, msg)
+	n.threads[slot].reply.Send(n.c.net.AllocMsg(msg))
 }
 
 // Broadcast implements proto.Engine: one message to every node but the

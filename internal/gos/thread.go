@@ -3,54 +3,32 @@ package gos
 import (
 	"fmt"
 
-	"repro/internal/locator"
 	"repro/internal/memory"
 	"repro/internal/proto"
 	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/syncmgr"
-	"repro/internal/twindiff"
 	"repro/internal/wire"
 )
 
 // Thread is one application thread running on a simulated cluster node.
-// All shared accesses go through the thread: Read/Write are the software
-// access checks; Acquire/Release/Barrier drive the consistency protocol.
-// It implements proto.Thread; the engine-independent state transitions
-// live on proto.Node, this type contributes virtual-time costs and the
-// blocking message rendezvous on sim queues.
+// The protocol it speaks is the embedded proto.Driver, shared with the
+// live engine; this type is the driver's proto.Host under virtual time:
+// the blocking rendezvous on a sim queue, back-off as virtual sleep, and
+// the modeled software costs. The cooperative scheduler runs one process
+// at a time, so the host's lock is a no-op.
 type Thread struct {
+	proto.Driver
 	c     *Cluster
-	node  *Node
-	id    int
-	slot  int32
-	name  string
 	proc  *sim.Proc
 	reply *sim.Queue
 
 	pending sim.Time // accumulated local compute, materialized lazily
-	seq     uint32
-
-	// outstanding/pendingQuery/sendScratch are flushDirty's working
-	// state, kept on the thread so the buffers are allocated once and
-	// reused across flushes.
-	outstanding  map[memory.ObjectID]twindiff.Diff
-	pendingQuery map[memory.ObjectID]bool
-	sendScratch  []wire.ObjDiff
 }
 
-// retryDiff is an internal timer token: re-send the diff for obj after a
-// broadcast-locator back-off.
-type retryDiff struct{ obj memory.ObjectID }
-
-// ID returns the global thread index.
-func (t *Thread) ID() int { return t.id }
-
-// Node returns the cluster node this thread runs on.
-func (t *Thread) Node() memory.NodeID { return t.node.ID }
-
-// Name returns the thread's name.
-func (t *Thread) Name() string { return t.name }
+// retry is the timer token behind proto.Host.RetryAfter.
+type retry struct {
+	kind proto.TokenKind
+	obj  memory.ObjectID
+}
 
 // Now returns the current virtual time.
 func (t *Thread) Now() sim.Time { return t.proc.Now() }
@@ -63,9 +41,9 @@ func (t *Thread) Compute(d sim.Time) {
 	}
 }
 
-// flushCompute materializes accumulated compute time before an
-// interaction, so message timestamps reflect the work done before them.
-func (t *Thread) flushCompute() {
+// SyncPoint materializes accumulated compute time before an interaction,
+// so message timestamps reflect the work done before them.
+func (t *Thread) SyncPoint() {
 	if t.pending > 0 {
 		d := t.pending
 		t.pending = 0
@@ -73,325 +51,43 @@ func (t *Thread) flushCompute() {
 	}
 }
 
-// Read returns word idx of obj, faulting in a copy if needed.
-func (t *Thread) Read(obj memory.ObjectID, idx int) uint64 {
-	v := t.objForRead(obj).Data[idx]
-	if obs := t.c.cfg.Observer; obs != nil {
-		obs.OnRead(t.id, obj, idx, v)
-	}
-	return v
-}
+// Lock implements proto.Host.
+func (t *Thread) Lock() {}
 
-// Write stores v into word idx of obj, twinning a cached copy on its
-// first write of the interval.
-func (t *Thread) Write(obj memory.ObjectID, idx int, v uint64) {
-	t.objForWrite(obj).Data[idx] = v
-	if obs := t.c.cfg.Observer; obs != nil {
-		obs.OnWrite(t.id, obj, idx, v)
-	}
-}
+// Unlock implements proto.Host.
+func (t *Thread) Unlock() {}
 
-// ReadView returns the object's local data for bulk read-only access
-// (e.g. scanning a whole matrix row). The caller must not mutate it and
-// must not hold it across synchronization operations.
-func (t *Thread) ReadView(obj memory.ObjectID) []uint64 {
-	return t.objForRead(obj).Data
-}
+// ChargeFault implements proto.Host: one trapped software access check.
+func (t *Thread) ChargeFault() { t.Compute(t.c.cfg.FaultCost) }
 
-// WriteView faults the object for writing and returns its data for bulk
-// mutation within the current interval.
-func (t *Thread) WriteView(obj memory.ObjectID) []uint64 {
-	return t.objForWrite(obj).Data
-}
-
-// objForRead implements the read-side access check.
-func (t *Thread) objForRead(obj memory.ObjectID) *memory.Object {
-	o, trapped := t.node.ReadCheck(obj)
-	if trapped {
-		t.Compute(t.c.cfg.FaultCost)
-	}
-	if o != nil {
-		return o
-	}
-	return t.fault(obj)
-}
-
-// objForWrite implements the write-side access check.
-func (t *Thread) objForWrite(obj memory.ObjectID) *memory.Object {
-	for {
-		o, trapped := t.node.WriteCheck(obj)
-		if trapped {
-			t.Compute(t.c.cfg.FaultCost)
-		}
-		if o != nil {
-			return o
-		}
-		t.fault(obj) // the fault may have migrated the home to us
-	}
-}
-
-// fault brings a fresh copy of obj to this node, chasing the home through
-// the configured location mechanism, and returns the installed copy.
-func (t *Thread) fault(obj memory.ObjectID) *memory.Object {
-	n := t.node
+// ChargeSend implements proto.Host: the sender-side overhead, spent
+// (with all compute before it) ahead of the fault-in's first message.
+func (t *Thread) ChargeSend() {
 	t.Compute(t.c.cfg.SendCost)
-	t.flushCompute()
-	start := t.proc.Now()
-	for {
-		if n.IsHome[obj] {
-			return n.Cache[obj]
-		}
-		h := n.Loc.Hint(obj)
-		if h == n.ID || h == memory.NoNode {
-			// Defensive: a stale self-hint after demotion falls back to
-			// the well-known initial home.
-			h = t.c.shared().ObjHome0[obj]
-		}
-		t.seq++
-		t.c.send(wire.Msg{
-			Kind: wire.ObjReq, From: n.ID, To: h, Obj: obj,
-			ReplyNode: n.ID, ReplySlot: t.slot, Seq: t.seq,
-		}, stats.ObjReq)
-		msg := t.recvMsg()
-		switch msg.Kind {
-		case wire.ObjReply:
-			n.MaybeCompressPath(h, msg)
-			t.c.Counters.RoundTripNs.Observe(int64(t.proc.Now() - start))
-			return n.Install(msg)
-		case wire.HomeMiss:
-			if msg.Home != memory.NoNode && msg.Home != n.ID {
-				n.Loc.Learn(obj, msg.Home)
-			}
-			switch t.c.cfg.Locator {
-			case locator.Manager:
-				t.queryManager(obj)
-			case locator.Broadcast:
-				t.c.Counters.Retries++
-				t.proc.Sleep(t.c.cfg.RetryDelay)
-			default:
-				panic("gos: home miss under forwarding-pointer locator")
-			}
-		default:
-			panic(fmt.Sprintf("gos: thread %s: unexpected %v during fault", t.name, msg.Kind))
-		}
+	t.SyncPoint()
+}
+
+// Recv implements proto.Host on the thread's reply queue.
+func (t *Thread) Recv(tok *proto.Token) {
+	switch raw := t.reply.Recv(t.proc).(type) {
+	case *wire.Msg:
+		tok.Kind, tok.Msg = proto.TokMessage, *raw
+		t.c.net.FreeMsg(raw)
+	case retry:
+		tok.Kind, tok.Obj = raw.kind, raw.obj
+	default:
+		panic(fmt.Sprintf("gos: thread %s: stray token %T", t.Name(), raw))
 	}
 }
 
-// queryManager resolves the current home through the manager node (§3.2:
-// old home, manager, new home in sequence). Runs synchronously: no other
-// messages can be outstanding for this thread during a fault.
-func (t *Thread) queryManager(obj memory.ObjectID) {
-	n := t.node
-	mgr := locator.ManagerOf(obj, t.c.cfg.Nodes)
-	if mgr == n.ID {
-		n.Loc.Learn(obj, n.MgrHome[obj])
-		return
-	}
-	t.c.send(wire.Msg{
-		Kind: wire.MgrQuery, From: n.ID, To: mgr, Obj: obj,
-		ReplyNode: n.ID, ReplySlot: t.slot,
-	}, stats.MgrMsg)
-	msg := t.recvMsg()
-	if msg.Kind != wire.MgrReply {
-		panic(fmt.Sprintf("gos: thread %s: unexpected %v during manager query", t.name, msg.Kind))
-	}
-	n.Loc.Learn(obj, msg.Home)
+// Backoff implements proto.Host.
+func (t *Thread) Backoff() { t.proc.Sleep(t.c.cfg.RetryDelay) }
+
+// RetryAfter implements proto.Host.
+func (t *Thread) RetryAfter(kind proto.TokenKind, obj memory.ObjectID) {
+	t.c.env.At(t.c.cfg.RetryDelay, func() { t.reply.Send(retry{kind, obj}) })
 }
 
-// recvMsg blocks for the next protocol message addressed to this thread.
-func (t *Thread) recvMsg() wire.Msg {
-	raw := t.reply.Recv(t.proc)
-	if pm, ok := raw.(*wire.Msg); ok {
-		msg := *pm
-		t.c.net.FreeMsg(pm)
-		return msg
-	}
-	panic(fmt.Sprintf("gos: thread %s: stray token %T", t.name, raw))
-}
-
-// Acquire obtains the distributed lock, then applies acquire-side
-// consistency (invalidate cached copies; arm home-access monitoring).
-func (t *Thread) Acquire(l LockID) {
-	t.flushCompute()
-	n := t.node
-	home := t.c.shared().LockHome[l]
-	w := syncmgr.Waiter{Node: n.ID, Slot: t.slot}
-	if home == n.ID {
-		if !n.Locks[uint32(l)].Acquire(w) {
-			start := t.proc.Now()
-			t.awaitGrant(l)
-			t.c.Counters.LockHandoffNs.Observe(int64(t.proc.Now() - start))
-		}
-	} else {
-		start := t.proc.Now()
-		t.c.send(wire.Msg{
-			Kind: wire.LockReq, From: n.ID, To: home, Lock: uint32(l),
-			ReplyNode: n.ID, ReplySlot: t.slot,
-		}, stats.LockMsg)
-		t.awaitGrant(l)
-		t.c.Counters.LockHandoffNs.Observe(int64(t.proc.Now() - start))
-	}
-	n.BeginInterval()
-	if obs := t.c.cfg.Observer; obs != nil {
-		obs.OnAcquire(t.id, uint32(l))
-	}
-}
-
-func (t *Thread) awaitGrant(l LockID) {
-	msg := t.recvMsg()
-	if msg.Kind != wire.LockGrant || msg.Lock != uint32(l) {
-		panic(fmt.Sprintf("gos: thread %s: expected grant of lock %d, got %v", t.name, l, msg.Kind))
-	}
-}
-
-// Release flushes this node's dirty objects to their homes (eagerly
-// creating diffs, §3.1), ends the home-monitoring interval and frees the
-// lock. Diffs homed at the lock manager piggyback on the release (§5.2).
-func (t *Thread) Release(l LockID) {
-	t.flushCompute()
-	n := t.node
-	home := t.c.shared().LockHome[l]
-	piggy := t.flushDirty(home)
-	n.EndInterval()
-	// The release point: flushes are acknowledged (or piggybacked on the
-	// release message below, which the manager applies before regranting),
-	// and the lock has not yet been handed on — so in the observer's total
-	// order this event separates this critical section's writes from the
-	// next holder's acquire.
-	if obs := t.c.cfg.Observer; obs != nil {
-		obs.OnRelease(t.id, uint32(l))
-	}
-	if home == n.ID {
-		lk := n.Locks[uint32(l)]
-		if next, ok := lk.Release(); ok {
-			n.GrantLock(uint32(l), next)
-		}
-		return
-	}
-	t.c.send(wire.Msg{
-		Kind: wire.LockRel, From: n.ID, To: home, Lock: uint32(l),
-		ReplyNode: n.ID, ReplySlot: t.slot, Diffs: piggy,
-	}, stats.LockMsg)
-}
-
-// Barrier performs release-side flushing, arrives at the barrier manager
-// (carrying piggybacked diffs and Jiajia write reports), waits for the
-// go, then applies acquire-side consistency.
-func (t *Thread) Barrier(b BarrierID) {
-	t.flushCompute()
-	n := t.node
-	home := t.c.shared().BarHome[b]
-	piggy := t.flushDirty(home)
-	n.EndInterval()
-	if obs := t.c.cfg.Observer; obs != nil {
-		obs.OnBarrierArrive(t.id, uint32(b))
-	}
-	reports := n.JiajiaReports(uint32(b))
-	n.BarWait[uint32(b)] = append(n.BarWait[uint32(b)], t.slot)
-	w := syncmgr.Waiter{Node: n.ID, Slot: t.slot}
-	start := t.proc.Now()
-	if home == n.ID {
-		n.BarrierArrive(uint32(b), w, piggy, reports)
-	} else {
-		t.c.send(wire.Msg{
-			Kind: wire.BarrierArrive, From: n.ID, To: home, Barrier: uint32(b),
-			ReplyNode: n.ID, ReplySlot: t.slot, Diffs: piggy, Reports: reports,
-		}, stats.BarrierMsg)
-	}
-	msg := t.recvMsg()
-	if msg.Kind != wire.BarrierGo || msg.Barrier != uint32(b) {
-		panic(fmt.Sprintf("gos: thread %s: expected barrier go, got %v", t.name, msg.Kind))
-	}
-	t.c.Counters.BarrierNs.Observe(int64(t.proc.Now() - start))
-	n.BeginInterval()
-	if obs := t.c.cfg.Observer; obs != nil {
-		obs.OnBarrierDepart(t.id, uint32(b))
-	}
-}
-
-// flushDirty propagates every dirty cached object's diff to its home and
-// waits for all acknowledgments (release visibility). Diffs homed at
-// syncHome are returned for piggybacking instead (see
-// proto.Node.FlushCollect).
-func (t *Thread) flushDirty(syncHome memory.NodeID) []wire.ObjDiff {
-	n := t.node
-	sends, piggy := n.FlushCollect(syncHome, t.sendScratch)
-	if sends != nil {
-		t.sendScratch = sends[:0]
-	}
-	if len(sends) == 0 {
-		return piggy
-	}
-	if t.outstanding == nil {
-		t.outstanding = make(map[memory.ObjectID]twindiff.Diff)
-		t.pendingQuery = make(map[memory.ObjectID]bool)
-	}
-	outstanding := t.outstanding
-	for _, od := range sends {
-		n.SendDiff(t.slot, od.Obj, od.D)
-		outstanding[od.Obj] = od.D
-	}
-
-	pendingQuery := t.pendingQuery
-	for len(outstanding) > 0 {
-		switch raw := t.reply.Recv(t.proc).(type) {
-		case retryDiff:
-			if d, ok := outstanding[raw.obj]; ok {
-				n.SendDiff(t.slot, raw.obj, d)
-			}
-		case *wire.Msg:
-			msg := *raw
-			t.c.net.FreeMsg(raw)
-			switch msg.Kind {
-			case wire.DiffAck:
-				// The ack means the home applied the diff; nothing holds
-				// its buffers any more, so they can be recycled.
-				if d, ok := outstanding[msg.Obj]; ok {
-					n.Pool.PutDiff(d)
-				}
-				delete(outstanding, msg.Obj)
-			case wire.HomeMiss:
-				if msg.Home != memory.NoNode && msg.Home != n.ID {
-					n.Loc.Learn(msg.Obj, msg.Home)
-				}
-				switch t.c.cfg.Locator {
-				case locator.Manager:
-					if !pendingQuery[msg.Obj] {
-						pendingQuery[msg.Obj] = true
-						mgr := locator.ManagerOf(msg.Obj, t.c.cfg.Nodes)
-						if mgr == n.ID {
-							n.Loc.Learn(msg.Obj, n.MgrHome[msg.Obj])
-							pendingQuery[msg.Obj] = false
-							n.SendDiff(t.slot, msg.Obj, outstanding[msg.Obj])
-						} else {
-							t.c.send(wire.Msg{
-								Kind: wire.MgrQuery, From: n.ID, To: mgr, Obj: msg.Obj,
-								ReplyNode: n.ID, ReplySlot: t.slot,
-							}, stats.MgrMsg)
-						}
-					}
-				case locator.Broadcast:
-					t.c.Counters.Retries++
-					obj := msg.Obj
-					t.c.env.At(t.c.cfg.RetryDelay, func() { t.reply.Send(retryDiff{obj: obj}) })
-				default:
-					panic("gos: diff home miss under forwarding-pointer locator")
-				}
-			case wire.MgrReply:
-				n.Loc.Learn(msg.Obj, msg.Home)
-				pendingQuery[msg.Obj] = false
-				if d, ok := outstanding[msg.Obj]; ok {
-					n.SendDiff(t.slot, msg.Obj, d)
-				}
-			default:
-				panic(fmt.Sprintf("gos: thread %s: unexpected %v during flush", t.name, msg.Kind))
-			}
-		default:
-			panic(fmt.Sprintf("gos: thread %s: stray %T during flush", t.name, raw))
-		}
-	}
-	return piggy
-}
-
-// compile-time check: the sim thread implements the shared interface.
+// compile-time check: the sim thread implements the shared interface
+// (NewDriver's Host parameter checks the other one).
 var _ proto.Thread = (*Thread)(nil)

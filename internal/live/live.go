@@ -8,10 +8,12 @@
 // through the internal/wire binary codec — even in-process — so a
 // networked backend is a drop-in.
 //
-// The protocol state machines are the same code the virtual-time
-// simulator runs (internal/proto): this package contributes real
-// scheduling (a mutex serializes each node's state between its daemon
-// and its local threads), real nondeterminism, and wall-clock metrics.
+// The protocol — node-side handlers and thread-side driver alike — is
+// the same code the virtual-time simulator runs (internal/proto): this
+// package contributes real scheduling (node is the proto.Engine, Thread
+// the proto.Host; a mutex serializes each node's state between its
+// daemon and its local threads), real nondeterminism, and wall-clock
+// metrics.
 // A live run is not reproducible event-for-event — that is the point —
 // but for the deterministic programs the scenario engine generates, its
 // final memory digest must equal the sim engine's under every policy,
@@ -150,17 +152,18 @@ type Finisher interface {
 // Cluster is a configured live DSM instance. Build it with New, declare
 // shared objects, locks and barriers, then call Run (once).
 type Cluster struct {
-	cfg   Config
-	space *proto.Space
+	cfg Config
+	// Space holds the declared layout and every node's protocol state;
+	// its AddObject/InitObject/AddLock/AddBarrier and post-run inspection
+	// methods (valid only after Run returned) are the cluster's own.
+	*proto.Space
 	tr    transport.Transport
 	nodes []*node
 
-	started  bool
 	start    time.Time
 	inflight atomic.Int64 // frames sent, not yet fully handled
 	frames   atomic.Int64
 	frameB   atomic.Int64
-	obs      proto.Observer // already serialized; nil when unset
 
 	// abortMu serializes Abort against thread registration; abortErr is
 	// the first abort cause, aborted its lock-free mirror for hot loops.
@@ -177,7 +180,7 @@ type Cluster struct {
 var ErrAborted = errors.New("live: run aborted")
 
 // abortPanic unwinds a worker goroutine parked in a protocol wait when
-// the run aborts: Abort closes every thread mailbox, the blocked get
+// the run aborts: Abort closes every thread mailbox, the blocked Recv
 // panics with this value, and Run's worker wrapper recovers it. User
 // code never sees it (the protocol waits all live inside Thread
 // methods).
@@ -211,7 +214,7 @@ func (c *Cluster) Abort(err error) {
 	c.tr.Close()
 	for _, n := range c.nodes {
 		for _, t := range n.threads {
-			t.mbox.q.Close()
+			t.mbox.Close()
 		}
 	}
 }
@@ -244,10 +247,11 @@ func New(cfg Config) *Cluster {
 	} else {
 		c.tr = transport.NewChanLoop(cfg.Nodes)
 	}
+	var obs proto.Observer // the serialized wrapper; nil when unset
 	if cfg.Observer != nil {
-		c.obs = &lockedObserver{o: cfg.Observer}
+		obs = &lockedObserver{o: cfg.Observer}
 	}
-	c.space = proto.NewSpace(&proto.Shared{
+	c.Space = proto.NewSpace(&proto.Shared{
 		Nodes:        cfg.Nodes,
 		Policy:       cfg.Policy,
 		Locator:      cfg.Locator,
@@ -255,7 +259,7 @@ func New(cfg Config) *Cluster {
 		Piggyback:    cfg.Piggyback,
 		PathCompress: cfg.PathCompress,
 		DropDiffs:    cfg.DropDiffs,
-		Observer:     c.obs,
+		Observer:     obs,
 	})
 	var stamp func() hlc.Stamp
 	if cfg.FlightLocal == nil && cfg.FlightCap > 0 {
@@ -263,7 +267,7 @@ func New(cfg Config) *Cluster {
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &node{c: c}
-		n.ps = c.space.NewNode(memory.NodeID(i))
+		n.ps = c.NewNode(memory.NodeID(i))
 		n.ps.Eng = n
 		n.ps.Counters = &n.counters
 		switch {
@@ -368,64 +372,13 @@ func (c *Cluster) FlightEvents() []flight.Event {
 // Config returns the effective configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-func (c *Cluster) shared() *proto.Shared { return c.space.S }
-
-// AddObject declares a shared object of words 64-bit words homed at
-// home. Must be called before Run.
-func (c *Cluster) AddObject(words int, home memory.NodeID) memory.ObjectID {
-	c.mustNotBeStarted()
-	return c.space.AddObject(words, home)
-}
-
-// InitObject populates an object's home copy before the run.
-func (c *Cluster) InitObject(id memory.ObjectID, fn func(words []uint64)) {
-	c.mustNotBeStarted()
-	c.space.InitObject(id, fn)
-}
-
-// AddLock declares a distributed lock managed by node home.
-func (c *Cluster) AddLock(home memory.NodeID) proto.LockID {
-	c.mustNotBeStarted()
-	return c.space.AddLock(home)
-}
-
-// AddBarrier declares a barrier of parties threads managed by node home.
-func (c *Cluster) AddBarrier(home memory.NodeID, parties int) proto.BarrierID {
-	c.mustNotBeStarted()
-	return c.space.AddBarrier(home, parties)
-}
-
-// NumObjects reports the number of declared shared objects.
-func (c *Cluster) NumObjects() int { return c.space.NumObjects() }
-
-// HomeOf reports the current home of obj (post-run inspection).
-func (c *Cluster) HomeOf(obj memory.ObjectID) memory.NodeID { return c.space.HomeOf(obj) }
-
-// ObjectData returns the authoritative (home) copy of obj's data.
-func (c *Cluster) ObjectData(obj memory.ObjectID) []uint64 { return c.space.ObjectData(obj) }
-
-// CheckInvariants validates global protocol invariants after a run (see
-// proto.Space.CheckInvariants). Call it only after Run returned.
-func (c *Cluster) CheckInvariants() error { return c.space.CheckInvariants() }
-
-// Digest fingerprints the final shared-memory contents (see
-// proto.Space.Digest). Call it only after Run returned.
-func (c *Cluster) Digest() uint64 { return c.space.Digest() }
-
-func (c *Cluster) mustNotBeStarted() {
-	if c.started {
-		panic("live: cluster already running")
-	}
-}
-
 // Run executes the workers to completion on real goroutines and returns
 // the run metrics. ExecTime/FinalTime stay zero (there is no virtual
 // clock); Wall and the LiveMsgs/LiveBytes frame counters report the
 // run's real cost, and Counters classify the protocol traffic exactly
 // as the sim engine does.
 func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
-	c.mustNotBeStarted()
-	c.started = true
+	c.Seal()
 	c.start = time.Now()
 	// Register every thread before any goroutine starts: daemons read
 	// the per-node thread tables (ToThread) without locks. Registration
@@ -439,14 +392,12 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 			panic(fmt.Sprintf("live: worker %d on invalid node %d", i, w.Node))
 		}
 		n := c.nodes[w.Node]
-		t := &Thread{
-			c: c, node: n, id: i, slot: int32(len(n.threads)),
-			name: w.Name, mbox: newMailbox(),
-		}
+		t := &Thread{node: n, mbox: transport.NewQueue[proto.Token]()}
+		t.Driver = proto.NewDriver(n.ps, t, i, int32(len(n.threads)), w.Name)
 		n.threads = append(n.threads, t)
 		threads[i] = t
 		if c.abortErr != nil {
-			t.mbox.q.Close()
+			t.mbox.Close()
 		}
 	}
 	c.abortMu.Unlock()
@@ -498,7 +449,7 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 	}
 	if runErr == nil && !c.aborted.Load() {
 		if f, ok := c.tr.(Finisher); ok {
-			runErr = f.FinishRun(c.space)
+			runErr = f.FinishRun(c.Space)
 		}
 	}
 	c.tr.Close()
@@ -512,7 +463,7 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 	for _, n := range c.nodes {
 		m.Counters.Add(&n.counters)
 		for _, t := range n.threads {
-			if p := t.mbox.peak(); p > m.LivePeakMailbox {
+			if p := t.mbox.Peak(); p > m.LivePeakMailbox {
 				m.LivePeakMailbox = p
 			}
 		}
@@ -563,7 +514,7 @@ func (n *node) Send(msg wire.Msg, cat stats.Category) {
 // ToThread implements proto.Engine: local daemon→thread handoff,
 // bypassing the transport (within a node there is no wire).
 func (n *node) ToThread(slot int32, msg wire.Msg) {
-	n.threads[slot].mbox.put(token{msg: msg})
+	n.threads[slot].mbox.Put(proto.Token{Msg: msg})
 }
 
 // Broadcast implements proto.Engine: one frame to every node but the
@@ -684,49 +635,4 @@ func (l *lockedObserver) OnLockGrant(lock uint32, node memory.NodeID) {
 	l.mu.Lock()
 	l.o.OnLockGrant(lock, node)
 	l.mu.Unlock()
-}
-
-// mailbox is a thread's unbounded reply queue: the daemon (or a local
-// sync manager path) puts protocol messages and retry tokens, the
-// owning thread blocks in get. Unbounded so ToThread never blocks a
-// daemon holding a node lock; closed only by Abort, which turns every
-// parked get into the abortPanic unwind.
-type mailbox struct {
-	q *transport.Queue[token]
-}
-
-// token is what a mailbox carries, by value so that ToThread boxes
-// nothing: a protocol message, or one of the flush loop's retry timers
-// naming the object to retry.
-type token struct {
-	kind tokenKind
-	obj  memory.ObjectID // retryDiff, retryQuery
-	msg  wire.Msg        // message
-}
-
-type tokenKind uint8
-
-const (
-	message tokenKind = iota
-	// retryDiff: re-send the diff for obj after a broadcast-locator
-	// back-off.
-	retryDiff
-	// retryQuery: re-resolve obj's home through the manager after a
-	// stale-table back-off.
-	retryQuery
-)
-
-func newMailbox() *mailbox { return &mailbox{q: transport.NewQueue[token]()} }
-
-func (m *mailbox) put(v token) { m.q.Put(v) }
-
-func (m *mailbox) peak() int { return m.q.Peak() }
-
-func (m *mailbox) get() token {
-	v, ok := m.q.Get()
-	if !ok {
-		// Only Abort closes mailboxes; unwind to the worker wrapper.
-		panic(abortPanic{})
-	}
-	return v
 }

@@ -13,11 +13,22 @@
 //     transport (internal/live/transport), one protocol daemon
 //     goroutine per node.
 //
+// Both halves of the protocol live here: Node.Handle is what a daemon
+// does with a received message; Driver is what an application thread
+// sends — access checks, fault-in with the locator chase, locks,
+// barriers, the flush/ack/retry loop — and what each reply means to it.
+//
 // The split is strict: nothing in this package knows about time. An
-// engine supplies an Engine implementation per node (how messages leave
-// the node) and drives Node.Handle with received messages; everything
-// else — what a fault-in reply contains, when a home migrates, how a
-// barrier releases — is decided here, identically for both engines.
+// engine supplies an Engine per node (how messages leave it), drives
+// Node.Handle with received messages, and gives each thread's Driver a
+// Host, the only place a thread ever waits (mailbox receive, back-off,
+// retry timer, the node lock released around them, the clock behind the
+// latency histograms). Every wait, sleep and clock read being a Host
+// call is what keeps the package clock-free (detlint enforces it) and
+// lets a scripted Host walk the Driver through any interleaving without
+// a scheduler. Everything else — what a fault-in reply contains, when a
+// home migrates, when a stale manager answer is re-asked, how a barrier
+// releases — is decided here, identically for both engines.
 package proto
 
 import (
@@ -113,10 +124,28 @@ type Shared struct {
 
 // Space is the engine-independent cluster state: the shared
 // configuration/layout and every node's protocol state. Engines embed a
-// Space and translate their public Add*/Run APIs onto it.
+// Space, which gives their cluster type the declaration half of the
+// Cluster contract (AddObject, InitObject, AddLock, AddBarrier) and the
+// post-run inspection half (NumObjects, HomeOf, ObjectData,
+// CheckInvariants, Digest); the engine adds Run, which seals the layout.
 type Space struct {
 	S     *Shared
 	Nodes []*Node
+	// sealed is set when the run starts: the layout is fixed from then on.
+	sealed bool
+}
+
+// Seal fixes the declared layout; the engine calls it first thing in
+// Run. Declaring anything afterwards — or running twice — panics.
+func (sp *Space) Seal() {
+	sp.mustBeOpen()
+	sp.sealed = true
+}
+
+func (sp *Space) mustBeOpen() {
+	if sp.sealed {
+		panic("proto: cluster already running")
+	}
 }
 
 // NewSpace returns an empty space over s; the engine populates Nodes
@@ -144,10 +173,11 @@ func (sp *Space) NewNode(id memory.NodeID) *Node {
 }
 
 // AddObject declares a shared object of words 64-bit words homed at
-// home. The home node's copy is authoritative from the start ("when an
-// object is created, the creation node becomes its default home node",
-// §5).
+// home. Must be called before Run. The home node's copy is authoritative
+// from the start ("when an object is created, the creation node becomes
+// its default home node", §5).
 func (sp *Space) AddObject(words int, home memory.NodeID) memory.ObjectID {
+	sp.mustBeOpen()
 	s := sp.S
 	if home < 0 || int(home) >= s.Nodes {
 		panic(fmt.Sprintf("proto: object home %d out of range", home))
@@ -172,14 +202,17 @@ func (sp *Space) AddObject(words int, home memory.NodeID) memory.ObjectID {
 }
 
 // InitObject populates an object's home copy before the run, free of
-// charge (models data that exists before the timed region).
+// charge (models data that exists before the timed region, e.g. the
+// input graph of ASP).
 func (sp *Space) InitObject(id memory.ObjectID, fn func(words []uint64)) {
+	sp.mustBeOpen()
 	home := sp.S.ObjHome0[id]
 	fn(sp.Nodes[home].Cache[id].Data)
 }
 
 // AddLock declares a distributed lock managed by node home.
 func (sp *Space) AddLock(home memory.NodeID) LockID {
+	sp.mustBeOpen()
 	s := sp.S
 	id := LockID(len(s.LockHome))
 	s.LockHome = append(s.LockHome, home)
@@ -189,6 +222,7 @@ func (sp *Space) AddLock(home memory.NodeID) LockID {
 
 // AddBarrier declares a barrier of parties threads managed by node home.
 func (sp *Space) AddBarrier(home memory.NodeID, parties int) BarrierID {
+	sp.mustBeOpen()
 	s := sp.S
 	id := BarrierID(len(s.BarHome))
 	s.BarHome = append(s.BarHome, home)
@@ -250,7 +284,8 @@ var (
 	ErrDeadEndChain = errors.New("forwarding chain dead end")
 )
 
-// CheckInvariants validates global protocol invariants after a run:
+// CheckInvariants validates global protocol invariants after a run (call
+// it only once Run has returned):
 // every object has exactly one home, with migration state and data there
 // and nowhere else; no dirty cached copies or leaked twins remain; home
 // copysets name only plausible sharers; the manager locator's table
