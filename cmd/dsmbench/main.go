@@ -82,30 +82,12 @@ func main() {
 	seedBase := flag.Uint64("seed", 1, "first seed for -scenarios")
 	csvPath := flag.String("csv", "", "write all produced rows as CSV to this file (\"-\" for stdout)")
 	jsonPath := flag.String("json", "", "write all produced rows as JSON to this file (\"-\" for stdout)")
-	benchJSON := flag.String("benchjson", "", "run the kernel/hot-path microbenchmarks and write a machine-readable report to this file (\"-\" for stdout), e.g. BENCH_kernel.json")
-	benchJSONLive := flag.String("benchjson-live", "", "run the live-engine microbenchmarks (real goroutines over the chanloop transport) and write a machine-readable report to this file (\"-\" for stdout), e.g. BENCH_live.json")
 	flag.Parse()
 
 	if *all {
 		figs, ablates = allFigs, allAblations
 	}
 	figs, ablates = dedup(figs), dedup(ablates)
-	if *benchJSON != "" {
-		if err := bench.WriteKernelBenchJSON(*benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "dsmbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *benchJSONLive != "" {
-		if err := bench.WriteLiveBenchJSON(*benchJSONLive); err != nil {
-			fmt.Fprintln(os.Stderr, "dsmbench:", err)
-			os.Exit(1)
-		}
-	}
-	if (*benchJSON != "" || *benchJSONLive != "") &&
-		len(figs) == 0 && len(ablates) == 0 && *scenarios == 0 && *cross == 0 && *chaos == 0 {
-		return
-	}
 	if *chaos > 0 {
 		progress := func(s string) { fmt.Fprintf(os.Stderr, "  [chaos] %s\n", s) }
 		if *quiet {

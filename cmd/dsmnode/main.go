@@ -293,6 +293,11 @@ func main() {
 	if *obsAddr != "" {
 		obs = serveObs(*obsAddr, *id, member, reg)
 	}
+	closeObs := func() {
+		if err := obs.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "dsmnode %d: debug listener died mid-run: %v\n", *id, err)
+		}
+	}
 	if *statsIntv > 0 {
 		go func() {
 			t := time.NewTicker(*statsIntv)
@@ -381,7 +386,7 @@ func main() {
 		}
 		stopTel()
 		writeMetrics()
-		obs.Close()
+		closeObs()
 		member.Leave()
 		os.Exit(exitCode(err))
 	}
@@ -408,7 +413,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dsmnode %d: ok (digest %#x)\n", *id, res.Digest)
 	}
 	writeMetrics()
-	obs.Close()
+	closeObs()
 	member.Leave()
 }
 

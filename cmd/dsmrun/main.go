@@ -121,9 +121,11 @@ func main() {
 		}
 	}
 	if *flightAnalyze {
-		fmt.Print(trace.Report(trace.Analyze(flight.ToTrace(res.Flight))))
+		fmt.Print(trace.Report(trace.Analyze(res.Flight)))
 	}
-	obs.Close()
+	if err := obs.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "dsmrun: debug listener died mid-run:", err)
+	}
 }
 
 // serveObs starts the debug listener and hooks the telemetry plumbing

@@ -76,7 +76,7 @@ func main() {
 		migration.NoHM{}, migration.Fixed{T: 1}, migration.Fixed{T: 2},
 		migration.Adaptive{P: params}, migration.JUMP{},
 	} {
-		res := trace.Replay(tr, pol, params, nil)
+		res := trace.Replay(tr.Events, pol, params, nil)
 		fmt.Fprintf(tw, "%s\t%d\t%d\n", res.Policy, res.Migrations, res.RedirCost)
 	}
 	tw.Flush()

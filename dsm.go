@@ -73,12 +73,13 @@ type (
 	Time = sim.Time
 	// Worker pins a thread to a node.
 	Worker = gos.Worker
-	// Trace is an ordered protocol-event log for access-pattern analysis.
+	// Trace is an ordered log of the protocol events the access-pattern
+	// classifier reads (see Config.Trace).
 	Trace = trace.Trace
 	// TraceProfile is one object's classified access pattern.
 	TraceProfile = trace.Profile
-	// Observer receives protocol-level correctness events (the coherence
-	// oracle's hook surface); identical on both engines.
+	// Observer is an event subscriber (in practice the coherence oracle's
+	// recorder, internal/oracle); identical on both engines.
 	Observer = proto.Observer
 	// Transport carries encoded protocol frames between live-engine
 	// nodes (see Config.Transport).
@@ -119,7 +120,8 @@ type Config struct {
 	DebugWire bool
 	// Trace, when non-nil, records migration-relevant protocol events
 	// for offline pattern analysis and policy replay (see NewTrace,
-	// AnalyzeTrace, TraceReport).
+	// AnalyzeTrace, TraceReport). Works on both engines: it is one more
+	// subscriber of the events the flight recorder keeps.
 	Trace *Trace
 	// PathCompress enables forwarding-chain compression (extension
 	// beyond the paper): redirected requesters notify their stale entry
@@ -130,12 +132,12 @@ type Config struct {
 	// the engine behind the paper's figures; "live" runs the same
 	// protocol on real goroutines behind a pluggable transport
 	// (internal/live), with wall-clock metrics and real scheduler/
-	// network nondeterminism. Network, Trace and the cost model apply
-	// only to "sim"; a live run reports Wall and LiveMsgs instead of
-	// virtual ExecTime.
+	// network nondeterminism. Network and the cost model apply only to
+	// "sim"; a live run reports Wall and LiveMsgs instead of virtual
+	// ExecTime.
 	Engine string
-	// Observer, when non-nil, receives coherence events (oracle hooks)
-	// on either engine.
+	// Observer, when non-nil, subscribes to the run's events (the
+	// coherence oracle's recorder) on either engine.
 	Observer Observer
 	// Transport injects a custom live-engine transport — e.g. a
 	// multi-process cluster member carrying frames over TCP
@@ -165,11 +167,11 @@ type Config struct {
 	// recorder so its HLC stamps observe remote frames and the finish
 	// exchange can gather the ring. Live engine only.
 	FlightLocal *flight.Recorder
-	// Telemetry, when non-nil, is a hot-object sink every node feeds
-	// from the same nil-guarded hook sites as the flight recorder: a
-	// space-saving top-K sketch of per-object accesses plus
-	// migration-decision counts by reason. Works on both engines; pure
-	// observation, so sim digests are unchanged by attaching it.
+	// Telemetry, when non-nil, is a hot-object sink subscribed to every
+	// node's access and migration-decision events: a space-saving top-K
+	// sketch of per-object accesses plus migration-decision counts by
+	// reason. Works on both engines; pure observation, so sim digests
+	// are unchanged by attaching it.
 	Telemetry *telemetry.Sink
 	// Metrics, when non-nil, receives the engine's live scrape metrics
 	// (frame counters, protocol counters, merged latency histograms).
@@ -238,16 +240,12 @@ func New(cfg Config) *Cluster {
 			Params:       params,
 			Piggyback:    !cfg.NoPiggyback,
 			DebugWire:    cfg.DebugWire,
-			Trace:        cfg.Trace,
 			PathCompress: cfg.PathCompress,
 			Observer:     cfg.Observer,
 			FlightCap:    cfg.FlightCap,
 			Telemetry:    cfg.Telemetry,
 		})
 	case "live":
-		if cfg.Trace != nil {
-			panic("dsm: Trace is not supported under the live engine (trace recording is not synchronized)")
-		}
 		c.eng = live.New(live.Config{
 			Nodes:        cfg.Nodes,
 			Policy:       pol,
@@ -264,6 +262,9 @@ func New(cfg Config) *Cluster {
 		})
 	default:
 		panic(fmt.Sprintf("dsm: unknown engine %q (want \"sim\" or \"live\")", cfg.Engine))
+	}
+	if cfg.Trace != nil {
+		c.eng.Subscribe(cfg.Trace)
 	}
 	if cfg.Engine != "live" && (cfg.Transport != nil || cfg.LocalNode != nil) {
 		panic("dsm: Transport/LocalNode require Engine \"live\"")
@@ -385,7 +386,7 @@ func (c *Cluster) Digest() uint64 { return c.eng.Digest() }
 // timeline of the run — every node's ring in one HLC-ordered log. Empty
 // when recording was not enabled (Config.FlightCap/FlightLocal). Call
 // after Run; see internal/flight for exporters (WriteText,
-// WriteChromeTrace) and the trace bridge (ToTrace).
+// WriteChromeTrace). internal/trace classifies the timeline as is.
 func (c *Cluster) FlightEvents() []flight.Event {
 	if fe, ok := c.eng.(interface{ FlightEvents() []flight.Event }); ok {
 		return fe.FlightEvents()
@@ -409,7 +410,7 @@ func NewTrace() *Trace { return &trace.Trace{} }
 
 // AnalyzeTrace classifies every traced object's access pattern
 // (single-writer lasting/transient, multiple-writer, read-mostly).
-func AnalyzeTrace(t *Trace) []TraceProfile { return trace.Analyze(t) }
+func AnalyzeTrace(t *Trace) []TraceProfile { return trace.Analyze(t.Events) }
 
 // TraceReport renders the classification as a table.
 func TraceReport(profiles []TraceProfile) string { return trace.Report(profiles) }

@@ -1,15 +1,24 @@
-// Package flight is the per-node flight recorder: a fixed-capacity,
-// allocation-free ring of HLC-stamped structured protocol events — frame
-// traffic, migration decisions with the counter/threshold values the
-// heuristic compared, lock grants, barrier episodes, heartbeats, injected
-// faults and aborts. Each engine node owns one Recorder; recording is a
-// ring write under a mutex, so a recorder can run inside the protocol
-// hot paths (the disabled path is a nil check at the call site, per the
-// obslint contract). After a run — or on abort — the per-node rings
-// merge in (Wall, Logical) hybrid-logical-clock order into one cluster
-// timeline, exported as human-readable text or Chrome trace-event JSON
-// (chrome://tracing, Perfetto), and bridge into internal/trace's
-// classifier/replay so live runs feed the offline policy tooling.
+// Package flight defines the one protocol event every observer of a run
+// reads, and the per-node flight recorder that keeps them.
+//
+// Event is emitted once per protocol site by proto.Node.Emit (handlers
+// and the thread driver in internal/proto, the frame sites of the two
+// engines) and fanned out to the node's Subscribers, each of which
+// declares the kinds it wants: the Recorder ring here, the hot-object
+// sketch (telemetry.Sink), the coherence oracle (oracle.Recorder) and
+// the access-pattern classifier's log (trace.Trace). The transports,
+// which are not protocol sites, record heartbeats, injected faults and
+// aborts straight into a Recorder.
+//
+// Recorder is a fixed-capacity, allocation-free ring of HLC-stamped
+// events — frame traffic, migration decisions with the
+// counter/threshold values the heuristic compared, lock grants, barrier
+// episodes, heartbeats, injected faults and aborts. Each engine node
+// owns one; recording is a stamp plus a ring write under a mutex. After
+// a run — or on abort — the per-node rings merge in (Wall, Logical)
+// hybrid-logical-clock order into one cluster timeline, exported as
+// human-readable text or Chrome trace-event JSON (chrome://tracing,
+// Perfetto) and read as is by internal/trace's classifier and replay.
 package flight
 
 import (
@@ -22,7 +31,6 @@ import (
 	"repro/internal/hlc"
 	"repro/internal/memory"
 	"repro/internal/migration"
-	"repro/internal/trace"
 )
 
 // Kind classifies a flight-recorder event.
@@ -32,6 +40,10 @@ type Kind uint8
 // Decision events carry the migration verdict with its reason and the
 // counter/threshold pair the heuristic compared; sync events carry the
 // lock/barrier id; fault events carry the injected failure's victims.
+// The kinds from Read on are the thread side of the protocol — per-word
+// data accesses and the thread's own view of its lock and barrier
+// operations — which the coherence oracle reads and the ring does not
+// keep (see RingKinds).
 const (
 	FrameSend Kind = iota
 	FrameRecv
@@ -46,6 +58,12 @@ const (
 	Request
 	FaultInjected
 	Abort
+	Read
+	Write
+	Acquire
+	Release
+	BarrierArrive
+	BarrierDepart
 	NumKinds
 )
 
@@ -53,6 +71,7 @@ var kindNames = [NumKinds]string{
 	"frame-send", "frame-recv", "heartbeat-send", "heartbeat-recv",
 	"decision", "lock-grant", "barrier-release", "home-read",
 	"home-write", "remote-write", "request", "fault-injected", "abort",
+	"read", "write", "acquire", "release", "barrier-arrive", "barrier-depart",
 }
 
 func (k Kind) String() string {
@@ -62,10 +81,41 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Event is one flight-recorder observation. The struct is fixed-size
-// (no pointers, slices or strings) so the ring never allocates and the
-// cluster gather can gob it wholesale. Wall/Logical/Node are stamped by
-// Record; the remaining fields are per-kind:
+// Mask is a set of event kinds.
+type Mask uint32
+
+// MaskOf returns the set holding kinds.
+func MaskOf(kinds ...Kind) Mask {
+	var m Mask
+	for _, k := range kinds {
+		m |= 1 << k
+	}
+	return m
+}
+
+// Has reports whether k is in the set.
+func (m Mask) Has(k Kind) bool { return m&(1<<k) != 0 }
+
+// RingKinds is what a Recorder subscribes to: every kind up to Abort.
+// The thread-side kinds stay out of the ring — one event per scalar
+// access would wash the protocol events out of a fixed capacity.
+const RingKinds Mask = 1<<Read - 1
+
+// Subscriber consumes events. Kinds declares, once at subscription, the
+// kinds it wants; Record then receives each such event, in emission
+// order. A subscriber that keeps a stamp takes it in Record, on the
+// events it keeps, so one subscriber's presence never shifts another's
+// stamps.
+type Subscriber interface {
+	Kinds() Mask
+	Record(ev Event)
+}
+
+// Event is one protocol observation. The struct is fixed-size (no
+// pointers, slices or strings) so no subscriber need allocate to keep
+// one and the cluster gather can gob it wholesale. Node is set by the
+// emitting node, Wall/Logical by a subscriber that stamps (the
+// Recorder); the remaining fields are per-kind:
 //
 //   - FrameSend/FrameRecv: Peer, Tag (wire message kind), Bytes
 //   - HeartbeatSend/HeartbeatRecv: Peer
@@ -80,6 +130,12 @@ func (k Kind) String() string {
 //   - FaultInjected: Peer (victim; Sync holds the second endpoint of a
 //     severed link, else zero)
 //   - Abort: Bytes is unused; the text rendering names the node
+//   - Read/Write: Thread, Obj, Word, Val (the value read or stored)
+//   - Acquire/Release: Thread, Sync (lock id)
+//   - BarrierArrive/BarrierDepart: Thread, Sync (barrier id)
+//
+// Thread is meaningful for the thread-side kinds only; events emitted
+// by a daemon leave it zero.
 type Event struct {
 	Wall     int64
 	Logical  uint32
@@ -93,18 +149,21 @@ type Event struct {
 	Sync     uint32
 	Hops     int32
 	Bytes    int32
+	Thread   int32
 	Count    float64
 	Limit    float64
+	Val      uint64
+	Word     int32
 }
 
 // Stamp returns the event's HLC reading.
 func (e Event) Stamp() hlc.Stamp { return hlc.Stamp{Wall: e.Wall, Logical: e.Logical} }
 
-// Recorder is one node's fixed-capacity event ring. A nil *Recorder
-// means "recording disabled": every call site guards with a nil check
-// (the obslint-enforced contract), so the disabled hot path is one
-// compare-and-branch and zero allocations. All methods on a non-nil
-// Recorder are safe for concurrent use.
+// Recorder is one node's fixed-capacity event ring. Protocol sites
+// reach it as one of the node's Subscribers; the transports' cold sites
+// hold it directly, where a nil *Recorder means "recording disabled" and
+// every Record call is nil-guarded (the obslint contract). All methods
+// on a non-nil Recorder are safe for concurrent use.
 type Recorder struct {
 	mu    sync.Mutex
 	node  memory.NodeID
@@ -130,6 +189,9 @@ func NewRecorder(node memory.NodeID, capacity int, stamp func() hlc.Stamp) *Reco
 	}
 	return &Recorder{node: node, stamp: stamp, buf: make([]Event, capacity)}
 }
+
+// Kinds implements Subscriber.
+func (r *Recorder) Kinds() Mask { return RingKinds }
 
 // Record stamps ev (Wall, Logical, Node) and writes it into the ring,
 // overwriting the oldest event once the ring is full. It never
@@ -254,9 +316,7 @@ func describe(e Event) string {
 			return fmt.Sprintf("link=%d<->%d", e.Peer, e.Sync)
 		}
 		return fmt.Sprintf("victim=%d", e.Peer)
-	case Abort:
-		return ""
-	default:
+	default: // Abort has no payload; the ring keeps no thread-side kind
 		return ""
 	}
 }
@@ -346,28 +406,6 @@ func WriteChromeTrace(w io.Writer, evs []Event) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(out)
-}
-
-// ToTrace bridges a flight timeline into internal/trace's event model,
-// so live runs (which cannot attach a dsm.Trace) still feed the offline
-// classifier (trace.Analyze) and policy replay (trace.Replay): Request,
-// RemoteWrite, HomeWrite and HomeRead events map one-to-one; the rest
-// have no trace analogue and are skipped.
-func ToTrace(evs []Event) *trace.Trace {
-	t := &trace.Trace{}
-	for _, e := range evs {
-		switch e.Kind {
-		case Request:
-			t.Record(trace.Event{Obj: e.Obj, Kind: trace.Request, Node: e.Peer, Hops: int(e.Hops)})
-		case RemoteWrite:
-			t.Record(trace.Event{Obj: e.Obj, Kind: trace.RemoteWrite, Node: e.Peer, Size: int(e.Bytes)})
-		case HomeWrite:
-			t.Record(trace.Event{Obj: e.Obj, Kind: trace.HomeWrite, Node: e.Node})
-		case HomeRead:
-			t.Record(trace.Event{Obj: e.Obj, Kind: trace.HomeRead, Node: e.Node})
-		}
-	}
-	return t
 }
 
 // DumpLastN writes each node's last n retained events with attribution

@@ -9,7 +9,6 @@ import (
 	"repro/internal/hlc"
 	"repro/internal/memory"
 	"repro/internal/migration"
-	"repro/internal/trace"
 )
 
 // seqStamp is a deterministic stamp source: Wall advances by step per
@@ -168,31 +167,6 @@ func TestChromeTraceParsesAndIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestToTraceBridgesClassifierEvents(t *testing.T) {
-	evs := []Event{
-		{Node: 0, Kind: Request, Obj: 1, Peer: 2, Hops: 1},
-		{Node: 0, Kind: RemoteWrite, Obj: 1, Peer: 2, Bytes: 24},
-		{Node: 2, Kind: HomeWrite, Obj: 1},
-		{Node: 2, Kind: HomeRead, Obj: 1},
-		{Node: 0, Kind: FrameSend, Peer: 1}, // no trace analogue
-	}
-	tr := ToTrace(evs)
-	if got := len(tr.Events); got != 4 {
-		t.Fatalf("bridged %d events, want 4", got)
-	}
-	wantKinds := []trace.EventKind{trace.Request, trace.RemoteWrite, trace.HomeWrite, trace.HomeRead}
-	wantNodes := []memory.NodeID{2, 2, 2, 2}
-	for i, e := range tr.Events {
-		if e.Kind != wantKinds[i] || e.Node != wantNodes[i] {
-			t.Errorf("bridged[%d] = kind %v node %d, want kind %v node %d",
-				i, e.Kind, e.Node, wantKinds[i], wantNodes[i])
-		}
-	}
-	if profiles := trace.Analyze(tr); len(profiles) == 0 {
-		t.Error("classifier produced no profiles from bridged trace")
-	}
-}
-
 func TestDumpLastNSkipsNilAndAttributes(t *testing.T) {
 	r0 := NewRecorder(0, 4, seqStamp(0, 1))
 	r2 := NewRecorder(2, 4, seqStamp(0, 1))
@@ -214,8 +188,9 @@ func TestDumpLastNSkipsNilAndAttributes(t *testing.T) {
 }
 
 // TestRecordAllocatesNothing pins the overhead contract in tier-1: the
-// nil-guarded disabled path does no work at all, and an enabled ring
-// record is a stamp plus a slot write — neither may allocate.
+// nil-guarded disabled path of a transport's cold site does no work at
+// all, and an enabled ring record is a stamp plus a slot write — neither
+// may allocate.
 func TestRecordAllocatesNothing(t *testing.T) {
 	var off *Recorder
 	ev := Event{Kind: HomeWrite, Obj: 3}

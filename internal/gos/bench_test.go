@@ -1,6 +1,7 @@
 package gos
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/locator"
@@ -79,20 +80,47 @@ func BenchmarkLocalAccess(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkBarrierEpisode(b *testing.B) {
+// barrierEpisodes sets up n episodes of an 8-party barrier, one thread
+// per node.
+func barrierEpisodes(n int) (*Cluster, []Worker) {
 	const nodes = 8
 	c := New(testConfig(nodes, migration.NoHM{}, locator.ForwardingPointer))
 	bar := c.AddBarrier(0, nodes)
-	b.ResetTimer()
 	var ws []Worker
 	for i := 0; i < nodes; i++ {
 		ws = append(ws, Worker{Node: memory.NodeID(i), Name: "w", Fn: func(th proto.Thread) {
-			for i := 0; i < b.N; i++ {
+			for i := 0; i < n; i++ {
 				th.Barrier(bar)
 			}
 		}})
 	}
+	return c, ws
+}
+
+func BenchmarkBarrierEpisode(b *testing.B) {
+	c, ws := barrierEpisodes(b.N)
+	b.ResetTimer()
 	if _, err := c.Run(ws); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestBarrierEpisodeAllocatesNothing holds a whole protocol round — 7
+// arrivals over the simulated network, the release, 7 go messages, 8
+// thread wake-ups — to 0 allocs/op the way the benchmark reports it
+// (total mallocs of the run over n, rounded down: start-up allocations
+// do not grow with n).
+func TestBarrierEpisodeAllocatesNothing(t *testing.T) {
+	const n = 5000
+	c, ws := barrierEpisodes(n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := c.Run(ws); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.Mallocs - before.Mallocs) / n; per != 0 {
+		t.Errorf("%d allocs/op (%d mallocs over %d episodes), want 0",
+			per, after.Mallocs-before.Mallocs, n)
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // LockID names a distributed lock.
@@ -38,9 +37,7 @@ type LockID = proto.LockID
 // BarrierID names a distributed barrier.
 type BarrierID = proto.BarrierID
 
-// Observer receives protocol-level correctness events (see
-// proto.Observer; the interface lives with the shared state machines so
-// both engines expose the same hook surface).
+// Observer is an extra event subscriber (see proto.Observer).
 type Observer = proto.Observer
 
 // Worker is one application thread to run.
@@ -93,11 +90,6 @@ type Config struct {
 	// (see cnet.Config.Jitter). Zero disables it; DefaultConfig sets a
 	// small value to avoid artificial lock-step arrival symmetry.
 	Jitter sim.Time
-	// Trace, when non-nil, records every migration-relevant protocol
-	// event (remote writes, home reads/writes, fault-in requests with
-	// redirection accumulation) for offline analysis and policy replay
-	// (internal/trace).
-	Trace *trace.Trace
 	// PathCompress enables forwarding-chain compression (an extension
 	// beyond the paper, §6 future work): after a redirected fault-in the
 	// requester notifies its stale entry point of the true home, so
@@ -105,9 +97,10 @@ type Config struct {
 	// extra message per redirected fault; only meaningful under the
 	// forwarding-pointer locator.
 	PathCompress bool
-	// Observer, when non-nil, receives correctness events (data
-	// accesses, lock chains, barrier episodes) for the coherence oracle.
-	// Nil in production runs; the hooks cost one nil check each.
+	// Observer, when non-nil, subscribes to every node's events — the
+	// coherence oracle's recorder (data accesses, lock chains, barrier
+	// episodes). Nil in production runs; an event nobody subscribed to
+	// costs its site one mask test.
 	Observer Observer
 	// DropDiffs deliberately breaks the protocol: every diff is
 	// discarded at flush time instead of being propagated to the home,
@@ -121,11 +114,11 @@ type Config struct {
 	// so the merged timeline of a seeded run is byte-identical across
 	// repeats.
 	FlightCap int
-	// Telemetry, when non-nil, is a shared hot-object sink every node
-	// records accesses and migration decisions into. Pure observation
-	// over the same hook sites as the flight recorder: the sketch's
-	// contents are a function of the deterministic schedule only and a
-	// seeded run's digest is unchanged by attaching it.
+	// Telemetry, when non-nil, is a shared hot-object sink subscribed to
+	// every node's access and migration-decision events. Pure
+	// observation: the sketch's contents are a function of the
+	// deterministic schedule only and a seeded run's digest is unchanged
+	// by attaching it.
 	Telemetry *telemetry.Sink
 }
 
@@ -205,28 +198,31 @@ func New(cfg Config) *Cluster {
 		Piggyback:    cfg.Piggyback,
 		PathCompress: cfg.PathCompress,
 		DropDiffs:    cfg.DropDiffs,
-		Trace:        cfg.Trace,
-		Observer:     cfg.Observer,
 	})
 	for i := 0; i < cfg.Nodes; i++ {
 		n := newNode(c, memory.NodeID(i))
 		if cfg.FlightCap > 0 {
 			st := &simStamper{env: c.env}
 			rec := flight.NewRecorder(memory.NodeID(i), cfg.FlightCap, st.stamp)
-			n.Node.Flight = rec
+			n.Subscribe(rec)
 			c.flights = append(c.flights, rec)
 		}
-		n.Node.Tel = cfg.Telemetry
 		c.nodes = append(c.nodes, n)
 	}
+	if cfg.Telemetry != nil {
+		c.Subscribe(cfg.Telemetry)
+	}
+	c.Subscribe(cfg.Observer)
 	return c
 }
 
 // simStamper stamps flight events off the virtual clock: Wall is the
 // simulated nanosecond, Logical a per-node record sequence that breaks
 // ties between events recorded at the same instant. Both are functions
-// of the deterministic schedule only, so a seeded run's merged timeline
-// is byte-identical across repeats.
+// of the deterministic schedule only — the ring stamps what it stores,
+// so the sequence does not see the other subscribers — and a seeded
+// run's merged timeline is byte-identical across repeats, whatever else
+// is attached.
 type simStamper struct {
 	env *sim.Env
 	seq uint32

@@ -35,8 +35,8 @@ func newNode(c *Cluster, id memory.NodeID) *Node {
 
 // Send implements proto.Engine: transmit over the simulated network.
 func (n *Node) Send(msg wire.Msg, cat stats.Category) {
-	if f := n.Flight; f != nil {
-		f.Record(flight.Event{Kind: flight.FrameSend, Tag: uint8(cat), Peer: msg.To, Bytes: int32(msg.WireSize())})
+	if n.On(flight.FrameSend) {
+		n.Emit(flight.Event{Kind: flight.FrameSend, Tag: uint8(cat), Peer: msg.To, Bytes: int32(msg.WireSize())})
 	}
 	n.c.net.Send(msg, cat)
 }
@@ -51,8 +51,8 @@ func (n *Node) ToThread(slot int32, msg wire.Msg) {
 // Broadcast implements proto.Engine: one message to every node but the
 // sender, charged as N−1 point-to-point sends.
 func (n *Node) Broadcast(msg wire.Msg, cat stats.Category) {
-	if f := n.Flight; f != nil {
-		f.Record(flight.Event{Kind: flight.FrameSend, Tag: uint8(cat), Peer: memory.NoNode, Bytes: int32(msg.WireSize())})
+	if n.On(flight.FrameSend) {
+		n.Emit(flight.Event{Kind: flight.FrameSend, Tag: uint8(cat), Peer: memory.NoNode, Bytes: int32(msg.WireSize())})
 	}
 	n.c.net.Broadcast(msg, cat)
 }
@@ -74,8 +74,8 @@ func (n *Node) daemon(p *sim.Proc) {
 		n.busy = true
 		msg := *pm
 		n.c.net.FreeMsg(pm)
-		if f := n.Flight; f != nil {
-			f.Record(flight.Event{Kind: flight.FrameRecv, Peer: msg.From, Bytes: int32(msg.WireSize())})
+		if n.On(flight.FrameRecv) {
+			n.Emit(flight.Event{Kind: flight.FrameRecv, Peer: msg.From, Bytes: int32(msg.WireSize())})
 		}
 		p.Sleep(n.c.cfg.MsgProcCost)
 		n.Handle(msg)

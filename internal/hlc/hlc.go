@@ -13,7 +13,7 @@
 //
 // The cluster layer stamps every TCP frame with the sender's clock and
 // folds received stamps into the receiver's (Observe), and the oracle
-// event recorder stamps every observer hook (Tick); sorting the merged
+// event recorder stamps every event it stores (Tick); sorting the merged
 // per-process event logs by stamp then reconstructs an order the LRC
 // checker can trust, which raw wall-clock stamps cannot provide once
 // the processes leave one machine.

@@ -1,7 +1,7 @@
 // Package lint is dsmlint: a static-analysis suite that turns this
 // repository's load-bearing conventions — determinism of the simulation
 // core, frame-buffer pooling discipline, sentinel-error handling,
-// nil-guarded observer hooks, allocation-free hot paths — into
+// nil-guarded recorder calls, allocation-free hot paths — into
 // compile-time checks. Each analyzer encodes a bug class that was
 // previously caught only dynamically (golden byte-identity tests, the
 // LRC oracle, 4200-run chaos sweeps) or not at all.
@@ -23,8 +23,8 @@
 //     never touched after the handoff.
 //   - errlint:   sentinel errors flow through errors.Is, never == / !=
 //     or error-text comparison.
-//   - obslint:   proto.Observer hook calls sit behind a nil check,
-//     preserving the observer-off zero-allocation guarantee.
+//   - obslint:   flight.Recorder.Record calls outside internal/flight
+//     (the transports' cold sites) sit behind a nil check.
 //   - hotlint:   //dsm:hotpath functions reject allocating composite
 //     literals, closures, fmt calls, and interface boxing.
 //

@@ -14,14 +14,10 @@ import (
 //	                                 reads the wall clock (detlint)
 //	//dsm:hotpath                    function doc: hold this function to
 //	                                 the zero-allocation rules (hotlint)
-//	//dsm:obsnonnil <why>            struct doc: fields of this type hold
-//	                                 observers proven non-nil at
-//	                                 construction (obslint)
 //	//dsm:nolint <analyzer>: <why>   line-level suppression, any analyzer
 const (
 	dirWallclock = "//dsm:wallclock"
 	dirHotpath   = "//dsm:hotpath"
-	dirObsNonNil = "//dsm:obsnonnil"
 	dirNolint    = "//dsm:nolint"
 )
 

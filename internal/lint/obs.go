@@ -1,70 +1,40 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
-// Obs is obslint: every call of a proto.Observer hook must be behind a
-// nil check. The observer is nil on every benchmark and production
-// path — the 0-alloc hot-path guarantee depends on the protocol not
-// touching it — so an unguarded call site is a latent nil-interface
-// panic that only fires when the oracle is off, exactly when no test
-// is watching.
+// Obs is obslint: every flight.Recorder.Record call outside
+// internal/flight must be behind a nil check. Protocol sites never hold a
+// recorder — they emit through proto.Node.Emit, whose subscriber list is
+// simply empty when nothing listens — but the transports' cold sites
+// (heartbeats, injected faults, aborts) keep a *flight.Recorder field
+// that is nil whenever recording is disabled, the default on every
+// benchmark and production run. An unguarded call there is a nil
+// dereference that only fires when recording is off, exactly when no
+// test is watching.
 //
 // Accepted guards, innermost first:
 //
-//	if obs := x.Observer; obs != nil { obs.OnRead(...) }
-//	if x.obs != nil { x.obs.OnRead(...) }
-//	if obs == nil { return }  // earlier in the same block
+//	if f := x.fl; f != nil { f.Record(...) }
+//	if x.fl != nil { x.fl.Record(...) }
+//	if x.fl == nil { return }  // earlier in the same block
 //
-// A struct whose observer field is proven non-nil at construction
-// (e.g. a serializing wrapper built only when an observer is present)
-// declares it with //dsm:obsnonnil <why> on the struct's doc comment,
-// which exempts calls through that field.
-//
-// The same contract covers the flight recorder (internal/flight) and
-// the telemetry sink (internal/telemetry): a *flight.Recorder or
-// *telemetry.Sink field is nil whenever that facility is disabled — the
-// default on every benchmark and production run — so their hot-path
-// method call sites outside the defining package must sit behind the
-// identical guards. The defining packages are exempt: their values come
-// from constructors that never return nil.
+// internal/flight itself is exempt: its recorders come from a
+// constructor that never returns nil.
 var Obs = &Analyzer{
 	Name: "obslint",
-	Doc: "proto.Observer hook, flight.Recorder.Record, and telemetry.Sink " +
-		"Record/Decision calls must be nil-guarded (or flow through a " +
-		"//dsm:obsnonnil field)",
-	Run: runObs,
+	Doc:  "flight.Recorder.Record calls outside internal/flight must be nil-guarded",
+	Run:  runObs,
 }
 
-// flightPkg and telemetryPkg define the nil-guarded instrument types;
-// call sites inside them are exempt (the values are constructed there,
-// never nil).
-const (
-	flightPkg    = "repro/internal/flight"
-	telemetryPkg = "repro/internal/telemetry"
-)
-
-// nilGuardedMethods is the table of pointer-receiver hot-path methods
-// whose call sites must be nil-guarded outside the defining package.
-// Extending the contract to a new instrument means adding a row here
-// and a fixture case, nothing else.
-var nilGuardedMethods = []struct {
-	pkg, typ string
-	methods  map[string]bool
-	why      string // parenthetical for the diagnostic
-}{
-	{flightPkg, "Recorder", map[string]bool{"Record": true},
-		"the recorder is nil whenever recording is disabled"},
-	{telemetryPkg, "Sink", map[string]bool{"Record": true, "Decision": true},
-		"the sink is nil whenever telemetry is disabled"},
-}
+const flightPkg = "repro/internal/flight"
 
 func runObs(pass *Pass) error {
-	nonNilTypes := obsNonNilTypes(pass)
+	if pass.Pkg != nil && pass.Pkg.Path() == flightPkg {
+		return nil
+	}
 	for _, file := range pass.Files {
 		var stack []ast.Node
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -78,32 +48,14 @@ func runObs(pass *Pass) error {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
+			if !ok || !isRecorderRecord(pass, sel) {
 				return true
-			}
-			isObs := isObserverIfaceCall(pass, sel)
-			var desc, why string
-			if !isObs {
-				var guarded bool
-				desc, why, guarded = nilGuardedCall(pass, sel)
-				if !guarded {
-					return true
-				}
 			}
 			recv := types.ExprString(sel.X)
-			if guardedAgainstNil(pass, stack, recv) {
-				return true
-			}
-			if fieldOfNonNilType(pass, sel.X, nonNilTypes) {
-				return true
-			}
-			if isObs {
+			if !guardedAgainstNil(stack, recv) {
 				pass.Reportf(call.Pos(),
-					"proto.Observer hook %s called without a nil check on %s "+
-						"(the observer is nil on every production run)", sel.Sel.Name, recv)
-			} else {
-				pass.Reportf(call.Pos(),
-					"%s called without a nil check on %s (%s)", desc, recv, why)
+					"flight.Recorder.Record called without a nil check on %s "+
+						"(the recorder is nil whenever recording is disabled)", recv)
 			}
 			return true
 		})
@@ -111,14 +63,14 @@ func runObs(pass *Pass) error {
 	return nil
 }
 
-// nilGuardedCall reports whether sel selects one of the table's
-// nil-guarded hot-path methods from outside its defining package,
-// returning the diagnostic name ("flight.Recorder.Record") and the
-// parenthetical reason.
-func nilGuardedCall(pass *Pass, sel *ast.SelectorExpr) (desc, why string, ok bool) {
+// isRecorderRecord reports whether sel selects (*flight.Recorder).Record.
+func isRecorderRecord(pass *Pass, sel *ast.SelectorExpr) bool {
+	if sel.Sel.Name != "Record" {
+		return false
+	}
 	s, ok := pass.TypesInfo.Selections[sel]
 	if !ok || s.Kind() != types.MethodVal {
-		return "", "", false
+		return false
 	}
 	t := s.Recv()
 	if p, ok := t.(*types.Pointer); ok {
@@ -126,44 +78,16 @@ func nilGuardedCall(pass *Pass, sel *ast.SelectorExpr) (desc, why string, ok boo
 	}
 	named, ok := t.(*types.Named)
 	if !ok {
-		return "", "", false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return "", "", false
-	}
-	for _, m := range nilGuardedMethods {
-		if obj.Pkg().Path() != m.pkg || obj.Name() != m.typ || !m.methods[sel.Sel.Name] {
-			continue
-		}
-		if pass.Pkg != nil && pass.Pkg.Path() == m.pkg {
-			return "", "", false
-		}
-		base := m.pkg[strings.LastIndexByte(m.pkg, '/')+1:]
-		return fmt.Sprintf("%s.%s.%s", base, m.typ, sel.Sel.Name), m.why, true
-	}
-	return "", "", false
-}
-
-// isObserverIfaceCall reports whether sel is a method selection on the
-// proto.Observer interface (or an alias of it).
-func isObserverIfaceCall(pass *Pass, sel *ast.SelectorExpr) bool {
-	s, ok := pass.TypesInfo.Selections[sel]
-	if !ok || s.Kind() != types.MethodVal {
-		return false
-	}
-	named, ok := s.Recv().(*types.Named)
-	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "repro/internal/proto" && obj.Name() == "Observer"
+	return obj.Pkg() != nil && obj.Pkg().Path() == flightPkg && obj.Name() == "Recorder"
 }
 
 // guardedAgainstNil walks the enclosing nodes looking for an if whose
 // condition establishes recv != nil, or an earlier early-return guard
 // (if recv == nil { return }) in an enclosing block.
-func guardedAgainstNil(pass *Pass, stack []ast.Node, recv string) bool {
+func guardedAgainstNil(stack []ast.Node, recv string) bool {
 	for i := len(stack) - 1; i >= 0; i-- {
 		switch n := stack[i].(type) {
 		case *ast.IfStmt:
@@ -240,65 +164,4 @@ func blockTerminates(b *ast.BlockStmt) bool {
 		}
 	}
 	return false
-}
-
-// obsNonNilTypes collects the struct types in this package whose doc
-// carries a justified //dsm:obsnonnil directive.
-func obsNonNilTypes(pass *Pass) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				doc := ts.Doc
-				if doc == nil {
-					doc = gd.Doc
-				}
-				reason, ok := docHasDirective(doc, dirObsNonNil)
-				if !ok {
-					continue
-				}
-				if reason == "" {
-					pass.Reportf(ts.Pos(), "//dsm:obsnonnil directive needs a justification")
-					continue
-				}
-				if obj := pass.TypesInfo.Defs[ts.Name]; obj != nil {
-					out[obj] = true
-				}
-			}
-		}
-	}
-	return out
-}
-
-// fieldOfNonNilType reports whether recv is a field selection whose
-// owning struct type carries //dsm:obsnonnil.
-func fieldOfNonNilType(pass *Pass, recv ast.Expr, nonNil map[types.Object]bool) bool {
-	if len(nonNil) == 0 {
-		return false
-	}
-	sel, ok := recv.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	s, ok := pass.TypesInfo.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return false
-	}
-	t := s.Recv()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	return nonNil[named.Obj()]
 }

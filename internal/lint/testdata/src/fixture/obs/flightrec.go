@@ -2,7 +2,7 @@ package obs
 
 import "repro/internal/flight"
 
-// fnode embeds a flight recorder the way the engines do: a field that
+// fnode holds a flight recorder the way the transports do: a field that
 // is nil whenever recording is disabled.
 type fnode struct {
 	fl *flight.Recorder
@@ -45,16 +45,4 @@ func (n *fnode) auditedFlight() {
 // hot-path Record, so this stays clean even unguarded.
 func (n *fnode) coldRead() int {
 	return n.fl.Len()
-}
-
-// wiredFlight is only ever built with a live recorder, so its field
-// skips the per-call guard.
-//
-//dsm:obsnonnil fixture: the constructor rejects nil recorders
-type wiredFlight struct {
-	fl *flight.Recorder
-}
-
-func (w *wiredFlight) fire() {
-	w.fl.Record(flight.Event{Kind: flight.LockGrant, Sync: 1})
 }

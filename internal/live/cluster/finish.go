@@ -479,7 +479,7 @@ func (m *Member) checkMergedOracle(c *dsm.Cluster, reports []appReportBody) (int
 	}
 	// HLC order, ties broken deterministically. Within a process the
 	// recorder's append order is consistent with its stamps (the clock
-	// is strictly increasing and the observer hooks are serialized);
+	// is strictly increasing and event delivery is serialized);
 	// across processes the frame-carried stamps make the order
 	// consistent with happens-before under any wall-clock skew. The
 	// forceWallOrder switch reverts to raw wall stamps — the pre-HLC
@@ -505,25 +505,7 @@ func (m *Member) checkMergedOracle(c *dsm.Cluster, reports []appReportBody) (int
 	})
 	rec := oracle.NewRecorder(m.threads)
 	for _, t := range all {
-		op := t.op
-		switch oracle.OpKind(op.Kind) {
-		case oracle.OpRead:
-			rec.OnRead(int(op.Thread), memory.ObjectID(op.Obj), int(op.Word), op.Val)
-		case oracle.OpWrite:
-			rec.OnWrite(int(op.Thread), memory.ObjectID(op.Obj), int(op.Word), op.Val)
-		case oracle.OpAcquire:
-			rec.OnAcquire(int(op.Thread), op.Sync)
-		case oracle.OpRelease:
-			rec.OnRelease(int(op.Thread), op.Sync)
-		case oracle.OpBarArrive:
-			rec.OnBarrierArrive(int(op.Thread), op.Sync)
-		case oracle.OpBarDepart:
-			rec.OnBarrierDepart(int(op.Thread), op.Sync)
-		case oracle.OpBarRelease:
-			rec.OnBarrierRelease(op.Sync)
-		case oracle.OpLockGrant:
-			rec.OnLockGrant(op.Sync, memory.NodeID(op.Node))
-		}
+		rec.Record(t.op.Event)
 	}
 	var init oracle.InitFn
 	if c != nil {
@@ -534,74 +516,33 @@ func (m *Member) checkMergedOracle(c *dsm.Cluster, reports []appReportBody) (int
 
 // --- stamped oracle recorder --------------------------------------
 
-// timedOp is one oracle event with its hybrid-logical-clock stamp
-// (Wall, Logical — the pair the merged cluster-wide LRC check sorts
-// on) plus the raw local wall reading (diagnostics, and the
+// timedOp is one oracle event, stamped (Wall, Logical) off the member's
+// hybrid logical clock — the pair the merged cluster-wide LRC check
+// sorts on — plus the raw local wall reading (diagnostics, and the
 // forceWallOrder regression sort key).
 type timedOp struct {
-	Wall    int64
-	Logical uint32
-	Raw     int64
-	Kind    uint8
-	Thread  int32
-	Obj     uint32
-	Word    int32
-	Val     uint64
-	Sync    uint32
-	Node    int16
+	flight.Event
+	Raw int64
 }
 
-// timedRecorder implements the observer hook surface, appending events
-// stamped from the member's hybrid logical clock. The live engine
-// serializes every hook behind one mutex (live.lockedObserver), so
-// appends are single-threaded; the clock is strictly increasing (and
-// shared with the transport's frame stamping), so stamp order matches
-// append order within the process and happens-before across processes.
+// timedRecorder is the member's oracle subscriber: it keeps the events
+// oracle.Check reads, stamping each as it stores it. The live engine
+// serializes delivery (live.Cluster.Subscribe), so appends are
+// single-threaded; the clock is strictly increasing (and shared with
+// the transport's frame stamping), so stamp order matches append order
+// within the process and happens-before across processes.
 type timedRecorder struct {
 	clock *hlc.Clock
 	wall  func() int64
 	ops   []timedOp
 }
 
-func (r *timedRecorder) add(kind oracle.OpKind, thread int, obj memory.ObjectID, word int, val uint64, sync uint32, node memory.NodeID) {
+func (r *timedRecorder) Kinds() flight.Mask { return oracle.Kinds }
+
+func (r *timedRecorder) Record(ev flight.Event) {
 	s := r.clock.Tick()
-	r.ops = append(r.ops, timedOp{
-		Wall: s.Wall, Logical: s.Logical, Raw: r.wall(),
-		Kind: uint8(kind), Thread: int32(thread),
-		Obj: uint32(obj), Word: int32(word), Val: val, Sync: sync, Node: int16(node),
-	})
-}
-
-func (r *timedRecorder) OnRead(thread int, obj memory.ObjectID, idx int, val uint64) {
-	r.add(oracle.OpRead, thread, obj, idx, val, 0, 0)
-}
-
-func (r *timedRecorder) OnWrite(thread int, obj memory.ObjectID, idx int, val uint64) {
-	r.add(oracle.OpWrite, thread, obj, idx, val, 0, 0)
-}
-
-func (r *timedRecorder) OnAcquire(thread int, lock uint32) {
-	r.add(oracle.OpAcquire, thread, 0, 0, 0, lock, 0)
-}
-
-func (r *timedRecorder) OnRelease(thread int, lock uint32) {
-	r.add(oracle.OpRelease, thread, 0, 0, 0, lock, 0)
-}
-
-func (r *timedRecorder) OnBarrierArrive(thread int, barrier uint32) {
-	r.add(oracle.OpBarArrive, thread, 0, 0, 0, barrier, 0)
-}
-
-func (r *timedRecorder) OnBarrierDepart(thread int, barrier uint32) {
-	r.add(oracle.OpBarDepart, thread, 0, 0, 0, barrier, 0)
-}
-
-func (r *timedRecorder) OnBarrierRelease(barrier uint32) {
-	r.add(oracle.OpBarRelease, -1, 0, 0, 0, barrier, 0)
-}
-
-func (r *timedRecorder) OnLockGrant(lock uint32, node memory.NodeID) {
-	r.add(oracle.OpLockGrant, -1, 0, 0, 0, lock, node)
+	ev.Wall, ev.Logical = s.Wall, s.Logical
+	r.ops = append(r.ops, timedOp{Event: ev, Raw: r.wall()})
 }
 
 // compile-time check: the member satisfies the apps layer's contract.

@@ -79,9 +79,9 @@ type Config struct {
 	PathCompress bool
 	// DropDiffs deliberately breaks the protocol (oracle self-test).
 	DropDiffs bool
-	// Observer receives coherence-oracle events. The engine serializes
-	// the hooks behind one mutex, so any sim-compatible observer (e.g.
-	// oracle.Recorder) works unchanged.
+	// Observer, when non-nil, subscribes to every node's events (see
+	// Cluster.Subscribe: delivery is serialized, so any sim-compatible
+	// subscriber, e.g. oracle.Recorder, works unchanged).
 	Observer proto.Observer
 	// Transport carries encoded frames between nodes; nil selects the
 	// in-process ChanLoop backend.
@@ -99,9 +99,9 @@ type Config struct {
 	// observe remote frames and the finish exchange can gather the ring.
 	// The other (stubbed) nodes get no recorder.
 	FlightLocal *flight.Recorder
-	// Telemetry, when non-nil, is a shared hot-object sink every node
-	// records accesses and migration decisions into — pure observation
-	// over the same hook sites as the flight recorder.
+	// Telemetry, when non-nil, is a shared hot-object sink subscribed to
+	// every node's access and migration-decision events — pure
+	// observation.
 	Telemetry *telemetry.Sink
 	// Metrics, when non-nil, receives the engine's live metrics
 	// (cluster-wide frame counters, per-node protocol counters, merged
@@ -206,8 +206,8 @@ func (c *Cluster) Abort(err error) {
 	c.abortErr = fmt.Errorf("%w: %v", ErrAborted, err)
 	c.aborted.Store(true)
 	for _, n := range c.nodes {
-		if f := n.ps.Flight; f != nil {
-			f.Record(flight.Event{Kind: flight.Abort})
+		if n.ps.On(flight.Abort) {
+			n.ps.Emit(flight.Event{Kind: flight.Abort})
 			break
 		}
 	}
@@ -247,10 +247,6 @@ func New(cfg Config) *Cluster {
 	} else {
 		c.tr = transport.NewChanLoop(cfg.Nodes)
 	}
-	var obs proto.Observer // the serialized wrapper; nil when unset
-	if cfg.Observer != nil {
-		obs = &lockedObserver{o: cfg.Observer}
-	}
 	c.Space = proto.NewSpace(&proto.Shared{
 		Nodes:        cfg.Nodes,
 		Policy:       cfg.Policy,
@@ -259,7 +255,6 @@ func New(cfg Config) *Cluster {
 		Piggyback:    cfg.Piggyback,
 		PathCompress: cfg.PathCompress,
 		DropDiffs:    cfg.DropDiffs,
-		Observer:     obs,
 	})
 	var stamp func() hlc.Stamp
 	if cfg.FlightLocal == nil && cfg.FlightCap > 0 {
@@ -272,13 +267,21 @@ func New(cfg Config) *Cluster {
 		n.ps.Counters = &n.counters
 		switch {
 		case cfg.FlightLocal != nil && cfg.FlightLocal.Node() == memory.NodeID(i):
-			n.ps.Flight = cfg.FlightLocal
+			n.flight = cfg.FlightLocal
 		case stamp != nil:
-			n.ps.Flight = flight.NewRecorder(memory.NodeID(i), cfg.FlightCap, stamp)
+			n.flight = flight.NewRecorder(memory.NodeID(i), cfg.FlightCap, stamp)
 		}
-		n.ps.Tel = cfg.Telemetry
+		if n.flight != nil {
+			n.ps.Subscribe(n.flight)
+		}
 		c.nodes = append(c.nodes, n)
 	}
+	// The ring and the sketch lock themselves (they have mid-run
+	// readers); everything else goes through Cluster.Subscribe.
+	if cfg.Telemetry != nil {
+		c.Space.Subscribe(cfg.Telemetry)
+	}
+	c.Subscribe(cfg.Observer)
 	if cfg.Metrics != nil {
 		c.registerMetrics(cfg.Metrics)
 	}
@@ -346,13 +349,38 @@ func (c *Cluster) registerMetrics(reg *telemetry.Registry) {
 		hist(func(cs *stats.Counters) *stats.Hist { return &cs.RoundTripNs }))
 }
 
+// serialized delivers to a cluster-wide subscriber under one mutex: the
+// one place concurrent nodes' events become the single total order an
+// unsynchronized subscriber (the oracle recorder, a dsm.Trace) expects.
+// That order is consistent with causality (see proto.Node.Emit); only
+// genuinely concurrent events race for log positions, and LRC places no
+// obligation between those.
+type serialized struct {
+	mu sync.Mutex
+	flight.Subscriber
+}
+
+func (s *serialized) Record(ev flight.Event) {
+	s.mu.Lock()
+	s.Subscriber.Record(ev)
+	s.mu.Unlock()
+}
+
+// Subscribe attaches sub to every node, its deliveries serialized. A nil
+// sub is ignored. Must precede Run.
+func (c *Cluster) Subscribe(sub flight.Subscriber) {
+	if sub != nil {
+		c.Space.Subscribe(&serialized{Subscriber: sub})
+	}
+}
+
 // FlightRecorders returns the per-node flight recorders, indexed by node
 // id; entries are nil when no recorder is attached (recording disabled,
 // or a multi-process run's stubbed peer nodes).
 func (c *Cluster) FlightRecorders() []*flight.Recorder {
 	recs := make([]*flight.Recorder, len(c.nodes))
 	for i, n := range c.nodes {
-		recs[i] = n.ps.Flight
+		recs[i] = n.flight
 	}
 	return recs
 }
@@ -362,8 +390,8 @@ func (c *Cluster) FlightRecorders() []*flight.Recorder {
 func (c *Cluster) FlightEvents() []flight.Event {
 	var logs [][]flight.Event
 	for _, n := range c.nodes {
-		if f := n.ps.Flight; f != nil {
-			logs = append(logs, f.Snapshot())
+		if n.flight != nil {
+			logs = append(logs, n.flight.Snapshot())
 		}
 	}
 	return flight.Merge(logs...)
@@ -489,6 +517,9 @@ type node struct {
 	mu       sync.Mutex
 	threads  []*Thread
 	counters stats.Counters
+	// flight is the node's ring, nil when recording is off; the protocol
+	// reaches it as a subscriber of ps, this field serves FlightRecorders.
+	flight *flight.Recorder
 }
 
 // Send implements proto.Engine: encode through the wire codec into a
@@ -502,8 +533,8 @@ func (n *node) Send(msg wire.Msg, cat stats.Category) {
 	}
 	frame := msg.Encode(transport.GetFrame())
 	n.counters.Record(cat, len(frame))
-	if f := n.ps.Flight; f != nil {
-		f.Record(flight.Event{Kind: flight.FrameSend, Tag: uint8(cat), Peer: msg.To, Bytes: int32(len(frame))})
+	if n.ps.On(flight.FrameSend) {
+		n.ps.Emit(flight.Event{Kind: flight.FrameSend, Tag: uint8(cat), Peer: msg.To, Bytes: int32(len(frame))})
 	}
 	n.c.frames.Add(1)
 	n.c.frameB.Add(int64(len(frame)))
@@ -565,74 +596,11 @@ func (n *node) daemon() {
 			continue
 		}
 		transport.PutFrame(frame)
-		if f := n.ps.Flight; f != nil {
-			f.Record(flight.Event{Kind: flight.FrameRecv, Peer: msg.From, Bytes: int32(len(frame))})
+		if n.ps.On(flight.FrameRecv) {
+			n.ps.Emit(flight.Event{Kind: flight.FrameRecv, Peer: msg.From, Bytes: int32(len(frame))})
 		}
 		n.ps.Handle(msg)
 		n.mu.Unlock()
 		n.c.inflight.Add(-1)
 	}
-}
-
-// lockedObserver serializes observer hooks behind one mutex, turning
-// concurrent per-node events into the single total order the oracle's
-// Check expects. Each hook fires at its protocol point while the
-// issuing node's lock is held, so causally ordered events (a release
-// and the acquire its grant enables, a write and the read its diff
-// feeds) always append in causal order; only genuinely concurrent
-// events race for log positions, and LRC places no obligation between
-// those.
-//
-//dsm:obsnonnil only constructed when cfg.Observer != nil (see Run)
-type lockedObserver struct {
-	mu sync.Mutex
-	o  proto.Observer
-}
-
-func (l *lockedObserver) OnRead(thread int, obj memory.ObjectID, idx int, val uint64) {
-	l.mu.Lock()
-	l.o.OnRead(thread, obj, idx, val)
-	l.mu.Unlock()
-}
-
-func (l *lockedObserver) OnWrite(thread int, obj memory.ObjectID, idx int, val uint64) {
-	l.mu.Lock()
-	l.o.OnWrite(thread, obj, idx, val)
-	l.mu.Unlock()
-}
-
-func (l *lockedObserver) OnAcquire(thread int, lock uint32) {
-	l.mu.Lock()
-	l.o.OnAcquire(thread, lock)
-	l.mu.Unlock()
-}
-
-func (l *lockedObserver) OnRelease(thread int, lock uint32) {
-	l.mu.Lock()
-	l.o.OnRelease(thread, lock)
-	l.mu.Unlock()
-}
-
-func (l *lockedObserver) OnBarrierArrive(thread int, barrier uint32) {
-	l.mu.Lock()
-	l.o.OnBarrierArrive(thread, barrier)
-	l.mu.Unlock()
-}
-
-func (l *lockedObserver) OnBarrierDepart(thread int, barrier uint32) {
-	l.mu.Lock()
-	l.o.OnBarrierDepart(thread, barrier)
-	l.mu.Unlock()
-}
-
-func (l *lockedObserver) OnBarrierRelease(barrier uint32) {
-	l.mu.Lock()
-	l.o.OnBarrierRelease(barrier)
-	l.mu.Unlock()
-}
-
-func (l *lockedObserver) OnLockGrant(lock uint32, node memory.NodeID) {
-	l.mu.Lock()
-	l.o.OnLockGrant(lock, node)
-	l.mu.Unlock()
 }

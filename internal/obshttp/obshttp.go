@@ -17,7 +17,7 @@ type Server struct {
 	srv  *http.Server
 	addr string
 	done chan struct{}
-	err  error
+	err  error // why Serve stopped, if not by Close; read after done
 }
 
 // Start listens on addr and serves mux in the background. Unlike a
@@ -30,6 +30,11 @@ func Start(addr string, mux http.Handler) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	return serve(ln, mux), nil
+}
+
+// serve runs the server on an already bound listener.
+func serve(ln net.Listener, mux http.Handler) *Server {
 	s := &Server{
 		srv: &http.Server{
 			Handler:           mux,
@@ -44,18 +49,20 @@ func Start(addr string, mux http.Handler) (*Server, error) {
 			s.err = err
 		}
 	}()
-	return s, nil
+	return s
 }
 
 // Addr returns the bound address (useful with ":0").
 func (s *Server) Addr() string { return s.addr }
 
 // Close shuts the listener down, giving in-flight scrapes a short
-// grace period before hard-closing. Safe on a nil receiver so exit
+// grace period before hard-closing, and reports why the accept loop
+// stopped if it had already died on its own (nil for a server that
+// served until now). Safe on a nil receiver and more than once, so exit
 // paths can call it unconditionally.
-func (s *Server) Close() {
+func (s *Server) Close() error {
 	if s == nil {
-		return
+		return nil
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
@@ -63,4 +70,5 @@ func (s *Server) Close() {
 		s.srv.Close()
 	}
 	<-s.done
+	return s.err
 }

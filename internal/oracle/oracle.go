@@ -1,6 +1,8 @@
 // Package oracle is an executable lazy-release-consistency checker for
-// the DSM. A Recorder attaches to a cluster as its gos.Observer and logs
-// every per-thread data access, lock transfer and barrier episode; Check
+// the DSM. A Recorder subscribes to a cluster (Config.Observer, either
+// engine) for the thread-side events the protocol driver emits — every
+// per-thread scalar access, lock acquire/release and barrier
+// arrive/depart — plus the managers' BarrierRelease and LockGrant; Check
 // then reconstructs the happens-before order those synchronization
 // chains imply (vector clocks over the recorded total order) and
 // verifies that every read was LRC-legal:
@@ -25,69 +27,44 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/flight"
 	"repro/internal/memory"
 )
 
-// OpKind classifies one recorded event.
-type OpKind uint8
-
-// Recorded event kinds. Read/Write/Acquire/Release/BarArrive/BarDepart
-// are thread events; BarRelease and LockGrant are manager-side events.
-const (
-	OpRead OpKind = iota
-	OpWrite
-	OpAcquire
-	OpRelease
-	OpBarArrive
-	OpBarDepart
-	OpBarRelease
-	OpLockGrant
+// threadKinds are the events issued by an application thread (Thread
+// set); Kinds is everything Check reads — what any recorder feeding it
+// must subscribe to. LockGrant is a manager-side diagnostic only: the
+// acquire-side happens-before edge comes from Acquire.
+var (
+	threadKinds = flight.MaskOf(flight.Read, flight.Write, flight.Acquire, flight.Release,
+		flight.BarrierArrive, flight.BarrierDepart)
+	Kinds = threadKinds | flight.MaskOf(flight.BarrierRelease, flight.LockGrant)
 )
 
-func (k OpKind) String() string {
-	switch k {
-	case OpRead:
-		return "read"
-	case OpWrite:
-		return "write"
-	case OpAcquire:
-		return "acquire"
-	case OpRelease:
-		return "release"
-	case OpBarArrive:
-		return "bar-arrive"
-	case OpBarDepart:
-		return "bar-depart"
-	case OpBarRelease:
-		return "bar-release"
-	case OpLockGrant:
-		return "lock-grant"
-	default:
-		return fmt.Sprintf("op(%d)", uint8(k))
-	}
-}
-
-// Op is one recorded event. Thread is -1 for manager-side events.
-type Op struct {
-	Kind   OpKind
-	Thread int
-	Obj    memory.ObjectID
-	Word   int
-	Val    uint64
-	Sync   uint32        // lock or barrier id
-	Node   memory.NodeID // grantee node for OpLockGrant
-}
-
-// Recorder captures a run's event log through the gos.Observer hooks.
-// The simulation kernel is cooperatively scheduled, so appends need no
-// locking and the log is a total order consistent with virtual time.
+// Recorder captures a run's event log: the protocol's own flight.Events,
+// of which Check reads Thread, Obj, Word and Val of a Read/Write, Thread
+// and Sync (the lock or barrier id) of the four thread-side sync kinds,
+// and Sync of a BarrierRelease. It is not synchronized: the
+// simulation kernel is cooperatively scheduled and the live engine
+// serializes delivery, so on either the log is a total order consistent
+// with happens-before. Within one thread, events arrive in program
+// order; Release after the release-side flush completed (all diff acks
+// received) and before the lock can be granted on; Acquire after the
+// grant arrived; BarrierArrive before the arrival is sent to the
+// manager, BarrierRelease at the manager after every party arrived and
+// before any BarrierDepart.
+//
+// Only scalar Read/Write accesses are events. Bulk ReadView/WriteView
+// accesses are invisible (the values are not known at access time);
+// programs meant to be oracle-checked must use the scalar path, as the
+// scenario engine does.
 type Recorder struct {
 	threads int
-	ops     []Op
+	ops     []flight.Event
 }
 
 // NewRecorder returns a recorder for a run with the given thread count
-// (gos thread ids must be dense in [0, threads)).
+// (thread ids must be dense in [0, threads)).
 func NewRecorder(threads int) *Recorder {
 	if threads <= 0 {
 		panic("oracle: recorder needs at least one thread")
@@ -102,47 +79,13 @@ func (r *Recorder) Reset() { r.ops = r.ops[:0] }
 func (r *Recorder) Len() int { return len(r.ops) }
 
 // Ops exposes the raw log (read-only use: diagnostics, replay).
-func (r *Recorder) Ops() []Op { return r.ops }
+func (r *Recorder) Ops() []flight.Event { return r.ops }
 
-// OnRead implements gos.Observer.
-func (r *Recorder) OnRead(thread int, obj memory.ObjectID, idx int, val uint64) {
-	r.ops = append(r.ops, Op{Kind: OpRead, Thread: thread, Obj: obj, Word: idx, Val: val})
-}
+// Kinds implements flight.Subscriber.
+func (r *Recorder) Kinds() flight.Mask { return Kinds }
 
-// OnWrite implements gos.Observer.
-func (r *Recorder) OnWrite(thread int, obj memory.ObjectID, idx int, val uint64) {
-	r.ops = append(r.ops, Op{Kind: OpWrite, Thread: thread, Obj: obj, Word: idx, Val: val})
-}
-
-// OnAcquire implements gos.Observer.
-func (r *Recorder) OnAcquire(thread int, lock uint32) {
-	r.ops = append(r.ops, Op{Kind: OpAcquire, Thread: thread, Sync: lock})
-}
-
-// OnRelease implements gos.Observer.
-func (r *Recorder) OnRelease(thread int, lock uint32) {
-	r.ops = append(r.ops, Op{Kind: OpRelease, Thread: thread, Sync: lock})
-}
-
-// OnBarrierArrive implements gos.Observer.
-func (r *Recorder) OnBarrierArrive(thread int, barrier uint32) {
-	r.ops = append(r.ops, Op{Kind: OpBarArrive, Thread: thread, Sync: barrier})
-}
-
-// OnBarrierDepart implements gos.Observer.
-func (r *Recorder) OnBarrierDepart(thread int, barrier uint32) {
-	r.ops = append(r.ops, Op{Kind: OpBarDepart, Thread: thread, Sync: barrier})
-}
-
-// OnBarrierRelease implements gos.Observer.
-func (r *Recorder) OnBarrierRelease(barrier uint32) {
-	r.ops = append(r.ops, Op{Kind: OpBarRelease, Thread: -1, Sync: barrier})
-}
-
-// OnLockGrant implements gos.Observer.
-func (r *Recorder) OnLockGrant(lock uint32, node memory.NodeID) {
-	r.ops = append(r.ops, Op{Kind: OpLockGrant, Thread: -1, Sync: lock, Node: node})
-}
+// Record implements flight.Subscriber: append one event.
+func (r *Recorder) Record(ev flight.Event) { r.ops = append(r.ops, ev) }
 
 // InitFn supplies the pre-run initial value of a word (from InitObject
 // seeding); nil means all words start at zero.
@@ -152,7 +95,7 @@ type InitFn func(obj memory.ObjectID, word int) uint64
 type Violation struct {
 	// OpIndex is the offending event's position in the log.
 	OpIndex int
-	Op      Op
+	Op      flight.Event
 	// Legal lists the values the read was allowed to return (capped).
 	Legal []uint64
 	// Reason is a one-line diagnosis.
@@ -160,7 +103,7 @@ type Violation struct {
 }
 
 func (v Violation) String() string {
-	if v.Op.Kind == OpRead {
+	if v.Op.Kind == flight.Read {
 		vals := make([]string, 0, len(v.Legal))
 		for _, x := range v.Legal {
 			vals = append(vals, fmt.Sprintf("%#x", x))
@@ -235,28 +178,28 @@ func (r *Recorder) Check(init InitFn) []Violation {
 		// one.
 		arriveEp = map[barThread][]int{}
 	)
-	bad := func(i int, op Op, legal []uint64, reason string) {
+	bad := func(i int, op flight.Event, legal []uint64, reason string) {
 		viols = append(viols, Violation{OpIndex: i, Op: op, Legal: legal, Reason: reason})
 	}
 	for i, op := range r.ops {
-		t := op.Thread
-		if t >= n {
-			bad(i, op, nil, fmt.Sprintf("thread id %d out of range (recorder sized for %d)", t, n))
-			continue
-		}
-		if t >= 0 {
+		t := int(op.Thread)
+		if threadKinds.Has(op.Kind) {
+			if t < 0 || t >= n {
+				bad(i, op, nil, fmt.Sprintf("thread id %d out of range (recorder sized for %d)", t, n))
+				continue
+			}
 			vc[t][t]++
 		}
 		switch op.Kind {
-		case OpWrite:
-			k := locKey{op.Obj, op.Word}
+		case flight.Write:
+			k := locKey{op.Obj, int(op.Word)}
 			writes[k] = append(writes[k], writeRec{thread: t, clock: vc[t].clone(), val: op.Val})
-		case OpRead:
-			legal, ok := legalRead(writes[locKey{op.Obj, op.Word}], t, vc[t], op, init)
+		case flight.Read:
+			legal, ok := legalRead(writes[locKey{op.Obj, int(op.Word)}], t, vc[t], op, init)
 			if !ok {
 				bad(i, op, legal, "stale or phantom value under lazy release consistency")
 			}
-		case OpAcquire:
+		case flight.Acquire:
 			if owner, held := lockOwner[op.Sync]; held && owner >= 0 {
 				bad(i, op, nil, fmt.Sprintf("lock %d acquired while thread %d still holds it", op.Sync, owner))
 			}
@@ -264,13 +207,13 @@ func (r *Recorder) Check(init InitFn) []Violation {
 			if rel := lastRel[op.Sync]; rel != nil {
 				vc[t].join(rel)
 			}
-		case OpRelease:
+		case flight.Release:
 			if owner, held := lockOwner[op.Sync]; !held || owner != t {
 				bad(i, op, nil, fmt.Sprintf("lock %d released by non-holder", op.Sync))
 			}
 			lockOwner[op.Sync] = -1
 			lastRel[op.Sync] = vc[t].clone()
-		case OpBarArrive:
+		case flight.BarrierArrive:
 			acc := barAccum[op.Sync]
 			if acc == nil {
 				acc = make(vclock, n)
@@ -279,7 +222,7 @@ func (r *Recorder) Check(init InitFn) []Violation {
 			acc.join(vc[t])
 			key := barThread{op.Sync, t}
 			arriveEp[key] = append(arriveEp[key], len(episodes[op.Sync]))
-		case OpBarRelease:
+		case flight.BarrierRelease:
 			acc := barAccum[op.Sync]
 			if acc == nil {
 				bad(i, op, nil, "barrier released with no arrivals")
@@ -287,7 +230,7 @@ func (r *Recorder) Check(init InitFn) []Violation {
 			}
 			episodes[op.Sync] = append(episodes[op.Sync], acc)
 			delete(barAccum, op.Sync)
-		case OpBarDepart:
+		case flight.BarrierDepart:
 			key := barThread{op.Sync, t}
 			q := arriveEp[key]
 			if len(q) == 0 {
@@ -302,9 +245,9 @@ func (r *Recorder) Check(init InitFn) []Violation {
 				continue
 			}
 			vc[t].join(eps[idx])
-		case OpLockGrant:
+		case flight.LockGrant:
 			// Manager-side diagnostic only: the happens-before edge is
-			// taken at the grantee's OpAcquire.
+			// taken at the grantee's Acquire.
 		}
 	}
 	return viols
@@ -316,10 +259,10 @@ func (r *Recorder) Check(init InitFn) []Violation {
 // maximal — their diffs merge at the home in arrival order), the value
 // of every write concurrent with the read, and — when no write happened
 // before the read — the word's initial value.
-func legalRead(ws []writeRec, rt int, rc vclock, op Op, init InitFn) ([]uint64, bool) {
+func legalRead(ws []writeRec, rt int, rc vclock, op flight.Event, init InitFn) ([]uint64, bool) {
 	want := uint64(0)
 	if init != nil {
-		want = init(op.Obj, op.Word)
+		want = init(op.Obj, int(op.Word))
 	}
 	legal := make([]uint64, 0, 4)
 	addLegal := func(v uint64) {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/flight"
 	"repro/internal/locator"
 	"repro/internal/memory"
 	"repro/internal/migration"
@@ -11,129 +12,156 @@ import (
 	"repro/internal/scenario"
 )
 
-// rec builds a recorder for n threads.
-func rec(n int) *oracle.Recorder { return oracle.NewRecorder(n) }
+// log is a recorder with shorthands for hand-building an event log.
+type log struct{ *oracle.Recorder }
 
-// TestHandBuiltLogs drives the recorder hooks directly with tiny
+// rec builds a recorder for n threads.
+func rec(n int) log { return log{oracle.NewRecorder(n)} }
+
+func (l log) access(k flight.Kind, thread int, obj memory.ObjectID, word int, val uint64) {
+	l.Record(flight.Event{Kind: k, Thread: int32(thread), Obj: obj, Word: int32(word), Val: val})
+}
+
+func (l log) sync(k flight.Kind, thread int, id uint32) {
+	l.Record(flight.Event{Kind: k, Thread: int32(thread), Sync: id})
+}
+
+func (l log) read(thread int, obj memory.ObjectID, word int, val uint64) {
+	l.access(flight.Read, thread, obj, word, val)
+}
+
+func (l log) write(thread int, obj memory.ObjectID, word int, val uint64) {
+	l.access(flight.Write, thread, obj, word, val)
+}
+
+func (l log) acquire(thread int, lock uint32) { l.sync(flight.Acquire, thread, lock) }
+func (l log) release(thread int, lock uint32) { l.sync(flight.Release, thread, lock) }
+func (l log) arrive(thread int, bar uint32)   { l.sync(flight.BarrierArrive, thread, bar) }
+func (l log) depart(thread int, bar uint32)   { l.sync(flight.BarrierDepart, thread, bar) }
+
+// barRelease is the manager-side episode completion (no thread).
+func (l log) barRelease(bar uint32) { l.sync(flight.BarrierRelease, 0, bar) }
+
+// TestHandBuiltLogs drives the recorder directly with tiny
 // synthetic logs, one per legality rule, and checks the oracle's verdict
 // — the oracle's own unit semantics, independent of the DSM.
 func TestHandBuiltLogs(t *testing.T) {
 	const obj = memory.ObjectID(0)
 	cases := []struct {
 		name  string
-		build func(r *oracle.Recorder)
+		build func(r log)
 		nviol int
 		match string
 	}{
 		{
 			name: "lock-chain read of latest value is legal",
-			build: func(r *oracle.Recorder) {
-				r.OnAcquire(0, 0)
-				r.OnWrite(0, obj, 0, 7)
-				r.OnRelease(0, 0)
-				r.OnAcquire(1, 0)
-				r.OnRead(1, obj, 0, 7)
-				r.OnRelease(1, 0)
+			build: func(r log) {
+				r.acquire(0, 0)
+				r.write(0, obj, 0, 7)
+				r.release(0, 0)
+				r.acquire(1, 0)
+				r.read(1, obj, 0, 7)
+				r.release(1, 0)
 			},
 		},
 		{
 			name: "lock-chain stale read is a violation",
-			build: func(r *oracle.Recorder) {
-				r.OnAcquire(0, 0)
-				r.OnWrite(0, obj, 0, 7)
-				r.OnRelease(0, 0)
-				r.OnAcquire(1, 0)
-				r.OnRead(1, obj, 0, 0) // must see 7
-				r.OnRelease(1, 0)
+			build: func(r log) {
+				r.acquire(0, 0)
+				r.write(0, obj, 0, 7)
+				r.release(0, 0)
+				r.acquire(1, 0)
+				r.read(1, obj, 0, 0) // must see 7
+				r.release(1, 0)
 			},
 			nviol: 1, match: "stale or phantom",
 		},
 		{
 			name: "overwritten (dominated) value is a violation",
-			build: func(r *oracle.Recorder) {
-				r.OnAcquire(0, 0)
-				r.OnWrite(0, obj, 0, 1)
-				r.OnWrite(0, obj, 0, 2)
-				r.OnRelease(0, 0)
-				r.OnAcquire(1, 0)
-				r.OnRead(1, obj, 0, 1) // 1 was overwritten by 2 before the release
-				r.OnRelease(1, 0)
+			build: func(r log) {
+				r.acquire(0, 0)
+				r.write(0, obj, 0, 1)
+				r.write(0, obj, 0, 2)
+				r.release(0, 0)
+				r.acquire(1, 0)
+				r.read(1, obj, 0, 1) // 1 was overwritten by 2 before the release
+				r.release(1, 0)
 			},
 			nviol: 1, match: "stale or phantom",
 		},
 		{
 			name: "concurrent value or initial value are both legal",
-			build: func(r *oracle.Recorder) {
-				r.OnWrite(0, obj, 0, 9) // unsynchronized with thread 1
-				r.OnRead(1, obj, 0, 9)  // may see it...
-				r.OnRead(1, obj, 0, 0)  // ...or the initial value
+			build: func(r log) {
+				r.write(0, obj, 0, 9) // unsynchronized with thread 1
+				r.read(1, obj, 0, 9)  // may see it...
+				r.read(1, obj, 0, 0)  // ...or the initial value
 			},
 		},
 		{
 			name: "phantom value is a violation",
-			build: func(r *oracle.Recorder) {
-				r.OnWrite(0, obj, 0, 9)
-				r.OnRead(1, obj, 0, 5) // nobody ever wrote 5
+			build: func(r log) {
+				r.write(0, obj, 0, 9)
+				r.read(1, obj, 0, 5) // nobody ever wrote 5
 			},
 			nviol: 1, match: "stale or phantom",
 		},
 		{
 			name: "barrier orders writes before later-phase reads",
-			build: func(r *oracle.Recorder) {
-				r.OnWrite(0, obj, 0, 3)
-				r.OnBarrierArrive(0, 0)
-				r.OnBarrierArrive(1, 0)
-				r.OnBarrierRelease(0)
-				r.OnBarrierDepart(0, 0)
-				r.OnBarrierDepart(1, 0)
-				r.OnRead(1, obj, 0, 3)
+			build: func(r log) {
+				r.write(0, obj, 0, 3)
+				r.arrive(0, 0)
+				r.arrive(1, 0)
+				r.barRelease(0)
+				r.depart(0, 0)
+				r.depart(1, 0)
+				r.read(1, obj, 0, 3)
 			},
 		},
 		{
 			name: "stale read across a barrier is a violation",
-			build: func(r *oracle.Recorder) {
-				r.OnWrite(0, obj, 0, 3)
-				r.OnBarrierArrive(0, 0)
-				r.OnBarrierArrive(1, 0)
-				r.OnBarrierRelease(0)
-				r.OnBarrierDepart(0, 0)
-				r.OnBarrierDepart(1, 0)
-				r.OnRead(1, obj, 0, 0)
+			build: func(r log) {
+				r.write(0, obj, 0, 3)
+				r.arrive(0, 0)
+				r.arrive(1, 0)
+				r.barRelease(0)
+				r.depart(0, 0)
+				r.depart(1, 0)
+				r.read(1, obj, 0, 0)
 			},
 			nviol: 1, match: "stale or phantom",
 		},
 		{
 			name: "second barrier episode builds on the first",
-			build: func(r *oracle.Recorder) {
-				r.OnWrite(0, obj, 0, 1)
-				r.OnBarrierArrive(0, 0)
-				r.OnBarrierArrive(1, 0)
-				r.OnBarrierRelease(0)
-				r.OnBarrierDepart(0, 0)
-				r.OnBarrierDepart(1, 0)
-				r.OnWrite(1, obj, 0, 2)
-				r.OnBarrierArrive(0, 0)
-				r.OnBarrierArrive(1, 0)
-				r.OnBarrierRelease(0)
-				r.OnBarrierDepart(0, 0)
-				r.OnBarrierDepart(1, 0)
-				r.OnRead(0, obj, 0, 1) // dominated by thread 1's phase-2 write
+			build: func(r log) {
+				r.write(0, obj, 0, 1)
+				r.arrive(0, 0)
+				r.arrive(1, 0)
+				r.barRelease(0)
+				r.depart(0, 0)
+				r.depart(1, 0)
+				r.write(1, obj, 0, 2)
+				r.arrive(0, 0)
+				r.arrive(1, 0)
+				r.barRelease(0)
+				r.depart(0, 0)
+				r.depart(1, 0)
+				r.read(0, obj, 0, 1) // dominated by thread 1's phase-2 write
 			},
 			nviol: 1, match: "stale or phantom",
 		},
 		{
 			name: "double acquire without release is flagged",
-			build: func(r *oracle.Recorder) {
-				r.OnAcquire(0, 0)
-				r.OnAcquire(1, 0)
+			build: func(r log) {
+				r.acquire(0, 0)
+				r.acquire(1, 0)
 			},
 			nviol: 1, match: "still holds",
 		},
 		{
 			name: "depart before episode release is flagged",
-			build: func(r *oracle.Recorder) {
-				r.OnBarrierArrive(0, 0)
-				r.OnBarrierDepart(0, 0)
+			build: func(r log) {
+				r.arrive(0, 0)
+				r.depart(0, 0)
 			},
 			nviol: 1, match: "before its episode",
 		},
@@ -160,20 +188,20 @@ func TestHandBuiltLogs(t *testing.T) {
 // counter would match it to episode 0 and miss the stale read.
 func TestSubsetBarrierEpisodes(t *testing.T) {
 	const obj = memory.ObjectID(0)
-	build := func(r *oracle.Recorder, readVal uint64) []oracle.Violation {
-		r.OnWrite(0, obj, 0, 1)
-		r.OnBarrierArrive(0, 0) // episode 0: threads 0 and 1
-		r.OnBarrierArrive(1, 0)
-		r.OnBarrierRelease(0)
-		r.OnBarrierDepart(0, 0)
-		r.OnBarrierDepart(1, 0)
-		r.OnWrite(0, obj, 0, 2)
-		r.OnBarrierArrive(0, 0) // episode 1: threads 0 and 2
-		r.OnBarrierArrive(2, 0)
-		r.OnBarrierRelease(0)
-		r.OnBarrierDepart(0, 0)
-		r.OnBarrierDepart(2, 0)
-		r.OnRead(2, obj, 0, readVal)
+	build := func(r log, readVal uint64) []oracle.Violation {
+		r.write(0, obj, 0, 1)
+		r.arrive(0, 0) // episode 0: threads 0 and 1
+		r.arrive(1, 0)
+		r.barRelease(0)
+		r.depart(0, 0)
+		r.depart(1, 0)
+		r.write(0, obj, 0, 2)
+		r.arrive(0, 0) // episode 1: threads 0 and 2
+		r.arrive(2, 0)
+		r.barRelease(0)
+		r.depart(0, 0)
+		r.depart(2, 0)
+		r.read(2, obj, 0, readVal)
 		return r.Check(nil)
 	}
 	if viols := build(rec(3), 2); len(viols) != 0 {
@@ -189,12 +217,12 @@ func TestSubsetBarrierEpisodes(t *testing.T) {
 func TestInitialValues(t *testing.T) {
 	init := func(obj memory.ObjectID, word int) uint64 { return 40 + uint64(word) }
 	r := rec(1)
-	r.OnRead(0, 0, 2, 42)
+	r.read(0, 0, 2, 42)
 	if v := r.Check(init); len(v) != 0 {
 		t.Fatalf("seeded initial value flagged: %v", v)
 	}
 	r = rec(1)
-	r.OnRead(0, 0, 2, 0)
+	r.read(0, 0, 2, 0)
 	if v := r.Check(init); len(v) != 1 {
 		t.Fatalf("zero against seeded initial value not flagged: %v", v)
 	}

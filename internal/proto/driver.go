@@ -3,6 +3,7 @@ package proto
 import (
 	"fmt"
 
+	"repro/internal/flight"
 	"repro/internal/locator"
 	"repro/internal/memory"
 	"repro/internal/sim"
@@ -110,8 +111,8 @@ func (d *Driver) Name() string { return d.name }
 func (d *Driver) Read(obj memory.ObjectID, idx int) uint64 {
 	d.h.Lock()
 	v := d.objForRead(obj).Data[idx]
-	if obs := d.n.S.Observer; obs != nil {
-		obs.OnRead(d.id, obj, idx, v)
+	if d.n.On(flight.Read) {
+		d.n.Emit(flight.Event{Kind: flight.Read, Thread: int32(d.id), Obj: obj, Word: int32(idx), Val: v})
 	}
 	d.h.Unlock()
 	return v
@@ -122,8 +123,8 @@ func (d *Driver) Read(obj memory.ObjectID, idx int) uint64 {
 func (d *Driver) Write(obj memory.ObjectID, idx int, v uint64) {
 	d.h.Lock()
 	d.ObjForWrite(obj).Data[idx] = v
-	if obs := d.n.S.Observer; obs != nil {
-		obs.OnWrite(d.id, obj, idx, v)
+	if d.n.On(flight.Write) {
+		d.n.Emit(flight.Event{Kind: flight.Write, Thread: int32(d.id), Obj: obj, Word: int32(idx), Val: v})
 	}
 	d.h.Unlock()
 }
@@ -301,8 +302,8 @@ func (d *Driver) Acquire(l LockID) {
 		n.Counters.LockHandoffNs.Observe(int64(d.h.Now() - start))
 	}
 	n.BeginInterval()
-	if obs := n.S.Observer; obs != nil {
-		obs.OnAcquire(d.id, uint32(l))
+	if n.On(flight.Acquire) {
+		n.Emit(flight.Event{Kind: flight.Acquire, Thread: int32(d.id), Sync: uint32(l)})
 	}
 	d.h.Unlock()
 }
@@ -319,11 +320,11 @@ func (d *Driver) Release(l LockID) {
 	n.EndInterval()
 	// The release point: flushes are acknowledged (or piggybacked on the
 	// release message below, which the manager applies before regranting),
-	// and the lock has not yet been handed on — so in the observer's total
-	// order this event separates this critical section's writes from the
-	// next holder's acquire.
-	if obs := n.S.Observer; obs != nil {
-		obs.OnRelease(d.id, uint32(l))
+	// and the lock has not yet been handed on — so in the emission order
+	// this event separates this critical section's writes from the next
+	// holder's acquire.
+	if n.On(flight.Release) {
+		n.Emit(flight.Event{Kind: flight.Release, Thread: int32(d.id), Sync: uint32(l)})
 	}
 	if home == n.ID {
 		if next, ok := n.Locks[uint32(l)].Release(); ok {
@@ -348,8 +349,8 @@ func (d *Driver) Barrier(b BarrierID) {
 	home := n.S.BarHome[b]
 	piggy := d.flushDirty(home)
 	n.EndInterval()
-	if obs := n.S.Observer; obs != nil {
-		obs.OnBarrierArrive(d.id, uint32(b))
+	if n.On(flight.BarrierArrive) {
+		n.Emit(flight.Event{Kind: flight.BarrierArrive, Thread: int32(d.id), Sync: uint32(b)})
 	}
 	reports := n.JiajiaReports(uint32(b))
 	n.BarWait[uint32(b)] = append(n.BarWait[uint32(b)], d.slot)
@@ -367,8 +368,8 @@ func (d *Driver) Barrier(b BarrierID) {
 	}
 	n.Counters.BarrierNs.Observe(int64(d.h.Now() - start))
 	n.BeginInterval()
-	if obs := n.S.Observer; obs != nil {
-		obs.OnBarrierDepart(d.id, uint32(b))
+	if n.On(flight.BarrierDepart) {
+		n.Emit(flight.Event{Kind: flight.BarrierDepart, Thread: int32(d.id), Sync: uint32(b)})
 	}
 	d.h.Unlock()
 }

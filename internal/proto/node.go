@@ -11,8 +11,6 @@ import (
 	"repro/internal/migration"
 	"repro/internal/stats"
 	"repro/internal/syncmgr"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/twindiff"
 	"repro/internal/wire"
 )
@@ -32,18 +30,11 @@ type Node struct {
 	// points every node at one cluster-wide struct (single-threaded);
 	// the live engine gives each node its own and merges after the run.
 	Counters *stats.Counters
-	// Flight, when non-nil, is this node's flight recorder: protocol
-	// handlers record structured events (migration decisions with their
-	// reasons, lock grants, barrier releases, home/remote accesses) into
-	// its ring. Every call site nil-guards, so a disabled recorder costs
-	// one branch.
-	Flight *flight.Recorder
-	// Tel, when non-nil, is the hot-object telemetry sink: the same
-	// hook sites that feed the flight recorder also count per-object
-	// accesses and migration decisions into its space-saving sketch.
-	// Like Flight it is pure observation — it never feeds back into
-	// protocol decisions — and every call site nil-guards.
-	Tel *telemetry.Sink
+	// subs are the node's observers (the flight ring, the telemetry
+	// sketch, the oracle recorder, a dsm.Trace), listening the union of
+	// the kinds they declared; see Subscribe, On and Emit.
+	subs      []subscription
+	listening flight.Mask
 
 	Cache    []*memory.Object // local copy (home or cached) per object
 	IsHome   []bool
@@ -215,14 +206,8 @@ func (n *Node) serveFault(msg wire.Msg) {
 		cs.RedirectHops += int64(msg.Hops)
 	}
 	cs.FaultIns++
-	if tr := n.S.Trace; tr != nil {
-		tr.Record(trace.Event{Obj: obj, Kind: trace.Request, Node: requester, Hops: int(msg.Hops)})
-	}
-	if f := n.Flight; f != nil {
-		f.Record(flight.Event{Kind: flight.Request, Obj: obj, Peer: requester, Hops: int32(msg.Hops)})
-	}
-	if t := n.Tel; t != nil {
-		t.Record(obj, telemetry.RemoteFault)
+	if n.On(flight.Request) {
+		n.Emit(flight.Event{Kind: flight.Request, Obj: obj, Peer: requester, Hops: int32(msg.Hops)})
 	}
 
 	o := n.Cache[obj]
@@ -258,7 +243,7 @@ func (n *Node) serveFault(msg wire.Msg) {
 	}
 	wants := n.S.Policy.ShouldMigrate(st, requester, sharers)
 	pinned := wants && n.ViewPins[obj] > 0
-	if n.Flight != nil || n.Tel != nil {
+	if n.On(flight.Decision) {
 		// Explain the verdict before st.Migrate resets the epoch
 		// feedback — the Decision event carries the counter/threshold
 		// pair the heuristic actually compared.
@@ -267,21 +252,13 @@ func (n *Node) serveFault(msg wire.Msg) {
 		if pinned {
 			reason = migration.ReasonPinned
 		}
-		if f := n.Flight; f != nil {
-			f.Record(flight.Event{
-				Kind: flight.Decision, Obj: obj, Peer: requester,
-				Migrated: wants && !pinned, Reason: reason,
-				Count: ex.Count, Limit: ex.Limit,
-			})
-		}
-		if t := n.Tel; t != nil {
-			t.Decision(reason, wants && !pinned)
-		}
+		n.Emit(flight.Event{
+			Kind: flight.Decision, Obj: obj, Peer: requester,
+			Migrated: wants && !pinned, Reason: reason,
+			Count: ex.Count, Limit: ex.Limit,
+		})
 	}
 	if wants && !pinned {
-		if t := n.Tel; t != nil {
-			t.Record(obj, telemetry.ObjMigration)
-		}
 		rec := st.Migrate(n.S.Params)
 		reply.Migrate, reply.HasRec, reply.Rec, reply.Home = true, true, rec, requester
 		cs.Migrations++
@@ -396,14 +373,8 @@ func (n *Node) applyRemoteDiff(obj memory.ObjectID, d twindiff.Diff, writer memo
 	cs := n.Counters
 	cs.RemoteWrites++
 	cs.DiffWords += int64(d.WordCount())
-	if tr := n.S.Trace; tr != nil {
-		tr.Record(trace.Event{Obj: obj, Kind: trace.RemoteWrite, Node: writer, Size: d.WireSize()})
-	}
-	if f := n.Flight; f != nil {
-		f.Record(flight.Event{Kind: flight.RemoteWrite, Obj: obj, Peer: writer, Bytes: int32(d.WireSize())})
-	}
-	if t := n.Tel; t != nil {
-		t.Record(obj, telemetry.RemoteWrite)
+	if n.On(flight.RemoteWrite) {
+		n.Emit(flight.Event{Kind: flight.RemoteWrite, Obj: obj, Peer: writer, Bytes: int32(d.WireSize())})
 	}
 	// After a write by writer, every other cached copy is stale under LRC;
 	// approximate the copyset as {writer} (it certainly has a current copy).
@@ -498,11 +469,8 @@ func (n *Node) handleDaemonDiffAck(msg wire.Msg) {
 
 // GrantLock hands the lock to w, locally or over the network.
 func (n *Node) GrantLock(lock uint32, w syncmgr.Waiter) {
-	if obs := n.S.Observer; obs != nil {
-		obs.OnLockGrant(lock, w.Node)
-	}
-	if f := n.Flight; f != nil {
-		f.Record(flight.Event{Kind: flight.LockGrant, Sync: lock, Peer: w.Node})
+	if n.On(flight.LockGrant) {
+		n.Emit(flight.Event{Kind: flight.LockGrant, Sync: lock, Peer: w.Node})
 	}
 	msg := wire.Msg{Kind: wire.LockGrant, From: n.ID, To: w.Node, Lock: lock, ReplySlot: w.Slot}
 	if w.Node == n.ID {
@@ -536,11 +504,8 @@ func (n *Node) BarrierArrive(bid uint32, w syncmgr.Waiter, diffs []wire.ObjDiff,
 // barrierRelease broadcasts the go (with any Jiajia home reassignments)
 // to every node and rearms the barrier.
 func (n *Node) barrierRelease(bid uint32) {
-	if obs := n.S.Observer; obs != nil {
-		obs.OnBarrierRelease(bid)
-	}
-	if f := n.Flight; f != nil {
-		f.Record(flight.Event{Kind: flight.BarrierRelease, Sync: bid})
+	if n.On(flight.BarrierRelease) {
+		n.Emit(flight.Event{Kind: flight.BarrierRelease, Sync: bid})
 	}
 	b := n.Bars[bid]
 	ws := b.Reset()
@@ -606,15 +571,11 @@ func (n *Node) applyAssign(a wire.HomeAssign) {
 	switch {
 	case n.IsHome[a.Obj] && a.Home != n.ID:
 		n.Counters.Migrations++
-		if f := n.Flight; f != nil {
-			f.Record(flight.Event{
+		if n.On(flight.Decision) {
+			n.Emit(flight.Event{
 				Kind: flight.Decision, Obj: a.Obj, Peer: a.Home,
 				Migrated: true, Reason: migration.ReasonBarrierReassign,
 			})
-		}
-		if t := n.Tel; t != nil {
-			t.Decision(migration.ReasonBarrierReassign, true)
-			t.Record(a.Obj, telemetry.ObjMigration)
 		}
 		n.demote(a.Obj, a.Home)
 		// Leave a forwarding pointer like a fault-time migration would:

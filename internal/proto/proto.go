@@ -37,12 +37,12 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/locator"
 	"repro/internal/memory"
 	"repro/internal/migration"
 	"repro/internal/stats"
 	"repro/internal/syncmgr"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -77,6 +77,8 @@ type Cluster interface {
 	AddLock(home memory.NodeID) LockID
 	AddBarrier(home memory.NodeID, parties int) BarrierID
 	InitObject(id memory.ObjectID, fn func(words []uint64))
+	// Subscribe attaches one more observer to every node, before Run.
+	Subscribe(sub flight.Subscriber)
 	NumObjects() int
 	HomeOf(obj memory.ObjectID) memory.NodeID
 	ObjectData(obj memory.ObjectID) []uint64
@@ -105,13 +107,6 @@ type Shared struct {
 	PathCompress bool
 	// DropDiffs deliberately breaks the protocol (oracle self-test).
 	DropDiffs bool
-	// Trace, when non-nil, records migration-relevant protocol events.
-	// Only the sim engine may set it: trace recording is not
-	// synchronized for concurrent nodes.
-	Trace *trace.Trace
-	// Observer, when non-nil, receives correctness events for the
-	// coherence oracle. The live engine wraps it to serialize hooks.
-	Observer Observer
 
 	// Declared layout. ObjWords/ObjHome0 are per object, LockHome per
 	// lock, BarHome/BarParties per barrier.

@@ -6,12 +6,9 @@ import (
 
 	"repro/internal/flight"
 	"repro/internal/locator"
-
 	"repro/internal/memory"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/twindiff"
 	"repro/internal/wire"
 )
@@ -72,14 +69,8 @@ func (n *Node) ReadCheck(obj memory.ObjectID) (o *memory.Object, trapped bool) {
 		if o.State == memory.Invalid {
 			// Trapped home read (§3.3): record and continue locally.
 			n.Counters.HomeReads++
-			if tr := n.S.Trace; tr != nil {
-				tr.Record(trace.Event{Obj: obj, Kind: trace.HomeRead, Node: n.ID})
-			}
-			if f := n.Flight; f != nil {
-				f.Record(flight.Event{Kind: flight.HomeRead, Obj: obj})
-			}
-			if t := n.Tel; t != nil {
-				t.Record(obj, telemetry.HomeRead)
+			if n.On(flight.HomeRead) {
+				n.Emit(flight.Event{Kind: flight.HomeRead, Obj: obj})
 			}
 			o.State = memory.ReadOnly
 			return o, true
@@ -107,14 +98,8 @@ func (n *Node) WriteCheck(obj memory.ObjectID) (o *memory.Object, trapped bool) 
 				n.Counters.ExclHomeWrites++
 			}
 			n.Counters.HomeWrites++
-			if tr := n.S.Trace; tr != nil {
-				tr.Record(trace.Event{Obj: obj, Kind: trace.HomeWrite, Node: n.ID})
-			}
-			if f := n.Flight; f != nil {
-				f.Record(flight.Event{Kind: flight.HomeWrite, Obj: obj})
-			}
-			if t := n.Tel; t != nil {
-				t.Record(obj, telemetry.HomeWrite)
+			if n.On(flight.HomeWrite) {
+				n.Emit(flight.Event{Kind: flight.HomeWrite, Obj: obj})
 			}
 			n.NoteMyWrite(obj)
 			o.State = memory.ReadWrite

@@ -1,6 +1,7 @@
 package telemetry_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/flight"
@@ -27,18 +28,28 @@ func seedFor(t *testing.T, fam scenario.Family) (uint64, *scenario.Program) {
 
 // TestSimDigestUnchangedByTelemetry pins the no-feedback contract: a
 // deterministic sim run must produce a byte-identical memory digest
-// with and without a sink attached.
+// with and without a sink attached — and, the flight ring being just
+// another subscriber of the same events, a byte-identical timeline.
 func TestSimDigestUnchangedByTelemetry(t *testing.T) {
+	timeline := func(res *scenario.Result) string {
+		var sb strings.Builder
+		if err := flight.WriteText(&sb, res.Flight); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
 	for _, fam := range []scenario.Family{scenario.HotObject, scenario.Migratory, scenario.FalseSharing} {
 		seed, p := seedFor(t, fam)
 		pol := scenario.Policies(p.Nodes)[0]
-		bare, err := scenario.Generate(seed).Run(pol, scenario.RunOpts{Locator: locator.ForwardingPointer})
+		bare, err := scenario.Generate(seed).Run(pol, scenario.RunOpts{
+			Locator: locator.ForwardingPointer, FlightCap: 1 << 16,
+		})
 		if err != nil {
 			t.Fatalf("seed %d bare run: %v", seed, err)
 		}
 		sink := telemetry.NewSink(0)
 		wired, err := scenario.Generate(seed).Run(pol, scenario.RunOpts{
-			Locator: locator.ForwardingPointer, Telemetry: sink,
+			Locator: locator.ForwardingPointer, FlightCap: 1 << 16, Telemetry: sink,
 		})
 		if err != nil {
 			t.Fatalf("seed %d telemetry run: %v", seed, err)
@@ -46,6 +57,10 @@ func TestSimDigestUnchangedByTelemetry(t *testing.T) {
 		if bare.Digest != wired.Digest {
 			t.Fatalf("seed %d (%v): telemetry perturbed the digest: %#x vs %#x",
 				seed, fam, bare.Digest, wired.Digest)
+		}
+		if a, b := timeline(bare), timeline(wired); a == "" || a != b {
+			t.Fatalf("seed %d (%v): telemetry perturbed the flight timeline (%d vs %d bytes)",
+				seed, fam, len(a), len(b))
 		}
 		if sink.Total() == 0 {
 			t.Fatalf("seed %d (%v): sink saw no accesses — hooks not wired", seed, fam)
@@ -72,7 +87,7 @@ func TestTopKAgreesWithTraceClassifier(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d run: %v", seed, err)
 		}
-		profiles := trace.Analyze(flight.ToTrace(res.Flight))
+		profiles := trace.Analyze(res.Flight)
 		if len(profiles) == 0 {
 			t.Fatalf("seed %d (%v): classifier saw no objects", seed, fam)
 		}

@@ -4,12 +4,13 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/flight"
 	"repro/internal/memory"
 	"repro/internal/migration"
 )
 
-// AccessKind classifies one protocol-level object access, mirroring
-// the flight-recorder hook sites the sink is fed from.
+// AccessKind is a column of the sketch: what a counted event was to its
+// object.
 type AccessKind uint8
 
 const (
@@ -66,10 +67,9 @@ func (e TopEntry) Remote() float64 {
 const DefaultTopK = 64
 
 // Sink is a space-saving (Metwally et al.) top-K sketch over object
-// accesses plus migration-decision counters. Engines hold it as a
-// nil-when-disabled pointer behind the same guard idiom as the flight
-// recorder; Record and Decision are the hot-path entry points and stay
-// allocation-free in steady state.
+// accesses plus migration-decision counters. It is a flight.Subscriber:
+// every node of a run feeds the one sink its access and Decision events,
+// and Record stays allocation-free in steady state.
 type Sink struct {
 	mu       sync.Mutex
 	k        int
@@ -100,74 +100,79 @@ func NewSink(k int) *Sink {
 	}
 }
 
-// Record counts one access. Monitored objects increment in place; an
-// unmonitored object evicts the current minimum, inheriting its count
-// as the overestimation error (the space-saving update rule).
+var sinkKinds = flight.MaskOf(flight.HomeRead, flight.HomeWrite, flight.Request,
+	flight.RemoteWrite, flight.Decision)
+
+// Kinds implements flight.Subscriber.
+func (s *Sink) Kinds() flight.Mask { return sinkKinds }
+
+// Record implements flight.Subscriber. A trapped home access, a served
+// fault-in or an applied remote diff counts one access to its object; a
+// Decision counts by reason and, when it migrated, marks the object.
 //
 //dsm:hotpath
-func (s *Sink) Record(obj memory.ObjectID, kind AccessKind) {
+func (s *Sink) Record(ev flight.Event) {
 	s.mu.Lock()
-	if kind != ObjMigration {
-		s.total++
-	}
-	if i, ok := s.idx[obj]; ok {
-		e := &s.entries[i]
-		if kind != ObjMigration {
-			e.count++
+	switch ev.Kind {
+	case flight.HomeRead:
+		s.count(ev.Obj, HomeRead)
+	case flight.HomeWrite:
+		s.count(ev.Obj, HomeWrite)
+	case flight.Request:
+		s.count(ev.Obj, RemoteFault)
+	case flight.RemoteWrite:
+		s.count(ev.Obj, RemoteWrite)
+	case flight.Decision:
+		if ev.Reason < migration.NumReasons {
+			if ev.Migrated {
+				s.migrated[ev.Reason]++
+			} else {
+				s.stayed[ev.Reason]++
+			}
 		}
-		e.kinds[kind]++
-		s.mu.Unlock()
-		return
-	}
-	if len(s.entries) < s.k {
-		s.entries = append(s.entries, entry{obj: obj})
-		i := len(s.entries) - 1
-		s.idx[obj] = i
-		e := &s.entries[i]
-		if kind != ObjMigration {
-			e.count++
-		}
-		e.kinds[kind]++
-		s.mu.Unlock()
-		return
-	}
-	// Evict the minimum-count entry. Linear scan: k is small and this
-	// only runs on sketch misses.
-	min := 0
-	for i := 1; i < len(s.entries); i++ {
-		if s.entries[i].count < s.entries[min].count {
-			min = i
+		if ev.Migrated {
+			s.count(ev.Obj, ObjMigration)
 		}
 	}
-	e := &s.entries[min]
-	delete(s.idx, e.obj)
-	s.idx[obj] = min
-	e.err = e.count
-	e.obj = obj
-	for i := range e.kinds {
-		e.kinds[i] = 0
-	}
-	if kind != ObjMigration {
-		e.count++
-	}
-	e.kinds[kind]++
 	s.mu.Unlock()
 }
 
-// Decision counts one migration.Explain outcome by reason.
+// count bumps obj's kind column, with s.mu held. Monitored objects
+// increment in place; an unmonitored object evicts the current minimum,
+// inheriting its count as the overestimation error (the space-saving
+// update rule). Migrations mark the object without counting as an
+// access.
 //
 //dsm:hotpath
-func (s *Sink) Decision(reason migration.Reason, migrated bool) {
-	if reason < 0 || reason >= migration.NumReasons {
-		return
+func (s *Sink) count(obj memory.ObjectID, kind AccessKind) {
+	access := uint64(1)
+	if kind == ObjMigration {
+		access = 0
 	}
-	s.mu.Lock()
-	if migrated {
-		s.migrated[reason]++
-	} else {
-		s.stayed[reason]++
+	s.total += access
+	i, ok := s.idx[obj]
+	switch {
+	case ok:
+	case len(s.entries) < s.k:
+		s.entries = append(s.entries, entry{obj: obj})
+		i = len(s.entries) - 1
+		s.idx[obj] = i
+	default:
+		// Evict the minimum-count entry. Linear scan: k is small and this
+		// only runs on sketch misses.
+		for j := 1; j < len(s.entries); j++ {
+			if s.entries[j].count < s.entries[i].count {
+				i = j
+			}
+		}
+		e := &s.entries[i]
+		delete(s.idx, e.obj)
+		s.idx[obj] = i
+		*e = entry{obj: obj, count: e.count, err: e.count}
 	}
-	s.mu.Unlock()
+	e := &s.entries[i]
+	e.count += access
+	e.kinds[kind]++
 }
 
 // Total returns the number of recorded accesses (migrations excluded).

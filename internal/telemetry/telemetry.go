@@ -2,8 +2,11 @@
 // metric registry (counters, gauges, bridges to stats.Hist), a
 // fixed-interval sampler that snapshots registered metrics into
 // fixed-capacity ring time-series (sampler.go), and a space-saving
-// top-K sketch of per-object access behavior (sink.go) fed from the
-// same nil-guarded observer hook sites as the flight recorder.
+// top-K sketch of per-object access behavior (sink.go). The Sink is a
+// flight.Subscriber: proto.Node.Emit hands it the trapped home
+// reads/writes, served fault-ins, applied remote diffs and migration
+// decisions of every node it is attached to — the same events, from the
+// same emission, the flight ring and the trace classifier see.
 //
 // The package never reads the wall clock and never feeds back into
 // protocol decisions: the sampler takes its timestamps from the

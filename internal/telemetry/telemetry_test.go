@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/flight"
+	"repro/internal/memory"
 	"repro/internal/migration"
 	"repro/internal/stats"
 )
@@ -50,16 +52,25 @@ func TestRegistrySnapshotReadsScalarsAndHists(t *testing.T) {
 	}
 }
 
+// access and decide feed a sink the event a protocol site would emit.
+func access(s *Sink, obj memory.ObjectID, k flight.Kind) {
+	s.Record(flight.Event{Kind: k, Obj: obj})
+}
+
+func decide(s *Sink, obj memory.ObjectID, reason migration.Reason, migrated bool) {
+	s.Record(flight.Event{Kind: flight.Decision, Obj: obj, Reason: reason, Migrated: migrated})
+}
+
 func TestSinkSpaceSavingEviction(t *testing.T) {
 	s := NewSink(2)
 	for i := 0; i < 3; i++ {
-		s.Record(1, HomeWrite)
+		access(s, 1, flight.HomeWrite)
 	}
-	s.Record(2, RemoteFault)
-	s.Record(2, RemoteFault)
+	access(s, 2, flight.Request)
+	access(s, 2, flight.Request)
 	// Sketch full; object 3 must evict the minimum (object 2, count 2)
 	// and inherit its count as the error bound.
-	s.Record(3, RemoteWrite)
+	access(s, 3, flight.RemoteWrite)
 
 	top := s.Top(0)
 	if len(top) != 2 {
@@ -81,9 +92,9 @@ func TestSinkSpaceSavingEviction(t *testing.T) {
 
 func TestSinkMigrationExcludedFromCount(t *testing.T) {
 	s := NewSink(4)
-	s.Record(9, HomeRead)
-	s.Record(9, ObjMigration)
-	s.Record(9, ObjMigration)
+	access(s, 9, flight.HomeRead)
+	decide(s, 9, migration.ReasonThresholdReached, true)
+	decide(s, 9, migration.ReasonThresholdReached, true)
 	top := s.Top(1)
 	if top[0].Count != 1 {
 		t.Fatalf("migrations leaked into the access count: %+v", top[0])
@@ -99,9 +110,9 @@ func TestSinkMigrationExcludedFromCount(t *testing.T) {
 func TestSinkTopOrderingDeterministic(t *testing.T) {
 	s := NewSink(8)
 	// Equal counts must order by object id ascending.
-	s.Record(5, HomeRead)
-	s.Record(2, HomeRead)
-	s.Record(7, HomeRead)
+	access(s, 5, flight.HomeRead)
+	access(s, 2, flight.HomeRead)
+	access(s, 7, flight.HomeRead)
 	top := s.Top(0)
 	if top[0].Obj != 2 || top[1].Obj != 5 || top[2].Obj != 7 {
 		t.Fatalf("tie-break not by object id: %+v", top)
@@ -113,9 +124,9 @@ func TestSinkTopOrderingDeterministic(t *testing.T) {
 
 func TestSinkDecisionsAndRemoteShare(t *testing.T) {
 	s := NewSink(4)
-	s.Decision(migration.ReasonThresholdReached, true)
-	s.Decision(migration.ReasonThresholdReached, true)
-	s.Decision(migration.ReasonBelowThreshold, false)
+	decide(s, 7, migration.ReasonThresholdReached, true)
+	decide(s, 7, migration.ReasonThresholdReached, true)
+	decide(s, 7, migration.ReasonBelowThreshold, false)
 	mig, stay := s.Decisions()
 	if mig[migration.ReasonThresholdReached] != 2 || stay[migration.ReasonBelowThreshold] != 1 {
 		t.Fatalf("decision counts wrong: mig=%v stay=%v", mig, stay)
@@ -175,8 +186,8 @@ func TestSnapshotGobRoundTrip(t *testing.T) {
 	r.Counter("dsm_x_total", "x", "").Add(11)
 	r.HistFunc("dsm_h_ns", "h", "", func(dst *stats.Hist) { dst.Observe(9) })
 	sink := NewSink(4)
-	sink.Record(1, RemoteFault)
-	sink.Decision(migration.ReasonAlwaysMigrates, true)
+	access(sink, 1, flight.Request)
+	decide(sink, 1, migration.ReasonAlwaysMigrates, true)
 	r.AttachSink(sink)
 
 	buf, err := EncodeSnapshot(r.Snapshot())
@@ -214,9 +225,9 @@ func TestWritePromExposition(t *testing.T) {
 			dst.Observe(100)
 		})
 		s := NewSink(4)
-		s.Record(7, RemoteFault)
-		s.Record(7, HomeWrite)
-		s.Decision(migration.ReasonThresholdReached, true)
+		access(s, 7, flight.Request)
+		access(s, 7, flight.HomeWrite)
+		decide(s, 7, migration.ReasonThresholdReached, true)
 		r.AttachSink(s)
 		return r.Snapshot()
 	}
@@ -260,7 +271,7 @@ func TestWritePromDecisionReasonNames(t *testing.T) {
 	// an empty string.
 	s := NewSink(1)
 	for reason := migration.Reason(0); reason < migration.NumReasons; reason++ {
-		s.Decision(reason, reason%2 == 0)
+		decide(s, 7, reason, reason%2 == 0)
 	}
 	r := NewRegistry(0, "")
 	r.AttachSink(s)
@@ -296,11 +307,11 @@ func TestHotPathsAllocationFree(t *testing.T) {
 	}
 
 	sink := NewSink(8)
-	sink.Record(1, HomeWrite) // admit the object first
-	if n := testing.AllocsPerRun(1000, func() { sink.Record(1, HomeWrite) }); n != 0 {
+	access(sink, 1, flight.HomeWrite) // admit the object first
+	if n := testing.AllocsPerRun(1000, func() { access(sink, 1, flight.HomeWrite) }); n != 0 {
 		t.Fatalf("Sink.Record (steady state) allocates %v/op", n)
 	}
-	if n := testing.AllocsPerRun(1000, func() { sink.Decision(migration.ReasonBelowThreshold, false) }); n != 0 {
-		t.Fatalf("Sink.Decision allocates %v/op", n)
+	if n := testing.AllocsPerRun(1000, func() { decide(sink, 7, migration.ReasonBelowThreshold, false) }); n != 0 {
+		t.Fatalf("Sink.Record of a decision allocates %v/op", n)
 	}
 }

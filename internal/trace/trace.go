@@ -1,9 +1,16 @@
-// Package trace records and analyzes per-object access-pattern traces —
-// the tooling the paper's §6 future work ("we will research on other
-// heuristics") requires: given a protocol-event trace, it classifies each
+// Package trace analyzes per-object access-pattern traces — the tooling
+// the paper's §6 future work ("we will research on other heuristics")
+// requires: given the protocol events of a run, it classifies each
 // object's write pattern (single-writer lasting/transient, multiple-
-// writer, read-mostly) and can replay a trace against any migration
-// policy offline, without re-running the application.
+// writer, read-mostly) and can replay them against any migration policy
+// offline, without re-running the application.
+//
+// It has no event model of its own. Analyze and Replay read flight.Event
+// sequences — a Trace attached to a cluster (dsm.Config.Trace, either
+// engine), or a merged flight timeline — and classify four kinds: Request
+// (requester in Peer, redirection accumulation in Hops), RemoteWrite
+// (writer in Peer, diff bytes in Bytes) and the trapped HomeWrite and
+// HomeRead (the home in Node). Every other kind is skipped.
 package trace
 
 import (
@@ -12,56 +19,25 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/memory"
 	"repro/internal/migration"
 )
 
-// EventKind classifies protocol events relevant to migration decisions.
-type EventKind uint8
+var kinds = flight.MaskOf(flight.Request, flight.RemoteWrite, flight.HomeWrite, flight.HomeRead)
 
-const (
-	// RemoteWrite is a diff applied at the home (writer in Node).
-	RemoteWrite EventKind = iota
-	// HomeWrite is a trapped write at the home copy.
-	HomeWrite
-	// HomeRead is a trapped read at the home copy.
-	HomeRead
-	// Request is a fault-in request (requester in Node, Hops carries
-	// redirection accumulation).
-	Request
-)
-
-func (k EventKind) String() string {
-	switch k {
-	case RemoteWrite:
-		return "remote-write"
-	case HomeWrite:
-		return "home-write"
-	case HomeRead:
-		return "home-read"
-	case Request:
-		return "request"
-	default:
-		return fmt.Sprintf("event(%d)", uint8(k))
-	}
-}
-
-// Event is one protocol observation for an object.
-type Event struct {
-	Obj  memory.ObjectID
-	Kind EventKind
-	Node memory.NodeID // writer or requester
-	Hops int           // redirection accumulation for Request events
-	Size int           // diff bytes for RemoteWrite
-}
-
-// Trace is an ordered event log.
+// Trace is an ordered log of the events the classifier reads: the
+// flight.Subscriber behind dsm.Config.Trace. It is not synchronized; the
+// live engine serializes delivery.
 type Trace struct {
-	Events []Event
+	Events []flight.Event
 }
 
-// Record appends an event.
-func (t *Trace) Record(e Event) { t.Events = append(t.Events, e) }
+// Kinds implements flight.Subscriber.
+func (t *Trace) Kinds() flight.Mask { return kinds }
+
+// Record implements flight.Subscriber: append one event.
+func (t *Trace) Record(ev flight.Event) { t.Events = append(t.Events, ev) }
 
 // Len reports the number of recorded events.
 func (t *Trace) Len() int { return len(t.Events) }
@@ -112,8 +88,8 @@ type Profile struct {
 // paying off around run length 8 (§5.2, Fig. 5).
 const lastingRunThreshold = 8
 
-// Analyze classifies every object appearing in the trace.
-func Analyze(t *Trace) []Profile {
+// Analyze classifies every object the events show an access to.
+func Analyze(evs []flight.Event) []Profile {
 	type acc struct {
 		writers   map[memory.NodeID]bool
 		runs      []int
@@ -139,22 +115,29 @@ func Analyze(t *Trace) []Profile {
 			a.curWriter = memory.NoNode
 		}
 	}
-	for _, e := range t.Events {
+	for _, e := range evs {
+		if !kinds.Has(e.Kind) {
+			continue
+		}
 		a := get(e.Obj)
 		switch e.Kind {
-		case RemoteWrite, HomeWrite:
+		case flight.RemoteWrite, flight.HomeWrite:
+			writer := e.Peer
+			if e.Kind == flight.HomeWrite {
+				writer = e.Node
+			}
 			a.writes++
-			a.writers[e.Node] = true
-			if e.Node == a.curWriter {
+			a.writers[writer] = true
+			if writer == a.curWriter {
 				a.curRun++
 			} else {
 				endRun(a)
-				a.curWriter = e.Node
+				a.curWriter = writer
 				a.curRun = 1
 			}
-		case Request:
+		case flight.Request:
 			a.requests++
-			a.hops += e.Hops
+			a.hops += int(e.Hops)
 		}
 	}
 	var out []Profile
@@ -197,11 +180,11 @@ type ReplayResult struct {
 	RedirCost int
 }
 
-// Replay runs the migration decision machinery over a recorded trace
+// Replay runs the migration decision machinery over recorded events
 // without the cluster — the offline what-if tool for §6's "other
 // heuristics" research. Hints are modeled per requesting node; forwarding
 // chains grow at the old home exactly as in the live protocol.
-func Replay(t *Trace, pol migration.Policy, params core.Params, objBytes func(memory.ObjectID) int) ReplayResult {
+func Replay(evs []flight.Event, pol migration.Policy, params core.Params, objBytes func(memory.ObjectID) int) ReplayResult {
 	res := ReplayResult{Policy: pol.Name()}
 	type objState struct {
 		st    *core.State
@@ -227,25 +210,29 @@ func Replay(t *Trace, pol migration.Policy, params core.Params, objBytes func(me
 		}
 		return o
 	}
-	for _, e := range t.Events {
+	for _, e := range evs {
+		if !kinds.Has(e.Kind) {
+			continue
+		}
 		o := get(e.Obj)
 		switch e.Kind {
-		case RemoteWrite:
-			if e.Node == o.home {
+		case flight.RemoteWrite:
+			if e.Peer == o.home {
 				o.st.HomeWrite(params)
 			} else {
-				o.st.RemoteWrite(e.Node, e.Size)
+				o.st.RemoteWrite(e.Peer, int(e.Bytes))
 			}
-		case HomeWrite:
+		case flight.HomeWrite:
 			o.st.HomeWrite(params)
-		case HomeRead:
+		case flight.HomeRead:
 			// monitored but no feedback effect
-		case Request:
-			if e.Node == o.home {
+		case flight.Request:
+			req := e.Peer
+			if req == o.home {
 				continue
 			}
 			// Chase the chain from the requester's belief.
-			believed, ok := o.hint[e.Node]
+			believed, ok := o.hint[req]
 			if !ok {
 				believed = 0
 			}
@@ -262,13 +249,13 @@ func Replay(t *Trace, pol migration.Policy, params core.Params, objBytes func(me
 				o.st.Redirected(hops)
 				res.RedirCost += hops
 			}
-			o.hint[e.Node] = o.home
-			if pol.ShouldMigrate(o.st, e.Node, 0) {
+			o.hint[req] = o.home
+			if pol.ShouldMigrate(o.st, req, 0) {
 				rec := o.st.Migrate(params)
-				o.chain[o.home] = e.Node
-				delete(o.chain, e.Node)
-				o.home = e.Node
-				o.hint[e.Node] = e.Node
+				o.chain[o.home] = req
+				delete(o.chain, req)
+				o.home = req
+				o.hint[req] = req
 				size := 64
 				if objBytes != nil {
 					size = objBytes(e.Obj)

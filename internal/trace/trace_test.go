@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/memory"
 	"repro/internal/migration"
 )
@@ -15,16 +16,16 @@ func params() core.Params {
 
 func writeBurst(t *Trace, obj memory.ObjectID, writer memory.NodeID, n int) {
 	for i := 0; i < n; i++ {
-		t.Record(Event{Obj: obj, Kind: Request, Node: writer})
-		t.Record(Event{Obj: obj, Kind: RemoteWrite, Node: writer, Size: 64})
+		t.Record(flight.Event{Obj: obj, Kind: flight.Request, Peer: writer})
+		t.Record(flight.Event{Obj: obj, Kind: flight.RemoteWrite, Peer: writer, Bytes: 64})
 	}
 }
 
 func TestAnalyzeReadMostly(t *testing.T) {
 	var tr Trace
-	tr.Record(Event{Obj: 1, Kind: Request, Node: 2})
-	tr.Record(Event{Obj: 1, Kind: HomeRead, Node: 0})
-	ps := Analyze(&tr)
+	tr.Record(flight.Event{Obj: 1, Kind: flight.Request, Peer: 2})
+	tr.Record(flight.Event{Obj: 1, Kind: flight.HomeRead, Node: 0})
+	ps := Analyze(tr.Events)
 	if len(ps) != 1 || ps[0].Pattern != ReadMostly {
 		t.Fatalf("profiles = %+v", ps)
 	}
@@ -36,7 +37,7 @@ func TestAnalyzeReadMostly(t *testing.T) {
 func TestAnalyzeSingleWriterLasting(t *testing.T) {
 	var tr Trace
 	writeBurst(&tr, 5, 3, 20)
-	ps := Analyze(&tr)
+	ps := Analyze(tr.Events)
 	if ps[0].Pattern != SingleWriterLasting {
 		t.Fatalf("pattern = %v", ps[0].Pattern)
 	}
@@ -50,7 +51,7 @@ func TestAnalyzeTransientSingleWriter(t *testing.T) {
 	for turn := 0; turn < 10; turn++ {
 		writeBurst(&tr, 5, memory.NodeID(1+turn%3), 3)
 	}
-	ps := Analyze(&tr)
+	ps := Analyze(tr.Events)
 	if ps[0].Pattern != SingleWriterTransient {
 		t.Fatalf("pattern = %v (profile %+v)", ps[0].Pattern, ps[0])
 	}
@@ -62,9 +63,9 @@ func TestAnalyzeTransientSingleWriter(t *testing.T) {
 func TestAnalyzeMultipleWriter(t *testing.T) {
 	var tr Trace
 	for i := 0; i < 20; i++ {
-		tr.Record(Event{Obj: 9, Kind: RemoteWrite, Node: memory.NodeID(1 + i%2), Size: 8})
+		tr.Record(flight.Event{Obj: 9, Kind: flight.RemoteWrite, Peer: memory.NodeID(1 + i%2), Bytes: 8})
 	}
-	ps := Analyze(&tr)
+	ps := Analyze(tr.Events)
 	if ps[0].Pattern != MultipleWriter {
 		t.Fatalf("pattern = %v", ps[0].Pattern)
 	}
@@ -77,7 +78,7 @@ func TestAnalyzeMultipleObjectsSorted(t *testing.T) {
 	var tr Trace
 	writeBurst(&tr, 7, 1, 2)
 	writeBurst(&tr, 3, 1, 2)
-	ps := Analyze(&tr)
+	ps := Analyze(tr.Events)
 	if len(ps) != 2 || ps[0].Obj != 3 || ps[1].Obj != 7 {
 		t.Fatalf("profiles = %+v", ps)
 	}
@@ -86,7 +87,7 @@ func TestAnalyzeMultipleObjectsSorted(t *testing.T) {
 func TestReplayLastingMigratesOnce(t *testing.T) {
 	var tr Trace
 	writeBurst(&tr, 1, 4, 15)
-	res := Replay(&tr, migration.Adaptive{P: params()}, params(), nil)
+	res := Replay(tr.Events, migration.Adaptive{P: params()}, params(), nil)
 	if res.Migrations != 1 {
 		t.Fatalf("migrations = %d, want 1", res.Migrations)
 	}
@@ -102,8 +103,8 @@ func TestReplayTransientAdaptiveVsFixed(t *testing.T) {
 	for turn := 0; turn < 30; turn++ {
 		writeBurst(&tr, 1, memory.NodeID(1+turn%3), 2)
 	}
-	ft := Replay(&tr, migration.Fixed{T: 1}, params(), nil)
-	at := Replay(&tr, migration.Adaptive{P: params()}, params(), nil)
+	ft := Replay(tr.Events, migration.Fixed{T: 1}, params(), nil)
+	at := Replay(tr.Events, migration.Adaptive{P: params()}, params(), nil)
 	if at.Migrations >= ft.Migrations {
 		t.Fatalf("AT migrations %d !< FT1 %d", at.Migrations, ft.Migrations)
 	}
@@ -115,7 +116,7 @@ func TestReplayTransientAdaptiveVsFixed(t *testing.T) {
 func TestReplayNoHMNeverMigrates(t *testing.T) {
 	var tr Trace
 	writeBurst(&tr, 1, 2, 50)
-	res := Replay(&tr, migration.NoHM{}, params(), nil)
+	res := Replay(tr.Events, migration.NoHM{}, params(), nil)
 	if res.Migrations != 0 {
 		t.Fatalf("NoHM migrated %d times", res.Migrations)
 	}
@@ -125,7 +126,7 @@ func TestReplayUsesObjectSize(t *testing.T) {
 	var tr Trace
 	writeBurst(&tr, 1, 2, 10)
 	called := false
-	Replay(&tr, migration.Adaptive{P: params()}, params(), func(memory.ObjectID) int {
+	Replay(tr.Events, migration.Adaptive{P: params()}, params(), func(memory.ObjectID) int {
 		called = true
 		return 256
 	})
@@ -137,17 +138,54 @@ func TestReplayUsesObjectSize(t *testing.T) {
 func TestReportRenders(t *testing.T) {
 	var tr Trace
 	writeBurst(&tr, 1, 2, 10)
-	out := Report(Analyze(&tr))
+	out := Report(Analyze(tr.Events))
 	if !strings.Contains(out, "single-writer-lasting") {
 		t.Fatalf("report:\n%s", out)
 	}
 }
 
-func TestEventKindAndPatternStrings(t *testing.T) {
-	if RemoteWrite.String() == "" || Request.String() == "" || EventKind(99).String() == "" {
-		t.Fatal("event kind strings")
-	}
+func TestPatternStrings(t *testing.T) {
 	if ReadMostly.String() == "" || Pattern(99).String() == "" {
 		t.Fatal("pattern strings")
+	}
+}
+
+// TestAnalyzeReadsFlightTimeline feeds the classifier a merged flight
+// timeline as is: the writer of a RemoteWrite and the requester of a
+// Request are the event's Peer, the writer of a trapped HomeWrite is the
+// emitting Node, and every other kind — frames, decisions, sync — is
+// skipped without leaving a profile behind.
+func TestAnalyzeReadsFlightTimeline(t *testing.T) {
+	evs := []flight.Event{
+		{Node: 0, Kind: flight.Request, Obj: 1, Peer: 2, Hops: 1},
+		{Node: 0, Kind: flight.RemoteWrite, Obj: 1, Peer: 2, Bytes: 24},
+		{Node: 2, Kind: flight.HomeWrite, Obj: 1},
+		{Node: 2, Kind: flight.HomeRead, Obj: 1},
+		{Node: 0, Kind: flight.FrameSend, Peer: 1},
+		{Node: 0, Kind: flight.Decision, Obj: 5, Peer: 1},
+		{Node: 0, Kind: flight.Acquire, Thread: 3, Sync: 1},
+	}
+	ps := Analyze(evs)
+	if len(ps) != 1 {
+		t.Fatalf("profiles = %+v, want object 1 only", ps)
+	}
+	want := Profile{Obj: 1, Pattern: SingleWriterLasting, Writes: 2, Writers: 1,
+		MaxRun: 2, MeanRun: 2, Requests: 1, RedirHops: 1}
+	if ps[0] != want {
+		t.Errorf("profile = %+v, want %+v", ps[0], want)
+	}
+	var tr Trace
+	for _, e := range evs {
+		if tr.Kinds().Has(e.Kind) {
+			tr.Record(e)
+		}
+	}
+	if tr.Len() != 4 {
+		t.Errorf("a Trace subscribed with Kinds() kept %d of the events, want 4", tr.Len())
+	}
+	a := Replay(evs, migration.Fixed{T: 1}, params(), nil)
+	b := Replay(tr.Events, migration.Fixed{T: 1}, params(), nil)
+	if a != b {
+		t.Errorf("replay over the timeline %+v differs from replay over the trace %+v", a, b)
 	}
 }
