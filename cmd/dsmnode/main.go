@@ -535,6 +535,9 @@ func registerMemberMetrics(reg *telemetry.Registry, member *cluster.Member, nn i
 		reg.CounterFunc("dsm_peer_writes_total",
 			"Socket writes to this peer; frames sent over writes is the coalescing ratio.", label,
 			stat(func(ps tcp.PeerStats) int64 { return ps.Writes }))
+		reg.CounterFunc("dsm_peer_relayed_frames_total",
+			"Frames to this peer that a reader flushed itself; over frames sent, the share that cost no goroutine hand-off.", label,
+			stat(func(ps tcp.PeerStats) int64 { return ps.Relayed }))
 		reg.CounterFunc("dsm_peer_reads_total",
 			"Socket reads from this peer; frames received over reads is the receive-side ratio.", label,
 			stat(func(ps tcp.PeerStats) int64 { return ps.Reads }))

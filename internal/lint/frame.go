@@ -8,12 +8,19 @@ import (
 
 // Frame is framelint: transport.GetFrame hands out a pooled buffer
 // whose ownership must reach exactly one of PutFrame (recycled), an
-// ownership-transferring call (Send/SendCtrl/Put — the transport or
-// queue owns it afterwards), or the caller (returned). A frame that
+// ownership-transferring call (Send/SendCtrl/Put, or a backend's deliver
+// into the node's sink — the transport, queue or node owns it
+// afterwards), or the caller (returned). A frame that
 // reaches a function exit still owned leaks from the pool (the bug
 // behind the tcp reader's early-return paths), and a frame touched
 // after its handoff races whoever owns it now (the bug class behind
 // PR 6's dup-before-enqueue fix).
+//
+// The other end of a push delivery is held to the same rule: a function
+// handed to a SetSink call (transport.Pusher) receives a frame it owns,
+// so its []byte parameter is tracked from entry as if GetFrame had
+// produced it there — every path must recycle it or send it on (the
+// live engine's requeue path re-sends the original frame).
 //
 // The analysis is function-local and branch-sensitive over the AST:
 // every variable initialized from a GetFrame call (possibly through
@@ -44,26 +51,30 @@ const (
 
 // transferMethods are call names that take frame ownership. Put covers
 // transport.Queue enqueues (frames travel inside outFrame composites);
-// Send/SendCtrl cover Transport implementations and the engine.
+// Send/SendCtrl cover Transport implementations and the engine. The TCP
+// backend wraps both ends: enqueue is its Put plus the writer wake-up,
+// deliver its reader's hand-off to the node (the sink, or the inbox).
 var transferMethods = map[string]bool{
 	"Send": true, "SendCtrl": true, "Put": true, "PutFrame": true,
+	"enqueue": true, "deliver": true,
 }
 
 func runFrame(pass *Pass) error {
+	sinks := sinkFrames(pass)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
 			}
-			analyzeFrameBody(pass, fn.Body)
+			analyzeFrameBody(pass, fn.Body, sinks[fn.Body])
 		}
 		// Closures are functions too: each FuncLit body is analyzed on
 		// its own (frames it acquires must be discharged inside it; the
 		// enclosing function's analysis treats the literal opaquely).
 		ast.Inspect(file, func(n ast.Node) bool {
 			if fl, ok := n.(*ast.FuncLit); ok {
-				analyzeFrameBody(pass, fl.Body)
+				analyzeFrameBody(pass, fl.Body, sinks[fl.Body])
 			}
 			return true
 		})
@@ -71,12 +82,69 @@ func runFrame(pass *Pass) error {
 	return nil
 }
 
-func analyzeFrameBody(pass *Pass, body *ast.BlockStmt) {
-	if !mentionsGetFrame(pass, body) {
+// sinkFrames finds the package's frame sinks — the functions handed to
+// a SetSink call, as literals or as names of functions and methods
+// declared here — and maps each one's body to the parameter that
+// arrives owning a frame: its first []byte. A sink passed along as a
+// plain value (a delegating SetSink) is its installer's to check.
+func sinkFrames(pass *Pass) map[*ast.BlockStmt]types.Object {
+	decls := map[types.Object]*ast.FuncDecl{}
+	for _, file := range pass.Files {
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				decls[pass.ObjectOf(fn.Name)] = fn
+			}
+		}
+	}
+	sinks := map[*ast.BlockStmt]types.Object{}
+	add := func(ft *ast.FuncType, body *ast.BlockStmt) {
+		for _, field := range ft.Params.List {
+			if types.Identical(pass.TypesInfo.TypeOf(field.Type), types.NewSlice(types.Typ[types.Byte])) && len(field.Names) > 0 {
+				sinks[body] = pass.ObjectOf(field.Names[0])
+				return
+			}
+		}
+	}
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if name, _ := calleeName(call); name != "SetSink" {
+				return true
+			}
+			for _, arg := range call.Args {
+				switch arg := arg.(type) {
+				case *ast.FuncLit:
+					add(arg.Type, arg.Body)
+				case *ast.Ident:
+					if fn := decls[pass.TypesInfo.Uses[arg]]; fn != nil {
+						add(fn.Type, fn.Body)
+					}
+				case *ast.SelectorExpr:
+					if fn := decls[pass.TypesInfo.Uses[arg.Sel]]; fn != nil {
+						add(fn.Type, fn.Body)
+					}
+				}
+			}
+			return true
+		})
+	}
+	return sinks
+}
+
+// analyzeFrameBody checks one function body; sinkFrame, when non-nil, is
+// the parameter that owns a frame on entry.
+func analyzeFrameBody(pass *Pass, body *ast.BlockStmt, sinkFrame types.Object) {
+	if sinkFrame == nil && !mentionsGetFrame(pass, body) {
 		return
 	}
 	fa := &frameAnalysis{pass: pass, deferRel: map[types.Object]bool{}}
 	st := frameEnv{}
+	if sinkFrame != nil {
+		st[sinkFrame] = stLive
+	}
 	if terminated := fa.block(body.List, st); !terminated {
 		fa.reportLeaks(st, leakAt{body.Rbrace})
 	}
@@ -164,8 +232,8 @@ func (fa *frameAnalysis) stmt(s ast.Stmt, st frameEnv) bool {
 		fa.expr(s.X, st)
 	case *ast.ReturnStmt:
 		for _, res := range s.Results {
-			fa.markTransferred(res, st)
-			fa.exprScan(res, st, nil, true) // returning a frame transfers it
+			fa.exprScan(res, st, nil, true)
+			fa.markTransferred(res, st) // returning a frame transfers it
 		}
 		fa.reportLeaks(st, s)
 		return true

@@ -125,8 +125,8 @@ func (l *Loader) importModulePkg(path string) (*types.Package, error) {
 }
 
 // parseDir parses the directory's Go files; withTests selects the
-// in-package _test.go files too. Files excluded by a //go:build ignore
-// constraint are skipped; external test files (package foo_test) are
+// in-package _test.go files too. Files a build constraint excludes on
+// this platform are skipped; external test files (package foo_test) are
 // never returned here.
 func (l *Loader) parseDir(dir string, withTests bool) ([]*ast.File, error) {
 	names, err := listGoFiles(dir)
@@ -173,30 +173,13 @@ func (l *Loader) parseExternalTests(dir string) ([]*ast.File, error) {
 	return files, nil
 }
 
+// parseFile parses one file, or returns nil for a file this platform's
+// build would leave out (a //go:build constraint, a _GOOS suffix).
 func (l *Loader) parseFile(path string) (*ast.File, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
+	if match, err := build.Default.MatchFile(filepath.Split(path)); err != nil || !match {
 		return nil, err
 	}
-	if hasIgnoreConstraint(string(src)) {
-		return nil, nil
-	}
-	return parser.ParseFile(l.Fset, path, src, parser.ParseComments|parser.SkipObjectResolution)
-}
-
-// hasIgnoreConstraint reports a leading //go:build ignore constraint.
-func hasIgnoreConstraint(src string) bool {
-	for _, line := range strings.Split(src, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "//") {
-			if strings.HasPrefix(line, "//go:build") && strings.Contains(line, "ignore") {
-				return true
-			}
-			continue
-		}
-		return false // reached package clause region
-	}
-	return false
+	return parser.ParseFile(l.Fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 }
 
 func listGoFiles(dir string) ([]string, error) {

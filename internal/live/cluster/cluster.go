@@ -49,9 +49,10 @@
 //   - Shutdown: a drain barrier (bye/shutdown) so no process tears its
 //     sockets down while a peer still needs them.
 //
-// The live engine itself participates only through the two optional
-// transport hooks (live.Quiescer, live.Finisher); its protocol and
-// message paths are untouched — the property PR 4 designed for.
+// The live engine itself participates only through optional transport
+// hooks it finds by type assertion — live.Quiescer and live.Finisher
+// here, transport.Pusher passed through to the TCP backend; its protocol
+// and message paths are untouched — the property PR 4 designed for.
 package cluster
 
 import (
@@ -614,6 +615,9 @@ func (m *Member) Close() { m.tr.CloseData() }
 // PeakDepth implements transport.DepthReporter by delegation.
 func (m *Member) PeakDepth() int { return m.tr.PeakDepth() }
 
+// SetSink implements transport.Pusher by delegation.
+func (m *Member) SetSink(id memory.NodeID, sink func(frame []byte) error) { m.tr.SetSink(id, sink) }
+
 // LocalNode reports the node this process executes.
 func (m *Member) LocalNode() memory.NodeID { return m.cfg.ID }
 
@@ -802,6 +806,7 @@ func (m *Member) Leave() {
 var (
 	_ transport.Transport     = (*Member)(nil)
 	_ transport.DepthReporter = (*Member)(nil)
+	_ transport.Pusher        = (*Member)(nil)
 	_ live.Quiescer           = (*Member)(nil)
 	_ live.Finisher           = (*Member)(nil)
 )

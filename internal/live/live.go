@@ -1,19 +1,23 @@
 //dsm:wallclock the live engine runs on real goroutines: spin backoff and run timing are wall-clock
 
 // Package live runs the Global Object Space protocol on real
-// goroutines: one protocol daemon goroutine per node, application
-// threads as goroutines with channel-style rendezvous for fault-in
-// replies, lock grants and diff acks. Messages between nodes cross a
-// pluggable transport (internal/live/transport) and are always encoded
-// through the internal/wire binary codec — even in-process — so a
-// networked backend is a drop-in.
+// goroutines: application threads as goroutines with channel-style
+// rendezvous for fault-in replies, lock grants and diff acks, and one
+// receive path per node (node.receive: decode, route, handle under the
+// node lock) run by whichever goroutine took the frame off the
+// transport — the node's protocol daemon, blocked in Recv, or, on a
+// backend that pushes (transport.Pusher: TCP), the backend's own reader,
+// which leaves the daemon only requeued and self-sent frames. Messages
+// between nodes cross a pluggable transport (internal/live/transport)
+// and are always encoded through the internal/wire binary codec — even
+// in-process — so a networked backend is a drop-in.
 //
 // The protocol — node-side handlers and thread-side driver alike — is
 // the same code the virtual-time simulator runs (internal/proto): this
 // package contributes real scheduling (node is the proto.Engine, Thread
-// the proto.Host; a mutex serializes each node's state between its
-// daemon and its local threads), real nondeterminism, and wall-clock
-// metrics.
+// the proto.Host; a mutex serializes each node's state between whoever
+// runs its receive path and its local threads), real nondeterminism,
+// and wall-clock metrics.
 // A live run is not reproducible event-for-event — that is the point —
 // but for the deterministic programs the scenario engine generates, its
 // final memory digest must equal the sim engine's under every policy,
@@ -179,6 +183,11 @@ type Cluster struct {
 // watchdog). Test with errors.Is.
 var ErrAborted = errors.New("live: run aborted")
 
+// ErrProtocol wraps the abort cause when a peer sent bytes that are not
+// a protocol frame: the run ends (wrapping ErrAborted too), the process
+// does not panic.
+var ErrProtocol = errors.New("live: protocol violation")
+
 // abortPanic unwinds a worker goroutine parked in a protocol wait when
 // the run aborts: Abort closes every thread mailbox, the blocked Recv
 // panics with this value, and Run's worker wrapper recovers it. User
@@ -203,7 +212,7 @@ func (c *Cluster) Abort(err error) {
 	if err == nil {
 		err = errors.New("unspecified failure")
 	}
-	c.abortErr = fmt.Errorf("%w: %v", ErrAborted, err)
+	c.abortErr = fmt.Errorf("%w: %w", ErrAborted, err)
 	c.aborted.Store(true)
 	for _, n := range c.nodes {
 		if n.ps.On(flight.Abort) {
@@ -434,6 +443,14 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 	if fs, ok := c.tr.(transport.FatalSink); ok {
 		fs.SetFatal(c.Abort)
 	}
+	// A backend that can push runs each node's receive path on the
+	// goroutine that read the frame; the daemons below keep what it does
+	// not push.
+	if p, ok := c.tr.(transport.Pusher); ok {
+		for _, n := range c.nodes {
+			p.SetSink(n.ps.ID, n.sink)
+		}
+	}
 	for _, n := range c.nodes {
 		c.daemons.Add(1)
 		go n.daemon()
@@ -487,9 +504,13 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 	if err := c.abortCause(); err != nil {
 		runErr = err
 	}
+	// The fold takes each node's lock: the daemons are gone, but on an
+	// aborted run a pushing backend's reader may still be inside receive.
 	var m stats.Metrics
 	for _, n := range c.nodes {
+		n.mu.Lock()
 		m.Counters.Add(&n.counters)
+		n.mu.Unlock()
 		for _, t := range n.threads {
 			if p := t.mbox.Peak(); p > m.LivePeakMailbox {
 				m.LivePeakMailbox = p
@@ -506,12 +527,12 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 }
 
 // node is one live cluster node: the shared protocol state plus the
-// mutex that serializes it between the node's daemon goroutine and its
+// mutex that serializes it between the node's receive path and its
 // local application threads. The node itself is the proto.Engine.
 type node struct {
 	c  *Cluster
 	ps *proto.Node
-	// mu guards ps (and counters) — held by the daemon around Handle
+	// mu guards ps (and counters) — held by receive around Handle
 	// and by local threads around access checks and sync operations,
 	// released while a thread blocks on its mailbox.
 	mu       sync.Mutex
@@ -524,8 +545,8 @@ type node struct {
 
 // Send implements proto.Engine: encode through the wire codec into a
 // pooled frame buffer and hand it to the transport, which owns it from
-// here (the daemon returns inbox frames to the pool after decoding; the
-// TCP backend returns them once written to the socket). Same-node sends
+// here (the receiving side returns a frame to the pool once handled; the
+// TCP backend returns them once packed for the socket). Same-node sends
 // are a protocol bug, as on the simulated interconnect.
 func (n *node) Send(msg wire.Msg, cat stats.Category) {
 	if msg.From == msg.To {
@@ -561,11 +582,57 @@ func (n *node) Broadcast(msg wire.Msg, cat stats.Category) {
 	}
 }
 
-// daemon is the node's protocol daemon goroutine: decode each incoming
-// frame and dispatch it under the node lock. A decode failure is fatal —
-// the transport delivered a corrupt frame, which in-process means a
-// codec bug (the FuzzWireDecode target keeps Decode error-clean for
-// genuinely untrusted bytes).
+// receive is the node's receive path for one frame, run by whoever took
+// it off the transport: decode it and dispatch it under the node lock.
+// Decode copies every payload out of the frame, which stays the
+// caller's — to return to the pool, or, when routed reports false, to
+// send again: the home transfer that makes this message routable is
+// still in flight (our thread holds the migrating reply in its mailbox,
+// or the barrier-go carrying the reassignment is behind this frame), and
+// the message stays counted as in flight, so quiescence waits for the
+// retry. A frame Decode rejects is a peer's doing, not a state a bug
+// alone can produce: it comes back as an ErrProtocol error for the
+// caller to end the run with.
+func (n *node) receive(frame []byte) (routed bool, err error) {
+	msg, err := wire.Decode(frame)
+	if err != nil {
+		return false, fmt.Errorf("%w: node %d received a %d-byte frame, kind byte %#x, that does not decode: %v",
+			ErrProtocol, n.ps.ID, len(frame), frame[:min(len(frame), 1)], err)
+	}
+	n.mu.Lock()
+	if !n.ps.CanRoute(msg) {
+		n.mu.Unlock()
+		return false, nil
+	}
+	if n.ps.On(flight.FrameRecv) {
+		n.ps.Emit(flight.Event{Kind: flight.FrameRecv, Peer: msg.From, Bytes: int32(len(frame))})
+	}
+	n.ps.Handle(msg)
+	n.mu.Unlock()
+	n.c.inflight.Add(-1)
+	return true, nil
+}
+
+// sink is the node's transport.Pusher sink: receive on the backend's
+// goroutine. That goroutine must not wait, so a frame that cannot be
+// routed yet loops back through the node's own inbox to the daemon and
+// its retry loop.
+func (n *node) sink(frame []byte) error {
+	routed, err := n.receive(frame)
+	if err == nil && !routed {
+		n.c.tr.Send(n.ps.ID, frame)
+		return nil
+	}
+	transport.PutFrame(frame)
+	return err
+}
+
+// daemon is the node's protocol daemon goroutine: receive each frame the
+// transport queues for the node. An unroutable frame is requeued behind
+// a short sleep, which keeps the retry from becoming a hot loop
+// contending on the very node lock the transfer needs (transfers land
+// within microseconds). A frame that is no protocol frame aborts the
+// run.
 func (n *node) daemon() {
 	defer n.c.daemons.Done()
 	for {
@@ -573,34 +640,15 @@ func (n *node) daemon() {
 		if !ok {
 			return
 		}
-		msg, err := wire.Decode(frame)
-		if err != nil {
-			panic(fmt.Sprintf("live: node %d received corrupt frame: %v", n.ps.ID, err))
-		}
-		// Decode copies every payload out of the frame, so the buffer
-		// can feed the pool now — except on the requeue path below,
-		// which re-sends the original frame.
-		n.mu.Lock()
-		if !n.ps.CanRoute(msg) {
-			// The home transfer that makes this message routable is
-			// still in flight — our thread holds the migrating reply in
-			// its mailbox, or the barrier-go carrying the reassignment
-			// is behind this frame in the inbox. Requeue and retry; the
-			// message stays counted as in flight, so quiescence waits.
-			// The short sleep keeps the retry from becoming a hot loop
-			// contending on the very node lock the transfer needs
-			// (transfers land within microseconds).
-			n.mu.Unlock()
+		routed, err := n.receive(frame)
+		if err == nil && !routed {
 			time.Sleep(5 * time.Microsecond)
 			n.c.tr.Send(n.ps.ID, frame)
 			continue
 		}
 		transport.PutFrame(frame)
-		if n.ps.On(flight.FrameRecv) {
-			n.ps.Emit(flight.Event{Kind: flight.FrameRecv, Peer: msg.From, Bytes: int32(len(frame))})
+		if err != nil {
+			n.c.Abort(err)
 		}
-		n.ps.Handle(msg)
-		n.mu.Unlock()
-		n.c.inflight.Add(-1)
 	}
 }

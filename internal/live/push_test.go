@@ -1,0 +1,205 @@
+package live
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/flight"
+	"repro/internal/live/transport"
+	"repro/internal/live/transport/tcp"
+	"repro/internal/memory"
+	"repro/internal/proto"
+)
+
+// dataPlane is how a cluster member presents its TCP transport to the
+// engine: Close ends frame delivery and leaves the connections to their
+// owner. Embedding keeps the transport's sink.
+type dataPlane struct{ *tcp.Transport }
+
+func (d dataPlane) Close() { d.CloseData() }
+
+// socketPair returns the two ends of one loopback TCP connection.
+func socketPair(t *testing.T) (a, b net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if a, err = net.Dial("tcp", ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	if b, err = ln.Accept(); err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
+// TestPeerGarbageAbortsRun: bytes from a peer that are not a protocol
+// frame end the run with an attributed ErrProtocol abort — on the
+// transport's reader when the backend pushes, on the daemon when it
+// does not — and never panic the process. The worker is parked on a
+// grant that never comes (node 1 is the raw peer, or holds the lock
+// itself), so Run returning at all is the abort unwinding it.
+func TestPeerGarbageAbortsRun(t *testing.T) {
+	junk := make([]byte, 40)
+	for i := range junk {
+		junk[i] = 0xFF
+	}
+	for _, tc := range []struct {
+		name string
+		// start returns the engine's transport and what puts the junk
+		// frame in front of node 0 mid-run.
+		start func(t *testing.T, abort func(error)) (transport.Transport, func())
+		// remote: node 1 is the test's raw socket, not an engine node.
+		remote bool
+	}{
+		{name: "PushedByTCPReader", remote: true, start: func(t *testing.T, abort func(error)) (transport.Transport, func()) {
+			local, raw := socketPair(t)
+			tr := tcp.New(0, []net.Conn{nil, local}, tcp.Options{OnFatal: abort})
+			t.Cleanup(func() {
+				tr.MarkShutdown()
+				raw.Close()
+				tr.Close()
+			})
+			return dataPlane{tr}, func() {
+				// One well-framed channel-0 frame: length, channel, zero stamp.
+				frame := binary.LittleEndian.AppendUint32(nil, uint32(len(junk)))
+				frame = append(append(frame, make([]byte, 13)...), junk...)
+				if _, err := raw.Write(frame); err != nil {
+					t.Error(err)
+				}
+			}
+		}},
+		{name: "PulledByDaemon", start: func(t *testing.T, abort func(error)) (transport.Transport, func()) {
+			tr := transport.NewChanLoop(2)
+			return tr, func() { tr.Send(0, append(transport.GetFrame(), junk...)) }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var c *Cluster
+			cfg := DefaultConfig(2)
+			cfg.FlightCap = 64
+			tr, sendJunk := tc.start(t, func(err error) { c.Abort(err) })
+			cfg.Transport = tr
+			c = New(cfg)
+			l := c.AddLock(1)
+			held, parked, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			ws := []proto.Worker{{Node: 0, Name: "waiter", Fn: func(th proto.Thread) {
+				<-held
+				close(parked)
+				th.Acquire(l)
+			}}}
+			if tc.remote {
+				close(held)
+			} else {
+				ws = append(ws, proto.Worker{Node: 1, Name: "holder", Fn: func(th proto.Thread) {
+					th.Acquire(l)
+					close(held)
+					<-release
+				}})
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := c.Run(ws)
+				done <- err
+			}()
+			<-parked
+			time.Sleep(2 * time.Millisecond) // let the waiter park in Acquire
+			sendJunk()
+			close(release) // the holder is not parked in the protocol: let it return
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrProtocol) || !errors.Is(err, ErrAborted) {
+					t.Fatalf("Run returned %v, want an ErrProtocol and ErrAborted wrap", err)
+				}
+				for _, want := range []string{"40-byte frame", "kind byte 0xff"} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("abort cause %q does not name %q", err, want)
+					}
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run still blocked 10s after the junk frame")
+			}
+			aborts := 0
+			for _, ev := range c.FlightEvents() {
+				if ev.Kind == flight.Abort {
+					aborts++
+				}
+			}
+			if aborts != 1 {
+				t.Fatalf("flight ring holds %d Abort events, want 1", aborts)
+			}
+		})
+	}
+}
+
+// TestAbortMidTrafficFoldsCleanly: on a pushing backend the goroutines
+// that run the protocol handlers are the transport's, not the engine's,
+// so when a run aborts one may still be inside a handler while Run sums
+// the node counters. Two engines, one node each, hand a lock back and
+// forth over a loopback socket and are aborted mid-traffic, fifty
+// times; under -race the fold must not race the straggler.
+func TestAbortMidTrafficFoldsCleanly(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		conns := [2]net.Conn{}
+		conns[0], conns[1] = socketPair(t)
+		var cs [2]*Cluster
+		var trs [2]*tcp.Transport
+		for id := range cs {
+			id := id
+			pair := make([]net.Conn, 2)
+			pair[1-id] = conns[id]
+			trs[id] = tcp.New(memory.NodeID(id), pair, tcp.Options{OnFatal: func(err error) { cs[id].Abort(err) }})
+			cfg := DefaultConfig(2)
+			cfg.Transport = dataPlane{trs[id]}
+			cs[id] = New(cfg)
+			cs[id].AddObject(1, 0)
+			cs[id].AddLock(1)
+		}
+		done := make(chan error, 2)
+		for id, c := range cs {
+			id, c := id, c
+			go func() {
+				_, err := c.Run([]proto.Worker{{Node: memory.NodeID(id), Name: fmt.Sprintf("w%d", id), Fn: func(th proto.Thread) {
+					for {
+						th.Acquire(0)
+						th.Write(0, 0, th.Read(0, 0)+1)
+						th.Release(0)
+					}
+				}}})
+				done <- err
+			}()
+		}
+		for deadline := time.Now().Add(10 * time.Second); trs[0].DataRecv() < 200 || trs[1].DataRecv() < 200; {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: no traffic to abort", round)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+		boom := errors.New("pulled the plug")
+		cs[0].Abort(boom)
+		cs[1].Abort(boom)
+		for range cs {
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrAborted) {
+					t.Fatalf("round %d: Run returned %v, want an ErrAborted wrap", round, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("round %d: Run still blocked 10s after Abort", round)
+			}
+		}
+		for _, tr := range trs {
+			tr.MarkShutdown()
+		}
+		for _, tr := range trs {
+			tr.Close()
+		}
+	}
+}

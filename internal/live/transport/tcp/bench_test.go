@@ -80,3 +80,22 @@ func BenchmarkTCPBurst(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTCPRelay is BenchmarkTCPPingPong with both ends pushing: node
+// 1's reader runs the sink that answers and writes the answer itself, so
+// a round trip wakes node 0's writer and nothing else.
+func BenchmarkTCPRelay(b *testing.B) {
+	for _, size := range []int{36, 2048} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			trs, answered := relayPair(b)
+			b.Cleanup(tcpMesh{trs}.Close)
+			payload := make([]byte, size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				trs[0].Send(1, append(transport.GetFrame(), payload...))
+				<-answered
+			}
+		})
+	}
+}

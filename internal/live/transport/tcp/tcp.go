@@ -15,8 +15,8 @@
 // cluster layer's control messages (bootstrap barrier, distributed
 // quiescence, state gather, shutdown); channel 2 carries heartbeats
 // (empty payload); channel 3 carries telemetry snapshots. Multiplexing
-// all of them on the pair connection keeps the "one connection per node
-// pair" property the ISSUE's design calls for. The hlc fields piggyback the sender's hybrid logical
+// all of them keeps one connection per node pair, and with it one FIFO
+// order per pair. The hlc fields piggyback the sender's hybrid logical
 // clock (internal/hlc) on every frame: the receiver folds them into
 // its own clock, which keeps the cluster's oracle event stamps ordered
 // consistently with happens-before no matter how the machines' wall
@@ -32,15 +32,27 @@
 // Delivery contract: a TCP connection is FIFO, and each (sender,
 // receiver) pair has exactly one, so frames between a pair arrive in
 // send order — the Transport contract's FIFO-per-pair guarantee. Sends
-// never block: each peer has an unbounded send queue drained by a
-// dedicated writer goroutine (transport.Queue, the same structure that
-// backs the in-process backend), so two nodes sending to each other
-// cannot deadlock on full socket buffers. Self-sends (the daemon's
-// requeue path) loop back to the local inbox without touching a socket.
+// never block: each peer has an unbounded send queue (transport.Queue,
+// the same structure that backs the in-process backend) and a dedicated
+// writer goroutine that may block on the socket in the sender's place,
+// so two nodes sending to each other cannot deadlock on full socket
+// buffers. Self-sends (the daemon's requeue path) loop back to the local
+// inbox without touching a socket.
+//
+// Receiving is pull until the engine installs a sink (transport.Pusher),
+// push from then on. Pull: the reader queues each data frame on the
+// local inbox for Recv. Push: the reader calls the sink — the node's
+// whole receive path, decode to handler — on its own goroutine, one
+// peer's frames in arrival order, several peers' readers concurrently.
+// Frames that reached the inbox before the installation go to the sink
+// first, under the lock that a reader still seeing no sink must take,
+// so FIFO per pair holds across it. Self-sends, control, heartbeat and
+// telemetry frames and the other nodes' (idle) inboxes are untouched by
+// the sink; after CloseData a late data frame feeds the pool instead.
 //
 // The link is batched at both ends, because a small frame's cost is
-// the socket call and the wake-up it causes, not its bytes. The writer
-// takes everything its queue holds per wake-up and packs it — each
+// the socket call and the wake-up it causes, not its bytes. Whoever
+// writes takes everything the peer's queue holds and packs it — each
 // frame still under its own header and its own clock stamp — into one
 // slab that leaves in one write; frames sent back to back to one peer
 // (a lock release and the next request) cost the peer one wake-up and
@@ -51,12 +63,28 @@
 // it is written from, and its tail read into, its own buffer. The wire
 // bytes are those that one write per frame would produce.
 //
+// Who writes: the peer's writer goroutine, woken by Send — except for
+// what is sent while a reader is pushing. A reader that calls a sink is
+// running handlers, and a handler's reply is usually the only frame its
+// link will carry for a while; waking a parked writer for it costs more
+// than the write. So while any reader is inside a delivery batch, Send
+// only enqueues, and when the reader holds no further complete frame —
+// before it touches the socket again, so a burst of acks is still one
+// write — it flushes every non-empty queue itself: try-lock the peer's
+// write side, pack, one write that never waits. Whatever that cannot
+// finish (the write side is busy, the socket buffer is full, a frame
+// larger than the slab, a connection with no descriptor to write to
+// directly) stays where it is, bytes already packed ahead of frames
+// still queued, and the writer goroutine is woken to send it, blocking
+// if it must. The write side's lock covers dequeueing as well as
+// packing, so the two writers cannot reorder a pair's frames.
+//
 // Frame buffers follow the transport ownership rule: Send transfers the
-// buffer; the writer returns it to the frame pool once its bytes are
-// packed for the wire (or dropped, on a dead link) — exactly once
-// either way — and the reader copies each payload it delivers out of
-// its read buffer into a buffer from the same pool, which the receiving
-// daemon returns after decoding.
+// buffer; whoever packs it returns it to the frame pool once its bytes
+// are in the slab (or dropped, on a dead link) — exactly once either
+// way — and the reader copies each payload it delivers out of its read
+// buffer into a buffer from the same pool, which the receiver — the
+// daemon after Recv, or the sink — returns or sends on.
 package tcp
 
 import (
@@ -68,6 +96,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/flight"
@@ -154,12 +183,36 @@ type outFrame struct {
 	payload []byte
 }
 
-// peer is the per-remote-node link state: the pair connection and its
-// writer's send queue.
+// peer is the per-remote-node link state: the pair connection, its send
+// queue and its write side.
 type peer struct {
 	id   memory.NodeID
 	conn net.Conn
 	out  *transport.Queue[outFrame]
+	// wake holds at most one token, "out or the write side has work for
+	// the writer goroutine"; a full buffer means it already knows.
+	wake chan struct{}
+
+	// The write side, guarded by wmu: the writer goroutine holds it
+	// around each drain, a reader's flush only try-locks it. Everything
+	// taken from out goes through these fields in order — slab, then big,
+	// then batch[next:] — so what one holder leaves unwritten the next
+	// one sends first.
+	wmu    sync.Mutex
+	slab   []byte     // packed frames, not yet written
+	packed int        // frames whose header is in slab
+	big    []byte     // payload larger than the slab, leaves right after it
+	batch  []outFrame // taken from out; batch[next:] is not packed yet
+	next   int
+	broken bool // a write failed: the link is dead, frames drain to the pool
+
+	// raw is the connection's descriptor for a reader's write that never
+	// waits; nil (net.Pipe, a wrapped conn) leaves all writing to the
+	// writer goroutine. writeNow is its callback, built once — a closure
+	// per flush would allocate — and reports through wrote.
+	raw      syscall.RawConn
+	writeNow func(fd uintptr) bool
+	wrote    int
 
 	// Link counters for the telemetry surface, updated by the reader
 	// and writer goroutines and read by PeerStats mid-run.
@@ -168,6 +221,7 @@ type peer struct {
 	bytesSent  atomic.Int64
 	bytesRecv  atomic.Int64
 	writes     atomic.Int64 // socket writes (one per flushed batch)
+	relayed    atomic.Int64 // frames that left in a reader's flush
 	reads      atomic.Int64 // socket reads
 	heartbeats atomic.Int64 // heartbeat frames received
 	lastRecv   atomic.Int64 // wall nanos of the last socket read that returned bytes
@@ -186,6 +240,17 @@ type Transport struct {
 	// until Close — they never carry a frame.
 	inboxes []*transport.Queue[[]byte]
 	ctrl    *transport.Queue[Ctrl]
+
+	// sink, once installed, receives the local node's data frames from
+	// the readers in place of inboxes[local]. sinkMu orders the
+	// installation (which drains the inbox into the sink) against a
+	// reader that still saw no sink.
+	sink   atomic.Pointer[func(frame []byte) error]
+	sinkMu sync.Mutex
+	// relaying counts the readers inside a delivery batch. While it is
+	// non-zero Send leaves the writers asleep: every such reader flushes
+	// the send queues itself when its batch ends.
+	relaying atomic.Int32
 
 	dataSent atomic.Int64
 	dataRecv atomic.Int64
@@ -245,7 +310,19 @@ func New(local memory.NodeID, conns []net.Conn, opt Options) *Transport {
 		if tc, ok := conn.(*net.TCPConn); ok {
 			tc.SetNoDelay(true) // protocol frames are latency-bound
 		}
-		p := &peer{id: memory.NodeID(j), conn: conn, out: transport.NewQueue[outFrame]()}
+		p := &peer{
+			id: memory.NodeID(j), conn: conn, out: transport.NewQueue[outFrame](),
+			wake: make(chan struct{}, 1), slab: make([]byte, 0, writeSlabSize),
+		}
+		if sc, ok := conn.(syscall.Conn); ok && canWriteNow {
+			if raw, err := sc.SyscallConn(); err == nil {
+				p.raw = raw
+				p.writeNow = func(fd uintptr) bool {
+					p.wrote = writeNow(fd, p.slab)
+					return true // done either way: never wait for the socket
+				}
+			}
+		}
 		t.peers[j] = p
 		t.writers.Add(1)
 		go t.writer(p)
@@ -277,7 +354,7 @@ func (t *Transport) heartbeat(interval time.Duration) {
 					if f := t.fl; f != nil {
 						f.Record(flight.Event{Kind: flight.HeartbeatSend, Tag: chanHeart, Peer: p.id})
 					}
-					p.out.Put(outFrame{tag: chanHeart})
+					t.enqueue(p, outFrame{tag: chanHeart})
 				}
 			}
 		}
@@ -298,19 +375,100 @@ func (t *Transport) Send(to memory.NodeID, frame []byte) {
 		panic(fmt.Sprintf("tcp: send to invalid node %d", to))
 	}
 	if to == t.local {
-		if t.inboxes[to].Put(frame) {
-			t.dataRecv.Add(1)
-		} else {
-			transport.PutFrame(frame)
-		}
+		t.toInbox(frame)
 		return
 	}
 	p := t.peers[to]
-	if p == nil || !p.out.Put(outFrame{tag: chanData, payload: frame}) {
+	if p == nil || !t.enqueue(p, outFrame{tag: chanData, payload: frame}) {
 		transport.PutFrame(frame)
 		return
 	}
 	t.dataSent.Add(1)
+}
+
+// toInbox queues a data frame for the local node's Recv; after
+// CloseData it feeds the pool.
+func (t *Transport) toInbox(frame []byte) {
+	if t.inboxes[t.local].Put(frame) {
+		t.dataRecv.Add(1)
+	} else {
+		transport.PutFrame(frame)
+	}
+}
+
+// enqueue queues f for p and reports false when the link is closed (f
+// stays the caller's). It wakes p's writer unless a reader is inside a
+// delivery batch and will flush the queue itself: the sender enqueues,
+// then loads relaying; the reader decrements relaying, then scans the
+// queues — one of them sees the other, so the frame is never stranded.
+func (t *Transport) enqueue(p *peer, f outFrame) bool {
+	if !p.out.Put(f) {
+		return false
+	}
+	if t.relaying.Load() == 0 {
+		p.kick()
+	}
+	return true
+}
+
+// kick wakes p's writer goroutine, or leaves the token for its next
+// look if it is busy.
+func (p *peer) kick() {
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+}
+
+// SetSink implements transport.Pusher for the local node; the other
+// nodes' inboxes never carry a frame, so their sinks are ignored.
+func (t *Transport) SetSink(id memory.NodeID, sink func(frame []byte) error) {
+	if id != t.local {
+		return
+	}
+	t.sinkMu.Lock()
+	queued, _ := t.inboxes[id].TryGetAll(nil)
+	var err error
+	for _, frame := range queued {
+		if err != nil {
+			transport.PutFrame(frame)
+		} else {
+			err = sink(frame)
+		}
+	}
+	t.sink.Store(&sink)
+	t.sinkMu.Unlock()
+	if err != nil {
+		t.raise(fmt.Errorf("tcp: node %d: deliver of a frame queued before the sink failed: %w", t.local, err))
+	}
+}
+
+// deliver hands one data frame read from a peer to the local node: to
+// its sink, on the calling reader's goroutine, or to the inbox while
+// there is none. The first sink call opens the reader's delivery batch
+// (*batch, closed by endBatch); a non-nil error is the sink's.
+func (t *Transport) deliver(frame []byte, batch *bool) error {
+	sink := t.sink.Load()
+	if sink == nil {
+		t.sinkMu.Lock()
+		if sink = t.sink.Load(); sink == nil {
+			t.toInbox(frame)
+		}
+		t.sinkMu.Unlock()
+		if sink == nil {
+			return nil
+		}
+	}
+	if t.dataClosed.Load() {
+		transport.PutFrame(frame) // late frame after CloseData
+		return nil
+	}
+	if !*batch {
+		*batch = true
+		t.relaying.Add(1)
+	}
+	t.dataRecv.Add(1)
+	return (*sink)(frame)
 }
 
 // Recv implements transport.Transport. Only the local node's inbox ever
@@ -332,7 +490,7 @@ func (t *Transport) SendCtrl(to memory.NodeID, buf []byte) {
 		return
 	}
 	p := t.peers[to]
-	if p == nil || !p.out.Put(outFrame{tag: chanCtrl, payload: payload}) {
+	if p == nil || !t.enqueue(p, outFrame{tag: chanCtrl, payload: payload}) {
 		transport.PutFrame(payload)
 	}
 }
@@ -357,7 +515,7 @@ func (t *Transport) SendTelemetry(to memory.NodeID, buf []byte) {
 	}
 	payload := append(transport.GetFrame(), buf...)
 	p := t.peers[to]
-	if p == nil || !p.out.Put(outFrame{tag: chanTelem, payload: payload}) {
+	if p == nil || !t.enqueue(p, outFrame{tag: chanTelem, payload: payload}) {
 		transport.PutFrame(payload)
 	}
 }
@@ -369,6 +527,7 @@ type PeerStats struct {
 	BytesSent  int64 // wire bytes written, headers included
 	BytesRecv  int64 // wire bytes read, headers included
 	Writes     int64 // socket writes; FramesSent/Writes is the coalescing ratio
+	Relayed    int64 // frames a reader flushed itself; Relayed/FramesSent cost no writer wake-up
 	Reads      int64 // socket reads; FramesRecv/Reads is the receive-side ratio
 	Heartbeats int64 // heartbeat frames received
 	LastRecv   int64 // wall nanos of the last bytes read; 0 when none yet
@@ -387,6 +546,7 @@ func (t *Transport) PeerStats(id memory.NodeID) (PeerStats, bool) {
 		BytesSent:  p.bytesSent.Load(),
 		BytesRecv:  p.bytesRecv.Load(),
 		Writes:     p.writes.Load(),
+		Relayed:    p.relayed.Load(),
 		Reads:      p.reads.Load(),
 		Heartbeats: p.heartbeats.Load(),
 		LastRecv:   p.lastRecv.Load(),
@@ -396,8 +556,9 @@ func (t *Transport) PeerStats(id memory.NodeID) (PeerStats, bool) {
 // DataSent reports the data frames handed to peer writers so far.
 func (t *Transport) DataSent() int64 { return t.dataSent.Load() }
 
-// DataRecv reports the data frames delivered to the local inbox so far
-// (network and loopback). Its monotonic growth is the activity signal
+// DataRecv reports the data frames delivered to the local node so far —
+// queued on its inbox or pushed to its sink, network and loopback. Its
+// monotonic growth is the activity signal
 // the cluster layer's distributed-quiescence waves watch.
 func (t *Transport) DataRecv() int64 { return t.dataRecv.Load() }
 
@@ -424,7 +585,8 @@ func (t *Transport) PeakDepth() int {
 func (t *Transport) MarkShutdown() { t.shuttingDown.Store(true) }
 
 // CloseData closes engine-frame delivery only: daemons blocked in Recv
-// drain their inboxes and exit, while the connections, writers and the
+// drain their inboxes and exit and readers stop pushing (a sink call
+// already under way completes), while the connections, writers and the
 // control channel stay up for the cluster layer's post-run exchanges
 // (metrics merge, shutdown barrier). The live engine's Close maps here
 // when the transport is wrapped by a cluster member; the final teardown
@@ -458,6 +620,7 @@ func (t *Transport) Close() {
 					p.conn.SetWriteDeadline(time.Now().Add(t.hbTimeout))
 				}
 				p.out.Close() // writer drains the queue, then exits
+				p.kick()
 			}
 		}
 		t.writers.Wait()
@@ -507,13 +670,18 @@ func (t *Transport) Err() error {
 // blocked Recv and RecvCtrl returns and callers find Err set — never
 // present as a hang.
 func (t *Transport) fail(p *peer, op string, err error) {
+	t.raise(fmt.Errorf("tcp: node %d: %s with node %d failed: %w", t.local, op, p.id, err))
+}
+
+// raise is fail for an error that already names its link.
+func (t *Transport) raise(err error) {
 	if t.shuttingDown.Load() {
 		t.ctrl.Close()
 		return
 	}
 	t.errMu.Lock()
 	if t.err == nil {
-		t.err = fmt.Errorf("tcp: node %d: %s with node %d failed: %w", t.local, op, p.id, err)
+		t.err = err
 	}
 	ferr := t.err
 	t.errMu.Unlock()
@@ -528,77 +696,165 @@ func (t *Transport) fail(p *peer, op string, err error) {
 	})
 }
 
-// writer drains one peer's send queue onto its connection: every
-// wake-up takes the whole queue and puts it on the wire in as few
-// writes as it fits. Frames are packed, header and payload, into the
-// slab, which goes out when the next frame does not fit and at the end
-// of the batch; a packed payload returns to the frame pool at once. A
-// frame larger than the slab is never copied: its header joins the
-// slab and its payload rides alongside in the same writev. Every frame
-// — heartbeats included — carries its own header and its own stamp,
-// ticked from the transport's clock as the frame is packed, so hybrid
-// logical time rides the existing traffic for free. After a write
-// error the link is dead: fail is raised once and the writer keeps
-// draining, so senders' queues empty and Close can complete; the
-// frames go nowhere.
+// writer is p's writer goroutine: the one party that may block on the
+// socket. Each token on p.wake is a drain; it exits once the send queue
+// is closed and everything taken from it has been written or dropped.
 func (t *Transport) writer(p *peer) {
 	defer t.writers.Done()
-	slab := make([]byte, 0, writeSlabSize)
-	var batch []outFrame
-	packed, broken := 0, false // frames with a header in slab; link failed
-	// flush writes the slab, and tail after it when non-nil.
-	flush := func(tail []byte) {
-		if packed > 0 && !broken {
-			var err error
-			if tail == nil {
-				_, err = p.conn.Write(slab)
-			} else {
-				bufs := net.Buffers{slab, tail}
-				_, err = bufs.WriteTo(p.conn)
-			}
-			p.writes.Add(1)
-			if err != nil {
-				broken = true
-				t.fail(p, "write", err)
-			} else {
-				// Bytes before frames: whoever reads a frame count
-				// finds its bytes already counted.
-				p.bytesSent.Add(int64(len(slab) + len(tail)))
-				p.framesSent.Add(int64(packed))
-			}
+	for range p.wake {
+		open, err := t.drain(p)
+		if err != nil {
+			t.fail(p, "write", err)
 		}
-		slab, packed = slab[:0], 0
-	}
-	for {
-		var ok bool
-		if batch, ok = p.out.GetAll(batch[:0]); !ok {
+		if !open {
 			return
 		}
-		for _, f := range batch {
-			if !broken {
-				need := headSize + len(f.payload)
-				big := need > cap(slab)
-				if big {
-					need = headSize // only the header is packed
-				}
-				if len(slab)+need > cap(slab) {
-					flush(nil)
-				}
-				slab = t.appendHead(slab, f)
-				packed++
-				if big {
-					flush(f.payload)
-				} else {
-					slab = append(slab, f.payload...)
-				}
-			}
-			if f.payload != nil {
-				transport.PutFrame(f.payload)
+	}
+}
+
+// drain puts everything p's write side and send queue hold on the wire
+// in as few writes as it fits, blocking where the socket makes it wait:
+// first what a reader's flush left behind, then the queue, taken whole
+// and packed slab by slab, until nothing is queued. open reports false
+// once the queue is closed and drained. After a write error the link is
+// dead: the error is returned once, for fail, and the queue keeps
+// draining — pack drops what it takes — so senders' frames feed the pool
+// and Close can complete.
+func (t *Transport) drain(p *peer) (open bool, err error) {
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	for {
+		if p.next == len(p.batch) {
+			p.next = 0
+			p.batch, open = p.out.TryGetAll(p.batch[:0])
+			if len(p.batch) == 0 && len(p.slab) == 0 {
+				return open, err
 			}
 		}
-		flush(nil)
-		clear(batch) // reused: must not keep the returned payloads reachable
+		t.pack(p)
+		if werr := p.flush(); werr != nil {
+			p.broken, err = true, werr
+		}
 	}
+}
+
+// pack moves frames from p.batch[p.next:] into the slab until the batch
+// is spent or the next frame does not fit; on a dead link it drops them
+// instead. Every frame — heartbeats
+// included — carries its own header and its own stamp, ticked from the
+// transport's clock as the frame is packed, so hybrid logical time rides
+// the existing traffic for free, and stamps rise along the link whoever
+// packs. A packed payload returns to the frame pool at once, and its
+// batch slot is cleared: the reused batch must not keep it reachable. A
+// frame larger than the slab is never copied: its header joins the slab,
+// its payload becomes p.big — which ends the packing — and rides
+// alongside in the same writev. The caller holds p.wmu.
+func (t *Transport) pack(p *peer) {
+	for p.next < len(p.batch) && p.big == nil {
+		f := p.batch[p.next]
+		if !p.broken {
+			need := headSize + len(f.payload)
+			big := need > cap(p.slab)
+			if big {
+				need = headSize // only the header is packed
+			}
+			if len(p.slab)+need > cap(p.slab) {
+				return
+			}
+			p.slab = t.appendHead(p.slab, f)
+			p.packed++
+			if big {
+				p.big, f.payload = f.payload, nil
+			} else {
+				p.slab = append(p.slab, f.payload...)
+			}
+		}
+		p.batch[p.next] = outFrame{}
+		p.next++
+		if f.payload != nil {
+			transport.PutFrame(f.payload)
+		}
+	}
+}
+
+// flush writes the slab, and the big payload after it, waiting for the
+// socket as long as it takes. The caller holds p.wmu.
+func (p *peer) flush() error {
+	if len(p.slab) == 0 {
+		return nil
+	}
+	var err error
+	if p.big == nil {
+		_, err = p.conn.Write(p.slab)
+	} else {
+		bufs := net.Buffers{p.slab, p.big}
+		_, err = bufs.WriteTo(p.conn)
+	}
+	p.writes.Add(1)
+	if err == nil {
+		// Bytes before frames: whoever reads a frame count finds its
+		// bytes already counted.
+		p.bytesSent.Add(int64(len(p.slab) + len(p.big)))
+		p.framesSent.Add(int64(p.packed))
+	}
+	if p.big != nil {
+		transport.PutFrame(p.big)
+		p.big = nil
+	}
+	p.slab, p.packed = p.slab[:0], 0
+	return err
+}
+
+// endBatch closes the calling reader's delivery batch: what its handlers
+// — and any other sender meanwhile — queued without waking a writer
+// leaves now, from this goroutine.
+func (t *Transport) endBatch() {
+	t.relaying.Add(-1)
+	for _, p := range t.peers {
+		if p != nil && p.out.Len() > 0 && !t.relay(p) {
+			p.kick()
+		}
+	}
+}
+
+// relay is a reader's flush of p's send queue: the queue packed into
+// the slab and one write that does not wait. It reports false when the
+// writer goroutine has to take over — the write side is busy or holds
+// older bytes, the link is dead or has no descriptor, a frame needs the
+// writev, the kernel took only part, or more was queued than one slab
+// holds. Whatever was taken and not written stays in the write side,
+// ahead of the queue.
+func (t *Transport) relay(p *peer) bool {
+	if p.raw == nil || !p.wmu.TryLock() {
+		return false
+	}
+	defer p.wmu.Unlock()
+	if p.broken || len(p.slab) > 0 || p.next < len(p.batch) {
+		return false
+	}
+	p.next = 0
+	p.batch, _ = p.out.TryGetAll(p.batch[:0])
+	t.pack(p)
+	if p.big != nil {
+		return false
+	}
+	if len(p.slab) == 0 {
+		return true // the writer got there first
+	}
+	p.wrote = 0
+	if err := p.raw.Write(p.writeNow); err != nil {
+		return false // closing, or past Close's write deadline: the writer reports it
+	}
+	p.writes.Add(1)
+	p.bytesSent.Add(int64(p.wrote))
+	if p.wrote < len(p.slab) {
+		p.slab = p.slab[:copy(p.slab, p.slab[p.wrote:])]
+		return false
+	}
+	p.framesSent.Add(int64(p.packed))
+	p.relayed.Add(int64(p.packed))
+	p.slab, p.packed = p.slab[:0], 0
+	return p.next == len(p.batch)
 }
 
 // appendHead appends f's frame header, stamped now, to dst.
@@ -635,19 +891,44 @@ func (r socketReader) Read(b []byte) (int, error) {
 	return n, err
 }
 
-// reader delivers one peer's incoming frames: data to the local inbox,
-// control to the control queue, heartbeats to the void (their stamp
-// and their deadline-resetting arrival are their whole job). It reads
-// the socket through one fixed buffer and parses every complete frame
-// the buffer holds before reading again; each delivered payload is
-// copied into its own pooled buffer, and a frame that does not fit the
-// read buffer has its tail read straight into that buffer. With
-// HeartbeatTimeout armed, each socket read carries a deadline: a peer
-// silent beyond it is declared dead.
+// holdsFrame reports whether br has a whole frame buffered: taking it
+// will not touch the socket.
+func holdsFrame(br *bufio.Reader) bool {
+	if br.Buffered() < headSize {
+		return false
+	}
+	head, _ := br.Peek(headSize)
+	return uint64(br.Buffered()-headSize) >= uint64(binary.LittleEndian.Uint32(head))
+}
+
+// reader delivers one peer's incoming frames: data to the local node
+// (deliver: its sink, or the inbox), control to the control queue,
+// heartbeats to the void (their stamp and their deadline-resetting
+// arrival are their whole job). It reads the socket through one fixed
+// buffer and parses every complete frame the buffer holds before
+// reading again; each delivered payload is copied into its own pooled
+// buffer, and a frame that does not fit the read buffer has its tail
+// read straight into that buffer. A delivery batch opened by a sink
+// call ends — the send queues are flushed — when the buffer holds no
+// further whole frame, and before a sink's error is raised, so that the
+// failure handler never runs inside a delivery. With HeartbeatTimeout
+// armed, each socket read carries a deadline: a peer silent beyond it
+// is declared dead.
 func (t *Transport) reader(p *peer) {
 	defer t.readers.Done()
 	br := bufio.NewReaderSize(socketReader{p, t.hbTimeout}, readBufSize)
+	batch := false
+	endBatch := func() {
+		if batch {
+			batch = false
+			t.endBatch()
+		}
+	}
+	defer endBatch()
 	for {
+		if batch && !holdsFrame(br) {
+			endBatch()
+		}
 		head, err := br.Peek(headSize)
 		if err != nil {
 			switch {
@@ -692,10 +973,10 @@ func (t *Transport) reader(p *peer) {
 		p.bytesRecv.Add(int64(headSize + size))
 		switch tag {
 		case chanData:
-			if t.inboxes[t.local].Put(buf) {
-				t.dataRecv.Add(1)
-			} else {
-				transport.PutFrame(buf) // late frame after CloseData
+			if err := t.deliver(buf, &batch); err != nil {
+				endBatch()
+				t.fail(p, "deliver", err)
+				return
 			}
 		case chanCtrl:
 			if !t.ctrl.Put(Ctrl{From: p.id, Payload: buf}) {
@@ -730,4 +1011,5 @@ func isTimeout(err error) bool {
 var (
 	_ transport.Transport     = (*Transport)(nil)
 	_ transport.DepthReporter = (*Transport)(nil)
+	_ transport.Pusher        = (*Transport)(nil)
 )

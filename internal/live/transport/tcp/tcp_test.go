@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -648,5 +649,252 @@ func TestCloseBoundedWhenPeerStopsReading(t *testing.T) {
 	}
 	if n := tr.peers[1].out.Len(); n != 0 {
 		t.Fatalf("%d frames left queued after Close", n)
+	}
+}
+
+// socketTransport builds node 0's transport over one end of a real
+// loopback TCP connection and returns the other end raw: the test plays
+// peer 1. Unlike a pipe the connection has a descriptor, so a reader's
+// flush can write to it directly. tune, when non-nil, sees both ends
+// before the transport takes its own.
+func socketTransport(t testing.TB, opt Options, tune func(local, remote *net.TCPConn)) (*Transport, net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	remote, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tune != nil {
+		tune(local.(*net.TCPConn), remote.(*net.TCPConn))
+	}
+	return New(0, []net.Conn{nil, local}, opt), remote
+}
+
+// seqFrame is fill(n, seq) with seq spelled out in its first three bytes.
+func seqFrame(n, seq int) []byte {
+	b := fill(n, seq)
+	b[0], b[1], b[2] = byte(seq), byte(seq>>8), byte(seq>>16)
+	return b
+}
+
+func seqOf(b []byte) int { return int(b[0]) | int(b[1])<<8 | int(b[2])<<16 }
+
+// waitUntil polls cond for up to five seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not within 5s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestRelayNeverBlocksOnStoppedPeer: Send never blocks, and neither
+// does the reader that flushes in Send's place. A peer that sends
+// requests but stops reading the answers fills the socket; the reader
+// keeps delivering every request all the same — its flush writes what
+// the kernel takes and leaves the rest — and once the peer reads again
+// every answer arrives, in order and whole, the tail through the writer
+// goroutine.
+func TestRelayNeverBlocksOnStoppedPeer(t *testing.T) {
+	tr, raw := socketTransport(t, Options{OnFatal: func(err error) { t.Errorf("fatal: %v", err) }},
+		func(local, remote *net.TCPConn) {
+			local.SetWriteBuffer(32 << 10) // a few dozen answers fill the link
+			remote.SetReadBuffer(32 << 10)
+		})
+	const requests, answer = 1000, 2048
+	var delivered atomic.Int64
+	tr.SetSink(0, func(frame []byte) error {
+		seq := seqOf(frame)
+		transport.PutFrame(frame)
+		tr.Send(1, append(transport.GetFrame(), seqFrame(answer, seq)...))
+		delivered.Add(1)
+		return nil
+	})
+	var stream []byte
+	for i := 0; i < requests; i++ {
+		stream = rawFrame(stream, chanData, hlc.Stamp{}, seqFrame(36, i))
+	}
+	if _, err := raw.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "every request delivered while the peer reads nothing", func() bool { return delivered.Load() == requests })
+	ps, _ := tr.PeerStats(1)
+	if ps.Relayed == 0 || ps.FramesSent >= requests {
+		t.Fatalf("PeerStats = %+v: want some answers flushed by the reader and most still waiting for the peer", ps)
+	}
+	_, _, payloads := readFrames(t, raw, requests)
+	for i, p := range payloads {
+		if !bytes.Equal(p, seqFrame(answer, i)) {
+			t.Fatalf("answer %d: %d bytes, seq %d, or contents differ", i, len(p), seqOf(p))
+		}
+	}
+	waitUntil(t, "link counters", func() bool { ps, _ = tr.PeerStats(1); return ps.FramesSent == requests })
+	if ps.BytesSent != requests*(headSize+answer) || ps.Relayed >= ps.FramesSent {
+		t.Fatalf("PeerStats = %+v, want %d bytes and a tail that left through the writer", ps, requests*(headSize+answer))
+	}
+	tr.MarkShutdown()
+	raw.Close()
+	tr.Close()
+}
+
+// TestRelayAndWriterShareTheLink: a reader flushing answers and the
+// writer goroutine sending a thread's frames write to one socket. Each
+// takes the link's write side whole, so no frame's bytes interleave with
+// another's: the peer parses every frame, both streams in order and
+// byte for byte, clock stamps strictly rising along the link, and the
+// counters agree with what it read.
+func TestRelayAndWriterShareTheLink(t *testing.T) {
+	tr, raw := socketTransport(t, Options{
+		OnFatal: func(err error) { t.Errorf("fatal: %v", err) },
+		Clock:   hlc.New(nil),
+	}, nil)
+	const echoes, direct = 4000, 4000
+	size := func(i int) int { return []int{36, 3, 2048, 300}[i%4] }
+	tr.SetSink(0, func(frame []byte) error {
+		tr.Send(1, frame)
+		return nil
+	})
+	// The first direct frame goes out before any request arrives: no
+	// reader is relaying, so it is the writer goroutine's.
+	tr.Send(1, append(transport.GetFrame(), seqFrame(size(0), 0)...))
+	waitUntil(t, "first direct frame", func() bool { ps, _ := tr.PeerStats(1); return ps.FramesSent == 1 })
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // the thread: direct frames, first byte's top bit clear
+		defer wg.Done()
+		for i := 1; i < direct; i++ {
+			tr.Send(1, append(transport.GetFrame(), seqFrame(size(i), i)...))
+			if i%16 == 0 {
+				time.Sleep(20 * time.Microsecond) // a thread, not a flood: the link is idle in between
+			}
+		}
+	}()
+	go func() { // the peer's requests, in small writes so batches end and start
+		defer wg.Done()
+		var chunk []byte
+		for i := 0; i < echoes; i++ {
+			p := seqFrame(size(i), i)
+			p[2] |= 0x80 // marks the echoed stream
+			chunk = rawFrame(chunk, chanData, hlc.Stamp{}, p)
+			if i%7 == 6 || i == echoes-1 {
+				if _, err := raw.Write(chunk); err != nil {
+					t.Error(err)
+					return
+				}
+				chunk = chunk[:0]
+			}
+		}
+	}()
+	_, stamps, payloads := readFrames(t, raw, echoes+direct)
+	wg.Wait()
+	var next [2]int
+	wire := 0
+	for i, p := range payloads {
+		wire += headSize + len(p)
+		s := int(p[2] >> 7)
+		want := seqFrame(size(next[s]), next[s])
+		want[2] |= byte(s << 7)
+		if !bytes.Equal(p, want) {
+			t.Fatalf("frame %d (stream %d, want seq %d): %d bytes, or contents differ", i, s, next[s], len(p))
+		}
+		next[s]++
+		if i > 0 && !stamps[i-1].Less(stamps[i]) {
+			t.Fatalf("frame %d stamp %v not after frame %d stamp %v", i, stamps[i], i-1, stamps[i-1])
+		}
+	}
+	var ps PeerStats
+	waitUntil(t, "link counters", func() bool { ps, _ = tr.PeerStats(1); return ps.FramesSent == echoes+direct })
+	if ps.BytesSent != int64(wire) || ps.Writes > ps.FramesSent || ps.Relayed == 0 || ps.Relayed >= ps.FramesSent {
+		t.Fatalf("PeerStats = %+v, want %d bytes, no more writes than frames, and both writers used", ps, wire)
+	}
+	tr.MarkShutdown()
+	raw.Close()
+	tr.Close()
+}
+
+// TestPipeFallsBackToWriter: a connection without a descriptor (an
+// in-memory pipe) pushes to the sink like any other, and every answer
+// leaves through the writer goroutine.
+func TestPipeFallsBackToWriter(t *testing.T) {
+	tr, raw := pipeTransport(t, Options{OnFatal: func(err error) { t.Errorf("fatal: %v", err) }})
+	tr.SetSink(0, func(frame []byte) error {
+		tr.Send(1, frame)
+		return nil
+	})
+	const frames = 200
+	go func() {
+		for i := 0; i < frames; i++ {
+			raw.Write(rawFrame(nil, chanData, hlc.Stamp{}, seqFrame(36+i, i)))
+		}
+	}()
+	_, _, payloads := readFrames(t, raw, frames)
+	for i, p := range payloads {
+		if !bytes.Equal(p, seqFrame(36+i, i)) {
+			t.Fatalf("answer %d: %d bytes, or contents differ", i, len(p))
+		}
+	}
+	waitUntil(t, "link counters", func() bool { ps, _ := tr.PeerStats(1); return ps.FramesSent == frames })
+	if ps, _ := tr.PeerStats(1); ps.Relayed != 0 {
+		t.Fatalf("PeerStats = %+v: a reader wrote to a connection with no descriptor", ps)
+	}
+	tr.MarkShutdown()
+	raw.Close()
+	tr.Close()
+}
+
+// relayPair is two transports over one loopback socket, both pushing:
+// node 1's sink answers every frame, node 0's sink recycles the answer
+// and reports it on the returned channel.
+func relayPair(t testing.TB) ([]*Transport, chan struct{}) {
+	trs := dialMesh(t, 2, Options{})
+	answered := make(chan struct{}, 1)
+	trs[0].SetSink(0, func(frame []byte) error {
+		transport.PutFrame(frame)
+		answered <- struct{}{}
+		return nil
+	})
+	trs[1].SetSink(1, func(frame []byte) error {
+		trs[1].Send(0, frame)
+		return nil
+	})
+	return trs, answered
+}
+
+// TestRelayAllocatesNothing: a round trip through two sinks — queue,
+// writer, socket, reader, sink, the reader's own flush, socket, reader,
+// sink — allocates nothing once warm.
+func TestRelayAllocatesNothing(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("sync.Pool drops Puts at random under the race detector")
+			}
+		}
+	}
+	trs, answered := relayPair(t)
+	defer tcpMesh{trs}.Close()
+	payload := fill(36, 1)
+	trip := func() {
+		trs[0].Send(1, append(transport.GetFrame(), payload...))
+		<-answered
+	}
+	for i := 0; i < 100; i++ {
+		trip()
+	}
+	if n := testing.AllocsPerRun(500, trip); n != 0 {
+		t.Fatalf("relayed round trip allocates %v times", n)
+	}
+	if ps, _ := trs[1].PeerStats(0); ps.Relayed == 0 {
+		t.Fatalf("PeerStats = %+v: the answers did not leave in the reader's flush", ps)
 	}
 }

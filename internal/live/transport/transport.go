@@ -16,7 +16,15 @@
 //     order (FIFO per pair, as a TCP connection would provide). The
 //     ChanLoop backend is strictly FIFO per receiver.
 //   - The transport owns the frame after Send; the caller must not
-//     reuse the buffer. Recv transfers ownership to the caller.
+//     reuse the buffer. Recv transfers ownership to the caller, and so
+//     does a Pusher's sink call.
+//
+// Delivery is pull by default: a node's daemon blocks in Recv. A backend
+// whose frames arrive on a goroutine of its own (TCP's per-peer readers)
+// may also implement Pusher and run the node's receive path on that
+// goroutine, which saves the hand-off to the daemon; the contract above
+// holds either way. Which path a run takes is the backend's capability,
+// not a setting.
 package transport
 
 import (
@@ -45,7 +53,7 @@ type Transport interface {
 // delivery queue is unbounded (see Queue), so its high-water mark is the
 // only evidence of a receiver falling behind: the live engine surfaces
 // it in its run metrics and dsmnode as dsm_inbox_peak. Per-pair credit
-// that would bound it is still open (ROADMAP item 4).
+// that would bound it is still open (ROADMAP item 3).
 type DepthReporter interface {
 	// PeakDepth reports the high-water mark, in frames, over the
 	// backend's delivery queues.
@@ -65,13 +73,34 @@ type FatalSink interface {
 	SetFatal(fn func(error))
 }
 
+// Pusher is implemented by backends that can deliver a node's frames by
+// calling the node instead of queueing them for Recv: the goroutine that
+// took a frame off the link runs the receive path itself. The live
+// engine installs one sink per node before its daemons start; a backend
+// pushes where it can (the TCP backend: frames read from a peer socket,
+// for its local node) and keeps delivering everything else — self-sends,
+// other nodes' frames — through Recv.
+type Pusher interface {
+	// SetSink installs node id's sink. From its return on, the backend
+	// may call sink instead of queueing a frame for Recv(id), from any of
+	// its goroutines, concurrently, never under a lock Send needs. Frames
+	// that were queued for Recv(id) before the call are handed to sink
+	// first, in order, so FIFO per pair holds across the installation.
+	// The sink owns the frame (it ends in PutFrame or another Send) and
+	// must not block; a non-nil error means the frame was not a protocol
+	// frame, and the backend raises it as a link failure once it has left
+	// the call. After Close the backend drops late frames into the pool
+	// rather than push them.
+	SetSink(id memory.NodeID, sink func(frame []byte) error)
+}
+
 // Queue is an unbounded, closable FIFO guarded by a mutex and
 // condition variable: Put never blocks (at any fan-in), Get blocks
-// until an element or Close arrives, GetAll takes everything queued in
-// one critical section. It backs ChanLoop's per-node inboxes, the live
-// engine's per-thread mailboxes, the fault injector's delivery lines
-// and the TCP backend's inbox, control and per-peer send queues — one
-// implementation of the subtle blocking-queue logic.
+// until an element or Close arrives, TryGetAll takes everything queued
+// in one critical section without waiting. It backs ChanLoop's per-node
+// inboxes, the live engine's per-thread mailboxes, the fault injector's
+// delivery lines and the TCP backend's inbox, control and per-peer send
+// queues — one implementation of the subtle blocking-queue logic.
 //
 // Storage is a power-of-two ring (the idiom of internal/sim's queue)
 // that doubles when full and is kept when empty, so a steady
@@ -172,17 +201,15 @@ func (q *Queue[T]) Get() (v T, ok bool) {
 	return v, true
 }
 
-// GetAll blocks like Get, then appends every queued element to dst in
-// order and returns the extended slice; ok reports false (dst returned
-// as given) once the queue is closed and drained. A consumer that can
-// work in batches — the TCP writer — pays one lock and one wake-up per
-// batch rather than per element.
-func (q *Queue[T]) GetAll(dst []T) (all []T, ok bool) {
+// TryGetAll appends every queued element to dst, in order, and returns
+// the extended slice — dst as given when nothing is queued: it never
+// blocks. ok reports false once the queue is closed and drained. It is
+// for a consumer that works in batches and waits elsewhere — the TCP
+// link, whose writer goroutine is woken by the link and whose readers
+// flush it in passing: one lock per batch rather than per element.
+func (q *Queue[T]) TryGetAll(dst []T) (all []T, ok bool) {
 	q.mu.Lock()
-	if !q.wait() {
-		q.mu.Unlock()
-		return dst, false
-	}
+	defer q.mu.Unlock()
 	// The queued elements are buf[head:head+n], then buf[:count-n]
 	// where the ring wraps.
 	n := min(q.count, len(q.buf)-q.head)
@@ -190,9 +217,9 @@ func (q *Queue[T]) GetAll(dst []T) (all []T, ok bool) {
 	dst = append(append(dst, first...), wrapped...)
 	clear(first)
 	clear(wrapped)
+	ok = q.count > 0 || !q.closed
 	q.head, q.count = 0, 0
-	q.mu.Unlock()
-	return dst, true
+	return dst, ok
 }
 
 // Close marks the queue closed: pending elements drain, then Get

@@ -181,13 +181,13 @@ func TestQueueWrapAndGrow(t *testing.T) {
 	}
 	put(20) // grows twice while wrapped
 	get(20)
-	all, ok := q.GetAll(nil)
+	all, ok := q.TryGetAll(nil)
 	if !ok || len(all) != 7 {
-		t.Fatalf("GetAll = %d elements, %v; want 7", len(all), ok)
+		t.Fatalf("TryGetAll = %d elements, %v; want 7", len(all), ok)
 	}
 	for _, v := range all {
 		if v != want {
-			t.Fatalf("GetAll element %d, want %d", v, want)
+			t.Fatalf("TryGetAll element %d, want %d", v, want)
 		}
 		want++
 	}
@@ -196,9 +196,9 @@ func TestQueueWrapAndGrow(t *testing.T) {
 	}
 }
 
-// TestQueueGetAllWrapped: GetAll of a wrapped ring appends both halves
-// in order after what dst already held.
-func TestQueueGetAllWrapped(t *testing.T) {
+// TestQueueTryGetAllWrapped: TryGetAll returns the queued elements in
+// order across the ring's wrap point, after what dst already held.
+func TestQueueTryGetAllWrapped(t *testing.T) {
 	q := NewQueue[int]()
 	for i := 0; i < 8; i++ {
 		q.Put(i)
@@ -209,15 +209,15 @@ func TestQueueGetAllWrapped(t *testing.T) {
 	for i := 8; i < 12; i++ {
 		q.Put(i) // 6..11 queued, head at 6 of 8
 	}
-	all, ok := q.GetAll([]int{-1})
+	all, ok := q.TryGetAll([]int{-1})
 	if want := []int{-1, 6, 7, 8, 9, 10, 11}; !ok || !slices.Equal(all, want) {
-		t.Fatalf("GetAll = %v, %v; want %v", all, ok, want)
+		t.Fatalf("TryGetAll = %v, %v; want %v", all, ok, want)
 	}
 }
 
-// TestQueueGetAllAfterClose: a closed queue still hands over what was
+// TestQueueTryGetAllAfterClose: a closed queue still hands over what was
 // queued, then reports false and leaves dst alone.
-func TestQueueGetAllAfterClose(t *testing.T) {
+func TestQueueTryGetAllAfterClose(t *testing.T) {
 	q := NewQueue[int]()
 	q.Put(1)
 	q.Put(2)
@@ -225,32 +225,35 @@ func TestQueueGetAllAfterClose(t *testing.T) {
 	if q.Put(3) {
 		t.Fatal("Put on a closed queue reported true")
 	}
-	if all, ok := q.GetAll(nil); !ok || !slices.Equal(all, []int{1, 2}) {
-		t.Fatalf("GetAll = %v, %v; want [1 2] true", all, ok)
+	if all, ok := q.TryGetAll(nil); !ok || !slices.Equal(all, []int{1, 2}) {
+		t.Fatalf("TryGetAll = %v, %v; want [1 2] true", all, ok)
 	}
 	dst := []int{9}
-	if all, ok := q.GetAll(dst); ok || !slices.Equal(all, dst) {
-		t.Fatalf("drained GetAll = %v, %v; want [9] false", all, ok)
+	if all, ok := q.TryGetAll(dst); ok || !slices.Equal(all, dst) {
+		t.Fatalf("drained TryGetAll = %v, %v; want [9] false", all, ok)
 	}
 }
 
-// TestQueueGetAllBlocks: GetAll parks on an empty queue until a Put.
-func TestQueueGetAllBlocks(t *testing.T) {
+// TestQueueTryGetAllEmpty: an open, empty queue is not an error and not
+// a wait — dst comes back as given, ok true — before the first Put (no
+// ring yet) and after a drain.
+func TestQueueTryGetAllEmpty(t *testing.T) {
 	q := NewQueue[int]()
-	got := make(chan []int)
-	go func() {
-		all, _ := q.GetAll(nil)
-		got <- all
-	}()
-	q.Put(7)
-	if all := <-got; !slices.Equal(all, []int{7}) {
-		t.Fatalf("GetAll = %v, want [7]", all)
+	dst := []int{9}
+	for round := 0; round < 2; round++ {
+		if all, ok := q.TryGetAll(dst); !ok || !slices.Equal(all, dst) {
+			t.Fatalf("round %d: TryGetAll on an empty queue = %v, %v; want [9] true", round, all, ok)
+		}
+		q.Put(7)
+		if all, ok := q.TryGetAll(nil); !ok || !slices.Equal(all, []int{7}) {
+			t.Fatalf("round %d: TryGetAll = %v, %v; want [7] true", round, all, ok)
+		}
 	}
 }
 
 // TestQueueReleasesSlots: the ring keeps no delivered element
 // reachable — a frame handed to its consumer must be the consumer's
-// alone — whether it left through Get or GetAll.
+// alone — whether it left through Get or TryGetAll.
 func TestQueueReleasesSlots(t *testing.T) {
 	q := NewQueue[[]byte]()
 	for i := 0; i < 13; i++ {
@@ -262,7 +265,7 @@ func TestQueueReleasesSlots(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		q.Put([]byte{byte(i)}) // wraps
 	}
-	q.GetAll(nil)
+	q.TryGetAll(nil)
 	for i, slot := range q.buf {
 		if slot != nil {
 			t.Fatalf("slot %d still holds a delivered frame", i)
@@ -271,7 +274,7 @@ func TestQueueReleasesSlots(t *testing.T) {
 }
 
 // TestQueueSteadyStateAllocatesNothing: once the ring has its size, a
-// Put→Get cycle and a Put→GetAll cycle allocate nothing.
+// Put→Get cycle and a Put→TryGetAll cycle allocate nothing.
 func TestQueueSteadyStateAllocatesNothing(t *testing.T) {
 	q := NewQueue[[]byte]()
 	frame := []byte{1}
@@ -282,7 +285,7 @@ func TestQueueSteadyStateAllocatesNothing(t *testing.T) {
 		q.Get()
 		q.Get()
 		q.Put(frame)
-		batch, _ = q.GetAll(batch[:0])
+		batch, _ = q.TryGetAll(batch[:0])
 	}); n != 0 {
 		t.Fatalf("steady-state cycle allocates %v times", n)
 	}

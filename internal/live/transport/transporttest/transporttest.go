@@ -7,11 +7,15 @@
 // safety, close-drain semantics, silent post-Close sends, byte-exact
 // frame fidelity for canonical wire frames — into one reusable harness
 // run against both the chanloop and TCP backends (under -race in CI).
+// A backend that also pushes (transport.Pusher) is held to the same
+// contract through its sinks; the Push subtests skip on one that does
+// not.
 package transporttest
 
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,6 +49,9 @@ func Run(t *testing.T, f Factory) {
 	t.Run("CloseDuringConcurrentSend", func(t *testing.T) { closeDuringSend(t, f) })
 	t.Run("CanonicalWireFrames", func(t *testing.T) { canonicalWireFrames(t, f) })
 	t.Run("BurstMixedSizes", func(t *testing.T) { burstMixedSizes(t, f) })
+	t.Run("PushAcrossInstall", func(t *testing.T) { pushAcrossInstall(t, f) })
+	t.Run("PushEchoStrandsNothing", func(t *testing.T) { pushEchoStrandsNothing(t, f) })
+	t.Run("PushCloseDuringRelay", func(t *testing.T) { pushCloseDuringRelay(t, f) })
 }
 
 // FaultMesh is a mesh whose backend detects peer death: Kill makes
@@ -274,6 +281,177 @@ func burstMixedSizes(t *testing.T, f Factory) {
 		next[s]++
 	}
 	wg.Wait()
+}
+
+// pusher returns node i's sink installer, skipping the subtest on a
+// backend that only pulls.
+func pusher(t *testing.T, m Mesh, i int) transport.Pusher {
+	t.Helper()
+	p, ok := m.Node(i).(transport.Pusher)
+	if !ok {
+		t.Skip("backend offers no sink")
+	}
+	return p
+}
+
+// burstChecker validates interleaved burstFrame streams, one per sender
+// tag, as they arrive — from sinks on any goroutine, so under a lock and
+// with t.Errorf only.
+type burstChecker struct {
+	t    *testing.T
+	mu   sync.Mutex
+	next [2]int
+}
+
+// take checks one frame against its stream's next expected one; the
+// frame stays the caller's.
+func (c *burstChecker) take(frame []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := 0
+	if len(frame) > 0 {
+		s = frameSender(frame)
+	}
+	if s > 1 {
+		c.t.Errorf("frame of %d bytes from unknown sender %d", len(frame), s)
+		return
+	}
+	if want := burstFrame(s, c.next[s]); !bytes.Equal(frame, want) {
+		c.t.Errorf("sender %d frame %d: got %d bytes, want %d, or contents differ", s, c.next[s], len(frame), len(want))
+	}
+	c.next[s]++
+}
+
+func (c *burstChecker) count(s int) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.next[s]
+}
+
+// pushAcrossInstall: frames that arrived before the sink was installed
+// reach it before later frames of the same sender, each exactly once —
+// FIFO per pair holds across the switch from pull to push, with the
+// sender still sending through it.
+func pushAcrossInstall(t *testing.T, f Factory) {
+	m := f(t, 2)
+	defer m.Close()
+	p := pusher(t, m, 1)
+	const early, total = 200, 2000
+	for i := 0; i < early; i++ {
+		m.Node(0).Send(1, mkFrame(0, i, i%40))
+	}
+	waitFor(t, func() bool { return depth(m.Node(1), 1) >= early/2 })
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for i := early; i < total; i++ {
+			m.Node(0).Send(1, mkFrame(0, i, i%40))
+		}
+	}()
+	var mu sync.Mutex
+	next := 0
+	p.SetSink(1, func(frame []byte) error {
+		mu.Lock()
+		if seq := frameSeq(frame); seq != next {
+			t.Errorf("sink got seq %d, want %d", seq, next)
+		}
+		next++
+		mu.Unlock()
+		transport.PutFrame(frame)
+		return nil
+	})
+	<-sent
+	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return next >= total })
+	if n := depth(m.Node(1), 1); n != 0 && n != 1<<30 {
+		t.Fatalf("%d frames left in the inbox behind an installed sink", n)
+	}
+}
+
+// pushEchoStrandsNothing: node 1's sink answers every frame of node 0's
+// burst while two more goroutines send bursts from node 1 — one to node
+// 0, sharing the link with the answers, one to node 2. A backend that
+// spares wake-ups while it pushes must still get every frame out:
+// nothing lost, each stream in order, byte for byte, on the link that
+// carries two streams too. Node 0 receives through a sink, node 2
+// through Recv.
+func pushEchoStrandsNothing(t *testing.T, f Factory) {
+	m := f(t, 3)
+	defer m.Close()
+	const per = 1000
+	at0 := &burstChecker{t: t}
+	pusher(t, m, 0).SetSink(0, func(frame []byte) error {
+		at0.take(frame)
+		transport.PutFrame(frame)
+		return nil
+	})
+	pusher(t, m, 1).SetSink(1, func(frame []byte) error {
+		m.Node(1).Send(0, frame)
+		return nil
+	})
+	var wg sync.WaitGroup
+	burst := func(from int, to memory.NodeID, tag int) {
+		defer wg.Done()
+		for i := 0; i < per; i++ {
+			m.Node(from).Send(to, burstFrame(tag, i))
+		}
+	}
+	wg.Add(3)
+	go burst(0, 1, 0) // comes back to node 0 as stream 0
+	go burst(1, 0, 1) // stream 1 on the same link as the answers
+	go burst(1, 2, 1)
+	at2 := &burstChecker{t: t}
+	for got := 0; got < per; got++ {
+		frame, ok := m.Node(2).Recv(2)
+		if !ok {
+			t.Fatalf("transport closed after %d of %d frames at node 2", got, per)
+		}
+		at2.take(frame)
+		transport.PutFrame(frame)
+	}
+	wg.Wait()
+	waitFor(t, func() bool { return at0.count(0) >= per && at0.count(1) >= per })
+}
+
+// pushCloseDuringRelay: Close while sinks are answering a flood neither
+// hangs nor panics, no sink runs once it has returned, and no frame
+// buffer — answered, queued or late — feeds the pool twice.
+func pushCloseDuringRelay(t *testing.T, f Factory) {
+	m := f(t, 2)
+	var calls atomic.Int64
+	echo := func(self int) func(frame []byte) error {
+		return func(frame []byte) error {
+			calls.Add(1)
+			m.Node(self).Send(memory.NodeID(1-self), frame)
+			return nil
+		}
+	}
+	pusher(t, m, 0).SetSink(0, echo(0))
+	pusher(t, m, 1).SetSink(1, echo(1))
+	// 64 frames of distinct sizes circulate until Close: each is
+	// answered by the node that receives it.
+	for i := 0; i < 64; i++ {
+		m.Node(i%2).Send(memory.NodeID(1-i%2), mkFrame(i%2, i, 600+i))
+	}
+	waitFor(t, func() bool { return calls.Load() > 2000 })
+	m.Close()
+	after := calls.Load()
+	time.Sleep(5 * time.Millisecond)
+	if n := calls.Load(); n != after {
+		t.Fatalf("%d sink calls after Close returned", n-after)
+	}
+	// A buffer put twice would come out of the pool twice.
+	seen := map[*byte]bool{}
+	for i := 0; i < 1024; i++ {
+		b := transport.GetFrame()
+		if cap(b) == 0 {
+			continue
+		}
+		if p := &b[:1][0]; seen[p] {
+			t.Fatal("a frame buffer was returned to the pool twice")
+		} else {
+			seen[p] = true
+		}
+	}
 }
 
 // concurrentSenders: every node hammers one receiver concurrently;
