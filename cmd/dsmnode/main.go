@@ -128,6 +128,16 @@ func main() {
 	spec := apps.Spec{App: "sor", N: 64, Iters: 4, Cities: 10, Rep: 8, Updates: 2048}
 	spec.Register(flag.CommandLine)
 	flag.Lookup("workers").Usage = "synthetic: worker threads (0 = nodes-1, on nodes 1..workers)"
+	// Observability flags are excluded from the config digest: they change
+	// what a process records and reports, never what it computes, so
+	// members may legitimately differ. The shared block words them for a
+	// single process; here they are one member's, and node 0's exports.
+	var obsFlags apps.ObsFlags
+	obsFlags.Register(flag.CommandLine)
+	flag.Lookup("flight").Usage = "flight recorder capacity in events for this member (0 = off)"
+	flag.Lookup("flight-text").Usage = "node 0: write the merged cluster timeline as text to this file (\"-\" = stdout; needs -flight)"
+	flag.Lookup("flight-trace").Usage = "node 0: write the merged cluster timeline as Chrome trace-event JSON to this file (\"-\" = stdout; needs -flight)"
+	flag.Lookup("obs-addr").Usage = "serve the debug listener (/debug/pprof, /metrics, /flight) on this address"
 	var (
 		id      = flag.Int("id", -1, "this node's id (0..nodes-1; node 0 coordinates and prints the merged report)")
 		peers   = flag.String("peers", "", "comma-separated host:port per node, index = node id (required)")
@@ -149,15 +159,9 @@ func main() {
 		deadline  = flag.Duration("deadline", 0, "watchdog: exit nonzero if the whole run has not finished in this long (0 = none)")
 		chaosKill = flag.Int64("chaos-kill-after", 0, "chaos: kill this process once it has seen this many engine data frames (0 = never)")
 
-		// Observability flags. Also excluded from the config digest: they
-		// change what a process records and reports, never what it
-		// computes, so members may legitimately differ.
-		flightCap   = flag.Int("flight", 0, "flight recorder capacity in events for this member (0 = off)")
-		flightText  = flag.String("flight-text", "", "node 0: write the merged cluster timeline as text to this file (\"-\" = stdout; needs -flight)")
-		flightTrace = flag.String("flight-trace", "", "node 0: write the merged cluster timeline as Chrome trace-event JSON to this file (\"-\" = stdout; needs -flight)")
+		// More observability, also outside the config digest.
 		flightDump  = flag.Int("flight-dump", 16, "on any failure path, dump this process's last N flight events to stderr (needs -flight)")
 		jsonOut     = flag.Bool("json", false, "node 0: emit the merged run artifact as JSON on stdout instead of the text report")
-		obsAddr     = flag.String("obs-addr", "", "serve the debug listener (/debug/pprof, /metrics, /flight) on this address")
 		telInterval = flag.Duration("telemetry-interval", 250*time.Millisecond, "sampler tick and snapshot-ship period for the live telemetry")
 		statsIntv   = flag.Duration("stats-interval", 0, "print a one-line periodic status to stderr at this period (0 = off)")
 		metricsJSON = flag.String("metrics-json", "", "write the sampled metric time-series as JSON to this file at end of run (\"-\" = stdout)")
@@ -208,7 +212,7 @@ func main() {
 		Digest:      h.Sum64(),
 		Check:       *check,
 		DialTimeout: *timeout,
-		FlightCap:   *flightCap,
+		FlightCap:   obsFlags.FlightCap,
 		OnFatal: func(err error) {
 			// The transport's error names the peer/connection that broke
 			// (e.g. "read with node 2 failed: ...") — print it verbatim so
@@ -270,28 +274,21 @@ func main() {
 		if *metricsJSON == "" || sampler == nil {
 			return
 		}
-		werr := func() error {
-			if *metricsJSON == "-" {
-				return sampler.WriteJSON(os.Stdout)
-			}
-			f, ferr := os.Create(*metricsJSON)
-			if ferr != nil {
-				return ferr
-			}
-			if ferr := sampler.WriteJSON(f); ferr != nil {
-				f.Close()
-				return ferr
-			}
-			return f.Close()
-		}()
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "dsmnode %d: metrics-json: %v\n", *id, werr)
+		if err := apps.WriteOut(*metricsJSON, sampler.WriteJSON); err != nil {
+			fmt.Fprintf(os.Stderr, "dsmnode %d: metrics-json: %v\n", *id, err)
+		}
+	}
+	// Export failures warn but do not change the exit code: the run's
+	// verdict is already decided.
+	exportTimeline := func(events []flight.Event) {
+		if err := obsFlags.ExportTimeline(events); err != nil {
+			fmt.Fprintf(os.Stderr, "dsmnode: %v\n", err)
 		}
 	}
 
 	var obs *obshttp.Server
-	if *obsAddr != "" {
-		obs = serveObs(*obsAddr, *id, member, reg)
+	if obsFlags.ObsAddr != "" {
+		obs = serveObs(obsFlags.ObsAddr, *id, member, reg)
 	}
 	closeObs := func() {
 		if err := obs.Close(); err != nil {
@@ -382,7 +379,7 @@ func main() {
 		// On node 0 the coordinator merges rings on the abort path too, so
 		// a timeline export still works when the run died verifiably.
 		if *id == 0 {
-			exportTimeline(member.FlightTimeline(), *flightText, *flightTrace)
+			exportTimeline(member.FlightTimeline())
 		}
 		stopTel()
 		writeMetrics()
@@ -404,11 +401,11 @@ func main() {
 				fmt.Printf("check          invariants OK, oracle OK (%d ops), digest %#x\n",
 					res.OracleOps, res.Digest)
 			}
-			if *flightCap > 0 {
+			if obsFlags.FlightCap > 0 {
 				fmt.Printf("flight         %d event(s) in the merged timeline\n", len(res.Flight))
 			}
 		}
-		exportTimeline(res.Flight, *flightText, *flightTrace)
+		exportTimeline(res.Flight)
 	} else if *verbose {
 		fmt.Fprintf(os.Stderr, "dsmnode %d: ok (digest %#x)\n", *id, res.Digest)
 	}
@@ -446,36 +443,6 @@ func writeArtifact(w io.Writer, canon string, nn int, check bool, res apps.Resul
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(a)
-}
-
-// exportTimeline writes the merged cluster timeline to the requested
-// sinks ("-" = stdout). Export failures warn but do not change the exit
-// code: the run's verdict is already decided.
-func exportTimeline(events []flight.Event, textPath, tracePath string) {
-	write := func(path, what string, render func(io.Writer) error) {
-		if path == "" {
-			return
-		}
-		err := func() error {
-			if path == "-" {
-				return render(os.Stdout)
-			}
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := render(f); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		}()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dsmnode: %s: %v\n", what, err)
-		}
-	}
-	write(textPath, "flight-text", func(w io.Writer) error { return flight.WriteText(w, events) })
-	write(tracePath, "flight-trace", func(w io.Writer) error { return flight.WriteChromeTrace(w, events) })
 }
 
 // registerMemberMetrics wires the cluster-member instruments into the

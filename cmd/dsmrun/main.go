@@ -31,7 +31,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -46,25 +45,11 @@ import (
 	"repro/internal/trace"
 )
 
-// writeOut streams one export to path ("-" = stdout).
-func writeOut(path string, render func(io.Writer) error) error {
-	if path == "-" {
-		return render(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func main() {
 	spec := apps.Spec{App: "asp", N: 128, Iters: 12, Cities: 10, Rep: 8, Updates: 2048, Workers: 8}
 	spec.Register(flag.CommandLine)
+	var obsFlags apps.ObsFlags
+	obsFlags.Register(flag.CommandLine)
 	var (
 		nodes   = flag.Int("nodes", 8, "cluster nodes")
 		threads = flag.Int("threads", 0, "threads (0 = one per node)")
@@ -77,22 +62,18 @@ func main() {
 		tinit   = flag.Float64("tinit", 0, "initial threshold (0 = paper's 1)")
 		noPig   = flag.Bool("nopiggyback", false, "disable diff piggybacking on sync messages")
 
-		flightCap     = flag.Int("flight", 0, "per-node flight recorder capacity in events (0 = off)")
-		flightText    = flag.String("flight-text", "", "write the merged flight timeline as text to this file (\"-\" = stdout; needs -flight)")
-		flightTrace   = flag.String("flight-trace", "", "write the merged flight timeline as Chrome trace-event JSON to this file (\"-\" = stdout; needs -flight)")
 		flightAnalyze = flag.Bool("flight-analyze", false, "bridge the flight timeline into the offline access-pattern classifier and print its report (needs -flight)")
-		obsAddr       = flag.String("obs-addr", "", "serve the debug listener (/debug/pprof, /metrics, /flight) on this address mid-run")
 	)
 	flag.Parse()
 
 	o := apps.Options{
 		Nodes: *nodes, Threads: *threads, Policy: *policy, Locator: *loc,
 		Network: *network, Lambda: *lambda, TInit: *tinit, NoPiggyback: *noPig,
-		Engine: *engine, Check: *check, Oracle: *check, FlightCap: *flightCap,
+		Engine: *engine, Check: *check, Oracle: *check, FlightCap: obsFlags.FlightCap,
 	}
 	var obs *obshttp.Server
-	if *obsAddr != "" {
-		obs = serveObs(*obsAddr, *policy, *engine, &o)
+	if obsFlags.ObsAddr != "" {
+		obs = serveObs(obsFlags.ObsAddr, *policy, *engine, &o)
 	}
 	res, err := apps.Run(spec, o)
 	if err != nil {
@@ -105,20 +86,12 @@ func main() {
 		fmt.Printf("check          invariants OK, oracle OK (%d ops), digest %#x\n",
 			res.OracleOps, res.Digest)
 	}
-	if *flightCap > 0 {
+	if obsFlags.FlightCap > 0 {
 		fmt.Printf("flight         %d event(s) in the merged timeline\n", len(res.Flight))
 	}
-	if *flightText != "" {
-		if err := writeOut(*flightText, func(w io.Writer) error { return flight.WriteText(w, res.Flight) }); err != nil {
-			fmt.Fprintln(os.Stderr, "dsmrun: flight-text:", err)
-			os.Exit(1)
-		}
-	}
-	if *flightTrace != "" {
-		if err := writeOut(*flightTrace, func(w io.Writer) error { return flight.WriteChromeTrace(w, res.Flight) }); err != nil {
-			fmt.Fprintln(os.Stderr, "dsmrun: flight-trace:", err)
-			os.Exit(1)
-		}
+	if err := obsFlags.ExportTimeline(res.Flight); err != nil {
+		fmt.Fprintln(os.Stderr, "dsmrun:", err)
+		os.Exit(1)
 	}
 	if *flightAnalyze {
 		fmt.Print(trace.Report(trace.Analyze(res.Flight)))

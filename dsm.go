@@ -144,16 +144,16 @@ type Config struct {
 	// (internal/live/cluster). nil selects the in-process chanloop
 	// backend. Live engine only.
 	Transport transport.Transport
-	// LocalNode, when non-nil, makes this process execute only the
-	// workers placed on that node: the multi-process mode of
-	// cmd/dsmnode, where every process builds the identical cluster
-	// (same deterministic setup, guarded by the bootstrap config
-	// digest) and the other nodes' workers are registered but return
-	// immediately. Registration stays symmetric across processes, so
-	// global thread ids, per-node thread slots and message routing are
-	// identical everywhere — the engine needs no awareness of which
-	// process a peer node's threads actually run in. Live engine only,
-	// and it requires a Transport that reaches the peer processes.
+	// LocalNode, when non-nil, makes this process the member of a
+	// multi-process cluster (cmd/dsmnode) that owns that node and nothing
+	// else. Every member declares the identical layout (guarded by the
+	// bootstrap config digest) and passes the full worker list to Run, so
+	// thread ids, slots and routing agree everywhere; from Run on the
+	// engine keeps only this node's state, daemon and threads. Afterwards
+	// node 0 holds the assembled memory; on another member HomeOf and
+	// Digest answer, Data only for objects it homes (else it panics,
+	// naming the owner). Live engine only, and it requires a Transport
+	// that reaches the peer processes.
 	LocalNode *NodeID
 	// FlightCap, when positive, attaches a fixed-capacity flight
 	// recorder to every node (internal/flight): HLC-stamped protocol
@@ -189,6 +189,9 @@ type Cluster struct {
 	// when an Observer is attached, so the oracle can be fed the real
 	// initial values (InitialWord) instead of assuming zeros.
 	initial [][]uint64
+	// final and finalErr are the engine's end state, once the run returned.
+	final    *proto.EndState
+	finalErr error
 }
 
 // New builds a cluster. It panics on invalid configuration — a config is
@@ -229,6 +232,18 @@ func New(cfg Config) *Cluster {
 	if err != nil {
 		panic("dsm: " + err.Error())
 	}
+	// Fields that mean something on the live engine only, or only
+	// together: reject them before an engine is built.
+	switch {
+	case cfg.Engine != "live" && (cfg.Transport != nil || cfg.LocalNode != nil || cfg.FlightLocal != nil || cfg.Metrics != nil):
+		panic("dsm: Transport, LocalNode, FlightLocal and Metrics require Engine \"live\"")
+	case cfg.LocalNode != nil && (*cfg.LocalNode < 0 || int(*cfg.LocalNode) >= cfg.Nodes):
+		panic(fmt.Sprintf("dsm: LocalNode %d outside cluster of %d", *cfg.LocalNode, cfg.Nodes))
+	case cfg.LocalNode != nil && cfg.Transport == nil && cfg.Nodes > 1:
+		// The other nodes run in peer processes; without a transport that
+		// reaches them the first barrier would wait forever.
+		panic("dsm: LocalNode requires a Transport that reaches the peer processes")
+	}
 	c := &Cluster{cfg: cfg, polName: pol.Name()}
 	switch cfg.Engine {
 	case "", "sim":
@@ -255,6 +270,7 @@ func New(cfg Config) *Cluster {
 			PathCompress: cfg.PathCompress,
 			Observer:     cfg.Observer,
 			Transport:    cfg.Transport,
+			LocalNode:    cfg.LocalNode,
 			FlightCap:    cfg.FlightCap,
 			FlightLocal:  cfg.FlightLocal,
 			Telemetry:    cfg.Telemetry,
@@ -265,24 +281,6 @@ func New(cfg Config) *Cluster {
 	}
 	if cfg.Trace != nil {
 		c.eng.Subscribe(cfg.Trace)
-	}
-	if cfg.Engine != "live" && (cfg.Transport != nil || cfg.LocalNode != nil) {
-		panic("dsm: Transport/LocalNode require Engine \"live\"")
-	}
-	if cfg.Engine != "live" && cfg.FlightLocal != nil {
-		panic("dsm: FlightLocal requires Engine \"live\"")
-	}
-	if cfg.Engine != "live" && cfg.Metrics != nil {
-		panic("dsm: Metrics requires Engine \"live\"")
-	}
-	if cfg.LocalNode != nil && (*cfg.LocalNode < 0 || int(*cfg.LocalNode) >= cfg.Nodes) {
-		panic(fmt.Sprintf("dsm: LocalNode %d outside cluster of %d", *cfg.LocalNode, cfg.Nodes))
-	}
-	if cfg.LocalNode != nil && cfg.Transport == nil && cfg.Nodes > 1 {
-		// The stubbed remote workers' real counterparts live in peer
-		// processes; without a transport that reaches them the first
-		// barrier would wait forever.
-		panic("dsm: LocalNode requires a Transport that reaches the peer processes")
 	}
 	return c
 }
@@ -312,12 +310,31 @@ func (c *Cluster) NewBarrier(home NodeID, parties int) Barrier {
 // (pre-existing input data).
 func (c *Cluster) Init(obj ObjectID, fn func(words []uint64)) { c.eng.InitObject(obj, fn) }
 
+// end returns the memory as it stands and the first invariant it violates.
+func (c *Cluster) end() (*proto.EndState, error) {
+	if c.final != nil {
+		return c.final, c.finalErr
+	}
+	return c.eng.EndState()
+}
+
+// mustEnd is end for readers with no error to return; only an aborted
+// cluster member has no state.
+func (c *Cluster) mustEnd() *proto.EndState {
+	end, err := c.end()
+	if end == nil {
+		panic(fmt.Sprintf("dsm: no end state to inspect: %v", err))
+	}
+	return end
+}
+
 // HomeOf reports an object's current home (useful after a run, to see
 // where migration placed it).
-func (c *Cluster) HomeOf(obj ObjectID) NodeID { return c.eng.HomeOf(obj) }
+func (c *Cluster) HomeOf(obj ObjectID) NodeID { return c.mustEnd().Homes[obj] }
 
-// Data returns the authoritative (home-copy) contents of obj after a run.
-func (c *Cluster) Data(obj ObjectID) []uint64 { return c.eng.ObjectData(obj) }
+// Data returns the authoritative (home-copy) contents of obj after a
+// run. On a multi-process cluster member see Config.LocalNode.
+func (c *Cluster) Data(obj ObjectID) []uint64 { return c.mustEnd().ObjectData(obj) }
 
 // Run executes fn on `threads` threads placed round-robin over the nodes
 // (thread i on node i mod Nodes — the paper runs one thread per node) and
@@ -337,31 +354,18 @@ func (c *Cluster) Run(threads int, fn func(Thread)) (Metrics, error) {
 // RunWorkers executes explicitly placed workers (e.g. the synthetic
 // benchmark's "threads on all nodes other than the start node", §5.2).
 func (c *Cluster) RunWorkers(ws []Worker) (Metrics, error) {
-	if c.cfg.LocalNode != nil {
-		// Multi-process mode: register every worker (so thread ids and
-		// per-node slot tables match the peer processes exactly) but
-		// stub the remote nodes' bodies — their real counterparts run
-		// in the processes that own those nodes.
-		local := *c.cfg.LocalNode
-		stubbed := make([]Worker, len(ws))
-		copy(stubbed, ws)
-		for i := range stubbed {
-			if stubbed[i].Node != local {
-				stubbed[i].Fn = func(Thread) {}
-			}
-		}
-		ws = stubbed
-	}
 	if c.cfg.Observer != nil && c.initial == nil {
 		// Snapshot the pre-run memory so the oracle can check reads of
 		// never-written words against the true initial values.
-		n := c.eng.NumObjects()
-		c.initial = make([][]uint64, n)
-		for obj := 0; obj < n; obj++ {
-			c.initial[obj] = append([]uint64(nil), c.eng.ObjectData(ObjectID(obj))...)
+		end := c.mustEnd()
+		c.initial = make([][]uint64, len(end.Data))
+		for obj, data := range end.Data {
+			c.initial[obj] = append([]uint64(nil), data...)
 		}
 	}
-	return c.eng.Run(ws)
+	m, err := c.eng.Run(ws)
+	c.final, c.finalErr = c.eng.EndState()
+	return m, err
 }
 
 // InitialWord reports the pre-run value of one word, recorded at Run
@@ -374,13 +378,16 @@ func (c *Cluster) InitialWord(obj ObjectID, word int) uint64 {
 // exactly one home per object, terminating forwarding chains, no dirty
 // cached copies or leaked twins, plausible copysets, a truthful manager
 // table. Intended for tests, `dsmbench -check` sweeps and debugging.
-func (c *Cluster) CheckInvariants() error { return c.eng.CheckInvariants() }
+func (c *Cluster) CheckInvariants() error {
+	_, err := c.end()
+	return err
+}
 
 // Digest fingerprints the final shared-memory contents (FNV-1a over
 // every object's home copy in object order). For a deterministic
 // program it must be identical under every migration policy and
 // locator — migration changes cost, never results.
-func (c *Cluster) Digest() uint64 { return c.eng.Digest() }
+func (c *Cluster) Digest() uint64 { return c.mustEnd().Digest() }
 
 // FlightEvents returns the merged (Wall, Logical)-ordered flight
 // timeline of the run — every node's ring in one HLC-ordered log. Empty

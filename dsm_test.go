@@ -6,6 +6,11 @@ import (
 	"testing"
 
 	dsm "repro"
+
+	"repro/internal/flight"
+	"repro/internal/hlc"
+	"repro/internal/live/transport"
+	"repro/internal/telemetry"
 )
 
 func TestQuickstartCounter(t *testing.T) {
@@ -57,6 +62,41 @@ func TestConfigPanicsOnBadInput(t *testing.T) {
 			dsm.New(cfg)
 		}()
 	}
+}
+
+// TestConfigPanicsOnEngineMismatch: fields that mean something on one
+// engine only, or only together, are rejected by name, before any engine
+// exists to half-configure.
+func TestConfigPanicsOnEngineMismatch(t *testing.T) {
+	node := func(id dsm.NodeID) *dsm.NodeID { return &id }
+	tr := transport.NewChanLoop(2)
+	defer tr.Close()
+	cases := []struct {
+		name string
+		cfg  dsm.Config
+		want string
+	}{
+		{"unknown engine", dsm.Config{Nodes: 2, Engine: "quantum"}, "unknown engine"},
+		{"Transport on sim", dsm.Config{Nodes: 2, Transport: tr}, "require Engine \"live\""},
+		{"LocalNode on sim", dsm.Config{Nodes: 2, Engine: "sim", LocalNode: node(0)}, "require Engine \"live\""},
+		{"FlightLocal on sim", dsm.Config{Nodes: 2, FlightLocal: flight.NewRecorder(0, 8, hlc.New(nil).Tick)}, "FlightLocal and Metrics require"},
+		{"Metrics on sim", dsm.Config{Nodes: 2, Metrics: telemetry.NewRegistry(0, "")}, "FlightLocal and Metrics require"},
+		{"LocalNode past the cluster", dsm.Config{Nodes: 2, Engine: "live", Transport: tr, LocalNode: node(2)}, "LocalNode 2 outside cluster of 2"},
+		{"LocalNode negative", dsm.Config{Nodes: 2, Engine: "live", Transport: tr, LocalNode: node(-1)}, "LocalNode -1 outside"},
+		{"LocalNode without a Transport", dsm.Config{Nodes: 2, Engine: "live", LocalNode: node(1)}, "LocalNode requires a Transport"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.want) {
+					t.Errorf("panic %q, want one saying %q", msg, tc.want)
+				}
+			}()
+			dsm.New(tc.cfg)
+		})
+	}
+	// The one-node cluster needs no peer to reach.
+	dsm.New(dsm.Config{Nodes: 1, Engine: "live", LocalNode: node(0)})
 }
 
 func TestArrayPlacementRoundRobin(t *testing.T) {

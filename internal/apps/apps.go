@@ -202,11 +202,19 @@ type Result struct {
 	Flight []flight.Event
 }
 
-// finish applies the post-run gates shared by every app: under
+// finish applies the post-run gates shared by every app. First validate
+// compares the memory with the app's sequential reference, in the
+// process that holds it: the only one, or node 0 of a cluster (whose
+// failure reaches the members through AbortApp). Then, under
 // Options.Check the protocol invariants must hold and the final memory
 // is fingerprinted for policy-independence comparison by the sweep
 // layer; under Options.Oracle the recorded event log must be LRC-legal.
-func finish(c *dsm.Cluster, o Options, rec *oracle.Recorder, res Result) (Result, error) {
+func finish(c *dsm.Cluster, o Options, rec *oracle.Recorder, res Result, validate func() error) (Result, error) {
+	if o.Multi == nil || o.Multi.LocalNode() == 0 {
+		if err := validate(); err != nil {
+			return Result{}, err
+		}
+	}
 	if o.Multi != nil {
 		// Multi-process run: the local process saw only its node's
 		// share of the events and counters, so every gate runs through

@@ -104,16 +104,19 @@ func RunASP(n int, o Options) (Result, error) {
 		return Result{}, fmt.Errorf("asp: %w", err)
 	}
 
-	want := aspSequential(g)
-	for i := 0; i < n; i++ {
-		got := dist.DataInt64(i)
-		for j := 0; j < n; j++ {
-			if got[j] != want[i][j] {
-				return Result{}, fmt.Errorf("asp: dist[%d][%d] = %d, want %d", i, j, got[j], want[i][j])
+	res := Result{App: fmt.Sprintf("ASP(n=%d,p=%d,%s)", n, p, c.PolicyName()), Metrics: m}
+	return finish(c, o, rec, res, func() error {
+		want := aspSequential(g)
+		for i := 0; i < n; i++ {
+			got := dist.DataInt64(i)
+			for j := 0; j < n; j++ {
+				if got[j] != want[i][j] {
+					return fmt.Errorf("asp: dist[%d][%d] = %d, want %d", i, j, got[j], want[i][j])
+				}
 			}
 		}
-	}
-	return finish(c, o, rec, Result{App: fmt.Sprintf("ASP(n=%d,p=%d,%s)", n, p, c.PolicyName()), Metrics: m})
+		return nil
+	})
 }
 
 // blockRange splits n items into p contiguous blocks and returns block

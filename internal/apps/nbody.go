@@ -268,17 +268,20 @@ func RunNBody(n, steps int, o Options) (Result, error) {
 		return Result{}, fmt.Errorf("nbody: %w", err)
 	}
 
-	want := nbodySequential(n, steps, nbodyTheta, nbodyDt, o.Seed)
-	final := bufs[steps%2]
-	for ch := 0; ch < chunks; ch++ {
-		got := final.DataFloat64(ch)
-		for k := 0; k < nbodyChunk; k++ {
-			i := ch*nbodyChunk + k
-			if got[k*nbodyWords] != want[i].x || got[k*nbodyWords+1] != want[i].y {
-				return Result{}, fmt.Errorf("nbody: body %d = (%g,%g), want (%g,%g)",
-					i, got[k*nbodyWords], got[k*nbodyWords+1], want[i].x, want[i].y)
+	res := Result{App: fmt.Sprintf("Nbody(n=%d,steps=%d,p=%d,%s)", n, steps, p, c.PolicyName()), Metrics: m}
+	return finish(c, o, rec, res, func() error {
+		want := nbodySequential(n, steps, nbodyTheta, nbodyDt, o.Seed)
+		final := bufs[steps%2]
+		for ch := 0; ch < chunks; ch++ {
+			got := final.DataFloat64(ch)
+			for k := 0; k < nbodyChunk; k++ {
+				i := ch*nbodyChunk + k
+				if got[k*nbodyWords] != want[i].x || got[k*nbodyWords+1] != want[i].y {
+					return fmt.Errorf("nbody: body %d = (%g,%g), want (%g,%g)",
+						i, got[k*nbodyWords], got[k*nbodyWords+1], want[i].x, want[i].y)
+				}
 			}
 		}
-	}
-	return finish(c, o, rec, Result{App: fmt.Sprintf("Nbody(n=%d,steps=%d,p=%d,%s)", n, steps, p, c.PolicyName()), Metrics: m})
+		return nil
+	})
 }

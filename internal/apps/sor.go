@@ -110,14 +110,17 @@ func RunSOR(n, iters int, o Options) (Result, error) {
 		return Result{}, fmt.Errorf("sor: %w", err)
 	}
 
-	want := sorSequential(init, iters)
-	for i := 0; i < n; i++ {
-		got := grid.DataFloat64(i)
-		for j := 0; j < n; j++ {
-			if got[j] != want[i][j] {
-				return Result{}, fmt.Errorf("sor: grid[%d][%d] = %g, want %g", i, j, got[j], want[i][j])
+	res := Result{App: fmt.Sprintf("SOR(n=%d,iters=%d,p=%d,%s)", n, iters, p, c.PolicyName()), Metrics: m}
+	return finish(c, o, rec, res, func() error {
+		want := sorSequential(init, iters)
+		for i := 0; i < n; i++ {
+			got := grid.DataFloat64(i)
+			for j := 0; j < n; j++ {
+				if got[j] != want[i][j] {
+					return fmt.Errorf("sor: grid[%d][%d] = %g, want %g", i, j, got[j], want[i][j])
+				}
 			}
 		}
-	}
-	return finish(c, o, rec, Result{App: fmt.Sprintf("SOR(n=%d,iters=%d,p=%d,%s)", n, iters, p, c.PolicyName()), Metrics: m})
+		return nil
+	})
 }

@@ -1,8 +1,13 @@
 package apps
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"os"
+
+	"repro/internal/flight"
 )
 
 // Spec names an application and its problem size — what the command-line
@@ -58,4 +63,56 @@ func Run(s Spec, o Options) (Result, error) {
 		}, o)
 	}
 	return Result{}, fmt.Errorf("unknown app %q", s.App)
+}
+
+// ObsFlags is the observation flag block of the binaries that run an
+// application (dsmrun, dsmnode): the flight recorder, the exports of its
+// merged timeline, and the debug listener.
+type ObsFlags struct {
+	FlightCap               int    // -flight
+	FlightText, FlightTrace string // "-" = stdout, "" = nowhere
+	ObsAddr                 string // -obs-addr
+}
+
+// Register declares the flags on fs, bound to f. The help texts are
+// dsmrun's; a binary for which they read differently replaces them
+// (flag.Lookup(name).Usage).
+func (f *ObsFlags) Register(fs *flag.FlagSet) {
+	fs.IntVar(&f.FlightCap, "flight", 0, "per-node flight recorder capacity in events (0 = off)")
+	fs.StringVar(&f.FlightText, "flight-text", "", "write the merged flight timeline as text to this file (\"-\" = stdout; needs -flight)")
+	fs.StringVar(&f.FlightTrace, "flight-trace", "", "write the merged flight timeline as Chrome trace-event JSON to this file (\"-\" = stdout; needs -flight)")
+	fs.StringVar(&f.ObsAddr, "obs-addr", "", "serve the debug listener (/debug/pprof, /metrics, /flight) on this address mid-run")
+}
+
+// ExportTimeline writes events wherever -flight-text and -flight-trace
+// ask; the error names the flag that failed.
+func (f *ObsFlags) ExportTimeline(events []flight.Event) error {
+	export := func(name, path string, render func(io.Writer, []flight.Event) error) error {
+		if err := WriteOut(path, func(w io.Writer) error { return render(w, events) }); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		return nil
+	}
+	return errors.Join(
+		export("flight-text", f.FlightText, flight.WriteText),
+		export("flight-trace", f.FlightTrace, flight.WriteChromeTrace))
+}
+
+// WriteOut streams one export to path ("-" = stdout, "" = nowhere).
+func WriteOut(path string, render func(io.Writer) error) error {
+	switch path {
+	case "":
+		return nil
+	case "-":
+		return render(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := render(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -88,11 +88,13 @@ func RunSynthetic(so SyntheticOpts, o Options) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("synthetic: %w", err)
 	}
-	got := int(c.Data(counter)[0])
-	if got < so.TotalUpdates || got >= so.TotalUpdates+so.Repetition*so.Workers+so.Repetition {
-		return Result{}, fmt.Errorf("synthetic: counter = %d, want in [%d, %d)",
-			got, so.TotalUpdates, so.TotalUpdates+so.Repetition*so.Workers+so.Repetition)
-	}
 	name := fmt.Sprintf("Synthetic(r=%d,n=%d,w=%d,%s)", so.Repetition, so.TotalUpdates, so.Workers, c.PolicyName())
-	return finish(c, o, rec, Result{App: name, Metrics: m})
+	return finish(c, o, rec, Result{App: name, Metrics: m}, func() error {
+		got := int(c.Data(counter)[0])
+		if got < so.TotalUpdates || got >= so.TotalUpdates+so.Repetition*so.Workers+so.Repetition {
+			return fmt.Errorf("synthetic: counter = %d, want in [%d, %d)",
+				got, so.TotalUpdates, so.TotalUpdates+so.Repetition*so.Workers+so.Repetition)
+		}
+		return nil
+	})
 }

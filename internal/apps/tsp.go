@@ -163,11 +163,13 @@ func RunTSP(cities int, o Options) (Result, error) {
 		return Result{}, fmt.Errorf("tsp: %w", err)
 	}
 
-	want := tspSequential(d)
-	if got := int64(c.Data(bestObj)[0]); got != want {
-		return Result{}, fmt.Errorf("tsp: best = %d, want optimal %d", got, want)
-	}
-	return finish(c, o, rec, Result{App: fmt.Sprintf("TSP(cities=%d,p=%d,%s)", cities, p, c.PolicyName()), Metrics: m})
+	res := Result{App: fmt.Sprintf("TSP(cities=%d,p=%d,%s)", cities, p, c.PolicyName()), Metrics: m}
+	return finish(c, o, rec, res, func() error {
+		if got, want := int64(c.Data(bestObj)[0]), tspSequential(d); got != want {
+			return fmt.Errorf("tsp: best = %d, want optimal %d", got, want)
+		}
+		return nil
+	})
 }
 
 // tspBranchLocal is tspBranch starting at a given depth (prefix preset).

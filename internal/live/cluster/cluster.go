@@ -19,16 +19,16 @@
 //     the cluster is quiescent when the per-process in-flight counters
 //     sum to zero over two consecutive waves with no frame delivered
 //     in between.
-//   - End-state reconciliation: each process authoritatively owns only
-//     its node's protocol state; node 0 gathers every node's home
-//     claims (object data), locator tables and local invariant
-//     verdicts, runs the distributed analogues of the in-process
-//     invariant checks (exactly one home per object, truthful manager
-//     tables, terminating forwarding chains), computes the canonical
-//     memory digest, and broadcasts the assembled final memory so
-//     every process can repair its local replicas — after which
-//     per-process application validation and Digest see the
-//     cluster-wide truth.
+//   - End state: each process owns its node's protocol state and
+//     nothing else — from Run on the engine holds no other node. Every
+//     member ships its node's report (proto.Node.Report: the home copies
+//     it owns, its locator tables, the verdict of the node-local
+//     invariant clauses) to node 0, which runs proto.Assemble over them
+//     — the same definition of the end state, and under Config.Check the
+//     same invariant check, the in-process engines use — and keeps the
+//     assembled memory. Members get back every object's home and the
+//     memory digest, never the memory: the applications' validators run
+//     on node 0, and a member can read the objects it homes itself.
 //   - Application verdict: oracle event logs (stamped with hybrid
 //     logical clocks carried on every TCP frame, so the merged order
 //     is causally consistent under arbitrary wall-clock skew),
@@ -110,10 +110,10 @@ type Config struct {
 	Addrs []string
 	// Digest fingerprints the run configuration (application, problem
 	// size, cluster size, policy, locator, seed, check mode...). Every
-	// member must present the same digest: the engines are built
-	// independently per process and must be byte-identical replicas.
+	// member must present the same digest: each process declares the
+	// cluster layout independently, and the layouts must be identical.
 	Digest uint64
-	// Check enables the distributed invariant checks at end of run
+	// Check holds the assembled end state to the protocol invariants
 	// (the multi-process analogue of dsmrun -check).
 	Check bool
 	// DialTimeout bounds how long Join waits for a peer to come up
@@ -176,7 +176,7 @@ type Member struct {
 	flight   *flight.Recorder // per-node flight ring, when Config.FlightCap > 0
 	timeline []flight.Event   // merged cluster timeline (coordinator, after the verdict)
 
-	digest    uint64 // canonical final-memory digest (set by FinishRun)
+	digest    uint64 // final-memory digest, as node 0 assembled it (set by FinishRun)
 	finished  bool   // FinishRun completed cluster-wide
 	hasResult bool
 
@@ -484,7 +484,7 @@ const (
 	ctlPollReply // member → 0: {inflight, frames delivered}
 	ctlQuiesced  // 0 → members: cluster-wide quiescence reached
 	ctlReport    // member → 0: end-of-run node state
-	ctlAssign    // 0 → members: authoritative final memory
+	ctlAssign    // 0 → members: every object's home, the memory digest
 	ctlAppReport // member → 0: application result
 	ctlVerdict   // 0 → members: cluster-wide verdict
 	ctlBye       // member → 0: ready to tear down
@@ -552,7 +552,9 @@ func (m *Member) expect(wanted ...ctlKind) (ctlKind, []byte, error) {
 	}
 	if kind == ctlFail {
 		var f failBody
-		decodeBody(body, &f)
+		if err := decodeBody(body, &f); err != nil {
+			return 0, nil, fmt.Errorf("cluster failed: node %d's reason does not decode: %w", from, err)
+		}
 		return 0, nil, fmt.Errorf("cluster failed: %s", f.Reason)
 	}
 	for _, w := range wanted {

@@ -2,11 +2,15 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	dsm "repro"
 
 	"repro/internal/apps"
 	"repro/internal/flight"
@@ -125,6 +129,104 @@ func TestCrossEngineTCPDigest(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMemberOwnsOneNode: a member holds its own node and nothing else.
+// After a 4-member SOR run under the -check gate every member knows the
+// digest (the simulator's) and every home; the assembled memory is on
+// node 0, bit for bit the simulator's — which RunSOR compared with the
+// sequential reference, as it did node 0's — and nowhere else: another
+// member reads the rows it homes and panics, naming the owner, on the
+// rest. Nothing ships the memory back: node 0 sends each peer less than
+// one grid's worth of bytes, protocol traffic, assignment and verdict
+// together.
+func TestMemberOwnsOneNode(t *testing.T) {
+	const nodes, n, iters = 4, 128, 3
+	base := apps.Options{Nodes: nodes, Check: true, Oracle: true}
+	var sim *dsm.Cluster
+	simOpts := base
+	simOpts.OnCluster = func(c *dsm.Cluster) { sim = c }
+	simRes, err := apps.RunSOR(n, iters, simOpts)
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+
+	var clusters [nodes]*dsm.Cluster
+	var toPeers [nodes]int64 // node 0's bytes to each peer, run and finish
+	results, errs := runMembers(t, nodes, true, func(m *Member) (apps.Result, error) {
+		o := base
+		o.Engine, o.Multi = "live", m
+		o.OnCluster = func(c *dsm.Cluster) { clusters[m.LocalNode()] = c }
+		res, err := apps.RunSOR(n, iters, o)
+		if m.LocalNode() == 0 {
+			for p := 1; p < nodes; p++ {
+				ps, _ := m.PeerStats(memory.NodeID(p))
+				toPeers[p] = ps.BytesSent
+			}
+		}
+		return res, err
+	})
+	for id, err := range errs {
+		if err != nil {
+			t.Fatalf("member %d: %v", id, err)
+		}
+	}
+	// The rows are objects 0..n-1, declared first.
+	row := func(i int) dsm.ObjectID { return dsm.ObjectID(i) }
+	for id, c := range clusters {
+		if results[id].Digest != simRes.Digest || c.Digest() != simRes.Digest {
+			t.Errorf("member %d digest %#x / %#x, sim %#x", id, results[id].Digest, c.Digest(), simRes.Digest)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Errorf("member %d: %v", id, err)
+		}
+		for i := 0; i < n; i++ {
+			home := clusters[0].HomeOf(row(i))
+			if c.HomeOf(row(i)) != home {
+				t.Fatalf("member %d places row %d on node %d, node 0 on node %d", id, i, c.HomeOf(row(i)), home)
+			}
+			if id == 0 || home == dsm.NodeID(id) {
+				if !slices.Equal(c.Data(row(i)), sim.Data(row(i))) {
+					t.Fatalf("member %d: row %d differs from the simulator's", id, i)
+				}
+				continue
+			}
+			func() {
+				defer func() {
+					want := fmt.Sprintf("homed on node %d", home)
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+						t.Fatalf("member %d reading row %d: %q, want a panic saying %q", id, i, msg, want)
+					}
+				}()
+				c.Data(row(i))
+			}()
+		}
+	}
+	for p := 1; p < nodes; p++ {
+		t.Logf("node 0 -> node %d: %d bytes", p, toPeers[p])
+		if grid := int64(n * n * 8); toPeers[p] == 0 || toPeers[p] >= grid {
+			t.Errorf("node 0 sent node %d %d bytes; the grid is %d", p, toPeers[p], grid)
+		}
+	}
+}
+
+// TestTruncatedFailFrameIsReported: a fail frame whose reason does not
+// decode must not surface as a failure with an empty reason.
+func TestTruncatedFailFrameIsReported(t *testing.T) {
+	_, errs := runMembers(t, 2, false, func(m *Member) (apps.Result, error) {
+		if m.LocalNode() == 0 {
+			m.tr.SendCtrl(1, []byte{byte(ctlFail), 0xFF, 0x01})
+			return apps.Result{}, nil
+		}
+		_, _, err := m.expect(ctlAssign)
+		return apps.Result{}, err
+	})
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if err := errs[1]; err == nil || !strings.Contains(err.Error(), "node 0") || !strings.Contains(err.Error(), "does not decode") {
+		t.Fatalf("truncated fail frame surfaced as %v", err)
 	}
 }
 

@@ -12,101 +12,28 @@ import (
 	"repro/internal/apps"
 	"repro/internal/flight"
 	"repro/internal/hlc"
-	"repro/internal/locator"
 	"repro/internal/memory"
 	"repro/internal/oracle"
 	"repro/internal/proto"
 	"repro/internal/stats"
 )
 
-// nodeReport is one member's authoritative end-of-run state: the home
-// copies it owns, its locator tables, its manager-table slice, and the
-// verdict of the node-local invariant checks. Everything a process
-// cannot check alone goes to node 0, which runs the distributed
-// analogues of proto.Space.CheckInvariants over the gathered reports.
-type nodeReport struct {
-	Err      string
-	HomeObjs []uint32
-	HomeData [][]uint64
-	Hints    []int16
-	Fwds     []int16
-	MgrHomes []int16
-}
-
-// assignBody is the coordinator's answer: the assembled authoritative
-// final memory (home and data per object) and its canonical digest.
+// assignBody is the coordinator's answer to a member's report: every
+// object's home and the digest of the memory node 0 assembled. The
+// memory itself stays there.
 type assignBody struct {
-	Homes  []int16
-	Data   [][]uint64
+	Homes  []memory.NodeID
 	Digest uint64
 }
 
-// buildReport snapshots this process's node state after global
-// quiescence. The local invariant checks mirror the node-local clauses
-// of proto.Space.CheckInvariants; the cross-node clauses need every
-// report and run on node 0.
-func buildReport(sp *proto.Space, id memory.NodeID) nodeReport {
-	n := sp.Nodes[id]
-	objs := sp.NumObjects()
-	rep := nodeReport{
-		Hints:    make([]int16, objs),
-		Fwds:     make([]int16, objs),
-		MgrHomes: make([]int16, objs),
-	}
-	fail := func(format string, args ...any) {
-		if rep.Err == "" {
-			rep.Err = fmt.Sprintf(format, args...)
-		}
-	}
-	for obj := 0; obj < objs; obj++ {
-		oid := memory.ObjectID(obj)
-		rep.Hints[obj] = int16(n.Loc.Hint(oid))
-		rep.Fwds[obj] = int16(n.Loc.Forward(oid))
-		rep.MgrHomes[obj] = int16(n.MgrHome[oid])
-		if o := n.Cache[oid]; o != nil {
-			if o.Dirty {
-				fail("object %d on node %d: dirty cached copy after quiesce", obj, id)
-			}
-			if o.Twin != nil {
-				fail("object %d on node %d: twin retained on clean copy", obj, id)
-			}
-		}
-		if n.IsHome[oid] {
-			if n.HomeSt[oid] == nil {
-				fail("object %d home on node %d lacks migration state", obj, id)
-			}
-			if n.Cache[oid] == nil {
-				fail("object %d home on node %d lacks data", obj, id)
-				continue
-			}
-			for sharer, ok := range n.Copyset[oid] {
-				if ok && (sharer == id || sharer < 0 || int(sharer) >= sp.S.Nodes) {
-					fail("object %d: copyset of home %d names node %d", obj, id, sharer)
-				}
-			}
-			rep.HomeObjs = append(rep.HomeObjs, uint32(obj))
-			rep.HomeData = append(rep.HomeData, n.Cache[oid].Data)
-		} else {
-			if n.HomeSt[oid] != nil {
-				fail("object %d: migration state on non-home node %d", obj, id)
-			}
-			if len(n.Copyset[oid]) > 0 {
-				fail("object %d: copyset on non-home node %d", obj, id)
-			}
-		}
-	}
-	return rep
-}
-
-// FinishRun implements live.Finisher: the end-of-run state
-// reconciliation, called by the engine between global quiescence and
-// transport close. Members ship their report to node 0; node 0 checks,
-// assembles the authoritative final memory, and broadcasts it; every
-// process then repairs its local replicas so post-run inspection
-// (ObjectData, Digest, the applications' sequential-reference
-// validation) sees the cluster-wide truth.
+// FinishRun implements live.Finisher: the end of the run as one node's
+// owner sees it, called by the engine between global quiescence and
+// transport close. Every member ships its node's report to node 0; node
+// 0 assembles the memory and checks it (proto.Assemble, with the
+// invariants under Config.Check), keeps it, and answers with the homes
+// and the digest, which with the member's own home copies are its view.
 func (m *Member) FinishRun(sp *proto.Space) error {
-	rep := buildReport(sp, m.cfg.ID)
+	rep := sp.Nodes[m.cfg.ID].Report()
 	if m.n > 1 && m.cfg.ID != 0 {
 		m.send(0, ctlReport, rep)
 		_, body, err := m.expect(ctlAssign)
@@ -117,17 +44,16 @@ func (m *Member) FinishRun(sp *proto.Space) error {
 		if err := decodeBody(body, &a); err != nil {
 			return fmt.Errorf("cluster: decoding assignment: %w", err)
 		}
-		repair(sp, a)
-		if got := sp.Digest(); got != a.Digest {
-			return fmt.Errorf("cluster: node %d digest %#x != coordinator's %#x after repair", m.cfg.ID, got, a.Digest)
+		if len(a.Homes) != sp.NumObjects() {
+			return fmt.Errorf("cluster: assignment names %d homes for %d objects", len(a.Homes), sp.NumObjects())
 		}
-		m.digest = a.Digest
-		m.finished = true
+		sp.Install(proto.MemberView(a.Homes, a.Digest, rep))
+		m.digest, m.finished = a.Digest, true
 		return nil
 	}
 
 	// Coordinator (and the trivial single-member cluster).
-	reports := make([]nodeReport, m.n)
+	reports := make([]proto.NodeReport, m.n)
 	reports[m.cfg.ID] = rep
 	for have := 0; have < m.n-1; have++ {
 		from, body, err := m.expectFromAny(ctlReport)
@@ -138,146 +64,25 @@ func (m *Member) FinishRun(sp *proto.Space) error {
 			return m.failCluster(fmt.Sprintf("decoding node %d report: %v", from, err))
 		}
 	}
-	a, err := m.assemble(sp, reports)
+	end, err := proto.Assemble(sp.S, reports, m.cfg.Check)
 	if err != nil {
-		err = fmt.Errorf("%w: %v", ErrVerification, err)
-		if m.n > 1 {
-			return m.failClusterErr(err)
-		}
-		return err
+		return m.failClusterErr(fmt.Errorf("%w: %w", ErrVerification, err))
 	}
-	repair(sp, a)
-	a.Digest = sp.Digest()
-	if m.n > 1 {
-		m.broadcast(ctlAssign, a)
-	}
-	m.digest = a.Digest
-	m.finished = true
+	sp.Install(end)
+	m.digest, m.finished = end.Digest(), true
+	m.broadcast(ctlAssign, assignBody{Homes: end.Homes, Digest: m.digest})
 	return nil
-}
-
-// assemble runs the distributed invariant checks over the gathered
-// reports and builds the authoritative final-memory assignment.
-func (m *Member) assemble(sp *proto.Space, reports []nodeReport) (assignBody, error) {
-	s := sp.S
-	objs := sp.NumObjects()
-	a := assignBody{Homes: make([]int16, objs), Data: make([][]uint64, objs)}
-	for i := range a.Homes {
-		a.Homes[i] = -1
-	}
-	for id, rep := range reports {
-		if m.cfg.Check && rep.Err != "" {
-			return a, fmt.Errorf("node %d invariants: %s", id, rep.Err)
-		}
-		// A peer that passed the handshake still sent this report over
-		// the wire: validate shapes before indexing, so a corrupt or
-		// version-skewed report fails the cluster with a reason instead
-		// of panicking the coordinator.
-		if len(rep.Hints) != objs || len(rep.Fwds) != objs || len(rep.MgrHomes) != objs ||
-			len(rep.HomeData) != len(rep.HomeObjs) {
-			return a, fmt.Errorf("node %d report malformed (%d/%d/%d tables for %d objects)",
-				id, len(rep.Hints), len(rep.Fwds), len(rep.MgrHomes), objs)
-		}
-		for k, obj := range rep.HomeObjs {
-			if int(obj) >= objs {
-				return a, fmt.Errorf("node %d claims unknown object %d", id, obj)
-			}
-			if a.Homes[obj] != -1 {
-				return a, fmt.Errorf("object %d has two homes: node %d and node %d", obj, a.Homes[obj], id)
-			}
-			if got, want := len(rep.HomeData[k]), s.ObjWords[obj]; got != want {
-				return a, fmt.Errorf("object %d home copy on node %d has %d words, want %d", obj, id, got, want)
-			}
-			a.Homes[obj] = int16(id)
-			a.Data[obj] = rep.HomeData[k]
-		}
-	}
-	for obj := 0; obj < objs; obj++ {
-		if a.Homes[obj] == -1 {
-			return a, fmt.Errorf("object %d has no home", obj)
-		}
-	}
-	if !m.cfg.Check {
-		return a, nil
-	}
-	// Cross-node clauses of the invariant check, over gathered tables.
-	for obj := 0; obj < objs; obj++ {
-		home := memory.NodeID(a.Homes[obj])
-		if s.Locator == locator.Manager {
-			mgr := locator.ManagerOf(memory.ObjectID(obj), s.Nodes)
-			if got := memory.NodeID(reports[mgr].MgrHomes[obj]); got != home {
-				return a, fmt.Errorf("object %d: manager %d believes home %d, actual %d", obj, mgr, got, home)
-			}
-		}
-		// Every node's hint chain must terminate at the home without
-		// cycles (dead ends are fatal only under forwarding pointers,
-		// which have no miss recovery).
-		for id := range reports {
-			cur := memory.NodeID(reports[id].Hints[obj])
-			if cur == memory.NoNode {
-				cur = s.ObjHome0[obj]
-			}
-			for hops := 0; cur != home; hops++ {
-				if hops > s.Nodes {
-					return a, fmt.Errorf("object %d: forwarding cycle from node %d", obj, id)
-				}
-				if cur < 0 || int(cur) >= s.Nodes {
-					return a, fmt.Errorf("object %d: node %d's chain points outside the cluster (node %d)", obj, id, cur)
-				}
-				next := memory.NodeID(reports[cur].Fwds[obj])
-				if next == memory.NoNode {
-					if s.Locator == locator.ForwardingPointer {
-						return a, fmt.Errorf("object %d: forwarding chain from node %d dead-ends at node %d (home %d)",
-							obj, id, cur, home)
-					}
-					break
-				}
-				cur = next
-			}
-		}
-	}
-	return a, nil
-}
-
-// repair rewrites the local space's replicas to the authoritative
-// assignment: exactly the true home node holds IsHome with the
-// gathered data, so ObjectData/Digest/HomeOf and the applications'
-// result validation work identically in every process. It runs after
-// the engine quiesced — the state is inspection-only from here. (The
-// repaired replicas are not protocol-complete — migration state and
-// copysets of remote nodes stay wherever the run left the local
-// replica — which is why the invariant checks run on the gathered
-// reports, not on the repaired space.)
-func repair(sp *proto.Space, a assignBody) {
-	for obj := range a.Homes {
-		oid := memory.ObjectID(obj)
-		home := memory.NodeID(a.Homes[obj])
-		for _, row := range sp.Nodes {
-			row.IsHome[oid] = row.ID == home
-		}
-		row := sp.Nodes[home]
-		o := row.Cache[oid]
-		if o == nil {
-			o = memory.NewObject(oid, len(a.Data[obj]))
-			row.Cache[oid] = o
-		}
-		copy(o.Data, a.Data[obj])
-		o.State = memory.ReadOnly
-		o.Dirty = false
-		o.Twin = nil
-	}
 }
 
 // --- application verdict ------------------------------------------
 
 // appReportBody is one member's application-level result.
 type appReportBody struct {
-	Err       string
-	HasDigest bool
-	Digest    uint64
-	Metrics   stats.Metrics
-	Ops       []timedOp
-	Flight    []flight.Event
+	Err     string
+	Digest  uint64
+	Metrics stats.Metrics
+	Ops     []timedOp
+	Flight  []flight.Event
 }
 
 // verdictBody is node 0's cluster-wide answer.
@@ -319,7 +124,6 @@ func (m *Member) FinishApp(c *dsm.Cluster, res *apps.Result, check, oracleOn boo
 		if !m.finished {
 			rep.Err = "end-of-run reconciliation never completed"
 		} else {
-			rep.HasDigest = true
 			rep.Digest = m.digest
 			res.Digest = m.digest
 		}
@@ -436,7 +240,7 @@ func (m *Member) appExchange(c *dsm.Cluster, res *apps.Result, rep appReportBody
 	}
 	if check && v.Err == "" {
 		for id := range reports {
-			if !reports[id].HasDigest || reports[id].Digest != m.digest {
+			if reports[id].Digest != m.digest {
 				fail("node %d digest %#x disagrees with coordinator's %#x",
 					id, reports[id].Digest, m.digest)
 			}

@@ -90,6 +90,11 @@ type Config struct {
 	// Transport carries encoded frames between nodes; nil selects the
 	// in-process ChanLoop backend.
 	Transport transport.Transport
+	// LocalNode, when non-nil, is the one node this process runs; the
+	// others run in peer processes that Transport reaches and that declare
+	// the same layout. Run keeps this node's protocol state, daemon and
+	// threads and releases the rest.
+	LocalNode *memory.NodeID
 	// RetryDelay is the requester back-off after an obsolete-home miss
 	// under the broadcast locator. Zero means 100µs.
 	RetryDelay time.Duration
@@ -101,7 +106,7 @@ type Config struct {
 	// attach to the node whose ID it carries — the multi-process mode,
 	// where the cluster member owns the recorder so its HLC stamps
 	// observe remote frames and the finish exchange can gather the ring.
-	// The other (stubbed) nodes get no recorder.
+	// No other node gets a recorder.
 	FlightLocal *flight.Recorder
 	// Telemetry, when non-nil, is a shared hot-object sink subscribed to
 	// every node's access and migration-decision events — pure
@@ -144,11 +149,11 @@ type Quiescer interface {
 }
 
 // Finisher is an optional transport extension called between global
-// quiescence and Close: a multi-process backend's cluster layer uses it
-// to reconcile the distributed end state (gather each node's
-// authoritative home copies, run the distributed invariant checks, and
-// repair the local replicas so post-run inspection — ObjectData,
-// Digest, application validation — sees the cluster-wide truth).
+// quiescence and Close. A process of a multi-process cluster holds one
+// node (Config.LocalNode) and cannot see the end state, so the backend's
+// cluster layer gathers every member's proto.NodeReport on node 0, which
+// runs proto.Assemble — what the in-process engines read — and keeps the
+// memory; FinishRun Installs this process's view of it in sp.
 type Finisher interface {
 	FinishRun(sp *proto.Space) error
 }
@@ -162,7 +167,7 @@ type Cluster struct {
 	// methods (valid only after Run returned) are the cluster's own.
 	*proto.Space
 	tr    transport.Transport
-	nodes []*node
+	nodes []*node // the nodes this process runs: all, or Config.LocalNode
 
 	start    time.Time
 	inflight atomic.Int64 // frames sent, not yet fully handled
@@ -270,8 +275,11 @@ func New(cfg Config) *Cluster {
 		stamp = hlc.New(nil).Tick
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		n := &node{c: c}
-		n.ps = c.NewNode(memory.NodeID(i))
+		ps := c.NewNode(memory.NodeID(i))
+		if cfg.LocalNode != nil && *cfg.LocalNode != ps.ID {
+			continue // declared here, run elsewhere: Run releases it
+		}
+		n := &node{c: c, ps: ps}
 		n.ps.Eng = n
 		n.ps.Counters = &n.counters
 		switch {
@@ -385,11 +393,11 @@ func (c *Cluster) Subscribe(sub flight.Subscriber) {
 
 // FlightRecorders returns the per-node flight recorders, indexed by node
 // id; entries are nil when no recorder is attached (recording disabled,
-// or a multi-process run's stubbed peer nodes).
+// or a node another process runs).
 func (c *Cluster) FlightRecorders() []*flight.Recorder {
-	recs := make([]*flight.Recorder, len(c.nodes))
-	for i, n := range c.nodes {
-		recs[i] = n.flight
+	recs := make([]*flight.Recorder, c.cfg.Nodes)
+	for _, n := range c.nodes {
+		recs[n.ps.ID] = n.flight
 	}
 	return recs
 }
@@ -416,23 +424,32 @@ func (c *Cluster) Config() Config { return c.cfg }
 // as the sim engine does.
 func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 	c.Seal()
+	if c.cfg.LocalNode != nil {
+		c.Release(*c.cfg.LocalNode)
+	}
 	c.start = time.Now()
 	// Register every thread before any goroutine starts: daemons read
 	// the per-node thread tables (ToThread) without locks. Registration
 	// holds abortMu so an Abort that arrives this early still closes
-	// every mailbox it is racing into existence.
+	// every mailbox it is racing into existence. Ids and slots count over
+	// the full list, so cluster members agree on them.
+	byID := make([]*node, c.cfg.Nodes) // nil: another process runs it
+	for _, n := range c.nodes {
+		byID[n.ps.ID] = n
+	}
 	c.abortMu.Lock()
-	threads := make([]*Thread, len(workers))
 	for i, w := range workers {
 		if w.Node < 0 || int(w.Node) >= c.cfg.Nodes {
 			c.abortMu.Unlock()
 			panic(fmt.Sprintf("live: worker %d on invalid node %d", i, w.Node))
 		}
-		n := c.nodes[w.Node]
-		t := &Thread{node: n, mbox: transport.NewQueue[proto.Token]()}
+		n := byID[w.Node]
+		if n == nil {
+			continue
+		}
+		t := &Thread{node: n, fn: w.Fn, mbox: transport.NewQueue[proto.Token]()}
 		t.Driver = proto.NewDriver(n.ps, t, i, int32(len(n.threads)), w.Name)
 		n.threads = append(n.threads, t)
-		threads[i] = t
 		if c.abortErr != nil {
 			t.mbox.Close()
 		}
@@ -456,21 +473,22 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 		go n.daemon()
 	}
 	var wg sync.WaitGroup
-	for i, w := range workers {
-		t, fn := threads[i], w.Fn
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(abortPanic); ok && c.aborted.Load() {
-						return // the run is aborting; the worker died where it parked
+	for _, n := range c.nodes {
+		for _, t := range n.threads {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() {
+					if r := recover(); r != nil {
+						if _, ok := r.(abortPanic); ok && c.aborted.Load() {
+							return // the run is aborting; the worker died where it parked
+						}
+						panic(r)
 					}
-					panic(r)
-				}
+				}()
+				t.fn(t)
 			}()
-			fn(t)
-		}()
+		}
 	}
 	wg.Wait()
 	wall := time.Since(c.start)

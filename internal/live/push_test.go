@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -56,7 +57,8 @@ func TestPeerGarbageAbortsRun(t *testing.T) {
 		// start returns the engine's transport and what puts the junk
 		// frame in front of node 0 mid-run.
 		start func(t *testing.T, abort func(error)) (transport.Transport, func())
-		// remote: node 1 is the test's raw socket, not an engine node.
+		// remote: node 1 is the test's raw socket; the engine runs node 0
+		// only.
 		remote bool
 	}{
 		{name: "PushedByTCPReader", remote: true, start: func(t *testing.T, abort func(error)) (transport.Transport, func()) {
@@ -87,6 +89,9 @@ func TestPeerGarbageAbortsRun(t *testing.T) {
 			cfg.FlightCap = 64
 			tr, sendJunk := tc.start(t, func(err error) { c.Abort(err) })
 			cfg.Transport = tr
+			if tc.remote {
+				cfg.LocalNode = new(memory.NodeID)
+			}
 			c = New(cfg)
 			l := c.AddLock(1)
 			held, parked, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
@@ -142,9 +147,12 @@ func TestPeerGarbageAbortsRun(t *testing.T) {
 // TestAbortMidTrafficFoldsCleanly: on a pushing backend the goroutines
 // that run the protocol handlers are the transport's, not the engine's,
 // so when a run aborts one may still be inside a handler while Run sums
-// the node counters. Two engines, one node each, hand a lock back and
-// forth over a loopback socket and are aborted mid-traffic, fifty
-// times; under -race the fold must not race the straggler.
+// the node counters. Two engines, one node each (Config.LocalNode), hand
+// a lock back and forth over a loopback socket and are aborted
+// mid-traffic, fifty times; under -race the fold must not race the
+// straggler. Both are given both workers, as cluster members are: each
+// must keep its own node's protocol state and thread, under the global
+// thread id, and nothing of the other's.
 func TestAbortMidTrafficFoldsCleanly(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		conns := [2]net.Conn{}
@@ -156,23 +164,36 @@ func TestAbortMidTrafficFoldsCleanly(t *testing.T) {
 			pair := make([]net.Conn, 2)
 			pair[1-id] = conns[id]
 			trs[id] = tcp.New(memory.NodeID(id), pair, tcp.Options{OnFatal: func(err error) { cs[id].Abort(err) }})
+			local := memory.NodeID(id)
 			cfg := DefaultConfig(2)
 			cfg.Transport = dataPlane{trs[id]}
+			cfg.LocalNode = &local
 			cs[id] = New(cfg)
 			cs[id].AddObject(1, 0)
 			cs[id].AddLock(1)
 		}
+		// A worker on the lock's node that also came to home the object
+		// needs no frame for its turn and would never park where the abort
+		// unwinds it: it leaves between turns once the plug is pulled.
+		var stop atomic.Bool
+		var ws []proto.Worker
+		for id := range cs {
+			ws = append(ws, proto.Worker{Node: memory.NodeID(id), Name: fmt.Sprintf("w%d", id), Fn: func(th proto.Thread) {
+				if th.ID() != id || th.Node() != memory.NodeID(id) {
+					t.Errorf("worker %d runs as thread %d on node %d", id, th.ID(), th.Node())
+				}
+				for !stop.Load() {
+					th.Acquire(0)
+					th.Write(0, 0, th.Read(0, 0)+1)
+					th.Release(0)
+				}
+			}})
+		}
 		done := make(chan error, 2)
-		for id, c := range cs {
-			id, c := id, c
+		for _, c := range cs {
+			c := c
 			go func() {
-				_, err := c.Run([]proto.Worker{{Node: memory.NodeID(id), Name: fmt.Sprintf("w%d", id), Fn: func(th proto.Thread) {
-					for {
-						th.Acquire(0)
-						th.Write(0, 0, th.Read(0, 0)+1)
-						th.Release(0)
-					}
-				}}})
+				_, err := c.Run(ws)
 				done <- err
 			}()
 		}
@@ -185,6 +206,7 @@ func TestAbortMidTrafficFoldsCleanly(t *testing.T) {
 		boom := errors.New("pulled the plug")
 		cs[0].Abort(boom)
 		cs[1].Abort(boom)
+		stop.Store(true)
 		for range cs {
 			select {
 			case err := <-done:
@@ -200,6 +222,14 @@ func TestAbortMidTrafficFoldsCleanly(t *testing.T) {
 		}
 		for _, tr := range trs {
 			tr.Close()
+		}
+		for id, c := range cs {
+			if len(c.nodes) != 1 || c.nodes[0].ps.ID != memory.NodeID(id) || len(c.nodes[0].threads) != 1 {
+				t.Fatalf("round %d: engine %d runs %d nodes, want node %d with one thread", round, id, len(c.nodes), id)
+			}
+			if c.Space.Nodes[id] != c.nodes[0].ps || c.Space.Nodes[1-id] != nil {
+				t.Fatalf("round %d: engine %d still holds node %d's protocol state", round, id, 1-id)
+			}
 		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 type Thread struct {
 	proto.Driver
 	node *node
+	fn   func(proto.Thread) // the worker's body
 	// mbox is the thread's reply queue: the daemon (or a local sync
 	// manager path) puts protocol messages, timers put retry tokens —
 	// by value, so nothing is boxed — and the thread blocks in Recv.

@@ -47,8 +47,9 @@
 // Frames that reached the inbox before the installation go to the sink
 // first, under the lock that a reader still seeing no sink must take,
 // so FIFO per pair holds across it. Self-sends, control, heartbeat and
-// telemetry frames and the other nodes' (idle) inboxes are untouched by
-// the sink; after CloseData a late data frame feeds the pool instead.
+// telemetry frames are untouched by the sink; after CloseData a late
+// data frame feeds the pool instead. The transport serves its local node
+// only: Recv, InboxLen and SetSink for any other id find nothing.
 //
 // The link is batched at both ends, because a small frame's cost is
 // the socket call and the wake-up it causes, not its bytes. Whoever
@@ -234,15 +235,13 @@ type Transport struct {
 	n     int
 	peers []*peer // nil at local (and for absent peers in tests)
 
-	// inboxes[local] receives every data frame addressed to this node
-	// (network + loopback). The other entries exist only so the live
-	// engine's daemons for non-local node replicas can park in Recv
-	// until Close — they never carry a frame.
-	inboxes []*transport.Queue[[]byte]
-	ctrl    *transport.Queue[Ctrl]
+	// inbox receives every data frame addressed to this node (network +
+	// loopback).
+	inbox *transport.Queue[[]byte]
+	ctrl  *transport.Queue[Ctrl]
 
 	// sink, once installed, receives the local node's data frames from
-	// the readers in place of inboxes[local]. sinkMu orders the
+	// the readers in place of the inbox. sinkMu orders the
 	// installation (which drains the inbox into the sink) against a
 	// reader that still saw no sink.
 	sink   atomic.Pointer[func(frame []byte) error]
@@ -289,16 +288,13 @@ func New(local memory.NodeID, conns []net.Conn, opt Options) *Transport {
 		local:     local,
 		n:         n,
 		peers:     make([]*peer, n),
-		inboxes:   make([]*transport.Queue[[]byte], n),
+		inbox:     transport.NewQueue[[]byte](),
 		ctrl:      transport.NewQueue[Ctrl](),
 		clock:     opt.Clock,
 		fl:        opt.Flight,
 		onTelem:   opt.OnTelemetry,
 		hbTimeout: opt.HeartbeatTimeout,
 		onFatal:   opt.OnFatal,
-	}
-	for i := range t.inboxes {
-		t.inboxes[i] = transport.NewQueue[[]byte]()
 	}
 	for j, conn := range conns {
 		if conn == nil {
@@ -389,7 +385,7 @@ func (t *Transport) Send(to memory.NodeID, frame []byte) {
 // toInbox queues a data frame for the local node's Recv; after
 // CloseData it feeds the pool.
 func (t *Transport) toInbox(frame []byte) {
-	if t.inboxes[t.local].Put(frame) {
+	if t.inbox.Put(frame) {
 		t.dataRecv.Add(1)
 	} else {
 		transport.PutFrame(frame)
@@ -420,14 +416,14 @@ func (p *peer) kick() {
 	}
 }
 
-// SetSink implements transport.Pusher for the local node; the other
-// nodes' inboxes never carry a frame, so their sinks are ignored.
+// SetSink implements transport.Pusher for the local node; no frame for
+// another node ever arrives here, so a sink for one is ignored.
 func (t *Transport) SetSink(id memory.NodeID, sink func(frame []byte) error) {
 	if id != t.local {
 		return
 	}
 	t.sinkMu.Lock()
-	queued, _ := t.inboxes[id].TryGetAll(nil)
+	queued, _ := t.inbox.TryGetAll(nil)
 	var err error
 	for _, frame := range queued {
 		if err != nil {
@@ -471,11 +467,14 @@ func (t *Transport) deliver(frame []byte, batch *bool) error {
 	return (*sink)(frame)
 }
 
-// Recv implements transport.Transport. Only the local node's inbox ever
-// receives frames; Recv for other ids parks until Close (those ids'
-// daemons belong to remote processes — the local replicas idle).
+// Recv implements transport.Transport for the local node. Any other id
+// — a node that runs in a peer process, or no node at all — has no
+// inbox here, and Recv reports closed at once.
 func (t *Transport) Recv(id memory.NodeID) ([]byte, bool) {
-	return t.inboxes[id].Get()
+	if id != t.local {
+		return nil, false
+	}
+	return t.inbox.Get()
 }
 
 // SendCtrl queues a control-channel message for node to (loopback for
@@ -562,13 +561,19 @@ func (t *Transport) DataSent() int64 { return t.dataSent.Load() }
 // the cluster layer's distributed-quiescence waves watch.
 func (t *Transport) DataRecv() int64 { return t.dataRecv.Load() }
 
-// InboxLen reports node id's current inbox depth (tests, observability).
-func (t *Transport) InboxLen(id memory.NodeID) int { return t.inboxes[id].Len() }
+// InboxLen reports node id's current inbox depth (tests, observability):
+// zero for any node but the local one.
+func (t *Transport) InboxLen(id memory.NodeID) int {
+	if id != t.local {
+		return 0
+	}
+	return t.inbox.Len()
+}
 
 // PeakDepth implements transport.DepthReporter: the deepest any
 // delivery queue got — the local inbox or a peer send queue.
 func (t *Transport) PeakDepth() int {
-	max := t.inboxes[t.local].Peak()
+	max := t.inbox.Peak()
 	for _, p := range t.peers {
 		if p != nil {
 			if d := p.out.Peak(); d > max {
@@ -584,8 +589,8 @@ func (t *Transport) PeakDepth() int {
 // The cluster layer calls it once the shutdown barrier has passed.
 func (t *Transport) MarkShutdown() { t.shuttingDown.Store(true) }
 
-// CloseData closes engine-frame delivery only: daemons blocked in Recv
-// drain their inboxes and exit and readers stop pushing (a sink call
+// CloseData closes engine-frame delivery only: the daemon blocked in Recv
+// drains the inbox and exits and readers stop pushing (a sink call
 // already under way completes), while the connections, writers and the
 // control channel stay up for the cluster layer's post-run exchanges
 // (metrics merge, shutdown barrier). The live engine's Close maps here
@@ -595,9 +600,7 @@ func (t *Transport) CloseData() {
 	if t.dataClosed.Swap(true) {
 		return
 	}
-	for _, b := range t.inboxes {
-		b.Close()
-	}
+	t.inbox.Close()
 }
 
 // Close implements transport.Transport: full teardown. Queued frames

@@ -127,6 +127,43 @@ func TestTCPConformance(t *testing.T) {
 	})
 }
 
+// TestForeignNodeIDs: a transport serves its local node and has nothing
+// for any other id — a peer's, or one outside the cluster. Recv reports
+// closed at once instead of parking (or indexing past a table), the depth
+// is zero, and a sink installed for such an id is never fed.
+func TestForeignNodeIDs(t *testing.T) {
+	m := tcpMesh{trs: dialMesh(t, 2, Options{})}
+	defer m.Close()
+	tr := m.trs[0]
+	for _, id := range []memory.NodeID{1, 2, -1} {
+		done := make(chan bool, 1)
+		go func() {
+			_, ok := tr.Recv(id)
+			done <- ok
+		}()
+		select {
+		case ok := <-done:
+			if ok {
+				t.Errorf("Recv(%d) on node 0's transport returned a frame", id)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Recv(%d) on node 0's transport parked", id)
+		}
+		if d := tr.InboxLen(id); d != 0 {
+			t.Errorf("node 0's transport reports depth %d for node %d", d, id)
+		}
+		tr.SetSink(id, func(frame []byte) error {
+			t.Errorf("node 0's transport fed node %d's sink", id)
+			transport.PutFrame(frame)
+			return nil
+		})
+	}
+	m.trs[1].Send(0, append(transport.GetFrame(), 7))
+	if frame, ok := tr.Recv(0); !ok || len(frame) != 1 || frame[0] != 7 {
+		t.Fatalf("node 0's own frame did not arrive through Recv(0): %v %v", frame, ok)
+	}
+}
+
 // tcpFaultMesh adds abrupt peer death to the socket mesh: Kill severs
 // every connection of one node without the shutdown barrier, exactly
 // what the surviving daemons observe when a member's process crashes.

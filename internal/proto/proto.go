@@ -32,9 +32,7 @@
 package proto
 
 import (
-	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/flight"
@@ -79,12 +77,10 @@ type Cluster interface {
 	InitObject(id memory.ObjectID, fn func(words []uint64))
 	// Subscribe attaches one more observer to every node, before Run.
 	Subscribe(sub flight.Subscriber)
-	NumObjects() int
-	HomeOf(obj memory.ObjectID) memory.NodeID
-	ObjectData(obj memory.ObjectID) []uint64
 	Run(ws []Worker) (stats.Metrics, error)
-	CheckInvariants() error
-	Digest() uint64
+	// EndState is the memory the run left and the first protocol
+	// invariant it violates, if any (see Assemble).
+	EndState() (*EndState, error)
 }
 
 // Shared is the engine-independent cluster configuration plus the
@@ -121,13 +117,17 @@ type Shared struct {
 // configuration/layout and every node's protocol state. Engines embed a
 // Space, which gives their cluster type the declaration half of the
 // Cluster contract (AddObject, InitObject, AddLock, AddBarrier) and the
-// post-run inspection half (NumObjects, HomeOf, ObjectData,
-// CheckInvariants, Digest); the engine adds Run, which seals the layout.
+// post-run inspection half (NumObjects, EndState and its readers HomeOf,
+// ObjectData, CheckInvariants, Digest); the engine adds Run, which seals
+// the layout.
 type Space struct {
-	S     *Shared
+	S *Shared
+	// Nodes is indexed by node id; see Release for the nil entries.
 	Nodes []*Node
 	// sealed is set when the run starts: the layout is fixed from then on.
 	sealed bool
+	// end is the Installed end state of a space that Released nodes.
+	end *EndState
 }
 
 // Seal fixes the declared layout; the engine calls it first thing in
@@ -229,174 +229,58 @@ func (sp *Space) AddBarrier(home memory.NodeID, parties int) BarrierID {
 // NumObjects reports the number of declared shared objects.
 func (sp *Space) NumObjects() int { return len(sp.S.ObjWords) }
 
-// HomeOf reports the current home of obj (post-run inspection).
-func (sp *Space) HomeOf(obj memory.ObjectID) memory.NodeID {
-	for _, n := range sp.Nodes {
-		if n.IsHome[obj] {
-			return n.ID
+// Release drops every node's protocol state but keep's, when the run
+// starts: the other nodes of the cluster live in peer processes, which
+// declared the same layout. The end state then has to be Installed.
+func (sp *Space) Release(keep memory.NodeID) {
+	for id := range sp.Nodes {
+		if memory.NodeID(id) != keep {
+			sp.Nodes[id] = nil
 		}
 	}
-	return memory.NoNode
 }
+
+// Install records the end state the cluster's coordinator assembled.
+func (sp *Space) Install(end *EndState) { sp.end = end }
+
+// EndState assembles the memory the nodes hold and checks the protocol
+// invariants over it (Assemble), or returns what was Installed. Meant for
+// after Run has returned; the state shares the nodes' buffers.
+func (sp *Space) EndState() (*EndState, error) {
+	if sp.end != nil {
+		return sp.end, nil
+	}
+	reports := make([]NodeReport, len(sp.Nodes))
+	for id, n := range sp.Nodes {
+		if n == nil {
+			return nil, fmt.Errorf("proto: node %d runs in another process and the cluster delivered no end state", id)
+		}
+		reports[id] = n.Report()
+	}
+	return Assemble(sp.S, reports, true)
+}
+
+// mustEnd is EndState for the readers below, which have no error to return.
+func (sp *Space) mustEnd() *EndState {
+	end, err := sp.EndState()
+	if end == nil {
+		panic(err)
+	}
+	return end
+}
+
+// HomeOf reports the current home of obj, NoNode when it has none.
+func (sp *Space) HomeOf(obj memory.ObjectID) memory.NodeID { return sp.mustEnd().Homes[obj] }
 
 // ObjectData returns the authoritative (home) copy of obj's data.
-func (sp *Space) ObjectData(obj memory.ObjectID) []uint64 {
-	h := sp.HomeOf(obj)
-	if h == memory.NoNode {
-		panic(fmt.Sprintf("proto: object %d has no home", obj))
-	}
-	return sp.Nodes[h].Cache[obj].Data
-}
+func (sp *Space) ObjectData(obj memory.ObjectID) []uint64 { return sp.mustEnd().ObjectData(obj) }
 
-// Sentinel invariant violations, one per violation class CheckInvariants
-// detects. Tests match them with errors.Is; the wrapping message carries
-// the object and node involved.
-var (
-	// ErrHomeCount: an object has zero or several homes.
-	ErrHomeCount = errors.New("object must have exactly one home")
-	// ErrMissingState: a home node lacks the per-object migration state.
-	ErrMissingState = errors.New("home lacks migration state")
-	// ErrMissingData: a home node lacks the authoritative data copy.
-	ErrMissingData = errors.New("home lacks data")
-	// ErrDirtyCopy: a cached copy still holds unflushed writes after the
-	// post-run quiesce.
-	ErrDirtyCopy = errors.New("dirty cached copy after quiesce")
-	// ErrTwinLeak: a clean copy (or a home copy, which never twins)
-	// retains a twin buffer.
-	ErrTwinLeak = errors.New("twin retained on clean copy")
-	// ErrStaleCopyset: a copyset survives where none may exist (on a
-	// non-home node) or names an impossible sharer (the home itself, or
-	// a node outside the cluster).
-	ErrStaleCopyset = errors.New("stale copyset entry")
-	// ErrOwnerMismatch: home/ownership metadata disagree — migration
-	// state on a non-home node, or (under the manager locator) a manager
-	// table entry that does not name the true home.
-	ErrOwnerMismatch = errors.New("home/ownership metadata mismatch")
-	// ErrForwardCycle: a forwarding chain revisits a node.
-	ErrForwardCycle = errors.New("forwarding cycle")
-	// ErrDeadEndChain: a forwarding chain ends before the home under the
-	// forwarding-pointer locator (which has no miss recovery).
-	ErrDeadEndChain = errors.New("forwarding chain dead end")
-)
-
-// CheckInvariants validates global protocol invariants after a run (call
-// it only once Run has returned):
-// every object has exactly one home, with migration state and data there
-// and nowhere else; no dirty cached copies or leaked twins remain; home
-// copysets name only plausible sharers; the manager locator's table
-// resolves to the true home; and every node's hint chain terminates at
-// the home without cycles. It returns the first violation, wrapping the
-// matching sentinel error (ErrHomeCount, ErrTwinLeak, ...).
+// CheckInvariants validates the global protocol invariants after a run
+// (see Assemble for the clauses).
 func (sp *Space) CheckInvariants() error {
-	s := sp.S
-	for obj := 0; obj < len(s.ObjWords); obj++ {
-		id := memory.ObjectID(obj)
-		homes := 0
-		var home memory.NodeID
-		for _, n := range sp.Nodes {
-			if n.IsHome[id] {
-				homes++
-				home = n.ID
-				if n.HomeSt[id] == nil {
-					return fmt.Errorf("proto: object %d home on node %d: %w", obj, n.ID, ErrMissingState)
-				}
-				if n.Cache[id] == nil {
-					return fmt.Errorf("proto: object %d home on node %d: %w", obj, n.ID, ErrMissingData)
-				}
-			}
-		}
-		if homes != 1 {
-			return fmt.Errorf("proto: object %d has %d homes: %w", obj, homes, ErrHomeCount)
-		}
-		for _, n := range sp.Nodes {
-			if o := n.Cache[id]; o != nil {
-				if o.Dirty {
-					return fmt.Errorf("proto: object %d on node %d: %w", obj, n.ID, ErrDirtyCopy)
-				}
-				if o.Twin != nil {
-					return fmt.Errorf("proto: object %d on node %d: %w", obj, n.ID, ErrTwinLeak)
-				}
-			}
-			if !n.IsHome[id] {
-				if n.HomeSt[id] != nil {
-					return fmt.Errorf("proto: object %d: migration state on non-home node %d: %w",
-						obj, n.ID, ErrOwnerMismatch)
-				}
-				if len(n.Copyset[id]) > 0 {
-					return fmt.Errorf("proto: object %d: copyset on non-home node %d: %w",
-						obj, n.ID, ErrStaleCopyset)
-				}
-			} else {
-				// Validate sharers in sorted order so the error names the
-				// same node on every run (detlint: a return inside the map
-				// range would leak randomized iteration order).
-				sharers := make([]memory.NodeID, 0, len(n.Copyset[id]))
-				for sharer, ok := range n.Copyset[id] {
-					if ok {
-						sharers = append(sharers, sharer)
-					}
-				}
-				slices.Sort(sharers)
-				for _, sharer := range sharers {
-					if sharer == n.ID || sharer < 0 || int(sharer) >= s.Nodes {
-						return fmt.Errorf("proto: object %d: copyset of home %d names node %d: %w",
-							obj, n.ID, sharer, ErrStaleCopyset)
-					}
-				}
-			}
-			// Chase the forwarding chain from this node's belief.
-			cur := n.Loc.Hint(id)
-			if cur == memory.NoNode {
-				cur = s.ObjHome0[id]
-			}
-			for hops := 0; cur != home; hops++ {
-				if hops > s.Nodes {
-					return fmt.Errorf("proto: object %d from node %d: %w", obj, n.ID, ErrForwardCycle)
-				}
-				next := sp.Nodes[cur].Loc.Forward(id)
-				if next == memory.NoNode {
-					if s.Locator == locator.ForwardingPointer {
-						return fmt.Errorf("proto: object %d from node %d at node %d: %w",
-							obj, n.ID, cur, ErrDeadEndChain)
-					}
-					break // manager/broadcast locators recover via miss
-				}
-				cur = next
-			}
-		}
-		if s.Locator == locator.Manager {
-			mgr := sp.Nodes[locator.ManagerOf(id, s.Nodes)]
-			if got := mgr.MgrHome[id]; got != home {
-				return fmt.Errorf("proto: object %d: manager %d believes home %d, actual %d: %w",
-					obj, mgr.ID, got, home, ErrOwnerMismatch)
-			}
-		}
-	}
-	return nil
+	_, err := sp.EndState()
+	return err
 }
 
-// Digest fingerprints the final shared-memory contents: an FNV-1a hash
-// over every object's authoritative (home) copy, in object order. Two
-// runs of the same deterministic program must produce equal digests
-// under every migration policy, locator and engine — migration changes
-// cost, never results.
-func (sp *Space) Digest() uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
-	}
-	for obj := range sp.S.ObjWords {
-		data := sp.ObjectData(memory.ObjectID(obj))
-		mix(uint64(obj))
-		mix(uint64(len(data)))
-		for _, w := range data {
-			mix(w)
-		}
-	}
-	return h
-}
+// Digest fingerprints the final shared-memory contents (EndState.Digest).
+func (sp *Space) Digest() uint64 { return sp.mustEnd().Digest() }

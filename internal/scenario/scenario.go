@@ -469,7 +469,7 @@ type Result struct {
 	Mismatches []string
 	// Violations are the oracle's LRC-legality findings.
 	Violations []oracle.Violation
-	// InvariantErr is the post-run Cluster.CheckInvariants result.
+	// InvariantErr is the post-run Cluster.EndState verdict.
 	InvariantErr error
 	// Flight is the merged HLC-ordered cluster timeline, filled when
 	// RunOpts.FlightCap was set and the run completed.
@@ -651,10 +651,11 @@ func (p *Program) Run(pol migration.Policy, opts RunOpts) (*Result, error) {
 		}
 		res.Flight = flight.Merge(logs...)
 	}
-	res.InvariantErr = c.CheckInvariants()
-	res.Digest = c.Digest()
+	end, err := c.EndState()
+	res.InvariantErr = err
+	res.Digest = end.Digest()
 	for o, id := range objs {
-		got := c.ObjectData(id)
+		got := end.ObjectData(id)
 		for w, want := range p.final[o] {
 			if got[w] != want {
 				mismatch("final obj %d word %d = %#x, want %#x", o, w, got[w], want)
