@@ -34,7 +34,7 @@ func report(b *testing.B, m dsm.Metrics) {
 
 func benchFig2(b *testing.B, app string, procs int, policy string) {
 	s := bench.DefaultSizes()
-	o := apps.Options{Nodes: procs, Policy: policy}
+	o := apps.Options{Config: dsm.Config{Nodes: procs, Policy: policy}}
 	var m dsm.Metrics
 	for i := 0; i < b.N; i++ {
 		res, err := runFig2App(app, s, o)
@@ -79,7 +79,7 @@ func BenchmarkFig3(b *testing.B) {
 		for _, size := range []int{64, 128, 256} {
 			for _, pol := range []string{"FT2", "AT"} {
 				b.Run(fmt.Sprintf("%s/n%d/%s", app, size, pol), func(b *testing.B) {
-					o := apps.Options{Nodes: 8, Policy: pol}
+					o := apps.Options{Config: dsm.Config{Nodes: 8, Policy: pol}}
 					var m dsm.Metrics
 					for i := 0; i < b.N; i++ {
 						var res apps.Result
@@ -113,7 +113,7 @@ func BenchmarkFig5(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					res, err := apps.RunSynthetic(apps.SyntheticOpts{
 						Repetition: r, TotalUpdates: 2048, Workers: 8,
-					}, apps.Options{Nodes: 9, Policy: pol})
+					}, apps.Options{Config: dsm.Config{Nodes: 9, Policy: pol}})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -152,7 +152,7 @@ func BenchmarkAblateLocator(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := apps.RunSynthetic(apps.SyntheticOpts{
 					Repetition: 8, TotalUpdates: 1024, Workers: 8,
-				}, apps.Options{Nodes: 9, Policy: "AT", Locator: loc})
+				}, apps.Options{Config: dsm.Config{Nodes: 9, Policy: "AT", Locator: loc}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -169,7 +169,7 @@ func BenchmarkAblateRelated(b *testing.B) {
 		b.Run(pol, func(b *testing.B) {
 			var m dsm.Metrics
 			for i := 0; i < b.N; i++ {
-				res, err := apps.RunSOR(128, 8, apps.Options{Nodes: 8, Policy: pol})
+				res, err := apps.RunSOR(128, 8, apps.Options{Config: dsm.Config{Nodes: 8, Policy: pol}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -191,7 +191,7 @@ func BenchmarkAblatePathCompress(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := apps.RunSynthetic(apps.SyntheticOpts{
 					Repetition: 2, TotalUpdates: 1024, Workers: 8,
-				}, apps.Options{Nodes: 9, Policy: "FT1", PathCompress: on})
+				}, apps.Options{Config: dsm.Config{Nodes: 9, Policy: "FT1", PathCompress: on}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -214,7 +214,7 @@ func BenchmarkAblatePiggyback(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := apps.RunSynthetic(apps.SyntheticOpts{
 					Repetition: 8, TotalUpdates: 1024, Workers: 8,
-				}, apps.Options{Nodes: 9, Policy: "NM", NoPiggyback: off})
+				}, apps.Options{Config: dsm.Config{Nodes: 9, Policy: "NM", NoPiggyback: off}})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -88,67 +88,35 @@ func main() {
 		figs, ablates = allFigs, allAblations
 	}
 	figs, ablates = dedup(figs), dedup(ablates)
-	if *chaos > 0 {
-		progress := func(s string) { fmt.Fprintf(os.Stderr, "  [chaos] %s\n", s) }
+	progressTo := func(tag string) func(string) {
 		if *quiet {
-			progress = nil
+			return nil
 		}
-		st, err := scenario.ChaosSweep(*seedBase, *chaos, *par, *chaosDeadline, progress)
-		fmt.Printf("chaos sweep: %d runs, %d completed with sim-digest parity, %d aborted cleanly\n",
-			st.Runs, st.Completed, st.Aborted)
-		if err != nil {
-			for _, f := range st.Failures {
-				fmt.Fprintln(os.Stderr, "dsmbench:", f)
-			}
-			fmt.Fprintln(os.Stderr, "dsmbench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("chaos sweep: PASS (every faulted run completed with parity or aborted cleanly; zero hangs)")
-		if len(figs) == 0 && len(ablates) == 0 && *scenarios == 0 && *cross == 0 {
-			return
-		}
+		return func(s string) { fmt.Fprintf(os.Stderr, "  [%s] %s\n", tag, s) }
+	}
+	if *chaos > 0 {
+		st, err := scenario.ChaosSweep(*seedBase, *chaos, *par, *chaosDeadline, progressTo("chaos"))
+		reportSweep(fmt.Sprintf("chaos sweep: %d runs, %d completed with sim-digest parity, %d aborted cleanly",
+			st.Runs, st.Completed, st.Aborted), st.Failures, err,
+			"chaos sweep: PASS (every faulted run completed with parity or aborted cleanly; zero hangs)")
+	}
+	verdictSweep := func(tag string, engines []string, count int, what, across, pass string) {
+		st, err := scenario.Sweep(engines, *seedBase, count, *par, progressTo(tag))
+		reportSweep(fmt.Sprintf("%s sweep: %d scenarios, %d runs (every builtin policy%s), %d checked reads, %d oracle ops",
+			what, st.Scenarios, st.Runs, across, st.ReadsChecked, st.OracleOps), st.Failures, err, pass)
 	}
 	if *cross > 0 {
-		progress := func(s string) { fmt.Fprintf(os.Stderr, "  [x] %s\n", s) }
-		if *quiet {
-			progress = nil
-		}
-		st, err := scenario.CrossSweep(*seedBase, *cross, *par, progress)
-		fmt.Printf("cross-engine sweep: %d scenarios, %d runs (every builtin policy × sim+live), %d checked reads, %d oracle ops\n",
-			st.Scenarios, st.Runs, st.ReadsChecked, st.OracleOps)
-		if err != nil {
-			for _, f := range st.Failures {
-				fmt.Fprintln(os.Stderr, "dsmbench:", f)
-			}
-			fmt.Fprintln(os.Stderr, "dsmbench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("cross-engine sweep: PASS (both engines clean, final memory identical per seed and policy)")
-		if len(figs) == 0 && len(ablates) == 0 && *scenarios == 0 {
-			return
-		}
+		verdictSweep("x", []string{"sim", "live"}, *cross, "cross-engine", " × sim+live",
+			"cross-engine sweep: PASS (both engines clean, final memory identical per seed and policy)")
 	}
 	if *scenarios > 0 {
-		progress := func(s string) { fmt.Fprintf(os.Stderr, "  [scn] %s\n", s) }
-		if *quiet {
-			progress = nil
-		}
-		st, err := scenario.Sweep(*seedBase, *scenarios, *par, progress)
-		fmt.Printf("scenario sweep: %d scenarios, %d runs (every builtin policy), %d checked reads, %d oracle ops\n",
-			st.Scenarios, st.Runs, st.ReadsChecked, st.OracleOps)
-		if err != nil {
-			for _, f := range st.Failures {
-				fmt.Fprintln(os.Stderr, "dsmbench:", f)
-			}
-			fmt.Fprintln(os.Stderr, "dsmbench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("scenario sweep: PASS (oracle clean, invariants intact, final memory policy-independent)")
-		if len(figs) == 0 && len(ablates) == 0 {
-			return
-		}
+		verdictSweep("scn", []string{"sim"}, *scenarios, "scenario", "",
+			"scenario sweep: PASS (oracle clean, invariants intact, final memory policy-independent)")
 	}
 	if len(figs) == 0 && len(ablates) == 0 {
+		if *chaos > 0 || *cross > 0 || *scenarios > 0 {
+			return
+		}
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -176,6 +144,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dsmbench:", err)
 		os.Exit(1)
 	}
+}
+
+// reportSweep prints a verdict sweep's outcome: the summary line on
+// stdout either way, then the PASS line — or, when the sweep failed, its
+// detail lines and error on stderr and exit status 1.
+func reportSweep(summary string, failures []string, err error, pass string) {
+	fmt.Println(summary)
+	if err != nil {
+		for _, f := range failures {
+			fmt.Fprintln(os.Stderr, "dsmbench:", f)
+		}
+		fmt.Fprintln(os.Stderr, "dsmbench:", err)
+		os.Exit(1)
+	}
+	fmt.Println(pass)
 }
 
 // produce runs the requested figure sweeps and ablations in order,

@@ -20,7 +20,12 @@
 // bootstrap handshake exchanges a digest of the configuration and
 // rejects mismatches, because each process builds its own replica of
 // the cluster layout (objects, locks, barriers, thread placement) and
-// those replicas must be identical for the protocol to route.
+// those replicas must be identical for the protocol to route. The digest
+// is generated, not listed: it hashes the cluster size and name=value of
+// every flag the shared blocks apps.Spec.Register (application, size) and
+// apps.Options.Register (protocol selection, -threads, -check) declare,
+// plus -seed. Observability, failure-injection and per-process flags stay
+// outside it.
 //
 // The process exits 0 only when the whole cluster succeeded: an
 // application-result mismatch, invariant violation, oracle violation
@@ -126,8 +131,19 @@ func main() {
 	// -workers 0 means nodes-1 here (resolved below, once the cluster
 	// size is known).
 	spec := apps.Spec{App: "sor", N: 64, Iters: 4, Cities: 10, Rep: 8, Updates: 2048}
+	o := apps.Options{Config: dsm.Config{Engine: "live"}}
 	spec.Register(flag.CommandLine)
+	o.Register(flag.CommandLine)
+	flag.Uint64Var(&o.Seed, "seed", 0, "input perturbation seed (0 = canonical paper input)")
+	// Every flag registered so far decides what the cluster computes, so
+	// the handshake digest covers them all (canon, below): a flag added to
+	// a shared block is compared with no edit here. What follows may
+	// differ between members.
+	var computed []string
+	flag.VisitAll(func(f *flag.Flag) { computed = append(computed, f.Name) })
 	flag.Lookup("workers").Usage = "synthetic: worker threads (0 = nodes-1, on nodes 1..workers)"
+	flag.Lookup("threads").Usage = "total threads across the cluster (0 = one per node)"
+	flag.Lookup("check").Usage = "cluster-wide gate: distributed invariants, merged LRC oracle, digest agreement"
 	// Observability flags are excluded from the config digest: they change
 	// what a process records and reports, never what it computes, so
 	// members may legitimately differ. The shared block words them for a
@@ -142,14 +158,6 @@ func main() {
 		id      = flag.Int("id", -1, "this node's id (0..nodes-1; node 0 coordinates and prints the merged report)")
 		peers   = flag.String("peers", "", "comma-separated host:port per node, index = node id (required)")
 		nodes   = flag.Int("nodes", 0, "cluster size; 0 derives it from -peers (set it as a cross-check)")
-		threads = flag.Int("threads", 0, "total threads across the cluster (0 = one per node)")
-		policy  = flag.String("policy", "AT", "migration policy: AT, FT<k>, NoHM, JUMP, Jackal[k], Jiajia")
-		loc     = flag.String("locator", "fwdptr", "home locator: fwdptr, manager, broadcast")
-		lambda  = flag.Float64("lambda", 0, "feedback coefficient λ (0 = paper's 1)")
-		tinit   = flag.Float64("tinit", 0, "initial threshold (0 = paper's 1)")
-		noPig   = flag.Bool("nopiggyback", false, "disable diff piggybacking on sync messages")
-		seed    = flag.Uint64("seed", 0, "input perturbation seed (0 = canonical paper input)")
-		check   = flag.Bool("check", false, "cluster-wide gate: distributed invariants, merged LRC oracle, digest agreement")
 		timeout = flag.Duration("join-timeout", 20*time.Second, "how long to wait for peers during bootstrap")
 		verbose = flag.Bool("v", false, "log bootstrap progress")
 
@@ -188,8 +196,10 @@ func main() {
 	// must be identical cluster replicas. Peer addresses are excluded —
 	// hostname spellings may legitimately differ per process; the
 	// pair-wise hello already validates ids and cluster size.
-	canon := fmt.Sprintf("v1|app=%s|n=%d|iters=%d|cities=%d|nodes=%d|threads=%d|policy=%s|locator=%s|lambda=%g|tinit=%g|nopig=%t|seed=%d|check=%t|r=%d|updates=%d|workers=%d",
-		spec.App, spec.N, spec.Iters, spec.Cities, nn, *threads, *policy, *loc, *lambda, *tinit, *noPig, *seed, *check, spec.Rep, spec.Updates, spec.Workers)
+	canon := fmt.Sprintf("v2|nodes=%d", nn)
+	for _, name := range computed {
+		canon += fmt.Sprintf("|%s=%s", name, flag.Lookup(name).Value)
+	}
 	h := fnv.New64a()
 	h.Write([]byte(canon))
 
@@ -210,7 +220,7 @@ func main() {
 		ID:          memory.NodeID(*id),
 		Addrs:       addrs,
 		Digest:      h.Sum64(),
-		Check:       *check,
+		Check:       o.Check,
 		DialTimeout: *timeout,
 		FlightCap:   obsFlags.FlightCap,
 		OnFatal: func(err error) {
@@ -243,10 +253,8 @@ func main() {
 	// Live telemetry is always on, independent of -obs-addr: every
 	// member carries a registry and hot-object sketch and ships compact
 	// snapshots to node 0 so the coordinator's /metrics is the cluster
-	// view even when only node 0 exposes a listener. The observability
-	// flags are excluded from the config digest, so mixed flag sets
-	// across members still join.
-	reg := telemetry.NewRegistry(*id, fmt.Sprintf("policy=%q", *policy))
+	// view even when only node 0 exposes a listener.
+	reg := telemetry.NewRegistry(*id, fmt.Sprintf("policy=%q", o.Policy))
 	sink := telemetry.NewSink(0)
 	reg.AttachSink(sink)
 	registerMemberMetrics(reg, member, nn)
@@ -330,32 +338,28 @@ func main() {
 		}()
 	}
 
-	o := apps.Options{
-		Nodes: nn, Threads: *threads, Policy: *policy, Locator: *loc,
-		Lambda: *lambda, TInit: *tinit, NoPiggyback: *noPig, Seed: *seed,
-		Engine: "live", Check: *check, Oracle: *check, Multi: member,
-		Telemetry: sink, Metrics: reg,
-		// The sampler is built once the engine exists so its frozen
-		// scalar list covers the engine-registered metrics too; the
-		// tick/ship loop then runs for the life of the app.
-		OnCluster: func(*dsm.Cluster) {
-			sampler = telemetry.NewSampler(reg, 4096)
-			loopUp = true
-			go func() {
-				defer close(telDone)
-				t := time.NewTicker(*telInterval)
-				defer t.Stop()
-				for {
-					select {
-					case <-telStop:
-						return
-					case <-t.C:
-						sampler.Tick(time.Now().UnixNano())
-						member.ShipTelemetry(reg.Snapshot())
-					}
+	o.Nodes, o.Oracle, o.Multi = nn, o.Check, member
+	o.Telemetry, o.Metrics = sink, reg
+	// The sampler is built once the engine exists so its frozen scalar
+	// list covers the engine-registered metrics too; the tick/ship loop
+	// then runs for the life of the app.
+	o.OnCluster = func(*dsm.Cluster) {
+		sampler = telemetry.NewSampler(reg, 4096)
+		loopUp = true
+		go func() {
+			defer close(telDone)
+			t := time.NewTicker(*telInterval)
+			defer t.Stop()
+			for {
+				select {
+				case <-telStop:
+					return
+				case <-t.C:
+					sampler.Tick(time.Now().UnixNano())
+					member.ShipTelemetry(reg.Snapshot())
 				}
-			}()
-		},
+			}
+		}()
 	}
 	var res apps.Result
 	if spec.App == "synthetic" && nn < spec.Workers+1 {
@@ -390,14 +394,14 @@ func main() {
 	stopTel()
 	if *id == 0 {
 		if *jsonOut {
-			if jerr := writeArtifact(os.Stdout, canon, nn, *check, res); jerr != nil {
+			if jerr := writeArtifact(os.Stdout, canon, nn, o.Check, res); jerr != nil {
 				fmt.Fprintf(os.Stderr, "dsmnode %d: json: %v\n", *id, jerr)
 				os.Exit(exitOther)
 			}
 		} else {
 			fmt.Printf("%s over %d processes\n", res.App, nn)
 			fmt.Print(res.Metrics.Summary())
-			if *check {
+			if o.Check {
 				fmt.Printf("check          invariants OK, oracle OK (%d ops), digest %#x\n",
 					res.OracleOps, res.Digest)
 			}

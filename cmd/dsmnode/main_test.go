@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"net"
 	"os"
@@ -13,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	dsm "repro"
 	"repro/internal/apps"
 )
 
@@ -124,7 +128,7 @@ func TestFourProcessASP(t *testing.T) {
 	}
 	out := runCluster(t, 4, "-app", "asp", "-n", "24")
 	got := digestOf(t, out)
-	ref, err := apps.RunASP(24, apps.Options{Nodes: 4, Check: true})
+	ref, err := apps.RunASP(24, apps.Options{Config: dsm.Config{Nodes: 4}, Check: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +148,7 @@ func TestFourProcessSOR(t *testing.T) {
 	}
 	out := runCluster(t, 4, "-app", "sor", "-n", "20", "-iters", "3", "-policy", "FT1")
 	got := digestOf(t, out)
-	ref, err := apps.RunSOR(20, 3, apps.Options{Nodes: 4, Policy: "FT1", Check: true})
+	ref, err := apps.RunSOR(20, 3, apps.Options{Config: dsm.Config{Nodes: 4, Policy: "FT1"}, Check: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,28 +204,116 @@ func exitCodeOf(err error) int {
 }
 
 // TestConfigMismatchExitCode: the handshake rejection must exit with
-// the config-mismatch code (3) on both sides.
+// the config-mismatch code (3) on both sides — whichever computed flag
+// differs, application size or protocol selection alike.
 func TestConfigMismatchExitCode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process smoke skipped in -short")
 	}
 	bin := dsmnodeBinary(t)
-	peers := strings.Join(freeAddrs(t, 2), ",")
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	codes := make(chan int, 2)
-	run := func(id int, size string) {
-		out, err := exec.CommandContext(ctx, bin,
-			"-id", fmt.Sprint(id), "-peers", peers, "-app", "asp", "-n", size).CombinedOutput()
-		if code := exitCodeOf(err); code != 3 {
-			t.Errorf("node %d exited %d, want 3 (config mismatch)\n%s", id, code, out)
-		}
-		codes <- 0
+	for _, tc := range []struct {
+		name string
+		a, b []string // what node 0 and node 1 add to the common flags
+	}{
+		{"n", []string{"-n", "24"}, []string{"-n", "32"}},
+		{"nopiggyback", nil, []string{"-nopiggyback"}},
+		{"lambda", []string{"-lambda", "2"}, []string{"-lambda", "3"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			peers := strings.Join(freeAddrs(t, 2), ",")
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			done := make(chan struct{}, 2)
+			run := func(id int, extra []string) {
+				args := append([]string{"-id", fmt.Sprint(id), "-peers", peers, "-app", "asp"}, extra...)
+				out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+				if code := exitCodeOf(err); code != 3 {
+					t.Errorf("node %d exited %d, want 3 (config mismatch)\n%s", id, code, out)
+				}
+				done <- struct{}{}
+			}
+			go run(0, tc.a)
+			go run(1, tc.b)
+			<-done
+			<-done
+		})
 	}
-	go run(0, "24")
-	go run(1, "32")
-	<-codes
-	<-codes
+}
+
+// TestCanonCoversComputedFlags: the string behind the handshake digest
+// names every flag of the shared blocks that decide what the cluster
+// computes (apps.Spec, apps.Options) with its value, plus -seed and the
+// cluster size, and nothing else dsmnode accepts — observability and
+// per-process flags may differ between members. The string is read off a
+// real single-member run's -json artifact; the full flag list is the -h
+// golden's.
+func TestCanonCoversComputedFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process launch skipped in -short")
+	}
+	// Every computed flag at a non-default value.
+	set := map[string]string{
+		"app": "asp", "n": "16", "iters": "5", "cities": "9", "r": "4", "updates": "512", "workers": "3",
+		"policy": "FT2", "locator": "manager", "lambda": "2", "tinit": "3", "nopiggyback": "true",
+		"threads": "2", "check": "true", "seed": "7",
+	}
+	shared := flag.NewFlagSet("shared", flag.ContinueOnError)
+	new(apps.Spec).Register(shared)
+	new(apps.Options).Register(shared)
+	shared.VisitAll(func(f *flag.Flag) {
+		if _, ok := set[f.Name]; !ok {
+			t.Errorf("a shared block registers -%s; give it a value in this test", f.Name)
+		}
+	})
+	args := []string{"-id", "0", "-peers", "unused", "-json",
+		"-flight", "64", "-flight-dump", "4", "-v", "-deadline", "60s", "-join-timeout", "5s", "-telemetry-interval", "100ms"}
+	for name, v := range set {
+		args = append(args, "-"+name+"="+v)
+	}
+	cmd := exec.Command(dsmnodeBinary(t), args...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("dsmnode: %v\n%s", err, stderr.Bytes())
+	}
+	var art struct{ Config string }
+	if err := json.Unmarshal(out, &art); err != nil {
+		t.Fatalf("artifact: %v\n%s", err, out)
+	}
+	fields := strings.Split(art.Config, "|")
+	if fields[0] != "v2" {
+		t.Fatalf("canon %q does not start with the v2 prefix", art.Config)
+	}
+	got := map[string]string{}
+	for _, f := range fields[1:] {
+		name, v, _ := strings.Cut(f, "=")
+		got[name] = v
+	}
+	set["nodes"] = "1" // the cluster size, from -peers
+	for name, v := range set {
+		if got[name] != v {
+			t.Errorf("canon has %s=%q, want %q: %s", name, got[name], v, art.Config)
+		}
+	}
+	help, err := os.ReadFile("../../testdata/help/dsmnode.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := regexp.MustCompile(`(?m)^  -([a-z-]+)`).FindAllStringSubmatch(string(help), -1)
+	if len(all) < 30 {
+		t.Fatalf("only %d flags parsed from the -h golden", len(all))
+	}
+	for _, m := range all {
+		if _, computed := set[m[1]]; !computed {
+			if v, ok := got[m[1]]; ok {
+				t.Errorf("canon carries the per-process flag %s=%s", m[1], v)
+			}
+		}
+	}
+	if len(got) != len(set) {
+		t.Errorf("canon has %d fields, want %d: %s", len(got), len(set), art.Config)
+	}
 }
 
 // TestBootstrapTimeoutExitCode: a member whose peers never start must

@@ -48,32 +48,20 @@ import (
 func main() {
 	spec := apps.Spec{App: "asp", N: 128, Iters: 12, Cities: 10, Rep: 8, Updates: 2048, Workers: 8}
 	spec.Register(flag.CommandLine)
+	var o apps.Options
+	o.Register(flag.CommandLine)
 	var obsFlags apps.ObsFlags
 	obsFlags.Register(flag.CommandLine)
-	var (
-		nodes   = flag.Int("nodes", 8, "cluster nodes")
-		threads = flag.Int("threads", 0, "threads (0 = one per node)")
-		policy  = flag.String("policy", "AT", "migration policy: AT, FT<k>, NoHM, JUMP, Jackal[k], Jiajia")
-		loc     = flag.String("locator", "fwdptr", "home locator: fwdptr, manager, broadcast")
-		network = flag.String("network", "fastethernet", "network model: fastethernet, gigabit (sim engine)")
-		engine  = flag.String("engine", "sim", "execution engine: sim (virtual time) or live (real goroutines)")
-		check   = flag.Bool("check", false, "post-run gate: protocol invariants, memory digest, and the LRC coherence oracle")
-		lambda  = flag.Float64("lambda", 0, "feedback coefficient λ (0 = paper's 1)")
-		tinit   = flag.Float64("tinit", 0, "initial threshold (0 = paper's 1)")
-		noPig   = flag.Bool("nopiggyback", false, "disable diff piggybacking on sync messages")
-
-		flightAnalyze = flag.Bool("flight-analyze", false, "bridge the flight timeline into the offline access-pattern classifier and print its report (needs -flight)")
-	)
+	flag.IntVar(&o.Nodes, "nodes", 8, "cluster nodes")
+	flag.StringVar(&o.Network, "network", "fastethernet", "network model: fastethernet, gigabit (sim engine)")
+	flag.StringVar(&o.Engine, "engine", "sim", "execution engine: sim (virtual time) or live (real goroutines)")
+	flightAnalyze := flag.Bool("flight-analyze", false, "bridge the flight timeline into the offline access-pattern classifier and print its report (needs -flight)")
 	flag.Parse()
+	o.Oracle, o.FlightCap = o.Check, obsFlags.FlightCap
 
-	o := apps.Options{
-		Nodes: *nodes, Threads: *threads, Policy: *policy, Locator: *loc,
-		Network: *network, Lambda: *lambda, TInit: *tinit, NoPiggyback: *noPig,
-		Engine: *engine, Check: *check, Oracle: *check, FlightCap: obsFlags.FlightCap,
-	}
 	var obs *obshttp.Server
 	if obsFlags.ObsAddr != "" {
-		obs = serveObs(obsFlags.ObsAddr, *policy, *engine, &o)
+		obs = serveObs(obsFlags.ObsAddr, &o)
 	}
 	res, err := apps.Run(spec, o)
 	if err != nil {
@@ -82,7 +70,7 @@ func main() {
 	}
 	fmt.Println(res.App)
 	fmt.Print(res.Metrics.Summary())
-	if *check {
+	if o.Check {
 		fmt.Printf("check          invariants OK, oracle OK (%d ops), digest %#x\n",
 			res.OracleOps, res.Digest)
 	}
@@ -106,12 +94,12 @@ func main() {
 // registry on the live engine (the sim engine runs under virtual time;
 // wall-clock scrapes of its counters would race the simulation), and an
 // OnCluster capture so /flight can render the rings mid-run.
-func serveObs(addr, policy, engine string, o *apps.Options) *obshttp.Server {
-	reg := telemetry.NewRegistry(0, fmt.Sprintf("policy=%q", policy))
+func serveObs(addr string, o *apps.Options) *obshttp.Server {
+	reg := telemetry.NewRegistry(0, fmt.Sprintf("policy=%q", o.Policy))
 	sink := telemetry.NewSink(0)
 	reg.AttachSink(sink)
 	o.Telemetry = sink
-	if engine == "live" {
+	if o.Engine == "live" {
 		o.Metrics = reg
 	}
 	var cl atomic.Pointer[dsm.Cluster]

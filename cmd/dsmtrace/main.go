@@ -39,7 +39,7 @@ func main() {
 	flag.Parse()
 
 	tr := dsm.NewTrace()
-	o := apps.Options{Nodes: *nodes, Policy: "NoHM", Trace: tr}
+	o := apps.Options{Config: dsm.Config{Nodes: *nodes, Policy: "NoHM", Trace: tr}}
 	_, err := apps.Run(spec, o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dsmtrace:", err)

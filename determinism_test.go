@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	dsm "repro"
 	"repro/internal/apps"
 	"repro/internal/bench"
 )
@@ -19,7 +20,7 @@ func TestFig2SmallestConfigDeterministic(t *testing.T) {
 	for _, pol := range []string{"NoHM", "AT"} {
 		s := bench.DefaultSizes()
 		run := func() apps.Result {
-			res, err := apps.RunASP(s.ASPN, apps.Options{Nodes: 2, Policy: pol})
+			res, err := apps.RunASP(s.ASPN, apps.Options{Config: dsm.Config{Nodes: 2, Policy: pol}})
 			if err != nil {
 				t.Fatalf("%s: %v", pol, err)
 			}

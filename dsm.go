@@ -245,36 +245,35 @@ func New(cfg Config) *Cluster {
 		panic("dsm: LocalNode requires a Transport that reaches the peer processes")
 	}
 	c := &Cluster{cfg: cfg, polName: pol.Name()}
+	// The protocol selection, parsed once; either engine takes it as is.
+	sh := proto.Shared{
+		Nodes:        cfg.Nodes,
+		Policy:       pol,
+		Locator:      loc,
+		Params:       params,
+		Piggyback:    !cfg.NoPiggyback,
+		PathCompress: cfg.PathCompress,
+	}
 	switch cfg.Engine {
 	case "", "sim":
 		c.eng = gos.New(gos.Config{
-			Nodes:        cfg.Nodes,
-			Net:          net,
-			Policy:       pol,
-			Locator:      loc,
-			Params:       params,
-			Piggyback:    !cfg.NoPiggyback,
-			DebugWire:    cfg.DebugWire,
-			PathCompress: cfg.PathCompress,
-			Observer:     cfg.Observer,
-			FlightCap:    cfg.FlightCap,
-			Telemetry:    cfg.Telemetry,
+			Shared:    sh,
+			Net:       net,
+			DebugWire: cfg.DebugWire,
+			Observer:  cfg.Observer,
+			FlightCap: cfg.FlightCap,
+			Telemetry: cfg.Telemetry,
 		})
 	case "live":
 		c.eng = live.New(live.Config{
-			Nodes:        cfg.Nodes,
-			Policy:       pol,
-			Locator:      loc,
-			Params:       params,
-			Piggyback:    !cfg.NoPiggyback,
-			PathCompress: cfg.PathCompress,
-			Observer:     cfg.Observer,
-			Transport:    cfg.Transport,
-			LocalNode:    cfg.LocalNode,
-			FlightCap:    cfg.FlightCap,
-			FlightLocal:  cfg.FlightLocal,
-			Telemetry:    cfg.Telemetry,
-			Metrics:      cfg.Metrics,
+			Shared:      sh,
+			Observer:    cfg.Observer,
+			Transport:   cfg.Transport,
+			LocalNode:   cfg.LocalNode,
+			FlightCap:   cfg.FlightCap,
+			FlightLocal: cfg.FlightLocal,
+			Telemetry:   cfg.Telemetry,
+			Metrics:     cfg.Metrics,
 		})
 	default:
 		panic(fmt.Sprintf("dsm: unknown engine %q (want \"sim\" or \"live\")", cfg.Engine))

@@ -8,6 +8,7 @@
 package apps
 
 import (
+	"flag"
 	"fmt"
 
 	dsm "repro"
@@ -15,33 +16,22 @@ import (
 	"repro/internal/flight"
 	"repro/internal/oracle"
 	"repro/internal/prng"
-	"repro/internal/telemetry"
 )
 
-// Options configures an application run.
+// Options configures an application run: the cluster configuration
+// (dsm.Config, embedded — its Nodes, Policy, Locator, Lambda, TInit,
+// Network, NoPiggyback, PathCompress, Engine, DebugWire, Trace,
+// FlightCap, Telemetry and Metrics are set here under their own names and
+// reach dsm.New as they are) plus what only the apps layer knows: thread
+// count, input seed, the post-run gates and the multi-process member.
+// Config's Observer, Transport, LocalNode and FlightLocal are not the
+// caller's to set: cluster derives them from Oracle and Multi.
 type Options struct {
-	// Nodes is the cluster size (required).
-	Nodes int
+	dsm.Config
 	// Threads is the worker count; 0 means one per node (the paper's
 	// default: "the number of threads created is the same as the number
 	// of cluster nodes").
 	Threads int
-	// Policy is the home-migration protocol ("AT" default).
-	Policy string
-	// Locator is the home-location mechanism ("fwdptr" default).
-	Locator string
-	// Lambda/TInit override the adaptive-threshold constants (0 = paper).
-	Lambda, TInit float64
-	// Network picks the interconnect model ("fastethernet" default).
-	Network string
-	// NoPiggyback disables the §5.2 diff-piggybacking optimization.
-	NoPiggyback bool
-	// DebugWire verifies the codec on every message.
-	DebugWire bool
-	// Trace, when non-nil, records protocol events for offline analysis.
-	Trace *dsm.Trace
-	// PathCompress enables the forwarding-chain compression extension.
-	PathCompress bool
 	// Seed perturbs the application's generated input (graph, grid,
 	// bodies, distances) for multi-trial sweeps. Zero selects the
 	// canonical paper input, so all existing golden runs are Seed 0.
@@ -58,34 +48,35 @@ type Options struct {
 	// scalar traffic only — still enough to catch mis-ordered
 	// synchronization on either engine.
 	Oracle bool
-	// Engine selects the execution engine: "sim" (default) or "live"
-	// (real goroutines; see dsm.Config.Engine).
-	Engine string
 	// Multi, when non-nil, runs this process as one member of a
 	// multi-process cluster (cmd/dsmnode): only the member's local
 	// node's workers execute here, frames cross the member's transport,
 	// and the post-run gates — oracle, digest, metrics — are evaluated
 	// distributively through the member's control plane instead of
-	// locally. Requires Engine "live".
+	// locally. Requires Engine "live". The flight recorder then comes
+	// from the member (see cluster.Config.FlightCap) and FlightCap is
+	// ignored.
 	Multi Member
-	// FlightCap enables per-node flight recorders of this capacity
-	// (internal/flight; 0 = disabled). In multi-process runs the
-	// recorder comes from the cluster member instead (see
-	// cluster.Config.FlightCap) and this field is ignored.
-	FlightCap int
-	// Telemetry, when non-nil, is the hot-object sink the engine's
-	// nodes record accesses and migration decisions into (works on
-	// both engines; pure observation).
-	Telemetry *telemetry.Sink
-	// Metrics, when non-nil, receives the live engine's scrape metrics
-	// (frame counters, protocol counters, latency histograms). Live
-	// engine only.
-	Metrics *telemetry.Registry
 	// OnCluster, when non-nil, is called with the built cluster just
 	// before the run starts — the hook cmd binaries use to point a
 	// debug listener (flight rings, metric reads) at the engine while
 	// it is running.
 	OnCluster func(*dsm.Cluster)
+}
+
+// Register declares the protocol-selection flags on fs, bound to o:
+// -policy, -locator, -lambda, -tinit, -nopiggyback, -threads and -check
+// (which sets Check; the binaries turn the oracle on with it). The help
+// texts are dsmrun's; a binary for which they read differently replaces
+// them (flag.Lookup(name).Usage).
+func (o *Options) Register(fs *flag.FlagSet) {
+	fs.StringVar(&o.Policy, "policy", "AT", "migration policy: AT, FT<k>, NoHM, JUMP, Jackal[k], Jiajia")
+	fs.StringVar(&o.Locator, "locator", "fwdptr", "home locator: fwdptr, manager, broadcast")
+	fs.Float64Var(&o.Lambda, "lambda", 0, "feedback coefficient λ (0 = paper's 1)")
+	fs.Float64Var(&o.TInit, "tinit", 0, "initial threshold (0 = paper's 1)")
+	fs.BoolVar(&o.NoPiggyback, "nopiggyback", false, "disable diff piggybacking on sync messages")
+	fs.IntVar(&o.Threads, "threads", 0, "threads (0 = one per node)")
+	fs.BoolVar(&o.Check, "check", false, "post-run gate: protocol invariants, memory digest, and the LRC coherence oracle")
 }
 
 // Member is one process's handle on a multi-process cluster, as the
@@ -133,43 +124,14 @@ func (o Options) threads() int {
 // recorder (thread ids must be dense in [0, threads)).
 func (o Options) cluster(threads int) (*dsm.Cluster, *oracle.Recorder) {
 	var rec *oracle.Recorder
-	var obs dsm.Observer
-	var tr dsm.Transport
-	var local *dsm.NodeID
+	cfg := o.Config
 	if o.Multi != nil {
-		if o.Engine != "live" {
-			panic("apps: Options.Multi requires Engine \"live\"")
-		}
-		tr = o.Multi
+		cfg.Transport = o.Multi
 		ln := o.Multi.LocalNode()
-		local = &ln
+		cfg.LocalNode = &ln
 		if o.Oracle {
-			obs = o.Multi.Observer(threads)
+			cfg.Observer = o.Multi.Observer(threads)
 		}
-	} else if o.Oracle {
-		rec = oracle.NewRecorder(threads)
-		obs = rec
-	}
-	cfg := dsm.Config{
-		Nodes:        o.Nodes,
-		Policy:       o.Policy,
-		Locator:      o.Locator,
-		Lambda:       o.Lambda,
-		TInit:        o.TInit,
-		Network:      o.Network,
-		NoPiggyback:  o.NoPiggyback,
-		DebugWire:    o.DebugWire,
-		Trace:        o.Trace,
-		PathCompress: o.PathCompress,
-		Engine:       o.Engine,
-		Observer:     obs,
-		Transport:    tr,
-		LocalNode:    local,
-		FlightCap:    o.FlightCap,
-		Telemetry:    o.Telemetry,
-		Metrics:      o.Metrics,
-	}
-	if o.Multi != nil {
 		// A member carrying its own flight recorder (cluster.Config.
 		// FlightCap) records with the cluster's hybrid logical clock, so
 		// its stamps merge correctly with every peer's; the local node
@@ -178,6 +140,9 @@ func (o Options) cluster(threads int) (*dsm.Cluster, *oracle.Recorder) {
 		if fr, ok := o.Multi.(interface{ FlightRecorder() *flight.Recorder }); ok {
 			cfg.FlightLocal = fr.FlightRecorder()
 		}
+	} else if o.Oracle {
+		rec = oracle.NewRecorder(threads)
+		cfg.Observer = rec
 	}
 	c := dsm.New(cfg)
 	if o.OnCluster != nil {

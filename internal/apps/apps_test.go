@@ -8,7 +8,7 @@ import (
 
 // opts builds debug-checked options.
 func opts(nodes int, policy string) Options {
-	return Options{Nodes: nodes, Policy: policy, DebugWire: true}
+	return Options{Config: dsm.Config{Nodes: nodes, Policy: policy, DebugWire: true}}
 }
 
 func TestASPMatchesSequential(t *testing.T) {

@@ -158,10 +158,10 @@ func AblateLocator(o RunOpts) ([]AblationRow, error) {
 			ablSpec{"locator", loc, "synthetic(r=8)", func(seed uint64) (apps.Result, error) {
 				return apps.RunSynthetic(apps.SyntheticOpts{
 					Repetition: 8, TotalUpdates: 1024, Workers: 8,
-				}, apps.Options{Nodes: 9, Policy: "AT", Locator: loc, Seed: seed, Check: o.Check})
+				}, apps.Options{Config: dsm.Config{Nodes: 9, Policy: "AT", Locator: loc}, Seed: seed, Check: o.Check})
 			}},
 			ablSpec{"locator", loc, "ASP(128)", func(seed uint64) (apps.Result, error) {
-				res, err := apps.RunASP(128, apps.Options{Nodes: 8, Policy: "AT", Locator: loc, Seed: seed, Check: o.Check})
+				res, err := apps.RunASP(128, apps.Options{Config: dsm.Config{Nodes: 8, Policy: "AT", Locator: loc}, Seed: seed, Check: o.Check})
 				if o.Check && err == nil {
 					dt.record(loc, seed, res.Digest)
 				}
@@ -184,7 +184,7 @@ func AblateLambda(o RunOpts) ([]AblationRow, error) {
 			func(seed uint64) (apps.Result, error) {
 				return apps.RunSynthetic(apps.SyntheticOpts{
 					Repetition: 2, TotalUpdates: 1024, Workers: 8,
-				}, apps.Options{Nodes: 9, Policy: "AT", Lambda: lam, Seed: seed, Check: o.Check})
+				}, apps.Options{Config: dsm.Config{Nodes: 9, Policy: "AT", Lambda: lam}, Seed: seed, Check: o.Check})
 			}})
 	}
 	return runAblation(o, points)
@@ -204,7 +204,7 @@ func AblateTInit(o RunOpts) ([]AblationRow, error) {
 		points = append(points, ablSpec{
 			"tinit", variant, "ASP(128)",
 			func(seed uint64) (apps.Result, error) {
-				res, err := apps.RunASP(128, apps.Options{Nodes: 8, Policy: "AT", TInit: ti, Seed: seed, Check: o.Check})
+				res, err := apps.RunASP(128, apps.Options{Config: dsm.Config{Nodes: 8, Policy: "AT", TInit: ti}, Seed: seed, Check: o.Check})
 				if o.Check && err == nil {
 					dt.record(variant, seed, res.Digest)
 				}
@@ -227,10 +227,10 @@ func AblateRelated(o RunOpts) ([]AblationRow, error) {
 			ablSpec{"related", pol, "synthetic(r=4)", func(seed uint64) (apps.Result, error) {
 				return apps.RunSynthetic(apps.SyntheticOpts{
 					Repetition: 4, TotalUpdates: 1024, Workers: 8,
-				}, apps.Options{Nodes: 9, Policy: pol, Seed: seed, Check: o.Check})
+				}, apps.Options{Config: dsm.Config{Nodes: 9, Policy: pol}, Seed: seed, Check: o.Check})
 			}},
 			ablSpec{"related", pol, "SOR(128)", func(seed uint64) (apps.Result, error) {
-				res, err := apps.RunSOR(128, 8, apps.Options{Nodes: 8, Policy: pol, Seed: seed, Check: o.Check})
+				res, err := apps.RunSOR(128, 8, apps.Options{Config: dsm.Config{Nodes: 8, Policy: pol}, Seed: seed, Check: o.Check})
 				if o.Check && err == nil {
 					dt.record(pol, seed, res.Digest)
 				}
@@ -257,7 +257,7 @@ func AblatePiggyback(o RunOpts) ([]AblationRow, error) {
 			func(seed uint64) (apps.Result, error) {
 				return apps.RunSynthetic(apps.SyntheticOpts{
 					Repetition: 8, TotalUpdates: 1024, Workers: 8,
-				}, apps.Options{Nodes: 9, Policy: "NM", NoPiggyback: noPig, Seed: seed, Check: o.Check})
+				}, apps.Options{Config: dsm.Config{Nodes: 9, Policy: "NM", NoPiggyback: noPig}, Seed: seed, Check: o.Check})
 			}})
 	}
 	return runAblation(o, points)
@@ -278,7 +278,7 @@ func AblatePathCompression(o RunOpts) ([]AblationRow, error) {
 			func(seed uint64) (apps.Result, error) {
 				return apps.RunSynthetic(apps.SyntheticOpts{
 					Repetition: 2, TotalUpdates: 1024, Workers: 8,
-				}, apps.Options{Nodes: 9, Policy: "FT1", PathCompress: on, Seed: seed, Check: o.Check})
+				}, apps.Options{Config: dsm.Config{Nodes: 9, Policy: "FT1", PathCompress: on}, Seed: seed, Check: o.Check})
 			}})
 	}
 	return runAblation(o, points)

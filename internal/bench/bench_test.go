@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	dsm "repro"
 	"repro/internal/apps"
 )
 
@@ -198,7 +199,7 @@ func TestAblations(t *testing.T) {
 }
 
 func TestRunAppUnknown(t *testing.T) {
-	if _, err := runApp("nope", tinySizes(), apps.Options{Nodes: 2}); err == nil {
+	if _, err := runApp("nope", tinySizes(), apps.Options{Config: dsm.Config{Nodes: 2}}); err == nil {
 		t.Fatal("unknown app accepted")
 	}
 }

@@ -53,7 +53,7 @@ func Fig2(s Sizes, procs []int, o RunOpts) ([]Fig2Row, error) {
 					specs = append(specs, experiment.Spec{
 						Label: trialLabel(fmt.Sprintf("fig2 %s p=%d %s", app, p, pol), K, t),
 						Run: func() (dsm.Metrics, error) {
-							res, err := runApp(app, s, apps.Options{Nodes: p, Policy: pol, Seed: seed, Check: o.Check})
+							res, err := runApp(app, s, apps.Options{Config: dsm.Config{Nodes: p, Policy: pol}, Seed: seed, Check: o.Check})
 							digests[idx] = res.Digest
 							return res.Metrics, err
 						},

@@ -73,7 +73,7 @@ func Fig3(sizesASP, sizesSOR []int, sorIters, nodes int, o RunOpts) ([]Fig3Row, 
 					Label: trialLabel(fmt.Sprintf("fig3 %s n=%d %s", pt.App, pt.Size, pol), K, t),
 					Run: func() (dsm.Metrics, error) {
 						s := Sizes{ASPN: pt.Size, SORN: pt.Size, SORIters: sorIters}
-						res, err := runApp(pt.App, s, apps.Options{Nodes: nodes, Policy: pol, Seed: seed, Check: o.Check})
+						res, err := runApp(pt.App, s, apps.Options{Config: dsm.Config{Nodes: nodes, Policy: pol}, Seed: seed, Check: o.Check})
 						digests[idx] = res.Digest
 						return res.Metrics, err
 					},

@@ -77,7 +77,7 @@ func Fig5(cfg Fig5Config, o RunOpts) ([]Fig5Row, error) {
 							Repetition:   r,
 							TotalUpdates: cfg.TotalUpdates,
 							Workers:      cfg.Workers,
-						}, apps.Options{Nodes: cfg.Workers + 1, Policy: pol, Seed: experiment.TrialSeed(t), Check: o.Check})
+						}, apps.Options{Config: dsm.Config{Nodes: cfg.Workers + 1, Policy: pol}, Seed: experiment.TrialSeed(t), Check: o.Check})
 						return res.Metrics, err
 					},
 				})

@@ -2,14 +2,14 @@
 
 // Package experiment is the parallel sweep substrate for the evaluation:
 // it expresses a whole figure or ablation grid as a flat list of Specs,
-// executes them across a pool of worker goroutines with work stealing,
-// and deterministically reassembles the results in spec order — so every
-// table and artifact printed from a parallel sweep is byte-identical to
-// the sequential output.
+// executes them across a pool of worker goroutines, each claiming the
+// next unstarted spec as it falls idle, and deterministically reassembles
+// the results in spec order — so every table and artifact printed from a
+// parallel sweep is byte-identical to the sequential output.
 //
 // Each run owns an isolated sim.Env (the simulator has no package-level
 // mutable state), so runs are embarrassingly parallel; the only shared
-// state here is the work queues and the result slots, which are disjoint
+// state here is the claim cursor and the result slots, which are disjoint
 // per spec.
 package experiment
 
@@ -92,41 +92,6 @@ type Pool struct {
 	Progress func(Event)
 }
 
-// queue is one worker's deque of spec indices, held as a half-open range
-// [lo, hi). The owner pops from the front; thieves pop from the back, so
-// an owner keeps walking its own contiguous block in order.
-type queue struct {
-	mu     sync.Mutex
-	lo, hi int
-}
-
-func (q *queue) popFront() (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.lo >= q.hi {
-		return 0, false
-	}
-	i := q.lo
-	q.lo++
-	return i, true
-}
-
-func (q *queue) popBack() (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.lo >= q.hi {
-		return 0, false
-	}
-	q.hi--
-	return q.hi, true
-}
-
-func (q *queue) size() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.hi - q.lo
-}
-
 // Run executes every spec and returns one Outcome per spec, in spec
 // order regardless of completion order. It never fails as a whole: a
 // spec that errors or panics fails only its own slot (see Outcome.Err),
@@ -134,32 +99,17 @@ func (q *queue) size() int {
 func (p *Pool) Run(specs []Spec) []Outcome {
 	n := len(specs)
 	outcomes := make([]Outcome, n)
-	if n == 0 {
-		return outcomes
-	}
 	workers := p.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
 
-	// Deal the spec indices into contiguous per-worker deques (same
-	// split as blockRange: the first n%workers queues get one extra).
-	queues := make([]*queue, workers)
-	per, rem := n/workers, n%workers
-	lo := 0
-	for w := range queues {
-		hi := lo + per
-		if w < rem {
-			hi++
-		}
-		queues[w] = &queue{lo: lo, hi: hi}
-		lo = hi
-	}
-
+	// Specs are independent and results land by index, so claiming is one
+	// shared cursor: a worker takes the next unstarted spec, in spec order,
+	// no worker idles while one is pending, and one with nothing left to
+	// claim just returns.
 	var (
+		cursor atomic.Int64
 		done   atomic.Int64
 		progMu sync.Mutex
 		start  = time.Now()
@@ -167,11 +117,11 @@ func (p *Pool) Run(specs []Spec) []Outcome {
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(self int) {
+		go func() {
 			defer wg.Done()
 			for {
-				idx, ok := next(queues, self)
-				if !ok {
+				idx := int(cursor.Add(1) - 1)
+				if idx >= n {
 					return
 				}
 				t0 := time.Now()
@@ -193,37 +143,10 @@ func (p *Pool) Run(specs []Spec) []Outcome {
 					progMu.Unlock()
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	return outcomes
-}
-
-// next claims the next spec index for worker self: the front of its own
-// deque, or — once that drains — the back of the fullest other deque
-// (work stealing). It returns false only when every deque is empty.
-func next(queues []*queue, self int) (int, bool) {
-	if i, ok := queues[self].popFront(); ok {
-		return i, true
-	}
-	for {
-		victim, best := -1, 0
-		for j, q := range queues {
-			if j == self {
-				continue
-			}
-			if s := q.size(); s > best {
-				victim, best = j, s
-			}
-		}
-		if victim < 0 {
-			return 0, false
-		}
-		if i, ok := queues[victim].popBack(); ok {
-			return i, true
-		}
-		// Lost the race to another thief; rescan.
-	}
 }
 
 // runOne invokes a spec with panic containment: a panic fails the spec

@@ -73,10 +73,10 @@ func TestPoolRunsEverySpecExactlyOnce(t *testing.T) {
 }
 
 // TestPoolStealsWork pins the load-balancing property. With two workers,
-// worker 0's deque holds specs {0, 1} and worker 1's holds {2, 3}. Spec 0
-// is slow and worker 1's specs are instant, so worker 1 drains its own
-// deque and must steal spec 1 from the back of worker 0's — rather than
-// idle while worker 0 works through both slow specs sequentially.
+// spec 0 is slow and the rest are instant, so the worker that did not
+// claim spec 0 must run spec 1 (and 2) — rather than idle while the slow
+// worker works through a block of its own sequentially, as a static split
+// {0, 1} / {2, 3} would have it.
 func TestPoolStealsWork(t *testing.T) {
 	var mu sync.Mutex
 	ranBy := map[int]string{}

@@ -22,9 +22,7 @@ import (
 	"repro/internal/flight"
 	"repro/internal/hlc"
 	"repro/internal/hockney"
-	"repro/internal/locator"
 	"repro/internal/memory"
-	"repro/internal/migration"
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -56,23 +54,13 @@ var (
 	ErrDeadEndChain  = proto.ErrDeadEndChain
 )
 
-// Config parameterizes one DSM run.
+// Config parameterizes one DSM run: the protocol selection and layout
+// both engines share (proto.Shared, handed to proto.NewSpace as is) plus
+// what only the virtual-time engine has — the cost model and observers.
 type Config struct {
-	// Nodes is the cluster size.
-	Nodes int
+	proto.Shared
 	// Net is the interconnect cost model (default: Fast Ethernet class).
 	Net hockney.Model
-	// Policy decides home migration (default: the adaptive protocol).
-	Policy migration.Policy
-	// Locator is the home-location mechanism (default forwarding pointer,
-	// the paper's choice, §3.3).
-	Locator locator.Kind
-	// Params are the adaptive-threshold constants (λ, T_init, α).
-	Params core.Params
-	// Piggyback enables the §5.2 optimization: diffs destined to the
-	// lock's (or barrier's) home node ride on the release message. Only
-	// effective under the forwarding-pointer locator.
-	Piggyback bool
 	// DebugWire round-trips every message through the codec.
 	DebugWire bool
 
@@ -90,24 +78,11 @@ type Config struct {
 	// (see cnet.Config.Jitter). Zero disables it; DefaultConfig sets a
 	// small value to avoid artificial lock-step arrival symmetry.
 	Jitter sim.Time
-	// PathCompress enables forwarding-chain compression (an extension
-	// beyond the paper, §6 future work): after a redirected fault-in the
-	// requester notifies its stale entry point of the true home, so
-	// later requesters pay at most one hop through that node. Costs one
-	// extra message per redirected fault; only meaningful under the
-	// forwarding-pointer locator.
-	PathCompress bool
 	// Observer, when non-nil, subscribes to every node's events — the
 	// coherence oracle's recorder (data accesses, lock chains, barrier
 	// episodes). Nil in production runs; an event nobody subscribed to
 	// costs its site one mask test.
 	Observer Observer
-	// DropDiffs deliberately breaks the protocol: every diff is
-	// discarded at flush time instead of being propagated to the home,
-	// so remote writes never become visible. It exists solely to prove
-	// that the coherence oracle detects a broken protocol (tests set it;
-	// nothing else may).
-	DropDiffs bool
 	// FlightCap, when positive, attaches a flight recorder of that
 	// capacity to every node. Events are stamped with the virtual clock
 	// (Wall = virtual nanoseconds, Logical = per-node record sequence),
@@ -127,12 +102,8 @@ type Config struct {
 func DefaultConfig(nodes int) Config {
 	net := hockney.FastEthernet()
 	return Config{
-		Nodes:       nodes,
+		Shared:      proto.DefaultShared(nodes, net.Alpha),
 		Net:         net,
-		Policy:      migration.Adaptive{P: core.DefaultParams(net.Alpha)},
-		Locator:     locator.ForwardingPointer,
-		Params:      core.DefaultParams(net.Alpha),
-		Piggyback:   true,
 		MsgProcCost: 2 * sim.Microsecond,
 		SendCost:    1 * sim.Microsecond,
 		FaultCost:   300 * sim.Nanosecond,
@@ -190,15 +161,7 @@ func New(cfg Config) *Cluster {
 	}
 	c := &Cluster{cfg: cfg, env: sim.NewEnv()}
 	c.net = cnet.New(c.env, cnet.Config{Model: cfg.Net, Jitter: cfg.Jitter, DebugCheck: cfg.DebugWire}, cfg.Nodes, &c.Counters)
-	c.Space = proto.NewSpace(&proto.Shared{
-		Nodes:        cfg.Nodes,
-		Policy:       cfg.Policy,
-		Locator:      cfg.Locator,
-		Params:       cfg.Params,
-		Piggyback:    cfg.Piggyback,
-		PathCompress: cfg.PathCompress,
-		DropDiffs:    cfg.DropDiffs,
-	})
+	c.Space = proto.NewSpace(&c.cfg.Shared)
 	for i := 0; i < cfg.Nodes; i++ {
 		n := newNode(c, memory.NodeID(i))
 		if cfg.FlightCap > 0 {

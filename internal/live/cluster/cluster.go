@@ -344,18 +344,9 @@ func Join(cfg Config) (*Member, error) {
 			return nil, fmt.Errorf("cluster: node %d: start barrier: %w", cfg.ID, err)
 		}
 	} else {
-		seen := make([]bool, n)
-		for have := 0; have < n-1; have++ {
-			from, _, err := m.expectFromAny(ctlReady)
-			if err != nil {
-				m.tr.Close()
-				return nil, fmt.Errorf("cluster: start barrier: %w", err)
-			}
-			if seen[from] {
-				m.tr.Close()
-				return nil, fmt.Errorf("cluster: node %d reported ready twice", from)
-			}
-			seen[from] = true
+		if _, err := m.gather(ctlReady); err != nil {
+			m.tr.Close()
+			return nil, fmt.Errorf("cluster: start barrier: %w", err)
 		}
 		m.broadcast(ctlStart, nil)
 	}
@@ -565,17 +556,28 @@ func (m *Member) expect(wanted ...ctlKind) (ctlKind, []byte, error) {
 	return 0, nil, fmt.Errorf("unexpected %v from node %d (want %v)", kind, from, wanted)
 }
 
-// expectFromAny waits for the wanted kind from any member (coordinator
-// gathers).
-func (m *Member) expectFromAny(want ctlKind) (memory.NodeID, []byte, error) {
-	from, kind, body, err := m.recv()
-	if err != nil {
-		return 0, nil, err
+// gather waits until every other member has sent one message of the
+// wanted kind (coordinator only) and returns the bodies indexed by sender.
+// Anything else — a different kind, or a second message from a member
+// while another's is outstanding, which would leave that one's slot empty
+// — is a protocol violation naming the sender.
+func (m *Member) gather(want ctlKind) ([][]byte, error) {
+	bodies := make([][]byte, m.n)
+	seen := make([]bool, m.n)
+	for have := 0; have < m.n-1; have++ {
+		from, kind, body, err := m.recv()
+		if err != nil {
+			return nil, err
+		}
+		if kind != want {
+			return nil, fmt.Errorf("unexpected %v from node %d (want %v)", kind, from, want)
+		}
+		if seen[from] {
+			return nil, fmt.Errorf("node %d reported %v twice", from, want)
+		}
+		seen[from], bodies[from] = true, body
 	}
-	if kind != want {
-		return 0, nil, fmt.Errorf("unexpected %v from node %d (want %v)", kind, from, want)
-	}
-	return from, body, nil
+	return bodies, nil
 }
 
 func decodeBody(body []byte, v any) error {
@@ -728,10 +730,8 @@ func (m *Member) Quiesce(inflight func() int64) error {
 	// waves until two consecutive waves see a zero in-flight sum with
 	// no frame delivered anywhere in between — at that point no
 	// protocol frame exists in any queue, socket or handler.
-	for have := 0; have < m.n-1; have++ {
-		if _, _, err := m.expectFromAny(ctlDone); err != nil {
-			return err
-		}
+	if _, err := m.gather(ctlDone); err != nil {
+		return err
 	}
 	var prev []int64
 	prevZero := false
@@ -740,13 +740,13 @@ func (m *Member) Quiesce(inflight func() int64) error {
 		sum := inflight()
 		delivered := make([]int64, m.n)
 		delivered[0] = m.tr.DataRecv()
-		for have := 0; have < m.n-1; have++ {
-			from, body, err := m.expectFromAny(ctlPollReply)
-			if err != nil {
-				return err
-			}
+		replies, err := m.gather(ctlPollReply)
+		if err != nil {
+			return err
+		}
+		for from := 1; from < m.n; from++ {
 			var p pollBody
-			if err := decodeBody(body, &p); err != nil {
+			if err := decodeBody(replies[from], &p); err != nil {
 				return err
 			}
 			sum += p.Inflight
@@ -792,11 +792,7 @@ func (m *Member) Leave() {
 			m.send(0, ctlBye, nil)
 			m.expect(ctlShutdown) // best effort: errors just mean "go"
 		} else {
-			for have := 0; have < m.n-1; have++ {
-				if _, _, err := m.expectFromAny(ctlBye); err != nil {
-					break
-				}
-			}
+			m.gather(ctlBye) // best effort, like the members' wait
 			m.broadcast(ctlShutdown, nil)
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/flight"
 	"repro/internal/memory"
+	"repro/internal/proto"
 )
 
 // bindAddrs reserves n loopback listeners so every member knows every
@@ -82,7 +83,7 @@ func TestCrossEngineTCPDigest(t *testing.T) {
 	for _, tc := range cases {
 		for _, loc := range locators {
 			t.Run(tc.name+"/"+loc, func(t *testing.T) {
-				base := apps.Options{Nodes: nodes, Locator: loc, Check: true, Oracle: true}
+				base := apps.Options{Config: dsm.Config{Nodes: nodes, Locator: loc}, Check: true, Oracle: true}
 
 				simOpts := base
 				simRes, err := tc.run(simOpts)
@@ -143,7 +144,7 @@ func TestCrossEngineTCPDigest(t *testing.T) {
 // together.
 func TestMemberOwnsOneNode(t *testing.T) {
 	const nodes, n, iters = 4, 128, 3
-	base := apps.Options{Nodes: nodes, Check: true, Oracle: true}
+	base := apps.Options{Config: dsm.Config{Nodes: nodes}, Check: true, Oracle: true}
 	var sim *dsm.Cluster
 	simOpts := base
 	simOpts.OnCluster = func(c *dsm.Cluster) { sim = c }
@@ -227,6 +228,40 @@ func TestTruncatedFailFrameIsReported(t *testing.T) {
 	}
 	if err := errs[1]; err == nil || !strings.Contains(err.Error(), "node 0") || !strings.Contains(err.Error(), "does not decode") {
 		t.Fatalf("truncated fail frame surfaced as %v", err)
+	}
+}
+
+// TestDuplicateReportIsAttributed: a member that reports twice while
+// another's report is outstanding must not stand in for it. Node 1 sends
+// its end-of-run report twice, node 2 none; the coordinator — which used
+// to count two messages, overwrite node 1's slot and assemble node 2's
+// zero report — fails the run naming node 1, and both members are told.
+func TestDuplicateReportIsAttributed(t *testing.T) {
+	const nodes = 3
+	_, errs := runMembers(t, nodes, false, func(m *Member) (apps.Result, error) {
+		switch m.LocalNode() {
+		case 0:
+			sp := proto.NewSpace(&proto.Shared{Nodes: nodes})
+			for id := 0; id < nodes; id++ {
+				sp.NewNode(memory.NodeID(id))
+			}
+			return apps.Result{}, m.FinishRun(sp)
+		case 1:
+			m.send(0, ctlReport, proto.NodeReport{})
+			m.send(0, ctlReport, proto.NodeReport{})
+		}
+		_, _, err := m.expect(ctlAssign)
+		return apps.Result{}, err
+	})
+	for id, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "node 1 reported report twice") {
+			t.Errorf("member %d: %v, want a failure naming node 1's second report", id, err)
+		}
+	}
+	for id := 1; id < nodes; id++ {
+		if errs[id] != nil && !strings.Contains(errs[id].Error(), "cluster failed") {
+			t.Errorf("member %d learned of it as %v, not through the coordinator's fail broadcast", id, errs[id])
+		}
 	}
 }
 
@@ -323,12 +358,12 @@ func TestSingleMemberCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Leave()
-	o := apps.Options{Nodes: 1, Engine: "live", Check: true, Oracle: true, Multi: m}
+	o := apps.Options{Config: dsm.Config{Nodes: 1, Engine: "live"}, Check: true, Oracle: true, Multi: m}
 	res, err := apps.RunASP(12, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := apps.RunASP(12, apps.Options{Nodes: 1, Check: true})
+	want, err := apps.RunASP(12, apps.Options{Config: dsm.Config{Nodes: 1}, Check: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +398,7 @@ func runSkewed(t *testing.T, forceWallOrder bool) []error {
 				return
 			}
 			defer m.Leave()
-			o := apps.Options{Nodes: n, Engine: "live", Check: true, Oracle: true, Multi: m}
+			o := apps.Options{Config: dsm.Config{Nodes: n, Engine: "live"}, Check: true, Oracle: true, Multi: m}
 			_, errs[i] = apps.RunASP(18, o)
 		}(i)
 	}
@@ -533,7 +568,7 @@ func runSkewedFlight(t *testing.T, skewStep time.Duration) []flight.Event {
 				return
 			}
 			defer m.Leave()
-			o := apps.Options{Nodes: n, Engine: "live", Check: true, Multi: m}
+			o := apps.Options{Config: dsm.Config{Nodes: n, Engine: "live"}, Check: true, Multi: m}
 			_, errs[i] = apps.RunASP(18, o)
 			if errs[i] == nil && m.LocalNode() == 0 {
 				timeline = m.FlightTimeline()

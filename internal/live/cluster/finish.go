@@ -55,12 +55,12 @@ func (m *Member) FinishRun(sp *proto.Space) error {
 	// Coordinator (and the trivial single-member cluster).
 	reports := make([]proto.NodeReport, m.n)
 	reports[m.cfg.ID] = rep
-	for have := 0; have < m.n-1; have++ {
-		from, body, err := m.expectFromAny(ctlReport)
-		if err != nil {
-			return m.failClusterErr(err)
-		}
-		if err := decodeBody(body, &reports[from]); err != nil {
+	bodies, err := m.gather(ctlReport)
+	if err != nil {
+		return m.failClusterErr(err)
+	}
+	for from := 1; from < m.n; from++ {
+		if err := decodeBody(bodies[from], &reports[from]); err != nil {
 			return m.failCluster(fmt.Sprintf("decoding node %d report: %v", from, err))
 		}
 	}
@@ -190,12 +190,12 @@ func (m *Member) appExchange(c *dsm.Cluster, res *apps.Result, rep appReportBody
 	// Coordinator: gather, judge, distribute.
 	reports := make([]appReportBody, m.n)
 	reports[m.cfg.ID] = rep
-	for have := 0; have < m.n-1; have++ {
-		from, body, err := m.expectFromAny(ctlAppReport)
-		if err != nil {
-			return m.failClusterErr(err)
-		}
-		if err := decodeBody(body, &reports[from]); err != nil {
+	bodies, err := m.gather(ctlAppReport)
+	if err != nil {
+		return m.failClusterErr(err)
+	}
+	for from := 1; from < m.n; from++ {
+		if err := decodeBody(bodies[from], &reports[from]); err != nil {
 			return m.failCluster(fmt.Sprintf("decoding node %d app report: %v", from, err))
 		}
 	}

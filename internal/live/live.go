@@ -48,41 +48,24 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/hlc"
 	"repro/internal/hockney"
 	"repro/internal/live/transport"
-	"repro/internal/locator"
 	"repro/internal/memory"
-	"repro/internal/migration"
 	"repro/internal/proto"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
-// Config parameterizes one live DSM run. The zero values of
-// Policy/Locator/Params follow the paper defaults, like gos.Config.
+// Config parameterizes one live DSM run: the protocol selection and
+// layout both engines share (proto.Shared, handed to proto.NewSpace as
+// is; nil Policy and zero Params follow the paper defaults, like
+// gos.Config) plus what only the goroutine engine has — the transport,
+// the one-node mode and the observers.
 type Config struct {
-	// Nodes is the cluster size.
-	Nodes int
-	// Policy decides home migration (default: the adaptive protocol).
-	Policy migration.Policy
-	// Locator is the home-location mechanism (default forwarding pointer).
-	Locator locator.Kind
-	// Params are the adaptive-threshold constants (λ, T_init, α). The
-	// threshold formula needs a message-cost model even on a live
-	// cluster; the default keeps the Fast-Ethernet calibration so policy
-	// decisions match the simulation's.
-	Params core.Params
-	// Piggyback enables the §5.2 optimization (diffs ride on sync
-	// messages to the manager's node).
-	Piggyback bool
-	// PathCompress enables forwarding-chain compression.
-	PathCompress bool
-	// DropDiffs deliberately breaks the protocol (oracle self-test).
-	DropDiffs bool
+	proto.Shared
 	// Observer, when non-nil, subscribes to every node's events (see
 	// Cluster.Subscribe: delivery is serialized, so any sim-compatible
 	// subscriber, e.g. oracle.Recorder, works unchanged).
@@ -123,13 +106,8 @@ type Config struct {
 // DefaultConfig returns the paper's setup on the live engine: AT policy
 // over forwarding pointers, piggybacking on.
 func DefaultConfig(nodes int) Config {
-	alpha := hockney.FastEthernet().Alpha
 	return Config{
-		Nodes:      nodes,
-		Policy:     migration.Adaptive{P: core.DefaultParams(alpha)},
-		Locator:    locator.ForwardingPointer,
-		Params:     core.DefaultParams(alpha),
-		Piggyback:  true,
+		Shared:     proto.DefaultShared(nodes, hockney.FastEthernet().Alpha),
 		RetryDelay: 100 * time.Microsecond,
 	}
 }
@@ -261,15 +239,7 @@ func New(cfg Config) *Cluster {
 	} else {
 		c.tr = transport.NewChanLoop(cfg.Nodes)
 	}
-	c.Space = proto.NewSpace(&proto.Shared{
-		Nodes:        cfg.Nodes,
-		Policy:       cfg.Policy,
-		Locator:      cfg.Locator,
-		Params:       cfg.Params,
-		Piggyback:    cfg.Piggyback,
-		PathCompress: cfg.PathCompress,
-		DropDiffs:    cfg.DropDiffs,
-	})
+	c.Space = proto.NewSpace(&c.cfg.Shared)
 	var stamp func() hlc.Stamp
 	if cfg.FlightLocal == nil && cfg.FlightCap > 0 {
 		stamp = hlc.New(nil).Tick

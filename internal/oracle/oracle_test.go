@@ -237,7 +237,7 @@ func TestScenarioSweep200(t *testing.T) {
 	if testing.Short() {
 		n = 40
 	}
-	st, err := scenario.Sweep(1, n, 0, nil)
+	st, err := scenario.Sweep([]string{"sim"}, 1, n, 0, nil)
 	if err != nil {
 		for _, f := range st.Failures {
 			t.Error(f)

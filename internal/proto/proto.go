@@ -83,25 +83,42 @@ type Cluster interface {
 	EndState() (*EndState, error)
 }
 
-// Shared is the engine-independent cluster configuration plus the
-// declared layout (objects, locks, barriers). Both engines build one
-// from their own config structs.
+// Shared is the engine-independent cluster configuration — the protocol
+// selection the paper's experiments vary — plus the declared layout
+// (objects, locks, barriers). It is the only declaration of the selection
+// below the dsm facade: gos.Config and live.Config embed it beside their
+// engine-only fields and hand it to NewSpace as is; dsm.New parses
+// dsm.Config's strings into one.
 type Shared struct {
 	// Nodes is the cluster size.
 	Nodes int
-	// Policy decides home migration.
+	// Policy decides home migration (nil: the engine's default, the
+	// adaptive protocol).
 	Policy migration.Policy
-	// Locator is the home-location mechanism (§3.2).
+	// Locator is the home-location mechanism (§3.2; the zero value is the
+	// forwarding pointer, the paper's choice, §3.3).
 	Locator locator.Kind
-	// Params are the adaptive-threshold constants (λ, T_init, α).
+	// Params are the adaptive-threshold constants (λ, T_init, α). The
+	// threshold formula needs a message-cost model even on a live
+	// cluster; the engines' default keeps the Fast-Ethernet calibration so
+	// policy decisions match the simulation's.
 	Params core.Params
 	// Piggyback enables the §5.2 optimization: diffs destined to the
-	// lock's (or barrier's) home node ride on the release message.
+	// lock's (or barrier's) home node ride on the release message. Only
+	// effective under the forwarding-pointer locator.
 	Piggyback bool
-	// PathCompress enables forwarding-chain compression (extension
-	// beyond the paper).
+	// PathCompress enables forwarding-chain compression (an extension
+	// beyond the paper, §6 future work): after a redirected fault-in the
+	// requester notifies its stale entry point of the true home, so
+	// later requesters pay at most one hop through that node. Costs one
+	// extra message per redirected fault; only meaningful under the
+	// forwarding-pointer locator.
 	PathCompress bool
-	// DropDiffs deliberately breaks the protocol (oracle self-test).
+	// DropDiffs deliberately breaks the protocol: every diff is
+	// discarded at flush time instead of being propagated to the home,
+	// so remote writes never become visible. It exists solely to prove
+	// that the coherence oracle detects a broken protocol (tests set it;
+	// nothing else may).
 	DropDiffs bool
 
 	// Declared layout. ObjWords/ObjHome0 are per object, LockHome per
@@ -111,6 +128,20 @@ type Shared struct {
 	LockHome   []memory.NodeID
 	BarHome    []memory.NodeID
 	BarParties []int
+}
+
+// DefaultShared returns the paper's selection for a cluster of nodes: the
+// adaptive policy at λ = T_init = 1 with the α deduction of the given
+// message-cost model, forwarding pointers, piggybacking on.
+func DefaultShared(nodes int, alpha func(objBytes, diffBytes int) float64) Shared {
+	params := core.DefaultParams(alpha)
+	return Shared{
+		Nodes:     nodes,
+		Policy:    migration.Adaptive{P: params},
+		Locator:   locator.ForwardingPointer,
+		Params:    params,
+		Piggyback: true,
+	}
 }
 
 // Space is the engine-independent cluster state: the shared

@@ -27,7 +27,6 @@ import (
 	"io"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/flight"
 	"repro/internal/gos"
@@ -454,9 +453,6 @@ func (g *generator) genStencil() {
 
 // Result is the outcome of one scenario run.
 type Result struct {
-	Policy  string
-	Engine  string
-	Locator locator.Kind
 	Metrics stats.Metrics
 	// Digest fingerprints the final shared memory (gos.Cluster.Digest).
 	Digest uint64
@@ -540,28 +536,29 @@ func (p *Program) Run(pol migration.Policy, opts RunOpts) (*Result, error) {
 	if engine == "" {
 		engine = "sim"
 	}
+	// The protocol selection, stated once: the paper's defaults (on which
+	// the engines' DefaultConfigs agree) under this run's policy and locator.
+	sh := gos.DefaultConfig(p.Nodes).Shared
+	sh.Policy, sh.Locator, sh.DropDiffs = pol, opts.Locator, opts.DropDiffs
 	var flights []*flight.Recorder
 	switch engine {
 	case "sim":
-		cfg := gos.DefaultConfig(p.Nodes)
-		cfg.Policy = pol
-		cfg.Locator = opts.Locator
-		cfg.DebugWire = true
-		cfg.DropDiffs = opts.DropDiffs
-		cfg.Observer = rec
-		cfg.FlightCap = opts.FlightCap
-		cfg.Telemetry = opts.Telemetry
-		gc := gos.New(cfg)
+		gc := gos.New(gos.Config{
+			Shared:    sh,
+			DebugWire: true,
+			Observer:  rec,
+			FlightCap: opts.FlightCap,
+			Telemetry: opts.Telemetry,
+		})
 		flights = liveFlights(gc.FlightRecorders())
 		c = gc
 	case "live":
-		cfg := live.DefaultConfig(p.Nodes)
-		cfg.Policy = pol
-		cfg.Locator = opts.Locator
-		cfg.DropDiffs = opts.DropDiffs
-		cfg.Observer = rec
-		cfg.FlightCap = opts.FlightCap
-		cfg.Telemetry = opts.Telemetry
+		cfg := live.Config{
+			Shared:    sh,
+			Observer:  rec,
+			FlightCap: opts.FlightCap,
+			Telemetry: opts.Telemetry,
+		}
 		var ft *faulty.Transport
 		if opts.Faults != nil {
 			ft = faulty.Wrap(transport.NewChanLoop(p.Nodes), p.Nodes, *opts.Faults)
@@ -591,7 +588,7 @@ func (p *Program) Run(pol migration.Policy, opts RunOpts) (*Result, error) {
 	}
 	bar := c.AddBarrier(0, p.Threads)
 
-	res := &Result{Policy: pol.Name(), Engine: engine, Locator: opts.Locator}
+	res := &Result{}
 	var mu sync.Mutex
 	mismatch := func(format string, args ...any) {
 		mu.Lock()
@@ -672,7 +669,7 @@ func (p *Program) Run(pol migration.Policy, opts RunOpts) (*Result, error) {
 // Policies returns the full builtin policy set at the cluster's default
 // adaptive parameters — the set every scenario is swept across.
 func Policies(nodes int) []migration.Policy {
-	return migration.Builtins(core.DefaultParams(gos.DefaultConfig(nodes).Net.Alpha))
+	return migration.Builtins(gos.DefaultConfig(nodes).Params)
 }
 
 // Locators lists every home-location mechanism.
@@ -687,215 +684,131 @@ type SweepStats struct {
 	Failures     []string // capped detail lines
 }
 
+// sweepRun is one (seed, policy, engine) run of a sweep and, once the
+// pool has drained, its outcome.
+type sweepRun struct {
+	p   *Program
+	lc  locator.Kind
+	pol migration.Policy
+	eng string
+	res *Result
+	err error
+}
+
+// tag names the run's configuration in labels and failure lines; the
+// engine is part of it only when the sweep spans several.
+func (r *sweepRun) tag(cross bool) string {
+	if cross {
+		return fmt.Sprintf("%s/%s/%s", r.pol.Name(), r.lc, r.eng)
+	}
+	return fmt.Sprintf("%s/%s", r.pol.Name(), r.lc)
+}
+
 // Sweep generates count scenarios starting at seed base and runs each
 // under every builtin migration policy (locator rotating per seed) on
-// the internal/experiment work-stealing pool — the same runner the
-// figure sweeps use — demanding a clean engine check, a clean oracle,
-// intact invariants and a policy-independent digest. par is the worker
-// count (<= 0 means one per core, 1 strictly sequential). Verdicts are
-// evaluated in spec order after the pool drains, so output and failure
-// ordering are identical at any parallelism. progress (optional)
-// receives one line per completed run.
-func Sweep(base uint64, count, par int, progress func(string)) (SweepStats, error) {
-	var st SweepStats
-	fail := func(format string, args ...any) {
-		if len(st.Failures) < 32 {
-			st.Failures = append(st.Failures, fmt.Sprintf(format, args...))
-		}
+// each of engines — {"sim"} is the scenario sweep, {"sim", "live"} the
+// cross-engine equivalence gate — on the internal/experiment pool, the
+// same runner the figure sweeps use. Every run must pass the engine check,
+// the LRC oracle and the protocol invariants; per (seed, policy) every
+// later engine's final-memory digest must equal the first engine's (real
+// scheduler and transport nondeterminism may reorder every message, but
+// for these deterministic-by-construction programs it must never change
+// the result); per seed the first engine's digest must be the same under
+// every policy. par is the worker count (<= 0 means one per core, 1
+// strictly sequential). Verdicts are evaluated in spec order after the
+// pool drains, so output and failure ordering are identical at any
+// parallelism. progress (optional) receives one line per completed run.
+func Sweep(engines []string, base uint64, count, par int, progress func(string)) (SweepStats, error) {
+	cross := len(engines) > 1
+	label, what := "scenario", "scenario"
+	if cross {
+		label, what = "cross", "cross-engine"
 	}
-	type runRef struct {
-		p   *Program
-		lc  locator.Kind
-		pol migration.Policy
-	}
-	var refs []runRef
+	// Specs per scenario are consecutive: policy varies, engine fastest.
+	var runs []*sweepRun
 	var specs []experiment.Spec
-	var results []*Result // sized before the pool runs; slots are per-spec
-	for i := 0; i < count; i++ {
-		seed := base + uint64(i)
-		p := Generate(seed)
-		lc := Locators[seed%uint64(len(Locators))]
-		for _, pol := range Policies(p.Nodes) {
-			ref := runRef{p: p, lc: lc, pol: pol}
-			idx := len(specs)
-			refs = append(refs, ref)
-			specs = append(specs, experiment.Spec{
-				Label: fmt.Sprintf("scenario seed=%d %s nodes=%d %s/%s",
-					seed, p.Family, p.Nodes, pol.Name(), lc),
-				Run: func() (stats.Metrics, error) {
-					res, err := ref.p.Run(ref.pol, RunOpts{Locator: ref.lc})
-					if err != nil {
-						return stats.Metrics{}, err
-					}
-					results[idx] = res
-					return res.Metrics, nil
-				},
-			})
-		}
-	}
-	results = make([]*Result, len(specs))
-	pool := &experiment.Pool{Workers: par}
-	if progress != nil {
-		pool.Progress = func(ev experiment.Event) { progress(ev.String()) }
-	}
-	outcomes := pool.Run(specs)
-	// Evaluate verdicts per scenario block (one scenario's specs are
-	// consecutive, policy varying fastest); the block's first run
-	// anchors the policy-independence digest comparison.
-	for i := 0; i < len(refs); {
-		p := refs[i].p
-		st.Scenarios++
-		if outcomes[i].Err != nil {
-			return st, outcomes[i].Err
-		}
-		anchor := results[i]
-		for ; i < len(refs) && refs[i].p == p; i++ {
-			ref := refs[i]
-			if outcomes[i].Err != nil {
-				return st, outcomes[i].Err
-			}
-			res := results[i]
-			st.Runs++
-			st.ReadsChecked += res.ReadsChecked
-			st.OracleOps += res.OracleOps
-			for _, msg := range res.Mismatches {
-				fail("seed %d %s %s/%s: %s", p.Seed, p.Family, ref.pol.Name(), ref.lc, msg)
-			}
-			for _, v := range res.Violations {
-				fail("seed %d %s %s/%s: oracle: %s", p.Seed, p.Family, ref.pol.Name(), ref.lc, v)
-			}
-			if res.InvariantErr != nil {
-				fail("seed %d %s %s/%s: invariants: %v", p.Seed, p.Family, ref.pol.Name(), ref.lc, res.InvariantErr)
-			}
-			if res.Digest != anchor.Digest {
-				fail("seed %d %s %s/%s: digest %#x differs from first policy's %#x — migration changed results",
-					p.Seed, p.Family, ref.pol.Name(), ref.lc, res.Digest, anchor.Digest)
-			}
-		}
-	}
-	if len(st.Failures) > 0 {
-		return st, fmt.Errorf("scenario sweep: %d failure(s), first: %s", len(st.Failures), st.Failures[0])
-	}
-	return st, nil
-}
-
-// CrossStats aggregates a cross-engine equivalence sweep.
-type CrossStats struct {
-	Scenarios    int
-	Runs         int
-	ReadsChecked int
-	OracleOps    int
-	Failures     []string // capped detail lines
-}
-
-// CrossSweep is the cross-engine equivalence gate: count scenarios from
-// seed base, each run under every builtin migration policy on BOTH the
-// virtual-time sim engine and the live goroutine engine (locator
-// rotating per seed, as in Sweep). Every run must pass the engine
-// check, the LRC oracle and the protocol invariants, and for each
-// (seed, policy) the live run's final-memory digest must equal the sim
-// run's — real scheduler and transport nondeterminism may reorder every
-// message, but for these deterministic-by-construction programs it must
-// never change the result. Runs execute on the experiment pool; sim
-// digests are additionally anchored across policies (policy
-// independence), so one sweep exercises all three equalities.
-func CrossSweep(base uint64, count, par int, progress func(string)) (CrossStats, error) {
-	var st CrossStats
-	fail := func(format string, args ...any) {
-		if len(st.Failures) < 32 {
-			st.Failures = append(st.Failures, fmt.Sprintf(format, args...))
-		}
-	}
-	engines := [2]string{"sim", "live"}
-	type runRef struct {
-		p   *Program
-		lc  locator.Kind
-		pol migration.Policy
-		eng string
-	}
-	var refs []runRef
-	var specs []experiment.Spec
-	var results []*Result // sized before the pool runs; slots are per-spec
 	for i := 0; i < count; i++ {
 		seed := base + uint64(i)
 		p := Generate(seed)
 		lc := Locators[seed%uint64(len(Locators))]
 		for _, pol := range Policies(p.Nodes) {
 			for _, eng := range engines {
-				ref := runRef{p: p, lc: lc, pol: pol, eng: eng}
-				idx := len(specs)
-				refs = append(refs, ref)
+				r := &sweepRun{p: p, lc: lc, pol: pol, eng: eng}
+				runs = append(runs, r)
 				specs = append(specs, experiment.Spec{
-					Label: fmt.Sprintf("cross seed=%d %s nodes=%d %s/%s/%s",
-						seed, p.Family, p.Nodes, pol.Name(), lc, eng),
+					Label: fmt.Sprintf("%s seed=%d %s nodes=%d %s", label, seed, p.Family, p.Nodes, r.tag(cross)),
 					Run: func() (stats.Metrics, error) {
-						res, err := ref.p.Run(ref.pol, RunOpts{Locator: ref.lc, Engine: ref.eng})
+						res, err := r.p.Run(r.pol, RunOpts{Locator: r.lc, Engine: r.eng})
 						if err != nil {
 							return stats.Metrics{}, err
 						}
-						results[idx] = res
+						r.res = res
 						return res.Metrics, nil
 					},
 				})
 			}
 		}
 	}
-	results = make([]*Result, len(specs))
 	pool := &experiment.Pool{Workers: par}
 	if progress != nil {
 		pool.Progress = func(ev experiment.Event) { progress(ev.String()) }
 	}
-	outcomes := pool.Run(specs)
-	// Specs per scenario are consecutive: policy varies, engine fastest
-	// (sim then live). The scenario's first sim run anchors the
-	// policy-independence digest; each live run is compared to its own
-	// policy's sim digest.
-	for i := 0; i < len(refs); {
-		p := refs[i].p
-		st.Scenarios++
-		var anchor *Result
-		for ; i < len(refs) && refs[i].p == p; i += 2 {
-			simRef, liveRef := refs[i], refs[i+1]
-			if outcomes[i].Err != nil {
-				return st, outcomes[i].Err
-			}
-			if outcomes[i+1].Err != nil {
-				return st, outcomes[i+1].Err
-			}
-			simRes, liveRes := results[i], results[i+1]
-			if anchor == nil {
-				anchor = simRes
-			}
-			for _, res := range []*Result{simRes, liveRes} {
-				ref := simRef
-				if res == liveRes {
-					ref = liveRef
-				}
-				st.Runs++
-				st.ReadsChecked += res.ReadsChecked
-				st.OracleOps += res.OracleOps
-				for _, msg := range res.Mismatches {
-					fail("seed %d %s %s/%s/%s: %s", p.Seed, p.Family, ref.pol.Name(), ref.lc, ref.eng, msg)
-				}
-				for _, v := range res.Violations {
-					fail("seed %d %s %s/%s/%s: oracle: %s", p.Seed, p.Family, ref.pol.Name(), ref.lc, ref.eng, v)
-				}
-				if res.InvariantErr != nil {
-					fail("seed %d %s %s/%s/%s: invariants: %v", p.Seed, p.Family, ref.pol.Name(), ref.lc, ref.eng, res.InvariantErr)
-				}
-			}
-			if liveRes.Digest != simRes.Digest {
-				fail("seed %d %s %s/%s: live digest %#x != sim digest %#x — engines disagree on final memory",
-					p.Seed, p.Family, simRef.pol.Name(), simRef.lc, liveRes.Digest, simRes.Digest)
-			}
-			if simRes.Digest != anchor.Digest {
-				fail("seed %d %s %s/%s: digest %#x differs from first policy's %#x — migration changed results",
-					p.Seed, p.Family, simRef.pol.Name(), simRef.lc, simRes.Digest, anchor.Digest)
-			}
+	for i, o := range pool.Run(specs) {
+		runs[i].err = o.Err
+	}
+	st, err := judge(runs, len(engines))
+	if err == nil && len(st.Failures) > 0 {
+		err = fmt.Errorf("%s sweep: %d failure(s), first: %s", what, len(st.Failures), st.Failures[0])
+	}
+	return st, err
+}
+
+// judge evaluates a sweep's runs, which are in spec order with engines
+// runs per (seed, policy). The error return is the first run that could
+// not complete at all; verdict failures land in the stats.
+func judge(runs []*sweepRun, engines int) (SweepStats, error) {
+	var st SweepStats
+	cross := engines > 1
+	fail := func(format string, args ...any) {
+		if len(st.Failures) < 32 {
+			st.Failures = append(st.Failures, fmt.Sprintf(format, args...))
 		}
 	}
-	if len(st.Failures) > 0 {
-		return st, fmt.Errorf("cross-engine sweep: %d failure(s), first: %s", len(st.Failures), st.Failures[0])
+	for i := 0; i < len(runs); {
+		p := runs[i].p
+		st.Scenarios++
+		// The scenario's first run — first policy, first engine — anchors
+		// the policy-independence comparison; each policy's first-engine
+		// run anchors the other engines'.
+		anchor := runs[i]
+		for ; i < len(runs) && runs[i].p == p; i += engines {
+			first := runs[i]
+			for _, r := range runs[i : i+engines] {
+				if r.err != nil {
+					return st, r.err
+				}
+				st.Runs++
+				st.ReadsChecked += r.res.ReadsChecked
+				st.OracleOps += r.res.OracleOps
+				for _, msg := range r.res.Mismatches {
+					fail("seed %d %s %s: %s", p.Seed, p.Family, r.tag(cross), msg)
+				}
+				for _, v := range r.res.Violations {
+					fail("seed %d %s %s: oracle: %s", p.Seed, p.Family, r.tag(cross), v)
+				}
+				if r.res.InvariantErr != nil {
+					fail("seed %d %s %s: invariants: %v", p.Seed, p.Family, r.tag(cross), r.res.InvariantErr)
+				}
+				if r.res.Digest != first.res.Digest {
+					fail("seed %d %s %s: %s digest %#x != %s digest %#x — engines disagree on final memory",
+						p.Seed, p.Family, r.tag(false), r.eng, r.res.Digest, first.eng, first.res.Digest)
+				}
+			}
+			if first.res.Digest != anchor.res.Digest {
+				fail("seed %d %s %s: digest %#x differs from first policy's %#x — migration changed results",
+					p.Seed, p.Family, first.tag(false), first.res.Digest, anchor.res.Digest)
+			}
+		}
 	}
 	return st, nil
 }

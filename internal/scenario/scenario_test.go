@@ -113,7 +113,7 @@ func TestSweepSmoke(t *testing.T) {
 	if testing.Short() {
 		n = 4
 	}
-	st, err := Sweep(1, n, 0, nil)
+	st, err := Sweep([]string{"sim"}, 1, n, 0, nil)
 	if err != nil {
 		t.Fatalf("%v (failures: %v)", err, st.Failures)
 	}
