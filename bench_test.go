@@ -11,6 +11,7 @@ package dsm_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -32,12 +33,13 @@ func report(b *testing.B, m dsm.Metrics) {
 // Scaled sizes keep each iteration sub-second; see EXPERIMENTS.md for
 // the full-size runs.
 
-func benchFig2(b *testing.B, app string, procs int, policy string) {
-	s := bench.DefaultSizes()
-	o := apps.Options{Config: dsm.Config{Nodes: procs, Policy: policy}}
+// benchApp runs one application configuration b.N times and reports the
+// last run's metrics.
+func benchApp(b *testing.B, app apps.Spec, nodes int, policy string) {
+	o := apps.Options{Config: dsm.Config{Nodes: nodes, Policy: policy}}
 	var m dsm.Metrics
 	for i := 0; i < b.N; i++ {
-		res, err := runFig2App(app, s, o)
+		res, err := apps.Run(app, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,26 +48,12 @@ func benchFig2(b *testing.B, app string, procs int, policy string) {
 	report(b, m)
 }
 
-func runFig2App(app string, s bench.Sizes, o apps.Options) (apps.Result, error) {
-	switch app {
-	case "ASP":
-		return apps.RunASP(s.ASPN, o)
-	case "SOR":
-		return apps.RunSOR(s.SORN, s.SORIters, o)
-	case "Nbody":
-		return apps.RunNBody(s.NbodyN, s.NbodySteps, o)
-	case "TSP":
-		return apps.RunTSP(s.TSPCities, o)
-	}
-	return apps.Result{}, fmt.Errorf("unknown app %s", app)
-}
-
 func BenchmarkFig2(b *testing.B) {
 	for _, app := range []string{"ASP", "SOR", "Nbody", "TSP"} {
 		for _, procs := range []int{2, 4, 8, 16} {
 			for _, pol := range []string{"NoHM", "AT"} {
 				b.Run(fmt.Sprintf("%s/p%d/%s", app, procs, pol), func(b *testing.B) {
-					benchFig2(b, app, procs, pol)
+					benchApp(b, bench.DefaultSizes().Spec(app), procs, pol)
 				})
 			}
 		}
@@ -79,22 +67,7 @@ func BenchmarkFig3(b *testing.B) {
 		for _, size := range []int{64, 128, 256} {
 			for _, pol := range []string{"FT2", "AT"} {
 				b.Run(fmt.Sprintf("%s/n%d/%s", app, size, pol), func(b *testing.B) {
-					o := apps.Options{Config: dsm.Config{Nodes: 8, Policy: pol}}
-					var m dsm.Metrics
-					for i := 0; i < b.N; i++ {
-						var res apps.Result
-						var err error
-						if app == "ASP" {
-							res, err = apps.RunASP(size, o)
-						} else {
-							res, err = apps.RunSOR(size, 12, o)
-						}
-						if err != nil {
-							b.Fatal(err)
-						}
-						m = res.Metrics
-					}
-					report(b, m)
+					benchApp(b, apps.Spec{App: strings.ToLower(app), N: size, Iters: 12}, 8, pol)
 				})
 			}
 		}

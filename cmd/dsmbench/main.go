@@ -22,10 +22,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
+	"slices"
 	"strings"
 
+	"repro/internal/apps"
 	"repro/internal/bench"
+	"repro/internal/experiment"
 	"repro/internal/scenario"
 )
 
@@ -48,22 +50,62 @@ func (m *multiFlag) Set(v string) error {
 // dedup drops repeated values, keeping first-occurrence order, so
 // duplicate flags (e.g. `-fig 5a -fig 5a,5b`) don't rerun or reprint.
 func dedup(m multiFlag) multiFlag {
-	seen := make(map[string]bool, len(m))
 	var out multiFlag
 	for _, v := range m {
-		if !seen[v] {
-			seen[v] = true
+		if !has(out, v) {
 			out = append(out, v)
 		}
 	}
 	return out
 }
 
-// What -all selects.
-var (
-	allFigs      = multiFlag{"2", "3", "5a", "5b"}
-	allAblations = multiFlag{"locator", "lambda", "tinit", "related", "piggyback", "pathcompress"}
-)
+// sweep is one figure or ablation dsmbench can produce: the name -fig or
+// -ablate (flag) accepts, and the one function that runs it, files the
+// rows in the report and prints the table.
+type sweep struct {
+	flag, name string
+	produce    func(*job) error
+}
+
+// sweeps is every sweep, in -all's order.
+var sweeps = []sweep{
+	{"fig", "2", (*job).fig2},
+	{"fig", "3", (*job).fig3},
+	{"fig", "5a", func(j *job) error { return j.fig5(bench.PrintFig5a) }},
+	{"fig", "5b", func(j *job) error { return j.fig5(bench.PrintFig5b) }},
+	{"ablate", "locator", ablation("locator", bench.AblateLocator)},
+	{"ablate", "lambda", ablation("lambda", bench.AblateLambda)},
+	{"ablate", "tinit", ablation("tinit", bench.AblateTInit)},
+	{"ablate", "related", ablation("related", bench.AblateRelated)},
+	{"ablate", "piggyback", ablation("piggyback", bench.AblatePiggyback)},
+	{"ablate", "pathcompress", ablation("pathcompress", bench.AblatePathCompression)},
+}
+
+// selection resolves the -fig and -ablate lists against sweeps: figures
+// first, each list in the order given, repeats dropped. A name its flag
+// does not accept is the error, with the names it does.
+func selection(figs, ablates multiFlag) ([]sweep, error) {
+	var out []sweep
+	for _, req := range []struct {
+		flag  string
+		names multiFlag
+	}{{"fig", figs}, {"ablate", ablates}} {
+		for _, name := range dedup(req.names) {
+			i := slices.IndexFunc(sweeps, func(s sweep) bool { return s.flag == req.flag && s.name == name })
+			if i < 0 {
+				var accepted multiFlag
+				for _, s := range sweeps {
+					if s.flag == req.flag {
+						accepted = append(accepted, s.name)
+					}
+				}
+				return nil, fmt.Errorf("unknown -%s %q (accepted: %s)", req.flag, name, accepted.String())
+			}
+			out = append(out, sweeps[i])
+		}
+	}
+	return out, nil
+}
 
 func main() {
 	var figs, ablates multiFlag
@@ -84,10 +126,16 @@ func main() {
 	jsonPath := flag.String("json", "", "write all produced rows as JSON to this file (\"-\" for stdout)")
 	flag.Parse()
 
-	if *all {
-		figs, ablates = allFigs, allAblations
+	selected := sweeps
+	if !*all {
+		// A misspelt name fails here, before any sweep — a verdict gate
+		// included — has run or printed anything.
+		var err error
+		if selected, err = selection(figs, ablates); err != nil {
+			fmt.Fprintln(os.Stderr, "dsmbench:", err)
+			os.Exit(2)
+		}
 	}
-	figs, ablates = dedup(figs), dedup(ablates)
 	progressTo := func(tag string) func(string) {
 		if *quiet {
 			return nil
@@ -113,7 +161,7 @@ func main() {
 		verdictSweep("scn", []string{"sim"}, *scenarios, "scenario", "",
 			"scenario sweep: PASS (oracle clean, invariants intact, final memory policy-independent)")
 	}
-	if len(figs) == 0 && len(ablates) == 0 {
+	if len(selected) == 0 {
 		if *chaos > 0 || *cross > 0 || *scenarios > 0 {
 			return
 		}
@@ -126,19 +174,15 @@ func main() {
 	opts := bench.RunOpts{Par: *par, Trials: *trials, Check: *check}
 	if !*quiet {
 		opts.Progress = func(s string) { fmt.Fprintf(os.Stderr, "  [run] %s\n", s) }
-		workers := *par
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
 		fmt.Fprintf(os.Stderr, "dsmbench: %d sweep worker(s), %d trial(s) per configuration\n",
-			workers, *trials)
+			experiment.Width(*par), *trials)
 	}
-	report, err := produce(os.Stdout, figs, ablates, *full, opts)
+	report, err := produce(os.Stdout, selected, *full, opts)
 	if err == nil {
-		err = writeArtifact(*jsonPath, report.WriteJSON)
+		err = apps.WriteOut(*jsonPath, report.WriteJSON)
 	}
 	if err == nil {
-		err = writeArtifact(*csvPath, report.WriteCSV)
+		err = apps.WriteOut(*csvPath, report.WriteCSV)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dsmbench:", err)
@@ -161,104 +205,72 @@ func reportSweep(summary string, failures []string, err error, pass string) {
 	fmt.Println(pass)
 }
 
-// produce runs the requested figure sweeps and ablations in order,
-// printing each table to w, and returns every row produced.
-func produce(w io.Writer, figs, ablates multiFlag, full bool, opts bench.RunOpts) (bench.Report, error) {
-	sizes := bench.DefaultSizes()
-	fig3ASP := []int{64, 128, 256, 512}
-	fig3SOR := []int{128, 256, 512, 1024}
-	if full {
-		sizes = bench.FullSizes()
-		fig3ASP = []int{128, 256, 512, 1024}
-	}
-	report := bench.Report{Sizes: sizes, Trials: opts.Trials}
-	did5 := false
-	for _, f := range figs {
-		switch f {
-		case "2":
-			rows, err := bench.Fig2(sizes, nil, opts)
-			if err != nil {
-				return report, err
-			}
-			report.Fig2 = rows
-			bench.PrintFig2(w, sizes, rows)
-			fmt.Fprintln(w)
-		case "3":
-			rows, err := bench.Fig3(fig3ASP, fig3SOR, sizes.SORIters, 8, opts)
-			if err != nil {
-				return report, err
-			}
-			report.Fig3 = rows
-			bench.PrintFig3(w, rows)
-			fmt.Fprintln(w)
-		case "5a", "5b":
-			if did5 {
-				continue // both panels come from one sweep
-			}
-			did5 = true
-			rows, err := bench.Fig5(bench.Fig5Config{}, opts)
-			if err != nil {
-				return report, err
-			}
-			report.Fig5 = rows
-			if has(figs, "5a") {
-				bench.PrintFig5a(w, rows)
-				fmt.Fprintln(w)
-			}
-			if has(figs, "5b") {
-				bench.PrintFig5b(w, rows)
-				fmt.Fprintln(w)
-			}
-		default:
-			return report, fmt.Errorf("unknown figure %q", f)
-		}
-	}
-	for _, a := range ablates {
-		var rows []bench.AblationRow
-		var err error
-		switch a {
-		case "locator":
-			rows, err = bench.AblateLocator(opts)
-		case "lambda":
-			rows, err = bench.AblateLambda(opts)
-		case "tinit":
-			rows, err = bench.AblateTInit(opts)
-		case "related":
-			rows, err = bench.AblateRelated(opts)
-		case "piggyback":
-			rows, err = bench.AblatePiggyback(opts)
-		case "pathcompress":
-			rows, err = bench.AblatePathCompression(opts)
-		default:
-			err = fmt.Errorf("unknown ablation %q", a)
-		}
-		if err != nil {
-			return report, err
-		}
-		report.Ablations = append(report.Ablations, rows...)
-		bench.PrintAblation(w, a, rows)
-		fmt.Fprintln(w)
-	}
-	return report, nil
+// job is one dsmbench production: where the tables go, the sizes -full
+// selected, and the report the rows accumulate in.
+type job struct {
+	w      io.Writer
+	full   bool
+	opts   bench.RunOpts
+	report bench.Report
 }
 
-// writeArtifact writes one artifact to path ("-" = stdout, "" = skip).
-func writeArtifact(path string, write func(w io.Writer) error) error {
-	if path == "" {
+// produce runs the selected sweeps in order, printing each table to w,
+// and returns every row produced.
+func produce(w io.Writer, selected []sweep, full bool, opts bench.RunOpts) (bench.Report, error) {
+	sizes := bench.DefaultSizes()
+	if full {
+		sizes = bench.FullSizes()
+	}
+	j := &job{w: w, full: full, opts: opts, report: bench.Report{Sizes: sizes, Trials: opts.Trials}}
+	for _, s := range selected {
+		if err := s.produce(j); err != nil {
+			return j.report, err
+		}
+		fmt.Fprintln(w)
+	}
+	return j.report, nil
+}
+
+func (j *job) fig2() (err error) {
+	if j.report.Fig2, err = bench.Fig2(j.report.Sizes, nil, j.opts); err == nil {
+		bench.PrintFig2(j.w, j.report.Sizes, j.report.Fig2)
+	}
+	return err
+}
+
+func (j *job) fig3() (err error) {
+	sizesASP := []int{64, 128, 256, 512}
+	if j.full {
+		sizesASP = []int{128, 256, 512, 1024}
+	}
+	if j.report.Fig3, err = bench.Fig3(sizesASP, []int{128, 256, 512, 1024}, j.report.Sizes.SORIters, 8, j.opts); err == nil {
+		bench.PrintFig3(j.w, j.report.Fig3)
+	}
+	return err
+}
+
+// fig5 prints one panel of Fig. 5; both come from one sweep, run for
+// whichever is asked for first.
+func (j *job) fig5(panel func(io.Writer, []bench.Fig5Row)) (err error) {
+	if j.report.Fig5 == nil {
+		if j.report.Fig5, err = bench.Fig5(bench.Fig5Config{}, j.opts); err != nil {
+			return err
+		}
+	}
+	panel(j.w, j.report.Fig5)
+	return nil
+}
+
+func ablation(name string, run func(bench.RunOpts) ([]bench.AblationRow, error)) func(*job) error {
+	return func(j *job) error {
+		rows, err := run(j.opts)
+		if err != nil {
+			return err
+		}
+		j.report.Ablations = append(j.report.Ablations, rows...)
+		bench.PrintAblation(j.w, name, rows)
 		return nil
 	}
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func has(m multiFlag, v string) bool {

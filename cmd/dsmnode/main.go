@@ -79,7 +79,6 @@ import (
 	"hash/fnv"
 	"io"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"strings"
 	"sync"
@@ -535,37 +534,29 @@ func registerMemberMetrics(reg *telemetry.Registry, member *cluster.Member, nn i
 // closed on the exit paths so the accept goroutine never outlives the
 // run.
 func serveObs(addr string, id int, member *cluster.Member, reg *telemetry.Registry) *obshttp.Server {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		snaps := member.TelemetrySnapshots()
-		own := reg.Snapshot()
-		replaced := false
-		for i := range snaps {
-			if snaps[i].Node == own.Node {
-				snaps[i] = own
-				replaced = true
+	mux := obshttp.Handler(
+		func() []telemetry.Snapshot {
+			snaps := member.TelemetrySnapshots()
+			own := reg.Snapshot()
+			replaced := false
+			for i := range snaps {
+				if snaps[i].Node == own.Node {
+					snaps[i] = own
+					replaced = true
+				}
 			}
-		}
-		if !replaced {
-			snaps = append(snaps, own)
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		telemetry.WriteProm(w, snaps)
-	})
-	mux.HandleFunc("/flight", func(w http.ResponseWriter, _ *http.Request) {
-		rec := member.FlightRecorder()
-		if rec == nil {
-			http.Error(w, "flight recorder disabled (run with -flight N)", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		flight.WriteText(w, rec.Snapshot())
-	})
+			if !replaced {
+				snaps = append(snaps, own)
+			}
+			return snaps
+		},
+		func() ([]flight.Event, int, string) {
+			rec := member.FlightRecorder()
+			if rec == nil {
+				return nil, http.StatusNotFound, "flight recorder disabled (run with -flight N)"
+			}
+			return rec.Snapshot(), http.StatusOK, ""
+		})
 	srv, err := obshttp.Start(addr, mux)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsmnode %d: obs listener: %v\n", id, err)

@@ -32,7 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"sync/atomic"
 
@@ -105,36 +104,18 @@ func serveObs(addr string, o *apps.Options) *obshttp.Server {
 	var cl atomic.Pointer[dsm.Cluster]
 	o.OnCluster = func(c *dsm.Cluster) { cl.Store(c) }
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		telemetry.WriteProm(w, []telemetry.Snapshot{reg.Snapshot()})
-	})
-	mux.HandleFunc("/flight", func(w http.ResponseWriter, _ *http.Request) {
-		c := cl.Load()
-		if c == nil {
-			http.Error(w, "cluster not built yet", http.StatusServiceUnavailable)
-			return
-		}
-		recs := c.FlightRecorders()
-		if len(recs) == 0 {
-			http.Error(w, "flight recorder disabled (run with -flight N)", http.StatusNotFound)
-			return
-		}
-		logs := make([][]flight.Event, 0, len(recs))
-		for _, r := range recs {
-			if r != nil {
-				logs = append(logs, r.Snapshot())
+	mux := obshttp.Handler(
+		func() []telemetry.Snapshot { return []telemetry.Snapshot{reg.Snapshot()} },
+		func() ([]flight.Event, int, string) {
+			c := cl.Load()
+			if c == nil {
+				return nil, http.StatusServiceUnavailable, "cluster not built yet"
 			}
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		flight.WriteText(w, flight.Merge(logs...))
-	})
+			if len(c.FlightRecorders()) == 0 {
+				return nil, http.StatusNotFound, "flight recorder disabled (run with -flight N)"
+			}
+			return c.FlightEvents(), http.StatusOK, ""
+		})
 	srv, err := obshttp.Start(addr, mux)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dsmrun: obs listener:", err)

@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	dsm "repro"
@@ -238,6 +240,19 @@ func TestSyntheticTransientPatternFavorsAT(t *testing.T) {
 	}
 	if at.Migrations >= ft1.Migrations {
 		t.Fatalf("AT migrations %d not below FT1's %d at r=2", at.Migrations, ft1.Migrations)
+	}
+}
+
+// TestRunAppUnknown: Run is the one dispatch over application names, so
+// it is where a name outside the set must fail — before a cluster is
+// built, and naming what was asked for. The figure layer's display names
+// ("ASP") are not Run's ("asp"); bench.Sizes.Spec lower-cases them.
+func TestRunAppUnknown(t *testing.T) {
+	for _, app := range []string{"nope", "", "ASP"} {
+		_, err := Run(Spec{App: app, N: 16}, opts(2, "AT"))
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(app)) {
+			t.Errorf("Run(%q) = %v, want an unknown-app error naming it", app, err)
+		}
 	}
 }
 

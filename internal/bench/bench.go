@@ -5,15 +5,22 @@
 // vs single-writer repetition), the §5.2 headline statistics, and the
 // ablations DESIGN.md calls out (locator mechanism, λ, T_init, related-
 // work policies, piggybacking).
+//
+// Every one of them is a declared grid: a list of cells (sweep.go) — a
+// label, a run on a trial's seed, and an input key shared by the cells
+// that must leave the same memory — which RunOpts.sweep multiplies by
+// the trials, runs on the internal/experiment pool and returns per cell,
+// in declaration order; the figure functions only declare cells and fold
+// the outcomes into their row types.
 package bench
 
 import (
 	"fmt"
 	"io"
+	"strings"
 	"text/tabwriter"
 
 	"repro/internal/apps"
-	"repro/internal/experiment"
 
 	dsm "repro"
 )
@@ -37,11 +44,10 @@ type RunOpts struct {
 	Progress func(string)
 	// Check turns every sweep into a correctness gate: each run
 	// verifies the protocol invariants (a violation fails its spec),
-	// and sweeps that vary only a variant axis over the same input —
-	// Fig. 2/3's policy axis (see checkDigests) and the locator, tinit
-	// and related ablations' deterministic workloads (see digestTracker)
-	// — additionally demand byte-identical final shared memory across
-	// the axis.
+	// and cells that declare the same input key — Fig. 2/3's policy axis
+	// and the locator, tinit and related ablations' deterministic
+	// workloads — additionally must leave byte-identical final shared
+	// memory, trial by trial (sameResults, the one comparison).
 	Check bool
 }
 
@@ -50,26 +56,6 @@ func (o RunOpts) trials() int {
 		return 1
 	}
 	return o.Trials
-}
-
-// run executes specs through the experiment pool and returns their
-// metrics in spec order.
-func (o RunOpts) run(specs []experiment.Spec) ([]dsm.Metrics, error) {
-	p := &experiment.Pool{Workers: o.Par}
-	if o.Progress != nil {
-		prog := o.Progress
-		p.Progress = func(ev experiment.Event) { prog(ev.String()) }
-	}
-	return p.Metrics(specs)
-}
-
-// trialLabel tags a spec label with its trial index in multi-trial
-// sweeps; single-trial labels keep the historic form.
-func trialLabel(base string, trials, t int) string {
-	if trials <= 1 {
-		return base
-	}
-	return fmt.Sprintf("%s trial=%d", base, t)
 }
 
 // ratioStr renders num/den with the given verb, or "n/a" when the
@@ -108,28 +94,39 @@ func FullSizes() Sizes {
 	return Sizes{ASPN: 1024, SORN: 2048, SORIters: 20, NbodyN: 2048, NbodySteps: 8, TSPCities: 12}
 }
 
-// runApp dispatches one application run.
-func runApp(app string, s Sizes, o apps.Options) (apps.Result, error) {
-	switch app {
-	case "ASP":
-		return apps.RunASP(s.ASPN, o)
-	case "SOR":
-		return apps.RunSOR(s.SORN, s.SORIters, o)
-	case "Nbody":
-		return apps.RunNBody(s.NbodyN, s.NbodySteps, o)
-	case "TSP":
-		return apps.RunTSP(s.TSPCities, o)
-	default:
-		return apps.Result{}, fmt.Errorf("bench: unknown app %q", app)
-	}
-}
-
 // Apps is the paper's application set in presentation order.
 var Apps = []string{"ASP", "SOR", "Nbody", "TSP"}
+
+// Spec is the application run s selects for app, one of Apps: apps.Run
+// knows the applications by their lower-case names and is the one place
+// that dispatches on them (a name outside Apps fails there).
+func (s Sizes) Spec(app string) apps.Spec {
+	spec := apps.Spec{App: strings.ToLower(app)}
+	switch app {
+	case "ASP":
+		spec.N = s.ASPN
+	case "SOR":
+		spec.N, spec.Iters = s.SORN, s.SORIters
+	case "Nbody":
+		spec.N, spec.Iters = s.NbodyN, s.NbodySteps
+	case "TSP":
+		spec.Cities = s.TSPCities
+	}
+	return spec
+}
 
 // tabw builds the standard table writer.
 func tabw(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+}
+
+// tableRow writes one table line, header or data: the cells every sweep
+// prints and, in a multi-trial sweep, the trial-spread cells after them.
+func tableRow(w io.Writer, multi bool, cells, spread string) {
+	if multi {
+		cells += "\t" + spread
+	}
+	fmt.Fprintln(w, cells)
 }
 
 // pct formats a relative improvement of got over base in percent
@@ -144,26 +141,4 @@ func pct(base, got float64) float64 {
 // metricsTriple extracts the three quantities Fig. 3 compares.
 func metricsTriple(m dsm.Metrics) (secs float64, msgs, bytes int64) {
 	return m.ExecTime.Seconds(), m.TotalMsgs(false), m.TotalBytes(false)
-}
-
-// checkDigests enforces policy independence over a sweep laid out as
-// groups of npolicies consecutive policy blocks of ntrials runs each
-// (the fig2/fig3 spec order: ... policy, trial innermost): for every
-// group and trial, the final-memory digest must be identical under all
-// policies, since the runs differ only in migration protocol. label
-// names the run for the error message.
-func checkDigests(digests []uint64, groups, npolicies, ntrials int, label func(group, pol, trial int) string) error {
-	for g := 0; g < groups; g++ {
-		base := g * npolicies * ntrials
-		for t := 0; t < ntrials; t++ {
-			want := digests[base+t]
-			for p := 1; p < npolicies; p++ {
-				if got := digests[base+p*ntrials+t]; got != want {
-					return fmt.Errorf("bench: policy changed results: %s digest %#x != %s digest %#x",
-						label(g, p, t), got, label(g, 0, t), want)
-				}
-			}
-		}
-	}
-	return nil
 }

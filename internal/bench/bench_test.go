@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	dsm "repro"
-	"repro/internal/apps"
 )
 
 // tinySizes keeps harness tests fast; figure *shape* assertions use
@@ -195,12 +192,6 @@ func TestAblations(t *testing.T) {
 	PrintAblation(&buf, "locator", loc)
 	if !strings.Contains(buf.String(), "fwdptr") {
 		t.Fatal("ablation table incomplete")
-	}
-}
-
-func TestRunAppUnknown(t *testing.T) {
-	if _, err := runApp("nope", tinySizes(), apps.Options{Config: dsm.Config{Nodes: 2}}); err == nil {
-		t.Fatal("unknown app accepted")
 	}
 }
 

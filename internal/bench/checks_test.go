@@ -1,93 +1,156 @@
 package bench
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/experiment"
 )
 
-// TestCheckDigests pins the group/policy/trial stride layout against the
-// spec-emission order of the figure sweeps (groups outermost, then
-// policies, trials innermost). A reorder of those loops must fail here,
-// not surface as an opaque `dsmbench -check` failure.
-func TestCheckDigests(t *testing.T) {
-	label := func(g, p, tr int) string { return fmt.Sprintf("g=%d p=%d trial=%d", g, p, tr) }
-	const groups, pols, trials = 2, 2, 3
-	digests := make([]uint64, groups*pols*trials)
-	// Policy-independent layout: digest depends on (group, trial) only.
-	fill := func() {
-		i := 0
-		for g := 0; g < groups; g++ {
-			for p := 0; p < pols; p++ {
-				for tr := 0; tr < trials; tr++ {
-					digests[i] = uint64(100*g + tr)
-					i++
+// TestSweepTrialsAndGate drives the sweep itself with fabricated runs:
+// every cell runs once per trial on that trial's seed, outcomes come back
+// per cell in trial order at any pool width, and under Check one variant
+// whose memory depends on more than the seed fails the sweep with both
+// runs named — while the same grid passes unchecked, and an unkeyed cell
+// that differs the same way passes checked.
+func TestSweepTrialsAndGate(t *testing.T) {
+	const K = 3
+	fake := func(tag int64, skew uint64) func(uint64) (apps.Result, error) {
+		return func(seed uint64) (apps.Result, error) {
+			var r apps.Result
+			r.Metrics.Migrations = tag
+			r.Metrics.Retries = int64(seed % 1000)
+			r.Digest = seed + 5
+			if seed == experiment.TrialSeed(1) {
+				r.Digest += skew
+			}
+			return r, nil
+		}
+	}
+	grid := func(skewKeyed, skewFree uint64) []cell {
+		return []cell{
+			{label: "g v0", key: "in", run: fake(0, 0)},
+			{label: "free", run: fake(1, skewFree)},
+			{label: "g v1", key: "in", run: fake(2, skewKeyed)},
+		}
+	}
+	for _, par := range []int{1, 4} {
+		outs, err := RunOpts{Par: par, Trials: K, Check: true}.sweep(grid(0, 9))
+		if err != nil {
+			t.Fatalf("par=%d: clean keyed group rejected: %v", par, err)
+		}
+		for i, o := range outs {
+			if len(o.trials) != K || o.N != K {
+				t.Fatalf("par=%d: cell %d has %d trials (agg over %d), want %d", par, i, len(o.trials), o.N, K)
+			}
+			for tr, m := range o.trials {
+				if m.Migrations != int64(i) || m.Retries != int64(experiment.TrialSeed(tr)%1000) {
+					t.Errorf("par=%d: cell %d trial %d holds cell %d's run on seed%%1000 = %d", par, i, tr, m.Migrations, m.Retries)
 				}
 			}
 		}
 	}
-	fill()
-	if err := checkDigests(digests, groups, pols, trials, label); err != nil {
-		t.Fatalf("policy-independent digests rejected: %v", err)
+	if _, err := (RunOpts{Trials: K}).sweep(grid(9, 0)); err != nil {
+		t.Errorf("unchecked sweep compared digests: %v", err)
 	}
-	// Corrupt exactly group 1, policy 1, trial 2: the error must name it.
-	digests[1*pols*trials+1*trials+2]++
-	err := checkDigests(digests, groups, pols, trials, label)
+	_, err := RunOpts{Trials: K, Check: true}.sweep(grid(9, 0))
 	if err == nil {
-		t.Fatal("corrupted digest not detected")
+		t.Fatal("variant-dependent memory passed the gate")
 	}
-	if !strings.Contains(err.Error(), "g=1 p=1 trial=2") {
-		t.Fatalf("error does not name the diverging run: %v", err)
-	}
-	// A divergence that only swaps values within one policy's trials
-	// (same multiset, wrong pairing) must still be caught.
-	fill()
-	base := 0*pols*trials + 1*trials
-	digests[base], digests[base+1] = digests[base+1], digests[base]
-	if checkDigests(digests, groups, pols, trials, label) == nil {
-		t.Fatal("trial-misaligned digests not detected")
+	for _, want := range []string{"g v1 trial=1", "g v0 trial=1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("gate error does not name %q: %v", want, err)
+		}
 	}
 }
 
-// TestDigestTracker covers the ablation-side result-independence check:
-// records arrive keyed by seed in any order; check compares variants in
-// declaration order per trial seed.
-func TestDigestTracker(t *testing.T) {
-	variants := []string{"a", "b", "c"}
-	seeds := []uint64{experiment.TrialSeed(0), experiment.TrialSeed(1)}
-	fresh := func() *digestTracker {
-		dt := newDigestTracker("study", "work", variants)
-		// Record out of declaration order, as a parallel pool would.
-		for _, v := range []string{"c", "a", "b"} {
-			for i, s := range seeds {
-				dt.record(v, s, uint64(1000+i))
+// TestSameResults pins the one digest comparison over a hand-made grid:
+// two key groups of three and two cells interleaved with an unkeyed cell
+// and a group of one, three trials each. Digests depend on (key, trial)
+// only, except where a row says otherwise.
+func TestSameResults(t *testing.T) {
+	const K = 3
+	cells := []cell{
+		{label: "a/x", key: "a"},
+		{label: "b/x", key: "b"},
+		{label: "free/1"}, // no key: never compared
+		{label: "a/y", key: "a"},
+		{label: "solo", key: "c"}, // a group of one has nothing to disagree with
+		{label: "b/y", key: "b"},
+		{label: "a/z", key: "a"},
+		{label: "free/2"},
+	}
+	clean := func() []apps.Result {
+		rs := make([]apps.Result, len(cells)*K)
+		for i, c := range cells {
+			for tr := 0; tr < K; tr++ {
+				d := uint64(1000*int(c.label[0]) + tr)
+				if c.key == "" {
+					d = uint64(7*i + 13*tr) // timing-dependent: differs per cell
+				}
+				rs[i*K+tr].Digest = d
 			}
 		}
-		return dt
+		return rs
 	}
-	if err := fresh().check(len(seeds)); err != nil {
-		t.Fatalf("identical digests rejected: %v", err)
+	at := func(label string, tr int) int {
+		for i, c := range cells {
+			if c.label == label {
+				return i*K + tr
+			}
+		}
+		t.Fatalf("no cell %q", label)
+		return -1
 	}
-	dt := fresh()
-	dt.record("b", seeds[1], 77)
-	err := dt.check(len(seeds))
-	if err == nil {
-		t.Fatal("variant-dependent digest not detected")
-	}
-	for _, want := range []string{"study", "work", "trial 1", `"b"`} {
-		if !strings.Contains(err.Error(), strings.Trim(want, `"`)) {
-			t.Fatalf("error %q does not mention %s", err, want)
+	for _, tc := range []struct {
+		name   string
+		mutate func(rs []apps.Result)
+		want   []string // substrings of the error; nil: must pass
+	}{
+		{name: "clean grid", mutate: func([]apps.Result) {}},
+		{name: "unkeyed cells differ freely", mutate: func(rs []apps.Result) {
+			rs[at("free/1", 0)].Digest, rs[at("free/2", 2)].Digest = 1, 2
+		}},
+		{name: "group of one", mutate: func(rs []apps.Result) { rs[at("solo", 1)].Digest = 99 }},
+		{name: "last cell of a group, last trial", mutate: func(rs []apps.Result) { rs[at("a/z", 2)].Digest++ },
+			want: []string{"a/z trial=2", "a/x trial=2"}},
+		{name: "middle cell of the other group", mutate: func(rs []apps.Result) { rs[at("b/y", 0)].Digest++ },
+			want: []string{"b/y trial=0", "b/x trial=0"}},
+		{name: "first cell diverges: its successor is named against it", mutate: func(rs []apps.Result) { rs[at("a/x", 1)].Digest++ },
+			want: []string{"a/y trial=1", "a/x trial=1"}},
+		{name: "two trials swapped inside one cell", mutate: func(rs []apps.Result) {
+			i, j := at("a/y", 0), at("a/y", 1)
+			rs[i], rs[j] = rs[j], rs[i]
+		}, want: []string{"a/y trial=0", "a/x trial=0"}},
+	} {
+		rs := clean()
+		tc.mutate(rs)
+		err := sameResults(cells, K, rs)
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: not detected", tc.name)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error does not name %q: %v", tc.name, w, err)
+			}
+		}
+		if !strings.Contains(err.Error(), "digest 0x") {
+			t.Errorf("%s: error carries no digests: %v", tc.name, err)
 		}
 	}
-	// A declared variant with no record is a wiring bug (check only
-	// runs after every run succeeded) — the gate must not go vacuous.
-	dt = newDigestTracker("study", "work", variants)
-	dt.record("a", seeds[0], 5)
-	dt.record("c", seeds[0], 5)
-	err = dt.check(1)
-	if err == nil || !strings.Contains(err.Error(), "recorded no digest") {
-		t.Fatalf("missing variant not flagged as wiring bug: %v", err)
+	// A single-trial sweep names its runs by the bare cell label, as the
+	// pool's progress and error lines do.
+	rs := []apps.Result{{Digest: 1}, {Digest: 2}}
+	err := sameResults([]cell{{label: "p", key: "k"}, {label: "q", key: "k"}}, 1, rs)
+	if err == nil || !strings.Contains(err.Error(), "q digest 0x2 != p digest 0x1") {
+		t.Errorf("single-trial message: %v", err)
 	}
 }

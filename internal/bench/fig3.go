@@ -3,9 +3,9 @@ package bench
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/apps"
-	"repro/internal/experiment"
 
 	dsm "repro"
 )
@@ -29,12 +29,6 @@ type Fig3Row struct {
 	TrafficPctRng [2]float64
 }
 
-// fig3Point is one (app, size) grid point.
-type fig3Point struct {
-	App  string
-	Size int
-}
-
 // fig3Policies: the baseline first, then the paper's contribution.
 var fig3Policies = []string{"FT2", "AT"}
 
@@ -54,66 +48,42 @@ func Fig3(sizesASP, sizesSOR []int, sorIters, nodes int, o RunOpts) ([]Fig3Row, 
 	if sorIters == 0 {
 		sorIters = 12
 	}
-	var points []fig3Point
+	var rows []Fig3Row
 	for _, size := range sizesASP {
-		points = append(points, fig3Point{"ASP", size})
+		rows = append(rows, Fig3Row{App: "ASP", Size: size, Trials: o.trials()})
 	}
 	for _, size := range sizesSOR {
-		points = append(points, fig3Point{"SOR", size})
+		rows = append(rows, Fig3Row{App: "SOR", Size: size, Trials: o.trials()})
 	}
-	K := o.trials()
-	var specs []experiment.Spec
-	var digests []uint64 // sized before the pool runs; slots are per-spec
-	for _, pt := range points {
+	var cells []cell
+	for _, r := range rows {
 		for _, pol := range fig3Policies {
-			for t := 0; t < K; t++ {
-				seed := experiment.TrialSeed(t)
-				idx := len(specs)
-				specs = append(specs, experiment.Spec{
-					Label: trialLabel(fmt.Sprintf("fig3 %s n=%d %s", pt.App, pt.Size, pol), K, t),
-					Run: func() (dsm.Metrics, error) {
-						s := Sizes{ASPN: pt.Size, SORN: pt.Size, SORIters: sorIters}
-						res, err := runApp(pt.App, s, apps.Options{Config: dsm.Config{Nodes: nodes, Policy: pol}, Seed: seed, Check: o.Check})
-						digests[idx] = res.Digest
-						return res.Metrics, err
-					},
-				})
-			}
+			cells = append(cells, cell{
+				label: fmt.Sprintf("fig3 %s n=%d %s", r.App, r.Size, pol),
+				key:   fmt.Sprintf("%s n=%d", r.App, r.Size),
+				run: o.runner(apps.Spec{App: strings.ToLower(r.App), N: r.Size, Iters: sorIters},
+					dsm.Config{Nodes: nodes, Policy: pol}),
+			})
 		}
 	}
-	digests = make([]uint64, len(specs))
-	ms, err := o.run(specs)
+	outs, err := o.sweep(cells)
 	if err != nil {
 		return nil, err
 	}
-	if o.Check {
-		err := checkDigests(digests, len(points), len(fig3Policies), K,
-			func(g, pol, t int) string {
-				return fmt.Sprintf("fig3 %s n=%d %s trial=%d",
-					points[g].App, points[g].Size, fig3Policies[pol], t)
-			})
-		if err != nil {
-			return nil, err
-		}
-	}
-	rows := make([]Fig3Row, len(points))
-	NP := len(fig3Policies)
-	for pi, pt := range points {
-		base := ms[pi*NP*K : pi*NP*K+K]   // FT2 trials (fig3Policies[0])
-		at := ms[pi*NP*K+K : pi*NP*K+2*K] // AT trials (fig3Policies[1])
-		row := Fig3Row{App: pt.App, Size: pt.Size, Trials: K}
+	for i := range rows {
+		base, at := outs[2*i].trials, outs[2*i+1].trials // fig3Policies order
 		var timeP, msgP, trafP []float64
-		for t := 0; t < K; t++ {
+		for t := range base {
 			bs, bm, bb := metricsTriple(base[t])
 			as, am, ab := metricsTriple(at[t])
 			timeP = append(timeP, pct(bs, as))
 			msgP = append(msgP, pct(float64(bm), float64(am)))
 			trafP = append(trafP, pct(float64(bb), float64(ab)))
 		}
-		row.TimePct, row.TimePctRng = meanRange(timeP)
-		row.MsgPct, row.MsgPctRng = meanRange(msgP)
-		row.TrafficPct, row.TrafficPctRng = meanRange(trafP)
-		rows[pi] = row
+		r := &rows[i]
+		r.TimePct, r.TimePctRng = meanRange(timeP)
+		r.MsgPct, r.MsgPctRng = meanRange(msgP)
+		r.TrafficPct, r.TrafficPctRng = meanRange(trafP)
 	}
 	return rows, nil
 }
@@ -139,19 +109,11 @@ func PrintFig3(w io.Writer, rows []Fig3Row) {
 	fmt.Fprintf(w, "Figure 3 — improvement of AT over FT2 vs problem size (8 nodes)\n\n")
 	multi := len(rows) > 0 && rows[0].Trials > 1
 	tw := tabw(w)
-	if multi {
-		fmt.Fprintf(tw, "app\tsize\texec time\tmessage number\tnetwork traffic\ttime range\n")
-	} else {
-		fmt.Fprintf(tw, "app\tsize\texec time\tmessage number\tnetwork traffic\n")
-	}
+	tableRow(tw, multi, "app\tsize\texec time\tmessage number\tnetwork traffic", "time range")
 	for _, r := range rows {
-		if multi {
-			fmt.Fprintf(tw, "%s\t%d\t%+.1f%%\t%+.1f%%\t%+.1f%%\t%+.1f..%+.1f%%\n",
-				r.App, r.Size, r.TimePct, r.MsgPct, r.TrafficPct, r.TimePctRng[0], r.TimePctRng[1])
-		} else {
-			fmt.Fprintf(tw, "%s\t%d\t%+.1f%%\t%+.1f%%\t%+.1f%%\n",
-				r.App, r.Size, r.TimePct, r.MsgPct, r.TrafficPct)
-		}
+		tableRow(tw, multi,
+			fmt.Sprintf("%s\t%d\t%+.1f%%\t%+.1f%%\t%+.1f%%", r.App, r.Size, r.TimePct, r.MsgPct, r.TrafficPct),
+			fmt.Sprintf("%+.1f..%+.1f%%", r.TimePctRng[0], r.TimePctRng[1]))
 	}
 	tw.Flush()
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/apps"
-	"repro/internal/experiment"
 	"repro/internal/stats"
 
 	dsm "repro"
@@ -48,9 +47,9 @@ type Fig5Config struct {
 // Fig5 reproduces Figure 5: the synthetic single-writer benchmark run
 // under each protocol across repetitions, with eight worker threads on
 // nodes other than the start node and all synchronization at the start
-// node (§5.2). The repetition × protocol × trial grid runs on the
-// experiment pool; group normalization happens after deterministic
-// reassembly, so parallel output is byte-identical to sequential.
+// node (§5.2). The grid is repetition × protocol; group normalization
+// works on the sweep's declaration-ordered outcomes, so parallel output is
+// byte-identical to sequential.
 func Fig5(cfg Fig5Config, o RunOpts) ([]Fig5Row, error) {
 	if len(cfg.Repetitions) == 0 {
 		cfg.Repetitions = []int{2, 4, 8, 16}
@@ -61,42 +60,44 @@ func Fig5(cfg Fig5Config, o RunOpts) ([]Fig5Row, error) {
 	if cfg.TotalUpdates == 0 {
 		cfg.TotalUpdates = 2048
 	}
-	K := o.trials()
-	var specs []experiment.Spec
+	var cells []cell
 	for _, r := range cfg.Repetitions {
 		for _, pol := range Fig5Protocols {
-			for t := 0; t < K; t++ {
-				specs = append(specs, experiment.Spec{
-					Label: trialLabel(fmt.Sprintf("fig5 r=%d %s", r, pol), K, t),
-					Run: func() (dsm.Metrics, error) {
-						// Check gates on the invariants only: the synthetic
-						// benchmark's final counter legitimately overshoots
-						// by a timing-dependent amount (workers race the
-						// target), so its digest is not policy-comparable.
-						res, err := apps.RunSynthetic(apps.SyntheticOpts{
-							Repetition:   r,
-							TotalUpdates: cfg.TotalUpdates,
-							Workers:      cfg.Workers,
-						}, apps.Options{Config: dsm.Config{Nodes: cfg.Workers + 1, Policy: pol}, Seed: experiment.TrialSeed(t), Check: o.Check})
-						return res.Metrics, err
-					},
-				})
-			}
+			// No input key: Check gates on the invariants only. The
+			// synthetic benchmark's final counter legitimately overshoots
+			// by a timing-dependent amount (workers race the target), so
+			// its digest is not policy-comparable.
+			cells = append(cells, cell{
+				label: fmt.Sprintf("fig5 r=%d %s", r, pol),
+				run: o.runner(apps.Spec{App: "synthetic", Rep: r, Updates: cfg.TotalUpdates, Workers: cfg.Workers},
+					dsm.Config{Nodes: cfg.Workers + 1, Policy: pol}),
+			})
 		}
 	}
-	ms, err := o.run(specs)
+	outs, err := o.sweep(cells)
 	if err != nil {
 		return nil, err
 	}
 	var rows []Fig5Row
-	i := 0
-	for _, r := range cfg.Repetitions {
-		var group []Fig5Row
-		var nm *stats.Counters
-		for _, pol := range Fig5Protocols {
-			agg := stats.Aggregate(ms[i : i+K])
-			i += K
-			m := agg.Mean
+	for gi, r := range cfg.Repetitions {
+		group := outs[gi*len(Fig5Protocols):][:len(Fig5Protocols)]
+		// Normalize within the repetition group, as the paper does
+		// ("for each repetition, the times are normalized to the largest
+		// one among them").
+		var (
+			nm   *stats.Counters
+			maxT dsm.Time
+			maxM int64
+		)
+		for i, pol := range Fig5Protocols {
+			m := &group[i].Mean
+			if pol == "NM" {
+				nm = &m.Counters
+			}
+			maxT, maxM = max(maxT, m.ExecTime), max(maxM, m.Breakdown().Total())
+		}
+		for i, pol := range Fig5Protocols {
+			m := &group[i].Mean
 			row := Fig5Row{
 				Repetition: r,
 				Protocol:   pol,
@@ -104,46 +105,22 @@ func Fig5(cfg Fig5Config, o RunOpts) ([]Fig5Row, error) {
 				Msgs:       m.TotalMsgs(false),
 				Breakdown:  m.Breakdown(),
 				Migrations: m.Migrations,
-				Trials:     K,
-				TimeAgg:    agg.ExecTime,
+				// The §5.2 statistic: eliminated fault-in + diff messages
+				// relative to no-migration.
+				EliminationPct: stats.EliminationPct(nm, &m.Counters),
+				Trials:         o.trials(),
+				TimeAgg:        group[i].ExecTime,
 			}
-			if pol == "NM" {
-				c := m.Counters
-				nm = &c
-			}
-			group = append(group, row)
-		}
-		// Normalize within the repetition group, as the paper does
-		// ("for each repetition, the times are normalized to the largest
-		// one among them").
-		var maxT dsm.Time
-		var maxM int64
-		for _, g := range group {
-			if g.Time > maxT {
-				maxT = g.Time
-			}
-			if tot := g.Breakdown.Total(); tot > maxM {
-				maxM = tot
-			}
-		}
-		for i := range group {
 			// Guard the degenerate all-zero group: a 0/0 here would put
 			// NaN into every normalized column.
 			if maxT > 0 {
-				group[i].NormTime = float64(group[i].Time) / float64(maxT)
+				row.NormTime = float64(row.Time) / float64(maxT)
 			}
 			if maxM > 0 {
-				group[i].NormMsgs = float64(group[i].Breakdown.Total()) / float64(maxM)
+				row.NormMsgs = float64(row.Breakdown.Total()) / float64(maxM)
 			}
-			// The §5.2 statistic: eliminated fault-in + diff messages
-			// relative to no-migration.
-			nmTot := nm.Breakdown().Obj + nm.Breakdown().Mig + nm.Breakdown().Diff
-			gTot := group[i].Breakdown.Obj + group[i].Breakdown.Mig + group[i].Breakdown.Diff
-			if nmTot > 0 {
-				group[i].EliminationPct = 100 * float64(nmTot-gTot) / float64(nmTot)
-			}
+			rows = append(rows, row)
 		}
-		rows = append(rows, group...)
 	}
 	return rows, nil
 }
@@ -153,20 +130,11 @@ func PrintFig5a(w io.Writer, rows []Fig5Row) {
 	fmt.Fprintf(w, "Figure 5(a) — normalized execution time vs repetition of single-writer pattern\n\n")
 	multi := len(rows) > 0 && rows[0].Trials > 1
 	tw := tabw(w)
-	if multi {
-		fmt.Fprintf(tw, "repetition\tprotocol\ttime (s)\tnormalized\tmigrations\ttime range (s)\n")
-	} else {
-		fmt.Fprintf(tw, "repetition\tprotocol\ttime (s)\tnormalized\tmigrations\n")
-	}
+	tableRow(tw, multi, "repetition\tprotocol\ttime (s)\tnormalized\tmigrations", "time range (s)")
 	for _, r := range rows {
-		if multi {
-			fmt.Fprintf(tw, "%d\t%s\t%.3f\t%.3f\t%d\t%s\n",
-				r.Repetition, r.Protocol, r.Time.Seconds(), r.NormTime, r.Migrations,
-				timeRange(r.TimeAgg.Min, r.TimeAgg.Max))
-		} else {
-			fmt.Fprintf(tw, "%d\t%s\t%.3f\t%.3f\t%d\n",
-				r.Repetition, r.Protocol, r.Time.Seconds(), r.NormTime, r.Migrations)
-		}
+		tableRow(tw, multi,
+			fmt.Sprintf("%d\t%s\t%.3f\t%.3f\t%d", r.Repetition, r.Protocol, r.Time.Seconds(), r.NormTime, r.Migrations),
+			timeRange(r.TimeAgg.Min, r.TimeAgg.Max))
 	}
 	tw.Flush()
 }

@@ -75,9 +75,9 @@ func TestParallelAblationDeterministic(t *testing.T) {
 	}
 }
 
-// TestAblationCheckGate drives digestTracker through a real sweep: the
-// tinit ablation varies only the initial threshold over ASP's canonical
-// input, so every variant must leave identical final memory.
+// TestAblationCheckGate drives the digest comparison through a real
+// sweep: the tinit ablation varies only the initial threshold over ASP's
+// canonical input, so every variant must leave identical final memory.
 func TestAblationCheckGate(t *testing.T) {
 	if _, err := AblateTInit(RunOpts{Check: true}); err != nil {
 		t.Fatal(err)

@@ -1,11 +1,15 @@
 //dsm:wallclock experiments time real (non-simulated) runs and log wall-clock progress
 
-// Package experiment is the parallel sweep substrate for the evaluation:
-// it expresses a whole figure or ablation grid as a flat list of Specs,
-// executes them across a pool of worker goroutines, each claiming the
-// next unstarted spec as it falls idle, and deterministically reassembles
-// the results in spec order — so every table and artifact printed from a
-// parallel sweep is byte-identical to the sequential output.
+// Package experiment is the parallel sweep substrate of every grid the
+// repository runs — the figure and ablation sweeps (internal/bench) and
+// the scenario, cross-engine and chaos gates (internal/scenario): a
+// sweep is a flat list of Specs, executed across a pool of worker
+// goroutines, each claiming the next unstarted spec as it falls idle, and
+// reassembled in spec order — so every table, artifact and verdict
+// printed from a parallel sweep is byte-identical to the sequential
+// output. The pool is generic over what a run produces (Spec[T]): a run
+// returns its whole result — metrics, digest, verdicts — and gets it back
+// by index, so no client writes results into captured slots of its own.
 //
 // Each run owns an isolated sim.Env (the simulator has no package-level
 // mutable state), so runs are embarrassingly parallel; the only shared
@@ -22,24 +26,23 @@ import (
 	"time"
 
 	"repro/internal/prng"
-	"repro/internal/stats"
 )
 
 // Spec is one unit of work in a sweep: a label for progress/error context
 // and a closure that performs the run. Run must be self-contained — it is
 // invoked on an arbitrary worker goroutine, concurrently with other specs.
-type Spec struct {
+type Spec[T any] struct {
 	// Label identifies the run in progress lines and error messages,
 	// e.g. "fig2 ASP p=8 AT".
 	Label string
-	// Run executes the simulation and returns its metrics.
-	Run func() (stats.Metrics, error)
+	// Run executes the run and returns what it produced.
+	Run func() (T, error)
 }
 
 // Outcome is the result slot for one Spec, in spec order.
-type Outcome struct {
-	Label   string
-	Metrics stats.Metrics
+type Outcome[T any] struct {
+	Label  string
+	Result T
 	// Err is the run's error; a panicking run is converted to an error
 	// carrying the label and the stack instead of taking the pool down.
 	Err error
@@ -85,24 +88,41 @@ func round(d time.Duration) time.Duration {
 
 // Pool executes specs across worker goroutines.
 type Pool struct {
-	// Workers is the goroutine count; <= 0 means GOMAXPROCS. A pool of 1
-	// runs the specs strictly sequentially in spec order.
+	// Workers is the goroutine count, resolved by Width. A pool of 1 runs
+	// the specs strictly sequentially in spec order.
 	Workers int
 	// Progress, when non-nil, receives one Event per completed run.
 	Progress func(Event)
 }
 
-// Run executes every spec and returns one Outcome per spec, in spec
+// NewPool returns a pool of workers (see Width) that reports each
+// completed run to progress as Event.String's one line — the form all of
+// the pool's clients print; nil reports nothing.
+func NewPool(workers int, progress func(string)) *Pool {
+	p := &Pool{Workers: workers}
+	if progress != nil {
+		p.Progress = func(ev Event) { progress(ev.String()) }
+	}
+	return p
+}
+
+// Width resolves a requested worker count (Pool.Workers, a -par flag)
+// to the number of goroutines that will run: <= 0 means GOMAXPROCS.
+func Width(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
+}
+
+// Run executes every spec on p and returns one Outcome per spec, in spec
 // order regardless of completion order. It never fails as a whole: a
 // spec that errors or panics fails only its own slot (see Outcome.Err),
 // and the remaining specs still run.
-func (p *Pool) Run(specs []Spec) []Outcome {
+func Run[T any](p *Pool, specs []Spec[T]) []Outcome[T] {
 	n := len(specs)
-	outcomes := make([]Outcome, n)
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	outcomes := make([]Outcome[T], n)
+	workers := Width(p.Workers)
 
 	// Specs are independent and results land by index, so claiming is one
 	// shared cursor: a worker takes the next unstarted spec, in spec order,
@@ -125,9 +145,9 @@ func (p *Pool) Run(specs []Spec) []Outcome {
 					return
 				}
 				t0 := time.Now()
-				m, err := runOne(specs[idx])
+				res, err := runOne(specs[idx])
 				wall := time.Since(t0)
-				outcomes[idx] = Outcome{Label: specs[idx].Label, Metrics: m, Err: err, Wall: wall}
+				outcomes[idx] = Outcome[T]{Label: specs[idx].Label, Result: res, Err: err, Wall: wall}
 				d := int(done.Add(1))
 				if p.Progress != nil {
 					progMu.Lock()
@@ -152,7 +172,7 @@ func (p *Pool) Run(specs []Spec) []Outcome {
 // runOne invokes a spec with panic containment: a panic fails the spec
 // with its label and stack instead of crashing the pool (or, worse,
 // leaking the worker and deadlocking the WaitGroup).
-func runOne(s Spec) (m stats.Metrics, err error) {
+func runOne[T any](s Spec[T]) (res T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("experiment: run %q panicked: %v\n%s", s.Label, r, debug.Stack())
@@ -161,19 +181,19 @@ func runOne(s Spec) (m stats.Metrics, err error) {
 	return s.Run()
 }
 
-// Metrics runs the specs and unwraps the outcomes into a metrics slice in
-// spec order. If any spec failed it returns the first failure in spec
-// order (not completion order), prefixed with the spec's label.
-func (p *Pool) Metrics(specs []Spec) ([]stats.Metrics, error) {
-	outs := p.Run(specs)
-	ms := make([]stats.Metrics, len(outs))
+// Results runs the specs on p and unwraps the outcomes into a result
+// slice in spec order. If any spec failed it returns the first failure in
+// spec order (not completion order), prefixed with the spec's label.
+func Results[T any](p *Pool, specs []Spec[T]) ([]T, error) {
+	outs := Run(p, specs)
+	rs := make([]T, len(outs))
 	for i, o := range outs {
 		if o.Err != nil {
 			return nil, fmt.Errorf("%s: %w", o.Label, o.Err)
 		}
-		ms[i] = o.Metrics
+		rs[i] = o.Result
 	}
-	return ms, nil
+	return rs, nil
 }
 
 // TrialSeed derives the input seed for a trial index. Trial 0 is the

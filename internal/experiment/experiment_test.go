@@ -23,9 +23,9 @@ func metricTagged(tag int64) stats.Metrics {
 
 func TestPoolPreservesSpecOrder(t *testing.T) {
 	const n = 40
-	specs := make([]Spec, n)
+	specs := make([]Spec[stats.Metrics], n)
 	for i := 0; i < n; i++ {
-		specs[i] = Spec{
+		specs[i] = Spec[stats.Metrics]{
 			Label: fmt.Sprintf("spec%d", i),
 			Run: func() (stats.Metrics, error) {
 				// Reverse-skewed durations so completion order inverts
@@ -36,7 +36,7 @@ func TestPoolPreservesSpecOrder(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 3, 8} {
-		outs := (&Pool{Workers: workers}).Run(specs)
+		outs := Run(&Pool{Workers: workers}, specs)
 		if len(outs) != n {
 			t.Fatalf("workers=%d: %d outcomes, want %d", workers, len(outs), n)
 		}
@@ -44,8 +44,8 @@ func TestPoolPreservesSpecOrder(t *testing.T) {
 			if o.Err != nil {
 				t.Fatalf("workers=%d spec %d: %v", workers, i, o.Err)
 			}
-			if o.Metrics.Migrations != int64(i) {
-				t.Errorf("workers=%d: outcome %d holds run %d", workers, i, o.Metrics.Migrations)
+			if o.Result.Migrations != int64(i) {
+				t.Errorf("workers=%d: outcome %d holds run %d", workers, i, o.Result.Migrations)
 			}
 			if o.Label != specs[i].Label {
 				t.Errorf("workers=%d: outcome %d labeled %q", workers, i, o.Label)
@@ -57,14 +57,14 @@ func TestPoolPreservesSpecOrder(t *testing.T) {
 func TestPoolRunsEverySpecExactlyOnce(t *testing.T) {
 	const n = 101 // not a multiple of the worker count: uneven deques
 	var counts [n]atomic.Int64
-	specs := make([]Spec, n)
+	specs := make([]Spec[stats.Metrics], n)
 	for i := 0; i < n; i++ {
-		specs[i] = Spec{Label: fmt.Sprintf("s%d", i), Run: func() (stats.Metrics, error) {
+		specs[i] = Spec[stats.Metrics]{Label: fmt.Sprintf("s%d", i), Run: func() (stats.Metrics, error) {
 			counts[i].Add(1)
 			return stats.Metrics{}, nil
 		}}
 	}
-	(&Pool{Workers: 7}).Run(specs)
+	Run(&Pool{Workers: 7}, specs)
 	for i := range counts {
 		if c := counts[i].Load(); c != 1 {
 			t.Errorf("spec %d ran %d times", i, c)
@@ -80,8 +80,8 @@ func TestPoolRunsEverySpecExactlyOnce(t *testing.T) {
 func TestPoolStealsWork(t *testing.T) {
 	var mu sync.Mutex
 	ranBy := map[int]string{}
-	mk := func(i int, d time.Duration) Spec {
-		return Spec{Label: fmt.Sprintf("s%d", i), Run: func() (stats.Metrics, error) {
+	mk := func(i int, d time.Duration) Spec[stats.Metrics] {
+		return Spec[stats.Metrics]{Label: fmt.Sprintf("s%d", i), Run: func() (stats.Metrics, error) {
 			id := gid()
 			time.Sleep(d)
 			mu.Lock()
@@ -90,13 +90,13 @@ func TestPoolStealsWork(t *testing.T) {
 			return stats.Metrics{}, nil
 		}}
 	}
-	specs := []Spec{
+	specs := []Spec[stats.Metrics]{
 		mk(0, 300*time.Millisecond),
 		mk(1, time.Millisecond),
 		mk(2, time.Millisecond),
 		mk(3, time.Millisecond),
 	}
-	(&Pool{Workers: 2}).Run(specs)
+	Run(&Pool{Workers: 2}, specs)
 	if ranBy[1] == ranBy[0] {
 		t.Errorf("spec 1 ran on the slow worker's goroutine: not stolen (ranBy=%v)", ranBy)
 	}
@@ -114,14 +114,14 @@ func gid() string {
 }
 
 func TestPoolPanicBecomesSpecError(t *testing.T) {
-	specs := []Spec{
+	specs := []Spec[stats.Metrics]{
 		{Label: "fine", Run: func() (stats.Metrics, error) { return metricTagged(1), nil }},
 		{Label: "boom r=4", Run: func() (stats.Metrics, error) { panic("kaboom") }},
 		{Label: "also fine", Run: func() (stats.Metrics, error) { return metricTagged(2), nil }},
 	}
-	done := make(chan []Outcome, 1)
-	go func() { done <- (&Pool{Workers: 2}).Run(specs) }()
-	var outs []Outcome
+	done := make(chan []Outcome[stats.Metrics], 1)
+	go func() { done <- Run(&Pool{Workers: 2}, specs) }()
+	var outs []Outcome[stats.Metrics]
 	select {
 	case outs = <-done:
 	case <-time.After(30 * time.Second):
@@ -140,9 +140,11 @@ func TestPoolPanicBecomesSpecError(t *testing.T) {
 	}
 }
 
+// (Named for Pool.Metrics, which Results replaced when the pool became
+// generic; the behaviour pinned is the same.)
 func TestMetricsReturnsFirstErrorInSpecOrder(t *testing.T) {
 	errA := errors.New("first failure")
-	specs := []Spec{
+	specs := []Spec[stats.Metrics]{
 		{Label: "ok", Run: func() (stats.Metrics, error) { return stats.Metrics{}, nil }},
 		{Label: "bad1", Run: func() (stats.Metrics, error) {
 			time.Sleep(5 * time.Millisecond) // finishes after bad2
@@ -150,7 +152,7 @@ func TestMetricsReturnsFirstErrorInSpecOrder(t *testing.T) {
 		}},
 		{Label: "bad2", Run: func() (stats.Metrics, error) { return stats.Metrics{}, errors.New("later failure") }},
 	}
-	_, err := (&Pool{Workers: 3}).Metrics(specs)
+	_, err := Results(&Pool{Workers: 3}, specs)
 	if err == nil || !errors.Is(err, errA) {
 		t.Fatalf("err = %v, want the spec-order-first error %v", err, errA)
 	}
@@ -161,9 +163,9 @@ func TestMetricsReturnsFirstErrorInSpecOrder(t *testing.T) {
 
 func TestPoolProgressEvents(t *testing.T) {
 	const n = 9
-	specs := make([]Spec, n)
+	specs := make([]Spec[stats.Metrics], n)
 	for i := range specs {
-		specs[i] = Spec{Label: fmt.Sprintf("s%d", i), Run: func() (stats.Metrics, error) {
+		specs[i] = Spec[stats.Metrics]{Label: fmt.Sprintf("s%d", i), Run: func() (stats.Metrics, error) {
 			return stats.Metrics{}, nil
 		}}
 	}
@@ -174,7 +176,7 @@ func TestPoolProgressEvents(t *testing.T) {
 		events = append(events, e)
 		mu.Unlock()
 	}}
-	p.Run(specs)
+	Run(p, specs)
 	if len(events) != n {
 		t.Fatalf("%d events, want %d", len(events), n)
 	}
@@ -202,14 +204,59 @@ func TestPoolProgressEvents(t *testing.T) {
 }
 
 func TestPoolEmptyAndTiny(t *testing.T) {
-	if outs := (&Pool{Workers: 8}).Run(nil); len(outs) != 0 {
+	if outs := Run[stats.Metrics](&Pool{Workers: 8}, nil); len(outs) != 0 {
 		t.Fatalf("empty specs gave %d outcomes", len(outs))
 	}
-	outs := (&Pool{Workers: 8}).Run([]Spec{{Label: "one", Run: func() (stats.Metrics, error) {
+	outs := Run(&Pool{Workers: 8}, []Spec[stats.Metrics]{{Label: "one", Run: func() (stats.Metrics, error) {
 		return metricTagged(7), nil
 	}}})
-	if len(outs) != 1 || outs[0].Metrics.Migrations != 7 {
+	if len(outs) != 1 || outs[0].Result.Migrations != 7 {
 		t.Fatalf("single-spec pool: %+v", outs)
+	}
+}
+
+// TestPoolReturnsAnyResultByIndex: the pool is generic over what a run
+// produces. A struct holding a slice comes back whole in its spec's slot
+// at any width, and no two slots share storage — the property that lets a
+// client take digests and verdicts from the outcomes instead of writing
+// them into slots of its own from inside Run.
+func TestPoolReturnsAnyResultByIndex(t *testing.T) {
+	type result struct {
+		Digest uint64
+		Notes  []string
+	}
+	const n = 23
+	specs := make([]Spec[result], n)
+	for i := range specs {
+		specs[i] = Spec[result]{Label: fmt.Sprintf("s%d", i), Run: func() (result, error) {
+			time.Sleep(time.Duration(n-i) * 50 * time.Microsecond)
+			return result{Digest: uint64(i), Notes: []string{fmt.Sprint(i)}}, nil
+		}}
+	}
+	for _, workers := range []int{1, 4} {
+		rs, err := Results(&Pool{Workers: workers}, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range rs {
+			rs[i].Notes[0] += "!"
+		}
+		for i, r := range rs {
+			if want := fmt.Sprint(i) + "!"; r.Digest != uint64(i) || len(r.Notes) != 1 || r.Notes[0] != want {
+				t.Errorf("workers=%d: slot %d holds %+v, want digest %d and its own note %q", workers, i, r, i, want)
+			}
+		}
+	}
+}
+
+// TestWidth: the one place a worker count of "as many as there are cores"
+// is resolved, read by the pool and by dsmbench's banner alike.
+func TestWidth(t *testing.T) {
+	if got, want := Width(0), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("Width(0) = %d, want GOMAXPROCS = %d", got, want)
+	}
+	if Width(-1) != Width(0) || Width(3) != 3 {
+		t.Errorf("Width(-1), Width(3) = %d, %d", Width(-1), Width(3))
 	}
 }
 

@@ -167,8 +167,9 @@ type Cluster struct {
 var ErrAborted = errors.New("live: run aborted")
 
 // ErrProtocol wraps the abort cause when a peer sent bytes that are not
-// a protocol frame: the run ends (wrapping ErrAborted too), the process
-// does not panic.
+// a protocol frame, or a frame naming something the cluster's layout
+// does not have: the run ends (wrapping ErrAborted too), the process does
+// not panic.
 var ErrProtocol = errors.New("live: protocol violation")
 
 // abortPanic unwinds a worker goroutine parked in a protocol wait when
@@ -578,14 +579,19 @@ func (n *node) Broadcast(msg wire.Msg, cat stats.Category) {
 // still in flight (our thread holds the migrating reply in its mailbox,
 // or the barrier-go carrying the reassignment is behind this frame), and
 // the message stays counted as in flight, so quiescence waits for the
-// retry. A frame Decode rejects is a peer's doing, not a state a bug
-// alone can produce: it comes back as an ErrProtocol error for the
-// caller to end the run with.
+// retry. A frame Decode rejects, or one that decodes but names an
+// object, lock, barrier, node or thread slot the layout does not have
+// (proto.Node.CheckFrame — the handlers subscript with those ids), is a
+// peer's doing, not a state a bug alone can produce: it comes back as an
+// ErrProtocol error for the caller to end the run with.
 func (n *node) receive(frame []byte) (routed bool, err error) {
 	msg, err := wire.Decode(frame)
 	if err != nil {
 		return false, fmt.Errorf("%w: node %d received a %d-byte frame, kind byte %#x, that does not decode: %v",
 			ErrProtocol, n.ps.ID, len(frame), frame[:min(len(frame), 1)], err)
+	}
+	if err := n.ps.CheckFrame(&msg, len(n.threads)); err != nil {
+		return false, fmt.Errorf("%w: node %d received %v", ErrProtocol, n.ps.ID, err)
 	}
 	n.mu.Lock()
 	if !n.ps.CanRoute(msg) {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/live/transport/tcp"
 	"repro/internal/memory"
 	"repro/internal/proto"
+	"repro/internal/wire"
 )
 
 // dataPlane is how a cluster member presents its TCP transport to the
@@ -41,27 +42,51 @@ func socketPair(t *testing.T) (a, b net.Conn) {
 	return a, b
 }
 
-// TestPeerGarbageAbortsRun: bytes from a peer that are not a protocol
-// frame end the run with an attributed ErrProtocol abort — on the
-// transport's reader when the backend pushes, on the daemon when it
-// does not — and never panic the process. The worker is parked on a
-// grant that never comes (node 1 is the raw peer, or holds the lock
-// itself), so Run returning at all is the abort unwinding it.
+// TestPeerGarbageAbortsRun: what a peer puts on the wire cannot take the
+// process down. Bytes that are not a protocol frame, and well-formed
+// frames that name an object, a lock, a thread slot or a piggybacked-diff
+// object the layout does not have (a handler would index past a table
+// with them), each end the run with an attributed ErrProtocol abort — on
+// the transport's reader when the backend pushes, on the daemon when it
+// does not — and never panic. The worker is parked on a grant that never
+// comes (node 1 is the raw peer, or holds the lock itself), so Run
+// returning at all is the abort unwinding it.
 func TestPeerGarbageAbortsRun(t *testing.T) {
 	junk := make([]byte, 40)
 	for i := range junk {
 		junk[i] = 0xFF
 	}
+	// The layout below: one object, lock 0 managed by node 1 and lock 1 by
+	// node 0, one thread on node 0.
+	from1 := func(m wire.Msg) []byte {
+		m.From, m.To, m.ReplyNode = 1, 0, 1
+		return m.Encode(nil)
+	}
+	frames := []struct {
+		name  string
+		frame []byte
+		want  []string // what the abort cause must name
+	}{
+		{"Undecodable", junk, []string{"40-byte frame", "kind byte 0xff"}},
+		{"ObjectOutOfRange", from1(wire.Msg{Kind: wire.ObjReq, Obj: 1 << 20}),
+			[]string{"node 0 received ObjReq from node 1", "Obj 1048576"}},
+		{"UnknownLock", from1(wire.Msg{Kind: wire.LockReq, Lock: 9999}),
+			[]string{"node 0 received LockReq from node 1", "Lock 9999"}},
+		{"ReplySlotOutOfRange", from1(wire.Msg{Kind: wire.LockGrant, ReplySlot: 7}),
+			[]string{"node 0 received LockGrant from node 1", "ReplySlot 7"}},
+		{"PiggybackedDiffObjectOutOfRange", from1(wire.Msg{Kind: wire.LockRel, Lock: 1, Diffs: []wire.ObjDiff{{Obj: 0}, {Obj: 5}}}),
+			[]string{"node 0 received LockRel from node 1", "piggybacked diff Obj 5"}},
+	}
 	for _, tc := range []struct {
 		name string
-		// start returns the engine's transport and what puts the junk
-		// frame in front of node 0 mid-run.
-		start func(t *testing.T, abort func(error)) (transport.Transport, func())
+		// start returns the engine's transport and what puts a frame in
+		// front of node 0 mid-run.
+		start func(t *testing.T, abort func(error)) (transport.Transport, func(frame []byte))
 		// remote: node 1 is the test's raw socket; the engine runs node 0
 		// only.
 		remote bool
 	}{
-		{name: "PushedByTCPReader", remote: true, start: func(t *testing.T, abort func(error)) (transport.Transport, func()) {
+		{name: "PushedByTCPReader", remote: true, start: func(t *testing.T, abort func(error)) (transport.Transport, func([]byte)) {
 			local, raw := socketPair(t)
 			tr := tcp.New(0, []net.Conn{nil, local}, tcp.Options{OnFatal: abort})
 			t.Cleanup(func() {
@@ -69,76 +94,82 @@ func TestPeerGarbageAbortsRun(t *testing.T) {
 				raw.Close()
 				tr.Close()
 			})
-			return dataPlane{tr}, func() {
+			return dataPlane{tr}, func(frame []byte) {
 				// One well-framed channel-0 frame: length, channel, zero stamp.
-				frame := binary.LittleEndian.AppendUint32(nil, uint32(len(junk)))
-				frame = append(append(frame, make([]byte, 13)...), junk...)
-				if _, err := raw.Write(frame); err != nil {
+				framed := binary.LittleEndian.AppendUint32(nil, uint32(len(frame)))
+				framed = append(append(framed, make([]byte, 13)...), frame...)
+				if _, err := raw.Write(framed); err != nil {
 					t.Error(err)
 				}
 			}
 		}},
-		{name: "PulledByDaemon", start: func(t *testing.T, abort func(error)) (transport.Transport, func()) {
+		{name: "PulledByDaemon", start: func(t *testing.T, abort func(error)) (transport.Transport, func([]byte)) {
 			tr := transport.NewChanLoop(2)
-			return tr, func() { tr.Send(0, append(transport.GetFrame(), junk...)) }
+			return tr, func(frame []byte) { tr.Send(0, append(transport.GetFrame(), frame...)) }
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var c *Cluster
-			cfg := DefaultConfig(2)
-			cfg.FlightCap = 64
-			tr, sendJunk := tc.start(t, func(err error) { c.Abort(err) })
-			cfg.Transport = tr
-			if tc.remote {
-				cfg.LocalNode = new(memory.NodeID)
-			}
-			c = New(cfg)
-			l := c.AddLock(1)
-			held, parked, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
-			ws := []proto.Worker{{Node: 0, Name: "waiter", Fn: func(th proto.Thread) {
-				<-held
-				close(parked)
-				th.Acquire(l)
-			}}}
-			if tc.remote {
-				close(held)
-			} else {
-				ws = append(ws, proto.Worker{Node: 1, Name: "holder", Fn: func(th proto.Thread) {
-					th.Acquire(l)
-					close(held)
-					<-release
-				}})
-			}
-			done := make(chan error, 1)
-			go func() {
-				_, err := c.Run(ws)
-				done <- err
-			}()
-			<-parked
-			time.Sleep(2 * time.Millisecond) // let the waiter park in Acquire
-			sendJunk()
-			close(release) // the holder is not parked in the protocol: let it return
-			select {
-			case err := <-done:
-				if !errors.Is(err, ErrProtocol) || !errors.Is(err, ErrAborted) {
-					t.Fatalf("Run returned %v, want an ErrProtocol and ErrAborted wrap", err)
-				}
-				for _, want := range []string{"40-byte frame", "kind byte 0xff"} {
-					if !strings.Contains(err.Error(), want) {
-						t.Errorf("abort cause %q does not name %q", err, want)
+			for _, fr := range frames {
+				t.Run(fr.name, func(t *testing.T) {
+					var c *Cluster
+					cfg := DefaultConfig(2)
+					cfg.FlightCap = 64
+					tr, send := tc.start(t, func(err error) { c.Abort(err) })
+					cfg.Transport = tr
+					if tc.remote {
+						cfg.LocalNode = new(memory.NodeID)
 					}
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("Run still blocked 10s after the junk frame")
-			}
-			aborts := 0
-			for _, ev := range c.FlightEvents() {
-				if ev.Kind == flight.Abort {
-					aborts++
-				}
-			}
-			if aborts != 1 {
-				t.Fatalf("flight ring holds %d Abort events, want 1", aborts)
+					c = New(cfg)
+					c.AddObject(1, 0)
+					l := c.AddLock(1)
+					c.AddLock(0)
+					held, parked, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+					ws := []proto.Worker{{Node: 0, Name: "waiter", Fn: func(th proto.Thread) {
+						<-held
+						close(parked)
+						th.Acquire(l)
+					}}}
+					if tc.remote {
+						close(held)
+					} else {
+						ws = append(ws, proto.Worker{Node: 1, Name: "holder", Fn: func(th proto.Thread) {
+							th.Acquire(l)
+							close(held)
+							<-release
+						}})
+					}
+					done := make(chan error, 1)
+					go func() {
+						_, err := c.Run(ws)
+						done <- err
+					}()
+					<-parked
+					time.Sleep(2 * time.Millisecond) // let the waiter park in Acquire
+					send(fr.frame)
+					close(release) // the holder is not parked in the protocol: let it return
+					select {
+					case err := <-done:
+						if !errors.Is(err, ErrProtocol) || !errors.Is(err, ErrAborted) {
+							t.Fatalf("Run returned %v, want an ErrProtocol and ErrAborted wrap", err)
+						}
+						for _, want := range fr.want {
+							if !strings.Contains(err.Error(), want) {
+								t.Errorf("abort cause %q does not name %q", err, want)
+							}
+						}
+					case <-time.After(10 * time.Second):
+						t.Fatal("Run still blocked 10s after the bad frame")
+					}
+					aborts := 0
+					for _, ev := range c.FlightEvents() {
+						if ev.Kind == flight.Abort {
+							aborts++
+						}
+					}
+					if aborts != 1 {
+						t.Fatalf("flight ring holds %d Abort events, want 1", aborts)
+					}
+				})
 			}
 		})
 	}

@@ -1,7 +1,9 @@
-// Package obshttp is the shared debug-listener plumbing for the cmd
-// binaries: an http.Server with sane header timeouts (a stuck client
-// must not wedge a cluster member) that the owner shuts down cleanly
-// at finish or abort instead of leaking the accept goroutine.
+// Package obshttp is the debug listener of the cmd binaries: the one
+// mux they serve (Handler: pprof, /metrics, /flight — a binary supplies
+// only what differs, which snapshots it exposes and which timeline it
+// renders) and an http.Server with sane header timeouts (a stuck client
+// must not wedge a cluster member) that the owner shuts down cleanly at
+// finish or abort instead of leaking the accept goroutine.
 package obshttp
 
 import (
@@ -9,8 +11,40 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
+
+	"repro/internal/flight"
+	"repro/internal/telemetry"
 )
+
+// Handler builds the debug listener's routes: Go's pprof handlers under
+// /debug/pprof/, /metrics rendering what snapshots returns in Prometheus
+// text exposition, and /flight rendering the timeline as text. When there
+// is no timeline to render, timeline returns a status other than
+// http.StatusOK and the reason, which /flight answers with instead.
+func Handler(snapshots func() []telemetry.Snapshot, timeline func() (events []flight.Event, status int, reason string)) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		telemetry.WriteProm(w, snapshots())
+	})
+	mux.HandleFunc("/flight", func(w http.ResponseWriter, _ *http.Request) {
+		events, status, reason := timeline()
+		if status != http.StatusOK {
+			http.Error(w, reason, status)
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		flight.WriteText(w, events)
+	})
+	return mux
+}
 
 // Server is a running debug listener.
 type Server struct {

@@ -4,8 +4,63 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
+
+	"repro/internal/flight"
+	"repro/internal/telemetry"
 )
+
+// TestHandlerRoutes: every route of the one debug mux answers on a real
+// listener with the content type a scraper or `go tool pprof` expects,
+// /metrics and /flight render what the binary's two closures supply, and
+// a binary with no timeline to render answers /flight with its own status
+// and reason.
+func TestHandlerRoutes(t *testing.T) {
+	reg := telemetry.NewRegistry(3, `policy="AT"`)
+	reg.Counter("dsm_scrapes_total", "a sample to expose", "").Inc()
+	status, reason := http.StatusOK, ""
+	s, err := Start(":0", Handler(
+		func() []telemetry.Snapshot { return []telemetry.Snapshot{reg.Snapshot()} },
+		func() ([]flight.Event, int, string) {
+			return []flight.Event{{Kind: flight.LockGrant, Node: 3, Sync: 7}}, status, reason
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	_, port, _ := net.SplitHostPort(s.Addr())
+	get := func(path string) (int, string, string) {
+		t.Helper()
+		resp, err := http.Get("http://127.0.0.1:" + port + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, resp.Header.Get("Content-Type"), string(body)
+	}
+	for _, tc := range []struct{ path, ctype, body string }{
+		{"/debug/pprof/", "text/html", "goroutine"},
+		{"/debug/pprof/cmdline", "text/plain", "obshttp"},
+		{"/debug/pprof/symbol", "text/plain", "num_symbols"},
+		{"/debug/pprof/profile?seconds=1", "application/octet-stream", ""},
+		{"/debug/pprof/trace?seconds=1", "application/octet-stream", ""},
+		{"/debug/pprof/heap", "application/octet-stream", ""}, // Index serves the named profiles
+		{"/metrics", "text/plain; version=0.0.4; charset=utf-8", "dsm_scrapes_total{"},
+		{"/flight", "text/plain; charset=utf-8", "lock=7"},
+	} {
+		code, ctype, body := get(tc.path)
+		if code != http.StatusOK || !strings.HasPrefix(ctype, tc.ctype) || !strings.Contains(body, tc.body) {
+			t.Errorf("GET %s = %d, Content-Type %q, want 200 %q and a body containing %q; body:\n%.300s",
+				tc.path, code, ctype, tc.ctype, tc.body, body)
+		}
+	}
+	status, reason = http.StatusServiceUnavailable, "cluster not built yet"
+	if code, _, body := get("/flight"); code != status || strings.TrimSpace(body) != reason {
+		t.Errorf("GET /flight with no timeline = %d %q, want %d %q", code, body, status, reason)
+	}
+}
 
 func hello() http.Handler {
 	mux := http.NewServeMux()

@@ -6,13 +6,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
+	"repro/internal/experiment"
 	"repro/internal/live"
 	"repro/internal/live/transport/faulty"
+	"repro/internal/locator"
+	"repro/internal/migration"
 	"repro/internal/prng"
 )
 
@@ -32,8 +33,9 @@ const chaosFlightCap = 512
 //   - the injected fault ends the run through the engine's abort path,
 //     surfacing as an error wrapping live.ErrAborted.
 //
-// Anything else — a hang, a panic, a completed run with a wrong
-// digest, a failure that is not the clean abort — fails the sweep.
+// Anything else — a hang, a panic (the pool turns it into the run's
+// error), a completed run with a wrong digest, a failure that is not the
+// clean abort — fails the sweep.
 // That is the property the hardening work guarantees: a broken cluster
 // is always a bounded, attributable failure.
 
@@ -68,125 +70,107 @@ func chaosFaults(seed uint64, nodes int) (faulty.Options, string) {
 	return opt, fmt.Sprintf("delays up to %v", opt.MaxDelay)
 }
 
-// ChaosSweep runs count chaos scenarios from seed base, par at a time
-// (<= 0 means one per core). Every live run is bounded by deadline
+// ChaosSweep runs count chaos scenarios from seed base as specs on the
+// internal/experiment pool, the runner of every other sweep, par at a
+// time (<= 0 means one per core). Every live run is bounded by deadline
 // (<= 0 selects 2 minutes): a run that neither completes nor aborts in
 // time is reported as a hang, the one outcome the hardened engine must
-// never produce. progress (optional) receives one line per run.
+// never produce. progress (optional) receives the pool's line per run; a
+// run that failed the gate reads FAILED there and is detailed in the
+// stats.
 func ChaosSweep(base uint64, count, par int, deadline time.Duration, progress func(string)) (ChaosStats, error) {
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
 	if deadline <= 0 {
 		deadline = 2 * time.Minute
 	}
-	type outcome struct {
-		kind string // "completed" | "aborted" | ""
-		fail string
+	specs := make([]experiment.Spec[bool], count)
+	for i := range specs {
+		seed := base + uint64(i)
+		p := Generate(seed)
+		lc := Locators[seed%uint64(len(Locators))]
+		pols := Policies(p.Nodes)
+		pol := pols[seed%uint64(len(pols))]
+		faults, desc := chaosFaults(seed, p.Nodes)
+		label := fmt.Sprintf("chaos seed=%d %s nodes=%d %s/%s: %s",
+			seed, p.Family, p.Nodes, pol.Name(), lc, desc)
+		specs[i] = experiment.Spec[bool]{Label: label, Run: func() (aborted bool, err error) {
+			return chaosRun(p, pol, lc, faults, label, deadline)
+		}}
 	}
-	outs := make([]outcome, count)
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for i := 0; i < count; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			seed := base + uint64(i)
-			p := Generate(seed)
-			lc := Locators[seed%uint64(len(Locators))]
-			pols := Policies(p.Nodes)
-			pol := pols[seed%uint64(len(pols))]
-			faults, desc := chaosFaults(seed, p.Nodes)
-			label := fmt.Sprintf("chaos seed=%d %s nodes=%d %s/%s: %s",
-				seed, p.Family, p.Nodes, pol.Name(), lc, desc)
-			report := func(o outcome) {
-				outs[i] = o
-				if progress != nil {
-					what := o.kind
-					if o.fail != "" {
-						what = "FAIL: " + o.fail
-					}
-					progress(label + " -> " + what)
-				}
-			}
-
-			// Fault-free sim reference: the digest the live run must
-			// reproduce if it survives its faults.
-			simRes, err := p.Run(pol, RunOpts{Locator: lc})
-			if err != nil {
-				report(outcome{fail: fmt.Sprintf("%s: sim reference: %v", label, err)})
-				return
-			}
-			if simRes.Failed() {
-				report(outcome{fail: fmt.Sprintf("%s: sim reference failed its own verdicts", label)})
-				return
-			}
-
-			type runResult struct {
-				res *Result
-				err error
-			}
-			ch := make(chan runResult, 1)
-			var dump bytes.Buffer
-			go func() {
-				res, err := p.Run(pol, RunOpts{
-					Locator: lc, Engine: "live", Faults: &faults,
-					FlightCap: chaosFlightCap, FlightDump: &dump,
-				})
-				ch <- runResult{res, err}
-			}()
-			select {
-			case r := <-ch:
-				switch {
-				case errors.Is(r.err, live.ErrAborted):
-					// An abort must leave a post-mortem: every node's
-					// trailing flight events, attributed.
-					if !strings.Contains(dump.String(), "flight: node") {
-						report(outcome{fail: fmt.Sprintf("%s: aborted without a flight dump", label)})
-						return
-					}
-					report(outcome{kind: "aborted"})
-				case r.err != nil:
-					report(outcome{fail: fmt.Sprintf("%s: failed outside the abort path: %v", label, r.err)})
-				case r.res.Failed():
-					msg := "verdict failure"
-					if len(r.res.Mismatches) > 0 {
-						msg = r.res.Mismatches[0]
-					} else if len(r.res.Violations) > 0 {
-						msg = r.res.Violations[0].String()
-					} else if r.res.InvariantErr != nil {
-						msg = r.res.InvariantErr.Error()
-					}
-					report(outcome{fail: fmt.Sprintf("%s: completed but failed verdicts: %s", label, msg)})
-				case r.res.Digest != simRes.Digest:
-					report(outcome{fail: fmt.Sprintf("%s: digest %#x != sim digest %#x", label, r.res.Digest, simRes.Digest)})
-				default:
-					report(outcome{kind: "completed"})
-				}
-			case <-time.After(deadline):
-				report(outcome{fail: fmt.Sprintf("%s: HANG — neither completed nor aborted within %v", label, deadline)})
-			}
-		}(i)
-	}
-	wg.Wait()
-	var st ChaosStats
-	st.Runs = count
-	for _, o := range outs {
+	st := ChaosStats{Runs: count}
+	for _, o := range experiment.Run(experiment.NewPool(par, progress), specs) {
 		switch {
-		case o.fail != "":
+		case o.Err != nil:
 			if len(st.Failures) < 32 {
-				st.Failures = append(st.Failures, o.fail)
+				st.Failures = append(st.Failures, o.Err.Error())
 			}
-		case o.kind == "completed":
-			st.Completed++
-		case o.kind == "aborted":
+		case o.Result: // aborted
 			st.Aborted++
+		default:
+			st.Completed++
 		}
 	}
 	if len(st.Failures) > 0 {
 		return st, fmt.Errorf("chaos sweep: %d failure(s), first: %s", len(st.Failures), st.Failures[0])
 	}
 	return st, nil
+}
+
+// chaosRun is one seed of the sweep: the fault-free sim reference, then
+// the faulted live run under its deadline, judged. A legal end is either
+// completion with sim-digest parity or, reported as aborted, the clean
+// abort path; anything else is the error — the run's failure line,
+// already carrying label.
+func chaosRun(p *Program, pol migration.Policy, lc locator.Kind, faults faulty.Options, label string, deadline time.Duration) (aborted bool, err error) {
+	// Fault-free sim reference: the digest the live run must reproduce if
+	// it survives its faults.
+	simRes, err := p.Run(pol, RunOpts{Locator: lc})
+	if err != nil {
+		return false, fmt.Errorf("%s: sim reference: %v", label, err)
+	}
+	if simRes.Failed() {
+		return false, fmt.Errorf("%s: sim reference failed its own verdicts", label)
+	}
+
+	type runResult struct {
+		res *Result
+		err error
+	}
+	ch := make(chan runResult, 1)
+	var dump bytes.Buffer
+	go func() {
+		res, err := p.Run(pol, RunOpts{
+			Locator: lc, Engine: "live", Faults: &faults,
+			FlightCap: chaosFlightCap, FlightDump: &dump,
+		})
+		ch <- runResult{res, err}
+	}()
+	select {
+	case r := <-ch:
+		switch {
+		case errors.Is(r.err, live.ErrAborted):
+			// An abort must leave a post-mortem: every node's trailing
+			// flight events, attributed.
+			if !strings.Contains(dump.String(), "flight: node") {
+				return false, fmt.Errorf("%s: aborted without a flight dump", label)
+			}
+			return true, nil
+		case r.err != nil:
+			return false, fmt.Errorf("%s: failed outside the abort path: %v", label, r.err)
+		case r.res.Failed():
+			msg := "verdict failure"
+			if len(r.res.Mismatches) > 0 {
+				msg = r.res.Mismatches[0]
+			} else if len(r.res.Violations) > 0 {
+				msg = r.res.Violations[0].String()
+			} else if r.res.InvariantErr != nil {
+				msg = r.res.InvariantErr.Error()
+			}
+			return false, fmt.Errorf("%s: completed but failed verdicts: %s", label, msg)
+		case r.res.Digest != simRes.Digest:
+			return false, fmt.Errorf("%s: digest %#x != sim digest %#x", label, r.res.Digest, simRes.Digest)
+		}
+		return false, nil
+	case <-time.After(deadline):
+		return false, fmt.Errorf("%s: HANG — neither completed nor aborted within %v", label, deadline)
+	}
 }

@@ -726,7 +726,7 @@ func Sweep(engines []string, base uint64, count, par int, progress func(string))
 	}
 	// Specs per scenario are consecutive: policy varies, engine fastest.
 	var runs []*sweepRun
-	var specs []experiment.Spec
+	var specs []experiment.Spec[*Result]
 	for i := 0; i < count; i++ {
 		seed := base + uint64(i)
 		p := Generate(seed)
@@ -735,26 +735,17 @@ func Sweep(engines []string, base uint64, count, par int, progress func(string))
 			for _, eng := range engines {
 				r := &sweepRun{p: p, lc: lc, pol: pol, eng: eng}
 				runs = append(runs, r)
-				specs = append(specs, experiment.Spec{
+				specs = append(specs, experiment.Spec[*Result]{
 					Label: fmt.Sprintf("%s seed=%d %s nodes=%d %s", label, seed, p.Family, p.Nodes, r.tag(cross)),
-					Run: func() (stats.Metrics, error) {
-						res, err := r.p.Run(r.pol, RunOpts{Locator: r.lc, Engine: r.eng})
-						if err != nil {
-							return stats.Metrics{}, err
-						}
-						r.res = res
-						return res.Metrics, nil
+					Run: func() (*Result, error) {
+						return r.p.Run(r.pol, RunOpts{Locator: r.lc, Engine: r.eng})
 					},
 				})
 			}
 		}
 	}
-	pool := &experiment.Pool{Workers: par}
-	if progress != nil {
-		pool.Progress = func(ev experiment.Event) { progress(ev.String()) }
-	}
-	for i, o := range pool.Run(specs) {
-		runs[i].err = o.Err
+	for i, o := range experiment.Run(experiment.NewPool(par, progress), specs) {
+		runs[i].res, runs[i].err = o.Result, o.Err
 	}
 	st, err := judge(runs, len(engines))
 	if err == nil && len(st.Failures) > 0 {
