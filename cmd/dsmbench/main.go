@@ -28,7 +28,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/bench"
 	"repro/internal/experiment"
-	"repro/internal/scenario"
 )
 
 // multiFlag is a repeatable, comma-separable string-list flag: both
@@ -52,7 +51,7 @@ func (m *multiFlag) Set(v string) error {
 func dedup(m multiFlag) multiFlag {
 	var out multiFlag
 	for _, v := range m {
-		if !has(out, v) {
+		if !slices.Contains(out, v) {
 			out = append(out, v)
 		}
 	}
@@ -143,13 +142,13 @@ func main() {
 		return func(s string) { fmt.Fprintf(os.Stderr, "  [%s] %s\n", tag, s) }
 	}
 	if *chaos > 0 {
-		st, err := scenario.ChaosSweep(*seedBase, *chaos, *par, *chaosDeadline, progressTo("chaos"))
+		st, err := bench.ChaosSweep(*seedBase, *chaos, *par, *chaosDeadline, progressTo("chaos"))
 		reportSweep(fmt.Sprintf("chaos sweep: %d runs, %d completed with sim-digest parity, %d aborted cleanly",
 			st.Runs, st.Completed, st.Aborted), st.Failures, err,
 			"chaos sweep: PASS (every faulted run completed with parity or aborted cleanly; zero hangs)")
 	}
 	verdictSweep := func(tag string, engines []string, count int, what, across, pass string) {
-		st, err := scenario.Sweep(engines, *seedBase, count, *par, progressTo(tag))
+		st, err := bench.Sweep(engines, *seedBase, count, *par, progressTo(tag))
 		reportSweep(fmt.Sprintf("%s sweep: %d scenarios, %d runs (every builtin policy%s), %d checked reads, %d oracle ops",
 			what, st.Scenarios, st.Runs, across, st.ReadsChecked, st.OracleOps), st.Failures, err, pass)
 	}
@@ -271,13 +270,4 @@ func ablation(name string, run func(bench.RunOpts) ([]bench.AblationRow, error))
 		bench.PrintAblation(j.w, name, rows)
 		return nil
 	}
-}
-
-func has(m multiFlag, v string) bool {
-	for _, x := range m {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -167,7 +168,7 @@ func TestSelectionKeepsRequestedOrder(t *testing.T) {
 
 func TestHas(t *testing.T) {
 	m := multiFlag{"5a", "5b"}
-	if !has(m, "5a") || has(m, "2") {
+	if !slices.Contains(m, "5a") || slices.Contains(m, "2") {
 		t.Fatal("has misbehaves")
 	}
 }

@@ -1,5 +1,5 @@
 // Command dsmlint runs the repository's static-analysis suite (see
-// internal/lint): detlint, framelint, errlint, obslint, hotlint.
+// internal/lint): detlint, framelint, errlint, hotlint.
 //
 // Standalone mode loads packages straight from the module tree, no
 // build cache or network required:

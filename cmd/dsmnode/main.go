@@ -23,17 +23,19 @@
 // those replicas must be identical for the protocol to route. The digest
 // is generated, not listed: it hashes the cluster size and name=value of
 // every flag the shared blocks apps.Spec.Register (application, size) and
-// apps.Options.Register (protocol selection, -threads, -check) declare,
-// plus -seed. Observability, failure-injection and per-process flags stay
+// apps.Options.Register (protocol selection, -threads, -seed, -check)
+// declare. Observability, failure-injection and per-process flags stay
 // outside it.
 //
 // The process exits 0 only when the whole cluster succeeded: an
-// application-result mismatch, invariant violation, oracle violation
-// or digest disagreement on any node fails every node. For a
-// deterministic program the digest printed by node 0 equals the
-// digest of a single-process run of the same configuration (dsmrun
-// -engine live -check, or -engine sim), which is the cross-engine
-// equivalence gate extended to its third engine configuration.
+// application-result mismatch, invariant violation or oracle violation
+// on any node fails every node. The digest node 0 prints is that of the
+// memory it assembled from every member's report — the members hold the
+// same number, they do not recompute it. For a deterministic program it
+// equals the digest of a single-process run of the same configuration
+// (dsmrun -engine live -check, or -engine sim), which is the cross-engine
+// equivalence gate extended to its third engine configuration; -app
+// scenario -seed S extends the random-program gate the same way.
 //
 // Failures exit with a distinct code per failure domain, so a harness
 // can tell a misconfigured member from a crashed peer:
@@ -45,8 +47,9 @@
 //	5  runtime abort: a peer died mid-run, went silent past the
 //	   heartbeat bound, or the -deadline watchdog fired; stderr names
 //	   the peer or connection that triggered it
-//	6  verification failed: digest disagreement, merged-oracle
-//	   violation, invariant failure, or a member's application error
+//	6  verification failed: merged-oracle violation, invariant
+//	   failure, or a member's application error (a result that differs
+//	   from the sequential reference, a scenario on the wrong cluster size)
 //	7  chaos self-kill (-chaos-kill-after): this process killed itself
 //	   deliberately so the survivors' abort path could be tested
 //
@@ -133,7 +136,6 @@ func main() {
 	o := apps.Options{Config: dsm.Config{Engine: "live"}}
 	spec.Register(flag.CommandLine)
 	o.Register(flag.CommandLine)
-	flag.Uint64Var(&o.Seed, "seed", 0, "input perturbation seed (0 = canonical paper input)")
 	// Every flag registered so far decides what the cluster computes, so
 	// the handshake digest covers them all (canon, below): a flag added to
 	// a shared block is compared with no edit here. What follows may
@@ -142,7 +144,7 @@ func main() {
 	flag.VisitAll(func(f *flag.Flag) { computed = append(computed, f.Name) })
 	flag.Lookup("workers").Usage = "synthetic: worker threads (0 = nodes-1, on nodes 1..workers)"
 	flag.Lookup("threads").Usage = "total threads across the cluster (0 = one per node)"
-	flag.Lookup("check").Usage = "cluster-wide gate: distributed invariants, merged LRC oracle, digest agreement"
+	flag.Lookup("check").Usage = "cluster-wide gate: distributed invariants, merged LRC oracle, memory digest"
 	// Observability flags are excluded from the config digest: they change
 	// what a process records and reports, never what it computes, so
 	// members may legitimately differ. The shared block words them for a

@@ -157,6 +157,25 @@ func TestFourProcessSOR(t *testing.T) {
 	}
 }
 
+// TestFourProcessScenario: a generated program needs no code here — four
+// processes given -app scenario and a 4-node seed reproduce the
+// simulator's digest for that seed, through the flags dsmrun shares.
+func TestFourProcessScenario(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process smoke skipped in -short")
+	}
+	out := runCluster(t, 4, "-app", "scenario", "-seed", "5", "-policy", "JUMP", "-locator", "manager")
+	got := digestOf(t, out)
+	ref, err := apps.Run(apps.Spec{App: "scenario"},
+		apps.Options{Config: dsm.Config{Policy: "JUMP", Locator: "manager"}, Seed: 5, Check: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%#x", ref.Digest); got != want {
+		t.Fatalf("cluster digest %s != sim digest %s\n%s", got, want, out)
+	}
+}
+
 // TestConfigMismatchExitsNonzero: a member started with different app
 // flags must be rejected and exit nonzero — the config-digest path end
 // to end.
@@ -242,8 +261,8 @@ func TestConfigMismatchExitCode(t *testing.T) {
 
 // TestCanonCoversComputedFlags: the string behind the handshake digest
 // names every flag of the shared blocks that decide what the cluster
-// computes (apps.Spec, apps.Options) with its value, plus -seed and the
-// cluster size, and nothing else dsmnode accepts — observability and
+// computes (apps.Spec, apps.Options) with its value, plus the cluster
+// size, and nothing else dsmnode accepts — observability and
 // per-process flags may differ between members. The string is read off a
 // real single-member run's -json artifact; the full flag list is the -h
 // golden's.
@@ -280,6 +299,13 @@ func TestCanonCoversComputedFlags(t *testing.T) {
 	var art struct{ Config string }
 	if err := json.Unmarshal(out, &art); err != nil {
 		t.Fatalf("artifact: %v\n%s", err, out)
+	}
+	// The string behind the handshake digest, as the binary produced it
+	// when -seed was dsmnode's own flag: moving the registration into
+	// apps.Options.Register must not change what members compare.
+	const parent = "v2|nodes=1|app=asp|check=true|cities=9|iters=5|lambda=2|locator=manager|n=16|nopiggyback=true|policy=FT2|r=4|seed=7|threads=2|tinit=3|updates=512|workers=3"
+	if art.Config != parent {
+		t.Errorf("canon moved:\n got %s\nwant %s", art.Config, parent)
 	}
 	fields := strings.Split(art.Config, "|")
 	if fields[0] != "v2" {

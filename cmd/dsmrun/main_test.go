@@ -1,0 +1,54 @@
+package main
+
+import (
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"testing"
+
+	dsm "repro"
+
+	"repro/internal/apps"
+	"repro/internal/scenario"
+)
+
+// TestScenarioSeedReproduces: a seed that fails a verdict sweep can be
+// re-run here under every observation flag dsmrun has, because the sweep's
+// cell and `dsmrun -app scenario -seed S` are the same apps.RunScenario
+// call: the built binary prints the digest the cell for that (seed,
+// policy, locator) left, on either engine.
+func TestScenarioSeedReproduces(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	cell, err := apps.RunScenario(scenario.Generate(5), apps.Options{
+		Config: dsm.Config{Policy: "JUMP", Locator: "manager", DebugWire: true},
+		Check:  true, Oracle: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(t.TempDir(), "dsmrun")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	digestRE := regexp.MustCompile(`oracle OK \((\d+) ops\), digest (0x[0-9a-f]+)`)
+	for _, engine := range []string{"sim", "live"} {
+		out, err := exec.Command(bin, "-app", "scenario", "-seed", "5",
+			"-policy", "JUMP", "-locator", "manager", "-engine", engine, "-check").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", engine, err, out)
+		}
+		m := digestRE.FindSubmatch(out)
+		if m == nil {
+			t.Fatalf("%s: no check line:\n%s", engine, out)
+		}
+		if got, _ := strconv.ParseUint(string(m[2]), 0, 64); got != cell.Digest {
+			t.Errorf("%s: dsmrun digest %s, the sweep's cell left %#x", engine, m[2], cell.Digest)
+		}
+		if engine == "sim" && string(m[1]) != strconv.Itoa(cell.OracleOps) {
+			t.Errorf("sim: dsmrun checked %s oracle ops, the cell %d", m[1], cell.OracleOps)
+		}
+	}
+}

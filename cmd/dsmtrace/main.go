@@ -28,6 +28,7 @@ import (
 func main() {
 	spec := apps.Spec{App: "sor", N: 128, Iters: 8, Cities: 9, Rep: 4, Updates: 1024, Workers: 8}
 	spec.Register(flag.CommandLine)
+	flag.Lookup("app").Usage = "application: asp, sor, nbody, tsp, synthetic" // no -seed here to pick a scenario with
 	flag.Lookup("n").Usage = "problem size"
 	flag.Lookup("r").Usage = "synthetic repetition"
 	flag.Lookup("updates").Usage = "synthetic total updates"

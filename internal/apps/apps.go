@@ -2,9 +2,16 @@
 // evaluates (§5.1): ASP (all-pairs shortest paths by parallel Floyd),
 // SOR (red-black successive over-relaxation), Nbody (Barnes–Hut) and TSP
 // (parallel branch and bound), plus the synthetic single-writer benchmark
-// of §5.2 (Fig. 4). Every application validates its shared-memory result
-// against an in-package sequential reference, so each run doubles as a
+// of §5.2 (Fig. 4) and, as a sixth application, any program
+// internal/scenario generates from a seed (RunScenario). Every application
+// validates its shared-memory result against a sequential reference — its
+// own, or the generated program's pure-Go model — so each run doubles as a
 // correctness check of the coherence protocol.
+//
+// The checked run is defined here once — Options.cluster attaches the
+// oracle, finish merges the flight rings, checks invariants and oracle and
+// fingerprints the memory — for every sweep and gate of internal/bench,
+// dsmrun and each dsmnode member, which reach it through Run or a Run*.
 package apps
 
 import (
@@ -24,8 +31,10 @@ import (
 // FlightCap, Telemetry and Metrics are set here under their own names and
 // reach dsm.New as they are) plus what only the apps layer knows: thread
 // count, input seed, the post-run gates and the multi-process member.
-// Config's Observer, Transport, LocalNode and FlightLocal are not the
-// caller's to set: cluster derives them from Oracle and Multi.
+// Config's Observer, LocalNode and FlightLocal are not the caller's to
+// set: cluster derives them from Oracle and Multi, as it does Transport
+// under Multi (without it a caller may wrap the in-process transport, as
+// the chaos sweep does with the fault injector).
 type Options struct {
 	dsm.Config
 	// Threads is the worker count; 0 means one per node (the paper's
@@ -35,7 +44,8 @@ type Options struct {
 	// Seed perturbs the application's generated input (graph, grid,
 	// bodies, distances) for multi-trial sweeps. Zero selects the
 	// canonical paper input, so all existing golden runs are Seed 0.
-	// The synthetic benchmark has no generated input and ignores it.
+	// The synthetic benchmark has no generated input and ignores it; a
+	// scenario is generated from it whole (scenario.Generate).
 	Seed uint64
 	// Check enables the post-run correctness gate: protocol invariants
 	// are verified (a violation fails the run) and Result.Digest carries
@@ -65,8 +75,8 @@ type Options struct {
 }
 
 // Register declares the protocol-selection flags on fs, bound to o:
-// -policy, -locator, -lambda, -tinit, -nopiggyback, -threads and -check
-// (which sets Check; the binaries turn the oracle on with it). The help
+// -policy, -locator, -lambda, -tinit, -nopiggyback, -threads, -seed and
+// -check (which sets Check; the binaries turn the oracle on with it). The help
 // texts are dsmrun's; a binary for which they read differently replaces
 // them (flag.Lookup(name).Usage).
 func (o *Options) Register(fs *flag.FlagSet) {
@@ -76,6 +86,7 @@ func (o *Options) Register(fs *flag.FlagSet) {
 	fs.Float64Var(&o.TInit, "tinit", 0, "initial threshold (0 = paper's 1)")
 	fs.BoolVar(&o.NoPiggyback, "nopiggyback", false, "disable diff piggybacking on sync messages")
 	fs.IntVar(&o.Threads, "threads", 0, "threads (0 = one per node)")
+	fs.Uint64Var(&o.Seed, "seed", 0, "input seed: perturbs the generated input (0 = canonical paper input); the program of -app scenario")
 	fs.BoolVar(&o.Check, "check", false, "post-run gate: protocol invariants, memory digest, and the LRC coherence oracle")
 }
 
@@ -92,15 +103,17 @@ type Member interface {
 	LocalNode() dsm.NodeID
 	// Observer returns the member's oracle recorder for a run of
 	// `threads` global threads (Options.Oracle set). The recorded
-	// events carry wall-clock stamps so node 0 can merge the
+	// events carry hybrid-logical-clock stamps so node 0 can merge the
 	// per-process logs into one LRC-checkable order.
 	Observer(threads int) dsm.Observer
 	// FinishApp completes the run cluster-wide: gathers every
 	// process's status, metrics and (when enabled) oracle log to node
-	// 0, which checks the merged log, compares digests, merges metrics
-	// and broadcasts the verdict. On node 0, res is updated to the
-	// merged cluster view. A non-nil error means the cluster-wide run
-	// failed — on every node.
+	// 0, which checks the merged log, merges metrics and broadcasts the
+	// verdict. Under check res.Digest becomes the digest of the memory
+	// node 0 assembled — the one digest there is; members hold it, they
+	// do not recompute it. On node 0, res is updated to the merged
+	// cluster view. A non-nil error means the cluster-wide run failed —
+	// on every node.
 	FinishApp(c *dsm.Cluster, res *Result, check, oracle bool) error
 }
 
@@ -183,8 +196,8 @@ func finish(c *dsm.Cluster, o Options, rec *oracle.Recorder, res Result, validat
 	if o.Multi != nil {
 		// Multi-process run: the local process saw only its node's
 		// share of the events and counters, so every gate runs through
-		// the cluster member's control plane (merged oracle log on
-		// node 0, digest comparison across nodes, metrics merge).
+		// the cluster member's control plane (merged oracle log and the
+		// assembled memory's digest on node 0, metrics merge).
 		if err := o.Multi.FinishApp(c, &res, o.Check, o.Oracle); err != nil {
 			return Result{}, fmt.Errorf("%s: %w", res.App, err)
 		}

@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"repro/internal/flight"
+	"repro/internal/scenario"
 )
 
 // Spec names an application and its problem size — what the command-line
@@ -15,7 +16,8 @@ import (
 // with its own defaults, registers it on its flag set, and hands the
 // parsed value to Run.
 type Spec struct {
-	// App is one of asp, sor, nbody, tsp, synthetic.
+	// App is one of asp, sor, nbody, tsp, synthetic, scenario (the
+	// generated program Options.Seed selects; it takes no size).
 	App string
 	// N is the problem size: graph nodes (asp), matrix side (sor),
 	// bodies (nbody).
@@ -32,7 +34,7 @@ type Spec struct {
 // Register declares the application flags on fs, bound to s; the values
 // s holds when Register is called are the flags' defaults.
 func (s *Spec) Register(fs *flag.FlagSet) {
-	fs.StringVar(&s.App, "app", s.App, "application: asp, sor, nbody, tsp, synthetic")
+	fs.StringVar(&s.App, "app", s.App, "application: asp, sor, nbody, tsp, synthetic, scenario (the random program -seed generates)")
 	fs.IntVar(&s.N, "n", s.N, "problem size (graph nodes / matrix side / bodies)")
 	fs.IntVar(&s.Iters, "iters", s.Iters, "SOR iterations / Nbody steps")
 	fs.IntVar(&s.Cities, "cities", s.Cities, "TSP cities")
@@ -43,7 +45,8 @@ func (s *Spec) Register(fs *flag.FlagSet) {
 
 // Run executes the application s names under o. The synthetic benchmark
 // keeps node 0 for the homes and lock managers, so its cluster is grown
-// to workers+1 nodes when o asks for fewer.
+// to workers+1 nodes when o asks for fewer; a scenario's seed is its whole
+// input, cluster size included.
 func Run(s Spec, o Options) (Result, error) {
 	switch s.App {
 	case "asp":
@@ -61,6 +64,8 @@ func Run(s Spec, o Options) (Result, error) {
 		return RunSynthetic(SyntheticOpts{
 			Repetition: s.Rep, TotalUpdates: s.Updates, Workers: s.Workers,
 		}, o)
+	case "scenario":
+		return RunScenario(scenario.Generate(o.Seed), o)
 	}
 	return Result{}, fmt.Errorf("unknown app %q", s.App)
 }

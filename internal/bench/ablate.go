@@ -78,7 +78,7 @@ var (
 // (migration-heavy) and on ASP (migration-then-stable).
 func AblateLocator(o RunOpts) ([]AblationRow, error) {
 	var vs []variant
-	for _, loc := range []string{"fwdptr", "manager", "broadcast"} {
+	for _, loc := range Locators {
 		vs = append(vs,
 			variant{name: loc, workload: "synthetic(r=8)",
 				run: o.runner(synthetic(8), dsm.Config{Nodes: 9, Policy: "AT", Locator: loc})},

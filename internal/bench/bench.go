@@ -12,6 +12,13 @@
 // the trials, runs on the internal/experiment pool and returns per cell,
 // in declaration order; the figure functions only declare cells and fold
 // the outcomes into their row types.
+//
+// The verdict sweeps over generated scenarios stand on the same cells:
+// Sweep (dsmbench -scenarios, -cross; verdict.go) declares one per (seed,
+// policy, engine), keyed by the seed, and ChaosSweep (-chaos; chaos.go)
+// runs each seed fault-free and faulted. A cell's run is apps.Run or
+// apps.RunScenario — the one checked run — and "same input, same final
+// memory" is sameResults for figure and scenario alike.
 package bench
 
 import (

@@ -1,25 +1,24 @@
 //dsm:wallclock the chaos sweep watchdogs live runs with real-time deadlines
 
-package scenario
+package bench
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strings"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/experiment"
+	"repro/internal/flight"
 	"repro/internal/live"
+	"repro/internal/live/transport"
 	"repro/internal/live/transport/faulty"
-	"repro/internal/locator"
-	"repro/internal/migration"
 	"repro/internal/prng"
-)
+	"repro/internal/scenario"
 
-// chaosFlightCap sizes each node's flight ring in chaos runs: enough to
-// hold the traffic around an injected fault so the dump attributes it.
-const chaosFlightCap = 512
+	dsm "repro"
+)
 
 // Chaos mode: the failure-domain gate. Each seed draws a deterministic
 // fault schedule (delivery delay/jitter always; often a scheduled node
@@ -27,8 +26,8 @@ const chaosFlightCap = 512
 // over the fault-injecting transport wrapper. Exactly two outcomes are
 // legal, each within a deadline:
 //
-//   - the run completes despite the faults, passes every scenario
-//     verdict and reproduces the fault-free sim digest (delays may
+//   - the run completes despite the faults, passes the whole gate of a
+//     checked run and reproduces the fault-free sim digest (delays may
 //     reorder everything the protocol allows, but never results); or
 //   - the injected fault ends the run through the engine's abort path,
 //     surfacing as an error wrapping live.ErrAborted.
@@ -38,6 +37,11 @@ const chaosFlightCap = 512
 // clean abort — fails the sweep.
 // That is the property the hardening work guarantees: a broken cluster
 // is always a bounded, attributable failure.
+//
+// The digest comparison here is not sameResults': a seed's two runs are
+// not a key group, because the faulted one may legally leave no memory at
+// all, and the reference runs inside the same spec so the pool can bound
+// the pair with one deadline.
 
 // ChaosStats aggregates a chaos sweep.
 type ChaosStats struct {
@@ -46,6 +50,14 @@ type ChaosStats struct {
 	Aborted   int // ended by the injected fault via the clean abort path
 	Failures  []string
 }
+
+const (
+	// chaosFlightCap sizes each node's flight ring in chaos runs: enough
+	// to hold the traffic around an injected fault so the dump attributes
+	// it; flightDumpN is how many trailing events per node an abort dumps.
+	chaosFlightCap = 512
+	flightDumpN    = 32
+)
 
 // chaosFaults draws seed's fault schedule: jittered delivery delays
 // always, and with the historical mix a scheduled kill (~40%) or link
@@ -83,94 +95,92 @@ func ChaosSweep(base uint64, count, par int, deadline time.Duration, progress fu
 		deadline = 2 * time.Minute
 	}
 	specs := make([]experiment.Spec[bool], count)
+	pols := Policies()
 	for i := range specs {
 		seed := base + uint64(i)
-		p := Generate(seed)
+		p := scenario.Generate(seed)
 		lc := Locators[seed%uint64(len(Locators))]
-		pols := Policies(p.Nodes)
 		pol := pols[seed%uint64(len(pols))]
 		faults, desc := chaosFaults(seed, p.Nodes)
-		label := fmt.Sprintf("chaos seed=%d %s nodes=%d %s/%s: %s",
-			seed, p.Family, p.Nodes, pol.Name(), lc, desc)
+		label := fmt.Sprintf("chaos seed=%d %s nodes=%d %s/%s: %s", seed, p.Family, p.Nodes, pol, lc, desc)
 		specs[i] = experiment.Spec[bool]{Label: label, Run: func() (aborted bool, err error) {
-			return chaosRun(p, pol, lc, faults, label, deadline)
+			return chaosRun(p, pol, lc, faults, deadline)
 		}}
 	}
 	st := ChaosStats{Runs: count}
+	var lines []string
 	for _, o := range experiment.Run(experiment.NewPool(par, progress), specs) {
 		switch {
 		case o.Err != nil:
-			if len(st.Failures) < 32 {
-				st.Failures = append(st.Failures, o.Err.Error())
-			}
+			lines = append(lines, fmt.Sprintf("%s: %v", o.Label, o.Err))
 		case o.Result: // aborted
 			st.Aborted++
 		default:
 			st.Completed++
 		}
 	}
-	if len(st.Failures) > 0 {
-		return st, fmt.Errorf("chaos sweep: %d failure(s), first: %s", len(st.Failures), st.Failures[0])
+	var err error
+	st.Failures, err = failed("chaos", lines)
+	return st, err
+}
+
+// faultedRun is the checked live run of p over the fault-injecting
+// transport: flight rings on every node, the injected fault logged into
+// node 0's. An abort must leave a post-mortem — every node's trailing
+// flight events, attributed — or it is reported as a failure of its own,
+// outside the abort path.
+func faultedRun(p *scenario.Program, policy, locator string, faults faulty.Options) (apps.Result, error) {
+	ft := faulty.Wrap(transport.NewChanLoop(p.Nodes), p.Nodes, faults)
+	o := scenarioOpts(policy, locator, "live")
+	o.Transport, o.FlightCap = ft, chaosFlightCap
+	var rings []*flight.Recorder
+	o.OnCluster = func(c *dsm.Cluster) {
+		rings = c.FlightRecorders()
+		ft.SetFlight(rings[0])
 	}
-	return st, nil
+	res, err := apps.RunScenario(p, o)
+	if errors.Is(err, live.ErrAborted) {
+		var dump strings.Builder
+		flight.DumpLastN(&dump, rings, flightDumpN)
+		if !strings.Contains(dump.String(), "flight: node") {
+			return res, fmt.Errorf("aborted without a flight dump")
+		}
+	}
+	return res, err
 }
 
 // chaosRun is one seed of the sweep: the fault-free sim reference, then
 // the faulted live run under its deadline, judged. A legal end is either
 // completion with sim-digest parity or, reported as aborted, the clean
-// abort path; anything else is the error — the run's failure line,
-// already carrying label.
-func chaosRun(p *Program, pol migration.Policy, lc locator.Kind, faults faulty.Options, label string, deadline time.Duration) (aborted bool, err error) {
+// abort path; anything else is the error.
+func chaosRun(p *scenario.Program, policy, locator string, faults faulty.Options, deadline time.Duration) (aborted bool, err error) {
 	// Fault-free sim reference: the digest the live run must reproduce if
 	// it survives its faults.
-	simRes, err := p.Run(pol, RunOpts{Locator: lc})
+	ref, err := apps.RunScenario(p, scenarioOpts(policy, locator, "sim"))
 	if err != nil {
-		return false, fmt.Errorf("%s: sim reference: %v", label, err)
+		return false, fmt.Errorf("sim reference: %v", err)
 	}
-	if simRes.Failed() {
-		return false, fmt.Errorf("%s: sim reference failed its own verdicts", label)
-	}
-
-	type runResult struct {
-		res *Result
+	type ended struct {
+		res apps.Result
 		err error
 	}
-	ch := make(chan runResult, 1)
-	var dump bytes.Buffer
+	ch := make(chan ended, 1)
 	go func() {
-		res, err := p.Run(pol, RunOpts{
-			Locator: lc, Engine: "live", Faults: &faults,
-			FlightCap: chaosFlightCap, FlightDump: &dump,
-		})
-		ch <- runResult{res, err}
+		res, err := faultedRun(p, policy, locator, faults)
+		ch <- ended{res, err}
 	}()
 	select {
 	case r := <-ch:
 		switch {
 		case errors.Is(r.err, live.ErrAborted):
-			// An abort must leave a post-mortem: every node's trailing
-			// flight events, attributed.
-			if !strings.Contains(dump.String(), "flight: node") {
-				return false, fmt.Errorf("%s: aborted without a flight dump", label)
-			}
 			return true, nil
 		case r.err != nil:
-			return false, fmt.Errorf("%s: failed outside the abort path: %v", label, r.err)
-		case r.res.Failed():
-			msg := "verdict failure"
-			if len(r.res.Mismatches) > 0 {
-				msg = r.res.Mismatches[0]
-			} else if len(r.res.Violations) > 0 {
-				msg = r.res.Violations[0].String()
-			} else if r.res.InvariantErr != nil {
-				msg = r.res.InvariantErr.Error()
-			}
-			return false, fmt.Errorf("%s: completed but failed verdicts: %s", label, msg)
-		case r.res.Digest != simRes.Digest:
-			return false, fmt.Errorf("%s: digest %#x != sim digest %#x", label, r.res.Digest, simRes.Digest)
+			return false, fmt.Errorf("failed outside the abort path: %v", r.err)
+		case r.res.Digest != ref.Digest:
+			return false, fmt.Errorf("digest %#x != sim digest %#x", r.res.Digest, ref.Digest)
 		}
 		return false, nil
 	case <-time.After(deadline):
-		return false, fmt.Errorf("%s: HANG — neither completed nor aborted within %v", label, deadline)
+		return false, fmt.Errorf("HANG — neither completed nor aborted within %v", deadline)
 	}
 }

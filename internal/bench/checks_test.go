@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -81,15 +83,15 @@ func TestSameResults(t *testing.T) {
 		{label: "a/z", key: "a"},
 		{label: "free/2"},
 	}
-	clean := func() []apps.Result {
-		rs := make([]apps.Result, len(cells)*K)
+	clean := func() []run {
+		rs := make([]run, len(cells)*K)
 		for i, c := range cells {
 			for tr := 0; tr < K; tr++ {
 				d := uint64(1000*int(c.label[0]) + tr)
 				if c.key == "" {
 					d = uint64(7*i + 13*tr) // timing-dependent: differs per cell
 				}
-				rs[i*K+tr].Digest = d
+				rs[i*K+tr].Result.Digest = d
 			}
 		}
 		return rs
@@ -105,24 +107,35 @@ func TestSameResults(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
-		mutate func(rs []apps.Result)
+		mutate func(rs []run)
 		want   []string // substrings of the error; nil: must pass
 	}{
-		{name: "clean grid", mutate: func([]apps.Result) {}},
-		{name: "unkeyed cells differ freely", mutate: func(rs []apps.Result) {
-			rs[at("free/1", 0)].Digest, rs[at("free/2", 2)].Digest = 1, 2
+		{name: "clean grid", mutate: func([]run) {}},
+		{name: "unkeyed cells differ freely", mutate: func(rs []run) {
+			rs[at("free/1", 0)].Result.Digest, rs[at("free/2", 2)].Result.Digest = 1, 2
 		}},
-		{name: "group of one", mutate: func(rs []apps.Result) { rs[at("solo", 1)].Digest = 99 }},
-		{name: "last cell of a group, last trial", mutate: func(rs []apps.Result) { rs[at("a/z", 2)].Digest++ },
+		{name: "group of one", mutate: func(rs []run) { rs[at("solo", 1)].Result.Digest = 99 }},
+		{name: "last cell of a group, last trial", mutate: func(rs []run) { rs[at("a/z", 2)].Result.Digest++ },
 			want: []string{"a/z trial=2", "a/x trial=2"}},
-		{name: "middle cell of the other group", mutate: func(rs []apps.Result) { rs[at("b/y", 0)].Digest++ },
+		{name: "middle cell of the other group", mutate: func(rs []run) { rs[at("b/y", 0)].Result.Digest++ },
 			want: []string{"b/y trial=0", "b/x trial=0"}},
-		{name: "first cell diverges: its successor is named against it", mutate: func(rs []apps.Result) { rs[at("a/x", 1)].Digest++ },
+		{name: "first cell diverges: its successor is named against it", mutate: func(rs []run) { rs[at("a/x", 1)].Result.Digest++ },
 			want: []string{"a/y trial=1", "a/x trial=1"}},
-		{name: "two trials swapped inside one cell", mutate: func(rs []apps.Result) {
+		{name: "two trials swapped inside one cell", mutate: func(rs []run) {
 			i, j := at("a/y", 0), at("a/y", 1)
 			rs[i], rs[j] = rs[j], rs[i]
 		}, want: []string{"a/y trial=0", "a/x trial=0"}},
+		{name: "a failed run is skipped, not compared", mutate: func(rs []run) {
+			rs[at("a/y", 1)] = run{Err: errors.New("aborted")} // digest 0: would disagree
+		}},
+		{name: "the first run of a group failed: the next completed one anchors it", mutate: func(rs []run) {
+			rs[at("a/x", 2)] = run{Err: errors.New("aborted")}
+			rs[at("a/z", 2)].Result.Digest++
+		}, want: []string{"a/z trial=2", "a/y trial=2"}},
+		{name: "only one run of a group completed", mutate: func(rs []run) {
+			rs[at("b/x", 0)] = run{Err: errors.New("aborted")}
+			rs[at("b/y", 0)].Result.Digest++
+		}},
 	} {
 		rs := clean()
 		tc.mutate(rs)
@@ -148,9 +161,90 @@ func TestSameResults(t *testing.T) {
 	}
 	// A single-trial sweep names its runs by the bare cell label, as the
 	// pool's progress and error lines do.
-	rs := []apps.Result{{Digest: 1}, {Digest: 2}}
+	rs := []run{{Result: apps.Result{Digest: 1}}, {Result: apps.Result{Digest: 2}}}
 	err := sameResults([]cell{{label: "p", key: "k"}, {label: "q", key: "k"}}, 1, rs)
 	if err == nil || !strings.Contains(err.Error(), "q digest 0x2 != p digest 0x1") {
 		t.Errorf("single-trial message: %v", err)
+	}
+}
+
+// run is one slot of what RunOpts.run returns.
+type run = experiment.Outcome[apps.Result]
+
+// TestSameResultsOnAVerdictGrid forces the two disagreements a verdict
+// sweep exists to catch on the grid Sweep declares — one cell per (seed,
+// policy, engine), keyed by the seed — and holds the comparison to its one
+// message, naming both runs: a policy that changed the memory, an engine
+// that did, and a failed run beside them that is reported on its own line
+// and must not be compared.
+func TestSameResultsOnAVerdictGrid(t *testing.T) {
+	var cells []cell
+	for _, seed := range []int{1, 2} {
+		for _, pol := range []string{"NoHM", "AT"} {
+			for _, eng := range []string{"sim", "live"} {
+				cells = append(cells, cell{
+					label: fmt.Sprintf("cross seed=%d %s/fwdptr/%s", seed, pol, eng),
+					key:   fmt.Sprintf("seed=%d", seed),
+				})
+			}
+		}
+	}
+	grid := func() []run {
+		rs := make([]run, len(cells))
+		for i := range rs {
+			rs[i].Result.Digest = uint64(0xA0 + i/4) // per seed
+		}
+		return rs
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(rs []run)
+		want   string // "": must pass
+	}{
+		{name: "clean", mutate: func([]run) {}},
+		{name: "policies differ", mutate: func(rs []run) { rs[6].Result.Digest, rs[7].Result.Digest = 0xB, 0xB },
+			want: "bench: same input, different final memory: cross seed=2 AT/fwdptr/sim digest 0xb != cross seed=2 NoHM/fwdptr/sim digest 0xa1"},
+		{name: "engines differ", mutate: func(rs []run) { rs[3].Result.Digest = 0xB },
+			want: "bench: same input, different final memory: cross seed=1 AT/fwdptr/live digest 0xb != cross seed=1 NoHM/fwdptr/sim digest 0xa0"},
+		{name: "a failed run in a group is skipped", mutate: func(rs []run) { rs[1] = run{Err: errors.New("oracle: 1 violation(s)")} }},
+		{name: "a disagreement past a failed run is still found", mutate: func(rs []run) {
+			rs[4] = run{Err: errors.New("aborted")}
+			rs[7].Result.Digest = 0xB
+		}, want: "bench: same input, different final memory: cross seed=2 AT/fwdptr/live digest 0xb != cross seed=2 NoHM/fwdptr/live digest 0xa1"},
+	} {
+		rs := grid()
+		tc.mutate(rs)
+		err := sameResults(cells, 1, rs)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: got %v, want %s", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestSweepReproducesParentCounts pins the verdict sweep against the
+// drivers it replaced: over {sim} and over {sim, live} on seeds 1..8 it
+// does the work scenario.Sweep and scenario.CrossSweep did at the commit
+// that still had both (counts captured there; the checked reads, now a
+// property of the programs, equal what those runs executed; oracle ops are
+// left out, the live engine's vary with the schedule).
+func TestSweepReproducesParentCounts(t *testing.T) {
+	for _, tc := range []struct {
+		engines                  []string
+		scenarios, runs, checked int
+	}{
+		{[]string{"sim"}, 8, 56, 1176},
+		{[]string{"sim", "live"}, 8, 112, 2352},
+	} {
+		st, err := Sweep(tc.engines, 1, 8, 0, nil)
+		if err != nil {
+			t.Fatalf("%v: %v (failures: %v)", tc.engines, err, st.Failures)
+		}
+		if st.Scenarios != tc.scenarios || st.Runs != tc.runs || st.ReadsChecked != tc.checked {
+			t.Errorf("%v: %d scenarios, %d runs, %d checked reads; the parent had %d, %d, %d",
+				tc.engines, st.Scenarios, st.Runs, st.ReadsChecked, tc.scenarios, tc.runs, tc.checked)
+		}
 	}
 }

@@ -42,12 +42,10 @@ func (o RunOpts) runner(app apps.Spec, cfg dsm.Config) func(seed uint64) (apps.R
 	}
 }
 
-// sweep runs every cell o.trials() times on the experiment pool and
-// returns one cellOut per cell, in declaration order at any pool width.
-// It is the one place a grid is multiplied by its trials and, under
-// o.Check, the one place "migration changes cost, never results" is
-// checked across a key group (sameResults).
-func (o RunOpts) sweep(cells []cell) ([]cellOut, error) {
+// run executes every cell o.trials() times on the experiment pool and
+// returns the outcomes, K per cell in declaration order at any pool
+// width. It is the one place a grid is multiplied by its trials.
+func (o RunOpts) run(cells []cell) []experiment.Outcome[apps.Result] {
 	K := o.trials()
 	specs := make([]experiment.Spec[apps.Result], 0, len(cells)*K)
 	for _, c := range cells {
@@ -59,8 +57,17 @@ func (o RunOpts) sweep(cells []cell) ([]cellOut, error) {
 			})
 		}
 	}
-	results, err := experiment.Results(experiment.NewPool(o.Par, o.Progress), specs)
-	if err != nil {
+	return experiment.Run(experiment.NewPool(o.Par, o.Progress), specs)
+}
+
+// sweep runs the cells of a figure or ablation and returns one cellOut
+// per cell, in declaration order. The first run that failed, in that
+// order, fails the sweep under its label; under o.Check so does a key
+// group that disagrees on the final memory (sameResults).
+func (o RunOpts) sweep(cells []cell) ([]cellOut, error) {
+	K := o.trials()
+	results := o.run(cells)
+	if err := experiment.FirstErr(results); err != nil {
 		return nil, err
 	}
 	if o.Check {
@@ -72,31 +79,42 @@ func (o RunOpts) sweep(cells []cell) ([]cellOut, error) {
 	for i := range outs {
 		ms := make([]dsm.Metrics, K)
 		for t := range ms {
-			ms[t] = results[i*K+t].Metrics
+			ms[t] = results[i*K+t].Result.Metrics
 		}
 		outs[i] = cellOut{trials: ms, TrialAgg: stats.Aggregate(ms)}
 	}
 	return outs, nil
 }
 
-// sameResults compares final-memory digests across each key group:
+// sameResults is the one check of "migration changes cost, never
+// results": it compares final-memory digests across each key group.
 // results holds K trials per cell in declaration order, and every cell
-// must agree, trial by trial, with the first cell declared under its key.
+// must agree, trial by trial, with the first cell declared under its key
+// whose run of that trial completed; a run that failed has no memory to
+// compare and is skipped (the verdict sweeps report it on its own line).
 // The first disagreement in declaration order is the error, naming both
 // runs.
-func sameResults(cells []cell, K int, results []apps.Result) error {
-	first := make(map[string]int) // key → the group's first cell
+func sameResults(cells []cell, K int, results []experiment.Outcome[apps.Result]) error {
+	type group struct {
+		key   string
+		trial int
+	}
+	first := make(map[group]int) // the first cell of the key that completed the trial
 	for i, c := range cells {
 		if c.key == "" {
 			continue
 		}
-		base, grouped := first[c.key]
-		if !grouped {
-			first[c.key] = i
-			continue
-		}
 		for t := 0; t < K; t++ {
-			if got, want := results[i*K+t].Digest, results[base*K+t].Digest; got != want {
+			run := &results[i*K+t]
+			if run.Err != nil {
+				continue
+			}
+			base, grouped := first[group{c.key, t}]
+			if !grouped {
+				first[group{c.key, t}] = i
+				continue
+			}
+			if got, want := run.Result.Digest, results[base*K+t].Result.Digest; got != want {
 				return fmt.Errorf("bench: same input, different final memory: %s digest %#x != %s digest %#x",
 					trialLabel(c.label, K, t), got, trialLabel(cells[base].label, K, t), want)
 			}

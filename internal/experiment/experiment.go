@@ -1,9 +1,8 @@
 //dsm:wallclock experiments time real (non-simulated) runs and log wall-clock progress
 
 // Package experiment is the parallel sweep substrate of every grid the
-// repository runs — the figure and ablation sweeps (internal/bench) and
-// the scenario, cross-engine and chaos gates (internal/scenario): a
-// sweep is a flat list of Specs, executed across a pool of worker
+// repository runs — the figure and ablation sweeps and the scenario,
+// cross-engine and chaos gates, all in internal/bench: a sweep is a flat list of Specs, executed across a pool of worker
 // goroutines, each claiming the next unstarted spec as it falls idle, and
 // reassembled in spec order — so every table, artifact and verdict
 // printed from a parallel sweep is byte-identical to the sequential
@@ -181,19 +180,16 @@ func runOne[T any](s Spec[T]) (res T, err error) {
 	return s.Run()
 }
 
-// Results runs the specs on p and unwraps the outcomes into a result
-// slice in spec order. If any spec failed it returns the first failure in
-// spec order (not completion order), prefixed with the spec's label.
-func Results[T any](p *Pool, specs []Spec[T]) ([]T, error) {
-	outs := Run(p, specs)
-	rs := make([]T, len(outs))
-	for i, o := range outs {
+// FirstErr returns the first failure among outs in spec order (not
+// completion order), prefixed with the spec's label; nil if every run
+// succeeded.
+func FirstErr[T any](outs []Outcome[T]) error {
+	for _, o := range outs {
 		if o.Err != nil {
-			return nil, fmt.Errorf("%s: %w", o.Label, o.Err)
+			return fmt.Errorf("%s: %w", o.Label, o.Err)
 		}
-		rs[i] = o.Result
 	}
-	return rs, nil
+	return nil
 }
 
 // TrialSeed derives the input seed for a trial index. Trial 0 is the

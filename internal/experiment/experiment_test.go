@@ -140,8 +140,8 @@ func TestPoolPanicBecomesSpecError(t *testing.T) {
 	}
 }
 
-// (Named for Pool.Metrics, which Results replaced when the pool became
-// generic; the behaviour pinned is the same.)
+// (Named for Pool.Metrics, whose "first failure" FirstErr kept when the
+// pool became generic; the behaviour pinned is the same.)
 func TestMetricsReturnsFirstErrorInSpecOrder(t *testing.T) {
 	errA := errors.New("first failure")
 	specs := []Spec[stats.Metrics]{
@@ -152,7 +152,7 @@ func TestMetricsReturnsFirstErrorInSpecOrder(t *testing.T) {
 		}},
 		{Label: "bad2", Run: func() (stats.Metrics, error) { return stats.Metrics{}, errors.New("later failure") }},
 	}
-	_, err := Results(&Pool{Workers: 3}, specs)
+	err := FirstErr(Run(&Pool{Workers: 3}, specs))
 	if err == nil || !errors.Is(err, errA) {
 		t.Fatalf("err = %v, want the spec-order-first error %v", err, errA)
 	}
@@ -234,14 +234,15 @@ func TestPoolReturnsAnyResultByIndex(t *testing.T) {
 		}}
 	}
 	for _, workers := range []int{1, 4} {
-		rs, err := Results(&Pool{Workers: workers}, specs)
-		if err != nil {
+		outs := Run(&Pool{Workers: workers}, specs)
+		if err := FirstErr(outs); err != nil {
 			t.Fatal(err)
 		}
-		for i := range rs {
-			rs[i].Notes[0] += "!"
+		for i := range outs {
+			outs[i].Result.Notes[0] += "!"
 		}
-		for i, r := range rs {
+		for i, o := range outs {
+			r := o.Result
 			if want := fmt.Sprint(i) + "!"; r.Digest != uint64(i) || len(r.Notes) != 1 || r.Notes[0] != want {
 				t.Errorf("workers=%d: slot %d holds %+v, want digest %d and its own note %q", workers, i, r, i, want)
 			}

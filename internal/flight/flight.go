@@ -161,9 +161,9 @@ func (e Event) Stamp() hlc.Stamp { return hlc.Stamp{Wall: e.Wall, Logical: e.Log
 
 // Recorder is one node's fixed-capacity event ring. Protocol sites
 // reach it as one of the node's Subscribers; the transports' cold sites
-// hold it directly, where a nil *Recorder means "recording disabled" and
-// every Record call is nil-guarded (the obslint contract). All methods
-// on a non-nil Recorder are safe for concurrent use.
+// hold it directly, where a nil *Recorder means "recording disabled":
+// Record on it is a no-op. All methods on a non-nil Recorder are safe
+// for concurrent use.
 type Recorder struct {
 	mu    sync.Mutex
 	node  memory.NodeID
@@ -195,10 +195,15 @@ func (r *Recorder) Kinds() Mask { return RingKinds }
 
 // Record stamps ev (Wall, Logical, Node) and writes it into the ring,
 // overwriting the oldest event once the ring is full. It never
-// allocates.
+// allocates. A nil recorder records nothing, so a holder of an optional
+// recorder — the transports' heartbeat and fault sites, the member's
+// abort — calls it without a test of its own.
 //
 //dsm:hotpath
 func (r *Recorder) Record(ev Event) {
+	if r == nil {
+		return
+	}
 	s := r.stamp()
 	ev.Wall = s.Wall
 	ev.Logical = s.Logical
@@ -260,11 +265,12 @@ func (r *Recorder) LastN(n int) []Event {
 }
 
 // Merge concatenates per-node event logs and orders them by (Wall,
-// Logical) HLC stamp, ties broken by node then input order — the same
-// sort the cluster's merged oracle check uses, so the merged timeline
-// is consistent with happens-before whenever the stamps came from
-// clocks that exchanged stamps with the traffic (live cluster runs) and
-// deterministic whenever the stamps are virtual (sim runs).
+// Logical) HLC stamp, ties broken by node then input order — the order
+// the cluster's merged oracle check replays its members' logs in, by
+// calling this. The merged timeline is consistent with happens-before
+// whenever the stamps came from clocks that exchanged stamps with the
+// traffic (live cluster runs) and deterministic whenever the stamps are
+// virtual (sim runs).
 func Merge(logs ...[]Event) []Event {
 	var all []Event
 	for _, l := range logs {

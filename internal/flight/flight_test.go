@@ -187,17 +187,25 @@ func TestDumpLastNSkipsNilAndAttributes(t *testing.T) {
 	}
 }
 
+// TestNilRecorderRecordsNothing: a holder of an optional recorder — the
+// transports' heartbeat and fault sites, the member's abort — calls
+// Record with no test of its own; on a nil recorder it must return
+// having done nothing, not panic.
+func TestNilRecorderRecordsNothing(t *testing.T) {
+	var off *Recorder
+	off.Record(Event{Kind: Abort})
+	off.Record(Event{Kind: HeartbeatSend, Peer: 2})
+}
+
 // TestRecordAllocatesNothing pins the overhead contract in tier-1: the
-// nil-guarded disabled path of a transport's cold site does no work at
-// all, and an enabled ring record is a stamp plus a slot write — neither
-// may allocate.
+// disabled path of a transport's cold site — Record on a nil recorder —
+// does no work at all, and an enabled ring record is a stamp plus a slot
+// write — neither may allocate.
 func TestRecordAllocatesNothing(t *testing.T) {
 	var off *Recorder
 	ev := Event{Kind: HomeWrite, Obj: 3}
 	if n := testing.AllocsPerRun(1000, func() {
-		if f := off; f != nil {
-			f.Record(ev)
-		}
+		off.Record(ev)
 	}); n != 0 {
 		t.Errorf("disabled path allocates %v/op, want 0", n)
 	}

@@ -63,21 +63,6 @@ type Config struct {
 	Net hockney.Model
 	// DebugWire round-trips every message through the codec.
 	DebugWire bool
-
-	// MsgProcCost is the daemon's per-message software overhead.
-	MsgProcCost sim.Time
-	// SendCost is the sender-side per-message software overhead.
-	SendCost sim.Time
-	// FaultCost is the cost of one trapped software access check.
-	FaultCost sim.Time
-	// RetryDelay is the requester back-off after an obsolete-home miss
-	// under the broadcast locator (§3.2: "waiting for sometime before
-	// repeating the fault-in again").
-	RetryDelay sim.Time
-	// Jitter is the deterministic per-message delivery perturbation
-	// (see cnet.Config.Jitter). Zero disables it; DefaultConfig sets a
-	// small value to avoid artificial lock-step arrival symmetry.
-	Jitter sim.Time
 	// Observer, when non-nil, subscribes to every node's events — the
 	// coherence oracle's recorder (data accesses, lock chains, barrier
 	// episodes). Nil in production runs; an event nobody subscribed to
@@ -101,16 +86,13 @@ type Config struct {
 // pointers on a Fast-Ethernet-class network.
 func DefaultConfig(nodes int) Config {
 	net := hockney.FastEthernet()
-	return Config{
-		Shared:      proto.DefaultShared(nodes, net.Alpha),
-		Net:         net,
-		MsgProcCost: 2 * sim.Microsecond,
-		SendCost:    1 * sim.Microsecond,
-		FaultCost:   300 * sim.Nanosecond,
-		RetryDelay:  100 * sim.Microsecond,
-		Jitter:      4 * sim.Microsecond,
-	}
+	return Config{Shared: proto.DefaultShared(nodes, net.Alpha), Net: net}
 }
+
+// jitter is the network model's deterministic per-message delivery
+// perturbation (cnet.Config.Jitter): small, to avoid artificial lock-step
+// arrival symmetry.
+const jitter = 4 * sim.Microsecond
 
 // Cluster is a configured DSM instance. Build it with New, declare shared
 // objects, locks and barriers, then call Run.
@@ -129,7 +111,8 @@ type Cluster struct {
 	endTime sim.Time
 }
 
-// New builds a cluster per cfg, filling zero-valued costs with defaults.
+// New builds a cluster per cfg; a zero network, nil policy or zero
+// threshold parameters select the paper's.
 func New(cfg Config) *Cluster {
 	def := DefaultConfig(cfg.Nodes)
 	if cfg.Nodes <= 0 {
@@ -144,23 +127,8 @@ func New(cfg Config) *Cluster {
 	if cfg.Params.Alpha == nil {
 		cfg.Params = core.DefaultParams(cfg.Net.Alpha)
 	}
-	if cfg.MsgProcCost == 0 {
-		cfg.MsgProcCost = def.MsgProcCost
-	}
-	if cfg.SendCost == 0 {
-		cfg.SendCost = def.SendCost
-	}
-	if cfg.FaultCost == 0 {
-		cfg.FaultCost = def.FaultCost
-	}
-	if cfg.RetryDelay == 0 {
-		cfg.RetryDelay = def.RetryDelay
-	}
-	if cfg.Jitter == 0 {
-		cfg.Jitter = def.Jitter
-	}
 	c := &Cluster{cfg: cfg, env: sim.NewEnv()}
-	c.net = cnet.New(c.env, cnet.Config{Model: cfg.Net, Jitter: cfg.Jitter, DebugCheck: cfg.DebugWire}, cfg.Nodes, &c.Counters)
+	c.net = cnet.New(c.env, cnet.Config{Model: cfg.Net, Jitter: jitter, DebugCheck: cfg.DebugWire}, cfg.Nodes, &c.Counters)
 	c.Space = proto.NewSpace(&c.cfg.Shared)
 	for i := 0; i < cfg.Nodes; i++ {
 		n := newNode(c, memory.NodeID(i))

@@ -61,6 +61,9 @@ func (n *Node) spawnDaemon() {
 	n.c.env.Spawn(fmt.Sprintf("daemon-n%d", n.ID), n.daemon)
 }
 
+// msgProcCost is the daemon's per-message software overhead.
+const msgProcCost = 2 * sim.Microsecond
+
 func (n *Node) daemon(p *sim.Proc) {
 	for {
 		raw := n.inbox.Recv(p)
@@ -77,7 +80,7 @@ func (n *Node) daemon(p *sim.Proc) {
 		if n.On(flight.FrameRecv) {
 			n.Emit(flight.Event{Kind: flight.FrameRecv, Peer: msg.From, Bytes: int32(msg.WireSize())})
 		}
-		p.Sleep(n.c.cfg.MsgProcCost)
+		p.Sleep(msgProcCost)
 		n.Handle(msg)
 		n.busy = false
 	}

@@ -57,13 +57,23 @@ func (t *Thread) Lock() {}
 // Unlock implements proto.Host.
 func (t *Thread) Unlock() {}
 
+// The thread-side software costs: one trapped access check, the
+// sender-side overhead of one message, and the requester's back-off after
+// an obsolete-home miss under the broadcast locator (§3.2: "waiting for
+// sometime before repeating the fault-in again").
+const (
+	faultCost  = 300 * sim.Nanosecond
+	sendCost   = 1 * sim.Microsecond
+	retryDelay = 100 * sim.Microsecond
+)
+
 // ChargeFault implements proto.Host: one trapped software access check.
-func (t *Thread) ChargeFault() { t.Compute(t.c.cfg.FaultCost) }
+func (t *Thread) ChargeFault() { t.Compute(faultCost) }
 
 // ChargeSend implements proto.Host: the sender-side overhead, spent
 // (with all compute before it) ahead of the fault-in's first message.
 func (t *Thread) ChargeSend() {
-	t.Compute(t.c.cfg.SendCost)
+	t.Compute(sendCost)
 	t.SyncPoint()
 }
 
@@ -81,11 +91,11 @@ func (t *Thread) Recv(tok *proto.Token) {
 }
 
 // Backoff implements proto.Host.
-func (t *Thread) Backoff() { t.proc.Sleep(t.c.cfg.RetryDelay) }
+func (t *Thread) Backoff() { t.proc.Sleep(retryDelay) }
 
 // RetryAfter implements proto.Host.
 func (t *Thread) RetryAfter(kind proto.TokenKind, obj memory.ObjectID) {
-	t.c.env.At(t.c.cfg.RetryDelay, func() { t.reply.Send(retry{kind, obj}) })
+	t.c.env.At(retryDelay, func() { t.reply.Send(retry{kind, obj}) })
 }
 
 // compile-time check: the sim thread implements the shared interface

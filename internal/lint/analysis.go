@@ -23,8 +23,6 @@
 //     never touched after the handoff.
 //   - errlint:   sentinel errors flow through errors.Is, never == / !=
 //     or error-text comparison.
-//   - obslint:   flight.Recorder.Record calls outside internal/flight
-//     (the transports' cold sites) sit behind a nil check.
 //   - hotlint:   //dsm:hotpath functions reject allocating composite
 //     literals, closures, fmt calls, and interface boxing.
 //
@@ -118,7 +116,7 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 
 // All returns every dsmlint analyzer, in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Det, Frame, Err, Obs, Hot}
+	return []*Analyzer{Det, Frame, Err, Hot}
 }
 
 // ByName resolves comma-separated analyzer names ("detlint,errlint");

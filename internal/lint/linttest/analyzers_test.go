@@ -23,10 +23,6 @@ func TestErrlint(t *testing.T) {
 	Run(t, lint.Err, "fixture/errs")
 }
 
-func TestObslint(t *testing.T) {
-	Run(t, lint.Obs, "fixture/obs")
-}
-
 func TestHotlint(t *testing.T) {
 	Run(t, lint.Hot, "fixture/hot")
 }

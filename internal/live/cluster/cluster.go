@@ -31,11 +31,13 @@
 //     on node 0, and a member can read the objects it homes itself.
 //   - Application verdict: oracle event logs (stamped with hybrid
 //     logical clocks carried on every TCP frame, so the merged order
-//     is causally consistent under arbitrary wall-clock skew),
-//     per-node metrics and digests merge on node 0; the combined
-//     verdict — LRC oracle over the merged log, digest equality,
-//     per-node failures — is broadcast, so every member exits with the
-//     same status.
+//     is causally consistent under arbitrary wall-clock skew) and
+//     per-node metrics merge on node 0; the combined verdict — LRC
+//     oracle over the merged log, per-node failures — is broadcast, so
+//     every member exits with the same status. There is one digest, of
+//     the memory node 0 assembled, and nothing to compare it with
+//     inside the cluster: what holds it is the single-process run of
+//     the same configuration, which must print the same one.
 //   - Failure domains: dial and handshake carry deadlines with capped
 //     exponential backoff, heartbeats on the pair connections detect a
 //     silent peer within HeartbeatTimeout, any connection failure
@@ -89,9 +91,9 @@ var (
 	// ErrPeerDeath: a connection failed mid-run — a peer process died,
 	// went silent past the heartbeat bound, or severed on abort.
 	ErrPeerDeath = errors.New("cluster: peer failure")
-	// ErrVerification: the cluster-wide verdict failed — digest
-	// disagreement, merged-oracle violation, invariant failure, or a
-	// member's application error.
+	// ErrVerification: the cluster-wide verdict failed — merged-oracle
+	// violation, invariant failure, or a member's application error
+	// (an application's own result check, a scenario's model check).
 	ErrVerification = errors.New("cluster: verification failed")
 )
 
@@ -152,12 +154,6 @@ type Config struct {
 	OnFatal func(error)
 	// Logf, when non-nil, receives bootstrap progress lines.
 	Logf func(format string, args ...any)
-
-	// forceWallOrder makes the merged oracle check sort events by raw
-	// wall-clock stamps instead of HLC stamps — the pre-HLC behavior,
-	// kept unexported so tests can demonstrate it misorders events (and
-	// fails the LRC check) once clocks skew.
-	forceWallOrder bool
 }
 
 // Member is one process's handle on the cluster: the live engine's

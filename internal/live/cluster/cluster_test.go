@@ -16,6 +16,7 @@ import (
 	"repro/internal/flight"
 	"repro/internal/memory"
 	"repro/internal/proto"
+	"repro/internal/scenario"
 )
 
 // bindAddrs reserves n loopback listeners so every member knows every
@@ -129,6 +130,90 @@ func TestCrossEngineTCPDigest(t *testing.T) {
 					t.Fatal("merged queue-depth metrics missing")
 				}
 			})
+		}
+	}
+}
+
+// TestScenarioOverTCP: a generated program is an application, so the
+// random-program gate reaches the third engine configuration with no code
+// of its own — one seed per family, each on a cluster of the size the
+// seed fixes, reproduces the simulator's digest on every member with the
+// merged oracle clean.
+func TestScenarioOverTCP(t *testing.T) {
+	for _, seed := range []uint64{1, 5, 8, 13, 14} {
+		p := scenario.Generate(seed)
+		base := apps.Options{Config: dsm.Config{Policy: "JUMP", Locator: "manager"}, Check: true, Oracle: true}
+		simRes, err := apps.RunScenario(p, base)
+		if err != nil {
+			t.Fatalf("seed %d sim: %v", seed, err)
+		}
+		results, errs := runMembers(t, p.Nodes, true, func(m *Member) (apps.Result, error) {
+			o := base
+			o.Nodes, o.Engine, o.Multi = p.Nodes, "live", m
+			return apps.RunScenario(scenario.Generate(seed), o)
+		})
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("seed %d (%s) member %d: %v", seed, p.Family, i, err)
+			}
+			if results[i].Digest != simRes.Digest {
+				t.Errorf("seed %d (%s) member %d digest %#x != sim digest %#x", seed, p.Family, i, results[i].Digest, simRes.Digest)
+			}
+		}
+		if results[0].OracleOps == 0 {
+			t.Errorf("seed %d: merged oracle validated nothing", seed)
+		}
+	}
+}
+
+// TestScenarioFailsOnEveryMember: what a scenario run can find wrong, it
+// finds on the process that saw it, and dsmnode's AbortApp path carries it
+// to every member's verdict. A cluster of another size than the seed needs
+// is refused before anything runs, naming the size; a checked read that
+// disagrees with the model fails the member whose thread made it, node 0
+// or not.
+func TestScenarioFailsOnEveryMember(t *testing.T) {
+	run := func(members int, seed uint64, tamper func(*scenario.Program)) (local, verdict []error) {
+		local = make([]error, members)
+		_, verdict = runMembers(t, members, true, func(m *Member) (apps.Result, error) {
+			p := scenario.Generate(seed)
+			tamper(p)
+			o := apps.Options{Config: dsm.Config{Nodes: members, Engine: "live"}, Check: true, Oracle: true, Multi: m}
+			res, err := apps.RunScenario(p, o)
+			if err != nil {
+				local[m.LocalNode()] = err
+				err = m.AbortApp(err) // as cmd/dsmnode does
+			}
+			return res, err
+		})
+		return local, verdict
+	}
+
+	// Seed 5 is a 4-node program.
+	local, verdict := run(3, 5, func(*scenario.Program) {})
+	for i := range verdict {
+		for _, err := range []error{local[i], verdict[i]} {
+			if err == nil || !strings.Contains(err.Error(), "4-node program") {
+				t.Errorf("member %d of 3 on a 4-node seed: %v", i, err)
+			}
+		}
+	}
+
+	// Seed 14 is a stencil: every thread's first phase reads the initial
+	// memory, here off by one on every member alike.
+	local, verdict = run(4, 14, func(p *scenario.Program) {
+		for _, obj := range p.Initial() {
+			for w := range obj {
+				obj[w]++
+			}
+		}
+	})
+	for i := range verdict {
+		if local[i] == nil || !strings.Contains(local[i].Error(), "a checked read disagrees with the model") {
+			t.Errorf("member %d did not fail on its own thread's misread: %v", i, local[i])
+		}
+		if verdict[i] == nil || !errors.Is(verdict[i], ErrVerification) {
+			t.Errorf("member %d verdict: %v", i, verdict[i])
 		}
 	}
 }
@@ -374,9 +459,9 @@ func TestSingleMemberCluster(t *testing.T) {
 
 // runSkewed runs a 3-member ASP cluster whose members' wall clocks
 // disagree by 10 seconds per node — far more than the run lasts, so a
-// raw wall-clock merge of the oracle logs interleaves entire processes
-// out of causal order.
-func runSkewed(t *testing.T, forceWallOrder bool) []error {
+// raw wall-clock merge of the oracle logs would interleave entire
+// processes out of causal order.
+func runSkewed(t *testing.T) []error {
 	t.Helper()
 	const n = 3
 	lns, addrs := bindAddrs(t, n)
@@ -390,8 +475,7 @@ func runSkewed(t *testing.T, forceWallOrder bool) []error {
 			m, err := Join(Config{
 				ID: memory.NodeID(i), Addrs: addrs, Digest: 0x5EED, Check: true,
 				Listener: lns[i], DialTimeout: 10 * time.Second,
-				WallClock:      func() int64 { return time.Now().UnixNano() + skew },
-				forceWallOrder: forceWallOrder,
+				WallClock: func() int64 { return time.Now().UnixNano() + skew },
 			})
 			if err != nil {
 				errs[i] = err
@@ -410,29 +494,10 @@ func runSkewed(t *testing.T, forceWallOrder bool) []error {
 // (carried on every frame, folded on receipt) the merged cluster-wide
 // LRC check passes under multi-second wall-clock skew.
 func TestOracleCorrectUnderClockSkew(t *testing.T) {
-	for i, err := range runSkewed(t, false) {
+	for i, err := range runSkewed(t) {
 		if err != nil {
 			t.Fatalf("member %d failed under skew with HLC ordering: %v", i, err)
 		}
-	}
-}
-
-// TestWallClockOrderBreaksUnderSkew: the same run merged by raw wall
-// stamps (the pre-HLC sort) misorders events across processes and the
-// LRC check reports violations — the regression the HLC stamps fix.
-// Every member must see the verification failure (shared verdict).
-func TestWallClockOrderBreaksUnderSkew(t *testing.T) {
-	errs := runSkewed(t, true)
-	for i, err := range errs {
-		if err == nil {
-			t.Fatalf("member %d passed: wall-clock ordering should misorder skewed logs", i)
-		}
-		if !errors.Is(err, ErrVerification) {
-			t.Fatalf("member %d failed outside the verification domain: %v", i, err)
-		}
-	}
-	if !strings.Contains(errs[0].Error(), "merged oracle") {
-		t.Fatalf("failure does not name the merged oracle: %v", errs[0])
 	}
 }
 

@@ -4,7 +4,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	dsm "repro"
@@ -79,9 +78,8 @@ func (m *Member) FinishRun(sp *proto.Space) error {
 // appReportBody is one member's application-level result.
 type appReportBody struct {
 	Err     string
-	Digest  uint64
 	Metrics stats.Metrics
-	Ops     []timedOp
+	Ops     []flight.Event // the member's stamped oracle log
 	Flight  []flight.Event
 }
 
@@ -100,31 +98,26 @@ type verdictBody struct {
 // processes' wall clocks are skewed. Sorting the merged logs by stamp
 // therefore yields an order consistent with happens-before (what
 // oracle.Check needs) even across machines whose clocks disagree by
-// seconds; raw wall-clock stamps (kept per event for diagnostics, and
-// for the forceWallOrder regression demonstration) only manage that on
-// one machine.
+// seconds, which raw wall-clock readings only manage on one machine.
 func (m *Member) Observer(threads int) dsm.Observer {
 	m.threads = threads
-	wall := m.cfg.WallClock
-	if wall == nil {
-		wall = func() int64 { return time.Now().UnixNano() }
-	}
-	m.rec = &timedRecorder{clock: m.clock, wall: wall}
+	m.rec = &timedRecorder{clock: m.clock}
 	return m.rec
 }
 
 // FinishApp implements apps.Member: gather per-process results, have
 // node 0 evaluate the cluster-wide verdict (merged-oracle LRC check,
-// digest equality, per-node failures, merged metrics) and distribute
-// it. Every member's res receives the merged metrics and oracle count;
-// a non-nil error means the run failed cluster-wide.
+// per-node failures, merged metrics) and distribute it. Every member's
+// res receives the merged metrics and oracle count and, under check, the
+// digest of the memory node 0 assembled (FinishRun handed it to each
+// member; there is no second digest to compare it with); a non-nil
+// error means the run failed cluster-wide.
 func (m *Member) FinishApp(c *dsm.Cluster, res *apps.Result, check, oracleOn bool) error {
 	rep := appReportBody{Metrics: res.Metrics}
 	if check {
 		if !m.finished {
 			rep.Err = "end-of-run reconciliation never completed"
 		} else {
-			rep.Digest = m.digest
 			res.Digest = m.digest
 		}
 	}
@@ -134,7 +127,7 @@ func (m *Member) FinishApp(c *dsm.Cluster, res *apps.Result, check, oracleOn boo
 	if m.flight != nil {
 		rep.Flight = m.flight.Snapshot()
 	}
-	return m.appExchange(c, res, rep, check, oracleOn)
+	return m.appExchange(c, res, rep, oracleOn)
 }
 
 // AbortApp reports a local application failure (argument validation,
@@ -159,15 +152,15 @@ func (m *Member) AbortApp(appErr error) error {
 		defer timer.Stop()
 	}
 	rep := appReportBody{Err: appErr.Error()}
+	m.flight.Record(flight.Event{Kind: flight.Abort})
 	if m.flight != nil {
-		m.flight.Record(flight.Event{Kind: flight.Abort})
 		rep.Flight = m.flight.Snapshot()
 	}
 	var res apps.Result
-	return m.appExchange(nil, &res, rep, false, false)
+	return m.appExchange(nil, &res, rep, false)
 }
 
-func (m *Member) appExchange(c *dsm.Cluster, res *apps.Result, rep appReportBody, check, oracleOn bool) error {
+func (m *Member) appExchange(c *dsm.Cluster, res *apps.Result, rep appReportBody, oracleOn bool) error {
 	m.hasResult = true
 	if m.n > 1 && m.cfg.ID != 0 {
 		m.send(0, ctlAppReport, rep)
@@ -238,14 +231,6 @@ func (m *Member) appExchange(c *dsm.Cluster, res *apps.Result, rep appReportBody
 		}
 		m.timeline = flight.Merge(logs...)
 	}
-	if check && v.Err == "" {
-		for id := range reports {
-			if reports[id].Digest != m.digest {
-				fail("node %d digest %#x disagrees with coordinator's %#x",
-					id, reports[id].Digest, m.digest)
-			}
-		}
-	}
 	var mergedOps int
 	if oracleOn && v.Err == "" {
 		var viols []oracle.Violation
@@ -268,48 +253,20 @@ func (m *Member) appExchange(c *dsm.Cluster, res *apps.Result, rep appReportBody
 }
 
 // checkMergedOracle merges every process's stamped event log into one
-// total order and replays it through the LRC oracle.
+// total order — flight.Merge's: HLC stamp, then node, then each member's
+// own append order — and replays it through the LRC oracle. Within a
+// process the recorder's append order is consistent with its stamps (the
+// clock is strictly increasing and event delivery is serialized); across
+// processes the frame-carried stamps make the order consistent with
+// happens-before under any wall-clock skew.
 func (m *Member) checkMergedOracle(c *dsm.Cluster, reports []appReportBody) (int, []oracle.Violation) {
-	type tagged struct {
-		op   timedOp
-		node int
-		idx  int
-	}
-	var all []tagged
+	logs := make([][]flight.Event, len(reports))
 	for id := range reports {
-		for i, op := range reports[id].Ops {
-			all = append(all, tagged{op: op, node: id, idx: i})
-		}
+		logs[id] = reports[id].Ops
 	}
-	// HLC order, ties broken deterministically. Within a process the
-	// recorder's append order is consistent with its stamps (the clock
-	// is strictly increasing and event delivery is serialized);
-	// across processes the frame-carried stamps make the order
-	// consistent with happens-before under any wall-clock skew. The
-	// forceWallOrder switch reverts to raw wall stamps — the pre-HLC
-	// sort — for the regression test that shows skew breaking it.
-	sort.SliceStable(all, func(i, j int) bool {
-		a, b := &all[i], &all[j]
-		if m.cfg.forceWallOrder {
-			if a.op.Raw != b.op.Raw {
-				return a.op.Raw < b.op.Raw
-			}
-		} else {
-			if a.op.Wall != b.op.Wall {
-				return a.op.Wall < b.op.Wall
-			}
-			if a.op.Logical != b.op.Logical {
-				return a.op.Logical < b.op.Logical
-			}
-		}
-		if a.node != b.node {
-			return a.node < b.node
-		}
-		return a.idx < b.idx
-	})
 	rec := oracle.NewRecorder(m.threads)
-	for _, t := range all {
-		rec.Record(t.op.Event)
+	for _, ev := range flight.Merge(logs...) {
+		rec.Record(ev)
 	}
 	var init oracle.InitFn
 	if c != nil {
@@ -320,25 +277,17 @@ func (m *Member) checkMergedOracle(c *dsm.Cluster, reports []appReportBody) (int
 
 // --- stamped oracle recorder --------------------------------------
 
-// timedOp is one oracle event, stamped (Wall, Logical) off the member's
-// hybrid logical clock — the pair the merged cluster-wide LRC check
-// sorts on — plus the raw local wall reading (diagnostics, and the
-// forceWallOrder regression sort key).
-type timedOp struct {
-	flight.Event
-	Raw int64
-}
-
 // timedRecorder is the member's oracle subscriber: it keeps the events
-// oracle.Check reads, stamping each as it stores it. The live engine
-// serializes delivery (live.Cluster.Subscribe), so appends are
-// single-threaded; the clock is strictly increasing (and shared with
-// the transport's frame stamping), so stamp order matches append order
-// within the process and happens-before across processes.
+// oracle.Check reads, stamping each (Wall, Logical) off the member's
+// hybrid logical clock — the pair the merged cluster-wide LRC check sorts
+// on — as it stores it. The live engine serializes delivery
+// (live.Cluster.Subscribe), so appends are single-threaded; the clock is
+// strictly increasing (and shared with the transport's frame stamping),
+// so stamp order matches append order within the process and
+// happens-before across processes.
 type timedRecorder struct {
 	clock *hlc.Clock
-	wall  func() int64
-	ops   []timedOp
+	ops   []flight.Event
 }
 
 func (r *timedRecorder) Kinds() flight.Mask { return oracle.Kinds }
@@ -346,7 +295,7 @@ func (r *timedRecorder) Kinds() flight.Mask { return oracle.Kinds }
 func (r *timedRecorder) Record(ev flight.Event) {
 	s := r.clock.Tick()
 	ev.Wall, ev.Logical = s.Wall, s.Logical
-	r.ops = append(r.ops, timedOp{Event: ev, Raw: r.wall()})
+	r.ops = append(r.ops, ev)
 }
 
 // compile-time check: the member satisfies the apps layer's contract.

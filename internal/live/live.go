@@ -78,9 +78,6 @@ type Config struct {
 	// the same layout. Run keeps this node's protocol state, daemon and
 	// threads and releases the rest.
 	LocalNode *memory.NodeID
-	// RetryDelay is the requester back-off after an obsolete-home miss
-	// under the broadcast locator. Zero means 100µs.
-	RetryDelay time.Duration
 	// FlightCap, when positive, attaches a flight recorder of that
 	// capacity to every node, stamped from one engine-local hybrid
 	// logical clock. Ignored when FlightLocal is set.
@@ -106,10 +103,7 @@ type Config struct {
 // DefaultConfig returns the paper's setup on the live engine: AT policy
 // over forwarding pointers, piggybacking on.
 func DefaultConfig(nodes int) Config {
-	return Config{
-		Shared:     proto.DefaultShared(nodes, hockney.FastEthernet().Alpha),
-		RetryDelay: 100 * time.Microsecond,
-	}
+	return Config{Shared: proto.DefaultShared(nodes, hockney.FastEthernet().Alpha)}
 }
 
 // Quiescer is an optional transport extension for backends that span
@@ -230,9 +224,6 @@ func New(cfg Config) *Cluster {
 	}
 	if cfg.Params.Alpha == nil {
 		cfg.Params = def.Params
-	}
-	if cfg.RetryDelay == 0 {
-		cfg.RetryDelay = def.RetryDelay
 	}
 	c := &Cluster{cfg: cfg}
 	if cfg.Transport != nil {

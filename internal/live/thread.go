@@ -68,6 +68,11 @@ func (t *Thread) Recv(tok *proto.Token) {
 	t.node.mu.Lock()
 }
 
+// retryDelay is the requester's back-off after an obsolete-home miss
+// under the broadcast locator (the sim engine's gos.retryDelay, on the
+// wall clock).
+const retryDelay = 100 * time.Microsecond
+
 // Backoff implements proto.Host: release the node lock for one retry
 // delay, then retake it. If the run aborted while sleeping it unwinds
 // instead: the state change the driver's retry loop is waiting for (a
@@ -75,7 +80,7 @@ func (t *Thread) Recv(tok *proto.Token) {
 // transport.
 func (t *Thread) Backoff() {
 	t.node.mu.Unlock()
-	time.Sleep(t.node.c.cfg.RetryDelay)
+	time.Sleep(retryDelay)
 	if t.node.c.aborted.Load() {
 		panic(abortPanic{})
 	}
@@ -85,7 +90,7 @@ func (t *Thread) Backoff() {
 // RetryAfter implements proto.Host.
 func (t *Thread) RetryAfter(kind proto.TokenKind, obj memory.ObjectID) {
 	mbox := t.mbox
-	time.AfterFunc(t.node.c.cfg.RetryDelay, func() { mbox.Put(proto.Token{Kind: kind, Obj: obj}) })
+	time.AfterFunc(retryDelay, func() { mbox.Put(proto.Token{Kind: kind, Obj: obj}) })
 }
 
 // SyncPoint implements proto.Host: the thread's write views expired

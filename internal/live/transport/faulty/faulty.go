@@ -278,9 +278,7 @@ func (t *Transport) Kill(node int) {
 	if t.dead[node].Swap(true) {
 		return
 	}
-	if f := t.opt.Flight; f != nil {
-		f.Record(flight.Event{Kind: flight.FaultInjected, Peer: memory.NodeID(node)})
-	}
+	t.opt.Flight.Record(flight.Event{Kind: flight.FaultInjected, Peer: memory.NodeID(node)})
 	t.fatal(fmt.Errorf("faulty: node %d died (injected peer death after %d frames)", node, t.total.Load()))
 }
 
@@ -289,9 +287,7 @@ func (t *Transport) cutLink() {
 	if t.cut.Swap(true) {
 		return
 	}
-	if f := t.opt.Flight; f != nil {
-		f.Record(flight.Event{Kind: flight.FaultInjected, Peer: memory.NodeID(t.opt.CutA), Sync: uint32(t.opt.CutB)})
-	}
+	t.opt.Flight.Record(flight.Event{Kind: flight.FaultInjected, Peer: memory.NodeID(t.opt.CutA), Sync: uint32(t.opt.CutB)})
 	t.fatal(fmt.Errorf("faulty: link %d<->%d severed (injected cut after %d frames)", t.opt.CutA, t.opt.CutB, t.total.Load()))
 }
 

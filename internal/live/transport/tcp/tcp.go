@@ -347,9 +347,7 @@ func (t *Transport) heartbeat(interval time.Duration) {
 		case <-tick.C:
 			for _, p := range t.peers {
 				if p != nil {
-					if f := t.fl; f != nil {
-						f.Record(flight.Event{Kind: flight.HeartbeatSend, Tag: chanHeart, Peer: p.id})
-					}
+					t.fl.Record(flight.Event{Kind: flight.HeartbeatSend, Tag: chanHeart, Peer: p.id})
 					t.enqueue(p, outFrame{tag: chanHeart})
 				}
 			}
@@ -987,9 +985,7 @@ func (t *Transport) reader(p *peer) {
 			}
 		case chanHeart:
 			p.heartbeats.Add(1)
-			if f := t.fl; f != nil {
-				f.Record(flight.Event{Kind: flight.HeartbeatRecv, Tag: chanHeart, Peer: p.id})
-			}
+			t.fl.Record(flight.Event{Kind: flight.HeartbeatRecv, Tag: chanHeart, Peer: p.id})
 			transport.PutFrame(buf)
 		case chanTelem:
 			if h := t.onTelem; h != nil {

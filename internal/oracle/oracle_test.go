@@ -1,11 +1,16 @@
 package oracle_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	dsm "repro"
+
+	"repro/internal/apps"
+	"repro/internal/bench"
 	"repro/internal/flight"
-	"repro/internal/locator"
+	"repro/internal/gos"
 	"repro/internal/memory"
 	"repro/internal/migration"
 	"repro/internal/oracle"
@@ -237,7 +242,7 @@ func TestScenarioSweep200(t *testing.T) {
 	if testing.Short() {
 		n = 40
 	}
-	st, err := scenario.Sweep([]string{"sim"}, 1, n, 0, nil)
+	st, err := bench.Sweep([]string{"sim"}, 1, n, 0, nil)
 	if err != nil {
 		for _, f := range st.Failures {
 			t.Error(f)
@@ -258,35 +263,66 @@ func TestScenarioSweep200(t *testing.T) {
 // the sabotage. This is the falsifiability guarantee: a protocol change
 // that silently loses release visibility cannot pass the sweep.
 func TestBrokenProtocolCaught(t *testing.T) {
-	pol := migration.NoHM{} // never migrates: every remote write is a diff
-	oracleCaught, engineCaught := 0, 0
+	oracleCaught, modelCaught := 0, 0
 	for seed := uint64(1); seed <= 12; seed++ {
 		p := scenario.Generate(seed)
-		broken, err := p.Run(pol, scenario.RunOpts{Locator: locator.ForwardingPointer, DropDiffs: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(broken.Violations) > 0 {
+		viols, wrong := runRaw(t, p, true)
+		if viols > 0 {
 			oracleCaught++
 		}
-		if len(broken.Mismatches) > 0 {
-			engineCaught++
+		if wrong > 0 {
+			modelCaught++
 		}
-		clean, err := p.Run(pol, scenario.RunOpts{Locator: locator.ForwardingPointer})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if clean.Failed() {
-			t.Fatalf("seed %d: intact protocol flagged: %v %v %v",
-				seed, clean.Mismatches, clean.Violations, clean.InvariantErr)
+		if viols, wrong := runRaw(t, p, false); viols+wrong > 0 {
+			t.Fatalf("seed %d: intact protocol flagged: %d oracle violation(s), %d word(s) off the model",
+				seed, viols, wrong)
 		}
 	}
 	if oracleCaught < 6 {
 		t.Errorf("oracle caught the skipped diff flush in only %d/12 scenarios", oracleCaught)
 	}
-	if engineCaught < 6 {
-		t.Errorf("engine check caught the skipped diff flush in only %d/12 scenarios", engineCaught)
+	if modelCaught < 6 {
+		t.Errorf("model check caught the skipped diff flush in only %d/12 scenarios", modelCaught)
 	}
+}
+
+// runRaw runs p's script on a sim engine the test builds itself —
+// DropDiffs is reachable from no configuration above proto.Shared —
+// under the policy that never migrates (every remote write is a diff),
+// and returns the two verdicts apps.RunScenario folds into one error:
+// the oracle's violations, and the checked reads plus final words that
+// differ from the model.
+func runRaw(t *testing.T, p *scenario.Program, dropDiffs bool) (violations, offModel int) {
+	t.Helper()
+	cfg := gos.DefaultConfig(p.Nodes)
+	cfg.Policy, cfg.DropDiffs, cfg.DebugWire = migration.NoHM{}, dropDiffs, true
+	rec := oracle.NewRecorder(p.Threads)
+	cfg.Observer = rec
+	c := gos.New(cfg)
+	objs := make([]memory.ObjectID, len(p.Words))
+	for o, words := range p.Words {
+		objs[o] = c.AddObject(words, memory.NodeID(p.Homes[o]))
+		data := p.Initial()[o]
+		c.InitObject(objs[o], func(ws []uint64) { copy(ws, data) })
+	}
+	locks := make([]gos.LockID, p.Locks)
+	for l := range locks {
+		locks[l] = c.AddLock(memory.NodeID(l % p.Nodes))
+	}
+	// The sim engine runs one thread at a time: the callback needs no lock.
+	workers := p.Workers(objs, locks, c.AddBarrier(0, p.Threads), func(error) { offModel++ })
+	if _, err := c.Run(workers); err != nil {
+		t.Fatal(err)
+	}
+	end, _ := c.EndState()
+	for o, want := range p.Expected() {
+		for w, v := range end.ObjectData(objs[o]) {
+			if v != want[w] {
+				offModel++
+			}
+		}
+	}
+	return len(rec.Check(func(obj memory.ObjectID, word int) uint64 { return p.Initial()[obj][word] })), offModel
 }
 
 // FuzzScenario feeds arbitrary seeds to the scenario engine under a
@@ -299,42 +335,31 @@ func FuzzScenario(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		p := scenario.Generate(seed)
-		lc := scenario.Locators[int(seed%3)]
-		// Select by name, not index, so a reorder of Builtins cannot
-		// silently swap the fuzzed cross-section: never-migrate, the
-		// paper's adaptive protocol, always-migrate, barrier-driven.
-		byName := map[string]migration.Policy{}
-		for _, pol := range scenario.Policies(p.Nodes) {
-			byName[pol.Name()] = pol
-		}
-		var pols []migration.Policy
-		for _, name := range []string{"NoHM", "AT", "JUMP", "Jiajia"} {
-			pol, ok := byName[name]
-			if !ok {
+		lc := bench.Locators[int(seed%3)]
+		// Select by name, so a reorder of Builtins cannot silently swap
+		// the fuzzed cross-section: never-migrate, the paper's adaptive
+		// protocol, always-migrate, barrier-driven.
+		pols := []string{"NoHM", "AT", "JUMP", "Jiajia"}
+		for _, name := range pols {
+			if !slices.Contains(bench.Policies(), name) {
 				t.Fatalf("policy %s missing from Builtins", name)
 			}
-			pols = append(pols, pol)
 		}
 		var digest uint64
 		for i, pol := range pols {
-			res, err := p.Run(pol, scenario.RunOpts{Locator: lc})
+			res, err := apps.RunScenario(p, apps.Options{
+				Config: dsm.Config{Policy: pol, Locator: lc, DebugWire: true},
+				Check:  true, Oracle: true,
+			})
 			if err != nil {
-				t.Fatal(err)
-			}
-			for _, m := range res.Mismatches {
-				t.Errorf("seed %d %s %s/%s: %s", seed, p.Family, pol.Name(), lc, m)
-			}
-			for _, v := range res.Violations {
-				t.Errorf("seed %d %s %s/%s: oracle: %s", seed, p.Family, pol.Name(), lc, v)
-			}
-			if res.InvariantErr != nil {
-				t.Errorf("seed %d %s %s/%s: %v", seed, p.Family, pol.Name(), lc, res.InvariantErr)
+				t.Errorf("seed %d %s %s/%s: %v", seed, p.Family, pol, lc, err)
+				continue
 			}
 			if i == 0 {
 				digest = res.Digest
 			} else if res.Digest != digest {
 				t.Errorf("seed %d %s: digest differs between %s and %s",
-					seed, p.Family, pols[0].Name(), pol.Name())
+					seed, p.Family, pols[0], pol)
 			}
 		}
 	})

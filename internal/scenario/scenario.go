@@ -1,8 +1,10 @@
-// Package scenario is the randomized workload engine behind the
-// coherence oracle: it generates seeded random shared-memory programs in
-// the access-pattern families the adaptive-home-migration literature
-// cares about, computes their reference semantics in plain Go, and runs
-// them on the DSM under any migration policy with the oracle attached.
+// Package scenario generates the seeded random shared-memory programs
+// behind the coherence gates: programs in the access-pattern families the
+// adaptive-home-migration literature cares about, with their reference
+// semantics computed in plain Go. It knows no engine: a Program exports
+// its script — the initial memory, the per-thread workers and the memory
+// the model expects afterwards — and apps.RunScenario runs it as an
+// application like SOR or ASP, on either engine or a dsmnode cluster.
 //
 // Every generated program is deterministic by construction — within a
 // barrier phase each word has one writer (or is guarded by one lock and
@@ -10,12 +12,12 @@
 // stable in their phase — so three independent verdicts are available
 // for each run:
 //
-//  1. engine check: every checked read returns the value the pure-Go
+//  1. model check: every checked read returns the value the pure-Go
 //     model predicts, and the final shared memory equals the model's;
 //  2. oracle check: the recorded log is LRC-legal (internal/oracle);
 //  3. policy independence: the final-memory digest is identical under
 //     every policy in migration.Builtins, because migration may change
-//     cost but never results.
+//     cost but never results (internal/bench's verdict sweeps).
 //
 // Families: hot-object lock contention, false sharing (strided writers
 // in one object), migratory access (rotating whole-object writer),
@@ -24,23 +26,10 @@ package scenario
 
 import (
 	"fmt"
-	"io"
-	"sync"
 
-	"repro/internal/experiment"
-	"repro/internal/flight"
-	"repro/internal/gos"
-	"repro/internal/live"
-	"repro/internal/live/transport"
-	"repro/internal/live/transport/faulty"
-	"repro/internal/locator"
 	"repro/internal/memory"
-	"repro/internal/migration"
-	"repro/internal/oracle"
 	"repro/internal/prng"
 	"repro/internal/proto"
-	"repro/internal/stats"
-	"repro/internal/telemetry"
 )
 
 // Family names an access-pattern family.
@@ -144,8 +133,66 @@ func Generate(seed uint64) *Program {
 	return p
 }
 
-// Expected returns the model's final memory (one slice per object).
+// Initial returns the objects' contents before the run and Expected the
+// model's final memory (one slice per object, Words[o] long).
+func (p *Program) Initial() [][]uint64  { return p.init }
 func (p *Program) Expected() [][]uint64 { return p.final }
+
+// CheckedReads counts the program's checked reads. A run that completes
+// executes every one of them, so a sweep's total is a property of its
+// programs, not a field of their results.
+func (p *Program) CheckedReads() int {
+	n := 0
+	for _, phases := range p.steps {
+		for _, steps := range phases {
+			for _, s := range steps {
+				if s.op == opRead {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// Workers returns the program's threads, thread t on node t mod Nodes,
+// acting on the declared state: objs[o] is an object of Words[o] words
+// homed at Homes[o] and holding Initial()[o], locks[l] a lock managed by
+// node l mod Nodes, bar a barrier of Threads parties. A checked read that
+// disagrees with the model is reported to mismatch (from the thread that
+// saw it, so concurrently) and the thread carries on.
+func (p *Program) Workers(objs []memory.ObjectID, locks []proto.LockID, bar proto.BarrierID, mismatch func(error)) []proto.Worker {
+	workers := make([]proto.Worker, p.Threads)
+	for t := range workers {
+		script := p.steps[t]
+		workers[t] = proto.Worker{
+			Node: memory.NodeID(t % p.Nodes),
+			Name: fmt.Sprintf("s%d", t),
+			Fn: func(th proto.Thread) {
+				for ph := range script {
+					for _, s := range script[ph] {
+						switch s.op {
+						case opRead:
+							if got := th.Read(objs[s.obj], s.word); got != s.want {
+								mismatch(fmt.Errorf("phase %d thread %d: read obj %d word %d = %#x, want %#x",
+									ph, t, s.obj, s.word, got, s.want))
+							}
+						case opWrite:
+							th.Write(objs[s.obj], s.word, s.val)
+						case opLockedAdd:
+							th.Acquire(locks[s.lock])
+							v := th.Read(objs[s.obj], s.word)
+							th.Write(objs[s.obj], s.word, v+s.val)
+							th.Release(locks[s.lock])
+						}
+					}
+					th.Barrier(bar)
+				}
+			},
+		}
+	}
+	return workers
+}
 
 // generator accumulates the script while maintaining the pure-Go model.
 // Each phase runs through a strict lifecycle: beginPhase, then register
@@ -449,357 +496,4 @@ func (g *generator) genStencil() {
 		}
 		g.endPhase()
 	}
-}
-
-// Result is the outcome of one scenario run.
-type Result struct {
-	Metrics stats.Metrics
-	// Digest fingerprints the final shared memory (gos.Cluster.Digest).
-	Digest uint64
-	// ReadsChecked counts engine-verified reads; OracleOps counts the
-	// events the oracle validated.
-	ReadsChecked int
-	OracleOps    int
-	// Mismatches are engine-level failures: a checked read or a final
-	// word that differed from the model.
-	Mismatches []string
-	// Violations are the oracle's LRC-legality findings.
-	Violations []oracle.Violation
-	// InvariantErr is the post-run Cluster.EndState verdict.
-	InvariantErr error
-	// Flight is the merged HLC-ordered cluster timeline, filled when
-	// RunOpts.FlightCap was set and the run completed.
-	Flight []flight.Event
-}
-
-// Failed reports whether any of the three verdicts flagged the run.
-func (r *Result) Failed() bool {
-	return len(r.Mismatches) > 0 || len(r.Violations) > 0 || r.InvariantErr != nil
-}
-
-// RunOpts tunes a scenario run.
-type RunOpts struct {
-	// Locator is the home-location mechanism (default forwarding
-	// pointer).
-	Locator locator.Kind
-	// DropDiffs wires the deliberate protocol sabotage through to the
-	// cluster (oracle self-test).
-	DropDiffs bool
-	// Engine selects the execution engine: "sim" (default,
-	// deterministic virtual time) or "live" (real goroutines). The
-	// generated programs are deterministic by construction, so all
-	// three verdicts — engine check, oracle, policy independence — and
-	// the final-memory digest must come out the same on both.
-	Engine string
-	// Faults, when non-nil, runs the live engine over the
-	// fault-injecting transport wrapper with this schedule (chaos
-	// mode). Live engine only. A fault that ends the run surfaces as a
-	// Run error wrapping live.ErrAborted.
-	Faults *faulty.Options
-	// FlightCap enables per-node flight recorders (internal/flight) of
-	// this capacity on either engine (0 = disabled). Chaos runs
-	// additionally log injected faults into node 0's recorder, so the
-	// timeline shows the fault amid the traffic it disrupted.
-	FlightCap int
-	// FlightDump, when non-nil, receives each node's last recorded
-	// flight events with attribution when the run ends through the abort
-	// path — the chaos post-mortem. Needs FlightCap.
-	FlightDump io.Writer
-	// Telemetry, when non-nil, is a hot-object sink the engine's nodes
-	// feed (internal/telemetry). Pure observation on either engine: a
-	// seeded sim run's digest is identical with and without it.
-	Telemetry *telemetry.Sink
-}
-
-// flightDumpN is how many trailing events per node an abort dumps.
-const flightDumpN = 32
-
-// liveFlights drops the nil slots engines report for recording-disabled
-// nodes.
-func liveFlights(recs []*flight.Recorder) []*flight.Recorder {
-	out := recs[:0]
-	for _, r := range recs {
-		if r != nil {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Run executes the program under pol and verifies it with the engine
-// check, the oracle, and the protocol invariants. The error return is
-// reserved for runs that could not complete at all.
-func (p *Program) Run(pol migration.Policy, opts RunOpts) (*Result, error) {
-	rec := oracle.NewRecorder(p.Threads)
-	var c proto.Cluster
-	engine := opts.Engine
-	if engine == "" {
-		engine = "sim"
-	}
-	// The protocol selection, stated once: the paper's defaults (on which
-	// the engines' DefaultConfigs agree) under this run's policy and locator.
-	sh := gos.DefaultConfig(p.Nodes).Shared
-	sh.Policy, sh.Locator, sh.DropDiffs = pol, opts.Locator, opts.DropDiffs
-	var flights []*flight.Recorder
-	switch engine {
-	case "sim":
-		gc := gos.New(gos.Config{
-			Shared:    sh,
-			DebugWire: true,
-			Observer:  rec,
-			FlightCap: opts.FlightCap,
-			Telemetry: opts.Telemetry,
-		})
-		flights = liveFlights(gc.FlightRecorders())
-		c = gc
-	case "live":
-		cfg := live.Config{
-			Shared:    sh,
-			Observer:  rec,
-			FlightCap: opts.FlightCap,
-			Telemetry: opts.Telemetry,
-		}
-		var ft *faulty.Transport
-		if opts.Faults != nil {
-			ft = faulty.Wrap(transport.NewChanLoop(p.Nodes), p.Nodes, *opts.Faults)
-			cfg.Transport = ft
-		}
-		lc := live.New(cfg)
-		flights = liveFlights(lc.FlightRecorders())
-		if ft != nil && len(flights) > 0 {
-			ft.SetFlight(flights[0])
-		}
-		c = lc
-	default:
-		return nil, fmt.Errorf("scenario: unknown engine %q", engine)
-	}
-	if opts.Faults != nil && engine != "live" {
-		return nil, fmt.Errorf("scenario: fault injection needs the live engine, not %q", engine)
-	}
-	objs := make([]memory.ObjectID, len(p.Words))
-	for o, words := range p.Words {
-		objs[o] = c.AddObject(words, memory.NodeID(p.Homes[o]))
-		data := p.init[o]
-		c.InitObject(objs[o], func(ws []uint64) { copy(ws, data) })
-	}
-	locks := make([]gos.LockID, p.Locks)
-	for l := range locks {
-		locks[l] = c.AddLock(memory.NodeID(l % p.Nodes))
-	}
-	bar := c.AddBarrier(0, p.Threads)
-
-	res := &Result{}
-	var mu sync.Mutex
-	mismatch := func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		if len(res.Mismatches) < 16 {
-			res.Mismatches = append(res.Mismatches, fmt.Sprintf(format, args...))
-		}
-	}
-	var workers []proto.Worker
-	for t := 0; t < p.Threads; t++ {
-		t := t
-		script := p.steps[t]
-		workers = append(workers, proto.Worker{
-			Node: memory.NodeID(t % p.Nodes),
-			Name: fmt.Sprintf("s%d", t),
-			Fn: func(th proto.Thread) {
-				checked := 0
-				for ph := range script {
-					for _, s := range script[ph] {
-						switch s.op {
-						case opRead:
-							if got := th.Read(objs[s.obj], s.word); got != s.want {
-								mismatch("phase %d thread %d: read obj %d word %d = %#x, want %#x",
-									ph, t, s.obj, s.word, got, s.want)
-							}
-							checked++
-						case opWrite:
-							th.Write(objs[s.obj], s.word, s.val)
-						case opLockedAdd:
-							th.Acquire(locks[s.lock])
-							v := th.Read(objs[s.obj], s.word)
-							th.Write(objs[s.obj], s.word, v+s.val)
-							th.Release(locks[s.lock])
-						}
-					}
-					th.Barrier(bar)
-				}
-				mu.Lock()
-				res.ReadsChecked += checked
-				mu.Unlock()
-			},
-		})
-	}
-	m, err := c.Run(workers)
-	if err != nil {
-		if opts.FlightDump != nil && len(flights) > 0 {
-			flight.DumpLastN(opts.FlightDump, flights, flightDumpN)
-		}
-		return nil, fmt.Errorf("scenario seed %d (%s) under %s/%s/%s: %w",
-			p.Seed, p.Family, pol.Name(), opts.Locator, engine, err)
-	}
-	res.Metrics = m
-	if len(flights) > 0 {
-		logs := make([][]flight.Event, len(flights))
-		for i, r := range flights {
-			logs[i] = r.Snapshot()
-		}
-		res.Flight = flight.Merge(logs...)
-	}
-	end, err := c.EndState()
-	res.InvariantErr = err
-	res.Digest = end.Digest()
-	for o, id := range objs {
-		got := end.ObjectData(id)
-		for w, want := range p.final[o] {
-			if got[w] != want {
-				mismatch("final obj %d word %d = %#x, want %#x", o, w, got[w], want)
-			}
-		}
-	}
-	res.OracleOps = rec.Len()
-	res.Violations = rec.Check(func(obj memory.ObjectID, word int) uint64 {
-		return p.init[obj][word]
-	})
-	return res, nil
-}
-
-// Policies returns the full builtin policy set at the cluster's default
-// adaptive parameters — the set every scenario is swept across.
-func Policies(nodes int) []migration.Policy {
-	return migration.Builtins(gos.DefaultConfig(nodes).Params)
-}
-
-// Locators lists every home-location mechanism.
-var Locators = []locator.Kind{locator.ForwardingPointer, locator.Manager, locator.Broadcast}
-
-// SweepStats aggregates a multi-seed sweep.
-type SweepStats struct {
-	Scenarios    int
-	Runs         int
-	ReadsChecked int
-	OracleOps    int
-	Failures     []string // capped detail lines
-}
-
-// sweepRun is one (seed, policy, engine) run of a sweep and, once the
-// pool has drained, its outcome.
-type sweepRun struct {
-	p   *Program
-	lc  locator.Kind
-	pol migration.Policy
-	eng string
-	res *Result
-	err error
-}
-
-// tag names the run's configuration in labels and failure lines; the
-// engine is part of it only when the sweep spans several.
-func (r *sweepRun) tag(cross bool) string {
-	if cross {
-		return fmt.Sprintf("%s/%s/%s", r.pol.Name(), r.lc, r.eng)
-	}
-	return fmt.Sprintf("%s/%s", r.pol.Name(), r.lc)
-}
-
-// Sweep generates count scenarios starting at seed base and runs each
-// under every builtin migration policy (locator rotating per seed) on
-// each of engines — {"sim"} is the scenario sweep, {"sim", "live"} the
-// cross-engine equivalence gate — on the internal/experiment pool, the
-// same runner the figure sweeps use. Every run must pass the engine check,
-// the LRC oracle and the protocol invariants; per (seed, policy) every
-// later engine's final-memory digest must equal the first engine's (real
-// scheduler and transport nondeterminism may reorder every message, but
-// for these deterministic-by-construction programs it must never change
-// the result); per seed the first engine's digest must be the same under
-// every policy. par is the worker count (<= 0 means one per core, 1
-// strictly sequential). Verdicts are evaluated in spec order after the
-// pool drains, so output and failure ordering are identical at any
-// parallelism. progress (optional) receives one line per completed run.
-func Sweep(engines []string, base uint64, count, par int, progress func(string)) (SweepStats, error) {
-	cross := len(engines) > 1
-	label, what := "scenario", "scenario"
-	if cross {
-		label, what = "cross", "cross-engine"
-	}
-	// Specs per scenario are consecutive: policy varies, engine fastest.
-	var runs []*sweepRun
-	var specs []experiment.Spec[*Result]
-	for i := 0; i < count; i++ {
-		seed := base + uint64(i)
-		p := Generate(seed)
-		lc := Locators[seed%uint64(len(Locators))]
-		for _, pol := range Policies(p.Nodes) {
-			for _, eng := range engines {
-				r := &sweepRun{p: p, lc: lc, pol: pol, eng: eng}
-				runs = append(runs, r)
-				specs = append(specs, experiment.Spec[*Result]{
-					Label: fmt.Sprintf("%s seed=%d %s nodes=%d %s", label, seed, p.Family, p.Nodes, r.tag(cross)),
-					Run: func() (*Result, error) {
-						return r.p.Run(r.pol, RunOpts{Locator: r.lc, Engine: r.eng})
-					},
-				})
-			}
-		}
-	}
-	for i, o := range experiment.Run(experiment.NewPool(par, progress), specs) {
-		runs[i].res, runs[i].err = o.Result, o.Err
-	}
-	st, err := judge(runs, len(engines))
-	if err == nil && len(st.Failures) > 0 {
-		err = fmt.Errorf("%s sweep: %d failure(s), first: %s", what, len(st.Failures), st.Failures[0])
-	}
-	return st, err
-}
-
-// judge evaluates a sweep's runs, which are in spec order with engines
-// runs per (seed, policy). The error return is the first run that could
-// not complete at all; verdict failures land in the stats.
-func judge(runs []*sweepRun, engines int) (SweepStats, error) {
-	var st SweepStats
-	cross := engines > 1
-	fail := func(format string, args ...any) {
-		if len(st.Failures) < 32 {
-			st.Failures = append(st.Failures, fmt.Sprintf(format, args...))
-		}
-	}
-	for i := 0; i < len(runs); {
-		p := runs[i].p
-		st.Scenarios++
-		// The scenario's first run — first policy, first engine — anchors
-		// the policy-independence comparison; each policy's first-engine
-		// run anchors the other engines'.
-		anchor := runs[i]
-		for ; i < len(runs) && runs[i].p == p; i += engines {
-			first := runs[i]
-			for _, r := range runs[i : i+engines] {
-				if r.err != nil {
-					return st, r.err
-				}
-				st.Runs++
-				st.ReadsChecked += r.res.ReadsChecked
-				st.OracleOps += r.res.OracleOps
-				for _, msg := range r.res.Mismatches {
-					fail("seed %d %s %s: %s", p.Seed, p.Family, r.tag(cross), msg)
-				}
-				for _, v := range r.res.Violations {
-					fail("seed %d %s %s: oracle: %s", p.Seed, p.Family, r.tag(cross), v)
-				}
-				if r.res.InvariantErr != nil {
-					fail("seed %d %s %s: invariants: %v", p.Seed, p.Family, r.tag(cross), r.res.InvariantErr)
-				}
-				if r.res.Digest != first.res.Digest {
-					fail("seed %d %s %s: %s digest %#x != %s digest %#x — engines disagree on final memory",
-						p.Seed, p.Family, r.tag(false), r.eng, r.res.Digest, first.eng, first.res.Digest)
-				}
-			}
-			if first.res.Digest != anchor.res.Digest {
-				fail("seed %d %s %s: digest %#x differs from first policy's %#x — migration changed results",
-					p.Seed, p.Family, first.tag(false), first.res.Digest, anchor.res.Digest)
-			}
-		}
-	}
-	return st, nil
 }

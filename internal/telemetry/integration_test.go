@@ -4,13 +4,21 @@ import (
 	"strings"
 	"testing"
 
+	dsm "repro"
+
+	"repro/internal/apps"
 	"repro/internal/flight"
-	"repro/internal/locator"
 	"repro/internal/memory"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
+
+// traced is a checked sim run under the policy that never migrates, with
+// rings wide enough not to wrap and, when non-nil, sink attached.
+func traced(sink *telemetry.Sink) apps.Options {
+	return apps.Options{Config: dsm.Config{Policy: "NoHM", FlightCap: 1 << 16, Telemetry: sink}, Check: true}
+}
 
 // seedFor scans for the first seed generating a program of the wanted
 // family — Generate derives everything from the seed, so families are
@@ -31,7 +39,7 @@ func seedFor(t *testing.T, fam scenario.Family) (uint64, *scenario.Program) {
 // with and without a sink attached — and, the flight ring being just
 // another subscriber of the same events, a byte-identical timeline.
 func TestSimDigestUnchangedByTelemetry(t *testing.T) {
-	timeline := func(res *scenario.Result) string {
+	timeline := func(res apps.Result) string {
 		var sb strings.Builder
 		if err := flight.WriteText(&sb, res.Flight); err != nil {
 			t.Fatal(err)
@@ -40,17 +48,12 @@ func TestSimDigestUnchangedByTelemetry(t *testing.T) {
 	}
 	for _, fam := range []scenario.Family{scenario.HotObject, scenario.Migratory, scenario.FalseSharing} {
 		seed, p := seedFor(t, fam)
-		pol := scenario.Policies(p.Nodes)[0]
-		bare, err := scenario.Generate(seed).Run(pol, scenario.RunOpts{
-			Locator: locator.ForwardingPointer, FlightCap: 1 << 16,
-		})
+		bare, err := apps.RunScenario(p, traced(nil))
 		if err != nil {
 			t.Fatalf("seed %d bare run: %v", seed, err)
 		}
 		sink := telemetry.NewSink(0)
-		wired, err := scenario.Generate(seed).Run(pol, scenario.RunOpts{
-			Locator: locator.ForwardingPointer, FlightCap: 1 << 16, Telemetry: sink,
-		})
+		wired, err := apps.RunScenario(p, traced(sink))
 		if err != nil {
 			t.Fatalf("seed %d telemetry run: %v", seed, err)
 		}
@@ -77,13 +80,8 @@ func TestSimDigestUnchangedByTelemetry(t *testing.T) {
 func TestTopKAgreesWithTraceClassifier(t *testing.T) {
 	for _, fam := range []scenario.Family{scenario.HotObject, scenario.Migratory} {
 		seed, p := seedFor(t, fam)
-		pol := scenario.Policies(p.Nodes)[0]
 		sink := telemetry.NewSink(256) // >> object count: exact counting, no eviction
-		res, err := scenario.Generate(seed).Run(pol, scenario.RunOpts{
-			Locator:   locator.ForwardingPointer,
-			FlightCap: 1 << 16, // >> events/node: the ring must not wrap
-			Telemetry: sink,
-		})
+		res, err := apps.RunScenario(p, traced(sink))
 		if err != nil {
 			t.Fatalf("seed %d run: %v", seed, err)
 		}
