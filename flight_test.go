@@ -2,15 +2,24 @@ package dsm_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	dsm "repro"
+	"repro/internal/apps"
+	"repro/internal/bench"
 	"repro/internal/flight"
 	"repro/internal/memory"
 	"repro/internal/oracle"
+	"repro/internal/scenario"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // flightWorkload is a small mixed workload: lock-protected counter
@@ -132,6 +141,38 @@ func TestSimFlightTimelineContent(t *testing.T) {
 		t.Errorf("frame-send %d, frame-recv %d, want both = %d messages",
 			sends, kinds[flight.FrameRecv], total)
 	}
+	// A frame is recorded under its wire kind at both ends: every arrival
+	// matches a departure its peer recorded (a broadcast departs once and
+	// arrives N−1 times), and the text names it.
+	type frame struct {
+		from, to memory.NodeID
+		kind     uint8
+		bytes    int32
+	}
+	sent := map[frame]int{}
+	for _, e := range evs {
+		if e.Kind == flight.FrameSend {
+			sent[frame{e.Node, e.Peer, e.Tag, e.Bytes}]++
+		}
+	}
+	for _, e := range evs {
+		if e.Kind != flight.FrameRecv {
+			continue
+		}
+		if f := (frame{e.Peer, e.Node, e.Tag, e.Bytes}); sent[f] > 0 {
+			sent[f]--
+		} else if sent[frame{e.Peer, memory.NoNode, e.Tag, e.Bytes}] == 0 {
+			t.Errorf("node %d received a %v frame (%d bytes) from node %d that no frame-send of that node matches",
+				e.Node, wire.Kind(e.Tag), e.Bytes, e.Peer)
+		}
+	}
+	var text bytes.Buffer
+	flight.WriteText(&text, evs)
+	for _, want := range []string{"frame-send      to=0 kind=LockReq", "frame-recv      from=0 kind=LockGrant"} {
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("timeline text lacks %q", want)
+		}
+	}
 	if m.Migrations > 0 && kinds[flight.Decision] == 0 {
 		t.Error("homes migrated but no decision events recorded")
 	}
@@ -209,5 +250,96 @@ func TestLiveTraceMatchesFlightTimeline(t *testing.T) {
 			t.Errorf("%s: profiles differ between Config.Trace and the flight timeline:\n%s\nvs\n%s",
 				policy, trace.Report(fromTrace), trace.Report(fromFlight))
 		}
+	}
+}
+
+// simTimelineRows renders the runs testdata/sim_timeline.golden pins, one
+// line each: the virtual times and protocol totals of the run and an
+// FNV-64 over its merged flight timeline's (Wall, Node, Kind, Peer, Obj,
+// Sync, Bytes) — when every frame left, arrived, and what each handler
+// then did, at which virtual nanosecond. Tag is left out on purpose: it
+// names the frame, it is not part of the schedule.
+func simTimelineRows(t *testing.T) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	row := func(name string, m dsm.Metrics, evs []flight.Event) {
+		if len(evs) == 0 {
+			t.Fatalf("%s: empty timeline", name)
+		}
+		h := fnv.New64a()
+		for _, e := range evs {
+			binary.Write(h, binary.LittleEndian, []int64{
+				e.Wall, int64(e.Node), int64(e.Kind), int64(e.Peer), int64(e.Obj), int64(e.Sync), int64(e.Bytes)})
+		}
+		fmt.Fprintf(&out, "%s %d %d %d %d %d %016x\n", name,
+			int64(m.ExecTime), int64(m.FinalTime), m.TotalMsgs(true), m.TotalBytes(true), m.Migrations, h.Sum64())
+	}
+	// One generated program per access-pattern family, under every policy.
+	families := map[scenario.Family]bool{}
+	for _, seed := range []uint64{1, 5, 8, 13, 14} {
+		p := scenario.Generate(seed)
+		families[p.Family] = true
+		for _, pol := range bench.Policies() {
+			res, err := apps.RunScenario(p, apps.Options{Config: dsm.Config{Policy: pol, FlightCap: 1 << 16}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			row(fmt.Sprintf("scenario seed=%d %s %s", seed, p.Family, pol), res.Metrics, res.Flight)
+		}
+	}
+	if len(families) != 5 {
+		t.Fatalf("seeds cover %d families, want 5", len(families))
+	}
+	// The 4-node lock kernel (the shape the lock-sim benchmark runs).
+	c := dsm.New(dsm.Config{Nodes: 4, Policy: "AT", FlightCap: 1 << 16})
+	counter := c.NewObject("counter", 1, 0)
+	lock0, lock1 := c.NewLock(0), c.NewLock(0)
+	var ws []dsm.Worker
+	for n := 1; n < 4; n++ {
+		ws = append(ws, dsm.Worker{Node: dsm.NodeID(n), Name: fmt.Sprintf("lock%d", n), Fn: func(th dsm.Thread) {
+			for turn := 0; turn < 20; turn++ {
+				th.Acquire(lock0)
+				for j := 0; j < 8; j++ {
+					th.Acquire(lock1)
+					th.Write(counter, 0, th.Read(counter, 0)+1)
+					th.Release(lock1)
+				}
+				th.Release(lock0)
+				th.Compute(200 * dsm.Microsecond)
+			}
+		}})
+	}
+	m, err := c.RunWorkers(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Data(counter)[0]; got != 3*20*8 {
+		t.Fatalf("lock kernel: counter = %d, want %d", got, 3*20*8)
+	}
+	row("lock-kernel nodes=4 workers=3 AT", m, c.FlightEvents())
+	return out.Bytes()
+}
+
+// TestSimTimelineGolden holds the virtual-time schedule itself to a
+// checked-in file, from outside the engine: a change that is meant only
+// to make the simulator faster must reproduce
+// testdata/sim_timeline.golden byte for byte. Only a change that means to
+// move virtual time regenerates it: delete the file and run the test,
+// which writes it anew and fails once.
+func TestSimTimelineGolden(t *testing.T) {
+	got := simTimelineRows(t)
+	const path = "testdata/sim_timeline.golden"
+	want, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("%s was missing: written from this tree, check it in", path)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("sim timelines differ from %s:\n%s", path, got)
 	}
 }

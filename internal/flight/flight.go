@@ -31,6 +31,7 @@ import (
 	"repro/internal/hlc"
 	"repro/internal/memory"
 	"repro/internal/migration"
+	"repro/internal/wire"
 )
 
 // Kind classifies a flight-recorder event.
@@ -293,9 +294,9 @@ func Merge(logs ...[]Event) []Event {
 func describe(e Event) string {
 	switch e.Kind {
 	case FrameSend:
-		return fmt.Sprintf("to=%d tag=%d bytes=%d", e.Peer, e.Tag, e.Bytes)
+		return fmt.Sprintf("to=%d kind=%v bytes=%d", e.Peer, wire.Kind(e.Tag), e.Bytes)
 	case FrameRecv:
-		return fmt.Sprintf("from=%d tag=%d bytes=%d", e.Peer, e.Tag, e.Bytes)
+		return fmt.Sprintf("from=%d kind=%v bytes=%d", e.Peer, wire.Kind(e.Tag), e.Bytes)
 	case HeartbeatSend:
 		return fmt.Sprintf("to=%d", e.Peer)
 	case HeartbeatRecv:
@@ -367,7 +368,7 @@ func WriteChromeTrace(w io.Writer, evs []Event) error {
 		switch e.Kind {
 		case FrameSend, FrameRecv:
 			args["peer"] = int(e.Peer)
-			args["tag"] = int(e.Tag)
+			args["kind"] = wire.Kind(e.Tag).String()
 			args["bytes"] = int(e.Bytes)
 		case HeartbeatSend, HeartbeatRecv:
 			args["peer"] = int(e.Peer)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/hlc"
 	"repro/internal/memory"
 	"repro/internal/migration"
+	"repro/internal/wire"
 )
 
 // seqStamp is a deterministic stamp source: Wall advances by step per
@@ -99,7 +100,8 @@ func TestMergeHLCOrder(t *testing.T) {
 
 func TestWriteTextRendersEveryKind(t *testing.T) {
 	evs := []Event{
-		{Kind: FrameSend, Peer: 1, Tag: 2, Bytes: 64},
+		{Kind: FrameSend, Peer: 1, Tag: uint8(wire.LockReq), Bytes: 64},
+		{Kind: FrameRecv, Peer: 3, Tag: uint8(wire.LockGrant), Bytes: 53},
 		{Kind: Decision, Obj: 7, Peer: 2, Migrated: true,
 			Reason: migration.ReasonThresholdReached, Count: 3, Limit: 2.5},
 		{Kind: LockGrant, Sync: 1, Peer: 3},
@@ -113,7 +115,8 @@ func TestWriteTextRendersEveryKind(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"frame-send", "to=1 tag=2 bytes=64",
+		"frame-send", "to=1 kind=LockReq bytes=64",
+		"frame-recv", "from=3 kind=LockGrant bytes=53",
 		"decision", "obj=7 requester=2 migrate reason=threshold-reached count=3 limit=2.5",
 		"lock-grant", "lock=1 grantee=3",
 		"barrier-release", "barrier=9",
@@ -131,7 +134,7 @@ func TestChromeTraceParsesAndIsDeterministic(t *testing.T) {
 	r.Record(Event{Kind: Request, Obj: 4, Peer: 0, Hops: 1})
 	r.Record(Event{Kind: Decision, Obj: 4, Peer: 0, Migrated: false,
 		Reason: migration.ReasonBelowThreshold, Count: 1, Limit: 2})
-	r.Record(Event{Kind: HeartbeatSend, Peer: 0})
+	r.Record(Event{Kind: FrameRecv, Peer: 0, Tag: uint8(wire.ObjReply), Bytes: 80})
 	evs := r.Snapshot()
 
 	var buf bytes.Buffer
@@ -159,6 +162,9 @@ func TestChromeTraceParsesAndIsDeterministic(t *testing.T) {
 	}
 	if got := dec.Args["reason"]; got != "below-threshold" {
 		t.Errorf("decision reason arg = %v, want below-threshold", got)
+	}
+	if got := doc.TraceEvents[2].Args["kind"]; got != "ObjReply" {
+		t.Errorf("frame kind arg = %v, want ObjReply", got)
 	}
 	var again bytes.Buffer
 	WriteChromeTrace(&again, evs)

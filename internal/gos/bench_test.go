@@ -80,6 +80,51 @@ func BenchmarkLocalAccess(b *testing.B) {
 	_ = sink
 }
 
+// lockKernel sets up the paper's §5.2 single-writer kernel in the shape
+// the lock-sim benchmark runs it: 4 nodes, a worker on each of nodes 1–3
+// taking lock0 for a turn of 8 counter updates, each in its own lock1
+// interval; node 0 hosts the counter's first home and both lock managers.
+// One op is one counter update.
+func lockKernel(turns int) (*Cluster, []Worker) {
+	c := New(DefaultConfig(4)) // AT over forwarding pointers, no codec round trip
+	counter := c.AddObject(1, 0)
+	lock0, lock1 := c.AddLock(0), c.AddLock(0)
+	var ws []Worker
+	for n := 1; n < 4; n++ {
+		ws = append(ws, Worker{Node: memory.NodeID(n), Name: "w", Fn: func(th proto.Thread) {
+			for i := 0; i < turns; i++ {
+				th.Acquire(lock0)
+				for j := 0; j < 8; j++ {
+					th.Acquire(lock1)
+					th.Write(counter, 0, th.Read(counter, 0)+1)
+					th.Release(lock1)
+				}
+				th.Release(lock0)
+			}
+		}})
+	}
+	return c, ws
+}
+
+// BenchmarkLockKernel is the virtual-time engine's own row: host time per
+// simulated counter update, with the two kernel counts that explain it.
+// ev/op is the simulated work (it moves only if the protocol or the cost
+// model does); act/op is how many of those events needed a goroutine
+// switch — the number to watch: a thread blocking is one, a daemon
+// serving a frame is none.
+func BenchmarkLockKernel(b *testing.B) {
+	turns := (b.N + 23) / 24
+	c, ws := lockKernel(turns)
+	b.ResetTimer()
+	m, err := c.Run(ws)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops := float64(turns * 24)
+	b.ReportMetric(float64(m.Kernel.Activations)/ops, "act/op")
+	b.ReportMetric(float64(m.Kernel.Events)/ops, "ev/op")
+}
+
 // barrierEpisodes sets up n episodes of an 8-party barrier, one thread
 // per node.
 func barrierEpisodes(n int) (*Cluster, []Worker) {

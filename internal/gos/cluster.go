@@ -1,10 +1,11 @@
 // Package gos runs the Global Object Space — the home-based,
 // object-granularity software DSM of the paper (§3) — on the
 // deterministic virtual-time simulation kernel. Each node runs a
-// protocol daemon serving object fault-ins, diff propagation,
-// lock/barrier management and home migration; application threads
-// access shared objects through software access checks exactly as the
-// distributed JVM's JIT-inlined checks do.
+// protocol daemon (an event handler on the kernel, not a process: Node)
+// serving object fault-ins, diff propagation, lock/barrier management
+// and home migration; application threads access shared objects through
+// software access checks exactly as the distributed JVM's JIT-inlined
+// checks do.
 //
 // The protocol itself — the node-side handlers and the thread-side
 // driver — lives in internal/proto and is shared with the live goroutine
@@ -187,9 +188,6 @@ func (c *Cluster) Env() *sim.Env { return c.env }
 // Run executes the workers to completion and returns the run metrics.
 func (c *Cluster) Run(workers []Worker) (stats.Metrics, error) {
 	c.Seal()
-	for _, n := range c.nodes {
-		n.spawnDaemon()
-	}
 	doneQ := c.env.NewQueue("done")
 	for i, w := range workers {
 		if w.Node < 0 || int(w.Node) >= c.cfg.Nodes {
@@ -213,14 +211,11 @@ func (c *Cluster) Run(workers []Worker) (stats.Metrics, error) {
 		c.endTime = p.Now()
 		// Quiesce: fire-and-forget traffic (lock releases with piggybacked
 		// diffs, manager updates, broadcasts) may still be in flight or
-		// being processed. Drain it before stopping the daemons so the
-		// final shared-memory state is complete. Cleanup time is not part
-		// of ExecTime, which was captured at the last thread's finish.
+		// being processed. Wait it out (nobody needs stopping: the daemons
+		// are event handlers and Run returns when the heap drains). Cleanup
+		// time is not part of ExecTime, captured at the last thread's finish.
 		for !c.quiesced() {
 			p.Sleep(5 * sim.Microsecond)
-		}
-		for _, n := range c.nodes {
-			n.inbox.Send(quitMsg{})
 		}
 	})
 	err := c.env.Run()
@@ -245,6 +240,3 @@ func (c *Cluster) quiesced() bool {
 	}
 	return true
 }
-
-// quitMsg tells a daemon to exit after the workload completes.
-type quitMsg struct{}

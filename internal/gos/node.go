@@ -12,17 +12,22 @@ import (
 )
 
 // Node is one simulated cluster node: the shared protocol state
-// (proto.Node) plus the virtual-time daemon that drives it. The Node
-// itself is the proto.Engine: sends go through the simulated
+// (proto.Node) plus the virtual-time daemon that drives it — not a
+// process but the inbox's consumer (sim.Queue.Consume): two event
+// callbacks, begin and handle, msgProcCost apart, run by whichever
+// goroutine is dispatching events, so serving a frame switches to none.
+// The Node itself is the proto.Engine: sends go through the simulated
 // interconnect with Hockney costs, local thread handoffs through pooled
 // sim queues.
 type Node struct {
 	*proto.Node
 	c *Cluster
 
-	threads []*Thread
-	inbox   *sim.Queue
-	busy    bool // daemon is processing a message (quiescence detection)
+	threads  []*Thread
+	inbox    *sim.Queue
+	busy     bool     // daemon is processing a message (quiescence detection)
+	cur      wire.Msg // the message being processed, while busy
+	handleFn func()   // n.handle, bound once: scheduling it allocates nothing
 }
 
 func newNode(c *Cluster, id memory.NodeID) *Node {
@@ -30,13 +35,15 @@ func newNode(c *Cluster, id memory.NodeID) *Node {
 	n.Node = c.NewNode(id)
 	n.Node.Eng = n
 	n.Node.Counters = &c.Counters
+	n.handleFn = n.handle
+	n.inbox.Consume(n.who, n.begin)
 	return n
 }
 
 // Send implements proto.Engine: transmit over the simulated network.
 func (n *Node) Send(msg wire.Msg, cat stats.Category) {
 	if n.On(flight.FrameSend) {
-		n.Emit(flight.Event{Kind: flight.FrameSend, Tag: uint8(cat), Peer: msg.To, Bytes: int32(msg.WireSize())})
+		n.Emit(flight.Event{Kind: flight.FrameSend, Tag: uint8(msg.Kind), Peer: msg.To, Bytes: int32(msg.WireSize())})
 	}
 	n.c.net.Send(msg, cat)
 }
@@ -52,36 +59,48 @@ func (n *Node) ToThread(slot int32, msg wire.Msg) {
 // sender, charged as N−1 point-to-point sends.
 func (n *Node) Broadcast(msg wire.Msg, cat stats.Category) {
 	if n.On(flight.FrameSend) {
-		n.Emit(flight.Event{Kind: flight.FrameSend, Tag: uint8(cat), Peer: memory.NoNode, Bytes: int32(msg.WireSize())})
+		n.Emit(flight.Event{Kind: flight.FrameSend, Tag: uint8(msg.Kind), Peer: memory.NoNode, Bytes: int32(msg.WireSize())})
 	}
 	n.c.net.Broadcast(msg, cat)
-}
-
-func (n *Node) spawnDaemon() {
-	n.c.env.Spawn(fmt.Sprintf("daemon-n%d", n.ID), n.daemon)
 }
 
 // msgProcCost is the daemon's per-message software overhead.
 const msgProcCost = 2 * sim.Microsecond
 
-func (n *Node) daemon(p *sim.Proc) {
-	for {
-		raw := n.inbox.Recv(p)
-		pm, ok := raw.(*wire.Msg)
-		if !ok {
-			if _, quit := raw.(quitMsg); quit {
-				return
-			}
-			panic(fmt.Sprintf("gos: daemon %d: stray token %T", n.ID, raw))
-		}
-		n.busy = true
-		msg := *pm
-		n.c.net.FreeMsg(pm)
-		if n.On(flight.FrameRecv) {
-			n.Emit(flight.Event{Kind: flight.FrameRecv, Peer: msg.From, Bytes: int32(msg.WireSize())})
-		}
-		p.Sleep(msgProcCost)
-		n.Handle(msg)
-		n.busy = false
+// begin is the daemon's first step, scheduled when a frame reaches an idle
+// daemon: take the oldest frame off the inbox, spend msgProcCost on it.
+//
+//dsm:hotpath
+func (n *Node) begin() {
+	raw, _ := n.inbox.TryRecv()
+	pm := raw.(*wire.Msg)
+	n.busy = true
+	n.cur = *pm
+	n.c.net.FreeMsg(pm)
+	if n.On(flight.FrameRecv) {
+		n.Emit(flight.Event{Kind: flight.FrameRecv, Tag: uint8(n.cur.Kind), Peer: n.cur.From, Bytes: int32(n.cur.WireSize())})
 	}
+	n.inbox.After(msgProcCost, n.handleFn)
+}
+
+// handle is the second step, msgProcCost later: run the protocol handler,
+// then take the next frame or go idle.
+//
+//dsm:hotpath
+func (n *Node) handle() {
+	n.Handle(n.cur)
+	n.busy = false
+	if n.inbox.Len() > 0 {
+		n.begin()
+	} else {
+		n.inbox.Arm()
+	}
+}
+
+// who names the daemon in a sim.PanicError, with the frame it has in hand.
+func (n *Node) who() string {
+	if !n.busy {
+		return fmt.Sprintf("daemon-n%d", n.ID)
+	}
+	return fmt.Sprintf("daemon-n%d handling %v from node %d", n.ID, n.cur.Kind, n.cur.From)
 }

@@ -535,7 +535,7 @@ func (n *node) Send(msg wire.Msg, cat stats.Category) {
 	frame := msg.Encode(transport.GetFrame())
 	n.counters.Record(cat, len(frame))
 	if n.ps.On(flight.FrameSend) {
-		n.ps.Emit(flight.Event{Kind: flight.FrameSend, Tag: uint8(cat), Peer: msg.To, Bytes: int32(len(frame))})
+		n.ps.Emit(flight.Event{Kind: flight.FrameSend, Tag: uint8(msg.Kind), Peer: msg.To, Bytes: int32(len(frame))})
 	}
 	n.c.frames.Add(1)
 	n.c.frameB.Add(int64(len(frame)))
@@ -590,7 +590,7 @@ func (n *node) receive(frame []byte) (routed bool, err error) {
 		return false, nil
 	}
 	if n.ps.On(flight.FrameRecv) {
-		n.ps.Emit(flight.Event{Kind: flight.FrameRecv, Peer: msg.From, Bytes: int32(len(frame))})
+		n.ps.Emit(flight.Event{Kind: flight.FrameRecv, Tag: uint8(msg.Kind), Peer: msg.From, Bytes: int32(len(frame))})
 	}
 	n.ps.Handle(msg)
 	n.mu.Unlock()

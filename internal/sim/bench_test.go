@@ -9,13 +9,9 @@ import (
 // state: ReportAllocs keeps that property visible in every run, and
 // TestKernelHotPathsAllocateNothing pins it in tier-1.
 
-// pingPong sets up the full proc-switch cycle: two procs exchanging n
-// messages through queues, with a sleep on each side — the
-// daemon/thread interaction pattern of the DSM protocol.
-func pingPong(n int) *Env {
-	e := NewEnv()
-	a2b := e.NewQueue("a2b")
-	b2a := e.NewQueue("b2a")
+// pinger is the sending half of pingPong: n rounds of sleep, send, wait
+// for the reply.
+func pinger(e *Env, n int, a2b, b2a *Queue) {
 	token := struct{}{}
 	e.Spawn("a", func(p *Proc) {
 		for i := 0; i < n; i++ {
@@ -24,13 +20,70 @@ func pingPong(n int) *Env {
 			b2a.Recv(p)
 		}
 	})
+}
+
+// pingPong sets up the full proc-switch cycle: two procs exchanging n
+// messages through queues, with a sleep on each side — the thread/thread
+// interaction pattern of the DSM protocol.
+func pingPong(n int) *Env {
+	e := NewEnv()
+	a2b := e.NewQueue("a2b")
+	b2a := e.NewQueue("b2a")
+	pinger(e, n, a2b, b2a)
 	e.Spawn("b", func(p *Proc) {
 		for i := 0; i < n; i++ {
-			a2b.Recv(p)
+			v := a2b.Recv(p)
 			p.Sleep(7)
-			b2a.Send(token)
+			b2a.Send(v)
 		}
 	})
+	return e
+}
+
+// server is the receiving half of pingPong as a queue consumer, the way
+// a simulated node daemon is built: take the oldest item, spend service
+// on it, act, then take the next or go idle. Both steps are bound once.
+type server struct {
+	in      *Queue
+	service Time
+	act     func(v any)
+	took    func(v any) // test hook: the first step ran
+	cur     any
+	done    func()
+}
+
+func serve(in *Queue, name string, service Time, act func(v any)) *server {
+	s := &server{in: in, service: service, act: act}
+	s.done = s.finish
+	in.Consume(func() string { return name }, s.begin)
+	return s
+}
+
+func (s *server) begin() {
+	s.cur, _ = s.in.TryRecv()
+	if s.took != nil {
+		s.took(s.cur)
+	}
+	s.in.After(s.service, s.done)
+}
+
+func (s *server) finish() {
+	s.act(s.cur)
+	if s.in.Len() > 0 {
+		s.begin()
+	} else {
+		s.in.Arm()
+	}
+}
+
+// consumerHop is pingPong's traffic with b as a consumer instead of a
+// proc: the same sends, sleeps and events, and no goroutine for b.
+func consumerHop(n int) *Env {
+	e := NewEnv()
+	a2b := e.NewQueue("a2b")
+	b2a := e.NewQueue("b2a")
+	pinger(e, n, a2b, b2a)
+	serve(a2b, "b", 7, b2a.Send)
 	return e
 }
 
@@ -60,6 +113,18 @@ func BenchmarkKernelPingPong(b *testing.B) {
 	}
 }
 
+// BenchmarkConsumerHop is BenchmarkKernelPingPong with the receiving side
+// run as event callbacks: what a message costs once its receiver needs no
+// goroutine switch.
+func BenchmarkConsumerHop(b *testing.B) {
+	b.ReportAllocs()
+	e := consumerHop(b.N)
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkQueueDrain measures receiving a deep backlog. The ring buffer
 // makes this O(n); the previous shift-on-receive slice was O(n²).
 func BenchmarkQueueDrain(b *testing.B) {
@@ -71,7 +136,8 @@ func BenchmarkQueueDrain(b *testing.B) {
 	}
 }
 
-// TestKernelHotPathsAllocateNothing holds the two kernel hot paths to 0
+// TestKernelHotPathsAllocateNothing holds the kernel hot paths — proc to
+// proc, proc to consumer and back, a deep backlog — to 0
 // allocs/op the way a benchmark reports it (total mallocs of the run
 // over n, rounded down: the start-up allocations of a run do not grow
 // with n).
@@ -80,7 +146,7 @@ func TestKernelHotPathsAllocateNothing(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		setup func(int) *Env
-	}{{"ping-pong", pingPong}, {"queue drain", backlog}} {
+	}{{"ping-pong", pingPong}, {"consumer hop", consumerHop}, {"queue drain", backlog}} {
 		e := c.setup(n)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -1,7 +1,10 @@
 // Package sim implements a deterministic, process-oriented discrete-event
 // simulation kernel. It is the substrate on which the simulated cluster
-// runs: every cluster node daemon and every application thread is a Proc
-// scheduled in virtual time.
+// runs: every application thread is a Proc scheduled in virtual time, and
+// every node daemon a queue consumer (Queue.Consume) — callbacks the
+// kernel schedules in the very (time, sequence) slot where it would have
+// woken a Proc parked on that queue, so events fire in the order a daemon
+// process produced and a goroutine switch is paid only when a thread blocks.
 //
 // Determinism: all execution is serialized through a single event queue
 // ordered by (time, sequence number). Procs are goroutines, but exactly one
@@ -68,13 +71,14 @@ const (
 
 // event is a scheduled occurrence. seq breaks ties so that events
 // scheduled earlier fire earlier, giving FIFO semantics at equal
-// timestamps. Exactly one of fn/proc/q is meaningful, per kind.
+// timestamps. Exactly one of fn/proc/q is meaningful, per kind (a queue
+// consumer's evFn names its queue as well).
 type event struct {
 	t    Time
 	seq  uint64
 	kind eventKind
 	proc *Proc  // evActivate target
-	q    *Queue // evDeliver target
+	q    *Queue // evDeliver target; evFn: the queue whose consumer fn is a step of, if any
 	msg  any    // evDeliver payload
 	// inflight, when non-nil, is decremented at delivery (evDeliver);
 	// it lets the network model track undelivered messages without a
@@ -223,18 +227,22 @@ func (e *Env) fire(ev *event) {
 		}
 		ev.q.Send(ev.msg)
 	default:
-		e.runFn(ev.fn)
+		e.runFn(ev.fn, ev.q)
 	}
 }
 
 // runFn runs an evFn callback, converting a panic into the run's failure.
 // Callbacks are dispatched from whichever goroutine holds the baton, so
 // without this a panic would unwind through (and be blamed on) an
-// unrelated proc.
-func (e *Env) runFn(fn func()) {
+// unrelated proc; a step of a queue's consumer is blamed on its label.
+func (e *Env) runFn(fn func(), owner *Queue) {
 	defer func() {
 		if r := recover(); r != nil && e.failure == nil {
-			e.failure = &PanicError{Proc: "(event callback)", Value: r, Stack: string(debug.Stack())}
+			name := "(event callback)"
+			if owner != nil {
+				name = owner.label()
+			}
+			e.failure = &PanicError{Proc: name, Value: r, Stack: string(debug.Stack())}
 		}
 	}()
 	fn()
@@ -377,7 +385,7 @@ func (p *Proc) park(why string) {
 			ev.q.Send(ev.msg)
 			continue
 		default:
-			e.runFn(ev.fn)
+			e.runFn(ev.fn, ev.q)
 			continue
 		}
 		break
@@ -414,7 +422,7 @@ func (e *Env) handoff() {
 			}
 			ev.q.Send(ev.msg)
 		default:
-			e.runFn(ev.fn)
+			e.runFn(ev.fn, ev.q)
 		}
 	}
 }
@@ -492,6 +500,9 @@ func (e *Env) shutdown() {
 // drain), and each send wakes at most one parked receiver — since a send
 // adds exactly one item, waking the whole herd only to have all but one
 // waiter re-park would burn context switches for nothing.
+//
+// A receiver that never needs a stack of its own is a consumer (Consume),
+// not a Proc: a callback scheduled where a parked receiver would be woken.
 type Queue struct {
 	env       *Env
 	name      string
@@ -500,6 +511,9 @@ type Queue struct {
 	head      int    // index of the oldest item
 	count     int    // buffered items
 	waiters   []*Proc
+	consume   func()        // the consumer; nil on a queue procs receive from
+	label     func() string // names the consumer in a PanicError
+	armed     bool          // the consumer is idle: the next Send schedules it
 }
 
 // NewQueue creates a queue named for diagnostics.
@@ -524,14 +538,46 @@ func (q *Queue) grow() {
 	q.head = 0
 }
 
-// Send enqueues v and wakes one parked receiver, if any. Callable from
-// proc or event context.
+// Consume makes fn the queue's receiver in place of a Proc blocked in
+// Recv, and arms it. fn runs in event context (it must not block) and
+// takes items with TryRecv. label names the consumer should one of its
+// steps panic; it is called only then, so it may say what the step was at.
+func (q *Queue) Consume(label func() string, fn func()) {
+	q.label, q.consume, q.armed = label, fn, true
+}
+
+// Arm declares the consumer idle, the state of a receiver parked in Recv:
+// the next Send schedules it at the current time — behind the events
+// already queued at that instant, the slot of the (t, seq) order a parked
+// receiver's wake-up takes — and disarms the queue, so what arrives before
+// the consumer has drained the queue and armed again buffers without an
+// event, as it does for a receiver that is awake.
+func (q *Queue) Arm() { q.armed = true }
+
+// After schedules fn at now+d as a further step of the queue's consumer:
+// Env.At under the consumer's label. The caller binds fn once, so no
+// closure is built per call.
+//
+//dsm:hotpath
+func (q *Queue) After(d Time, fn func()) {
+	q.env.push(event{t: q.env.now + d, kind: evFn, q: q, fn: fn})
+}
+
+// Send enqueues v and wakes one parked receiver — or schedules the armed
+// consumer — if any. Callable from proc or event context.
+//
+//dsm:hotpath
 func (q *Queue) Send(v any) {
 	if q.count == len(q.buf) {
 		q.grow()
 	}
 	q.buf[(q.head+q.count)&(len(q.buf)-1)] = v
 	q.count++
+	if q.armed {
+		q.armed = false
+		q.After(0, q.consume)
+		return
+	}
 	if len(q.waiters) == 0 {
 		return
 	}

@@ -533,3 +533,156 @@ func TestDeliverAt(t *testing.T) {
 		t.Fatalf("inflight = %d, want 0", inflight)
 	}
 }
+
+// --- queue consumers ---
+
+// TestConsumerFiresOncePerArming: a Send on an armed queue schedules the
+// consumer and disarms it; what arrives before it arms again buffers, in
+// order, without scheduling anything.
+func TestConsumerFiresOncePerArming(t *testing.T) {
+	e := NewEnv()
+	q := e.NewQueue("q")
+	var fired []Time
+	var got []int
+	q.Consume(func() string { return "c" }, func() {
+		fired = append(fired, e.Now())
+		for q.Len() > 0 {
+			v, _ := q.TryRecv()
+			got = append(got, v.(int))
+		}
+		// Not re-armed here: the test arms.
+	})
+	e.Spawn("producer", func(p *Proc) {
+		p.Sleep(10) // armed and idle: nothing fires
+		q.Send(1)   // schedules the consumer at t=10 and disarms
+		q.Send(2)   // buffers behind it
+		q.Send(3)
+		before := e.Stats().Events
+		p.Sleep(5) // the consumer ran once, at t=10, and drained all three
+		if n := e.Stats().Events - before; n != 2 {
+			t.Errorf("%d events for one arming, want 2 (the consumer, this wake-up)", n)
+		}
+		q.Send(4) // t=15, disarmed: buffers, no event
+		p.Sleep(5)
+		if q.Len() != 1 || len(fired) != 1 {
+			t.Errorf("a send to a disarmed queue: len %d, consumer fired %v", q.Len(), fired)
+		}
+		v, _ := q.TryRecv()
+		got = append(got, v.(int))
+		q.Arm()
+		q.Send(5) // t=20: fires again
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(fired) != fmt.Sprint([]Time{10, 20}) {
+		t.Errorf("consumer fired at %v, want at 10ns and 20ns", fired)
+	}
+	if fmt.Sprint(got) != "[1 2 3 4 5]" {
+		t.Errorf("consumed %v, want [1 2 3 4 5]", got)
+	}
+}
+
+// serverRun drives one receiver — a proc blocked in Recv (reference) or a
+// consumer — with two producers whose sends collide with each other, with
+// the receiver's service time and with bystander events scheduled at the
+// same instants, and logs everything that happens with its virtual time.
+// Where the kernel puts the consumer in the (t, seq) order is the whole
+// contract: the two logs must be equal line for line.
+func serverRun(consumer bool) (log []string, st EnvStats) {
+	e := NewEnv()
+	q := e.NewQueue("in")
+	note := func(format string, a ...any) {
+		log = append(log, fmt.Sprintf("%4d ", int64(e.Now()))+fmt.Sprintf(format, a...))
+	}
+	const service = 4
+	if consumer {
+		s := serve(q, "server", service, func(v any) { note("served %v", v) })
+		s.took = func(v any) { note("took %v", v) }
+	} else {
+		e.Spawn("server", func(p *Proc) {
+			for {
+				v := q.Recv(p)
+				note("took %v", v)
+				p.Sleep(service)
+				note("served %v", v)
+			}
+		})
+	}
+	producer := func(name string, gaps ...Time) {
+		e.Spawn(name, func(p *Proc) {
+			for i, gap := range gaps {
+				p.Sleep(gap)
+				// A bystander queued at this instant ahead of the send must
+				// run ahead of the receiver the send wakes.
+				tag := fmt.Sprintf("%s%d", name, i)
+				e.At(0, func() { note("bystander of %s", tag) })
+				q.Send(tag)
+				note("sent %s (backlog %d)", tag, q.Len())
+				e.At(0, func() { note("late bystander of %s", tag) })
+			}
+		})
+	}
+	// Sends that find the server idle (t=1, 23, 43, 61), two at one
+	// instant, one landing on the end of a service (t=31, 47), bursts.
+	producer("a", 1, 2, 20, 0, 20, 4)
+	producer("b", 1, 3, 19, 8, 30)
+	err := e.Run()
+	if consumer && err != nil {
+		log = append(log, "error: "+err.Error())
+	}
+	var dl *DeadlockError // the reference server is parked in Recv forever
+	if !consumer && (!errors.As(err, &dl) || len(dl.Parked) != 1) {
+		log = append(log, fmt.Sprintf("error: %v", err))
+	}
+	return log, e.Stats()
+}
+
+func TestConsumerKeepsTheReceiversSlot(t *testing.T) {
+	ref, refStats := serverRun(false)
+	got, gotStats := serverRun(true)
+	if len(ref) != 11*5 {
+		t.Fatalf("reference log has %d lines, want %d:\n%s", len(ref), 11*5, strings.Join(ref, "\n"))
+	}
+	if strings.Join(got, "\n") != strings.Join(ref, "\n") {
+		t.Errorf("consumer log differs from the proc receiver's:\n%s\n--- reference:\n%s",
+			strings.Join(got, "\n"), strings.Join(ref, "\n"))
+	}
+	// Same events, minus the reference server's start; that activation,
+	// its 4 wake-ups from idle and its 11 ends of service are gone with
+	// the goroutine.
+	if gotStats.Events != refStats.Events-1 {
+		t.Errorf("events: consumer %d, proc receiver %d, want one less (the spawn)", gotStats.Events, refStats.Events)
+	}
+	if gotStats.Spawned != 2 || gotStats.Activations != refStats.Activations-1-4-11 {
+		t.Errorf("consumer run: %+v, proc receiver run: %+v", gotStats, refStats)
+	}
+}
+
+// TestConsumerPanicKeepsItsName: a panic in either step of a consumer
+// fails the run under the label its owner registered, evaluated at the
+// time of the panic.
+func TestConsumerPanicKeepsItsName(t *testing.T) {
+	for _, step := range []string{"begin", "after"} {
+		e := NewEnv()
+		q := e.NewQueue("q")
+		doing := "idle"
+		boom := func() { panic("kaboom in " + step) }
+		q.Consume(func() string { return "server (" + doing + ")" }, func() {
+			doing = "serving"
+			if step == "begin" {
+				boom()
+			}
+			q.After(3, boom)
+		})
+		e.Spawn("bystander", func(p *Proc) { q.Send(1); p.Sleep(1000) })
+		err := e.Run()
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: err = %v, want PanicError", step, err)
+		}
+		if pe.Proc != "server (serving)" || pe.Value != "kaboom in "+step {
+			t.Errorf("%s: PanicError{Proc: %q, Value: %v}", step, pe.Proc, pe.Value)
+		}
+	}
+}
