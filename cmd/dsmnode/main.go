@@ -84,19 +84,14 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"sync"
 	"time"
-
-	dsm "repro"
 
 	"repro/internal/apps"
 	"repro/internal/flight"
 	"repro/internal/live/cluster"
-	"repro/internal/live/transport/tcp"
 	"repro/internal/memory"
 	"repro/internal/obshttp"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 )
 
 // Exit codes per failure domain (see package comment).
@@ -133,7 +128,7 @@ func main() {
 	// -workers 0 means nodes-1 here (resolved below, once the cluster
 	// size is known).
 	spec := apps.Spec{App: "sor", N: 64, Iters: 4, Cities: 10, Rep: 8, Updates: 2048}
-	o := apps.Options{Config: dsm.Config{Engine: "live"}}
+	var o apps.Options
 	spec.Register(flag.CommandLine)
 	o.Register(flag.CommandLine)
 	// Every flag registered so far decides what the cluster computes, so
@@ -171,7 +166,7 @@ func main() {
 		// More observability, also outside the config digest.
 		flightDump  = flag.Int("flight-dump", 16, "on any failure path, dump this process's last N flight events to stderr (needs -flight)")
 		jsonOut     = flag.Bool("json", false, "node 0: emit the merged run artifact as JSON on stdout instead of the text report")
-		telInterval = flag.Duration("telemetry-interval", 250*time.Millisecond, "sampler tick and snapshot-ship period for the live telemetry")
+		telInterval = flag.Duration("telemetry-interval", cluster.DefaultTelemetryInterval, "sampler tick and snapshot-ship period for the live telemetry")
 		statsIntv   = flag.Duration("stats-interval", 0, "print a one-line periodic status to stderr at this period (0 = off)")
 		metricsJSON = flag.String("metrics-json", "", "write the sampled metric time-series as JSON to this file at end of run (\"-\" = stdout)")
 	)
@@ -209,11 +204,9 @@ func main() {
 	// against a nil member.
 	var member *cluster.Member
 	dumpFlight := func() {
-		if member == nil || *flightDump <= 0 {
-			return
-		}
-		if rec := member.FlightRecorder(); rec != nil {
-			flight.DumpLastN(os.Stderr, []*flight.Recorder{rec}, *flightDump)
+		if member != nil && *flightDump > 0 {
+			// A member without a ring has a nil one, which the dump skips.
+			flight.DumpLastN(os.Stderr, []*flight.Recorder{member.FlightRecorder()}, *flightDump)
 		}
 	}
 
@@ -224,6 +217,10 @@ func main() {
 		Check:       o.Check,
 		DialTimeout: *timeout,
 		FlightCap:   obsFlags.FlightCap,
+		// Live telemetry is always on, independent of -obs-addr: every
+		// member ships compact snapshots to node 0 so the coordinator's
+		// /metrics is the cluster view even when only node 0 listens.
+		TelemetryInterval: *telInterval,
 		OnFatal: func(err error) {
 			// The transport's error names the peer/connection that broke
 			// (e.g. "read with node 2 failed: ...") — print it verbatim so
@@ -251,42 +248,6 @@ func main() {
 		fatal(err)
 	}
 
-	// Live telemetry is always on, independent of -obs-addr: every
-	// member carries a registry and hot-object sketch and ships compact
-	// snapshots to node 0 so the coordinator's /metrics is the cluster
-	// view even when only node 0 exposes a listener.
-	reg := telemetry.NewRegistry(*id, fmt.Sprintf("policy=%q", o.Policy))
-	sink := telemetry.NewSink(0)
-	reg.AttachSink(sink)
-	registerMemberMetrics(reg, member, nn)
-	if *telInterval <= 0 {
-		*telInterval = 250 * time.Millisecond
-	}
-	var (
-		telOnce sync.Once
-		telStop = make(chan struct{})
-		telDone = make(chan struct{})
-		sampler *telemetry.Sampler
-		loopUp  bool
-	)
-	stopTel := func() {
-		telOnce.Do(func() { close(telStop) })
-		if loopUp {
-			<-telDone
-			// One final ship so node 0's aggregate holds each member's
-			// end-of-run state (best-effort: dropped if the transport is
-			// already down).
-			member.ShipTelemetry(reg.Snapshot())
-		}
-	}
-	writeMetrics := func() {
-		if *metricsJSON == "" || sampler == nil {
-			return
-		}
-		if err := apps.WriteOut(*metricsJSON, sampler.WriteJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "dsmnode %d: metrics-json: %v\n", *id, err)
-		}
-	}
 	// Export failures warn but do not change the exit code: the run's
 	// verdict is already decided.
 	exportTimeline := func(events []flight.Event) {
@@ -297,20 +258,17 @@ func main() {
 
 	var obs *obshttp.Server
 	if obsFlags.ObsAddr != "" {
-		obs = serveObs(obsFlags.ObsAddr, *id, member, reg)
+		obs = serveObs(obsFlags.ObsAddr, *id, member)
 	}
-	closeObs := func() {
-		if err := obs.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "dsmnode %d: debug listener died mid-run: %v\n", *id, err)
-		}
-	}
+	ran := make(chan struct{}) // closed once the run is over
 	if *statsIntv > 0 {
 		go func() {
 			t := time.NewTicker(*statsIntv)
 			defer t.Stop()
+			sink := member.Sink()
 			for {
 				select {
-				case <-telStop:
+				case <-ran:
 					return
 				case <-t.C:
 					line := fmt.Sprintf("dsmnode %d: frames=%d inbox=%d/%d accesses=%d",
@@ -325,7 +283,7 @@ func main() {
 		}()
 	}
 	if *chaosKill > 0 {
-		// Die abruptly — no Leave, no AbortApp — once enough engine
+		// Die abruptly — no Leave, no verdict — once enough engine
 		// traffic has flowed that the run is demonstrably mid-flight. The
 		// survivors must detect the death and exit nonzero within their
 		// deadlines: the clean-abort guarantee this flag exists to test.
@@ -339,46 +297,13 @@ func main() {
 		}()
 	}
 
-	o.Nodes, o.Oracle, o.Multi = nn, o.Check, member
-	o.Telemetry, o.Metrics = sink, reg
-	// The sampler is built once the engine exists so its frozen scalar
-	// list covers the engine-registered metrics too; the tick/ship loop
-	// then runs for the life of the app.
-	o.OnCluster = func(*dsm.Cluster) {
-		sampler = telemetry.NewSampler(reg, 4096)
-		loopUp = true
-		go func() {
-			defer close(telDone)
-			t := time.NewTicker(*telInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-telStop:
-					return
-				case <-t.C:
-					sampler.Tick(time.Now().UnixNano())
-					member.ShipTelemetry(reg.Snapshot())
-				}
-			}
-		}()
-	}
-	var res apps.Result
-	if spec.App == "synthetic" && nn < spec.Workers+1 {
-		// A member cannot grow the cluster the way apps.Run would.
-		err = fmt.Errorf("synthetic with %d workers needs at least %d nodes", spec.Workers, spec.Workers+1)
-	} else {
-		res, err = apps.Run(spec, o)
-	}
-	if err != nil {
-		// Tell the cluster (unless the error *is* the cluster verdict,
-		// in which case every member already has it). AbortApp's return
-		// may carry a sharper classification (peer death when the
-		// verdict exchange wedged and the grace timer severed).
-		if !member.Completed() {
-			if aerr := member.AbortApp(err); aerr != nil && exitCode(aerr) != exitOther {
-				err = aerr
-			}
-		}
+	// The member's life is the library's: Run wires the options, keeps the
+	// telemetry flowing, tells the cluster of a local failure and returns
+	// the cluster's verdict; what is left here is what to print.
+	res, err := member.Run(o, func(o apps.Options) (apps.Result, error) { return apps.Run(spec, o) })
+	close(ran)
+	switch {
+	case err != nil:
 		fmt.Fprintf(os.Stderr, "dsmnode %d: %v\n", *id, err)
 		dumpFlight()
 		// On node 0 the coordinator merges rings on the abort path too, so
@@ -386,37 +311,38 @@ func main() {
 		if *id == 0 {
 			exportTimeline(member.FlightTimeline())
 		}
-		stopTel()
-		writeMetrics()
-		closeObs()
-		member.Leave()
-		os.Exit(exitCode(err))
-	}
-	stopTel()
-	if *id == 0 {
-		if *jsonOut {
-			if jerr := writeArtifact(os.Stdout, canon, nn, o.Check, res); jerr != nil {
-				fmt.Fprintf(os.Stderr, "dsmnode %d: json: %v\n", *id, jerr)
-				os.Exit(exitOther)
-			}
-		} else {
-			fmt.Printf("%s over %d processes\n", res.App, nn)
-			fmt.Print(res.Metrics.Summary())
-			if o.Check {
-				fmt.Printf("check          invariants OK, oracle OK (%d ops), digest %#x\n",
-					res.OracleOps, res.Digest)
-			}
-			if obsFlags.FlightCap > 0 {
-				fmt.Printf("flight         %d event(s) in the merged timeline\n", len(res.Flight))
-			}
+	case *id != 0:
+		if *verbose {
+			fmt.Fprintf(os.Stderr, "dsmnode %d: ok (digest %#x)\n", *id, res.Digest)
+		}
+	case *jsonOut:
+		if jerr := writeArtifact(os.Stdout, canon, nn, o.Check, res); jerr != nil {
+			fmt.Fprintf(os.Stderr, "dsmnode %d: json: %v\n", *id, jerr)
+			os.Exit(exitOther)
 		}
 		exportTimeline(res.Flight)
-	} else if *verbose {
-		fmt.Fprintf(os.Stderr, "dsmnode %d: ok (digest %#x)\n", *id, res.Digest)
+	default:
+		fmt.Printf("%s over %d processes\n", res.App, nn)
+		fmt.Print(res.Metrics.Summary())
+		if o.Check {
+			fmt.Printf("check          invariants OK, oracle OK (%d ops), digest %#x\n",
+				res.OracleOps, res.Digest)
+		}
+		if obsFlags.FlightCap > 0 {
+			fmt.Printf("flight         %d event(s) in the merged timeline\n", len(res.Flight))
+		}
+		exportTimeline(res.Flight)
 	}
-	writeMetrics()
-	closeObs()
+	if sampler := member.Sampler(); *metricsJSON != "" && sampler != nil {
+		if err := apps.WriteOut(*metricsJSON, sampler.WriteJSON); err != nil {
+			fmt.Fprintf(os.Stderr, "dsmnode %d: metrics-json: %v\n", *id, err)
+		}
+	}
+	if err := obs.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "dsmnode %d: debug listener died mid-run: %v\n", *id, err)
+	}
 	member.Leave()
+	os.Exit(exitCode(err))
 }
 
 // artifact is the -json run record (node 0): the merged cluster view in
@@ -450,84 +376,6 @@ func writeArtifact(w io.Writer, canon string, nn int, check bool, res apps.Resul
 	return enc.Encode(a)
 }
 
-// registerMemberMetrics wires the cluster-member instruments into the
-// registry: frame/byte counters per peer, queue depth and peak,
-// heartbeat liveness, and flight-recorder totals. Engine-level metrics
-// (protocol counters, latency histograms) are registered by the live
-// engine itself via Options.Metrics.
-func registerMemberMetrics(reg *telemetry.Registry, member *cluster.Member, nn int) {
-	reg.GaugeFunc("dsm_up",
-		"1 while this member is alive and serving telemetry.", "",
-		func() int64 { return 1 })
-	reg.CounterFunc("dsm_data_frames_total",
-		"Engine data frames sent plus received by this member.", "",
-		member.DataFrames)
-	reg.GaugeFunc("dsm_inbox_depth",
-		"Current depth of this member's data inbox.", "",
-		func() int64 { return int64(member.InboxLen()) })
-	reg.GaugeFunc("dsm_inbox_peak",
-		"High-water mark of the data inbox depth.", "",
-		func() int64 { return int64(member.PeakDepth()) })
-	if rec := member.FlightRecorder(); rec != nil {
-		reg.CounterFunc("dsm_flight_events_total",
-			"Flight-recorder events recorded since start.", "",
-			func() int64 { return int64(rec.Total()) })
-		reg.GaugeFunc("dsm_flight_events_buffered",
-			"Flight-recorder events currently buffered in the ring.", "",
-			func() int64 { return int64(rec.Len()) })
-	}
-	self := reg.Node()
-	for j := 0; j < nn; j++ {
-		if j == self {
-			continue
-		}
-		p := memory.NodeID(j)
-		label := fmt.Sprintf("peer=\"%d\"", j)
-		stat := func(get func(tcp.PeerStats) int64) func() int64 {
-			return func() int64 {
-				ps, ok := member.PeerStats(p)
-				if !ok {
-					return 0
-				}
-				return get(ps)
-			}
-		}
-		reg.CounterFunc("dsm_peer_frames_sent_total",
-			"Frames sent to this peer across all channels.", label,
-			stat(func(ps tcp.PeerStats) int64 { return ps.FramesSent }))
-		reg.CounterFunc("dsm_peer_frames_recv_total",
-			"Frames received from this peer across all channels.", label,
-			stat(func(ps tcp.PeerStats) int64 { return ps.FramesRecv }))
-		reg.CounterFunc("dsm_peer_bytes_sent_total",
-			"Wire bytes (headers included) sent to this peer.", label,
-			stat(func(ps tcp.PeerStats) int64 { return ps.BytesSent }))
-		reg.CounterFunc("dsm_peer_bytes_recv_total",
-			"Wire bytes (headers included) received from this peer.", label,
-			stat(func(ps tcp.PeerStats) int64 { return ps.BytesRecv }))
-		reg.CounterFunc("dsm_peer_writes_total",
-			"Socket writes to this peer; frames sent over writes is the coalescing ratio.", label,
-			stat(func(ps tcp.PeerStats) int64 { return ps.Writes }))
-		reg.CounterFunc("dsm_peer_relayed_frames_total",
-			"Frames to this peer that a reader flushed itself; over frames sent, the share that cost no goroutine hand-off.", label,
-			stat(func(ps tcp.PeerStats) int64 { return ps.Relayed }))
-		reg.CounterFunc("dsm_peer_reads_total",
-			"Socket reads from this peer; frames received over reads is the receive-side ratio.", label,
-			stat(func(ps tcp.PeerStats) int64 { return ps.Reads }))
-		reg.CounterFunc("dsm_peer_heartbeats_total",
-			"Heartbeat frames received from this peer.", label,
-			stat(func(ps tcp.PeerStats) int64 { return ps.Heartbeats }))
-		reg.GaugeFunc("dsm_peer_silence_ms",
-			"Milliseconds since anything was last received from this peer (0 until first receipt).", label,
-			func() int64 {
-				ps, ok := member.PeerStats(p)
-				if !ok || ps.LastRecv == 0 {
-					return 0
-				}
-				return (time.Now().UnixNano() - ps.LastRecv) / 1e6
-			})
-	}
-}
-
 // serveObs starts the debug listener: Go's pprof handlers, /metrics in
 // Prometheus text exposition (on node 0 the cluster-aggregated view —
 // this member's fresh snapshot merged with every shipped one), and
@@ -535,23 +383,8 @@ func registerMemberMetrics(reg *telemetry.Registry, member *cluster.Member, nn i
 // a dead listener never fails the run — but the returned server is
 // closed on the exit paths so the accept goroutine never outlives the
 // run.
-func serveObs(addr string, id int, member *cluster.Member, reg *telemetry.Registry) *obshttp.Server {
-	mux := obshttp.Handler(
-		func() []telemetry.Snapshot {
-			snaps := member.TelemetrySnapshots()
-			own := reg.Snapshot()
-			replaced := false
-			for i := range snaps {
-				if snaps[i].Node == own.Node {
-					snaps[i] = own
-					replaced = true
-				}
-			}
-			if !replaced {
-				snaps = append(snaps, own)
-			}
-			return snaps
-		},
+func serveObs(addr string, id int, member *cluster.Member) *obshttp.Server {
+	mux := obshttp.Handler(member.TelemetrySnapshots,
 		func() ([]flight.Event, int, string) {
 			rec := member.FlightRecorder()
 			if rec == nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -49,6 +50,34 @@ func TestScenarioSeedReproduces(t *testing.T) {
 		}
 		if engine == "sim" && string(m[1]) != strconv.Itoa(cell.OracleOps) {
 			t.Errorf("sim: dsmrun checked %s oracle ops, the cell %d", m[1], cell.OracleOps)
+		}
+	}
+}
+
+// TestFlightRouteWithoutRings: /flight of a run without -flight answers 404
+// and says why, on either engine (the live one used to list a ring slot per
+// node, all empty, and answer 200 with no body); with rings it renders them.
+func TestFlightRouteWithoutRings(t *testing.T) {
+	for _, engine := range []string{"sim", "live"} {
+		for _, rings := range []int{0, 64} {
+			o := apps.Options{Config: dsm.Config{Nodes: 2, Engine: engine, FlightCap: rings}}
+			srv := serveObs("127.0.0.1:0", &o)
+			o.OnCluster(dsm.New(o.Config))
+			resp, err := http.Get("http://" + srv.Addr() + "/flight")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			want := http.StatusOK
+			if rings == 0 {
+				want = http.StatusNotFound
+			}
+			if resp.StatusCode != want {
+				t.Errorf("%s, -flight %d: /flight answered %d, want %d", engine, rings, resp.StatusCode, want)
+			}
+			if err := srv.Close(); err != nil {
+				t.Error(err)
+			}
 		}
 	}
 }

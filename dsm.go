@@ -393,22 +393,12 @@ func (c *Cluster) Digest() uint64 { return c.mustEnd().Digest() }
 // when recording was not enabled (Config.FlightCap/FlightLocal). Call
 // after Run; see internal/flight for exporters (WriteText,
 // WriteChromeTrace). internal/trace classifies the timeline as is.
-func (c *Cluster) FlightEvents() []flight.Event {
-	if fe, ok := c.eng.(interface{ FlightEvents() []flight.Event }); ok {
-		return fe.FlightEvents()
-	}
-	return nil
-}
+func (c *Cluster) FlightEvents() []flight.Event { return c.eng.FlightEvents() }
 
-// FlightRecorders returns the per-node flight recorders, indexed by
-// node id (nil entries where no recorder is attached). Useful for
-// dump-on-abort reporting (flight.DumpLastN).
-func (c *Cluster) FlightRecorders() []*flight.Recorder {
-	if fr, ok := c.eng.(interface{ FlightRecorders() []*flight.Recorder }); ok {
-		return fr.FlightRecorders()
-	}
-	return nil
-}
+// FlightRecorders returns the flight recorders in node order, one per
+// recording node this process runs: empty when recording is off. Useful
+// for dump-on-abort reporting (flight.DumpLastN).
+func (c *Cluster) FlightRecorders() []*flight.Recorder { return c.eng.FlightRecorders() }
 
 // NewTrace returns an empty protocol-event trace to attach to
 // Config.Trace.

@@ -115,6 +115,11 @@ type Member interface {
 	// cluster view. A non-nil error means the cluster-wide run failed —
 	// on every node.
 	FinishApp(c *dsm.Cluster, res *Result, check, oracle bool) error
+	// FlightRecorder is the member's ring (nil: none), which the local
+	// node records into; FlightTimeline every member's merged, on node 0
+	// after FinishApp.
+	FlightRecorder() *flight.Recorder
+	FlightTimeline() []flight.Event
 }
 
 // mixSeed combines an app's canonical input seed with a run's trial
@@ -150,9 +155,7 @@ func (o Options) cluster(threads int) (*dsm.Cluster, *oracle.Recorder) {
 		// its stamps merge correctly with every peer's; the local node
 		// records into it, remote nodes record nothing here.
 		cfg.FlightCap = 0
-		if fr, ok := o.Multi.(interface{ FlightRecorder() *flight.Recorder }); ok {
-			cfg.FlightLocal = fr.FlightRecorder()
-		}
+		cfg.FlightLocal = o.Multi.FlightRecorder()
 	} else if o.Oracle {
 		rec = oracle.NewRecorder(threads)
 		cfg.Observer = rec
@@ -201,9 +204,7 @@ func finish(c *dsm.Cluster, o Options, rec *oracle.Recorder, res Result, validat
 		if err := o.Multi.FinishApp(c, &res, o.Check, o.Oracle); err != nil {
 			return Result{}, fmt.Errorf("%s: %w", res.App, err)
 		}
-		if tl, ok := o.Multi.(interface{ FlightTimeline() []flight.Event }); ok {
-			res.Flight = tl.FlightTimeline()
-		}
+		res.Flight = o.Multi.FlightTimeline()
 		return res, nil
 	}
 	res.Flight = c.FlightEvents()

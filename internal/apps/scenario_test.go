@@ -6,6 +6,7 @@ import (
 
 	dsm "repro"
 
+	"repro/internal/flight"
 	"repro/internal/scenario"
 )
 
@@ -95,6 +96,8 @@ type unbuilt struct{ dsm.Transport }
 func (unbuilt) LocalNode() dsm.NodeID                             { return 1 }
 func (unbuilt) Observer(int) dsm.Observer                         { panic("observer asked of a refused run") }
 func (unbuilt) FinishApp(*dsm.Cluster, *Result, bool, bool) error { panic("refused run finished") }
+func (unbuilt) FlightRecorder() *flight.Recorder                  { panic("ring asked of a refused run") }
+func (unbuilt) FlightTimeline() []flight.Event                    { panic("timeline asked of a refused run") }
 
 // TestScenarioRefusesWrongClusterSize: a member cannot resize its
 // cluster the way a single process does, so a seed that needs another

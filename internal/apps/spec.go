@@ -45,8 +45,9 @@ func (s *Spec) Register(fs *flag.FlagSet) {
 
 // Run executes the application s names under o. The synthetic benchmark
 // keeps node 0 for the homes and lock managers, so its cluster is grown
-// to workers+1 nodes when o asks for fewer; a scenario's seed is its whole
-// input, cluster size included.
+// to workers+1 nodes when o asks for fewer (a multi-process cluster cannot
+// be, and is refused); a scenario's seed is its whole input, cluster size
+// included.
 func Run(s Spec, o Options) (Result, error) {
 	switch s.App {
 	case "asp":
@@ -59,6 +60,9 @@ func Run(s Spec, o Options) (Result, error) {
 		return RunTSP(s.Cities, o)
 	case "synthetic":
 		if o.Nodes < s.Workers+1 {
+			if o.Multi != nil {
+				return Result{}, fmt.Errorf("synthetic with %d workers needs at least %d nodes", s.Workers, s.Workers+1)
+			}
 			o.Nodes = s.Workers + 1
 		}
 		return RunSynthetic(SyntheticOpts{

@@ -106,8 +106,7 @@ type Cluster struct {
 	// its AddObject/InitObject/AddLock/AddBarrier and post-run inspection
 	// methods are the cluster's own.
 	*proto.Space
-	nodes   []*Node
-	flights []*flight.Recorder
+	nodes []*Node
 
 	endTime sim.Time
 }
@@ -135,9 +134,7 @@ func New(cfg Config) *Cluster {
 		n := newNode(c, memory.NodeID(i))
 		if cfg.FlightCap > 0 {
 			st := &simStamper{env: c.env}
-			rec := flight.NewRecorder(memory.NodeID(i), cfg.FlightCap, st.stamp)
-			n.Subscribe(rec)
-			c.flights = append(c.flights, rec)
+			c.AttachFlight(flight.NewRecorder(memory.NodeID(i), cfg.FlightCap, st.stamp))
 		}
 		c.nodes = append(c.nodes, n)
 	}
@@ -163,20 +160,6 @@ type simStamper struct {
 func (s *simStamper) stamp() hlc.Stamp {
 	s.seq++
 	return hlc.Stamp{Wall: int64(s.env.Now()), Logical: s.seq}
-}
-
-// FlightRecorders returns the per-node flight recorders (nil entries
-// never occur; the slice is empty when Config.FlightCap is zero).
-func (c *Cluster) FlightRecorders() []*flight.Recorder { return c.flights }
-
-// FlightEvents merges every node's ring into one (Wall, Logical)-ordered
-// timeline. Call after Run.
-func (c *Cluster) FlightEvents() []flight.Event {
-	logs := make([][]flight.Event, 0, len(c.flights))
-	for _, r := range c.flights {
-		logs = append(logs, r.Snapshot())
-	}
-	return flight.Merge(logs...)
 }
 
 // Config returns the effective configuration.

@@ -67,6 +67,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/flight"
@@ -134,6 +135,9 @@ type Config struct {
 	// not completed, converting a wedged cluster into peer-death
 	// failures every survivor detects. Zero means 5s.
 	AbortGrace time.Duration
+	// TelemetryInterval is Run's period of sampling the metric registry
+	// and shipping a snapshot to node 0 (DefaultTelemetryInterval if ≤ 0).
+	TelemetryInterval time.Duration
 	// WallClock overrides the hybrid logical clock's physical source
 	// (Unix nanoseconds); nil means the system clock. Tests inject
 	// skewed sources to model machines whose clocks disagree.
@@ -149,17 +153,18 @@ type Config struct {
 	// (tests bind :0 first to learn free ports). nil listens.
 	Listener net.Listener
 	// OnFatal handles a mid-run connection failure (a peer process
-	// died). nil panics, which is right for a daemon: a broken cluster
-	// cannot finish and must not hang.
+	// died), once the engine has been aborted so that Run returns it: a
+	// daemon's handler exits, one of members sharing a process returns.
+	// nil panics, which is right for a daemon: a broken cluster cannot
+	// finish and must not hang.
 	OnFatal func(error)
 	// Logf, when non-nil, receives bootstrap progress lines.
 	Logf func(format string, args ...any)
 }
 
 // Member is one process's handle on the cluster: the live engine's
-// transport (with the lifecycle hooks), and the apps layer's
-// distributed finish. Create with Join, pass as dsm.Config.Transport /
-// apps.Options.Multi, and Leave when done.
+// transport (with the lifecycle hooks), the apps layer's distributed
+// finish, and the member's telemetry. A member's life is Join, Run, Leave.
 type Member struct {
 	cfg   Config
 	n     int
@@ -175,6 +180,16 @@ type Member struct {
 	digest    uint64 // final-memory digest, as node 0 assembled it (set by FinishRun)
 	finished  bool   // FinishRun completed cluster-wide
 	hasResult bool
+
+	// engineAbort is the engine's abort (SetFatal); a connection failure
+	// calls it before Config.OnFatal.
+	engineAbort atomic.Pointer[func(error)]
+
+	// Telemetry, always on: the member's own instruments (registerMetrics)
+	// and, from Run on, the engine's; the hot-object sketch; Run's sampler.
+	reg     *telemetry.Registry
+	sink    *telemetry.Sink
+	sampler *telemetry.Sampler
 
 	// telView collects the latest telemetry snapshot per node, fed by
 	// the transport's telemetry channel (every member ships its own
@@ -220,6 +235,9 @@ func Join(cfg Config) (*Member, error) {
 	}
 	if cfg.AbortGrace == 0 {
 		cfg.AbortGrace = 5 * time.Second
+	}
+	if cfg.TelemetryInterval <= 0 {
+		cfg.TelemetryInterval = DefaultTelemetryInterval
 	}
 	m := &Member{cfg: cfg, n: n, clock: hlc.New(cfg.WallClock)}
 	if cfg.FlightCap > 0 {
@@ -318,6 +336,9 @@ func Join(cfg Config) (*Member, error) {
 	// death; a nil handler panics (a daemon must be loud, never hang).
 	onFatal := func(err error) {
 		err = fmt.Errorf("%w: %v", ErrPeerDeath, err)
+		if abort := m.engineAbort.Load(); abort != nil {
+			(*abort)(err)
+		}
 		if cfg.OnFatal != nil {
 			cfg.OnFatal(err)
 			return
@@ -330,6 +351,10 @@ func Join(cfg Config) (*Member, error) {
 		opts.HeartbeatTimeout = cfg.HeartbeatTimeout
 	}
 	m.tr = tcp.New(cfg.ID, conns, opts)
+	m.reg = telemetry.NewRegistry(int(cfg.ID), "")
+	m.sink = telemetry.NewSink(0)
+	m.reg.AttachSink(m.sink)
+	m.registerMetrics()
 
 	// Start barrier: every member reports ready to node 0; node 0
 	// releases the cluster. After this, engines may run.
@@ -618,11 +643,12 @@ func (m *Member) PeakDepth() int { return m.tr.PeakDepth() }
 // SetSink implements transport.Pusher by delegation.
 func (m *Member) SetSink(id memory.NodeID, sink func(frame []byte) error) { m.tr.SetSink(id, sink) }
 
+// SetFatal implements transport.FatalSink: a peer's death aborts the
+// engine, so threads parked on frames that will never come unwind.
+func (m *Member) SetFatal(fn func(error)) { m.engineAbort.Store(&fn) }
+
 // LocalNode reports the node this process executes.
 func (m *Member) LocalNode() memory.NodeID { return m.cfg.ID }
-
-// Nodes reports the cluster size.
-func (m *Member) Nodes() int { return m.n }
 
 // Digest reports the canonical cluster-wide final-memory digest,
 // available after the run finished.
@@ -637,7 +663,8 @@ func (m *Member) FlightRecorder() *flight.Recorder { return m.flight }
 // FlightTimeline returns the merged cluster-wide flight timeline in
 // (Wall, Logical) HLC order. Populated on node 0 only, after the
 // application verdict exchange (FinishApp or AbortApp) gathered every
-// member's ring; empty elsewhere or when recording was off.
+// member's ring — node 0's own when a member died before handing its
+// ring in; empty elsewhere or when recording was off.
 func (m *Member) FlightTimeline() []flight.Event { return m.timeline }
 
 // DataFrames reports the engine data frames this process has sent plus
@@ -680,14 +707,16 @@ func (m *Member) ShipTelemetry(snap telemetry.Snapshot) {
 	m.tr.SendTelemetry(0, buf)
 }
 
-// TelemetrySnapshots returns the cluster view accumulated from shipped
-// snapshots, sorted by node. On node 0 this covers every member that
-// has shipped at least once; other members see at most their own.
+// TelemetrySnapshots returns the cluster view, sorted by node: this
+// member's registry as it reads now and the latest snapshot each other
+// member has shipped here (to node 0; elsewhere none).
 func (m *Member) TelemetrySnapshots() []telemetry.Snapshot {
+	snaps := []telemetry.Snapshot{m.reg.Snapshot()}
 	m.telMu.Lock()
-	snaps := make([]telemetry.Snapshot, 0, len(m.telView))
-	for _, s := range m.telView {
-		snaps = append(snaps, s)
+	for from, s := range m.telView {
+		if from != m.cfg.ID {
+			snaps = append(snaps, s)
+		}
 	}
 	m.telMu.Unlock()
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Node < snaps[j].Node })
@@ -695,9 +724,9 @@ func (m *Member) TelemetrySnapshots() []telemetry.Snapshot {
 }
 
 // Completed reports whether the application verdict exchange has run
-// (FinishApp or AbortApp): a daemon whose app errored before the
-// exchange must AbortApp so peers learn of the failure; one whose app
-// errored *from* the exchange must not run it twice.
+// (FinishApp or AbortApp): an application error from before the exchange
+// must be reported into it so peers learn of the failure; one *from* the
+// exchange must not run it twice (see Run).
 func (m *Member) Completed() bool { return m.hasResult }
 
 // Quiesce implements live.Quiescer: distributed termination detection.
@@ -801,6 +830,7 @@ var (
 	_ transport.Transport     = (*Member)(nil)
 	_ transport.DepthReporter = (*Member)(nil)
 	_ transport.Pusher        = (*Member)(nil)
+	_ transport.FatalSink     = (*Member)(nil)
 	_ live.Quiescer           = (*Member)(nil)
 	_ live.Finisher           = (*Member)(nil)
 )

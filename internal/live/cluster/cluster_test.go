@@ -6,7 +6,7 @@ import (
 	"net"
 	"slices"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -37,33 +37,66 @@ func bindAddrs(t *testing.T, n int) ([]net.Listener, []string) {
 	return lns, addrs
 }
 
-// runMembers bootstraps an n-member cluster in-process (each member a
-// goroutine standing in for one dsmnode process) and runs fn on every
-// member concurrently, returning the per-member outcomes.
-func runMembers(t *testing.T, n int, check bool, fn func(m *Member) (apps.Result, error)) ([]apps.Result, []error) {
+// runMembers is how every test here stands a cluster up: n goroutines, each
+// one dsmnode process's worth — Join, live, Leave. tune adjusts a member's
+// Config (ID, Addrs, Listener, a digest and a dial budget are filled in)
+// and says whether that member starts at all; a member that fails to join
+// reports that and lives nothing. live is the member's life, which outside
+// the tests that script the control plane by hand is m.Run. A member still
+// running after hangBound fails the test by name, so "nothing hangs" is
+// part of every test.
+func runMembers(t *testing.T, n int, tune func(cfg *Config) bool, live func(m *Member) (apps.Result, error)) ([]apps.Result, []error) {
 	t.Helper()
 	lns, addrs := bindAddrs(t, n)
 	results := make([]apps.Result, n)
 	errs := make([]error, n)
-	var wg sync.WaitGroup
+	left := make(chan int, n)
 	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m, err := Join(Config{
-				ID: memory.NodeID(i), Addrs: addrs, Digest: 0xD15C0, Check: check,
-				Listener: lns[i], DialTimeout: 10 * time.Second,
-			})
+		cfg := Config{
+			ID: memory.NodeID(i), Addrs: addrs, Digest: 0xD15C0,
+			Listener: lns[i], DialTimeout: 10 * time.Second,
+		}
+		if !tune(&cfg) {
+			lns[i].Close()
+			left <- i
+			continue
+		}
+		go func() {
+			defer func() { left <- i }()
+			m, err := Join(cfg)
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			defer m.Leave()
-			results[i], errs[i] = fn(m)
-		}(i)
+			results[i], errs[i] = live(m)
+		}()
 	}
-	wg.Wait()
+	gone := make([]bool, n)
+	bound := time.After(hangBound)
+	for range n {
+		select {
+		case i := <-left:
+			gone[i] = true
+		case <-bound:
+			t.Fatalf("after %v not every member has left: %v", hangBound, gone)
+		}
+	}
 	return results, errs
+}
+
+// hangBound is far beyond what any test's cluster needs (the longest, an
+// abort waiting out its grace timer, takes seconds).
+const hangBound = 60 * time.Second
+
+// checked and unchecked are the usual tunes: every member starts, with the
+// end-state gate on or off.
+func checked(cfg *Config) bool   { cfg.Check = true; return true }
+func unchecked(cfg *Config) bool { return true }
+
+// running makes run a member's life: Run over o.
+func running(o apps.Options, run func(apps.Options) (apps.Result, error)) func(*Member) (apps.Result, error) {
+	return func(m *Member) (apps.Result, error) { return m.Run(o, run) }
 }
 
 // TestCrossEngineTCPDigest is the acceptance gate in-process: the same
@@ -99,12 +132,7 @@ func TestCrossEngineTCPDigest(t *testing.T) {
 					t.Fatalf("live/chanloop: %v", err)
 				}
 
-				results, errs := runMembers(t, nodes, true, func(m *Member) (apps.Result, error) {
-					o := base
-					o.Engine = "live"
-					o.Multi = m
-					return tc.run(o)
-				})
+				results, errs := runMembers(t, nodes, checked, running(base, tc.run))
 				for i, err := range errs {
 					if err != nil {
 						t.Fatalf("live/tcp member %d: %v", i, err)
@@ -147,11 +175,9 @@ func TestScenarioOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d sim: %v", seed, err)
 		}
-		results, errs := runMembers(t, p.Nodes, true, func(m *Member) (apps.Result, error) {
-			o := base
-			o.Nodes, o.Engine, o.Multi = p.Nodes, "live", m
+		results, errs := runMembers(t, p.Nodes, checked, running(base, func(o apps.Options) (apps.Result, error) {
 			return apps.RunScenario(scenario.Generate(seed), o)
-		})
+		}))
 		for i, err := range errs {
 			if err != nil {
 				t.Fatalf("seed %d (%s) member %d: %v", seed, p.Family, i, err)
@@ -167,24 +193,21 @@ func TestScenarioOverTCP(t *testing.T) {
 }
 
 // TestScenarioFailsOnEveryMember: what a scenario run can find wrong, it
-// finds on the process that saw it, and dsmnode's AbortApp path carries it
-// to every member's verdict. A cluster of another size than the seed needs
-// is refused before anything runs, naming the size; a checked read that
-// disagrees with the model fails the member whose thread made it, node 0
-// or not.
+// finds on the process that saw it, and Run carries it to every member's
+// verdict. A cluster of another size than the seed needs is refused before
+// anything runs, naming the size; a checked read that disagrees with the
+// model fails the member whose thread made it, node 0 or not.
 func TestScenarioFailsOnEveryMember(t *testing.T) {
 	run := func(members int, seed uint64, tamper func(*scenario.Program)) (local, verdict []error) {
 		local = make([]error, members)
-		_, verdict = runMembers(t, members, true, func(m *Member) (apps.Result, error) {
-			p := scenario.Generate(seed)
-			tamper(p)
-			o := apps.Options{Config: dsm.Config{Nodes: members, Engine: "live"}, Check: true, Oracle: true, Multi: m}
-			res, err := apps.RunScenario(p, o)
-			if err != nil {
+		_, verdict = runMembers(t, members, checked, func(m *Member) (apps.Result, error) {
+			return m.Run(apps.Options{Check: true}, func(o apps.Options) (apps.Result, error) {
+				p := scenario.Generate(seed)
+				tamper(p)
+				res, err := apps.RunScenario(p, o)
 				local[m.LocalNode()] = err
-				err = m.AbortApp(err) // as cmd/dsmnode does
-			}
-			return res, err
+				return res, err
+			})
 		})
 		return local, verdict
 	}
@@ -218,6 +241,98 @@ func TestScenarioFailsOnEveryMember(t *testing.T) {
 	}
 }
 
+// Eight members in one process over real loopback sockets: what a member's
+// life being two library calls makes testable without eight processes.
+
+// TestEightMembersRunAScenario: generated programs spread over eight
+// members (their threads fill five or six; the rest serve as lock and
+// home managers) under the policy and locator that migrate most end with
+// the simulator's digest on every member.
+func TestEightMembersRunAScenario(t *testing.T) {
+	const members = 8
+	for _, seed := range []uint64{36, 41} {
+		spread := func(o apps.Options) (apps.Result, error) {
+			p := scenario.Generate(seed)
+			p.Nodes = members
+			return apps.RunScenario(p, o)
+		}
+		base := apps.Options{Config: dsm.Config{Policy: "JUMP", Locator: "manager"}, Check: true}
+		simRes, err := spread(base)
+		if err != nil {
+			t.Fatalf("seed %d sim: %v", seed, err)
+		}
+		results, errs := runMembers(t, members, checked, running(base, spread))
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("seed %d member %d: %v", seed, i, err)
+			}
+			if results[i].Digest != simRes.Digest {
+				t.Errorf("seed %d member %d digest %#x != sim digest %#x", seed, i, results[i].Digest, simRes.Digest)
+			}
+		}
+		if results[0].OracleOps == 0 {
+			t.Errorf("seed %d: merged oracle validated nothing", seed)
+		}
+	}
+}
+
+// TestEightMembersSurviveADeath: one member's connections are cut mid-run
+// (what its process dying looks like to the rest). Every member's Run — the
+// seven survivors' and the victim's own — returns a failure classified as
+// peer death within deathBound of the cut, none hangs (runMembers), and
+// node 0's timeline, which can no longer gather the others' rings, still
+// carries its own Abort event.
+func TestEightMembersSurviveADeath(t *testing.T) {
+	const (
+		members, victim = 8, 5
+		deathBound      = 10 * time.Second // AbortGrace and then some; in practice milliseconds
+	)
+	var cut atomic.Int64 // Unix nanoseconds
+	var back [members]time.Time
+	var timeline []flight.Event
+	_, errs := runMembers(t, members, func(cfg *Config) bool {
+		cfg.FlightCap = 1024
+		cfg.OnFatal = func(error) {} // a daemon would exit here; the failure is Run's to return
+		return true
+	}, func(m *Member) (apps.Result, error) {
+		over := make(chan struct{})
+		defer close(over)
+		if m.LocalNode() == victim {
+			go func() {
+				for m.DataFrames() < 300 {
+					select {
+					case <-over:
+						return
+					case <-time.After(200 * time.Microsecond):
+					}
+				}
+				cut.Store(time.Now().UnixNano())
+				m.tr.Sever(errors.New("chaos: connections cut mid-run"))
+			}()
+		}
+		res, err := m.Run(apps.Options{}, func(o apps.Options) (apps.Result, error) { return apps.RunASP(512, o) })
+		back[m.LocalNode()] = time.Now()
+		if m.LocalNode() == 0 {
+			timeline = m.FlightTimeline()
+		}
+		return res, err
+	})
+	if cut.Load() == 0 {
+		t.Fatal("the run ended before the cut")
+	}
+	for i, err := range errs {
+		if !errors.Is(err, ErrPeerDeath) {
+			t.Errorf("member %d: %v, want a failure classified as peer death", i, err)
+		}
+		if took := back[i].Sub(time.Unix(0, cut.Load())); took > deathBound {
+			t.Errorf("member %d returned %v after the cut, bound %v", i, took, deathBound)
+		}
+	}
+	if !slices.ContainsFunc(timeline, func(e flight.Event) bool { return e.Kind == flight.Abort && e.Node == 0 }) {
+		t.Errorf("node 0's timeline (%d events) carries no Abort event of its own", len(timeline))
+	}
+}
+
 // TestMemberOwnsOneNode: a member holds its own node and nothing else.
 // After a 4-member SOR run under the -check gate every member knows the
 // digest (the simulator's) and every home; the assembled memory is on
@@ -240,11 +355,12 @@ func TestMemberOwnsOneNode(t *testing.T) {
 
 	var clusters [nodes]*dsm.Cluster
 	var toPeers [nodes]int64 // node 0's bytes to each peer, run and finish
-	results, errs := runMembers(t, nodes, true, func(m *Member) (apps.Result, error) {
-		o := base
-		o.Engine, o.Multi = "live", m
-		o.OnCluster = func(c *dsm.Cluster) { clusters[m.LocalNode()] = c }
-		res, err := apps.RunSOR(n, iters, o)
+	results, errs := runMembers(t, nodes, checked, func(m *Member) (apps.Result, error) {
+		res, err := m.Run(base, func(o apps.Options) (apps.Result, error) {
+			built := o.OnCluster
+			o.OnCluster = func(c *dsm.Cluster) { clusters[m.LocalNode()] = c; built(c) }
+			return apps.RunSOR(n, iters, o)
+		})
 		if m.LocalNode() == 0 {
 			for p := 1; p < nodes; p++ {
 				ps, _ := m.PeerStats(memory.NodeID(p))
@@ -300,7 +416,7 @@ func TestMemberOwnsOneNode(t *testing.T) {
 // TestTruncatedFailFrameIsReported: a fail frame whose reason does not
 // decode must not surface as a failure with an empty reason.
 func TestTruncatedFailFrameIsReported(t *testing.T) {
-	_, errs := runMembers(t, 2, false, func(m *Member) (apps.Result, error) {
+	_, errs := runMembers(t, 2, unchecked, func(m *Member) (apps.Result, error) {
 		if m.LocalNode() == 0 {
 			m.tr.SendCtrl(1, []byte{byte(ctlFail), 0xFF, 0x01})
 			return apps.Result{}, nil
@@ -323,7 +439,7 @@ func TestTruncatedFailFrameIsReported(t *testing.T) {
 // zero report — fails the run naming node 1, and both members are told.
 func TestDuplicateReportIsAttributed(t *testing.T) {
 	const nodes = 3
-	_, errs := runMembers(t, nodes, false, func(m *Member) (apps.Result, error) {
+	_, errs := runMembers(t, nodes, unchecked, func(m *Member) (apps.Result, error) {
 		switch m.LocalNode() {
 		case 0:
 			sp := proto.NewSpace(&proto.Shared{Nodes: nodes})
@@ -350,28 +466,17 @@ func TestDuplicateReportIsAttributed(t *testing.T) {
 	}
 }
 
+// mismatched gives every member a different config digest.
+func mismatched(cfg *Config) bool {
+	cfg.Digest = uint64(100 + cfg.ID)
+	return true
+}
+
 // TestConfigMismatchRejected: a member started with different flags
 // (different config digest) must be rejected at the handshake, with an
 // error that says why.
 func TestConfigMismatchRejected(t *testing.T) {
-	lns, addrs := bindAddrs(t, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m, err := Join(Config{
-				ID: memory.NodeID(i), Addrs: addrs, Digest: uint64(100 + i), // mismatched
-				Listener: lns[i], DialTimeout: 5 * time.Second,
-			})
-			if err == nil {
-				m.Leave()
-			}
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
+	_, errs := runMembers(t, 2, mismatched, nil)
 	for i, err := range errs {
 		if err == nil {
 			t.Fatalf("member %d joined despite config mismatch", i)
@@ -383,34 +488,31 @@ func TestConfigMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestConfigMismatchClassified: the handshake rejection wraps
+// ErrConfigMismatch (the exit-code contract for dsmnode).
+func TestConfigMismatchClassified(t *testing.T) {
+	_, errs := runMembers(t, 2, mismatched, nil)
+	for i, err := range errs {
+		if !errors.Is(err, ErrConfigMismatch) {
+			t.Fatalf("member %d error not classified as config mismatch: %v", i, err)
+		}
+	}
+}
+
 // TestClusterSizeMismatchRejected: disagreeing cluster sizes fail the
 // handshake too.
 func TestClusterSizeMismatchRejected(t *testing.T) {
-	lns, addrs := bindAddrs(t, 2)
-	lns[1].Close()
-	done := make(chan error, 1)
-	go func() {
-		// Member 1 believes the cluster has three nodes.
-		m, err := Join(Config{
-			ID: 1, Addrs: []string{addrs[0], addrs[1], "127.0.0.1:1"},
-			Digest: 7, DialTimeout: 5 * time.Second,
-		})
-		if err == nil {
-			m.Leave()
+	_, errs := runMembers(t, 2, func(cfg *Config) bool {
+		if cfg.ID == 1 {
+			// Member 1 believes the cluster has three nodes.
+			cfg.Addrs = append(slices.Clone(cfg.Addrs), "127.0.0.1:1")
 		}
-		done <- err
-	}()
-	m, err := Join(Config{
-		ID: 0, Addrs: addrs, Digest: 7, Listener: lns[0], DialTimeout: 5 * time.Second,
-	})
-	if err == nil {
-		m.Leave()
-		t.Fatal("node 0 accepted a peer from a different-size cluster")
+		return true
+	}, nil)
+	if errs[0] == nil || !strings.Contains(errs[0].Error(), "cluster size") {
+		t.Fatalf("node 0 accepted a peer from a different-size cluster, or does not name the size: %v", errs[0])
 	}
-	if !strings.Contains(err.Error(), "cluster size") {
-		t.Fatalf("error does not name the cluster size: %v", err)
-	}
-	if err := <-done; err == nil {
+	if errs[1] == nil {
 		t.Fatal("mismatched member joined")
 	}
 }
@@ -418,7 +520,7 @@ func TestClusterSizeMismatchRejected(t *testing.T) {
 // TestAbortPropagates: one member failing its application must fail
 // every member, with the verdict naming the failing node.
 func TestAbortPropagates(t *testing.T) {
-	_, errs := runMembers(t, 3, false, func(m *Member) (apps.Result, error) {
+	_, errs := runMembers(t, 3, unchecked, func(m *Member) (apps.Result, error) {
 		if m.LocalNode() == 1 {
 			return apps.Result{}, m.AbortApp(errors.New("synthetic wreck"))
 		}
@@ -438,120 +540,72 @@ func TestAbortPropagates(t *testing.T) {
 // TestSingleMemberCluster: n=1 degenerates to an in-process run with
 // the same API surface (no sockets at all).
 func TestSingleMemberCluster(t *testing.T) {
-	m, err := Join(Config{ID: 0, Addrs: []string{"unused"}, Check: true})
+	asp := func(o apps.Options) (apps.Result, error) { return apps.RunASP(12, o) }
+	results, errs := runMembers(t, 1, func(cfg *Config) bool {
+		cfg.Listener.Close()
+		cfg.Listener, cfg.Addrs, cfg.Check = nil, []string{"unused"}, true
+		return true
+	}, running(apps.Options{Check: true}, asp))
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	want, err := asp(apps.Options{Config: dsm.Config{Nodes: 1}, Check: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Leave()
-	o := apps.Options{Config: dsm.Config{Nodes: 1, Engine: "live"}, Check: true, Oracle: true, Multi: m}
-	res, err := apps.RunASP(12, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := apps.RunASP(12, apps.Options{Config: dsm.Config{Nodes: 1}, Check: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Digest != want.Digest {
-		t.Fatalf("digest %#x != sim digest %#x", res.Digest, want.Digest)
+	if results[0].Digest != want.Digest {
+		t.Fatalf("digest %#x != sim digest %#x", results[0].Digest, want.Digest)
 	}
 }
 
-// runSkewed runs a 3-member ASP cluster whose members' wall clocks
-// disagree by 10 seconds per node — far more than the run lasts, so a
-// raw wall-clock merge of the oracle logs would interleave entire
-// processes out of causal order.
-func runSkewed(t *testing.T) []error {
+// runSkewed runs a 3-member checked ASP cluster whose members' wall clocks
+// disagree by skewStep per node — far more than the run lasts, so a raw
+// wall-clock merge of the oracle logs, or of the flight rings it records
+// into, would interleave entire processes out of causal order — and
+// returns node 0's merged cluster timeline.
+func runSkewed(t *testing.T, skewStep time.Duration) []flight.Event {
 	t.Helper()
-	const n = 3
-	lns, addrs := bindAddrs(t, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			skew := int64(i) * 10 * int64(time.Second)
-			m, err := Join(Config{
-				ID: memory.NodeID(i), Addrs: addrs, Digest: 0x5EED, Check: true,
-				Listener: lns[i], DialTimeout: 10 * time.Second,
-				WallClock: func() int64 { return time.Now().UnixNano() + skew },
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer m.Leave()
-			o := apps.Options{Config: dsm.Config{Nodes: n, Engine: "live"}, Check: true, Oracle: true, Multi: m}
-			_, errs[i] = apps.RunASP(18, o)
-		}(i)
-	}
-	wg.Wait()
-	return errs
-}
-
-// TestOracleCorrectUnderClockSkew: with hybrid-logical-clock stamps
-// (carried on every frame, folded on receipt) the merged cluster-wide
-// LRC check passes under multi-second wall-clock skew.
-func TestOracleCorrectUnderClockSkew(t *testing.T) {
-	for i, err := range runSkewed(t) {
+	var timeline []flight.Event
+	_, errs := runMembers(t, 3, func(cfg *Config) bool {
+		skew := int64(cfg.ID) * int64(skewStep)
+		cfg.Check, cfg.FlightCap = true, 4096
+		cfg.WallClock = func() int64 { return time.Now().UnixNano() + skew }
+		return true
+	}, func(m *Member) (apps.Result, error) {
+		res, err := m.Run(apps.Options{Check: true}, func(o apps.Options) (apps.Result, error) { return apps.RunASP(18, o) })
+		if m.LocalNode() == 0 {
+			timeline = m.FlightTimeline()
+		}
+		return res, err
+	})
+	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("member %d failed under skew with HLC ordering: %v", i, err)
+			t.Fatalf("member %d failed under %v skew with HLC ordering: %v", i, skewStep, err)
 		}
 	}
+	return timeline
 }
 
 // TestBootstrapTimeoutClassified: a member whose peer never comes up
 // fails within its budget, wraps ErrBootstrapTimeout, and names the
 // unreachable peer's address.
 func TestBootstrapTimeoutClassified(t *testing.T) {
-	lns, addrs := bindAddrs(t, 2)
-	lns[0].Close() // node 0, the peer node 1 must dial, never starts
+	var absent string
 	start := time.Now()
-	m, err := Join(Config{
-		ID: 1, Addrs: addrs, Digest: 1, Listener: lns[1],
-		DialTimeout: 300 * time.Millisecond,
-	})
-	if err == nil {
-		m.Leave()
-		t.Fatal("joined a cluster with an absent peer")
-	}
+	_, errs := runMembers(t, 2, func(cfg *Config) bool {
+		absent = cfg.Addrs[0]
+		cfg.DialTimeout = 300 * time.Millisecond
+		return cfg.ID == 1 // node 0, the peer node 1 must dial, never starts
+	}, nil)
+	err := errs[1]
 	if !errors.Is(err, ErrBootstrapTimeout) {
 		t.Fatalf("error not classified as bootstrap timeout: %v", err)
 	}
-	if !strings.Contains(err.Error(), addrs[0]) && !strings.Contains(err.Error(), "node 0") {
+	if !strings.Contains(err.Error(), absent) && !strings.Contains(err.Error(), "node 0") {
 		t.Fatalf("error does not name the unreachable peer: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("timeout took %v, budget was 300ms", elapsed)
-	}
-}
-
-// TestConfigMismatchClassified: the handshake rejection wraps
-// ErrConfigMismatch (the exit-code contract for dsmnode).
-func TestConfigMismatchClassified(t *testing.T) {
-	lns, addrs := bindAddrs(t, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m, err := Join(Config{
-				ID: memory.NodeID(i), Addrs: addrs, Digest: uint64(i), // disagree
-				Listener: lns[i], DialTimeout: 5 * time.Second,
-			})
-			if err == nil {
-				m.Leave()
-			}
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if !errors.Is(err, ErrConfigMismatch) {
-			t.Fatalf("member %d error not classified as config mismatch: %v", i, err)
-		}
 	}
 }
 
@@ -560,93 +614,39 @@ func TestConfigMismatchClassified(t *testing.T) {
 // grace bound, classified as peer death — the clean-abort liveness
 // guarantee.
 func TestAbortGraceSeversWedgedExchange(t *testing.T) {
-	lns, addrs := bindAddrs(t, 2)
-	fatal := func(error) {} // failure surfaces through the exchange error
-	wedged := make(chan struct{})
-	done := make(chan error, 1)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		m, err := Join(Config{
-			ID: 0, Addrs: addrs, Digest: 9, Listener: lns[0],
-			DialTimeout: 10 * time.Second, AbortGrace: 500 * time.Millisecond,
-			OnFatal: fatal,
-		})
-		if err != nil {
-			done <- err
-			return
+	aborted := make(chan struct{})
+	var took time.Duration
+	_, errs := runMembers(t, 2, func(cfg *Config) bool {
+		cfg.AbortGrace = 500 * time.Millisecond
+		cfg.OnFatal = func(error) {} // failure surfaces through the exchange error
+		return true
+	}, func(m *Member) (apps.Result, error) {
+		if m.LocalNode() == 1 {
+			<-aborted // never sends its app report while the aborter waits
+			return apps.Result{}, nil
 		}
-		defer m.Leave()
-		done <- m.AbortApp(errors.New("local wreck"))
-	}()
-	go func() {
-		defer wg.Done()
-		m, err := Join(Config{
-			ID: 1, Addrs: addrs, Digest: 9, Listener: lns[1],
-			DialTimeout: 10 * time.Second, OnFatal: fatal,
-		})
-		if err != nil {
-			return
-		}
-		defer m.Leave()
-		<-wedged // never sends its app report while the aborter waits
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("abort against a wedged peer reported success")
-		}
-		if !errors.Is(err, ErrPeerDeath) {
-			t.Fatalf("wedged abort not classified as peer death: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("aborting member hung past its grace bound")
+		defer close(aborted)
+		start := time.Now()
+		err := m.AbortApp(errors.New("local wreck"))
+		took = time.Since(start)
+		return apps.Result{}, err
+	})
+	if errs[0] == nil {
+		t.Fatal("abort against a wedged peer reported success")
 	}
-	close(wedged)
-	wg.Wait()
+	if !errors.Is(errs[0], ErrPeerDeath) {
+		t.Fatalf("wedged abort not classified as peer death: %v", errs[0])
+	}
+	if took > 10*time.Second {
+		t.Fatalf("aborting member returned after %v, its grace bound is 500ms", took)
+	}
 }
 
-// runSkewedFlight runs a 3-member ASP cluster with per-member wall
-// skew of skewStep per node and flight recording on, and returns node
-// 0's merged cluster timeline.
-func runSkewedFlight(t *testing.T, skewStep time.Duration) []flight.Event {
-	t.Helper()
-	const n = 3
-	lns, addrs := bindAddrs(t, n)
-	errs := make([]error, n)
-	var timeline []flight.Event
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			skew := int64(i) * int64(skewStep)
-			m, err := Join(Config{
-				ID: memory.NodeID(i), Addrs: addrs, Digest: 0xF11647, Check: true,
-				Listener: lns[i], DialTimeout: 10 * time.Second,
-				WallClock: func() int64 { return time.Now().UnixNano() + skew },
-				FlightCap: 4096,
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer m.Leave()
-			o := apps.Options{Config: dsm.Config{Nodes: n, Engine: "live"}, Check: true, Multi: m}
-			_, errs[i] = apps.RunASP(18, o)
-			if errs[i] == nil && m.LocalNode() == 0 {
-				timeline = m.FlightTimeline()
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("member %d failed under %v skew: %v", i, skewStep, err)
-		}
-	}
-	return timeline
+// TestOracleCorrectUnderClockSkew: with hybrid-logical-clock stamps
+// (carried on every frame, folded on receipt) the merged cluster-wide
+// LRC check passes under multi-second wall-clock skew.
+func TestOracleCorrectUnderClockSkew(t *testing.T) {
+	runSkewed(t, 10*time.Second)
 }
 
 // TestFlightTimelineHLCOrderedUnderSkew: the merged cluster flight
@@ -656,7 +656,7 @@ func runSkewedFlight(t *testing.T, skewStep time.Duration) []flight.Event {
 // frames carry, so a send never sorts after its receive.
 func TestFlightTimelineHLCOrderedUnderSkew(t *testing.T) {
 	for _, skewStep := range []time.Duration{10 * time.Second, -20 * time.Second} {
-		timeline := runSkewedFlight(t, skewStep)
+		timeline := runSkewed(t, skewStep)
 		if len(timeline) == 0 {
 			t.Fatalf("skew %v: node 0 gathered no cluster timeline", skewStep)
 		}

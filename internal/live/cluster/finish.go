@@ -124,17 +124,14 @@ func (m *Member) FinishApp(c *dsm.Cluster, res *apps.Result, check, oracleOn boo
 	if oracleOn && m.rec != nil {
 		rep.Ops = m.rec.ops
 	}
-	if m.flight != nil {
-		rep.Flight = m.flight.Snapshot()
-	}
 	return m.appExchange(c, res, rep, oracleOn)
 }
 
 // AbortApp reports a local application failure (argument validation,
 // result mismatch, an engine abort) into the verdict exchange, so the
 // other members learn the cluster failed instead of hanging, and
-// returns the cluster-wide error. Use it from the daemon when the
-// application returned an error without reaching FinishApp.
+// returns the cluster-wide error. Run calls it when the application
+// returned an error without reaching FinishApp.
 //
 // The graceful exchange assumes peers reach their own exchange; a peer
 // wedged mid-run (say, blocked on frames this member will never send)
@@ -153,15 +150,15 @@ func (m *Member) AbortApp(appErr error) error {
 	}
 	rep := appReportBody{Err: appErr.Error()}
 	m.flight.Record(flight.Event{Kind: flight.Abort})
-	if m.flight != nil {
-		rep.Flight = m.flight.Snapshot()
-	}
 	var res apps.Result
 	return m.appExchange(nil, &res, rep, false)
 }
 
 func (m *Member) appExchange(c *dsm.Cluster, res *apps.Result, rep appReportBody, oracleOn bool) error {
 	m.hasResult = true
+	if m.flight != nil {
+		rep.Flight = m.flight.Snapshot()
+	}
 	if m.n > 1 && m.cfg.ID != 0 {
 		m.send(0, ctlAppReport, rep)
 		_, body, err := m.expect(ctlVerdict)
@@ -185,6 +182,9 @@ func (m *Member) appExchange(c *dsm.Cluster, res *apps.Result, rep appReportBody
 	reports[m.cfg.ID] = rep
 	bodies, err := m.gather(ctlAppReport)
 	if err != nil {
+		// A member died: what is left of the cluster's timeline is this
+		// node's own ring, its Abort event included.
+		m.timeline = rep.Flight
 		return m.failClusterErr(err)
 	}
 	for from := 1; from < m.n; from++ {

@@ -245,13 +245,10 @@ func New(cfg Config) *Cluster {
 		n.ps.Eng = n
 		n.ps.Counters = &n.counters
 		switch {
-		case cfg.FlightLocal != nil && cfg.FlightLocal.Node() == memory.NodeID(i):
-			n.flight = cfg.FlightLocal
+		case cfg.FlightLocal != nil && cfg.FlightLocal.Node() == ps.ID:
+			c.AttachFlight(cfg.FlightLocal)
 		case stamp != nil:
-			n.flight = flight.NewRecorder(memory.NodeID(i), cfg.FlightCap, stamp)
-		}
-		if n.flight != nil {
-			n.ps.Subscribe(n.flight)
+			c.AttachFlight(flight.NewRecorder(ps.ID, cfg.FlightCap, stamp))
 		}
 		c.nodes = append(c.nodes, n)
 	}
@@ -351,29 +348,6 @@ func (c *Cluster) Subscribe(sub flight.Subscriber) {
 	if sub != nil {
 		c.Space.Subscribe(&serialized{Subscriber: sub})
 	}
-}
-
-// FlightRecorders returns the per-node flight recorders, indexed by node
-// id; entries are nil when no recorder is attached (recording disabled,
-// or a node another process runs).
-func (c *Cluster) FlightRecorders() []*flight.Recorder {
-	recs := make([]*flight.Recorder, c.cfg.Nodes)
-	for _, n := range c.nodes {
-		recs[n.ps.ID] = n.flight
-	}
-	return recs
-}
-
-// FlightEvents merges every attached recorder's ring into one
-// (Wall, Logical)-ordered timeline. Call after Run.
-func (c *Cluster) FlightEvents() []flight.Event {
-	var logs [][]flight.Event
-	for _, n := range c.nodes {
-		if n.flight != nil {
-			logs = append(logs, n.flight.Snapshot())
-		}
-	}
-	return flight.Merge(logs...)
 }
 
 // Config returns the effective configuration.
@@ -518,9 +492,6 @@ type node struct {
 	mu       sync.Mutex
 	threads  []*Thread
 	counters stats.Counters
-	// flight is the node's ring, nil when recording is off; the protocol
-	// reaches it as a subscriber of ps, this field serves FlightRecorders.
-	flight *flight.Recorder
 }
 
 // Send implements proto.Engine: encode through the wire codec into a

@@ -530,6 +530,30 @@ type PeerStats struct {
 	LastRecv   int64 // wall nanos of the last bytes read; 0 when none yet
 }
 
+// PeerMetrics names each PeerStats field as the series a member exports it
+// under, once per peer: a field added above gets its row here. Gauge marks
+// the one reading that is not a running total.
+var PeerMetrics = []struct {
+	Name, Help string
+	Gauge      bool
+	Read       func(PeerStats) int64
+}{
+	{"dsm_peer_frames_sent_total", "Frames sent to this peer across all channels.", false, func(ps PeerStats) int64 { return ps.FramesSent }},
+	{"dsm_peer_frames_recv_total", "Frames received from this peer across all channels.", false, func(ps PeerStats) int64 { return ps.FramesRecv }},
+	{"dsm_peer_bytes_sent_total", "Wire bytes (headers included) sent to this peer.", false, func(ps PeerStats) int64 { return ps.BytesSent }},
+	{"dsm_peer_bytes_recv_total", "Wire bytes (headers included) received from this peer.", false, func(ps PeerStats) int64 { return ps.BytesRecv }},
+	{"dsm_peer_writes_total", "Socket writes to this peer; frames sent over writes is the coalescing ratio.", false, func(ps PeerStats) int64 { return ps.Writes }},
+	{"dsm_peer_relayed_frames_total", "Frames to this peer that a reader flushed itself; over frames sent, the share that cost no goroutine hand-off.", false, func(ps PeerStats) int64 { return ps.Relayed }},
+	{"dsm_peer_reads_total", "Socket reads from this peer; frames received over reads is the receive-side ratio.", false, func(ps PeerStats) int64 { return ps.Reads }},
+	{"dsm_peer_heartbeats_total", "Heartbeat frames received from this peer.", false, func(ps PeerStats) int64 { return ps.Heartbeats }},
+	{"dsm_peer_silence_ms", "Milliseconds since anything was last received from this peer (0 until first receipt).", true, func(ps PeerStats) int64 {
+		if ps.LastRecv == 0 {
+			return 0
+		}
+		return (time.Now().UnixNano() - ps.LastRecv) / 1e6
+	}},
+}
+
 // PeerStats reports the link counters toward node id; ok is false for
 // the local node and absent peers.
 func (t *Transport) PeerStats(id memory.NodeID) (PeerStats, bool) {

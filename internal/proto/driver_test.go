@@ -390,6 +390,92 @@ func TestDriverStaleManagerReplyRetriesQuery(t *testing.T) {
 	}
 }
 
+// Every new home reports to the manager over its own pair connection, and
+// two connections are not ordered: the update of a later home can overtake
+// an earlier one's. The manager keeps the newest epoch's, not the last to
+// arrive — a table left on a demoted node answers every query with it, that
+// node's hint leads back to the manager, and the fault-in never returns
+// (real sockets reach this; virtual time does not).
+func TestDriverManagerKeepsNewestEpoch(t *testing.T) {
+	const obj = 1 // managed by node 1
+	w := newWorld(t, locator.Manager, 4, obj, 2)
+	// The home bounces 2 -> 3 -> 2 -> 3: node 3 reports epochs 1 and 3 on
+	// one connection, node 2 epoch 2 on another.
+	w.moveHome(2, 3)
+	w.moveHome(3, 2)
+	w.moveHome(2, 3)
+	updates := w.hold(wire.MgrUpdate)
+	if got := frames(updates); !slices.Equal(got, []string{"MgrUpdate>1", "MgrUpdate>1", "MgrUpdate>1"}) {
+		t.Fatalf("held %v", got)
+	}
+	// Node 2's link is the slow one; each link stays FIFO.
+	w.wire = append(w.wire, updates[0], updates[2], updates[1])
+	w.drain()
+	if mgr := w.sp.Nodes[1]; mgr.MgrHome[obj] != 3 {
+		t.Fatalf("manager's table names node %d after epochs 1, 3, 2 arrived in that order; the home is node 3", mgr.MgrHome[obj])
+	}
+
+	w.script(
+		step{name: "fault-in at the initial home, long demoted", on: recv,
+			sent: []string{"ObjReq>2"}, want: objState{Cache: "none", Hint: 2}},
+		step{name: "home miss: ask the manager", on: recv,
+			sent: []string{"MgrQuery>1"}, want: objState{Cache: "none", Hint: 3}},
+		step{name: "the manager names the home", on: recv,
+			sent: []string{"ObjReq>3"}, want: objState{Cache: "none", Hint: 3}},
+	)
+	if v := w.d.Read(obj, 0); v != 5 {
+		t.Fatalf("Read = %d, want 5", v)
+	}
+	w.done()
+}
+
+// The broadcast locator has the same fan-in at every node: one
+// announcement per new home, each on its own connection. Believing the
+// last to arrive can close a ring of stale hints that leaves the home out
+// (here 2 -> 3 -> 4 -> 2 with the home on node 1), around which a fault-in
+// is bounced forever. The schedule is legal: every link is FIFO, and each
+// home heard its predecessor's broadcast before that predecessor's
+// migrating reply, which travels the same link.
+func TestDriverBroadcastKeepsNewestEpoch(t *testing.T) {
+	w := newWorld(t, locator.Broadcast, 5, 0, 1)
+	var late [][]wire.Msg // per epoch, the broadcasts still in flight
+	move := func(from, to, next memory.NodeID) {
+		w.moveHome(from, to)
+		var held []wire.Msg
+		for _, f := range w.hold(wire.HomeBcast) {
+			if f.To == next {
+				w.wire = append(w.wire, f)
+			} else {
+				held = append(held, f)
+			}
+		}
+		w.drain()
+		late = append(late, held)
+	}
+	move(1, 2, 3)
+	move(2, 3, 4)
+	move(3, 4, 1)
+	move(4, 1, memory.NoNode)
+	// The slower a link, the older what it carries: epoch 4 lands first
+	// everywhere, epoch 1 last.
+	for epoch := len(late) - 1; epoch >= 0; epoch-- {
+		w.wire = append(w.wire, late[epoch]...)
+		w.drain()
+	}
+	for id, n := range w.sp.Nodes {
+		if h := n.Loc.Hint(w.obj); h != 1 {
+			t.Errorf("node %d believes the home is node %d; it is node 1", id, h)
+		}
+	}
+
+	w.script(step{name: "fault-in at the home", on: recv,
+		sent: []string{"ObjReq>1"}, want: objState{Cache: "none", Hint: 1}})
+	if v := w.d.Read(w.obj, 0); v != 5 {
+		t.Fatalf("Read = %d, want 5", v)
+	}
+	w.done()
+}
+
 // A diff that comes back unapplied after the home migrated HERE is folded
 // into the home copy locally, and its buffer goes back to the pool.
 func TestDriverDiffBouncedToNewLocalHomeSettles(t *testing.T) {

@@ -43,6 +43,9 @@ type Node struct {
 	MyWrites []memory.ObjectID        // objects this node wrote this interval (Jiajia)
 	MgrHome  []memory.NodeID          // manager-locator current-home table
 	Loc      *locator.Table
+	// homeEpoch is the newest migration epoch announced here per object
+	// (MgrUpdate at the manager, HomeBcast anywhere); see announced.
+	homeEpoch []uint32
 
 	HomeList   []memory.ObjectID // objects homed here
 	CachedList []memory.ObjectID // cached (non-home) copies, possibly stale entries
@@ -85,6 +88,7 @@ func (n *Node) growObjects(total int) {
 		n.HomeSt = append(n.HomeSt, nil)
 		n.Copyset = append(n.Copyset, nil)
 		n.MgrHome = append(n.MgrHome, memory.NoNode)
+		n.homeEpoch = append(n.homeEpoch, 0)
 	}
 	n.Loc.Grow(total)
 }
@@ -147,7 +151,9 @@ func (n *Node) Handle(msg wire.Msg) {
 	case wire.BarrierGo:
 		n.ApplyBarrierGo(msg)
 	case wire.MgrUpdate:
-		n.MgrHome[msg.Obj] = msg.Home
+		if n.announced(msg.Obj, msg.Seq) {
+			n.MgrHome[msg.Obj] = msg.Home
+		}
 	case wire.MgrQuery:
 		n.Eng.Send(wire.Msg{
 			Kind: wire.MgrReply, From: n.ID, To: msg.ReplyNode,
@@ -156,7 +162,9 @@ func (n *Node) Handle(msg wire.Msg) {
 	case wire.MgrReply, wire.ObjReply, wire.LockGrant, wire.HomeMiss:
 		n.Eng.ToThread(msg.ReplySlot, msg)
 	case wire.HomeBcast:
-		n.Loc.Learn(msg.Obj, msg.Home)
+		if n.announced(msg.Obj, msg.Seq) {
+			n.Loc.Learn(msg.Obj, msg.Home)
+		}
 	case wire.PtrUpdate:
 		// Path compression: short-circuit this node's forwarding pointer.
 		// A stale update racing with this node becoming home again is
@@ -170,6 +178,24 @@ func (n *Node) Handle(msg wire.Msg) {
 	default:
 		panic(fmt.Sprintf("proto: node %d cannot handle %v", n.ID, msg.Kind))
 	}
+}
+
+// announced reports whether a new home's announcement for migration epoch
+// (core.Record.Epoch: it numbers an object's homes in order) is news here,
+// and remembers the newest. Each home announces itself on its own pair
+// connection and nothing orders two connections, so a later home's can
+// overtake an earlier one's; believing the last to arrive leaves the
+// manager's table (or, broadcast, a ring of hints) on a demoted node for
+// good, and a fault-in is bounced between stale answers forever — over
+// real sockets; virtual time never lines it up. A barrier-time
+// reassignment opens no epoch and writes the table as is (applyAssign): a
+// policy that reassigns at barriers never migrates at a fault.
+func (n *Node) announced(obj memory.ObjectID, epoch uint32) bool {
+	if epoch < n.homeEpoch[obj] {
+		return false
+	}
+	n.homeEpoch[obj] = epoch
+	return true
 }
 
 // handleObjReq serves a fault-in at the object's (believed) home.

@@ -71,3 +71,24 @@ func (sp *Space) Subscribe(sub flight.Subscriber) {
 		n.Subscribe(sub)
 	}
 }
+
+// AttachFlight subscribes a flight ring to the node it records for and
+// lists it; engines attach every ring they create or are handed.
+func (sp *Space) AttachFlight(rec *flight.Recorder) {
+	sp.Nodes[rec.Node()].Subscribe(rec)
+	sp.flights = append(sp.flights, rec)
+}
+
+// FlightRecorders returns the attached rings in node order: none when
+// recording is off.
+func (sp *Space) FlightRecorders() []*flight.Recorder { return sp.flights }
+
+// FlightEvents merges every attached ring into one (Wall, Logical)-ordered
+// timeline. Call after Run.
+func (sp *Space) FlightEvents() []flight.Event {
+	logs := make([][]flight.Event, 0, len(sp.flights))
+	for _, r := range sp.flights {
+		logs = append(logs, r.Snapshot())
+	}
+	return flight.Merge(logs...)
+}

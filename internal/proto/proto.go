@@ -81,6 +81,9 @@ type Cluster interface {
 	// EndState is the memory the run left and the first protocol
 	// invariant it violates, if any (see Assemble).
 	EndState() (*EndState, error)
+	// The attached flight rings (Space.AttachFlight) and their merge.
+	FlightRecorders() []*flight.Recorder
+	FlightEvents() []flight.Event
 }
 
 // Shared is the engine-independent cluster configuration — the protocol
@@ -149,12 +152,14 @@ func DefaultShared(nodes int, alpha func(objBytes, diffBytes int) float64) Share
 // Space, which gives their cluster type the declaration half of the
 // Cluster contract (AddObject, InitObject, AddLock, AddBarrier) and the
 // post-run inspection half (NumObjects, EndState and its readers HomeOf,
-// ObjectData, CheckInvariants, Digest); the engine adds Run, which seals
-// the layout.
+// ObjectData, CheckInvariants, Digest; FlightRecorders, FlightEvents); the
+// engine adds Run, which seals the layout.
 type Space struct {
 	S *Shared
 	// Nodes is indexed by node id; see Release for the nil entries.
 	Nodes []*Node
+	// flights are the attached flight rings (AttachFlight).
+	flights []*flight.Recorder
 	// sealed is set when the run starts: the layout is fixed from then on.
 	sealed bool
 	// end is the Installed end state of a space that Released nodes.

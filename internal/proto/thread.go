@@ -170,6 +170,10 @@ func (n *Node) Install(msg wire.Msg) *memory.Object {
 // NotifyNewHome performs the locator-specific announcement after this
 // node became an object's home.
 func (n *Node) NotifyNewHome(obj memory.ObjectID) {
+	// The epoch this home opened rides in Seq, which announcements do not
+	// otherwise use: receivers, this node included, keep the newest.
+	epoch := uint32(n.HomeSt[obj].Epoch)
+	n.announced(obj, epoch)
 	switch n.S.Locator {
 	case locator.Manager:
 		mgr := locator.ManagerOf(obj, n.S.Nodes)
@@ -178,11 +182,11 @@ func (n *Node) NotifyNewHome(obj memory.ObjectID) {
 			return
 		}
 		n.Eng.Send(wire.Msg{
-			Kind: wire.MgrUpdate, From: n.ID, To: mgr, Obj: obj, Home: n.ID,
+			Kind: wire.MgrUpdate, From: n.ID, To: mgr, Obj: obj, Home: n.ID, Seq: epoch,
 		}, stats.MgrMsg)
 	case locator.Broadcast:
 		n.Eng.Broadcast(wire.Msg{
-			Kind: wire.HomeBcast, From: n.ID, Obj: obj, Home: n.ID,
+			Kind: wire.HomeBcast, From: n.ID, Obj: obj, Home: n.ID, Seq: epoch,
 		}, stats.HomeBcast)
 	}
 }

@@ -216,19 +216,43 @@ func (e *Env) pop() event {
 	return top
 }
 
-// fire executes one event in kernel context.
-func (e *Env) fire(ev *event) {
-	switch ev.kind {
-	case evActivate:
-		e.activate(ev.proc)
-	case evDeliver:
-		if ev.inflight != nil {
-			*ev.inflight--
+// next dispatches events on the calling goroutine, in (t, seq) order, until
+// the baton has to leave it: it returns the proc whose activation came up
+// (a parking caller's own, possibly), or nil when there is nothing to
+// dispatch — the heap drained, or a failure needs shutting down. The kernel
+// loop, a parking proc and a finished one all dispatch through here.
+//
+//dsm:hotpath
+func (e *Env) next() *Proc {
+	for e.failure == nil && len(e.events) > 0 {
+		ev := e.pop()
+		e.now = ev.t
+		e.stats.Events++
+		switch ev.kind {
+		case evActivate:
+			if !ev.proc.done {
+				e.stats.Activations++
+				return ev.proc
+			}
+		case evDeliver:
+			if ev.inflight != nil {
+				*ev.inflight--
+			}
+			ev.q.Send(ev.msg)
+		default:
+			e.runFn(ev.fn, ev.q)
 		}
-		ev.q.Send(ev.msg)
-	default:
-		e.runFn(ev.fn, ev.q)
 	}
+	return nil
+}
+
+// pass hands the baton to q, or for nil back to the kernel loop.
+func (e *Env) pass(q *Proc) {
+	if q == nil {
+		e.parked <- struct{}{}
+		return
+	}
+	q.resume <- struct{}{}
 }
 
 // runFn runs an evFn callback, converting a panic into the run's failure.
@@ -319,7 +343,7 @@ func (p *Proc) main(fn func(*Proc)) {
 			e.parked <- struct{}{}
 			return
 		}
-		e.handoff()
+		e.pass(e.next())
 	}()
 	<-p.resume
 	if p.kill {
@@ -327,18 +351,6 @@ func (p *Proc) main(fn func(*Proc)) {
 	}
 	p.state = "running"
 	fn(p)
-}
-
-// activate hands control to p and waits until the baton returns to the
-// kernel (queue drained, or a failure). Must only be called from the
-// kernel loop.
-func (e *Env) activate(p *Proc) {
-	if p.done {
-		return
-	}
-	e.stats.Activations++
-	p.resume <- struct{}{}
-	<-e.parked
 }
 
 // park suspends the calling proc until its next activation.
@@ -356,75 +368,17 @@ func (e *Env) activate(p *Proc) {
 func (p *Proc) park(why string) {
 	e := p.env
 	p.state = why
-	for {
-		if e.failure != nil || len(e.events) == 0 {
-			// Nothing we can dispatch: return the baton to the kernel
-			// and wait for our next activation.
-			e.parked <- struct{}{}
-			break
-		}
-		ev := e.pop()
-		e.now = ev.t
-		e.stats.Events++
-		switch ev.kind {
-		case evActivate:
-			q := ev.proc
-			if q.done {
-				continue
-			}
-			e.stats.Activations++
-			if q == p {
-				p.state = "running"
-				return // our own wakeup: keep running, no handoff at all
-			}
-			q.resume <- struct{}{}
-		case evDeliver:
-			if ev.inflight != nil {
-				*ev.inflight--
-			}
-			ev.q.Send(ev.msg)
-			continue
-		default:
-			e.runFn(ev.fn, ev.q)
-			continue
-		}
-		break
+	q := e.next()
+	if q == p {
+		p.state = "running"
+		return // our own wakeup: keep running, no handoff at all
 	}
+	e.pass(q)
 	<-p.resume
 	if p.kill {
 		panic(killPanic{})
 	}
 	p.state = "running"
-}
-
-// handoff dispatches events from a finished proc's goroutine until the
-// baton passes to another proc or returns to the kernel.
-func (e *Env) handoff() {
-	for {
-		if e.failure != nil || len(e.events) == 0 {
-			e.parked <- struct{}{}
-			return
-		}
-		ev := e.pop()
-		e.now = ev.t
-		e.stats.Events++
-		switch ev.kind {
-		case evActivate:
-			if ev.proc.done {
-				continue
-			}
-			e.stats.Activations++
-			ev.proc.resume <- struct{}{}
-			return
-		case evDeliver:
-			if ev.inflight != nil {
-				*ev.inflight--
-			}
-			ev.q.Send(ev.msg)
-		default:
-			e.runFn(ev.fn, ev.q)
-		}
-	}
 }
 
 // Sleep advances this proc's progress by d of virtual time, letting other
@@ -450,16 +404,13 @@ func (e *Env) Run() error {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.events) > 0 {
-		ev := e.pop()
-		e.now = ev.t
-		e.stats.Events++
-		e.fire(&ev)
-		if e.failure != nil {
-			f := e.failure
-			e.shutdown()
-			return f
-		}
+	for p := e.next(); p != nil; p = e.next() {
+		p.resume <- struct{}{}
+		<-e.parked // the baton is back: the heap drained, or a failure
+	}
+	if f := e.failure; f != nil {
+		e.shutdown()
+		return f
 	}
 	if e.nlive > 0 {
 		var parked []string

@@ -111,6 +111,14 @@ func NewRegistry(node int, common string) *Registry {
 	return &Registry{node: node, common: common}
 }
 
+// SetCommon replaces the label fragment (a cluster member's registry
+// exists before its run names the policy).
+func (r *Registry) SetCommon(common string) {
+	r.mu.Lock()
+	r.common = common
+	r.mu.Unlock()
+}
+
 // Node returns the owning node's id.
 func (r *Registry) Node() int { return r.node }
 
