@@ -19,8 +19,8 @@ import (
 // The other end of a push delivery is held to the same rule: a function
 // handed to a SetSink call (transport.Pusher) receives a frame it owns,
 // so its []byte parameter is tracked from entry as if GetFrame had
-// produced it there — every path must recycle it or send it on (the
-// live engine's requeue path re-sends the original frame).
+// produced it there — every path must recycle it or send it on (a
+// relaying sink re-sends the original frame).
 //
 // The analysis is function-local and branch-sensitive over the AST:
 // every variable initialized from a GetFrame call (possibly through

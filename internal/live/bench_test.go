@@ -79,3 +79,38 @@ func BenchmarkLiveLockedThroughput(b *testing.B) {
 	ops := float64(nodes * per)
 	b.ReportMetric(ops/m.Wall.Seconds(), "updates/sec")
 }
+
+// BenchmarkLiveLockKernel is this layer's row for the lock-inproc
+// workload, shaped like it: 4 nodes, node 0 hosts the counter and both
+// lock managers, workers on nodes 1–3 each take lock0 and then make 8
+// counter updates, each inside its own lock1 interval. One op is one
+// counter update.
+func BenchmarkLiveLockKernel(b *testing.B) {
+	const nodes, workers, reps = 4, 3, 8
+	c := New(DefaultConfig(nodes))
+	counter := c.AddObject(1, 0)
+	lock0, lock1 := c.AddLock(0), c.AddLock(0)
+	turns := (b.N + workers*reps - 1) / (workers * reps)
+	var ws []proto.Worker
+	for i := 1; i <= workers; i++ {
+		ws = append(ws, proto.Worker{Node: memory.NodeID(i), Name: fmt.Sprintf("w%d", i),
+			Fn: func(th proto.Thread) {
+				for k := 0; k < turns; k++ {
+					th.Acquire(lock0)
+					for j := 0; j < reps; j++ {
+						th.Acquire(lock1)
+						th.Write(counter, 0, th.Read(counter, 0)+1)
+						th.Release(lock1)
+					}
+					th.Release(lock0)
+				}
+			}})
+	}
+	b.ResetTimer()
+	if _, err := c.Run(ws); err != nil {
+		b.Fatal(err)
+	}
+	if got, want := c.ObjectData(counter)[0], uint64(turns*workers*reps); got != want {
+		b.Fatalf("counter = %d, want %d", got, want)
+	}
+}

@@ -3,14 +3,16 @@
 // Package live runs the Global Object Space protocol on real
 // goroutines: application threads as goroutines with channel-style
 // rendezvous for fault-in replies, lock grants and diff acks, and one
-// receive path per node (node.receive: decode, route, handle under the
-// node lock) run by whichever goroutine took the frame off the
-// transport — the node's protocol daemon, blocked in Recv, or, on a
-// backend that pushes (transport.Pusher: TCP), the backend's own reader,
-// which leaves the daemon only requeued and self-sent frames. Messages
-// between nodes cross a pluggable transport (internal/live/transport)
-// and are always encoded through the internal/wire binary codec — even
-// in-process — so a networked backend is a drop-in.
+// receive path per node (node.receive: decode, check, handle under the
+// node lock) run by whoever delivers the frame: on ChanLoop the sender's
+// own goroutine, once node.unlock has released the sender's lock; on TCP
+// the socket's reader; a protocol daemon per node, blocked in Recv, only
+// on a backend that cannot push (the fault injector, test decorators).
+// A frame that cannot be routed yet is parked at its node until an
+// unlock finds it routable. Messages between nodes cross a pluggable
+// transport (internal/live/transport) and are always encoded through the
+// internal/wire binary codec — even in-process — so a networked backend
+// is a drop-in.
 //
 // The protocol — node-side handlers and thread-side driver alike — is
 // the same code the virtual-time simulator runs (internal/proto): this
@@ -44,6 +46,7 @@ package live
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,7 +142,8 @@ type Cluster struct {
 	// methods (valid only after Run returned) are the cluster's own.
 	*proto.Space
 	tr    transport.Transport
-	nodes []*node // the nodes this process runs: all, or Config.LocalNode
+	push  transport.Deliverer // tr's delivery hook, when it has one
+	nodes []*node             // the nodes this process runs: all, or Config.LocalNode
 
 	start    time.Time
 	inflight atomic.Int64 // frames sent, not yet fully handled
@@ -282,7 +286,7 @@ func (c *Cluster) registerMetrics(reg *telemetry.Registry) {
 			for _, n := range c.nodes {
 				n.mu.Lock()
 				total += get(&n.counters)
-				n.mu.Unlock()
+				n.unlock()
 			}
 			return total
 		}
@@ -310,7 +314,7 @@ func (c *Cluster) registerMetrics(reg *telemetry.Registry) {
 			for _, n := range c.nodes {
 				n.mu.Lock()
 				dst.Add(get(&n.counters))
-				n.mu.Unlock()
+				n.unlock()
 			}
 		}
 	}
@@ -397,16 +401,18 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 		fs.SetFatal(c.Abort)
 	}
 	// A backend that can push runs each node's receive path on the
-	// goroutine that read the frame; the daemons below keep what it does
-	// not push.
+	// goroutine that delivers the frame; only one that cannot gets a
+	// daemon per node.
 	if p, ok := c.tr.(transport.Pusher); ok {
+		c.push, _ = p.(transport.Deliverer)
 		for _, n := range c.nodes {
 			p.SetSink(n.ps.ID, n.sink)
 		}
-	}
-	for _, n := range c.nodes {
-		c.daemons.Add(1)
-		go n.daemon()
+	} else {
+		for _, n := range c.nodes {
+			c.daemons.Add(1)
+			go n.daemon()
+		}
 	}
 	var wg sync.WaitGroup
 	for _, n := range c.nodes {
@@ -464,7 +470,7 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 	for _, n := range c.nodes {
 		n.mu.Lock()
 		m.Counters.Add(&n.counters)
-		n.mu.Unlock()
+		n.unlock()
 		for _, t := range n.threads {
 			if p := t.mbox.Peak(); p > m.LivePeakMailbox {
 				m.LivePeakMailbox = p
@@ -486,12 +492,51 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 type node struct {
 	c  *Cluster
 	ps *proto.Node
-	// mu guards ps (and counters) — held by receive around Handle
-	// and by local threads around access checks and sync operations,
-	// released while a thread blocks on its mailbox.
+	// mu guards ps, counters, parked and dests — held by receive around
+	// Handle and by local threads around access checks and sync
+	// operations, released (always through unlock) while a thread blocks
+	// on its mailbox.
 	mu       sync.Mutex
 	threads  []*Thread
 	counters stats.Counters
+	// parked holds the frames CanRoute rejected, decoded, in arrival
+	// order; dests the nodes this node queued frames for on a Deliverer
+	// since the lock was last released.
+	parked []wire.Msg
+	dests  []memory.NodeID
+}
+
+// unlock releases the node lock; every release goes through here. Under
+// the lock it first handles each parked frame that has become routable:
+// whatever made it so — a migrating reply installed, a barrier-go applied
+// — happened under this same lock. After releasing it, it pushes the
+// frames the holder queued (c.push) to their nodes, on this goroutine.
+func (n *node) unlock() {
+	for retry := true; retry && len(n.parked) > 0; {
+		retry = false
+		kept := n.parked[:0]
+		for _, msg := range n.parked {
+			if n.ps.CanRoute(msg) {
+				n.handle(&msg)
+				retry = true
+			} else {
+				kept = append(kept, msg)
+			}
+		}
+		clear(n.parked[len(kept):])
+		n.parked = kept
+	}
+	if len(n.dests) == 0 {
+		n.mu.Unlock()
+		return
+	}
+	var buf [8]memory.NodeID
+	dests := append(buf[:0], n.dests...)
+	n.dests = n.dests[:0]
+	n.mu.Unlock()
+	for _, to := range dests {
+		n.c.push.Deliver(to)
+	}
 }
 
 // Send implements proto.Engine: encode through the wire codec into a
@@ -512,6 +557,9 @@ func (n *node) Send(msg wire.Msg, cat stats.Category) {
 	n.c.frameB.Add(int64(len(frame)))
 	n.c.inflight.Add(1)
 	n.c.tr.Send(msg.To, frame)
+	if n.c.push != nil && !slices.Contains(n.dests, msg.To) {
+		n.dests = append(n.dests, msg.To)
+	}
 }
 
 // ToThread implements proto.Engine: local daemon→thread handoff,
@@ -533,62 +581,57 @@ func (n *node) Broadcast(msg wire.Msg, cat stats.Category) {
 	}
 }
 
-// receive is the node's receive path for one frame, run by whoever took
-// it off the transport: decode it and dispatch it under the node lock.
-// Decode copies every payload out of the frame, which stays the
-// caller's — to return to the pool, or, when routed reports false, to
-// send again: the home transfer that makes this message routable is
-// still in flight (our thread holds the migrating reply in its mailbox,
-// or the barrier-go carrying the reassignment is behind this frame), and
-// the message stays counted as in flight, so quiescence waits for the
-// retry. A frame Decode rejects, or one that decodes but names an
-// object, lock, barrier, node or thread slot the layout does not have
-// (proto.Node.CheckFrame — the handlers subscript with those ids), is a
-// peer's doing, not a state a bug alone can produce: it comes back as an
-// ErrProtocol error for the caller to end the run with.
-func (n *node) receive(frame []byte) (routed bool, err error) {
+// receive is the node's receive path for one frame, run by whoever
+// delivers it: decode it, then handle it under the node lock — or park
+// it there when CanRoute rejects it: the home transfer that makes it
+// routable is still in flight (our thread holds the migrating reply in
+// its mailbox, or the barrier-go carrying the reassignment is behind
+// this frame). A parked message stays counted as in flight, so
+// quiescence waits for it. Decode copies every payload out of the frame,
+// which stays the caller's. A frame Decode rejects, or one that decodes
+// but names an object, lock, barrier, node or thread slot the layout
+// does not have (proto.Node.CheckFrame — the handlers subscript with
+// those ids), is a peer's doing, not a state a bug alone can produce: it
+// comes back as an ErrProtocol error for the caller to end the run with.
+func (n *node) receive(frame []byte) error {
 	msg, err := wire.Decode(frame)
 	if err != nil {
-		return false, fmt.Errorf("%w: node %d received a %d-byte frame, kind byte %#x, that does not decode: %v",
+		return fmt.Errorf("%w: node %d received a %d-byte frame, kind byte %#x, that does not decode: %v",
 			ErrProtocol, n.ps.ID, len(frame), frame[:min(len(frame), 1)], err)
 	}
 	if err := n.ps.CheckFrame(&msg, len(n.threads)); err != nil {
-		return false, fmt.Errorf("%w: node %d received %v", ErrProtocol, n.ps.ID, err)
+		return fmt.Errorf("%w: node %d received %v", ErrProtocol, n.ps.ID, err)
 	}
 	n.mu.Lock()
-	if !n.ps.CanRoute(msg) {
-		n.mu.Unlock()
-		return false, nil
+	if n.ps.CanRoute(msg) {
+		n.handle(&msg)
+	} else {
+		n.parked = append(n.parked, msg)
 	}
-	if n.ps.On(flight.FrameRecv) {
-		n.ps.Emit(flight.Event{Kind: flight.FrameRecv, Tag: uint8(msg.Kind), Peer: msg.From, Bytes: int32(len(frame))})
-	}
-	n.ps.Handle(msg)
-	n.mu.Unlock()
-	n.c.inflight.Add(-1)
-	return true, nil
+	n.unlock()
+	return nil
 }
 
-// sink is the node's transport.Pusher sink: receive on the backend's
-// goroutine. That goroutine must not wait, so a frame that cannot be
-// routed yet loops back through the node's own inbox to the daemon and
-// its retry loop.
-func (n *node) sink(frame []byte) error {
-	routed, err := n.receive(frame)
-	if err == nil && !routed {
-		n.c.tr.Send(n.ps.ID, frame)
-		return nil
+// handle runs one routable message's handler. The caller holds the lock.
+func (n *node) handle(msg *wire.Msg) {
+	if n.ps.On(flight.FrameRecv) {
+		n.ps.Emit(flight.Event{Kind: flight.FrameRecv, Tag: uint8(msg.Kind), Peer: msg.From, Bytes: int32(msg.WireSize())})
 	}
+	n.ps.Handle(*msg)
+	n.c.inflight.Add(-1)
+}
+
+// sink is the node's transport.Pusher sink, and the daemon's step:
+// receive, then return the frame to the pool.
+func (n *node) sink(frame []byte) error {
+	err := n.receive(frame)
 	transport.PutFrame(frame)
 	return err
 }
 
-// daemon is the node's protocol daemon goroutine: receive each frame the
-// transport queues for the node. An unroutable frame is requeued behind
-// a short sleep, which keeps the retry from becoming a hot loop
-// contending on the very node lock the transfer needs (transfers land
-// within microseconds). A frame that is no protocol frame aborts the
-// run.
+// daemon is the node's protocol daemon goroutine, run only over a backend
+// that cannot push: receive each frame the transport queues for the
+// node. A frame that is no protocol frame aborts the run.
 func (n *node) daemon() {
 	defer n.c.daemons.Done()
 	for {
@@ -596,14 +639,7 @@ func (n *node) daemon() {
 		if !ok {
 			return
 		}
-		routed, err := n.receive(frame)
-		if err == nil && !routed {
-			time.Sleep(5 * time.Microsecond)
-			n.c.tr.Send(n.ps.ID, frame)
-			continue
-		}
-		transport.PutFrame(frame)
-		if err != nil {
+		if err := n.sink(frame); err != nil {
 			n.c.Abort(err)
 		}
 	}

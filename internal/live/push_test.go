@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/live/transport"
 	"repro/internal/live/transport/tcp"
 	"repro/internal/memory"
+	"repro/internal/migration"
 	"repro/internal/proto"
 	"repro/internal/wire"
 )
@@ -42,15 +45,225 @@ func socketPair(t *testing.T) (a, b net.Conn) {
 	return a, b
 }
 
+// pullOnly hides every hook of the transport it wraps: the engine sees a
+// backend that cannot push and runs a daemon per node.
+type pullOnly struct{ transport.Transport }
+
+// tally records what crosses the transport it decorates: every message
+// sent, decoded, and per node the goroutines parked in Recv — the
+// engine's daemons are its only callers.
+type tally struct {
+	mu       sync.Mutex
+	sent     []wire.Msg
+	in, peak [3]int
+}
+
+func (l *tally) send(tr transport.Transport, to memory.NodeID, frame []byte) {
+	msg, _ := wire.Decode(frame)
+	l.mu.Lock()
+	l.sent = append(l.sent, msg)
+	l.mu.Unlock()
+	tr.Send(to, frame)
+}
+
+func (l *tally) recv(tr transport.Transport, id memory.NodeID) ([]byte, bool) {
+	l.mu.Lock()
+	l.in[id]++
+	l.peak[id] = max(l.peak[id], l.in[id])
+	l.mu.Unlock()
+	defer func() {
+		l.mu.Lock()
+		l.in[id]--
+		l.mu.Unlock()
+	}()
+	return tr.Recv(id)
+}
+
+// tallyLoop and tallyPlane keep their backend's hooks by promotion, as
+// the benchmark's tracing decorators do.
+type tallyLoop struct {
+	*transport.ChanLoop
+	*tally
+}
+
+func (d tallyLoop) Send(to memory.NodeID, frame []byte)  { d.send(d.ChanLoop, to, frame) }
+func (d tallyLoop) Recv(id memory.NodeID) ([]byte, bool) { return d.recv(d.ChanLoop, id) }
+
+type tallyPlane struct {
+	dataPlane
+	*tally
+}
+
+func (d tallyPlane) Send(to memory.NodeID, frame []byte)  { d.send(d.dataPlane, to, frame) }
+func (d tallyPlane) Recv(id memory.NodeID) ([]byte, bool) { return d.recv(d.dataPlane, id) }
+
+// TestDaemonsOnlyOverPullBackends pins who runs the receive path: no
+// daemon over ChanLoop (the sender delivers) or TCP (the reader does),
+// exactly one per node over a backend that cannot push. A daemon parks
+// in Recv until Close, so any daemon shows up in the tally.
+func TestDaemonsOnlyOverPullBackends(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		nodes int
+		tr    func(t *testing.T, l *tally) transport.Transport
+		want  int // daemons per node
+	}{
+		{"ChanLoop", 2, func(_ *testing.T, l *tally) transport.Transport { return tallyLoop{transport.NewChanLoop(2), l} }, 0},
+		{"TCP", 1, func(t *testing.T, l *tally) transport.Transport {
+			tr := tcp.New(0, []net.Conn{nil}, tcp.Options{})
+			t.Cleanup(tr.Close)
+			return tallyPlane{dataPlane{tr}, l}
+		}, 0},
+		{"PullOnly", 2, func(_ *testing.T, l *tally) transport.Transport {
+			return pullOnly{tallyLoop{transport.NewChanLoop(2), l}}
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := &tally{}
+			cfg := DefaultConfig(tc.nodes)
+			cfg.Transport = tc.tr(t, l)
+			if tc.nodes == 1 {
+				cfg.LocalNode = new(memory.NodeID)
+			}
+			c := New(cfg)
+			obj := c.AddObject(1, 0)
+			lk := c.AddLock(0)
+			ws := []proto.Worker{{Node: memory.NodeID(tc.nodes - 1), Name: "w", Fn: func(th proto.Thread) {
+				for k := 0; k < 20; k++ {
+					th.Acquire(lk)
+					th.Write(obj, 0, th.Read(obj, 0)+1)
+					th.Release(lk)
+				}
+			}}}
+			if _, err := c.Run(ws); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.ObjectData(obj)[0]; got != 20 {
+				t.Fatalf("counter = %d, want 20", got)
+			}
+			for id := 0; id < tc.nodes; id++ {
+				if l.peak[id] != tc.want {
+					t.Errorf("node %d: %d goroutines parked in Recv at once, want %d", id, l.peak[id], tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestParkedFrameHandledAtUnlock: a frame CanRoute rejects stays at its
+// node, decoded, and is handled exactly once — at the node.unlock that
+// follows the state change making it routable, parked frames in arrival
+// order — with one FrameRecv each, the in-flight count back at zero and
+// no frame sent back into the transport. Node 2 injects fault-ins for
+// two objects homed at node 1 into node 0, which neither homes them nor
+// has a pointer for them; node 0's thread then gives it the pointers.
+func TestParkedFrameHandledAtUnlock(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wrap func(tr transport.Transport) transport.Transport
+	}{
+		{"PushedByChanLoop", func(tr transport.Transport) transport.Transport { return tr }},
+		{"PulledByDaemon", func(tr transport.Transport) transport.Transport { return pullOnly{tr} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := &tally{}
+			cfg := DefaultConfig(3)
+			cfg.Policy = migration.NoHM{}
+			cfg.FlightCap = 256
+			tr := tc.wrap(tallyLoop{transport.NewChanLoop(3), l})
+			cfg.Transport = tr
+			c := New(cfg)
+			objs := []memory.ObjectID{c.AddObject(1, 1), c.AddObject(1, 1)}
+			n0 := c.nodes[0]
+			parked := func() int {
+				n0.mu.Lock()
+				defer n0.unlock()
+				return len(n0.parked)
+			}
+			ws := []proto.Worker{
+				{Node: 0, Name: "fixer", Fn: func(pt proto.Thread) {
+					th := pt.(*Thread)
+					for deadline := time.Now().Add(5 * time.Second); parked() < len(objs); {
+						if time.Now().After(deadline) {
+							c.Abort(fmt.Errorf("%d frames parked, want %d", parked(), len(objs)))
+							return
+						}
+						time.Sleep(50 * time.Microsecond)
+					}
+					th.Lock()
+					for _, obj := range objs {
+						n0.ps.Loc.SetForward(obj, 1)
+					}
+					th.Unlock()
+					if k := parked(); k != 0 {
+						c.Abort(fmt.Errorf("%d frames still parked after the unlock that made them routable", k))
+					}
+				}},
+				{Node: 2, Name: "injector", Fn: func(proto.Thread) {
+					c.inflight.Add(int64(len(objs)))
+					for i, obj := range objs {
+						msg := wire.Msg{Kind: wire.ObjReq, From: 2, To: 0, Obj: obj, ReplyNode: 2, ReplySlot: 0, Seq: uint32(i + 1)}
+						tr.Send(0, msg.Encode(transport.GetFrame()))
+					}
+					if d, ok := tr.(transport.Deliverer); ok {
+						d.Deliver(0)
+					}
+				}},
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := c.Run(ws)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run still blocked 10s after the frames became routable")
+			}
+			if n := c.inflight.Load(); n != 0 {
+				t.Errorf("in-flight count %d after Run, want 0", n)
+			}
+			recv := 0
+			for _, ev := range c.FlightEvents() {
+				if ev.Node == 0 && ev.Kind == flight.FrameRecv && ev.Tag == uint8(wire.ObjReq) {
+					recv++
+				}
+			}
+			if recv != len(objs) {
+				t.Errorf("node 0 recorded %d FrameRecv for the fault-ins, want %d", recv, len(objs))
+			}
+			var to0 int
+			var forwarded []memory.ObjectID
+			for _, m := range l.sent {
+				switch {
+				case m.To == 0:
+					to0++
+				case m.To == 1 && m.Kind == wire.ObjReq:
+					forwarded = append(forwarded, m.Obj)
+				}
+			}
+			if to0 != len(objs) {
+				t.Errorf("%d frames sent to node 0, want the %d injected: a parked frame re-entered the transport", to0, len(objs))
+			}
+			if !slices.Equal(forwarded, objs) {
+				t.Errorf("node 0 forwarded fault-ins for %v, want %v in arrival order", forwarded, objs)
+			}
+		})
+	}
+}
+
 // TestPeerGarbageAbortsRun: what a peer puts on the wire cannot take the
 // process down. Bytes that are not a protocol frame, and well-formed
 // frames that name an object, a lock, a thread slot or a piggybacked-diff
 // object the layout does not have (a handler would index past a table
 // with them), each end the run with an attributed ErrProtocol abort — on
-// the transport's reader when the backend pushes, on the daemon when it
-// does not — and never panic. The worker is parked on a grant that never
-// comes (node 1 is the raw peer, or holds the lock itself), so Run
-// returning at all is the abort unwinding it.
+// the TCP reader, on the goroutine delivering at ChanLoop's hook, on the
+// daemon of a backend that cannot push — and never panic. The worker is
+// parked on a grant that never comes (node 1 is the raw peer, or holds
+// the lock itself), so Run returning at all is the abort unwinding it.
 func TestPeerGarbageAbortsRun(t *testing.T) {
 	junk := make([]byte, 40)
 	for i := range junk {
@@ -103,9 +316,16 @@ func TestPeerGarbageAbortsRun(t *testing.T) {
 				}
 			}
 		}},
+		{name: "PushedByChanLoop", start: func(t *testing.T, abort func(error)) (transport.Transport, func([]byte)) {
+			tr := transport.NewChanLoop(2)
+			return tr, func(frame []byte) {
+				tr.Send(0, append(transport.GetFrame(), frame...))
+				tr.Deliver(0) // the engine's rule: deliver holding nothing
+			}
+		}},
 		{name: "PulledByDaemon", start: func(t *testing.T, abort func(error)) (transport.Transport, func([]byte)) {
 			tr := transport.NewChanLoop(2)
-			return tr, func(frame []byte) { tr.Send(0, append(transport.GetFrame(), frame...)) }
+			return pullOnly{tr}, func(frame []byte) { tr.Send(0, append(transport.GetFrame(), frame...)) }
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

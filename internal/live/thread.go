@@ -54,13 +54,14 @@ func (t *Thread) ChargeSend() {}
 // Lock implements proto.Host: take the node's state lock.
 func (t *Thread) Lock() { t.node.mu.Lock() }
 
-// Unlock implements proto.Host.
-func (t *Thread) Unlock() { t.node.mu.Unlock() }
+// Unlock implements proto.Host: node.unlock, which also pushes what the
+// thread sent.
+func (t *Thread) Unlock() { t.node.unlock() }
 
 // Recv implements proto.Host: park on the mailbox with the node lock
 // released, and retake the lock around the received token.
 func (t *Thread) Recv(tok *proto.Token) {
-	t.node.mu.Unlock()
+	t.node.unlock()
 	var ok bool
 	if *tok, ok = t.mbox.Get(); !ok {
 		panic(abortPanic{}) // Abort closed the mailbox: unwind to the worker wrapper
@@ -79,7 +80,7 @@ const retryDelay = 100 * time.Microsecond
 // home transfer, a manager update) will never arrive over a dead
 // transport.
 func (t *Thread) Backoff() {
-	t.node.mu.Unlock()
+	t.node.unlock()
 	time.Sleep(retryDelay)
 	if t.node.c.aborted.Load() {
 		panic(abortPanic{})
@@ -126,7 +127,7 @@ func (t *Thread) WriteView(obj memory.ObjectID) []uint64 {
 		n.ps.ViewPins[obj]++
 		t.pins = append(t.pins, obj)
 	}
-	n.mu.Unlock()
+	n.unlock()
 	return o.Data
 }
 

@@ -36,8 +36,8 @@
 // the same structure that backs the in-process backend) and a dedicated
 // writer goroutine that may block on the socket in the sender's place,
 // so two nodes sending to each other cannot deadlock on full socket
-// buffers. Self-sends (the daemon's requeue path) loop back to the local
-// inbox without touching a socket.
+// buffers. Self-sends loop back to the local inbox without touching a
+// socket.
 //
 // Receiving is pull until the engine installs a sink (transport.Pusher),
 // push from then on. Pull: the reader queues each data frame on the
@@ -611,7 +611,7 @@ func (t *Transport) PeakDepth() int {
 // The cluster layer calls it once the shutdown barrier has passed.
 func (t *Transport) MarkShutdown() { t.shuttingDown.Store(true) }
 
-// CloseData closes engine-frame delivery only: the daemon blocked in Recv
+// CloseData closes engine-frame delivery only: a receiver blocked in Recv
 // drains the inbox and exits and readers stop pushing (a sink call
 // already under way completes), while the connections, writers and the
 // control channel stay up for the cluster layer's post-run exchanges

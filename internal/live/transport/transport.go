@@ -1,6 +1,6 @@
 // Package transport is the pluggable message-movement layer of the live
 // DSM engine (internal/live): it carries encoded protocol frames between
-// node daemons. The engine encodes every message through the
+// nodes. The engine encodes every message through the
 // internal/wire binary codec before handing it to a Transport and
 // decodes on receipt — even for the in-process backend — so the frame
 // boundary is exactly what a TCP (or RDMA, or shared-memory-ring)
@@ -9,9 +9,8 @@
 // Contract:
 //
 //   - Send must not block indefinitely and must be safe for concurrent
-//     use: node daemons call it while processing a message, and two
-//     nodes sending to each other over a bounded channel would
-//     deadlock.
+//     use: the engine calls it holding a node lock, and two nodes
+//     sending to each other over a bounded channel would deadlock.
 //   - Frames between one (sender, receiver) pair are delivered in send
 //     order (FIFO per pair, as a TCP connection would provide). The
 //     ChanLoop backend is strictly FIFO per receiver.
@@ -19,17 +18,17 @@
 //     reuse the buffer. Recv transfers ownership to the caller, and so
 //     does a Pusher's sink call.
 //
-// Delivery is pull by default: a node's daemon blocks in Recv. A backend
-// whose frames arrive on a goroutine of its own (TCP's per-peer readers)
-// may also implement Pusher and run the node's receive path on that
-// goroutine, which saves the hand-off to the daemon; the contract above
-// holds either way. Which path a run takes is the backend's capability,
-// not a setting.
+// Delivery is pull by default: a node's daemon blocks in Recv. A Pusher
+// runs the node's receive path without one — on a goroutine of its own
+// (TCP's per-peer readers) or, having none (ChanLoop, a Deliverer), on
+// the sender's, at a hook it calls holding no lock. The contract holds
+// on every path; which one a run takes is the backend's capability.
 package transport
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/memory"
 )
@@ -74,24 +73,36 @@ type FatalSink interface {
 }
 
 // Pusher is implemented by backends that can deliver a node's frames by
-// calling the node instead of queueing them for Recv: the goroutine that
-// took a frame off the link runs the receive path itself. The live
-// engine installs one sink per node before its daemons start; a backend
-// pushes where it can (the TCP backend: frames read from a peer socket,
-// for its local node) and keeps delivering everything else — self-sends,
-// other nodes' frames — through Recv.
+// calling the node instead of queueing them for Recv. The live engine
+// installs one sink per node before traffic flows and starts no daemon
+// over a Pusher. A backend with goroutines of its own pushes on them
+// (the TCP backend: the reader that took a frame off a peer socket, for
+// its local node); a backend with none is a Deliverer and pushes on the
+// goroutine that calls its hook.
 type Pusher interface {
 	// SetSink installs node id's sink. From its return on, the backend
-	// may call sink instead of queueing a frame for Recv(id), from any of
-	// its goroutines, concurrently, never under a lock Send needs. Frames
+	// may call sink instead of queueing a frame for Recv(id), from any
+	// goroutine, concurrently, never under a lock Send needs. Frames
 	// that were queued for Recv(id) before the call are handed to sink
 	// first, in order, so FIFO per pair holds across the installation.
 	// The sink owns the frame (it ends in PutFrame or another Send) and
 	// must not block; a non-nil error means the frame was not a protocol
-	// frame, and the backend raises it as a link failure once it has left
-	// the call. After Close the backend drops late frames into the pool
-	// rather than push them.
+	// frame, and the backend raises it as a link failure (FatalSink) once
+	// it has left the call. After Close the backend drops late frames
+	// into the pool rather than push them.
 	SetSink(id memory.NodeID, sink func(frame []byte) error)
+}
+
+// Deliverer is a Pusher with no goroutine of its own: Send only queues,
+// in the order the sender's lock admits, and the live engine calls the
+// hook for each node it queued frames for once it releases that lock.
+type Deliverer interface {
+	Pusher
+	// Deliver runs node to's sink on its queued frames, in order, on the
+	// calling goroutine — unless another goroutine is draining that node
+	// already, which then takes them. The caller holds no lock a sink
+	// takes. Before SetSink(to) it does nothing: the frames wait for Recv.
+	Deliver(to memory.NodeID)
 }
 
 // Queue is an unbounded, closable FIFO guarded by a mutex and
@@ -282,9 +293,23 @@ func PutFrame(frame []byte) {
 // ChanLoop is the in-process loopback backend: one unbounded FIFO inbox
 // per node. An unbounded queue (rather than a raw buffered channel)
 // keeps Send non-blocking at any fan-in, which the Transport contract
-// requires of every backend.
+// requires of every backend. It pulls until a node's sink is installed,
+// then pushes at Deliver; a sink's error goes to the FatalSink handler.
 type ChanLoop struct {
 	inboxes []*Queue[[]byte]
+	outlets []outlet
+	closed  atomic.Bool
+
+	fatal     func(error)
+	fatalOnce sync.Once
+}
+
+// outlet is one node's push side: its sink, and the claim of the one
+// goroutine draining the inbox into it, whose batch buffer this is.
+type outlet struct {
+	sink  atomic.Pointer[func(frame []byte) error]
+	busy  atomic.Bool
+	batch [][]byte
 }
 
 // NewChanLoop builds the loopback transport for a cluster of n nodes.
@@ -292,11 +317,54 @@ func NewChanLoop(n int) *ChanLoop {
 	if n <= 0 {
 		panic(fmt.Sprintf("transport: chanloop over %d nodes", n))
 	}
-	t := &ChanLoop{inboxes: make([]*Queue[[]byte], n)}
+	t := &ChanLoop{inboxes: make([]*Queue[[]byte], n), outlets: make([]outlet, n)}
 	for i := range t.inboxes {
 		t.inboxes[i] = NewQueue[[]byte]()
 	}
 	return t
+}
+
+// SetSink implements Pusher. Frames already queued reach sink at the
+// next Deliver(id).
+func (t *ChanLoop) SetSink(id memory.NodeID, sink func(frame []byte) error) {
+	t.outlets[id].sink.Store(&sink)
+}
+
+// SetFatal implements FatalSink: fn gets the first sink error.
+func (t *ChanLoop) SetFatal(fn func(error)) { t.fatal = fn }
+
+// Deliver implements Deliverer. A claim covers one batch and is given up
+// before the inbox is looked at again: a frame put meanwhile — by another
+// sender, or by this batch's sinks through a nested call, which claims a
+// different inbox (so nesting is no deeper than the cluster is wide) —
+// found the claim taken and is picked up at that re-check. After Close,
+// or once a sink failed, the batch feeds the pool instead.
+func (t *ChanLoop) Deliver(to memory.NodeID) {
+	o, in := &t.outlets[to], t.inboxes[to]
+	sink := o.sink.Load()
+	if sink == nil {
+		return
+	}
+	for o.busy.CompareAndSwap(false, true) {
+		var err error
+		o.batch, _ = in.TryGetAll(o.batch[:0])
+		for i, frame := range o.batch {
+			o.batch[i] = nil
+			if err == nil && !t.closed.Load() {
+				err = (*sink)(frame)
+			} else {
+				PutFrame(frame)
+			}
+		}
+		o.busy.Store(false)
+		if err != nil {
+			t.fatalOnce.Do(func() { t.fatal(err) })
+			return
+		}
+		if in.Len() == 0 {
+			return
+		}
+	}
 }
 
 // Nodes reports the cluster size.
@@ -321,8 +389,10 @@ func (t *ChanLoop) Recv(id memory.NodeID) ([]byte, bool) {
 }
 
 // Close implements Transport: daemons drain their inboxes, then their
-// Recv returns false.
+// Recv returns false. A Deliver under way finishes the sink call it is
+// in, then feeds the rest to the pool and returns.
 func (t *ChanLoop) Close() {
+	t.closed.Store(true)
 	for _, b := range t.inboxes {
 		b.Close()
 	}
@@ -341,3 +411,5 @@ func (t *ChanLoop) PeakDepth() int {
 	}
 	return max
 }
+
+var _ Deliverer = (*ChanLoop)(nil)

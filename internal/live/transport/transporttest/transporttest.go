@@ -9,7 +9,9 @@
 // run against both the chanloop and TCP backends (under -race in CI).
 // A backend that also pushes (transport.Pusher) is held to the same
 // contract through its sinks; the Push subtests skip on one that does
-// not.
+// not. They follow the engine's rule for a backend with no goroutine of
+// its own (transport.Deliverer): Send, then call the delivery hook from
+// a goroutine that holds nothing — a sink included.
 package transporttest
 
 import (
@@ -52,6 +54,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("PushAcrossInstall", func(t *testing.T) { pushAcrossInstall(t, f) })
 	t.Run("PushEchoStrandsNothing", func(t *testing.T) { pushEchoStrandsNothing(t, f) })
 	t.Run("PushCloseDuringRelay", func(t *testing.T) { pushCloseDuringRelay(t, f) })
+	t.Run("PushNestedDelivery", func(t *testing.T) { pushNestedDelivery(t, f) })
 }
 
 // FaultMesh is a mesh whose backend detects peer death: Kill makes
@@ -294,6 +297,21 @@ func pusher(t *testing.T, m Mesh, i int) transport.Pusher {
 	return p
 }
 
+// deliver calls tr's delivery hook for node to when it has one: the
+// engine's rule after a Send. Other backends push, or are pulled, by
+// themselves.
+func deliver(tr transport.Transport, to memory.NodeID) {
+	if d, ok := tr.(transport.Deliverer); ok {
+		d.Deliver(to)
+	}
+}
+
+// push sends frame from node from to node to, then delivers it.
+func push(m Mesh, from int, to memory.NodeID, frame []byte) {
+	m.Node(from).Send(to, frame)
+	deliver(m.Node(from), to)
+}
+
 // burstChecker validates interleaved burstFrame streams, one per sender
 // tag, as they arrive — from sinks on any goroutine, so under a lock and
 // with t.Errorf only.
@@ -338,14 +356,14 @@ func pushAcrossInstall(t *testing.T, f Factory) {
 	p := pusher(t, m, 1)
 	const early, total = 200, 2000
 	for i := 0; i < early; i++ {
-		m.Node(0).Send(1, mkFrame(0, i, i%40))
+		push(m, 0, 1, mkFrame(0, i, i%40))
 	}
 	waitFor(t, func() bool { return depth(m.Node(1), 1) >= early/2 })
 	sent := make(chan struct{})
 	go func() {
 		defer close(sent)
 		for i := early; i < total; i++ {
-			m.Node(0).Send(1, mkFrame(0, i, i%40))
+			push(m, 0, 1, mkFrame(0, i, i%40))
 		}
 	}()
 	var mu sync.Mutex
@@ -360,6 +378,7 @@ func pushAcrossInstall(t *testing.T, f Factory) {
 		transport.PutFrame(frame)
 		return nil
 	})
+	deliver(m.Node(1), 1) // the frames queued before, should the sender be done already
 	<-sent
 	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return next >= total })
 	if n := depth(m.Node(1), 1); n != 0 && n != 1<<30 {
@@ -386,13 +405,14 @@ func pushEchoStrandsNothing(t *testing.T, f Factory) {
 	})
 	pusher(t, m, 1).SetSink(1, func(frame []byte) error {
 		m.Node(1).Send(0, frame)
+		deliver(m.Node(1), 0)
 		return nil
 	})
 	var wg sync.WaitGroup
 	burst := func(from int, to memory.NodeID, tag int) {
 		defer wg.Done()
 		for i := 0; i < per; i++ {
-			m.Node(from).Send(to, burstFrame(tag, i))
+			push(m, from, to, burstFrame(tag, i))
 		}
 	}
 	wg.Add(3)
@@ -413,27 +433,47 @@ func pushEchoStrandsNothing(t *testing.T, f Factory) {
 }
 
 // pushCloseDuringRelay: Close while sinks are answering a flood neither
-// hangs nor panics, no sink runs once it has returned, and no frame
-// buffer — answered, queued or late — feeds the pool twice.
+// hangs nor panics, every delivery under way returns, no sink runs once
+// both have, and no frame buffer — answered, queued or late — feeds the
+// pool twice.
 func pushCloseDuringRelay(t *testing.T, f Factory) {
 	m := f(t, 2)
 	var calls atomic.Int64
 	echo := func(self int) func(frame []byte) error {
 		return func(frame []byte) error {
 			calls.Add(1)
-			m.Node(self).Send(memory.NodeID(1-self), frame)
+			push(m, self, memory.NodeID(1-self), frame)
 			return nil
 		}
 	}
 	pusher(t, m, 0).SetSink(0, echo(0))
 	pusher(t, m, 1).SetSink(1, echo(1))
 	// 64 frames of distinct sizes circulate until Close: each is
-	// answered by the node that receives it.
+	// answered by the node that receives it — on a Deliverer, by the two
+	// goroutines that deliver the first ones, until Close stops them.
 	for i := 0; i < 64; i++ {
 		m.Node(i%2).Send(memory.NodeID(1-i%2), mkFrame(i%2, i, 600+i))
 	}
+	var relays sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		relays.Add(1)
+		go func() {
+			defer relays.Done()
+			deliver(m.Node(i), memory.NodeID(i))
+		}()
+	}
 	waitFor(t, func() bool { return calls.Load() > 2000 })
 	m.Close()
+	relayed := make(chan struct{})
+	go func() {
+		relays.Wait()
+		close(relayed)
+	}()
+	select {
+	case <-relayed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a delivery still running 5s after Close")
+	}
 	after := calls.Load()
 	time.Sleep(5 * time.Millisecond)
 	if n := calls.Load(); n != after {
@@ -450,6 +490,77 @@ func pushCloseDuringRelay(t *testing.T, f Factory) {
 			t.Fatal("a frame buffer was returned to the pool twice")
 		} else {
 			seen[p] = true
+		}
+	}
+}
+
+// pushNestedDelivery: sinks that send to each other and deliver from
+// inside the sink — the engine's A → B → A pattern, where handling a
+// frame at B sends to A and B's releasing goroutine delivers it. Each
+// node has a lock standing in for its node lock: a sender numbers and
+// sends a frame under it and delivers after releasing it. Goroutines on
+// every node start chains at once; each frame carries how many hops its
+// chain has left. Every delivery must return, each pair's frames arrive
+// in the order the sender's lock admitted them, and every frame arrive —
+// none left in an inbox because it was queued while the goroutine that
+// had claimed that inbox was giving the claim up.
+func pushNestedDelivery(t *testing.T, f Factory) {
+	const nodes, starters, chains, hops = 3, 3, 300, 6
+	m := f(t, nodes)
+	defer m.Close()
+	type node struct {
+		mu         sync.Mutex
+		next, want [nodes]int // sequence numbers to and from each node
+	}
+	var ns [nodes]node
+	var arrived atomic.Int64
+	send := func(from, to, left int) {
+		n := &ns[from]
+		n.mu.Lock()
+		m.Node(from).Send(memory.NodeID(to), mkFrame(from, n.next[to], left))
+		n.next[to]++
+		n.mu.Unlock()
+		deliver(m.Node(from), memory.NodeID(to))
+	}
+	for self := 0; self < nodes; self++ {
+		pusher(t, m, self).SetSink(memory.NodeID(self), func(frame []byte) error {
+			from, seq, left := frameSender(frame), frameSeq(frame), len(frame)-4
+			transport.PutFrame(frame)
+			n := &ns[self]
+			n.mu.Lock()
+			if seq != n.want[from] {
+				t.Errorf("node %d: frame %d from node %d, want %d", self, seq, from, n.want[from])
+			}
+			n.want[from]++
+			n.mu.Unlock()
+			arrived.Add(1)
+			if left > 0 {
+				send(self, (self+1+left%2)%nodes, left-1)
+			}
+			return nil
+		})
+	}
+	var wg sync.WaitGroup
+	for self := 0; self < nodes; self++ {
+		for s := 0; s < starters; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < chains; i++ {
+					send(self, (self+1+i%2)%nodes, hops)
+				}
+			}()
+		}
+	}
+	const total = nodes * starters * chains * (hops + 1)
+	waitFor(t, func() bool { return arrived.Load() >= total })
+	wg.Wait()
+	if n := arrived.Load(); n != total {
+		t.Fatalf("%d frames arrived, want %d", n, total)
+	}
+	for i := 0; i < nodes; i++ {
+		if n := depth(m.Node(i), memory.NodeID(i)); n != 0 && n != 1<<30 {
+			t.Fatalf("node %d: %d frames left in the inbox", i, n)
 		}
 	}
 }
