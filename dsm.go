@@ -141,15 +141,15 @@ type Config struct {
 	Observer Observer
 	// Transport injects a custom live-engine transport — e.g. a
 	// multi-process cluster member carrying frames over TCP
-	// (internal/live/cluster). nil selects the in-process chanloop
-	// backend. Live engine only.
+	// (internal/live/cluster). It must push (transport.Pusher). nil
+	// selects the in-process chanloop backend. Live engine only.
 	Transport transport.Transport
 	// LocalNode, when non-nil, makes this process the member of a
 	// multi-process cluster (cmd/dsmnode) that owns that node and nothing
 	// else. Every member declares the identical layout (guarded by the
 	// bootstrap config digest) and passes the full worker list to Run, so
 	// thread ids, slots and routing agree everywhere; from Run on the
-	// engine keeps only this node's state, daemon and threads. Afterwards
+	// engine keeps only this node's state, sink and threads. Afterwards
 	// node 0 holds the assembled memory; on another member HomeOf and
 	// Digest answer, Data only for objects it homes (else it panics,
 	// naming the owner). Live engine only, and it requires a Transport

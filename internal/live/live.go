@@ -4,10 +4,11 @@
 // goroutines: application threads as goroutines with channel-style
 // rendezvous for fault-in replies, lock grants and diff acks, and one
 // receive path per node (node.receive: decode, check, handle under the
-// node lock) run by whoever delivers the frame: on ChanLoop the sender's
-// own goroutine, once node.unlock has released the sender's lock; on TCP
-// the socket's reader; a protocol daemon per node, blocked in Recv, only
-// on a backend that cannot push (the fault injector, test decorators).
+// node lock) run by whoever delivers the frame, as the transport
+// decides: the sender's own goroutine once node.unlock has released its
+// lock (ChanLoop, a transport.Deliverer), or the transport's own (the TCP
+// socket's reader, the fault injector's delivery line). The engine needs
+// a transport.Pusher and never calls Recv.
 // A frame that cannot be routed yet is parked at its node until an
 // unlock finds it routable. Messages between nodes cross a pluggable
 // transport (internal/live/transport) and are always encoded through the
@@ -29,7 +30,7 @@
 // node's state lock) and carry no restrictions. The bulk ReadView/
 // WriteView slices are weaker than under sim, whose cooperative
 // scheduler makes a view atomic until the thread's next protocol
-// action: live, a view is raw memory shared with the node's daemon.
+// action: live, a view is raw memory shared with the node's receive path.
 // Write views of home objects are pinned against migration until the
 // holder's next synchronization (so a mid-view demote cannot silently
 // drop writes), and serving a fault-in may read an object concurrently
@@ -73,12 +74,12 @@ type Config struct {
 	// Cluster.Subscribe: delivery is serialized, so any sim-compatible
 	// subscriber, e.g. oracle.Recorder, works unchanged).
 	Observer proto.Observer
-	// Transport carries encoded frames between nodes; nil selects the
-	// in-process ChanLoop backend.
+	// Transport carries encoded frames between nodes and must push
+	// (transport.Pusher); nil selects the in-process ChanLoop backend.
 	Transport transport.Transport
 	// LocalNode, when non-nil, is the one node this process runs; the
 	// others run in peer processes that Transport reaches and that declare
-	// the same layout. Run keeps this node's protocol state, daemon and
+	// the same layout. Run keeps this node's protocol state, sink and
 	// threads and releases the rest.
 	LocalNode *memory.NodeID
 	// FlightCap, when positive, attaches a flight recorder of that
@@ -141,7 +142,7 @@ type Cluster struct {
 	// its AddObject/InitObject/AddLock/AddBarrier and post-run inspection
 	// methods (valid only after Run returned) are the cluster's own.
 	*proto.Space
-	tr    transport.Transport
+	tr    transport.Pusher
 	push  transport.Deliverer // tr's delivery hook, when it has one
 	nodes []*node             // the nodes this process runs: all, or Config.LocalNode
 
@@ -155,8 +156,6 @@ type Cluster struct {
 	abortMu  sync.Mutex
 	abortErr error
 	aborted  atomic.Bool
-
-	daemons sync.WaitGroup
 }
 
 // ErrAborted wraps every error returned by a run that was torn down by
@@ -178,13 +177,13 @@ var ErrProtocol = errors.New("live: protocol violation")
 type abortPanic struct{}
 
 // Abort tears the run down: it records err as the run's failure, closes
-// the transport (daemons drain and exit, in-flight frames drop) and
-// closes every thread mailbox so parked protocol waits unwind instead
-// of blocking forever on frames that will never arrive. Run then
-// returns an error wrapping ErrAborted. The first cause wins; later
-// calls are no-ops. Safe to call from any goroutine — the engine
-// installs it as the transport's fatal handler (transport.FatalSink)
-// so a detected peer death aborts the run within a bound.
+// the transport (in-flight frames drop) and closes every thread mailbox
+// so parked protocol waits unwind instead of blocking forever on frames
+// that will never arrive. Run then returns an error wrapping ErrAborted.
+// The first cause wins; later calls are no-ops. Safe to call from any
+// goroutine — the engine installs it as the transport's fatal handler
+// (transport.FatalSink) so a detected peer death aborts the run within a
+// bound.
 func (c *Cluster) Abort(err error) {
 	c.abortMu.Lock()
 	defer c.abortMu.Unlock()
@@ -218,6 +217,7 @@ func (c *Cluster) abortCause() error {
 }
 
 // New builds a live cluster per cfg, filling zero values with defaults.
+// It panics on a transport that cannot push.
 func New(cfg Config) *Cluster {
 	def := DefaultConfig(cfg.Nodes)
 	if cfg.Nodes <= 0 {
@@ -230,11 +230,14 @@ func New(cfg Config) *Cluster {
 		cfg.Params = def.Params
 	}
 	c := &Cluster{cfg: cfg}
-	if cfg.Transport != nil {
-		c.tr = cfg.Transport
-	} else {
+	if cfg.Transport == nil {
 		c.tr = transport.NewChanLoop(cfg.Nodes)
+	} else if p, ok := cfg.Transport.(transport.Pusher); ok {
+		c.tr = p
+	} else {
+		panic(fmt.Sprintf("live: transport %T cannot push (no transport.Pusher)", cfg.Transport))
 	}
+	c.push, _ = c.tr.(transport.Deliverer)
 	c.Space = proto.NewSpace(&c.cfg.Shared)
 	var stamp func() hlc.Stamp
 	if cfg.FlightLocal == nil && cfg.FlightCap > 0 {
@@ -272,7 +275,7 @@ func New(cfg Config) *Cluster {
 // registry. Every read function is safe against a mid-run scrape: the
 // cluster-wide frame counters are atomics, and the per-node protocol
 // counters and latency histograms are summed under each node's mutex
-// (the same lock the daemon and threads hold while mutating them).
+// (the same lock the receive path and threads hold while mutating them).
 func (c *Cluster) registerMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("dsm_live_frames_total",
 		"Protocol frames sent by this process's engine.", "", c.frames.Load)
@@ -368,8 +371,8 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 		c.Release(*c.cfg.LocalNode)
 	}
 	c.start = time.Now()
-	// Register every thread before any goroutine starts: daemons read
-	// the per-node thread tables (ToThread) without locks. Registration
+	// Register every thread before any sink is installed: receive paths
+	// read the per-node thread tables (ToThread) without locks. Registration
 	// holds abortMu so an Abort that arrives this early still closes
 	// every mailbox it is racing into existence. Ids and slots count over
 	// the full list, so cluster members agree on them.
@@ -400,19 +403,9 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 	if fs, ok := c.tr.(transport.FatalSink); ok {
 		fs.SetFatal(c.Abort)
 	}
-	// A backend that can push runs each node's receive path on the
-	// goroutine that delivers the frame; only one that cannot gets a
-	// daemon per node.
-	if p, ok := c.tr.(transport.Pusher); ok {
-		c.push, _ = p.(transport.Deliverer)
-		for _, n := range c.nodes {
-			p.SetSink(n.ps.ID, n.sink)
-		}
-	} else {
-		for _, n := range c.nodes {
-			c.daemons.Add(1)
-			go n.daemon()
-		}
+	// The backend runs a node's receive path on whichever goroutine delivers.
+	for _, n := range c.nodes {
+		c.tr.SetSink(n.ps.ID, n.receive)
 	}
 	var wg sync.WaitGroup
 	for _, n := range c.nodes {
@@ -458,14 +451,13 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 		}
 	}
 	c.tr.Close()
-	c.daemons.Wait()
 	// An abort outranks whatever the quiesce or finish steps reported:
 	// their failures are downstream of the torn transport.
 	if err := c.abortCause(); err != nil {
 		runErr = err
 	}
-	// The fold takes each node's lock: the daemons are gone, but on an
-	// aborted run a pushing backend's reader may still be inside receive.
+	// The fold takes each node's lock: on an aborted run a delivering
+	// goroutine may still be inside receive.
 	var m stats.Metrics
 	for _, n := range c.nodes {
 		n.mu.Lock()
@@ -562,7 +554,7 @@ func (n *node) Send(msg wire.Msg, cat stats.Category) {
 	}
 }
 
-// ToThread implements proto.Engine: local daemon→thread handoff,
+// ToThread implements proto.Engine: local handler→thread handoff,
 // bypassing the transport (within a node there is no wire).
 func (n *node) ToThread(slot int32, msg wire.Msg) {
 	n.threads[slot].mbox.Put(proto.Token{Msg: msg})
@@ -581,19 +573,21 @@ func (n *node) Broadcast(msg wire.Msg, cat stats.Category) {
 	}
 }
 
-// receive is the node's receive path for one frame, run by whoever
-// delivers it: decode it, then handle it under the node lock — or park
-// it there when CanRoute rejects it: the home transfer that makes it
-// routable is still in flight (our thread holds the migrating reply in
-// its mailbox, or the barrier-go carrying the reassignment is behind
-// this frame). A parked message stays counted as in flight, so
-// quiescence waits for it. Decode copies every payload out of the frame,
-// which stays the caller's. A frame Decode rejects, or one that decodes
-// but names an object, lock, barrier, node or thread slot the layout
-// does not have (proto.Node.CheckFrame — the handlers subscript with
-// those ids), is a peer's doing, not a state a bug alone can produce: it
-// comes back as an ErrProtocol error for the caller to end the run with.
+// receive is the node's transport.Pusher sink, its receive path for one
+// frame, run by whoever delivers it: decode the frame (Decode copies
+// every payload out; the frame returns to the pool on the way out), then
+// handle it under the node lock — or park it there when CanRoute rejects
+// it: the home transfer that makes it routable is still in flight (our
+// thread holds the migrating reply in its mailbox, or the barrier-go
+// carrying the reassignment is behind this frame). A parked message stays
+// counted as in flight, so quiescence waits for it. A frame Decode
+// rejects, or one naming an object, lock, barrier, node or thread slot
+// the layout does not have (proto.Node.CheckFrame — the handlers
+// subscript with those ids), is a peer's doing, not a state a bug alone
+// can produce: it comes back as an ErrProtocol error, which the backend
+// raises through the engine's fatal handler, aborting the run.
 func (n *node) receive(frame []byte) error {
+	defer transport.PutFrame(frame)
 	msg, err := wire.Decode(frame)
 	if err != nil {
 		return fmt.Errorf("%w: node %d received a %d-byte frame, kind byte %#x, that does not decode: %v",
@@ -619,28 +613,4 @@ func (n *node) handle(msg *wire.Msg) {
 	}
 	n.ps.Handle(*msg)
 	n.c.inflight.Add(-1)
-}
-
-// sink is the node's transport.Pusher sink, and the daemon's step:
-// receive, then return the frame to the pool.
-func (n *node) sink(frame []byte) error {
-	err := n.receive(frame)
-	transport.PutFrame(frame)
-	return err
-}
-
-// daemon is the node's protocol daemon goroutine, run only over a backend
-// that cannot push: receive each frame the transport queues for the
-// node. A frame that is no protocol frame aborts the run.
-func (n *node) daemon() {
-	defer n.c.daemons.Done()
-	for {
-		frame, ok := n.c.tr.Recv(n.ps.ID)
-		if !ok {
-			return
-		}
-		if err := n.sink(frame); err != nil {
-			n.c.Abort(err)
-		}
-	}
 }

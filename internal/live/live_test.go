@@ -175,7 +175,7 @@ func TestEveryPolicyAndLocator(t *testing.T) {
 // run. This is the property that makes a TCP backend a drop-in.
 func TestWireBoundary(t *testing.T) {
 	cfg := DefaultConfig(3)
-	vt := &verifyTransport{t: t, inner: transport.NewChanLoop(3)}
+	vt := &verifyTransport{ChanLoop: transport.NewChanLoop(3), t: t}
 	cfg.Transport = vt
 	c := New(cfg)
 	obj := c.AddObject(4, 0)
@@ -201,10 +201,12 @@ func TestWireBoundary(t *testing.T) {
 	}
 }
 
-// verifyTransport asserts the codec boundary on every frame.
+// verifyTransport asserts the codec boundary on every frame. Embedding
+// keeps the ChanLoop's push hooks, as the benchmark's tracing decorators
+// do.
 type verifyTransport struct {
+	*transport.ChanLoop
 	t      *testing.T
-	inner  transport.Transport
 	frames atomic.Int64
 }
 
@@ -216,10 +218,8 @@ func (v *verifyTransport) Send(to memory.NodeID, frame []byte) {
 	} else if re := msg.Encode(nil); !bytes.Equal(re, frame) {
 		v.t.Errorf("frame to node %d is not canonical: %d vs %d bytes", to, len(re), len(frame))
 	}
-	v.inner.Send(to, frame)
+	v.ChanLoop.Send(to, frame)
 }
-func (v *verifyTransport) Recv(id memory.NodeID) ([]byte, bool) { return v.inner.Recv(id) }
-func (v *verifyTransport) Close()                               { v.inner.Close() }
 
 // TestSharedNodeThreads co-locates two threads on one node (scalar
 // accesses only) to exercise the same-node lock handoff and the

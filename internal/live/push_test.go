@@ -14,10 +14,12 @@ import (
 
 	"repro/internal/flight"
 	"repro/internal/live/transport"
+	"repro/internal/live/transport/faulty"
 	"repro/internal/live/transport/tcp"
 	"repro/internal/memory"
 	"repro/internal/migration"
 	"repro/internal/proto"
+	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -45,109 +47,26 @@ func socketPair(t *testing.T) (a, b net.Conn) {
 	return a, b
 }
 
-// pullOnly hides every hook of the transport it wraps: the engine sees a
-// backend that cannot push and runs a daemon per node.
-type pullOnly struct{ transport.Transport }
-
-// tally records what crosses the transport it decorates: every message
-// sent, decoded, and per node the goroutines parked in Recv — the
-// engine's daemons are its only callers.
+// tally is every message sent across a tallyLoop, decoded.
 type tally struct {
-	mu       sync.Mutex
-	sent     []wire.Msg
-	in, peak [3]int
+	mu   sync.Mutex
+	sent []wire.Msg
 }
 
-func (l *tally) send(tr transport.Transport, to memory.NodeID, frame []byte) {
-	msg, _ := wire.Decode(frame)
-	l.mu.Lock()
-	l.sent = append(l.sent, msg)
-	l.mu.Unlock()
-	tr.Send(to, frame)
-}
-
-func (l *tally) recv(tr transport.Transport, id memory.NodeID) ([]byte, bool) {
-	l.mu.Lock()
-	l.in[id]++
-	l.peak[id] = max(l.peak[id], l.in[id])
-	l.mu.Unlock()
-	defer func() {
-		l.mu.Lock()
-		l.in[id]--
-		l.mu.Unlock()
-	}()
-	return tr.Recv(id)
-}
-
-// tallyLoop and tallyPlane keep their backend's hooks by promotion, as
-// the benchmark's tracing decorators do.
+// tallyLoop records into its tally what crosses the ChanLoop it
+// decorates. Embedding keeps the ChanLoop's push hooks, as the
+// benchmark's tracing decorators do.
 type tallyLoop struct {
 	*transport.ChanLoop
 	*tally
 }
 
-func (d tallyLoop) Send(to memory.NodeID, frame []byte)  { d.send(d.ChanLoop, to, frame) }
-func (d tallyLoop) Recv(id memory.NodeID) ([]byte, bool) { return d.recv(d.ChanLoop, id) }
-
-type tallyPlane struct {
-	dataPlane
-	*tally
-}
-
-func (d tallyPlane) Send(to memory.NodeID, frame []byte)  { d.send(d.dataPlane, to, frame) }
-func (d tallyPlane) Recv(id memory.NodeID) ([]byte, bool) { return d.recv(d.dataPlane, id) }
-
-// TestDaemonsOnlyOverPullBackends pins who runs the receive path: no
-// daemon over ChanLoop (the sender delivers) or TCP (the reader does),
-// exactly one per node over a backend that cannot push. A daemon parks
-// in Recv until Close, so any daemon shows up in the tally.
-func TestDaemonsOnlyOverPullBackends(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		nodes int
-		tr    func(t *testing.T, l *tally) transport.Transport
-		want  int // daemons per node
-	}{
-		{"ChanLoop", 2, func(_ *testing.T, l *tally) transport.Transport { return tallyLoop{transport.NewChanLoop(2), l} }, 0},
-		{"TCP", 1, func(t *testing.T, l *tally) transport.Transport {
-			tr := tcp.New(0, []net.Conn{nil}, tcp.Options{})
-			t.Cleanup(tr.Close)
-			return tallyPlane{dataPlane{tr}, l}
-		}, 0},
-		{"PullOnly", 2, func(_ *testing.T, l *tally) transport.Transport {
-			return pullOnly{tallyLoop{transport.NewChanLoop(2), l}}
-		}, 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			l := &tally{}
-			cfg := DefaultConfig(tc.nodes)
-			cfg.Transport = tc.tr(t, l)
-			if tc.nodes == 1 {
-				cfg.LocalNode = new(memory.NodeID)
-			}
-			c := New(cfg)
-			obj := c.AddObject(1, 0)
-			lk := c.AddLock(0)
-			ws := []proto.Worker{{Node: memory.NodeID(tc.nodes - 1), Name: "w", Fn: func(th proto.Thread) {
-				for k := 0; k < 20; k++ {
-					th.Acquire(lk)
-					th.Write(obj, 0, th.Read(obj, 0)+1)
-					th.Release(lk)
-				}
-			}}}
-			if _, err := c.Run(ws); err != nil {
-				t.Fatal(err)
-			}
-			if got := c.ObjectData(obj)[0]; got != 20 {
-				t.Fatalf("counter = %d, want 20", got)
-			}
-			for id := 0; id < tc.nodes; id++ {
-				if l.peak[id] != tc.want {
-					t.Errorf("node %d: %d goroutines parked in Recv at once, want %d", id, l.peak[id], tc.want)
-				}
-			}
-		})
-	}
+func (d tallyLoop) Send(to memory.NodeID, frame []byte) {
+	msg, _ := wire.Decode(frame)
+	d.mu.Lock()
+	d.sent = append(d.sent, msg)
+	d.mu.Unlock()
+	d.ChanLoop.Send(to, frame)
 }
 
 // TestParkedFrameHandledAtUnlock: a frame CanRoute rejects stays at its
@@ -160,10 +79,10 @@ func TestDaemonsOnlyOverPullBackends(t *testing.T) {
 func TestParkedFrameHandledAtUnlock(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		wrap func(tr transport.Transport) transport.Transport
+		wrap func(tr transport.Pusher) transport.Transport
 	}{
-		{"PushedByChanLoop", func(tr transport.Transport) transport.Transport { return tr }},
-		{"PulledByDaemon", func(tr transport.Transport) transport.Transport { return pullOnly{tr} }},
+		{"PushedByChanLoop", func(tr transport.Pusher) transport.Transport { return tr }},
+		{"PushedByFaulty", func(tr transport.Pusher) transport.Transport { return faulty.Wrap(tr, 3, faulty.Options{}) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			l := &tally{}
@@ -255,13 +174,66 @@ func TestParkedFrameHandledAtUnlock(t *testing.T) {
 	}
 }
 
+// TestPumpYieldsToWaitingThread: a goroutine delivering at node.unlock
+// must get back to its own thread even while the frames it delivers keep
+// coming back. Node 2's thread scripts the window a migration leaves
+// behind: under its lock it points node 0 at node 2 and itself at node 0
+// — a forwarding cycle with no home on it, as while a migrating reply
+// waits in the new home's mailbox — sends a fault-in into the cycle and
+// puts that reply (a token) in its own mailbox. Its Recv releases the
+// lock and delivers: the fault-in circles 0 → 2 → 0 for as long as the
+// delivering goroutine keeps draining, and only the thread, once it has
+// taken the token, can break the cycle (the install; here, pointing
+// itself at node 1, the home). A claim that drained until the inbox
+// stayed empty never returned to the thread.
+func TestPumpYieldsToWaitingThread(t *testing.T) {
+	cfg := DefaultConfig(3)
+	cfg.Policy = migration.NoHM{}
+	c := New(cfg)
+	obj := c.AddObject(1, 1)
+	ws := []proto.Worker{{Node: 2, Name: "pump", Fn: func(pt proto.Thread) {
+		th := pt.(*Thread)
+		n0, n2 := c.nodes[0], c.nodes[2]
+		th.Lock()
+		n0.mu.Lock()
+		n0.ps.Loc.SetForward(obj, 2)
+		n0.mu.Unlock()
+		n2.ps.Loc.SetForward(obj, 0)
+		n2.Send(wire.Msg{Kind: wire.ObjReq, From: 2, To: 0, Obj: obj, ReplyNode: 2, ReplySlot: 0, Seq: 1}, stats.ObjReq)
+		th.mbox.Put(proto.Token{})
+		var tok proto.Token
+		th.Recv(&tok) // delivers the fault-in, then takes the token
+		n2.ps.Loc.SetForward(obj, 1)
+		th.Recv(&tok)
+		th.Unlock()
+		if tok.Msg.Kind != wire.ObjReply || tok.Msg.Home != 1 {
+			c.Abort(fmt.Errorf("thread got %v from node %d, want the ObjReply of home 1", tok.Msg.Kind, tok.Msg.Home))
+		}
+	}}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Run(ws)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		c.Abort(errors.New("deadline"))
+		<-done
+		t.Fatal("the thread never got its token back: its goroutine is still delivering the fault-in around the cycle")
+	}
+}
+
 // TestPeerGarbageAbortsRun: what a peer puts on the wire cannot take the
 // process down. Bytes that are not a protocol frame, and well-formed
 // frames that name an object, a lock, a thread slot or a piggybacked-diff
 // object the layout does not have (a handler would index past a table
 // with them), each end the run with an attributed ErrProtocol abort — on
 // the TCP reader, on the goroutine delivering at ChanLoop's hook, on the
-// daemon of a backend that cannot push — and never panic. The worker is
+// fault injector's delivery line — and never panic. The worker is
 // parked on a grant that never comes (node 1 is the raw peer, or holds
 // the lock itself), so Run returning at all is the abort unwinding it.
 func TestPeerGarbageAbortsRun(t *testing.T) {
@@ -323,9 +295,9 @@ func TestPeerGarbageAbortsRun(t *testing.T) {
 				tr.Deliver(0) // the engine's rule: deliver holding nothing
 			}
 		}},
-		{name: "PulledByDaemon", start: func(t *testing.T, abort func(error)) (transport.Transport, func([]byte)) {
-			tr := transport.NewChanLoop(2)
-			return pullOnly{tr}, func(frame []byte) { tr.Send(0, append(transport.GetFrame(), frame...)) }
+		{name: "PushedByFaulty", start: func(t *testing.T, abort func(error)) (transport.Transport, func([]byte)) {
+			tr := faulty.Wrap(transport.NewChanLoop(2), 2, faulty.Options{})
+			return tr, func(frame []byte) { tr.Send(0, append(transport.GetFrame(), frame...)) } // a line delivers it
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

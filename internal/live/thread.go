@@ -26,11 +26,11 @@ type Thread struct {
 	proto.Driver
 	node *node
 	fn   func(proto.Thread) // the worker's body
-	// mbox is the thread's reply queue: the daemon (or a local sync
-	// manager path) puts protocol messages, timers put retry tokens —
-	// by value, so nothing is boxed — and the thread blocks in Recv.
-	// Unbounded, so ToThread never blocks a daemon holding a node lock;
-	// closed only by Abort.
+	// mbox is the thread's reply queue: the node's receive path (or a
+	// local sync manager path) puts protocol messages, timers put retry
+	// tokens — by value, so nothing is boxed — and the thread blocks in
+	// Recv. Unbounded, so ToThread never blocks a delivering goroutine
+	// holding a node lock; closed only by Abort.
 	mbox *transport.Queue[proto.Token]
 
 	// pins lists the home objects this thread holds bulk write views

@@ -11,8 +11,8 @@ import (
 // every node's view is the same object.
 type chanLoopMesh struct{ cl *transport.ChanLoop }
 
-func (m chanLoopMesh) Node(int) transport.Transport { return m.cl }
-func (m chanLoopMesh) Close()                       { m.cl.Close() }
+func (m chanLoopMesh) Node(int) transport.Pusher { return m.cl }
+func (m chanLoopMesh) Close()                    { m.cl.Close() }
 
 // TestChanLoopConformance runs the exported transport conformance suite
 // against the chanloop backend (the TCP backend runs the same suite in

@@ -1,6 +1,6 @@
 //dsm:wallclock injected delays and delivery deadlines are wall-clock by design
 
-// Package faulty wraps any transport.Transport with seeded,
+// Package faulty wraps any transport.Pusher with seeded,
 // deterministic fault injection: per-pair delivery delay/jitter,
 // duplicated frames, a severed link, and the abrupt death of one node
 // after a chosen number of frames. It is the standing chaos harness for
@@ -18,7 +18,8 @@
 //     per-(sender,receiver) stream before forwarding it to the inner
 //     transport. Frames bound for one receiver stay FIFO (the wrapper
 //     serializes each receiver's deliveries), which preserves the
-//     transport contract's per-pair ordering.
+//     transport contract's per-pair ordering. Each receiver's line also
+//     runs its sink on what it forwards (push), as a TCP reader does.
 //   - A kill (KillAfter / Kill) marks one node dead: every subsequent
 //     frame to or from it is dropped, and the fatal handler fires
 //     exactly once — exactly what a TCP backend does when a peer's
@@ -96,9 +97,10 @@ type line struct {
 
 // Transport is the fault-injecting wrapper. Build with Wrap.
 type Transport struct {
-	inner transport.Transport
-	n     int
-	opt   Options
+	inner   transport.Pusher
+	deliver transport.Deliverer // inner's delivery hook, nil if it pushes by itself
+	n       int
+	opt     Options
 
 	lines []*line
 	wg    sync.WaitGroup
@@ -122,7 +124,7 @@ type Transport struct {
 }
 
 // Wrap builds the fault injector over inner for a cluster of n nodes.
-func Wrap(inner transport.Transport, n int, opt Options) *Transport {
+func Wrap(inner transport.Pusher, n int, opt Options) *Transport {
 	if n <= 0 {
 		panic(fmt.Sprintf("faulty: wrap over %d nodes", n))
 	}
@@ -134,7 +136,12 @@ func Wrap(inner transport.Transport, n int, opt Options) *Transport {
 		prng:  make(map[[2]int]*splitmix),
 		dead:  make([]atomic.Bool, n),
 	}
+	t.deliver, _ = inner.(transport.Deliverer)
 	t.fatalFn = opt.OnFatal
+	// A sink's error takes an injected fault's road: off the line Close waits for.
+	if fs, ok := inner.(transport.FatalSink); ok {
+		fs.SetFatal(t.fatal)
+	}
 	for i := range t.lines {
 		t.lines[i] = &line{q: transport.NewQueue[timedFrame]()}
 		t.wg.Add(1)
@@ -242,10 +249,11 @@ func (t *Transport) delay(from, to int) time.Duration {
 }
 
 // runLine forwards one receiver's frames to the inner transport after
-// their delays elapse. Sleeping in queue order preserves FIFO per
-// receiver (and therefore per pair); a later frame drawn a shorter
-// delay simply rides behind its predecessor, which only ever lengthens
-// effective delays. After Close, remaining frames flush immediately.
+// their delays elapse and delivers them to its sink. Sleeping in queue
+// order preserves FIFO per receiver (and therefore per pair); a later
+// frame drawn a shorter delay simply rides behind its predecessor, which
+// only ever lengthens effective delays. After Close, remaining frames
+// flush immediately, for Recv only.
 func (t *Transport) runLine(l *line) {
 	defer t.wg.Done()
 	for {
@@ -265,6 +273,9 @@ func (t *Transport) runLine(l *line) {
 			continue
 		}
 		t.inner.Send(f.to, f.frame)
+		if t.deliver != nil && !t.closed.Load() {
+			t.deliver.Deliver(f.to)
+		}
 	}
 }
 
@@ -343,6 +354,16 @@ func (t *Transport) Recv(id memory.NodeID) ([]byte, bool) {
 	return t.inner.Recv(id)
 }
 
+// SetSink implements transport.Pusher: the inner backend takes the sink
+// unwrapped (faults act on the send side), and what it queued before the
+// install is delivered.
+func (t *Transport) SetSink(id memory.NodeID, sink func(frame []byte) error) {
+	t.inner.SetSink(id, sink)
+	if t.deliver != nil {
+		t.deliver.Deliver(id)
+	}
+}
+
 // Close implements transport.Transport: pending line frames flush to
 // the inner transport without their remaining delays (preserving the
 // close-drains contract), then the inner backend closes.
@@ -373,6 +394,8 @@ func (t *Transport) PeakDepth() int {
 	}
 	return 0
 }
+
+var _ transport.Pusher = (*Transport)(nil)
 
 // splitmix is splitmix64, the small deterministic PRNG used everywhere
 // else in this repo for seeded reproducibility.

@@ -17,10 +17,10 @@ import (
 // handler's job.
 type mesh struct{ tr *faulty.Transport }
 
-func (m mesh) Node(i int) transport.Transport { return m.tr }
-func (m mesh) Close()                         { m.tr.Close() }
-func (m mesh) Kill(node int)                  { m.tr.Kill(node) }
-func (m mesh) Fatals(node int) int            { return m.tr.Fatals() }
+func (m mesh) Node(i int) transport.Pusher { return m.tr }
+func (m mesh) Close()                      { m.tr.Close() }
+func (m mesh) Kill(node int)               { m.tr.Kill(node) }
+func (m mesh) Fatals(node int) int         { return m.tr.Fatals() }
 
 func factory(opt faulty.Options) transporttest.Factory {
 	return func(t *testing.T, n int) transporttest.Mesh {

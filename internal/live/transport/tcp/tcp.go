@@ -85,7 +85,7 @@
 // are in the slab (or dropped, on a dead link) — exactly once either
 // way — and the reader copies each payload it delivers out of its read
 // buffer into a buffer from the same pool, which the receiver — the
-// daemon after Recv, or the sink — returns or sends on.
+// caller of Recv, or the sink — returns or sends on.
 package tcp
 
 import (
@@ -357,9 +357,6 @@ func (t *Transport) heartbeat(interval time.Duration) {
 
 // Local reports the node this transport belongs to.
 func (t *Transport) Local() memory.NodeID { return t.local }
-
-// Nodes reports the cluster size.
-func (t *Transport) Nodes() int { return t.n }
 
 // Send implements transport.Transport: loop self-sends back to the
 // local inbox, queue the rest on the destination pair's writer. Sends

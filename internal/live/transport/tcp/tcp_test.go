@@ -105,7 +105,7 @@ func dialMeshConns(t testing.TB, n int, optFor func(node int) Options) ([]*Trans
 // tcpMesh adapts the dialed transports to the conformance suite.
 type tcpMesh struct{ trs []*Transport }
 
-func (m tcpMesh) Node(i int) transport.Transport { return m.trs[i] }
+func (m tcpMesh) Node(i int) transport.Pusher { return m.trs[i] }
 
 // Close tears the mesh down in two phases: mark every transport as
 // shutting down first, so the EOFs the closes provoke on still-open

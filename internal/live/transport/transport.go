@@ -18,11 +18,9 @@
 //     reuse the buffer. Recv transfers ownership to the caller, and so
 //     does a Pusher's sink call.
 //
-// Delivery is pull by default: a node's daemon blocks in Recv. A Pusher
-// runs the node's receive path without one — on a goroutine of its own
-// (TCP's per-peer readers) or, having none (ChanLoop, a Deliverer), on
-// the sender's, at a hook it calls holding no lock. The contract holds
-// on every path; which one a run takes is the backend's capability.
+// The live engine receives only by push (Pusher) and never calls Recv,
+// which stays for the conformance suite, the benchmark's probes and a
+// node whose sink is not installed yet.
 package transport
 
 import (
@@ -35,10 +33,10 @@ import (
 
 // Transport moves encoded protocol frames between nodes.
 type Transport interface {
-	// Send delivers frame to node to's daemon. It must not block
-	// indefinitely and may be called concurrently from any goroutine.
-	// After Close, sends are a silent drop (per the Queue contract) —
-	// a daemon racing a concurrent Close must not panic.
+	// Send delivers frame to node to. It must not block indefinitely and
+	// may be called concurrently from any goroutine. After Close, sends
+	// are a silent drop (per the Queue contract) — a handler racing a
+	// concurrent Close must not panic.
 	Send(to memory.NodeID, frame []byte)
 	// Recv blocks for the next frame addressed to node id. ok reports
 	// false when the transport has been closed and no frames remain.
@@ -72,14 +70,13 @@ type FatalSink interface {
 	SetFatal(fn func(error))
 }
 
-// Pusher is implemented by backends that can deliver a node's frames by
-// calling the node instead of queueing them for Recv. The live engine
-// installs one sink per node before traffic flows and starts no daemon
-// over a Pusher. A backend with goroutines of its own pushes on them
-// (the TCP backend: the reader that took a frame off a peer socket, for
-// its local node); a backend with none is a Deliverer and pushes on the
-// goroutine that calls its hook.
+// Pusher is a Transport that delivers a node's frames by calling the node
+// instead of queueing them for Recv; the live engine runs over no other,
+// installing one sink per node before traffic flows. A backend with
+// goroutines of its own pushes on them (TCP's readers, the fault
+// injector's delivery lines); one with none is a Deliverer.
 type Pusher interface {
+	Transport
 	// SetSink installs node id's sink. From its return on, the backend
 	// may call sink instead of queueing a frame for Recv(id), from any
 	// goroutine, concurrently, never under a lock Send needs. Frames
@@ -93,15 +90,16 @@ type Pusher interface {
 	SetSink(id memory.NodeID, sink func(frame []byte) error)
 }
 
-// Deliverer is a Pusher with no goroutine of its own: Send only queues,
-// in the order the sender's lock admits, and the live engine calls the
-// hook for each node it queued frames for once it releases that lock.
+// Deliverer is a Pusher that receives on no goroutine of its own: Send
+// only queues, in the order the sender's lock admits, and the live engine
+// calls the hook for each node it queued frames for once it drops that lock.
 type Deliverer interface {
 	Pusher
-	// Deliver runs node to's sink on its queued frames, in order, on the
-	// calling goroutine — unless another goroutine is draining that node
-	// already, which then takes them. The caller holds no lock a sink
-	// takes. Before SetSink(to) it does nothing: the frames wait for Recv.
+	// Deliver runs node to's sink on one batch of its queued frames, in
+	// order, on the calling goroutine, and the rest on a fresh one Close
+	// waits for — unless another goroutine is draining that node already,
+	// which then takes them. The caller holds no lock a sink takes. Before
+	// SetSink(to) it does nothing: the frames wait for Recv.
 	Deliver(to memory.NodeID)
 }
 
@@ -245,10 +243,10 @@ func (q *Queue[T]) Close() {
 // framePool recycles encode buffers across the live send path. The
 // ownership rule makes pooling safe without reference counting: the
 // sender encodes into GetFrame and transfers the buffer to the
-// transport at Send; whoever consumes the frame last — the daemon after
-// decoding an inbox frame, a TCP writer once the bytes are packed for
-// the socket, a closed backend dropping a late send — returns it with
-// PutFrame.
+// transport at Send; whoever consumes the frame last — the receiving
+// node's sink once it decoded the frame, a TCP writer once the bytes
+// are packed for the socket, a closed backend dropping a late send —
+// returns it with PutFrame.
 //
 // A sync.Pool holds pointers, so a pooled buffer travels in a *[]byte
 // box. The boxes are recycled too: GetFrame empties one into boxPool,
@@ -299,6 +297,8 @@ type ChanLoop struct {
 	inboxes []*Queue[[]byte]
 	outlets []outlet
 	closed  atomic.Bool
+	relayMu sync.Mutex     // no relay starts once closed is set
+	relays  sync.WaitGroup // Deliver's fresh goroutines, which Close waits for
 
 	fatal     func(error)
 	fatalOnce sync.Once
@@ -337,43 +337,46 @@ func (t *ChanLoop) SetFatal(fn func(error)) { t.fatal = fn }
 // before the inbox is looked at again: a frame put meanwhile — by another
 // sender, or by this batch's sinks through a nested call, which claims a
 // different inbox (so nesting is no deeper than the cluster is wide) —
-// found the claim taken and is picked up at that re-check. After Close,
-// or once a sink failed, the batch feeds the pool instead.
+// found the claim taken, and the re-check hands it to a fresh goroutine:
+// the caller may be a thread whose mailbox holds what those frames wait
+// for (the install that ends a forwarding cycle). After Close, or once a
+// sink failed, the batch feeds the pool instead; the error reaches the
+// fatal handler, which closes the transport, off the relay Close awaits.
 func (t *ChanLoop) Deliver(to memory.NodeID) {
 	o, in := &t.outlets[to], t.inboxes[to]
 	sink := o.sink.Load()
-	if sink == nil {
+	if sink == nil || !o.busy.CompareAndSwap(false, true) {
 		return
 	}
-	for o.busy.CompareAndSwap(false, true) {
-		var err error
-		o.batch, _ = in.TryGetAll(o.batch[:0])
-		for i, frame := range o.batch {
-			o.batch[i] = nil
-			if err == nil && !t.closed.Load() {
-				err = (*sink)(frame)
-			} else {
-				PutFrame(frame)
-			}
+	var err error
+	o.batch, _ = in.TryGetAll(o.batch[:0])
+	for i, frame := range o.batch {
+		o.batch[i] = nil
+		if err == nil && !t.closed.Load() {
+			err = (*sink)(frame)
+		} else {
+			PutFrame(frame)
 		}
-		o.busy.Store(false)
-		if err != nil {
-			t.fatalOnce.Do(func() { t.fatal(err) })
-			return
+	}
+	o.busy.Store(false)
+	if err != nil {
+		t.fatalOnce.Do(func() { go t.fatal(err) })
+		return
+	}
+	if in.Len() > 0 {
+		t.relayMu.Lock()
+		if !t.closed.Load() {
+			t.relays.Add(1)
+			go func() { defer t.relays.Done(); t.Deliver(to) }()
 		}
-		if in.Len() == 0 {
-			return
-		}
+		t.relayMu.Unlock()
 	}
 }
 
-// Nodes reports the cluster size.
-func (t *ChanLoop) Nodes() int { return len(t.inboxes) }
-
 // Send implements Transport. A send racing a concurrent Close is a
 // silent drop, per the Queue contract: the frame's buffer feeds the
-// pool and the daemon that issued it carries on (it is about to observe
-// the closed transport itself).
+// pool and the handler that issued it carries on (its run is about to
+// observe the closed transport itself).
 func (t *ChanLoop) Send(to memory.NodeID, frame []byte) {
 	if to < 0 || int(to) >= len(t.inboxes) {
 		panic(fmt.Sprintf("transport: send to invalid node %d", to))
@@ -388,14 +391,18 @@ func (t *ChanLoop) Recv(id memory.NodeID) ([]byte, bool) {
 	return t.inboxes[id].Get()
 }
 
-// Close implements Transport: daemons drain their inboxes, then their
-// Recv returns false. A Deliver under way finishes the sink call it is
-// in, then feeds the rest to the pool and returns.
+// Close implements Transport: Recv drains what an inbox holds, then
+// returns false. A Deliver under way finishes the sink call it is in,
+// then feeds the rest to the pool and returns; Close waits for those on
+// relay goroutines.
 func (t *ChanLoop) Close() {
+	t.relayMu.Lock()
 	t.closed.Store(true)
+	t.relayMu.Unlock()
 	for _, b := range t.inboxes {
 		b.Close()
 	}
+	t.relays.Wait()
 }
 
 // InboxLen reports node id's current inbox depth (tests, observability).

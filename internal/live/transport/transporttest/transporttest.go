@@ -1,17 +1,16 @@
 //dsm:wallclock the conformance harness bounds real-goroutine waits with wall-clock deadlines
 
 // Package transporttest is the conformance suite for live-transport
-// backends: any transport.Transport implementation the DSM engine may
-// run over must pass it. It generalizes the checks PR 4 pinned with the
-// in-process verifyTransport — FIFO-per-pair delivery, concurrent-send
-// safety, close-drain semantics, silent post-Close sends, byte-exact
-// frame fidelity for canonical wire frames — into one reusable harness
-// run against both the chanloop and TCP backends (under -race in CI).
-// A backend that also pushes (transport.Pusher) is held to the same
-// contract through its sinks; the Push subtests skip on one that does
-// not. They follow the engine's rule for a backend with no goroutine of
-// its own (transport.Deliverer): Send, then call the delivery hook from
-// a goroutine that holds nothing — a sink included.
+// backends: any transport.Pusher the DSM engine may run over must pass
+// it. It generalizes the checks PR 4 pinned with the in-process
+// verifyTransport — FIFO-per-pair delivery, concurrent-send safety,
+// close-drain semantics, silent post-Close sends, byte-exact frame
+// fidelity for canonical wire frames — into one reusable harness run
+// against every backend (under -race in CI), and holds the same contract
+// through the sinks, run by the backend's own goroutines (TCP readers,
+// fault-injector lines) or, for a transport.Deliverer, by the engine's
+// rule: Send, then call the delivery hook from a goroutine that holds
+// nothing, a sink included.
 package transporttest
 
 import (
@@ -34,7 +33,7 @@ import (
 // node. Close tears the whole mesh down; it must be safe to call after
 // individual transports failed.
 type Mesh interface {
-	Node(i int) transport.Transport
+	Node(i int) transport.Pusher
 	Close()
 }
 
@@ -107,8 +106,7 @@ func killFatalOnce(t *testing.T, f FaultFactory) {
 }
 
 // deathUnblocks: a receiver parked in Recv when a peer dies must
-// unblock within a bound (the engine's daemons must not hang on a
-// broken cluster).
+// unblock within a bound (nothing may hang on a broken cluster).
 func deathUnblocks(t *testing.T, f FaultFactory) {
 	m := f(t, 3)
 	defer m.Close()
@@ -286,17 +284,6 @@ func burstMixedSizes(t *testing.T, f Factory) {
 	wg.Wait()
 }
 
-// pusher returns node i's sink installer, skipping the subtest on a
-// backend that only pulls.
-func pusher(t *testing.T, m Mesh, i int) transport.Pusher {
-	t.Helper()
-	p, ok := m.Node(i).(transport.Pusher)
-	if !ok {
-		t.Skip("backend offers no sink")
-	}
-	return p
-}
-
 // deliver calls tr's delivery hook for node to when it has one: the
 // engine's rule after a Send. Other backends push, or are pulled, by
 // themselves.
@@ -349,16 +336,31 @@ func (c *burstChecker) count(s int) int {
 // pushAcrossInstall: frames that arrived before the sink was installed
 // reach it before later frames of the same sender, each exactly once —
 // FIFO per pair holds across the switch from pull to push, with the
-// sender still sending through it.
+// sender still sending through it (node 1). They reach it when nothing
+// is sent after the install, too (node 2): the install hands them over
+// itself, or on a Deliverer the first delivery does.
 func pushAcrossInstall(t *testing.T, f Factory) {
-	m := f(t, 2)
+	m := f(t, 3)
 	defer m.Close()
-	p := pusher(t, m, 1)
 	const early, total = 200, 2000
+	var next [3]atomic.Int64 // per node: the seq its sink takes next
+	sink := func(id int) func(frame []byte) error {
+		return func(frame []byte) error {
+			if seq, want := frameSeq(frame), next[id].Add(1)-1; int64(seq) != want {
+				t.Errorf("node %d: sink got seq %d, want %d", id, seq, want)
+			}
+			transport.PutFrame(frame)
+			return nil
+		}
+	}
 	for i := 0; i < early; i++ {
 		push(m, 0, 1, mkFrame(0, i, i%40))
+		push(m, 0, 2, mkFrame(0, i, i%40))
 	}
-	waitFor(t, func() bool { return depth(m.Node(1), 1) >= early/2 })
+	waitFor(t, func() bool { return depth(m.Node(1), 1) >= early/2 && depth(m.Node(2), 2) >= early })
+	m.Node(2).SetSink(2, sink(2))
+	deliver(m.Node(2), 2)
+	waitFor(t, func() bool { return next[2].Load() >= early })
 	sent := make(chan struct{})
 	go func() {
 		defer close(sent)
@@ -366,21 +368,10 @@ func pushAcrossInstall(t *testing.T, f Factory) {
 			push(m, 0, 1, mkFrame(0, i, i%40))
 		}
 	}()
-	var mu sync.Mutex
-	next := 0
-	p.SetSink(1, func(frame []byte) error {
-		mu.Lock()
-		if seq := frameSeq(frame); seq != next {
-			t.Errorf("sink got seq %d, want %d", seq, next)
-		}
-		next++
-		mu.Unlock()
-		transport.PutFrame(frame)
-		return nil
-	})
+	m.Node(1).SetSink(1, sink(1))
 	deliver(m.Node(1), 1) // the frames queued before, should the sender be done already
 	<-sent
-	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return next >= total })
+	waitFor(t, func() bool { return next[1].Load() >= total })
 	if n := depth(m.Node(1), 1); n != 0 && n != 1<<30 {
 		t.Fatalf("%d frames left in the inbox behind an installed sink", n)
 	}
@@ -398,12 +389,12 @@ func pushEchoStrandsNothing(t *testing.T, f Factory) {
 	defer m.Close()
 	const per = 1000
 	at0 := &burstChecker{t: t}
-	pusher(t, m, 0).SetSink(0, func(frame []byte) error {
+	m.Node(0).SetSink(0, func(frame []byte) error {
 		at0.take(frame)
 		transport.PutFrame(frame)
 		return nil
 	})
-	pusher(t, m, 1).SetSink(1, func(frame []byte) error {
+	m.Node(1).SetSink(1, func(frame []byte) error {
 		m.Node(1).Send(0, frame)
 		deliver(m.Node(1), 0)
 		return nil
@@ -434,23 +425,27 @@ func pushEchoStrandsNothing(t *testing.T, f Factory) {
 
 // pushCloseDuringRelay: Close while sinks are answering a flood neither
 // hangs nor panics, every delivery under way returns, no sink runs once
-// both have, and no frame buffer — answered, queued or late — feeds the
-// pool twice.
+// both have and Close has returned — whatever goroutines of its own the
+// backend ran sinks on (readers, delivery lines, relays) are out of them
+// — and no frame buffer — answered, queued or late — feeds the pool
+// twice.
 func pushCloseDuringRelay(t *testing.T, f Factory) {
 	m := f(t, 2)
-	var calls atomic.Int64
+	var calls, inside atomic.Int64
 	echo := func(self int) func(frame []byte) error {
 		return func(frame []byte) error {
 			calls.Add(1)
+			inside.Add(1)
+			defer inside.Add(-1)
 			push(m, self, memory.NodeID(1-self), frame)
 			return nil
 		}
 	}
-	pusher(t, m, 0).SetSink(0, echo(0))
-	pusher(t, m, 1).SetSink(1, echo(1))
+	m.Node(0).SetSink(0, echo(0))
+	m.Node(1).SetSink(1, echo(1))
 	// 64 frames of distinct sizes circulate until Close: each is
-	// answered by the node that receives it — on a Deliverer, by the two
-	// goroutines that deliver the first ones, until Close stops them.
+	// answered by the node that receives it, on whatever goroutine the
+	// backend delivers it, until Close stops them.
 	for i := 0; i < 64; i++ {
 		m.Node(i%2).Send(memory.NodeID(1-i%2), mkFrame(i%2, i, 600+i))
 	}
@@ -473,6 +468,9 @@ func pushCloseDuringRelay(t *testing.T, f Factory) {
 	case <-relayed:
 	case <-time.After(5 * time.Second):
 		t.Fatal("a delivery still running 5s after Close")
+	}
+	if n := inside.Load(); n != 0 {
+		t.Fatalf("%d sink calls still running after Close returned", n)
 	}
 	after := calls.Load()
 	time.Sleep(5 * time.Millisecond)
@@ -523,7 +521,7 @@ func pushNestedDelivery(t *testing.T, f Factory) {
 		deliver(m.Node(from), memory.NodeID(to))
 	}
 	for self := 0; self < nodes; self++ {
-		pusher(t, m, self).SetSink(memory.NodeID(self), func(frame []byte) error {
+		m.Node(self).SetSink(memory.NodeID(self), func(frame []byte) error {
 			from, seq, left := frameSender(frame), frameSeq(frame), len(frame)-4
 			transport.PutFrame(frame)
 			n := &ns[self]

@@ -100,7 +100,7 @@ func (n *Node) growObjects(total int) {
 // migrating fault reply awaiting install, or a Jiajia barrier-go) is
 // still in flight. The virtual-time engine cannot observe that window
 // (message costs order the transfer before any dependent request), but
-// the live engine can — its daemon requeues the message until the
+// the live engine can — it parks the message at its node until the
 // transfer lands. Manager/broadcast locators recover through HomeMiss
 // instead and always route.
 func (n *Node) CanRoute(msg wire.Msg) bool {
