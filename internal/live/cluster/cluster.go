@@ -4,57 +4,49 @@
 // DSM clusters: it turns N independent OS processes (cmd/dsmnode) into
 // one live-engine cluster over the TCP transport backend.
 //
-// Responsibilities, in run order:
+// Bootstrap opens one connection per node pair (higher id dials lower)
+// and exchanges a hello — protocol version, node id, cluster size,
+// configuration digest — rejecting mismatches: a member started with
+// different flags must not silently join.
 //
-//   - Bootstrap: establish one connection per node pair (higher id
-//     dials lower, so there is exactly one link per pair), exchange a
-//     hello — protocol version, node id, cluster size, configuration
-//     digest — and reject mismatches (a member started with different
-//     flags must not silently join), then barrier on start so no
-//     engine runs before every member is wired.
-//   - Quiescence: the live engine's end-of-run wait becomes a
-//     distributed termination detection (the engine's local in-flight
-//     counter cannot see other processes). Node 0 coordinates
-//     two-wave polls in the style of Mattern's four-counter method:
-//     the cluster is quiescent when the per-process in-flight counters
-//     sum to zero over two consecutive waves with no frame delivered
-//     in between.
-//   - End state: each process owns its node's protocol state and
-//     nothing else — from Run on the engine holds no other node. Every
-//     member ships its node's report (proto.Node.Report: the home copies
-//     it owns, its locator tables, the verdict of the node-local
-//     invariant clauses) to node 0, which runs proto.Assemble over them
-//     — the same definition of the end state, and under Config.Check the
-//     same invariant check, the in-process engines use — and keeps the
-//     assembled memory. Members get back every object's home and the
-//     memory digest, never the memory: the applications' validators run
-//     on node 0, and a member can read the objects it homes itself.
-//   - Application verdict: oracle event logs (stamped with hybrid
-//     logical clocks carried on every TCP frame, so the merged order
-//     is causally consistent under arbitrary wall-clock skew) and
-//     per-node metrics merge on node 0; the combined verdict — LRC
-//     oracle over the merged log, per-node failures — is broadcast, so
-//     every member exits with the same status. There is one digest, of
-//     the memory node 0 assembled, and nothing to compare it with
-//     inside the cluster: what holds it is the single-process run of
-//     the same configuration, which must print the same one.
-//   - Failure domains: dial and handshake carry deadlines with capped
-//     exponential backoff, heartbeats on the pair connections detect a
-//     silent peer within HeartbeatTimeout, any connection failure
-//     closes both delivery planes so nothing blocks forever, and an
-//     aborting member arms a grace timer that severs its transport if
-//     the verdict exchange wedges — every process of a broken cluster
-//     exits nonzero within a bound instead of hanging. Failures are
-//     classified by sentinel (ErrConfigMismatch, ErrBootstrapTimeout,
-//     ErrPeerDeath, ErrVerification) so cmd/dsmnode can map them to
-//     distinct exit codes.
-//   - Shutdown: a drain barrier (bye/shutdown) so no process tears its
-//     sockets down while a peer still needs them.
+// Everything after that is one exchange, the round: every member sends
+// node 0 a body of one kind; node 0 gathers all n, judges them and
+// broadcasts the reply — or a failure naming the member whose body was of
+// the wrong kind, came twice or did not decode. A run is five kinds of
+// round:
 //
-// The live engine itself participates only through optional transport
-// hooks it finds by type assertion — live.Quiescer and live.Finisher
-// here, transport.Pusher passed through to the TCP backend; its protocol
-// and message paths are untouched — the property PR 4 designed for.
+//   - start: a barrier, so no engine runs before every member is wired.
+//   - poll, repeated: distributed termination detection in the style of
+//     Mattern's four-counter method — the cluster is quiescent when the
+//     members' in-flight counters sum to zero over two consecutive waves
+//     with no frame delivered in between.
+//   - report: every member ships its node's proto.Node.Report; node 0
+//     runs proto.Assemble over them (the in-process engines' end state
+//     and, under Config.Check, their invariant check), keeps the memory
+//     and answers with every object's home and the digest. The
+//     applications' validators run on node 0; a member reads the objects
+//     it homes.
+//   - verdict: oracle logs, stamped with the hybrid logical clock every
+//     TCP frame carries (so their merge is causal under any wall-clock
+//     skew), flight rings and metrics merge on node 0; the verdict — LRC
+//     oracle over the merged log, per-node failures — reaches every
+//     member, so all exit with the same status.
+//   - bye: a drain barrier, so no process tears its sockets down while a
+//     peer still needs them.
+//
+// Failure domains: dial and handshake carry deadlines with capped
+// exponential backoff, heartbeats on the pair connections detect a peer
+// silent for five seconds, any connection failure closes both delivery
+// planes so no round waits forever, and an aborting member arms a grace
+// timer that severs its transport if the verdict round wedges — every
+// process of a broken cluster exits nonzero within a bound instead of
+// hanging. Failures are classified by sentinel (ErrConfigMismatch,
+// ErrBootstrapTimeout, ErrPeerDeath, ErrVerification) so cmd/dsmnode can
+// map them to distinct exit codes.
+//
+// The live engine participates only through transport hooks it finds by
+// type assertion: live.Finisher (the poll and report rounds) and
+// transport.Pusher, passed through to the TCP backend.
 package cluster
 
 import (
@@ -105,6 +97,14 @@ const (
 	helloSize    = 4 + 1 + 2 + 2 + 8 // magic, version, id, nodes, config digest
 )
 
+// Every member sends a keepalive on each pair connection every
+// heartbeatInterval and declares a peer dead after heartbeatTimeout of
+// silence.
+const (
+	heartbeatInterval = 500 * time.Millisecond
+	heartbeatTimeout  = 5 * time.Second
+)
+
 // Config describes this process's membership.
 type Config struct {
 	// ID is the node this process runs; Addrs[ID] is its listen
@@ -122,16 +122,8 @@ type Config struct {
 	// DialTimeout bounds how long Join waits for a peer to come up
 	// (members may start in any order). Zero means 20s.
 	DialTimeout time.Duration
-	// HeartbeatInterval is the period of the keepalive frames each
-	// member sends on every pair connection; HeartbeatTimeout is how
-	// long a peer may stay silent (no frames of any kind) before it is
-	// declared dead. Zero selects the defaults (500ms and 5s); negative
-	// disables heartbeats/detection. Timeout should be several
-	// intervals, and every member should agree.
-	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
-	// AbortGrace bounds the abort verdict exchange: a member that calls
-	// AbortApp severs its transport after this long if the exchange has
+	// AbortGrace bounds the abort's verdict round: a member that calls
+	// AbortApp severs its transport after this long if the round has
 	// not completed, converting a wedged cluster into peer-death
 	// failures every survivor detects. Zero means 5s.
 	AbortGrace time.Duration
@@ -144,8 +136,8 @@ type Config struct {
 	WallClock func() int64
 	// FlightCap, when positive, attaches a flight recorder of that
 	// capacity to this member, stamped from the member's hybrid logical
-	// clock (the same clock every TCP frame carries), so the finish
-	// exchange can merge every node's ring into one HLC-ordered cluster
+	// clock (the same clock every TCP frame carries), so the verdict
+	// round can merge every node's ring into one HLC-ordered cluster
 	// timeline on node 0. Pass the recorder (FlightRecorder) to
 	// dsm.Config.FlightLocal so the engine shares it.
 	FlightCap int
@@ -191,10 +183,8 @@ type Member struct {
 	sink    *telemetry.Sink
 	sampler *telemetry.Sampler
 
-	// telView collects the latest telemetry snapshot per node, fed by
-	// the transport's telemetry channel (every member ships its own
-	// periodically; node 0 accumulates the cluster view its /metrics
-	// endpoint serves).
+	// telView is node 0's cluster view: the latest snapshot each other
+	// member shipped over the transport's telemetry channel.
 	telMu   sync.Mutex
 	telView map[memory.NodeID]telemetry.Snapshot
 }
@@ -220,18 +210,6 @@ func Join(cfg Config) (*Member, error) {
 	}
 	if cfg.DialTimeout == 0 {
 		cfg.DialTimeout = 20 * time.Second
-	}
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = 500 * time.Millisecond
-	}
-	if cfg.HeartbeatTimeout == 0 {
-		cfg.HeartbeatTimeout = 5 * time.Second
-	}
-	if cfg.HeartbeatInterval < 0 {
-		cfg.HeartbeatInterval = 0
-	}
-	if cfg.HeartbeatTimeout < 0 {
-		cfg.HeartbeatTimeout = 0
 	}
 	if cfg.AbortGrace == 0 {
 		cfg.AbortGrace = 5 * time.Second
@@ -345,31 +323,18 @@ func Join(cfg Config) (*Member, error) {
 		}
 		panic(err)
 	}
-	opts := tcp.Options{OnFatal: onFatal, Clock: m.clock, Flight: m.flight, OnTelemetry: m.handleTelemetry}
-	if n > 1 {
-		opts.HeartbeatInterval = cfg.HeartbeatInterval
-		opts.HeartbeatTimeout = cfg.HeartbeatTimeout
-	}
-	m.tr = tcp.New(cfg.ID, conns, opts)
+	m.tr = tcp.New(cfg.ID, conns, tcp.Options{
+		OnFatal: onFatal, Clock: m.clock, Flight: m.flight, OnTelemetry: m.handleTelemetry,
+		HeartbeatInterval: heartbeatInterval, HeartbeatTimeout: heartbeatTimeout,
+	})
 	m.reg = telemetry.NewRegistry(int(cfg.ID), "")
 	m.sink = telemetry.NewSink(0)
 	m.reg.AttachSink(m.sink)
 	m.registerMetrics()
 
-	// Start barrier: every member reports ready to node 0; node 0
-	// releases the cluster. After this, engines may run.
-	if cfg.ID != 0 {
-		m.send(0, ctlReady, nil)
-		if _, _, err := m.expect(ctlStart, ctlFail); err != nil {
-			m.tr.Close()
-			return nil, fmt.Errorf("cluster: node %d: start barrier: %w", cfg.ID, err)
-		}
-	} else {
-		if _, err := m.gather(ctlReady); err != nil {
-			m.tr.Close()
-			return nil, fmt.Errorf("cluster: start barrier: %w", err)
-		}
-		m.broadcast(ctlStart, nil)
+	if _, err := round(m, ctlStart, struct{}{}, barrier); err != nil {
+		m.tr.Close()
+		return nil, fmt.Errorf("cluster: node %d: start barrier: %w", cfg.ID, err)
 	}
 	m.logf("node %d: cluster of %d up", cfg.ID, n)
 	return m, nil
@@ -483,63 +448,143 @@ func (m *Member) handshake(conn net.Conn, want memory.NodeID) (memory.NodeID, er
 	return memory.NodeID(int16(le.Uint16(peer[5:]))), nil
 }
 
-// --- control-plane message plumbing -------------------------------
+// --- the control plane: rounds ------------------------------------
 
-// ctlKind tags every control payload.
+// ctlKind tags every control payload. Each kind but ctlFail names a
+// round: members send node 0 a body of that kind, node 0 answers with
+// the same kind.
 type ctlKind byte
 
 const (
-	ctlReady ctlKind = iota + 1
-	ctlStart
-	ctlDone      // member → 0: local workers finished
-	ctlPoll      // 0 → members: report activity
-	ctlPollReply // member → 0: {inflight, frames delivered}
-	ctlQuiesced  // 0 → members: cluster-wide quiescence reached
-	ctlReport    // member → 0: end-of-run node state
-	ctlAssign    // 0 → members: every object's home, the memory digest
-	ctlAppReport // member → 0: application result
-	ctlVerdict   // 0 → members: cluster-wide verdict
-	ctlBye       // member → 0: ready to tear down
-	ctlShutdown  // 0 → members: tear down now
-	ctlFail      // 0 → members: cluster-wide failure, reason attached
+	ctlStart   ctlKind = iota + 1 // start barrier
+	ctlPoll                       // one quiescence wave: {inflight, frames delivered} → quiescent?
+	ctlReport                     // end state: node report → every object's home, the memory digest
+	ctlVerdict                    // application result → cluster-wide verdict
+	ctlBye                        // drain barrier
+	ctlFail                       // 0 → members, instead of a reply: the round failed, reason attached
 )
 
 func (k ctlKind) String() string {
-	names := [...]string{"?", "ready", "start", "done", "poll", "pollreply",
-		"quiesced", "report", "assign", "appreport", "verdict", "bye", "shutdown", "fail"}
+	names := [...]string{"?", "start", "poll", "report", "verdict", "bye", "fail"}
 	if int(k) < len(names) {
 		return names[k]
 	}
 	return fmt.Sprintf("ctl(%d)", byte(k))
 }
 
-// send gob-encodes body under kind and queues it for node to. A nil
-// body sends the bare kind.
-func (m *Member) send(to memory.NodeID, kind ctlKind, body any) {
+type failBody struct{ Reason string }
+
+// round is the control plane's one exchange. Every member sends body
+// under kind to node 0, which gathers all n bodies — its own as passed —
+// indexed by node, judges them and broadcasts the reply; every member
+// returns it. A body of another kind, a member's second body (which
+// would leave another member's slot empty) and a body that does not
+// decode fail the round naming the sender and the kind expected, and so
+// does judge's error: node 0 then broadcasts ctlFail with the reason and
+// returns the error itself, keeping its sentinel, and the others return
+// "cluster failed: <reason>". judge runs on node 0 only, so a
+// one-member round is its own judge.
+func round[T, R any](m *Member, kind ctlKind, body T, judge func(bodies []T) (R, error)) (R, error) {
+	if m.cfg.ID != 0 {
+		m.tr.SendCtrl(0, encode(kind, body))
+		return awaitReply[R](m, kind)
+	}
+	bodies := make([]T, m.n)
+	bodies[0] = body
+	seen := make([]bool, m.n)
+	var err error
+	for have := 1; have < m.n && err == nil; have++ {
+		from, got, payload, rerr := m.recv()
+		switch {
+		case rerr != nil:
+			err = rerr
+		case got != kind:
+			err = fmt.Errorf("unexpected %v from node %d (want %v)", got, from, kind)
+		case seen[from]:
+			err = fmt.Errorf("node %d sent %v twice", from, kind)
+		default:
+			seen[from] = true
+			if derr := decode(payload, &bodies[from]); derr != nil {
+				err = fmt.Errorf("node %d's %v does not decode: %v", from, kind, derr)
+			}
+		}
+	}
+	var reply R
+	if err == nil {
+		reply, err = judge(bodies)
+	}
+	if err != nil {
+		m.broadcast(ctlFail, failBody{Reason: err.Error()})
+		return reply, err
+	}
+	m.broadcast(kind, reply)
+	return reply, nil
+}
+
+// awaitReply is a member's side of a round once its body is sent: node
+// 0's reply, or the failure node 0 broadcast instead.
+func awaitReply[R any](m *Member, kind ctlKind) (R, error) {
+	var reply R
+	from, got, payload, err := m.recv()
+	switch {
+	case err != nil:
+	case got == ctlFail:
+		var f failBody
+		if err = decode(payload, &f); err != nil {
+			err = fmt.Errorf("cluster failed: node %d's reason does not decode: %w", from, err)
+		} else {
+			err = fmt.Errorf("cluster failed: %s", f.Reason)
+		}
+	case got != kind:
+		err = fmt.Errorf("unexpected %v from node %d (want %v)", got, from, kind)
+	default:
+		if err = decode(payload, &reply); err != nil {
+			err = fmt.Errorf("node %d's %v does not decode: %w", from, kind, err)
+		}
+	}
+	return reply, err
+}
+
+// barrier is the judge of a round that carries nothing either way.
+func barrier([]struct{}) (struct{}, error) { return struct{}{}, nil }
+
+// encode is a control payload: the kind byte, then body gob-encoded —
+// nothing more for a struct{} body.
+func encode(kind ctlKind, body any) []byte {
 	var buf bytes.Buffer
 	buf.WriteByte(byte(kind))
-	if body != nil {
+	if _, bare := body.(struct{}); !bare {
 		if err := gob.NewEncoder(&buf).Encode(body); err != nil {
 			panic(fmt.Sprintf("cluster: encoding %v: %v", kind, err))
 		}
 	}
-	m.tr.SendCtrl(to, buf.Bytes())
+	return buf.Bytes()
 }
 
-// broadcast sends kind/body to every other member.
-func (m *Member) broadcast(kind ctlKind, body any) {
-	for id := 0; id < m.n; id++ {
-		if memory.NodeID(id) != m.cfg.ID {
-			m.send(memory.NodeID(id), kind, body)
+// decode reads a payload encode wrote into v.
+func decode(payload []byte, v any) error {
+	if _, bare := v.(*struct{}); bare {
+		if len(payload) > 0 {
+			return fmt.Errorf("%d bytes where none belong", len(payload))
 		}
+		return nil
+	}
+	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
+}
+
+// broadcast sends kind/body from node 0 to every other member.
+func (m *Member) broadcast(kind ctlKind, body any) {
+	payload := encode(kind, body)
+	for id := 1; id < m.n; id++ {
+		m.tr.SendCtrl(memory.NodeID(id), payload)
 	}
 }
 
 // recv blocks for the next control message. A control channel that
 // closed because a connection failed surfaces the failure as peer
-// death, so every wait on the control plane is bounded by the
-// transport's detection (conn reset, or HeartbeatTimeout for a silent
-// peer) instead of blocking forever.
+// death, so every round is bounded by the transport's detection (conn
+// reset, or the heartbeat timeout for a silent peer) instead of
+// blocking forever.
 func (m *Member) recv() (memory.NodeID, ctlKind, []byte, error) {
 	c, ok := m.tr.RecvCtrl()
 	if !ok {
@@ -554,75 +599,6 @@ func (m *Member) recv() (memory.NodeID, ctlKind, []byte, error) {
 	return c.From, ctlKind(c.Payload[0]), c.Payload[1:], nil
 }
 
-// expect waits for one of the wanted kinds from node 0, treating
-// ctlFail specially: its reason becomes the error. Anything else is a
-// protocol violation.
-func (m *Member) expect(wanted ...ctlKind) (ctlKind, []byte, error) {
-	from, kind, body, err := m.recv()
-	if err != nil {
-		return 0, nil, err
-	}
-	if kind == ctlFail {
-		var f failBody
-		if err := decodeBody(body, &f); err != nil {
-			return 0, nil, fmt.Errorf("cluster failed: node %d's reason does not decode: %w", from, err)
-		}
-		return 0, nil, fmt.Errorf("cluster failed: %s", f.Reason)
-	}
-	for _, w := range wanted {
-		if kind == w {
-			return kind, body, nil
-		}
-	}
-	return 0, nil, fmt.Errorf("unexpected %v from node %d (want %v)", kind, from, wanted)
-}
-
-// gather waits until every other member has sent one message of the
-// wanted kind (coordinator only) and returns the bodies indexed by sender.
-// Anything else — a different kind, or a second message from a member
-// while another's is outstanding, which would leave that one's slot empty
-// — is a protocol violation naming the sender.
-func (m *Member) gather(want ctlKind) ([][]byte, error) {
-	bodies := make([][]byte, m.n)
-	seen := make([]bool, m.n)
-	for have := 0; have < m.n-1; have++ {
-		from, kind, body, err := m.recv()
-		if err != nil {
-			return nil, err
-		}
-		if kind != want {
-			return nil, fmt.Errorf("unexpected %v from node %d (want %v)", kind, from, want)
-		}
-		if seen[from] {
-			return nil, fmt.Errorf("node %d reported %v twice", from, want)
-		}
-		seen[from], bodies[from] = true, body
-	}
-	return bodies, nil
-}
-
-func decodeBody(body []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
-}
-
-type failBody struct{ Reason string }
-
-// failCluster broadcasts a cluster-wide failure and returns it as an
-// error (coordinator only).
-func (m *Member) failCluster(reason string) error {
-	m.broadcast(ctlFail, failBody{Reason: reason})
-	return fmt.Errorf("cluster failed: %s", reason)
-}
-
-// failClusterErr broadcasts like failCluster but returns err itself, so
-// the coordinator's failure keeps its classification sentinel (peer
-// death, verification...) for exit-code mapping instead of flattening
-// to a string.
-func (m *Member) failClusterErr(err error) error {
-	m.broadcast(ctlFail, failBody{Reason: err.Error()})
-	return err
-}
-
 // --- transport.Transport (engine-facing) --------------------------
 
 // Send implements transport.Transport by delegation.
@@ -632,9 +608,9 @@ func (m *Member) Send(to memory.NodeID, frame []byte) { m.tr.Send(to, frame) }
 func (m *Member) Recv(id memory.NodeID) ([]byte, bool) { return m.tr.Recv(id) }
 
 // Close implements transport.Transport for the engine: it closes the
-// data plane only — the control plane stays up for the post-run
-// exchanges (application verdict, shutdown barrier), which happen after
-// the engine's Run has returned. Full teardown is Leave.
+// data plane only — the control plane stays up for the verdict and bye
+// rounds, which happen after the engine's Run has returned. Full
+// teardown is Leave.
 func (m *Member) Close() { m.tr.CloseData() }
 
 // PeakDepth implements transport.DepthReporter by delegation.
@@ -656,14 +632,13 @@ func (m *Member) Digest() uint64 { return m.digest }
 
 // FlightRecorder returns this member's flight recorder (nil when
 // Config.FlightCap was zero). Pass it to dsm.Config.FlightLocal so the
-// engine records protocol events into the same ring the finish
-// exchange gathers.
+// engine records protocol events into the same ring the verdict round
+// gathers.
 func (m *Member) FlightRecorder() *flight.Recorder { return m.flight }
 
 // FlightTimeline returns the merged cluster-wide flight timeline in
 // (Wall, Logical) HLC order. Populated on node 0 only, after the
-// application verdict exchange (FinishApp or AbortApp) gathered every
-// member's ring — node 0's own when a member died before handing its
+// verdict round (FinishApp or AbortApp) gathered every member's ring — node 0's own when a member died before handing its
 // ring in; empty elsewhere or when recording was off.
 func (m *Member) FlightTimeline() []flight.Event { return m.timeline }
 
@@ -681,8 +656,8 @@ func (m *Member) PeerStats(id memory.NodeID) (tcp.PeerStats, bool) { return m.tr
 
 // handleTelemetry is the transport's telemetry-channel sink: decode the
 // shipped snapshot and fold it into the cluster view. Runs on reader
-// goroutines (or the shipper's, for loopback); decode errors drop the
-// frame — telemetry is best-effort and must never take a member down.
+// goroutines; decode errors drop the frame — telemetry is best-effort
+// and must never take a member down.
 func (m *Member) handleTelemetry(from memory.NodeID, payload []byte) {
 	snap, err := telemetry.DecodeSnapshot(payload)
 	if err != nil {
@@ -696,10 +671,13 @@ func (m *Member) handleTelemetry(from memory.NodeID, payload []byte) {
 	m.telMu.Unlock()
 }
 
-// ShipTelemetry sends one metric snapshot to node 0's cluster view
-// (loopback when this member is node 0). Best-effort: frames racing
-// shutdown drop silently.
+// ShipTelemetry sends one metric snapshot to node 0's cluster view; on
+// node 0, which reads its own registry, it returns at once. Best-effort:
+// frames racing shutdown drop silently.
 func (m *Member) ShipTelemetry(snap telemetry.Snapshot) {
+	if m.cfg.ID == 0 {
+		return
+	}
 	buf, err := telemetry.EncodeSnapshot(snap)
 	if err != nil {
 		return
@@ -713,98 +691,24 @@ func (m *Member) ShipTelemetry(snap telemetry.Snapshot) {
 func (m *Member) TelemetrySnapshots() []telemetry.Snapshot {
 	snaps := []telemetry.Snapshot{m.reg.Snapshot()}
 	m.telMu.Lock()
-	for from, s := range m.telView {
-		if from != m.cfg.ID {
-			snaps = append(snaps, s)
-		}
+	for _, s := range m.telView {
+		snaps = append(snaps, s)
 	}
 	m.telMu.Unlock()
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Node < snaps[j].Node })
 	return snaps
 }
 
-// Completed reports whether the application verdict exchange has run
-// (FinishApp or AbortApp): an application error from before the exchange
-// must be reported into it so peers learn of the failure; one *from* the
-// exchange must not run it twice (see Run).
+// Completed reports whether the verdict round has run (FinishApp or
+// AbortApp): an application error from before the round must be
+// reported into it so peers learn of the failure; one *from* the round
+// must not run it twice (see Run).
 func (m *Member) Completed() bool { return m.hasResult }
 
-// Quiesce implements live.Quiescer: distributed termination detection.
-// Called by the engine once this process's workers have finished.
-func (m *Member) Quiesce(inflight func() int64) error {
-	if m.n == 1 {
-		for inflight() != 0 {
-			time.Sleep(20 * time.Microsecond)
-		}
-		return nil
-	}
-	if m.cfg.ID != 0 {
-		m.send(0, ctlDone, nil)
-		for {
-			kind, _, err := m.expect(ctlPoll, ctlQuiesced)
-			if err != nil {
-				return err
-			}
-			if kind == ctlQuiesced {
-				return nil
-			}
-			m.send(0, ctlPollReply, pollBody{Inflight: inflight(), Delivered: m.tr.DataRecv()})
-		}
-	}
-	// Coordinator: wait for every member's workers, then run poll
-	// waves until two consecutive waves see a zero in-flight sum with
-	// no frame delivered anywhere in between — at that point no
-	// protocol frame exists in any queue, socket or handler.
-	if _, err := m.gather(ctlDone); err != nil {
-		return err
-	}
-	var prev []int64
-	prevZero := false
-	for wave := 0; ; wave++ {
-		m.broadcast(ctlPoll, nil)
-		sum := inflight()
-		delivered := make([]int64, m.n)
-		delivered[0] = m.tr.DataRecv()
-		replies, err := m.gather(ctlPollReply)
-		if err != nil {
-			return err
-		}
-		for from := 1; from < m.n; from++ {
-			var p pollBody
-			if err := decodeBody(replies[from], &p); err != nil {
-				return err
-			}
-			sum += p.Inflight
-			delivered[from] = p.Delivered
-		}
-		stable := prevZero && sum == 0 && prev != nil
-		if stable {
-			for i := range delivered {
-				if delivered[i] != prev[i] {
-					stable = false
-					break
-				}
-			}
-		}
-		if stable {
-			m.broadcast(ctlQuiesced, nil)
-			m.logf("node 0: cluster quiescent after %d waves", wave+1)
-			return nil
-		}
-		prev, prevZero = delivered, sum == 0
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
-type pollBody struct {
-	Inflight  int64
-	Delivered int64
-}
-
-// Leave runs the shutdown drain barrier and tears the connections
-// down. Call it after the application (and its verdict exchange) is
-// done; it is safe to call after a failure, when it makes a best
-// effort and never blocks forever.
+// Leave runs the drain barrier and tears the connections down. Call it
+// after the application (and its verdict round) is done; it is safe to
+// call after a failure, when it makes a best effort and never blocks
+// forever.
 func (m *Member) Leave() {
 	if m.tr == nil {
 		return
@@ -812,15 +716,7 @@ func (m *Member) Leave() {
 	// Everything that matters has happened; from here, peer hangups
 	// are expected.
 	m.tr.MarkShutdown()
-	if m.n > 1 {
-		if m.cfg.ID != 0 {
-			m.send(0, ctlBye, nil)
-			m.expect(ctlShutdown) // best effort: errors just mean "go"
-		} else {
-			m.gather(ctlBye) // best effort, like the members' wait
-			m.broadcast(ctlShutdown, nil)
-		}
-	}
+	round(m, ctlBye, struct{}{}, barrier) // best effort: a failure just means "go"
 	m.tr.Close()
 }
 
@@ -831,6 +727,5 @@ var (
 	_ transport.DepthReporter = (*Member)(nil)
 	_ transport.Pusher        = (*Member)(nil)
 	_ transport.FatalSink     = (*Member)(nil)
-	_ live.Quiescer           = (*Member)(nil)
 	_ live.Finisher           = (*Member)(nil)
 )

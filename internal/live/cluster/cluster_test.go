@@ -421,7 +421,7 @@ func TestTruncatedFailFrameIsReported(t *testing.T) {
 			m.tr.SendCtrl(1, []byte{byte(ctlFail), 0xFF, 0x01})
 			return apps.Result{}, nil
 		}
-		_, _, err := m.expect(ctlAssign)
+		_, err := awaitReply[assignBody](m, ctlReport)
 		return apps.Result{}, err
 	})
 	if errs[0] != nil {
@@ -432,36 +432,112 @@ func TestTruncatedFailFrameIsReported(t *testing.T) {
 	}
 }
 
+// idle is the in-flight counter of a process with nothing in flight.
+func idle() int64 { return 0 }
+
 // TestDuplicateReportIsAttributed: a member that reports twice while
-// another's report is outstanding must not stand in for it. Node 1 sends
-// its end-of-run report twice, node 2 none; the coordinator — which used
-// to count two messages, overwrite node 1's slot and assemble node 2's
-// zero report — fails the run naming node 1, and both members are told.
+// another's report is outstanding must not stand in for it. After a
+// quiescent poll round node 1 sends its end-of-run report twice, node 2
+// none; node 0 — which must not count two messages, overwrite node 1's
+// slot and assemble node 2's zero report — fails the run naming node 1,
+// and both members are told.
 func TestDuplicateReportIsAttributed(t *testing.T) {
 	const nodes = 3
 	_, errs := runMembers(t, nodes, unchecked, func(m *Member) (apps.Result, error) {
-		switch m.LocalNode() {
-		case 0:
+		if m.LocalNode() == 0 {
 			sp := proto.NewSpace(&proto.Shared{Nodes: nodes})
 			for id := 0; id < nodes; id++ {
 				sp.NewNode(memory.NodeID(id))
 			}
-			return apps.Result{}, m.FinishRun(sp)
-		case 1:
-			m.send(0, ctlReport, proto.NodeReport{})
-			m.send(0, ctlReport, proto.NodeReport{})
+			return apps.Result{}, m.FinishRun(sp, idle)
 		}
-		_, _, err := m.expect(ctlAssign)
+		if err := m.quiesce(idle); err != nil {
+			return apps.Result{}, err
+		}
+		if m.LocalNode() == 1 {
+			m.tr.SendCtrl(0, encode(ctlReport, proto.NodeReport{}))
+			m.tr.SendCtrl(0, encode(ctlReport, proto.NodeReport{}))
+		}
+		_, err := awaitReply[assignBody](m, ctlReport)
 		return apps.Result{}, err
 	})
 	for id, err := range errs {
-		if err == nil || !strings.Contains(err.Error(), "node 1 reported report twice") {
+		if err == nil || !strings.Contains(err.Error(), "node 1 sent report twice") {
 			t.Errorf("member %d: %v, want a failure naming node 1's second report", id, err)
 		}
 	}
 	for id := 1; id < nodes; id++ {
 		if errs[id] != nil && !strings.Contains(errs[id].Error(), "cluster failed") {
-			t.Errorf("member %d learned of it as %v, not through the coordinator's fail broadcast", id, errs[id])
+			t.Errorf("member %d learned of it as %v, not through node 0's fail broadcast", id, errs[id])
+		}
+	}
+}
+
+// roundCase is one kind of round as the test drives it: run is node 0's
+// side with a well-formed body of its own, await a member's wait for
+// node 0's answer, and body a well-formed member's body on the wire.
+type roundCase struct {
+	kind       ctlKind
+	run, await func(m *Member) error
+	body       []byte
+}
+
+func roundOf[T, R any](kind ctlKind, body T) roundCase {
+	return roundCase{
+		kind: kind,
+		run: func(m *Member) error {
+			_, err := round(m, kind, body, func([]T) (R, error) { var r R; return r, nil })
+			return err
+		},
+		await: func(m *Member) error { _, err := awaitReply[R](m, kind); return err },
+		body:  encode(kind, body),
+	}
+}
+
+// TestRoundAttributesBadBodies: in every kind of round, node 1 sends a
+// body of another kind, a second body, or a body that does not decode.
+// Every member fails, and every error names node 1 and the kind node 0
+// expected. Node 2 sends nothing, so node 1's second body arrives while
+// node 2's slot is still empty, and nothing is left unread when node 0
+// fails the round.
+func TestRoundAttributesBadBodies(t *testing.T) {
+	rounds := []roundCase{
+		roundOf[struct{}, struct{}](ctlStart, struct{}{}),
+		roundOf[pollBody, bool](ctlPoll, pollBody{Inflight: 1, Delivered: 2}),
+		roundOf[proto.NodeReport, assignBody](ctlReport, proto.NodeReport{}),
+		roundOf[appReportBody, verdictBody](ctlVerdict, appReportBody{Err: "x"}),
+		roundOf[struct{}, struct{}](ctlBye, struct{}{}),
+	}
+	for _, rc := range rounds {
+		other := rc.kind%ctlBye + 1
+		bad := []struct {
+			name  string
+			sends [][]byte
+			want  string
+		}{
+			{"wrong-kind", [][]byte{encode(other, struct{}{})}, fmt.Sprintf("unexpected %v from node 1 (want %v)", other, rc.kind)},
+			{"second-body", [][]byte{rc.body, rc.body}, fmt.Sprintf("node 1 sent %v twice", rc.kind)},
+			{"undecodable", [][]byte{{byte(rc.kind), 0xFF, 0x01}}, fmt.Sprintf("node 1's %v does not decode", rc.kind)},
+		}
+		for _, bc := range bad {
+			t.Run(rc.kind.String()+"/"+bc.name, func(t *testing.T) {
+				_, errs := runMembers(t, 3, unchecked, func(m *Member) (apps.Result, error) {
+					switch m.LocalNode() {
+					case 0:
+						return apps.Result{}, rc.run(m)
+					case 1:
+						for _, payload := range bc.sends {
+							m.tr.SendCtrl(0, payload)
+						}
+					}
+					return apps.Result{}, rc.await(m)
+				})
+				for id, err := range errs {
+					if err == nil || !strings.Contains(err.Error(), bc.want) {
+						t.Errorf("member %d: %v, want a failure saying %q", id, err, bc.want)
+					}
+				}
+			})
 		}
 	}
 }
@@ -537,15 +613,18 @@ func TestAbortPropagates(t *testing.T) {
 	}
 }
 
+// alone makes a one-member cluster: no listener, no peers, no sockets.
+func alone(cfg *Config) bool {
+	cfg.Listener.Close()
+	cfg.Listener, cfg.Addrs, cfg.Check = nil, []string{"unused"}, true
+	return true
+}
+
 // TestSingleMemberCluster: n=1 degenerates to an in-process run with
 // the same API surface (no sockets at all).
 func TestSingleMemberCluster(t *testing.T) {
 	asp := func(o apps.Options) (apps.Result, error) { return apps.RunASP(12, o) }
-	results, errs := runMembers(t, 1, func(cfg *Config) bool {
-		cfg.Listener.Close()
-		cfg.Listener, cfg.Addrs, cfg.Check = nil, []string{"unused"}, true
-		return true
-	}, running(apps.Options{Check: true}, asp))
+	results, errs := runMembers(t, 1, alone, running(apps.Options{Check: true}, asp))
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}
@@ -555,6 +634,35 @@ func TestSingleMemberCluster(t *testing.T) {
 	}
 	if results[0].Digest != want.Digest {
 		t.Fatalf("digest %#x != sim digest %#x", results[0].Digest, want.Digest)
+	}
+}
+
+// TestSingleMemberQuiescenceWaitsOutInflight: a one-member cluster is
+// its own judge, under the same two-wave rule. With frames in flight for
+// the first waves, FinishRun polls until two consecutive waves read
+// zero — not one wave sooner — and only then installs the end state.
+func TestSingleMemberQuiescenceWaitsOutInflight(t *testing.T) {
+	const busy = 5
+	polls := 0
+	_, errs := runMembers(t, 1, alone, func(m *Member) (apps.Result, error) {
+		sp := proto.NewSpace(&proto.Shared{Nodes: 1})
+		sp.NewNode(0)
+		err := m.FinishRun(sp, func() int64 {
+			if polls++; polls <= busy {
+				return 1
+			}
+			return 0
+		})
+		if err == nil && !m.finished {
+			err = errors.New("FinishRun returned without installing the end state")
+		}
+		return apps.Result{}, err
+	})
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if polls != busy+2 {
+		t.Fatalf("quiescence read the counter %d times; in flight for the first %d, it must read it %d", polls, busy, busy+2)
 	}
 }
 

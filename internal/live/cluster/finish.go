@@ -1,9 +1,10 @@
-//dsm:wallclock the finish barrier arms real-time watchdogs against hung peers
+//dsm:wallclock the verdict round arms a real-time watchdog against hung peers; quiescence waves are paced in real time
 
 package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	dsm "repro"
@@ -17,60 +18,86 @@ import (
 	"repro/internal/stats"
 )
 
-// assignBody is the coordinator's answer to a member's report: every
-// object's home and the digest of the memory node 0 assembled. The
-// memory itself stays there.
+// pollBody is one member's share of a quiescence wave.
+type pollBody struct {
+	Inflight  int64
+	Delivered int64
+}
+
+// assignBody is node 0's answer to the members' reports: every object's
+// home and the digest of the memory node 0 assembled. The memory itself
+// stays there.
 type assignBody struct {
 	Homes  []memory.NodeID
 	Digest uint64
 }
 
 // FinishRun implements live.Finisher: the end of the run as one node's
-// owner sees it, called by the engine between global quiescence and
-// transport close. Every member ships its node's report to node 0; node
-// 0 assembles the memory and checks it (proto.Assemble, with the
-// invariants under Config.Check), keeps it, and answers with the homes
-// and the digest, which with the member's own home copies are its view.
-func (m *Member) FinishRun(sp *proto.Space) error {
+// owner sees it, called by the engine once this process's workers have
+// finished. Poll rounds run until the cluster is quiescent; then every
+// member ships its node's report to node 0, which assembles the memory
+// and checks it (proto.Assemble, with the invariants under Config.Check),
+// keeps it, and answers with the homes and the digest, which with the
+// member's own home copies are its view.
+func (m *Member) FinishRun(sp *proto.Space, inflight func() int64) error {
+	if err := m.quiesce(inflight); err != nil {
+		return err
+	}
 	rep := sp.Nodes[m.cfg.ID].Report()
-	if m.n > 1 && m.cfg.ID != 0 {
-		m.send(0, ctlReport, rep)
-		_, body, err := m.expect(ctlAssign)
+	a, err := round(m, ctlReport, rep, func(reports []proto.NodeReport) (assignBody, error) {
+		end, err := proto.Assemble(sp.S, reports, m.cfg.Check)
 		if err != nil {
-			return err
+			return assignBody{}, fmt.Errorf("%w: %w", ErrVerification, err)
 		}
-		var a assignBody
-		if err := decodeBody(body, &a); err != nil {
-			return fmt.Errorf("cluster: decoding assignment: %w", err)
-		}
+		sp.Install(end)
+		return assignBody{Homes: end.Homes, Digest: end.Digest()}, nil
+	})
+	if err != nil {
+		return err
+	}
+	if m.cfg.ID != 0 {
 		if len(a.Homes) != sp.NumObjects() {
 			return fmt.Errorf("cluster: assignment names %d homes for %d objects", len(a.Homes), sp.NumObjects())
 		}
 		sp.Install(proto.MemberView(a.Homes, a.Digest, rep))
-		m.digest, m.finished = a.Digest, true
-		return nil
 	}
+	m.digest, m.finished = a.Digest, true
+	return nil
+}
 
-	// Coordinator (and the trivial single-member cluster).
-	reports := make([]proto.NodeReport, m.n)
-	reports[m.cfg.ID] = rep
-	bodies, err := m.gather(ctlReport)
-	if err != nil {
-		return m.failClusterErr(err)
+// quiesce is distributed termination detection: poll rounds, each one
+// wave of every member's in-flight counter (inflight, sent minus fully
+// handled) and delivered-frame count, until node 0 has seen two
+// consecutive waves sum to zero in flight with no frame delivered
+// anywhere in between — at that point no protocol frame exists in any
+// queue, socket or handler.
+func (m *Member) quiesce(inflight func() int64) error {
+	var quiet []int64 // node 0: the last wave's delivered counts, if it summed to zero
+	judge := func(polls []pollBody) (bool, error) {
+		var sum int64
+		delivered := make([]int64, len(polls))
+		for i, p := range polls {
+			sum, delivered[i] = sum+p.Inflight, p.Delivered
+		}
+		if sum == 0 && slices.Equal(delivered, quiet) {
+			return true, nil
+		}
+		quiet = nil
+		if sum == 0 {
+			quiet = delivered
+		}
+		time.Sleep(200 * time.Microsecond) // pace the waves
+		return false, nil
 	}
-	for from := 1; from < m.n; from++ {
-		if err := decodeBody(bodies[from], &reports[from]); err != nil {
-			return m.failCluster(fmt.Sprintf("decoding node %d report: %v", from, err))
+	for wave := 1; ; wave++ {
+		done, err := round(m, ctlPoll, pollBody{Inflight: inflight(), Delivered: m.tr.DataRecv()}, judge)
+		if err != nil || done {
+			if done && m.cfg.ID == 0 {
+				m.logf("node 0: cluster quiescent after %d waves", wave)
+			}
+			return err
 		}
 	}
-	end, err := proto.Assemble(sp.S, reports, m.cfg.Check)
-	if err != nil {
-		return m.failClusterErr(fmt.Errorf("%w: %w", ErrVerification, err))
-	}
-	sp.Install(end)
-	m.digest, m.finished = end.Digest(), true
-	m.broadcast(ctlAssign, assignBody{Homes: end.Homes, Digest: m.digest})
-	return nil
 }
 
 // --- application verdict ------------------------------------------
@@ -105,13 +132,13 @@ func (m *Member) Observer(threads int) dsm.Observer {
 	return m.rec
 }
 
-// FinishApp implements apps.Member: gather per-process results, have
-// node 0 evaluate the cluster-wide verdict (merged-oracle LRC check,
-// per-node failures, merged metrics) and distribute it. Every member's
-// res receives the merged metrics and oracle count and, under check, the
-// digest of the memory node 0 assembled (FinishRun handed it to each
-// member; there is no second digest to compare it with); a non-nil
-// error means the run failed cluster-wide.
+// FinishApp implements apps.Member: the verdict round. Node 0 gathers
+// per-process results, evaluates the cluster-wide verdict (merged-oracle
+// LRC check, per-node failures, merged metrics) and distributes it.
+// Every member's res receives the merged metrics and oracle count and,
+// under check, the digest of the memory node 0 assembled (the report
+// round handed it to each member; there is no second digest to compare
+// it with); a non-nil error means the run failed cluster-wide.
 func (m *Member) FinishApp(c *dsm.Cluster, res *apps.Result, check, oracleOn bool) error {
 	rep := appReportBody{Metrics: res.Metrics}
 	if check {
@@ -124,132 +151,92 @@ func (m *Member) FinishApp(c *dsm.Cluster, res *apps.Result, check, oracleOn boo
 	if oracleOn && m.rec != nil {
 		rep.Ops = m.rec.ops
 	}
-	return m.appExchange(c, res, rep, oracleOn)
+	return m.verdict(c, res, rep, oracleOn)
 }
 
 // AbortApp reports a local application failure (argument validation,
-// result mismatch, an engine abort) into the verdict exchange, so the
-// other members learn the cluster failed instead of hanging, and
-// returns the cluster-wide error. Run calls it when the application
-// returned an error without reaching FinishApp.
+// result mismatch, an engine abort) into the verdict round, so the other
+// members learn the cluster failed instead of hanging, and returns the
+// cluster-wide error. Run calls it when the application returned an
+// error without reaching FinishApp.
 //
-// The graceful exchange assumes peers reach their own exchange; a peer
-// wedged mid-run (say, blocked on frames this member will never send)
-// would leave the exchange — and the cluster — hanging. A grace timer
-// bounds that: after Config.AbortGrace the member severs its
-// transport, which every peer detects as death, so all members exit
-// nonzero within the deadline either way.
+// The round assumes peers reach their own; a peer wedged mid-run (say,
+// blocked on frames this member will never send) would leave the round
+// — and the cluster — hanging. A grace timer bounds that: after
+// Config.AbortGrace the member severs its transport, which every peer
+// detects as death, so all members exit nonzero within the deadline
+// either way.
 func (m *Member) AbortApp(appErr error) error {
-	if m.n > 1 {
-		grace := m.cfg.AbortGrace
-		timer := time.AfterFunc(grace, func() {
-			m.tr.Sever(fmt.Errorf("%w: abort verdict exchange on node %d did not complete within %v (local failure: %v)",
-				ErrPeerDeath, m.cfg.ID, grace, appErr))
-		})
-		defer timer.Stop()
-	}
-	rep := appReportBody{Err: appErr.Error()}
+	grace := m.cfg.AbortGrace
+	timer := time.AfterFunc(grace, func() {
+		m.tr.Sever(fmt.Errorf("%w: abort verdict round on node %d did not complete within %v (local failure: %v)",
+			ErrPeerDeath, m.cfg.ID, grace, appErr))
+	})
+	defer timer.Stop()
 	m.flight.Record(flight.Event{Kind: flight.Abort})
 	var res apps.Result
-	return m.appExchange(nil, &res, rep, false)
+	return m.verdict(nil, &res, appReportBody{Err: appErr.Error()}, false)
 }
 
-func (m *Member) appExchange(c *dsm.Cluster, res *apps.Result, rep appReportBody, oracleOn bool) error {
+// verdict runs the verdict round with this member's report.
+func (m *Member) verdict(c *dsm.Cluster, res *apps.Result, rep appReportBody, oracleOn bool) error {
 	m.hasResult = true
 	if m.flight != nil {
 		rep.Flight = m.flight.Snapshot()
+		if m.cfg.ID == 0 {
+			// What is left of the cluster's timeline when a member dies
+			// before handing its ring in: this node's own, an Abort
+			// event included.
+			m.timeline = rep.Flight
+		}
 	}
-	if m.n > 1 && m.cfg.ID != 0 {
-		m.send(0, ctlAppReport, rep)
-		_, body, err := m.expect(ctlVerdict)
-		if err != nil {
-			return err
-		}
-		var v verdictBody
-		if err := decodeBody(body, &v); err != nil {
-			return fmt.Errorf("cluster: decoding verdict: %w", err)
-		}
-		if v.Err != "" {
-			return fmt.Errorf("cluster verdict: %w: %s", ErrVerification, v.Err)
-		}
-		res.Metrics = v.Metrics
-		res.OracleOps = v.OracleOps
-		return nil
-	}
-
-	// Coordinator: gather, judge, distribute.
-	reports := make([]appReportBody, m.n)
-	reports[m.cfg.ID] = rep
-	bodies, err := m.gather(ctlAppReport)
+	v, err := round(m, ctlVerdict, rep, func(reports []appReportBody) (verdictBody, error) {
+		return m.judge(c, reports, oracleOn), nil
+	})
 	if err != nil {
-		// A member died: what is left of the cluster's timeline is this
-		// node's own ring, its Abort event included.
-		m.timeline = rep.Flight
-		return m.failClusterErr(err)
-	}
-	for from := 1; from < m.n; from++ {
-		if err := decodeBody(bodies[from], &reports[from]); err != nil {
-			return m.failCluster(fmt.Sprintf("decoding node %d app report: %v", from, err))
-		}
-	}
-	var v verdictBody
-	fail := func(format string, args ...any) {
-		if v.Err == "" {
-			v.Err = fmt.Sprintf(format, args...)
-		}
-	}
-	merged := reports[0].Metrics
-	for id := 1; id < m.n; id++ {
-		r := &reports[id]
-		merged.Counters.Add(&r.Metrics.Counters)
-		merged.LiveMsgs += r.Metrics.LiveMsgs
-		merged.LiveBytes += r.Metrics.LiveBytes
-		if r.Metrics.Wall > merged.Wall {
-			merged.Wall = r.Metrics.Wall
-		}
-		if r.Metrics.LivePeakInbox > merged.LivePeakInbox {
-			merged.LivePeakInbox = r.Metrics.LivePeakInbox
-		}
-		if r.Metrics.LivePeakMailbox > merged.LivePeakMailbox {
-			merged.LivePeakMailbox = r.Metrics.LivePeakMailbox
-		}
-	}
-	for id := range reports {
-		if reports[id].Err != "" {
-			fail("node %d: %s", id, reports[id].Err)
-		}
-	}
-	if m.flight != nil {
-		// Merge every member's ring into the cluster timeline — on the
-		// success and abort paths alike, so a chaos post-mortem has the
-		// same HLC-ordered evidence a clean run exports.
-		logs := make([][]flight.Event, 0, m.n)
-		for id := range reports {
-			if len(reports[id].Flight) > 0 {
-				logs = append(logs, reports[id].Flight)
-			}
-		}
-		m.timeline = flight.Merge(logs...)
-	}
-	var mergedOps int
-	if oracleOn && v.Err == "" {
-		var viols []oracle.Violation
-		mergedOps, viols = m.checkMergedOracle(c, reports)
-		if len(viols) > 0 {
-			fail("merged oracle: %d violation(s), first: %s", len(viols), viols[0])
-		}
-	}
-	v.Metrics = merged
-	v.OracleOps = mergedOps
-	if m.n > 1 {
-		m.broadcast(ctlVerdict, v)
+		return err
 	}
 	if v.Err != "" {
 		return fmt.Errorf("cluster verdict: %w: %s", ErrVerification, v.Err)
 	}
-	res.Metrics = merged
-	res.OracleOps = mergedOps
+	res.Metrics, res.OracleOps = v.Metrics, v.OracleOps
 	return nil
+}
+
+// judge is node 0's verdict over every member's report: the first
+// member's error, else the merged oracle's; the merged metrics; and, when
+// recording, every member's ring merged into the cluster timeline — on
+// the success and abort paths alike, so a chaos post-mortem has the same
+// HLC-ordered evidence a clean run exports.
+func (m *Member) judge(c *dsm.Cluster, reports []appReportBody, oracleOn bool) verdictBody {
+	v := verdictBody{Metrics: reports[0].Metrics}
+	merged := &v.Metrics
+	rings := make([][]flight.Event, len(reports))
+	for id := range reports {
+		r := &reports[id]
+		if id > 0 {
+			merged.Counters.Add(&r.Metrics.Counters)
+			merged.LiveMsgs += r.Metrics.LiveMsgs
+			merged.LiveBytes += r.Metrics.LiveBytes
+			merged.Wall = max(merged.Wall, r.Metrics.Wall)
+			merged.LivePeakInbox = max(merged.LivePeakInbox, r.Metrics.LivePeakInbox)
+			merged.LivePeakMailbox = max(merged.LivePeakMailbox, r.Metrics.LivePeakMailbox)
+		}
+		if v.Err == "" && r.Err != "" {
+			v.Err = fmt.Sprintf("node %d: %s", id, r.Err)
+		}
+		rings[id] = r.Flight
+	}
+	if m.flight != nil {
+		m.timeline = flight.Merge(rings...)
+	}
+	if oracleOn && v.Err == "" {
+		var viols []oracle.Violation
+		if v.OracleOps, viols = m.checkMergedOracle(c, reports); len(viols) > 0 {
+			v.Err = fmt.Sprintf("merged oracle: %d violation(s), first: %s", len(viols), viols[0])
+		}
+	}
+	return v
 }
 
 // checkMergedOracle merges every process's stamped event log into one

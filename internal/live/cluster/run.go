@@ -26,10 +26,10 @@ const DefaultTelemetryInterval = 250 * time.Millisecond
 // may wrap it) the member samples its registry and ships a snapshot to node
 // 0 every Config.TelemetryInterval, and once more after the run.
 //
-// An error that reaches Run without the verdict exchange having run —
-// bad arguments, a wrong result, an engine abort — is reported into it, so
-// every peer fails too instead of waiting; the exchange's answer replaces
-// it when classified, which is how a wedged exchange ends as ErrPeerDeath.
+// An error that reaches Run without the verdict round having run — bad
+// arguments, a wrong result, an engine abort — is reported into it, so
+// every peer fails too instead of waiting; the round's answer replaces it
+// when classified, which is how a wedged round ends as ErrPeerDeath.
 func (m *Member) Run(o apps.Options, fn func(apps.Options) (apps.Result, error)) (apps.Result, error) {
 	o.Nodes, o.Engine, o.Multi = m.n, "live", m
 	o.Telemetry, o.Metrics, o.Oracle = m.sink, m.reg, o.Check

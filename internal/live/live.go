@@ -110,28 +110,22 @@ func DefaultConfig(nodes int) Config {
 	return Config{Shared: proto.DefaultShared(nodes, hockney.FastEthernet().Alpha)}
 }
 
-// Quiescer is an optional transport extension for backends that span
-// processes: the engine's local in-flight frame counter cannot observe
-// the whole cluster, so Run delegates the end-of-run quiescence wait to
-// the transport. Quiesce must block until no protocol frame is in
-// flight anywhere in the cluster (every process's workers have finished
-// and all trailing traffic — lock releases, manager updates, acks — has
-// been fully handled); inflight reports this process's own counter
-// (sent minus fully-handled, so the cluster-wide sum is zero exactly at
-// global quiescence). In-process backends don't implement it and keep
-// the counter spin.
-type Quiescer interface {
-	Quiesce(inflight func() int64) error
-}
-
-// Finisher is an optional transport extension called between global
-// quiescence and Close. A process of a multi-process cluster holds one
-// node (Config.LocalNode) and cannot see the end state, so the backend's
-// cluster layer gathers every member's proto.NodeReport on node 0, which
-// runs proto.Assemble — what the in-process engines read — and keeps the
-// memory; FinishRun Installs this process's view of it in sp.
+// Finisher is the end-of-run hook of a transport that spans processes,
+// called once this process's workers have finished and before Close.
+// Such a process holds one node (Config.LocalNode), so neither the
+// quiescence wait nor the end state is its own to see. FinishRun must
+// first block until no protocol frame is in flight anywhere in the
+// cluster (every process's workers have finished and all trailing
+// traffic — lock releases, manager updates, acks — has been fully
+// handled); inflight reports this process's own counter (sent minus
+// fully handled, so the cluster-wide sum is zero exactly at global
+// quiescence). Then it gathers every member's proto.NodeReport on node
+// 0, which runs proto.Assemble — what the in-process engines read — and
+// keeps the memory, and Installs this process's view of it in sp.
+// In-process backends don't implement it: Run spins on the counter and
+// reads the end state off its own nodes.
 type Finisher interface {
-	FinishRun(sp *proto.Space) error
+	FinishRun(sp *proto.Space, inflight func() int64) error
 }
 
 // Cluster is a configured live DSM instance. Build it with New, declare
@@ -434,21 +428,14 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 	// frames the handler itself sent — so inflight can only reach zero
 	// once no causally-pending protocol work remains. A transport that
 	// spans processes supplies the cluster-wide version of the same
-	// condition through the Quiescer hook.
+	// condition, and the end state, through the Finisher hook.
 	var runErr error
-	if !c.aborted.Load() {
-		if q, ok := c.tr.(Quiescer); ok {
-			runErr = q.Quiesce(func() int64 { return c.inflight.Load() })
-		} else {
-			for c.inflight.Load() != 0 && !c.aborted.Load() {
-				time.Sleep(20 * time.Microsecond)
-			}
+	if f, ok := c.tr.(Finisher); !ok {
+		for c.inflight.Load() != 0 && !c.aborted.Load() {
+			time.Sleep(20 * time.Microsecond)
 		}
-	}
-	if runErr == nil && !c.aborted.Load() {
-		if f, ok := c.tr.(Finisher); ok {
-			runErr = f.FinishRun(c.Space)
-		}
+	} else if !c.aborted.Load() {
+		runErr = f.FinishRun(c.Space, c.inflight.Load)
 	}
 	c.tr.Close()
 	// An abort outranks whatever the quiesce or finish steps reported:

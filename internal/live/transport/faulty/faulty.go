@@ -42,6 +42,7 @@ import (
 	"repro/internal/flight"
 	"repro/internal/live/transport"
 	"repro/internal/memory"
+	"repro/internal/prng"
 )
 
 // Options configures the fault schedule. The zero value injects no
@@ -105,10 +106,11 @@ type Transport struct {
 	lines []*line
 	wg    sync.WaitGroup
 
-	// prng streams: one per (from,to) pair plus one per receiver for
-	// frames whose sender can't be parsed; all seeded from Options.Seed.
-	prngMu sync.Mutex
-	prng   map[[2]int]*splitmix
+	// Delay streams: one splitmix64 counter per (from,to) pair plus one
+	// per receiver for frames whose sender can't be parsed; all seeded
+	// from Options.Seed and drawn through prng.Mix.
+	streamMu sync.Mutex
+	streams  map[[2]int]uint64
 
 	total     atomic.Int64
 	dead      []atomic.Bool
@@ -129,12 +131,12 @@ func Wrap(inner transport.Pusher, n int, opt Options) *Transport {
 		panic(fmt.Sprintf("faulty: wrap over %d nodes", n))
 	}
 	t := &Transport{
-		inner: inner,
-		n:     n,
-		opt:   opt,
-		lines: make([]*line, n),
-		prng:  make(map[[2]int]*splitmix),
-		dead:  make([]atomic.Bool, n),
+		inner:   inner,
+		n:       n,
+		opt:     opt,
+		lines:   make([]*line, n),
+		streams: make(map[[2]int]uint64),
+		dead:    make([]atomic.Bool, n),
 	}
 	t.deliver, _ = inner.(transport.Deliverer)
 	t.fatalFn = opt.OnFatal
@@ -233,14 +235,15 @@ func (t *Transport) delay(from, to int) time.Duration {
 		return 0
 	}
 	key := [2]int{from, to}
-	t.prngMu.Lock()
-	r, ok := t.prng[key]
+	t.streamMu.Lock()
+	s, ok := t.streams[key]
 	if !ok {
-		r = newSplitmix(t.opt.Seed ^ uint64(from+1)<<32 ^ uint64(to+1))
-		t.prng[key] = r
+		s = t.opt.Seed ^ uint64(from+1)<<32 ^ uint64(to+1)
 	}
-	v := r.next()
-	t.prngMu.Unlock()
+	s += 0x9e3779b97f4a7c15
+	t.streams[key] = s
+	t.streamMu.Unlock()
+	v := prng.Mix(s)
 	span := t.opt.MaxDelay - t.opt.MinDelay
 	if span <= 0 {
 		return t.opt.MinDelay
@@ -396,17 +399,3 @@ func (t *Transport) PeakDepth() int {
 }
 
 var _ transport.Pusher = (*Transport)(nil)
-
-// splitmix is splitmix64, the small deterministic PRNG used everywhere
-// else in this repo for seeded reproducibility.
-type splitmix struct{ s uint64 }
-
-func newSplitmix(seed uint64) *splitmix { return &splitmix{s: seed} }
-
-func (r *splitmix) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}

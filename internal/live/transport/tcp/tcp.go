@@ -12,11 +12,11 @@
 // wall][uint32 hlc logical][payload], little-endian, length counting
 // the payload bytes only. Channel 0 carries engine frames (the
 // internal/wire codec's output, opaque here); channel 1 carries the
-// cluster layer's control messages (bootstrap barrier, distributed
-// quiescence, state gather, shutdown); channel 2 carries heartbeats
-// (empty payload); channel 3 carries telemetry snapshots. Multiplexing
-// all of them keeps one connection per node pair, and with it one FIFO
-// order per pair. The hlc fields piggyback the sender's hybrid logical
+// cluster layer's control messages (the bodies and replies of its
+// rounds: start, poll, report, verdict, bye); channel 2 carries
+// heartbeats (empty payload); channel 3 carries telemetry snapshots.
+// Multiplexing all of them keeps one connection per node pair, and with
+// it one FIFO order per pair. The hlc fields piggyback the sender's hybrid logical
 // clock (internal/hlc) on every frame: the receiver folds them into
 // its own clock, which keeps the cluster's oracle event stamps ordered
 // consistently with happens-before no matter how the machines' wall
@@ -36,8 +36,9 @@
 // the same structure that backs the in-process backend) and a dedicated
 // writer goroutine that may block on the socket in the sender's place,
 // so two nodes sending to each other cannot deadlock on full socket
-// buffers. Self-sends loop back to the local inbox without touching a
-// socket.
+// buffers. There is no loopback: a node never sends to itself — the live
+// engine parks a frame it cannot route yet at its node — so a send to
+// the local node is a bug and panics, as it does in the engine.
 //
 // Receiving is pull until the engine installs a sink (transport.Pusher),
 // push from then on. Pull: the reader queues each data frame on the
@@ -46,9 +47,9 @@
 // peer's frames in arrival order, several peers' readers concurrently.
 // Frames that reached the inbox before the installation go to the sink
 // first, under the lock that a reader still seeing no sink must take,
-// so FIFO per pair holds across it. Self-sends, control, heartbeat and
-// telemetry frames are untouched by the sink; after CloseData a late
-// data frame feeds the pool instead. The transport serves its local node
+// so FIFO per pair holds across it. Control, heartbeat and telemetry
+// frames are untouched by the sink; after CloseData a late data frame
+// feeds the pool instead. The transport serves its local node
 // only: Recv, InboxLen and SetSink for any other id find nothing.
 //
 // The link is batched at both ends, because a small frame's cost is
@@ -172,9 +173,9 @@ type Options struct {
 
 	// OnTelemetry, when non-nil, receives every telemetry-channel frame
 	// (SendTelemetry on the sending side). It runs on the reader
-	// goroutine — or the sender's goroutine for loopback — and must not
-	// retain payload: the buffer returns to the frame pool when the
-	// handler returns. Telemetry frames with no handler are dropped.
+	// goroutine and must not retain payload: the buffer returns to the
+	// frame pool when the handler returns. Telemetry frames with no
+	// handler are dropped.
 	OnTelemetry func(from memory.NodeID, payload []byte)
 }
 
@@ -235,8 +236,8 @@ type Transport struct {
 	n     int
 	peers []*peer // nil at local (and for absent peers in tests)
 
-	// inbox receives every data frame addressed to this node (network +
-	// loopback).
+	// inbox receives every data frame addressed to this node until the
+	// sink is installed.
 	inbox *transport.Queue[[]byte]
 	ctrl  *transport.Queue[Ctrl]
 
@@ -355,19 +356,15 @@ func (t *Transport) heartbeat(interval time.Duration) {
 	}
 }
 
-// Local reports the node this transport belongs to.
-func (t *Transport) Local() memory.NodeID { return t.local }
-
-// Send implements transport.Transport: loop self-sends back to the
-// local inbox, queue the rest on the destination pair's writer. Sends
-// racing Close drop silently (the frame feeds the pool).
+// Send implements transport.Transport: queue the frame on the
+// destination pair's writer. Sends racing Close drop silently (the frame
+// feeds the pool).
 func (t *Transport) Send(to memory.NodeID, frame []byte) {
 	if to < 0 || int(to) >= t.n {
 		panic(fmt.Sprintf("tcp: send to invalid node %d", to))
 	}
 	if to == t.local {
-		t.toInbox(frame)
-		return
+		panic(fmt.Sprintf("tcp: same-node send on node %d", to))
 	}
 	p := t.peers[to]
 	if p == nil || !t.enqueue(p, outFrame{tag: chanData, payload: frame}) {
@@ -375,16 +372,6 @@ func (t *Transport) Send(to memory.NodeID, frame []byte) {
 		return
 	}
 	t.dataSent.Add(1)
-}
-
-// toInbox queues a data frame for the local node's Recv; after
-// CloseData it feeds the pool.
-func (t *Transport) toInbox(frame []byte) {
-	if t.inbox.Put(frame) {
-		t.dataRecv.Add(1)
-	} else {
-		transport.PutFrame(frame)
-	}
 }
 
 // enqueue queues f for p and reports false when the link is closed (f
@@ -435,15 +422,20 @@ func (t *Transport) SetSink(id memory.NodeID, sink func(frame []byte) error) {
 }
 
 // deliver hands one data frame read from a peer to the local node: to
-// its sink, on the calling reader's goroutine, or to the inbox while
-// there is none. The first sink call opens the reader's delivery batch
-// (*batch, closed by endBatch); a non-nil error is the sink's.
+// its sink, on the calling reader's goroutine, or while there is none to
+// the inbox (to the pool after CloseData). The first sink call opens the
+// reader's delivery batch (*batch, closed by endBatch); a non-nil error
+// is the sink's.
 func (t *Transport) deliver(frame []byte, batch *bool) error {
 	sink := t.sink.Load()
 	if sink == nil {
 		t.sinkMu.Lock()
 		if sink = t.sink.Load(); sink == nil {
-			t.toInbox(frame)
+			if t.inbox.Put(frame) {
+				t.dataRecv.Add(1)
+			} else {
+				transport.PutFrame(frame)
+			}
 		}
 		t.sinkMu.Unlock()
 		if sink == nil {
@@ -472,17 +464,10 @@ func (t *Transport) Recv(id memory.NodeID) ([]byte, bool) {
 	return t.inbox.Get()
 }
 
-// SendCtrl queues a control-channel message for node to (loopback for
-// the local node, so a coordinator can treat itself uniformly). The
-// payload is copied; the caller keeps ownership of buf.
+// SendCtrl queues a control-channel message for peer to. The payload
+// is copied; the caller keeps ownership of buf.
 func (t *Transport) SendCtrl(to memory.NodeID, buf []byte) {
 	payload := append(transport.GetFrame(), buf...)
-	if to == t.local {
-		if !t.ctrl.Put(Ctrl{From: t.local, Payload: payload}) {
-			transport.PutFrame(payload)
-		}
-		return
-	}
 	p := t.peers[to]
 	if p == nil || !t.enqueue(p, outFrame{tag: chanCtrl, payload: payload}) {
 		transport.PutFrame(payload)
@@ -495,18 +480,10 @@ func (t *Transport) RecvCtrl() (Ctrl, bool) {
 	return t.ctrl.Get()
 }
 
-// SendTelemetry queues a telemetry-channel frame for node to (loopback
-// invokes OnTelemetry synchronously for the local node, so a cluster
-// view can treat its own node uniformly). The payload is copied; the
-// caller keeps ownership of buf. Telemetry is best-effort: frames
-// racing shutdown drop silently.
+// SendTelemetry queues a telemetry-channel frame for peer to. The
+// payload is copied; the caller keeps ownership of buf. Telemetry is
+// best-effort: frames racing shutdown drop silently.
 func (t *Transport) SendTelemetry(to memory.NodeID, buf []byte) {
-	if to == t.local {
-		if h := t.onTelem; h != nil {
-			h(t.local, buf)
-		}
-		return
-	}
 	payload := append(transport.GetFrame(), buf...)
 	p := t.peers[to]
 	if p == nil || !t.enqueue(p, outFrame{tag: chanTelem, payload: payload}) {
@@ -575,9 +552,8 @@ func (t *Transport) PeerStats(id memory.NodeID) (PeerStats, bool) {
 func (t *Transport) DataSent() int64 { return t.dataSent.Load() }
 
 // DataRecv reports the data frames delivered to the local node so far —
-// queued on its inbox or pushed to its sink, network and loopback. Its
-// monotonic growth is the activity signal
-// the cluster layer's distributed-quiescence waves watch.
+// queued on its inbox or pushed to its sink. Its monotonic growth is the
+// activity signal the cluster layer's quiescence waves watch.
 func (t *Transport) DataRecv() int64 { return t.dataRecv.Load() }
 
 // InboxLen reports node id's current inbox depth (tests, observability):
@@ -611,8 +587,8 @@ func (t *Transport) MarkShutdown() { t.shuttingDown.Store(true) }
 // CloseData closes engine-frame delivery only: a receiver blocked in Recv
 // drains the inbox and exits and readers stop pushing (a sink call
 // already under way completes), while the connections, writers and the
-// control channel stay up for the cluster layer's post-run exchanges
-// (metrics merge, shutdown barrier). The live engine's Close maps here
+// control channel stay up for the cluster layer's post-run rounds
+// (verdict, drain barrier). The live engine's Close maps here
 // when the transport is wrapped by a cluster member; the final teardown
 // is Close.
 func (t *Transport) CloseData() {
@@ -660,7 +636,7 @@ func (t *Transport) Close() {
 // both delivery planes, and close every connection so peers detect the
 // failure promptly (conn reset) instead of waiting out their heartbeat
 // timeouts. The cluster layer's abort grace timer uses it to convert a
-// wedged verdict exchange into peer-death failures everywhere.
+// wedged verdict round into peer-death failures everywhere.
 func (t *Transport) Sever(err error) {
 	t.errMu.Lock()
 	if t.err == nil {

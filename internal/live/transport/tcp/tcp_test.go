@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -267,25 +268,13 @@ func TestControlChannel(t *testing.T) {
 		trs[1].SendCtrl(0, []byte(fmt.Sprintf("ctrl-%d", i)))
 		trs[1].Send(0, append(transport.GetFrame(), byte(i)))
 	}
-	trs[0].SendCtrl(0, []byte("loopback"))
-	seen := 0
-	loopback := false
-	for seen < 10 || !loopback {
+	for seen := 0; seen < 10; seen++ {
 		c, ok := trs[0].RecvCtrl()
 		if !ok {
 			t.Fatal("control channel closed early")
 		}
-		switch {
-		case c.From == 0:
-			if string(c.Payload) != "loopback" {
-				t.Fatalf("loopback payload %q", c.Payload)
-			}
-			loopback = true
-		case c.From == 1:
-			if want := fmt.Sprintf("ctrl-%d", seen); string(c.Payload) != want {
-				t.Fatalf("ctrl out of order: got %q want %q", c.Payload, want)
-			}
-			seen++
+		if want := fmt.Sprintf("ctrl-%d", seen); c.From != 1 || string(c.Payload) != want {
+			t.Fatalf("ctrl out of order: got %q from node %d, want %q from node 1", c.Payload, c.From, want)
 		}
 	}
 	for i := 0; i < 10; i++ {
@@ -342,19 +331,18 @@ func TestPeerDeathDuringShutdownUnblocksCtrl(t *testing.T) {
 	trs[1].Close()
 }
 
-// TestLoopbackSelfSend: the daemon requeue path — a send addressed to
-// the local node loops back through the inbox without a socket.
-func TestLoopbackSelfSend(t *testing.T) {
+// TestSameNodeSendPanics: there is no loopback. The engine never sends a
+// frame to its own node, so a send to the local node is a bug and panics,
+// naming the node, as the engine's own check does.
+func TestSameNodeSendPanics(t *testing.T) {
 	trs := dialMesh(t, 2, Options{})
 	defer tcpMesh{trs}.Close()
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "same-node send on node 0") {
+			t.Fatalf("send to self: %q, want a same-node panic", msg)
+		}
+	}()
 	trs[0].Send(0, append(transport.GetFrame(), 42))
-	f, ok := trs[0].Recv(0)
-	if !ok || f[0] != 42 {
-		t.Fatalf("loopback frame: %v ok=%v", f, ok)
-	}
-	if got := trs[0].DataRecv(); got != 1 {
-		t.Fatalf("DataRecv = %d, want 1", got)
-	}
 }
 
 // rawFrame appends one wire frame — header as the writer packs it, then

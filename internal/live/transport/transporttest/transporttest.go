@@ -123,7 +123,7 @@ func deathUnblocks(t *testing.T, f FaultFactory) {
 	waitFor(t, func() bool { return m.Fatals(0) >= 1 })
 	// The backend surfaced the death; its delivery planes must be (or
 	// become) closed so the parked receiver returns.
-	m.Node(0).Send(0, mkFrame(0, 0, 0)) // loopback poke must not revive it
+	m.Node(1).Send(0, mkFrame(1, 0, 0)) // a frame for the parked receiver must not revive it
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
@@ -145,8 +145,8 @@ func sendsAfterDeath(t *testing.T, f FaultFactory) {
 		s := s
 		waitFor(t, func() bool { return m.Fatals(s) >= 1 })
 		for i := 0; i < 50; i++ {
-			m.Node(s).Send(1, mkFrame(s, i, 8))                // to the dead node
-			m.Node(s).Send(memory.NodeID(s), mkFrame(s, i, 0)) // loopback
+			m.Node(s).Send(1, mkFrame(s, i, 8))                  // to the dead node
+			m.Node(s).Send(memory.NodeID(2-s), mkFrame(s, i, 0)) // to the other survivor
 		}
 	}
 }
@@ -672,7 +672,7 @@ func sendAfterClose(t *testing.T, f Factory) {
 	m := f(t, 2)
 	m.Close()
 	m.Node(0).Send(1, mkFrame(0, 0, 0))
-	m.Node(1).Send(1, mkFrame(1, 0, 0)) // self-send path too
+	m.Node(1).Send(0, mkFrame(1, 0, 0)) // the other direction too
 	if _, ok := m.Node(1).Recv(1); ok {
 		t.Fatal("frame delivered after Close")
 	}

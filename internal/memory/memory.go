@@ -1,14 +1,11 @@
 // Package memory defines the object model of the Global Object Space: the
 // coherence unit is an object (paper §3.3 — "to match the Java memory
 // model, the coherence unit in our GOS is a Java object"), represented as
-// a fixed-length vector of 64-bit words. Each node keeps a heap of home
-// copies and cached copies with TreadMarks-style access states.
+// a fixed-length vector of 64-bit words. Each node keeps home copies and
+// cached copies with TreadMarks-style access states.
 package memory
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // NodeID identifies a cluster node. NoNode means "none".
 type NodeID int16
@@ -61,72 +58,10 @@ type Object struct {
 	Dirty bool
 }
 
-// Words returns the object's size in 64-bit words.
-func (o *Object) Words() int { return len(o.Data) }
-
-// SizeBytes returns the payload size in bytes, the "o" of the α formula.
-func (o *Object) SizeBytes() int { return 8 * len(o.Data) }
-
-// Float64 returns word i interpreted as a float64.
-func (o *Object) Float64(i int) float64 { return math.Float64frombits(o.Data[i]) }
-
-// SetFloat64 stores v into word i.
-func (o *Object) SetFloat64(i int, v float64) { o.Data[i] = math.Float64bits(v) }
-
-// Int64 returns word i interpreted as an int64.
-func (o *Object) Int64(i int) int64 { return int64(o.Data[i]) }
-
-// SetInt64 stores v into word i.
-func (o *Object) SetInt64(i int, v int64) { o.Data[i] = uint64(v) }
-
 // NewObject allocates a zeroed object of the given word count.
 func NewObject(id ObjectID, words int) *Object {
 	if words <= 0 {
 		panic(fmt.Sprintf("memory: object %d with %d words", id, words))
 	}
 	return &Object{ID: id, Data: make([]uint64, words), State: ReadWrite}
-}
-
-// Heap is a node-local table of object copies.
-type Heap struct {
-	objs map[ObjectID]*Object
-}
-
-// NewHeap returns an empty heap.
-func NewHeap() *Heap { return &Heap{objs: make(map[ObjectID]*Object)} }
-
-// Get returns the local copy of id, or nil.
-func (h *Heap) Get(id ObjectID) *Object { return h.objs[id] }
-
-// Put installs (or replaces) the local copy of obj.
-func (h *Heap) Put(obj *Object) { h.objs[obj.ID] = obj }
-
-// Delete drops the local copy of id.
-func (h *Heap) Delete(id ObjectID) { delete(h.objs, id) }
-
-// Len reports the number of local copies.
-func (h *Heap) Len() int { return len(h.objs) }
-
-// ForEach calls fn for every local copy. Iteration order is unspecified;
-// callers that need determinism must sort IDs themselves.
-func (h *Heap) ForEach(fn func(*Object)) {
-	for _, o := range h.objs {
-		fn(o)
-	}
-}
-
-// IDs returns all object IDs present, in ascending order (deterministic).
-func (h *Heap) IDs() []ObjectID {
-	ids := make([]ObjectID, 0, len(h.objs))
-	for id := range h.objs {
-		ids = append(ids, id)
-	}
-	// insertion sort: heaps in the hot loop are small (cached copies get
-	// invalidated at every acquire).
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	return ids
 }

@@ -1,14 +1,10 @@
 package memory
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestNewObjectZeroed(t *testing.T) {
 	o := NewObject(7, 4)
-	if o.ID != 7 || o.Words() != 4 || o.SizeBytes() != 32 {
+	if o.ID != 7 || len(o.Data) != 4 {
 		t.Fatalf("object = %+v", o)
 	}
 	for _, w := range o.Data {
@@ -30,118 +26,11 @@ func TestNewObjectRejectsEmpty(t *testing.T) {
 	NewObject(1, 0)
 }
 
-func TestTypedAccessors(t *testing.T) {
-	o := NewObject(1, 2)
-	o.SetInt64(0, -42)
-	if o.Int64(0) != -42 {
-		t.Fatalf("Int64 = %d", o.Int64(0))
-	}
-	o.SetFloat64(1, 2.5)
-	if o.Float64(1) != 2.5 {
-		t.Fatalf("Float64 = %v", o.Float64(1))
-	}
-	// Raw bits hold the IEEE-754 encoding.
-	if o.Data[1] != math.Float64bits(2.5) {
-		t.Fatal("float bits mangled")
-	}
-}
-
 func TestAccessStateString(t *testing.T) {
 	if Invalid.String() != "INV" || ReadOnly.String() != "RO" || ReadWrite.String() != "RW" {
 		t.Fatal("state names wrong")
 	}
 	if AccessState(9).String() == "" {
 		t.Fatal("unknown state prints empty")
-	}
-}
-
-func TestHeapPutGetDelete(t *testing.T) {
-	h := NewHeap()
-	if h.Len() != 0 || h.Get(3) != nil {
-		t.Fatal("fresh heap not empty")
-	}
-	o := NewObject(3, 1)
-	h.Put(o)
-	if h.Get(3) != o || h.Len() != 1 {
-		t.Fatal("Put/Get broken")
-	}
-	h.Delete(3)
-	if h.Get(3) != nil || h.Len() != 0 {
-		t.Fatal("Delete broken")
-	}
-	h.Delete(3) // idempotent
-}
-
-func TestHeapIDsSorted(t *testing.T) {
-	h := NewHeap()
-	for _, id := range []ObjectID{9, 2, 5, 1, 7} {
-		h.Put(NewObject(id, 1))
-	}
-	ids := h.IDs()
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			t.Fatalf("IDs not sorted: %v", ids)
-		}
-	}
-	if len(ids) != 5 {
-		t.Fatalf("len = %d", len(ids))
-	}
-}
-
-func TestHeapForEachVisitsAll(t *testing.T) {
-	h := NewHeap()
-	for id := ObjectID(0); id < 10; id++ {
-		h.Put(NewObject(id, 1))
-	}
-	seen := map[ObjectID]bool{}
-	h.ForEach(func(o *Object) { seen[o.ID] = true })
-	if len(seen) != 10 {
-		t.Fatalf("visited %d", len(seen))
-	}
-}
-
-// Property: int64 and float64 round-trip through the word representation.
-func TestTypedRoundTripProperty(t *testing.T) {
-	o := NewObject(1, 1)
-	fi := func(v int64) bool {
-		o.SetInt64(0, v)
-		return o.Int64(0) == v
-	}
-	if err := quick.Check(fi, nil); err != nil {
-		t.Fatal(err)
-	}
-	ff := func(v float64) bool {
-		o.SetFloat64(0, v)
-		got := o.Float64(0)
-		return got == v || (math.IsNaN(got) && math.IsNaN(v))
-	}
-	if err := quick.Check(ff, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Heap.IDs is always ascending and complete.
-func TestHeapIDsProperty(t *testing.T) {
-	f := func(raw []uint16) bool {
-		h := NewHeap()
-		uniq := map[ObjectID]bool{}
-		for _, r := range raw {
-			id := ObjectID(r % 128)
-			h.Put(NewObject(id, 1))
-			uniq[id] = true
-		}
-		ids := h.IDs()
-		if len(ids) != len(uniq) {
-			return false
-		}
-		for i := 1; i < len(ids); i++ {
-			if ids[i] <= ids[i-1] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

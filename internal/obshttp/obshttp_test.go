@@ -18,7 +18,7 @@ import (
 // and reason.
 func TestHandlerRoutes(t *testing.T) {
 	reg := telemetry.NewRegistry(3, `policy="AT"`)
-	reg.Counter("dsm_scrapes_total", "a sample to expose", "").Inc()
+	reg.CounterFunc("dsm_scrapes_total", "a sample to expose", "", func() int64 { return 1 })
 	status, reason := http.StatusOK, ""
 	s, err := Start(":0", Handler(
 		func() []telemetry.Snapshot { return []telemetry.Snapshot{reg.Snapshot()} },

@@ -1,9 +1,9 @@
-// Package telemetry is the live observability substrate: a zero-alloc
-// metric registry (counters, gauges, bridges to stats.Hist), a
-// fixed-interval sampler that snapshots registered metrics into
-// fixed-capacity ring time-series (sampler.go), and a space-saving
-// top-K sketch of per-object access behavior (sink.go). The Sink is a
-// flight.Subscriber: proto.Node.Emit hands it the trapped home
+// Package telemetry is the live observability substrate: a metric
+// registry of read functions (counters, gauges, bridges to stats.Hist),
+// a fixed-interval sampler that snapshots registered metrics into
+// fixed-capacity ring time-series without allocating (sampler.go), and
+// a space-saving top-K sketch of per-object access behavior (sink.go).
+// The Sink is a flight.Subscriber: proto.Node.Emit hands it the trapped home
 // reads/writes, served fault-ins, applied remote diffs and migration
 // decisions of every node it is attached to — the same events, from the
 // same emission, the flight ring and the trace classifier see.
@@ -17,7 +17,6 @@ package telemetry
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/stats"
 )
@@ -37,38 +36,6 @@ func (k Kind) String() string {
 	}
 	return "gauge"
 }
-
-// Counter is a monotonically increasing metric backed by one atomic.
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds one.
-//
-//dsm:hotpath
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-//
-//dsm:hotpath
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Gauge is a point-in-time value backed by one atomic.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-//
-//dsm:hotpath
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds n (gauges may go down).
-//
-//dsm:hotpath
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // scalar is one registered scalar metric: a name, metadata, and a
 // read function that must be cheap and safe to call concurrently with
@@ -121,20 +88,6 @@ func (r *Registry) SetCommon(common string) {
 
 // Node returns the owning node's id.
 func (r *Registry) Node() int { return r.node }
-
-// Counter registers and returns a new counter.
-func (r *Registry) Counter(name, help, label string) *Counter {
-	c := &Counter{}
-	r.CounterFunc(name, help, label, c.Load)
-	return c
-}
-
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name, help, label string) *Gauge {
-	g := &Gauge{}
-	r.GaugeFunc(name, help, label, g.Load)
-	return g
-}
 
 // CounterFunc registers a counter whose value comes from read.
 func (r *Registry) CounterFunc(name, help, label string, read func() int64) {

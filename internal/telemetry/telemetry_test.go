@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/flight"
@@ -12,17 +13,16 @@ import (
 
 func TestRegistrySnapshotReadsScalarsAndHists(t *testing.T) {
 	r := NewRegistry(3, `policy="AT"`)
-	c := r.Counter("dsm_frames_total", "frames", "")
-	g := r.Gauge("dsm_depth", "depth", "")
+	var frames, depth atomic.Int64
+	r.CounterFunc("dsm_frames_total", "frames", "", frames.Load)
+	r.GaugeFunc("dsm_depth", "depth", "", depth.Load)
 	r.CounterFunc("dsm_fn_total", "fn", `peer="1"`, func() int64 { return 42 })
 	r.HistFunc("dsm_rtt_ns", "rtt", "", func(dst *stats.Hist) {
 		dst.Observe(100)
 		dst.Observe(100)
 	})
-	c.Add(7)
-	c.Inc()
-	g.Set(5)
-	g.Add(-2)
+	frames.Add(8)
+	depth.Store(3)
 
 	snap := r.Snapshot()
 	if snap.Node != 3 || snap.Common != `policy="AT"` {
@@ -146,10 +146,11 @@ func TestSinkDecisionsAndRemoteShare(t *testing.T) {
 
 func TestSamplerRingWrapAndFrozenSet(t *testing.T) {
 	r := NewRegistry(0, "")
-	c := r.Counter("dsm_a_total", "a", "")
+	var c atomic.Int64
+	r.CounterFunc("dsm_a_total", "a", "", c.Load)
 	s := NewSampler(r, 3)
 	// Registered after NewSampler: must not be sampled.
-	r.Counter("dsm_late_total", "late", "")
+	r.CounterFunc("dsm_late_total", "late", "", c.Load)
 
 	for i := 1; i <= 5; i++ {
 		c.Add(10)
@@ -183,7 +184,7 @@ func TestSamplerRingWrapAndFrozenSet(t *testing.T) {
 
 func TestSnapshotGobRoundTrip(t *testing.T) {
 	r := NewRegistry(2, `policy="FT2"`)
-	r.Counter("dsm_x_total", "x", "").Add(11)
+	r.CounterFunc("dsm_x_total", "x", "", func() int64 { return 11 })
 	r.HistFunc("dsm_h_ns", "h", "", func(dst *stats.Hist) { dst.Observe(9) })
 	sink := NewSink(4)
 	access(sink, 1, flight.Request)
@@ -218,7 +219,7 @@ func TestSnapshotGobRoundTrip(t *testing.T) {
 func TestWritePromExposition(t *testing.T) {
 	mk := func(node int) Snapshot {
 		r := NewRegistry(node, `policy="AT"`)
-		r.Counter("dsm_frames_total", "Frames.", "").Add(int64(10 * (node + 1)))
+		r.CounterFunc("dsm_frames_total", "Frames.", "", func() int64 { return int64(10 * (node + 1)) })
 		r.GaugeFunc("dsm_depth", "Depth.", "", func() int64 { return int64(node) })
 		r.HistFunc("dsm_rtt_ns", "RTT.", "", func(dst *stats.Hist) {
 			dst.Observe(3) // bucket 2, bound 4
@@ -288,18 +289,10 @@ func TestWritePromDecisionReasonNames(t *testing.T) {
 }
 
 func TestHotPathsAllocationFree(t *testing.T) {
-	var c Counter
-	if n := testing.AllocsPerRun(1000, c.Inc); n != 0 {
-		t.Fatalf("Counter.Inc allocates %v/op", n)
-	}
-	var g Gauge
-	if n := testing.AllocsPerRun(1000, func() { g.Set(7) }); n != 0 {
-		t.Fatalf("Gauge.Set allocates %v/op", n)
-	}
-
+	var v atomic.Int64
 	r := NewRegistry(0, "")
-	r.Counter("dsm_a_total", "a", "")
-	r.GaugeFunc("dsm_b", "b", "", g.Load)
+	r.CounterFunc("dsm_a_total", "a", "", v.Load)
+	r.GaugeFunc("dsm_b", "b", "", func() int64 { return 7 })
 	s := NewSampler(r, 64)
 	var now int64
 	if n := testing.AllocsPerRun(1000, func() { now++; s.Tick(now) }); n != 0 {
