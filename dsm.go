@@ -82,8 +82,8 @@ type (
 	// recorder, internal/oracle); identical on both engines.
 	Observer = proto.Observer
 	// Transport carries encoded protocol frames between live-engine
-	// nodes (see Config.Transport).
-	Transport = transport.Transport
+	// nodes and pushes them to the receiving node (see Config.Transport).
+	Transport = transport.Pusher
 )
 
 // Convenient time units (virtual time).
@@ -141,9 +141,9 @@ type Config struct {
 	Observer Observer
 	// Transport injects a custom live-engine transport — e.g. a
 	// multi-process cluster member carrying frames over TCP
-	// (internal/live/cluster). It must push (transport.Pusher). nil
-	// selects the in-process chanloop backend. Live engine only.
-	Transport transport.Transport
+	// (internal/live/cluster). nil selects the in-process chanloop
+	// backend. Live engine only.
+	Transport Transport
 	// LocalNode, when non-nil, makes this process the member of a
 	// multi-process cluster (cmd/dsmnode) that owns that node and nothing
 	// else. Every member declares the identical layout (guarded by the
@@ -260,24 +260,25 @@ func New(cfg Config) *Cluster {
 			Shared:    sh,
 			Net:       net,
 			DebugWire: cfg.DebugWire,
-			Observer:  cfg.Observer,
 			FlightCap: cfg.FlightCap,
-			Telemetry: cfg.Telemetry,
 		})
 	case "live":
 		c.eng = live.New(live.Config{
 			Shared:      sh,
-			Observer:    cfg.Observer,
 			Transport:   cfg.Transport,
 			LocalNode:   cfg.LocalNode,
 			FlightCap:   cfg.FlightCap,
 			FlightLocal: cfg.FlightLocal,
-			Telemetry:   cfg.Telemetry,
 			Metrics:     cfg.Metrics,
 		})
 	default:
 		panic(fmt.Sprintf("dsm: unknown engine %q (want \"sim\" or \"live\")", cfg.Engine))
 	}
+	// The one way in for observers, after the engine's own flight rings.
+	if cfg.Telemetry != nil {
+		c.eng.Subscribe(cfg.Telemetry)
+	}
+	c.eng.Subscribe(cfg.Observer)
 	if cfg.Trace != nil {
 		c.eng.Subscribe(cfg.Trace)
 	}

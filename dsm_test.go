@@ -84,8 +84,6 @@ func TestConfigPanicsOnEngineMismatch(t *testing.T) {
 		{"LocalNode past the cluster", dsm.Config{Nodes: 2, Engine: "live", Transport: tr, LocalNode: node(2)}, "LocalNode 2 outside cluster of 2"},
 		{"LocalNode negative", dsm.Config{Nodes: 2, Engine: "live", Transport: tr, LocalNode: node(-1)}, "LocalNode -1 outside"},
 		{"LocalNode without a Transport", dsm.Config{Nodes: 2, Engine: "live", LocalNode: node(1)}, "LocalNode requires a Transport"},
-		{"Transport that cannot push", dsm.Config{Nodes: 2, Engine: "live", Transport: struct{ transport.Transport }{tr}},
-			"transport struct { transport.Transport } cannot push"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

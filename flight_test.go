@@ -22,13 +22,17 @@ import (
 	"repro/internal/wire"
 )
 
+// flightWorkloadCap is flightWorkload's ring capacity per node, large
+// enough that no ring wraps.
+const flightWorkloadCap = 4096
+
 // flightWorkload is a small mixed workload: lock-protected counter
 // increments force lock handoffs and consecutive remote writes (so AT
 // migrates homes), and a barrier closes each round. attach, when
 // non-nil, adds subscribers beside the flight ring.
 func flightWorkload(t *testing.T, attach func(*dsm.Config)) (*dsm.Cluster, []flight.Event, dsm.Metrics) {
 	t.Helper()
-	cfg := dsm.Config{Nodes: 4, Policy: "AT", FlightCap: 4096, DebugWire: true}
+	cfg := dsm.Config{Nodes: 4, Policy: "AT", FlightCap: flightWorkloadCap, DebugWire: true}
 	if attach != nil {
 		attach(&cfg)
 	}
@@ -59,17 +63,18 @@ func flightWorkload(t *testing.T, attach func(*dsm.Config)) (*dsm.Cluster, []fli
 // order. The set of other subscribers is one more input that must not
 // show: the ring stamps the events it stores, so a sink, a Trace and the
 // oracle listening to the same sites leave the timeline (and the final
-// memory) exactly as the ring alone sees it.
+// memory) exactly as the ring alone sees it. Each of them, on either
+// engine, gets every event of its kinds exactly once.
 func TestSimFlightTimelineDeterministic(t *testing.T) {
-	render := func(attach func(*dsm.Config)) ([]byte, uint64) {
+	render := func(attach func(*dsm.Config)) ([]byte, uint64, []flight.Event) {
 		c, evs, _ := flightWorkload(t, attach)
 		var buf bytes.Buffer
 		if err := flight.WriteText(&buf, evs); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes(), c.Digest()
+		return buf.Bytes(), c.Digest(), evs
 	}
-	base, digest := render(nil)
+	base, digest, _ := render(nil)
 	if len(base) == 0 {
 		t.Fatal("empty timeline")
 	}
@@ -77,6 +82,7 @@ func TestSimFlightTimelineDeterministic(t *testing.T) {
 		sink = telemetry.NewSink(0)
 		tr   = dsm.NewTrace()
 		rec  = oracle.NewRecorder(4)
+		all  []flight.Event
 	)
 	for _, set := range []struct {
 		name   string
@@ -86,7 +92,7 @@ func TestSimFlightTimelineDeterministic(t *testing.T) {
 		{"ring+sink", func(c *dsm.Config) { c.Telemetry = telemetry.NewSink(0) }},
 		{"ring+sink+trace+oracle", func(c *dsm.Config) { c.Telemetry, c.Trace, c.Observer = sink, tr, rec }},
 	} {
-		got, d := render(set.attach)
+		got, d, evs := render(set.attach)
 		if !bytes.Equal(base, got) {
 			t.Errorf("sim flight timeline with subscribers {%s} diverges from the ring-only run:\n%s\nvs\n%s",
 				set.name, base, got)
@@ -94,13 +100,71 @@ func TestSimFlightTimelineDeterministic(t *testing.T) {
 		if d != digest {
 			t.Errorf("subscribers {%s} changed the final memory: digest %#x, want %#x", set.name, d, digest)
 		}
+		all = evs
 	}
-	// The extra subscribers were really listening.
-	if sink.Total() == 0 || tr.Len() == 0 || rec.Len() == 0 {
-		t.Errorf("subscribers saw nothing: sink %d, trace %d, oracle %d", sink.Total(), tr.Len(), rec.Len())
+	checkExactlyOnce(t, "sim", all, sink, tr, rec)
+
+	// Live: every cluster-wide subscriber goes through the engine's
+	// serializer, which must neither drop nor repeat a delivery.
+	sink, tr, rec = telemetry.NewSink(0), dsm.NewTrace(), oracle.NewRecorder(4)
+	_, evs, _ := flightWorkload(t, func(c *dsm.Config) {
+		c.Engine = "live"
+		c.Telemetry, c.Trace, c.Observer = sink, tr, rec
+	})
+	checkExactlyOnce(t, "live", evs, sink, tr, rec)
+}
+
+// checkExactlyOnce compares what each subscriber attached beside the ring
+// got with the ring's timeline of the same run, kind by kind: the kinds
+// the ring keeps must match it, the thread-side kinds it does not keep
+// must match what flightWorkload issues (4 threads × 3 rounds × 5
+// increments, one barrier a round). The oracle's log must also check.
+func checkExactlyOnce(t *testing.T, engine string, ring []flight.Event, sink *telemetry.Sink, tr *dsm.Trace, rec *oracle.Recorder) {
+	t.Helper()
+	var want [flight.NumKinds]int
+	perNode := map[memory.NodeID]int{}
+	for _, e := range ring {
+		want[e.Kind]++
+		perNode[e.Node]++
+	}
+	for node, n := range perNode {
+		if n >= flightWorkloadCap {
+			t.Fatalf("%s: node %d's ring is full (%d events): it may have wrapped", engine, node, n)
+		}
+	}
+	want[flight.Read], want[flight.Write], want[flight.Acquire], want[flight.Release] = 60, 60, 60, 60
+	want[flight.BarrierArrive], want[flight.BarrierDepart] = 12, 12
+	logged := func(name string, kinds flight.Mask, log []flight.Event) {
+		var got [flight.NumKinds]int
+		for _, e := range log {
+			got[e.Kind]++
+		}
+		for k := flight.Kind(0); k < flight.NumKinds; k++ {
+			if kinds.Has(k) && got[k] != want[k] {
+				t.Errorf("%s: %s got %d %v events, want %d", engine, name, got[k], k, want[k])
+			}
+		}
+	}
+	logged("trace", tr.Kinds(), tr.Events)
+	logged("oracle", rec.Kinds(), rec.Ops())
+	// The sketch keeps counts, not a log: one per access, one per decision.
+	accesses := want[flight.HomeRead] + want[flight.HomeWrite] + want[flight.Request] + want[flight.RemoteWrite]
+	if got := sink.Total(); got != uint64(accesses) {
+		t.Errorf("%s: sink counted %d accesses, want %d", engine, got, accesses)
+	}
+	migrated, stayed := sink.Decisions()
+	decisions := 0
+	for r := range migrated {
+		decisions += int(migrated[r] + stayed[r])
+	}
+	if decisions != want[flight.Decision] {
+		t.Errorf("%s: sink counted %d decisions, want %d", engine, decisions, want[flight.Decision])
+	}
+	if accesses == 0 || want[flight.Decision] == 0 {
+		t.Errorf("%s: the workload emitted %d accesses and %d decisions; the check is vacuous", engine, accesses, want[flight.Decision])
 	}
 	if viols := rec.Check(nil); len(viols) > 0 {
-		t.Errorf("oracle: %v", viols[0])
+		t.Errorf("%s: oracle: %v", engine, viols[0])
 	}
 }
 

@@ -12,7 +12,9 @@
 // engine (internal/live); this package contributes the virtual-time
 // scheduling (Node is the proto.Engine, Thread the proto.Host),
 // Hockney-model message costs and the deterministic event ordering
-// behind the paper's figures.
+// behind the paper's figures. The engine attaches the flight rings it
+// stamps (Config.FlightCap); every other subscriber attaches through
+// Cluster.Subscribe.
 package gos
 
 import (
@@ -27,7 +29,6 @@ import (
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 )
 
 // LockID names a distributed lock.
@@ -35,9 +36,6 @@ type LockID = proto.LockID
 
 // BarrierID names a distributed barrier.
 type BarrierID = proto.BarrierID
-
-// Observer is an extra event subscriber (see proto.Observer).
-type Observer = proto.Observer
 
 // Worker is one application thread to run.
 type Worker = proto.Worker
@@ -57,30 +55,20 @@ var (
 
 // Config parameterizes one DSM run: the protocol selection and layout
 // both engines share (proto.Shared, handed to proto.NewSpace as is) plus
-// what only the virtual-time engine has — the cost model and observers.
+// what only the virtual-time engine has — the cost model and flight rings.
+// Observers attach through Subscribe (Space.Subscribe), after New.
 type Config struct {
 	proto.Shared
 	// Net is the interconnect cost model (default: Fast Ethernet class).
 	Net hockney.Model
 	// DebugWire round-trips every message through the codec.
 	DebugWire bool
-	// Observer, when non-nil, subscribes to every node's events — the
-	// coherence oracle's recorder (data accesses, lock chains, barrier
-	// episodes). Nil in production runs; an event nobody subscribed to
-	// costs its site one mask test.
-	Observer Observer
 	// FlightCap, when positive, attaches a flight recorder of that
 	// capacity to every node. Events are stamped with the virtual clock
 	// (Wall = virtual nanoseconds, Logical = per-node record sequence),
 	// so the merged timeline of a seeded run is byte-identical across
 	// repeats.
 	FlightCap int
-	// Telemetry, when non-nil, is a shared hot-object sink subscribed to
-	// every node's access and migration-decision events. Pure
-	// observation: the sketch's contents are a function of the
-	// deterministic schedule only and a seeded run's digest is unchanged
-	// by attaching it.
-	Telemetry *telemetry.Sink
 }
 
 // DefaultConfig returns the paper's setup: AT policy over forwarding
@@ -138,10 +126,6 @@ func New(cfg Config) *Cluster {
 		}
 		c.nodes = append(c.nodes, n)
 	}
-	if cfg.Telemetry != nil {
-		c.Subscribe(cfg.Telemetry)
-	}
-	c.Subscribe(cfg.Observer)
 	return c
 }
 
@@ -161,12 +145,6 @@ func (s *simStamper) stamp() hlc.Stamp {
 	s.seq++
 	return hlc.Stamp{Wall: int64(s.env.Now()), Logical: s.seq}
 }
-
-// Config returns the effective configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
-// Env exposes the simulation environment (read-only use: clock, stats).
-func (c *Cluster) Env() *sim.Env { return c.env }
 
 // Run executes the workers to completion and returns the run metrics.
 func (c *Cluster) Run(workers []Worker) (stats.Metrics, error) {

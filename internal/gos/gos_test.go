@@ -642,12 +642,6 @@ func TestClusterAccessors(t *testing.T) {
 	if c.HomeOf(obj) != 1 {
 		t.Fatalf("HomeOf = %d", c.HomeOf(obj))
 	}
-	if c.Config().Nodes != 2 {
-		t.Fatalf("Config.Nodes = %d", c.Config().Nodes)
-	}
-	if c.Env() == nil {
-		t.Fatal("Env nil")
-	}
 }
 
 func TestMultipleThreadsPerNode(t *testing.T) {

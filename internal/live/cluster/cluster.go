@@ -599,7 +599,7 @@ func (m *Member) recv() (memory.NodeID, ctlKind, []byte, error) {
 	return c.From, ctlKind(c.Payload[0]), c.Payload[1:], nil
 }
 
-// --- transport.Transport (engine-facing) --------------------------
+// --- transport.Pusher (engine-facing) -----------------------------
 
 // Send implements transport.Transport by delegation.
 func (m *Member) Send(to memory.NodeID, frame []byte) { m.tr.Send(to, frame) }
@@ -613,7 +613,7 @@ func (m *Member) Recv(id memory.NodeID) ([]byte, bool) { return m.tr.Recv(id) }
 // teardown is Leave.
 func (m *Member) Close() { m.tr.CloseData() }
 
-// PeakDepth implements transport.DepthReporter by delegation.
+// PeakDepth implements transport.Pusher by delegation.
 func (m *Member) PeakDepth() int { return m.tr.PeakDepth() }
 
 // SetSink implements transport.Pusher by delegation.
@@ -723,9 +723,7 @@ func (m *Member) Leave() {
 // interface conformance (the apps.Member methods live in finish.go; the
 // full apps.Member check is in cmd/dsmnode, avoiding an import here).
 var (
-	_ transport.Transport     = (*Member)(nil)
-	_ transport.DepthReporter = (*Member)(nil)
-	_ transport.Pusher        = (*Member)(nil)
-	_ transport.FatalSink     = (*Member)(nil)
-	_ live.Finisher           = (*Member)(nil)
+	_ transport.Pusher    = (*Member)(nil)
+	_ transport.FatalSink = (*Member)(nil)
+	_ live.Finisher       = (*Member)(nil)
 )

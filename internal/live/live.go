@@ -8,7 +8,9 @@
 // decides: the sender's own goroutine once node.unlock has released its
 // lock (ChanLoop, a transport.Deliverer), or the transport's own (the TCP
 // socket's reader, the fault injector's delivery line). The engine needs
-// a transport.Pusher and never calls Recv.
+// a transport.Pusher (Config.Transport has that type) and never calls
+// Recv. Flight rings are the engine's own; every other subscriber
+// attaches through Cluster.Subscribe, which serializes its deliveries.
 // A frame that cannot be routed yet is parked at its node until an
 // unlock finds it routable. Messages between nodes cross a pluggable
 // transport (internal/live/transport) and are always encoded through the
@@ -67,16 +69,13 @@ import (
 // layout both engines share (proto.Shared, handed to proto.NewSpace as
 // is; nil Policy and zero Params follow the paper defaults, like
 // gos.Config) plus what only the goroutine engine has — the transport,
-// the one-node mode and the observers.
+// the one-node mode, the flight rings and the scrape registry. Observers
+// attach through Cluster.Subscribe, after New.
 type Config struct {
 	proto.Shared
-	// Observer, when non-nil, subscribes to every node's events (see
-	// Cluster.Subscribe: delivery is serialized, so any sim-compatible
-	// subscriber, e.g. oracle.Recorder, works unchanged).
-	Observer proto.Observer
-	// Transport carries encoded frames between nodes and must push
-	// (transport.Pusher); nil selects the in-process ChanLoop backend.
-	Transport transport.Transport
+	// Transport carries encoded frames between nodes; nil selects the
+	// in-process ChanLoop backend.
+	Transport transport.Pusher
 	// LocalNode, when non-nil, is the one node this process runs; the
 	// others run in peer processes that Transport reaches and that declare
 	// the same layout. Run keeps this node's protocol state, sink and
@@ -92,10 +91,6 @@ type Config struct {
 	// observe remote frames and the finish exchange can gather the ring.
 	// No other node gets a recorder.
 	FlightLocal *flight.Recorder
-	// Telemetry, when non-nil, is a shared hot-object sink subscribed to
-	// every node's access and migration-decision events — pure
-	// observation.
-	Telemetry *telemetry.Sink
 	// Metrics, when non-nil, receives the engine's live metrics
 	// (cluster-wide frame counters, per-node protocol counters, merged
 	// latency histograms) so a scrape endpoint can read them mid-run.
@@ -211,7 +206,6 @@ func (c *Cluster) abortCause() error {
 }
 
 // New builds a live cluster per cfg, filling zero values with defaults.
-// It panics on a transport that cannot push.
 func New(cfg Config) *Cluster {
 	def := DefaultConfig(cfg.Nodes)
 	if cfg.Nodes <= 0 {
@@ -223,13 +217,9 @@ func New(cfg Config) *Cluster {
 	if cfg.Params.Alpha == nil {
 		cfg.Params = def.Params
 	}
-	c := &Cluster{cfg: cfg}
-	if cfg.Transport == nil {
+	c := &Cluster{cfg: cfg, tr: cfg.Transport}
+	if c.tr == nil {
 		c.tr = transport.NewChanLoop(cfg.Nodes)
-	} else if p, ok := cfg.Transport.(transport.Pusher); ok {
-		c.tr = p
-	} else {
-		panic(fmt.Sprintf("live: transport %T cannot push (no transport.Pusher)", cfg.Transport))
 	}
 	c.push, _ = c.tr.(transport.Deliverer)
 	c.Space = proto.NewSpace(&c.cfg.Shared)
@@ -253,12 +243,6 @@ func New(cfg Config) *Cluster {
 		}
 		c.nodes = append(c.nodes, n)
 	}
-	// The ring and the sketch lock themselves (they have mid-run
-	// readers); everything else goes through Cluster.Subscribe.
-	if cfg.Telemetry != nil {
-		c.Space.Subscribe(cfg.Telemetry)
-	}
-	c.Subscribe(cfg.Observer)
 	if cfg.Metrics != nil {
 		c.registerMetrics(cfg.Metrics)
 	}
@@ -328,7 +312,8 @@ func (c *Cluster) registerMetrics(reg *telemetry.Registry) {
 
 // serialized delivers to a cluster-wide subscriber under one mutex: the
 // one place concurrent nodes' events become the single total order an
-// unsynchronized subscriber (the oracle recorder, a dsm.Trace) expects.
+// unsynchronized subscriber (the oracle recorder, a dsm.Trace) expects;
+// every cluster-wide subscriber takes it, the telemetry sketch included.
 // That order is consistent with causality (see proto.Node.Emit); only
 // genuinely concurrent events race for log positions, and LRC places no
 // obligation between those.
@@ -350,9 +335,6 @@ func (c *Cluster) Subscribe(sub flight.Subscriber) {
 		c.Space.Subscribe(&serialized{Subscriber: sub})
 	}
 }
-
-// Config returns the effective configuration.
-func (c *Cluster) Config() Config { return c.cfg }
 
 // Run executes the workers to completion on real goroutines and returns
 // the run metrics. ExecTime/FinalTime stay zero (there is no virtual
@@ -456,9 +438,7 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 			}
 		}
 	}
-	if dr, ok := c.tr.(transport.DepthReporter); ok {
-		m.LivePeakInbox = dr.PeakDepth()
-	}
+	m.LivePeakInbox = c.tr.PeakDepth()
 	m.Wall = wall
 	m.LiveMsgs = c.frames.Load()
 	m.LiveBytes = c.frameB.Load()

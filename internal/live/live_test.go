@@ -130,8 +130,8 @@ func TestEveryPolicyAndLocator(t *testing.T) {
 			cfg.Policy = pol
 			cfg.Locator = lc
 			rec := oracle.NewRecorder(3)
-			cfg.Observer = rec
 			c := New(cfg)
+			c.Subscribe(rec)
 			obj := c.AddObject(4, 0)
 			bar := c.AddBarrier(1, 3)
 			var ws []proto.Worker

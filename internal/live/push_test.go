@@ -79,10 +79,10 @@ func (d tallyLoop) Send(to memory.NodeID, frame []byte) {
 func TestParkedFrameHandledAtUnlock(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		wrap func(tr transport.Pusher) transport.Transport
+		wrap func(tr transport.Pusher) transport.Pusher
 	}{
-		{"PushedByChanLoop", func(tr transport.Pusher) transport.Transport { return tr }},
-		{"PushedByFaulty", func(tr transport.Pusher) transport.Transport { return faulty.Wrap(tr, 3, faulty.Options{}) }},
+		{"PushedByChanLoop", func(tr transport.Pusher) transport.Pusher { return tr }},
+		{"PushedByFaulty", func(tr transport.Pusher) transport.Pusher { return faulty.Wrap(tr, 3, faulty.Options{}) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			l := &tally{}
@@ -266,12 +266,12 @@ func TestPeerGarbageAbortsRun(t *testing.T) {
 		name string
 		// start returns the engine's transport and what puts a frame in
 		// front of node 0 mid-run.
-		start func(t *testing.T, abort func(error)) (transport.Transport, func(frame []byte))
+		start func(t *testing.T, abort func(error)) (transport.Pusher, func(frame []byte))
 		// remote: node 1 is the test's raw socket; the engine runs node 0
 		// only.
 		remote bool
 	}{
-		{name: "PushedByTCPReader", remote: true, start: func(t *testing.T, abort func(error)) (transport.Transport, func([]byte)) {
+		{name: "PushedByTCPReader", remote: true, start: func(t *testing.T, abort func(error)) (transport.Pusher, func([]byte)) {
 			local, raw := socketPair(t)
 			tr := tcp.New(0, []net.Conn{nil, local}, tcp.Options{OnFatal: abort})
 			t.Cleanup(func() {
@@ -288,14 +288,14 @@ func TestPeerGarbageAbortsRun(t *testing.T) {
 				}
 			}
 		}},
-		{name: "PushedByChanLoop", start: func(t *testing.T, abort func(error)) (transport.Transport, func([]byte)) {
+		{name: "PushedByChanLoop", start: func(t *testing.T, abort func(error)) (transport.Pusher, func([]byte)) {
 			tr := transport.NewChanLoop(2)
 			return tr, func(frame []byte) {
 				tr.Send(0, append(transport.GetFrame(), frame...))
 				tr.Deliver(0) // the engine's rule: deliver holding nothing
 			}
 		}},
-		{name: "PushedByFaulty", start: func(t *testing.T, abort func(error)) (transport.Transport, func([]byte)) {
+		{name: "PushedByFaulty", start: func(t *testing.T, abort func(error)) (transport.Pusher, func([]byte)) {
 			tr := faulty.Wrap(transport.NewChanLoop(2), 2, faulty.Options{})
 			return tr, func(frame []byte) { tr.Send(0, append(transport.GetFrame(), frame...)) } // a line delivers it
 		}},

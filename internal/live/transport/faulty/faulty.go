@@ -43,6 +43,7 @@ import (
 	"repro/internal/live/transport"
 	"repro/internal/memory"
 	"repro/internal/prng"
+	"repro/internal/wire"
 )
 
 // Options configures the fault schedule. The zero value injects no
@@ -152,21 +153,17 @@ func Wrap(inner transport.Pusher, n int, opt Options) *Transport {
 	return t
 }
 
-// senderOf peeks the sender out of an encoded wire.Msg (From sits at
-// bytes [1:3], little-endian int16). Transport-level tests send frames
-// that are not wire messages, so an out-of-range parse is reported as
-// unknown (-1) rather than trusted: an unknown sender draws delays from
-// the receiver's fallback stream and is never matched by kill/cut
-// filtering on the sender side.
+// senderOf peeks the sender out of an encoded wire.Msg (wire.PeekFrom).
+// Transport-level tests send frames that are not wire messages, so an
+// out-of-range parse is reported as unknown (-1) rather than trusted: an
+// unknown sender draws delays from the receiver's fallback stream and is
+// never matched by kill/cut filtering on the sender side.
 func (t *Transport) senderOf(frame []byte) int {
-	if len(frame) < 3 {
+	from, ok := wire.PeekFrom(frame)
+	if !ok || from < 0 || int(from) >= t.n {
 		return -1
 	}
-	from := int(int16(uint16(frame[1]) | uint16(frame[2])<<8))
-	if from < 0 || from >= t.n {
-		return -1
-	}
-	return from
+	return int(from)
 }
 
 // Send implements transport.Transport: count the frame against the
@@ -390,12 +387,7 @@ func (t *Transport) InboxLen(id memory.NodeID) int {
 	return 0
 }
 
-// PeakDepth implements transport.DepthReporter by delegation.
-func (t *Transport) PeakDepth() int {
-	if d, ok := t.inner.(transport.DepthReporter); ok {
-		return d.PeakDepth()
-	}
-	return 0
-}
+// PeakDepth implements transport.Pusher by delegation.
+func (t *Transport) PeakDepth() int { return t.inner.PeakDepth() }
 
 var _ transport.Pusher = (*Transport)(nil)

@@ -565,7 +565,7 @@ func (t *Transport) InboxLen(id memory.NodeID) int {
 	return t.inbox.Len()
 }
 
-// PeakDepth implements transport.DepthReporter: the deepest any
+// PeakDepth implements transport.Pusher: the deepest any
 // delivery queue got — the local inbox or a peer send queue.
 func (t *Transport) PeakDepth() int {
 	max := t.inbox.Peak()
@@ -1003,9 +1003,5 @@ func isTimeout(err error) bool {
 	return ok && ne.Timeout()
 }
 
-// compile-time interface checks.
-var (
-	_ transport.Transport     = (*Transport)(nil)
-	_ transport.DepthReporter = (*Transport)(nil)
-	_ transport.Pusher        = (*Transport)(nil)
-)
+// compile-time interface check.
+var _ transport.Pusher = (*Transport)(nil)

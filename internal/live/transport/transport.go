@@ -18,9 +18,11 @@
 //     reuse the buffer. Recv transfers ownership to the caller, and so
 //     does a Pusher's sink call.
 //
-// The live engine receives only by push (Pusher) and never calls Recv,
-// which stays for the conformance suite, the benchmark's probes and a
-// node whose sink is not installed yet.
+// The live engine runs over a Pusher, checked at compile time (the type
+// of its Config.Transport), and never calls Recv, which stays for the
+// conformance suite, the benchmark's probes and a node whose sink is not
+// installed yet. Deliverer, FatalSink and the engine's Finisher are
+// optional, found by type assertion.
 package transport
 
 import (
@@ -44,17 +46,6 @@ type Transport interface {
 	// Close shuts delivery down: blocked and future Recv calls drain
 	// what was already sent, then return ok=false.
 	Close()
-}
-
-// DepthReporter is implemented by backends that track queue depths. A
-// delivery queue is unbounded (see Queue), so its high-water mark is the
-// only evidence of a receiver falling behind: the live engine surfaces
-// it in its run metrics and dsmnode as dsm_inbox_peak. Per-pair credit
-// that would bound it is still open (ROADMAP item 3).
-type DepthReporter interface {
-	// PeakDepth reports the high-water mark, in frames, over the
-	// backend's delivery queues.
-	PeakDepth() int
 }
 
 // FatalSink is implemented by backends that can detect a mid-run
@@ -88,6 +79,11 @@ type Pusher interface {
 	// it has left the call. After Close the backend drops late frames
 	// into the pool rather than push them.
 	SetSink(id memory.NodeID, sink func(frame []byte) error)
+	// PeakDepth reports the high-water mark, in frames, over the backend's
+	// delivery queues. A queue is unbounded (see Queue), so this is the
+	// only evidence of a receiver falling behind: the live engine surfaces
+	// it in its run metrics, dsmnode as dsm_inbox_peak.
+	PeakDepth() int
 }
 
 // Deliverer is a Pusher that receives on no goroutine of its own: Send
@@ -408,7 +404,7 @@ func (t *ChanLoop) Close() {
 // InboxLen reports node id's current inbox depth (tests, observability).
 func (t *ChanLoop) InboxLen(id memory.NodeID) int { return t.inboxes[id].Len() }
 
-// PeakDepth implements DepthReporter: the deepest any node's inbox got.
+// PeakDepth implements Pusher: the deepest any node's inbox got.
 func (t *ChanLoop) PeakDepth() int {
 	max := 0
 	for _, b := range t.inboxes {

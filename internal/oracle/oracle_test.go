@@ -297,8 +297,8 @@ func runRaw(t *testing.T, p *scenario.Program, dropDiffs bool) (violations, offM
 	cfg := gos.DefaultConfig(p.Nodes)
 	cfg.Policy, cfg.DropDiffs, cfg.DebugWire = migration.NoHM{}, dropDiffs, true
 	rec := oracle.NewRecorder(p.Threads)
-	cfg.Observer = rec
 	c := gos.New(cfg)
+	c.Subscribe(rec)
 	objs := make([]memory.ObjectID, len(p.Words))
 	for o, words := range p.Words {
 		objs[o] = c.AddObject(words, memory.NodeID(p.Homes[o]))

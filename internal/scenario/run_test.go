@@ -157,8 +157,8 @@ func TestLiveEngineCatchesSabotage(t *testing.T) {
 	cfg := live.DefaultConfig(p.Nodes)
 	cfg.Policy, cfg.DropDiffs = migration.NoHM{}, true
 	rec := oracle.NewRecorder(p.Threads)
-	cfg.Observer = rec
 	c := live.New(cfg)
+	c.Subscribe(rec)
 	objs := make([]memory.ObjectID, len(p.Words))
 	for o, words := range p.Words {
 		objs[o] = c.AddObject(words, memory.NodeID(p.Homes[o]))

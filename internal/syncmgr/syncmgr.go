@@ -103,9 +103,6 @@ func NewBarrier(parties int) *Barrier {
 	return &Barrier{parties: parties}
 }
 
-// Parties reports the configured arrival count.
-func (b *Barrier) Parties() int { return b.parties }
-
 // Arrived reports the arrivals so far in this episode.
 func (b *Barrier) Arrived() int { return len(b.waiters) }
 

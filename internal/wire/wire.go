@@ -186,6 +186,17 @@ func (m Msg) Encode(buf []byte) []byte {
 	return buf
 }
 
+// PeekFrom reads the sender out of an encoded frame's header without
+// decoding the rest: the From field Encode writes at bytes [1:3]. ok is
+// false for a frame too short to hold it. The frame need not be a valid
+// message; callers that must trust From run Decode.
+func PeekFrom(frame []byte) (from memory.NodeID, ok bool) {
+	if len(frame) < 3 {
+		return 0, false
+	}
+	return memory.NodeID(int16(binary.LittleEndian.Uint16(frame[1:]))), true
+}
+
 // Decode parses a message. It returns an error on any truncation or a
 // trailing-garbage mismatch.
 func Decode(buf []byte) (Msg, error) {
@@ -198,7 +209,7 @@ func Decode(buf []byte) (Msg, error) {
 	if m.Kind >= numKinds {
 		return m, fmt.Errorf("wire: unknown kind %d", buf[0])
 	}
-	m.From = memory.NodeID(int16(le.Uint16(buf[1:])))
+	m.From, _ = PeekFrom(buf)
 	m.To = memory.NodeID(int16(le.Uint16(buf[3:])))
 	m.Obj = memory.ObjectID(le.Uint32(buf[5:]))
 	m.ReplyNode = memory.NodeID(int16(le.Uint16(buf[9:])))

@@ -85,6 +85,30 @@ func TestNegativeNodeIDsSurvive(t *testing.T) {
 	}
 }
 
+// TestPeekFromMatchesEncode pins PeekFrom to the header Encode writes:
+// for every kind and a spread of senders (negative ones included) it
+// reads back From, and a frame too short to hold the field is refused.
+func TestPeekFromMatchesEncode(t *testing.T) {
+	for k := Kind(0); k < numKinds; k++ {
+		for _, from := range []memory.NodeID{0, 1, 7, 300, memory.NoNode} {
+			m := sampleMsg()
+			m.Kind, m.From = k, from
+			frame := m.Encode(nil)
+			if got, ok := PeekFrom(frame); !ok || got != from {
+				t.Errorf("%v from %d: PeekFrom = %d, %v", k, from, got, ok)
+			}
+			if got, ok := PeekFrom(frame[:3]); !ok || got != from {
+				t.Errorf("%v from %d: PeekFrom of the 3-byte prefix = %d, %v", k, from, got, ok)
+			}
+		}
+	}
+	for n := 0; n < 3; n++ {
+		if _, ok := PeekFrom(make([]byte, n)); ok {
+			t.Errorf("PeekFrom accepted a %d-byte frame", n)
+		}
+	}
+}
+
 func TestDecodeRejectsUnknownKind(t *testing.T) {
 	m := Msg{Kind: ObjReq}
 	buf := m.Encode(nil)
