@@ -47,14 +47,9 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the calibration as JSON instead of tables")
 	flag.Parse()
 
-	var m hockney.Model
-	switch *network {
-	case "fastethernet", "fe":
-		m = hockney.FastEthernet()
-	case "gigabit", "gbe":
-		m = hockney.Gigabit()
-	default:
-		fmt.Fprintf(os.Stderr, "dsmcal: unknown network %q\n", *network)
+	m, err := hockney.Parse(*network)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dsmcal:", err)
 		os.Exit(1)
 	}
 

@@ -79,8 +79,10 @@ type (
 	// TraceProfile is one object's classified access pattern.
 	TraceProfile = trace.Profile
 	// Observer is an event subscriber (in practice the coherence oracle's
-	// recorder, internal/oracle); identical on both engines.
-	Observer = proto.Observer
+	// recorder, internal/oracle, which subscribes to the thread-side
+	// events and the managers' BarrierRelease/LockGrant); identical on
+	// both engines. A subscriber must not mutate cluster state.
+	Observer = flight.Subscriber
 	// Transport carries encoded protocol frames between live-engine
 	// nodes and pushes them to the receiving node (see Config.Transport).
 	Transport = transport.Pusher
@@ -200,14 +202,13 @@ func New(cfg Config) *Cluster {
 	if cfg.Nodes <= 0 {
 		panic("dsm: Config.Nodes must be positive")
 	}
-	var net hockney.Model
-	switch cfg.Network {
-	case "", "fastethernet", "fe":
-		net = hockney.FastEthernet()
-	case "gigabit", "gbe":
-		net = hockney.Gigabit()
-	default:
-		panic(fmt.Sprintf("dsm: unknown network %q", cfg.Network))
+	netName := cfg.Network
+	if netName == "" {
+		netName = "fastethernet"
+	}
+	net, err := hockney.Parse(netName)
+	if err != nil {
+		panic("dsm: " + err.Error())
 	}
 	params := core.DefaultParams(net.Alpha)
 	if cfg.Lambda != 0 {

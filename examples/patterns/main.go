@@ -16,7 +16,31 @@ import (
 
 func main() {
 	tr := dsm.NewTrace()
-	c := dsm.New(dsm.Config{Nodes: 4, Policy: "NoHM", Trace: tr})
+	if _, _, _, err := run(dsm.Config{Nodes: 4, Policy: "NoHM", Trace: tr}); err != nil {
+		log.Fatal(err)
+	}
+	profiles := dsm.AnalyzeTrace(tr)
+	fmt.Println("access-pattern classification (traced under NoHM):")
+	fmt.Print(dsm.TraceReport(profiles))
+
+	// Now run the same program under the adaptive protocol and see where
+	// the homes end up.
+	c, objs, m, err := run(dsm.Config{Nodes: 4, Policy: "AT"})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("\nunder the adaptive protocol (AT):")
+	fmt.Printf("  lasting  (single writer, node 1): home -> node %d\n", c.HomeOf(objs[0]))
+	fmt.Printf("  rotating (writer changes rounds): home -> node %d\n", c.HomeOf(objs[1]))
+	fmt.Printf("  shared   (multiple writers):      home -> node %d\n", c.HomeOf(objs[2]))
+	fmt.Printf("  migrations: %d, redirection hops: %d\n", m.Migrations, m.RedirectHops)
+	fmt.Println("\nthe lasting single-writer object moved to its writer; the others stayed put.")
+}
+
+// run executes the mixed workload on a cluster built from cfg and returns
+// the cluster with its three objects.
+func run(cfg dsm.Config) (*dsm.Cluster, [3]dsm.ObjectID, dsm.Metrics, error) {
+	c := dsm.New(cfg)
 
 	// Three objects with three personalities:
 	//   lasting  — node 1 writes it every interval,
@@ -28,7 +52,7 @@ func main() {
 	lock := c.NewLock(0)
 	bar := c.NewBarrier(0, 4)
 
-	_, err := c.Run(4, func(t dsm.Thread) {
+	m, err := c.Run(4, func(t dsm.Thread) {
 		for round := 0; round < 12; round++ {
 			if t.ID() == 1 {
 				t.Write(lasting, 0, uint64(round+1))
@@ -42,44 +66,5 @@ func main() {
 			t.Barrier(bar)
 		}
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	profiles := dsm.AnalyzeTrace(tr)
-	fmt.Println("access-pattern classification (traced under NoHM):")
-	fmt.Print(dsm.TraceReport(profiles))
-
-	// Now run the same program under the adaptive protocol and see where
-	// the homes end up.
-	c2 := dsm.New(dsm.Config{Nodes: 4, Policy: "AT"})
-	lasting2 := c2.NewObject("lasting", 4, 0)
-	rotating2 := c2.NewObject("rotating", 4, 0)
-	shared2 := c2.NewObject("shared", 1, 0)
-	lock2 := c2.NewLock(0)
-	bar2 := c2.NewBarrier(0, 4)
-	m, err := c2.Run(4, func(t dsm.Thread) {
-		for round := 0; round < 12; round++ {
-			if t.ID() == 1 {
-				t.Write(lasting2, 0, uint64(round+1))
-			}
-			if t.ID() == round%4 {
-				t.Write(rotating2, 0, uint64(100+round))
-			}
-			t.Acquire(lock2)
-			t.Write(shared2, 0, t.Read(shared2, 0)+1)
-			t.Release(lock2)
-			t.Barrier(bar2)
-		}
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Println("\nunder the adaptive protocol (AT):")
-	fmt.Printf("  lasting  (single writer, node 1): home -> node %d\n", c2.HomeOf(lasting2))
-	fmt.Printf("  rotating (writer changes rounds): home -> node %d\n", c2.HomeOf(rotating2))
-	fmt.Printf("  shared   (multiple writers):      home -> node %d\n", c2.HomeOf(shared2))
-	fmt.Printf("  migrations: %d, redirection hops: %d\n", m.Migrations, m.RedirectHops)
-	fmt.Println("\nthe lasting single-writer object moved to its writer; the others stayed put.")
+	return c, [3]dsm.ObjectID{lasting, rotating, shared}, m, err
 }

@@ -131,10 +131,3 @@ func blockRange(n, p, me int) (lo, hi int) {
 	}
 	return lo, hi
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -18,8 +18,8 @@ type migrateOnlyTo struct{ target memory.NodeID }
 
 func (migrateOnlyTo) Name() string        { return "migrateOnlyTo" }
 func (migrateOnlyTo) BarrierDriven() bool { return false }
-func (m migrateOnlyTo) ShouldMigrate(_ *core.State, req memory.NodeID, _ int) bool {
-	return req == m.target
+func (m migrateOnlyTo) Decide(_ *core.State, req memory.NodeID, _ int) migration.Explanation {
+	return migration.Explanation{Migrate: req == m.target}
 }
 
 // TestStalePiggybackForwarded exercises the subtlest protocol corner:

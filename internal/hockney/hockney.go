@@ -43,6 +43,18 @@ func Gigabit() Model {
 	return Model{T0: 20 * sim.Microsecond, BytesPerSec: 110e6}
 }
 
+// Parse returns the model named s: "fastethernet" (alias "fe") or
+// "gigabit" (alias "gbe").
+func Parse(s string) (Model, error) {
+	switch s {
+	case "fastethernet", "fe":
+		return FastEthernet(), nil
+	case "gigabit", "gbe":
+		return Gigabit(), nil
+	}
+	return Model{}, fmt.Errorf("hockney: unknown network %q", s)
+}
+
 // Time returns t(m) = t0 + m/r∞ for an m-byte message.
 func (md Model) Time(m int) sim.Time {
 	if m < 0 {

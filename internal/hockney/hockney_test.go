@@ -161,3 +161,19 @@ func TestStringFormat(t *testing.T) {
 		t.Fatal("empty String()")
 	}
 }
+
+func TestParse(t *testing.T) {
+	for name, want := range map[string]Model{
+		"fastethernet": FastEthernet(), "fe": FastEthernet(),
+		"gigabit": Gigabit(), "gbe": Gigabit(),
+	} {
+		if got, err := Parse(name); err != nil || got != want {
+			t.Errorf("Parse(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "FE", "infiniband"} {
+		if _, err := Parse(bad); err == nil {
+			t.Errorf("Parse(%q) succeeded", bad)
+		}
+	}
+}

@@ -109,7 +109,7 @@ func (l *Loader) importModulePkg(path string) (*types.Package, error) {
 	defer func() { l.stack = l.stack[:len(l.stack)-1] }()
 
 	dir := filepath.Join(l.Root, filepath.FromSlash(strings.TrimPrefix(path, l.Module)))
-	files, err := l.parseDir(dir, false)
+	files, _, err := l.parseDir(dir, false)
 	if err != nil {
 		return nil, err
 	}
@@ -124,53 +124,33 @@ func (l *Loader) importModulePkg(path string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// parseDir parses the directory's Go files; withTests selects the
-// in-package _test.go files too. Files a build constraint excludes on
-// this platform are skipped; external test files (package foo_test) are
-// never returned here.
-func (l *Loader) parseDir(dir string, withTests bool) ([]*ast.File, error) {
+// parseDir parses the directory's Go files, skipping those a build
+// constraint excludes on this platform: files is the package, with its
+// in-package _test.go files when withTests; external is its package
+// foo_test files, only when withTests.
+func (l *Loader) parseDir(dir string, withTests bool) (files, external []*ast.File, err error) {
 	names, err := listGoFiles(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var files []*ast.File
 	for _, name := range names {
-		if !withTests && strings.HasSuffix(name, "_test.go") {
+		isTest := strings.HasSuffix(name, "_test.go")
+		if isTest && !withTests {
 			continue
 		}
 		f, err := l.parseFile(filepath.Join(dir, name))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if f == nil || strings.HasSuffix(f.Name.Name, "_test") {
-			continue
+		switch {
+		case f == nil:
+		case !strings.HasSuffix(f.Name.Name, "_test"):
+			files = append(files, f)
+		case isTest:
+			external = append(external, f)
 		}
-		files = append(files, f)
 	}
-	return files, nil
-}
-
-// parseExternalTests parses the directory's package foo_test files.
-func (l *Loader) parseExternalTests(dir string) ([]*ast.File, error) {
-	names, err := listGoFiles(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, name := range names {
-		if !strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := l.parseFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		if f == nil || !strings.HasSuffix(f.Name.Name, "_test") {
-			continue
-		}
-		files = append(files, f)
-	}
-	return files, nil
+	return files, external, nil
 }
 
 // parseFile parses one file, or returns nil for a file this platform's
@@ -233,7 +213,7 @@ func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.I
 // files included, for analysis.
 func (l *Loader) LoadDir(dir, path string) ([]*Package, error) {
 	var pkgs []*Package
-	files, err := l.parseDir(dir, true)
+	files, ext, err := l.parseDir(dir, true)
 	if err != nil {
 		return nil, err
 	}
@@ -243,10 +223,6 @@ func (l *Loader) LoadDir(dir, path string) ([]*Package, error) {
 			return nil, err
 		}
 		pkgs = append(pkgs, &Package{Path: path, Fset: l.Fset, Files: files, Types: tpkg, Info: info})
-	}
-	ext, err := l.parseExternalTests(dir)
-	if err != nil {
-		return nil, err
 	}
 	if len(ext) > 0 {
 		tpkg, info, err := l.check(path+"_test", ext)

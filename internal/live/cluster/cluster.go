@@ -44,9 +44,10 @@
 // ErrBootstrapTimeout, ErrPeerDeath, ErrVerification) so cmd/dsmnode can
 // map them to distinct exit codes.
 //
-// The live engine participates only through transport hooks it finds by
-// type assertion: live.Finisher (the poll and report rounds) and
-// transport.Pusher, passed through to the TCP backend.
+// The live engine participates only through transport hooks: the
+// transport.Pusher it requires at compile time, passed through to the
+// TCP backend, and live.Finisher (the poll and report rounds), found by
+// type assertion.
 package cluster
 
 import (

@@ -466,13 +466,7 @@ func (t *Transport) Recv(id memory.NodeID) ([]byte, bool) {
 
 // SendCtrl queues a control-channel message for peer to. The payload
 // is copied; the caller keeps ownership of buf.
-func (t *Transport) SendCtrl(to memory.NodeID, buf []byte) {
-	payload := append(transport.GetFrame(), buf...)
-	p := t.peers[to]
-	if p == nil || !t.enqueue(p, outFrame{tag: chanCtrl, payload: payload}) {
-		transport.PutFrame(payload)
-	}
-}
+func (t *Transport) SendCtrl(to memory.NodeID, buf []byte) { t.sendCopy(to, chanCtrl, buf) }
 
 // RecvCtrl blocks for the next control message; ok reports false once
 // the transport is fully closed (or has failed).
@@ -483,10 +477,14 @@ func (t *Transport) RecvCtrl() (Ctrl, bool) {
 // SendTelemetry queues a telemetry-channel frame for peer to. The
 // payload is copied; the caller keeps ownership of buf. Telemetry is
 // best-effort: frames racing shutdown drop silently.
-func (t *Transport) SendTelemetry(to memory.NodeID, buf []byte) {
+func (t *Transport) SendTelemetry(to memory.NodeID, buf []byte) { t.sendCopy(to, chanTelem, buf) }
+
+// sendCopy queues a copy of buf for peer to on channel tag; a frame no
+// link takes goes back to the pool.
+func (t *Transport) sendCopy(to memory.NodeID, tag byte, buf []byte) {
 	payload := append(transport.GetFrame(), buf...)
 	p := t.peers[to]
-	if p == nil || !t.enqueue(p, outFrame{tag: chanTelem, payload: payload}) {
+	if p == nil || !t.enqueue(p, outFrame{tag: tag, payload: payload}) {
 		transport.PutFrame(payload)
 	}
 }

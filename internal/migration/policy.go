@@ -24,10 +24,12 @@ import (
 type Policy interface {
 	// Name is a short identifier ("AT", "FT2", "NoHM", ...).
 	Name() string
-	// ShouldMigrate is consulted when node requester (≠ home) faults in
-	// the object. sharers is the number of other nodes currently holding
-	// cached copies (used by Jackal's exclusive-owner rule).
-	ShouldMigrate(st *core.State, requester memory.NodeID, sharers int) bool
+	// Decide is consulted when node requester (≠ home) faults in the
+	// object, and returns the verdict with the clause that produced it and
+	// the pair that clause compared. sharers is the number of other nodes
+	// currently holding cached copies (used by Jackal's exclusive-owner
+	// rule). Decide only reads st.
+	Decide(st *core.State, requester memory.NodeID, sharers int) Explanation
 	// BarrierDriven reports that migration decisions are made by the
 	// barrier manager (Jiajia) rather than at fault-in time.
 	BarrierDriven() bool
@@ -36,49 +38,81 @@ type Policy interface {
 // NoHM never migrates: the baseline of Fig. 2 ("NoHM") and Fig. 5 ("NM").
 type NoHM struct{}
 
-func (NoHM) Name() string                                       { return "NoHM" }
-func (NoHM) ShouldMigrate(*core.State, memory.NodeID, int) bool { return false }
-func (NoHM) BarrierDriven() bool                                { return false }
+func (NoHM) Name() string        { return "NoHM" }
+func (NoHM) BarrierDriven() bool { return false }
+func (NoHM) Decide(*core.State, memory.NodeID, int) Explanation {
+	return Explanation{Reason: ReasonNeverMigrates}
+}
 
 // Fixed is the fixed-threshold protocol of the authors' previous work [7]
 // (§3.3): migrate to the writer once its consecutive remote writes reach
-// T. FT1 and FT2 in Fig. 5 are Fixed{1} and Fixed{2}.
+// T ≥ 1. FT1 and FT2 in Fig. 5 are Fixed{1} and Fixed{2}.
 type Fixed struct{ T int }
 
-func (f Fixed) Name() string { return fmt.Sprintf("FT%d", f.T) }
-func (f Fixed) ShouldMigrate(st *core.State, req memory.NodeID, _ int) bool {
-	return req == st.LastWriter && st.C >= f.T
-}
+func (f Fixed) Name() string      { return fmt.Sprintf("FT%d", f.T) }
 func (Fixed) BarrierDriven() bool { return false }
+func (f Fixed) Decide(st *core.State, req memory.NodeID, _ int) Explanation {
+	return runAgainst(st, req, float64(f.T))
+}
 
 // Adaptive is the paper's contribution (§4): the per-object threshold of
 // Eq. (2)–(3), continuously tuned by runtime feedback.
 type Adaptive struct{ P core.Params }
 
-func (Adaptive) Name() string { return "AT" }
-func (a Adaptive) ShouldMigrate(st *core.State, req memory.NodeID, _ int) bool {
-	return req == st.LastWriter && st.C > 0 && float64(st.C) >= st.Threshold(a.P)
-}
+func (Adaptive) Name() string        { return "AT" }
 func (Adaptive) BarrierDriven() bool { return false }
+func (a Adaptive) Decide(st *core.State, req memory.NodeID, _ int) Explanation {
+	return runAgainst(st, req, st.Threshold(a.P))
+}
+
+// ShouldMigrate is Decide's verdict alone: the call the benchmark's
+// decision probe (migration.decide_ns) times.
+func (a Adaptive) ShouldMigrate(st *core.State, req memory.NodeID, sharers int) bool {
+	return a.Decide(st, req, sharers).Migrate
+}
+
+// runAgainst is the rule FT and AT share: migrate to the requester when
+// it is the source of the object's current run of consecutive remote
+// writes and that run C has reached limit (and is not empty).
+func runAgainst(st *core.State, req memory.NodeID, limit float64) Explanation {
+	ex := Explanation{Count: float64(st.C), Limit: limit}
+	switch {
+	case req != st.LastWriter:
+		ex.Reason = ReasonNotLastWriter
+	case st.C > 0 && ex.Count >= limit:
+		ex.Migrate, ex.Reason = true, ReasonThresholdReached
+	default:
+		ex.Reason = ReasonBelowThreshold
+	}
+	return ex
+}
 
 // JUMP is the migrating-home protocol of [6] (§2): the requesting process
 // always becomes the new home, ignoring the access pattern.
 type JUMP struct{}
 
-func (JUMP) Name() string                                                { return "JUMP" }
-func (JUMP) ShouldMigrate(st *core.State, req memory.NodeID, _ int) bool { return true }
-func (JUMP) BarrierDriven() bool                                         { return false }
+func (JUMP) Name() string        { return "JUMP" }
+func (JUMP) BarrierDriven() bool { return false }
+func (JUMP) Decide(*core.State, memory.NodeID, int) Explanation {
+	return Explanation{Migrate: true, Reason: ReasonAlwaysMigrates}
+}
 
 // Jackal models the lazy-flushing optimization of [15] (§2): a requester
 // becomes the exclusive owner when no other node shares the object, and
 // the number of ownership transitions is capped (five in Jackal).
 type Jackal struct{ Max int }
 
-func (j Jackal) Name() string { return fmt.Sprintf("Jackal%d", j.Max) }
-func (j Jackal) ShouldMigrate(st *core.State, req memory.NodeID, sharers int) bool {
-	return sharers == 0 && st.Epoch < j.Max
-}
+func (j Jackal) Name() string      { return fmt.Sprintf("Jackal%d", j.Max) }
 func (Jackal) BarrierDriven() bool { return false }
+func (j Jackal) Decide(st *core.State, _ memory.NodeID, sharers int) Explanation {
+	if sharers > 0 {
+		return Explanation{Reason: ReasonSharersExist, Count: float64(sharers), Limit: float64(j.Max)}
+	}
+	if st.Epoch >= j.Max {
+		return Explanation{Reason: ReasonEpochCap, Count: float64(st.Epoch), Limit: float64(j.Max)}
+	}
+	return Explanation{Migrate: true, Reason: ReasonExclusiveOwner, Count: float64(st.Epoch), Limit: float64(j.Max)}
+}
 
 // Jiajia models the barrier-time home migration of [9] (§2): the barrier
 // manager detects objects written by exactly one process between two
@@ -86,9 +120,11 @@ func (Jackal) BarrierDriven() bool { return false }
 // Fault-in requests never migrate.
 type Jiajia struct{}
 
-func (Jiajia) Name() string                                       { return "Jiajia" }
-func (Jiajia) ShouldMigrate(*core.State, memory.NodeID, int) bool { return false }
-func (Jiajia) BarrierDriven() bool                                { return true }
+func (Jiajia) Name() string        { return "Jiajia" }
+func (Jiajia) BarrierDriven() bool { return true }
+func (Jiajia) Decide(*core.State, memory.NodeID, int) Explanation {
+	return Explanation{Reason: ReasonNeverMigrates}
+}
 
 // Parse returns the policy named by s: "NoHM"/"NM", "FT<k>", "AT",
 // "JUMP", "Jackal[<k>]", "Jiajia". The AT params must be supplied because

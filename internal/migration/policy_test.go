@@ -24,7 +24,7 @@ func stateWithRun(p core.Params, writer memory.NodeID, n int) *core.State {
 func TestNoHMNeverMigrates(t *testing.T) {
 	p := params()
 	s := stateWithRun(p, 3, 100)
-	if (NoHM{}).ShouldMigrate(s, 3, 0) {
+	if (NoHM{}).Decide(s, 3, 0).Migrate {
 		t.Fatal("NoHM migrated")
 	}
 	if (NoHM{}).BarrierDriven() {
@@ -35,10 +35,10 @@ func TestNoHMNeverMigrates(t *testing.T) {
 func TestFixedThresholdTriggersAtT(t *testing.T) {
 	p := params()
 	ft2 := Fixed{T: 2}
-	if ft2.ShouldMigrate(stateWithRun(p, 3, 1), 3, 0) {
+	if ft2.Decide(stateWithRun(p, 3, 1), 3, 0).Migrate {
 		t.Fatal("FT2 migrated at C=1")
 	}
-	if !ft2.ShouldMigrate(stateWithRun(p, 3, 2), 3, 0) {
+	if !ft2.Decide(stateWithRun(p, 3, 2), 3, 0).Migrate {
 		t.Fatal("FT2 did not migrate at C=2")
 	}
 }
@@ -46,7 +46,7 @@ func TestFixedThresholdTriggersAtT(t *testing.T) {
 func TestFixedRequiresRequesterIsWriter(t *testing.T) {
 	p := params()
 	s := stateWithRun(p, 3, 5)
-	if (Fixed{T: 1}).ShouldMigrate(s, 4, 0) {
+	if (Fixed{T: 1}).Decide(s, 4, 0).Migrate {
 		t.Fatal("FT migrated to a non-writer requester")
 	}
 }
@@ -62,7 +62,7 @@ func TestAdaptiveMigratesAtInitialThresholdOne(t *testing.T) {
 	// write suffices initially.
 	p := params()
 	at := Adaptive{P: p}
-	if !at.ShouldMigrate(stateWithRun(p, 3, 1), 3, 0) {
+	if !at.Decide(stateWithRun(p, 3, 1), 3, 0).Migrate {
 		t.Fatal("AT did not migrate at C=1 with T=1")
 	}
 }
@@ -72,13 +72,13 @@ func TestAdaptiveRespectsRaisedThreshold(t *testing.T) {
 	at := Adaptive{P: p}
 	s := stateWithRun(p, 3, 1)
 	s.Redirected(3) // negative feedback raises T to 4
-	if at.ShouldMigrate(s, 3, 0) {
+	if at.Decide(s, 3, 0).Migrate {
 		t.Fatal("AT migrated below raised threshold")
 	}
 	for i := 0; i < 3; i++ {
 		s.RemoteWrite(3, 64)
 	}
-	if !at.ShouldMigrate(s, 3, 0) {
+	if !at.Decide(s, 3, 0).Migrate {
 		t.Fatal("AT did not migrate once C reached raised threshold")
 	}
 }
@@ -87,7 +87,7 @@ func TestAdaptiveNeverMigratesWithoutWrites(t *testing.T) {
 	p := params()
 	at := Adaptive{P: p}
 	s := core.NewState(p, 512)
-	if at.ShouldMigrate(s, 3, 0) {
+	if at.Decide(s, 3, 0).Migrate {
 		t.Fatal("AT migrated with C=0")
 	}
 }
@@ -95,7 +95,7 @@ func TestAdaptiveNeverMigratesWithoutWrites(t *testing.T) {
 func TestJUMPAlwaysMigrates(t *testing.T) {
 	p := params()
 	s := core.NewState(p, 512)
-	if !(JUMP{}).ShouldMigrate(s, 9, 5) {
+	if !(JUMP{}).Decide(s, 9, 5).Migrate {
 		t.Fatal("JUMP refused to migrate")
 	}
 }
@@ -104,10 +104,10 @@ func TestJackalExclusiveOwnerRule(t *testing.T) {
 	p := params()
 	j := Jackal{Max: 5}
 	s := core.NewState(p, 512)
-	if j.ShouldMigrate(s, 3, 2) {
+	if j.Decide(s, 3, 2).Migrate {
 		t.Fatal("Jackal migrated while shared")
 	}
-	if !j.ShouldMigrate(s, 3, 0) {
+	if !j.Decide(s, 3, 0).Migrate {
 		t.Fatal("Jackal refused unshared migration")
 	}
 }
@@ -119,12 +119,12 @@ func TestJackalTransitionCap(t *testing.T) {
 	j := Jackal{Max: 5}
 	s := core.NewState(p, 512)
 	for e := 0; e < 5; e++ {
-		if !j.ShouldMigrate(s, 3, 0) {
+		if !j.Decide(s, 3, 0).Migrate {
 			t.Fatalf("Jackal refused at epoch %d", e)
 		}
 		s = core.FromRecord(p, 512, s.Migrate(p))
 	}
-	if j.ShouldMigrate(s, 3, 0) {
+	if j.Decide(s, 3, 0).Migrate {
 		t.Fatal("Jackal migrated beyond its cap")
 	}
 }
@@ -132,7 +132,7 @@ func TestJackalTransitionCap(t *testing.T) {
 func TestJiajiaIsBarrierDriven(t *testing.T) {
 	p := params()
 	s := stateWithRun(p, 3, 100)
-	if (Jiajia{}).ShouldMigrate(s, 3, 0) {
+	if (Jiajia{}).Decide(s, 3, 0).Migrate {
 		t.Fatal("Jiajia migrated at fault time")
 	}
 	if !(Jiajia{}).BarrierDriven() {
@@ -213,9 +213,9 @@ func TestFixedEagernessMonotoneProperty(t *testing.T) {
 	f := func(run uint8, req uint8) bool {
 		s := stateWithRun(p, memory.NodeID(req%4), int(run%10))
 		r := memory.NodeID(req % 4)
-		m1 := Fixed{T: 1}.ShouldMigrate(s, r, 0)
-		m2 := Fixed{T: 2}.ShouldMigrate(s, r, 0)
-		m3 := Fixed{T: 3}.ShouldMigrate(s, r, 0)
+		m1 := Fixed{T: 1}.Decide(s, r, 0).Migrate
+		m2 := Fixed{T: 2}.Decide(s, r, 0).Migrate
+		m3 := Fixed{T: 3}.Decide(s, r, 0).Migrate
 		// m3 ⇒ m2 ⇒ m1
 		return (!m3 || m2) && (!m2 || m1)
 	}
@@ -231,7 +231,7 @@ func TestAdaptiveEqualsFT1WithoutFeedbackProperty(t *testing.T) {
 	f := func(run uint8, req uint8) bool {
 		s := stateWithRun(p, memory.NodeID(req%4), int(run%10))
 		r := memory.NodeID(req % 4)
-		return Adaptive{P: p}.ShouldMigrate(s, r, 0) == Fixed{T: 1}.ShouldMigrate(s, r, 0)
+		return Adaptive{P: p}.ShouldMigrate(s, r, 0) == Fixed{T: 1}.Decide(s, r, 0).Migrate
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -1,22 +1,18 @@
 package migration
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-	"repro/internal/memory"
-)
+import "fmt"
 
 // Reason classifies why a migration decision came out the way it did —
 // the explainability surface for the paper's core heuristic. Every
-// ShouldMigrate verdict maps to exactly one Reason (Explain), so a
+// verdict a policy's Decide returns carries exactly one Reason, so a
 // flight-recorded Decision event can say not just *whether* the home
 // moved but *which clause* of the policy fired, with the counter and
 // threshold values it compared.
 type Reason uint8
 
 const (
-	// ReasonNone: no explanation available (unknown policy).
+	// ReasonNone: the policy gave no reason (one defined outside this
+	// package may leave it unset).
 	ReasonNone Reason = iota
 	// ReasonThresholdReached: the requester's consecutive-remote-write
 	// run C reached the (fixed or adaptive) threshold — migrate.
@@ -63,10 +59,10 @@ func (r Reason) String() string {
 	return fmt.Sprintf("reason(%d)", uint8(r))
 }
 
-// Explanation is one migration decision with its justification: the
-// verdict, the clause that produced it, and the two values the clause
-// compared (Count against Limit; both zero when the clause compares
-// nothing, as for NoHM/JUMP).
+// Explanation is one migration decision with its justification, as a
+// policy's Decide returns it: the verdict, the clause that produced it,
+// and the two values the clause compared (Count against Limit; both zero
+// when the clause compares nothing, as for NoHM/JUMP).
 type Explanation struct {
 	Migrate bool
 	Reason  Reason
@@ -74,53 +70,4 @@ type Explanation struct {
 	// sharers or epoch vs the cap for Jackal.
 	Count float64
 	Limit float64
-}
-
-// Explain evaluates p's decision for a fault-in from requester with its
-// justification. The verdict always equals p.ShouldMigrate(st,
-// requester, sharers) — Explain is a transparent view of the same
-// decision, never a second opinion.
-func Explain(p Policy, st *core.State, requester memory.NodeID, sharers int) Explanation {
-	switch pol := p.(type) {
-	case NoHM, Jiajia:
-		return Explanation{Reason: ReasonNeverMigrates}
-	case JUMP:
-		return Explanation{Migrate: true, Reason: ReasonAlwaysMigrates}
-	case Fixed:
-		ex := Explanation{Count: float64(st.C), Limit: float64(pol.T)}
-		switch {
-		case requester != st.LastWriter:
-			ex.Reason = ReasonNotLastWriter
-		case st.C >= pol.T:
-			ex.Migrate, ex.Reason = true, ReasonThresholdReached
-		default:
-			ex.Reason = ReasonBelowThreshold
-		}
-		return ex
-	case Adaptive:
-		ex := Explanation{Count: float64(st.C), Limit: st.Threshold(pol.P)}
-		switch {
-		case requester != st.LastWriter:
-			ex.Reason = ReasonNotLastWriter
-		case st.C > 0 && float64(st.C) >= ex.Limit:
-			ex.Migrate, ex.Reason = true, ReasonThresholdReached
-		default:
-			ex.Reason = ReasonBelowThreshold
-		}
-		return ex
-	case Jackal:
-		ex := Explanation{Count: float64(sharers), Limit: float64(pol.Max)}
-		switch {
-		case sharers > 0:
-			ex.Reason = ReasonSharersExist
-		case st.Epoch >= pol.Max:
-			ex.Count, ex.Reason = float64(st.Epoch), ReasonEpochCap
-		default:
-			ex.Count = float64(st.Epoch)
-			ex.Migrate, ex.Reason = true, ReasonExclusiveOwner
-		}
-		return ex
-	default:
-		return Explanation{Migrate: p.ShouldMigrate(st, requester, sharers), Reason: ReasonNone}
-	}
 }

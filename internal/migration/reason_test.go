@@ -2,47 +2,14 @@ package migration
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/core"
 	"repro/internal/memory"
 )
 
-// Property: Explain is a transparent view of ShouldMigrate — the verdict
-// always matches, for every built-in policy family across randomized
-// write runs, requesters, sharer counts, and feedback histories.
-func TestExplainVerdictMatchesShouldMigrateProperty(t *testing.T) {
-	p := params()
-	pols := Builtins(p)
-	for _, k := range []int{2, 3, 5} {
-		pols = append(pols, Fixed{T: k}, Jackal{Max: k})
-	}
-	f := func(run, req, sharers, hops, epochs uint8) bool {
-		s := stateWithRun(p, memory.NodeID(req%4), int(run%10))
-		if hops%3 != 0 {
-			s.Redirected(int(hops % 8)) // raise the adaptive threshold
-		}
-		for e := 0; e < int(epochs%7); e++ {
-			s = core.FromRecord(p, 512, s.Migrate(p)) // burn Jackal epochs
-		}
-		r := memory.NodeID(req % 4)
-		sh := int(sharers % 4)
-		for _, pol := range pols {
-			ex := Explain(pol, s, r, sh)
-			if ex.Migrate != pol.ShouldMigrate(s, r, sh) {
-				t.Logf("%s: Explain=%+v, ShouldMigrate=%v (C=%d last=%d epoch=%d sharers=%d)",
-					pol.Name(), ex, !ex.Migrate, s.C, s.LastWriter, s.Epoch, sh)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExplainReasons(t *testing.T) {
+// TestDecideReasons: every reason each builtin can give at a fault-in,
+// with the pair its clause compared.
+func TestDecideReasons(t *testing.T) {
 	p := params()
 	capped := core.NewState(p, 512)
 	for e := 0; e < 5; e++ {
@@ -75,6 +42,8 @@ func TestExplainReasons(t *testing.T) {
 			Explanation{Migrate: true, Reason: ReasonThresholdReached, Count: 1, Limit: 1}},
 		{"at-below", Adaptive{P: p}, raised, 3, 0,
 			Explanation{Reason: ReasonBelowThreshold, Count: 1, Limit: raised.Threshold(p)}},
+		{"at-not-writer", Adaptive{P: p}, stateWithRun(p, 3, 4), 2, 0,
+			Explanation{Reason: ReasonNotLastWriter, Count: 4, Limit: 1}},
 		{"jackal-exclusive", Jackal{Max: 5}, core.NewState(p, 512), 3, 0,
 			Explanation{Migrate: true, Reason: ReasonExclusiveOwner, Count: 0, Limit: 5}},
 		{"jackal-shared", Jackal{Max: 5}, core.NewState(p, 512), 3, 2,
@@ -82,9 +51,19 @@ func TestExplainReasons(t *testing.T) {
 		{"jackal-capped", Jackal{Max: 5}, capped, 3, 0,
 			Explanation{Reason: ReasonEpochCap, Count: 5, Limit: 5}},
 	}
+	given := map[Reason]bool{}
 	for _, c := range cases {
-		if got := Explain(c.pol, c.st, c.req, c.sharers); got != c.want {
-			t.Errorf("%s: Explain = %+v, want %+v", c.name, got, c.want)
+		got := c.pol.Decide(c.st, c.req, c.sharers)
+		if got != c.want {
+			t.Errorf("%s: Decide = %+v, want %+v", c.name, got, c.want)
+		}
+		given[got.Reason] = true
+	}
+	// Every reason but none (no builtin leaves it unset) and the two the
+	// protocol sets itself (barrier-reassign, pinned) comes from a policy.
+	for r := ReasonThresholdReached; r < ReasonBarrierReassign; r++ {
+		if !given[r] {
+			t.Errorf("no case gives reason %v", r)
 		}
 	}
 }

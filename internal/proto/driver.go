@@ -40,9 +40,10 @@ type Token struct {
 // to send and what a reply means. Every wait, timer and clock read is a
 // Host call, which is how this package stays free of time.
 //
-// Lock/Unlock bracket each Driver operation (live: the node mutex shared
-// with the daemon; sim: no-ops under the cooperative scheduler). Recv
-// and Backoff are called with the lock held and release it while parked.
+// Lock/Unlock bracket each Driver operation (live: the node mutex every
+// receive path takes too; sim: no-ops under the cooperative scheduler).
+// Recv and Backoff are called with the lock held and release it while
+// parked.
 type Host interface {
 	Lock()
 	Unlock()

@@ -17,10 +17,11 @@ import (
 
 // Node is one cluster node's engine-independent protocol state: its
 // object copies, home bookkeeping, locator tables, managed locks and
-// barriers, and the handlers the protocol daemon dispatches. The
-// execution engine owns scheduling (virtual-time daemon proc or real
-// goroutine plus mutex) and message movement (Eng); this struct owns
-// what the messages mean.
+// barriers, and the handlers Handle dispatches a received message to.
+// The execution engine owns scheduling (under sim an event handler on
+// the node's inbox; live, whichever goroutine delivers the frame, under
+// the node's mutex) and message movement (Eng); this struct owns what
+// the messages mean.
 type Node struct {
 	ID memory.NodeID
 	S  *Shared
@@ -267,24 +268,20 @@ func (n *Node) serveFault(msg wire.Msg) {
 			sharers++
 		}
 	}
-	wants := n.S.Policy.ShouldMigrate(st, requester, sharers)
-	pinned := wants && n.ViewPins[obj] > 0
+	// Decided before st.Migrate resets the epoch feedback: the Decision
+	// event carries the counter/threshold pair the heuristic compared.
+	ex := n.S.Policy.Decide(st, requester, sharers)
+	if ex.Migrate && n.ViewPins[obj] > 0 {
+		ex.Migrate, ex.Reason = false, migration.ReasonPinned
+	}
 	if n.On(flight.Decision) {
-		// Explain the verdict before st.Migrate resets the epoch
-		// feedback — the Decision event carries the counter/threshold
-		// pair the heuristic actually compared.
-		ex := migration.Explain(n.S.Policy, st, requester, sharers)
-		reason := ex.Reason
-		if pinned {
-			reason = migration.ReasonPinned
-		}
 		n.Emit(flight.Event{
 			Kind: flight.Decision, Obj: obj, Peer: requester,
-			Migrated: wants && !pinned, Reason: reason,
+			Migrated: ex.Migrate, Reason: ex.Reason,
 			Count: ex.Count, Limit: ex.Limit,
 		})
 	}
-	if wants && !pinned {
+	if ex.Migrate {
 		rec := st.Migrate(n.S.Params)
 		reply.Migrate, reply.HasRec, reply.Rec, reply.Home = true, true, rec, requester
 		cs.Migrations++
@@ -426,15 +423,9 @@ func (n *Node) applyRemoteDiff(obj memory.ObjectID, d twindiff.Diff, writer memo
 // single-writer detection: nodes self-report what they wrote, and the
 // barrier manager intersects the reports (§2 [9]).
 func (n *Node) NoteMyWrite(obj memory.ObjectID) {
-	if !n.S.Policy.BarrierDriven() {
-		return
+	if n.S.Policy.BarrierDriven() && !slices.Contains(n.MyWrites, obj) {
+		n.MyWrites = append(n.MyWrites, obj)
 	}
-	for _, o := range n.MyWrites {
-		if o == obj {
-			return
-		}
-	}
-	n.MyWrites = append(n.MyWrites, obj)
 }
 
 // handleLockRel applies piggybacked diffs and releases the lock. Diffs
@@ -641,16 +632,12 @@ func (n *Node) applyAssign(a wire.HomeAssign) {
 // candidate: written by this node in the current interval (MyWrites) or
 // reported and awaiting the barrier's verdict (jjPending).
 func (n *Node) jjProtected(obj memory.ObjectID) bool {
-	for _, o := range n.MyWrites {
-		if o == obj {
-			return true
-		}
+	if slices.Contains(n.MyWrites, obj) {
+		return true
 	}
 	for _, pending := range n.jjPending {
-		for _, o := range pending {
-			if o == obj {
-				return true
-			}
+		if slices.Contains(pending, obj) {
+			return true
 		}
 	}
 	return false

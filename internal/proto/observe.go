@@ -2,13 +2,6 @@ package proto
 
 import "repro/internal/flight"
 
-// Observer is what an engine's Config.Observer accepts: any
-// flight.Subscriber — in practice the coherence oracle's recorder
-// (internal/oracle), which subscribes to the thread-side events and the
-// managers' BarrierRelease/LockGrant. A subscriber must not mutate
-// cluster state.
-type Observer = flight.Subscriber
-
 // subscription is one subscriber with the kinds it declared.
 type subscription struct {
 	kinds flight.Mask

@@ -10,10 +10,10 @@
 //     kernel (internal/sim), charging Hockney-model costs to every
 //     message — the engine behind the paper's figures;
 //   - internal/live runs it on real goroutines behind a pluggable
-//     transport (internal/live/transport), one protocol daemon
-//     goroutine per node.
+//     transport (internal/live/transport), each received frame handled
+//     by whichever goroutine delivers it, under the node's lock.
 //
-// Both halves of the protocol live here: Node.Handle is what a daemon
+// Both halves of the protocol live here: Node.Handle is what a node
 // does with a received message; Driver is what an application thread
 // sends — access checks, fault-in with the locator chase, locks,
 // barriers, the flush/ack/retry loop — and what each reply means to it.

@@ -199,7 +199,7 @@ func writeDecisions(ew *errWriter, snaps []Snapshot) {
 	if !any {
 		return
 	}
-	ew.printf("# HELP dsm_migration_decisions_total Home-migration decisions by migration.Explain reason and outcome.\n" +
+	ew.printf("# HELP dsm_migration_decisions_total Home-migration decisions by reason and outcome.\n" +
 		"# TYPE dsm_migration_decisions_total counter\n")
 	for _, s := range snaps {
 		emit := func(counts []int64, migrated string) {

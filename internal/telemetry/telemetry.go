@@ -147,7 +147,8 @@ type Snapshot struct {
 	Samples []Sample
 	Hists   []HistSample
 	TopK    []TopEntry
-	// Migrated/Stayed count migration.Explain outcomes by
+	// Migrated/Stayed count migration decisions (the policy's Decide, or
+	// the protocol's pin veto and barrier reassignment) by
 	// migration.Reason ordinal.
 	Migrated []int64
 	Stayed   []int64

@@ -250,7 +250,7 @@ func Replay(evs []flight.Event, pol migration.Policy, params core.Params, objByt
 				res.RedirCost += hops
 			}
 			o.hint[req] = o.home
-			if pol.ShouldMigrate(o.st, req, 0) {
+			if pol.Decide(o.st, req, 0).Migrate {
 				rec := o.st.Migrate(params)
 				o.chain[o.home] = req
 				delete(o.chain, req)
