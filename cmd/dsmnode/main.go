@@ -69,8 +69,7 @@
 // frame channel. -obs-addr serves the debug listener: /debug/pprof,
 // /flight (this node's ring as text, mid-run), and /metrics as
 // Prometheus text exposition — on node 0 the cluster-aggregated view
-// with one labeled series set per member. -stats-interval prints a
-// periodic one-line status to stderr, and -metrics-json writes the
+// with one labeled series set per member. -metrics-json writes the
 // sampled metric time-series at end of run.
 package main
 
@@ -167,7 +166,6 @@ func main() {
 		flightDump  = flag.Int("flight-dump", 16, "on any failure path, dump this process's last N flight events to stderr (needs -flight)")
 		jsonOut     = flag.Bool("json", false, "node 0: emit the merged run artifact as JSON on stdout instead of the text report")
 		telInterval = flag.Duration("telemetry-interval", cluster.DefaultTelemetryInterval, "sampler tick and snapshot-ship period for the live telemetry")
-		statsIntv   = flag.Duration("stats-interval", 0, "print a one-line periodic status to stderr at this period (0 = off)")
 		metricsJSON = flag.String("metrics-json", "", "write the sampled metric time-series as JSON to this file at end of run (\"-\" = stdout)")
 	)
 	flag.Parse()
@@ -260,28 +258,6 @@ func main() {
 	if obsFlags.ObsAddr != "" {
 		obs = serveObs(obsFlags.ObsAddr, *id, member)
 	}
-	ran := make(chan struct{}) // closed once the run is over
-	if *statsIntv > 0 {
-		go func() {
-			t := time.NewTicker(*statsIntv)
-			defer t.Stop()
-			sink := member.Sink()
-			for {
-				select {
-				case <-ran:
-					return
-				case <-t.C:
-					line := fmt.Sprintf("dsmnode %d: frames=%d inbox=%d/%d accesses=%d",
-						*id, member.DataFrames(), member.InboxLen(), member.PeakDepth(), sink.Total())
-					if top := sink.Top(1); len(top) > 0 {
-						line += fmt.Sprintf(" hot=obj%d(%d, %.0f%% remote)",
-							top[0].Obj, top[0].Count, 100*top[0].Remote())
-					}
-					fmt.Fprintln(os.Stderr, line)
-				}
-			}
-		}()
-	}
 	if *chaosKill > 0 {
 		// Die abruptly — no Leave, no verdict — once enough engine
 		// traffic has flowed that the run is demonstrably mid-flight. The
@@ -301,7 +277,6 @@ func main() {
 	// telemetry flowing, tells the cluster of a local failure and returns
 	// the cluster's verdict; what is left here is what to print.
 	res, err := member.Run(o, func(o apps.Options) (apps.Result, error) { return apps.Run(spec, o) })
-	close(ran)
 	switch {
 	case err != nil:
 		fmt.Fprintf(os.Stderr, "dsmnode %d: %v\n", *id, err)

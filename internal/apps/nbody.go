@@ -132,22 +132,35 @@ func nbodyInit(n int, seed uint64) []body {
 	return bs
 }
 
-// nbodyStep advances all bodies one leapfrog step using a fresh quadtree.
-func nbodyStep(bs []body, theta, dt float64) []body {
+// nbodyTree builds the quadtree over bs.
+func nbodyTree(bs []body) *quadNode {
 	root := newQuad(0.5, 0.5, 4) // generous bounds; bodies drift slowly
 	for i := range bs {
 		root.insert(bs, i)
 	}
+	return root
+}
+
+// leapfrog returns body i advanced one step of dt under the tree's force.
+// The sequential reference and the DSM workers both step through it, so
+// validation can compare bit for bit.
+func (q *quadNode) leapfrog(bs []body, i int, theta, dt float64) body {
+	var fx, fy float64
+	q.force(bs, i, theta, &fx, &fy)
+	nb := bs[i]
+	nb.vx += fx / nb.mass * dt
+	nb.vy += fy / nb.mass * dt
+	nb.x += nb.vx * dt
+	nb.y += nb.vy * dt
+	return nb
+}
+
+// nbodyStep advances all bodies one leapfrog step using a fresh quadtree.
+func nbodyStep(bs []body, theta, dt float64) []body {
+	root := nbodyTree(bs)
 	next := make([]body, len(bs))
 	for i := range bs {
-		var fx, fy float64
-		root.force(bs, i, theta, &fx, &fy)
-		nb := bs[i]
-		nb.vx += fx / nb.mass * dt
-		nb.vy += fy / nb.mass * dt
-		nb.x += nb.vx * dt
-		nb.y += nb.vy * dt
-		next[i] = nb
+		next[i] = root.leapfrog(bs, i, theta, dt)
 	}
 	return next
 }
@@ -232,10 +245,7 @@ func RunNBody(n, steps int, o Options) (Result, error) {
 					}
 				}
 			}
-			root := newQuad(0.5, 0.5, 4)
-			for i := range bs {
-				root.insert(bs, i)
-			}
+			root := nbodyTree(bs)
 			// Round-robin body ownership, rotating one position per
 			// step: every chunk is written by many nodes in every
 			// interval (their per-body word ranges are disjoint, so the
@@ -248,13 +258,7 @@ func RunNBody(n, steps int, o Options) (Result, error) {
 				}
 				ch, k := i/nbodyChunk, i%nbodyChunk
 				w := next.RowWriteView(t, ch)
-				var fx, fy float64
-				root.force(bs, i, nbodyTheta, &fx, &fy)
-				nb := bs[i]
-				nb.vx += fx / nb.mass * nbodyDt
-				nb.vy += fy / nb.mass * nbodyDt
-				nb.x += nb.vx * nbodyDt
-				nb.y += nb.vy * nbodyDt
+				nb := root.leapfrog(bs, i, nbodyTheta, nbodyDt)
 				w[k*nbodyWords+0] = math.Float64bits(nb.x)
 				w[k*nbodyWords+1] = math.Float64bits(nb.y)
 				w[k*nbodyWords+2] = math.Float64bits(nb.vx)

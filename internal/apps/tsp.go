@@ -151,7 +151,7 @@ func RunTSP(cities int, o Options) (Result, error) {
 			// bound fresh without per-node synchronization.
 			sync(false)
 			if soFar < localBest {
-				tspBranchLocal(d, path, used, 3, soFar, &localBest, &exp)
+				tspBranch(d, path, used, 3, soFar, &localBest, &exp)
 			}
 			sinceCheck += exp
 			used[u.second], used[u.third] = false, false
@@ -170,9 +170,4 @@ func RunTSP(cities int, o Options) (Result, error) {
 		}
 		return nil
 	})
-}
-
-// tspBranchLocal is tspBranch starting at a given depth (prefix preset).
-func tspBranchLocal(d [][]int64, path []int, used []bool, depth int, soFar int64, best *int64, expansions *int64) {
-	tspBranch(d, path, used, depth, soFar, best, expansions)
 }

@@ -154,9 +154,6 @@ func (n *Network) Broadcast(msg wire.Msg, cat stats.Category) {
 	}
 }
 
-// Sent reports the total number of messages transmitted.
-func (n *Network) Sent() uint64 { return n.sent }
-
 func (n *Network) verify(msg wire.Msg, size int) {
 	buf := msg.Encode(n.scratch[:0])
 	n.scratch = buf

@@ -104,8 +104,8 @@ func TestStatsRecorded(t *testing.T) {
 	if c.Bytes[stats.Diff] != int64(msg.WireSize()) {
 		t.Fatalf("diff bytes = %d, want %d", c.Bytes[stats.Diff], msg.WireSize())
 	}
-	if nw.Sent() != 1 {
-		t.Fatalf("Sent = %d", nw.Sent())
+	if nw.sent != 1 {
+		t.Fatalf("sent = %d", nw.sent)
 	}
 }
 

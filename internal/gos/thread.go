@@ -12,9 +12,9 @@ import (
 // Thread is one application thread running on a simulated cluster node.
 // The protocol it speaks is the embedded proto.Driver, shared with the
 // live engine; this type is the driver's proto.Host under virtual time:
-// the blocking rendezvous on a sim queue, back-off as virtual sleep, and
-// the modeled software costs. The cooperative scheduler runs one process
-// at a time, so the host's lock is a no-op.
+// the blocking rendezvous on a sim queue, retry timers as events that
+// post to it, and the modeled software costs. The cooperative scheduler
+// runs one process at a time, so the host's lock is a no-op.
 type Thread struct {
 	proto.Driver
 	c     *Cluster
@@ -58,9 +58,10 @@ func (t *Thread) Lock() {}
 func (t *Thread) Unlock() {}
 
 // The thread-side software costs: one trapped access check, the
-// sender-side overhead of one message, and the requester's back-off after
-// an obsolete-home miss under the broadcast locator (§3.2: "waiting for
-// sometime before repeating the fault-in again").
+// sender-side overhead of one message, and the delay of a retry timer,
+// first of all the requester's back-off after an obsolete-home miss under
+// the broadcast locator (§3.2: "waiting for sometime before repeating the
+// fault-in again").
 const (
 	faultCost  = 300 * sim.Nanosecond
 	sendCost   = 1 * sim.Microsecond
@@ -89,9 +90,6 @@ func (t *Thread) Recv(tok *proto.Token) {
 		panic(fmt.Sprintf("gos: thread %s: stray token %T", t.Name(), raw))
 	}
 }
-
-// Backoff implements proto.Host.
-func (t *Thread) Backoff() { t.proc.Sleep(retryDelay) }
 
 // RetryAfter implements proto.Host.
 func (t *Thread) RetryAfter(kind proto.TokenKind, obj memory.ObjectID) {

@@ -69,9 +69,6 @@ func (m *Member) Run(o apps.Options, fn func(apps.Options) (apps.Result, error))
 	return res, err
 }
 
-// Sink is the member's hot-object sketch, fed by the engine of its Run.
-func (m *Member) Sink() *telemetry.Sink { return m.sink }
-
 // Sampler holds the time series of the member's scalar metrics, one sample
 // per tick of its Run; nil until the run has built its engine.
 func (m *Member) Sampler() *telemetry.Sampler { return m.sampler }

@@ -1,4 +1,4 @@
-//dsm:wallclock live threads wait, back off and time their latencies in real time
+//dsm:wallclock live threads wait, arm retry timers and time their latencies in real time
 
 package live
 
@@ -16,11 +16,11 @@ import (
 // proto.Driver, shared with the sim engine; this type is the driver's
 // proto.Host on real goroutines: the node mutex, the blocking
 // rendezvous on the thread's mailbox (fault-in replies, lock grants,
-// diff acks, barrier go), wall-clock back-off and retry timers.
+// diff acks, barrier go, retry tokens) and wall-clock retry timers.
 //
 // The locking discipline: every access check, state mutation and send
-// runs under t.node.mu; Recv and Backoff drop the lock, block, and
-// retake it. The driver never holds two node locks, and the transport
+// runs under t.node.mu; Recv, the only wait, drops the lock, blocks, and
+// retakes it. The driver never holds two node locks, and the transport
 // and mailbox never block a sender, so there is no lock cycle.
 type Thread struct {
 	proto.Driver
@@ -59,7 +59,9 @@ func (t *Thread) Lock() { t.node.mu.Lock() }
 func (t *Thread) Unlock() { t.node.unlock() }
 
 // Recv implements proto.Host: park on the mailbox with the node lock
-// released, and retake the lock around the received token.
+// released, and retake the lock around the received token. A closed
+// mailbox means the run aborted: what the driver waits for will never
+// arrive over a dead transport.
 func (t *Thread) Recv(tok *proto.Token) {
 	t.node.unlock()
 	var ok bool
@@ -69,24 +71,10 @@ func (t *Thread) Recv(tok *proto.Token) {
 	t.node.mu.Lock()
 }
 
-// retryDelay is the requester's back-off after an obsolete-home miss
-// under the broadcast locator (the sim engine's gos.retryDelay, on the
-// wall clock).
+// retryDelay is how long a retry timer waits, first of all the
+// requester's back-off after an obsolete-home miss under the broadcast
+// locator (the sim engine's gos.retryDelay, on the wall clock).
 const retryDelay = 100 * time.Microsecond
-
-// Backoff implements proto.Host: release the node lock for one retry
-// delay, then retake it. If the run aborted while sleeping it unwinds
-// instead: the state change the driver's retry loop is waiting for (a
-// home transfer, a manager update) will never arrive over a dead
-// transport.
-func (t *Thread) Backoff() {
-	t.node.unlock()
-	time.Sleep(retryDelay)
-	if t.node.c.aborted.Load() {
-		panic(abortPanic{})
-	}
-	t.node.mu.Lock()
-}
 
 // RetryAfter implements proto.Host.
 func (t *Thread) RetryAfter(kind proto.TokenKind, obj memory.ObjectID) {

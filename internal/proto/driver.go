@@ -19,19 +19,19 @@ type TokenKind uint8
 const (
 	// TokMessage: a protocol message addressed to the thread (Token.Msg).
 	TokMessage TokenKind = iota
-	// TokRetryDiff: re-send the diff for Token.Obj after a
-	// broadcast-locator back-off.
-	TokRetryDiff
+	// TokRetry: re-send what the thread awaits on Token.Obj (its
+	// fault-in or its flushed diff) after a retry delay.
+	TokRetry
 	// TokRetryQuery: re-resolve Token.Obj's home through the manager
 	// after a stale-table back-off.
 	TokRetryQuery
 )
 
 // Token is one mailbox delivery: a protocol message, or one of the
-// flush loop's retry timers naming the object to retry.
+// Driver's retry timers naming the object to retry.
 type Token struct {
 	Kind TokenKind
-	Obj  memory.ObjectID // TokRetryDiff, TokRetryQuery
+	Obj  memory.ObjectID // TokRetry, TokRetryQuery
 	Msg  wire.Msg        // TokMessage
 }
 
@@ -42,8 +42,8 @@ type Token struct {
 //
 // Lock/Unlock bracket each Driver operation (live: the node mutex every
 // receive path takes too; sim: no-ops under the cooperative scheduler).
-// Recv and Backoff are called with the lock held and release it while
-// parked.
+// Recv is the one wait: it is called with the lock held and releases it
+// while parked. A back-off is a RetryAfter timer, received like a reply.
 type Host interface {
 	Lock()
 	Unlock()
@@ -51,8 +51,6 @@ type Host interface {
 	Now() sim.Time
 	// Recv blocks for the thread's next mailbox delivery, stored in tok.
 	Recv(tok *Token)
-	// Backoff waits one retry delay.
-	Backoff()
 	// RetryAfter posts a kind token for obj to the thread's own mailbox
 	// one retry delay from now, without blocking.
 	RetryAfter(kind TokenKind, obj memory.ObjectID)
@@ -69,8 +67,9 @@ type Host interface {
 // Driver is the thread side of the protocol, written once for both
 // engines: software access checks, fault-in with the locator chase,
 // manager queries, lock acquire/release, barriers, and the
-// flush/ack/retry loop behind release visibility. An engine's thread
-// type embeds a Driver, implements Host, and adds only its clock
+// flush/ack/retry loop behind release visibility. Every operation sends
+// its requests, then waits in await until each is answered. An engine's
+// thread type embeds a Driver, implements Host, and adds only its clock
 // (Now/Compute) to satisfy Thread.
 type Driver struct {
 	n    *Node
@@ -84,19 +83,31 @@ type Driver struct {
 	// delivery is copied out of the mailbox once.
 	tok Token
 
-	// outstanding/pendingQuery/sendScratch are flushDirty's working
-	// state, kept here so the buffers are allocated once and reused.
-	// outstanding holds the flushed diffs not yet acknowledged;
-	// pendingQuery marks those with a manager resolution in progress.
+	// What await waits for. fetching: a fault-in of fetchObj, begun at
+	// fetchStart, whose latest ObjReq went to fetchTo. syncing: the
+	// syncKind (LockGrant or BarrierGo) of lock or barrier syncID.
+	// outstanding: the flushed diffs not yet acknowledged. pendingQuery
+	// marks the objects with a manager resolution in progress.
+	fetching     bool
+	fetchObj     memory.ObjectID
+	fetchTo      memory.NodeID
+	fetchStart   sim.Time
+	syncing      bool
+	syncKind     wire.Kind
+	syncID       uint32
 	outstanding  map[memory.ObjectID]twindiff.Diff
 	pendingQuery map[memory.ObjectID]bool
-	sendScratch  []wire.ObjDiff
+	// sendScratch is flushDirty's list of diffs to send, reused.
+	sendScratch []wire.ObjDiff
 }
 
 // NewDriver returns the driver for global thread id, the slot-th thread
 // of node n, waiting through h.
 func NewDriver(n *Node, h Host, id int, slot int32, name string) Driver {
-	return Driver{n: n, h: h, id: id, slot: slot, name: name}
+	return Driver{n: n, h: h, id: id, slot: slot, name: name,
+		outstanding:  make(map[memory.ObjectID]twindiff.Diff),
+		pendingQuery: make(map[memory.ObjectID]bool),
+	}
 }
 
 // ID returns the global thread index.
@@ -177,106 +188,15 @@ func (d *Driver) ObjForWrite(obj memory.ObjectID) *memory.Object {
 	}
 }
 
-// recvMsg blocks for the next protocol message addressed to this
-// thread. The result points into the receive buffer: it is valid until
-// the next receive.
-func (d *Driver) recvMsg() *wire.Msg {
-	d.h.Recv(&d.tok)
-	if d.tok.Kind != TokMessage {
-		panic(fmt.Sprintf("proto: thread %s: stray token %d in mailbox", d.name, d.tok.Kind))
-	}
-	return &d.tok.Msg
-}
-
 // fault brings a fresh copy of obj to this node, chasing the home
 // through the configured location mechanism, and returns the installed
-// copy.
+// copy (the home copy, should the home have come here meanwhile).
 func (d *Driver) fault(obj memory.ObjectID) *memory.Object {
-	n := d.n
 	d.h.ChargeSend()
-	start := d.h.Now()
-	for {
-		if n.IsHome[obj] {
-			return n.Cache[obj]
-		}
-		h := n.Loc.Hint(obj)
-		if h == n.ID || h == memory.NoNode {
-			// Defensive: a stale self-hint after demotion falls back to
-			// the well-known initial home.
-			h = n.S.ObjHome0[obj]
-		}
-		if h == n.ID {
-			// Still ourselves and not home: the transfer (or manager
-			// update) that explains it is in flight. Back off and
-			// re-resolve rather than sending to ourselves.
-			d.h.Backoff()
-			continue
-		}
-		d.seq++
-		n.Eng.Send(wire.Msg{
-			Kind: wire.ObjReq, From: n.ID, To: h, Obj: obj,
-			ReplyNode: n.ID, ReplySlot: d.slot, Seq: d.seq,
-		}, stats.ObjReq)
-		msg := d.recvMsg()
-		switch msg.Kind {
-		case wire.ObjReply:
-			n.MaybeCompressPath(h, *msg)
-			n.Counters.RoundTripNs.Observe(int64(d.h.Now() - start))
-			return n.Install(*msg)
-		case wire.HomeMiss:
-			if msg.Home != memory.NoNode && msg.Home != n.ID {
-				n.Loc.Learn(obj, msg.Home)
-			}
-			switch n.S.Locator {
-			case locator.Manager:
-				d.queryManager(obj)
-			case locator.Broadcast:
-				n.Counters.Retries++
-				d.h.Backoff()
-			default:
-				panic("proto: home miss under forwarding-pointer locator")
-			}
-		default:
-			panic(fmt.Sprintf("proto: thread %s: unexpected %v during fault", d.name, msg.Kind))
-		}
-	}
-}
-
-// queryManager resolves the current home through the manager node (§3.2:
-// old home, manager, new home in sequence). Runs synchronously: no other
-// messages can be outstanding for this thread during a fault. A manager
-// table may transiently name this node itself while it is not home (it
-// just demoted and the new home's MgrUpdate is still in flight); the
-// resolution backs off and re-queries until the table converges.
-func (d *Driver) queryManager(obj memory.ObjectID) {
-	n := d.n
-	mgr := locator.ManagerOf(obj, n.S.Nodes)
-	for {
-		var h memory.NodeID
-		if mgr == n.ID {
-			h = n.MgrHome[obj]
-		} else {
-			d.sendMgrQuery(mgr, obj)
-			msg := d.recvMsg()
-			if msg.Kind != wire.MgrReply {
-				panic(fmt.Sprintf("proto: thread %s: unexpected %v during manager query", d.name, msg.Kind))
-			}
-			h = msg.Home
-		}
-		if h == n.ID && !n.IsHome[obj] {
-			d.h.Backoff()
-			continue
-		}
-		n.Loc.Learn(obj, h)
-		return
-	}
-}
-
-func (d *Driver) sendMgrQuery(mgr memory.NodeID, obj memory.ObjectID) {
-	d.n.Eng.Send(wire.Msg{
-		Kind: wire.MgrQuery, From: d.n.ID, To: mgr, Obj: obj,
-		ReplyNode: d.n.ID, ReplySlot: d.slot,
-	}, stats.MgrMsg)
+	d.fetching, d.fetchObj, d.fetchStart = true, obj, d.h.Now()
+	d.resend(obj)
+	d.await()
+	return d.n.Cache[obj]
 }
 
 // Acquire obtains the distributed lock, then applies acquire-side
@@ -297,9 +217,7 @@ func (d *Driver) Acquire(l LockID) {
 		}, stats.LockMsg)
 	}
 	if !granted {
-		if msg := d.recvMsg(); msg.Kind != wire.LockGrant || msg.Lock != uint32(l) {
-			panic(fmt.Sprintf("proto: thread %s: expected grant of lock %d, got %v", d.name, l, msg.Kind))
-		}
+		d.awaitSync(wire.LockGrant, uint32(l))
 		n.Counters.LockHandoffNs.Observe(int64(d.h.Now() - start))
 	}
 	n.BeginInterval()
@@ -364,9 +282,7 @@ func (d *Driver) Barrier(b BarrierID) {
 			ReplyNode: n.ID, ReplySlot: d.slot, Diffs: piggy, Reports: reports,
 		}, stats.BarrierMsg)
 	}
-	if msg := d.recvMsg(); msg.Kind != wire.BarrierGo || msg.Barrier != uint32(b) {
-		panic(fmt.Sprintf("proto: thread %s: expected barrier go, got %v", d.name, msg.Kind))
-	}
+	d.awaitSync(wire.BarrierGo, uint32(b))
 	n.Counters.BarrierNs.Observe(int64(d.h.Now() - start))
 	n.BeginInterval()
 	if n.On(flight.BarrierDepart) {
@@ -385,38 +301,63 @@ func (d *Driver) flushDirty(syncHome memory.NodeID) []wire.ObjDiff {
 	if sends != nil {
 		d.sendScratch = sends[:0]
 	}
-	if len(sends) == 0 {
-		return piggy
-	}
-	if d.outstanding == nil {
-		d.outstanding = make(map[memory.ObjectID]twindiff.Diff)
-		d.pendingQuery = make(map[memory.ObjectID]bool)
-	}
 	for _, od := range sends {
 		n.SendDiff(d.slot, od.Obj, od.D)
 		d.outstanding[od.Obj] = od.D
 	}
-	for len(d.outstanding) > 0 {
-		d.h.Recv(&d.tok)
-		switch d.tok.Kind {
-		case TokRetryDiff:
-			d.resend(d.tok.Obj)
-		case TokRetryQuery:
-			if d.pendingQuery[d.tok.Obj] {
-				d.managerStep(d.tok.Obj)
-			}
-		case TokMessage:
-			d.flushReply(&d.tok.Msg)
-		}
-	}
+	d.await()
 	return piggy
 }
 
-// flushReply handles one message received while diffs are outstanding.
-func (d *Driver) flushReply(msg *wire.Msg) {
-	n := d.n
-	obj := msg.Obj
+// awaitSync waits for the kind (LockGrant or BarrierGo) of lock or
+// barrier id.
+func (d *Driver) awaitSync(kind wire.Kind, id uint32) {
+	d.syncing, d.syncKind, d.syncID = true, kind, id
+	d.await()
+}
+
+// await is the thread's one wait: it receives until nothing the thread
+// asked for is outstanding (its fault-in, its lock grant or barrier go,
+// its flushed diffs). A retry timer re-sends, or re-asks the manager
+// unless a reply has resolved the object since it was armed.
+func (d *Driver) await() {
+	for d.fetching || d.syncing || len(d.outstanding) > 0 {
+		d.h.Recv(&d.tok)
+		switch obj := d.tok.Obj; d.tok.Kind {
+		case TokMessage:
+			d.reply(&d.tok.Msg)
+		case TokRetry:
+			d.resend(obj)
+		case TokRetryQuery:
+			if d.pendingQuery[obj] {
+				d.managerStep(obj)
+			}
+		}
+	}
+}
+
+// reply handles one protocol message addressed to the thread. A message
+// the thread did not ask for is a protocol violation.
+func (d *Driver) reply(msg *wire.Msg) {
+	n, obj := d.n, msg.Obj
 	switch msg.Kind {
+	case wire.ObjReply:
+		if !d.fetching || obj != d.fetchObj {
+			d.stray(msg)
+		}
+		n.MaybeCompressPath(d.fetchTo, *msg)
+		n.Counters.RoundTripNs.Observe(int64(d.h.Now() - d.fetchStart))
+		n.Install(*msg)
+		d.fetching = false
+	case wire.LockGrant, wire.BarrierGo:
+		id := msg.Lock
+		if msg.Kind == wire.BarrierGo {
+			id = msg.Barrier
+		}
+		if !d.syncing || msg.Kind != d.syncKind || id != d.syncID {
+			d.stray(msg)
+		}
+		d.syncing = false
 	case wire.DiffAck:
 		// The ack means the home applied the diff; nothing holds its
 		// buffer any more, so it can be recycled.
@@ -435,67 +376,88 @@ func (d *Driver) flushReply(msg *wire.Msg) {
 				d.managerStep(obj)
 			}
 		case locator.Broadcast:
+			// §3.2: wait "for some time before repeating the fault-in".
 			n.Counters.Retries++
-			d.h.RetryAfter(TokRetryDiff, obj)
+			d.h.RetryAfter(TokRetry, obj)
 		default:
-			panic("proto: diff home miss under forwarding-pointer locator")
+			panic("proto: home miss under forwarding-pointer locator")
 		}
 	case wire.MgrReply:
-		if msg.Home == n.ID && !n.IsHome[obj] {
-			// Stale manager table (see managerStep); re-query.
-			d.h.RetryAfter(TokRetryQuery, obj)
-			return
-		}
-		n.Loc.Learn(obj, msg.Home)
-		d.pendingQuery[obj] = false
-		d.resend(obj)
+		d.resolved(obj, msg.Home)
 	default:
-		panic(fmt.Sprintf("proto: thread %s: unexpected %v during flush", d.name, msg.Kind))
+		d.stray(msg)
 	}
 }
 
-// settle completes one outstanding diff without the network: the home
-// migrated to this node while the diff was bouncing (a HomeMiss
-// round-trip raced a fault-in migration), so fold it in locally.
-func (d *Driver) settle(obj memory.ObjectID, diff twindiff.Diff) {
-	d.n.ApplyLocalDiff(obj, diff)
-	d.n.Pool.PutDiff(diff)
-	delete(d.outstanding, obj)
-	d.pendingQuery[obj] = false
+// stray fails the thread on a message it did not ask for.
+func (d *Driver) stray(msg *wire.Msg) {
+	panic(fmt.Sprintf("proto: thread %s: unexpected %v (obj %d, lock %d, barrier %d)",
+		d.name, msg.Kind, msg.Obj, msg.Lock, msg.Barrier))
 }
 
-// resend routes one outstanding diff at its freshly resolved home, or
-// settles it locally when the resolved home is this node.
+// resend sends what the thread awaits on obj toward the home it now
+// believes in: the fault-in, or the flushed diff. Either is done here
+// instead when the home has come to this node (the fault-in ends, the
+// diff is settled locally). A fault-in whose only candidate is this
+// node, not home, waits a retry delay: the transfer or manager update
+// that explains it is in flight.
 func (d *Driver) resend(obj memory.ObjectID) {
+	n := d.n
+	if d.fetching && obj == d.fetchObj {
+		if n.IsHome[obj] {
+			d.fetching = false
+			return
+		}
+		h := n.target(obj)
+		if h == n.ID {
+			d.h.RetryAfter(TokRetry, obj)
+			return
+		}
+		d.seq++
+		d.fetchTo = h
+		n.Eng.Send(wire.Msg{
+			Kind: wire.ObjReq, From: n.ID, To: h, Obj: obj,
+			ReplyNode: n.ID, ReplySlot: d.slot, Seq: d.seq,
+		}, stats.ObjReq)
+		return
+	}
 	diff, ok := d.outstanding[obj]
 	if !ok {
 		return
 	}
-	if d.n.IsHome[obj] {
-		d.settle(obj, diff)
+	if n.IsHome[obj] {
+		// The home migrated here while the diff was bouncing (a HomeMiss
+		// round-trip raced a fault-in migration): fold it in locally.
+		n.ApplyLocalDiff(obj, diff)
+		n.Pool.PutDiff(diff)
+		delete(d.outstanding, obj)
 		return
 	}
-	d.n.SendDiff(d.slot, obj, diff)
+	n.SendDiff(d.slot, obj, diff)
 }
 
-// managerStep advances the stale-home resolution for obj by one step:
-// consult the manager (local table or remote query), resend on an
-// answer, back off on a transiently-self answer.
+// managerStep advances the home resolution for obj by one step through
+// the manager (§3.2: old home, manager, new home in sequence): query a
+// remote manager, or read this node's own table.
 func (d *Driver) managerStep(obj memory.ObjectID) {
 	n := d.n
-	mgr := locator.ManagerOf(obj, n.S.Nodes)
-	if mgr != n.ID {
-		d.sendMgrQuery(mgr, obj)
+	if mgr := locator.ManagerOf(obj, n.S.Nodes); mgr != n.ID {
+		n.Eng.Send(wire.Msg{
+			Kind: wire.MgrQuery, From: n.ID, To: mgr, Obj: obj,
+			ReplyNode: n.ID, ReplySlot: d.slot,
+		}, stats.MgrMsg)
 		return
 	}
-	h := n.MgrHome[obj]
-	if n.IsHome[obj] {
-		d.settle(obj, d.outstanding[obj])
-		return
-	}
-	if h == n.ID {
-		// Our own manager table still names us: the new home's
-		// MgrUpdate is in flight. Re-step after a back-off.
+	d.resolved(obj, n.MgrHome[obj])
+}
+
+// resolved takes the manager's answer h for obj and resends. A table
+// that names this node while it is not home is stale (this node just
+// demoted, and the new home's MgrUpdate is in flight): ask again after a
+// retry delay.
+func (d *Driver) resolved(obj memory.ObjectID, h memory.NodeID) {
+	n := d.n
+	if h == n.ID && !n.IsHome[obj] {
 		d.h.RetryAfter(TokRetryQuery, obj)
 		return
 	}

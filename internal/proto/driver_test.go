@@ -3,6 +3,7 @@ package proto
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -18,7 +19,7 @@ import (
 
 // These tests drive one Driver (slot 0 of node 0) through a scripted
 // Host: no scheduler, no clock. Every Host call in which the driver
-// would wait — Recv, Backoff, RetryAfter — consumes the next step of the
+// waits or arms a timer — Recv, RetryAfter — consumes the next step of the
 // test's table, which asserts the state the driver blocked in and then
 // plays whatever happens meanwhile. That makes the windows only the live
 // engine's real scheduler used to reach (a home transfer landing while a
@@ -34,11 +35,10 @@ type call uint8
 
 const (
 	recv call = iota
-	backoff
 	retryAfter
 )
 
-func (c call) String() string { return [...]string{"Recv", "Backoff", "RetryAfter"}[c] }
+func (c call) String() string { return [...]string{"Recv", "RetryAfter"}[c] }
 
 // objState is the per-object view the step tables assert on.
 type objState struct {
@@ -293,13 +293,6 @@ func (w *world) Recv(tok *Token) {
 	*tok = st.then(w)
 }
 
-func (w *world) Backoff() {
-	w.t.Helper()
-	if st := w.advance(backoff); st.then != nil {
-		st.then(w)
-	}
-}
-
 func (w *world) RetryAfter(kind TokenKind, obj memory.ObjectID) {
 	w.t.Helper()
 	w.timer = timer{kind, obj}
@@ -310,7 +303,7 @@ func (w *world) RetryAfter(kind TokenKind, obj memory.ObjectID) {
 
 // A hint that names this node while it is not the home (and whose
 // well-known fallback is this node too) must not turn into a request to
-// ourselves: the fault backs off and re-resolves.
+// ourselves: the fault arms a retry timer and re-resolves when it fires.
 func TestDriverStaleSelfHintBacksOff(t *testing.T) {
 	w := newWorld(t, locator.ForwardingPointer, 3, 0, 0)
 	lock := w.sp.AddLock(0)
@@ -319,9 +312,16 @@ func TestDriverStaleSelfHintBacksOff(t *testing.T) {
 	w.n.Loc.Learn(w.obj, 0)
 
 	w.script(
-		step{name: "self-hint, not home: back off", on: backoff,
+		step{name: "self-hint, not home: arm the retry timer", on: retryAfter,
 			want: objState{Cache: "none", Hint: 0},
-			then: func(w *world) Token { w.n.Loc.Learn(w.obj, 2); return Token{} }},
+			check: func(w *world) {
+				if w.timer != (timer{TokRetry, w.obj}) || w.n.Counters.Retries != 0 {
+					t.Fatalf("timer %+v, retries %d", w.timer, w.n.Counters.Retries)
+				}
+			}},
+		step{name: "parked; the hint is corrected, then the timer fires", on: recv,
+			want: objState{Cache: "none", Hint: 0},
+			then: func(w *world) Token { w.n.Loc.Learn(w.obj, 2); return w.timer.fire() }},
 		step{name: "re-resolved: fault-in from the real home", on: recv,
 			sent: []string{"ObjReq>2"},
 			want: objState{Cache: "none", Hint: 2}},
@@ -556,6 +556,7 @@ func TestDriverBroadcastDiffRetry(t *testing.T) {
 	w.moveHome(1, 2)
 	bcast := w.hold(wire.HomeBcast)
 
+	var diffBuf *uint64
 	w.script(
 		step{name: "diff sent to the stale home", on: recv,
 			sent: []string{"Diff>1"},
@@ -563,7 +564,7 @@ func TestDriverBroadcastDiffRetry(t *testing.T) {
 		step{name: "home miss: arm the retry timer", on: retryAfter,
 			want: objState{Cache: "RO", Hint: 2, Outstanding: true},
 			check: func(w *world) {
-				if w.timer != (timer{TokRetryDiff, w.obj}) || w.n.Counters.Retries != 1 {
+				if w.timer != (timer{TokRetry, w.obj}) || w.n.Counters.Retries != 1 {
 					t.Fatalf("timer %+v, retries %d", w.timer, w.n.Counters.Retries)
 				}
 			}},
@@ -576,11 +577,293 @@ func TestDriverBroadcastDiffRetry(t *testing.T) {
 			}},
 		step{name: "diff re-sent to the new home", on: recv,
 			sent: []string{"Diff>2"},
-			want: objState{Cache: "RO", Hint: 2, Outstanding: true}},
+			want: objState{Cache: "RO", Hint: 2, Outstanding: true},
+			check: func(w *world) {
+				for _, words := range w.d.outstanding[w.obj].Runs() {
+					diffBuf = &words[0]
+				}
+			}},
 	)
 	w.d.Release(lock)
 	w.done()
 	if v := w.sp.ObjectData(w.obj)[0]; v != 7 || w.sp.HomeOf(w.obj) != 2 {
 		t.Fatalf("home copy at node %d holds %d, want 7 at node 2", w.sp.HomeOf(w.obj), v)
+	}
+	if !w.drawnFromPool(diffBuf) {
+		t.Fatal("acknowledged diff's buffer was not returned to the pool")
+	}
+}
+
+// The fault-in's broadcast retry: a fault-in that hits a demoted home
+// waits one retry delay, then asks whatever home the node has learned by
+// then.
+func TestDriverBroadcastFaultRetry(t *testing.T) {
+	w := newWorld(t, locator.Broadcast, 3, 0, 1)
+	w.moveHome(1, 2)
+	bcast := w.hold(wire.HomeBcast)
+
+	w.script(
+		step{name: "fault-in at the demoted home", on: recv,
+			sent: []string{"ObjReq>1"}, want: objState{Cache: "none", Hint: 1}},
+		step{name: "home miss: arm the retry timer", on: retryAfter,
+			want: objState{Cache: "none", Hint: 2},
+			check: func(w *world) {
+				if w.timer != (timer{TokRetry, w.obj}) || w.n.Counters.Retries != 1 {
+					t.Fatalf("timer %+v, retries %d", w.timer, w.n.Counters.Retries)
+				}
+			}},
+		step{name: "parked; the broadcast lands, then the timer fires", on: recv,
+			want: objState{Cache: "none", Hint: 2},
+			then: func(w *world) Token {
+				w.wire = append(w.wire, bcast...)
+				w.drain()
+				return w.timer.fire()
+			}},
+		step{name: "fault-in re-sent to the new home", on: recv,
+			sent: []string{"ObjReq>2"}, want: objState{Cache: "none", Hint: 2}},
+	)
+	if v := w.d.Read(w.obj, 0); v != 5 {
+		t.Fatalf("Read = %d, want 5", v)
+	}
+	w.done()
+	if got, want := w.state(), (objState{Cache: "RO", Hint: 2}); got != want {
+		t.Fatalf("final state %+v, want %+v", got, want)
+	}
+}
+
+// A fault-in whose retry timer fires after a sibling's fault migrated the
+// home here is over: the home copy is read, and nothing is sent.
+func TestDriverFaultHomeArrivesWhileParked(t *testing.T) {
+	w := newWorld(t, locator.Broadcast, 3, 0, 1)
+	w.moveHome(1, 2)
+
+	w.script(
+		step{name: "fault-in at the demoted home", on: recv,
+			sent: []string{"ObjReq>1"}, want: objState{Cache: "none", Hint: 1}},
+		step{name: "home miss: arm the retry timer", on: retryAfter,
+			want: objState{Cache: "none", Hint: 2}},
+		step{name: "parked; the home migrates here, then the timer fires", on: recv,
+			want: objState{Cache: "none", Hint: 2},
+			then: func(w *world) Token {
+				w.drain()
+				w.moveHome(2, 0)
+				return w.timer.fire()
+			}},
+	)
+	if v := w.d.Read(w.obj, 0); v != 5 {
+		t.Fatalf("Read = %d, want 5", v)
+	}
+	w.done()
+	if len(w.sent) != 0 {
+		t.Fatalf("the fault sent %v after the home came here", frames(w.sent))
+	}
+	// A migrated-in home copy stays INV until its next trapped access.
+	if got, want := w.state(), (objState{Cache: "INV", Home: true, Hint: 0}); got != want {
+		t.Fatalf("final state %+v, want %+v", got, want)
+	}
+}
+
+// The fault-in's stale-manager window: the remote manager's table still
+// names this node, which demoted, so the fault-in re-asks after a retry
+// delay instead of requesting the object from itself.
+func TestDriverFaultStaleManagerRetriesQuery(t *testing.T) {
+	const obj = 1 // managed by node 1
+	w := newWorld(t, locator.Manager, 4, obj, 0)
+	lock := w.sp.AddLock(0)
+	w.moveHome(0, 2)
+	updates := w.hold(wire.MgrUpdate)
+	w.d.Acquire(lock) // drops the demoted copy
+	w.moveHome(2, 3)
+	updates = append(updates, w.hold(wire.MgrUpdate)...)
+
+	w.script(
+		step{name: "fault-in at the home it last heard of", on: recv,
+			sent: []string{"ObjReq>2"}, want: objState{Cache: "none", Hint: 2}},
+		step{name: "home miss: ask the manager", on: recv,
+			sent: []string{"MgrQuery>1"}, want: objState{Cache: "none", Hint: 3}},
+		step{name: "manager names us, we are not home: re-query later", on: retryAfter,
+			want: objState{Cache: "none", Hint: 3},
+			check: func(w *world) {
+				if w.timer != (timer{TokRetryQuery, obj}) || !w.d.pendingQuery[obj] {
+					t.Fatalf("timer %+v, pendingQuery %v", w.timer, w.d.pendingQuery[obj])
+				}
+			}},
+		step{name: "parked; the updates land, then the timer fires", on: recv,
+			want: objState{Cache: "none", Hint: 3},
+			then: func(w *world) Token {
+				w.wire = append(w.wire, updates...)
+				w.drain()
+				return w.timer.fire()
+			}},
+		step{name: "second query", on: recv,
+			sent: []string{"MgrQuery>1"}, want: objState{Cache: "none", Hint: 3}},
+		step{name: "fault-in sent to the resolved home", on: recv,
+			sent: []string{"ObjReq>3"}, want: objState{Cache: "none", Hint: 3}},
+	)
+	if v := w.d.Read(obj, 0); v != 5 {
+		t.Fatalf("Read = %d, want 5", v)
+	}
+	w.done()
+	if got, want := w.state(), (objState{Cache: "RO", Hint: 3}); got != want {
+		t.Fatalf("final state %+v, want %+v", got, want)
+	}
+	if w.d.pendingQuery[obj] {
+		t.Fatal("manager resolution still pending after the fault-in")
+	}
+}
+
+// A retry timer that fires after what it was armed for has been answered
+// (a duplicated reply arms two) sends nothing.
+func TestDriverLateTimersSendNothing(t *testing.T) {
+	const obj = 1 // managed by node 1
+	w := newWorld(t, locator.Manager, 2, obj, 1)
+	lock := w.sp.AddLock(1)
+	idle := objState{Cache: "none", Hint: 1}
+	w.script(
+		step{name: "waiting for the grant; a late retry timer fires", on: recv,
+			sent: []string{"LockReq>1"}, want: idle,
+			then: func(w *world) Token { return Token{Kind: TokRetry, Obj: obj} }},
+		step{name: "a late re-query timer fires", on: recv, want: idle,
+			then: func(w *world) Token { return Token{Kind: TokRetryQuery, Obj: obj} }},
+		step{name: "neither sent anything; the grant", on: recv, want: idle},
+	)
+	w.d.Acquire(lock)
+	w.done()
+}
+
+// A home miss delivered twice while the manager query it started is in
+// flight asks the manager once.
+func TestDriverDuplicateHomeMissQueriesOnce(t *testing.T) {
+	const obj = 1 // managed by node 1
+	w := newWorld(t, locator.Manager, 4, obj, 2)
+	lock := w.sp.AddLock(0)
+	w.d.Acquire(lock)
+	w.script(step{name: "fault-in for the write", on: recv,
+		sent: []string{"ObjReq>2"}, want: objState{Cache: "none", Hint: 2}})
+	w.d.Write(obj, 0, 7)
+	w.moveHome(2, 3)
+	w.drain() // the manager learns the new home
+
+	bounced := objState{Cache: "RO", Hint: 3, Outstanding: true}
+	w.script(
+		step{name: "diff sent to the old home; its home miss arrives twice", on: recv,
+			sent: []string{"Diff>2"},
+			want: objState{Cache: "RO", Hint: 2, Outstanding: true},
+			then: func(w *world) Token {
+				tok := w.pump()
+				w.mbox = append(w.mbox, tok)
+				return tok
+			}},
+		step{name: "the duplicate, with the query in flight", on: recv,
+			sent: []string{"MgrQuery>1"}, want: bounced},
+		step{name: "no second query; the answer", on: recv, want: bounced},
+		step{name: "diff re-sent to the new home", on: recv,
+			sent: []string{"Diff>3"}, want: bounced},
+	)
+	w.d.Release(lock)
+	w.done()
+}
+
+// The manager's answer overrides the next hop a home miss suggested: the
+// obsolete home's own hint is one more obsolete home.
+func TestDriverManagerAnswerBeatsStaleMiss(t *testing.T) {
+	const obj = 1 // managed by node 1
+	w := newWorld(t, locator.Manager, 4, obj, 2)
+	w.moveHome(2, 3)
+	w.moveHome(3, 1)
+	w.drain()
+
+	w.script(
+		step{name: "fault-in at the initial home", on: recv,
+			sent: []string{"ObjReq>2"}, want: objState{Cache: "none", Hint: 2}},
+		step{name: "home miss names node 3: ask the manager", on: recv,
+			sent: []string{"MgrQuery>1"}, want: objState{Cache: "none", Hint: 3}},
+		step{name: "the manager names the home", on: recv,
+			sent: []string{"ObjReq>1"}, want: objState{Cache: "none", Hint: 1}},
+	)
+	if v := w.d.Read(obj, 0); v != 5 {
+		t.Fatalf("Read = %d, want 5", v)
+	}
+	w.done()
+}
+
+// A home miss naming this node, which is not home, teaches nothing: the
+// obsolete home has not heard that this node demoted.
+func TestDriverHomeMissNamingUsTeachesNothing(t *testing.T) {
+	w := newWorld(t, locator.Broadcast, 3, 0, 1)
+	lock := w.sp.AddLock(0)
+	w.moveHome(1, 0)
+	w.drain()
+	w.moveHome(0, 2)
+	bcast := w.hold(wire.HomeBcast)
+	w.d.Acquire(lock)       // drops the demoted copy
+	w.n.Loc.Learn(w.obj, 1) // a stale hint: home misses carry no epoch
+
+	w.script(
+		step{name: "fault-in at an obsolete home", on: recv,
+			sent: []string{"ObjReq>1"}, want: objState{Cache: "none", Hint: 1}},
+		step{name: "its home miss names us: the hint stands", on: retryAfter,
+			want: objState{Cache: "none", Hint: 1}},
+		step{name: "parked; the broadcast lands, then the timer fires", on: recv,
+			want: objState{Cache: "none", Hint: 1},
+			then: func(w *world) Token {
+				w.wire = append(w.wire, bcast...)
+				w.drain()
+				return w.timer.fire()
+			}},
+		step{name: "fault-in at the home", on: recv,
+			sent: []string{"ObjReq>2"}, want: objState{Cache: "none", Hint: 2}},
+	)
+	if v := w.d.Read(w.obj, 0); v != 5 {
+		t.Fatalf("Read = %d, want 5", v)
+	}
+	w.done()
+}
+
+// A fault-in redirected along a forwarding chain teaches the node it
+// entered at the home (path compression), not any other.
+func TestDriverRedirectedFaultCompressesPath(t *testing.T) {
+	w := newWorld(t, locator.ForwardingPointer, 3, 0, 1)
+	w.sp.S.PathCompress = true
+	w.moveHome(1, 2)
+
+	w.script(step{name: "fault-in at the old home, which forwards", on: recv,
+		sent: []string{"ObjReq>1"}, want: objState{Cache: "none", Hint: 1}})
+	if v := w.d.Read(w.obj, 0); v != 5 {
+		t.Fatalf("Read = %d, want 5", v)
+	}
+	w.done()
+	if got := frames(w.sent); !slices.Equal(got, []string{"PtrUpdate>1"}) {
+		t.Fatalf("after the reply node 0 sent %v, want [PtrUpdate>1]", got)
+	}
+}
+
+// A message the thread did not ask for is a protocol violation: the
+// thread fails naming it rather than taking it for what it awaits.
+func TestDriverStrayMessagePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		msg  wire.Msg
+		want string
+	}{
+		{"grant of another lock", wire.Msg{Kind: wire.LockGrant, Lock: 1}, "unexpected LockGrant"},
+		{"barrier go", wire.Msg{Kind: wire.BarrierGo}, "unexpected BarrierGo"},
+		{"object reply", wire.Msg{Kind: wire.ObjReply}, "unexpected ObjReply"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, locator.ForwardingPointer, 2, 0, 1)
+			lock := w.sp.AddLock(1)
+			w.sp.AddLock(1)
+			w.script(step{name: "waiting for the grant of lock 0", on: recv,
+				sent: []string{"LockReq>1"}, want: objState{Cache: "none", Hint: 1},
+				then: func(w *world) Token { return Token{Msg: tc.msg} }})
+			defer func() {
+				if r := fmt.Sprint(recover()); !strings.Contains(r, tc.want) {
+					t.Fatalf("recovered %q, want %q", r, tc.want)
+				}
+			}()
+			w.d.Acquire(lock)
+			t.Fatal("Acquire returned")
+		})
 	}
 }

@@ -268,13 +268,20 @@ func (n *Node) ApplyLocalDiff(obj memory.ObjectID, d twindiff.Diff) {
 	n.Counters.DiffWords += int64(d.WordCount())
 }
 
+// target is where a request about obj goes: the locator's hint, or the
+// well-known initial home when there is none or it names this node (a
+// stale self-hint after a demotion). It can still be this node.
+func (n *Node) target(obj memory.ObjectID) memory.NodeID {
+	if h := n.Loc.Hint(obj); h != n.ID && h != memory.NoNode {
+		return h
+	}
+	return n.S.ObjHome0[obj]
+}
+
 // SendDiff transmits one flushed diff toward the object's believed
 // home, replying to thread slot on this node.
 func (n *Node) SendDiff(slot int32, obj memory.ObjectID, d twindiff.Diff) {
-	to := n.Loc.Hint(obj)
-	if to == n.ID || to == memory.NoNode {
-		to = n.S.ObjHome0[obj]
-	}
+	to := n.target(obj)
 	if to == n.ID {
 		panic(fmt.Sprintf("proto: diff for %d addressed to self on node %d", obj, n.ID))
 	}

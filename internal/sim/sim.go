@@ -392,9 +392,6 @@ func (p *Proc) Sleep(d Time) {
 	p.park("sleep")
 }
 
-// Yield reschedules the proc at the current time, behind pending events.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Run executes events until the queue drains. It returns nil on a clean
 // finish (all procs done), a *DeadlockError if procs remain parked, or a
 // *PanicError if any proc panicked.

@@ -244,7 +244,7 @@ func TestYieldRunsBehindPendingEvents(t *testing.T) {
 	var order []string
 	e.Spawn("a", func(p *Proc) {
 		e.At(0, func() { order = append(order, "event") })
-		p.Yield()
+		p.Sleep(0) // a yield: rescheduled behind the pending event
 		order = append(order, "a-after-yield")
 	})
 	if err := e.Run(); err != nil {

@@ -36,12 +36,6 @@ type Lock struct {
 // NewLock returns an unheld lock.
 func NewLock() *Lock { return &Lock{} }
 
-// Held reports whether some thread currently holds the lock.
-func (l *Lock) Held() bool { return l.held }
-
-// QueueLen reports the number of parked waiters.
-func (l *Lock) QueueLen() int { return len(l.queue) }
-
 // Acquire requests the lock for w. It returns true when the lock is
 // granted immediately; otherwise w is queued FIFO.
 func (l *Lock) Acquire(w Waiter) bool {
@@ -102,9 +96,6 @@ func NewBarrier(parties int) *Barrier {
 	}
 	return &Barrier{parties: parties}
 }
-
-// Arrived reports the arrivals so far in this episode.
-func (b *Barrier) Arrived() int { return len(b.waiters) }
 
 // Arrive registers w. It returns true when the barrier is ready to
 // release (all parties arrived and no forwarded diffs pending).

@@ -14,7 +14,7 @@ func TestLockImmediateGrant(t *testing.T) {
 	if !l.Acquire(w(0, 0)) {
 		t.Fatal("free lock not granted immediately")
 	}
-	if !l.Held() {
+	if !l.held {
 		t.Fatal("lock not held after grant")
 	}
 }
@@ -25,8 +25,8 @@ func TestLockFIFOQueue(t *testing.T) {
 	if l.Acquire(w(1, 0)) || l.Acquire(w(2, 0)) {
 		t.Fatal("held lock granted immediately")
 	}
-	if l.QueueLen() != 2 {
-		t.Fatalf("queue len = %d", l.QueueLen())
+	if len(l.queue) != 2 {
+		t.Fatalf("queue len = %d", len(l.queue))
 	}
 	next, ok := l.Release()
 	if !ok || next != w(1, 0) {
@@ -39,7 +39,7 @@ func TestLockFIFOQueue(t *testing.T) {
 	if _, ok := l.Release(); ok {
 		t.Fatal("empty queue still granted")
 	}
-	if l.Held() {
+	if l.held {
 		t.Fatal("lock held after final release")
 	}
 }
@@ -105,7 +105,7 @@ func TestBarrierReleasesAtParties(t *testing.T) {
 	if len(ws) != 3 || ws[0] != w(0, 0) || ws[2] != w(2, 0) {
 		t.Fatalf("waiters = %v", ws)
 	}
-	if b.Arrived() != 0 {
+	if len(b.waiters) != 0 {
 		t.Fatal("barrier not rearmed")
 	}
 }
