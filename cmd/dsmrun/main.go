@@ -17,10 +17,10 @@
 //
 // -flight N attaches a per-node flight recorder of N events to every
 // node; the merged HLC-ordered cluster timeline then exports as
-// human-readable text (-flight-text), Chrome trace-event JSON loadable
-// in Perfetto (-flight-trace), or feeds the offline access-pattern
-// classifier (-flight-analyze). On the sim engine the timeline is
-// byte-identical across runs of the same configuration.
+// human-readable text (-flight-text) or Chrome trace-event JSON loadable
+// in Perfetto (-flight-trace). On the sim engine the timeline is
+// byte-identical across runs of the same configuration. -flight-analyze
+// classifies a trace of the whole run, which no ring needs to hold.
 //
 // -obs-addr serves the debug listener mid-run: /debug/pprof, /metrics
 // in Prometheus text exposition (engine counters and histograms on the
@@ -41,7 +41,6 @@ import (
 	"repro/internal/flight"
 	"repro/internal/obshttp"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -54,9 +53,12 @@ func main() {
 	flag.IntVar(&o.Nodes, "nodes", 8, "cluster nodes")
 	flag.StringVar(&o.Network, "network", "fastethernet", "network model: fastethernet, gigabit (sim engine)")
 	flag.StringVar(&o.Engine, "engine", "sim", "execution engine: sim (virtual time) or live (real goroutines)")
-	flightAnalyze := flag.Bool("flight-analyze", false, "bridge the flight timeline into the offline access-pattern classifier and print its report (needs -flight)")
+	flightAnalyze := flag.Bool("flight-analyze", false, "trace the run's access-pattern events in full and print the classifier's report (needs no -flight)")
 	flag.Parse()
 	o.Oracle, o.FlightCap = o.Check, obsFlags.FlightCap
+	if *flightAnalyze {
+		o.Trace = dsm.NewTrace()
+	}
 
 	var obs *obshttp.Server
 	if obsFlags.ObsAddr != "" {
@@ -81,7 +83,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *flightAnalyze {
-		fmt.Print(trace.Report(trace.Analyze(res.Flight)))
+		fmt.Print(dsm.TraceReport(dsm.AnalyzeTrace(o.Trace)))
 	}
 	if err := obs.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "dsmrun: debug listener died mid-run:", err)

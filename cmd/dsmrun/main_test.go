@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	dsm "repro"
@@ -50,6 +51,38 @@ func TestScenarioSeedReproduces(t *testing.T) {
 		}
 		if engine == "sim" && string(m[1]) != strconv.Itoa(cell.OracleOps) {
 			t.Errorf("sim: dsmrun checked %s oracle ops, the cell %d", m[1], cell.OracleOps)
+		}
+	}
+}
+
+// TestFlightAnalyzeReadsTheWholeRun: -flight-analyze classifies every
+// event of the run whatever the ring holds. A 1024-event ring keeps the
+// last eighth of SOR's log; the report with it, and without any ring,
+// must equal the one a ring large enough for the whole log gives.
+func TestFlightAnalyzeReadsTheWholeRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	bin := filepath.Join(t.TempDir(), "dsmrun")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	report := func(flight ...string) string {
+		args := append([]string{"-app", "sor", "-n", "128", "-iters", "8", "-nodes", "8", "-policy", "NoHM", "-flight-analyze"}, flight...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("dsmrun %v: %v\n%s", args, err, out)
+		}
+		_, rep, ok := strings.Cut(string(out), "\nobject ")
+		if !ok {
+			t.Fatalf("dsmrun %v printed no report:\n%s", args, out)
+		}
+		return rep
+	}
+	full := report("-flight", "1000000")
+	for _, flight := range [][]string{{"-flight", "1024"}, nil} {
+		if got := report(flight...); got != full {
+			t.Errorf("report with %v differs from the full log's:\n%s\nwant\n%s", flight, got, full)
 		}
 	}
 }

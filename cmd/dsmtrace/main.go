@@ -1,8 +1,8 @@
 // dsmtrace records a protocol-event trace from one application run,
 // classifies every shared object's access pattern (single-writer lasting
-// or transient, multiple-writer, read-mostly), and replays the trace
-// offline against all migration policies — the what-if tooling for the
-// paper's §6 future work on "other heuristics".
+// or transient, multiple-writer, read-mostly), and runs the application
+// under every builtin migration policy (bench.WhatIf) — the what-if
+// tooling for the paper's §6 future work on "other heuristics".
 //
 // Usage:
 //
@@ -13,14 +13,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"text/tabwriter"
 
 	"repro/internal/apps"
-	"repro/internal/core"
-	"repro/internal/hockney"
-	"repro/internal/migration"
-	"repro/internal/trace"
+	"repro/internal/bench"
 
 	dsm "repro"
 )
@@ -38,47 +35,39 @@ func main() {
 		top   = flag.Int("top", 16, "objects to show in the pattern report")
 	)
 	flag.Parse()
-
-	tr := dsm.NewTrace()
-	o := apps.Options{Config: dsm.Config{Nodes: *nodes, Policy: "NoHM", Trace: tr}}
-	_, err := apps.Run(spec, o)
-	if err != nil {
+	if _, err := run(os.Stdout, spec, *nodes, *top); err != nil {
 		fmt.Fprintln(os.Stderr, "dsmtrace:", err)
 		os.Exit(1)
 	}
+}
 
+// run prints the pattern census and report of spec's NoHM trace, then
+// one row per builtin policy, and returns those rows.
+func run(w io.Writer, spec apps.Spec, nodes, top int) ([]bench.AblationRow, error) {
+	rows, tr, err := bench.WhatIf(spec, nodes)
+	if err != nil {
+		return nil, err
+	}
 	profiles := dsm.AnalyzeTrace(tr)
-	fmt.Printf("%d protocol events over %d shared objects (traced under NoHM\n", tr.Len(), len(profiles))
-	fmt.Printf("so the inherent access pattern is visible, undisturbed by migration)\n\n")
+	fmt.Fprintf(w, "%d protocol events over %d shared objects (traced under NoHM\n", tr.Len(), len(profiles))
+	fmt.Fprintf(w, "so the inherent access pattern is visible, undisturbed by migration)\n\n")
 
 	counts := map[string]int{}
 	for _, p := range profiles {
 		counts[p.Pattern.String()]++
 	}
-	fmt.Println("pattern census:")
+	fmt.Fprintln(w, "pattern census:")
 	for _, k := range []string{"single-writer-lasting", "single-writer-transient", "multiple-writer", "read-mostly"} {
-		fmt.Printf("  %-24s %d\n", k, counts[k])
+		fmt.Fprintf(w, "  %-24s %d\n", k, counts[k])
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
-	if len(profiles) > *top {
-		profiles = profiles[:*top]
-		fmt.Printf("first %d objects:\n", *top)
+	if len(profiles) > top {
+		profiles = profiles[:top]
+		fmt.Fprintf(w, "first %d objects:\n", top)
 	}
-	fmt.Print(dsm.TraceReport(profiles))
-
-	// Offline replay: what would each policy have done on this trace?
-	net := hockney.FastEthernet()
-	params := core.DefaultParams(net.Alpha)
-	fmt.Println("\noffline policy replay (migrations / redirection cost):")
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "policy\tmigrations\tredir cost\n")
-	for _, pol := range []migration.Policy{
-		migration.NoHM{}, migration.Fixed{T: 1}, migration.Fixed{T: 2},
-		migration.Adaptive{P: params}, migration.JUMP{},
-	} {
-		res := trace.Replay(tr.Events, pol, params, nil)
-		fmt.Fprintf(tw, "%s\t%d\t%d\n", res.Policy, res.Migrations, res.RedirCost)
-	}
-	tw.Flush()
+	fmt.Fprint(w, dsm.TraceReport(profiles))
+	fmt.Fprintln(w)
+	bench.PrintAblation(w, "what-if: every builtin policy, re-run", rows)
+	return rows, nil
 }

@@ -120,8 +120,8 @@ type Config struct {
 	// DebugWire round-trips every message through the binary codec
 	// (on in tests, off in large sweeps).
 	DebugWire bool
-	// Trace, when non-nil, records migration-relevant protocol events
-	// for offline pattern analysis and policy replay (see NewTrace,
+	// Trace, when non-nil, records the whole run's migration-relevant
+	// protocol events for access-pattern analysis (see NewTrace,
 	// AnalyzeTrace, TraceReport). Works on both engines: it is one more
 	// subscriber of the events the flight recorder keeps.
 	Trace *Trace

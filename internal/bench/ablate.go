@@ -27,50 +27,78 @@ type AblationRow struct {
 	TimeAgg  stats.TimeAgg
 }
 
-// variant is one row of an ablation: what it is called, the workload it
-// runs, and — for a workload whose result is deterministic — the input
-// key under which RunOpts.Check compares it with the study's other
-// variants on the same workload (see cell.key).
-type variant struct {
-	name, workload, key string
-	run                 func(seed uint64) (apps.Result, error)
+// workload is one input of an ablation: its name in the rows, its program
+// and cluster size, and a trace for its NoHM runs (or nil). Its name is
+// its input key (cell.key), except for the synthetic benchmark: its racing
+// workers overshoot the target by a timing-dependent amount.
+type workload struct {
+	name  string
+	spec  apps.Spec
+	nodes int
+	trace *dsm.Trace
 }
 
-// ablate sweeps a study's variants as cells and folds each cell's
-// outcome into its row, in declaration order.
-func ablate(o RunOpts, study string, variants []variant) ([]AblationRow, error) {
-	cells := make([]cell, len(variants))
-	for i, v := range variants {
-		cells[i] = cell{label: study + " " + v.name + " " + v.workload, key: v.key, run: v.run}
+// variant is one setting a study compares: its name in the rows and the
+// configuration it runs every workload under (Nodes and Trace aside).
+type variant struct {
+	name string
+	cfg  dsm.Config
+}
+
+// ablate runs every study: each workload under each variant, variant-major,
+// each cell's outcome folded into its row in declaration order.
+func ablate(o RunOpts, study string, vs []variant, wls ...workload) ([]AblationRow, error) {
+	var cells []cell
+	var rows []AblationRow
+	for _, v := range vs {
+		for _, w := range wls {
+			cfg := v.cfg
+			cfg.Nodes = w.nodes
+			if cfg.Policy == "NoHM" {
+				cfg.Trace = w.trace
+			}
+			c := cell{label: study + " " + v.name + " " + w.name, key: w.name, run: o.runner(w.spec, cfg)}
+			if w.spec.App == "synthetic" {
+				c.key = ""
+			}
+			cells = append(cells, c)
+			rows = append(rows, AblationRow{Study: study, Variant: v.name, Workload: w.name})
+		}
 	}
 	outs, err := o.sweep(cells)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]AblationRow, len(variants))
-	for i, v := range variants {
-		m := outs[i].Mean
-		rows[i] = AblationRow{
-			Study: study, Variant: v.name, Workload: v.workload,
-			Time: m.ExecTime, Msgs: m.TotalMsgs(false), Traffic: m.TotalBytes(false),
-			Migr: m.Migrations, Redir: m.Breakdown().Redir, Retries: m.Retries,
-			Trials: o.trials(), TimeAgg: outs[i].ExecTime,
-		}
+	for i, out := range outs {
+		m, r := out.Mean, &rows[i]
+		r.Time, r.Msgs, r.Traffic = m.ExecTime, m.TotalMsgs(false), m.TotalBytes(false)
+		r.Migr, r.Redir, r.Retries = m.Migrations, m.Breakdown().Redir, m.Retries
+		r.Trials, r.TimeAgg = o.trials(), out.ExecTime
 	}
 	return rows, nil
+}
+
+// policies is one variant per migration policy name.
+func policies(names ...string) []variant {
+	vs := make([]variant, len(names))
+	for i, pol := range names {
+		vs[i] = variant{pol, dsm.Config{Policy: pol}}
+	}
+	return vs
 }
 
 // The ablations' workloads: the synthetic benchmark at repetition r (eight
 // workers on nodes 1..8 of nine, 1024 updates), and the two applications
 // whose final memory is deterministic and therefore comparable across a
 // study's variants, on eight nodes.
-func synthetic(r int) apps.Spec {
-	return apps.Spec{App: "synthetic", Rep: r, Updates: 1024, Workers: 8}
+func synthetic(r int) workload {
+	return workload{name: fmt.Sprintf("synthetic(r=%d)", r), nodes: 9,
+		spec: apps.Spec{App: "synthetic", Rep: r, Updates: 1024, Workers: 8}}
 }
 
 var (
-	asp128 = apps.Spec{App: "asp", N: 128}
-	sor128 = apps.Spec{App: "sor", N: 128, Iters: 8}
+	asp128 = workload{name: "ASP(128)", spec: apps.Spec{App: "asp", N: 128}, nodes: 8}
+	sor128 = workload{name: "SOR(128)", spec: apps.Spec{App: "sor", N: 128, Iters: 8}, nodes: 8}
 )
 
 // AblateLocator compares the three home-location mechanisms of §3.2
@@ -79,14 +107,9 @@ var (
 func AblateLocator(o RunOpts) ([]AblationRow, error) {
 	var vs []variant
 	for _, loc := range Locators {
-		vs = append(vs,
-			variant{name: loc, workload: "synthetic(r=8)",
-				run: o.runner(synthetic(8), dsm.Config{Nodes: 9, Policy: "AT", Locator: loc})},
-			variant{name: loc, workload: "ASP(128)", key: "ASP(128)",
-				run: o.runner(asp128, dsm.Config{Nodes: 8, Policy: "AT", Locator: loc})},
-		)
+		vs = append(vs, variant{loc, dsm.Config{Policy: "AT", Locator: loc}})
 	}
-	return ablate(o, "locator", vs)
+	return ablate(o, "locator", vs, synthetic(8), asp128)
 }
 
 // AblateLambda sweeps the feedback coefficient λ of Eq. (2) on the
@@ -95,10 +118,9 @@ func AblateLocator(o RunOpts) ([]AblationRow, error) {
 func AblateLambda(o RunOpts) ([]AblationRow, error) {
 	var vs []variant
 	for _, lam := range []float64{0.25, 0.5, 1, 2, 4} {
-		vs = append(vs, variant{name: fmt.Sprintf("λ=%.2f", lam), workload: "synthetic(r=2)",
-			run: o.runner(synthetic(2), dsm.Config{Nodes: 9, Policy: "AT", Lambda: lam})})
+		vs = append(vs, variant{fmt.Sprintf("λ=%.2f", lam), dsm.Config{Policy: "AT", Lambda: lam}})
 	}
-	return ablate(o, "lambda", vs)
+	return ablate(o, "lambda", vs, synthetic(2))
 }
 
 // AblateTInit sweeps the initial threshold (§4.2 argues for 1 to speed up
@@ -106,49 +128,49 @@ func AblateLambda(o RunOpts) ([]AblationRow, error) {
 func AblateTInit(o RunOpts) ([]AblationRow, error) {
 	var vs []variant
 	for _, ti := range []float64{1, 2, 4, 8} {
-		vs = append(vs, variant{name: fmt.Sprintf("T_init=%.0f", ti), workload: "ASP(128)", key: "ASP(128)",
-			run: o.runner(asp128, dsm.Config{Nodes: 8, Policy: "AT", TInit: ti})})
+		vs = append(vs, variant{fmt.Sprintf("T_init=%.0f", ti), dsm.Config{Policy: "AT", TInit: ti}})
 	}
-	return ablate(o, "tinit", vs)
+	return ablate(o, "tinit", vs, asp128)
 }
 
 // AblateRelated compares the related-work policies of §2 (JUMP
 // migrating-home, Jackal lazy flushing, Jiajia barrier migration)
 // against NoHM and AT, quantifying the paper's qualitative claims.
 func AblateRelated(o RunOpts) ([]AblationRow, error) {
-	var vs []variant
-	for _, pol := range []string{"NoHM", "JUMP", "Jackal5", "Jiajia", "AT"} {
-		vs = append(vs,
-			variant{name: pol, workload: "synthetic(r=4)",
-				run: o.runner(synthetic(4), dsm.Config{Nodes: 9, Policy: pol})},
-			variant{name: pol, workload: "SOR(128)", key: "SOR(128)",
-				run: o.runner(sor128, dsm.Config{Nodes: 8, Policy: pol})},
-		)
-	}
-	return ablate(o, "related", vs)
+	return ablate(o, "related", policies("NoHM", "JUMP", "Jackal5", "Jiajia", "AT"), synthetic(4), sor128)
+}
+
+// WhatIf runs spec on nodes under every builtin policy, checked, and
+// returns one row per policy and the NoHM run's trace: what each policy
+// costs on this program, measured by the protocol itself.
+func WhatIf(spec apps.Spec, nodes int) ([]AblationRow, *dsm.Trace, error) {
+	tr := dsm.NewTrace()
+	rows, err := ablate(RunOpts{Check: true}, "whatif", policies(Policies()...),
+		workload{name: spec.App, spec: spec, nodes: nodes, trace: tr})
+	return rows, tr, err
 }
 
 // AblatePiggyback isolates the §5.2 observation that diff piggybacking
 // makes NM competitive at moderate repetitions.
 func AblatePiggyback(o RunOpts) ([]AblationRow, error) {
+	w := workload{name: "synthetic(r=8,NM)", spec: synthetic(8).spec, nodes: 9}
 	var vs []variant
 	for _, pig := range []string{"on", "off"} {
-		vs = append(vs, variant{name: "piggyback=" + pig, workload: "synthetic(r=8,NM)",
-			run: o.runner(synthetic(8), dsm.Config{Nodes: 9, Policy: "NM", NoPiggyback: pig == "off"})})
+		vs = append(vs, variant{"piggyback=" + pig, dsm.Config{Policy: "NM", NoPiggyback: pig == "off"}})
 	}
-	return ablate(o, "piggyback", vs)
+	return ablate(o, "piggyback", vs, w)
 }
 
 // AblatePathCompression measures the forwarding-chain compression
 // extension (beyond the paper; §6 future work on reducing redirection
 // overhead) on the chain-heavy FT1 transient workload.
 func AblatePathCompression(o RunOpts) ([]AblationRow, error) {
+	w := workload{name: "synthetic(r=2,FT1)", spec: synthetic(2).spec, nodes: 9}
 	var vs []variant
 	for _, compress := range []string{"off", "on"} {
-		vs = append(vs, variant{name: "compress=" + compress, workload: "synthetic(r=2,FT1)",
-			run: o.runner(synthetic(2), dsm.Config{Nodes: 9, Policy: "FT1", PathCompress: compress == "on"})})
+		vs = append(vs, variant{"compress=" + compress, dsm.Config{Policy: "FT1", PathCompress: compress == "on"}})
 	}
-	return ablate(o, "pathcompress", vs)
+	return ablate(o, "pathcompress", vs, w)
 }
 
 // PrintAblation renders an ablation result set.

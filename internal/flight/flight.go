@@ -18,7 +18,7 @@
 // a run — or on abort — the per-node rings merge in (Wall, Logical)
 // hybrid-logical-clock order into one cluster timeline, exported as
 // human-readable text or Chrome trace-event JSON (chrome://tracing,
-// Perfetto) and read as is by internal/trace's classifier and replay.
+// Perfetto) and read as is by internal/trace's classifier.
 package flight
 
 import (

@@ -33,17 +33,15 @@
 // WriteView slices are weaker than under sim, whose cooperative
 // scheduler makes a view atomic until the thread's next protocol
 // action: live, a view is raw memory shared with the node's receive path.
-// Write views of home objects are pinned against migration until the
-// holder's next synchronization (so a mid-view demote cannot silently
-// drop writes), and serving a fault-in may read an object concurrently
-// with the holder's writes — a torn read the LRC model permits between
-// unsynchronized threads, but a Go-level data race the race detector
-// can flag; workloads that must be race-clean live should phase their
-// views so no remote node faults an object while it is being bulk-
-// written (the paper's applications are structured this way). With
-// several threads on one node there is one further caveat: a view must
-// not be held while *another* thread of the same node synchronizes
-// (the acquire may recycle a clean copy's buffer).
+// Write views of home objects are pinned until the holder's next
+// synchronization (proto.Node.PinView): the home does not migrate, so a
+// mid-view demote cannot silently drop writes, and a fault-in is served
+// from a snapshot taken at the first pin, so the receive path never
+// reads the words the holder is writing. With several threads on one
+// node there is one further caveat: a view must not be held while
+// *another* thread of the same node synchronizes (the acquire may
+// recycle a clean copy's buffer, and the snapshot would hide that
+// thread's released writes).
 package live
 
 import (

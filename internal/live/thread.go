@@ -34,7 +34,7 @@ type Thread struct {
 	mbox *transport.Queue[proto.Token]
 
 	// pins lists the home objects this thread holds bulk write views
-	// on (proto.Node.ViewPins); cleared at the next sync operation.
+	// on (proto.Node.PinView); cleared at the next sync operation.
 	pins []memory.ObjectID
 }
 
@@ -87,32 +87,25 @@ func (t *Thread) RetryAfter(kind proto.TokenKind, obj memory.ObjectID) {
 // operation), so release their migration pins. Called with the node
 // lock held.
 func (t *Thread) SyncPoint() {
-	n := t.node.ps
 	for _, obj := range t.pins {
-		if n.ViewPins[obj]--; n.ViewPins[obj] == 0 {
-			delete(n.ViewPins, obj)
-		}
+		t.node.ps.UnpinView(obj)
 	}
 	t.pins = t.pins[:0]
 }
 
 // WriteView faults the object for writing and returns its data for bulk
 // mutation within the current interval. On a home copy the object is
-// pinned against migration until this thread's next synchronization
-// operation — without the pin, a fault-time migration could demote the
-// copy mid-view and the remaining view writes would land in a clean
-// cached copy, untwinned and silently lost. The pin is live-only on
-// purpose: under sim a view cannot be interrupted, and pinning there
-// would change migration decisions.
+// pinned (proto.Node.PinView) until this thread's next synchronization
+// operation: it does not migrate, and its fault-ins are served from a
+// snapshot rather than the slice this thread writes without the node
+// lock. The pin is live-only on purpose: under sim a view cannot be
+// interrupted, and pinning there would change migration decisions.
 func (t *Thread) WriteView(obj memory.ObjectID) []uint64 {
 	n := t.node
 	n.mu.Lock()
 	o := t.ObjForWrite(obj)
 	if n.ps.IsHome[obj] {
-		if n.ps.ViewPins == nil {
-			n.ps.ViewPins = make(map[memory.ObjectID]int)
-		}
-		n.ps.ViewPins[obj]++
+		n.ps.PinView(obj)
 		t.pins = append(t.pins, obj)
 	}
 	n.unlock()

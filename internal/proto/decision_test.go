@@ -6,8 +6,9 @@ import (
 
 	"repro/internal/flight"
 	"repro/internal/locator"
-	"repro/internal/memory"
 	"repro/internal/migration"
+	"repro/internal/twindiff"
+	"repro/internal/wire"
 )
 
 // The two reasons the protocol gives itself rather than the policy: the
@@ -25,7 +26,7 @@ func TestServeFaultPinVetoesMigration(t *testing.T) {
 		home := w.sp.Nodes[1]
 		home.HomeSt[w.obj].RemoteWrite(0, 8) // node 0's run: C = 1 reaches FT1
 		if pinned {
-			home.ViewPins = map[memory.ObjectID]int{w.obj: 1}
+			home.PinView(w.obj)
 		}
 		decisions := &logSub{kinds: flight.MaskOf(flight.Decision)}
 		home.Subscribe(decisions)
@@ -89,5 +90,36 @@ func TestBarrierReassignDecision(t *testing.T) {
 	}
 	if home.IsHome[w.obj] || !w.n.IsHome[w.obj] {
 		t.Fatalf("node 1 home %v, node 0 home %v: want the home on node 0", home.IsHome[w.obj], w.n.IsHome[w.obj])
+	}
+}
+
+// A fault-in at a home copy with write views open is served from the
+// snapshot the first pin took, kept current with remote diffs: the view
+// holder's writes, made without the node lock and owed to nobody before
+// it synchronizes, are not in it; a diff applied since is. Once the last
+// pin clears, the copy itself is served.
+func TestPinnedHomeServesSnapshot(t *testing.T) {
+	w := newWorld(t, locator.ForwardingPointer, 3, 0, 1)
+	home := w.sp.Nodes[1]
+	serve := func() []uint64 {
+		home.Handle(wire.Msg{Kind: wire.ObjReq, From: 0, To: 1, Obj: w.obj, ReplyNode: 0})
+		return w.wire[len(w.wire)-1].Data
+	}
+	home.PinView(w.obj)
+	home.PinView(w.obj)
+	home.Cache[w.obj].Data[1] = 6 // a view holder's write
+	home.Handle(wire.Msg{Kind: wire.DiffMsg, From: 2, To: 1, Obj: w.obj,
+		Diff: twindiff.OneRun(2, 7), Home: 2, ReplyNode: 2})
+	for pins := 2; pins >= 0; pins-- {
+		want := []uint64{5, 0, 7, 0}
+		if pins == 0 {
+			want[1] = 6
+		}
+		if got := serve(); !slices.Equal(got, want) {
+			t.Errorf("%d pins: served %v, want %v", pins, got, want)
+		}
+		if pins > 0 {
+			home.UnpinView(w.obj)
+		}
 	}
 }

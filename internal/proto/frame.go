@@ -12,7 +12,8 @@ import (
 // behind ToThread) subscripts a table with must lie inside the sealed
 // layout. Objects, locks and barriers are checked against the declared
 // counts — a lock or barrier a request is addressed to must moreover be
-// managed by this node — nodes against the cluster size (NoNode where the
+// managed by this node, a diff must end within its object and a copy be
+// as long as its object — nodes against the cluster size (NoNode where the
 // protocol sends it: a manager answer or a home-miss hint may know no
 // home), and ReplySlot against threads, the number of threads this node
 // runs, wherever the slot names a local thread; −1 stands for the daemon
@@ -118,9 +119,19 @@ func (n *Node) strayField(msg *wire.Msg, threads int) (string, int64) {
 		reply && (msg.ReplySlot < 0 || int(msg.ReplySlot) >= threads):
 		return "ReplySlot", int64(msg.ReplySlot)
 	}
+	// msg.Obj is declared by now: a diff must fit it, a copy be all of it.
+	switch {
+	case msg.Kind == wire.DiffMsg && msg.Diff.End() > s.ObjWords[msg.Obj]:
+		return "Diff end", int64(msg.Diff.End())
+	case msg.Kind == wire.ObjReply && len(msg.Data) != s.ObjWords[msg.Obj]:
+		return "Data length", int64(len(msg.Data))
+	}
 	for _, od := range msg.Diffs {
 		if !object(od.Obj) {
 			return "piggybacked diff Obj", int64(od.Obj)
+		}
+		if end := od.D.End(); end > s.ObjWords[od.Obj] {
+			return "piggybacked diff end", int64(end)
 		}
 	}
 	for _, a := range msg.Assigns {

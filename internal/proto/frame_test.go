@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/locator"
 	"repro/internal/memory"
+	"repro/internal/twindiff"
 	"repro/internal/wire"
 )
 
@@ -44,9 +45,14 @@ func TestCheckFrame(t *testing.T) {
 		bad  []mutation
 	}{
 		{"ObjReq", hdr(wire.ObjReq), []mutation{from, obj, replyNode, negSlot, ownSlot}},
-		{"ObjReply", hdr(wire.ObjReply), []mutation{obj, home, noHome, negSlot, slot}},
-		{"Diff", hdr(wire.DiffMsg), []mutation{obj, home, replyNode, ownSlot,
-			{"ReplySlot -2", func(m *wire.Msg) { m.ReplySlot = -2 }}}},
+		{"ObjReply", func() wire.Msg { m := hdr(wire.ObjReply); m.Data = make([]uint64, 4); return m }(), []mutation{
+			obj, home, noHome, negSlot, slot,
+			{"Data length 3", func(m *wire.Msg) { m.Data = m.Data[:3] }},
+			{"Data length 5", func(m *wire.Msg) { m.Data = make([]uint64, 5) }}}},
+		{"Diff", func() wire.Msg { m := hdr(wire.DiffMsg); m.Diff = twindiff.OneRun(3, 9); return m }(), []mutation{
+			obj, home, replyNode, ownSlot,
+			{"ReplySlot -2", func(m *wire.Msg) { m.ReplySlot = -2 }},
+			{"Diff end 5", func(m *wire.Msg) { m.Diff = twindiff.OneRun(4, 9) }}}},
 		{"Diff from a sync manager's daemon", func() wire.Msg { m := hdr(wire.DiffMsg); m.ReplySlot = -1; return m }(), nil},
 		{"DiffAck to a thread", hdr(wire.DiffAck), []mutation{obj, slot}},
 		{"DiffAck resuming lock 0", wire.Msg{Kind: wire.DiffAck, From: 1, ReplySlot: -1, Lock: 1, Obj: 99}, []mutation{
@@ -67,11 +73,12 @@ func TestCheckFrame(t *testing.T) {
 		{"LockGrant of a lock managed elsewhere", func() wire.Msg { m := hdr(wire.LockGrant); m.Lock = 1; return m }(), nil},
 		{"LockRel", func() wire.Msg {
 			m := hdr(wire.LockRel)
-			m.Diffs = []wire.ObjDiff{{Obj: 0}, {Obj: 1}}
+			m.Diffs = []wire.ObjDiff{{Obj: 0}, {Obj: 1, D: twindiff.OneRun(0, 1, 2, 3, 4)}}
 			return m
 		}(), []mutation{from,
 			{"Lock 1", func(m *wire.Msg) { m.Lock = 1 }},
-			{"piggybacked diff Obj 7", func(m *wire.Msg) { m.Diffs[1].Obj = 7 }}}},
+			{"piggybacked diff Obj 7", func(m *wire.Msg) { m.Diffs[1].Obj = 7 }},
+			{"piggybacked diff end 6", func(m *wire.Msg) { m.Diffs[0].D = twindiff.OneRun(2, 1, 2, 3, 4) }}}},
 		{"BarrierArrive", func() wire.Msg {
 			m := hdr(wire.BarrierArrive)
 			m.Diffs = []wire.ObjDiff{{Obj: 1}}

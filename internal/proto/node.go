@@ -70,16 +70,30 @@ type Node struct {
 	// copies' data so the steady-state write/flush cycle is allocation-free.
 	Pool twindiff.Pool
 
-	// ViewPins counts outstanding bulk write views per home object (live
-	// engine only; nil under sim, whose cooperatively scheduled threads
-	// never yield between a WriteView and their next protocol action).
-	// serveFault refuses to migrate a pinned object's home: a demote
-	// would flip the copy the view holder is still writing through to a
-	// clean cached state, silently losing every subsequent view write.
-	// Serving the data itself stays allowed — LRC places no obligation
-	// between unsynchronized threads. Pins clear at the holder's next
-	// synchronization operation.
-	ViewPins map[memory.ObjectID]int
+	// pins counts the bulk write views open per home object and snaps
+	// holds what its fault-ins are served meanwhile; see PinView. Live
+	// engine only: a sim thread never yields inside a view.
+	pins  []int32
+	snaps [][]uint64
+}
+
+// PinView records a bulk write view on home object obj until UnpinView,
+// at the holder's next synchronization. Meanwhile the home does not
+// migrate (a demote would drop the holder's later writes), and fault-ins
+// are served from a snapshot the first pin took, kept current with remote
+// diffs: it lacks only the holder's writes, owed to nobody until it syncs.
+func (n *Node) PinView(obj memory.ObjectID) {
+	if n.pins[obj]++; n.pins[obj] == 1 {
+		n.snaps[obj] = twindiff.TwinInto(&n.Pool, n.Cache[obj].Data)
+	}
+}
+
+// UnpinView ends one view; the last returns the snapshot to the pool.
+func (n *Node) UnpinView(obj memory.ObjectID) {
+	if n.pins[obj]--; n.pins[obj] == 0 {
+		n.Pool.PutWords(n.snaps[obj])
+		n.snaps[obj] = nil
+	}
 }
 
 func (n *Node) growObjects(total int) {
@@ -90,6 +104,8 @@ func (n *Node) growObjects(total int) {
 		n.Copyset = append(n.Copyset, nil)
 		n.MgrHome = append(n.MgrHome, memory.NoNode)
 		n.homeEpoch = append(n.homeEpoch, 0)
+		n.pins = append(n.pins, 0)
+		n.snaps = append(n.snaps, nil)
 	}
 	n.Loc.Grow(total)
 }
@@ -237,8 +253,11 @@ func (n *Node) serveFault(msg wire.Msg) {
 		n.Emit(flight.Event{Kind: flight.Request, Obj: obj, Peer: requester, Hops: int32(msg.Hops)})
 	}
 
-	o := n.Cache[obj]
-	data := twindiff.TwinInto(&n.Pool, o.Data)
+	src := n.Cache[obj].Data
+	if snap := n.snaps[obj]; snap != nil {
+		src = snap
+	}
+	data := twindiff.TwinInto(&n.Pool, src)
 	reply := wire.Msg{
 		Kind: wire.ObjReply, From: n.ID, To: requester, Obj: obj,
 		ReplyNode: requester, ReplySlot: msg.ReplySlot, Seq: msg.Seq,
@@ -271,7 +290,7 @@ func (n *Node) serveFault(msg wire.Msg) {
 	// Decided before st.Migrate resets the epoch feedback: the Decision
 	// event carries the counter/threshold pair the heuristic compared.
 	ex := n.S.Policy.Decide(st, requester, sharers)
-	if ex.Migrate && n.ViewPins[obj] > 0 {
+	if ex.Migrate && n.pins[obj] > 0 {
 		ex.Migrate, ex.Reason = false, migration.ReasonPinned
 	}
 	if n.On(flight.Decision) {
@@ -390,8 +409,10 @@ func (n *Node) handleDiff(msg wire.Msg) {
 // feeds the migration state (a diff receipt is one "consecutive remote
 // write" observation, §3.3).
 func (n *Node) applyRemoteDiff(obj memory.ObjectID, d twindiff.Diff, writer memory.NodeID) {
-	o := n.Cache[obj]
-	d.Apply(o.Data)
+	d.Apply(n.Cache[obj].Data)
+	if snap := n.snaps[obj]; snap != nil {
+		d.Apply(snap)
+	}
 	n.HomeSt[obj].RemoteWrite(writer, d.WireSize())
 	cs := n.Counters
 	cs.RemoteWrites++
@@ -613,7 +634,7 @@ func (n *Node) applyAssign(a wire.HomeAssign) {
 		// copy. Writes made before the demote follow Jiajia's own
 		// semantics: the reassigned home's copy is authoritative for the
 		// closing interval.
-		if n.ViewPins[a.Obj] > 0 {
+		if n.pins[a.Obj] > 0 {
 			o := n.Cache[a.Obj]
 			o.Twin = twindiff.TwinInto(&n.Pool, o.Data)
 			o.Dirty = true

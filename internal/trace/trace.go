@@ -1,16 +1,17 @@
-// Package trace analyzes per-object access-pattern traces — the tooling
-// the paper's §6 future work ("we will research on other heuristics")
-// requires: given the protocol events of a run, it classifies each
-// object's write pattern (single-writer lasting/transient, multiple-
-// writer, read-mostly) and can replay them against any migration policy
-// offline, without re-running the application.
+// Package trace classifies per-object access patterns — the tooling the
+// paper's §6 future work ("we will research on other heuristics")
+// requires: given the protocol events of a run, it names each object's
+// write pattern (single-writer lasting/transient, multiple-writer,
+// read-mostly). What a policy would cost on the same program is not
+// modeled here: it is a run under that policy (bench.WhatIf), through
+// internal/proto like every other run.
 //
-// It has no event model of its own. Analyze and Replay read flight.Event
-// sequences — a Trace attached to a cluster (dsm.Config.Trace, either
-// engine), or a merged flight timeline — and classify four kinds: Request
-// (requester in Peer, redirection accumulation in Hops), RemoteWrite
-// (writer in Peer, diff bytes in Bytes) and the trapped HomeWrite and
-// HomeRead (the home in Node). Every other kind is skipped.
+// It has no event model of its own. Analyze reads flight.Event sequences
+// — a Trace attached to a cluster (dsm.Config.Trace, either engine), or a
+// merged flight timeline — and classifies four kinds: Request (requester
+// in Peer, redirection accumulation in Hops), RemoteWrite (writer in
+// Peer, diff bytes in Bytes) and the trapped HomeWrite and HomeRead (the
+// home in Node). Every other kind is skipped.
 package trace
 
 import (
@@ -18,10 +19,8 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/memory"
-	"repro/internal/migration"
 )
 
 var kinds = flight.MaskOf(flight.Request, flight.RemoteWrite, flight.HomeWrite, flight.HomeRead)
@@ -169,103 +168,6 @@ func Analyze(evs []flight.Event) []Profile {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Obj < out[j].Obj })
 	return out
-}
-
-// ReplayResult is the outcome of replaying a trace under a policy.
-type ReplayResult struct {
-	Policy     string
-	Migrations int
-	// RedirCost approximates redirection messages: each post-migration
-	// request from a node holding a stale hint pays the chain length.
-	RedirCost int
-}
-
-// Replay runs the migration decision machinery over recorded events
-// without the cluster — the offline what-if tool for §6's "other
-// heuristics" research. Hints are modeled per requesting node; forwarding
-// chains grow at the old home exactly as in the live protocol.
-func Replay(evs []flight.Event, pol migration.Policy, params core.Params, objBytes func(memory.ObjectID) int) ReplayResult {
-	res := ReplayResult{Policy: pol.Name()}
-	type objState struct {
-		st    *core.State
-		home  memory.NodeID
-		hint  map[memory.NodeID]memory.NodeID // per-node belief
-		chain map[memory.NodeID]memory.NodeID // forwarding pointers
-	}
-	objs := map[memory.ObjectID]*objState{}
-	get := func(obj memory.ObjectID) *objState {
-		o := objs[obj]
-		if o == nil {
-			size := 64
-			if objBytes != nil {
-				size = objBytes(obj)
-			}
-			o = &objState{
-				st:    core.NewState(params, size),
-				home:  0,
-				hint:  map[memory.NodeID]memory.NodeID{},
-				chain: map[memory.NodeID]memory.NodeID{},
-			}
-			objs[obj] = o
-		}
-		return o
-	}
-	for _, e := range evs {
-		if !kinds.Has(e.Kind) {
-			continue
-		}
-		o := get(e.Obj)
-		switch e.Kind {
-		case flight.RemoteWrite:
-			if e.Peer == o.home {
-				o.st.HomeWrite(params)
-			} else {
-				o.st.RemoteWrite(e.Peer, int(e.Bytes))
-			}
-		case flight.HomeWrite:
-			o.st.HomeWrite(params)
-		case flight.HomeRead:
-			// monitored but no feedback effect
-		case flight.Request:
-			req := e.Peer
-			if req == o.home {
-				continue
-			}
-			// Chase the chain from the requester's belief.
-			believed, ok := o.hint[req]
-			if !ok {
-				believed = 0
-			}
-			hops := 0
-			for believed != o.home {
-				next, ok := o.chain[believed]
-				if !ok {
-					break
-				}
-				believed = next
-				hops++
-			}
-			if hops > 0 {
-				o.st.Redirected(hops)
-				res.RedirCost += hops
-			}
-			o.hint[req] = o.home
-			if pol.Decide(o.st, req, 0).Migrate {
-				rec := o.st.Migrate(params)
-				o.chain[o.home] = req
-				delete(o.chain, req)
-				o.home = req
-				o.hint[req] = req
-				size := 64
-				if objBytes != nil {
-					size = objBytes(e.Obj)
-				}
-				o.st = core.FromRecord(params, size, rec)
-				res.Migrations++
-			}
-		}
-	}
-	return res
 }
 
 // Report renders profiles as a table.

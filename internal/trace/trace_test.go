@@ -4,15 +4,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/memory"
-	"repro/internal/migration"
 )
-
-func params() core.Params {
-	return core.Params{Lambda: 1, TInit: 1, Alpha: func(o, d int) float64 { return 1.2 }}
-}
 
 func writeBurst(t *Trace, obj memory.ObjectID, writer memory.NodeID, n int) {
 	for i := 0; i < n; i++ {
@@ -84,57 +78,6 @@ func TestAnalyzeMultipleObjectsSorted(t *testing.T) {
 	}
 }
 
-func TestReplayLastingMigratesOnce(t *testing.T) {
-	var tr Trace
-	writeBurst(&tr, 1, 4, 15)
-	res := Replay(tr.Events, migration.Adaptive{P: params()}, params(), nil)
-	if res.Migrations != 1 {
-		t.Fatalf("migrations = %d, want 1", res.Migrations)
-	}
-	if res.RedirCost != 0 {
-		t.Fatalf("redir cost = %d, want 0 (single requester)", res.RedirCost)
-	}
-}
-
-func TestReplayTransientAdaptiveVsFixed(t *testing.T) {
-	// Rotating writers (runs of 2): FT1 migrates every turn and pays
-	// chains; AT stops.
-	var tr Trace
-	for turn := 0; turn < 30; turn++ {
-		writeBurst(&tr, 1, memory.NodeID(1+turn%3), 2)
-	}
-	ft := Replay(tr.Events, migration.Fixed{T: 1}, params(), nil)
-	at := Replay(tr.Events, migration.Adaptive{P: params()}, params(), nil)
-	if at.Migrations >= ft.Migrations {
-		t.Fatalf("AT migrations %d !< FT1 %d", at.Migrations, ft.Migrations)
-	}
-	if at.RedirCost >= ft.RedirCost {
-		t.Fatalf("AT redir %d !< FT1 %d", at.RedirCost, ft.RedirCost)
-	}
-}
-
-func TestReplayNoHMNeverMigrates(t *testing.T) {
-	var tr Trace
-	writeBurst(&tr, 1, 2, 50)
-	res := Replay(tr.Events, migration.NoHM{}, params(), nil)
-	if res.Migrations != 0 {
-		t.Fatalf("NoHM migrated %d times", res.Migrations)
-	}
-}
-
-func TestReplayUsesObjectSize(t *testing.T) {
-	var tr Trace
-	writeBurst(&tr, 1, 2, 10)
-	called := false
-	Replay(tr.Events, migration.Adaptive{P: params()}, params(), func(memory.ObjectID) int {
-		called = true
-		return 256
-	})
-	if !called {
-		t.Fatal("objBytes never consulted")
-	}
-}
-
 func TestReportRenders(t *testing.T) {
 	var tr Trace
 	writeBurst(&tr, 1, 2, 10)
@@ -182,10 +125,5 @@ func TestAnalyzeReadsFlightTimeline(t *testing.T) {
 	}
 	if tr.Len() != 4 {
 		t.Errorf("a Trace subscribed with Kinds() kept %d of the events, want 4", tr.Len())
-	}
-	a := Replay(evs, migration.Fixed{T: 1}, params(), nil)
-	b := Replay(tr.Events, migration.Fixed{T: 1}, params(), nil)
-	if a != b {
-		t.Errorf("replay over the timeline %+v differs from replay over the trace %+v", a, b)
 	}
 }

@@ -156,6 +156,15 @@ func (d Diff) Apply(dst []uint64) {
 	}
 }
 
+// End returns one past the last word the diff writes, the last run's end
+// (0 for the empty diff): the smallest object it applies to.
+func (d Diff) End() (end int) {
+	for b := d.runs(); len(b) > 0; b = b[1+int(b[0]>>32):] {
+		end = int(uint32(b[0])) + int(b[0]>>32)
+	}
+	return end
+}
+
 // Empty reports whether the diff carries no modifications.
 func (d Diff) Empty() bool { return len(d.buf) == 0 }
 

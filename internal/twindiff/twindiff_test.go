@@ -11,7 +11,7 @@ func TestComputeEmptyWhenUnchanged(t *testing.T) {
 	data := []uint64{1, 2, 3, 4}
 	tw := Twin(data)
 	d := Compute(tw, data)
-	if !d.Empty() || d.WordCount() != 0 {
+	if !d.Empty() || d.WordCount() != 0 || d.End() != 0 {
 		t.Fatalf("diff of unchanged data = %+v", d)
 	}
 	if d.WireSize() != 4 {
@@ -47,6 +47,9 @@ func TestComputeMultipleRuns(t *testing.T) {
 	}
 	if d.WordCount() != 3 {
 		t.Fatalf("words = %d, want 3", d.WordCount())
+	}
+	if d.End() != 5 {
+		t.Fatalf("end = %d, want 5 (the second run ends there)", d.End())
 	}
 }
 
