@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's evaluation artifacts, one per
-// table/figure (DESIGN.md's experiment index). Each benchmark runs the
+// table/figure (README "Benchmarks"). Each benchmark runs the
 // full deterministic simulation and reports the *virtual* quantities the
 // paper plots as custom metrics: sim-seconds ("simsec"), protocol
 // messages ("msgs"), network bytes ("wirebytes") and home migrations
@@ -30,8 +30,8 @@ func report(b *testing.B, m dsm.Metrics) {
 }
 
 // Figure 2 — execution time vs processors, NoHM vs HM(AT), per app.
-// Scaled sizes keep each iteration sub-second; see EXPERIMENTS.md for
-// the full-size runs.
+// Scaled sizes keep each iteration sub-second; dsmbench -full runs the
+// paper's sizes (README "Running the figures").
 
 // benchApp runs one application configuration b.N times and reports the
 // last run's metrics.
@@ -115,8 +115,7 @@ func BenchmarkAlphaDeduction(b *testing.B) {
 	_ = sink
 }
 
-// Ablations (DESIGN.md A1–A3): locator mechanism, λ, related-work
-// policies, piggybacking.
+// Ablations: locator mechanism, λ, related-work policies, piggybacking.
 
 func BenchmarkAblateLocator(b *testing.B) {
 	for _, loc := range []string{"fwdptr", "manager", "broadcast"} {

@@ -1,7 +1,7 @@
 // dsmbench regenerates the paper's evaluation artifacts: Figure 2
 // (execution time vs processors), Figure 3 (AT vs FT2 improvement vs
-// problem size), Figure 5(a)/(b) (synthetic benchmark), and the ablation
-// studies listed in DESIGN.md.
+// problem size), Figure 5(a)/(b) (synthetic benchmark), and the six
+// ablation studies (-ablate; README "Running the figures").
 //
 // Usage:
 //

@@ -324,7 +324,8 @@ func TestGraphAndDistanceDeterminism(t *testing.T) {
 
 // TestAppDeterminism runs every application twice under identical
 // configurations and demands byte-identical metrics — the property that
-// makes every number in EXPERIMENTS.md exactly reproducible.
+// makes every figure and ablation number exactly reproducible (README
+// "Determinism").
 func TestAppDeterminism(t *testing.T) {
 	type runner func() dsm.Metrics
 	cases := map[string]runner{

@@ -2,9 +2,9 @@
 // evaluation (§5): Fig. 2 (application execution time vs processors, HM
 // vs NoHM), Fig. 3 (AT vs FT2 improvement vs problem size), Fig. 5
 // (synthetic benchmark: normalized execution time and message breakdown
-// vs single-writer repetition), the §5.2 headline statistics, and the
-// ablations DESIGN.md calls out (locator mechanism, λ, T_init, related-
-// work policies, piggybacking).
+// vs single-writer repetition), the §5.2 headline statistics, and six
+// ablations (locator mechanism, λ, T_init, related-work policies,
+// piggybacking, path compression; README "Running the figures").
 //
 // Every one of them is a declared grid: a list of cells (sweep.go) — a
 // label, a run on a trial's seed, and an input key shared by the cells
@@ -89,8 +89,8 @@ type Sizes struct {
 }
 
 // DefaultSizes are scaled-down problem sizes that keep the full figure
-// sweep in CI time while preserving the paper's qualitative shapes (the
-// scaling is documented per experiment in EXPERIMENTS.md).
+// sweep in CI time while preserving the paper's qualitative shapes;
+// FullSizes (dsmbench -full) are the paper's.
 func DefaultSizes() Sizes {
 	return Sizes{ASPN: 128, SORN: 256, SORIters: 12, NbodyN: 256, NbodySteps: 6, TSPCities: 9}
 }

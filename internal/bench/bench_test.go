@@ -59,7 +59,7 @@ func TestFig2ShapeASPAndSORFavorHM(t *testing.T) {
 		// "Little impact" band. At these scaled sizes Nbody carries a
 		// visible one-time relocation cost (every multiple-writer chunk
 		// migrates once and readers pay one redirect each); the paper's
-		// full-size runs amortize it further. See EXPERIMENTS.md E1.
+		// full-size runs (dsmbench -fig 2 -full) amortize it further.
 		if ratio > 1.20 || ratio < 0.5 {
 			t.Errorf("%s: HM/NoHM time ratio %.2f, want near-neutral", app, ratio)
 		}
@@ -113,8 +113,7 @@ func TestFig5ShapeMatchesPaper(t *testing.T) {
 	}
 	// Transient pattern (r=2): FT2 prohibits migration in steady state
 	// (the final writer's termination check can trigger one terminal
-	// migration — see EXPERIMENTS.md); AT suppresses redirection
-	// relative to FT1.
+	// migration); AT suppresses redirection relative to FT1.
 	if m := get(2, "FT2").Migrations; m > 1 {
 		t.Errorf("FT2 migrated %d times at r=2, paper: prohibits migration", m)
 	}
@@ -198,7 +197,7 @@ func TestAblations(t *testing.T) {
 // TestHeadlineNumbers pins the reproduction's headline statistics at the
 // paper's exact synthetic configuration (8 workers, r=16). Deterministic
 // simulation makes these stable; if a protocol change moves them, this
-// test forces the change to be deliberate (and EXPERIMENTS.md updated).
+// test forces the change to be deliberate (README "Determinism").
 func TestHeadlineNumbers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-config headline runs in -short mode")

@@ -2,11 +2,11 @@
 
 // Package experiment is the parallel sweep substrate of every grid the
 // repository runs — the figure and ablation sweeps and the scenario,
-// cross-engine and chaos gates, all in internal/bench: a sweep is a flat list of Specs, executed across a pool of worker
-// goroutines, each claiming the next unstarted spec as it falls idle, and
-// reassembled in spec order — so every table, artifact and verdict
-// printed from a parallel sweep is byte-identical to the sequential
-// output. The pool is generic over what a run produces (Spec[T]): a run
+// cross-engine and chaos gates, all in internal/bench: a sweep is a flat
+// list of Specs, executed across a pool of worker goroutines, each
+// claiming the next unstarted spec as it falls idle, and reassembled in
+// spec order — so every table, artifact and verdict printed from a
+// parallel sweep is byte-identical to the sequential output. The pool is generic over what a run produces (Spec[T]): a run
 // returns its whole result — metrics, digest, verdicts — and gets it back
 // by index, so no client writes results into captured slots of its own.
 //

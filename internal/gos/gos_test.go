@@ -403,7 +403,7 @@ func TestJUMPMigratesOnEveryRemoteFetch(t *testing.T) {
 }
 
 // TestJiajiaConcurrentBarriersKeepPins: a node's pending single-writer
-// pins (jjPending) must survive an unrelated barrier's go broadcast.
+// pins (a barrier row's pending candidates) must survive an unrelated barrier's go broadcast.
 // Thread t0 reports obj at barrier A and parks; barrier B (disjoint
 // parties) completes first, and a local thread then acquires a lock,
 // which invalidates clean copies. If B's go had unpinned A's candidates,

@@ -85,21 +85,21 @@ func TestCheckInvariantsViolations(t *testing.T) {
 		{
 			name: "copyset surviving on a non-home node",
 			mutate: func(c *Cluster, obj memory.ObjectID) {
-				c.nodes[1].Copyset[obj] = map[memory.NodeID]bool{0: true}
+				c.nodes[1].Copyset[obj] = []memory.NodeID{0}
 			},
 			want: ErrStaleCopyset,
 		},
 		{
 			name: "copyset naming the home itself",
 			mutate: func(c *Cluster, obj memory.ObjectID) {
-				c.nodes[0].Copyset[obj] = map[memory.NodeID]bool{0: true}
+				c.nodes[0].Copyset[obj] = []memory.NodeID{0}
 			},
 			want: ErrStaleCopyset,
 		},
 		{
 			name: "copyset naming a node outside the cluster",
 			mutate: func(c *Cluster, obj memory.ObjectID) {
-				c.nodes[0].Copyset[obj] = map[memory.NodeID]bool{7: true}
+				c.nodes[0].Copyset[obj] = []memory.NodeID{7}
 			},
 			want: ErrStaleCopyset,
 		},

@@ -638,9 +638,10 @@ func (m *Member) Digest() uint64 { return m.digest }
 func (m *Member) FlightRecorder() *flight.Recorder { return m.flight }
 
 // FlightTimeline returns the merged cluster-wide flight timeline in
-// (Wall, Logical) HLC order. Populated on node 0 only, after the
-// verdict round (FinishApp or AbortApp) gathered every member's ring — node 0's own when a member died before handing its
-// ring in; empty elsewhere or when recording was off.
+// (Wall, Logical) HLC order. Populated on node 0 only, after the verdict
+// round (FinishApp or AbortApp) gathered every member's ring — node 0's
+// own when a member died before handing its ring in; empty elsewhere or
+// when recording was off.
 func (m *Member) FlightTimeline() []flight.Event { return m.timeline }
 
 // DataFrames reports the engine data frames this process has sent plus

@@ -777,74 +777,103 @@ func TestRelayNeverBlocksOnStoppedPeer(t *testing.T) {
 // takes the link's write side whole, so no frame's bytes interleave with
 // another's: the peer parses every frame, both streams in order and
 // byte for byte, clock stamps strictly rising along the link, and the
-// counters agree with what it read.
+// counters agree with what it read. Which path carries an answer is the
+// scheduler's choice (under -race a round can see no reader flush at
+// all), so rounds repeat, every frame of each checked, until one has
+// used both paths.
 func TestRelayAndWriterShareTheLink(t *testing.T) {
 	tr, raw := socketTransport(t, Options{
 		OnFatal: func(err error) { t.Errorf("fatal: %v", err) },
 		Clock:   hlc.New(nil),
 	}, nil)
-	const echoes, direct = 4000, 4000
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		tr.MarkShutdown()
+		raw.Close()
+		wg.Wait()
+		tr.Close()
+	})
+	const echoes, direct, rounds = 4000, 4000, 5
 	size := func(i int) int { return []int{36, 3, 2048, 300}[i%4] }
 	tr.SetSink(0, func(frame []byte) error {
 		tr.Send(1, frame)
 		return nil
 	})
-	// The first direct frame goes out before any request arrives: no
-	// reader is relaying, so it is the writer goroutine's.
-	tr.Send(1, append(transport.GetFrame(), seqFrame(size(0), 0)...))
-	waitUntil(t, "first direct frame", func() bool { ps, _ := tr.PeerStats(1); return ps.FramesSent == 1 })
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // the thread: direct frames, first byte's top bit clear
-		defer wg.Done()
-		for i := 1; i < direct; i++ {
-			tr.Send(1, append(transport.GetFrame(), seqFrame(size(i), i)...))
-			if i%16 == 0 {
-				time.Sleep(20 * time.Microsecond) // a thread, not a flood: the link is idle in between
-			}
-		}
-	}()
-	go func() { // the peer's requests, in small writes so batches end and start
-		defer wg.Done()
-		var chunk []byte
-		for i := 0; i < echoes; i++ {
-			p := seqFrame(size(i), i)
-			p[2] |= 0x80 // marks the echoed stream
-			chunk = rawFrame(chunk, chanData, hlc.Stamp{}, p)
-			if i%7 == 6 || i == echoes-1 {
-				if _, err := raw.Write(chunk); err != nil {
-					t.Error(err)
-					return
+	var prev hlc.Stamp // the last stamp the peer read
+	// round runs one exchange and returns the link counters it moved.
+	round := func() PeerStats {
+		before, _ := tr.PeerStats(1)
+		// The first direct frame goes out before any request arrives: no
+		// reader is relaying, so it is the writer goroutine's.
+		tr.Send(1, append(transport.GetFrame(), seqFrame(size(0), 0)...))
+		waitUntil(t, "first direct frame", func() bool { ps, _ := tr.PeerStats(1); return ps.FramesSent == before.FramesSent+1 })
+		wg.Add(2)
+		go func() { // the thread: direct frames, first byte's top bit clear
+			defer wg.Done()
+			for i := 1; i < direct; i++ {
+				tr.Send(1, append(transport.GetFrame(), seqFrame(size(i), i)...))
+				if i%16 == 0 {
+					time.Sleep(20 * time.Microsecond) // a thread, not a flood: the link is idle in between
 				}
-				chunk = chunk[:0]
 			}
+		}()
+		go func() { // the peer's requests, in small writes so batches end and start
+			defer wg.Done()
+			var chunk []byte
+			for i := 0; i < echoes; i++ {
+				p := seqFrame(size(i), i)
+				p[2] |= 0x80 // marks the echoed stream
+				chunk = rawFrame(chunk, chanData, hlc.Stamp{}, p)
+				if i%7 == 6 || i == echoes-1 {
+					if _, err := raw.Write(chunk); err != nil {
+						t.Error(err)
+						return
+					}
+					chunk = chunk[:0]
+				}
+			}
+		}()
+		_, stamps, payloads := readFrames(t, raw, echoes+direct)
+		wg.Wait()
+		var next [2]int
+		wire := 0
+		for i, p := range payloads {
+			wire += headSize + len(p)
+			s := int(p[2] >> 7)
+			want := seqFrame(size(next[s]), next[s])
+			want[2] |= byte(s << 7)
+			if !bytes.Equal(p, want) {
+				t.Fatalf("frame %d (stream %d, want seq %d): %d bytes, or contents differ", i, s, next[s], len(p))
+			}
+			next[s]++
+			if !prev.Less(stamps[i]) {
+				t.Fatalf("frame %d stamp %v not after the previous frame's %v", i, stamps[i], prev)
+			}
+			prev = stamps[i]
 		}
-	}()
-	_, stamps, payloads := readFrames(t, raw, echoes+direct)
-	wg.Wait()
-	var next [2]int
-	wire := 0
-	for i, p := range payloads {
-		wire += headSize + len(p)
-		s := int(p[2] >> 7)
-		want := seqFrame(size(next[s]), next[s])
-		want[2] |= byte(s << 7)
-		if !bytes.Equal(p, want) {
-			t.Fatalf("frame %d (stream %d, want seq %d): %d bytes, or contents differ", i, s, next[s], len(p))
+		var ps PeerStats
+		waitUntil(t, "link counters", func() bool {
+			ps, _ = tr.PeerStats(1)
+			return ps.FramesSent == before.FramesSent+echoes+direct
+		})
+		ps.FramesSent -= before.FramesSent
+		ps.BytesSent -= before.BytesSent
+		ps.Writes -= before.Writes
+		ps.Relayed -= before.Relayed
+		if ps.BytesSent != int64(wire) || ps.Writes > ps.FramesSent {
+			t.Fatalf("PeerStats moved by %+v, want %d bytes and no more writes than frames", ps, wire)
 		}
-		next[s]++
-		if i > 0 && !stamps[i-1].Less(stamps[i]) {
-			t.Fatalf("frame %d stamp %v not after frame %d stamp %v", i, stamps[i], i-1, stamps[i-1])
+		return ps
+	}
+	for r := 1; ; r++ {
+		ps := round()
+		if ps.Relayed > 0 && ps.Relayed < ps.FramesSent {
+			return
+		}
+		if r == rounds {
+			t.Fatalf("%d rounds, none used both writers: the last moved PeerStats by %+v", rounds, ps)
 		}
 	}
-	var ps PeerStats
-	waitUntil(t, "link counters", func() bool { ps, _ = tr.PeerStats(1); return ps.FramesSent == echoes+direct })
-	if ps.BytesSent != int64(wire) || ps.Writes > ps.FramesSent || ps.Relayed == 0 || ps.Relayed >= ps.FramesSent {
-		t.Fatalf("PeerStats = %+v, want %d bytes, no more writes than frames, and both writers used", ps, wire)
-	}
-	tr.MarkShutdown()
-	raw.Close()
-	tr.Close()
 }
 
 // TestPipeFallsBackToWriter: a connection without a descriptor (an

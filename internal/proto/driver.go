@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/flight"
 	"repro/internal/locator"
@@ -9,7 +10,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/syncmgr"
-	"repro/internal/twindiff"
 	"repro/internal/wire"
 )
 
@@ -86,8 +86,9 @@ type Driver struct {
 	// What await waits for. fetching: a fault-in of fetchObj, begun at
 	// fetchStart, whose latest ObjReq went to fetchTo. syncing: the
 	// syncKind (LockGrant or BarrierGo) of lock or barrier syncID.
-	// outstanding: the flushed diffs not yet acknowledged. pendingQuery
-	// marks the objects with a manager resolution in progress.
+	// outstanding: the flushed diffs not yet acknowledged, in flush order
+	// (its backing array is reused flush after flush). pendingQuery marks,
+	// per object, a manager resolution in progress.
 	fetching     bool
 	fetchObj     memory.ObjectID
 	fetchTo      memory.NodeID
@@ -95,18 +96,15 @@ type Driver struct {
 	syncing      bool
 	syncKind     wire.Kind
 	syncID       uint32
-	outstanding  map[memory.ObjectID]twindiff.Diff
-	pendingQuery map[memory.ObjectID]bool
-	// sendScratch is flushDirty's list of diffs to send, reused.
-	sendScratch []wire.ObjDiff
+	outstanding  []wire.ObjDiff
+	pendingQuery []bool
 }
 
 // NewDriver returns the driver for global thread id, the slot-th thread
-// of node n, waiting through h.
+// of node n, waiting through h. The layout is sealed by then.
 func NewDriver(n *Node, h Host, id int, slot int32, name string) Driver {
 	return Driver{n: n, h: h, id: id, slot: slot, name: name,
-		outstanding:  make(map[memory.ObjectID]twindiff.Diff),
-		pendingQuery: make(map[memory.ObjectID]bool),
+		pendingQuery: make([]bool, len(n.S.ObjWords)),
 	}
 }
 
@@ -272,7 +270,8 @@ func (d *Driver) Barrier(b BarrierID) {
 		n.Emit(flight.Event{Kind: flight.BarrierArrive, Thread: int32(d.id), Sync: uint32(b)})
 	}
 	reports := n.JiajiaReports(uint32(b))
-	n.BarWait[uint32(b)] = append(n.BarWait[uint32(b)], d.slot)
+	bar := &n.bars[b]
+	bar.wait = append(bar.wait, d.slot)
 	start := d.h.Now()
 	if home == n.ID {
 		n.BarrierArrive(uint32(b), syncmgr.Waiter{Node: n.ID, Slot: d.slot}, piggy, reports)
@@ -297,13 +296,10 @@ func (d *Driver) Barrier(b BarrierID) {
 // Node.FlushCollect).
 func (d *Driver) flushDirty(syncHome memory.NodeID) []wire.ObjDiff {
 	n := d.n
-	sends, piggy := n.FlushCollect(syncHome, d.sendScratch)
-	if sends != nil {
-		d.sendScratch = sends[:0]
-	}
-	for _, od := range sends {
+	var piggy []wire.ObjDiff
+	d.outstanding, piggy = n.FlushCollect(syncHome, d.outstanding)
+	for _, od := range d.outstanding {
 		n.SendDiff(d.slot, od.Obj, od.D)
-		d.outstanding[od.Obj] = od.D
 	}
 	d.await()
 	return piggy
@@ -361,10 +357,10 @@ func (d *Driver) reply(msg *wire.Msg) {
 	case wire.DiffAck:
 		// The ack means the home applied the diff; nothing holds its
 		// buffer any more, so it can be recycled.
-		if diff, ok := d.outstanding[obj]; ok {
-			n.Pool.PutDiff(diff)
+		if i := d.flushed(obj); i >= 0 {
+			n.Pool.PutDiff(d.outstanding[i].D)
+			d.outstanding = slices.Delete(d.outstanding, i, i+1)
 		}
-		delete(d.outstanding, obj)
 	case wire.HomeMiss:
 		if msg.Home != memory.NoNode && msg.Home != n.ID {
 			n.Loc.Learn(obj, msg.Home)
@@ -421,19 +417,31 @@ func (d *Driver) resend(obj memory.ObjectID) {
 		}, stats.ObjReq)
 		return
 	}
-	diff, ok := d.outstanding[obj]
-	if !ok {
+	i := d.flushed(obj)
+	if i < 0 {
 		return
 	}
+	diff := d.outstanding[i].D
 	if n.IsHome[obj] {
 		// The home migrated here while the diff was bouncing (a HomeMiss
 		// round-trip raced a fault-in migration): fold it in locally.
 		n.ApplyLocalDiff(obj, diff)
 		n.Pool.PutDiff(diff)
-		delete(d.outstanding, obj)
+		d.outstanding = slices.Delete(d.outstanding, i, i+1)
 		return
 	}
 	n.SendDiff(d.slot, obj, diff)
+}
+
+// flushed returns the index in outstanding of obj's unacknowledged diff,
+// or -1.
+func (d *Driver) flushed(obj memory.ObjectID) int {
+	for i := range d.outstanding {
+		if d.outstanding[i].Obj == obj {
+			return i
+		}
+	}
+	return -1
 }
 
 // managerStep advances the home resolution for obj by one step through

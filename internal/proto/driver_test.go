@@ -165,7 +165,7 @@ func (w *world) state() objState {
 	if o := w.n.Cache[w.obj]; o != nil {
 		s.Cache, s.Twin = o.State.String(), o.Twin != nil
 	}
-	_, s.Outstanding = w.d.outstanding[w.obj]
+	s.Outstanding = w.d.flushed(w.obj) >= 0
 	return s
 }
 
@@ -492,7 +492,7 @@ func TestDriverDiffBouncedToNewLocalHomeSettles(t *testing.T) {
 		sent: []string{"Diff>1"},
 		want: objState{Cache: "RO", Hint: 1, Outstanding: true},
 		then: func(w *world) Token {
-			for _, words := range w.d.outstanding[obj].Runs() {
+			for _, words := range w.d.outstanding[w.d.flushed(obj)].D.Runs() {
 				diffBuf = &words[0]
 			}
 			w.moveHome(1, 0)
@@ -579,7 +579,7 @@ func TestDriverBroadcastDiffRetry(t *testing.T) {
 			sent: []string{"Diff>2"},
 			want: objState{Cache: "RO", Hint: 2, Outstanding: true},
 			check: func(w *world) {
-				for _, words := range w.d.outstanding[w.obj].Runs() {
+				for _, words := range w.d.outstanding[w.d.flushed(w.obj)].D.Runs() {
 					diffBuf = &words[0]
 				}
 			}},

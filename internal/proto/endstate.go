@@ -112,16 +112,10 @@ func (n *Node) Report() NodeReport {
 		}
 		rep.HomeObjs = append(rep.HomeObjs, id)
 		rep.HomeData = append(rep.HomeData, o.Data)
-		// Name the lowest impossible sharer, so the report reads the same
-		// on every run whatever order the map yields them in.
-		bad, found := memory.NoNode, false
-		for sharer, ok := range n.Copyset[id] {
-			if ok && (sharer == n.ID || sharer < 0 || int(sharer) >= n.S.Nodes) && (!found || sharer < bad) {
-				bad, found = sharer, true
+		for _, sharer := range n.Copyset[id] {
+			if sharer == n.ID || sharer < 0 || int(sharer) >= n.S.Nodes {
+				fail(ErrStaleCopyset, "object %d: copyset of home %d names node %d", obj, n.ID, sharer)
 			}
-		}
-		if found {
-			fail(ErrStaleCopyset, "object %d: copyset of home %d names node %d", obj, n.ID, bad)
 		}
 	}
 	return rep

@@ -37,34 +37,28 @@ type Node struct {
 	subs      []subscription
 	listening flight.Mask
 
-	Cache    []*memory.Object // local copy (home or cached) per object
-	IsHome   []bool
-	HomeSt   []*core.State            // migration state, non-nil iff home
-	Copyset  []map[memory.NodeID]bool // nodes holding copies (home-side)
-	MyWrites []memory.ObjectID        // objects this node wrote this interval (Jiajia)
-	MgrHome  []memory.NodeID          // manager-locator current-home table
+	// The per-object tables, indexed by object id. Each fact is kept once:
+	// what is homed, cached or dirty here is read off Cache, IsHome and
+	// the copy's Dirty flag, in object order.
+	Cache  []*memory.Object // local copy (home or cached) per object
+	IsHome []bool
+	HomeSt []*core.State // migration state, non-nil iff home
+	// Copyset lists the nodes holding a copy of a home object, never the
+	// home itself: a served fault-in adds the requester, a remote diff
+	// leaves only its writer, a demote empties it.
+	Copyset  [][]memory.NodeID
+	MyWrites []memory.ObjectID // objects this node wrote this interval (Jiajia)
+	MgrHome  []memory.NodeID   // manager-locator current-home table
 	Loc      *locator.Table
 	// homeEpoch is the newest migration epoch announced here per object
 	// (MgrUpdate at the manager, HomeBcast anywhere); see announced.
 	homeEpoch []uint32
 
-	HomeList   []memory.ObjectID // objects homed here
-	CachedList []memory.ObjectID // cached (non-home) copies, possibly stale entries
-	DirtyList  []memory.ObjectID // cached copies with unflushed writes
-
-	Locks   map[uint32]*syncmgr.Lock
-	Bars    map[uint32]*syncmgr.Barrier
-	BarWait map[uint32][]int32 // local thread slots parked per barrier
-
-	jjWriter map[uint32]map[memory.ObjectID][]memory.NodeID
-	// jjPending are this node's self-reported single-writer candidates
-	// between a barrier arrival and the matching barrier go, keyed by
-	// barrier so a concurrent episode of another barrier cannot unpin
-	// them early. Together with MyWrites they pin local copies (see
-	// BeginInterval): a Jiajia home transfer moves no data, so the
-	// prospective new home must not discard its copy before the
-	// reassignment resolves.
-	jjPending map[uint32][]memory.ObjectID
+	// Locks is indexed by lock id: the manager state where this node
+	// manages the lock, nil elsewhere.
+	Locks []*syncmgr.Lock
+	// bars is indexed by barrier id; every node has a row for each.
+	bars []barrier
 
 	// Pool recycles twin buffers, diff run storage and invalidated cached
 	// copies' data so the steady-state write/flush cycle is allocation-free.
@@ -76,6 +70,28 @@ type Node struct {
 	pins  []int32
 	snaps [][]uint64
 }
+
+// barrier is one barrier's row on a node.
+type barrier struct {
+	// mgr is the manager state where this node manages the barrier.
+	mgr *syncmgr.Barrier
+	// wait are the local thread slots parked on the barrier.
+	wait []int32
+	// pending are this node's reported Jiajia candidates between its
+	// arrival and the barrier's go, kept per barrier so another barrier's
+	// go cannot unpin them early. Together with MyWrites they pin local
+	// copies (see BeginInterval): a Jiajia home transfer moves no data, so
+	// the prospective new home must not drop its copy before it resolves.
+	pending []memory.ObjectID
+	// writer is the manager's per-object tally of the episode's Jiajia
+	// reports: NoNode, the one node that reported the object, or
+	// severalReports. Made at the first report, cleared at every release.
+	writer []memory.NodeID
+}
+
+// severalReports marks a writer-table entry reported more than once in an
+// episode, by several nodes or by several threads of one: no reassignment.
+const severalReports memory.NodeID = -2
 
 // PinView records a bulk write view on home object obj until UnpinView,
 // at the holder's next synchronization. Meanwhile the home does not
@@ -282,8 +298,8 @@ func (n *Node) serveFault(msg wire.Msg) {
 	}
 
 	sharers := 0
-	for nd, ok := range n.Copyset[obj] {
-		if ok && nd != requester && nd != n.ID {
+	for _, nd := range n.Copyset[obj] {
+		if nd != requester {
 			sharers++
 		}
 	}
@@ -311,10 +327,9 @@ func (n *Node) serveFault(msg wire.Msg) {
 		n.Eng.Send(reply, stats.MigReply)
 		return
 	}
-	if n.Copyset[obj] == nil {
-		n.Copyset[obj] = make(map[memory.NodeID]bool)
+	if cs := n.Copyset[obj]; !slices.Contains(cs, requester) {
+		n.Copyset[obj] = append(cs, requester)
 	}
-	n.Copyset[obj][requester] = true
 	n.Eng.Send(reply, stats.ObjReply)
 }
 
@@ -323,18 +338,11 @@ func (n *Node) serveFault(msg wire.Msg) {
 func (n *Node) demote(obj memory.ObjectID, newHome memory.NodeID) {
 	n.IsHome[obj] = false
 	n.HomeSt[obj] = nil
-	n.Copyset[obj] = nil
-	for i, id := range n.HomeList {
-		if id == obj {
-			n.HomeList = append(n.HomeList[:i], n.HomeList[i+1:]...)
-			break
-		}
-	}
+	n.Copyset[obj] = n.Copyset[obj][:0]
 	o := n.Cache[obj]
 	o.State = memory.ReadOnly
 	o.Twin = nil
 	o.Dirty = false
-	n.CachedList = append(n.CachedList, obj)
 	n.Loc.Learn(obj, newHome)
 }
 
@@ -350,7 +358,6 @@ func (n *Node) promote(obj memory.ObjectID, rec *core.Record) {
 	} else {
 		n.HomeSt[obj] = core.NewState(n.S.Params, 8*len(o.Data))
 	}
-	n.HomeList = append(n.HomeList, obj)
 	n.Loc.ClearForward(obj)
 	n.Loc.Learn(obj, n.ID)
 	// Home-access monitoring: the access that faulted us here must be
@@ -422,22 +429,16 @@ func (n *Node) applyRemoteDiff(obj memory.ObjectID, d twindiff.Diff, writer memo
 	}
 	// After a write by writer, every other cached copy is stale under LRC;
 	// approximate the copyset as {writer} (it certainly has a current copy).
-	// Reuse the existing map rather than allocating one per diff receipt.
-	set := n.Copyset[obj]
-	if set == nil {
-		set = make(map[memory.NodeID]bool, 1)
-		n.Copyset[obj] = set
-	} else {
-		clear(set)
-	}
 	// A diff can boomerang back to its own writer: with multiple threads
 	// per node, one thread's in-flight diff chases a forwarding chain
 	// while another thread's fault migrates the home here. The home's own
 	// copy is authoritative, so the copyset must stay free of self
 	// entries (CheckInvariants enforces this).
+	set := n.Copyset[obj][:0]
 	if writer != n.ID {
-		set[writer] = true
+		set = append(set, writer)
 	}
+	n.Copyset[obj] = set
 }
 
 // NoteMyWrite records a first-write-of-interval for Jiajia's barrier-time
@@ -496,8 +497,7 @@ func (n *Node) handleDaemonDiffAck(msg wire.Msg) {
 			n.GrantLock(msg.Lock-1, next)
 		}
 	case msg.Barrier > 0:
-		b := n.Bars[msg.Barrier-1]
-		if b.Unblock() {
+		if n.bars[msg.Barrier-1].mgr.Unblock() {
 			n.barrierRelease(msg.Barrier - 1)
 		}
 	default:
@@ -520,49 +520,42 @@ func (n *Node) GrantLock(lock uint32, w syncmgr.Waiter) {
 
 // BarrierArrive registers one arrival at this (manager) node.
 func (n *Node) BarrierArrive(bid uint32, w syncmgr.Waiter, diffs []wire.ObjDiff, reports []wire.WriteReport) {
-	b := n.Bars[bid]
+	b := &n.bars[bid]
 	if blocked := n.applyPiggyback(diffs, w.Node, 0, bid+1); blocked > 0 {
-		b.Block(blocked)
+		b.mgr.Block(blocked)
 	}
-	if len(reports) > 0 {
-		ws := n.jjWriter[bid]
-		if ws == nil {
-			ws = make(map[memory.ObjectID][]memory.NodeID)
-			n.jjWriter[bid] = ws
-		}
-		for _, r := range reports {
-			ws[r.Obj] = append(ws[r.Obj], r.Writer)
+	if len(reports) > 0 && b.writer == nil {
+		b.writer = slices.Repeat([]memory.NodeID{memory.NoNode}, len(n.S.ObjWords))
+	}
+	for _, r := range reports {
+		if b.writer[r.Obj] == memory.NoNode {
+			b.writer[r.Obj] = r.Writer
+		} else {
+			b.writer[r.Obj] = severalReports
 		}
 	}
-	if b.Arrive(w) {
+	if b.mgr.Arrive(w) {
 		n.barrierRelease(bid)
 	}
 }
 
-// barrierRelease broadcasts the go (with any Jiajia home reassignments)
-// to every node and rearms the barrier.
+// barrierRelease broadcasts the go (with any Jiajia home reassignments:
+// each object reported exactly once this episode goes to its reporter, in
+// object order) to every node and rearms the barrier.
 func (n *Node) barrierRelease(bid uint32) {
 	if n.On(flight.BarrierRelease) {
 		n.Emit(flight.Event{Kind: flight.BarrierRelease, Sync: bid})
 	}
-	b := n.Bars[bid]
-	ws := b.Reset()
-	if len(ws) != n.S.BarParties[bid] {
+	b := &n.bars[bid]
+	if len(b.mgr.Reset()) != n.S.BarParties[bid] {
 		panic("proto: barrier released with wrong arrival count")
 	}
 	var assigns []wire.HomeAssign
-	if ws := n.jjWriter[bid]; len(ws) > 0 {
-		ids := make([]memory.ObjectID, 0, len(ws))
-		for obj := range ws {
-			if len(ws[obj]) == 1 { // written by exactly one node
-				ids = append(ids, obj)
-			}
+	for obj, w := range b.writer {
+		if w >= 0 {
+			assigns = append(assigns, wire.HomeAssign{Obj: memory.ObjectID(obj), Home: w})
 		}
-		slices.Sort(ids)
-		for _, obj := range ids {
-			assigns = append(assigns, wire.HomeAssign{Obj: obj, Home: ws[obj][0]})
-		}
-		delete(n.jjWriter, bid)
+		b.writer[obj] = memory.NoNode
 	}
 	goMsg := wire.Msg{Kind: wire.BarrierGo, From: n.ID, Barrier: bid, Assigns: assigns}
 	for id := 0; id < n.S.Nodes; id++ {
@@ -584,9 +577,10 @@ func (n *Node) ApplyBarrierGo(msg wire.Msg) {
 	}
 	// This barrier's reassignments are resolved; unpin only its own
 	// candidates — another barrier's episode may still be in flight.
-	n.jjPending[msg.Barrier] = n.jjPending[msg.Barrier][:0]
-	slots := n.BarWait[msg.Barrier]
-	n.BarWait[msg.Barrier] = slots[:0] // keep the backing array for the next episode
+	b := &n.bars[msg.Barrier]
+	b.pending = b.pending[:0]
+	slots := b.wait
+	b.wait = slots[:0] // keep the backing array for the next episode
 	for _, s := range slots {
 		n.Eng.ToThread(s, msg)
 	}
@@ -639,7 +633,6 @@ func (n *Node) applyAssign(a wire.HomeAssign) {
 			o.Twin = twindiff.TwinInto(&n.Pool, o.Data)
 			o.Dirty = true
 			o.State = memory.ReadWrite
-			n.DirtyList = append(n.DirtyList, a.Obj)
 			n.NoteMyWrite(a.Obj)
 		}
 	case !n.IsHome[a.Obj] && a.Home == n.ID:
@@ -651,13 +644,13 @@ func (n *Node) applyAssign(a wire.HomeAssign) {
 
 // jjProtected reports whether obj is pinned as a Jiajia reassignment
 // candidate: written by this node in the current interval (MyWrites) or
-// reported and awaiting the barrier's verdict (jjPending).
+// reported and awaiting a barrier's verdict (barrier.pending).
 func (n *Node) jjProtected(obj memory.ObjectID) bool {
 	if slices.Contains(n.MyWrites, obj) {
 		return true
 	}
-	for _, pending := range n.jjPending {
-		if slices.Contains(pending, obj) {
+	for i := range n.bars {
+		if slices.Contains(n.bars[i].pending, obj) {
 			return true
 		}
 	}
@@ -680,7 +673,8 @@ func (n *Node) JiajiaReports(bid uint32) []wire.WriteReport {
 	// acquires — or complete a different barrier — in the meantime, and
 	// those must not discard a copy the node might be about to become
 	// home of.
-	n.jjPending[bid] = append(n.jjPending[bid], n.MyWrites...)
+	b := &n.bars[bid]
+	b.pending = append(b.pending, n.MyWrites...)
 	n.MyWrites = n.MyWrites[:0]
 	return out
 }
@@ -689,8 +683,10 @@ func (n *Node) JiajiaReports(bid uint32) []wire.WriteReport {
 // access state of the home copy will be set to ... read-only on releasing
 // a lock"), so the next interval's first home access is trapped again.
 func (n *Node) EndInterval() {
-	for _, obj := range n.HomeList {
-		n.Cache[obj].State = memory.ReadOnly
+	for obj, home := range n.IsHome {
+		if home {
+			n.Cache[obj].State = memory.ReadOnly
+		}
 	}
 }
 
@@ -698,20 +694,14 @@ func (n *Node) EndInterval() {
 // invalidated (LRC: the acquirer must observe preceding releases), and
 // home copies are set to invalid for access monitoring (§3.3).
 func (n *Node) BeginInterval() {
-	kept := n.CachedList[:0]
-	for _, obj := range n.CachedList {
-		if n.IsHome[obj] {
-			continue // promoted since; tracked in HomeList now
-		}
-		o := n.Cache[obj]
-		if o == nil {
-			continue // already dropped (duplicate entry)
-		}
-		if o.Dirty {
-			kept = append(kept, obj) // unflushed writes survive acquires
-			continue
-		}
-		if n.S.Policy.BarrierDriven() && n.jjProtected(obj) {
+	for obj, o := range n.Cache {
+		switch {
+		case o == nil:
+		case n.IsHome[obj]:
+			o.State = memory.Invalid
+		case o.Dirty:
+			// Unflushed writes survive acquires.
+		case n.S.Policy.BarrierDriven() && n.jjProtected(memory.ObjectID(obj)):
 			// This node is the interval's (so far) only writer of obj and
 			// may be handed its home at the next barrier — a transfer
 			// that moves no data. Keep the copy but make it Invalid, so
@@ -721,18 +711,13 @@ func (n *Node) BeginInterval() {
 			// never reassigns it and the copy is simply replaced on the
 			// next fault-in.
 			o.State = memory.Invalid
-			kept = append(kept, obj)
 			n.Counters.InvalidatedObjs++
-			continue
+		default:
+			// The dropped copy's data (installed from a fault-in reply) feeds
+			// the pool; the next twin, diff or served fault reuses it.
+			n.Pool.PutWords(o.Data)
+			n.Cache[obj] = nil
+			n.Counters.InvalidatedObjs++
 		}
-		// The dropped copy's data (installed from a fault-in reply) feeds
-		// the pool; the next twin, diff or served fault reuses it.
-		n.Pool.PutWords(o.Data)
-		n.Cache[obj] = nil
-		n.Counters.InvalidatedObjs++
-	}
-	n.CachedList = kept
-	for _, obj := range n.HomeList {
-		n.Cache[obj].State = memory.Invalid
 	}
 }

@@ -189,16 +189,7 @@ func (sp *Space) NewNode(id memory.NodeID) *Node {
 	if int(id) != len(sp.Nodes) {
 		panic(fmt.Sprintf("proto: node %d created out of order (have %d)", id, len(sp.Nodes)))
 	}
-	n := &Node{
-		ID:        id,
-		S:         sp.S,
-		Loc:       locator.NewTable(0),
-		Locks:     make(map[uint32]*syncmgr.Lock),
-		Bars:      make(map[uint32]*syncmgr.Barrier),
-		jjWriter:  make(map[uint32]map[memory.ObjectID][]memory.NodeID),
-		BarWait:   make(map[uint32][]int32),
-		jjPending: make(map[uint32][]memory.ObjectID),
-	}
+	n := &Node{ID: id, S: sp.S, Loc: locator.NewTable(0)}
 	sp.Nodes = append(sp.Nodes, n)
 	return n
 }
@@ -226,7 +217,6 @@ func (sp *Space) AddObject(words int, home memory.NodeID) memory.ObjectID {
 	hn.Cache[id] = o
 	hn.IsHome[id] = true
 	hn.HomeSt[id] = core.NewState(s.Params, 8*words)
-	hn.HomeList = append(hn.HomeList, id)
 	// The manager locator's designated node learns the initial home.
 	sp.Nodes[locator.ManagerOf(id, s.Nodes)].MgrHome[id] = home
 	return id
@@ -247,7 +237,10 @@ func (sp *Space) AddLock(home memory.NodeID) LockID {
 	s := sp.S
 	id := LockID(len(s.LockHome))
 	s.LockHome = append(s.LockHome, home)
-	sp.Nodes[home].Locks[uint32(id)] = syncmgr.NewLock()
+	for _, n := range sp.Nodes {
+		n.Locks = append(n.Locks, nil)
+	}
+	sp.Nodes[home].Locks[id] = syncmgr.NewLock()
 	return id
 }
 
@@ -258,7 +251,10 @@ func (sp *Space) AddBarrier(home memory.NodeID, parties int) BarrierID {
 	id := BarrierID(len(s.BarHome))
 	s.BarHome = append(s.BarHome, home)
 	s.BarParties = append(s.BarParties, parties)
-	sp.Nodes[home].Bars[uint32(id)] = syncmgr.NewBarrier(parties)
+	for _, n := range sp.Nodes {
+		n.bars = append(n.bars, barrier{})
+	}
+	sp.Nodes[home].bars[id].mgr = syncmgr.NewBarrier(parties)
 	return id
 }
 

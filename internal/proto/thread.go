@@ -2,7 +2,6 @@ package proto
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/flight"
 	"repro/internal/locator"
@@ -115,7 +114,6 @@ func (n *Node) WriteCheck(obj memory.ObjectID) (o *memory.Object, trapped bool) 
 		o.Twin = twindiff.TwinInto(&n.Pool, o.Data)
 		o.Dirty = true
 		o.State = memory.ReadWrite
-		n.DirtyList = append(n.DirtyList, obj)
 		n.NoteMyWrite(obj)
 		n.Counters.TwinsCreated++
 		return o, true
@@ -145,24 +143,19 @@ func (n *Node) Install(msg wire.Msg) *memory.Object {
 		}
 		return n.Cache[obj]
 	}
-	o := &memory.Object{ID: obj, Data: msg.Data, State: memory.ReadOnly}
-	wasCached := n.Cache[obj] != nil
-	if wasCached {
+	if old := n.Cache[obj]; old != nil {
 		// A kept Invalid copy (a Jiajia reassignment candidate the
 		// barrier declined) is being replaced: recycle its buffer so
 		// the refetch stays allocation-free.
-		n.Pool.PutWords(n.Cache[obj].Data)
+		n.Pool.PutWords(old.Data)
 	}
+	o := &memory.Object{ID: obj, Data: msg.Data, State: memory.ReadOnly}
 	n.Cache[obj] = o
 	n.Loc.Learn(obj, msg.Home)
 	if msg.Migrate {
 		rec := msg.Rec
 		n.promote(obj, &rec)
 		n.NotifyNewHome(obj)
-		return o
-	}
-	if !wasCached {
-		n.CachedList = append(n.CachedList, obj)
 	}
 	return o
 }
@@ -212,17 +205,13 @@ func (n *Node) MaybeCompressPath(entry memory.NodeID, msg wire.Msg) {
 // sends reuses scratch's backing array; piggy is freshly allocated
 // because it escapes into an in-flight message.
 func (n *Node) FlushCollect(syncHome memory.NodeID, scratch []wire.ObjDiff) (sends, piggy []wire.ObjDiff) {
-	if len(n.DirtyList) == 0 {
-		return nil, nil
-	}
-	slices.Sort(n.DirtyList)
 	canPiggy := n.S.Piggyback && n.S.Locator == locator.ForwardingPointer && syncHome != n.ID
 	sends = scratch[:0]
-	for _, obj := range n.DirtyList {
-		o := n.Cache[obj]
+	for i, o := range n.Cache {
 		if o == nil || !o.Dirty {
 			continue
 		}
+		obj := memory.ObjectID(i)
 		if n.IsHome[obj] {
 			panic(fmt.Sprintf("proto: home copy of %d is dirty on node %d", obj, n.ID))
 		}
@@ -249,7 +238,6 @@ func (n *Node) FlushCollect(syncHome memory.NodeID, scratch []wire.ObjDiff) (sen
 		}
 		sends = append(sends, wire.ObjDiff{Obj: obj, D: d})
 	}
-	n.DirtyList = n.DirtyList[:0]
 	return sends, piggy
 }
 
