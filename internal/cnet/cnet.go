@@ -28,7 +28,9 @@ type Config struct {
 	// per pair is still enforced after jitter.
 	Jitter sim.Time
 	// DebugCheck round-trips every message through Encode/Decode and
-	// panics on mismatch. On by default in tests, off in large sweeps.
+	// panics when the decoded message differs from the one sent (its
+	// encoded length, a header field, Rec or a slice's contents). On by
+	// default in tests, off in large sweeps.
 	DebugCheck bool
 }
 
@@ -37,8 +39,9 @@ type Config struct {
 //
 // Messages travel through queues as *wire.Msg drawn from a freelist:
 // boxing a pointer into the queue's `any` slot is allocation-free, whereas
-// boxing the fat Msg struct would heap-allocate a copy per hop. Receivers
-// must copy the struct out and return the box with FreeMsg.
+// boxing the fat Msg struct would heap-allocate a copy per hop. A sent
+// message is copied once, into its box; the receiver reads it in place and
+// returns the box with FreeMsg when it is done with it.
 type Network struct {
 	env      *sim.Env
 	cfg      Config
@@ -66,25 +69,27 @@ func New(env *sim.Env, cfg Config, n int, counters *stats.Counters) *Network {
 // Nodes reports the cluster size.
 func (n *Network) Nodes() int { return len(n.inboxes) }
 
-// AllocMsg returns a message box holding a copy of msg, drawn from the
+// AllocMsg returns a message box holding a copy of *msg, drawn from the
 // freelist. Use it when enqueueing a message on any sim queue; the
 // receiver returns the box with FreeMsg.
-func (n *Network) AllocMsg(msg wire.Msg) *wire.Msg {
+//
+//dsm:hotpath
+func (n *Network) AllocMsg(msg *wire.Msg) *wire.Msg {
+	var m *wire.Msg
 	if k := len(n.msgPool); k > 0 {
-		m := n.msgPool[k-1]
+		m = n.msgPool[k-1]
 		n.msgPool[k-1] = nil
 		n.msgPool = n.msgPool[:k-1]
-		*m = msg
-		return m
+	} else {
+		m = new(wire.Msg)
 	}
-	m := new(wire.Msg)
-	*m = msg
+	*m = *msg
 	return m
 }
 
-// FreeMsg returns a message box to the freelist. The caller must have
-// copied out any fields it still needs; the box is reused on the next
-// AllocMsg (the slices it referenced are not touched, only the struct).
+// FreeMsg returns a message box to the freelist. The caller must be done
+// with the box; it is reused on the next AllocMsg (the slices it
+// referenced are not touched, only the struct).
 func (n *Network) FreeMsg(m *wire.Msg) {
 	n.msgPool = append(n.msgPool, m)
 }
@@ -92,11 +97,14 @@ func (n *Network) FreeMsg(m *wire.Msg) {
 // Inbox returns node id's delivery queue.
 func (n *Network) Inbox(id memory.NodeID) *sim.Queue { return n.inboxes[id] }
 
-// Send transmits msg from msg.From to msg.To, recording it under cat.
+// Send transmits *msg from msg.From to msg.To, recording it under cat.
 // Delivery is an event at now + t(wireSize). Same-node sends are a
 // protocol bug: local interactions must bypass the network entirely
 // ("accesses at the home node never incur communication overhead", §1).
-func (n *Network) Send(msg wire.Msg, cat stats.Category) {
+// Send keeps no reference to msg: what it delivers is a pooled copy.
+//
+//dsm:hotpath
+func (n *Network) Send(msg *wire.Msg, cat stats.Category) {
 	if msg.From == msg.To {
 		panic(fmt.Sprintf("cnet: same-node send of %v on node %d", msg.Kind, msg.From))
 	}
@@ -143,24 +151,30 @@ func (n *Network) jitter(from, to memory.NodeID) sim.Time {
 // point-to-point messages — "a well implemented broadcast operation", §3.2,
 // would be cheaper; this conservative accounting favors the non-broadcast
 // mechanisms, which is the direction the paper argues from).
-func (n *Network) Broadcast(msg wire.Msg, cat stats.Category) {
+func (n *Network) Broadcast(msg *wire.Msg, cat stats.Category) {
+	m := *msg
 	for id := range n.inboxes {
-		if memory.NodeID(id) == msg.From {
+		if memory.NodeID(id) == m.From {
 			continue
 		}
-		m := msg
 		m.To = memory.NodeID(id)
-		n.Send(m, cat)
+		n.Send(&m, cat)
 	}
 }
 
-func (n *Network) verify(msg wire.Msg, size int) {
+// verify is DebugCheck: msg must survive the codec whole, so that what the
+// sim delivers is what a live peer would decode.
+func (n *Network) verify(msg *wire.Msg, size int) {
 	buf := msg.Encode(n.scratch[:0])
 	n.scratch = buf
 	if len(buf) != size {
 		panic(fmt.Sprintf("cnet: WireSize %d != encoded %d for %v", size, len(buf), msg.Kind))
 	}
-	if _, err := wire.Decode(buf); err != nil {
+	got, err := wire.Decode(buf)
+	if err != nil {
 		panic(fmt.Sprintf("cnet: self-check decode failed for %v: %v", msg.Kind, err))
+	}
+	if !got.Equal(msg) {
+		panic(fmt.Sprintf("cnet: codec round trip changed a %v:\nsent    %+v\ndecoded %+v", msg.Kind, *msg, got))
 	}
 }

@@ -1,8 +1,10 @@
 package cnet
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/hockney"
 	"repro/internal/memory"
 	"repro/internal/sim"
@@ -29,7 +31,7 @@ func TestDeliveryWithLatency(t *testing.T) {
 		}
 	})
 	env.Spawn("send", func(p *sim.Proc) {
-		nw.Send(msg, stats.ObjReq)
+		nw.Send(&msg, stats.ObjReq)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -54,8 +56,8 @@ func TestFIFOPerPairEvenWithMixedSizes(t *testing.T) {
 		}
 	})
 	env.Spawn("send", func(p *sim.Proc) {
-		nw.Send(big, stats.ObjReply)
-		nw.Send(small, stats.ObjReq)
+		nw.Send(&big, stats.ObjReply)
+		nw.Send(&small, stats.ObjReq)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -79,8 +81,8 @@ func TestDifferentPairsCanOvertake(t *testing.T) {
 		smallAt = p.Now()
 	})
 	env.Spawn("send", func(p *sim.Proc) {
-		nw.Send(wire.Msg{Kind: wire.ObjReply, From: 0, To: 1, Data: make([]uint64, 65536)}, stats.ObjReply)
-		nw.Send(wire.Msg{Kind: wire.ObjReq, From: 0, To: 2}, stats.ObjReq)
+		nw.Send(&wire.Msg{Kind: wire.ObjReply, From: 0, To: 1, Data: make([]uint64, 65536)}, stats.ObjReply)
+		nw.Send(&wire.Msg{Kind: wire.ObjReq, From: 0, To: 2}, stats.ObjReq)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -94,7 +96,7 @@ func TestStatsRecorded(t *testing.T) {
 	env, nw, c := testNet(2)
 	msg := wire.Msg{Kind: wire.DiffMsg, From: 1, To: 0}
 	env.Spawn("recv", func(p *sim.Proc) { nw.Inbox(0).Recv(p) })
-	env.Spawn("send", func(p *sim.Proc) { nw.Send(msg, stats.Diff) })
+	env.Spawn("send", func(p *sim.Proc) { nw.Send(&msg, stats.Diff) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,7 @@ func TestStatsRecorded(t *testing.T) {
 func TestSameNodeSendPanics(t *testing.T) {
 	env, nw, _ := testNet(2)
 	env.Spawn("bad", func(p *sim.Proc) {
-		nw.Send(wire.Msg{Kind: wire.ObjReq, From: 1, To: 1}, stats.ObjReq)
+		nw.Send(&wire.Msg{Kind: wire.ObjReq, From: 1, To: 1}, stats.ObjReq)
 	})
 	if err := env.Run(); err == nil {
 		t.Fatal("same-node send did not fail the run")
@@ -122,7 +124,7 @@ func TestSameNodeSendPanics(t *testing.T) {
 func TestInvalidDestinationPanics(t *testing.T) {
 	env, nw, _ := testNet(2)
 	env.Spawn("bad", func(p *sim.Proc) {
-		nw.Send(wire.Msg{Kind: wire.ObjReq, From: 0, To: 9}, stats.ObjReq)
+		nw.Send(&wire.Msg{Kind: wire.ObjReq, From: 0, To: 9}, stats.ObjReq)
 	})
 	if err := env.Run(); err == nil {
 		t.Fatal("invalid destination did not fail the run")
@@ -143,7 +145,7 @@ func TestBroadcastReachesAllButSender(t *testing.T) {
 		})
 	}
 	env.Spawn("send", func(p *sim.Proc) {
-		nw.Broadcast(wire.Msg{Kind: wire.HomeBcast, From: 0, Obj: 3, Home: 2}, stats.HomeBcast)
+		nw.Broadcast(&wire.Msg{Kind: wire.HomeBcast, From: 0, Obj: 3, Home: 2}, stats.HomeBcast)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -153,6 +155,33 @@ func TestBroadcastReachesAllButSender(t *testing.T) {
 	}
 	if c.Msgs[stats.HomeBcast] != 3 {
 		t.Fatalf("broadcast charged %d messages, want 3", c.Msgs[stats.HomeBcast])
+	}
+}
+
+// TestDebugCheckComparesTheRoundTrip: DebugCheck fails the send of a
+// message the codec would change — Rec travels only under HasRec — and
+// passes one that survives whole, where an empty slice decodes as nil.
+func TestDebugCheckComparesTheRoundTrip(t *testing.T) {
+	rec := core.Record{TBase: 1.5, Epoch: 2}
+	for _, c := range []struct {
+		name    string
+		msg     wire.Msg
+		changed bool
+	}{
+		{"Rec under HasRec", wire.Msg{Kind: wire.ObjReply, Migrate: true, HasRec: true, Rec: rec, Data: []uint64{7}}, false},
+		{"empty slices", wire.Msg{Kind: wire.LockRel, Data: []uint64{}, Diffs: []wire.ObjDiff{{Obj: 1}}, Assigns: []wire.HomeAssign{}}, false},
+		{"Rec without HasRec", wire.Msg{Kind: wire.ObjReply, Migrate: true, Rec: rec}, true},
+	} {
+		env, nw, _ := testNet(2)
+		c.msg.To = 1
+		env.Spawn("recv", func(p *sim.Proc) { nw.Inbox(1).Recv(p) })
+		env.Spawn("send", func(p *sim.Proc) { nw.Send(&c.msg, stats.ObjReply) })
+		switch err := env.Run(); {
+		case c.changed && (err == nil || !strings.Contains(err.Error(), "codec round trip changed")):
+			t.Errorf("%s: err = %v, want the changed round trip named", c.name, err)
+		case !c.changed && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		}
 	}
 }
 
@@ -167,7 +196,7 @@ func TestFIFOPerPair(t *testing.T) {
 	})
 	env.Spawn("send", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
-			nw.Send(wire.Msg{Kind: wire.ObjReq, From: 0, To: 1, Seq: uint32(i)}, stats.ObjReq)
+			nw.Send(&wire.Msg{Kind: wire.ObjReq, From: 0, To: 1, Seq: uint32(i)}, stats.ObjReq)
 		}
 	})
 	if err := env.Run(); err != nil {

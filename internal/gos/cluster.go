@@ -195,7 +195,7 @@ func (c *Cluster) quiesced() bool {
 		return false
 	}
 	for _, n := range c.nodes {
-		if n.busy || n.inbox.Len() > 0 {
+		if n.cur != nil || n.inbox.Len() > 0 {
 			return false
 		}
 	}

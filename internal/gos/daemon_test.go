@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/locator"
 	"repro/internal/migration"
 	"repro/internal/proto"
@@ -23,7 +24,7 @@ import (
 func TestHandlerPanicNamesDaemonKindAndPeer(t *testing.T) {
 	c := New(DefaultConfig(4)) // DebugWire off: the simulated wire carries anything
 	_, err := c.Run([]Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
-		c.net.Send(wire.Msg{Kind: wire.Kind(200), From: 1, To: 2}, stats.ObjReq)
+		c.net.Send(&wire.Msg{Kind: wire.Kind(200), From: 1, To: 2}, stats.ObjReq)
 		th.Compute(sim.Millisecond)
 	}}})
 	var pe *sim.PanicError
@@ -35,6 +36,22 @@ func TestHandlerPanicNamesDaemonKindAndPeer(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "node 2 cannot handle Kind(200)") {
 		t.Errorf("the panic is not Handle's last arm:\n%.300s", err.Error())
+	}
+}
+
+// TestDebugWireFailsALossyFrame: under DebugWire a frame the codec would
+// not carry whole — Rec set while HasRec is false, which a live peer would
+// decode without it — fails the run at the send, under the sending thread.
+func TestDebugWireFailsALossyFrame(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.DebugWire = true
+	c := New(cfg)
+	_, err := c.Run([]Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
+		c.net.Send(&wire.Msg{Kind: wire.ObjReply, From: 1, To: 2, Migrate: true, Rec: core.Record{Epoch: 3}}, stats.ObjReply)
+	}}})
+	var pe *sim.PanicError
+	if !errors.As(err, &pe) || pe.Proc != "w" || !strings.Contains(err.Error(), "codec round trip changed a ObjReply") {
+		t.Fatalf("err = %.300v, want thread w's panic naming the changed ObjReply", err)
 	}
 }
 
@@ -83,7 +100,7 @@ func TestOnlyThreadsAndMasterAreProcs(t *testing.T) {
 
 // TestQuiescenceWaitsOutABusyDaemon: the master ends the run at the first
 // of its 5 µs polls that finds no frame in flight, none in an inbox and
-// no daemon between its two steps. The last is the one only Node.busy
+// no daemon between its two steps. The last is the one only Node.cur
 // shows: a frame a daemon has taken but not handled is in neither place.
 // Thread a's last act is a fire-and-forget release carrying a diff;
 // thread b only computes and finishes while that frame is still on the

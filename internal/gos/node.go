@@ -23,11 +23,13 @@ type Node struct {
 	*proto.Node
 	c *Cluster
 
-	threads  []*Thread
-	inbox    *sim.Queue
-	busy     bool     // daemon is processing a message (quiescence detection)
-	cur      wire.Msg // the message being processed, while busy
-	handleFn func()   // n.handle, bound once: scheduling it allocates nothing
+	threads []*Thread
+	inbox   *sim.Queue
+	// cur is the inbox box of the frame being processed, held from begin
+	// until Handle returns; non-nil means the daemon is busy (quiescence
+	// detection).
+	cur      *wire.Msg
+	handleFn func() // n.handle, bound once: scheduling it allocates nothing
 }
 
 func newNode(c *Cluster, id memory.NodeID) *Node {
@@ -45,14 +47,14 @@ func (n *Node) Send(msg wire.Msg, cat stats.Category) {
 	if n.On(flight.FrameSend) {
 		n.Emit(flight.Event{Kind: flight.FrameSend, Tag: uint8(msg.Kind), Peer: msg.To, Bytes: int32(msg.WireSize())})
 	}
-	n.c.net.Send(msg, cat)
+	n.c.net.Send(&msg, cat)
 }
 
 // ToThread implements proto.Engine: local daemon→thread handoff,
 // bypassing the network, through the pooled message-box path (no
 // per-send struct boxing allocation).
 func (n *Node) ToThread(slot int32, msg wire.Msg) {
-	n.threads[slot].reply.Send(n.c.net.AllocMsg(msg))
+	n.threads[slot].reply.Send(n.c.net.AllocMsg(&msg))
 }
 
 // Broadcast implements proto.Engine: one message to every node but the
@@ -61,7 +63,7 @@ func (n *Node) Broadcast(msg wire.Msg, cat stats.Category) {
 	if n.On(flight.FrameSend) {
 		n.Emit(flight.Event{Kind: flight.FrameSend, Tag: uint8(msg.Kind), Peer: memory.NoNode, Bytes: int32(msg.WireSize())})
 	}
-	n.c.net.Broadcast(msg, cat)
+	n.c.net.Broadcast(&msg, cat)
 }
 
 // msgProcCost is the daemon's per-message software overhead.
@@ -73,23 +75,22 @@ const msgProcCost = 2 * sim.Microsecond
 //dsm:hotpath
 func (n *Node) begin() {
 	raw, _ := n.inbox.TryRecv()
-	pm := raw.(*wire.Msg)
-	n.busy = true
-	n.cur = *pm
-	n.c.net.FreeMsg(pm)
+	m := raw.(*wire.Msg)
+	n.cur = m
 	if n.On(flight.FrameRecv) {
-		n.Emit(flight.Event{Kind: flight.FrameRecv, Tag: uint8(n.cur.Kind), Peer: n.cur.From, Bytes: int32(n.cur.WireSize())})
+		n.Emit(flight.Event{Kind: flight.FrameRecv, Tag: uint8(m.Kind), Peer: m.From, Bytes: int32(m.WireSize())})
 	}
 	n.inbox.After(msgProcCost, n.handleFn)
 }
 
-// handle is the second step, msgProcCost later: run the protocol handler,
-// then take the next frame or go idle.
+// handle is the second step, msgProcCost later: run the protocol handler
+// on the frame's box, free the box, then take the next frame or go idle.
 //
 //dsm:hotpath
 func (n *Node) handle() {
-	n.Handle(n.cur)
-	n.busy = false
+	n.Handle(*n.cur)
+	n.c.net.FreeMsg(n.cur)
+	n.cur = nil
 	if n.inbox.Len() > 0 {
 		n.begin()
 	} else {
@@ -99,7 +100,7 @@ func (n *Node) handle() {
 
 // who names the daemon in a sim.PanicError, with the frame it has in hand.
 func (n *Node) who() string {
-	if !n.busy {
+	if n.cur == nil {
 		return fmt.Sprintf("daemon-n%d", n.ID)
 	}
 	return fmt.Sprintf("daemon-n%d handling %v from node %d", n.ID, n.cur.Kind, n.cur.From)

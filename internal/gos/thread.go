@@ -91,9 +91,10 @@ func (t *Thread) Recv(tok *proto.Token) {
 	}
 }
 
-// RetryAfter implements proto.Host.
+// RetryAfter implements proto.Host: the token is posted to the reply
+// queue retryDelay from now, as a delivery rather than a callback.
 func (t *Thread) RetryAfter(kind proto.TokenKind, obj memory.ObjectID) {
-	t.c.env.At(retryDelay, func() { t.reply.Send(retry{kind, obj}) })
+	t.c.env.DeliverAt(retryDelay, t.reply, retry{kind, obj}, nil)
 }
 
 // compile-time check: the sim thread implements the shared interface

@@ -12,11 +12,16 @@
 // channels. Two runs with the same inputs produce identical event orders,
 // identical virtual times and identical statistics.
 //
-// Performance: the kernel is allocation-free in steady state. Events are a
-// tagged union (activate-proc / deliver-to-queue / generic-fn) stored by
-// value in a 4-ary min-heap, so Sleep, queue wakeups and message
-// deliveries schedule without touching the heap allocator; queues are ring
-// buffers with O(1) receive and single-waiter wakeup.
+// Performance: the kernel is allocation-free in steady state. The 4-ary
+// min-heap holds only 24-byte keys — time, sequence number and a slot
+// index, no pointers — so sifting moves no pointer words and hits no write
+// barrier. The payload of each event, a tagged union (activate-proc /
+// deliver-to-queue / generic-fn), lives in a slab slot the key names,
+// recycled through a free list; dispatch clears and frees the slot before
+// it runs the event, so nothing fired stays reachable. Sleep, queue
+// wakeups and message deliveries thus schedule without touching the heap
+// allocator; queues are ring buffers with O(1) receive and single-waiter
+// wakeup.
 package sim
 
 import (
@@ -69,13 +74,25 @@ const (
 	evDeliver
 )
 
-// event is a scheduled occurrence. seq breaks ties so that events
-// scheduled earlier fire earlier, giving FIFO semantics at equal
-// timestamps. Exactly one of fn/proc/q is meaningful, per kind (a queue
-// consumer's evFn names its queue as well).
-type event struct {
+// key orders one scheduled event in the heap. seq breaks ties so that
+// events scheduled earlier fire earlier, giving FIFO semantics at equal
+// timestamps; slot names the event's payload in the Env's slab.
+type key struct {
 	t    Time
 	seq  uint64
+	slot int32
+}
+
+func (k key) before(other key) bool {
+	if k.t != other.t {
+		return k.t < other.t
+	}
+	return k.seq < other.seq
+}
+
+// event is a scheduled occurrence's payload. Exactly one of fn/proc/q is
+// meaningful, per kind (a queue consumer's evFn names its queue as well).
+type event struct {
 	kind eventKind
 	proc *Proc  // evActivate target
 	q    *Queue // evDeliver target; evFn: the queue whose consumer fn is a step of, if any
@@ -87,20 +104,15 @@ type event struct {
 	fn       func() // evFn callback
 }
 
-func (ev *event) before(other *event) bool {
-	if ev.t != other.t {
-		return ev.t < other.t
-	}
-	return ev.seq < other.seq
-}
-
 // Env is a simulation environment: a virtual clock plus an event queue.
 // It is not safe for concurrent use from multiple OS threads; all access
 // happens from the single running Proc or from event callbacks.
 type Env struct {
 	now      Time
 	seq      uint64
-	events   []event // 4-ary min-heap ordered by (t, seq)
+	heap     []key   // 4-ary min-heap ordered by (t, seq)
+	slab     []event // payloads, indexed by key.slot
+	free     []int32 // slab slots not holding a scheduled event
 	parked   chan struct{}
 	procs    []*Proc
 	nlive    int
@@ -135,7 +147,7 @@ func (e *Env) At(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e.push(event{t: e.now + d, kind: evFn, fn: fn})
+	e.schedule(e.now + d).fn = fn
 }
 
 // DeliverAt schedules v to be enqueued on q at now+d (clamped to now).
@@ -146,47 +158,66 @@ func (e *Env) DeliverAt(d Time, q *Queue, v any, inflight *int) {
 	if d < 0 {
 		d = 0
 	}
-	e.push(event{t: e.now + d, kind: evDeliver, q: q, msg: v, inflight: inflight})
+	ev := e.schedule(e.now + d)
+	ev.kind, ev.q, ev.msg, ev.inflight = evDeliver, q, v, inflight
 }
 
 // activateAt schedules proc p to resume at time t.
 func (e *Env) activateAt(t Time, p *Proc) {
-	e.push(event{t: t, kind: evActivate, proc: p})
+	ev := e.schedule(t)
+	ev.kind, ev.proc = evActivate, p
 }
 
-// push inserts ev into the 4-ary heap, assigning its sequence number.
-// A hand-rolled heap over []event avoids the per-push interface boxing of
-// container/heap (one allocation per scheduled event) and trades depth for
-// width: 4-ary halves the levels touched by the frequent sift-ups.
+// schedule files an event at time t, behind every event already filed,
+// and returns its zeroed payload slot (an evFn) for the caller to fill in
+// place. The pointer is good until the next schedule.
 //
 //dsm:hotpath
-func (e *Env) push(ev event) {
+func (e *Env) schedule(t Time) *event {
+	var slot int32
+	if k := len(e.free); k > 0 {
+		slot = e.free[k-1]
+		e.free = e.free[:k-1]
+	} else {
+		slot = int32(len(e.slab))
+		e.slab = append(e.slab, event{})
+	}
 	e.seq++
-	ev.seq = e.seq
-	h := append(e.events, ev)
+	e.push(key{t: t, seq: e.seq, slot: slot})
+	return &e.slab[slot]
+}
+
+// push inserts k into the 4-ary heap. A hand-rolled heap over []key avoids
+// the per-push interface boxing of container/heap (one allocation per
+// scheduled event) and trades depth for width: 4-ary halves the levels
+// touched by the frequent sift-ups.
+//
+//dsm:hotpath
+func (e *Env) push(k key) {
+	h := append(e.heap, k)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !h[i].before(&h[parent]) {
+		if !k.before(h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
-	e.events = h
+	h[i] = k
+	e.heap = h
 }
 
-// pop removes and returns the earliest event.
+// pop removes and returns the earliest key.
 //
 //dsm:hotpath
-func (e *Env) pop() event {
-	h := e.events
+func (e *Env) pop() key {
+	h := e.heap
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // release msg/fn/proc references held in the vacated slot
 	h = h[:n]
-	e.events = h
+	e.heap = h
 	if n > 0 {
 		// Sift the hole down from the root, then drop last in.
 		i := 0
@@ -201,11 +232,11 @@ func (e *Env) pop() event {
 				end = n
 			}
 			for j := first + 1; j < end; j++ {
-				if h[j].before(&h[min]) {
+				if h[j].before(h[min]) {
 					min = j
 				}
 			}
-			if !h[min].before(&last) {
+			if !h[min].before(last) {
 				break
 			}
 			h[i] = h[min]
@@ -224,23 +255,29 @@ func (e *Env) pop() event {
 //
 //dsm:hotpath
 func (e *Env) next() *Proc {
-	for e.failure == nil && len(e.events) > 0 {
-		ev := e.pop()
-		e.now = ev.t
+	for e.failure == nil && len(e.heap) > 0 {
+		k := e.pop()
+		e.now = k.t
 		e.stats.Events++
-		switch ev.kind {
+		// Read field by field rather than copying the slot out whole: the
+		// block copy cost BenchmarkLockKernel ≈ 4 %.
+		ev := &e.slab[k.slot]
+		kind, proc, q, msg, inflight, fn := ev.kind, ev.proc, ev.q, ev.msg, ev.inflight, ev.fn
+		*ev = event{} // a fired event keeps nothing reachable
+		e.free = append(e.free, k.slot)
+		switch kind {
 		case evActivate:
-			if !ev.proc.done {
+			if !proc.done {
 				e.stats.Activations++
-				return ev.proc
+				return proc
 			}
 		case evDeliver:
-			if ev.inflight != nil {
-				*ev.inflight--
+			if inflight != nil {
+				*inflight--
 			}
-			ev.q.Send(ev.msg)
+			q.Send(msg)
 		default:
-			e.runFn(ev.fn, ev.q)
+			e.runFn(fn, q)
 		}
 	}
 	return nil
@@ -508,7 +545,8 @@ func (q *Queue) Arm() { q.armed = true }
 //
 //dsm:hotpath
 func (q *Queue) After(d Time, fn func()) {
-	q.env.push(event{t: q.env.now + d, kind: evFn, q: q, fn: fn})
+	ev := q.env.schedule(q.env.now + d)
+	ev.q, ev.fn = q, fn
 }
 
 // Send enqueues v and wakes one parked receiver — or schedules the armed

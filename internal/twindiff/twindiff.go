@@ -165,6 +165,12 @@ func (d Diff) End() (end int) {
 	return end
 }
 
+// Equal reports whether d and o carry the same runs, as their encodings
+// would show.
+func (d Diff) Equal(o Diff) bool {
+	return d.NumRuns() == o.NumRuns() && slices.Equal(d.runs(), o.runs())
+}
+
 // Empty reports whether the diff carries no modifications.
 func (d Diff) Empty() bool { return len(d.buf) == 0 }
 

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/memory"
@@ -117,8 +118,10 @@ type Msg struct {
 
 const headerSize = 1 + 2 + 2 + 4 + 2 + 4 + 2 + 4 + 4 + 2 + 1 + 4 // = 32
 
-// WireSize returns the exact encoded length in bytes without encoding.
-func (m Msg) WireSize() int {
+// WireSize returns the exact encoded length in bytes without encoding. It
+// takes a pointer: sizing a message on every simulated send copies none
+// of it.
+func (m *Msg) WireSize() int {
 	n := headerSize
 	n += 4 + 8*len(m.Data)
 	n += m.Diff.WireSize()
@@ -132,6 +135,21 @@ func (m Msg) WireSize() int {
 	n += 4 + 6*len(m.Assigns)
 	n += 4 + 6*len(m.Reports)
 	return n
+}
+
+// Equal reports whether m and o are the same message: every header field,
+// Rec, and the contents of every slice, a nil slice equal to an empty one.
+// A message equals its own round trip through Encode and Decode exactly
+// when the codec carries all of it.
+func (m *Msg) Equal(o *Msg) bool {
+	return m.Kind == o.Kind && m.From == o.From && m.To == o.To && m.Obj == o.Obj &&
+		m.ReplyNode == o.ReplyNode && m.ReplySlot == o.ReplySlot && m.Hops == o.Hops &&
+		m.Lock == o.Lock && m.Barrier == o.Barrier && m.Home == o.Home &&
+		m.Migrate == o.Migrate && m.HasRec == o.HasRec && m.Seq == o.Seq &&
+		m.Rec == o.Rec &&
+		slices.Equal(m.Data, o.Data) && m.Diff.Equal(o.Diff) &&
+		slices.EqualFunc(m.Diffs, o.Diffs, func(a, b ObjDiff) bool { return a.Obj == b.Obj && a.D.Equal(b.D) }) &&
+		slices.Equal(m.Assigns, o.Assigns) && slices.Equal(m.Reports, o.Reports)
 }
 
 // Encode appends the wire form of m to buf.
