@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/apps"
 	"repro/internal/stats"
@@ -27,64 +28,25 @@ type AblationRow struct {
 	TimeAgg  stats.TimeAgg
 }
 
-// workload is one input of an ablation: its name in the rows, its program
-// and cluster size, and a trace for its NoHM runs (or nil). Its name is
-// its input key (cell.key), except for the synthetic benchmark: its racing
-// workers overshoot the target by a timing-dependent amount.
-type workload struct {
-	name  string
-	spec  apps.Spec
-	nodes int
-	trace *dsm.Trace
-}
-
-// variant is one setting a study compares: its name in the rows and the
-// configuration it runs every workload under (Nodes and Trace aside).
-type variant struct {
-	name string
-	cfg  dsm.Config
-}
-
-// ablate runs every study: each workload under each variant, variant-major,
-// each cell's outcome folded into its row in declaration order.
-func ablate(o RunOpts, study string, vs []variant, wls ...workload) ([]AblationRow, error) {
-	var cells []cell
-	var rows []AblationRow
-	for _, v := range vs {
-		for _, w := range wls {
-			cfg := v.cfg
-			cfg.Nodes = w.nodes
-			if cfg.Policy == "NoHM" {
-				cfg.Trace = w.trace
-			}
-			c := cell{label: study + " " + v.name + " " + w.name, key: w.name, run: o.runner(w.spec, cfg)}
-			if w.spec.App == "synthetic" {
-				c.key = ""
-			}
-			cells = append(cells, c)
-			rows = append(rows, AblationRow{Study: study, Variant: v.name, Workload: w.name})
-		}
-	}
-	outs, err := o.sweep(cells)
+// ablate runs a study's grid — each workload under each variant — and
+// folds each cell into its row, variant-major.
+func ablate(o RunOpts, study string, vs []variant, ws ...workload) ([]AblationRow, error) {
+	t, err := o.sweep(vs, ws, func(v, w int) string { return study + " " + vs[v].name + " " + ws[w].name })
 	if err != nil {
 		return nil, err
 	}
-	for i, out := range outs {
-		m, r := out.Mean, &rows[i]
-		r.Time, r.Msgs, r.Traffic = m.ExecTime, m.TotalMsgs(false), m.TotalBytes(false)
-		r.Migr, r.Redir, r.Retries = m.Migrations, m.Breakdown().Redir, m.Retries
-		r.Trials, r.TimeAgg = o.trials(), out.ExecTime
+	var rows []AblationRow
+	for v := range vs {
+		for w := range ws {
+			a := t.agg(v, w)
+			m := a.Mean
+			rows = append(rows, AblationRow{Study: study, Variant: vs[v].name, Workload: ws[w].name,
+				Time: m.ExecTime, Msgs: m.TotalMsgs(false), Traffic: m.TotalBytes(false),
+				Migr: m.Migrations, Redir: m.Breakdown().Redir, Retries: m.Retries,
+				Trials: a.N, TimeAgg: a.ExecTime})
+		}
 	}
 	return rows, nil
-}
-
-// policies is one variant per migration policy name.
-func policies(names ...string) []variant {
-	vs := make([]variant, len(names))
-	for i, pol := range names {
-		vs[i] = variant{pol, dsm.Config{Policy: pol}}
-	}
-	return vs
 }
 
 // The ablations' workloads: the synthetic benchmark at repetition r (eight
@@ -92,13 +54,12 @@ func policies(names ...string) []variant {
 // whose final memory is deterministic and therefore comparable across a
 // study's variants, on eight nodes.
 func synthetic(r int) workload {
-	return workload{name: fmt.Sprintf("synthetic(r=%d)", r), nodes: 9,
-		spec: apps.Spec{App: "synthetic", Rep: r, Updates: 1024, Workers: 8}}
+	return application(fmt.Sprintf("synthetic(r=%d)", r), apps.Spec{App: "synthetic", Rep: r, Updates: 1024, Workers: 8}, 9)
 }
 
 var (
-	asp128 = workload{name: "ASP(128)", spec: apps.Spec{App: "asp", N: 128}, nodes: 8}
-	sor128 = workload{name: "SOR(128)", spec: apps.Spec{App: "sor", N: 128, Iters: 8}, nodes: 8}
+	asp128 = application("ASP(128)", apps.Spec{App: "asp", N: 128}, 8)
+	sor128 = application("SOR(128)", apps.Spec{App: "sor", N: 128, Iters: 8}, 8)
 )
 
 // AblateLocator compares the three home-location mechanisms of §3.2
@@ -145,15 +106,17 @@ func AblateRelated(o RunOpts) ([]AblationRow, error) {
 // costs on this program, measured by the protocol itself.
 func WhatIf(spec apps.Spec, nodes int) ([]AblationRow, *dsm.Trace, error) {
 	tr := dsm.NewTrace()
-	rows, err := ablate(RunOpts{Check: true}, "whatif", policies(Policies()...),
-		workload{name: spec.App, spec: spec, nodes: nodes, trace: tr})
+	vs := policies(Policies()...)
+	vs[slices.IndexFunc(vs, func(v variant) bool { return v.name == "NoHM" })].cfg.Trace = tr
+	rows, err := ablate(RunOpts{Check: true}, "whatif", vs, application(spec.App, spec, nodes))
 	return rows, tr, err
 }
 
 // AblatePiggyback isolates the §5.2 observation that diff piggybacking
 // makes NM competitive at moderate repetitions.
 func AblatePiggyback(o RunOpts) ([]AblationRow, error) {
-	w := workload{name: "synthetic(r=8,NM)", spec: synthetic(8).spec, nodes: 9}
+	w := synthetic(8)
+	w.name = "synthetic(r=8,NM)"
 	var vs []variant
 	for _, pig := range []string{"on", "off"} {
 		vs = append(vs, variant{"piggyback=" + pig, dsm.Config{Policy: "NM", NoPiggyback: pig == "off"}})
@@ -165,7 +128,8 @@ func AblatePiggyback(o RunOpts) ([]AblationRow, error) {
 // extension (beyond the paper; §6 future work on reducing redirection
 // overhead) on the chain-heavy FT1 transient workload.
 func AblatePathCompression(o RunOpts) ([]AblationRow, error) {
-	w := workload{name: "synthetic(r=2,FT1)", spec: synthetic(2).spec, nodes: 9}
+	w := synthetic(2)
+	w.name = "synthetic(r=2,FT1)"
 	var vs []variant
 	for _, compress := range []string{"off", "on"} {
 		vs = append(vs, variant{"compress=" + compress, dsm.Config{Policy: "FT1", PathCompress: compress == "on"}})

@@ -6,19 +6,19 @@
 // ablations (locator mechanism, λ, T_init, related-work policies,
 // piggybacking, path compression; README "Running the figures").
 //
-// Every one of them is a declared grid: a list of cells (sweep.go) — a
-// label, a run on a trial's seed, and an input key shared by the cells
-// that must leave the same memory — which RunOpts.sweep multiplies by
-// the trials, runs on the internal/experiment pool and returns per cell,
-// in declaration order; the figure functions only declare cells and fold
-// the outcomes into their row types.
+// Every one of them is one grid (grid.go): workloads — a name, an input
+// key, a cluster size and a run, apps.Run for an application — times
+// variants — a name and a dsm.Config — which RunOpts.grid multiplies by
+// the trials, runs on the internal/experiment pool and returns by
+// (variant, workload). A figure or ablation is that declaration and one
+// fold of the table into its row type.
 //
-// The verdict sweeps over generated scenarios stand on the same cells:
-// Sweep (dsmbench -scenarios, -cross; verdict.go) declares one per (seed,
-// policy, engine), keyed by the seed, and ChaosSweep (-chaos; chaos.go)
-// runs each seed fault-free and faulted. A cell's run is apps.Run or
-// apps.RunScenario — the one checked run — and "same input, same final
-// memory" is sameResults for figure and scenario alike.
+// The verdict sweeps stand on the same grid: Sweep (dsmbench -scenarios,
+// -cross; verdict.go) makes each generated scenario seed a workload, run
+// by apps.RunScenario and keyed by the seed, under a variant per (policy,
+// engine). ChaosSweep (-chaos; chaos.go) runs each seed fault-free and
+// faulted as one pair under one deadline. "Same input, same final memory"
+// is sameResults for figure and scenario alike.
 package bench
 
 import (
@@ -143,9 +143,4 @@ func pct(base, got float64) float64 {
 		return 0
 	}
 	return 100 * (base - got) / base
-}
-
-// metricsTriple extracts the three quantities Fig. 3 compares.
-func metricsTriple(m dsm.Metrics) (secs float64, msgs, bytes int64) {
-	return m.ExecTime.Seconds(), m.TotalMsgs(false), m.TotalBytes(false)
 }

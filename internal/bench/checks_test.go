@@ -3,67 +3,149 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/experiment"
+
+	dsm "repro"
 )
 
 // TestSweepTrialsAndGate drives the sweep itself with fabricated runs:
-// every cell runs once per trial on that trial's seed, outcomes come back
-// per cell in trial order at any pool width, and under Check one variant
-// whose memory depends on more than the seed fails the sweep with both
-// runs named — while the same grid passes unchecked, and an unkeyed cell
-// that differs the same way passes checked.
+// every cell runs once per trial on that trial's seed and its workload's
+// nodes, outcomes come back by (variant, workload) in trial order at any
+// pool width, and under Check one variant whose memory depends on more
+// than the seed fails the sweep with both runs named — while the same
+// grid passes unchecked, and an unkeyed workload that differs the same
+// way passes checked.
 func TestSweepTrialsAndGate(t *testing.T) {
 	const K = 3
-	fake := func(tag int64, skew uint64) func(uint64) (apps.Result, error) {
-		return func(seed uint64) (apps.Result, error) {
+	// A run's Migrations names its cell, 2·variant + workload (the variant
+	// rides in Lambda); variant 1 skews the digest of trial 1 by skew.
+	fake := func(w int64, skew uint64) func(apps.Options) (apps.Result, error) {
+		return func(o apps.Options) (apps.Result, error) {
 			var r apps.Result
-			r.Metrics.Migrations = tag
-			r.Metrics.Retries = int64(seed % 1000)
-			r.Digest = seed + 5
-			if seed == experiment.TrialSeed(1) {
+			if o.Nodes != 3 {
+				return r, fmt.Errorf("ran on %d nodes, want the workload's 3", o.Nodes)
+			}
+			v := int64(o.Lambda)
+			r.Metrics.Migrations = 2*v + w
+			r.Metrics.Retries = int64(o.Seed % 1000)
+			r.Digest = o.Seed + 5
+			if v == 1 && o.Seed == experiment.TrialSeed(1) {
 				r.Digest += skew
 			}
 			return r, nil
 		}
 	}
-	grid := func(skewKeyed, skewFree uint64) []cell {
-		return []cell{
-			{label: "g v0", key: "in", run: fake(0, 0)},
-			{label: "free", run: fake(1, skewFree)},
-			{label: "g v1", key: "in", run: fake(2, skewKeyed)},
+	vs := []variant{{"v0", dsm.Config{Lambda: 0}}, {"v1", dsm.Config{Lambda: 1}}}
+	grid := func(skewKeyed, skewFree uint64) []workload {
+		return []workload{
+			{name: "in", key: "in", nodes: 3, run: fake(0, skewKeyed)},
+			{name: "free", nodes: 3, run: fake(1, skewFree)},
 		}
 	}
 	for _, par := range []int{1, 4} {
-		outs, err := RunOpts{Par: par, Trials: K, Check: true}.sweep(grid(0, 9))
+		ws := grid(0, 9)
+		tab, err := RunOpts{Par: par, Trials: K, Check: true}.sweep(vs, ws, figLabel("g", vs, ws))
 		if err != nil {
 			t.Fatalf("par=%d: clean keyed group rejected: %v", par, err)
 		}
-		for i, o := range outs {
-			if len(o.trials) != K || o.N != K {
-				t.Fatalf("par=%d: cell %d has %d trials (agg over %d), want %d", par, i, len(o.trials), o.N, K)
-			}
-			for tr, m := range o.trials {
-				if m.Migrations != int64(i) || m.Retries != int64(experiment.TrialSeed(tr)%1000) {
-					t.Errorf("par=%d: cell %d trial %d holds cell %d's run on seed%%1000 = %d", par, i, tr, m.Migrations, m.Retries)
+		for v := range vs {
+			for w := range ws {
+				trials := tab.at(v, w)
+				if len(trials) != K || tab.agg(v, w).N != K {
+					t.Fatalf("par=%d: cell (%d, %d) has %d trials (agg over %d), want %d", par, v, w, len(trials), tab.agg(v, w).N, K)
+				}
+				for tr, r := range trials {
+					if m := r.Result.Metrics; m.Migrations != int64(2*v+w) || m.Retries != int64(experiment.TrialSeed(tr)%1000) {
+						t.Errorf("par=%d: cell (%d, %d) trial %d holds cell %d's run on seed%%1000 = %d", par, v, w, tr, m.Migrations, m.Retries)
+					}
 				}
 			}
 		}
 	}
-	if _, err := (RunOpts{Trials: K}).sweep(grid(9, 0)); err != nil {
+	ws := grid(9, 0)
+	if _, err := (RunOpts{Trials: K}).sweep(vs, ws, figLabel("g", vs, ws)); err != nil {
 		t.Errorf("unchecked sweep compared digests: %v", err)
 	}
-	_, err := RunOpts{Trials: K, Check: true}.sweep(grid(9, 0))
+	_, err := RunOpts{Trials: K, Check: true}.sweep(vs, ws, figLabel("g", vs, ws))
 	if err == nil {
 		t.Fatal("variant-dependent memory passed the gate")
 	}
-	for _, want := range []string{"g v1 trial=1", "g v0 trial=1"} {
+	for _, want := range []string{"g in v1 trial=1", "g in v0 trial=1"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("gate error does not name %q: %v", want, err)
 		}
+	}
+}
+
+// TestGridDeclaresVariantMajor pins the declaration: cells come out
+// variant-major, each keyed by its workload's key and the synthetic
+// benchmark's by none, and each run gets its variant's configuration on
+// its workload's nodes, its trial's seed and RunOpts.Check, under its
+// cell's label.
+func TestGridDeclaresVariantMajor(t *testing.T) {
+	echo := func(w workload) workload {
+		w.run = func(o apps.Options) (apps.Result, error) {
+			return apps.Result{App: fmt.Sprintf("%s/%s nodes=%d seed=%d check=%v", o.Policy, o.Locator, o.Nodes, o.Seed, o.Check)}, nil
+		}
+		return w
+	}
+	ws := []workload{echo(asp128), echo(synthetic(2)), echo(application("SOR p=4", tinySizes().Spec("SOR"), 4))}
+	vs := []variant{{"NoHM", dsm.Config{Policy: "NoHM"}}, {"manager", dsm.Config{Policy: "AT", Locator: "manager"}}}
+	const K = 2
+	tab := RunOpts{Par: 3, Trials: K, Check: true}.grid(vs, ws, func(v, w int) string { return "study " + vs[v].name + " " + ws[w].name })
+	want := []cell{
+		{"study NoHM ASP(128)", "ASP(128)"},
+		{"study NoHM synthetic(r=2)", ""},
+		{"study NoHM SOR p=4", "SOR p=4"},
+		{"study manager ASP(128)", "ASP(128)"},
+		{"study manager synthetic(r=2)", ""},
+		{"study manager SOR p=4", "SOR p=4"},
+	}
+	if !reflect.DeepEqual(tab.cells, want) {
+		t.Fatalf("cells\n%q\nwant\n%q", tab.cells, want)
+	}
+	if len(tab.runs) != len(want)*K {
+		t.Fatalf("%d runs, want %d", len(tab.runs), len(want)*K)
+	}
+	for v := range vs {
+		for w := range ws {
+			for tr, r := range tab.at(v, w) {
+				app := fmt.Sprintf("%s/%s nodes=%d seed=%d check=true", vs[v].cfg.Policy, vs[v].cfg.Locator, ws[w].nodes, experiment.TrialSeed(tr))
+				label := fmt.Sprintf("%s trial=%d", want[v*len(ws)+w].label, tr)
+				if r.Result.App != app || r.Label != label {
+					t.Errorf("(%d, %d) trial %d: %q ran %q, want %q ran %q", v, w, tr, r.Label, r.Result.App, label, app)
+				}
+			}
+		}
+	}
+}
+
+// TestGridTakesAnExtraAxis: Fig. 2's workloads under three policies in one
+// grid give NoHM and AT rows equal, field for field, to Fig2's — the shape
+// of a figure that adds an axis over the Fig. 2/3 cells. Checked, so FT2
+// must also leave each point's memory.
+func TestGridTakesAnExtraAxis(t *testing.T) {
+	s, procs := tinySizes(), []int{2, 4}
+	want, err := Fig2(s, procs, RunOpts{Check: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, ws := fig2Grid(s, procs)
+	vs := policies("NoHM", "FT2", "AT")
+	tab, err := RunOpts{Check: true}.sweep(vs, ws, figLabel("fig2", vs, ws))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := range rows {
+		rows[w].set(tab.agg(0, w), tab.agg(2, w))
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("NoHM/AT rows of the three-policy grid\n%+v\nwant Fig2's\n%+v", rows, want)
 	}
 }
 

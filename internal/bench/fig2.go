@@ -26,42 +26,47 @@ type Fig2Row struct {
 	NoHMAgg, HMAgg stats.TimeAgg
 }
 
-// fig2Policies: migration off, then the paper's adaptive protocol.
-var fig2Policies = []string{"NoHM", "AT"}
-
 // Fig2 reproduces Figure 2: execution time against the number of
 // processors for ASP, SOR, Nbody and TSP, with the home migration
 // protocol disabled and enabled (§5.1). One thread runs per node, as in
-// the paper. The grid is app × procs × policy; the two policies of an
-// (app, procs) point share its input key.
+// the paper. The grid is (app, procs) workloads × the NoHM and AT
+// variants; the two policies of a point share its input key.
 func Fig2(s Sizes, procs []int, o RunOpts) ([]Fig2Row, error) {
 	if len(procs) == 0 {
 		procs = []int{2, 4, 8, 16}
 	}
-	var rows []Fig2Row
-	var cells []cell
-	for _, app := range Apps {
-		for _, p := range procs {
-			rows = append(rows, Fig2Row{App: app, Procs: p, Trials: o.trials()})
-			for _, pol := range fig2Policies {
-				cells = append(cells, cell{
-					label: fmt.Sprintf("fig2 %s p=%d %s", app, p, pol),
-					key:   fmt.Sprintf("%s p=%d", app, p),
-					run:   o.runner(s.Spec(app), dsm.Config{Nodes: p, Policy: pol}),
-				})
-			}
-		}
-	}
-	outs, err := o.sweep(cells)
+	rows, ws := fig2Grid(s, procs)
+	vs := policies("NoHM", "AT")
+	t, err := o.sweep(vs, ws, figLabel("fig2", vs, ws))
 	if err != nil {
 		return nil, err
 	}
-	for i := range rows {
-		r, nohm, hm := &rows[i], outs[2*i], outs[2*i+1] // fig2Policies order
-		r.NoHM, r.NoHMMsgs, r.NoHMAgg = nohm.Mean.ExecTime, nohm.Mean.TotalMsgs(false), nohm.ExecTime
-		r.HM, r.HMMsgs, r.HMAgg = hm.Mean.ExecTime, hm.Mean.TotalMsgs(false), hm.ExecTime
+	for w := range rows {
+		rows[w].set(t.agg(0, w), t.agg(1, w))
 	}
 	return rows, nil
+}
+
+// fig2Grid declares Fig. 2's workloads — every application at every
+// processor count, named and keyed "ASP p=8" — and their rows, to be set
+// from the runs.
+func fig2Grid(s Sizes, procs []int) ([]Fig2Row, []workload) {
+	var rows []Fig2Row
+	var ws []workload
+	for _, app := range Apps {
+		for _, p := range procs {
+			rows = append(rows, Fig2Row{App: app, Procs: p})
+			ws = append(ws, application(fmt.Sprintf("%s p=%d", app, p), s.Spec(app), p))
+		}
+	}
+	return rows, ws
+}
+
+// set fills r from its point's runs without migration and under AT.
+func (r *Fig2Row) set(nohm, hm stats.TrialAgg) {
+	r.NoHM, r.NoHMMsgs, r.NoHMAgg = nohm.Mean.ExecTime, nohm.Mean.TotalMsgs(false), nohm.ExecTime
+	r.HM, r.HMMsgs, r.HMAgg = hm.Mean.ExecTime, hm.Mean.TotalMsgs(false), hm.ExecTime
+	r.Trials = nohm.N
 }
 
 // PrintFig2 renders the four panels of Fig. 2 as tables.

@@ -6,8 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/apps"
-
-	dsm "repro"
 )
 
 // Fig3Row is one point of Fig. 3: the improvement of the adaptive
@@ -29,9 +27,6 @@ type Fig3Row struct {
 	TrafficPctRng [2]float64
 }
 
-// fig3Policies: the baseline first, then the paper's contribution.
-var fig3Policies = []string{"FT2", "AT"}
-
 // Fig3 reproduces Figure 3: AT's improvement over FT2 against problem
 // size for ASP and SOR, on eight cluster nodes (§5.1). The paper scales
 // the ASP graph and the SOR matrix over {128, 256, 512, 1024}.
@@ -49,36 +44,29 @@ func Fig3(sizesASP, sizesSOR []int, sorIters, nodes int, o RunOpts) ([]Fig3Row, 
 		sorIters = 12
 	}
 	var rows []Fig3Row
-	for _, size := range sizesASP {
-		rows = append(rows, Fig3Row{App: "ASP", Size: size, Trials: o.trials()})
-	}
-	for _, size := range sizesSOR {
-		rows = append(rows, Fig3Row{App: "SOR", Size: size, Trials: o.trials()})
-	}
-	var cells []cell
-	for _, r := range rows {
-		for _, pol := range fig3Policies {
-			cells = append(cells, cell{
-				label: fmt.Sprintf("fig3 %s n=%d %s", r.App, r.Size, pol),
-				key:   fmt.Sprintf("%s n=%d", r.App, r.Size),
-				run: o.runner(apps.Spec{App: strings.ToLower(r.App), N: r.Size, Iters: sorIters},
-					dsm.Config{Nodes: nodes, Policy: pol}),
-			})
+	var ws []workload
+	add := func(app string, sizes []int) {
+		for _, size := range sizes {
+			rows = append(rows, Fig3Row{App: app, Size: size, Trials: o.trials()})
+			ws = append(ws, application(fmt.Sprintf("%s n=%d", app, size), apps.Spec{App: strings.ToLower(app), N: size, Iters: sorIters}, nodes))
 		}
 	}
-	outs, err := o.sweep(cells)
+	add("ASP", sizesASP)
+	add("SOR", sizesSOR)
+	// The baseline first, then the paper's contribution.
+	vs := policies("FT2", "AT")
+	t, err := o.sweep(vs, ws, figLabel("fig3", vs, ws))
 	if err != nil {
 		return nil, err
 	}
 	for i := range rows {
-		base, at := outs[2*i].trials, outs[2*i+1].trials // fig3Policies order
+		base, at := t.at(0, i), t.at(1, i)
 		var timeP, msgP, trafP []float64
-		for t := range base {
-			bs, bm, bb := metricsTriple(base[t])
-			as, am, ab := metricsTriple(at[t])
-			timeP = append(timeP, pct(bs, as))
-			msgP = append(msgP, pct(float64(bm), float64(am)))
-			trafP = append(trafP, pct(float64(bb), float64(ab)))
+		for tr := range base {
+			b, a := &base[tr].Result.Metrics, &at[tr].Result.Metrics
+			timeP = append(timeP, pct(b.ExecTime.Seconds(), a.ExecTime.Seconds()))
+			msgP = append(msgP, pct(float64(b.TotalMsgs(false)), float64(a.TotalMsgs(false))))
+			trafP = append(trafP, pct(float64(b.TotalBytes(false)), float64(a.TotalBytes(false))))
 		}
 		r := &rows[i]
 		r.TimePct, r.TimePctRng = meanRange(timeP)

@@ -47,9 +47,9 @@ type Fig5Config struct {
 // Fig5 reproduces Figure 5: the synthetic single-writer benchmark run
 // under each protocol across repetitions, with eight worker threads on
 // nodes other than the start node and all synchronization at the start
-// node (§5.2). The grid is repetition × protocol; group normalization
-// works on the sweep's declaration-ordered outcomes, so parallel output is
-// byte-identical to sequential.
+// node (§5.2). The grid is repetition workloads × protocol variants; group
+// normalization works on the sweep's declaration-ordered outcomes, so
+// parallel output is byte-identical to sequential.
 func Fig5(cfg Fig5Config, o RunOpts) ([]Fig5Row, error) {
 	if len(cfg.Repetitions) == 0 {
 		cfg.Repetitions = []int{2, 4, 8, 16}
@@ -60,44 +60,37 @@ func Fig5(cfg Fig5Config, o RunOpts) ([]Fig5Row, error) {
 	if cfg.TotalUpdates == 0 {
 		cfg.TotalUpdates = 2048
 	}
-	var cells []cell
+	var ws []workload
 	for _, r := range cfg.Repetitions {
-		for _, pol := range Fig5Protocols {
-			// No input key: Check gates on the invariants only. The
-			// synthetic benchmark's final counter legitimately overshoots
-			// by a timing-dependent amount (workers race the target), so
-			// its digest is not policy-comparable.
-			cells = append(cells, cell{
-				label: fmt.Sprintf("fig5 r=%d %s", r, pol),
-				run: o.runner(apps.Spec{App: "synthetic", Rep: r, Updates: cfg.TotalUpdates, Workers: cfg.Workers},
-					dsm.Config{Nodes: cfg.Workers + 1, Policy: pol}),
-			})
-		}
+		ws = append(ws, application(fmt.Sprintf("r=%d", r),
+			apps.Spec{App: "synthetic", Rep: r, Updates: cfg.TotalUpdates, Workers: cfg.Workers}, cfg.Workers+1))
 	}
-	outs, err := o.sweep(cells)
+	vs := policies(Fig5Protocols...)
+	t, err := o.sweep(vs, ws, figLabel("fig5", vs, ws))
 	if err != nil {
 		return nil, err
 	}
 	var rows []Fig5Row
-	for gi, r := range cfg.Repetitions {
-		group := outs[gi*len(Fig5Protocols):][:len(Fig5Protocols)]
+	for w, r := range cfg.Repetitions {
 		// Normalize within the repetition group, as the paper does
 		// ("for each repetition, the times are normalized to the largest
 		// one among them").
 		var (
-			nm   *stats.Counters
-			maxT dsm.Time
-			maxM int64
+			group = make([]stats.TrialAgg, len(vs))
+			nm    *stats.Counters
+			maxT  dsm.Time
+			maxM  int64
 		)
-		for i, pol := range Fig5Protocols {
-			m := &group[i].Mean
+		for v, pol := range Fig5Protocols {
+			group[v] = t.agg(v, w)
+			m := &group[v].Mean
 			if pol == "NM" {
 				nm = &m.Counters
 			}
 			maxT, maxM = max(maxT, m.ExecTime), max(maxM, m.Breakdown().Total())
 		}
-		for i, pol := range Fig5Protocols {
-			m := &group[i].Mean
+		for v, pol := range Fig5Protocols {
+			m := &group[v].Mean
 			row := Fig5Row{
 				Repetition: r,
 				Protocol:   pol,
@@ -108,8 +101,8 @@ func Fig5(cfg Fig5Config, o RunOpts) ([]Fig5Row, error) {
 				// The §5.2 statistic: eliminated fault-in + diff messages
 				// relative to no-migration.
 				EliminationPct: stats.EliminationPct(nm, &m.Counters),
-				Trials:         o.trials(),
-				TimeAgg:        group[i].ExecTime,
+				Trials:         group[v].N,
+				TimeAgg:        group[v].ExecTime,
 			}
 			// Guard the degenerate all-zero group: a 0/0 here would put
 			// NaN into every normalized column.

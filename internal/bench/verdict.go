@@ -58,56 +58,59 @@ func failed(what string, lines []string) ([]string, error) {
 // Sweep generates count scenarios starting at seed base and runs each
 // under every builtin migration policy (locator rotating per seed) on
 // each of engines — {"sim"} is the scenario sweep, {"sim", "live"} the
-// cross-engine equivalence gate. It is a grid like the figures': one cell
-// per (seed, policy, engine) whose run is apps.RunScenario with the full
-// gate on, and whose input key is the seed, so "every policy and every
-// engine leaves the same memory" is the key-group comparison every
-// checked sweep makes (sameResults). Unlike a figure it runs every cell
-// whatever fails and reports each failed run on a line of its own. par is
-// the pool width (<= 0 means one worker per core); progress (optional)
-// receives one line per completed run.
+// cross-engine equivalence gate. It is a grid like the figures': a
+// workload per seed, run by apps.RunScenario with the full gate on and
+// keyed by the seed, under a variant per (policy, engine), so "every
+// policy and every engine leaves the same memory" is the key-group
+// comparison every checked sweep makes (sameResults). Unlike a figure it
+// runs every cell whatever fails and reports each failed run on a line of
+// its own, seed by seed. par is the pool width (<= 0 means one worker per
+// core); progress (optional) receives one line per completed run.
 func Sweep(engines []string, base uint64, count, par int, progress func(string)) (SweepStats, error) {
 	label, what := "scenario", "scenario"
 	if len(engines) > 1 {
 		label, what = "cross", "cross-engine"
 	}
-	var cells []cell
-	var reads []int // per cell: the checked reads a completed run made
-	pols := Policies()
-	for i := 0; i < count; i++ {
+	var vs []variant
+	for _, pol := range Policies() {
+		for _, eng := range engines {
+			vs = append(vs, variant{pol, dsm.Config{Policy: pol, Engine: eng}})
+		}
+	}
+	ws := make([]workload, count)
+	lcs := make([]string, count) // per seed: the locator, rotating
+	reads := make([]int, count)  // per seed: the checked reads a completed run made
+	for i := range ws {
 		seed := base + uint64(i)
 		p := scenario.Generate(seed)
 		lc := Locators[seed%uint64(len(Locators))]
-		checked := p.CheckedReads()
-		for _, pol := range pols {
-			for _, eng := range engines {
-				tag := pol + "/" + lc
-				if len(engines) > 1 {
-					tag += "/" + eng
-				}
-				cells = append(cells, cell{
-					label: fmt.Sprintf("%s seed=%d %s nodes=%d %s", label, seed, p.Family, p.Nodes, tag),
-					key:   fmt.Sprintf("seed=%d", seed),
-					run: func(uint64) (apps.Result, error) {
-						return apps.RunScenario(p, scenarioOpts(pol, lc, eng))
-					},
-				})
-				reads = append(reads, checked)
-			}
-		}
+		ws[i] = workload{fmt.Sprintf("seed=%d %s nodes=%d", seed, p.Family, p.Nodes), fmt.Sprintf("seed=%d", seed), p.Nodes,
+			func(o apps.Options) (apps.Result, error) {
+				return apps.RunScenario(p, scenarioOpts(o.Policy, lc, o.Engine))
+			}}
+		lcs[i], reads[i] = lc, p.CheckedReads()
 	}
-	results := RunOpts{Par: par, Progress: progress}.run(cells)
-	st := SweepStats{Scenarios: count, Runs: len(results)}
+	t := RunOpts{Par: par, Progress: progress}.grid(vs, ws, func(v, w int) string {
+		tag := vs[v].cfg.Policy + "/" + lcs[w]
+		if len(engines) > 1 {
+			tag += "/" + vs[v].cfg.Engine
+		}
+		return label + " " + ws[w].name + " " + tag
+	})
+	st := SweepStats{Scenarios: count, Runs: len(t.runs)}
 	var lines []string
-	for i, r := range results {
-		if r.Err != nil {
-			lines = append(lines, fmt.Sprintf("%s: %v", r.Label, r.Err))
-			continue
+	for w := range ws {
+		for v := range vs {
+			r := t.at(v, w)[0]
+			if r.Err != nil {
+				lines = append(lines, fmt.Sprintf("%s: %v", r.Label, r.Err))
+				continue
+			}
+			st.ReadsChecked += reads[w]
+			st.OracleOps += r.Result.OracleOps
 		}
-		st.ReadsChecked += reads[i]
-		st.OracleOps += r.Result.OracleOps
 	}
-	if err := sameResults(cells, 1, results); err != nil {
+	if err := sameResults(t.cells, 1, t.runs); err != nil {
 		lines = append(lines, err.Error())
 	}
 	var err error

@@ -657,7 +657,8 @@ func (m *Member) InboxLen() int { return m.tr.InboxLen(m.cfg.ID) }
 func (m *Member) PeerStats(id memory.NodeID) (tcp.PeerStats, bool) { return m.tr.PeerStats(id) }
 
 // handleTelemetry is the transport's telemetry-channel sink: decode the
-// shipped snapshot and fold it into the cluster view. Runs on reader
+// shipped snapshot and fold it into the cluster view under the link it
+// arrived on, whatever node id the payload claims. Runs on reader
 // goroutines; decode errors drop the frame — telemetry is best-effort
 // and must never take a member down.
 func (m *Member) handleTelemetry(from memory.NodeID, payload []byte) {
@@ -665,6 +666,7 @@ func (m *Member) handleTelemetry(from memory.NodeID, payload []byte) {
 	if err != nil {
 		return
 	}
+	snap.Node = int(from)
 	m.telMu.Lock()
 	if m.telView == nil {
 		m.telView = make(map[memory.NodeID]telemetry.Snapshot)

@@ -7,22 +7,11 @@ type TimeAgg struct {
 	Mean, Min, Max sim.Time
 }
 
-// IntAgg summarizes an integer quantity over K trials. Mean is computed
-// from the field-wise Mean metrics (see TrialAgg.Mean), so it always
-// matches what tables print, and a single-trial aggregate reproduces the
-// trial exactly — the property the byte-identical sweep tables rely on.
-type IntAgg struct {
-	Mean, Min, Max int64
-}
-
 // TrialAgg is the mean/min/max summary of one sweep configuration run
 // over K trials with per-trial input seeds.
 type TrialAgg struct {
-	N          int
-	ExecTime   TimeAgg
-	Msgs       IntAgg // excluding synchronization, as the paper plots
-	Bytes      IntAgg // excluding synchronization
-	Migrations IntAgg
+	N        int
+	ExecTime TimeAgg
 	// Mean is the field-wise integer mean of every trial metric (all
 	// counters, times and kernel stats); with N == 1 it is the trial
 	// itself. Figure rows are built from it so multi-trial tables keep
@@ -36,47 +25,11 @@ func Aggregate(ms []Metrics) TrialAgg {
 	if len(ms) == 0 {
 		panic("stats: Aggregate of zero trials")
 	}
-	a := TrialAgg{N: len(ms)}
-	a.ExecTime = TimeAgg{Min: ms[0].ExecTime, Max: ms[0].ExecTime}
-	msgs := make([]int64, len(ms))
-	bytes := make([]int64, len(ms))
-	migr := make([]int64, len(ms))
+	a := TrialAgg{N: len(ms), Mean: MeanOf(ms)}
+	a.ExecTime = TimeAgg{Mean: a.Mean.ExecTime, Min: ms[0].ExecTime, Max: ms[0].ExecTime}
 	for i := range ms {
-		m := &ms[i]
-		if m.ExecTime < a.ExecTime.Min {
-			a.ExecTime.Min = m.ExecTime
-		}
-		if m.ExecTime > a.ExecTime.Max {
-			a.ExecTime.Max = m.ExecTime
-		}
-		msgs[i] = m.TotalMsgs(false)
-		bytes[i] = m.TotalBytes(false)
-		migr[i] = m.Migrations
-	}
-	a.Msgs = aggInts(msgs)
-	a.Bytes = aggInts(bytes)
-	a.Migrations = aggInts(migr)
-	a.Mean = MeanOf(ms)
-	a.ExecTime.Mean = a.Mean.ExecTime
-	// The integer means are derived from Mean — not from the per-trial
-	// totals — so they can never disagree with what tables print from
-	// Mean (summing truncated per-category means differs from the
-	// truncated mean of totals).
-	a.Msgs.Mean = a.Mean.TotalMsgs(false)
-	a.Bytes.Mean = a.Mean.TotalBytes(false)
-	a.Migrations.Mean = a.Mean.Migrations
-	return a
-}
-
-func aggInts(vs []int64) IntAgg {
-	a := IntAgg{Min: vs[0], Max: vs[0]}
-	for _, v := range vs {
-		if v < a.Min {
-			a.Min = v
-		}
-		if v > a.Max {
-			a.Max = v
-		}
+		a.ExecTime.Min = min(a.ExecTime.Min, ms[i].ExecTime)
+		a.ExecTime.Max = max(a.ExecTime.Max, ms[i].ExecTime)
 	}
 	return a
 }

@@ -33,8 +33,8 @@ func TestAggregateSingleTrialIsIdentity(t *testing.T) {
 	if a.ExecTime != (TimeAgg{Mean: 1000, Min: 1000, Max: 1000}) {
 		t.Errorf("ExecTime agg = %+v", a.ExecTime)
 	}
-	if a.Msgs != (IntAgg{Mean: 42, Min: 42, Max: 42}) {
-		t.Errorf("Msgs agg = %+v (sync traffic must be excluded)", a.Msgs)
+	if got := a.Mean.TotalMsgs(false); got != 42 {
+		t.Errorf("Mean msgs = %d, want 42 (sync traffic must be excluded)", got)
 	}
 }
 
@@ -51,11 +51,14 @@ func TestAggregateMeanMinMax(t *testing.T) {
 	if a.ExecTime != (TimeAgg{Mean: 2000, Min: 1000, Max: 3000}) {
 		t.Errorf("ExecTime agg = %+v", a.ExecTime)
 	}
-	if a.Msgs != (IntAgg{Mean: 20, Min: 10, Max: 30}) {
-		t.Errorf("Msgs agg = %+v", a.Msgs)
+	if got := a.Mean.TotalMsgs(false); got != 20 {
+		t.Errorf("Mean msgs = %d, want 20", got)
 	}
-	if a.Migrations != (IntAgg{Mean: 3, Min: 1, Max: 6}) {
-		t.Errorf("Migrations agg = %+v", a.Migrations)
+	if got := a.Mean.TotalBytes(false); got != 2000 {
+		t.Errorf("Mean bytes = %d, want 2000", got)
+	}
+	if a.Mean.Migrations != 3 {
+		t.Errorf("Mean migrations = %d, want 3", a.Mean.Migrations)
 	}
 	if a.Mean.Msgs[ObjReq] != 20 || a.Mean.Bytes[ObjReq] != 2000 {
 		t.Errorf("Mean counters = %d msgs / %d bytes", a.Mean.Msgs[ObjReq], a.Mean.Bytes[ObjReq])

@@ -49,6 +49,30 @@ func TestHistQuantile(t *testing.T) {
 	}
 }
 
+// TestHistQuantileNearestRank: the q-quantile is the ⌈q·n⌉-th sample, so
+// the median of one fast and two slow samples is slow, and one slow
+// sample in fifty is the p99.
+func TestHistQuantileNearestRank(t *testing.T) {
+	var h Hist
+	h.Observe(100)     // 100 ns: bucket 7
+	h.Observe(100_000) // 100 µs: bucket 17
+	h.Observe(100_000)
+	if got, want := h.Quantile(0.5), time.Duration(1<<17); got != want {
+		t.Errorf("p50 of {100ns, 100µs, 100µs} = %v, want %v", got, want)
+	}
+	var g Hist
+	for i := 0; i < 49; i++ {
+		g.Observe(100)
+	}
+	g.Observe(1_000_000) // bucket 20
+	if got, want := g.Quantile(0.99), time.Duration(1<<20); got != want {
+		t.Errorf("p99 of 49 fast and 1 slow = %v, want %v", got, want)
+	}
+	if got := g.Quantile(0.9); got != 128*time.Nanosecond {
+		t.Errorf("p90 of 49 fast and 1 slow = %v, want 128ns", got)
+	}
+}
+
 func TestHistAddMerges(t *testing.T) {
 	var a, b Hist
 	a.Observe(10)

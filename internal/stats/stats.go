@@ -6,6 +6,7 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 	"time"
@@ -95,13 +96,14 @@ func (h *Hist) Add(other *Hist) {
 
 // Quantile returns the upper bound (2^b ns) of the bucket containing
 // the q-quantile sample (0 < q <= 1), an upper estimate within 2x of
-// the true value. Zero samples yield zero.
+// the true value. The sample is the nearest rank, ⌈q·n⌉. Zero samples
+// yield zero.
 func (h *Hist) Quantile(q float64) time.Duration {
 	total := h.Count()
 	if total == 0 {
 		return 0
 	}
-	rank := int64(q * float64(total))
+	rank := int64(math.Ceil(q * float64(total)))
 	if rank < 1 {
 		rank = 1
 	}
