@@ -169,6 +169,7 @@ func main() {
 		metricsJSON = flag.String("metrics-json", "", "write the sampled metric time-series as JSON to this file at end of run (\"-\" = stdout)")
 	)
 	flag.Parse()
+	obsFlags.Validate("dsmnode")
 
 	addrs := strings.Split(*peers, ",")
 	if *peers == "" || len(addrs) == 0 {

@@ -55,6 +55,7 @@ func main() {
 	flag.StringVar(&o.Engine, "engine", "sim", "execution engine: sim (virtual time) or live (real goroutines)")
 	flightAnalyze := flag.Bool("flight-analyze", false, "trace the run's access-pattern events in full and print the classifier's report (needs no -flight)")
 	flag.Parse()
+	obsFlags.Validate("dsmrun")
 	o.Oracle, o.FlightCap = o.Check, obsFlags.FlightCap
 	if *flightAnalyze {
 		o.Trace = dsm.NewTrace()

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -15,25 +17,33 @@ import (
 	"repro/internal/scenario"
 )
 
+// build compiles dsmrun into a temporary directory and returns its path;
+// under -short the test that asks is skipped.
+func build(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	bin := filepath.Join(t.TempDir(), "dsmrun")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
 // TestScenarioSeedReproduces: a seed that fails a verdict sweep can be
 // re-run here under every observation flag dsmrun has, because the sweep's
 // cell and `dsmrun -app scenario -seed S` are the same apps.RunScenario
 // call: the built binary prints the digest the cell for that (seed,
 // policy, locator) left, on either engine.
 func TestScenarioSeedReproduces(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the binary")
-	}
+	bin := build(t)
 	cell, err := apps.RunScenario(scenario.Generate(5), apps.Options{
 		Config: dsm.Config{Policy: "JUMP", Locator: "manager", DebugWire: true},
 		Check:  true, Oracle: true,
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	bin := filepath.Join(t.TempDir(), "dsmrun")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	digestRE := regexp.MustCompile(`oracle OK \((\d+) ops\), digest (0x[0-9a-f]+)`)
 	for _, engine := range []string{"sim", "live"} {
@@ -60,13 +70,7 @@ func TestScenarioSeedReproduces(t *testing.T) {
 // last eighth of SOR's log; the report with it, and without any ring,
 // must equal the one a ring large enough for the whole log gives.
 func TestFlightAnalyzeReadsTheWholeRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the binary")
-	}
-	bin := filepath.Join(t.TempDir(), "dsmrun")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := build(t)
 	report := func(flight ...string) string {
 		args := append([]string{"-app", "sor", "-n", "128", "-iters", "8", "-nodes", "8", "-policy", "NoHM", "-flight-analyze"}, flight...)
 		out, err := exec.Command(bin, args...).CombinedOutput()
@@ -83,6 +87,24 @@ func TestFlightAnalyzeReadsTheWholeRun(t *testing.T) {
 	for _, flight := range [][]string{{"-flight", "1024"}, nil} {
 		if got := report(flight...); got != full {
 			t.Errorf("report with %v differs from the full log's:\n%s\nwant\n%s", flight, got, full)
+		}
+	}
+}
+
+// TestExportWithoutFlightIsAUsageError: an export of the timeline without
+// the recorder that fills it exits 2 naming -flight, before any run and
+// without creating the file (it used to exit 0 leaving an empty one).
+func TestExportWithoutFlightIsAUsageError(t *testing.T) {
+	bin := build(t)
+	for _, export := range []string{"-flight-text", "-flight-trace"} {
+		path := filepath.Join(t.TempDir(), "timeline")
+		out, err := exec.Command(bin, "-app", "asp", "-n", "16", "-nodes", "2", export, path).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "add -flight") {
+			t.Errorf("%s without -flight: %v, want exit status 2 naming -flight\n%s", export, err, out)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s without -flight left %s behind (%v)", export, path, err)
 		}
 	}
 }

@@ -49,7 +49,7 @@ func run(w io.Writer, spec apps.Spec, nodes, top int) ([]bench.AblationRow, erro
 		return nil, err
 	}
 	profiles := dsm.AnalyzeTrace(tr)
-	fmt.Fprintf(w, "%d protocol events over %d shared objects (traced under NoHM\n", tr.Len(), len(profiles))
+	fmt.Fprintf(w, "%d protocol events over %d shared objects (traced under NoHM\n", len(tr.Events), len(profiles))
 	fmt.Fprintf(w, "so the inherent access pattern is visible, undisturbed by migration)\n\n")
 
 	counts := map[string]int{}

@@ -74,14 +74,13 @@ type (
 	// Worker pins a thread to a node.
 	Worker = gos.Worker
 	// Trace is an ordered log of the protocol events the access-pattern
-	// classifier reads (see Config.Trace).
-	Trace = trace.Trace
+	// classifier reads (see Config.Trace): a flight.Log of trace.Kinds.
+	Trace = flight.Log
 	// TraceProfile is one object's classified access pattern.
 	TraceProfile = trace.Profile
 	// Observer is an event subscriber (in practice the coherence oracle's
-	// recorder, internal/oracle, which subscribes to the thread-side
-	// events and the managers' BarrierRelease/LockGrant); identical on
-	// both engines. A subscriber must not mutate cluster state.
+	// log, a flight.Log of oracle.Kinds: the thread-side events and the
+	// managers' BarrierRelease/LockGrant); identical on both engines. A subscriber must not mutate cluster state.
 	Observer = flight.Subscriber
 	// Transport carries encoded protocol frames between live-engine
 	// nodes and pushes them to the receiving node (see Config.Transport).
@@ -404,7 +403,7 @@ func (c *Cluster) FlightRecorders() []*flight.Recorder { return c.eng.FlightReco
 
 // NewTrace returns an empty protocol-event trace to attach to
 // Config.Trace.
-func NewTrace() *Trace { return &trace.Trace{} }
+func NewTrace() *Trace { return flight.NewLog(trace.Kinds, nil) }
 
 // AnalyzeTrace classifies every traced object's access pattern
 // (single-writer lasting/transient, multiple-writer, read-mostly).

@@ -355,7 +355,7 @@ func TestFacadeTracing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() == 0 {
+	if len(tr.Events) == 0 {
 		t.Fatal("no events recorded")
 	}
 	profiles := dsm.AnalyzeTrace(tr)

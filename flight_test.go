@@ -81,7 +81,7 @@ func TestSimFlightTimelineDeterministic(t *testing.T) {
 	var (
 		sink = telemetry.NewSink(0)
 		tr   = dsm.NewTrace()
-		rec  = oracle.NewRecorder(4)
+		rec  = flight.NewLog(oracle.Kinds, nil)
 		all  []flight.Event
 	)
 	for _, set := range []struct {
@@ -106,7 +106,7 @@ func TestSimFlightTimelineDeterministic(t *testing.T) {
 
 	// Live: every cluster-wide subscriber goes through the engine's
 	// serializer, which must neither drop nor repeat a delivery.
-	sink, tr, rec = telemetry.NewSink(0), dsm.NewTrace(), oracle.NewRecorder(4)
+	sink, tr, rec = telemetry.NewSink(0), dsm.NewTrace(), flight.NewLog(oracle.Kinds, nil)
 	_, evs, _ := flightWorkload(t, func(c *dsm.Config) {
 		c.Engine = "live"
 		c.Telemetry, c.Trace, c.Observer = sink, tr, rec
@@ -119,7 +119,7 @@ func TestSimFlightTimelineDeterministic(t *testing.T) {
 // the ring keeps must match it, the thread-side kinds it does not keep
 // must match what flightWorkload issues (4 threads × 3 rounds × 5
 // increments, one barrier a round). The oracle's log must also check.
-func checkExactlyOnce(t *testing.T, engine string, ring []flight.Event, sink *telemetry.Sink, tr *dsm.Trace, rec *oracle.Recorder) {
+func checkExactlyOnce(t *testing.T, engine string, ring []flight.Event, sink *telemetry.Sink, tr *dsm.Trace, rec *flight.Log) {
 	t.Helper()
 	var want [flight.NumKinds]int
 	perNode := map[memory.NodeID]int{}
@@ -146,7 +146,7 @@ func checkExactlyOnce(t *testing.T, engine string, ring []flight.Event, sink *te
 		}
 	}
 	logged("trace", tr.Kinds(), tr.Events)
-	logged("oracle", rec.Kinds(), rec.Ops())
+	logged("oracle", rec.Kinds(), rec.Events)
 	// The sketch keeps counts, not a log: one per access, one per decision.
 	accesses := want[flight.HomeRead] + want[flight.HomeWrite] + want[flight.Request] + want[flight.RemoteWrite]
 	if got := sink.Total(); got != uint64(accesses) {
@@ -163,7 +163,7 @@ func checkExactlyOnce(t *testing.T, engine string, ring []flight.Event, sink *te
 	if accesses == 0 || want[flight.Decision] == 0 {
 		t.Errorf("%s: the workload emitted %d accesses and %d decisions; the check is vacuous", engine, accesses, want[flight.Decision])
 	}
-	if viols := rec.Check(nil); len(viols) > 0 {
+	if viols := oracle.Check(4, rec.Events, nil); len(viols) > 0 {
 		t.Errorf("%s: oracle: %v", engine, viols[0])
 	}
 }
@@ -308,7 +308,7 @@ func TestLiveTraceMatchesFlightTimeline(t *testing.T) {
 		fromTrace := dsm.AnalyzeTrace(tr)
 		fromFlight := trace.Analyze(c.FlightEvents())
 		if len(fromTrace) == 0 {
-			t.Fatalf("%s: the trace classified no objects (%d events)", policy, tr.Len())
+			t.Fatalf("%s: the trace classified no objects (%d events)", policy, len(tr.Events))
 		}
 		if !reflect.DeepEqual(fromTrace, fromFlight) {
 			t.Errorf("%s: profiles differ between Config.Trace and the flight timeline:\n%s\nvs\n%s",

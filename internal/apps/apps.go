@@ -101,7 +101,7 @@ type Member interface {
 	dsm.Transport
 	// LocalNode is the node this process executes.
 	LocalNode() dsm.NodeID
-	// Observer returns the member's oracle recorder for a run of
+	// Observer returns the member's oracle log for a run of
 	// `threads` global threads (Options.Oracle set). The recorded
 	// events carry hybrid-logical-clock stamps so node 0 can merge the
 	// per-process logs into one LRC-checkable order.
@@ -138,10 +138,16 @@ func (o Options) threads() int {
 	return o.Nodes
 }
 
-// cluster builds the configured DSM instance; threads sizes the oracle
-// recorder (thread ids must be dense in [0, threads)).
-func (o Options) cluster(threads int) (*dsm.Cluster, *oracle.Recorder) {
-	var rec *oracle.Recorder
+// oracleLog is an in-process run's oracle log and its thread count.
+type oracleLog struct {
+	*flight.Log
+	threads int
+}
+
+// cluster builds the configured DSM instance; threads is the run's thread
+// count (thread ids must be dense in [0, threads)).
+func (o Options) cluster(threads int) (*dsm.Cluster, *oracleLog) {
+	var rec *oracleLog
 	cfg := o.Config
 	if o.Multi != nil {
 		cfg.Transport = o.Multi
@@ -157,8 +163,8 @@ func (o Options) cluster(threads int) (*dsm.Cluster, *oracle.Recorder) {
 		cfg.FlightCap = 0
 		cfg.FlightLocal = o.Multi.FlightRecorder()
 	} else if o.Oracle {
-		rec = oracle.NewRecorder(threads)
-		cfg.Observer = rec
+		rec = &oracleLog{flight.NewLog(oracle.Kinds, nil), threads}
+		cfg.Observer = rec.Log
 	}
 	c := dsm.New(cfg)
 	if o.OnCluster != nil {
@@ -190,7 +196,7 @@ type Result struct {
 // Options.Check the protocol invariants must hold and the final memory
 // is fingerprinted for policy-independence comparison by the sweep
 // layer; under Options.Oracle the recorded event log must be LRC-legal.
-func finish(c *dsm.Cluster, o Options, rec *oracle.Recorder, res Result, validate func() error) (Result, error) {
+func finish(c *dsm.Cluster, o Options, rec *oracleLog, res Result, validate func() error) (Result, error) {
 	if o.Multi == nil || o.Multi.LocalNode() == 0 {
 		if err := validate(); err != nil {
 			return Result{}, err
@@ -209,8 +215,8 @@ func finish(c *dsm.Cluster, o Options, rec *oracle.Recorder, res Result, validat
 	}
 	res.Flight = c.FlightEvents()
 	if rec != nil {
-		res.OracleOps = rec.Len()
-		if viols := rec.Check(c.InitialWord); len(viols) > 0 {
+		res.OracleOps = len(rec.Events)
+		if viols := oracle.Check(rec.threads, rec.Events, c.InitialWord); len(viols) > 0 {
 			return Result{}, fmt.Errorf("%s: oracle: %d violation(s), first: %s",
 				res.App, len(viols), viols[0])
 		}

@@ -93,6 +93,15 @@ func (f *ObsFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.ObsAddr, "obs-addr", "", "serve the debug listener (/debug/pprof, /metrics, /flight) on this address mid-run")
 }
 
+// Validate exits 2, naming -flight, when -flight-text or -flight-trace
+// would export the timeline of a run that records none.
+func (f *ObsFlags) Validate(prog string) {
+	if f.FlightCap <= 0 && (f.FlightText != "" || f.FlightTrace != "") {
+		fmt.Fprintf(os.Stderr, "%s: -flight-text and -flight-trace export the timeline the -flight N recorder keeps; add -flight\n", prog)
+		os.Exit(2)
+	}
+}
+
 // ExportTimeline writes events wherever -flight-text and -flight-trace
 // ask; the error names the flag that failed.
 func (f *ObsFlags) ExportTimeline(events []flight.Event) error {

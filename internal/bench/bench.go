@@ -16,9 +16,10 @@
 // The verdict sweeps stand on the same grid: Sweep (dsmbench -scenarios,
 // -cross; verdict.go) makes each generated scenario seed a workload, run
 // by apps.RunScenario and keyed by the seed, under a variant per (policy,
-// engine). ChaosSweep (-chaos; chaos.go) runs each seed fault-free and
-// faulted as one pair under one deadline. "Same input, same final memory"
-// is sameResults for figure and scenario alike.
+// engine); ChaosSweep (-chaos; chaos.go) is one more, its variants the sim
+// reference and the faulted live run. One fold judges all three
+// (verdictGrid.fold), and "same input, same final memory" is sameResults
+// for figure, scenario and chaos alike.
 package bench
 
 import (

@@ -1,5 +1,3 @@
-//dsm:wallclock the chaos sweep watchdogs live runs with real-time deadlines
-
 package bench
 
 import (
@@ -9,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/experiment"
 	"repro/internal/flight"
 	"repro/internal/live"
 	"repro/internal/live/transport"
@@ -23,33 +20,22 @@ import (
 // Chaos mode: the failure-domain gate. Each seed draws a deterministic
 // fault schedule (delivery delay/jitter always; often a scheduled node
 // kill or link cut) and runs the generated program on the live engine
-// over the fault-injecting transport wrapper. Exactly two outcomes are
-// legal, each within a deadline:
+// over the fault-injecting transport wrapper. It is a verdict sweep like
+// Sweep — a workload per seed, keyed by the seed — under two variants,
+// the fault-free sim reference and the faulted live run, so parity is
+// sameResults. Exactly two ends of the faulted run are legal, each within
+// runBound:
 //
 //   - the run completes despite the faults, passes the whole gate of a
-//     checked run and reproduces the fault-free sim digest (delays may
+//     checked run and reproduces the sim reference's digest (delays may
 //     reorder everything the protocol allows, but never results); or
 //   - the injected fault ends the run through the engine's abort path,
 //     surfacing as an error wrapping live.ErrAborted.
 //
-// Anything else — a hang, a panic (the pool turns it into the run's
-// error), a completed run with a wrong digest, a failure that is not the
-// clean abort — fails the sweep.
-// That is the property the hardening work guarantees: a broken cluster
-// is always a bounded, attributable failure.
-//
-// The digest comparison here is not sameResults': a seed's two runs are
-// not a key group, because the faulted one may legally leave no memory at
-// all, and the reference runs inside the same spec so the pool can bound
-// the pair with one deadline.
-
-// ChaosStats aggregates a chaos sweep.
-type ChaosStats struct {
-	Runs      int
-	Completed int // finished cleanly with sim-digest parity
-	Aborted   int // ended by the injected fault via the clean abort path
-	Failures  []string
-}
+// Anything else — a hang, a panic, a completed run with a wrong digest, a
+// failure that is not the clean abort, a sim reference that does not
+// complete — fails the sweep. That is the property the hardening work
+// guarantees: a broken cluster is always a bounded, attributable failure.
 
 const (
 	// chaosFlightCap sizes each node's flight ring in chaos runs: enough
@@ -82,46 +68,48 @@ func chaosFaults(seed uint64, nodes int) (faulty.Options, string) {
 	return opt, fmt.Sprintf("delays up to %v", opt.MaxDelay)
 }
 
-// ChaosSweep runs count chaos scenarios from seed base as specs on the
-// internal/experiment pool, the runner of every other sweep, par at a
-// time (<= 0 means one per core). Every live run is bounded by deadline
-// (<= 0 selects 2 minutes): a run that neither completes nor aborts in
-// time is reported as a hang, the one outcome the hardened engine must
-// never produce. progress (optional) receives the pool's line per run; a
-// run that failed the gate reads FAILED there and is detailed in the
-// stats.
-func ChaosSweep(base uint64, count, par int, deadline time.Duration, progress func(string)) (ChaosStats, error) {
-	if deadline <= 0 {
-		deadline = 2 * time.Minute
-	}
-	specs := make([]experiment.Spec[bool], count)
+// ChaosSweep runs count chaos scenarios from seed base; par and progress
+// are verdictGrid.run's. Completed counts the seeds whose two runs both
+// completed, Aborted the faulted runs the injected fault ended cleanly.
+func ChaosSweep(base uint64, count, par int, progress func(string)) (SweepStats, error) {
+	return chaosGrid(base, count).run(par, progress)
+}
+
+// chaosGrid declares ChaosSweep's grid. A seed's policy and locator
+// rotate with the seed and, like its fault schedule, are set inside its
+// run; the labels name all three.
+func chaosGrid(base uint64, count int) verdictGrid {
+	g := verdictGrid{what: "chaos", faulted: 1, vs: []variant{
+		{"sim", dsm.Config{Engine: "sim"}},
+		{"faulted", dsm.Config{Engine: "live"}},
+	}}
 	pols := Policies()
-	for i := range specs {
+	descs := make([]string, count) // per seed: its fault schedule
+	for i := range descs {
 		seed := base + uint64(i)
 		p := scenario.Generate(seed)
 		lc := Locators[seed%uint64(len(Locators))]
 		pol := pols[seed%uint64(len(pols))]
 		faults, desc := chaosFaults(seed, p.Nodes)
-		label := fmt.Sprintf("chaos seed=%d %s nodes=%d %s/%s: %s", seed, p.Family, p.Nodes, pol, lc, desc)
-		specs[i] = experiment.Spec[bool]{Label: label, Run: func() (aborted bool, err error) {
-			return chaosRun(p, pol, lc, faults, deadline)
-		}}
+		g.ws = append(g.ws, workload{fmt.Sprintf("seed=%d %s nodes=%d %s/%s", seed, p.Family, p.Nodes, pol, lc), fmt.Sprintf("seed=%d", seed), p.Nodes,
+			func(o apps.Options) (apps.Result, error) {
+				if o.Engine == "sim" {
+					return apps.RunScenario(p, scenarioOpts(pol, lc, "sim"))
+				}
+				return faultedRun(p, pol, lc, faults)
+			}})
+		g.reads = append(g.reads, p.CheckedReads())
+		descs[i] = desc
 	}
-	st := ChaosStats{Runs: count}
-	var lines []string
-	for _, o := range experiment.Run(experiment.NewPool(par, progress), specs) {
-		switch {
-		case o.Err != nil:
-			lines = append(lines, fmt.Sprintf("%s: %v", o.Label, o.Err))
-		case o.Result: // aborted
-			st.Aborted++
-		default:
-			st.Completed++
+	ws := g.ws
+	g.label = func(v, w int) string {
+		tail := descs[w]
+		if v == 0 {
+			tail = "sim reference"
 		}
+		return "chaos " + ws[w].name + ": " + tail
 	}
-	var err error
-	st.Failures, err = failed("chaos", lines)
-	return st, err
+	return g
 }
 
 // faultedRun is the checked live run of p over the fault-injecting
@@ -147,40 +135,4 @@ func faultedRun(p *scenario.Program, policy, locator string, faults faulty.Optio
 		}
 	}
 	return res, err
-}
-
-// chaosRun is one seed of the sweep: the fault-free sim reference, then
-// the faulted live run under its deadline, judged. A legal end is either
-// completion with sim-digest parity or, reported as aborted, the clean
-// abort path; anything else is the error.
-func chaosRun(p *scenario.Program, policy, locator string, faults faulty.Options, deadline time.Duration) (aborted bool, err error) {
-	// Fault-free sim reference: the digest the live run must reproduce if
-	// it survives its faults.
-	ref, err := apps.RunScenario(p, scenarioOpts(policy, locator, "sim"))
-	if err != nil {
-		return false, fmt.Errorf("sim reference: %v", err)
-	}
-	type ended struct {
-		res apps.Result
-		err error
-	}
-	ch := make(chan ended, 1)
-	go func() {
-		res, err := faultedRun(p, policy, locator, faults)
-		ch <- ended{res, err}
-	}()
-	select {
-	case r := <-ch:
-		switch {
-		case errors.Is(r.err, live.ErrAborted):
-			return true, nil
-		case r.err != nil:
-			return false, fmt.Errorf("failed outside the abort path: %v", r.err)
-		case r.res.Digest != ref.Digest:
-			return false, fmt.Errorf("digest %#x != sim digest %#x", r.res.Digest, ref.Digest)
-		}
-		return false, nil
-	case <-time.After(deadline):
-		return false, fmt.Errorf("HANG — neither completed nor aborted within %v", deadline)
-	}
 }

@@ -1,10 +1,16 @@
+//dsm:wallclock every run of a verdict sweep is bounded by a real-time deadline: a live run that never ends is a hang
+
 package bench
 
 import (
+	"errors"
 	"fmt"
+	"runtime/debug"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/live"
 	"repro/internal/migration"
 	"repro/internal/scenario"
 
@@ -40,80 +46,142 @@ func scenarioOpts(policy, locator, engine string) apps.Options {
 type SweepStats struct {
 	Scenarios    int
 	Runs         int
+	Completed    int // seeds every run of which completed
+	Aborted      int // faulted runs the injected fault ended through the clean abort path
 	ReadsChecked int
 	OracleOps    int
 	Failures     []string // one line per failed run or comparison, capped
 }
 
-// failed is the verdict of a sweep that collected these failure lines:
-// none is a pass; otherwise the error counts them and quotes the first,
-// and at most 32 are kept as detail.
-func failed(what string, lines []string) ([]string, error) {
-	if len(lines) == 0 {
-		return nil, nil
-	}
-	return lines[:min(len(lines), 32)], fmt.Errorf("%s sweep: %d failure(s), first: %s", what, len(lines), lines[0])
+// runBound bounds every run of a verdict sweep: one still going then is a
+// hang, the one end the hardened engine must never reach.
+const runBound = 2 * time.Minute
+
+// verdictGrid declares a verdict sweep: a workload per generated seed,
+// keyed by the seed, under every variant of vs.
+type verdictGrid struct {
+	what    string // the sweep's name in its error
+	vs      []variant
+	ws      []workload
+	label   func(v, w int) string
+	reads   []int // per workload: the checked reads a completed run made
+	faulted int   // the variant whose runs may end in live.ErrAborted; -1: none
 }
 
-// Sweep generates count scenarios starting at seed base and runs each
-// under every builtin migration policy (locator rotating per seed) on
-// each of engines — {"sim"} is the scenario sweep, {"sim", "live"} the
-// cross-engine equivalence gate. It is a grid like the figures': a
-// workload per seed, run by apps.RunScenario with the full gate on and
-// keyed by the seed, under a variant per (policy, engine), so "every
-// policy and every engine leaves the same memory" is the key-group
-// comparison every checked sweep makes (sameResults). Unlike a figure it
-// runs every cell whatever fails and reports each failed run on a line of
-// its own, seed by seed. par is the pool width (<= 0 means one worker per
-// core); progress (optional) receives one line per completed run.
-func Sweep(engines []string, base uint64, count, par int, progress func(string)) (SweepStats, error) {
-	label, what := "scenario", "scenario"
-	if len(engines) > 1 {
-		label, what = "cross", "cross-engine"
-	}
-	var vs []variant
-	for _, pol := range Policies() {
-		for _, eng := range engines {
-			vs = append(vs, variant{pol, dsm.Config{Policy: pol, Engine: eng}})
+// run runs every cell of g, each bounded by runBound, par at a time (<= 0:
+// one per core), progress (optional) taking a line per run, and folds them.
+func (g verdictGrid) run(par int, progress func(string)) (SweepStats, error) {
+	ws := make([]workload, len(g.ws))
+	for i, w := range g.ws {
+		ws[i] = w
+		ws[i].run = func(o apps.Options) (apps.Result, error) {
+			return bounded(runBound, func() (apps.Result, error) { return w.run(o) })
 		}
 	}
-	ws := make([]workload, count)
-	lcs := make([]string, count) // per seed: the locator, rotating
-	reads := make([]int, count)  // per seed: the checked reads a completed run made
-	for i := range ws {
-		seed := base + uint64(i)
-		p := scenario.Generate(seed)
-		lc := Locators[seed%uint64(len(Locators))]
-		ws[i] = workload{fmt.Sprintf("seed=%d %s nodes=%d", seed, p.Family, p.Nodes), fmt.Sprintf("seed=%d", seed), p.Nodes,
-			func(o apps.Options) (apps.Result, error) {
-				return apps.RunScenario(p, scenarioOpts(o.Policy, lc, o.Engine))
-			}}
-		lcs[i], reads[i] = lc, p.CheckedReads()
-	}
-	t := RunOpts{Par: par, Progress: progress}.grid(vs, ws, func(v, w int) string {
-		tag := vs[v].cfg.Policy + "/" + lcs[w]
-		if len(engines) > 1 {
-			tag += "/" + vs[v].cfg.Engine
-		}
-		return label + " " + ws[w].name + " " + tag
-	})
-	st := SweepStats{Scenarios: count, Runs: len(t.runs)}
+	return g.fold(RunOpts{Par: par, Progress: progress}.grid(g.vs, ws, g.label))
+}
+
+// fold is a verdict sweep's judge: a run fails, on a line of its own, unless
+// it completed or, in the faulted variant alone, ended in the clean abort;
+// the completed runs of a seed must leave the same memory (sameResults).
+func (g verdictGrid) fold(t table) (SweepStats, error) {
+	st := SweepStats{Scenarios: len(g.ws), Runs: len(t.runs)}
 	var lines []string
-	for w := range ws {
-		for v := range vs {
+	for w := range g.ws {
+		completed := true
+		for v := range g.vs {
 			r := t.at(v, w)[0]
-			if r.Err != nil {
-				lines = append(lines, fmt.Sprintf("%s: %v", r.Label, r.Err))
+			switch {
+			case r.Err == nil:
+				st.ReadsChecked += g.reads[w]
+				st.OracleOps += r.Result.OracleOps
 				continue
+			case v == g.faulted && errors.Is(r.Err, live.ErrAborted):
+				st.Aborted++
+			default:
+				lines = append(lines, fmt.Sprintf("%s: %v", r.Label, r.Err))
 			}
-			st.ReadsChecked += reads[w]
-			st.OracleOps += r.Result.OracleOps
+			completed = false
+		}
+		if completed {
+			st.Completed++
 		}
 	}
 	if err := sameResults(t.cells, 1, t.runs); err != nil {
 		lines = append(lines, err.Error())
 	}
-	var err error
-	st.Failures, err = failed(what, lines)
-	return st, err
+	if len(lines) == 0 {
+		return st, nil
+	}
+	st.Failures = lines[:min(len(lines), 32)] // the first 32 as detail
+	return st, fmt.Errorf("%s sweep: %d failure(s), first: %s", g.what, len(lines), lines[0])
+}
+
+// bounded is run's outcome, or a hang once d passes without one (the run
+// is left to its goroutine); a panic is its error, as in the pool.
+func bounded(d time.Duration, run func() (apps.Result, error)) (apps.Result, error) {
+	type ended struct {
+		res apps.Result
+		err error
+	}
+	ch := make(chan ended, 1)
+	go func() {
+		var e ended
+		defer func() {
+			if r := recover(); r != nil {
+				e.err = fmt.Errorf("panicked: %v\n%s", r, debug.Stack())
+			}
+			ch <- e
+		}()
+		e.res, e.err = run()
+	}()
+	select {
+	case e := <-ch:
+		return e.res, e.err
+	case <-time.After(d):
+		return apps.Result{}, fmt.Errorf("HANG — neither completed nor aborted within %v", d)
+	}
+}
+
+// Sweep runs count generated scenarios from seed base under every builtin
+// policy (locator rotating per seed) on each of engines, checked: {"sim"}
+// is the scenario sweep, {"sim", "live"} the cross-engine gate. par and
+// progress are verdictGrid.run's.
+func Sweep(engines []string, base uint64, count, par int, progress func(string)) (SweepStats, error) {
+	return scenarioGrid(engines, base, count).run(par, progress)
+}
+
+// scenarioGrid declares Sweep's grid.
+func scenarioGrid(engines []string, base uint64, count int) verdictGrid {
+	g := verdictGrid{what: "scenario", faulted: -1}
+	tag := "scenario"
+	if len(engines) > 1 {
+		g.what, tag = "cross-engine", "cross"
+	}
+	for _, pol := range Policies() {
+		for _, eng := range engines {
+			g.vs = append(g.vs, variant{pol, dsm.Config{Policy: pol, Engine: eng}})
+		}
+	}
+	lcs := make([]string, count) // per seed: the locator, rotating
+	for i := range lcs {
+		seed := base + uint64(i)
+		p := scenario.Generate(seed)
+		lc := Locators[seed%uint64(len(Locators))]
+		g.ws = append(g.ws, workload{fmt.Sprintf("seed=%d %s nodes=%d", seed, p.Family, p.Nodes), fmt.Sprintf("seed=%d", seed), p.Nodes,
+			func(o apps.Options) (apps.Result, error) {
+				return apps.RunScenario(p, scenarioOpts(o.Policy, lc, o.Engine))
+			}})
+		g.reads = append(g.reads, p.CheckedReads())
+		lcs[i] = lc
+	}
+	vs, ws := g.vs, g.ws
+	g.label = func(v, w int) string {
+		cell := vs[v].cfg.Policy + "/" + lcs[w]
+		if len(engines) > 1 {
+			cell += "/" + vs[v].cfg.Engine
+		}
+		return tag + " " + ws[w].name + " " + cell
+	}
+	return g
 }

@@ -1,14 +1,16 @@
 // Package flight defines the one protocol event every observer of a run
-// reads, and the per-node flight recorder that keeps them.
+// reads, the per-node flight recorder that keeps the newest of them, and
+// the one unbounded event log.
 //
 // Event is emitted once per protocol site by proto.Node.Emit (handlers
 // and the thread driver in internal/proto, the frame sites of the two
 // engines) and fanned out to the node's Subscribers, each of which
 // declares the kinds it wants: the Recorder ring here, the hot-object
-// sketch (telemetry.Sink), the coherence oracle (oracle.Recorder) and
-// the access-pattern classifier's log (trace.Trace). The transports,
-// which are not protocol sites, record heartbeats, injected faults and
-// aborts straight into a Recorder.
+// sketch (telemetry.Sink), and a Log — the coherence oracle's
+// (oracle.Kinds, read by oracle.Check), a cluster member's HLC-stamped
+// one, or the access-pattern classifier's (dsm.Trace, trace.Kinds). The
+// transports, which are not protocol sites, record heartbeats, injected
+// faults and aborts straight into a Recorder.
 //
 // Recorder is a fixed-capacity, allocation-free ring of HLC-stamped
 // events — frame traffic, migration decisions with the
@@ -128,8 +130,9 @@ type Subscriber interface {
 //   - HomeRead/HomeWrite: Obj
 //   - RemoteWrite: Obj, Peer (writer), Bytes (diff wire size)
 //   - Request: Obj, Peer (requester), Hops (redirection accumulation)
-//   - FaultInjected: Peer (victim; Sync holds the second endpoint of a
-//     severed link, else zero)
+//   - FaultInjected: Tag (FaultCut for a severed link, zero for a
+//     killed node), Peer (the victim, or one end of the link), Sync (the
+//     link's other end)
 //   - Abort: Bytes is unused; the text rendering names the node
 //   - Read/Write: Thread, Obj, Word, Val (the value read or stored)
 //   - Acquire/Release: Thread, Sync (lock id)
@@ -159,6 +162,36 @@ type Event struct {
 
 // Stamp returns the event's HLC reading.
 func (e Event) Stamp() hlc.Stamp { return hlc.Stamp{Wall: e.Wall, Logical: e.Logical} }
+
+// FaultCut is the Tag of a FaultInjected event that severed a link; a kill's
+// is zero (no node id can tell them apart: node 0 is both victim and end).
+const FaultCut uint8 = 1
+
+// Log is the one unbounded event log — the oracle's (oracle.Kinds), a
+// cluster member's HLC-stamped one, dsm.Trace (trace.Kinds): a Subscriber
+// keeping every event of its kinds in delivery order, stamped as the
+// Recorder stamps when it has a stamp source. Unsynchronized: both engines
+// serialize delivery.
+type Log struct {
+	kinds  Mask
+	stamp  func() hlc.Stamp
+	Events []Event
+}
+
+// NewLog returns an empty log of kinds; stamp may be nil.
+func NewLog(kinds Mask, stamp func() hlc.Stamp) *Log { return &Log{kinds: kinds, stamp: stamp} }
+
+// Kinds implements Subscriber.
+func (l *Log) Kinds() Mask { return l.kinds }
+
+// Record implements Subscriber: stamp ev, when the log stamps, and keep it.
+func (l *Log) Record(ev Event) {
+	if l.stamp != nil {
+		s := l.stamp()
+		ev.Wall, ev.Logical = s.Wall, s.Logical
+	}
+	l.Events = append(l.Events, ev)
+}
 
 // Recorder is one node's fixed-capacity event ring. Protocol sites
 // reach it as one of the node's Subscribers; the transports' cold sites
@@ -319,7 +352,7 @@ func describe(e Event) string {
 	case Request:
 		return fmt.Sprintf("obj=%d requester=%d hops=%d", e.Obj, e.Peer, e.Hops)
 	case FaultInjected:
-		if e.Sync != 0 || e.Peer == 0 {
+		if e.Tag == FaultCut {
 			return fmt.Sprintf("link=%d<->%d", e.Peer, e.Sync)
 		}
 		return fmt.Sprintf("victim=%d", e.Peer)
@@ -396,7 +429,7 @@ func WriteChromeTrace(w io.Writer, evs []Event) error {
 			args["hops"] = int(e.Hops)
 		case FaultInjected:
 			args["peer"] = int(e.Peer)
-			if e.Sync != 0 {
+			if e.Tag == FaultCut {
 				args["peer2"] = int(e.Sync)
 			}
 		}

@@ -107,6 +107,8 @@ func TestWriteTextRendersEveryKind(t *testing.T) {
 		{Kind: LockGrant, Sync: 1, Peer: 3},
 		{Kind: BarrierRelease, Sync: 9},
 		{Kind: FaultInjected, Peer: 2},
+		{Kind: FaultInjected},                         // node 0 killed
+		{Kind: FaultInjected, Tag: FaultCut, Peer: 2}, // link 2<->0 cut
 		{Kind: Abort},
 	}
 	var buf bytes.Buffer
@@ -120,7 +122,7 @@ func TestWriteTextRendersEveryKind(t *testing.T) {
 		"decision", "obj=7 requester=2 migrate reason=threshold-reached count=3 limit=2.5",
 		"lock-grant", "lock=1 grantee=3",
 		"barrier-release", "barrier=9",
-		"fault-injected", "victim=2",
+		"fault-injected", "victim=2", "victim=0", "link=2<->0",
 		"abort",
 	} {
 		if !strings.Contains(out, want) {
@@ -135,6 +137,8 @@ func TestChromeTraceParsesAndIsDeterministic(t *testing.T) {
 	r.Record(Event{Kind: Decision, Obj: 4, Peer: 0, Migrated: false,
 		Reason: migration.ReasonBelowThreshold, Count: 1, Limit: 2})
 	r.Record(Event{Kind: FrameRecv, Peer: 0, Tag: uint8(wire.ObjReply), Bytes: 80})
+	r.Record(Event{Kind: FaultInjected, Tag: FaultCut, Peer: 2}) // link 2<->0 cut
+	r.Record(Event{Kind: FaultInjected})                         // node 0 killed
 	evs := r.Snapshot()
 
 	var buf bytes.Buffer
@@ -153,8 +157,8 @@ func TestChromeTraceParsesAndIsDeterministic(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("exported trace is not valid JSON: %v\n%s", err, buf.String())
 	}
-	if len(doc.TraceEvents) != 3 {
-		t.Fatalf("trace has %d events, want 3", len(doc.TraceEvents))
+	if len(doc.TraceEvents) != 5 {
+		t.Fatalf("trace has %d events, want 5", len(doc.TraceEvents))
 	}
 	dec := doc.TraceEvents[1]
 	if dec.Name != "decision" || dec.Phase != "i" || dec.PID != 1 {
@@ -165,6 +169,12 @@ func TestChromeTraceParsesAndIsDeterministic(t *testing.T) {
 	}
 	if got := doc.TraceEvents[2].Args["kind"]; got != "ObjReply" {
 		t.Errorf("frame kind arg = %v, want ObjReply", got)
+	}
+	if got, ok := doc.TraceEvents[3].Args["peer2"]; !ok || got != float64(0) {
+		t.Errorf("cut 2<->0 exported args %v, want peer2 0", doc.TraceEvents[3].Args)
+	}
+	if _, ok := doc.TraceEvents[4].Args["peer2"]; ok {
+		t.Errorf("kill of node 0 exported as a link: %v", doc.TraceEvents[4].Args)
 	}
 	var again bytes.Buffer
 	WriteChromeTrace(&again, evs)

@@ -164,7 +164,7 @@ type Member struct {
 	tr    *tcp.Transport
 	clock *hlc.Clock // stamped on every frame; drives the oracle log
 
-	rec     *timedRecorder // oracle event log, when Observer was asked
+	rec     *flight.Log // HLC-stamped oracle log, when Observer was asked
 	threads int
 
 	flight   *flight.Recorder // per-node flight ring, when Config.FlightCap > 0

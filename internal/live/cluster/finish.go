@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/flight"
-	"repro/internal/hlc"
 	"repro/internal/memory"
 	"repro/internal/oracle"
 	"repro/internal/proto"
@@ -117,9 +116,9 @@ type verdictBody struct {
 	OracleOps int
 }
 
-// Observer implements apps.Member: the oracle recorder for a run of
-// `threads` global threads. Events are stamped from the member's
-// hybrid logical clock — the same clock every TCP frame carries and
+// Observer implements apps.Member: the oracle log for a run of `threads`
+// global threads, a flight.Log that stamps each event it keeps from the
+// member's hybrid logical clock — the same clock every TCP frame carries and
 // folds on receipt — so a stamp taken after a frame arrived is greater
 // than every stamp taken before that frame was sent, no matter how the
 // processes' wall clocks are skewed. Sorting the merged logs by stamp
@@ -128,7 +127,7 @@ type verdictBody struct {
 // seconds, which raw wall-clock readings only manage on one machine.
 func (m *Member) Observer(threads int) dsm.Observer {
 	m.threads = threads
-	m.rec = &timedRecorder{clock: m.clock}
+	m.rec = flight.NewLog(oracle.Kinds, m.clock.Tick)
 	return m.rec
 }
 
@@ -149,7 +148,7 @@ func (m *Member) FinishApp(c *dsm.Cluster, res *apps.Result, check, oracleOn boo
 		}
 	}
 	if oracleOn && m.rec != nil {
-		rep.Ops = m.rec.ops
+		rep.Ops = m.rec.Events
 	}
 	return m.verdict(c, res, rep, oracleOn)
 }
@@ -212,6 +211,7 @@ func (m *Member) judge(c *dsm.Cluster, reports []appReportBody, oracleOn bool) v
 	v := verdictBody{Metrics: reports[0].Metrics}
 	merged := &v.Metrics
 	rings := make([][]flight.Event, len(reports))
+	ops := make([][]flight.Event, len(reports))
 	for id := range reports {
 		r := &reports[id]
 		if id > 0 {
@@ -225,64 +225,26 @@ func (m *Member) judge(c *dsm.Cluster, reports []appReportBody, oracleOn bool) v
 		if v.Err == "" && r.Err != "" {
 			v.Err = fmt.Sprintf("node %d: %s", id, r.Err)
 		}
-		rings[id] = r.Flight
+		rings[id], ops[id] = r.Flight, r.Ops
 	}
 	if m.flight != nil {
 		m.timeline = flight.Merge(rings...)
 	}
 	if oracleOn && v.Err == "" {
-		var viols []oracle.Violation
-		if v.OracleOps, viols = m.checkMergedOracle(c, reports); len(viols) > 0 {
+		// flight.Merge's order (HLC stamp, node, append order) is consistent
+		// with happens-before under any wall-clock skew: a member's clock is
+		// strictly increasing, and frames carry its stamps to the others.
+		merged := flight.Merge(ops...)
+		var init oracle.InitFn
+		if c != nil {
+			init = c.InitialWord
+		}
+		v.OracleOps = len(merged)
+		if viols := oracle.Check(m.threads, merged, init); len(viols) > 0 {
 			v.Err = fmt.Sprintf("merged oracle: %d violation(s), first: %s", len(viols), viols[0])
 		}
 	}
 	return v
-}
-
-// checkMergedOracle merges every process's stamped event log into one
-// total order — flight.Merge's: HLC stamp, then node, then each member's
-// own append order — and replays it through the LRC oracle. Within a
-// process the recorder's append order is consistent with its stamps (the
-// clock is strictly increasing and event delivery is serialized); across
-// processes the frame-carried stamps make the order consistent with
-// happens-before under any wall-clock skew.
-func (m *Member) checkMergedOracle(c *dsm.Cluster, reports []appReportBody) (int, []oracle.Violation) {
-	logs := make([][]flight.Event, len(reports))
-	for id := range reports {
-		logs[id] = reports[id].Ops
-	}
-	rec := oracle.NewRecorder(m.threads)
-	for _, ev := range flight.Merge(logs...) {
-		rec.Record(ev)
-	}
-	var init oracle.InitFn
-	if c != nil {
-		init = c.InitialWord
-	}
-	return rec.Len(), rec.Check(init)
-}
-
-// --- stamped oracle recorder --------------------------------------
-
-// timedRecorder is the member's oracle subscriber: it keeps the events
-// oracle.Check reads, stamping each (Wall, Logical) off the member's
-// hybrid logical clock — the pair the merged cluster-wide LRC check sorts
-// on — as it stores it. The live engine serializes delivery
-// (live.Cluster.Subscribe), so appends are single-threaded; the clock is
-// strictly increasing (and shared with the transport's frame stamping),
-// so stamp order matches append order within the process and
-// happens-before across processes.
-type timedRecorder struct {
-	clock *hlc.Clock
-	ops   []flight.Event
-}
-
-func (r *timedRecorder) Kinds() flight.Mask { return oracle.Kinds }
-
-func (r *timedRecorder) Record(ev flight.Event) {
-	s := r.clock.Tick()
-	ev.Wall, ev.Logical = s.Wall, s.Logical
-	r.ops = append(r.ops, ev)
 }
 
 // compile-time check: the member satisfies the apps layer's contract.

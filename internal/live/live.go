@@ -310,7 +310,7 @@ func (c *Cluster) registerMetrics(reg *telemetry.Registry) {
 
 // serialized delivers to a cluster-wide subscriber under one mutex: the
 // one place concurrent nodes' events become the single total order an
-// unsynchronized subscriber (the oracle recorder, a dsm.Trace) expects;
+// unsynchronized subscriber (a flight.Log: the oracle's, a dsm.Trace) expects;
 // every cluster-wide subscriber takes it, the telemetry sketch included.
 // That order is consistent with causality (see proto.Node.Emit); only
 // genuinely concurrent events race for log positions, and LRC places no

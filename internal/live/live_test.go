@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/flight"
 	"repro/internal/live/transport"
 	"repro/internal/live/transport/faulty"
 	"repro/internal/locator"
@@ -129,7 +130,7 @@ func TestEveryPolicyAndLocator(t *testing.T) {
 			cfg := DefaultConfig(3)
 			cfg.Policy = pol
 			cfg.Locator = lc
-			rec := oracle.NewRecorder(3)
+			rec := flight.NewLog(oracle.Kinds, nil)
 			c := New(cfg)
 			c.Subscribe(rec)
 			obj := c.AddObject(4, 0)
@@ -155,7 +156,7 @@ func TestEveryPolicyAndLocator(t *testing.T) {
 			if err := c.CheckInvariants(); err != nil {
 				t.Fatalf("%s: invariants: %v", name, err)
 			}
-			if viols := rec.Check(nil); len(viols) > 0 {
+			if viols := oracle.Check(3, rec.Events, nil); len(viols) > 0 {
 				t.Fatalf("%s: oracle: %v", name, viols[0])
 			}
 			d := c.Digest()

@@ -298,7 +298,7 @@ func (t *Transport) cutLink() {
 	if t.cut.Swap(true) {
 		return
 	}
-	t.opt.Flight.Record(flight.Event{Kind: flight.FaultInjected, Peer: memory.NodeID(t.opt.CutA), Sync: uint32(t.opt.CutB)})
+	t.opt.Flight.Record(flight.Event{Kind: flight.FaultInjected, Tag: flight.FaultCut, Peer: memory.NodeID(t.opt.CutA), Sync: uint32(t.opt.CutB)})
 	t.fatal(fmt.Errorf("faulty: link %d<->%d severed (injected cut after %d frames)", t.opt.CutA, t.opt.CutB, t.total.Load()))
 }
 

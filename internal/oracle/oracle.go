@@ -1,11 +1,12 @@
 // Package oracle is an executable lazy-release-consistency checker for
-// the DSM. A Recorder subscribes to a cluster (Config.Observer, either
-// engine) for the thread-side events the protocol driver emits — every
-// per-thread scalar access, lock acquire/release and barrier
-// arrive/depart — plus the managers' BarrierRelease and LockGrant; Check
-// then reconstructs the happens-before order those synchronization
-// chains imply (vector clocks over the recorded total order) and
-// verifies that every read was LRC-legal:
+// the DSM. Check reads a run's event log of Kinds — the thread-side
+// events the protocol driver emits (every per-thread scalar access, lock
+// acquire/release and barrier arrive/depart) plus the managers'
+// BarrierRelease and LockGrant, kept by a flight.Log subscribed to a
+// cluster (Config.Observer, either engine) or merged from a cluster's
+// members' logs (flight.Merge) — reconstructs the happens-before order
+// those synchronization chains imply (vector clocks over the log's total
+// order) and verifies that every read was LRC-legal:
 //
 //   - a read must return the value of a happens-before-maximal write to
 //     its word — never a value that a write ordered before the read has
@@ -32,60 +33,14 @@ import (
 )
 
 // threadKinds are the events issued by an application thread (Thread
-// set); Kinds is everything Check reads — what any recorder feeding it
-// must subscribe to. LockGrant is a manager-side diagnostic only: the
+// set); Kinds is everything Check reads — what any log feeding it must
+// subscribe to. LockGrant is a manager-side diagnostic only: the
 // acquire-side happens-before edge comes from Acquire.
 var (
 	threadKinds = flight.MaskOf(flight.Read, flight.Write, flight.Acquire, flight.Release,
 		flight.BarrierArrive, flight.BarrierDepart)
 	Kinds = threadKinds | flight.MaskOf(flight.BarrierRelease, flight.LockGrant)
 )
-
-// Recorder captures a run's event log: the protocol's own flight.Events,
-// of which Check reads Thread, Obj, Word and Val of a Read/Write, Thread
-// and Sync (the lock or barrier id) of the four thread-side sync kinds,
-// and Sync of a BarrierRelease. It is not synchronized: the
-// simulation kernel is cooperatively scheduled and the live engine
-// serializes delivery, so on either the log is a total order consistent
-// with happens-before. Within one thread, events arrive in program
-// order; Release after the release-side flush completed (all diff acks
-// received) and before the lock can be granted on; Acquire after the
-// grant arrived; BarrierArrive before the arrival is sent to the
-// manager, BarrierRelease at the manager after every party arrived and
-// before any BarrierDepart.
-//
-// Only scalar Read/Write accesses are events. Bulk ReadView/WriteView
-// accesses are invisible (the values are not known at access time);
-// programs meant to be oracle-checked must use the scalar path, as the
-// scenario engine does.
-type Recorder struct {
-	threads int
-	ops     []flight.Event
-}
-
-// NewRecorder returns a recorder for a run with the given thread count
-// (thread ids must be dense in [0, threads)).
-func NewRecorder(threads int) *Recorder {
-	if threads <= 0 {
-		panic("oracle: recorder needs at least one thread")
-	}
-	return &Recorder{threads: threads}
-}
-
-// Reset clears the log for reuse across runs, keeping capacity.
-func (r *Recorder) Reset() { r.ops = r.ops[:0] }
-
-// Len reports the number of recorded events.
-func (r *Recorder) Len() int { return len(r.ops) }
-
-// Ops exposes the raw log (read-only use: diagnostics, replay).
-func (r *Recorder) Ops() []flight.Event { return r.ops }
-
-// Kinds implements flight.Subscriber.
-func (r *Recorder) Kinds() flight.Mask { return Kinds }
-
-// Record implements flight.Subscriber: append one event.
-func (r *Recorder) Record(ev flight.Event) { r.ops = append(r.ops, ev) }
 
 // InitFn supplies the pre-run initial value of a word (from InitObject
 // seeding); nil means all words start at zero.
@@ -154,12 +109,30 @@ type barThread struct {
 // maxLegalValues caps the legal-value list attached to a violation.
 const maxLegalValues = 8
 
-// Check replays the recorded log, building the happens-before order from
-// program order, lock transfer chains and barrier episodes, and returns
-// every violation found (empty means the run was LRC-legal). init
-// supplies pre-seeded initial values (nil = zeros).
-func (r *Recorder) Check(init InitFn) []Violation {
-	n := r.threads
+// Check replays events, the log of a run of threads threads (thread ids
+// dense in [0, threads)), building the happens-before order from program
+// order, lock transfer chains and barrier episodes, and returns every
+// violation found (empty means the run was LRC-legal). init supplies
+// pre-seeded initial values (nil = zeros).
+//
+// Of each event Check reads Thread, Obj, Word and Val of a Read/Write,
+// Thread and Sync (the lock or barrier id) of the four thread-side sync
+// kinds, and Sync of a BarrierRelease. The log must be a total order
+// consistent with happens-before: one process's log is, on either engine
+// (the simulation kernel is cooperatively scheduled and the live engine
+// serializes delivery), and so is the HLC-ordered merge of a cluster's.
+// Within one thread, events arrive in program order; Release after the
+// release-side flush completed (all diff acks received) and before the
+// lock can be granted on; Acquire after the grant arrived; BarrierArrive
+// before the arrival is sent to the manager, BarrierRelease at the
+// manager after every party arrived and before any BarrierDepart.
+//
+// Only scalar Read/Write accesses are events. Bulk ReadView/WriteView
+// accesses are invisible (the values are not known at access time);
+// programs meant to be oracle-checked must use the scalar path, as the
+// scenario engine does.
+func Check(threads int, events []flight.Event, init InitFn) []Violation {
+	n := threads
 	vc := make([]vclock, n)
 	for i := range vc {
 		vc[i] = make(vclock, n)
@@ -181,11 +154,11 @@ func (r *Recorder) Check(init InitFn) []Violation {
 	bad := func(i int, op flight.Event, legal []uint64, reason string) {
 		viols = append(viols, Violation{OpIndex: i, Op: op, Legal: legal, Reason: reason})
 	}
-	for i, op := range r.ops {
+	for i, op := range events {
 		t := int(op.Thread)
 		if threadKinds.Has(op.Kind) {
 			if t < 0 || t >= n {
-				bad(i, op, nil, fmt.Sprintf("thread id %d out of range (recorder sized for %d)", t, n))
+				bad(i, op, nil, fmt.Sprintf("thread id %d out of range (log of %d threads)", t, n))
 				continue
 			}
 			vc[t][t]++

@@ -17,11 +17,20 @@ import (
 	"repro/internal/scenario"
 )
 
-// log is a recorder with shorthands for hand-building an event log.
-type log struct{ *oracle.Recorder }
+// log is the oracle log of a run of threads threads, with shorthands for
+// building it by hand.
+type log struct {
+	*flight.Log
+	threads int
+}
 
-// rec builds a recorder for n threads.
-func rec(n int) log { return log{oracle.NewRecorder(n)} }
+// rec builds an empty log for n threads.
+func rec(n int) log { return log{flight.NewLog(oracle.Kinds, nil), n} }
+
+// check is oracle.Check over the log.
+func (l log) check(init oracle.InitFn) []oracle.Violation {
+	return oracle.Check(l.threads, l.Events, init)
+}
 
 func (l log) access(k flight.Kind, thread int, obj memory.ObjectID, word int, val uint64) {
 	l.Record(flight.Event{Kind: k, Thread: int32(thread), Obj: obj, Word: int32(word), Val: val})
@@ -47,7 +56,7 @@ func (l log) depart(thread int, bar uint32)   { l.sync(flight.BarrierDepart, thr
 // barRelease is the manager-side episode completion (no thread).
 func (l log) barRelease(bar uint32) { l.sync(flight.BarrierRelease, 0, bar) }
 
-// TestHandBuiltLogs drives the recorder directly with tiny
+// TestHandBuiltLogs drives the oracle directly with tiny
 // synthetic logs, one per legality rule, and checks the oracle's verdict
 // — the oracle's own unit semantics, independent of the DSM.
 func TestHandBuiltLogs(t *testing.T) {
@@ -175,7 +184,7 @@ func TestHandBuiltLogs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rec(2)
 			tc.build(r)
-			viols := r.Check(nil)
+			viols := r.check(nil)
 			if len(viols) != tc.nviol {
 				t.Fatalf("got %d violations, want %d: %v", len(viols), tc.nviol, viols)
 			}
@@ -207,7 +216,7 @@ func TestSubsetBarrierEpisodes(t *testing.T) {
 		r.depart(0, 0)
 		r.depart(2, 0)
 		r.read(2, obj, 0, readVal)
-		return r.Check(nil)
+		return r.check(nil)
 	}
 	if viols := build(rec(3), 2); len(viols) != 0 {
 		t.Fatalf("reading the episode-1 value flagged: %v", viols)
@@ -223,12 +232,12 @@ func TestInitialValues(t *testing.T) {
 	init := func(obj memory.ObjectID, word int) uint64 { return 40 + uint64(word) }
 	r := rec(1)
 	r.read(0, 0, 2, 42)
-	if v := r.Check(init); len(v) != 0 {
+	if v := r.check(init); len(v) != 0 {
 		t.Fatalf("seeded initial value flagged: %v", v)
 	}
 	r = rec(1)
 	r.read(0, 0, 2, 0)
-	if v := r.Check(init); len(v) != 1 {
+	if v := r.check(init); len(v) != 1 {
 		t.Fatalf("zero against seeded initial value not flagged: %v", v)
 	}
 }
@@ -296,7 +305,7 @@ func runRaw(t *testing.T, p *scenario.Program, dropDiffs bool) (violations, offM
 	t.Helper()
 	cfg := gos.DefaultConfig(p.Nodes)
 	cfg.Policy, cfg.DropDiffs, cfg.DebugWire = migration.NoHM{}, dropDiffs, true
-	rec := oracle.NewRecorder(p.Threads)
+	rec := flight.NewLog(oracle.Kinds, nil)
 	c := gos.New(cfg)
 	c.Subscribe(rec)
 	objs := make([]memory.ObjectID, len(p.Words))
@@ -322,7 +331,7 @@ func runRaw(t *testing.T, p *scenario.Program, dropDiffs bool) (violations, offM
 			}
 		}
 	}
-	return len(rec.Check(func(obj memory.ObjectID, word int) uint64 { return p.Initial()[obj][word] })), offModel
+	return len(oracle.Check(p.Threads, rec.Events, func(obj memory.ObjectID, word int) uint64 { return p.Initial()[obj][word] })), offModel
 }
 
 // FuzzScenario feeds arbitrary seeds to the scenario engine under a

@@ -32,7 +32,7 @@ type Node struct {
 	// the live engine gives each node its own and merges after the run.
 	Counters *stats.Counters
 	// subs are the node's observers (the flight ring, the telemetry
-	// sketch, the oracle recorder, a dsm.Trace), listening the union of
+	// sketch, the oracle's log, a dsm.Trace), listening the union of
 	// the kinds they declared; see Subscribe, On and Emit.
 	subs      []subscription
 	listening flight.Mask

@@ -53,7 +53,7 @@ func (n *Node) Emit(ev flight.Event) {
 }
 
 // Subscribe adds sub to every node: the cluster-wide subscribers (the
-// oracle recorder, the telemetry sketch, dsm.Config.Trace). A nil sub is
+// oracle's log, the telemetry sketch, dsm.Config.Trace). A nil sub is
 // ignored, so an unset Config field needs no test. Must precede Run.
 func (sp *Space) Subscribe(sub flight.Subscriber) {
 	sp.mustBeOpen()

@@ -85,7 +85,9 @@ func listened() *Node {
 	n := &Node{}
 	n.Subscribe(flight.NewRecorder(0, 1024, hlc.New(nil).Tick))
 	n.Subscribe(telemetry.NewSink(8))
-	n.Subscribe(&trace.Trace{Events: make([]flight.Event, 0, 1<<16)})
+	tr := flight.NewLog(trace.Kinds, nil)
+	tr.Events = make([]flight.Event, 0, 1<<16)
+	n.Subscribe(tr)
 	return n
 }
 

@@ -156,7 +156,7 @@ func TestLiveEngineCatchesSabotage(t *testing.T) {
 	p := scenario.Generate(7)
 	cfg := live.DefaultConfig(p.Nodes)
 	cfg.Policy, cfg.DropDiffs = migration.NoHM{}, true
-	rec := oracle.NewRecorder(p.Threads)
+	rec := flight.NewLog(oracle.Kinds, nil)
 	c := live.New(cfg)
 	c.Subscribe(rec)
 	objs := make([]memory.ObjectID, len(p.Words))
@@ -174,7 +174,7 @@ func TestLiveEngineCatchesSabotage(t *testing.T) {
 	if _, err := c.Run(workers); err != nil {
 		t.Fatal(err)
 	}
-	viols := rec.Check(func(obj memory.ObjectID, word int) uint64 { return p.Initial()[obj][word] })
+	viols := oracle.Check(p.Threads, rec.Events, func(obj memory.ObjectID, word int) uint64 { return p.Initial()[obj][word] })
 	if misreads.Load() == 0 && len(viols) == 0 {
 		t.Fatal("DropDiffs run passed the model and the oracle on live — their wiring is broken")
 	}
@@ -240,18 +240,18 @@ func TestChaosSweepSmoke(t *testing.T) {
 	if testing.Short() {
 		n = 4
 	}
-	st, err := bench.ChaosSweep(1, n, 0, time.Minute, nil)
+	st, err := bench.ChaosSweep(1, n, 0, nil)
 	if err != nil {
 		t.Fatalf("%v (failures: %v)", err, st.Failures)
 	}
-	if st.Completed+st.Aborted != st.Runs {
-		t.Fatalf("outcomes do not partition: %d completed + %d aborted != %d runs",
-			st.Completed, st.Aborted, st.Runs)
+	if st.Completed+st.Aborted != st.Scenarios {
+		t.Fatalf("outcomes do not partition: %d completed + %d aborted != %d seeds",
+			st.Completed, st.Aborted, st.Scenarios)
 	}
 	if st.Completed == 0 {
 		t.Error("no chaos run completed — fault mix too aggressive to test parity")
 	}
-	t.Logf("chaos: %d completed, %d aborted of %d", st.Completed, st.Aborted, st.Runs)
+	t.Logf("chaos: %d completed, %d aborted of %d", st.Completed, st.Aborted, st.Scenarios)
 }
 
 // TestChaosAbortDumpsFlight: a killed run with recorders attached must

@@ -7,8 +7,8 @@
 // internal/proto like every other run.
 //
 // It has no event model of its own. Analyze reads flight.Event sequences
-// — a Trace attached to a cluster (dsm.Config.Trace, either engine), or a
-// merged flight timeline — and classifies four kinds: Request (requester
+// — a flight.Log of Kinds attached to a cluster (dsm.Config.Trace, either
+// engine), or a merged flight timeline — and classifies four kinds: Request (requester
 // in Peer, redirection accumulation in Hops), RemoteWrite (writer in
 // Peer, diff bytes in Bytes) and the trapped HomeWrite and HomeRead (the
 // home in Node). Every other kind is skipped.
@@ -23,23 +23,8 @@ import (
 	"repro/internal/memory"
 )
 
-var kinds = flight.MaskOf(flight.Request, flight.RemoteWrite, flight.HomeWrite, flight.HomeRead)
-
-// Trace is an ordered log of the events the classifier reads: the
-// flight.Subscriber behind dsm.Config.Trace. It is not synchronized; the
-// live engine serializes delivery.
-type Trace struct {
-	Events []flight.Event
-}
-
-// Kinds implements flight.Subscriber.
-func (t *Trace) Kinds() flight.Mask { return kinds }
-
-// Record implements flight.Subscriber: append one event.
-func (t *Trace) Record(ev flight.Event) { t.Events = append(t.Events, ev) }
-
-// Len reports the number of recorded events.
-func (t *Trace) Len() int { return len(t.Events) }
+// Kinds is what Analyze reads: the kinds a log feeding it keeps.
+var Kinds = flight.MaskOf(flight.Request, flight.RemoteWrite, flight.HomeWrite, flight.HomeRead)
 
 // Pattern is the classification of one object's write behavior.
 type Pattern uint8
@@ -115,7 +100,7 @@ func Analyze(evs []flight.Event) []Profile {
 		}
 	}
 	for _, e := range evs {
-		if !kinds.Has(e.Kind) {
+		if !Kinds.Has(e.Kind) {
 			continue
 		}
 		a := get(e.Obj)

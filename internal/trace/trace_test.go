@@ -8,7 +8,7 @@ import (
 	"repro/internal/memory"
 )
 
-func writeBurst(t *Trace, obj memory.ObjectID, writer memory.NodeID, n int) {
+func writeBurst(t *flight.Log, obj memory.ObjectID, writer memory.NodeID, n int) {
 	for i := 0; i < n; i++ {
 		t.Record(flight.Event{Obj: obj, Kind: flight.Request, Peer: writer})
 		t.Record(flight.Event{Obj: obj, Kind: flight.RemoteWrite, Peer: writer, Bytes: 64})
@@ -16,7 +16,7 @@ func writeBurst(t *Trace, obj memory.ObjectID, writer memory.NodeID, n int) {
 }
 
 func TestAnalyzeReadMostly(t *testing.T) {
-	var tr Trace
+	tr := flight.NewLog(Kinds, nil)
 	tr.Record(flight.Event{Obj: 1, Kind: flight.Request, Peer: 2})
 	tr.Record(flight.Event{Obj: 1, Kind: flight.HomeRead, Node: 0})
 	ps := Analyze(tr.Events)
@@ -29,8 +29,8 @@ func TestAnalyzeReadMostly(t *testing.T) {
 }
 
 func TestAnalyzeSingleWriterLasting(t *testing.T) {
-	var tr Trace
-	writeBurst(&tr, 5, 3, 20)
+	tr := flight.NewLog(Kinds, nil)
+	writeBurst(tr, 5, 3, 20)
 	ps := Analyze(tr.Events)
 	if ps[0].Pattern != SingleWriterLasting {
 		t.Fatalf("pattern = %v", ps[0].Pattern)
@@ -41,9 +41,9 @@ func TestAnalyzeSingleWriterLasting(t *testing.T) {
 }
 
 func TestAnalyzeTransientSingleWriter(t *testing.T) {
-	var tr Trace
+	tr := flight.NewLog(Kinds, nil)
 	for turn := 0; turn < 10; turn++ {
-		writeBurst(&tr, 5, memory.NodeID(1+turn%3), 3)
+		writeBurst(tr, 5, memory.NodeID(1+turn%3), 3)
 	}
 	ps := Analyze(tr.Events)
 	if ps[0].Pattern != SingleWriterTransient {
@@ -55,7 +55,7 @@ func TestAnalyzeTransientSingleWriter(t *testing.T) {
 }
 
 func TestAnalyzeMultipleWriter(t *testing.T) {
-	var tr Trace
+	tr := flight.NewLog(Kinds, nil)
 	for i := 0; i < 20; i++ {
 		tr.Record(flight.Event{Obj: 9, Kind: flight.RemoteWrite, Peer: memory.NodeID(1 + i%2), Bytes: 8})
 	}
@@ -69,9 +69,9 @@ func TestAnalyzeMultipleWriter(t *testing.T) {
 }
 
 func TestAnalyzeMultipleObjectsSorted(t *testing.T) {
-	var tr Trace
-	writeBurst(&tr, 7, 1, 2)
-	writeBurst(&tr, 3, 1, 2)
+	tr := flight.NewLog(Kinds, nil)
+	writeBurst(tr, 7, 1, 2)
+	writeBurst(tr, 3, 1, 2)
 	ps := Analyze(tr.Events)
 	if len(ps) != 2 || ps[0].Obj != 3 || ps[1].Obj != 7 {
 		t.Fatalf("profiles = %+v", ps)
@@ -79,8 +79,8 @@ func TestAnalyzeMultipleObjectsSorted(t *testing.T) {
 }
 
 func TestReportRenders(t *testing.T) {
-	var tr Trace
-	writeBurst(&tr, 1, 2, 10)
+	tr := flight.NewLog(Kinds, nil)
+	writeBurst(tr, 1, 2, 10)
 	out := Report(Analyze(tr.Events))
 	if !strings.Contains(out, "single-writer-lasting") {
 		t.Fatalf("report:\n%s", out)
@@ -117,13 +117,13 @@ func TestAnalyzeReadsFlightTimeline(t *testing.T) {
 	if ps[0] != want {
 		t.Errorf("profile = %+v, want %+v", ps[0], want)
 	}
-	var tr Trace
+	tr := flight.NewLog(Kinds, nil)
 	for _, e := range evs {
 		if tr.Kinds().Has(e.Kind) {
 			tr.Record(e)
 		}
 	}
-	if tr.Len() != 4 {
-		t.Errorf("a Trace subscribed with Kinds() kept %d of the events, want 4", tr.Len())
+	if len(tr.Events) != 4 {
+		t.Errorf("a log of Kinds kept %d of the events, want 4", len(tr.Events))
 	}
 }
