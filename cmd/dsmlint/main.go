@@ -1,5 +1,7 @@
 // Command dsmlint runs the repository's static-analysis suite (see
-// internal/lint): detlint, framelint, errlint, hotlint.
+// internal/lint): detlint, framelint, errlint, hotlint and shapelint,
+// whose table of shape rules keeps one protocol core under two engines
+// (a row bans an import, confines a name to listed files, or bans it).
 //
 // It loads packages straight from the module tree, no build cache or
 // network required:
@@ -13,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,33 +24,36 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run loads package patterns from the module tree with the offline
-// loader and reports every finding.
-func run() int {
-	fs := flag.NewFlagSet("dsmlint", flag.ExitOnError)
+// loader, reports every finding on stdout and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dsmlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	names := fs.String("analyzers", "", "comma-separated analyzer names (default all)")
-	fs.Parse(os.Args[1:])
+	if err := fs.Parse(args); err != nil {
+		return 1
+	}
 	analyzers, err := lint.ByName(*names)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	loader, err := lint.NewLoader(".")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	pkgs, err := loader.Load(fs.Args()...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	diags, err := lint.RunAnalyzers(pkgs, analyzers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	cwd, _ := os.Getwd()
@@ -56,10 +62,10 @@ func run() int {
 		if rel, err := filepath.Rel(cwd, pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			pos.Filename = rel
 		}
-		fmt.Printf("%s: %s: %s\n", pos, d.Analyzer, d.Message)
+		fmt.Fprintf(stdout, "%s: %s: %s\n", pos, d.Analyzer, d.Message)
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "dsmlint: %d finding(s)\n", len(diags))
+		fmt.Fprintf(stderr, "dsmlint: %d finding(s)\n", len(diags))
 		return 2
 	}
 	return 0

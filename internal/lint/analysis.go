@@ -1,10 +1,11 @@
 // Package lint is dsmlint: a static-analysis suite that turns this
 // repository's load-bearing conventions — determinism of the simulation
 // core, frame-buffer pooling discipline, sentinel-error handling,
-// nil-guarded recorder calls, allocation-free hot paths — into
-// compile-time checks. Each analyzer encodes a bug class that was
-// previously caught only dynamically (golden byte-identity tests, the
-// LRC oracle, 4200-run chaos sweeps) or not at all.
+// allocation-free hot paths, the shape of the protocol core and its two
+// engines — into compile-time checks. Each analyzer encodes a bug class
+// that was previously caught only dynamically (golden byte-identity
+// tests, the LRC oracle, 4200-run chaos sweeps), by shell greps, or not
+// at all.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic, testdata fixtures with `// want`
@@ -25,6 +26,14 @@
 //     or error-text comparison.
 //   - hotlint:   //dsm:hotpath functions reject allocating composite
 //     literals, closures, fmt calls, and interface boxing.
+//   - shapelint: one table of shape rules, shapeRules. A row is an
+//     import rule (package P may not import Q), an only rule (X may
+//     appear only in the listed files, optionally exactly n times in
+//     each) or a ban (X may not appear in the listed packages). X is
+//     resolved through types.Info: a func, method, type, field or
+//     constant, a composite-literal type, a map type, a flag name
+//     registered on flag or a *flag.FlagSet, a package clause — or,
+//     for one row, a word in the README.md beside a package.
 //
 // Suppression: a finding can be silenced with a justified
 // `//dsm:nolint <analyzer>: <reason>` comment on the flagged line or
@@ -116,7 +125,7 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 
 // All returns every dsmlint analyzer, in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Det, Frame, Err, Hot}
+	return []*Analyzer{Det, Frame, Err, Hot, Shape}
 }
 
 // ByName resolves comma-separated analyzer names ("detlint,errlint");

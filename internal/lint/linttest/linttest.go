@@ -12,11 +12,15 @@
 //	// want@-1 `regexp`   (applies to the line above — for diagnostics
 //	                       positioned on a directive comment's own line)
 //
-// Every diagnostic must match an expectation on its line and every
-// expectation must be hit, or the test fails.
+// A Markdown file beside the fixture's Go files (checks that read text,
+// like shapelint's README row) carries the same clause anywhere on the
+// line it applies to, e.g. inside <!-- -->. Every diagnostic must match
+// an expectation on its line and every expectation must be hit, or the
+// test fails.
 package linttest
 
 import (
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -64,10 +68,12 @@ var patRe = regexp.MustCompile(`"(?:[^"\\]|\\.)*"|` + "`[^`]*`")
 
 // Run loads each fixture package rooted at
 // internal/lint/testdata/src/<path> and checks analyzer a's
-// diagnostics against the fixtures' want comments.
-func Run(t *testing.T, a *lint.Analyzer, paths ...string) {
+// diagnostics against the fixtures' want comments (in the Go files, and
+// in the Markdown files beside them), returning the diagnostics.
+func Run(t *testing.T, a *lint.Analyzer, paths ...string) []lint.Diagnostic {
 	t.Helper()
 	l := sharedLoader(t)
+	var all []lint.Diagnostic
 	for _, path := range paths {
 		dir := filepath.Join(l.Root, "internal", "lint", "testdata", "src", filepath.FromSlash(path))
 		pkgs, err := l.LoadDir(dir, path)
@@ -81,9 +87,11 @@ func Run(t *testing.T, a *lint.Analyzer, paths ...string) {
 		if err != nil {
 			t.Fatalf("linttest: run %s on %s: %v", a.Name, path, err)
 		}
-		wants := collectWants(t, pkgs)
+		wants := append(collectWants(t, pkgs), markdownWants(t, dir)...)
 		match(t, path, diags, wants)
+		all = append(all, diags...)
 	}
+	return all
 }
 
 // collectWants parses the want comments out of every fixture file.
@@ -94,41 +102,62 @@ func collectWants(t *testing.T, pkgs []*lint.Package) []*expectation {
 		for _, file := range pkg.Files {
 			for _, cg := range file.Comments {
 				for _, c := range cg.List {
-					m := wantRe.FindStringSubmatch(c.Text)
-					if m == nil {
-						continue
-					}
-					line := pkg.Fset.Position(c.Pos()).Line
-					if m[1] != "" {
-						off, err := strconv.Atoi(m[1][1:])
-						if err != nil {
-							t.Fatalf("linttest: bad want offset %q", m[1])
-						}
-						line += off
-					}
-					for _, q := range patRe.FindAllString(m[2], -1) {
-						pat := q[1 : len(q)-1]
-						if q[0] == '"' {
-							unq, err := strconv.Unquote(q)
-							if err != nil {
-								t.Fatalf("linttest: bad want pattern %s: %v", q, err)
-							}
-							pat = unq
-						}
-						re, err := regexp.Compile(pat)
-						if err != nil {
-							t.Fatalf("linttest: bad want regexp %q: %v", pat, err)
-						}
-						wants = append(wants, &expectation{
-							file: pkg.Fset.Position(c.Pos()).Filename,
-							line: line,
-							re:   re,
-							raw:  pat,
-						})
-					}
+					pos := pkg.Fset.Position(c.Pos())
+					wants = append(wants, parseWant(t, c.Text, pos.Filename, pos.Line)...)
 				}
 			}
 		}
+	}
+	return wants
+}
+
+// markdownWants parses the want comments out of the Markdown files in
+// dir, one per line, for checks that read text beside the Go files.
+func markdownWants(t *testing.T, dir string) []*expectation {
+	t.Helper()
+	files, _ := filepath.Glob(filepath.Join(dir, "*.md"))
+	var wants []*expectation
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatalf("linttest: %v", err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			wants = append(wants, parseWant(t, line, file, i+1)...)
+		}
+	}
+	return wants
+}
+
+// parseWant parses the want clause, if any, in text found at file:line.
+func parseWant(t *testing.T, text, file string, line int) []*expectation {
+	t.Helper()
+	m := wantRe.FindStringSubmatch(text)
+	if m == nil {
+		return nil
+	}
+	if m[1] != "" {
+		off, err := strconv.Atoi(m[1][1:])
+		if err != nil {
+			t.Fatalf("linttest: bad want offset %q", m[1])
+		}
+		line += off
+	}
+	var wants []*expectation
+	for _, q := range patRe.FindAllString(m[2], -1) {
+		pat := q[1 : len(q)-1]
+		if q[0] == '"' {
+			unq, err := strconv.Unquote(q)
+			if err != nil {
+				t.Fatalf("linttest: bad want pattern %s: %v", q, err)
+			}
+			pat = unq
+		}
+		re, err := regexp.Compile(pat)
+		if err != nil {
+			t.Fatalf("linttest: bad want regexp %q: %v", pat, err)
+		}
+		wants = append(wants, &expectation{file: file, line: line, re: re, raw: pat})
 	}
 	return wants
 }
