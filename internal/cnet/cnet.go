@@ -53,7 +53,8 @@ type Network struct {
 	// message cannot be overtaken by a smaller one sent later.
 	lastArrival [][]sim.Time
 	msgPool     []*wire.Msg
-	scratch     []byte // reused encode buffer for DebugCheck verification
+	scratch     []byte   // reused encode buffer for DebugCheck verification
+	decoded     wire.Msg // reused decode target for DebugCheck verification
 }
 
 // New builds a network of n nodes recording into counters.
@@ -170,11 +171,11 @@ func (n *Network) verify(msg *wire.Msg, size int) {
 	if len(buf) != size {
 		panic(fmt.Sprintf("cnet: WireSize %d != encoded %d for %v", size, len(buf), msg.Kind))
 	}
-	got, err := wire.Decode(buf)
-	if err != nil {
+	got := &n.decoded
+	if err := got.Decode(buf); err != nil {
 		panic(fmt.Sprintf("cnet: self-check decode failed for %v: %v", msg.Kind, err))
 	}
 	if !got.Equal(msg) {
-		panic(fmt.Sprintf("cnet: codec round trip changed a %v:\nsent    %+v\ndecoded %+v", msg.Kind, *msg, got))
+		panic(fmt.Sprintf("cnet: codec round trip changed a %v:\nsent    %+v\ndecoded %+v", msg.Kind, *msg, *got))
 	}
 }

@@ -241,6 +241,9 @@ var shapeRules = []shapeRule{
 	{name: "ShouldMigrate is Adaptive's wrapper for the benchmark probe", since: "Written once",
 		in: outsideBenchmark, tests: true, what: []target{decl("method", "ShouldMigrate")},
 		only: []string{"internal/migration/policy.go"}, n: 1},
+	{name: "wire.Decode is the benchmark probe's wrapper", since: "Decode in place, handle by pointer",
+		in: outsideBenchmark, tests: true, what: []target{use("repro/internal/wire.Decode")},
+		only: []string{"internal/wire/"}},
 	{name: "the examples do not restate internal/apps", since: "Written once",
 		in: pkgs("examples/..."), what: []target{{kind: tPkg}},
 		only: []string{"examples/patterns/", "examples/quickstart/"}},

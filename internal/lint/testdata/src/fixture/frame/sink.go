@@ -9,7 +9,7 @@ func (backend) SetSink(id int, sink func(frame []byte) error) {}
 
 func (backend) deliver(frame []byte) error { return nil }
 
-// parse stands in for wire.Decode: it reads the frame, nothing more.
+// parse stands in for (*wire.Msg).Decode: it reads the frame, nothing more.
 func parse(b []byte) error { _ = b; return nil }
 
 // readerPushes hands the buffer to the node through deliver: clean, the

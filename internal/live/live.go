@@ -472,12 +472,12 @@ func (n *node) unlock() {
 	for retry := true; retry && len(n.parked) > 0; {
 		retry = false
 		kept := n.parked[:0]
-		for _, msg := range n.parked {
-			if n.ps.CanRoute(msg) {
-				n.handle(&msg)
+		for i := range n.parked {
+			if msg := &n.parked[i]; n.ps.CanRoute(msg) {
+				n.handle(msg)
 				retry = true
 			} else {
-				kept = append(kept, msg)
+				kept = append(kept, *msg)
 			}
 		}
 		clear(n.parked[len(kept):])
@@ -539,22 +539,26 @@ func (n *node) Broadcast(msg wire.Msg, cat stats.Category) {
 }
 
 // receive is the node's transport.Pusher sink, its receive path for one
-// frame, run by whoever delivers it: decode the frame (Decode copies
-// every payload out; the frame returns to the pool on the way out), then
-// handle it under the node lock — or park it there when CanRoute rejects
-// it: the home transfer that makes it routable is still in flight (our
-// thread holds the migrating reply in its mailbox, or the barrier-go
-// carrying the reassignment is behind this frame). A parked message stays
-// counted as in flight, so quiescence waits for it. A frame Decode
-// rejects, or one naming an object, lock, barrier, node or thread slot
-// the layout does not have (proto.Node.CheckFrame — the handlers
-// subscript with those ids), is a peer's doing, not a state a bug alone
-// can produce: it comes back as an ErrProtocol error, which the backend
-// raises through the engine's fatal handler, aborting the run.
+// frame, run by whoever delivers it: decode the frame in place into the
+// one Msg this call owns (the payloads land in fresh slices, so the
+// frame returns to the pool on the way out), check and route that Msg by
+// pointer, then handle it under the node lock — or park a copy there
+// when CanRoute rejects it: the home transfer that makes it routable is
+// still in flight (our thread holds the migrating reply in its mailbox,
+// or the barrier-go carrying the reassignment is behind this frame).
+// Decoding happens before the lock is taken, so the Msg is this call's,
+// not the node's: deliveries to one node may run concurrently (one TCP
+// reader per peer). A parked message stays counted as in flight, so
+// quiescence waits for it. A frame Decode rejects, or one naming an
+// object, lock, barrier, node or thread slot the layout does not have
+// (proto.Node.CheckFrame — the handlers subscript with those ids), is a
+// peer's doing, not a state a bug alone can produce: it comes back as an
+// ErrProtocol error, which the backend raises through the engine's fatal
+// handler, aborting the run.
 func (n *node) receive(frame []byte) error {
 	defer transport.PutFrame(frame)
-	msg, err := wire.Decode(frame)
-	if err != nil {
+	var msg wire.Msg
+	if err := msg.Decode(frame); err != nil {
 		return fmt.Errorf("%w: node %d received a %d-byte frame, kind byte %#x, that does not decode: %v",
 			ErrProtocol, n.ps.ID, len(frame), frame[:min(len(frame), 1)], err)
 	}
@@ -562,7 +566,7 @@ func (n *node) receive(frame []byte) error {
 		return fmt.Errorf("%w: node %d received %v", ErrProtocol, n.ps.ID, err)
 	}
 	n.mu.Lock()
-	if n.ps.CanRoute(msg) {
+	if n.ps.CanRoute(&msg) {
 		n.handle(&msg)
 	} else {
 		n.parked = append(n.parked, msg)

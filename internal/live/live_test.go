@@ -213,8 +213,8 @@ type verifyTransport struct {
 
 func (v *verifyTransport) Send(to memory.NodeID, frame []byte) {
 	v.frames.Add(1)
-	msg, err := wire.Decode(frame)
-	if err != nil {
+	var msg wire.Msg
+	if err := msg.Decode(frame); err != nil {
 		v.t.Errorf("frame to node %d does not decode: %v", to, err)
 	} else if re := msg.Encode(nil); !bytes.Equal(re, frame) {
 		v.t.Errorf("frame to node %d is not canonical: %d vs %d bytes", to, len(re), len(frame))

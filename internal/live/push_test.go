@@ -62,7 +62,8 @@ type tallyLoop struct {
 }
 
 func (d tallyLoop) Send(to memory.NodeID, frame []byte) {
-	msg, _ := wire.Decode(frame)
+	var msg wire.Msg
+	_ = msg.Decode(frame) // the engine's own frames; verifyTransport checks the codec
 	d.mu.Lock()
 	d.sent = append(d.sent, msg)
 	d.mu.Unlock()

@@ -751,8 +751,8 @@ func canonicalWireFrames(t *testing.T, f Factory) {
 		if !bytes.Equal(frame, want[i]) {
 			t.Fatalf("frame %d corrupted in transit: %d bytes vs %d sent", i, len(frame), len(want[i]))
 		}
-		msg, err := wire.Decode(frame)
-		if err != nil {
+		var msg wire.Msg
+		if err := msg.Decode(frame); err != nil {
 			t.Fatalf("frame %d does not decode: %v", i, err)
 		}
 		if re := msg.Encode(nil); !bytes.Equal(re, frame) {

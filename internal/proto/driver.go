@@ -341,9 +341,9 @@ func (d *Driver) reply(msg *wire.Msg) {
 		if !d.fetching || obj != d.fetchObj {
 			d.stray(msg)
 		}
-		n.MaybeCompressPath(d.fetchTo, *msg)
+		n.MaybeCompressPath(d.fetchTo, msg)
 		n.Counters.RoundTripNs.Observe(int64(d.h.Now() - d.fetchStart))
-		n.Install(*msg)
+		n.install(msg)
 		d.fetching = false
 	case wire.LockGrant, wire.BarrierGo:
 		id := msg.Lock

@@ -23,10 +23,10 @@ import (
 // offending field.
 //
 // A frame from a peer process is outside input: the live engine calls
-// this between wire.Decode and CanRoute and ends the run on an error. The
-// layout is fixed once the run starts, so the check needs no lock; the
-// sim engine, whose messages never leave the process, does not call it.
-// msg is only read.
+// this between (*wire.Msg).Decode and CanRoute and ends the run on an
+// error. The layout is fixed once the run starts, so the check needs no
+// lock; the sim engine, whose messages never leave the process, does not
+// call it. msg is only read.
 func (n *Node) CheckFrame(msg *wire.Msg, threads int) error {
 	field, v := n.strayField(msg, threads)
 	if field == "" {

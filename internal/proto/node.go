@@ -136,7 +136,7 @@ func (n *Node) growObjects(total int) {
 // the live engine can — it parks the message at its node until the
 // transfer lands. Manager/broadcast locators recover through HomeMiss
 // instead and always route.
-func (n *Node) CanRoute(msg wire.Msg) bool {
+func (n *Node) CanRoute(msg *wire.Msg) bool {
 	if n.S.Locator != locator.ForwardingPointer {
 		return true
 	}
@@ -158,17 +158,19 @@ func (n *Node) CanRoute(msg wire.Msg) bool {
 
 // Handle dispatches one protocol message in daemon context. Handlers
 // never block: requests needing remote work are forwarded, not awaited.
+// msg is the handlers' own copy, and they take it by pointer: a
+// forwarded request is updated in place and sent on.
 func (n *Node) Handle(msg wire.Msg) {
 	switch msg.Kind {
 	case wire.ObjReq:
-		n.handleObjReq(msg)
+		n.handleObjReq(&msg)
 	case wire.DiffMsg:
-		n.handleDiff(msg)
+		n.handleDiff(&msg)
 	case wire.DiffAck:
 		if msg.ReplySlot >= 0 {
 			n.Eng.ToThread(msg.ReplySlot, msg)
 		} else {
-			n.handleDaemonDiffAck(msg)
+			n.handleDaemonDiffAck(&msg)
 		}
 	case wire.LockReq:
 		lk := n.Locks[msg.Lock]
@@ -177,12 +179,12 @@ func (n *Node) Handle(msg wire.Msg) {
 			n.GrantLock(msg.Lock, w)
 		}
 	case wire.LockRel:
-		n.handleLockRel(msg)
+		n.handleLockRel(&msg)
 	case wire.BarrierArrive:
 		w := syncmgr.Waiter{Node: msg.ReplyNode, Slot: msg.ReplySlot}
 		n.BarrierArrive(msg.Barrier, w, msg.Diffs, msg.Reports)
 	case wire.BarrierGo:
-		n.ApplyBarrierGo(msg)
+		n.ApplyBarrierGo(&msg)
 	case wire.MgrUpdate:
 		if n.announced(msg.Obj, msg.Seq) {
 			n.MgrHome[msg.Obj] = msg.Home
@@ -232,7 +234,7 @@ func (n *Node) announced(obj memory.ObjectID, epoch uint32) bool {
 }
 
 // handleObjReq serves a fault-in at the object's (believed) home.
-func (n *Node) handleObjReq(msg wire.Msg) {
+func (n *Node) handleObjReq(msg *wire.Msg) {
 	obj := msg.Obj
 	if n.IsHome[obj] {
 		n.serveFault(msg)
@@ -242,7 +244,7 @@ func (n *Node) handleObjReq(msg wire.Msg) {
 		// Forwarding-pointer redirection: one more hop of accumulation.
 		msg.Hops++
 		msg.From, msg.To = n.ID, fwd
-		n.Eng.Send(msg, stats.Redir)
+		n.Eng.Send(*msg, stats.Redir)
 		return
 	}
 	// Obsolete home under the manager/broadcast locators.
@@ -255,7 +257,7 @@ func (n *Node) handleObjReq(msg wire.Msg) {
 // serveFault replies with the object and, when the policy calls for it,
 // the home itself (§3.3: "not only the object is replied, but also its
 // home is migrated").
-func (n *Node) serveFault(msg wire.Msg) {
+func (n *Node) serveFault(msg *wire.Msg) {
 	obj := msg.Obj
 	st := n.HomeSt[obj]
 	requester := msg.ReplyNode
@@ -370,7 +372,7 @@ func (n *Node) promote(obj memory.ObjectID, rec *core.Record) {
 // handleDiff applies (or routes) a propagated diff. The writer's node id
 // travels in msg.Home, surviving forwarding hops (msg.From changes at
 // each hop).
-func (n *Node) handleDiff(msg wire.Msg) {
+func (n *Node) handleDiff(msg *wire.Msg) {
 	obj := msg.Obj
 	if n.IsHome[obj] {
 		n.applyRemoteDiff(obj, msg.Diff, msg.Home)
@@ -386,7 +388,7 @@ func (n *Node) handleDiff(msg wire.Msg) {
 			if ack.ReplySlot >= 0 {
 				n.Eng.ToThread(ack.ReplySlot, ack)
 			} else {
-				n.handleDaemonDiffAck(ack)
+				n.handleDaemonDiffAck(&ack)
 			}
 			return
 		}
@@ -398,7 +400,7 @@ func (n *Node) handleDiff(msg wire.Msg) {
 	if fwd := n.Loc.Forward(obj); fwd != memory.NoNode {
 		msg.Hops++
 		msg.From, msg.To = n.ID, fwd
-		n.Eng.Send(msg, stats.Diff)
+		n.Eng.Send(*msg, stats.Diff)
 		return
 	}
 	if msg.ReplySlot < 0 {
@@ -453,7 +455,7 @@ func (n *Node) NoteMyWrite(obj memory.ObjectID) {
 // handleLockRel applies piggybacked diffs and releases the lock. Diffs
 // whose home migrated away are forwarded; the next grant waits for their
 // acks (LRC release visibility).
-func (n *Node) handleLockRel(msg wire.Msg) {
+func (n *Node) handleLockRel(msg *wire.Msg) {
 	lk := n.Locks[msg.Lock]
 	blocked := n.applyPiggyback(msg.Diffs, msg.From, msg.Lock+1, 0)
 	if blocked > 0 {
@@ -489,7 +491,7 @@ func (n *Node) applyPiggyback(diffs []wire.ObjDiff, writer memory.NodeID, lockTa
 }
 
 // handleDaemonDiffAck resumes a sync operation gated on forwarded diffs.
-func (n *Node) handleDaemonDiffAck(msg wire.Msg) {
+func (n *Node) handleDaemonDiffAck(msg *wire.Msg) {
 	switch {
 	case msg.Lock > 0:
 		lk := n.Locks[msg.Lock-1]
@@ -566,12 +568,12 @@ func (n *Node) barrierRelease(bid uint32) {
 		m.To = memory.NodeID(id)
 		n.Eng.Send(m, stats.BarrierMsg)
 	}
-	n.ApplyBarrierGo(goMsg)
+	n.ApplyBarrierGo(&goMsg)
 }
 
 // ApplyBarrierGo applies Jiajia reassignments, wakes local waiters, and
 // opens a new synchronization interval.
-func (n *Node) ApplyBarrierGo(msg wire.Msg) {
+func (n *Node) ApplyBarrierGo(msg *wire.Msg) {
 	for _, a := range msg.Assigns {
 		n.applyAssign(a)
 	}
@@ -582,7 +584,7 @@ func (n *Node) ApplyBarrierGo(msg wire.Msg) {
 	slots := b.wait
 	b.wait = slots[:0] // keep the backing array for the next episode
 	for _, s := range slots {
-		n.Eng.ToThread(s, msg)
+		n.Eng.ToThread(s, *msg)
 	}
 }
 

@@ -123,7 +123,10 @@ func (n *Node) WriteCheck(obj memory.ObjectID) (o *memory.Object, trapped bool) 
 
 // Install places a fault-in reply into the local cache (and takes over
 // the home when the reply migrates it).
-func (n *Node) Install(msg wire.Msg) *memory.Object {
+func (n *Node) Install(msg wire.Msg) *memory.Object { return n.install(&msg) }
+
+// install is Install on the reply in place: the Driver's receive buffer.
+func (n *Node) install(msg *wire.Msg) *memory.Object {
 	obj := msg.Obj
 	if n.IsHome[obj] {
 		// The node became home while this reply was in flight — a
@@ -188,7 +191,7 @@ func (n *Node) NotifyNewHome(obj memory.ObjectID) {
 // redirected fault-in: teach the stale entry point the true home so
 // future chains through it collapse to one hop. entry is the node the
 // fault-in was first addressed to; msg is the ObjReply.
-func (n *Node) MaybeCompressPath(entry memory.NodeID, msg wire.Msg) {
+func (n *Node) MaybeCompressPath(entry memory.NodeID, msg *wire.Msg) {
 	if n.S.PathCompress && msg.Hops > 0 && entry != msg.Home && entry != n.ID {
 		n.Eng.Send(wire.Msg{
 			Kind: wire.PtrUpdate, From: n.ID, To: entry, Obj: msg.Obj, Home: msg.Home,

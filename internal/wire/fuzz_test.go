@@ -53,7 +53,8 @@ func nonCanonicalDiffSeeds() [][]byte {
 		return b
 	}
 	frame := func(count uint32, runs ...[]byte) []byte {
-		b := Msg{Kind: DiffMsg, From: 1, To: 0, Obj: 3, Home: 1, ReplyNode: 1}.Encode(nil)
+		m := Msg{Kind: DiffMsg, From: 1, To: 0, Obj: 3, Home: 1, ReplyNode: 1}
+		b := m.Encode(nil)
 		// Header, empty data section, then the diff section, then the
 		// four empty trailing sections.
 		head, tail := b[:headerSize+4], b[headerSize+8:]
@@ -76,8 +77,15 @@ func nonCanonicalDiffSeeds() [][]byte {
 // from outside the process once a networked backend exists, so Decode
 // must return errors — never panic, never over-allocate unchecked —
 // and accepted frames must be canonical: Decode/Encode round-trips to
-// the identical bytes and WireSize agrees with the frame length.
+// the identical bytes and the same message, and WireSize agrees with the
+// frame length. Decoding in place into a Msg a different frame left
+// dirty (every flag set, every slice non-nil) must give the same verdict
+// and the same message: the live receive path reuses its Msg that way.
 func FuzzWireDecode(f *testing.F) {
+	// sampleMsg sets every flag and fills every slice: decoded first, its
+	// frame leaves a Msg as dirty as a frame can.
+	full := sampleMsg()
+	fullFrame := full.Encode(nil)
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 		// Also seed truncations and single-byte corruptions of a valid
@@ -97,8 +105,18 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
+		var reused Msg
+		if err := reused.Decode(fullFrame); err != nil {
+			t.Fatal(err)
+		}
+		if errInPlace := reused.Decode(data); (errInPlace == nil) != (err == nil) {
+			t.Fatalf("in-place decode over a dirty Msg says %v, a fresh decode %v", errInPlace, err)
+		}
 		if err != nil {
 			return // rejected input: exactly what corrupt bytes deserve
+		}
+		if !reused.Equal(&m) {
+			t.Fatalf("in-place decode over a dirty Msg kept some of it:\n got %+v\nwant %+v", reused, m)
 		}
 		if got := m.WireSize(); got != len(data) {
 			t.Fatalf("accepted frame: WireSize %d != frame length %d", got, len(data))
@@ -111,7 +129,7 @@ func FuzzWireDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
-		if m2.Kind != m.Kind || len(m2.Data) != len(m.Data) || len(m2.Diffs) != len(m.Diffs) {
+		if !m2.Equal(&m) {
 			t.Fatalf("decode/encode/decode drifted: %+v vs %+v", m, m2)
 		}
 		// What Decode lets in, the home applies and merges: neither may

@@ -152,8 +152,9 @@ func (m *Msg) Equal(o *Msg) bool {
 		slices.Equal(m.Assigns, o.Assigns) && slices.Equal(m.Reports, o.Reports)
 }
 
-// Encode appends the wire form of m to buf.
-func (m Msg) Encode(buf []byte) []byte {
+// Encode appends the wire form of m to buf. It takes a pointer: encoding
+// a message on every live send copies none of it.
+func (m *Msg) Encode(buf []byte) []byte {
 	le := binary.LittleEndian
 	buf = append(buf, byte(m.Kind))
 	buf = le.AppendUint16(buf, uint16(m.From))
@@ -215,17 +216,28 @@ func PeekFrom(frame []byte) (from memory.NodeID, ok bool) {
 	return memory.NodeID(int16(binary.LittleEndian.Uint16(frame[1:]))), true
 }
 
-// Decode parses a message. It returns an error on any truncation or a
-// trailing-garbage mismatch.
-func Decode(buf []byte) (Msg, error) {
-	var m Msg
+// Decode parses a message into a new Msg: (*Msg).Decode for a caller
+// that has none to reuse. The benchmark's codec probe times it.
+func Decode(buf []byte) (m Msg, err error) {
+	err = m.Decode(buf)
+	return m, err
+}
+
+// Decode parses buf into m in place, so a receive path that owns one Msg
+// decodes every frame into it without copying a message out. Every field
+// of m is reset first: nothing of the previous frame survives, and the
+// payload slices are fresh ones the caller may keep (m drops its old ones
+// without writing through them). It returns an error on any truncation or
+// a trailing-garbage mismatch, leaving m partly filled.
+func (m *Msg) Decode(buf []byte) error {
+	*m = Msg{}
 	if len(buf) < headerSize {
-		return m, fmt.Errorf("wire: truncated header (%d bytes)", len(buf))
+		return fmt.Errorf("wire: truncated header (%d bytes)", len(buf))
 	}
 	le := binary.LittleEndian
 	m.Kind = Kind(buf[0])
 	if m.Kind >= numKinds {
-		return m, fmt.Errorf("wire: unknown kind %d", buf[0])
+		return fmt.Errorf("wire: unknown kind %d", buf[0])
 	}
 	m.From, _ = PeekFrom(buf)
 	m.To = memory.NodeID(int16(le.Uint16(buf[3:])))
@@ -238,7 +250,7 @@ func Decode(buf []byte) (Msg, error) {
 	m.Home = memory.NodeID(int16(le.Uint16(buf[25:])))
 	flags := buf[27]
 	if flags&^3 != 0 {
-		return m, fmt.Errorf("wire: unknown flag bits %#x", flags&^3)
+		return fmt.Errorf("wire: unknown flag bits %#x", flags&^3)
 	}
 	m.Migrate = flags&1 != 0
 	m.HasRec = flags&2 != 0
@@ -253,12 +265,12 @@ func Decode(buf []byte) (Msg, error) {
 	}
 
 	if err := need(4); err != nil {
-		return m, err
+		return err
 	}
 	nd := int(le.Uint32(buf[off:]))
 	off += 4
 	if err := need(8 * nd); err != nil {
-		return m, err
+		return err
 	}
 	if nd > 0 {
 		m.Data = make([]uint64, nd)
@@ -269,32 +281,32 @@ func Decode(buf []byte) (Msg, error) {
 	}
 	d, n, err := twindiff.Decode(buf[off:])
 	if err != nil {
-		return m, fmt.Errorf("wire: diff: %w", err)
+		return fmt.Errorf("wire: diff: %w", err)
 	}
 	m.Diff = d
 	off += n
 
 	if err := need(4); err != nil {
-		return m, err
+		return err
 	}
 	nds := int(le.Uint32(buf[off:]))
 	off += 4
 	for i := 0; i < nds; i++ {
 		if err := need(4); err != nil {
-			return m, err
+			return err
 		}
 		obj := memory.ObjectID(le.Uint32(buf[off:]))
 		off += 4
 		d, n, err := twindiff.Decode(buf[off:])
 		if err != nil {
-			return m, fmt.Errorf("wire: piggyback diff %d: %w", i, err)
+			return fmt.Errorf("wire: piggyback diff %d: %w", i, err)
 		}
 		off += n
 		m.Diffs = append(m.Diffs, ObjDiff{Obj: obj, D: d})
 	}
 	if m.HasRec {
 		if err := need(24); err != nil {
-			return m, err
+			return err
 		}
 		m.Rec.TBase = math.Float64frombits(le.Uint64(buf[off:]))
 		m.Rec.Epoch = int32(le.Uint32(buf[off+8:]))
@@ -303,12 +315,12 @@ func Decode(buf []byte) (Msg, error) {
 		off += 24
 	}
 	if err := need(4); err != nil {
-		return m, err
+		return err
 	}
 	na := int(le.Uint32(buf[off:]))
 	off += 4
 	if err := need(6 * na); err != nil {
-		return m, err
+		return err
 	}
 	for i := 0; i < na; i++ {
 		m.Assigns = append(m.Assigns, HomeAssign{
@@ -318,12 +330,12 @@ func Decode(buf []byte) (Msg, error) {
 		off += 6
 	}
 	if err := need(4); err != nil {
-		return m, err
+		return err
 	}
 	nr := int(le.Uint32(buf[off:]))
 	off += 4
 	if err := need(6 * nr); err != nil {
-		return m, err
+		return err
 	}
 	for i := 0; i < nr; i++ {
 		m.Reports = append(m.Reports, WriteReport{
@@ -333,7 +345,7 @@ func Decode(buf []byte) (Msg, error) {
 		off += 6
 	}
 	if off != len(buf) {
-		return m, fmt.Errorf("wire: %d trailing bytes", len(buf)-off)
+		return fmt.Errorf("wire: %d trailing bytes", len(buf)-off)
 	}
-	return m, nil
+	return nil
 }

@@ -119,7 +119,8 @@ func TestDecodeRejectsUnknownKind(t *testing.T) {
 }
 
 func TestDecodeRejectsTruncation(t *testing.T) {
-	buf := sampleMsg().Encode(nil)
+	m := sampleMsg()
+	buf := m.Encode(nil)
 	for cut := 0; cut < len(buf); cut += 3 {
 		if _, err := Decode(buf[:cut]); err == nil {
 			t.Fatalf("truncated to %d/%d accepted", cut, len(buf))
@@ -128,7 +129,8 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 }
 
 func TestDecodeRejectsTrailingGarbage(t *testing.T) {
-	buf := sampleMsg().Encode(nil)
+	m := sampleMsg()
+	buf := m.Encode(nil)
 	buf = append(buf, 0xFF)
 	if _, err := Decode(buf); err == nil {
 		t.Fatal("trailing garbage accepted")
@@ -250,9 +252,14 @@ func TestGoldenPiggybackedLockRel(t *testing.T) {
 	}
 }
 
-// TestMsgSize: Msg travels by value through handlers, queues and the
-// simulator's event heap, so its size is a cost on every path; a Diff
-// must stay one slice header.
+// TestMsgSize: Msg is decoded in place and handlers take it by pointer,
+// but some copies remain, each a cost of Msg's size: proto.Engine's
+// Send/ToThread/Broadcast and proto.Node's Handle/Install take it by
+// value (the benchmark's handler probes call them so); a live thread's
+// mailbox ring holds proto.Token by value and copies it once more into
+// the Driver's receive buffer; the simulator copies a sent frame into its
+// cnet box and a thread's delivery out of it; the live engine parks an
+// unroutable frame by value. A Diff must stay one slice header.
 func TestMsgSize(t *testing.T) {
 	if got := unsafe.Sizeof(Msg{}); got > 192 {
 		t.Fatalf("wire.Msg is %d bytes, want <= 192", got)
@@ -269,7 +276,8 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 func BenchmarkDecode(b *testing.B) {
-	buf := sampleMsg().Encode(nil)
+	m := sampleMsg()
+	buf := m.Encode(nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Decode(buf); err != nil {
@@ -290,6 +298,63 @@ func sparseDiffFrame() []byte {
 	return m.Encode(nil)
 }
 
+// smallFrame is a lock request, the frame of a §5.2 lock chain.
+func smallFrame() []byte {
+	m := Msg{Kind: LockReq, From: 1, To: 0, Lock: 1, ReplyNode: 1}
+	return m.Encode(nil)
+}
+
+// rowFrame is a fault-in reply carrying one 256-word (2 KB) SOR row.
+func rowFrame() []byte {
+	row := make([]uint64, 256)
+	for i := range row {
+		row[i] = uint64(i) * 0x9E3779B97F4A7C15
+	}
+	m := Msg{Kind: ObjReply, From: 0, To: 1, Obj: 7, ReplyNode: 1, Data: row}
+	return m.Encode(nil)
+}
+
+// shapes are the three frames the live engine's workloads are made of,
+// the shapes the benchmark's codec probe times.
+var shapes = []struct {
+	name  string
+	frame func() []byte
+}{{"small", smallFrame}, {"row", rowFrame}, {"diff", sparseDiffFrame}}
+
+// TestDecodeInPlaceResets decodes small → row → diff → small into one
+// Msg: each result must equal a fresh decode of its frame, so no field or
+// slice of the frame before survives into the next.
+func TestDecodeInPlaceResets(t *testing.T) {
+	var reused Msg
+	for _, i := range []int{0, 1, 2, 0} {
+		frame := shapes[i].frame()
+		fresh, err := Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.Decode(frame); err != nil {
+			t.Fatalf("%s: %v", shapes[i].name, err)
+		}
+		if !reused.Equal(&fresh) {
+			t.Fatalf("%s decoded in place:\n got %+v\nwant %+v", shapes[i].name, reused, fresh)
+		}
+	}
+}
+
+// TestDecodeInPlaceSmallAllocatesNothing: a lock-chain frame decodes
+// into a reused Msg without allocating.
+func TestDecodeInPlaceSmallAllocatesNothing(t *testing.T) {
+	frame := smallFrame()
+	var m Msg
+	if n := testing.AllocsPerRun(100, func() {
+		if err := m.Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("in-place Decode of a LockReq allocates %v times", n)
+	}
+}
+
 func TestDecodeSparseDiffAllocatesOnce(t *testing.T) {
 	frame := sparseDiffFrame()
 	if n := testing.AllocsPerRun(100, func() {
@@ -298,6 +363,38 @@ func TestDecodeSparseDiffAllocatesOnce(t *testing.T) {
 		}
 	}); n > 1 {
 		t.Fatalf("Decode of a sparse row DiffMsg allocates %v times", n)
+	}
+}
+
+// TestDecodeInPlaceSparseDiffAllocatesOnce is the in-place twin of
+// TestDecodeSparseDiffAllocatesOnce: the diff's one run buffer is all a
+// reused Msg costs.
+func TestDecodeInPlaceSparseDiffAllocatesOnce(t *testing.T) {
+	frame := sparseDiffFrame()
+	var m Msg
+	if n := testing.AllocsPerRun(100, func() {
+		if err := m.Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Fatalf("in-place Decode of a sparse row DiffMsg allocates %v times", n)
+	}
+}
+
+// BenchmarkDecodeInPlace decodes each frame shape into one reused Msg,
+// the way the live receive path does.
+func BenchmarkDecodeInPlace(b *testing.B) {
+	for _, s := range shapes {
+		b.Run(s.name, func(b *testing.B) {
+			frame := s.frame()
+			var m Msg
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := m.Decode(frame); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
