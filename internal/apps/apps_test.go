@@ -372,3 +372,21 @@ func TestAppDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestLiveViewAppsRaceFree runs SOR and ASP, whose threads write their
+// home rows through views while other nodes fault those rows in, on the
+// live engine over the in-process transport, a few times each with the
+// full check. Under the race detector it is the guard of the rule that a
+// fault-in reads a viewed home copy only while every holder is inside
+// the DSM.
+func TestLiveViewAppsRaceFree(t *testing.T) {
+	o := Options{Config: dsm.Config{Nodes: 4, Engine: "live"}, Check: true}
+	for rep := 0; rep < 4; rep++ {
+		if _, err := RunSOR(64, 4, o); err != nil {
+			t.Fatalf("SOR rep %d: %v", rep, err)
+		}
+		if _, err := RunASP(48, o); err != nil {
+			t.Fatalf("ASP rep %d: %v", rep, err)
+		}
+	}
+}

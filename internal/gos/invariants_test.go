@@ -83,6 +83,11 @@ func TestCheckInvariantsViolations(t *testing.T) {
 			want: ErrTwinLeak,
 		},
 		{
+			name:   "write view open after the run",
+			mutate: func(c *Cluster, obj memory.ObjectID) { c.nodes[0].PinView(0, obj) },
+			want:   proto.ErrViewOpen,
+		},
+		{
 			name: "copyset surviving on a non-home node",
 			mutate: func(c *Cluster, obj memory.ObjectID) {
 				c.nodes[1].Copyset[obj] = []memory.NodeID{0}

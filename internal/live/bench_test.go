@@ -114,3 +114,34 @@ func BenchmarkLiveLockKernel(b *testing.B) {
 		b.Fatalf("counter = %d, want %d", got, want)
 	}
 }
+
+// BenchmarkLiveViewSweep is the view path of a SOR phase once migration
+// has settled: one thread sweeps 64 rows of 256 words (2 KB, SOR's row)
+// homed at its own node, taking two ReadViews (the neighbours) and one
+// WriteView per row, and ends every sweep at a barrier, where its write
+// views expire. One op is one row.
+func BenchmarkLiveViewSweep(b *testing.B) {
+	const rows, words = 64, 256
+	c := New(DefaultConfig(1))
+	ids := make([]memory.ObjectID, rows)
+	for i := range ids {
+		ids[i] = c.AddObject(words, 0)
+	}
+	bar := c.AddBarrier(0, 1)
+	sweeps := (b.N + rows - 1) / rows
+	ws := []proto.Worker{{Node: 0, Name: "w0", Fn: func(th proto.Thread) {
+		for s := 0; s < sweeps; s++ {
+			for i, obj := range ids {
+				up := th.ReadView(ids[(i+rows-1)%rows])
+				down := th.ReadView(ids[(i+1)%rows])
+				row := th.WriteView(obj)
+				row[1] = up[1] + down[1] + 1
+			}
+			th.Barrier(bar)
+		}
+	}}}
+	b.ResetTimer()
+	if _, err := c.Run(ws); err != nil {
+		b.Fatal(err)
+	}
+}

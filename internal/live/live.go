@@ -34,14 +34,20 @@
 // scheduler makes a view atomic until the thread's next protocol
 // action: live, a view is raw memory shared with the node's receive path.
 // Write views of home objects are pinned until the holder's next
-// synchronization (proto.Node.PinView): the home does not migrate, so a
-// mid-view demote cannot silently drop writes, and a fault-in is served
-// from a snapshot taken at the first pin, so the receive path never
-// reads the words the holder is writing. With several threads on one
-// node there is one further caveat: a view must not be held while
-// *another* thread of the same node synchronizes (the acquire may
-// recycle a clean copy's buffer, and the snapshot would hide that
-// thread's released writes).
+// synchronization, or until its function returns (proto.Node.PinView):
+// the home does not migrate, so a mid-view demote cannot silently drop
+// writes. A fault-in for such an object is served from the home copy
+// itself, but only while no holder of a view on it runs application
+// code: the receive path parks it while a holder is outside the DSM
+// (proto.Node.CanRoute), and the first node.unlock that finds every
+// holder inside — at the latest the holder's next DSM call, which retries
+// the parked frames before it leaves the DSM again — serves it. So the
+// receive path never reads the words a holder is writing, and the
+// contract is: a thread holding a write view must not block outside the
+// DSM; a fault-in of that object waits for its next DSM call. With
+// several threads on one node there is one further caveat: a view must
+// not be held while *another* thread of the same node synchronizes (the
+// acquire may recycle a clean copy's buffer).
 package live
 
 import (
@@ -396,6 +402,7 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 					}
 				}()
 				t.fn(t)
+				t.exit()
 			}()
 		}
 	}
@@ -451,8 +458,8 @@ type node struct {
 	ps *proto.Node
 	// mu guards ps, counters, parked and dests — held by receive around
 	// Handle and by local threads around access checks and sync
-	// operations, released (always through unlock) while a thread blocks
-	// on its mailbox.
+	// operations, released (always through unlock or leave) while a
+	// thread blocks on its mailbox.
 	mu       sync.Mutex
 	threads  []*Thread
 	counters stats.Counters
@@ -463,12 +470,20 @@ type node struct {
 	dests  []memory.NodeID
 }
 
-// unlock releases the node lock; every release goes through here. Under
-// the lock it first handles each parked frame that has become routable:
-// whatever made it so — a migrating reply installed, a barrier-go applied
-// — happened under this same lock. After releasing it, it pushes the
-// frames the holder queued (c.push) to their nodes, on this goroutine.
-func (n *node) unlock() {
+// unlock releases the node lock; every release goes through here or
+// through leave.
+func (n *node) unlock() { n.leave(-1) }
+
+// leave is unlock for the thread in slot ending a DSM call (-1: no
+// thread's call ends). Under the lock it first handles each parked frame
+// that has become routable: whatever made it so — a migrating reply
+// installed, a barrier-go applied, every holder of a viewed object inside
+// the DSM — happened under this same lock. Only then does the thread leave
+// the DSM (proto.Node.Leave), so a fault-in that waited for its views is
+// served now, not at its next DSM call. After releasing the lock, it
+// pushes the frames the holder queued (c.push) to their nodes, on this
+// goroutine.
+func (n *node) leave(slot int32) {
 	for retry := true; retry && len(n.parked) > 0; {
 		retry = false
 		kept := n.parked[:0]
@@ -482,6 +497,9 @@ func (n *node) unlock() {
 		}
 		clear(n.parked[len(kept):])
 		n.parked = kept
+	}
+	if slot >= 0 {
+		n.ps.Leave(slot)
 	}
 	if len(n.dests) == 0 {
 		n.mu.Unlock()

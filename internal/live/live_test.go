@@ -270,7 +270,7 @@ func TestRunTwicePanics(t *testing.T) {
 // one the paper's applications use) under the eagerly migrating FT1
 // policy: each phase's owner bulk-rewrites the block other nodes then
 // bulk-read, so homes chase the writer while views are live. The view
-// pin (proto.Node.ViewPins) must keep mid-view demotes from dropping
+// pin (proto.Node.PinView) must keep mid-view demotes from dropping
 // writes; the sequential model pins the result.
 func TestBulkViewsUnderMigration(t *testing.T) {
 	const nodes, words, phases = 3, 24, 9

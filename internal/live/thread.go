@@ -32,10 +32,6 @@ type Thread struct {
 	// Recv. Unbounded, so ToThread never blocks a delivering goroutine
 	// holding a node lock; closed only by Abort.
 	mbox *transport.Queue[proto.Token]
-
-	// pins lists the home objects this thread holds bulk write views
-	// on (proto.Node.PinView); cleared at the next sync operation.
-	pins []memory.ObjectID
 }
 
 // Now returns the wall-clock time elapsed since the run started.
@@ -51,15 +47,23 @@ func (t *Thread) ChargeFault() {}
 // ChargeSend implements proto.Host (modeled cost: none live).
 func (t *Thread) ChargeSend() {}
 
-// Lock implements proto.Host: take the node's state lock.
-func (t *Thread) Lock() { t.node.mu.Lock() }
+// Lock implements proto.Host: take the node's state lock, entering the
+// DSM (proto.Node.Enter).
+func (t *Thread) Lock() {
+	t.node.mu.Lock()
+	t.node.ps.Enter(t.Slot())
+}
 
-// Unlock implements proto.Host: node.unlock, which also pushes what the
-// thread sent.
-func (t *Thread) Unlock() { t.node.unlock() }
+// Unlock implements proto.Host, ending a DSM call: node.leave, which
+// retries the parked frames, marks the thread out of the DSM
+// (proto.Node.Leave) and pushes what the thread sent.
+func (t *Thread) Unlock() { t.node.leave(t.Slot()) }
 
 // Recv implements proto.Host: park on the mailbox with the node lock
-// released, and retake the lock around the received token. A closed
+// released, and retake the lock around the received token. The thread
+// stays inside the DSM while parked: it writes none of its views, so
+// fault-ins for them are served meanwhile (two threads faulting each
+// other's viewed objects would otherwise wait for each other). A closed
 // mailbox means the run aborted: what the driver waits for will never
 // arrive over a dead transport.
 func (t *Thread) Recv(tok *proto.Token) {
@@ -84,31 +88,33 @@ func (t *Thread) RetryAfter(kind proto.TokenKind, obj memory.ObjectID) {
 
 // SyncPoint implements proto.Host: the thread's write views expired
 // (the contract forbids holding one across a synchronization
-// operation), so release their migration pins. Called with the node
-// lock held.
-func (t *Thread) SyncPoint() {
-	for _, obj := range t.pins {
-		t.node.ps.UnpinView(obj)
-	}
-	t.pins = t.pins[:0]
+// operation), so release their pins. Called with the node lock held.
+func (t *Thread) SyncPoint() { t.node.ps.UnpinViews(t.Slot()) }
+
+// exit ends the thread's views when its function returns.
+func (t *Thread) exit() {
+	t.Lock()
+	t.SyncPoint()
+	t.node.unlock()
 }
 
 // WriteView faults the object for writing and returns its data for bulk
-// mutation within the current interval. On a home copy the object is
+// mutation within the current interval. On a home copy the view is
 // pinned (proto.Node.PinView) until this thread's next synchronization
-// operation: it does not migrate, and its fault-ins are served from a
-// snapshot rather than the slice this thread writes without the node
-// lock. The pin is live-only on purpose: under sim a view cannot be
+// operation, or until its function returns: the object does not migrate,
+// and a fault-in for it waits until this thread is inside the DSM, so the
+// receive path never reads the slice while this thread writes it without
+// the node lock. Hence the contract: a thread holding a write view must
+// not block outside the DSM; a fault-in of that object waits for its next
+// DSM call. The pin is live-only on purpose: under sim a view cannot be
 // interrupted, and pinning there would change migration decisions.
 func (t *Thread) WriteView(obj memory.ObjectID) []uint64 {
-	n := t.node
-	n.mu.Lock()
+	t.Lock()
 	o := t.ObjForWrite(obj)
-	if n.ps.IsHome[obj] {
-		n.ps.PinView(obj)
-		t.pins = append(t.pins, obj)
+	if t.node.ps.IsHome[obj] {
+		t.node.ps.PinView(t.Slot(), obj)
 	}
-	n.unlock()
+	t.Unlock()
 	return o.Data
 }
 

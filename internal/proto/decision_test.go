@@ -26,7 +26,7 @@ func TestServeFaultPinVetoesMigration(t *testing.T) {
 		home := w.sp.Nodes[1]
 		home.HomeSt[w.obj].RemoteWrite(0, 8) // node 0's run: C = 1 reaches FT1
 		if pinned {
-			home.PinView(w.obj)
+			home.PinView(0, w.obj)
 		}
 		decisions := &logSub{kinds: flight.MaskOf(flight.Decision)}
 		home.Subscribe(decisions)
@@ -93,33 +93,66 @@ func TestBarrierReassignDecision(t *testing.T) {
 	}
 }
 
-// A fault-in at a home copy with write views open is served from the
-// snapshot the first pin took, kept current with remote diffs: the view
-// holder's writes, made without the node lock and owed to nobody before
-// it synchronizes, are not in it; a diff applied since is. Once the last
-// pin clears, the copy itself is served.
-func TestPinnedHomeServesSnapshot(t *testing.T) {
+// A fault-in for a home object that local threads hold write views on
+// is routable only while every holder is inside the DSM: a holder
+// outside may be writing its view, and the serve reads the home copy
+// itself. Diffs route regardless. Once routed, the reply is the home copy
+// as it stands — a holder's write and a remote diff applied meanwhile
+// included — and the pin still vetoes the migration the policy asks
+// for; unpinned, the same fault-in routes with the threads out, and
+// migrates.
+func TestViewedHomeServedWithHoldersIn(t *testing.T) {
 	w := newWorld(t, locator.ForwardingPointer, 3, 0, 1)
+	w.sp.S.Policy = migration.Fixed{T: 1}
 	home := w.sp.Nodes[1]
-	serve := func() []uint64 {
-		home.Handle(wire.Msg{Kind: wire.ObjReq, From: 0, To: 1, Obj: w.obj, ReplyNode: 0})
-		return w.wire[len(w.wire)-1].Data
+	req := wire.Msg{Kind: wire.ObjReq, From: 2, To: 1, Obj: w.obj, ReplyNode: 2}
+	diff := wire.Msg{Kind: wire.DiffMsg, From: 2, To: 1, Obj: w.obj,
+		Diff: twindiff.OneRun(2, 7), Home: 2, ReplyNode: 2}
+	home.PinView(0, w.obj)
+	home.PinView(1, w.obj)
+	home.Cache[w.obj].Data[1] = 6 // a holder's write
+	for _, st := range []struct {
+		name  string
+		set   func()
+		route bool
+	}{
+		{"both holders out", func() { home.Leave(0); home.Leave(1) }, false},
+		{"holder 0 in, holder 1 out", func() { home.Enter(0) }, false},
+		{"holder 0 out, holder 1 in", func() { home.Leave(0); home.Enter(1) }, false},
+		{"both holders in", func() { home.Enter(0) }, true},
+	} {
+		st.set()
+		if got := home.CanRoute(&req); got != st.route {
+			t.Errorf("%s: fault-in routable %v, want %v", st.name, got, st.route)
+		}
+		if !home.CanRoute(&diff) {
+			t.Errorf("%s: diff not routable", st.name)
+		}
 	}
-	home.PinView(w.obj)
-	home.PinView(w.obj)
-	home.Cache[w.obj].Data[1] = 6 // a view holder's write
-	home.Handle(wire.Msg{Kind: wire.DiffMsg, From: 2, To: 1, Obj: w.obj,
-		Diff: twindiff.OneRun(2, 7), Home: 2, ReplyNode: 2})
-	for pins := 2; pins >= 0; pins-- {
-		want := []uint64{5, 0, 7, 0}
-		if pins == 0 {
-			want[1] = 6
-		}
-		if got := serve(); !slices.Equal(got, want) {
-			t.Errorf("%d pins: served %v, want %v", pins, got, want)
-		}
-		if pins > 0 {
-			home.UnpinView(w.obj)
-		}
+
+	home.Handle(diff) // node 2's run: C = 1 reaches FT1
+	home.Handle(req)
+	reply := w.wire[len(w.wire)-1]
+	if reply.Kind != wire.ObjReply || reply.Migrate || !home.IsHome[w.obj] {
+		t.Fatalf("pinned: served %v (migrate %v), home kept %v: want a plain reply, home kept",
+			reply.Kind, reply.Migrate, home.IsHome[w.obj])
+	}
+	if want := []uint64{5, 6, 7, 0}; !slices.Equal(reply.Data, want) {
+		t.Errorf("served %v, want the home copy %v", reply.Data, want)
+	}
+
+	home.Leave(0)
+	home.Leave(1)
+	home.UnpinViews(0)
+	if home.CanRoute(&req) {
+		t.Error("holder 1 out with its view: fault-in routable")
+	}
+	home.UnpinViews(1)
+	if !home.CanRoute(&req) {
+		t.Error("no views, threads out: fault-in not routable")
+	}
+	home.Handle(req)
+	if reply := w.wire[len(w.wire)-1]; !reply.Migrate || home.IsHome[w.obj] {
+		t.Errorf("unpinned: reply migrates %v, home kept %v: want the home to move", reply.Migrate, home.IsHome[w.obj])
 	}
 }

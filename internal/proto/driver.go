@@ -117,6 +117,9 @@ func (d *Driver) Node() memory.NodeID { return d.n.ID }
 // Name returns the thread's name.
 func (d *Driver) Name() string { return d.name }
 
+// Slot returns the thread's index among its node's threads.
+func (d *Driver) Slot() int32 { return d.slot }
+
 // Read returns word idx of obj, faulting in a copy if needed.
 func (d *Driver) Read(obj memory.ObjectID, idx int) uint64 {
 	d.h.Lock()

@@ -38,6 +38,9 @@ var (
 	// ErrDeadEndChain: a forwarding chain ends before the home under the
 	// forwarding-pointer locator (which has no miss recovery).
 	ErrDeadEndChain = errors.New("forwarding chain dead end")
+	// ErrViewOpen: a home object is still pinned by a write view after
+	// the run (a thread's views end with it; see Node.PinView).
+	ErrViewOpen = errors.New("write view open after the run")
 	// ErrBadReport: a node report (which may have crossed a wire) does
 	// not fit the declared layout.
 	ErrBadReport = errors.New("malformed node report")
@@ -48,6 +51,7 @@ var (
 // order is wire format: append, never reorder.
 var classes = [...]error{
 	nil, ErrMissingState, ErrMissingData, ErrDirtyCopy, ErrTwinLeak, ErrStaleCopyset, ErrOwnerMismatch,
+	ErrViewOpen,
 }
 
 // NodeReport is one node's end-of-run state: the home copies it owns
@@ -66,8 +70,9 @@ type NodeReport struct {
 }
 
 // Report snapshots the quiesced node and checks the node-local clauses:
-// no dirty cached copy or leaked twin, migration state and data exactly
-// where the node is home, copysets only there, naming plausible sharers.
+// no dirty cached copy, leaked twin or open write view, migration state
+// and data exactly where the node is home, copysets only there, naming
+// plausible sharers.
 func (n *Node) Report() NodeReport {
 	objs := len(n.S.ObjWords)
 	rep := NodeReport{
@@ -91,6 +96,9 @@ func (n *Node) Report() NodeReport {
 		}
 		if o != nil && o.Twin != nil {
 			fail(ErrTwinLeak, "object %d on node %d", obj, n.ID)
+		}
+		if held, _ := n.viewed(id); held {
+			fail(ErrViewOpen, "object %d on node %d", obj, n.ID)
 		}
 		if !n.IsHome[id] {
 			if n.HomeSt[id] != nil {

@@ -64,11 +64,10 @@ type Node struct {
 	// copies' data so the steady-state write/flush cycle is allocation-free.
 	Pool twindiff.Pool
 
-	// pins counts the bulk write views open per home object and snaps
-	// holds what its fault-ins are served meanwhile; see PinView. Live
+	// views lists, per local thread slot, the home objects it holds bulk
+	// write views on and whether it is outside the DSM; see PinView. Live
 	// engine only: a sim thread never yields inside a view.
-	pins  []int32
-	snaps [][]uint64
+	views []viewSlot
 }
 
 // barrier is one barrier's row on a node.
@@ -93,23 +92,71 @@ type barrier struct {
 // episode, by several nodes or by several threads of one: no reassignment.
 const severalReports memory.NodeID = -2
 
-// PinView records a bulk write view on home object obj until UnpinView,
-// at the holder's next synchronization. Meanwhile the home does not
-// migrate (a demote would drop the holder's later writes), and fault-ins
-// are served from a snapshot the first pin took, kept current with remote
-// diffs: it lacks only the holder's writes, owed to nobody until it syncs.
-func (n *Node) PinView(obj memory.ObjectID) {
-	if n.pins[obj]++; n.pins[obj] == 1 {
-		n.snaps[obj] = twindiff.TwinInto(&n.Pool, n.Cache[obj].Data)
+// viewSlot is one local thread slot's write views on home objects.
+type viewSlot struct {
+	objs []memory.ObjectID
+	// out marks the slot outside the DSM, running application code that
+	// may be writing its views; see Leave.
+	out bool
+}
+
+// PinView records thread slot's bulk write view on home object obj until
+// UnpinViews, at the holder's next synchronization. The holder writes the
+// view without the node lock, so while it holds one:
+//   - the home does not migrate (a demote would drop its later writes);
+//   - a fault-in for obj is not routable while the holder is outside the
+//     DSM (see CanRoute): it is served from the home copy itself once
+//     every holder is inside, at the latest at the holder's next DSM
+//     call. A thread holding a write view must therefore not block
+//     outside the DSM.
+//
+// The served copy may carry the holder's writes of the current interval:
+// values of a concurrent write, which LRC allows and no race-free program
+// reads.
+func (n *Node) PinView(slot int32, obj memory.ObjectID) {
+	for int(slot) >= len(n.views) {
+		n.views = append(n.views, viewSlot{})
+	}
+	if v := &n.views[slot]; !slices.Contains(v.objs, obj) {
+		v.objs = append(v.objs, obj)
 	}
 }
 
-// UnpinView ends one view; the last returns the snapshot to the pool.
-func (n *Node) UnpinView(obj memory.ObjectID) {
-	if n.pins[obj]--; n.pins[obj] == 0 {
-		n.Pool.PutWords(n.snaps[obj])
-		n.snaps[obj] = nil
+// UnpinViews ends every write view slot holds.
+func (n *Node) UnpinViews(slot int32) {
+	if int(slot) < len(n.views) {
+		n.views[slot].objs = n.views[slot].objs[:0]
 	}
+}
+
+// Enter marks thread slot inside the DSM: it holds the node lock, or is
+// parked in a protocol wait, and writes none of its views.
+func (n *Node) Enter(slot int32) {
+	if int(slot) < len(n.views) {
+		n.views[slot].out = false
+	}
+}
+
+// Leave marks thread slot outside the DSM, where it may write its views;
+// called as a DSM call ends, after the parked frames were retried.
+func (n *Node) Leave(slot int32) {
+	if int(slot) < len(n.views) {
+		n.views[slot].out = true
+	}
+}
+
+// viewed reports whether a local thread holds a write view on obj and
+// whether one that does is outside the DSM.
+func (n *Node) viewed(obj memory.ObjectID) (held, out bool) {
+	for i := range n.views {
+		if v := &n.views[i]; slices.Contains(v.objs, obj) {
+			held = true
+			if v.out {
+				return true, true
+			}
+		}
+	}
+	return held, false
 }
 
 func (n *Node) growObjects(total int) {
@@ -120,23 +167,28 @@ func (n *Node) growObjects(total int) {
 		n.Copyset = append(n.Copyset, nil)
 		n.MgrHome = append(n.MgrHome, memory.NoNode)
 		n.homeEpoch = append(n.homeEpoch, 0)
-		n.pins = append(n.pins, 0)
-		n.snaps = append(n.snaps, nil)
 	}
 	n.Loc.Grow(total)
 }
 
 // CanRoute reports whether the node can make progress on msg right now.
-// Under the forwarding-pointer locator a fault-in or diff for an object
-// this node is neither home of nor holds a pointer for has exactly one
-// legal explanation: the home transfer that will make it routable (a
-// migrating fault reply awaiting install, or a Jiajia barrier-go) is
-// still in flight. The virtual-time engine cannot observe that window
-// (message costs order the transfer before any dependent request), but
-// the live engine can — it parks the message at its node until the
-// transfer lands. Manager/broadcast locators recover through HomeMiss
-// instead and always route.
+// A fault-in for a home object waits while a thread holding a write view
+// on it is outside the DSM (see PinView): the home copy is read only
+// while every holder is inside. Besides, under the forwarding-pointer
+// locator a fault-in or diff for an object this node is neither home of
+// nor holds a pointer for has exactly one legal explanation: the home
+// transfer that will make it routable (a migrating fault reply awaiting
+// install, or a Jiajia barrier-go) is still in flight. The virtual-time
+// engine cannot observe either window (message costs order the transfer
+// before any dependent request, and a sim thread never pins), but the
+// live engine can — it parks the message at its node until the holders
+// enter or the transfer lands. Manager/broadcast locators recover from a
+// missing home through HomeMiss instead.
 func (n *Node) CanRoute(msg *wire.Msg) bool {
+	if msg.Kind == wire.ObjReq && n.IsHome[msg.Obj] {
+		_, out := n.viewed(msg.Obj)
+		return !out
+	}
 	if n.S.Locator != locator.ForwardingPointer {
 		return true
 	}
@@ -271,11 +323,7 @@ func (n *Node) serveFault(msg *wire.Msg) {
 		n.Emit(flight.Event{Kind: flight.Request, Obj: obj, Peer: requester, Hops: int32(msg.Hops)})
 	}
 
-	src := n.Cache[obj].Data
-	if snap := n.snaps[obj]; snap != nil {
-		src = snap
-	}
-	data := twindiff.TwinInto(&n.Pool, src)
+	data := twindiff.TwinInto(&n.Pool, n.Cache[obj].Data)
 	reply := wire.Msg{
 		Kind: wire.ObjReply, From: n.ID, To: requester, Obj: obj,
 		ReplyNode: requester, ReplySlot: msg.ReplySlot, Seq: msg.Seq,
@@ -308,7 +356,7 @@ func (n *Node) serveFault(msg *wire.Msg) {
 	// Decided before st.Migrate resets the epoch feedback: the Decision
 	// event carries the counter/threshold pair the heuristic compared.
 	ex := n.S.Policy.Decide(st, requester, sharers)
-	if ex.Migrate && n.pins[obj] > 0 {
+	if held, _ := n.viewed(obj); ex.Migrate && held {
 		ex.Migrate, ex.Reason = false, migration.ReasonPinned
 	}
 	if n.On(flight.Decision) {
@@ -419,9 +467,6 @@ func (n *Node) handleDiff(msg *wire.Msg) {
 // write" observation, §3.3).
 func (n *Node) applyRemoteDiff(obj memory.ObjectID, d twindiff.Diff, writer memory.NodeID) {
 	d.Apply(n.Cache[obj].Data)
-	if snap := n.snaps[obj]; snap != nil {
-		d.Apply(snap)
-	}
 	n.HomeSt[obj].RemoteWrite(writer, d.WireSize())
 	cs := n.Counters
 	cs.RemoteWrites++
@@ -630,7 +675,7 @@ func (n *Node) applyAssign(a wire.HomeAssign) {
 		// copy. Writes made before the demote follow Jiajia's own
 		// semantics: the reassigned home's copy is authoritative for the
 		// closing interval.
-		if n.pins[a.Obj] > 0 {
+		if held, _ := n.viewed(a.Obj); held {
 			o := n.Cache[a.Obj]
 			o.Twin = twindiff.TwinInto(&n.Pool, o.Data)
 			o.Dirty = true
