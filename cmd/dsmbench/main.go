@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/bench"
-	"repro/internal/experiment"
 )
 
 // multiFlag is a repeatable, comma-separable string-list flag: both
@@ -134,20 +133,22 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	progressTo := func(tag string) func(string) {
-		if *quiet {
-			return nil
+	// runOpts is every sweep's: -par, and unless -q progress tagged tag.
+	runOpts := func(tag string) bench.RunOpts {
+		o := bench.RunOpts{Par: *par}
+		if !*quiet {
+			o.Progress = func(s string) { fmt.Fprintf(os.Stderr, "  [%s] %s\n", tag, s) }
 		}
-		return func(s string) { fmt.Fprintf(os.Stderr, "  [%s] %s\n", tag, s) }
+		return o
 	}
 	if *chaos > 0 {
-		st, err := bench.ChaosSweep(*seedBase, *chaos, *par, progressTo("chaos"))
+		st, err := bench.ChaosSweep(*seedBase, *chaos, runOpts("chaos"))
 		reportSweep(fmt.Sprintf("chaos sweep: %d runs, %d completed with sim-digest parity, %d aborted cleanly",
 			st.Scenarios, st.Completed, st.Aborted), st.Failures, err,
 			"chaos sweep: PASS (every faulted run completed with parity or aborted cleanly; zero hangs)")
 	}
 	verdictSweep := func(tag string, engines []string, count int, what, across, pass string) {
-		st, err := bench.Sweep(engines, *seedBase, count, *par, progressTo(tag))
+		st, err := bench.Sweep(engines, *seedBase, count, runOpts(tag))
 		reportSweep(fmt.Sprintf("%s sweep: %d scenarios, %d runs (every builtin policy%s), %d checked reads, %d oracle ops",
 			what, st.Scenarios, st.Runs, across, st.ReadsChecked, st.OracleOps), st.Failures, err, pass)
 	}
@@ -169,11 +170,11 @@ func main() {
 	if *trials < 1 {
 		*trials = 1
 	}
-	opts := bench.RunOpts{Par: *par, Trials: *trials, Check: *check}
+	opts := runOpts("run")
+	opts.Trials, opts.Check = *trials, *check
 	if !*quiet {
-		opts.Progress = func(s string) { fmt.Fprintf(os.Stderr, "  [run] %s\n", s) }
 		fmt.Fprintf(os.Stderr, "dsmbench: %d sweep worker(s), %d trial(s) per configuration\n",
-			experiment.Width(*par), *trials)
+			bench.Width(*par), *trials)
 	}
 	report, err := produce(os.Stdout, selected, *full, opts)
 	if err == nil {

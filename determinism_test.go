@@ -47,7 +47,7 @@ func TestFig2SmallestConfigDeterministic(t *testing.T) {
 
 // TestFig3SmallestConfigDeterministic pins Figure 3's smallest grid —
 // ASP and SOR at size 128, the FT2-vs-AT comparison on eight nodes —
-// through the full bench pipeline (experiment pool, reassembly, paired
+// through the full bench pipeline (the grid's pool, reassembly, paired
 // percentage computation). Two runs must produce byte-identical rows:
 // the improvement percentages are quotients of virtual times and
 // message counts, so any kernel or protocol nondeterminism is amplified

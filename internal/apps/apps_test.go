@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	dsm "repro"
+
+	"repro/internal/scenario"
 )
 
 // opts builds debug-checked options.
@@ -387,6 +389,33 @@ func TestLiveViewAppsRaceFree(t *testing.T) {
 		}
 		if _, err := RunASP(48, o); err != nil {
 			t.Fatalf("ASP rep %d: %v", rep, err)
+		}
+	}
+}
+
+// TestLiveFramesAreTheCounters: a live run counts each frame it sends once,
+// in its nodes' protocol counters, and reports the transport's frames and
+// bytes from them — so they equal the category totals, on every policy and
+// workload.
+func TestLiveFramesAreTheCounters(t *testing.T) {
+	runs := map[string]func(Options) (Result, error){
+		"asp":      func(o Options) (Result, error) { return RunASP(24, o) },
+		"sor":      func(o Options) (Result, error) { return RunSOR(32, 4, o) },
+		"scenario": func(o Options) (Result, error) { return RunScenario(scenario.Generate(5), o) },
+	}
+	for name, run := range runs {
+		for _, pol := range []string{"AT", "NoHM", "Jiajia", "JUMP"} {
+			o := opts(4, pol)
+			o.Engine = "live"
+			r, err := run(o)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, pol, err)
+			}
+			m := r.Metrics
+			if m.LiveMsgs == 0 || m.LiveMsgs != m.TotalMsgs(true) || m.LiveBytes != m.TotalBytes(true) {
+				t.Errorf("%s %s: live frames %d (%d bytes), counters %d (%d bytes)",
+					name, pol, m.LiveMsgs, m.LiveBytes, m.TotalMsgs(true), m.TotalBytes(true))
+			}
 		}
 	}
 }

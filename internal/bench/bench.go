@@ -9,17 +9,17 @@
 // Every one of them is one grid (grid.go): workloads — a name, an input
 // key, a cluster size and a run, apps.Run for an application — times
 // variants — a name and a dsm.Config — which RunOpts.grid multiplies by
-// the trials, runs on the internal/experiment pool and returns by
+// the trials, runs on the package's pool (runAll) and returns by
 // (variant, workload). A figure or ablation is that declaration and one
 // fold of the table into its row type.
 //
-// The verdict sweeps stand on the same grid: Sweep (dsmbench -scenarios,
-// -cross; verdict.go) makes each generated scenario seed a workload, run
-// by apps.RunScenario and keyed by the seed, under a variant per (policy,
-// engine); ChaosSweep (-chaos; chaos.go) is one more, its variants the sim
-// reference and the faulted live run. One fold judges all three
-// (verdictGrid.fold), and "same input, same final memory" is sameResults
-// for figure, scenario and chaos alike.
+// The verdict sweeps stand on the same grid and RunOpts, every run
+// bounded: Sweep (dsmbench -scenarios, -cross; verdict.go) makes each
+// generated scenario seed a workload, run by apps.RunScenario and keyed by
+// the seed, under a variant per (policy, engine); ChaosSweep (-chaos;
+// chaos.go) is one more, its variants the sim reference and the faulted
+// live run. One fold judges all three (verdictGrid.fold), and "same input,
+// same final memory" is sameResults for figure, scenario and chaos alike.
 package bench
 
 import (
@@ -36,7 +36,7 @@ import (
 // RunOpts controls how a sweep executes: worker-pool width, trials per
 // configuration, and progress reporting. The zero value runs one trial
 // per configuration on GOMAXPROCS workers with no progress output —
-// and, by the experiment pool's determinism guarantee, produces output
+// and, the pool returning outcomes in declaration order, produces output
 // byte-identical to Par: 1.
 type RunOpts struct {
 	// Par is the worker-goroutine count; <= 0 means GOMAXPROCS, 1 is
@@ -51,7 +51,7 @@ type RunOpts struct {
 	// pool position, wall time and ETA.
 	Progress func(string)
 	// Check turns every sweep into a correctness gate: each run
-	// verifies the protocol invariants (a violation fails its spec),
+	// verifies the protocol invariants (a violation fails that run),
 	// and cells that declare the same input key — Fig. 2/3's policy axis
 	// and the locator, tinit and related ablations' deterministic
 	// workloads — additionally must leave byte-identical final shared

@@ -68,11 +68,11 @@ func chaosFaults(seed uint64, nodes int) (faulty.Options, string) {
 	return opt, fmt.Sprintf("delays up to %v", opt.MaxDelay)
 }
 
-// ChaosSweep runs count chaos scenarios from seed base; par and progress
-// are verdictGrid.run's. Completed counts the seeds whose two runs both
+// ChaosSweep runs count chaos scenarios from seed base; o is read as
+// verdictGrid.run reads it. Completed counts the seeds whose two runs both
 // completed, Aborted the faulted runs the injected fault ended cleanly.
-func ChaosSweep(base uint64, count, par int, progress func(string)) (SweepStats, error) {
-	return chaosGrid(base, count).run(par, progress)
+func ChaosSweep(base uint64, count int, o RunOpts) (SweepStats, error) {
+	return chaosGrid(base, count).run(o)
 }
 
 // chaosGrid declares ChaosSweep's grid. A seed's policy and locator

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/experiment"
 
 	dsm "repro"
 )
@@ -34,7 +33,7 @@ func TestSweepTrialsAndGate(t *testing.T) {
 			r.Metrics.Migrations = 2*v + w
 			r.Metrics.Retries = int64(o.Seed % 1000)
 			r.Digest = o.Seed + 5
-			if v == 1 && o.Seed == experiment.TrialSeed(1) {
+			if v == 1 && o.Seed == trialSeed(1) {
 				r.Digest += skew
 			}
 			return r, nil
@@ -60,7 +59,7 @@ func TestSweepTrialsAndGate(t *testing.T) {
 					t.Fatalf("par=%d: cell (%d, %d) has %d trials (agg over %d), want %d", par, v, w, len(trials), tab.agg(v, w).N, K)
 				}
 				for tr, r := range trials {
-					if m := r.Result.Metrics; m.Migrations != int64(2*v+w) || m.Retries != int64(experiment.TrialSeed(tr)%1000) {
+					if m := r.result.Metrics; m.Migrations != int64(2*v+w) || m.Retries != int64(trialSeed(tr)%1000) {
 						t.Errorf("par=%d: cell (%d, %d) trial %d holds cell %d's run on seed%%1000 = %d", par, v, w, tr, m.Migrations, m.Retries)
 					}
 				}
@@ -97,7 +96,7 @@ func TestGridDeclaresVariantMajor(t *testing.T) {
 	ws := []workload{echo(asp128), echo(synthetic(2)), echo(application("SOR p=4", tinySizes().Spec("SOR"), 4))}
 	vs := []variant{{"NoHM", dsm.Config{Policy: "NoHM"}}, {"manager", dsm.Config{Policy: "AT", Locator: "manager"}}}
 	const K = 2
-	tab := RunOpts{Par: 3, Trials: K, Check: true}.grid(vs, ws, func(v, w int) string { return "study " + vs[v].name + " " + ws[w].name })
+	tab := RunOpts{Par: 3, Trials: K, Check: true}.grid(vs, ws, func(v, w int) string { return "study " + vs[v].name + " " + ws[w].name }, 0)
 	want := []cell{
 		{"study NoHM ASP(128)", "ASP(128)"},
 		{"study NoHM synthetic(r=2)", ""},
@@ -115,10 +114,10 @@ func TestGridDeclaresVariantMajor(t *testing.T) {
 	for v := range vs {
 		for w := range ws {
 			for tr, r := range tab.at(v, w) {
-				app := fmt.Sprintf("%s/%s nodes=%d seed=%d check=true", vs[v].cfg.Policy, vs[v].cfg.Locator, ws[w].nodes, experiment.TrialSeed(tr))
+				app := fmt.Sprintf("%s/%s nodes=%d seed=%d check=true", vs[v].cfg.Policy, vs[v].cfg.Locator, ws[w].nodes, trialSeed(tr))
 				label := fmt.Sprintf("%s trial=%d", want[v*len(ws)+w].label, tr)
-				if r.Result.App != app || r.Label != label {
-					t.Errorf("(%d, %d) trial %d: %q ran %q, want %q ran %q", v, w, tr, r.Label, r.Result.App, label, app)
+				if r.result.App != app || r.label != label {
+					t.Errorf("(%d, %d) trial %d: %q ran %q, want %q ran %q", v, w, tr, r.label, r.result.App, label, app)
 				}
 			}
 		}
@@ -165,15 +164,15 @@ func TestSameResults(t *testing.T) {
 		{label: "a/z", key: "a"},
 		{label: "free/2"},
 	}
-	clean := func() []run {
-		rs := make([]run, len(cells)*K)
+	clean := func() []outcome {
+		rs := make([]outcome, len(cells)*K)
 		for i, c := range cells {
 			for tr := 0; tr < K; tr++ {
 				d := uint64(1000*int(c.label[0]) + tr)
 				if c.key == "" {
 					d = uint64(7*i + 13*tr) // timing-dependent: differs per cell
 				}
-				rs[i*K+tr].Result.Digest = d
+				rs[i*K+tr].result.Digest = d
 			}
 		}
 		return rs
@@ -189,34 +188,34 @@ func TestSameResults(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
-		mutate func(rs []run)
+		mutate func(rs []outcome)
 		want   []string // substrings of the error; nil: must pass
 	}{
-		{name: "clean grid", mutate: func([]run) {}},
-		{name: "unkeyed cells differ freely", mutate: func(rs []run) {
-			rs[at("free/1", 0)].Result.Digest, rs[at("free/2", 2)].Result.Digest = 1, 2
+		{name: "clean grid", mutate: func([]outcome) {}},
+		{name: "unkeyed cells differ freely", mutate: func(rs []outcome) {
+			rs[at("free/1", 0)].result.Digest, rs[at("free/2", 2)].result.Digest = 1, 2
 		}},
-		{name: "group of one", mutate: func(rs []run) { rs[at("solo", 1)].Result.Digest = 99 }},
-		{name: "last cell of a group, last trial", mutate: func(rs []run) { rs[at("a/z", 2)].Result.Digest++ },
+		{name: "group of one", mutate: func(rs []outcome) { rs[at("solo", 1)].result.Digest = 99 }},
+		{name: "last cell of a group, last trial", mutate: func(rs []outcome) { rs[at("a/z", 2)].result.Digest++ },
 			want: []string{"a/z trial=2", "a/x trial=2"}},
-		{name: "middle cell of the other group", mutate: func(rs []run) { rs[at("b/y", 0)].Result.Digest++ },
+		{name: "middle cell of the other group", mutate: func(rs []outcome) { rs[at("b/y", 0)].result.Digest++ },
 			want: []string{"b/y trial=0", "b/x trial=0"}},
-		{name: "first cell diverges: its successor is named against it", mutate: func(rs []run) { rs[at("a/x", 1)].Result.Digest++ },
+		{name: "first cell diverges: its successor is named against it", mutate: func(rs []outcome) { rs[at("a/x", 1)].result.Digest++ },
 			want: []string{"a/y trial=1", "a/x trial=1"}},
-		{name: "two trials swapped inside one cell", mutate: func(rs []run) {
+		{name: "two trials swapped inside one cell", mutate: func(rs []outcome) {
 			i, j := at("a/y", 0), at("a/y", 1)
 			rs[i], rs[j] = rs[j], rs[i]
 		}, want: []string{"a/y trial=0", "a/x trial=0"}},
-		{name: "a failed run is skipped, not compared", mutate: func(rs []run) {
-			rs[at("a/y", 1)] = run{Err: errors.New("aborted")} // digest 0: would disagree
+		{name: "a failed run is skipped, not compared", mutate: func(rs []outcome) {
+			rs[at("a/y", 1)] = outcome{err: errors.New("aborted")} // digest 0: would disagree
 		}},
-		{name: "the first run of a group failed: the next completed one anchors it", mutate: func(rs []run) {
-			rs[at("a/x", 2)] = run{Err: errors.New("aborted")}
-			rs[at("a/z", 2)].Result.Digest++
+		{name: "the first run of a group failed: the next completed one anchors it", mutate: func(rs []outcome) {
+			rs[at("a/x", 2)] = outcome{err: errors.New("aborted")}
+			rs[at("a/z", 2)].result.Digest++
 		}, want: []string{"a/z trial=2", "a/y trial=2"}},
-		{name: "only one run of a group completed", mutate: func(rs []run) {
-			rs[at("b/x", 0)] = run{Err: errors.New("aborted")}
-			rs[at("b/y", 0)].Result.Digest++
+		{name: "only one run of a group completed", mutate: func(rs []outcome) {
+			rs[at("b/x", 0)] = outcome{err: errors.New("aborted")}
+			rs[at("b/y", 0)].result.Digest++
 		}},
 	} {
 		rs := clean()
@@ -243,15 +242,12 @@ func TestSameResults(t *testing.T) {
 	}
 	// A single-trial sweep names its runs by the bare cell label, as the
 	// pool's progress and error lines do.
-	rs := []run{{Result: apps.Result{Digest: 1}}, {Result: apps.Result{Digest: 2}}}
+	rs := []outcome{{result: apps.Result{Digest: 1}}, {result: apps.Result{Digest: 2}}}
 	err := sameResults([]cell{{label: "p", key: "k"}, {label: "q", key: "k"}}, 1, rs)
 	if err == nil || !strings.Contains(err.Error(), "q digest 0x2 != p digest 0x1") {
 		t.Errorf("single-trial message: %v", err)
 	}
 }
-
-// run is one slot of what RunOpts.run returns.
-type run = experiment.Outcome[apps.Result]
 
 // TestSameResultsOnAVerdictGrid forces the two disagreements a verdict
 // sweep exists to catch on the grid Sweep declares — one cell per (seed,
@@ -271,27 +267,27 @@ func TestSameResultsOnAVerdictGrid(t *testing.T) {
 			}
 		}
 	}
-	grid := func() []run {
-		rs := make([]run, len(cells))
+	grid := func() []outcome {
+		rs := make([]outcome, len(cells))
 		for i := range rs {
-			rs[i].Result.Digest = uint64(0xA0 + i/4) // per seed
+			rs[i].result.Digest = uint64(0xA0 + i/4) // per seed
 		}
 		return rs
 	}
 	for _, tc := range []struct {
 		name   string
-		mutate func(rs []run)
+		mutate func(rs []outcome)
 		want   string // "": must pass
 	}{
-		{name: "clean", mutate: func([]run) {}},
-		{name: "policies differ", mutate: func(rs []run) { rs[6].Result.Digest, rs[7].Result.Digest = 0xB, 0xB },
+		{name: "clean", mutate: func([]outcome) {}},
+		{name: "policies differ", mutate: func(rs []outcome) { rs[6].result.Digest, rs[7].result.Digest = 0xB, 0xB },
 			want: "bench: same input, different final memory: cross seed=2 AT/fwdptr/sim digest 0xb != cross seed=2 NoHM/fwdptr/sim digest 0xa1"},
-		{name: "engines differ", mutate: func(rs []run) { rs[3].Result.Digest = 0xB },
+		{name: "engines differ", mutate: func(rs []outcome) { rs[3].result.Digest = 0xB },
 			want: "bench: same input, different final memory: cross seed=1 AT/fwdptr/live digest 0xb != cross seed=1 NoHM/fwdptr/sim digest 0xa0"},
-		{name: "a failed run in a group is skipped", mutate: func(rs []run) { rs[1] = run{Err: errors.New("oracle: 1 violation(s)")} }},
-		{name: "a disagreement past a failed run is still found", mutate: func(rs []run) {
-			rs[4] = run{Err: errors.New("aborted")}
-			rs[7].Result.Digest = 0xB
+		{name: "a failed run in a group is skipped", mutate: func(rs []outcome) { rs[1] = outcome{err: errors.New("oracle: 1 violation(s)")} }},
+		{name: "a disagreement past a failed run is still found", mutate: func(rs []outcome) {
+			rs[4] = outcome{err: errors.New("aborted")}
+			rs[7].result.Digest = 0xB
 		}, want: "bench: same input, different final memory: cross seed=2 AT/fwdptr/live digest 0xb != cross seed=2 NoHM/fwdptr/live digest 0xa1"},
 	} {
 		rs := grid()
@@ -320,7 +316,7 @@ func TestSweepReproducesParentCounts(t *testing.T) {
 		{[]string{"sim"}, 8, 56, 1176},
 		{[]string{"sim", "live"}, 8, 112, 2352},
 	} {
-		st, err := Sweep(tc.engines, 1, 8, 0, nil)
+		st, err := Sweep(tc.engines, 1, 8, RunOpts{})
 		if err != nil {
 			t.Fatalf("%v: %v (failures: %v)", tc.engines, err, st.Failures)
 		}

@@ -63,7 +63,7 @@ func Fig3(sizesASP, sizesSOR []int, sorIters, nodes int, o RunOpts) ([]Fig3Row, 
 		base, at := t.at(0, i), t.at(1, i)
 		var timeP, msgP, trafP []float64
 		for tr := range base {
-			b, a := &base[tr].Result.Metrics, &at[tr].Result.Metrics
+			b, a := &base[tr].result.Metrics, &at[tr].result.Metrics
 			timeP = append(timeP, pct(b.ExecTime.Seconds(), a.ExecTime.Seconds()))
 			msgP = append(msgP, pct(float64(b.TotalMsgs(false)), float64(a.TotalMsgs(false))))
 			trafP = append(trafP, pct(float64(b.TotalBytes(false)), float64(a.TotalBytes(false))))

@@ -1,11 +1,8 @@
-//dsm:wallclock every run of a verdict sweep is bounded by a real-time deadline: a live run that never ends is a hang
-
 package bench
 
 import (
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"time"
 
 	"repro/internal/apps"
@@ -68,17 +65,11 @@ type verdictGrid struct {
 	faulted int   // the variant whose runs may end in live.ErrAborted; -1: none
 }
 
-// run runs every cell of g, each bounded by runBound, par at a time (<= 0:
-// one per core), progress (optional) taking a line per run, and folds them.
-func (g verdictGrid) run(par int, progress func(string)) (SweepStats, error) {
-	ws := make([]workload, len(g.ws))
-	for i, w := range g.ws {
-		ws[i] = w
-		ws[i].run = func(o apps.Options) (apps.Result, error) {
-			return bounded(runBound, func() (apps.Result, error) { return w.run(o) })
-		}
-	}
-	return g.fold(RunOpts{Par: par, Progress: progress}.grid(g.vs, ws, g.label))
+// run runs every cell of g once, checked and bounded by runBound, on o's
+// width and progress (its Trials and Check are not read), and folds them.
+func (g verdictGrid) run(o RunOpts) (SweepStats, error) {
+	o.Trials = 1
+	return g.fold(o.grid(g.vs, g.ws, g.label, runBound))
 }
 
 // fold is a verdict sweep's judge: a run fails, on a line of its own, unless
@@ -92,14 +83,14 @@ func (g verdictGrid) fold(t table) (SweepStats, error) {
 		for v := range g.vs {
 			r := t.at(v, w)[0]
 			switch {
-			case r.Err == nil:
+			case r.err == nil:
 				st.ReadsChecked += g.reads[w]
-				st.OracleOps += r.Result.OracleOps
+				st.OracleOps += r.result.OracleOps
 				continue
-			case v == g.faulted && errors.Is(r.Err, live.ErrAborted):
+			case v == g.faulted && errors.Is(r.err, live.ErrAborted):
 				st.Aborted++
 			default:
-				lines = append(lines, fmt.Sprintf("%s: %v", r.Label, r.Err))
+				lines = append(lines, fmt.Sprintf("%s: %v", r.label, r.err))
 			}
 			completed = false
 		}
@@ -117,38 +108,12 @@ func (g verdictGrid) fold(t table) (SweepStats, error) {
 	return st, fmt.Errorf("%s sweep: %d failure(s), first: %s", g.what, len(lines), lines[0])
 }
 
-// bounded is run's outcome, or a hang once d passes without one (the run
-// is left to its goroutine); a panic is its error, as in the pool.
-func bounded(d time.Duration, run func() (apps.Result, error)) (apps.Result, error) {
-	type ended struct {
-		res apps.Result
-		err error
-	}
-	ch := make(chan ended, 1)
-	go func() {
-		var e ended
-		defer func() {
-			if r := recover(); r != nil {
-				e.err = fmt.Errorf("panicked: %v\n%s", r, debug.Stack())
-			}
-			ch <- e
-		}()
-		e.res, e.err = run()
-	}()
-	select {
-	case e := <-ch:
-		return e.res, e.err
-	case <-time.After(d):
-		return apps.Result{}, fmt.Errorf("HANG — neither completed nor aborted within %v", d)
-	}
-}
-
 // Sweep runs count generated scenarios from seed base under every builtin
 // policy (locator rotating per seed) on each of engines, checked: {"sim"}
-// is the scenario sweep, {"sim", "live"} the cross-engine gate. par and
-// progress are verdictGrid.run's.
-func Sweep(engines []string, base uint64, count, par int, progress func(string)) (SweepStats, error) {
-	return scenarioGrid(engines, base, count).run(par, progress)
+// is the scenario sweep, {"sim", "live"} the cross-engine gate. o is read
+// as verdictGrid.run reads it.
+func Sweep(engines []string, base uint64, count int, o RunOpts) (SweepStats, error) {
+	return scenarioGrid(engines, base, count).run(o)
 }
 
 // scenarioGrid declares Sweep's grid.

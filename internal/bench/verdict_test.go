@@ -65,7 +65,7 @@ func TestVerdictFold(t *testing.T) {
 				return parity(w, o)
 			}, completed: n - 1, want: []string{"cross-engine sweep: 1 failure(s)", "cross seed=1 ", " AT/manager/live: scenario seed 9"}},
 	} {
-		st, err := stub(tc.g, tc.fake).run(2, nil)
+		st, err := stub(tc.g, tc.fake).run(RunOpts{Par: 2})
 		if st.Scenarios != n || st.Completed != tc.completed || st.Aborted != tc.aborted {
 			t.Errorf("%s: %d seeds, %d completed, %d aborted; want %d, %d, %d",
 				tc.name, st.Scenarios, st.Completed, st.Aborted, n, tc.completed, tc.aborted)
@@ -89,22 +89,28 @@ func TestVerdictFold(t *testing.T) {
 	}
 }
 
-// TestBoundedReportsHang: a run that outlives its bound is reported as a
-// hang while it goes on; one that ends in time is its own outcome, a
-// panic included.
-func TestBoundedReportsHang(t *testing.T) {
+// TestRunOneBoundsAndContains: a run that outlives a positive bound is
+// reported as a hang while it goes on; one that ends in time is its own
+// outcome, with a bound or without; and a panic is that run's error either
+// way.
+func TestRunOneBoundsAndContains(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	if _, err := bounded(10*time.Millisecond, func() (apps.Result, error) {
+	blocked := run{"blocked", func() (apps.Result, error) {
 		<-release
 		return apps.Result{}, nil
-	}); err == nil || !strings.Contains(err.Error(), "HANG") {
-		t.Errorf("a run past its bound returned %v, want a HANG", err)
+	}}
+	if o := runOne(blocked, 10*time.Millisecond); o.err == nil || !strings.Contains(o.err.Error(), "HANG") || o.label != "blocked" {
+		t.Errorf("a run past its bound returned %q: %v, want a HANG", o.label, o.err)
 	}
-	if r, err := bounded(time.Minute, func() (apps.Result, error) { return apps.Result{Digest: 7}, nil }); err != nil || r.Digest != 7 {
-		t.Errorf("a run in time returned %+v, %v", r, err)
-	}
-	if _, err := bounded(time.Minute, func() (apps.Result, error) { panic("kaboom") }); err == nil || !strings.Contains(err.Error(), "kaboom") {
-		t.Errorf("a panicking run returned %v, want its panic", err)
+	inTime := run{"in time", func() (apps.Result, error) { return apps.Result{Digest: 7}, nil }}
+	panics := run{"panics", func() (apps.Result, error) { panic("kaboom") }}
+	for _, bound := range []time.Duration{0, time.Minute} {
+		if o := runOne(inTime, bound); o.err != nil || o.result.Digest != 7 || o.label != "in time" {
+			t.Errorf("bound %v: a run in time returned %+v", bound, o)
+		}
+		if o := runOne(panics, bound); o.err == nil || !strings.Contains(o.err.Error(), "panicked: kaboom") || o.label != "panics" {
+			t.Errorf("bound %v: a panicking run returned %q: %v, want its panic", bound, o.label, o.err)
+		}
 	}
 }

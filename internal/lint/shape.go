@@ -208,11 +208,12 @@ var shapeRules = []shapeRule{
 		in: pkgs("internal/bench"), tests: true,
 		what: []target{decl("func", "runApp"), decl("func", "checkDigests"), decl("func", "runAblation"),
 			decl("", "digestTracker")}},
-	{name: "the pool schedules the runs", since: "One sweep substrate",
-		in: pkgs("internal/scenario", "internal/bench"), what: []target{use("sync.WaitGroup")}},
-	{name: "the pool alone reads the width", since: "One sweep substrate",
-		in:   pkgs("internal/experiment", "internal/scenario", "internal/bench", "cmd/dsmbench"),
-		what: []target{use("runtime.GOMAXPROCS")}, only: []string{"internal/experiment/experiment.go"}, n: 1},
+	{name: "the pool schedules the runs", since: "One sweep substrate; The grid runs its own cells",
+		in:   pkgs("internal/scenario", "internal/bench"),
+		what: []target{use("sync.WaitGroup")}, only: []string{"internal/bench/grid.go"}, n: 1},
+	{name: "the pool alone reads the width", since: "One sweep substrate; The grid runs its own cells",
+		in:   pkgs("internal/scenario", "internal/bench", "cmd/dsmbench"),
+		what: []target{use("runtime.GOMAXPROCS")}, only: []string{"internal/bench/grid.go"}, n: 1},
 	{name: "one debug mux", since: "One sweep substrate",
 		in: pkgs("cmd/...", "internal/..."), what: []target{use("net/http/pprof.Index")},
 		only: []string{"internal/obshttp/obshttp.go"}, n: 1},
@@ -224,7 +225,7 @@ var shapeRules = []shapeRule{
 		in: pkgs("internal/scenario"),
 		what: []target{imported("repro/internal/gos/..."), imported("repro/internal/live/..."),
 			imported("repro/internal/oracle/..."), imported("repro/internal/telemetry/..."),
-			imported("repro/internal/experiment/..."), imported("repro/internal/apps/...")}},
+			imported("repro/internal/apps/...")}},
 	{name: "a scenario is an application", since: "A generated scenario is an application",
 		in: pkgs("internal/scenario"), tests: true,
 		what: []target{decl("method", "Program.Run"), decl("type", "Result"), decl("type", "RunOpts")}},
@@ -294,8 +295,8 @@ var shapeRules = []shapeRule{
 	{name: "every sweep is one grid", since: "One grid for every sweep",
 		in: pkgs("internal/bench"), tests: true,
 		what: []target{decl("", "fig2Policies"), decl("", "fig3Policies"), decl("", "runner"), decl("field", "trace")}},
-	{name: "only the grid hands runs to the pool", since: "One grid for every sweep",
-		in: pkgs("internal/bench"), what: []target{use("repro/internal/experiment.Run")},
+	{name: "only the grid hands runs to the pool", since: "One grid for every sweep; The grid runs its own cells",
+		in: pkgs("internal/bench"), what: []target{use("repro/internal/bench.RunOpts.runAll")},
 		only: []string{"internal/bench/grid.go"}, n: 1},
 
 	{name: "chaos parity is the grid's digest comparison", since: "One judge per verdict",

@@ -148,8 +148,9 @@ func TestCrossEngineTCPDigest(t *testing.T) {
 				}
 				// Node 0 carries the merged cluster metrics: the whole
 				// cluster's protocol traffic, not one process's share.
-				if results[0].Metrics.LiveMsgs == 0 || results[0].Metrics.TotalMsgs(true) == 0 {
-					t.Fatal("merged metrics empty on node 0")
+				if m := results[0].Metrics; m.LiveMsgs == 0 || m.LiveMsgs != m.TotalMsgs(true) || m.LiveBytes != m.TotalBytes(true) {
+					t.Fatalf("merged metrics on node 0: live frames %d (%d bytes), counters %d (%d bytes)",
+						m.LiveMsgs, m.LiveBytes, m.TotalMsgs(true), m.TotalBytes(true))
 				}
 				if results[0].OracleOps == 0 {
 					t.Fatal("merged oracle validated nothing")

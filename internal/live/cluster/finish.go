@@ -216,8 +216,6 @@ func (m *Member) judge(c *dsm.Cluster, reports []appReportBody, oracleOn bool) v
 		r := &reports[id]
 		if id > 0 {
 			merged.Counters.Add(&r.Metrics.Counters)
-			merged.LiveMsgs += r.Metrics.LiveMsgs
-			merged.LiveBytes += r.Metrics.LiveBytes
 			merged.Wall = max(merged.Wall, r.Metrics.Wall)
 			merged.LivePeakInbox = max(merged.LivePeakInbox, r.Metrics.LivePeakInbox)
 			merged.LivePeakMailbox = max(merged.LivePeakMailbox, r.Metrics.LivePeakMailbox)
@@ -227,6 +225,7 @@ func (m *Member) judge(c *dsm.Cluster, reports []appReportBody, oracleOn bool) v
 		}
 		rings[id], ops[id] = r.Flight, r.Ops
 	}
+	merged.LiveMsgs, merged.LiveBytes = merged.TotalMsgs(true), merged.TotalBytes(true)
 	if m.flight != nil {
 		m.timeline = flight.Merge(rings...)
 	}

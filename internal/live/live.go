@@ -141,8 +141,6 @@ type Cluster struct {
 
 	start    time.Time
 	inflight atomic.Int64 // frames sent, not yet fully handled
-	frames   atomic.Int64
-	frameB   atomic.Int64
 
 	// abortMu serializes Abort against thread registration; abortErr is
 	// the first abort cause, aborted its lock-free mirror for hot loops.
@@ -255,16 +253,11 @@ func New(cfg Config) *Cluster {
 
 // registerMetrics exposes the engine's internals on a telemetry
 // registry. Every read function is safe against a mid-run scrape: the
-// cluster-wide frame counters are atomics, and the per-node protocol
-// counters and latency histograms are summed under each node's mutex
-// (the same lock the receive path and threads hold while mutating them).
+// in-flight gauge is an atomic, and the per-node protocol counters —
+// the frames sent among them — and latency histograms are summed under
+// each node's mutex (the same lock the receive path and threads hold
+// while mutating them).
 func (c *Cluster) registerMetrics(reg *telemetry.Registry) {
-	reg.CounterFunc("dsm_live_frames_total",
-		"Protocol frames sent by this process's engine.", "", c.frames.Load)
-	reg.CounterFunc("dsm_live_frame_bytes_total",
-		"Encoded protocol frame bytes sent by this process's engine.", "", c.frameB.Load)
-	reg.GaugeFunc("dsm_inflight_frames",
-		"Frames sent but not yet fully handled (the quiescence counter).", "", c.inflight.Load)
 	counter := func(get func(cs *stats.Counters) int64) func() int64 {
 		return func() int64 {
 			var total int64
@@ -276,6 +269,14 @@ func (c *Cluster) registerMetrics(reg *telemetry.Registry) {
 			return total
 		}
 	}
+	reg.CounterFunc("dsm_live_frames_total",
+		"Protocol frames sent by this process's engine.", "",
+		counter(func(cs *stats.Counters) int64 { return cs.TotalMsgs(true) }))
+	reg.CounterFunc("dsm_live_frame_bytes_total",
+		"Encoded protocol frame bytes sent by this process's engine.", "",
+		counter(func(cs *stats.Counters) int64 { return cs.TotalBytes(true) }))
+	reg.GaugeFunc("dsm_inflight_frames",
+		"Frames sent but not yet fully handled (the quiescence counter).", "", c.inflight.Load)
 	reg.CounterFunc("dsm_migrations_total",
 		"Home migrations performed by this process's nodes.", "",
 		counter(func(cs *stats.Counters) int64 { return cs.Migrations }))
@@ -445,8 +446,7 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 	}
 	m.LivePeakInbox = c.tr.PeakDepth()
 	m.Wall = wall
-	m.LiveMsgs = c.frames.Load()
-	m.LiveBytes = c.frameB.Load()
+	m.LiveMsgs, m.LiveBytes = m.TotalMsgs(true), m.TotalBytes(true)
 	return m, runErr
 }
 
@@ -528,8 +528,6 @@ func (n *node) Send(msg wire.Msg, cat stats.Category) {
 	if n.ps.On(flight.FrameSend) {
 		n.ps.Emit(flight.Event{Kind: flight.FrameSend, Tag: uint8(msg.Kind), Peer: msg.To, Bytes: int32(len(frame))})
 	}
-	n.c.frames.Add(1)
-	n.c.frameB.Add(int64(len(frame)))
 	n.c.inflight.Add(1)
 	n.c.tr.Send(msg.To, frame)
 	if n.c.push != nil && !slices.Contains(n.dests, msg.To) {

@@ -251,7 +251,7 @@ func TestScenarioSweep200(t *testing.T) {
 	if testing.Short() {
 		n = 40
 	}
-	st, err := bench.Sweep([]string{"sim"}, 1, n, 0, nil)
+	st, err := bench.Sweep([]string{"sim"}, 1, n, bench.RunOpts{})
 	if err != nil {
 		for _, f := range st.Failures {
 			t.Error(f)

@@ -1,7 +1,7 @@
 // Package prng is the repository's single deterministic random-number
 // helper. Every component that needs seeded randomness — application
 // input generation (internal/apps), trial-seed derivation
-// (internal/experiment), the randomized scenario engine
+// (internal/bench), the randomized scenario engine
 // (internal/scenario) and the coherence fuzzers — draws from here, so
 // streams are stable across Go releases (no math/rand) and across
 // packages (no drifting private copies of the same generator).

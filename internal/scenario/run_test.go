@@ -113,7 +113,7 @@ func TestSweepSmoke(t *testing.T) {
 	if testing.Short() {
 		n = 4
 	}
-	st, err := bench.Sweep([]string{"sim"}, 1, n, 0, nil)
+	st, err := bench.Sweep([]string{"sim"}, 1, n, bench.RunOpts{})
 	if err != nil {
 		t.Fatalf("%v (failures: %v)", err, st.Failures)
 	}
@@ -132,7 +132,7 @@ func TestCrossEngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		count = 4
 	}
-	st, err := bench.Sweep([]string{"sim", "live"}, 1, count, 0, nil)
+	st, err := bench.Sweep([]string{"sim", "live"}, 1, count, bench.RunOpts{})
 	if err != nil {
 		for _, f := range st.Failures {
 			t.Error(f)
@@ -240,7 +240,7 @@ func TestChaosSweepSmoke(t *testing.T) {
 	if testing.Short() {
 		n = 4
 	}
-	st, err := bench.ChaosSweep(1, n, 0, nil)
+	st, err := bench.ChaosSweep(1, n, bench.RunOpts{})
 	if err != nil {
 		t.Fatalf("%v (failures: %v)", err, st.Failures)
 	}
