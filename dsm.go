@@ -81,6 +81,8 @@ type (
 	// Observer is an event subscriber (in practice the coherence oracle's
 	// log, a flight.Log of oracle.Kinds: the thread-side events and the
 	// managers' BarrierRelease/LockGrant); identical on both engines. A subscriber must not mutate cluster state.
+	// On the live engine nodes call Record concurrently: a subscriber
+	// synchronizes itself, as flight.Log does.
 	Observer = flight.Subscriber
 	// Transport carries encoded protocol frames between live-engine
 	// nodes and pushes them to the receiving node (see Config.Transport).

@@ -104,8 +104,9 @@ func TestSimFlightTimelineDeterministic(t *testing.T) {
 	}
 	checkExactlyOnce(t, "sim", all, sink, tr, rec)
 
-	// Live: every cluster-wide subscriber goes through the engine's
-	// serializer, which must neither drop nor repeat a delivery.
+	// Live: nodes deliver concurrently, with no wrapper between them and
+	// a subscriber; each subscriber's own lock must neither drop nor
+	// repeat a delivery.
 	sink, tr, rec = telemetry.NewSink(0), dsm.NewTrace(), flight.NewLog(oracle.Kinds, nil)
 	_, evs, _ := flightWorkload(t, func(c *dsm.Config) {
 		c.Engine = "live"
@@ -267,8 +268,8 @@ func TestSimFlightTimelineContent(t *testing.T) {
 }
 
 // TestLiveTraceMatchesFlightTimeline attaches Config.Trace to the live
-// engine — one more subscriber of the events the rings keep, its
-// deliveries serialized by the engine — and checks the two recordings
+// engine — one more subscriber of the events the rings keep, appending
+// under its own lock — and checks the two recordings
 // of one run against each other: the classifier must build the same
 // profile, object for object, from the Trace's log and from the merged
 // flight timeline (rings large enough not to wrap). Every classified

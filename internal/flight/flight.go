@@ -170,9 +170,12 @@ const FaultCut uint8 = 1
 // Log is the one unbounded event log — the oracle's (oracle.Kinds), a
 // cluster member's HLC-stamped one, dsm.Trace (trace.Kinds): a Subscriber
 // keeping every event of its kinds in delivery order, stamped as the
-// Recorder stamps when it has a stamp source. Unsynchronized: both engines
-// serialize delivery.
+// Recorder stamps when it has a stamp source. Safe for concurrent use: it
+// stamps and appends under its own mutex, so live nodes delivering at
+// once append in one total order, stamps rising with it. Read Events
+// after the run.
 type Log struct {
+	mu     sync.Mutex
 	kinds  Mask
 	stamp  func() hlc.Stamp
 	Events []Event
@@ -186,11 +189,13 @@ func (l *Log) Kinds() Mask { return l.kinds }
 
 // Record implements Subscriber: stamp ev, when the log stamps, and keep it.
 func (l *Log) Record(ev Event) {
+	l.mu.Lock()
 	if l.stamp != nil {
 		s := l.stamp()
 		ev.Wall, ev.Logical = s.Wall, s.Logical
 	}
 	l.Events = append(l.Events, ev)
+	l.mu.Unlock()
 }
 
 // Recorder is one node's fixed-capacity event ring. Protocol sites

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/hlc"
@@ -230,5 +231,38 @@ func TestRecordAllocatesNothing(t *testing.T) {
 		on.Record(ev)
 	}); n != 0 {
 		t.Errorf("enabled ring record allocates %v/op, want 0", n)
+	}
+}
+
+// A Log keeps every event delivered to it from concurrent goroutines, as
+// live nodes deliver, and a stamped one stamps in log order: the stamp
+// and the append are one step under the log's lock.
+func TestLogConcurrentRecord(t *testing.T) {
+	const writers, each = 8, 10000
+	for _, l := range []*Log{NewLog(RingKinds, hlc.New(nil).Tick), NewLog(RingKinds, nil)} {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					l.Record(Event{Kind: HomeRead, Node: memory.NodeID(w), Obj: memory.ObjectID(i)})
+				}
+			}()
+		}
+		wg.Wait()
+		if len(l.Events) != writers*each {
+			t.Fatalf("stamped %v: log kept %d events, want %d", l.stamp != nil, len(l.Events), writers*each)
+		}
+		var next [writers]memory.ObjectID
+		for i, e := range l.Events {
+			if e.Obj != next[e.Node] {
+				t.Fatalf("stamped %v: event %d is writer %d's #%d, want #%d", l.stamp != nil, i, e.Node, e.Obj, next[e.Node])
+			}
+			next[e.Node]++
+			if l.stamp != nil && i > 0 && !l.Events[i-1].Stamp().Less(e.Stamp()) {
+				t.Fatalf("stamps out of log order at %d: %v then %v", i, l.Events[i-1].Stamp(), e.Stamp())
+			}
+		}
 	}
 }

@@ -182,6 +182,12 @@ var shapeRules = []shapeRule{
 	{name: "observers attach only through Subscribe", since: "One way in at each engine edge",
 		in:   pkgs("internal/gos", "internal/live"),
 		what: []target{decl("field", "Observer"), decl("field", "Telemetry")}},
+	// Node.Subscribe and Space.Subscribe, and proto.Cluster's contract.
+	{name: "one way to subscribe", since: "One lock per observed event",
+		in: outsideBenchmark, what: []target{decl("method", "Subscribe")},
+		only: []string{"internal/proto/observe.go", "internal/proto/proto.go"}},
+	{name: "the sketch keeps no maps", since: "One lock per observed event",
+		in: pkgs("internal/telemetry"), what: []target{{kind: tMap}}, only: []string{"internal/telemetry/prom.go"}},
 	{name: "a live backend is a Pusher at compile time", since: "One way in at each engine edge",
 		in: outsideBenchmark, tests: true, what: []target{decl("", "DepthReporter")}},
 

@@ -35,3 +35,10 @@ func (n *node) observe(cfg config, sub *int) {
 		*sub = *cfg.FlightLocal
 	}
 }
+
+// Cluster wraps the space's subscription in an engine-side one.
+type Cluster struct{ subs []any }
+
+func (c *Cluster) Subscribe(sub any) { // want `one way to subscribe: method Subscribe declared outside internal/proto/observe.go, internal/proto/proto.go`
+	c.subs = append(c.subs, sub)
+}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/flight"
 	"repro/internal/memory"
 	"repro/internal/proto"
+	"repro/internal/telemetry"
 )
 
 // BenchmarkLiveBarrierEpisode measures one full barrier episode
@@ -120,9 +122,17 @@ func BenchmarkLiveLockKernel(b *testing.B) {
 // homed at its own node, taking two ReadViews (the neighbours) and one
 // WriteView per row, and ends every sweep at a barrier, where its write
 // views expire. One op is one row.
-func BenchmarkLiveViewSweep(b *testing.B) {
+func BenchmarkLiveViewSweep(b *testing.B) { viewSweep(b, nil) }
+
+// BenchmarkLiveViewSweepSink is the same sweep with the hot-object sketch
+// subscribed, as dsmnode and the benchmark wire a member: every row then
+// also delivers a trapped HomeRead and HomeWrite to the sketch.
+func BenchmarkLiveViewSweepSink(b *testing.B) { viewSweep(b, telemetry.NewSink(0)) }
+
+func viewSweep(b *testing.B, sub flight.Subscriber) {
 	const rows, words = 64, 256
 	c := New(DefaultConfig(1))
+	c.Subscribe(sub)
 	ids := make([]memory.ObjectID, rows)
 	for i := range ids {
 		ids[i] = c.AddObject(words, 0)

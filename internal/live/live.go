@@ -10,7 +10,8 @@
 // socket's reader, the fault injector's delivery line). The engine needs
 // a transport.Pusher (Config.Transport has that type) and never calls
 // Recv. Flight rings are the engine's own; every other subscriber
-// attaches through Cluster.Subscribe, which serializes its deliveries.
+// attaches through Subscribe (proto.Space.Subscribe), as on sim, and
+// synchronizes itself: nodes deliver to it concurrently.
 // A frame that cannot be routed yet is parked at its node until an
 // unlock finds it routable. Messages between nodes cross a pluggable
 // transport (internal/live/transport) and are always encoded through the
@@ -74,7 +75,7 @@ import (
 // is; nil Policy and zero Params follow the paper defaults, like
 // gos.Config) plus what only the goroutine engine has — the transport,
 // the one-node mode, the flight rings and the scrape registry. Observers
-// attach through Cluster.Subscribe, after New.
+// attach through Subscribe (Space.Subscribe), after New.
 type Config struct {
 	proto.Shared
 	// Transport carries encoded frames between nodes; nil selects the
@@ -313,32 +314,6 @@ func (c *Cluster) registerMetrics(reg *telemetry.Registry) {
 	reg.HistFunc("dsm_fault_rtt_ns",
 		"Object fault-in round-trip latency in nanoseconds (log2 buckets).", "",
 		hist(func(cs *stats.Counters) *stats.Hist { return &cs.RoundTripNs }))
-}
-
-// serialized delivers to a cluster-wide subscriber under one mutex: the
-// one place concurrent nodes' events become the single total order an
-// unsynchronized subscriber (a flight.Log: the oracle's, a dsm.Trace) expects;
-// every cluster-wide subscriber takes it, the telemetry sketch included.
-// That order is consistent with causality (see proto.Node.Emit); only
-// genuinely concurrent events race for log positions, and LRC places no
-// obligation between those.
-type serialized struct {
-	mu sync.Mutex
-	flight.Subscriber
-}
-
-func (s *serialized) Record(ev flight.Event) {
-	s.mu.Lock()
-	s.Subscriber.Record(ev)
-	s.mu.Unlock()
-}
-
-// Subscribe attaches sub to every node, its deliveries serialized. A nil
-// sub is ignored. Must precede Run.
-func (c *Cluster) Subscribe(sub flight.Subscriber) {
-	if sub != nil {
-		c.Space.Subscribe(&serialized{Subscriber: sub})
-	}
 }
 
 // Run executes the workers to completion on real goroutines and returns

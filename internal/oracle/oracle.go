@@ -119,8 +119,9 @@ const maxLegalValues = 8
 // Thread and Sync (the lock or barrier id) of the four thread-side sync
 // kinds, and Sync of a BarrierRelease. The log must be a total order
 // consistent with happens-before: one process's log is, on either engine
-// (the simulation kernel is cooperatively scheduled and the live engine
-// serializes delivery), and so is the HLC-ordered merge of a cluster's.
+// (the simulation kernel is cooperatively scheduled; a live node emits
+// under its state lock into a flight.Log that appends under its own),
+// and so is the HLC-ordered merge of a cluster's.
 // Within one thread, events arrive in program order; Release after the
 // release-side flush completed (all diff acks received) and before the
 // lock can be granted on; Acquire after the grant arrived; BarrierArrive

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/flight"
 	"repro/internal/locator"
+	"repro/internal/memory"
 	"repro/internal/migration"
 	"repro/internal/twindiff"
 	"repro/internal/wire"
@@ -154,5 +155,84 @@ func TestViewedHomeServedWithHoldersIn(t *testing.T) {
 	home.Handle(req)
 	if reply := w.wire[len(w.wire)-1]; !reply.Migrate || home.IsHome[w.obj] {
 		t.Errorf("unpinned: reply migrates %v, home kept %v: want the home to move", reply.Migrate, home.IsHome[w.obj])
+	}
+}
+
+// The view pin's own bookkeeping, on a home with two objects and two
+// local thread slots: a pin is kept once however often the slot repeats
+// it, an unpinned object is no longer viewed and a new pin holds it
+// again, and a fault-in for an object two slots view waits while either
+// holder is out.
+func TestPinViewTable(t *testing.T) {
+	const obj, other = 1, 0
+	for _, tc := range []struct {
+		name  string
+		run   func(n *Node)
+		objs  [][]memory.ObjectID // each slot's pins, in pin order
+		held  bool                // obj is viewed
+		route bool                // a fault-in for obj is routable
+	}{
+		{"a repeated pin keeps one entry", func(n *Node) {
+			n.PinView(0, obj)
+			n.PinView(0, obj)
+			n.PinView(0, other)
+			n.PinView(0, obj)
+		}, [][]memory.ObjectID{{obj, other}}, true, true},
+		{"a holder out vetoes the fault-in", func(n *Node) {
+			n.PinView(0, obj)
+			n.Leave(0)
+		}, [][]memory.ObjectID{{obj}}, true, false},
+		{"unpinned, the object is no longer viewed", func(n *Node) {
+			n.PinView(0, obj)
+			n.PinView(0, other)
+			n.Leave(0)
+			n.UnpinViews(0)
+		}, [][]memory.ObjectID{nil}, false, true},
+		{"a new pin after unpin holds again", func(n *Node) {
+			n.PinView(0, obj)
+			n.UnpinViews(0)
+			n.PinView(0, obj)
+			n.Leave(0)
+		}, [][]memory.ObjectID{{obj}}, true, false},
+		{"two holders, slot 0 out", func(n *Node) {
+			n.PinView(0, obj)
+			n.PinView(1, obj)
+			n.Leave(0)
+		}, [][]memory.ObjectID{{obj}, {obj}}, true, false},
+		{"two holders, slot 1 out", func(n *Node) {
+			n.PinView(0, obj)
+			n.PinView(1, obj)
+			n.Leave(1)
+		}, [][]memory.ObjectID{{obj}, {obj}}, true, false},
+		{"two holders, both back in", func(n *Node) {
+			n.PinView(0, obj)
+			n.PinView(1, obj)
+			n.Leave(0)
+			n.Leave(1)
+			n.Enter(0)
+			n.Enter(1)
+		}, [][]memory.ObjectID{{obj}, {obj}}, true, true},
+		{"two holders, the one out unpinned", func(n *Node) {
+			n.PinView(0, obj)
+			n.PinView(1, obj)
+			n.Leave(0)
+			n.UnpinViews(0)
+		}, [][]memory.ObjectID{nil, {obj}}, true, true},
+	} {
+		w := newWorld(t, locator.ForwardingPointer, 3, obj, 1)
+		home := w.sp.Nodes[1]
+		tc.run(home)
+		for slot, want := range tc.objs {
+			if got := home.views[slot].objs; !slices.Equal(got, want) {
+				t.Errorf("%s: slot %d pins %v, want %v", tc.name, slot, got, want)
+			}
+		}
+		if held, _ := home.viewed(obj); held != tc.held {
+			t.Errorf("%s: object viewed %v, want %v", tc.name, held, tc.held)
+		}
+		req := wire.Msg{Kind: wire.ObjReq, From: 2, To: 1, Obj: obj, ReplyNode: 2}
+		if got := home.CanRoute(&req); got != tc.route {
+			t.Errorf("%s: fault-in routable %v, want %v", tc.name, got, tc.route)
+		}
 	}
 }

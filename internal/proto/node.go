@@ -95,6 +95,9 @@ const severalReports memory.NodeID = -2
 // viewSlot is one local thread slot's write views on home objects.
 type viewSlot struct {
 	objs []memory.ObjectID
+	// held is objs as a set, indexed by object id and sized to the object
+	// table at the first pin: a pin's dedup and viewed's probe are O(1).
+	held []bool
 	// out marks the slot outside the DSM, running application code that
 	// may be writing its views; see Leave.
 	out bool
@@ -117,7 +120,12 @@ func (n *Node) PinView(slot int32, obj memory.ObjectID) {
 	for int(slot) >= len(n.views) {
 		n.views = append(n.views, viewSlot{})
 	}
-	if v := &n.views[slot]; !slices.Contains(v.objs, obj) {
+	v := &n.views[slot]
+	if v.held == nil {
+		v.held = make([]bool, len(n.Cache))
+	}
+	if !v.held[obj] {
+		v.held[obj] = true
 		v.objs = append(v.objs, obj)
 	}
 }
@@ -125,7 +133,11 @@ func (n *Node) PinView(slot int32, obj memory.ObjectID) {
 // UnpinViews ends every write view slot holds.
 func (n *Node) UnpinViews(slot int32) {
 	if int(slot) < len(n.views) {
-		n.views[slot].objs = n.views[slot].objs[:0]
+		v := &n.views[slot]
+		for _, obj := range v.objs {
+			v.held[obj] = false
+		}
+		v.objs = v.objs[:0]
 	}
 }
 
@@ -149,7 +161,7 @@ func (n *Node) Leave(slot int32) {
 // whether one that does is outside the DSM.
 func (n *Node) viewed(obj memory.ObjectID) (held, out bool) {
 	for i := range n.views {
-		if v := &n.views[i]; slices.Contains(v.objs, obj) {
+		if v := &n.views[i]; v.held != nil && v.held[obj] {
 			held = true
 			if v.out {
 				return true, true

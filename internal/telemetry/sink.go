@@ -69,11 +69,14 @@ const DefaultTopK = 64
 // Sink is a space-saving (Metwally et al.) top-K sketch over object
 // accesses plus migration-decision counters. It is a flight.Subscriber:
 // every node of a run feeds the one sink its access and Decision events,
-// and Record stays allocation-free in steady state.
+// and Record stays allocation-free in steady state. Objects are found by
+// dense id: the index costs 4 B per object id up to the highest seen.
 type Sink struct {
-	mu       sync.Mutex
-	k        int
-	idx      map[memory.ObjectID]int
+	mu sync.Mutex
+	k  int
+	// idx is, per object id, its entry's position + 1; 0 is unmonitored.
+	// Grown on demand to the highest id seen.
+	idx      []int32
 	entries  []entry
 	total    uint64
 	migrated [migration.NumReasons]int64
@@ -93,11 +96,7 @@ func NewSink(k int) *Sink {
 	if k <= 0 {
 		k = DefaultTopK
 	}
-	return &Sink{
-		k:       k,
-		idx:     make(map[memory.ObjectID]int, k),
-		entries: make([]entry, 0, k),
-	}
+	return &Sink{k: k, entries: make([]entry, 0, k)}
 }
 
 var sinkKinds = flight.MaskOf(flight.HomeRead, flight.HomeWrite, flight.Request,
@@ -150,24 +149,28 @@ func (s *Sink) count(obj memory.ObjectID, kind AccessKind) {
 		access = 0
 	}
 	s.total += access
-	i, ok := s.idx[obj]
+	if n := int(obj) + 1 - len(s.idx); n > 0 {
+		s.idx = append(s.idx, make([]int32, n)...)
+	}
+	i := int(s.idx[obj]) - 1
 	switch {
-	case ok:
+	case i >= 0:
 	case len(s.entries) < s.k:
 		s.entries = append(s.entries, entry{obj: obj})
 		i = len(s.entries) - 1
-		s.idx[obj] = i
+		s.idx[obj] = int32(i + 1)
 	default:
 		// Evict the minimum-count entry. Linear scan: k is small and this
 		// only runs on sketch misses.
+		i = 0
 		for j := 1; j < len(s.entries); j++ {
 			if s.entries[j].count < s.entries[i].count {
 				i = j
 			}
 		}
 		e := &s.entries[i]
-		delete(s.idx, e.obj)
-		s.idx[obj] = i
+		s.idx[e.obj] = 0
+		s.idx[obj] = int32(i + 1)
 		*e = entry{obj: obj, count: e.count, err: e.count}
 	}
 	e := &s.entries[i]

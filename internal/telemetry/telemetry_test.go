@@ -307,4 +307,11 @@ func TestHotPathsAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { decide(sink, 7, migration.ReasonBelowThreshold, false) }); n != 0 {
 		t.Fatalf("Sink.Record of a decision allocates %v/op", n)
 	}
+	// Admitting an object below the highest id seen, into a free entry or
+	// by eviction, reuses the index.
+	access(sink, 300, flight.HomeRead)
+	obj := memory.ObjectID(0)
+	if n := testing.AllocsPerRun(1000, func() { obj = (obj + 1) % 300; access(sink, obj, flight.HomeWrite) }); n != 0 {
+		t.Fatalf("Sink.Record admitting an object allocates %v/op", n)
+	}
 }
