@@ -191,9 +191,13 @@ var shapeRules = []shapeRule{
 	{name: "a live backend is a Pusher at compile time", since: "One way in at each engine edge",
 		in: outsideBenchmark, tests: true, what: []target{decl("", "DepthReporter")}},
 
-	{name: "one live receive path", since: "One live receive path",
-		in:   pkgs("internal/live"),
-		what: []target{{kind: tUse, obj: "method", name: "Recv"}, decl("", "daemon")}},
+	{name: "one live receive path", since: "One live receive path; A reply runs its thread",
+		in: pkgs("internal/live"),
+		what: []target{{kind: tUse, obj: "method", name: "Recv"}, decl("", "daemon"),
+			use("repro/internal/live/transport.Queue.Get")}},
+	{name: "a live thread is one coroutine", since: "A reply runs its thread",
+		in: pkgs("internal/live"), what: []target{use("iter.Pull")},
+		only: []string{"internal/live/thread.go"}, n: 1},
 
 	{name: "a member owns one node", since: "A member owns one node",
 		in: pkgs("internal/live/cluster"), tests: true, what: []target{decl("", "repair")}},

@@ -1,6 +1,12 @@
 // Package live stands in for the goroutine engine.
 package live
 
+import (
+	"iter"
+
+	"repro/internal/live/transport"
+)
+
 // DepthReporter is the run-time depth probe a backend no longer needs.
 type DepthReporter interface { // want `a live backend is a Pusher at compile time: DepthReporter declared`
 	PeakDepth() int
@@ -41,4 +47,15 @@ type Cluster struct{ subs []any }
 
 func (c *Cluster) Subscribe(sub any) { // want `one way to subscribe: method Subscribe declared outside internal/proto/observe.go, internal/proto/proto.go`
 	c.subs = append(c.subs, sub)
+}
+
+// waiter blocks on a mailbox and runs a second coroutine outside
+// thread.go.
+type waiter struct{ mbox *transport.Queue[int] }
+
+func (w waiter) wait(seq iter.Seq[int]) int {
+	next, _ := iter.Pull(seq) // want `a live thread is one coroutine: use of iter.Pull outside internal/live/thread.go`
+	v, _ := next()
+	got, _ := w.mbox.Get() // want `one live receive path: use of transport.Queue.Get`
+	return v + got
 }

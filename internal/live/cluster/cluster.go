@@ -620,6 +620,10 @@ func (m *Member) PeakDepth() int { return m.tr.PeakDepth() }
 // SetSink implements transport.Pusher by delegation.
 func (m *Member) SetSink(id memory.NodeID, sink func(frame []byte) error) { m.tr.SetSink(id, sink) }
 
+// SetBatchEnd implements transport.BatchEnder by delegation: the engine's
+// threads run on the socket readers that wake them.
+func (m *Member) SetBatchEnd(fn func()) { m.tr.SetBatchEnd(fn) }
+
 // SetFatal implements transport.FatalSink: a peer's death aborts the
 // engine, so threads parked on frames that will never come unwind.
 func (m *Member) SetFatal(fn func(error)) { m.engineAbort.Store(&fn) }
@@ -727,7 +731,7 @@ func (m *Member) Leave() {
 // interface conformance (the apps.Member methods live in finish.go; the
 // full apps.Member check is in cmd/dsmnode, avoiding an import here).
 var (
-	_ transport.Pusher    = (*Member)(nil)
-	_ transport.FatalSink = (*Member)(nil)
-	_ live.Finisher       = (*Member)(nil)
+	_ transport.BatchEnder = (*Member)(nil)
+	_ transport.FatalSink  = (*Member)(nil)
+	_ live.Finisher        = (*Member)(nil)
 )

@@ -1,17 +1,25 @@
 //dsm:wallclock the live engine runs on real goroutines: spin backoff and run timing are wall-clock
 
 // Package live runs the Global Object Space protocol on real
-// goroutines: application threads as goroutines with channel-style
-// rendezvous for fault-in replies, lock grants and diff acks, and one
+// goroutines: application threads as coroutines (iter.Pull) that park on
+// a mailbox for fault-in replies, lock grants and diff acks, and one
 // receive path per node (node.receive: decode, check, handle under the
 // node lock) run by whoever delivers the frame, as the transport
 // decides: the sender's own goroutine once node.unlock has released its
 // lock (ChanLoop, a transport.Deliverer), or the transport's own (the TCP
 // socket's reader, the fault injector's delivery line). The engine needs
 // a transport.Pusher (Config.Transport has that type) and never calls
-// Recv. Flight rings are the engine's own; every other subscriber
-// attaches through Subscribe (proto.Space.Subscribe), as on sim, and
-// synchronizes itself: nodes deliver to it concurrently.
+// Recv. A parked thread is resumed by whoever wakes it, on their own
+// goroutine: on a batching backend (transport.BatchEnder: TCP) the reader
+// whose frames readied it runs it at the end of the batch, after the
+// batch's replies are flushed, and what the thread sends next leaves in
+// that reader's next flush — a round trip costs no goroutine wake-up at
+// either end; every other wake goes to the thread's home goroutine. A
+// borrowed reader is always given back (Thread), and the contract is: a
+// thread must not block outside the DSM. Flight rings are the engine's
+// own; every other subscriber attaches through Subscribe
+// (proto.Space.Subscribe), as on sim, and synchronizes itself: nodes
+// deliver to it concurrently.
 // A frame that cannot be routed yet is parked at its node until an
 // unlock finds it routable. Messages between nodes cross a pluggable
 // transport (internal/live/transport) and are always encoded through the
@@ -139,6 +147,9 @@ type Cluster struct {
 	tr    transport.Pusher
 	push  transport.Deliverer // tr's delivery hook, when it has one
 	nodes []*node             // the nodes this process runs: all, or Config.LocalNode
+	// relay: tr is a transport.BatchEnder, so every sink call runs on a
+	// goroutine that ends its batch in resumeReadied.
+	relay bool
 
 	start    time.Time
 	inflight atomic.Int64 // frames sent, not yet fully handled
@@ -161,17 +172,18 @@ var ErrAborted = errors.New("live: run aborted")
 // not panic.
 var ErrProtocol = errors.New("live: protocol violation")
 
-// abortPanic unwinds a worker goroutine parked in a protocol wait when
-// the run aborts: Abort closes every thread mailbox, the blocked Recv
-// panics with this value, and Run's worker wrapper recovers it. User
-// code never sees it (the protocol waits all live inside Thread
-// methods).
+// abortPanic unwinds a thread parked in a protocol wait when the run
+// aborts: Abort closes every thread mailbox and wakes the parked threads,
+// Recv finds the mailbox closed and panics with this value, and the
+// thread's coroutine recovers it (Thread.body). User code never sees it
+// (the protocol waits all live inside Thread methods).
 type abortPanic struct{}
 
 // Abort tears the run down: it records err as the run's failure, closes
-// the transport (in-flight frames drop) and closes every thread mailbox
-// so parked protocol waits unwind instead of blocking forever on frames
-// that will never arrive. Run then returns an error wrapping ErrAborted.
+// the transport (in-flight frames drop) and closes every thread mailbox,
+// waking the parked threads, so protocol waits unwind instead of parking
+// forever on frames that will never arrive. Run then returns an error
+// wrapping ErrAborted.
 // The first cause wins; later calls are no-ops. Safe to call from any
 // goroutine — the engine installs it as the transport's fatal handler
 // (transport.FatalSink) so a detected peer death aborts the run within a
@@ -197,6 +209,7 @@ func (c *Cluster) Abort(err error) {
 	for _, n := range c.nodes {
 		for _, t := range n.threads {
 			t.mbox.Close()
+			t.wakeHome()
 		}
 	}
 }
@@ -225,6 +238,7 @@ func New(cfg Config) *Cluster {
 		c.tr = transport.NewChanLoop(cfg.Nodes)
 	}
 	c.push, _ = c.tr.(transport.Deliverer)
+	_, c.relay = c.tr.(transport.BatchEnder)
 	c.Space = proto.NewSpace(&c.cfg.Shared)
 	var stamp func() hlc.Stamp
 	if cfg.FlightLocal == nil && cfg.FlightCap > 0 {
@@ -346,7 +360,7 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 		if n == nil {
 			continue
 		}
-		t := &Thread{node: n, fn: w.Fn, mbox: transport.NewQueue[proto.Token]()}
+		t := &Thread{node: n, fn: w.Fn, mbox: transport.NewQueue[proto.Token](), wake: make(chan struct{}, 1)}
 		t.Driver = proto.NewDriver(n.ps, t, i, int32(len(n.threads)), w.Name)
 		n.threads = append(n.threads, t)
 		if c.abortErr != nil {
@@ -359,6 +373,11 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 	if fs, ok := c.tr.(transport.FatalSink); ok {
 		fs.SetFatal(c.Abort)
 	}
+	// A batching backend gets the batch-end hook before any sink: the
+	// threads a reader's batch readies run on that reader.
+	if be, ok := c.tr.(transport.BatchEnder); ok {
+		be.SetBatchEnd(c.resumeReadied)
+	}
 	// The backend runs a node's receive path on whichever goroutine delivers.
 	for _, n := range c.nodes {
 		c.tr.SetSink(n.ps.ID, n.receive)
@@ -369,16 +388,7 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(abortPanic); ok && c.aborted.Load() {
-							return // the run is aborting; the worker died where it parked
-						}
-						panic(r)
-					}
-				}()
-				t.fn(t)
-				t.exit()
+				t.home()
 			}()
 		}
 	}
@@ -434,10 +444,14 @@ type node struct {
 	// mu guards ps, counters, parked and dests — held by receive around
 	// Handle and by local threads around access checks and sync
 	// operations, released (always through unlock or leave) while a
-	// thread blocks on its mailbox.
+	// thread waits on its mailbox.
 	mu       sync.Mutex
 	threads  []*Thread
 	counters stats.Counters
+	// relay is set while receive runs a frame for a batching backend
+	// (Cluster.relay): a thread it readies waits for the reader's
+	// batch-end hook instead of its home goroutine.
+	relay bool
 	// parked holds the frames CanRoute rejected, decoded, in arrival
 	// order; dests the nodes this node queued frames for on a Deliverer
 	// since the lock was last released.
@@ -476,6 +490,7 @@ func (n *node) leave(slot int32) {
 	if slot >= 0 {
 		n.ps.Leave(slot)
 	}
+	n.relay = false
 	if len(n.dests) == 0 {
 		n.mu.Unlock()
 		return
@@ -511,9 +526,44 @@ func (n *node) Send(msg wire.Msg, cat stats.Category) {
 }
 
 // ToThread implements proto.Engine: local handler→thread handoff,
-// bypassing the transport (within a node there is no wire).
+// bypassing the transport (within a node there is no wire). A token put
+// by a batching reader's receive path readies the thread for that
+// reader's batch-end hook (Cluster.resumeReadied); any other rings the
+// thread's home goroutine.
 func (n *node) ToThread(slot int32, msg wire.Msg) {
-	n.threads[slot].mbox.Put(proto.Token{Msg: msg})
+	t := n.threads[slot]
+	t.mbox.Put(proto.Token{Msg: msg})
+	if n.relay {
+		t.readied = true
+	} else {
+		t.wakeHome()
+	}
+}
+
+// resumeReadied is the batch-end hook of a batching backend
+// (transport.BatchEnder): on the calling reader's goroutine, it resumes
+// every thread a receive path readied since the last hook and that is
+// parked — a thread already running rechecks its mailbox when it parks —
+// and each runs until it parks, ends, or hands the goroutine back
+// (Thread.run). What they send leaves in the reader's flush.
+func (c *Cluster) resumeReadied() {
+	for _, n := range c.nodes {
+		var buf [8]*Thread
+		ready := buf[:0]
+		n.mu.Lock()
+		for _, t := range n.threads {
+			if t.readied {
+				t.readied = false
+				ready = append(ready, t)
+			}
+		}
+		n.unlock()
+		for _, t := range ready {
+			if t.state.CompareAndSwap(parked, running) {
+				t.run(true)
+			}
+		}
+	}
 }
 
 // Broadcast implements proto.Engine: one frame to every node but the
@@ -557,6 +607,7 @@ func (n *node) receive(frame []byte) error {
 		return fmt.Errorf("%w: node %d received %v", ErrProtocol, n.ps.ID, err)
 	}
 	n.mu.Lock()
+	n.relay = n.c.relay
 	if n.ps.CanRoute(&msg) {
 		n.handle(&msg)
 	} else {

@@ -379,29 +379,16 @@ func TestPeerGarbageAbortsRun(t *testing.T) {
 // thread id, and nothing of the other's.
 func TestAbortMidTrafficFoldsCleanly(t *testing.T) {
 	for round := 0; round < 50; round++ {
-		conns := [2]net.Conn{}
-		conns[0], conns[1] = socketPair(t)
-		var cs [2]*Cluster
-		var trs [2]*tcp.Transport
-		for id := range cs {
-			id := id
-			pair := make([]net.Conn, 2)
-			pair[1-id] = conns[id]
-			trs[id] = tcp.New(memory.NodeID(id), pair, tcp.Options{OnFatal: func(err error) { cs[id].Abort(err) }})
-			local := memory.NodeID(id)
-			cfg := DefaultConfig(2)
-			cfg.Transport = dataPlane{trs[id]}
-			cfg.LocalNode = &local
-			cs[id] = New(cfg)
-			cs[id].AddObject(1, 0)
-			cs[id].AddLock(1)
-		}
+		p := newTCPPair(t, func(c *Cluster) {
+			c.AddObject(1, 0)
+			c.AddLock(1)
+		})
 		// A worker on the lock's node that also came to home the object
 		// needs no frame for its turn and would never park where the abort
 		// unwinds it: it leaves between turns once the plug is pulled.
 		var stop atomic.Bool
 		var ws []proto.Worker
-		for id := range cs {
+		for id := range p.cs {
 			ws = append(ws, proto.Worker{Node: memory.NodeID(id), Name: fmt.Sprintf("w%d", id), Fn: func(th proto.Thread) {
 				if th.ID() != id || th.Node() != memory.NodeID(id) {
 					t.Errorf("worker %d runs as thread %d on node %d", id, th.ID(), th.Node())
@@ -413,41 +400,24 @@ func TestAbortMidTrafficFoldsCleanly(t *testing.T) {
 				}
 			}})
 		}
-		done := make(chan error, 2)
-		for _, c := range cs {
-			c := c
-			go func() {
-				_, err := c.Run(ws)
-				done <- err
-			}()
-		}
-		for deadline := time.Now().Add(10 * time.Second); trs[0].DataRecv() < 200 || trs[1].DataRecv() < 200; {
+		p.start(ws)
+		for deadline := time.Now().Add(10 * time.Second); p.trs[0].DataRecv() < 200 || p.trs[1].DataRecv() < 200; {
 			if time.Now().After(deadline) {
 				t.Fatalf("round %d: no traffic to abort", round)
 			}
 			time.Sleep(50 * time.Microsecond)
 		}
 		boom := errors.New("pulled the plug")
-		cs[0].Abort(boom)
-		cs[1].Abort(boom)
+		p.cs[0].Abort(boom)
+		p.cs[1].Abort(boom)
 		stop.Store(true)
-		for range cs {
-			select {
-			case err := <-done:
-				if !errors.Is(err, ErrAborted) {
-					t.Fatalf("round %d: Run returned %v, want an ErrAborted wrap", round, err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatalf("round %d: Run still blocked 10s after Abort", round)
+		for id, err := range p.wait(t, fmt.Sprintf("round %d: Abort", round)) {
+			if !errors.Is(err, ErrAborted) {
+				t.Fatalf("round %d: engine %d's Run returned %v, want an ErrAborted wrap", round, id, err)
 			}
 		}
-		for _, tr := range trs {
-			tr.MarkShutdown()
-		}
-		for _, tr := range trs {
-			tr.Close()
-		}
-		for id, c := range cs {
+		p.close()
+		for id, c := range p.cs {
 			if len(c.nodes) != 1 || c.nodes[0].ps.ID != memory.NodeID(id) || len(c.nodes[0].threads) != 1 {
 				t.Fatalf("round %d: engine %d runs %d nodes, want node %d with one thread", round, id, len(c.nodes), id)
 			}

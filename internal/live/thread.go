@@ -3,6 +3,8 @@
 package live
 
 import (
+	"iter"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/live/transport"
@@ -11,15 +13,30 @@ import (
 	"repro/internal/sim"
 )
 
-// Thread is one application thread running as a real goroutine on a
-// live cluster node. The protocol it speaks is the embedded
+// Thread is one application thread of a live cluster node, run as a
+// coroutine (iter.Pull). The protocol it speaks is the embedded
 // proto.Driver, shared with the sim engine; this type is the driver's
-// proto.Host on real goroutines: the node mutex, the blocking
-// rendezvous on the thread's mailbox (fault-in replies, lock grants,
-// diff acks, barrier go, retry tokens) and wall-clock retry timers.
+// proto.Host on real goroutines: the node mutex, the rendezvous on the
+// thread's mailbox (fault-in replies, lock grants, diff acks, barrier
+// go, retry tokens) and wall-clock retry timers.
+//
+// A thread waits by yielding, never by blocking: Recv takes a queued
+// token if there is one and otherwise parks the coroutine. Whoever moves
+// its state word from parked to running resumes it, on their own
+// goroutine: the TCP reader whose batch put a token in its mailbox
+// (Cluster.resumeReadied) — so a reply runs the thread it wakes, and the
+// requests the thread sends next leave in that reader's flush — and for
+// every other wake (a local handoff, a retry timer, a ChanLoop or fault
+// injector delivery, Abort) the thread's home goroutine, which Run starts
+// and which also runs it first. A reader's goroutine is lent, not given:
+// the thread returns it when it parks, when it ends, or at the end of the
+// first DSM call after it has held it for lendBudget, and then continues
+// on its home goroutine. Hence the contract: a thread must not block
+// outside the DSM — the reader it may be running on reads nothing
+// meanwhile.
 //
 // The locking discipline: every access check, state mutation and send
-// runs under t.node.mu; Recv, the only wait, drops the lock, blocks, and
+// runs under t.node.mu; Recv, the only wait, drops the lock, parks, and
 // retakes it. The driver never holds two node locks, and the transport
 // and mailbox never block a sender, so there is no lock cycle.
 type Thread struct {
@@ -28,10 +45,122 @@ type Thread struct {
 	fn   func(proto.Thread) // the worker's body
 	// mbox is the thread's reply queue: the node's receive path (or a
 	// local sync manager path) puts protocol messages, timers put retry
-	// tokens — by value, so nothing is boxed — and the thread blocks in
-	// Recv. Unbounded, so ToThread never blocks a delivering goroutine
-	// holding a node lock; closed only by Abort.
+	// tokens — by value, so nothing is boxed — and Recv takes them.
+	// Unbounded, so ToThread never blocks a delivering goroutine holding
+	// a node lock; closed only by Abort.
 	mbox *transport.Queue[proto.Token]
+
+	// The coroutine: state (running, parked, handed, ended) decides who
+	// resumes it, resume switches into it and yield out of it; wake is the
+	// home goroutine's doorbell, one token deep.
+	state  atomic.Int32
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	wake   chan struct{}
+	// readied: a reader's receive path put a token in mbox, and that
+	// reader's batch-end hook resumes the thread. Guarded by the node lock.
+	readied bool
+	// The current run, set by its resumer: on a reader's goroutine (lent),
+	// since lentAt, with calls DSM calls ended; handBack asks the resumer
+	// to pass the thread to its home goroutine.
+	lent     bool
+	lentAt   time.Time
+	calls    int
+	handBack bool
+}
+
+// A thread's state word. The goroutine that moves it to running resumes
+// the thread; after each yield that goroutine moves it on.
+const (
+	running int32 = iota // being resumed, or about to be
+	parked               // yielded in Recv: the next wake resumes it
+	handed               // gave a reader's goroutine back: its home goroutine resumes it
+	ended                // the worker's function returned, or an abort unwound it
+)
+
+// home is the thread's home goroutine: it runs the thread first, and
+// again after every wake no reader takes and every hand-back, until the
+// thread ends — there or on a reader.
+func (t *Thread) home() {
+	t.resume, _ = iter.Pull(t.body)
+	if !t.run(false) {
+		return
+	}
+	for range t.wake {
+		switch {
+		case t.state.CompareAndSwap(parked, running), t.state.CompareAndSwap(handed, running):
+			if !t.run(false) {
+				return
+			}
+		case t.state.Load() == ended:
+			return
+		}
+	}
+}
+
+// run resumes the thread, which the caller has just moved to running,
+// and resumes it again for as long as a token or the mailbox's close
+// lands by the time it parks: after each yield the thread is marked
+// parked first and the mailbox rechecked second, so a waker that found it
+// still running is seen here. It reports false once the thread has ended.
+// A lent run — on a reader's goroutine — also returns when the thread
+// hands the goroutine back.
+func (t *Thread) run(lent bool) bool {
+	t.lent, t.calls = lent, 0
+	if lent {
+		t.lentAt = time.Now()
+	}
+	for {
+		if _, ok := t.resume(); !ok {
+			t.state.Store(ended)
+			t.kick() // a reader ran the end: the home goroutine returns
+			return false
+		}
+		if t.handBack {
+			t.handBack = false
+			t.state.Store(handed)
+			t.kick()
+			return true
+		}
+		t.state.Store(parked)
+		if !t.mbox.Ready() || !t.state.CompareAndSwap(parked, running) {
+			return true
+		}
+	}
+}
+
+// body is the coroutine: the worker's function, then the end of its
+// views. An abort unwinds it from the wait it parked in (Recv panics with
+// abortPanic), which ends the coroutine like a return.
+func (t *Thread) body(yield func(struct{}) bool) {
+	t.yield = yield
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(abortPanic); !ok || !t.node.c.aborted.Load() {
+				panic(r)
+			}
+		}
+	}()
+	t.fn(t)
+	t.exit()
+}
+
+// wakeHome rings the home goroutine for a token no reader will resume the
+// thread for. A thread that is not parked needs no ring: whoever resumes
+// it rechecks the mailbox after it parks.
+func (t *Thread) wakeHome() {
+	if t.state.Load() == parked {
+		t.kick()
+	}
+}
+
+// kick leaves a token on the home goroutine's doorbell, unless one is
+// there already.
+func (t *Thread) kick() {
+	select {
+	case t.wake <- struct{}{}:
+	default:
+	}
 }
 
 // Now returns the wall-clock time elapsed since the run started.
@@ -56,21 +185,40 @@ func (t *Thread) Lock() {
 
 // Unlock implements proto.Host, ending a DSM call: node.leave, which
 // retries the parked frames, marks the thread out of the DSM
-// (proto.Node.Leave) and pushes what the thread sent.
-func (t *Thread) Unlock() { t.node.leave(t.Slot()) }
+// (proto.Node.Leave) and pushes what the thread sent. A thread running on
+// a reader's goroutine hands it back here once it has held it for
+// lendBudget, looking at the clock every lendCheck calls.
+func (t *Thread) Unlock() {
+	t.node.leave(t.Slot())
+	if !t.lent {
+		return
+	}
+	if t.calls++; t.calls%lendCheck == 0 && time.Since(t.lentAt) > lendBudget {
+		t.handBack = true
+		t.yield(struct{}{})
+	}
+}
 
-// Recv implements proto.Host: park on the mailbox with the node lock
-// released, and retake the lock around the received token. The thread
-// stays inside the DSM while parked: it writes none of its views, so
-// fault-ins for them are served meanwhile (two threads faulting each
-// other's viewed objects would otherwise wait for each other). A closed
-// mailbox means the run aborted: what the driver waits for will never
-// arrive over a dead transport.
+// Recv implements proto.Host: take the next token from the mailbox with
+// the node lock released, parking the coroutine (a yield) while there is
+// none, and retake the lock around it. Whoever resumes the thread — its
+// home goroutine, or the reader whose delivery readied it — does so on
+// its own goroutine. The thread stays inside the DSM while parked: it
+// writes none of its views, so fault-ins for them are served meanwhile
+// (two threads faulting each other's viewed objects would otherwise wait
+// for each other). A closed mailbox means the run aborted: what the
+// driver waits for will never arrive over a dead transport.
 func (t *Thread) Recv(tok *proto.Token) {
 	t.node.unlock()
-	var ok bool
-	if *tok, ok = t.mbox.Get(); !ok {
-		panic(abortPanic{}) // Abort closed the mailbox: unwind to the worker wrapper
+	for {
+		var ok, closed bool
+		if *tok, ok, closed = t.mbox.TryGet(); ok {
+			break
+		}
+		if closed {
+			panic(abortPanic{}) // Abort closed the mailbox: unwind the coroutine
+		}
+		t.yield(struct{}{})
 	}
 	t.node.mu.Lock()
 }
@@ -80,10 +228,20 @@ func (t *Thread) Recv(tok *proto.Token) {
 // locator (the sim engine's gos.retryDelay, on the wall clock).
 const retryDelay = 100 * time.Microsecond
 
+// lendBudget is how long a thread may hold a reader's goroutine without
+// parking: the end of its first DSM call past it hands the goroutine
+// back. The clock is read every lendCheck DSM calls of a lent run.
+const (
+	lendBudget = 200 * time.Microsecond
+	lendCheck  = 32
+)
+
 // RetryAfter implements proto.Host.
 func (t *Thread) RetryAfter(kind proto.TokenKind, obj memory.ObjectID) {
-	mbox := t.mbox
-	time.AfterFunc(retryDelay, func() { mbox.Put(proto.Token{Kind: kind, Obj: obj}) })
+	time.AfterFunc(retryDelay, func() {
+		t.mbox.Put(proto.Token{Kind: kind, Obj: obj})
+		t.wakeHome()
+	})
 }
 
 // SyncPoint implements proto.Host: the thread's write views expired

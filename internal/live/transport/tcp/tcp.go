@@ -79,7 +79,15 @@
 // directly) stays where it is, bytes already packed ahead of frames
 // still queued, and the writer goroutine is woken to send it, blocking
 // if it must. The write side's lock covers dequeueing as well as
-// packing, so the two writers cannot reorder a pair's frames.
+// packing, so the two writers cannot reorder a pair's frames. After that
+// flush the reader calls the engine's batch-end hook (SetBatchEnd,
+// transport.BatchEnder) in a window of its own: the engine resumes on
+// this goroutine the threads the batch woke, their requests are only
+// enqueued, as a handler's replies are, and the flush that closes the
+// window writes them. So a thread may run on a reader's goroutine, and a
+// reply's round trip wakes no writer and no thread. Heartbeats alone
+// always wake the writer: a window lasts as long as the threads in it
+// run, and a peer's read deadline does not wait for that.
 //
 // Frame buffers follow the transport ownership rule: Send transfers the
 // buffer; whoever packs it returns it to the frame pool once its bytes
@@ -247,10 +255,14 @@ type Transport struct {
 	// reader that still saw no sink.
 	sink   atomic.Pointer[func(frame []byte) error]
 	sinkMu sync.Mutex
-	// relaying counts the readers inside a delivery batch. While it is
-	// non-zero Send leaves the writers asleep: every such reader flushes
-	// the send queues itself when its batch ends.
+	// relaying counts the readers inside a delivery batch or a batch-end
+	// window. While it is non-zero Send leaves the writers asleep: every
+	// such reader flushes the send queues itself when its batch or window
+	// ends.
 	relaying atomic.Int32
+	// batchEnd is the engine's hook (SetBatchEnd), run by a reader after
+	// each delivery batch inside a window of its own.
+	batchEnd atomic.Pointer[func()]
 
 	dataSent atomic.Int64
 	dataRecv atomic.Int64
@@ -347,9 +359,13 @@ func (t *Transport) heartbeat(interval time.Duration) {
 			return
 		case <-tick.C:
 			for _, p := range t.peers {
+				// A heartbeat wakes the writer even inside a reader's
+				// window: a window may run a thread for a while, and the
+				// peer's read deadline does not wait for it.
 				if p != nil {
 					t.fl.Record(flight.Event{Kind: flight.HeartbeatSend, Tag: chanHeart, Peer: p.id})
-					t.enqueue(p, outFrame{tag: chanHeart})
+					p.out.Put(outFrame{tag: chanHeart})
+					p.kick()
 				}
 			}
 		}
@@ -420,6 +436,11 @@ func (t *Transport) SetSink(id memory.NodeID, sink func(frame []byte) error) {
 		t.raise(fmt.Errorf("tcp: node %d: deliver of a frame queued before the sink failed: %w", t.local, err))
 	}
 }
+
+// SetBatchEnd implements transport.BatchEnder: each reader calls fn after
+// a delivery batch, once the batch's replies are flushed, inside a relay
+// window of its own (endWindow).
+func (t *Transport) SetBatchEnd(fn func()) { t.batchEnd.Store(&fn) }
 
 // deliver hands one data frame read from a peer to the local node: to
 // its sink, on the calling reader's goroutine, or while there is none to
@@ -801,9 +822,9 @@ func (p *peer) flush() error {
 	return err
 }
 
-// endBatch closes the calling reader's delivery batch: what its handlers
-// — and any other sender meanwhile — queued without waking a writer
-// leaves now, from this goroutine.
+// endBatch closes the calling reader's delivery batch, or its batch-end
+// window: what its handlers or threads — and any other sender meanwhile
+// — queued without waking a writer leaves now, from this goroutine.
 func (t *Transport) endBatch() {
 	t.relaying.Add(-1)
 	for _, p := range t.peers {
@@ -811,6 +832,21 @@ func (t *Transport) endBatch() {
 			p.kick()
 		}
 	}
+}
+
+// endWindow runs the engine's batch-end hook after a reader's batch, in
+// a window of its own: relaying stays raised while the hook runs, so what
+// the threads it resumes send is only queued, and leaves in the flush
+// that closes the window — one write per peer, from this goroutine. The
+// hook does not run once data delivery is closed.
+func (t *Transport) endWindow() {
+	hook := t.batchEnd.Load()
+	if hook == nil || t.dataClosed.Load() {
+		return
+	}
+	t.relaying.Add(1)
+	(*hook)()
+	t.endBatch()
 }
 
 // relay is a reader's flush of p's send queue: the queue packed into
@@ -907,7 +943,9 @@ func holdsFrame(br *bufio.Reader) bool {
 // read straight into that buffer. A delivery batch opened by a sink
 // call ends — the send queues are flushed — when the buffer holds no
 // further whole frame, and before a sink's error is raised, so that the
-// failure handler never runs inside a delivery. With HeartbeatTimeout
+// failure handler never runs inside a delivery; a batch that ends
+// because the buffer ran dry is followed by the engine's batch-end hook
+// (endWindow), which a failing reader skips. With HeartbeatTimeout
 // armed, each socket read carries a deadline: a peer silent beyond it
 // is declared dead.
 func (t *Transport) reader(p *peer) {
@@ -924,6 +962,7 @@ func (t *Transport) reader(p *peer) {
 	for {
 		if batch && !holdsFrame(br) {
 			endBatch()
+			t.endWindow()
 		}
 		head, err := br.Peek(headSize)
 		if err != nil {
@@ -1002,4 +1041,4 @@ func isTimeout(err error) bool {
 }
 
 // compile-time interface check.
-var _ transport.Pusher = (*Transport)(nil)
+var _ transport.BatchEnder = (*Transport)(nil)

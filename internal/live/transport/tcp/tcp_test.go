@@ -906,6 +906,88 @@ func TestPipeFallsBackToWriter(t *testing.T) {
 	tr.Close()
 }
 
+// TestBatchEndHookOrder: the batch-end hook (SetBatchEnd) runs once the
+// sink has taken every whole frame the read buffer holds, and never
+// inside a sink call; what it sends leaves in one write by the reader
+// itself once it returns, with no writer woken (a woken writer would have
+// written them while the hook lingers); and once data delivery is closed
+// it runs no more — not even for the batch that closed it — while the
+// reader goes on reading.
+func TestBatchEndHookOrder(t *testing.T) {
+	tr, raw := socketTransport(t, Options{OnFatal: func(err error) { t.Errorf("fatal: %v", err) }}, nil)
+	defer func() {
+		tr.MarkShutdown()
+		raw.Close()
+		tr.Close()
+	}()
+	const burst, sends = 50, 2
+	var delivered atomic.Int64
+	var inSink, closeInSink atomic.Bool
+	hooks := make(chan int64, 16)
+	tr.SetBatchEnd(func() {
+		if inSink.Load() {
+			t.Error("the hook ran inside a sink call")
+		}
+		for i := 0; i < sends; i++ {
+			tr.Send(1, append(transport.GetFrame(), seqFrame(36, i)...))
+		}
+		time.Sleep(5 * time.Millisecond) // a writer the sends woke would write them meanwhile
+		hooks <- delivered.Load()
+	})
+	tr.SetSink(0, func(frame []byte) error {
+		inSink.Store(true)
+		defer inSink.Store(false)
+		transport.PutFrame(frame)
+		delivered.Add(1)
+		if closeInSink.Load() {
+			tr.CloseData()
+		}
+		return nil
+	})
+	var stream []byte
+	for i := 0; i < burst; i++ {
+		stream = rawFrame(stream, chanData, hlc.Stamp{}, seqFrame(36, i))
+	}
+	if _, err := raw.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case n := <-hooks:
+		if n != burst {
+			t.Fatalf("the hook ran after %d of the %d frames written in one go", n, burst)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no batch-end hook within 5s")
+	}
+	_, _, payloads := readFrames(t, raw, sends)
+	for i, p := range payloads {
+		if !bytes.Equal(p, seqFrame(36, i)) {
+			t.Fatalf("frame %d sent from the hook: %d bytes, or contents differ", i, len(p))
+		}
+	}
+	var ps PeerStats
+	waitUntil(t, "link counters", func() bool { ps, _ = tr.PeerStats(1); return ps.FramesSent == sends })
+	if ps.Relayed != sends || ps.Writes != 1 {
+		t.Fatalf("PeerStats = %+v: want the hook's %d frames in one write by the reader", ps, sends)
+	}
+
+	// The first frame of a second burst closes data delivery from inside
+	// its batch: the rest drop, and the batch ends without the hook.
+	closeInSink.Store(true)
+	if _, err := raw.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the burst read after CloseData", func() bool { ps, _ = tr.PeerStats(1); return ps.FramesRecv == 2*burst })
+	// A heartbeat read after it shows the reader past that batch's end.
+	if _, err := raw.Write(rawFrame(nil, chanHeart, hlc.Stamp{}, nil)); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "a heartbeat after the burst", func() bool { ps, _ = tr.PeerStats(1); return ps.Heartbeats == 1 })
+	if n := delivered.Load(); n != burst+1 || len(hooks) != 0 {
+		t.Fatalf("after CloseData: %d frames delivered, %d hook runs; want %d and none", n, len(hooks), burst+1)
+	}
+}
+
 // relayPair is two transports over one loopback socket, both pushing:
 // node 1's sink answers every frame, node 0's sink recycles the answer
 // and reports it on the returned channel.

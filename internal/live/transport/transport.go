@@ -21,8 +21,8 @@
 // The live engine runs over a Pusher, checked at compile time (the type
 // of its Config.Transport), and never calls Recv, which stays for the
 // conformance suite, the benchmark's probes and a node whose sink is not
-// installed yet. Deliverer, FatalSink and the engine's Finisher are
-// optional, found by type assertion.
+// installed yet. Deliverer, BatchEnder, FatalSink and the engine's
+// Finisher are optional, found by type assertion.
 package transport
 
 import (
@@ -86,6 +86,20 @@ type Pusher interface {
 	PeakDepth() int
 }
 
+// BatchEnder is a Pusher whose own goroutines push in batches — TCP's
+// readers, each delivering every whole frame it holds before it reads
+// the socket again. The live engine installs one hook, before its sinks,
+// and runs on the calling goroutine the threads a batch readied.
+type BatchEnder interface {
+	Pusher
+	// SetBatchEnd installs fn, which the backend calls after a batch of
+	// sink calls has been delivered and what they sent flushed: never
+	// inside a sink call, never under a lock Send needs, and no longer
+	// once data delivery is closed. What fn sends leaves the way a sink's
+	// replies do, without waking a writer goroutine of its own.
+	SetBatchEnd(fn func())
+}
+
 // Deliverer is a Pusher that receives on no goroutine of its own: Send
 // only queues, in the order the sender's lock admits, and the live engine
 // calls the hook for each node it queued frames for once it drops that lock.
@@ -101,11 +115,12 @@ type Deliverer interface {
 
 // Queue is an unbounded, closable FIFO guarded by a mutex and
 // condition variable: Put never blocks (at any fan-in), Get blocks
-// until an element or Close arrives, TryGetAll takes everything queued
-// in one critical section without waiting. It backs ChanLoop's per-node
-// inboxes, the live engine's per-thread mailboxes, the fault injector's
-// delivery lines and the TCP backend's inbox, control and per-peer send
-// queues — one implementation of the subtle blocking-queue logic.
+// until an element or Close arrives, TryGet and TryGetAll take the next
+// element or everything queued without waiting. It backs ChanLoop's
+// per-node inboxes, the live engine's per-thread mailboxes (which its
+// threads never block on: they yield), the fault injector's delivery
+// lines and the TCP backend's inbox, control and per-peer send queues —
+// one implementation of the subtle blocking-queue logic.
 //
 // Storage is a power-of-two ring (the idiom of internal/sim's queue)
 // that doubles when full and is kept when empty, so a steady
@@ -193,17 +208,45 @@ func (q *Queue[T]) wait() bool {
 // closed and drained.
 func (q *Queue[T]) Get() (v T, ok bool) {
 	q.mu.Lock()
-	if !q.wait() {
-		q.mu.Unlock()
-		return v, false
+	if q.wait() {
+		v, ok = q.pop(), true
 	}
+	q.mu.Unlock()
+	return v, ok
+}
+
+// TryGet takes the next element without waiting: ok reports whether one
+// was queued and, when none was, closed whether none ever will be. It is
+// for a consumer that parks elsewhere — the live engine's threads, which
+// yield instead of blocking on their mailbox.
+func (q *Queue[T]) TryGet() (v T, ok, closed bool) {
+	q.mu.Lock()
+	if q.count > 0 {
+		v, ok = q.pop(), true
+	}
+	closed = q.closed
+	q.mu.Unlock()
+	return v, ok, closed
+}
+
+// Ready reports whether a Get would return at once: an element is
+// queued, or the queue is closed.
+func (q *Queue[T]) Ready() bool {
+	q.mu.Lock()
+	r := q.count > 0 || q.closed
+	q.mu.Unlock()
+	return r
+}
+
+// pop removes and returns the oldest element, zeroing its slot. The
+// caller holds q.mu and has seen q.count > 0.
+func (q *Queue[T]) pop() T {
 	var zero T
-	v = q.buf[q.head]
+	v := q.buf[q.head]
 	q.buf[q.head] = zero
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.count--
-	q.mu.Unlock()
-	return v, true
+	return v
 }
 
 // TryGetAll appends every queued element to dst, in order, and returns
