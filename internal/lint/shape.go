@@ -255,6 +255,10 @@ var shapeRules = []shapeRule{
 	{name: "wire.Decode is the benchmark probe's wrapper", since: "Decode in place, handle by pointer",
 		in: outsideBenchmark, tests: true, what: []target{use("repro/internal/wire.Decode")},
 		only: []string{"internal/wire/"}},
+	{name: "the live engine decodes into its pool", since: "A payload crosses the live engine as one copy",
+		in: pkgs("internal/live"), what: []target{use("repro/internal/wire.Msg.Decode")}},
+	{name: "unsafe lives in the word view", since: "A payload crosses the live engine as one copy",
+		in: outsideBenchmark, what: []target{imported("unsafe")}, only: []string{"internal/twindiff/words.go"}},
 	{name: "the examples do not restate internal/apps", since: "Written once",
 		in: pkgs("examples/..."), what: []target{{kind: tPkg}},
 		only: []string{"examples/patterns/", "examples/quickstart/"}},

@@ -3,8 +3,10 @@ package live
 
 import (
 	"iter"
+	_ "unsafe" // want `unsafe lives in the word view: import of unsafe outside internal/twindiff/words.go`
 
 	"repro/internal/live/transport"
+	"repro/internal/wire"
 )
 
 // DepthReporter is the run-time depth probe a backend no longer needs.
@@ -58,4 +60,11 @@ func (w waiter) wait(seq iter.Seq[int]) int {
 	v, _ := next()
 	got, _ := w.mbox.Get() // want `one live receive path: use of transport.Queue.Get`
 	return v + got
+}
+
+// decode parses a frame into fresh buffers, bypassing the node's pool.
+func (n *node) decode(frame []byte) (wire.Msg, error) {
+	var m wire.Msg
+	err := m.Decode(frame) // want `the live engine decodes into its pool: use of wire.Msg.Decode`
+	return m, err
 }

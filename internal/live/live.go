@@ -24,7 +24,13 @@
 // unlock finds it routable. Messages between nodes cross a pluggable
 // transport (internal/live/transport) and are always encoded through the
 // internal/wire binary codec — even in-process — so a networked backend
-// is a drop-in.
+// is a drop-in. A payload is therefore a copy with one owner on each
+// side: the receive path decodes into buffers from the node's
+// twindiff.Pool, returns a handled frame's diffs to it and lets a
+// fault-in reply's data become the cached copy; Send returns a served
+// fault-in's snapshot once encoded, and a thread's flushed diff stays the
+// driver's until acknowledged. (Under sim the receiver shares the
+// sender's buffers instead, and returns none.)
 //
 // The protocol — node-side handlers and thread-side driver alike — is
 // the same code the virtual-time simulator runs (internal/proto): this
@@ -507,13 +513,20 @@ func (n *node) leave(slot int32) {
 // Send implements proto.Engine: encode through the wire codec into a
 // pooled frame buffer and hand it to the transport, which owns it from
 // here (the receiving side returns a frame to the pool once handled; the
-// TCP backend returns them once packed for the socket). Same-node sends
-// are a protocol bug, as on the simulated interconnect.
+// TCP backend returns them once packed for the socket). The frame is a
+// copy of msg's payloads, so a served fault-in's snapshot — drawn from
+// this node's pool by serveFault, kept by nobody else — goes back to the
+// pool here; a thread's flushed diff does not: it waits in the driver for
+// its ack and may be resent. Same-node sends are a protocol bug, as on
+// the simulated interconnect. The caller holds the node lock.
 func (n *node) Send(msg wire.Msg, cat stats.Category) {
 	if msg.From == msg.To {
 		panic(fmt.Sprintf("live: same-node send of %v on node %d", msg.Kind, msg.From))
 	}
 	frame := msg.Encode(transport.GetFrame())
+	if msg.Kind == wire.ObjReply {
+		n.ps.Pool.PutWords(msg.Data)
+	}
 	n.counters.Record(cat, len(frame))
 	if n.ps.On(flight.FrameSend) {
 		n.ps.Emit(flight.Event{Kind: flight.FrameSend, Tag: uint8(msg.Kind), Peer: msg.To, Bytes: int32(len(frame))})
@@ -580,33 +593,35 @@ func (n *node) Broadcast(msg wire.Msg, cat stats.Category) {
 }
 
 // receive is the node's transport.Pusher sink, its receive path for one
-// frame, run by whoever delivers it: decode the frame in place into the
-// one Msg this call owns (the payloads land in fresh slices, so the
-// frame returns to the pool on the way out), check and route that Msg by
-// pointer, then handle it under the node lock — or park a copy there
-// when CanRoute rejects it: the home transfer that makes it routable is
-// still in flight (our thread holds the migrating reply in its mailbox,
-// or the barrier-go carrying the reassignment is behind this frame).
-// Decoding happens before the lock is taken, so the Msg is this call's,
-// not the node's: deliveries to one node may run concurrently (one TCP
-// reader per peer). A parked message stays counted as in flight, so
-// quiescence waits for it. A frame Decode rejects, or one naming an
-// object, lock, barrier, node or thread slot the layout does not have
-// (proto.Node.CheckFrame — the handlers subscript with those ids), is a
-// peer's doing, not a state a bug alone can produce: it comes back as an
-// ErrProtocol error, which the backend raises through the engine's fatal
-// handler, aborting the run.
+// frame, run by whoever delivers it. Under the node lock it decodes the
+// frame in place into the one Msg this call owns, its payloads copied
+// into buffers from the node's pool (the frame returns to the transport's
+// pool on the way out), checks that Msg, and handles it by pointer — or
+// parks it when CanRoute rejects it: the home transfer that makes it
+// routable is still in flight (our thread holds the migrating reply in
+// its mailbox, or the barrier-go carrying the reassignment is behind this
+// frame). Deliveries to one node may run concurrently (one TCP reader per
+// peer), and the pool is the node's, so decoding waits for the lock too.
+// A parked message stays counted as in flight, so quiescence waits for
+// it, and keeps its payloads until it is handled. A frame Decode rejects,
+// or one naming an object, lock, barrier, node or thread slot the layout
+// does not have (proto.Node.CheckFrame — the handlers subscript with
+// those ids), is a peer's doing, not a state a bug alone can produce: it
+// comes back as an ErrProtocol error, which the backend raises through
+// the engine's fatal handler, aborting the run.
 func (n *node) receive(frame []byte) error {
 	defer transport.PutFrame(frame)
 	var msg wire.Msg
-	if err := msg.Decode(frame); err != nil {
+	n.mu.Lock()
+	if err := msg.DecodePooled(frame, &n.ps.Pool); err != nil {
+		n.unlock()
 		return fmt.Errorf("%w: node %d received a %d-byte frame, kind byte %#x, that does not decode: %v",
 			ErrProtocol, n.ps.ID, len(frame), frame[:min(len(frame), 1)], err)
 	}
 	if err := n.ps.CheckFrame(&msg, len(n.threads)); err != nil {
+		n.unlock()
 		return fmt.Errorf("%w: node %d received %v", ErrProtocol, n.ps.ID, err)
 	}
-	n.mu.Lock()
 	n.relay = n.c.relay
 	if n.ps.CanRoute(&msg) {
 		n.handle(&msg)
@@ -617,11 +632,19 @@ func (n *node) receive(frame []byte) error {
 	return nil
 }
 
-// handle runs one routable message's handler. The caller holds the lock.
+// handle runs one routable message's handler, then returns its diffs to
+// the node's pool: the handlers apply a diff or forward it through Send,
+// which encodes a copy, and keep none. Data is not returned: a fault-in
+// reply's payload becomes the thread's cached copy. The caller holds the
+// lock.
 func (n *node) handle(msg *wire.Msg) {
 	if n.ps.On(flight.FrameRecv) {
 		n.ps.Emit(flight.Event{Kind: flight.FrameRecv, Tag: uint8(msg.Kind), Peer: msg.From, Bytes: int32(msg.WireSize())})
 	}
 	n.ps.Handle(*msg)
+	n.ps.Pool.PutDiff(msg.Diff)
+	for _, od := range msg.Diffs {
+		n.ps.Pool.PutDiff(od.D)
+	}
 	n.c.inflight.Add(-1)
 }

@@ -229,7 +229,7 @@ func TestEncodingGolden(t *testing.T) {
 }
 
 // TestDecodeRejectsNonCanonical: Apply and Merge assume non-empty,
-// increasing, non-overlapping runs, so Decode lets nothing else in — and
+// increasing, non-overlapping runs, so DecodeInto lets nothing else in — and
 // decides before it allocates.
 func TestDecodeRejectsNonCanonical(t *testing.T) {
 	run := func(start, n uint32, words ...uint64) []byte {
@@ -254,19 +254,19 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, err := Decode(buf)
+		_, _, err := DecodeInto(nil, buf)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4096 {
-			t.Errorf("%s: Decode allocated %d bytes before rejecting", name, grew)
+			t.Errorf("%s: DecodeInto allocated %d bytes before rejecting", name, grew)
 		}
 	}
 	// Adjacent runs are unusual (Compute emits maximal runs) but well
 	// formed, and must survive a round trip byte for byte.
 	adj := diff(2, run(0, 1, 1), run(1, 1, 2))
-	d, n, err := Decode(adj)
+	d, n, err := DecodeInto(nil, adj)
 	if err != nil || n != len(adj) || !bytes.Equal(d.Encode(nil), adj) {
 		t.Fatalf("adjacent runs: n=%d err=%v", n, err)
 	}

@@ -10,16 +10,21 @@
 // Layout: a Diff is one []uint64. Word 0 is the run count; each run is a
 // header word start|len<<32 followed by its len new values, so the words
 // after the count, read as little-endian bytes, are the wire form
-// [start u32][len u32][values…] and Encode/Decode are one bulk copy. Runs
-// are non-empty, increasing and non-overlapping: Compute, Merge and OneRun
-// build only such diffs and Decode accepts no others; Apply and Merge rely
-// on it.
+// [start u32][len u32][values…] and Encode/DecodeInto are one bulk copy
+// (words.go: on a little-endian host, a copy of the words' memory). Runs
+// are non-empty, increasing and non-overlapping: Compute, Merge and
+// OneRun build only such diffs and DecodeInto accepts no others; Apply and
+// Merge rely on it.
 //
-// Ownership: only the node that computed a diff may PutDiff it, once the
-// home has acknowledged it. A receiver must not: the virtual-time engine
-// delivers messages by reference, so the diff the home applies is the
-// sender's buffer, still in the sender's outstanding set. A decoded diff is
-// a private exact-size buffer left to the GC — as is any pooled buffer that
-// is lost track of (a piggybacked diff is never acknowledged directly), or
-// that is Put to a Pool already holding its bound of maxFree buffers.
+// Ownership: whoever produced a buffer returns it, once, at its last
+// use. A node that computed a diff may PutDiff it once the home has
+// acknowledged it — never at send, since it may be resent. Its receiver
+// may not on the virtual-time engine, which delivers messages by
+// reference: the diff the home applies is the sender's buffer, still in
+// the sender's outstanding set. The live engine delivers a copy: the
+// receiver decodes into buffers drawn from its own pool (DecodeInto),
+// owns them and returns a diff once it has applied or re-encoded it. A
+// buffer that is lost track of (a piggybacked diff on the sender's side
+// is never acknowledged directly), or Put to a Pool already holding its
+// bound of maxFree buffers, is left to the GC.
 package twindiff

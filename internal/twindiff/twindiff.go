@@ -17,20 +17,33 @@ const (
 	// beyond n: r runs over w words leave r-1 gaps, so r+w ≤ n+1, plus
 	// the count word.
 	diffSlack = 2
-	// maxFree bounds the freelist: buffers migrate between pools (a reply
-	// drawn at the home is released at the requester), so an unbounded one
-	// grows by an entry per fault-in. A full pool leaves Puts to the GC.
-	maxFree = 256
+	// maxFree bounds the freelist: buffers migrate between pools (a
+	// reply drawn at the home is released at the requester), so an
+	// unbounded one grows by an entry per fault-in. A full pool leaves
+	// Puts to the GC. A node cycles a handful of buffers per object it
+	// touches in an interval; a deeper list only holds memory.
+	maxFree = 64
+	// poison fills a buffer Put under the race detector (poisonPuts): as
+	// a run header it starts and spans far past any object.
+	poison = 0xDEAD_BEEF_DEAD_BEEF
 )
 
 // Pool is a bounded freelist of object-sized buffers, letting the hot path
-// (a twin per first write of an interval, a diff per release) reuse memory
-// instead of allocating. Every buffer it allocates has room for the
-// worst-case diff of the object it was sized for, so twins and diffs recycle
-// into each other; a buffer born elsewhere (a decoded payload) serves as a
-// twin only. The zero value is ready to use; a nil *Pool falls back to plain
-// allocation. Not safe for concurrent use — each node has its own. After a
-// Put the buffer may be handed out again: hold no live references.
+// (a twin per first write of an interval, a diff per release, a payload
+// per decoded frame on the live engine) reuse memory instead of
+// allocating. Every buffer it allocates has room for the worst-case diff
+// of the object it was sized for, so twins, diffs and payloads recycle
+// into each other; a buffer born elsewhere (decoded without a pool) serves
+// where its capacity fits. The zero value is ready to use; a nil *Pool
+// falls back to plain allocation. Not safe for concurrent use — each node
+// has its own, used under the node's lock.
+//
+// Ownership: whoever drew a buffer owns it, and returns it at its last
+// use; after a Put the buffer may be handed out again, so its owner holds
+// no live references. On the live engine a frame's payloads are copies:
+// Send encodes, the receiver decodes into buffers drawn from its own
+// pool. On the virtual-time engine the receiver shares the sender's
+// buffer and so never Puts it (see the package comment).
 type Pool struct{ free [][]uint64 }
 
 // getWords returns a length-n buffer, contents undefined, with capacity for
@@ -50,13 +63,30 @@ func (p *Pool) getWords(n, slack int) []uint64 {
 	return make([]uint64, n, n+diffSlack)
 }
 
-// PutWords returns a word buffer (a released twin or an invalidated cached
-// copy's data) to the freelist.
+// GetWords returns a length-n buffer, contents undefined, for a payload
+// the caller fills: a decoded object's data. A nil pool allocates exactly
+// n words.
+func (p *Pool) GetWords(n int) []uint64 {
+	if p == nil {
+		return make([]uint64, n)
+	}
+	return p.getWords(n, 0)
+}
+
+// PutWords returns a word buffer (a released twin, an invalidated cached
+// copy's data, a sent reply's snapshot) to the freelist.
 func (p *Pool) PutWords(buf []uint64) { p.PutDiff(Diff{buf}) }
 
-// PutDiff returns d's buffer to the freelist. The caller must have
-// computed d itself and hold no other references to it.
+// PutDiff returns d's buffer to the freelist. The caller must own d: it
+// computed it and the home acknowledged it, or it decoded d from its
+// pool and has applied or re-encoded it.
 func (p *Pool) PutDiff(d Diff) {
+	if poisonPuts {
+		full := d.buf[:cap(d.buf)]
+		for i := range full {
+			full[i] = poison
+		}
+	}
 	if p != nil && cap(d.buf) > 0 && len(p.free) < maxFree {
 		p.free = append(p.free, d.buf)
 	}
@@ -86,7 +116,10 @@ func ComputeInto(pool *Pool, twin, cur []uint64) Diff {
 	if len(twin) != len(cur) {
 		panic(fmt.Sprintf("twindiff: twin len %d != cur len %d", len(twin), len(cur)))
 	}
+	// Runs are written by index. A pooled buffer holds the worst case;
+	// without a pool nobody recycles the buffer, so it grows to the diff.
 	var buf []uint64
+	k := 1 // next word of buf to write
 	for i := 0; i < len(cur); i++ {
 		if twin[i] == cur[i] {
 			continue
@@ -95,18 +128,33 @@ func ComputeInto(pool *Pool, twin, cur []uint64) Diff {
 		for j < len(cur) && twin[j] != cur[j] {
 			j++
 		}
-		if buf == nil && pool == nil {
-			buf = make([]uint64, 1, 8) // nobody recycles it: append sizes it to the diff
-		} else if buf == nil {
-			buf = pool.getWords(len(cur), diffSlack)[:1]
+		if buf == nil {
+			if pool != nil {
+				buf = pool.getWords(len(cur), diffSlack)
+			} else {
+				buf = make([]uint64, 8)
+			}
+			buf = buf[:cap(buf)]
 			buf[0] = 0
 		}
+		if k+1+j-i > len(buf) {
+			buf = slices.Grow(buf[:k], 1+j-i)
+			buf = buf[:cap(buf)]
+		}
 		buf[0]++
-		buf = append(buf, uint64(i)|uint64(j-i)<<32)
-		buf = append(buf, cur[i:j]...)
+		buf[k] = uint64(i) | uint64(j-i)<<32
+		if j-i == 1 {
+			buf[k+1] = cur[i] // red-black rows: not worth a memmove call
+		} else {
+			copy(buf[k+1:], cur[i:j])
+		}
+		k += 1 + j - i
 		i = j // cur[j] is unchanged (or the end)
 	}
-	return Diff{buf}
+	if buf == nil {
+		return Diff{}
+	}
+	return Diff{buf[:k]}
 }
 
 // OneRun returns the diff that writes words at start (no words: the empty
@@ -240,48 +288,47 @@ func Merge(a, b Diff) Diff {
 	return Diff{out}
 }
 
-// Encode appends the wire form of d to buf and returns the result.
+// Encode appends the wire form of d to buf and returns the result: the
+// count, then the words after it as one little-endian copy.
 func (d Diff) Encode(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.NumRuns()))
-	for _, w := range d.runs() {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
-	}
-	return buf
+	return AppendWords(buf, d.runs())
 }
 
-// Decode parses a diff from buf, returning the diff and the number of
-// bytes consumed. It checks every run header before it allocates, and
-// accepts only canonical diffs (see the package comment).
-func Decode(buf []byte) (Diff, int, error) {
+// DecodeInto parses a diff from buf, returning the diff and the number of
+// bytes consumed. It checks every run header in one pass before it takes
+// a buffer from pool (nil pool = an exact-size allocation), then copies
+// the runs in at once, and accepts only canonical diffs (see the package
+// comment). The caller owns the diff's buffer.
+func DecodeInto(pool *Pool, buf []byte) (Diff, int, error) {
 	if len(buf) < 4 {
 		return Diff{}, 0, fmt.Errorf("twindiff: truncated header")
 	}
 	n := binary.LittleEndian.Uint32(buf)
-	off := 4
+	rest := buf[4:]
 	end := uint64(0) // one past the previous run's last word
 	for i := uint32(0); i < n; i++ {
-		if len(buf)-off < 8 {
+		if len(rest) < 8 {
 			return Diff{}, 0, fmt.Errorf("twindiff: truncated run %d header", i)
 		}
-		start := uint64(binary.LittleEndian.Uint32(buf[off:]))
-		cnt := uint64(binary.LittleEndian.Uint32(buf[off+4:]))
-		off += 8
-		if uint64(len(buf)-off) < 8*cnt {
+		h := binary.LittleEndian.Uint64(rest)
+		start, cnt := h&math.MaxUint32, h>>32
+		rest = rest[8:]
+		if uint64(len(rest)) < 8*cnt {
 			return Diff{}, 0, fmt.Errorf("twindiff: truncated run %d body", i)
 		}
 		if cnt == 0 || start < end || start+cnt > math.MaxUint32 {
 			return Diff{}, 0, fmt.Errorf("twindiff: run %d [%d,+%d) is empty, out of order or out of range", i, start, cnt)
 		}
 		end = start + cnt
-		off += 8 * int(cnt)
+		rest = rest[8*cnt:]
 	}
+	off := len(buf) - len(rest)
 	if n == 0 {
 		return Diff{}, off, nil
 	}
-	words := make([]uint64, 1+(off-4)/8)
+	words := pool.GetWords(1 + (off-4)/8)
 	words[0] = uint64(n)
-	for i, src := 1, buf[4:off]; i < len(words); i, src = i+1, src[8:] {
-		words[i] = binary.LittleEndian.Uint64(src)
-	}
+	ReadWords(words[1:], buf[4:off])
 	return Diff{words}, off, nil
 }

@@ -97,9 +97,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if len(buf) != d.WireSize() {
 		t.Fatalf("encoded %d bytes, WireSize says %d", len(buf), d.WireSize())
 	}
-	got, n, err := Decode(buf)
+	got, n, err := DecodeInto(nil, buf)
 	if err != nil || n != len(buf) {
-		t.Fatalf("Decode: n=%d err=%v", n, err)
+		t.Fatalf("DecodeInto: n=%d err=%v", n, err)
 	}
 	if !reflect.DeepEqual(got, d) {
 		t.Fatalf("round trip: %+v != %+v", got, d)
@@ -110,8 +110,8 @@ func TestDecodeTruncated(t *testing.T) {
 	d := OneRun(2, 7, 8)
 	buf := d.Encode(nil)
 	for cut := 1; cut < len(buf); cut++ {
-		if _, _, err := Decode(buf[:cut]); err == nil {
-			t.Fatalf("Decode of %d/%d bytes succeeded", cut, len(buf))
+		if _, _, err := DecodeInto(nil, buf[:cut]); err == nil {
+			t.Fatalf("DecodeInto of %d/%d bytes succeeded", cut, len(buf))
 		}
 	}
 }
@@ -243,7 +243,7 @@ func TestEncodeDecodeQuick(t *testing.T) {
 			cur[int(ix)%300] = v
 		}
 		d := Compute(base, cur)
-		got, n, err := Decode(d.Encode(nil))
+		got, n, err := DecodeInto(nil, d.Encode(nil))
 		return err == nil && n == d.WireSize() && reflect.DeepEqual(got, d)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

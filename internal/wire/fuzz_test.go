@@ -81,6 +81,8 @@ func nonCanonicalDiffSeeds() [][]byte {
 // frame length. Decoding in place into a Msg a different frame left
 // dirty (every flag set, every slice non-nil) must give the same verdict
 // and the same message: the live receive path reuses its Msg that way.
+// So must decoding through a pool of dirty buffers of assorted
+// capacities, as that path does.
 func FuzzWireDecode(f *testing.F) {
 	// sampleMsg sets every flag and fills every slice: decoded first, its
 	// frame leaves a Msg as dirty as a frame can.
@@ -117,6 +119,11 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		if !reused.Equal(&m) {
 			t.Fatalf("in-place decode over a dirty Msg kept some of it:\n got %+v\nwant %+v", reused, m)
+		}
+		var pool twindiff.Pool
+		dirtyPool(&pool)
+		if err := reused.DecodePooled(data, &pool); err != nil || !reused.Equal(&m) {
+			t.Fatalf("decode through a dirty pool (%v) differs from a fresh one:\n got %+v\nwant %+v", err, reused, m)
 		}
 		if got := m.WireSize(); got != len(data) {
 			t.Fatalf("accepted frame: WireSize %d != frame length %d", got, len(data))

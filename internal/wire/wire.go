@@ -2,7 +2,18 @@
 // encoding. Every message exchanged by the simulated cluster is encodable;
 // the encoded length is what the Hockney network model charges, and in
 // debug mode every delivery round-trips through Encode/Decode to keep the
-// codec honest.
+// codec honest. Object data and diff runs cross as one little-endian copy
+// of their words (twindiff.AppendWords, twindiff.ReadWords).
+//
+// Who owns a message's payloads — Data, Diff and each of Diffs — depends
+// on the engine. The virtual-time engine delivers a message by reference:
+// the receiver shares the sender's buffers, so only their producer ever
+// returns them to a pool (see twindiff). The live engine copies: Send
+// encodes, after which the sender still owns its buffers (it returns a
+// served fault-in's snapshot to its pool; a flushed diff waits for its
+// ack), and the receiver decodes with DecodePooled into buffers drawn
+// from its own node's pool, which it owns: it returns a handled diff, and
+// keeps a fault-in reply's Data as its cached copy.
 package wire
 
 import (
@@ -177,9 +188,7 @@ func (m *Msg) Encode(buf []byte) []byte {
 	buf = le.AppendUint32(buf, m.Seq)
 
 	buf = le.AppendUint32(buf, uint32(len(m.Data)))
-	for _, w := range m.Data {
-		buf = le.AppendUint64(buf, w)
-	}
+	buf = twindiff.AppendWords(buf, m.Data)
 	buf = m.Diff.Encode(buf)
 	buf = le.AppendUint32(buf, uint32(len(m.Diffs)))
 	for _, od := range m.Diffs {
@@ -223,13 +232,20 @@ func Decode(buf []byte) (m Msg, err error) {
 	return m, err
 }
 
-// Decode parses buf into m in place, so a receive path that owns one Msg
-// decodes every frame into it without copying a message out. Every field
-// of m is reset first: nothing of the previous frame survives, and the
-// payload slices are fresh ones the caller may keep (m drops its old ones
-// without writing through them). It returns an error on any truncation or
-// a trailing-garbage mismatch, leaving m partly filled.
-func (m *Msg) Decode(buf []byte) error {
+// Decode parses buf into m in place: DecodePooled without a pool, so the
+// payloads land in fresh exact-size slices.
+func (m *Msg) Decode(buf []byte) error { return m.DecodePooled(buf, nil) }
+
+// DecodePooled parses buf into m in place, so a receive path that owns
+// one Msg decodes every frame into it without copying a message out.
+// Every field of m is reset first: nothing of the previous frame
+// survives, and m drops its old slices without writing through them. The
+// payloads — Data, Diff and each piggybacked diff — are one copy each
+// into buffers drawn from pool (nil pool = plain allocation), and the
+// caller owns them: it may keep them, or return them to pool at their
+// last use. It returns an error on any truncation or a trailing-garbage
+// mismatch, leaving m partly filled.
+func (m *Msg) DecodePooled(buf []byte, pool *twindiff.Pool) error {
 	*m = Msg{}
 	if len(buf) < headerSize {
 		return fmt.Errorf("wire: truncated header (%d bytes)", len(buf))
@@ -273,13 +289,11 @@ func (m *Msg) Decode(buf []byte) error {
 		return err
 	}
 	if nd > 0 {
-		m.Data = make([]uint64, nd)
-		for i := range m.Data {
-			m.Data[i] = le.Uint64(buf[off:])
-			off += 8
-		}
+		m.Data = pool.GetWords(nd)
+		twindiff.ReadWords(m.Data, buf[off:])
+		off += 8 * nd
 	}
-	d, n, err := twindiff.Decode(buf[off:])
+	d, n, err := twindiff.DecodeInto(pool, buf[off:])
 	if err != nil {
 		return fmt.Errorf("wire: diff: %w", err)
 	}
@@ -297,7 +311,7 @@ func (m *Msg) Decode(buf []byte) error {
 		}
 		obj := memory.ObjectID(le.Uint32(buf[off:]))
 		off += 4
-		d, n, err := twindiff.Decode(buf[off:])
+		d, n, err := twindiff.DecodeInto(pool, buf[off:])
 		if err != nil {
 			return fmt.Errorf("wire: piggyback diff %d: %w", i, err)
 		}

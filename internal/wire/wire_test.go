@@ -381,18 +381,80 @@ func TestDecodeInPlaceSparseDiffAllocatesOnce(t *testing.T) {
 	}
 }
 
+// TestDecodePooledAllocatesNothing is the pooled sibling of
+// TestDecodeInPlaceSparseDiffAllocatesOnce: once the pool holds buffers
+// of the payloads' sizes, decoding each frame shape into a reused Msg and
+// returning its payloads at their last use, as the live receive path
+// does, allocates nothing.
+func TestDecodePooledAllocatesNothing(t *testing.T) {
+	for _, s := range shapes {
+		frame := s.frame()
+		var pool twindiff.Pool
+		var m Msg
+		decode := func() {
+			if err := m.DecodePooled(frame, &pool); err != nil {
+				t.Fatal(err)
+			}
+			pool.PutWords(m.Data)
+			pool.PutDiff(m.Diff)
+		}
+		decode() // warm-up: the pool's first buffers
+		if n := testing.AllocsPerRun(100, decode); n != 0 {
+			t.Errorf("pooled Decode of the %s frame allocates %v times", s.name, n)
+		}
+	}
+}
+
+// TestDecodePooledMatchesFresh decodes every frame shape through a pool
+// whose buffers are dirty and of assorted capacities: each result must
+// equal a fresh decode.
+func TestDecodePooledMatchesFresh(t *testing.T) {
+	for _, s := range shapes {
+		frame := s.frame()
+		fresh, err := Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pool twindiff.Pool
+		dirtyPool(&pool)
+		var m Msg
+		if err := m.DecodePooled(frame, &pool); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if !m.Equal(&fresh) {
+			t.Fatalf("%s decoded through a dirty pool:\n got %+v\nwant %+v", s.name, m, fresh)
+		}
+	}
+}
+
+// dirtyPool fills pool with buffers of assorted capacities around the
+// frame shapes' sizes, every word set.
+func dirtyPool(pool *twindiff.Pool) {
+	for _, n := range []int{1, 3, 200, 255, 256, 257, 258, 300, 400, 513} {
+		buf := make([]uint64, n)
+		for i := range buf {
+			buf[i] = ^uint64(i)
+		}
+		pool.PutWords(buf)
+	}
+}
+
 // BenchmarkDecodeInPlace decodes each frame shape into one reused Msg,
-// the way the live receive path does.
+// the way the live receive path does: payloads drawn from the node's
+// pool and returned to it at their last use.
 func BenchmarkDecodeInPlace(b *testing.B) {
 	for _, s := range shapes {
 		b.Run(s.name, func(b *testing.B) {
 			frame := s.frame()
+			var pool twindiff.Pool
 			var m Msg
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := m.Decode(frame); err != nil {
+				if err := m.DecodePooled(frame, &pool); err != nil {
 					b.Fatal(err)
 				}
+				pool.PutWords(m.Data)
+				pool.PutDiff(m.Diff)
 			}
 		})
 	}
