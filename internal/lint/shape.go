@@ -198,6 +198,8 @@ var shapeRules = []shapeRule{
 	{name: "a live thread is one coroutine", since: "A reply runs its thread",
 		in: pkgs("internal/live"), what: []target{use("iter.Pull")},
 		only: []string{"internal/live/thread.go"}, n: 1},
+	{name: "a thread's mailbox is its node's", since: "One lock per side of an in-process hop",
+		in: pkgs("internal/live"), what: []target{use("repro/internal/live/transport.NewQueue")}},
 
 	{name: "a member owns one node", since: "A member owns one node",
 		in: pkgs("internal/live/cluster"), tests: true, what: []target{decl("", "repair")}},

@@ -51,12 +51,13 @@ func (c *Cluster) Subscribe(sub any) { // want `one way to subscribe: method Sub
 	c.subs = append(c.subs, sub)
 }
 
-// waiter blocks on a mailbox and runs a second coroutine outside
-// thread.go.
+// waiter blocks on a mailbox with a lock of its own and runs a second
+// coroutine outside thread.go.
 type waiter struct{ mbox *transport.Queue[int] }
 
 func (w waiter) wait(seq iter.Seq[int]) int {
-	next, _ := iter.Pull(seq) // want `a live thread is one coroutine: use of iter.Pull outside internal/live/thread.go`
+	w.mbox = transport.NewQueue[int]() // want `a thread's mailbox is its node's: use of transport.NewQueue`
+	next, _ := iter.Pull(seq)          // want `a live thread is one coroutine: use of iter.Pull outside internal/live/thread.go`
 	v, _ := next()
 	got, _ := w.mbox.Get() // want `one live receive path: use of transport.Queue.Get`
 	return v + got

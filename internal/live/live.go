@@ -2,9 +2,11 @@
 
 // Package live runs the Global Object Space protocol on real
 // goroutines: application threads as coroutines (iter.Pull) that park on
-// a mailbox for fault-in replies, lock grants and diff acks, and one
-// receive path per node (node.receive: decode, check, handle under the
-// node lock) run by whoever delivers the frame, as the transport
+// a mailbox for fault-in replies, lock grants and diff acks — its tokens
+// guarded by the node lock every putter holds, while the park decision
+// and the resumer's recheck read two atomics, tokens pending and closed —
+// and one receive path per node (node.receive: decode, check, handle
+// under the node lock) run by whoever delivers the frame, as the transport
 // decides: the sender's own goroutine once node.unlock has released its
 // lock (ChanLoop, a transport.Deliverer), or the transport's own (the TCP
 // socket's reader, the fault injector's delivery line). The engine needs
@@ -214,7 +216,7 @@ func (c *Cluster) Abort(err error) {
 	c.tr.Close()
 	for _, n := range c.nodes {
 		for _, t := range n.threads {
-			t.mbox.Close()
+			t.mbox.closed.Store(true)
 			t.wakeHome()
 		}
 	}
@@ -366,12 +368,10 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 		if n == nil {
 			continue
 		}
-		t := &Thread{node: n, fn: w.Fn, mbox: transport.NewQueue[proto.Token](), wake: make(chan struct{}, 1)}
+		t := &Thread{node: n, fn: w.Fn, wake: make(chan struct{}, 1)}
 		t.Driver = proto.NewDriver(n.ps, t, i, int32(len(n.threads)), w.Name)
 		n.threads = append(n.threads, t)
-		if c.abortErr != nil {
-			t.mbox.Close()
-		}
+		t.mbox.closed.Store(c.abortErr != nil)
 	}
 	c.abortMu.Unlock()
 	// A failure-detecting transport gets the abort hook before any
@@ -428,12 +428,10 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 	for _, n := range c.nodes {
 		n.mu.Lock()
 		m.Counters.Add(&n.counters)
-		n.unlock()
 		for _, t := range n.threads {
-			if p := t.mbox.Peak(); p > m.LivePeakMailbox {
-				m.LivePeakMailbox = p
-			}
+			m.LivePeakMailbox = max(m.LivePeakMailbox, t.mbox.peak)
 		}
+		n.unlock()
 	}
 	m.LivePeakInbox = c.tr.PeakDepth()
 	m.Wall = wall
@@ -545,7 +543,7 @@ func (n *node) Send(msg wire.Msg, cat stats.Category) {
 // thread's home goroutine.
 func (n *node) ToThread(slot int32, msg wire.Msg) {
 	t := n.threads[slot]
-	t.mbox.Put(proto.Token{Msg: msg})
+	t.mbox.put(proto.Token{Msg: msg})
 	if n.relay {
 		t.readied = true
 	} else {

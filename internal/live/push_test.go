@@ -201,7 +201,7 @@ func TestPumpYieldsToWaitingThread(t *testing.T) {
 		n0.mu.Unlock()
 		n2.ps.Loc.SetForward(obj, 0)
 		n2.Send(wire.Msg{Kind: wire.ObjReq, From: 2, To: 0, Obj: obj, ReplyNode: 2, ReplySlot: 0, Seq: 1}, stats.ObjReq)
-		th.mbox.Put(proto.Token{})
+		th.mbox.put(proto.Token{})
 		var tok proto.Token
 		th.Recv(&tok) // delivers the fault-in, then takes the token
 		n2.ps.Loc.SetForward(obj, 1)

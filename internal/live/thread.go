@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/live/transport"
 	"repro/internal/memory"
 	"repro/internal/proto"
 	"repro/internal/sim"
@@ -37,8 +36,11 @@ import (
 //
 // The locking discipline: every access check, state mutation and send
 // runs under t.node.mu; Recv, the only wait, drops the lock, parks, and
-// retakes it. The driver never holds two node locks, and the transport
-// and mailbox never block a sender, so there is no lock cycle.
+// retakes it. The mailbox has no lock of its own: every putter holds the
+// node lock, and the resumer's recheck and Recv's park decision read its
+// two atomics (tokens pending, closed) without it. The driver never holds
+// two node locks, and the transport and mailbox never block a sender, so
+// there is no lock cycle.
 type Thread struct {
 	proto.Driver
 	node *node
@@ -48,7 +50,7 @@ type Thread struct {
 	// tokens — by value, so nothing is boxed — and Recv takes them.
 	// Unbounded, so ToThread never blocks a delivering goroutine holding
 	// a node lock; closed only by Abort.
-	mbox *transport.Queue[proto.Token]
+	mbox mailbox
 
 	// The coroutine: state (running, parked, handed, ended) decides who
 	// resumes it, resume switches into it and yield out of it; wake is the
@@ -123,7 +125,7 @@ func (t *Thread) run(lent bool) bool {
 			return true
 		}
 		t.state.Store(parked)
-		if !t.mbox.Ready() || !t.state.CompareAndSwap(parked, running) {
+		if !t.mbox.ready() || !t.state.CompareAndSwap(parked, running) {
 			return true
 		}
 	}
@@ -199,9 +201,9 @@ func (t *Thread) Unlock() {
 	}
 }
 
-// Recv implements proto.Host: take the next token from the mailbox with
-// the node lock released, parking the coroutine (a yield) while there is
-// none, and retake the lock around it. Whoever resumes the thread — its
+// Recv implements proto.Host: release the node lock, park the coroutine
+// (a yield) while no token is pending, then retake the lock and take the
+// next token from the mailbox. Whoever resumes the thread — its
 // home goroutine, or the reader whose delivery readied it — does so on
 // its own goroutine. The thread stays inside the DSM while parked: it
 // writes none of its views, so fault-ins for them are served meanwhile
@@ -210,18 +212,56 @@ func (t *Thread) Unlock() {
 // driver waits for will never arrive over a dead transport.
 func (t *Thread) Recv(tok *proto.Token) {
 	t.node.unlock()
-	for {
-		var ok, closed bool
-		if *tok, ok, closed = t.mbox.TryGet(); ok {
-			break
-		}
-		if closed {
+	for t.mbox.pending.Load() == 0 {
+		if t.mbox.closed.Load() {
 			panic(abortPanic{}) // Abort closed the mailbox: unwind the coroutine
 		}
 		t.yield(struct{}{})
 	}
 	t.node.mu.Lock()
+	*tok = t.mbox.take() // only this thread takes: the token is still there
 }
+
+// mailbox is a thread's token FIFO. toks and peak are guarded by the
+// node lock; pending (len(toks)) and closed are atomics, so Recv decides
+// whether to park, and the thread's resumer rechecks after the park,
+// without the lock. Once closed (by Abort) it takes no more tokens, but
+// those already queued are still taken first.
+type mailbox struct {
+	toks    []proto.Token
+	peak    int
+	pending atomic.Int32
+	closed  atomic.Bool
+}
+
+// put queues tok. The caller holds the node lock.
+//
+//dsm:hotpath
+func (m *mailbox) put(tok proto.Token) {
+	if !m.closed.Load() {
+		m.toks = append(m.toks, tok)
+		m.peak = max(m.peak, len(m.toks))
+		m.pending.Add(1)
+	}
+}
+
+// take removes the oldest token and moves the rest to the front: a
+// thread seldom has a second one queued. The caller holds the node lock
+// and has seen pending > 0.
+//
+//dsm:hotpath
+func (m *mailbox) take() proto.Token {
+	tok := m.toks[0]
+	n := copy(m.toks, m.toks[1:])
+	m.toks[n] = proto.Token{}
+	m.toks = m.toks[:n]
+	m.pending.Add(-1)
+	return tok
+}
+
+// ready reports whether Recv would return without parking: a token is
+// pending, or the mailbox is closed.
+func (m *mailbox) ready() bool { return m.pending.Load() > 0 || m.closed.Load() }
 
 // retryDelay is how long a retry timer waits, first of all the
 // requester's back-off after an obsolete-home miss under the broadcast
@@ -239,7 +279,9 @@ const (
 // RetryAfter implements proto.Host.
 func (t *Thread) RetryAfter(kind proto.TokenKind, obj memory.ObjectID) {
 	time.AfterFunc(retryDelay, func() {
-		t.mbox.Put(proto.Token{Kind: kind, Obj: obj})
+		t.node.mu.Lock()
+		t.mbox.put(proto.Token{Kind: kind, Obj: obj})
+		t.node.unlock()
 		t.wakeHome()
 	})
 }

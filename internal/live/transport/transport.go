@@ -115,12 +115,10 @@ type Deliverer interface {
 
 // Queue is an unbounded, closable FIFO guarded by a mutex and
 // condition variable: Put never blocks (at any fan-in), Get blocks
-// until an element or Close arrives, TryGet and TryGetAll take the next
-// element or everything queued without waiting. It backs ChanLoop's
-// per-node inboxes, the live engine's per-thread mailboxes (which its
-// threads never block on: they yield), the fault injector's delivery
-// lines and the TCP backend's inbox, control and per-peer send queues —
-// one implementation of the subtle blocking-queue logic.
+// until an element or Close arrives, TryGetAll takes everything queued
+// without waiting. It backs the fault injector's delivery lines and the
+// TCP backend's inbox, control and per-peer send queues — one
+// implementation of the subtle blocking-queue logic.
 //
 // Storage is a power-of-two ring (the idiom of internal/sim's queue)
 // that doubles when full and is kept when empty, so a steady
@@ -213,29 +211,6 @@ func (q *Queue[T]) Get() (v T, ok bool) {
 	}
 	q.mu.Unlock()
 	return v, ok
-}
-
-// TryGet takes the next element without waiting: ok reports whether one
-// was queued and, when none was, closed whether none ever will be. It is
-// for a consumer that parks elsewhere — the live engine's threads, which
-// yield instead of blocking on their mailbox.
-func (q *Queue[T]) TryGet() (v T, ok, closed bool) {
-	q.mu.Lock()
-	if q.count > 0 {
-		v, ok = q.pop(), true
-	}
-	closed = q.closed
-	q.mu.Unlock()
-	return v, ok, closed
-}
-
-// Ready reports whether a Get would return at once: an element is
-// queued, or the queue is closed.
-func (q *Queue[T]) Ready() bool {
-	q.mu.Lock()
-	r := q.count > 0 || q.closed
-	q.mu.Unlock()
-	return r
 }
 
 // pop removes and returns the oldest element, zeroing its slot. The
@@ -333,8 +308,7 @@ func PutFrame(frame []byte) {
 // requires of every backend. It pulls until a node's sink is installed,
 // then pushes at Deliver; a sink's error goes to the FatalSink handler.
 type ChanLoop struct {
-	inboxes []*Queue[[]byte]
-	outlets []outlet
+	inboxes []inbox
 	closed  atomic.Bool
 	relayMu sync.Mutex     // no relay starts once closed is set
 	relays  sync.WaitGroup // Deliver's fresh goroutines, which Close waits for
@@ -343,12 +317,17 @@ type ChanLoop struct {
 	fatalOnce sync.Once
 }
 
-// outlet is one node's push side: its sink, and the claim of the one
-// goroutine draining the inbox into it, whose batch buffer this is.
-type outlet struct {
-	sink  atomic.Pointer[func(frame []byte) error]
-	busy  atomic.Bool
-	batch [][]byte
+// inbox is one node's queue and push side under one mutex: the frames
+// queued since the last drain, the sink, the claim of the one goroutine
+// draining into it (whose batch is swapped with queued at each drain),
+// closed, the peak depth, and a cond signalled only while Recv waits.
+type inbox struct {
+	mu               sync.Mutex
+	queued, batch    [][]byte
+	sink             func(frame []byte) error
+	draining, closed bool
+	peak, waiting    int
+	ready            sync.Cond
 }
 
 // NewChanLoop builds the loopback transport for a cluster of n nodes.
@@ -356,9 +335,9 @@ func NewChanLoop(n int) *ChanLoop {
 	if n <= 0 {
 		panic(fmt.Sprintf("transport: chanloop over %d nodes", n))
 	}
-	t := &ChanLoop{inboxes: make([]*Queue[[]byte], n), outlets: make([]outlet, n)}
+	t := &ChanLoop{inboxes: make([]inbox, n)}
 	for i := range t.inboxes {
-		t.inboxes[i] = NewQueue[[]byte]()
+		t.inboxes[i].ready.L = &t.inboxes[i].mu
 	}
 	return t
 }
@@ -366,7 +345,10 @@ func NewChanLoop(n int) *ChanLoop {
 // SetSink implements Pusher. Frames already queued reach sink at the
 // next Deliver(id).
 func (t *ChanLoop) SetSink(id memory.NodeID, sink func(frame []byte) error) {
-	t.outlets[id].sink.Store(&sink)
+	in := &t.inboxes[id]
+	in.mu.Lock()
+	in.sink = sink
+	in.mu.Unlock()
 }
 
 // SetFatal implements FatalSink: fn gets the first sink error.
@@ -381,53 +363,97 @@ func (t *ChanLoop) SetFatal(fn func(error)) { t.fatal = fn }
 // for (the install that ends a forwarding cycle). After Close, or once a
 // sink failed, the batch feeds the pool instead; the error reaches the
 // fatal handler, which closes the transport, off the relay Close awaits.
+//
+//dsm:hotpath
 func (t *ChanLoop) Deliver(to memory.NodeID) {
-	o, in := &t.outlets[to], t.inboxes[to]
-	sink := o.sink.Load()
-	if sink == nil || !o.busy.CompareAndSwap(false, true) {
+	in := &t.inboxes[to]
+	in.mu.Lock()
+	if in.sink == nil || in.draining || len(in.queued) == 0 {
+		in.mu.Unlock()
 		return
 	}
+	in.draining = true
+	in.batch, in.queued = in.queued, in.batch[:0]
+	sink := in.sink
+	in.mu.Unlock()
 	var err error
-	o.batch, _ = in.TryGetAll(o.batch[:0])
-	for i, frame := range o.batch {
-		o.batch[i] = nil
+	for i, frame := range in.batch {
+		in.batch[i] = nil
 		if err == nil && !t.closed.Load() {
-			err = (*sink)(frame)
+			err = sink(frame)
 		} else {
 			PutFrame(frame)
 		}
 	}
-	o.busy.Store(false)
+	in.mu.Lock()
+	in.draining = false
+	more := len(in.queued) > 0
+	in.mu.Unlock()
+	if err != nil || more {
+		t.handOff(to, err)
+	}
+}
+
+// handOff follows a drain that failed — the first sink error goes to the
+// fatal handler, on a goroutine of its own — or left frames behind, which
+// a fresh goroutine takes unless the transport is closed (Close waits).
+func (t *ChanLoop) handOff(to memory.NodeID, err error) {
 	if err != nil {
 		t.fatalOnce.Do(func() { go t.fatal(err) })
 		return
 	}
-	if in.Len() > 0 {
-		t.relayMu.Lock()
-		if !t.closed.Load() {
-			t.relays.Add(1)
-			go func() { defer t.relays.Done(); t.Deliver(to) }()
-		}
-		t.relayMu.Unlock()
+	t.relayMu.Lock()
+	if !t.closed.Load() {
+		t.relays.Add(1)
+		go func() { defer t.relays.Done(); t.Deliver(to) }()
 	}
+	t.relayMu.Unlock()
 }
 
 // Send implements Transport. A send racing a concurrent Close is a
-// silent drop, per the Queue contract: the frame's buffer feeds the
+// silent drop, per the Transport contract: the frame's buffer feeds the
 // pool and the handler that issued it carries on (its run is about to
 // observe the closed transport itself).
+//
+//dsm:hotpath
 func (t *ChanLoop) Send(to memory.NodeID, frame []byte) {
 	if to < 0 || int(to) >= len(t.inboxes) {
 		panic(fmt.Sprintf("transport: send to invalid node %d", to))
 	}
-	if !t.inboxes[to].Put(frame) {
+	in := &t.inboxes[to]
+	in.mu.Lock()
+	if in.closed {
+		in.mu.Unlock()
 		PutFrame(frame)
+		return
 	}
+	in.queued = append(in.queued, frame)
+	in.peak = max(in.peak, len(in.queued))
+	if in.waiting > 0 {
+		in.ready.Signal()
+	}
+	in.mu.Unlock()
 }
 
-// Recv implements Transport.
+// Recv implements Transport, moving the frames behind the one it takes
+// to the front (pull mode keeps the push side's two slices whole).
 func (t *ChanLoop) Recv(id memory.NodeID) ([]byte, bool) {
-	return t.inboxes[id].Get()
+	in := &t.inboxes[id]
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	for len(in.queued) == 0 && !in.closed {
+		in.waiting++
+		in.ready.Wait()
+		in.waiting--
+	}
+	if len(in.queued) == 0 {
+		return nil, false
+	}
+	frame := in.queued[0]
+	n := copy(in.queued, in.queued[1:])
+	in.queued[n] = nil
+	in.queued = in.queued[:n]
+	return frame, true
 }
 
 // Close implements Transport: Recv drains what an inbox holds, then
@@ -438,24 +464,34 @@ func (t *ChanLoop) Close() {
 	t.relayMu.Lock()
 	t.closed.Store(true)
 	t.relayMu.Unlock()
-	for _, b := range t.inboxes {
-		b.Close()
+	for i := range t.inboxes {
+		in := &t.inboxes[i]
+		in.mu.Lock()
+		in.closed = true
+		in.ready.Broadcast()
+		in.mu.Unlock()
 	}
 	t.relays.Wait()
 }
 
 // InboxLen reports node id's current inbox depth (tests, observability).
-func (t *ChanLoop) InboxLen(id memory.NodeID) int { return t.inboxes[id].Len() }
+func (t *ChanLoop) InboxLen(id memory.NodeID) int {
+	in := &t.inboxes[id]
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return len(in.queued)
+}
 
 // PeakDepth implements Pusher: the deepest any node's inbox got.
 func (t *ChanLoop) PeakDepth() int {
-	max := 0
-	for _, b := range t.inboxes {
-		if p := b.Peak(); p > max {
-			max = p
-		}
+	peak := 0
+	for i := range t.inboxes {
+		in := &t.inboxes[i]
+		in.mu.Lock()
+		peak = max(peak, in.peak)
+		in.mu.Unlock()
 	}
-	return max
+	return peak
 }
 
 var _ Deliverer = (*ChanLoop)(nil)

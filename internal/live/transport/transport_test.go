@@ -3,30 +3,84 @@ package transport
 import (
 	"runtime/debug"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 )
 
-// TestQueueDepth: Len tracks the current depth and Peak its high-water
-// mark; PeakDepth surfaces the deepest inbox.
+// TestQueueDepth: InboxLen tracks a ChanLoop inbox's current depth and
+// PeakDepth the deepest any inbox got.
 func TestQueueDepth(t *testing.T) {
 	tr := NewChanLoop(2)
 	for i := 0; i < 5; i++ {
 		tr.Send(1, []byte{byte(i)})
 	}
-	if n := tr.inboxes[1].Len(); n != 5 {
-		t.Fatalf("Len = %d, want 5", n)
+	if n := tr.InboxLen(1); n != 5 {
+		t.Fatalf("InboxLen = %d, want 5", n)
 	}
 	for i := 0; i < 3; i++ {
 		tr.Recv(1)
 	}
-	if n := tr.inboxes[1].Len(); n != 2 {
-		t.Fatalf("Len after drain = %d, want 2", n)
-	}
-	if p := tr.inboxes[1].Peak(); p != 5 {
-		t.Fatalf("Peak = %d, want 5", p)
+	if n := tr.InboxLen(1); n != 2 {
+		t.Fatalf("InboxLen after drain = %d, want 2", n)
 	}
 	if p := tr.PeakDepth(); p != 5 {
 		t.Fatalf("PeakDepth = %d, want 5", p)
+	}
+}
+
+// TestDeliverRelaysFramesSentDuringItsDrain: a frame sent to an inbox
+// while its drain runs — here by the drained sink itself — is not the
+// draining caller's: its Deliver returns after its batch, and the drain's
+// re-check hands the rest to a relay goroutine, which delivers each of
+// them once, in send order.
+func TestDeliverRelaysFramesSentDuringItsDrain(t *testing.T) {
+	tr := NewChanLoop(2)
+	defer tr.Close()
+	release := make(chan struct{})
+	var mu sync.Mutex
+	var got []byte
+	tr.SetSink(1, func(frame []byte) error {
+		if frame[0] == 0 {
+			tr.Send(1, []byte{1})
+			tr.Send(1, []byte{2})
+		} else {
+			<-release // a caller that drained these itself would never return
+		}
+		mu.Lock()
+		got = append(got, frame[0])
+		mu.Unlock()
+		PutFrame(frame)
+		return nil
+	})
+	delivered := func() []byte {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(got)
+	}
+	tr.Send(1, []byte{0})
+	returned := make(chan struct{})
+	go func() {
+		tr.Deliver(1)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Deliver kept draining the frames its own batch sent")
+	}
+	if d := delivered(); !slices.Equal(d, []byte{0}) {
+		t.Fatalf("Deliver's caller handed over %v, want [0]", d)
+	}
+	close(release)
+	for deadline := time.Now().Add(5 * time.Second); len(delivered()) < 3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("delivered %v after the caller returned; the frames sent during its drain were stranded", delivered())
+		}
+	}
+	tr.Deliver(1) // nothing is left to deliver twice
+	if d := delivered(); !slices.Equal(d, []byte{0, 1, 2}) || tr.InboxLen(1) != 0 {
+		t.Fatalf("delivered %v with %d queued, want [0 1 2] once each", d, tr.InboxLen(1))
 	}
 }
 
