@@ -33,10 +33,8 @@ func Blocked(total int) Placement {
 // "a 2-D matrix is implemented as an array object whose elements are also
 // array objects" in the paper's Java applications (§5.1).
 type Array struct {
-	c    *Cluster
-	name string
-	ids  []ObjectID
-	cols int
+	c   *Cluster
+	ids []ObjectID
 }
 
 // NewArray declares rows×cols shared matrix with the given row placement.
@@ -44,19 +42,13 @@ func (c *Cluster) NewArray(name string, rows, cols int, place Placement) *Array 
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("dsm: array %q with shape %dx%d", name, rows, cols))
 	}
-	a := &Array{c: c, name: name, cols: cols}
+	a := &Array{c: c}
 	for i := 0; i < rows; i++ {
 		home := place(i, c.Nodes())
 		a.ids = append(a.ids, c.NewObject(fmt.Sprintf("%s[%d]", name, i), cols, home))
 	}
 	return a
 }
-
-// Rows returns the number of rows (objects).
-func (a *Array) Rows() int { return len(a.ids) }
-
-// Cols returns the row length in words.
-func (a *Array) Cols() int { return a.cols }
 
 // Object returns the object id backing row i.
 func (a *Array) Object(i int) ObjectID { return a.ids[i] }
@@ -118,16 +110,6 @@ func (a *Array) DataFloat64(i int) []float64 {
 	out := make([]float64, len(raw))
 	for k, w := range raw {
 		out[k] = math.Float64frombits(w)
-	}
-	return out
-}
-
-// Homes returns the current home of every row — handy for asserting where
-// migration moved the data.
-func (a *Array) Homes() []NodeID {
-	out := make([]NodeID, len(a.ids))
-	for i, id := range a.ids {
-		out[i] = a.c.HomeOf(id)
 	}
 	return out
 }

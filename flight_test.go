@@ -17,6 +17,7 @@ import (
 	"repro/internal/memory"
 	"repro/internal/oracle"
 	"repro/internal/scenario"
+	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -264,6 +265,59 @@ func TestSimFlightTimelineContent(t *testing.T) {
 			t.Fatalf("merged timeline out of HLC order at %d: %+v then %+v",
 				i, evs[i-1], evs[i])
 		}
+	}
+}
+
+// TestBroadcastLocatorAnnouncesToEveryPeer: under the broadcast locator
+// a migration's new home announces itself with one HomeBcast to every
+// other node, on both engines alike — each FrameSend names a real peer,
+// a node that became home m times sent m to each of the others, and the
+// HomeBcast category is charged (N−1) messages per migration.
+func TestBroadcastLocatorAnnouncesToEveryPeer(t *testing.T) {
+	const nodes = 4
+	for _, engine := range []string{"sim", "live"} {
+		t.Run(engine, func(t *testing.T) {
+			c := dsm.New(dsm.Config{Nodes: nodes, Policy: "AT", Locator: "broadcast", Engine: engine, FlightCap: 1 << 14})
+			rows := c.NewArray("rows", 8, 4, dsm.RoundRobin)
+			bar := c.NewBarrier(0, nodes)
+			m, err := c.Run(nodes, func(th dsm.Thread) {
+				for round := 0; round < 4; round++ {
+					for r := (th.ID() + 1) % nodes; r < 8; r += nodes {
+						rows.SetInt64(th, r, round, int64(round+1))
+					}
+					th.Barrier(bar)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var became [nodes]int      // migrations into each node
+			var sent [nodes][nodes]int // HomeBcast frames, by sender and peer
+			for _, e := range c.FlightEvents() {
+				switch {
+				case e.Kind == flight.Decision && e.Migrated:
+					became[e.Peer]++
+				case e.Kind == flight.FrameSend && wire.Kind(e.Tag) == wire.HomeBcast:
+					if e.Peer < 0 || e.Peer >= nodes || e.Peer == e.Node {
+						t.Fatalf("node %d sent a HomeBcast to node %d", e.Node, e.Peer)
+					}
+					sent[e.Node][e.Peer]++
+				}
+			}
+			if m.Migrations == 0 {
+				t.Fatal("no migration: the run announces nothing")
+			}
+			for k := range nodes {
+				for j := range nodes {
+					if j != k && sent[k][j] != became[k] {
+						t.Errorf("node %d became home %d times and sent node %d %d HomeBcasts", k, became[k], j, sent[k][j])
+					}
+				}
+			}
+			if want := (nodes - 1) * m.Migrations; m.Msgs[stats.HomeBcast] != want {
+				t.Errorf("Msgs[HomeBcast] = %d after %d migrations, want %d", m.Msgs[stats.HomeBcast], m.Migrations, want)
+			}
+		})
 	}
 }
 

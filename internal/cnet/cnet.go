@@ -67,9 +67,6 @@ func New(env *sim.Env, cfg Config, n int, counters *stats.Counters) *Network {
 	return nw
 }
 
-// Nodes reports the cluster size.
-func (n *Network) Nodes() int { return len(n.inboxes) }
-
 // AllocMsg returns a message box holding a copy of *msg, drawn from the
 // freelist. Use it when enqueueing a message on any sim queue; the
 // receiver returns the box with FreeMsg.
@@ -146,21 +143,6 @@ func (n *Network) jitter(from, to memory.NodeID) sim.Time {
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
 	return sim.Time(x % uint64(n.cfg.Jitter))
-}
-
-// Broadcast sends msg to every node except msg.From (charged as N−1
-// point-to-point messages — "a well implemented broadcast operation", §3.2,
-// would be cheaper; this conservative accounting favors the non-broadcast
-// mechanisms, which is the direction the paper argues from).
-func (n *Network) Broadcast(msg *wire.Msg, cat stats.Category) {
-	m := *msg
-	for id := range n.inboxes {
-		if memory.NodeID(id) == m.From {
-			continue
-		}
-		m.To = memory.NodeID(id)
-		n.Send(&m, cat)
-	}
 }
 
 // verify is DebugCheck: msg must survive the codec whole, so that what the

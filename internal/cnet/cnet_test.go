@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hockney"
-	"repro/internal/memory"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/wire"
@@ -128,33 +127,6 @@ func TestInvalidDestinationPanics(t *testing.T) {
 	})
 	if err := env.Run(); err == nil {
 		t.Fatal("invalid destination did not fail the run")
-	}
-}
-
-func TestBroadcastReachesAllButSender(t *testing.T) {
-	env, nw, c := testNet(4)
-	got := make([]int, 4)
-	for i := 1; i < 4; i++ {
-		i := i
-		env.Spawn("recv", func(p *sim.Proc) {
-			m := (*nw.Inbox(memory.NodeID(i)).Recv(p).(*wire.Msg))
-			if int(m.To) != i {
-				t.Errorf("node %d got message addressed to %d", i, m.To)
-			}
-			got[i]++
-		})
-	}
-	env.Spawn("send", func(p *sim.Proc) {
-		nw.Broadcast(&wire.Msg{Kind: wire.HomeBcast, From: 0, Obj: 3, Home: 2}, stats.HomeBcast)
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 0 || got[1] != 1 || got[2] != 1 || got[3] != 1 {
-		t.Fatalf("deliveries = %v", got)
-	}
-	if c.Msgs[stats.HomeBcast] != 3 {
-		t.Fatalf("broadcast charged %d messages, want 3", c.Msgs[stats.HomeBcast])
 	}
 }
 

@@ -57,15 +57,6 @@ func (n *Node) ToThread(slot int32, msg wire.Msg) {
 	n.threads[slot].reply.Send(n.c.net.AllocMsg(&msg))
 }
 
-// Broadcast implements proto.Engine: one message to every node but the
-// sender, charged as N−1 point-to-point sends.
-func (n *Node) Broadcast(msg wire.Msg, cat stats.Category) {
-	if n.On(flight.FrameSend) {
-		n.Emit(flight.Event{Kind: flight.FrameSend, Tag: uint8(msg.Kind), Peer: memory.NoNode, Bytes: int32(msg.WireSize())})
-	}
-	n.c.net.Broadcast(&msg, cat)
-}
-
 // msgProcCost is the daemon's per-message software overhead.
 const msgProcCost = 2 * sim.Microsecond
 

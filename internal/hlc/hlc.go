@@ -101,11 +101,3 @@ func (c *Clock) Observe(remote Stamp) Stamp {
 	}
 	return c.s
 }
-
-// Now returns the clock's current stamp without advancing it (a read
-// of the latest issued stamp; zero if none was issued yet).
-func (c *Clock) Now() Stamp {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.s
-}

@@ -169,6 +169,8 @@ func pkgs(paths ...string) []string {
 var shapeRules = []shapeRule{
 	{name: "engines build no protocol messages", since: "One thread-side protocol driver",
 		in: pkgs("internal/gos", "internal/live"), what: []target{lit("repro/internal/wire.Msg")}},
+	{name: "a broadcast is proto's", since: "Written for its callers",
+		in: pkgs("internal/gos", "internal/live", "internal/cnet"), what: []target{decl("method", "Broadcast")}},
 
 	{name: "proto knows no consumer", since: "One observation spine",
 		in:   pkgs("internal/proto"),

@@ -11,3 +11,8 @@ func verify(frame []byte) error {
 
 // verifyInPlace decodes into a message it keeps: the method is fine.
 func verifyInPlace(m *wire.Msg, frame []byte) error { return m.Decode(frame) }
+
+type network struct{ sent int }
+
+// Broadcast fans a message out below the protocol core.
+func (n *network) Broadcast(m *wire.Msg) { n.sent++ } // want `a broadcast is proto's: method Broadcast declared`

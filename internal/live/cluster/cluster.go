@@ -653,7 +653,9 @@ func (m *Member) FlightTimeline() []flight.Event { return m.timeline }
 // down before dying.
 func (m *Member) DataFrames() int64 { return m.tr.DataSent() + m.tr.DataRecv() }
 
-// InboxLen reports the local node's current inbox depth.
+// InboxLen reports the local node's current inbox depth: the frames that
+// arrived before the engine installed its sink, so 0 once a run is on
+// (every later frame goes to the sink).
 func (m *Member) InboxLen() int { return m.tr.InboxLen(m.cfg.ID) }
 
 // PeerStats reports the pair-link traffic counters toward node id (ok

@@ -85,8 +85,7 @@ func (m *Member) registerMetrics() {
 	}
 	register("dsm_up", "1 while this member is alive and serving telemetry.", "", true, func() int64 { return 1 })
 	register("dsm_data_frames_total", "Engine data frames sent plus received by this member.", "", false, m.DataFrames)
-	register("dsm_inbox_depth", "Current depth of this member's data inbox.", "", true, func() int64 { return int64(m.InboxLen()) })
-	register("dsm_inbox_peak", "High-water mark of the data inbox depth.", "", true, func() int64 { return int64(m.PeakDepth()) })
+	register("dsm_inbox_peak", "High-water mark, in frames, of this member's delivery queues: the data inbox and the per-peer send queues.", "", true, func() int64 { return int64(m.PeakDepth()) })
 	if rec := m.flight; rec != nil {
 		register("dsm_flight_events_total", "Flight-recorder events recorded since start.", "", false, func() int64 { return int64(rec.Total()) })
 		register("dsm_flight_events_buffered", "Flight-recorder events currently buffered in the ring.", "", true, func() int64 { return int64(rec.Len()) })

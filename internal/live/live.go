@@ -577,19 +577,6 @@ func (c *Cluster) resumeReadied() {
 	}
 }
 
-// Broadcast implements proto.Engine: one frame to every node but the
-// sender, charged as N−1 point-to-point sends like cnet.Broadcast.
-func (n *node) Broadcast(msg wire.Msg, cat stats.Category) {
-	for id := 0; id < n.c.cfg.Nodes; id++ {
-		if memory.NodeID(id) == msg.From {
-			continue
-		}
-		m := msg
-		m.To = memory.NodeID(id)
-		n.Send(m, cat)
-	}
-}
-
 // receive is the node's transport.Pusher sink, its receive path for one
 // frame, run by whoever delivers it. Under the node lock it decodes the
 // frame in place into the one Msg this call owns, its payloads copied

@@ -80,10 +80,10 @@ func (d tallyLoop) Send(to memory.NodeID, frame []byte) {
 func TestParkedFrameHandledAtUnlock(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		wrap func(tr transport.Pusher) transport.Pusher
+		wrap func(tr transport.Deliverer) transport.Pusher
 	}{
-		{"PushedByChanLoop", func(tr transport.Pusher) transport.Pusher { return tr }},
-		{"PushedByFaulty", func(tr transport.Pusher) transport.Pusher { return faulty.Wrap(tr, 3, faulty.Options{}) }},
+		{"PushedByChanLoop", func(tr transport.Deliverer) transport.Pusher { return tr }},
+		{"PushedByFaulty", func(tr transport.Deliverer) transport.Pusher { return faulty.Wrap(tr, 3, faulty.Options{}) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			l := &tally{}

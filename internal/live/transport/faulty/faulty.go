@@ -1,13 +1,13 @@
 //dsm:wallclock injected delays and delivery deadlines are wall-clock by design
 
-// Package faulty wraps any transport.Pusher with seeded,
-// deterministic fault injection: per-pair delivery delay/jitter,
-// duplicated frames, a severed link, and the abrupt death of one node
-// after a chosen number of frames. It is the standing chaos harness for
-// the live DSM engine — the same wrapper drives in-process chaos sweeps
-// over ChanLoop (internal/scenario) and conformance fault tests over
-// TCP, so every resilience feature is exercised against one fault
-// model.
+// Package faulty wraps the in-process transport — a transport.Deliverer,
+// ChanLoop — with seeded, deterministic fault injection: per-pair
+// delivery delay/jitter, duplicated frames, a severed link, and the
+// abrupt death of one node after a chosen number of frames. It is the
+// standing chaos harness for the live DSM engine: the same wrapper drives
+// the chaos sweeps (internal/bench, internal/scenario), the live engine's
+// fault tests and its own conformance runs, so every resilience feature
+// is exercised against one fault model.
 //
 // Fault schedule and delay draws derive only from Options.Seed (and the
 // frame sequence the run produces), so a failing chaos seed replays.
@@ -19,7 +19,8 @@
 //     transport. Frames bound for one receiver stay FIFO (the wrapper
 //     serializes each receiver's deliveries), which preserves the
 //     transport contract's per-pair ordering. Each receiver's line also
-//     runs its sink on what it forwards (push), as a TCP reader does.
+//     delivers what it forwards to the receiver's sink (push), as a TCP
+//     reader does.
 //   - A kill (KillAfter / Kill) marks one node dead: every subsequent
 //     frame to or from it is dropped, and the fatal handler fires
 //     exactly once — exactly what a TCP backend does when a peer's
@@ -76,11 +77,6 @@ type Options struct {
 	// set it here. A fault with no handler installed panics, matching
 	// the TCP backend's contract.
 	OnFatal func(error)
-
-	// Flight, when non-nil, records every injected fault (kill, cut) as
-	// a FaultInjected event, so a chaos timeline shows the fault amid
-	// the protocol traffic it disrupted.
-	Flight *flight.Recorder
 }
 
 // timedFrame is one frame waiting on a delivery line.
@@ -99,10 +95,10 @@ type line struct {
 
 // Transport is the fault-injecting wrapper. Build with Wrap.
 type Transport struct {
-	inner   transport.Pusher
-	deliver transport.Deliverer // inner's delivery hook, nil if it pushes by itself
-	n       int
-	opt     Options
+	inner  transport.Deliverer
+	n      int
+	opt    Options
+	flight *flight.Recorder // see SetFlight
 
 	lines []*line
 	wg    sync.WaitGroup
@@ -127,7 +123,7 @@ type Transport struct {
 }
 
 // Wrap builds the fault injector over inner for a cluster of n nodes.
-func Wrap(inner transport.Pusher, n int, opt Options) *Transport {
+func Wrap(inner transport.Deliverer, n int, opt Options) *Transport {
 	if n <= 0 {
 		panic(fmt.Sprintf("faulty: wrap over %d nodes", n))
 	}
@@ -139,7 +135,6 @@ func Wrap(inner transport.Pusher, n int, opt Options) *Transport {
 		streams: make(map[[2]int]uint64),
 		dead:    make([]atomic.Bool, n),
 	}
-	t.deliver, _ = inner.(transport.Deliverer)
 	t.fatalFn = opt.OnFatal
 	// A sink's error takes an injected fault's road: off the line Close waits for.
 	if fs, ok := inner.(transport.FatalSink); ok {
@@ -273,8 +268,8 @@ func (t *Transport) runLine(l *line) {
 			continue
 		}
 		t.inner.Send(f.to, f.frame)
-		if t.deliver != nil && !t.closed.Load() {
-			t.deliver.Deliver(f.to)
+		if !t.closed.Load() {
+			t.inner.Deliver(f.to)
 		}
 	}
 }
@@ -289,7 +284,7 @@ func (t *Transport) Kill(node int) {
 	if t.dead[node].Swap(true) {
 		return
 	}
-	t.opt.Flight.Record(flight.Event{Kind: flight.FaultInjected, Peer: memory.NodeID(node)})
+	t.flight.Record(flight.Event{Kind: flight.FaultInjected, Peer: memory.NodeID(node)})
 	t.fatal(fmt.Errorf("faulty: node %d died (injected peer death after %d frames)", node, t.total.Load()))
 }
 
@@ -298,7 +293,7 @@ func (t *Transport) cutLink() {
 	if t.cut.Swap(true) {
 		return
 	}
-	t.opt.Flight.Record(flight.Event{Kind: flight.FaultInjected, Tag: flight.FaultCut, Peer: memory.NodeID(t.opt.CutA), Sync: uint32(t.opt.CutB)})
+	t.flight.Record(flight.Event{Kind: flight.FaultInjected, Tag: flight.FaultCut, Peer: memory.NodeID(t.opt.CutA), Sync: uint32(t.opt.CutB)})
 	t.fatal(fmt.Errorf("faulty: link %d<->%d severed (injected cut after %d frames)", t.opt.CutA, t.opt.CutB, t.total.Load()))
 }
 
@@ -320,13 +315,15 @@ func (t *Transport) fatal(err error) {
 	})
 }
 
-// SetFlight installs the recorder injected faults log to. The live
-// engine's recorders exist only after live.New — which needs the
-// transport — so in-process chaos runs attach node 0's recorder between
-// New and Run. Must be called before any traffic flows (Kill/cutLink
-// read the field from Send's goroutine).
+// SetFlight installs the recorder every injected fault (kill, cut) logs
+// to as a FaultInjected event, so a chaos timeline shows the fault amid
+// the protocol traffic it disrupted. The live engine's recorders exist
+// only after live.New — which needs the transport — so in-process chaos
+// runs attach node 0's recorder between New and Run. Must be called
+// before any traffic flows (Kill/cutLink read the field from Send's
+// goroutine).
 func (t *Transport) SetFlight(f *flight.Recorder) {
-	t.opt.Flight = f
+	t.flight = f
 }
 
 // SetFatal implements transport.FatalSink: the live engine installs its
@@ -359,9 +356,7 @@ func (t *Transport) Recv(id memory.NodeID) ([]byte, bool) {
 // install is delivered.
 func (t *Transport) SetSink(id memory.NodeID, sink func(frame []byte) error) {
 	t.inner.SetSink(id, sink)
-	if t.deliver != nil {
-		t.deliver.Deliver(id)
-	}
+	t.inner.Deliver(id)
 }
 
 // Close implements transport.Transport: pending line frames flush to

@@ -33,7 +33,7 @@
 // receiver) pair has exactly one, so frames between a pair arrive in
 // send order — the Transport contract's FIFO-per-pair guarantee. Sends
 // never block: each peer has an unbounded send queue (transport.Queue,
-// the same structure that backs the in-process backend) and a dedicated
+// which takes back each spent batch as its storage) and a dedicated
 // writer goroutine that may block on the socket in the sender's place,
 // so two nodes sending to each other cannot deadlock on full socket
 // buffers. There is no loopback: a node never sends to itself — the live
@@ -212,7 +212,7 @@ type peer struct {
 	slab   []byte     // packed frames, not yet written
 	packed int        // frames whose header is in slab
 	big    []byte     // payload larger than the slab, leaves right after it
-	batch  []outFrame // taken from out; batch[next:] is not packed yet
+	batch  []outFrame // taken from out, which gets it back once spent; batch[next:] is not packed yet
 	next   int
 	broken bool // a write failed: the link is dead, frames drain to the pool
 

@@ -117,19 +117,20 @@ type Deliverer interface {
 // condition variable: Put never blocks (at any fan-in), Get blocks
 // until an element or Close arrives, TryGetAll takes everything queued
 // without waiting. It backs the fault injector's delivery lines and the
-// TCP backend's inbox, control and per-peer send queues — one
-// implementation of the subtle blocking-queue logic.
+// TCP backend's inbox, control and per-peer send queues.
 //
-// Storage is a power-of-two ring (the idiom of internal/sim's queue)
-// that doubles when full and is kept when empty, so a steady
-// Put→Get cycle allocates nothing. A vacated slot is zeroed: the ring
-// never keeps a delivered element (a frame, a message) reachable.
+// Storage is one slice, kept the way ChanLoop's inbox keeps its frames:
+// TryGetAll swaps it for the caller's spare, so a consumer that drains in
+// batches and hands each batch back cleared allocates nothing in steady
+// state. Get, for the consumers that take one element at a time (the
+// fault injector's lines, TCP's control queue, its inbox until a sink is
+// installed), moves what is left to the front. A vacated slot is zeroed:
+// the queue never keeps a delivered element (a frame, a message)
+// reachable.
 type Queue[T any] struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	buf    []T // ring storage; len(buf) is zero or a power of two
-	head   int // index of the oldest element
-	count  int // queued elements
+	cond   sync.Cond
+	items  []T
 	peak   int
 	closed bool
 }
@@ -137,21 +138,8 @@ type Queue[T any] struct {
 // NewQueue returns an empty open queue.
 func NewQueue[T any]() *Queue[T] {
 	q := &Queue[T]{}
-	q.cond = sync.NewCond(&q.mu)
+	q.cond.L = &q.mu
 	return q
-}
-
-// grow doubles the ring, unwrapping the contents to the front.
-func (q *Queue[T]) grow() {
-	n := 2 * len(q.buf)
-	if n == 0 {
-		n = 8
-	}
-	nb := make([]T, n)
-	k := copy(nb, q.buf[q.head:])
-	copy(nb[k:], q.buf[:q.head])
-	q.buf = nb
-	q.head = 0
 }
 
 // Put appends v; it reports false (dropping v) when the queue is
@@ -164,14 +152,8 @@ func (q *Queue[T]) Put(v T) bool {
 		q.mu.Unlock()
 		return false
 	}
-	if q.count == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.count)&(len(q.buf)-1)] = v
-	q.count++
-	if q.count > q.peak {
-		q.peak = q.count
-	}
+	q.items = append(q.items, v)
+	q.peak = max(q.peak, len(q.items))
 	q.mu.Unlock()
 	q.cond.Signal()
 	return true
@@ -180,7 +162,7 @@ func (q *Queue[T]) Put(v T) bool {
 // Len reports the current queue depth.
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()
-	n := q.count
+	n := len(q.items)
 	q.mu.Unlock()
 	return n
 }
@@ -193,56 +175,38 @@ func (q *Queue[T]) Peak() int {
 	return p
 }
 
-// wait blocks until the queue holds an element or is closed and reports
-// whether it holds one. The caller holds q.mu.
-func (q *Queue[T]) wait() bool {
-	for q.count == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	return q.count > 0
-}
-
 // Get blocks for the next element; ok reports false once the queue is
 // closed and drained.
 func (q *Queue[T]) Get() (v T, ok bool) {
 	q.mu.Lock()
-	if q.wait() {
-		v, ok = q.pop(), true
+	for len(q.items) == 0 && !q.closed {
+		q.cond.Wait()
+	}
+	if n := len(q.items) - 1; n >= 0 {
+		v, ok = q.items[0], true
+		copy(q.items, q.items[1:])
+		var zero T
+		q.items[n] = zero
+		q.items = q.items[:n]
 	}
 	q.mu.Unlock()
 	return v, ok
 }
 
-// pop removes and returns the oldest element, zeroing its slot. The
-// caller holds q.mu and has seen q.count > 0.
-func (q *Queue[T]) pop() T {
-	var zero T
-	v := q.buf[q.head]
-	q.buf[q.head] = zero
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.count--
-	return v
-}
-
-// TryGetAll appends every queued element to dst, in order, and returns
-// the extended slice — dst as given when nothing is queued: it never
-// blocks. ok reports false once the queue is closed and drained. It is
-// for a consumer that works in batches and waits elsewhere — the TCP
-// link, whose writer goroutine is woken by the link and whose readers
-// flush it in passing: one lock per batch rather than per element.
-func (q *Queue[T]) TryGetAll(dst []T) (all []T, ok bool) {
+// TryGetAll hands over every queued element, in order, and keeps
+// spare[:0] as the queue's storage: the caller gets the queue's slice and
+// the queue gets the caller's, so spare's slots must hold nothing the
+// caller still needs (the TCP link clears each slot of its batch as it
+// packs it). It never blocks; ok reports false once the queue is closed
+// and drained. It is for a consumer that works in batches and waits
+// elsewhere — the TCP link, whose writer goroutine is woken by the link
+// and whose readers flush it in passing: one lock per batch rather than
+// per element.
+func (q *Queue[T]) TryGetAll(spare []T) (all []T, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	// The queued elements are buf[head:head+n], then buf[:count-n]
-	// where the ring wraps.
-	n := min(q.count, len(q.buf)-q.head)
-	first, wrapped := q.buf[q.head:q.head+n], q.buf[:q.count-n]
-	dst = append(append(dst, first...), wrapped...)
-	clear(first)
-	clear(wrapped)
-	ok = q.count > 0 || !q.closed
-	q.head, q.count = 0, 0
-	return dst, ok
+	all, q.items = q.items, spare[:0]
+	return all, len(all) > 0 || !q.closed
 }
 
 // Close marks the queue closed: pending elements drain, then Get

@@ -84,10 +84,12 @@ func TestDeliverRelaysFramesSentDuringItsDrain(t *testing.T) {
 	}
 }
 
-// TestQueueWrapAndGrow: elements come out in Put order across ring
-// wrap-around and across a growth that happens while the ring is
-// wrapped, and Peak is the deepest the queue got.
-func TestQueueWrapAndGrow(t *testing.T) {
+// TestQueueKeepsOrder: elements come out in Put order whichever way
+// they leave — one at a time through Get, which moves the rest forward,
+// or in a batch through TryGetAll, which swaps in the caller's spare —
+// across any interleaving of the three, and Peak is the deepest the queue
+// got.
+func TestQueueKeepsOrder(t *testing.T) {
 	q := NewQueue[int]()
 	next, want := 0, 0
 	put := func(n int) {
@@ -105,50 +107,65 @@ func TestQueueWrapAndGrow(t *testing.T) {
 			want++
 		}
 	}
-	put(6)
-	get(5) // head at 5 of 8
-	put(6) // wraps: 7 queued in a ring of 8
-	if got := cap(q.buf); got != 8 {
-		t.Fatalf("ring grew to %d before it was full", got)
-	}
-	put(20) // grows twice while wrapped
-	get(20)
-	all, ok := q.TryGetAll(nil)
-	if !ok || len(all) != 7 {
-		t.Fatalf("TryGetAll = %d elements, %v; want 7", len(all), ok)
-	}
-	for _, v := range all {
-		if v != want {
-			t.Fatalf("TryGetAll element %d, want %d", v, want)
+	var spare []int
+	getAll := func(n int) {
+		t.Helper()
+		all, ok := q.TryGetAll(spare)
+		if !ok || len(all) != n {
+			t.Fatalf("TryGetAll = %v, %v; want %d elements", all, ok, n)
 		}
-		want++
+		for _, v := range all {
+			if v != want {
+				t.Fatalf("TryGetAll = %v; want it to start at %d", all, want)
+			}
+			want++
+		}
+		clear(all)
+		spare = all
 	}
-	if q.Len() != 0 || q.Peak() != 27 {
-		t.Fatalf("Len = %d, Peak = %d; want 0, 27", q.Len(), q.Peak())
+	put(6)
+	get(5)
+	put(6)
+	getAll(7)
+	put(20)
+	get(3)
+	put(4)
+	getAll(21)
+	put(1)
+	get(1)
+	put(3)
+	getAll(3)
+	if q.Len() != 0 || q.Peak() != 21 {
+		t.Fatalf("Len = %d, Peak = %d; want 0, 21", q.Len(), q.Peak())
 	}
 }
 
-// TestQueueTryGetAllWrapped: TryGetAll returns the queued elements in
-// order across the ring's wrap point, after what dst already held.
-func TestQueueTryGetAllWrapped(t *testing.T) {
+// TestQueueTryGetAllSwapsStorage: TryGetAll hands over the queue's own
+// slice and keeps the spare's storage, so the elements put next land in
+// the spare's array and the next batch comes back in it — whatever the
+// spare held is not part of it.
+func TestQueueTryGetAllSwapsStorage(t *testing.T) {
 	q := NewQueue[int]()
-	for i := 0; i < 8; i++ {
-		q.Put(i)
+	q.Put(1)
+	q.Put(2)
+	spare := make([]int, 3, 8)
+	all, ok := q.TryGetAll(spare)
+	if !ok || !slices.Equal(all, []int{1, 2}) {
+		t.Fatalf("TryGetAll = %v, %v; want [1 2] true", all, ok)
 	}
-	for i := 0; i < 6; i++ {
-		q.Get()
+	q.Put(3)
+	q.Put(4)
+	if spare[0] != 3 || spare[1] != 4 {
+		t.Fatalf("Puts after the swap did not land in the spare's storage: %v", spare)
 	}
-	for i := 8; i < 12; i++ {
-		q.Put(i) // 6..11 queued, head at 6 of 8
-	}
-	all, ok := q.TryGetAll([]int{-1})
-	if want := []int{-1, 6, 7, 8, 9, 10, 11}; !ok || !slices.Equal(all, want) {
-		t.Fatalf("TryGetAll = %v, %v; want %v", all, ok, want)
+	all, ok = q.TryGetAll(all)
+	if !ok || !slices.Equal(all, []int{3, 4}) || &all[0] != &spare[0] {
+		t.Fatalf("TryGetAll = %v, %v; want [3 4] in the spare's storage", all, ok)
 	}
 }
 
 // TestQueueTryGetAllAfterClose: a closed queue still hands over what was
-// queued, then reports false and leaves dst alone.
+// queued, then reports false with nothing.
 func TestQueueTryGetAllAfterClose(t *testing.T) {
 	q := NewQueue[int]()
 	q.Put(1)
@@ -160,32 +177,37 @@ func TestQueueTryGetAllAfterClose(t *testing.T) {
 	if all, ok := q.TryGetAll(nil); !ok || !slices.Equal(all, []int{1, 2}) {
 		t.Fatalf("TryGetAll = %v, %v; want [1 2] true", all, ok)
 	}
-	dst := []int{9}
-	if all, ok := q.TryGetAll(dst); ok || !slices.Equal(all, dst) {
-		t.Fatalf("drained TryGetAll = %v, %v; want [9] false", all, ok)
+	if all, ok := q.TryGetAll(make([]int, 0, 4)); ok || len(all) != 0 {
+		t.Fatalf("drained TryGetAll = %v, %v; want [] false", all, ok)
+	}
+	if v, ok := q.Get(); ok {
+		t.Fatalf("Get on a closed, drained queue = %d, true", v)
 	}
 }
 
 // TestQueueTryGetAllEmpty: an open, empty queue is not an error and not
-// a wait — dst comes back as given, ok true — before the first Put (no
-// ring yet) and after a drain.
+// a wait — nothing comes back, ok true — before the first Put and after a
+// drain.
 func TestQueueTryGetAllEmpty(t *testing.T) {
 	q := NewQueue[int]()
-	dst := []int{9}
+	var spare []int
 	for round := 0; round < 2; round++ {
-		if all, ok := q.TryGetAll(dst); !ok || !slices.Equal(all, dst) {
-			t.Fatalf("round %d: TryGetAll on an empty queue = %v, %v; want [9] true", round, all, ok)
+		all, ok := q.TryGetAll(spare)
+		if !ok || len(all) != 0 {
+			t.Fatalf("round %d: TryGetAll on an empty queue = %v, %v; want [] true", round, all, ok)
 		}
 		q.Put(7)
-		if all, ok := q.TryGetAll(nil); !ok || !slices.Equal(all, []int{7}) {
+		if all, ok = q.TryGetAll(all); !ok || !slices.Equal(all, []int{7}) {
 			t.Fatalf("round %d: TryGetAll = %v, %v; want [7] true", round, all, ok)
 		}
+		spare = all[:0]
 	}
 }
 
-// TestQueueReleasesSlots: the ring keeps no delivered element
+// TestQueueReleasesSlots: the queue keeps no delivered element
 // reachable — a frame handed to its consumer must be the consumer's
-// alone — whether it left through Get or TryGetAll.
+// alone. Get zeroes the slot its move to the front vacates, and
+// TryGetAll leaves the queue holding only the spare it was given.
 func TestQueueReleasesSlots(t *testing.T) {
 	q := NewQueue[[]byte]()
 	for i := 0; i < 13; i++ {
@@ -195,18 +217,26 @@ func TestQueueReleasesSlots(t *testing.T) {
 		q.Get()
 	}
 	for i := 0; i < 6; i++ {
-		q.Put([]byte{byte(i)}) // wraps
+		q.Put([]byte{byte(i)})
 	}
-	q.TryGetAll(nil)
-	for i, slot := range q.buf {
+	for i := 0; i < 4; i++ {
+		q.Get()
+	}
+	held := q.items[:cap(q.items)]
+	for i, slot := range held[len(q.items):] {
 		if slot != nil {
-			t.Fatalf("slot %d still holds a delivered frame", i)
+			t.Fatalf("slot %d past the queued %d still holds a delivered frame", len(q.items)+i, len(q.items))
 		}
+	}
+	if batch, _ := q.TryGetAll(nil); len(batch) != 10 || q.items != nil {
+		t.Fatalf("TryGetAll(nil) handed over %d frames and left the queue %d slots of its own; want 10 and none",
+			len(batch), cap(q.items))
 	}
 }
 
-// TestQueueSteadyStateAllocatesNothing: once the ring has its size, a
-// Put→Get cycle and a Put→TryGetAll cycle allocate nothing.
+// TestQueueSteadyStateAllocatesNothing: once the storage has its size, a
+// Put→Get cycle and a Put→TryGetAll cycle that hands the batch back
+// allocate nothing.
 func TestQueueSteadyStateAllocatesNothing(t *testing.T) {
 	q := NewQueue[[]byte]()
 	frame := []byte{1}
@@ -218,6 +248,7 @@ func TestQueueSteadyStateAllocatesNothing(t *testing.T) {
 		q.Get()
 		q.Put(frame)
 		batch, _ = q.TryGetAll(batch[:0])
+		clear(batch)
 	}); n != 0 {
 		t.Fatalf("steady-state cycle allocates %v times", n)
 	}
@@ -242,7 +273,7 @@ func TestFramePoolRecyclesBoxes(t *testing.T) {
 }
 
 // BenchmarkQueuePutGet is the inbox hand-off without a wake-up: one Put
-// and one Get on a warm ring.
+// and one Get on a warm queue.
 func BenchmarkQueuePutGet(b *testing.B) {
 	q := NewQueue[[]byte]()
 	frame := []byte{1}

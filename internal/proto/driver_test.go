@@ -106,15 +106,6 @@ func (e engine) Send(msg wire.Msg, _ stats.Category) {
 	}
 }
 
-func (e engine) Broadcast(msg wire.Msg, cat stats.Category) {
-	for id := range e.w.sp.Nodes {
-		if memory.NodeID(id) != e.id {
-			msg.To = memory.NodeID(id)
-			e.Send(msg, cat)
-		}
-	}
-}
-
 func (e engine) ToThread(slot int32, msg wire.Msg) {
 	if e.id != 0 || slot != 0 {
 		e.w.t.Fatalf("delivery to thread %d of node %d: only node 0 slot 0 has one", slot, e.id)

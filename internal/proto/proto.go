@@ -51,11 +51,12 @@ type LockID uint32
 type BarrierID uint32
 
 // Engine is what a node's protocol state machine needs from its
-// execution engine: ways for messages to leave the node. Send transmits
-// one protocol message to msg.To (never the node itself); ToThread
-// hands a message to a local application thread's reply mailbox,
-// bypassing the network; Broadcast sends to every node but msg.From,
-// charged as N−1 point-to-point messages.
+// execution engine: the two ways a message leaves a handler. Send
+// transmits one protocol message to msg.To (never the node itself);
+// ToThread hands a message to a local application thread's reply
+// mailbox, bypassing the network. Everything else a handler sends is
+// built from Send here, in the protocol core — a home announcement under
+// the broadcast locator is N−1 of them (Node.NotifyNewHome).
 //
 // Implementations must not block indefinitely: handlers run send calls
 // while the node is processing a message, and a blocking send would
@@ -63,7 +64,6 @@ type BarrierID uint32
 type Engine interface {
 	Send(msg wire.Msg, cat stats.Category)
 	ToThread(slot int32, msg wire.Msg)
-	Broadcast(msg wire.Msg, cat stats.Category)
 }
 
 // Cluster is the execution-engine contract: what any engine running

@@ -181,9 +181,17 @@ func (n *Node) NotifyNewHome(obj memory.ObjectID) {
 			Kind: wire.MgrUpdate, From: n.ID, To: mgr, Obj: obj, Home: n.ID, Seq: epoch,
 		}, stats.MgrMsg)
 	case locator.Broadcast:
-		n.Eng.Broadcast(wire.Msg{
-			Kind: wire.HomeBcast, From: n.ID, Obj: obj, Home: n.ID, Seq: epoch,
-		}, stats.HomeBcast)
+		// One point-to-point message to every other node, in id order: §3.2
+		// allows that "a well implemented broadcast operation" would be
+		// cheaper, and charging N−1 sends favors the non-broadcast locators,
+		// the direction the paper argues from.
+		for id := range n.S.Nodes {
+			if to := memory.NodeID(id); to != n.ID {
+				n.Eng.Send(wire.Msg{
+					Kind: wire.HomeBcast, From: n.ID, To: to, Obj: obj, Home: n.ID, Seq: epoch,
+				}, stats.HomeBcast)
+			}
+		}
 	}
 }
 

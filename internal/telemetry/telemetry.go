@@ -86,9 +86,6 @@ func (r *Registry) SetCommon(common string) {
 	r.mu.Unlock()
 }
 
-// Node returns the owning node's id.
-func (r *Registry) Node() int { return r.node }
-
 // CounterFunc registers a counter whose value comes from read.
 func (r *Registry) CounterFunc(name, help, label string, read func() int64) {
 	r.register(scalar{name: name, help: help, label: label, kind: KindCounter, read: read})

@@ -254,9 +254,9 @@ func TestGoldenPiggybackedLockRel(t *testing.T) {
 
 // TestMsgSize: Msg is decoded in place and handlers take it by pointer,
 // but some copies remain, each a cost of Msg's size: proto.Engine's
-// Send/ToThread/Broadcast and proto.Node's Handle/Install take it by
+// Send/ToThread and proto.Node's Handle/Install take it by
 // value (the benchmark's handler probes call them so); a live thread's
-// mailbox ring holds proto.Token by value and copies it once more into
+// mailbox holds proto.Token by value and copies it once more into
 // the Driver's receive buffer; the simulator copies a sent frame into its
 // cnet box and a thread's delivery out of it; the live engine parks an
 // unroutable frame by value. A Diff must stay one slice header.
