@@ -130,28 +130,30 @@ func TestInvalidDestinationPanics(t *testing.T) {
 	}
 }
 
-// TestDebugCheckComparesTheRoundTrip: DebugCheck fails the send of a
-// message the codec would change — Rec travels only under HasRec — and
-// passes one that survives whole, where an empty slice decodes as nil.
+// TestDebugCheckComparesTheRoundTrip: DebugCheck passes a message that
+// survives the codec whole, where an empty slice decodes as nil, and
+// fails the send of one a peer would not decode — pairs on a kind that
+// carries none.
 func TestDebugCheckComparesTheRoundTrip(t *testing.T) {
 	rec := core.Record{TBase: 1.5, Epoch: 2}
 	for _, c := range []struct {
-		name    string
-		msg     wire.Msg
-		changed bool
+		name string
+		msg  wire.Msg
+		want string // in the failed run's error; "" for a clean run
 	}{
-		{"Rec under HasRec", wire.Msg{Kind: wire.ObjReply, Migrate: true, HasRec: true, Rec: rec, Data: []uint64{7}}, false},
-		{"empty slices", wire.Msg{Kind: wire.LockRel, Data: []uint64{}, Diffs: []wire.ObjDiff{{Obj: 1}}, Assigns: []wire.HomeAssign{}}, false},
-		{"Rec without HasRec", wire.Msg{Kind: wire.ObjReply, Migrate: true, Rec: rec}, true},
+		{"Rec on a migrating reply", wire.Msg{Kind: wire.ObjReply, Migrate: true, Rec: &rec, Data: []uint64{7}}, ""},
+		{"empty slices", wire.Msg{Kind: wire.LockRel, Data: []uint64{}, Diffs: []wire.ObjDiff{{Obj: 1}}, Pairs: []wire.Pair{}}, ""},
+		{"pairs on a kind that carries none", wire.Msg{Kind: wire.ObjReply, Pairs: []wire.Pair{{Obj: 1, Node: 0}}},
+			"self-check decode failed for ObjReply"},
 	} {
 		env, nw, _ := testNet(2)
 		c.msg.To = 1
 		env.Spawn("recv", func(p *sim.Proc) { nw.Inbox(1).Recv(p) })
 		env.Spawn("send", func(p *sim.Proc) { nw.Send(&c.msg, stats.ObjReply) })
 		switch err := env.Run(); {
-		case c.changed && (err == nil || !strings.Contains(err.Error(), "codec round trip changed")):
-			t.Errorf("%s: err = %v, want the changed round trip named", c.name, err)
-		case !c.changed && err != nil:
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		case c.want == "" && err != nil:
 			t.Errorf("%s: %v", c.name, err)
 		}
 	}

@@ -62,37 +62,34 @@ type State struct {
 	E          int           // exclusive home writes this epoch
 	Epoch      int           // migrations so far
 
-	tBase    float64 // T_{i-1}
 	alphaE   float64 // Σ α(o, d̄) over exclusive-home-write events
 	objBytes int
 
 	homeWriteSeen        bool // a home write occurred this epoch
 	remoteSinceHomeWrite bool // a remote write arrived after the last home write
 
-	avgDiff float64 // running mean observed diff size (bytes)
-	nDiff   int
+	// est is what carries over to the next home: est.TBase is T_{i-1},
+	// est.AvgDiff the running mean observed diff size in bytes over
+	// est.DiffObs diffs. Migrate completes it into the Record it ships.
+	est Record
 }
 
 // NewState returns the epoch-0 state for an object of objBytes payload.
 func NewState(p Params, objBytes int) *State {
-	return &State{LastWriter: memory.NoNode, tBase: p.TInit, objBytes: objBytes,
+	return &State{LastWriter: memory.NoNode, objBytes: objBytes,
 		// Until a diff is observed, estimate d = o/2 (the paper only
 		// assumes o > d); the estimate self-corrects with feedback.
-		avgDiff: float64(objBytes) / 2,
+		est: Record{TBase: p.TInit, AvgDiff: float64(objBytes) / 2},
 	}
 }
 
 // FromRecord reconstructs state at the new home after a migration.
 func FromRecord(p Params, objBytes int, rec Record) *State {
 	s := NewState(p, objBytes)
-	s.tBase = rec.TBase
-	if s.tBase < p.TInit {
-		s.tBase = p.TInit
-	}
+	s.est.TBase = max(rec.TBase, p.TInit)
 	s.Epoch = int(rec.Epoch)
 	if rec.DiffObs > 0 {
-		s.avgDiff = rec.AvgDiff
-		s.nDiff = int(rec.DiffObs)
+		s.est.AvgDiff, s.est.DiffObs = rec.AvgDiff, rec.DiffObs
 	}
 	return s
 }
@@ -102,7 +99,7 @@ func FromRecord(p Params, objBytes int, rec Record) *State {
 // exclusive-home-write event using the diff-size estimate current at that
 // event, which equals the paper's α·E_i when α is constant.
 func (s *State) Threshold(p Params) float64 {
-	t := s.tBase + p.Lambda*(float64(s.R)-s.alphaE)
+	t := s.est.TBase + p.Lambda*(float64(s.R)-s.alphaE)
 	if t < p.TInit {
 		return p.TInit
 	}
@@ -111,7 +108,7 @@ func (s *State) Threshold(p Params) float64 {
 
 // Alpha returns the α in effect for this object right now.
 func (s *State) Alpha(p Params) float64 {
-	return p.Alpha(s.objBytes, int(s.avgDiff))
+	return p.Alpha(s.objBytes, int(s.est.AvgDiff))
 }
 
 // RemoteWrite records a diff of diffBytes arriving from node w. Under the
@@ -160,24 +157,22 @@ func (s *State) Redirected(hops int) {
 
 // noteDiff updates the running diff-size estimate feeding α.
 func (s *State) noteDiff(bytes int) {
-	s.nDiff++
-	s.avgDiff += (float64(bytes) - s.avgDiff) / float64(s.nDiff)
+	s.est.DiffObs++
+	s.est.AvgDiff += (float64(bytes) - s.est.AvgDiff) / float64(s.est.DiffObs)
 }
 
-// Migrate freezes the current threshold as T_i, resets the epoch feedback,
-// and returns the Record to ship to the new home. Callers invoke it only
-// after a policy decided to migrate.
-func (s *State) Migrate(p Params) Record {
-	rec := Record{
-		TBase:   s.Threshold(p),
-		Epoch:   int32(s.Epoch + 1),
-		AvgDiff: s.avgDiff,
-		DiffObs: int32(s.nDiff),
-	}
-	return rec
+// Migrate freezes the current threshold as T_i and returns the Record to
+// ship to the new home. Callers invoke it only after a policy decided to
+// migrate, and then drop s: the record is s's own estimate, completed in
+// place, so a migrating reply carries it by pointer without allocating,
+// and nothing writes it once s is dropped.
+func (s *State) Migrate(p Params) *Record {
+	s.est.TBase = s.Threshold(p)
+	s.est.Epoch = int32(s.Epoch + 1)
+	return &s.est
 }
 
 func (s *State) String() string {
 	return fmt.Sprintf("core.State{C=%d last=%d R=%d E=%d epoch=%d Tbase=%.3f}",
-		s.C, s.LastWriter, s.R, s.E, s.Epoch, s.tBase)
+		s.C, s.LastWriter, s.R, s.E, s.Epoch, s.est.TBase)
 }

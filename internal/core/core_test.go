@@ -87,7 +87,7 @@ func TestThresholdDecreasesWithE(t *testing.T) {
 	// likelihood of the lasting single-writer pattern").
 	p := fixedAlpha(1.5)
 	s := NewState(p, 1024)
-	s.tBase = 10
+	s.est.TBase = 10
 	s.HomeWrite(p)
 	prev := s.Threshold(p)
 	for i := 0; i < 20; i++ {
@@ -131,7 +131,7 @@ func TestEquationTwo(t *testing.T) {
 	// T_{i-1}=5, R=4, E=3 ⇒ 5 + (4 − 6) = 3.
 	p := fixedAlpha(2)
 	s := NewState(p, 1024)
-	s.tBase = 5
+	s.est.TBase = 5
 	s.Redirected(4)
 	s.HomeWrite(p)
 	for i := 0; i < 3; i++ {
@@ -145,7 +145,7 @@ func TestEquationTwo(t *testing.T) {
 func TestLambdaScalesFeedback(t *testing.T) {
 	p := Params{Lambda: 0.5, TInit: 1, Alpha: func(o, d int) float64 { return 2 }}
 	s := NewState(p, 1024)
-	s.tBase = 5
+	s.est.TBase = 5
 	s.Redirected(4)
 	// 5 + 0.5*4 = 7
 	if got := s.Threshold(p); got != 7 {
@@ -167,7 +167,7 @@ func TestMigrateFreezesAndRecordRoundTrips(t *testing.T) {
 	if rec.Epoch != 1 {
 		t.Fatalf("Record.Epoch = %d, want 1", rec.Epoch)
 	}
-	ns := FromRecord(p, 512, rec)
+	ns := FromRecord(p, 512, *rec)
 	if ns.C != 0 || ns.R != 0 || ns.E != 0 {
 		t.Fatalf("new epoch state not reset: %v", ns)
 	}
@@ -178,8 +178,8 @@ func TestMigrateFreezesAndRecordRoundTrips(t *testing.T) {
 		t.Fatalf("new epoch = %d", ns.Epoch)
 	}
 	// Diff-size estimate survives the migration.
-	if math.Abs(ns.avgDiff-80) > 1e-9 {
-		t.Fatalf("avgDiff = %v, want 80", ns.avgDiff)
+	if math.Abs(ns.est.AvgDiff-80) > 1e-9 {
+		t.Fatalf("avgDiff = %v, want 80", ns.est.AvgDiff)
 	}
 }
 
@@ -197,8 +197,8 @@ func TestDiffSizeEstimateConverges(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.RemoteWrite(1, 200)
 	}
-	if math.Abs(s.avgDiff-200) > 40 {
-		t.Fatalf("avgDiff = %v, want ≈200", s.avgDiff)
+	if math.Abs(s.est.AvgDiff-200) > 40 {
+		t.Fatalf("avgDiff = %v, want ≈200", s.est.AvgDiff)
 	}
 }
 
@@ -242,7 +242,7 @@ func TestThresholdFloorProperty(t *testing.T) {
 			case 3:
 				if s.C > 0 && float64(s.C) >= s.Threshold(p) {
 					rec := s.Migrate(p)
-					s = FromRecord(p, 256, rec)
+					s = FromRecord(p, 256, *rec)
 				}
 			}
 			if s.Threshold(p) < p.TInit {
@@ -288,7 +288,7 @@ func TestThresholdMonotoneUnderPositiveFeedbackProperty(t *testing.T) {
 	p := fixedAlpha(2)
 	f := func(nWrites uint8) bool {
 		s := NewState(p, 256)
-		s.tBase = 8
+		s.est.TBase = 8
 		prev := s.Threshold(p)
 		s.HomeWrite(p)
 		for i := 0; i < int(nWrites%50); i++ {

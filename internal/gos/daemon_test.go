@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/locator"
 	"repro/internal/migration"
 	"repro/internal/proto"
@@ -39,19 +38,41 @@ func TestHandlerPanicNamesDaemonKindAndPeer(t *testing.T) {
 	}
 }
 
-// TestDebugWireFailsALossyFrame: under DebugWire a frame the codec would
-// not carry whole — Rec set while HasRec is false, which a live peer would
-// decode without it — fails the run at the send, under the sending thread.
-func TestDebugWireFailsALossyFrame(t *testing.T) {
+// TestHandlerPanicNamesTheFrameAsItArrived: a handler that rewrites its
+// frame before failing — a forwarded fault-in leaves with this node as
+// From — still fails the run under the sender the frame arrived from.
+// Node 2's forwarding pointer leads back to itself, so the forward is a
+// same-node send.
+func TestHandlerPanicNamesTheFrameAsItArrived(t *testing.T) {
+	c := New(DefaultConfig(4))
+	obj := c.AddObject(2, 0)
+	c.nodes[2].Loc.SetForward(obj, 2)
+	_, err := c.Run([]Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
+		c.net.Send(&wire.Msg{Kind: wire.ObjReq, From: 1, To: 2, Obj: obj, ReplyNode: 1}, stats.ObjReq)
+		th.Compute(sim.Millisecond)
+	}}})
+	var pe *sim.PanicError
+	if !errors.As(err, &pe) || !strings.Contains(err.Error(), "same-node send of ObjReq") {
+		t.Fatalf("err = %.300v, want the forward's same-node send", err)
+	}
+	if pe.Proc != "daemon-n2 handling ObjReq from node 1" {
+		t.Errorf("PanicError.Proc = %q", pe.Proc)
+	}
+}
+
+// TestDebugWireFailsAFrameAPeerRejects: under DebugWire a frame a live
+// peer would refuse — write-report pairs on a lock release, a kind that
+// carries none — fails the run at the send, under the sending thread.
+func TestDebugWireFailsAFrameAPeerRejects(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.DebugWire = true
 	c := New(cfg)
 	_, err := c.Run([]Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
-		c.net.Send(&wire.Msg{Kind: wire.ObjReply, From: 1, To: 2, Migrate: true, Rec: core.Record{Epoch: 3}}, stats.ObjReply)
+		c.net.Send(&wire.Msg{Kind: wire.LockRel, From: 1, To: 2, Pairs: []wire.Pair{{Obj: 0, Node: 1}}}, stats.LockMsg)
 	}}})
 	var pe *sim.PanicError
-	if !errors.As(err, &pe) || pe.Proc != "w" || !strings.Contains(err.Error(), "codec round trip changed a ObjReply") {
-		t.Fatalf("err = %.300v, want thread w's panic naming the changed ObjReply", err)
+	if !errors.As(err, &pe) || pe.Proc != "w" || !strings.Contains(err.Error(), "self-check decode failed for LockRel") {
+		t.Fatalf("err = %.300v, want thread w's panic naming the rejected LockRel", err)
 	}
 }
 

@@ -26,9 +26,13 @@ type Node struct {
 	threads []*Thread
 	inbox   *sim.Queue
 	// cur is the inbox box of the frame being processed, held from begin
-	// until Handle returns; non-nil means the daemon is busy (quiescence
-	// detection).
+	// until Dispatch returns; non-nil means the daemon is busy (quiescence
+	// detection). Dispatch may rewrite it (a forwarded request leaves
+	// with this node as From), so who names the frame by curKind and
+	// curFrom, taken at begin.
 	cur      *wire.Msg
+	curKind  wire.Kind
+	curFrom  memory.NodeID
 	handleFn func() // n.handle, bound once: scheduling it allocates nothing
 }
 
@@ -67,7 +71,7 @@ const msgProcCost = 2 * sim.Microsecond
 func (n *Node) begin() {
 	raw, _ := n.inbox.TryRecv()
 	m := raw.(*wire.Msg)
-	n.cur = m
+	n.cur, n.curKind, n.curFrom = m, m.Kind, m.From
 	if n.On(flight.FrameRecv) {
 		n.Emit(flight.Event{Kind: flight.FrameRecv, Tag: uint8(m.Kind), Peer: m.From, Bytes: int32(m.WireSize())})
 	}
@@ -75,11 +79,12 @@ func (n *Node) begin() {
 }
 
 // handle is the second step, msgProcCost later: run the protocol handler
-// on the frame's box, free the box, then take the next frame or go idle.
+// on the frame's box in place, free the box, then take the next frame or
+// go idle.
 //
 //dsm:hotpath
 func (n *Node) handle() {
-	n.Handle(*n.cur)
+	n.Dispatch(n.cur)
 	n.c.net.FreeMsg(n.cur)
 	n.cur = nil
 	if n.inbox.Len() > 0 {
@@ -94,5 +99,5 @@ func (n *Node) who() string {
 	if n.cur == nil {
 		return fmt.Sprintf("daemon-n%d", n.ID)
 	}
-	return fmt.Sprintf("daemon-n%d handling %v from node %d", n.ID, n.cur.Kind, n.cur.From)
+	return fmt.Sprintf("daemon-n%d handling %v from node %d", n.ID, n.curKind, n.curFrom)
 }

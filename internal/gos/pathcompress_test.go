@@ -128,7 +128,7 @@ func TestPtrUpdateIgnoredAtCurrentHome(t *testing.T) {
 	}
 	// Deliver a forged stale update directly.
 	n := c.nodes[0]
-	n.Handle(wire.Msg{Kind: wire.PtrUpdate, From: 1, To: 0, Obj: obj, Home: 1})
+	n.Dispatch(&wire.Msg{Kind: wire.PtrUpdate, From: 1, To: 0, Obj: obj, Home: 1})
 	if !n.IsHome[obj] {
 		t.Fatal("home status lost")
 	}

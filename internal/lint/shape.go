@@ -259,6 +259,11 @@ var shapeRules = []shapeRule{
 	{name: "wire.Decode is the benchmark probe's wrapper", since: "Decode in place, handle by pointer",
 		in: outsideBenchmark, tests: true, what: []target{use("repro/internal/wire.Decode")},
 		only: []string{"internal/wire/"}},
+	{name: "Node.Handle by value is the benchmark probes' wrapper", since: "A hop pays for its message, not its plumbing",
+		in: outsideBenchmark, tests: true, what: []target{use("repro/internal/proto.Node.Handle")},
+		only: []string{"internal/proto/"}},
+	{name: "a pool is a bounded free list", since: "A hop pays for its message, not its plumbing",
+		in: outsideBenchmark, tests: true, what: []target{use("sync.Pool")}},
 	{name: "the live engine decodes into its pool", since: "A payload crosses the live engine as one copy",
 		in: pkgs("internal/live"), what: []target{use("repro/internal/wire.Msg.Decode")}},
 	{name: "unsafe lives in the word view", since: "A payload crosses the live engine as one copy",

@@ -1,7 +1,10 @@
 // Package gos stands in for the simulated engine.
 package gos
 
-import "repro/internal/wire"
+import (
+	"repro/internal/proto"
+	"repro/internal/wire"
+)
 
 // Config is an engine configuration that grew observation fields.
 type Config struct {
@@ -17,4 +20,9 @@ func (host) Backoff() {} // want `a back-off is a retry timer: Backoff declared`
 // grant builds a protocol message inside the engine.
 func grant() wire.Msg {
 	return wire.Msg{Kind: wire.LockGrant} // want `engines build no protocol messages: wire.Msg literal`
+}
+
+// handle hands the daemon's frame to the protocol core by value.
+func handle(n *proto.Node, m *wire.Msg) {
+	n.Handle(*m) // want `Node.Handle by value is the benchmark probes' wrapper: use of proto.Node.Handle outside internal/proto/`
 }

@@ -3,6 +3,7 @@ package live
 
 import (
 	"iter"
+	"sync"
 	_ "unsafe" // want `unsafe lives in the word view: import of unsafe outside internal/twindiff/words.go`
 
 	"repro/internal/live/transport"
@@ -69,3 +70,6 @@ func (n *node) decode(frame []byte) (wire.Msg, error) {
 	err := m.Decode(frame) // want `the live engine decodes into its pool: use of wire.Msg.Decode`
 	return m, err
 }
+
+// frames recycles encode buffers without a bound.
+var frames sync.Pool // want `a pool is a bounded free list: use of sync.Pool in repro/internal/live`

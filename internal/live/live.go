@@ -626,7 +626,7 @@ func (n *node) handle(msg *wire.Msg) {
 	if n.ps.On(flight.FrameRecv) {
 		n.ps.Emit(flight.Event{Kind: flight.FrameRecv, Tag: uint8(msg.Kind), Peer: msg.From, Bytes: int32(msg.WireSize())})
 	}
-	n.ps.Handle(*msg)
+	n.ps.Dispatch(msg)
 	n.ps.Pool.PutDiff(msg.Diff)
 	for _, od := range msg.Diffs {
 		n.ps.Pool.PutDiff(od.D)

@@ -186,12 +186,9 @@ func lockPingPong(t *testing.T, warm int, measure func(turn func())) {
 
 // TestLockPingPongAllocatesNothing: once warm, a lock turn across the
 // in-process hop — frames through a ChanLoop inbox, tokens through a
-// mailbox, both threads waking each other — allocates nothing. Not under
-// the race detector, where the frame pool drops Puts.
+// mailbox, both threads waking each other — allocates nothing, under the
+// race detector too: the frame free list keeps every frame it takes back.
 func TestLockPingPongAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under the race detector")
-	}
 	var allocs float64
 	lockPingPong(t, 2000, func(turn func()) {
 		allocs = testing.AllocsPerRun(2000, turn)

@@ -79,7 +79,7 @@ func TestSteadyStateAllocatesNoPayload(t *testing.T) {
 			t.Fatalf("home word %d = %#x after %d rounds, want %#x", i, got[i], round, want)
 		}
 	}
-	if payload := 8 * words; bytes >= float64(payload)/4 && !raceEnabled {
+	if payload := 8 * words; bytes >= float64(payload)/4 {
 		t.Fatalf("a warm interval (fault-in of a %d-word row, red-black diff, ack) allocates %.0f bytes, a payload is %d", words, bytes, payload)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1010,13 +1009,6 @@ func relayPair(t testing.TB) ([]*Transport, chan struct{}) {
 // writer, socket, reader, sink, the reader's own flush, socket, reader,
 // sink — allocates nothing once warm.
 func TestRelayAllocatesNothing(t *testing.T) {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("sync.Pool drops Puts at random under the race detector")
-			}
-		}
-	}
 	trs, answered := relayPair(t)
 	defer tcpMesh{trs}.Close()
 	payload := fill(36, 1)

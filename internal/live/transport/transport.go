@@ -218,52 +218,79 @@ func (q *Queue[T]) Close() {
 	q.cond.Broadcast()
 }
 
-// framePool recycles encode buffers across the live send path. The
-// ownership rule makes pooling safe without reference counting: the
-// sender encodes into GetFrame and transfers the buffer to the
-// transport at Send; whoever consumes the frame last — the receiving
-// node's sink once it decoded the frame, a TCP writer once the bytes
-// are packed for the socket, a closed backend dropping a late send —
-// returns it with PutFrame.
-//
-// A sync.Pool holds pointers, so a pooled buffer travels in a *[]byte
-// box. The boxes are recycled too: GetFrame empties one into boxPool,
-// PutFrame refills one from it, and a frame hop allocates nothing.
-var (
-	framePool = sync.Pool{
-		New: func() any {
-			b := make([]byte, 0, 512)
-			return &b
-		},
-	}
-	boxPool = sync.Pool{New: func() any { return new([]byte) }}
+// frames is the free list of encode buffers the live send path recycles.
+// The ownership rule makes it safe without reference counting: the
+// sender encodes into GetFrame and transfers the buffer to the transport
+// at Send; whoever consumes the frame last — the receiving node's sink
+// once it decoded the frame, a TCP writer once the bytes are packed for
+// the socket, a closed backend dropping a late send — returns it with
+// PutFrame. It is a LIFO stack under one mutex, so a frame hop costs one
+// lock per side and no allocation, and the warmest buffer goes out
+// first. Unlike a sync.Pool it never hands a buffer back to the GC, so it
+// is bounded twice: it keeps at most maxFreeFrames buffers, and none
+// larger than maxFreeFrame.
+var frames = struct {
+	mu   sync.Mutex
+	free [][]byte
+}{free: make([][]byte, 0, maxFreeFrames)}
+
+const (
+	// maxFreeFrames bounds the list's length. A node has a few frames in
+	// flight per peer; a deeper list only holds memory (at 1024, a SOR
+	// run without migration peaked at twice the resident memory).
+	maxFreeFrames = 64
+	// maxFreeFrame bounds a kept buffer's capacity: protocol frames stay
+	// well under it (a SOR row is 2 KiB), but one-off giants (a
+	// cluster-wide state assignment carrying the whole final memory)
+	// must not stay pinned for every tiny ack to draw.
+	maxFreeFrame = 64 << 10
+	// newFrame is the capacity of a buffer GetFrame makes when the list
+	// is empty.
+	newFrame = 512
+	// poison fills a frame PutFrame takes back under the race detector
+	// (poisonFrames): as a kind byte it is no kind.
+	poison = 0xDB
 )
 
-// GetFrame returns an empty frame buffer from the pool; append-encode
+// GetFrame returns an empty frame buffer from the free list; append-encode
 // into it and hand it to a Transport (which owns it afterwards).
+//
+//dsm:hotpath
 func GetFrame() []byte {
-	box := framePool.Get().(*[]byte)
-	frame := (*box)[:0]
-	*box = nil
-	boxPool.Put(box)
-	return frame
+	frames.mu.Lock()
+	if k := len(frames.free); k > 0 {
+		frame := frames.free[k-1]
+		frames.free[k-1] = nil
+		frames.free = frames.free[:k-1]
+		frames.mu.Unlock()
+		return frame
+	}
+	frames.mu.Unlock()
+	return make([]byte, 0, newFrame)
 }
 
-// maxPooledFrame caps what PutFrame keeps: protocol frames stay well
-// under it, but one-off giants (a cluster-wide state assignment
-// carrying the whole final memory) must not permanently seed the pool
-// with memory-image-sized buffers that every tiny ack then pins.
-const maxPooledFrame = 1 << 20
-
 // PutFrame returns a frame buffer whose contents are fully consumed.
-// The caller must not touch the slice afterwards.
+// The caller must not touch the slice afterwards: under the race
+// detector its bytes are overwritten (poisonFrames), so a late reader
+// decodes garbage instead of a frame that happens to be intact.
+//
+//dsm:hotpath
 func PutFrame(frame []byte) {
-	if cap(frame) > maxPooledFrame {
+	if c := cap(frame); c == 0 || c > maxFreeFrame {
 		return
 	}
-	box := boxPool.Get().(*[]byte)
-	*box = frame
-	framePool.Put(box)
+	frame = frame[:0]
+	if poisonFrames {
+		full := frame[:cap(frame)]
+		for i := range full {
+			full[i] = poison
+		}
+	}
+	frames.mu.Lock()
+	if len(frames.free) < maxFreeFrames {
+		frames.free = append(frames.free, frame)
+	}
+	frames.mu.Unlock()
 }
 
 // ChanLoop is the in-process loopback backend: one unbounded FIFO inbox

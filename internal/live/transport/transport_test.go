@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -254,22 +253,117 @@ func TestQueueSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestFramePoolRecyclesBoxes: a GetFrame/PutFrame round trip allocates
-// nothing — neither the buffer nor the box the pool keeps it in.
-func TestFramePoolRecyclesBoxes(t *testing.T) {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("sync.Pool drops Puts at random under the race detector")
-			}
-		}
+// emptyFreeList drops every frame the free list holds, so a test starts
+// from a known list whatever ran before it.
+func emptyFreeList() {
+	frames.mu.Lock()
+	clear(frames.free)
+	frames.free = frames.free[:0]
+	frames.mu.Unlock()
+}
+
+func freeLen() int {
+	frames.mu.Lock()
+	defer frames.mu.Unlock()
+	return len(frames.free)
+}
+
+// TestFreeListReusesTheArray: a GetFrame after a PutFrame hands back the
+// same array, emptied — told by its capacity, which no new frame has —
+// and the round trip allocates nothing.
+func TestFreeListReusesTheArray(t *testing.T) {
+	emptyFreeList()
+	frame := append(GetFrame(), make([]byte, 3*newFrame)...)
+	size := cap(frame)
+	PutFrame(frame)
+	again := GetFrame()
+	n, c := len(again), cap(again)
+	PutFrame(again)
+	if n != 0 || c != size || size == newFrame {
+		t.Fatalf("GetFrame after PutFrame of a %d-byte frame: len %d cap %d", size, n, c)
 	}
-	PutFrame(GetFrame())
 	if n := testing.AllocsPerRun(100, func() {
 		PutFrame(append(GetFrame(), 1, 2, 3))
 	}); n != 0 {
 		t.Fatalf("frame round trip allocates %v times", n)
 	}
+}
+
+// TestFreeListBounds: the list keeps at most maxFreeFrames frames, and no
+// frame larger than maxFreeFrame; a frame past either bound goes to the
+// GC, and GetFrame then makes a new one.
+func TestFreeListBounds(t *testing.T) {
+	emptyFreeList()
+	kept := make(map[*byte]bool)
+	for range maxFreeFrames + 8 {
+		frame := make([]byte, 1, newFrame)
+		kept[&frame[0]] = len(kept) < maxFreeFrames
+		PutFrame(frame)
+	}
+	if n := freeLen(); n != maxFreeFrames {
+		t.Fatalf("the list holds %d frames, want the bound %d", n, maxFreeFrames)
+	}
+	held := make([][]byte, 0, maxFreeFrames+1)
+	for range maxFreeFrames + 1 {
+		held = append(held, GetFrame())
+	}
+	for i, frame := range held[:maxFreeFrames] {
+		if !kept[&frame[:1][0]] {
+			t.Fatalf("GetFrame %d returned a frame the list should not have kept", i)
+		}
+	}
+	if last := held[maxFreeFrames]; kept[&last[:1][0]] || cap(last) != newFrame {
+		t.Fatalf("GetFrame on an empty list: cap %d, want a new frame of %d", cap(last), newFrame)
+	}
+
+	PutFrame(make([]byte, 0, maxFreeFrame))
+	PutFrame(make([]byte, 0, maxFreeFrame+1))
+	PutFrame(nil)
+	if n := freeLen(); n != 1 {
+		t.Fatalf("after a frame at the capacity bound, one past it and a nil one, the list holds %d, want 1", n)
+	}
+	frame := GetFrame()
+	size := cap(frame)
+	PutFrame(frame)
+	if size != maxFreeFrame {
+		t.Fatalf("kept frame has cap %d, want %d", size, maxFreeFrame)
+	}
+}
+
+// TestFreeListConcurrent: goroutines drawing, filling and returning
+// frames at once each get a frame no other holds (run it under -race,
+// where PutFrame also poisons what it takes back).
+func TestFreeListConcurrent(t *testing.T) {
+	emptyFreeList()
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 2000 {
+				if !drawAndCheck(byte(g), byte(i)) {
+					t.Errorf("goroutine %d: a frame it holds was written by another", g)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := freeLen(); n > maxFreeFrames {
+		t.Fatalf("the list holds %d frames, past its bound %d", n, maxFreeFrames)
+	}
+}
+
+// drawAndCheck fills a frame from the free list with a and b, reads them
+// back, and returns it.
+func drawAndCheck(a, b byte) bool {
+	frame := append(GetFrame(), a, b)
+	mine := true
+	if frame[0] != a || frame[1] != b {
+		mine = false
+	}
+	PutFrame(frame)
+	return mine
 }
 
 // BenchmarkQueuePutGet is the inbox hand-off without a wake-up: one Put

@@ -122,7 +122,7 @@ func TestJackalTransitionCap(t *testing.T) {
 		if !j.Decide(s, 3, 0).Migrate {
 			t.Fatalf("Jackal refused at epoch %d", e)
 		}
-		s = core.FromRecord(p, 512, s.Migrate(p))
+		s = core.FromRecord(p, 512, *s.Migrate(p))
 	}
 	if j.Decide(s, 3, 0).Migrate {
 		t.Fatal("Jackal migrated beyond its cap")

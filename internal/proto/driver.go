@@ -281,7 +281,7 @@ func (d *Driver) Barrier(b BarrierID) {
 	} else {
 		n.Eng.Send(wire.Msg{
 			Kind: wire.BarrierArrive, From: n.ID, To: home, Barrier: uint32(b),
-			ReplyNode: n.ID, ReplySlot: d.slot, Diffs: piggy, Reports: reports,
+			ReplyNode: n.ID, ReplySlot: d.slot, Diffs: piggy, Pairs: reports,
 		}, stats.BarrierMsg)
 	}
 	d.awaitSync(wire.BarrierGo, uint32(b))

@@ -247,7 +247,7 @@ func (w *world) moveHome(from, to memory.NodeID) {
 	}
 	dst.Install(wire.Msg{
 		Kind: wire.ObjReply, Obj: w.obj, Data: data, Home: to,
-		Migrate: true, HasRec: true, Rec: rec,
+		Migrate: true, Rec: rec,
 	})
 	w.sent = w.sent[:0] // a sibling's announcement, not the driver's doing
 }

@@ -134,20 +134,16 @@ func (n *Node) strayField(msg *wire.Msg, threads int) (string, int64) {
 			return "piggybacked diff end", int64(end)
 		}
 	}
-	for _, a := range msg.Assigns {
-		if !object(a.Obj) {
-			return "assign Obj", int64(a.Obj)
-		}
-		if !node(a.Home) {
-			return "assign Home", int64(a.Home)
-		}
+	what, who := "report", "Writer"
+	if msg.Kind == wire.BarrierGo {
+		what, who = "assign", "Home"
 	}
-	for _, r := range msg.Reports {
-		if !object(r.Obj) {
-			return "report Obj", int64(r.Obj)
+	for _, p := range msg.Pairs {
+		if !object(p.Obj) {
+			return what + " Obj", int64(p.Obj)
 		}
-		if !node(r.Writer) {
-			return "report Writer", int64(r.Writer)
+		if !node(p.Node) {
+			return what + " " + who, int64(p.Node)
 		}
 	}
 	return "", 0

@@ -82,22 +82,22 @@ func TestCheckFrame(t *testing.T) {
 		{"BarrierArrive", func() wire.Msg {
 			m := hdr(wire.BarrierArrive)
 			m.Diffs = []wire.ObjDiff{{Obj: 1}}
-			m.Reports = []wire.WriteReport{{Obj: 0, Writer: 1}, {Obj: 1, Writer: 2}}
+			m.Pairs = []wire.Pair{{Obj: 0, Node: 1}, {Obj: 1, Node: 2}}
 			return m
 		}(), []mutation{replyNode, negSlot,
 			{"Barrier 1", func(m *wire.Msg) { m.Barrier = 1 }},
 			{"piggybacked diff Obj 2", func(m *wire.Msg) { m.Diffs[0].Obj = 2 }},
-			{"report Obj 5", func(m *wire.Msg) { m.Reports[1].Obj = 5 }},
-			{"report Writer 3", func(m *wire.Msg) { m.Reports[0].Writer = 3 }}}},
+			{"report Obj 5", func(m *wire.Msg) { m.Pairs[1].Obj = 5 }},
+			{"report Writer 3", func(m *wire.Msg) { m.Pairs[0].Node = 3 }}}},
 		{"BarrierGo", func() wire.Msg {
 			m := hdr(wire.BarrierGo)
 			m.Barrier = 1 // any declared barrier: every node applies the go
-			m.Assigns = []wire.HomeAssign{{Obj: 1, Home: 2}}
+			m.Pairs = []wire.Pair{{Obj: 1, Node: 2}}
 			return m
 		}(), []mutation{
 			{"Barrier 2", func(m *wire.Msg) { m.Barrier = 2 }},
-			{"assign Obj 2", func(m *wire.Msg) { m.Assigns[0].Obj = 2 }},
-			{"assign Home -1", func(m *wire.Msg) { m.Assigns[0].Home = memory.NoNode }}}},
+			{"assign Obj 2", func(m *wire.Msg) { m.Pairs[0].Obj = 2 }},
+			{"assign Home -1", func(m *wire.Msg) { m.Pairs[0].Node = memory.NoNode }}}},
 		{"MgrUpdate", hdr(wire.MgrUpdate), []mutation{obj, home, noHome}},
 		{"MgrQuery", hdr(wire.MgrQuery), []mutation{obj, replyNode, negSlot}},
 		{"MgrReply", hdr(wire.MgrReply), []mutation{obj, home, slot}},
@@ -113,8 +113,7 @@ func TestCheckFrame(t *testing.T) {
 		for _, mu := range tc.bad {
 			m := tc.ok
 			m.Diffs = append([]wire.ObjDiff(nil), m.Diffs...)
-			m.Assigns = append([]wire.HomeAssign(nil), m.Assigns...)
-			m.Reports = append([]wire.WriteReport(nil), m.Reports...)
+			m.Pairs = append([]wire.Pair(nil), m.Pairs...)
 			mu.mutate(&m)
 			err := w.n.CheckFrame(&m, threads)
 			if err == nil {

@@ -220,21 +220,26 @@ func (n *Node) CanRoute(msg *wire.Msg) bool {
 	return true
 }
 
-// Handle dispatches one protocol message in daemon context. Handlers
-// never block: requests needing remote work are forwarded, not awaited.
-// msg is the handlers' own copy, and they take it by pointer: a
-// forwarded request is updated in place and sent on.
-func (n *Node) Handle(msg wire.Msg) {
+// Handle is Dispatch on the caller's copy of msg: the benchmark probes'
+// way in, which hand a message by value. The engines call Dispatch.
+func (n *Node) Handle(msg wire.Msg) { n.Dispatch(&msg) }
+
+// Dispatch runs one received protocol message's handler in daemon
+// context. Handlers never block: requests needing remote work are
+// forwarded, not awaited. msg is the engine's receive buffer, handled in
+// place: a forwarded request is updated and sent on, so after Dispatch
+// msg's From, To and Hops may no longer be what arrived.
+func (n *Node) Dispatch(msg *wire.Msg) {
 	switch msg.Kind {
 	case wire.ObjReq:
-		n.handleObjReq(&msg)
+		n.handleObjReq(msg)
 	case wire.DiffMsg:
-		n.handleDiff(&msg)
+		n.handleDiff(msg)
 	case wire.DiffAck:
 		if msg.ReplySlot >= 0 {
-			n.Eng.ToThread(msg.ReplySlot, msg)
+			n.Eng.ToThread(msg.ReplySlot, *msg)
 		} else {
-			n.handleDaemonDiffAck(&msg)
+			n.handleDaemonDiffAck(msg)
 		}
 	case wire.LockReq:
 		lk := n.Locks[msg.Lock]
@@ -243,12 +248,12 @@ func (n *Node) Handle(msg wire.Msg) {
 			n.GrantLock(msg.Lock, w)
 		}
 	case wire.LockRel:
-		n.handleLockRel(&msg)
+		n.handleLockRel(msg)
 	case wire.BarrierArrive:
 		w := syncmgr.Waiter{Node: msg.ReplyNode, Slot: msg.ReplySlot}
-		n.BarrierArrive(msg.Barrier, w, msg.Diffs, msg.Reports)
+		n.BarrierArrive(msg.Barrier, w, msg.Diffs, msg.Pairs)
 	case wire.BarrierGo:
-		n.ApplyBarrierGo(&msg)
+		n.ApplyBarrierGo(msg)
 	case wire.MgrUpdate:
 		if n.announced(msg.Obj, msg.Seq) {
 			n.MgrHome[msg.Obj] = msg.Home
@@ -259,7 +264,7 @@ func (n *Node) Handle(msg wire.Msg) {
 			Obj: msg.Obj, Home: n.MgrHome[msg.Obj], ReplySlot: msg.ReplySlot,
 		}, stats.MgrMsg)
 	case wire.MgrReply, wire.ObjReply, wire.LockGrant, wire.HomeMiss:
-		n.Eng.ToThread(msg.ReplySlot, msg)
+		n.Eng.ToThread(msg.ReplySlot, *msg)
 	case wire.HomeBcast:
 		if n.announced(msg.Obj, msg.Seq) {
 			n.Loc.Learn(msg.Obj, msg.Home)
@@ -379,8 +384,7 @@ func (n *Node) serveFault(msg *wire.Msg) {
 		})
 	}
 	if ex.Migrate {
-		rec := st.Migrate(n.S.Params)
-		reply.Migrate, reply.HasRec, reply.Rec, reply.Home = true, true, rec, requester
+		reply.Migrate, reply.Rec, reply.Home = true, st.Migrate(n.S.Params), requester
 		cs.Migrations++
 		n.demote(obj, requester)
 		if n.S.Locator == locator.ForwardingPointer {
@@ -578,7 +582,7 @@ func (n *Node) GrantLock(lock uint32, w syncmgr.Waiter) {
 }
 
 // BarrierArrive registers one arrival at this (manager) node.
-func (n *Node) BarrierArrive(bid uint32, w syncmgr.Waiter, diffs []wire.ObjDiff, reports []wire.WriteReport) {
+func (n *Node) BarrierArrive(bid uint32, w syncmgr.Waiter, diffs []wire.ObjDiff, reports []wire.Pair) {
 	b := &n.bars[bid]
 	if blocked := n.applyPiggyback(diffs, w.Node, 0, bid+1); blocked > 0 {
 		b.mgr.Block(blocked)
@@ -588,7 +592,7 @@ func (n *Node) BarrierArrive(bid uint32, w syncmgr.Waiter, diffs []wire.ObjDiff,
 	}
 	for _, r := range reports {
 		if b.writer[r.Obj] == memory.NoNode {
-			b.writer[r.Obj] = r.Writer
+			b.writer[r.Obj] = r.Node
 		} else {
 			b.writer[r.Obj] = severalReports
 		}
@@ -609,14 +613,14 @@ func (n *Node) barrierRelease(bid uint32) {
 	if len(b.mgr.Reset()) != n.S.BarParties[bid] {
 		panic("proto: barrier released with wrong arrival count")
 	}
-	var assigns []wire.HomeAssign
+	var assigns []wire.Pair
 	for obj, w := range b.writer {
 		if w >= 0 {
-			assigns = append(assigns, wire.HomeAssign{Obj: memory.ObjectID(obj), Home: w})
+			assigns = append(assigns, wire.Pair{Obj: memory.ObjectID(obj), Node: w})
 		}
 		b.writer[obj] = memory.NoNode
 	}
-	goMsg := wire.Msg{Kind: wire.BarrierGo, From: n.ID, Barrier: bid, Assigns: assigns}
+	goMsg := wire.Msg{Kind: wire.BarrierGo, From: n.ID, Barrier: bid, Pairs: assigns}
 	for id := 0; id < n.S.Nodes; id++ {
 		if memory.NodeID(id) == n.ID {
 			continue
@@ -631,7 +635,7 @@ func (n *Node) barrierRelease(bid uint32) {
 // ApplyBarrierGo applies Jiajia reassignments, wakes local waiters, and
 // opens a new synchronization interval.
 func (n *Node) ApplyBarrierGo(msg *wire.Msg) {
-	for _, a := range msg.Assigns {
+	for _, a := range msg.Pairs {
 		n.applyAssign(a)
 	}
 	// This barrier's reassignments are resolved; unpin only its own
@@ -649,7 +653,7 @@ func (n *Node) ApplyBarrierGo(msg *wire.Msg) {
 // was the interval's only writer, so its copy equals the home copy and no
 // data moves (§2 [9]: new home notifications piggyback on barrier
 // messages).
-func (n *Node) applyAssign(a wire.HomeAssign) {
+func (n *Node) applyAssign(a wire.Pair) {
 	// Under the manager locator the designated manager must track
 	// barrier-time transfers too; the barrier-go broadcast reaches every
 	// node, so the manager updates its table locally. (Without this the
@@ -657,25 +661,25 @@ func (n *Node) applyAssign(a wire.HomeAssign) {
 	// alternates between the stale manager answer and the demoted home's
 	// hint, and a post-barrier fault-in livelocks.)
 	if n.S.Locator == locator.Manager && locator.ManagerOf(a.Obj, n.S.Nodes) == n.ID {
-		n.MgrHome[a.Obj] = a.Home
+		n.MgrHome[a.Obj] = a.Node
 	}
 	switch {
-	case n.IsHome[a.Obj] && a.Home != n.ID:
+	case n.IsHome[a.Obj] && a.Node != n.ID:
 		n.Counters.Migrations++
 		if n.On(flight.Decision) {
 			n.Emit(flight.Event{
-				Kind: flight.Decision, Obj: a.Obj, Peer: a.Home,
+				Kind: flight.Decision, Obj: a.Obj, Peer: a.Node,
 				Migrated: true, Reason: migration.ReasonBarrierReassign,
 			})
 		}
-		n.demote(a.Obj, a.Home)
+		n.demote(a.Obj, a.Node)
 		// Leave a forwarding pointer like a fault-time migration would:
 		// a request already in flight toward this (old) home must still
 		// find a route — the virtual-time engine never sees that window,
 		// the live engine does (subset-party barriers let non-parties
 		// fault while the go is being applied).
 		if n.S.Locator == locator.ForwardingPointer {
-			n.Loc.SetForward(a.Obj, a.Home)
+			n.Loc.SetForward(a.Obj, a.Node)
 		}
 		// A live-engine thread may hold a bulk write view on the copy we
 		// just demoted (barrier-time reassignment cannot be refused the
@@ -694,10 +698,10 @@ func (n *Node) applyAssign(a wire.HomeAssign) {
 			o.State = memory.ReadWrite
 			n.NoteMyWrite(a.Obj)
 		}
-	case !n.IsHome[a.Obj] && a.Home == n.ID:
+	case !n.IsHome[a.Obj] && a.Node == n.ID:
 		n.promote(a.Obj, nil)
 	default:
-		n.Loc.Learn(a.Obj, a.Home)
+		n.Loc.Learn(a.Obj, a.Node)
 	}
 }
 
@@ -719,13 +723,13 @@ func (n *Node) jjProtected(obj memory.ObjectID) bool {
 // JiajiaReports lists the objects this node wrote since the previous
 // barrier (self-reported; the barrier manager intersects reports from all
 // nodes to find single-writer objects) and opens a fresh write interval.
-func (n *Node) JiajiaReports(bid uint32) []wire.WriteReport {
+func (n *Node) JiajiaReports(bid uint32) []wire.Pair {
 	if !n.S.Policy.BarrierDriven() {
 		return nil
 	}
-	out := make([]wire.WriteReport, 0, len(n.MyWrites))
+	out := make([]wire.Pair, 0, len(n.MyWrites))
 	for _, obj := range n.MyWrites {
-		out = append(out, wire.WriteReport{Obj: obj, Writer: n.ID})
+		out = append(out, wire.Pair{Obj: obj, Node: n.ID})
 	}
 	// The reported objects stay pinned until this barrier's go applies
 	// (or declines) the reassignment: another local thread may run

@@ -188,7 +188,7 @@ func TestJiajiaManagerCountsReports(t *testing.T) {
 	for _, ep := range []struct {
 		name     string
 		arrivals []arrival
-		want     []wire.HomeAssign
+		want     []wire.Pair
 	}{
 		{"nodes 1 and 2 both write object 0: no reassignment",
 			[]arrival{{1, 0, []memory.ObjectID{0}}, {2, 0, []memory.ObjectID{0}}, {1, 1, nil}}, nil},
@@ -196,26 +196,26 @@ func TestJiajiaManagerCountsReports(t *testing.T) {
 			[]arrival{{1, 0, []memory.ObjectID{1}}, {2, 0, nil}, {1, 1, []memory.ObjectID{1}}}, nil},
 		{"three single-writer objects, reported out of order, move in one go in object order",
 			[]arrival{{2, 0, []memory.ObjectID{3, 1}}, {1, 0, []memory.ObjectID{2}}, {1, 1, nil}},
-			[]wire.HomeAssign{{Obj: 1, Home: 2}, {Obj: 2, Home: 1}, {Obj: 3, Home: 2}}},
+			[]wire.Pair{{Obj: 1, Node: 2}, {Obj: 2, Node: 1}, {Obj: 3, Node: 2}}},
 		{"the next episode starts from an empty tally",
 			[]arrival{{1, 0, []memory.ObjectID{0}}, {2, 0, nil}, {1, 1, nil}},
-			[]wire.HomeAssign{{Obj: 0, Home: 1}}},
+			[]wire.Pair{{Obj: 0, Node: 1}}},
 	} {
 		for _, a := range ep.arrivals {
-			var reports []wire.WriteReport
+			var reports []wire.Pair
 			for _, obj := range a.wrote {
-				reports = append(reports, wire.WriteReport{Obj: obj, Writer: a.node})
+				reports = append(reports, wire.Pair{Obj: obj, Node: a.node})
 			}
 			mgr.Handle(wire.Msg{Kind: wire.BarrierArrive, From: a.node, To: 0, Barrier: uint32(bar),
-				ReplyNode: a.node, ReplySlot: a.slot, Reports: reports})
+				ReplyNode: a.node, ReplySlot: a.slot, Pairs: reports})
 		}
 		gos := w.hold(wire.BarrierGo)
 		if got := frames(gos); !slices.Equal(got, []string{"BarrierGo>1", "BarrierGo>2"}) {
 			t.Fatalf("%s: the manager sent %v", ep.name, got)
 		}
 		for _, g := range gos {
-			if !slices.Equal(g.Assigns, ep.want) {
-				t.Fatalf("%s: go to node %d assigns %+v, want %+v", ep.name, g.To, g.Assigns, ep.want)
+			if !slices.Equal(g.Pairs, ep.want) {
+				t.Fatalf("%s: go to node %d assigns %+v, want %+v", ep.name, g.To, g.Pairs, ep.want)
 			}
 		}
 		for _, a := range ep.want {

@@ -156,8 +156,7 @@ func (n *Node) install(msg *wire.Msg) *memory.Object {
 	n.Cache[obj] = o
 	n.Loc.Learn(obj, msg.Home)
 	if msg.Migrate {
-		rec := msg.Rec
-		n.promote(obj, &rec)
+		n.promote(obj, msg.Rec)
 		n.NotifyNewHome(obj)
 	}
 	return o

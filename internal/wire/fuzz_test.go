@@ -20,15 +20,15 @@ func fuzzSeeds() [][]byte {
 		{Kind: ObjReq, From: 1, To: 2, Obj: 7, ReplyNode: 1, ReplySlot: 0, Seq: 9},
 		{Kind: ObjReply, From: 2, To: 1, Obj: 7, ReplyNode: 1, Home: 2,
 			Data: []uint64{10, 20, 30}, Hops: 3},
-		{Kind: ObjReply, From: 2, To: 1, Obj: 7, Migrate: true, HasRec: true,
-			Rec:  core.Record{TBase: 2.5, Epoch: 3, AvgDiff: 88.25, DiffObs: 4},
+		{Kind: ObjReply, From: 2, To: 1, Obj: 7, Migrate: true,
+			Rec:  &core.Record{TBase: 2.5, Epoch: 3, AvgDiff: 88.25, DiffObs: 4},
 			Data: []uint64{1}},
 		{Kind: DiffMsg, From: 0, To: 3, Obj: 1, Diff: diff, Home: 0, ReplyNode: 0, ReplySlot: 2},
 		{Kind: LockRel, From: 1, To: 0, Lock: 4, ReplyNode: 1,
 			Diffs: []ObjDiff{{Obj: 5, D: diff}}},
-		{Kind: BarrierGo, From: 0, To: 2, Barrier: 1,
-			Assigns: []HomeAssign{{Obj: 3, Home: 2}},
-			Reports: []WriteReport{{Obj: 3, Writer: 1}}},
+		{Kind: BarrierGo, From: 0, To: 2, Barrier: 1, Pairs: []Pair{{Obj: 3, Node: 2}}},
+		{Kind: BarrierArrive, From: 1, To: 0, Barrier: 1, ReplyNode: 1,
+			Pairs: []Pair{{Obj: 3, Node: 1}, {Obj: 4, Node: 1}}},
 		{Kind: HomeMiss, From: 3, To: 1, Obj: 2, Home: memory.NoNode, ReplySlot: 1},
 	}
 	var out [][]byte
@@ -72,6 +72,27 @@ func nonCanonicalDiffSeeds() [][]byte {
 	}
 }
 
+// pairFrame is an empty message of kind k with one pair in count slot
+// slot: 0 is the reassignments' (BarrierGo's), 1 the reports'
+// (BarrierArrive's).
+func pairFrame(k Kind, slot int) []byte {
+	m := Msg{Kind: k, From: 1, To: 0}
+	frame := m.Encode(nil)
+	at := len(frame) - 8 + 4*slot
+	binary.LittleEndian.PutUint32(frame[at:], 1)
+	return slices.Insert(frame, at+4, 3, 0, 0, 0, 1, 0) // object 3, node 1
+}
+
+// offKindPairSeeds are frames with a pair in a count slot their kind
+// does not use: on a kind that carries none, and on each barrier kind in
+// the other's slot. Decode must reject each.
+func offKindPairSeeds() [][]byte {
+	return [][]byte{
+		pairFrame(LockReq, 1), pairFrame(ObjReply, 0),
+		pairFrame(BarrierArrive, 0), pairFrame(BarrierGo, 1),
+	}
+}
+
 // FuzzWireDecode hammers the codec with corrupt and truncated frames.
 // The codec is the live engine's transport boundary, where bytes come
 // from outside the process once a networked backend exists, so Decode
@@ -102,6 +123,12 @@ func FuzzWireDecode(f *testing.F) {
 	for _, seed := range nonCanonicalDiffSeeds() {
 		if _, err := Decode(seed); err == nil {
 			f.Fatalf("non-canonical diff accepted: %x", seed)
+		}
+		f.Add(seed)
+	}
+	for _, seed := range offKindPairSeeds() {
+		if _, err := Decode(seed); err == nil {
+			f.Fatalf("pairs off their kind accepted: %x", seed)
 		}
 		f.Add(seed)
 	}

@@ -13,7 +13,10 @@
 // served fault-in's snapshot to its pool; a flushed diff waits for its
 // ack), and the receiver decodes with DecodePooled into buffers drawn
 // from its own node's pool, which it owns: it returns a handled diff, and
-// keeps a fault-in reply's Data as its cached copy.
+// keeps a fault-in reply's Data as its cached copy. A migrating reply's
+// Rec follows the same split: the virtual-time receiver reads the record
+// core.State.Migrate filled inside the sender's demoted State, which
+// nothing writes again; the live decoder allocates the receiver its own.
 package wire
 
 import (
@@ -89,42 +92,46 @@ type ObjDiff struct {
 	D   twindiff.Diff
 }
 
-// HomeAssign reassigns an object's home (Jiajia barrier-release payload).
-type HomeAssign struct {
+// Pair is one (object, node) entry of a barrier message: on BarrierArrive
+// a Jiajia write report (Node wrote Obj during the ending interval), on
+// BarrierGo a Jiajia home reassignment (Node is Obj's new home).
+type Pair struct {
 	Obj  memory.ObjectID
-	Home memory.NodeID
-}
-
-// WriteReport tells the barrier manager that Writer updated Obj during
-// the ending interval (Jiajia single-writer detection).
-type WriteReport struct {
-	Obj    memory.ObjectID
-	Writer memory.NodeID
+	Node memory.NodeID
 }
 
 // Msg is the protocol message. A single fat struct (rather than one type
 // per kind) keeps the codec and the simulated delivery path simple; only
 // the fields relevant to Kind are populated.
+//
+// Every hop copies it at least once, so its layout is kept small (136
+// bytes on 64-bit): the header is ordered by field size, leaving no
+// padding, and the rare parts are a pointer and one shared slice. Rec is
+// non-nil exactly on a reply that migrates the home (flag bit 2 on the
+// wire); the sender keeps the record it points to unchanged from the send
+// on (core.State.Migrate fills one inside the demoted State, which the old
+// home drops and never writes again), and a decoded Rec is the receiver's
+// own. Pairs are BarrierArrive's write reports or BarrierGo's home
+// reassignments; Encode writes them in the count slot of their kind, and
+// Decode rejects pairs on any other kind.
 type Msg struct {
 	Kind      Kind
+	Migrate   bool // ObjReply transfers home ownership
 	From, To  memory.NodeID
-	Obj       memory.ObjectID
 	ReplyNode memory.NodeID // node hosting the requesting thread
-	ReplySlot int32         // thread slot on ReplyNode
+	Home      memory.NodeID // home being announced/confirmed
 	Hops      uint16        // forwarding redirections accumulated
+	Obj       memory.ObjectID
+	ReplySlot int32 // thread slot on ReplyNode
 	Lock      uint32
 	Barrier   uint32
-	Home      memory.NodeID // home being announced/confirmed
-	Migrate   bool          // ObjReply transfers home ownership
-	HasRec    bool
 	Seq       uint32 // request sequence, for retries and tracing
 
-	Data    []uint64      // object payload
-	Diff    twindiff.Diff // single-object diff
-	Diffs   []ObjDiff     // piggybacked diffs
-	Rec     core.Record   // migration state transfer
-	Assigns []HomeAssign
-	Reports []WriteReport
+	Data  []uint64      // object payload
+	Diff  twindiff.Diff // single-object diff
+	Diffs []ObjDiff     // piggybacked diffs
+	Rec   *core.Record  // migration state transfer
+	Pairs []Pair        // write reports or home reassignments
 }
 
 const headerSize = 1 + 2 + 2 + 4 + 2 + 4 + 2 + 4 + 4 + 2 + 1 + 4 // = 32
@@ -140,27 +147,37 @@ func (m *Msg) WireSize() int {
 	for _, od := range m.Diffs {
 		n += 4 + od.D.WireSize()
 	}
-	if m.HasRec {
+	if m.Rec != nil {
 		n += 24
 	}
-	n += 4 + 6*len(m.Assigns)
-	n += 4 + 6*len(m.Reports)
+	n += 4 + 4 + 6*len(m.Pairs)
 	return n
 }
 
 // Equal reports whether m and o are the same message: every header field,
-// Rec, and the contents of every slice, a nil slice equal to an empty one.
+// the record Rec points to (bit for bit), and the contents of every
+// slice, a nil slice equal to an empty one.
 // A message equals its own round trip through Encode and Decode exactly
 // when the codec carries all of it.
 func (m *Msg) Equal(o *Msg) bool {
 	return m.Kind == o.Kind && m.From == o.From && m.To == o.To && m.Obj == o.Obj &&
 		m.ReplyNode == o.ReplyNode && m.ReplySlot == o.ReplySlot && m.Hops == o.Hops &&
 		m.Lock == o.Lock && m.Barrier == o.Barrier && m.Home == o.Home &&
-		m.Migrate == o.Migrate && m.HasRec == o.HasRec && m.Seq == o.Seq &&
-		m.Rec == o.Rec &&
+		m.Migrate == o.Migrate && m.Seq == o.Seq &&
+		sameRecord(m.Rec, o.Rec) &&
 		slices.Equal(m.Data, o.Data) && m.Diff.Equal(o.Diff) &&
 		slices.EqualFunc(m.Diffs, o.Diffs, func(a, b ObjDiff) bool { return a.Obj == b.Obj && a.D.Equal(b.D) }) &&
-		slices.Equal(m.Assigns, o.Assigns) && slices.Equal(m.Reports, o.Reports)
+		slices.Equal(m.Pairs, o.Pairs)
+}
+
+// sameRecord compares two records as the codec carries them: nil only
+// to nil, floats by their bits (a NaN round-trips as itself).
+func sameRecord(a, b *core.Record) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return math.Float64bits(a.TBase) == math.Float64bits(b.TBase) && a.Epoch == b.Epoch &&
+		math.Float64bits(a.AvgDiff) == math.Float64bits(b.AvgDiff) && a.DiffObs == b.DiffObs
 }
 
 // Encode appends the wire form of m to buf. It takes a pointer: encoding
@@ -181,7 +198,7 @@ func (m *Msg) Encode(buf []byte) []byte {
 	if m.Migrate {
 		flags |= 1
 	}
-	if m.HasRec {
+	if m.Rec != nil {
 		flags |= 2
 	}
 	buf = append(buf, flags)
@@ -195,21 +212,30 @@ func (m *Msg) Encode(buf []byte) []byte {
 		buf = le.AppendUint32(buf, uint32(od.Obj))
 		buf = od.D.Encode(buf)
 	}
-	if m.HasRec {
-		buf = le.AppendUint64(buf, math.Float64bits(m.Rec.TBase))
-		buf = le.AppendUint32(buf, uint32(m.Rec.Epoch))
-		buf = le.AppendUint64(buf, math.Float64bits(m.Rec.AvgDiff))
-		buf = le.AppendUint32(buf, uint32(m.Rec.DiffObs))
+	if r := m.Rec; r != nil {
+		buf = le.AppendUint64(buf, math.Float64bits(r.TBase))
+		buf = le.AppendUint32(buf, uint32(r.Epoch))
+		buf = le.AppendUint64(buf, math.Float64bits(r.AvgDiff))
+		buf = le.AppendUint32(buf, uint32(r.DiffObs))
 	}
-	buf = le.AppendUint32(buf, uint32(len(m.Assigns)))
-	for _, a := range m.Assigns {
-		buf = le.AppendUint32(buf, uint32(a.Obj))
-		buf = le.AppendUint16(buf, uint16(a.Home))
+	// Two counts, the reassignments' then the reports': a BarrierGo's
+	// pairs go in the first, any other kind's in the second.
+	if m.Kind == BarrierGo {
+		buf = le.AppendUint32(buf, uint32(len(m.Pairs)))
+		buf = m.appendPairs(buf)
+		buf = le.AppendUint32(buf, 0)
+	} else {
+		buf = le.AppendUint32(buf, 0)
+		buf = le.AppendUint32(buf, uint32(len(m.Pairs)))
+		buf = m.appendPairs(buf)
 	}
-	buf = le.AppendUint32(buf, uint32(len(m.Reports)))
-	for _, r := range m.Reports {
-		buf = le.AppendUint32(buf, uint32(r.Obj))
-		buf = le.AppendUint16(buf, uint16(r.Writer))
+	return buf
+}
+
+func (m *Msg) appendPairs(buf []byte) []byte {
+	for _, p := range m.Pairs {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Obj))
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(p.Node))
 	}
 	return buf
 }
@@ -269,7 +295,7 @@ func (m *Msg) DecodePooled(buf []byte, pool *twindiff.Pool) error {
 		return fmt.Errorf("wire: unknown flag bits %#x", flags&^3)
 	}
 	m.Migrate = flags&1 != 0
-	m.HasRec = flags&2 != 0
+	hasRec := flags&2 != 0
 	m.Seq = le.Uint32(buf[28:])
 	off := headerSize
 
@@ -318,45 +344,43 @@ func (m *Msg) DecodePooled(buf []byte, pool *twindiff.Pool) error {
 		off += n
 		m.Diffs = append(m.Diffs, ObjDiff{Obj: obj, D: d})
 	}
-	if m.HasRec {
+	if hasRec {
 		if err := need(24); err != nil {
 			return err
 		}
-		m.Rec.TBase = math.Float64frombits(le.Uint64(buf[off:]))
-		m.Rec.Epoch = int32(le.Uint32(buf[off+8:]))
-		m.Rec.AvgDiff = math.Float64frombits(le.Uint64(buf[off+12:]))
-		m.Rec.DiffObs = int32(le.Uint32(buf[off+20:]))
+		m.Rec = &core.Record{
+			TBase:   math.Float64frombits(le.Uint64(buf[off:])),
+			Epoch:   int32(le.Uint32(buf[off+8:])),
+			AvgDiff: math.Float64frombits(le.Uint64(buf[off+12:])),
+			DiffObs: int32(le.Uint32(buf[off+20:])),
+		}
 		off += 24
 	}
-	if err := need(4); err != nil {
-		return err
-	}
-	na := int(le.Uint32(buf[off:]))
-	off += 4
-	if err := need(6 * na); err != nil {
-		return err
-	}
-	for i := 0; i < na; i++ {
-		m.Assigns = append(m.Assigns, HomeAssign{
-			Obj:  memory.ObjectID(le.Uint32(buf[off:])),
-			Home: memory.NodeID(int16(le.Uint16(buf[off+4:]))),
-		})
-		off += 6
-	}
-	if err := need(4); err != nil {
-		return err
-	}
-	nr := int(le.Uint32(buf[off:]))
-	off += 4
-	if err := need(6 * nr); err != nil {
-		return err
-	}
-	for i := 0; i < nr; i++ {
-		m.Reports = append(m.Reports, WriteReport{
-			Obj:    memory.ObjectID(le.Uint32(buf[off:])),
-			Writer: memory.NodeID(int16(le.Uint16(buf[off+4:]))),
-		})
-		off += 6
+	// The reassignments' count, then the reports'; only the slot of the
+	// frame's own kind may be nonzero.
+	for _, carrier := range [2]Kind{BarrierGo, BarrierArrive} {
+		if err := need(4); err != nil {
+			return err
+		}
+		np := int(le.Uint32(buf[off:]))
+		off += 4
+		if np == 0 {
+			continue
+		}
+		if m.Kind != carrier {
+			return fmt.Errorf("wire: %d pairs of a %v on a %v", np, carrier, m.Kind)
+		}
+		if err := need(6 * np); err != nil {
+			return err
+		}
+		m.Pairs = make([]Pair, np)
+		for i := range m.Pairs {
+			m.Pairs[i] = Pair{
+				Obj:  memory.ObjectID(le.Uint32(buf[off:])),
+				Node: memory.NodeID(int16(le.Uint16(buf[off+4:]))),
+			}
+			off += 6
+		}
 	}
 	if off != len(buf) {
 		return fmt.Errorf("wire: %d trailing bytes", len(buf)-off)

@@ -3,18 +3,22 @@ package wire
 import (
 	"encoding/hex"
 	"reflect"
-	"repro/internal/prng"
 	"testing"
 	"unsafe"
+
+	"repro/internal/prng"
 
 	"repro/internal/core"
 	"repro/internal/memory"
 	"repro/internal/twindiff"
 )
 
+// sampleMsg sets every header field and flag and fills every section: a
+// write-reporting barrier arrival, which the codec carries with a
+// migration record as readily as any other kind.
 func sampleMsg() Msg {
 	return Msg{
-		Kind:      ObjReply,
+		Kind:      BarrierArrive,
 		From:      3,
 		To:        1,
 		Obj:       42,
@@ -25,7 +29,6 @@ func sampleMsg() Msg {
 		Barrier:   9,
 		Home:      3,
 		Migrate:   true,
-		HasRec:    true,
 		Seq:       1001,
 		Data:      []uint64{10, 20, 30},
 		Diff:      twindiff.OneRun(1, 99),
@@ -33,9 +36,8 @@ func sampleMsg() Msg {
 			{Obj: 7, D: twindiff.OneRun(0, 1, 2)},
 			{Obj: 8, D: twindiff.Diff{}},
 		},
-		Rec:     core.Record{TBase: 2.5, Epoch: 3, AvgDiff: 77.5, DiffObs: 12},
-		Assigns: []HomeAssign{{Obj: 4, Home: 2}},
-		Reports: []WriteReport{{Obj: 4, Writer: 6}, {Obj: 5, Writer: 0}},
+		Rec:   &core.Record{TBase: 2.5, Epoch: 3, AvgDiff: 77.5, DiffObs: 12},
+		Pairs: []Pair{{Obj: 4, Node: 6}, {Obj: 5, Node: 0}},
 	}
 }
 
@@ -189,21 +191,18 @@ func randMsg(rng *prng.Rand) Msg {
 		})
 	}
 	if rng.Intn(2) == 0 {
-		m.HasRec = true
-		m.Rec = core.Record{
+		m.Rec = &core.Record{
 			TBase:   rng.Float64() * 10,
 			Epoch:   int32(rng.Intn(100)),
 			AvgDiff: rng.Float64() * 1000,
 			DiffObs: int32(rng.Intn(1000)),
 		}
 	}
-	for i := 0; i < rng.Intn(4); i++ {
-		m.Assigns = append(m.Assigns, HomeAssign{
-			Obj: memory.ObjectID(rng.Uint32()), Home: memory.NodeID(rng.Intn(16))})
-	}
-	for i := 0; i < rng.Intn(4); i++ {
-		m.Reports = append(m.Reports, WriteReport{
-			Obj: memory.ObjectID(rng.Uint32()), Writer: memory.NodeID(rng.Intn(16))})
+	if m.Kind == BarrierArrive || m.Kind == BarrierGo {
+		for i := 0; i < rng.Intn(4); i++ {
+			m.Pairs = append(m.Pairs, Pair{
+				Obj: memory.ObjectID(rng.Uint32()), Node: memory.NodeID(rng.Intn(16))})
+		}
 	}
 	return m
 }
@@ -252,17 +251,70 @@ func TestGoldenPiggybackedLockRel(t *testing.T) {
 	}
 }
 
-// TestMsgSize: Msg is decoded in place and handlers take it by pointer,
-// but some copies remain, each a cost of Msg's size: proto.Engine's
-// Send/ToThread and proto.Node's Handle/Install take it by
-// value (the benchmark's handler probes call them so); a live thread's
-// mailbox holds proto.Token by value and copies it once more into
-// the Driver's receive buffer; the simulator copies a sent frame into its
-// cnet box and a thread's delivery out of it; the live engine parks an
-// unroutable frame by value. A Diff must stay one slice header.
+// TestGoldenPairsAndRecord pins the frames of the sections Msg keeps in
+// a compact form: a migrating reply's record (behind a pointer, flag bit
+// 2) and a barrier message's pairs (one slice, written in its kind's
+// count slot). The bytes were produced by the codec of the separate
+// HasRec flag, inline record and Assigns/Reports slices: the format did
+// not move.
+func TestGoldenPairsAndRecord(t *testing.T) {
+	for _, c := range []struct {
+		msg  Msg
+		want string
+	}{
+		{Msg{Kind: ObjReply, From: 2, To: 1, Obj: 7, ReplyNode: 1, ReplySlot: 3, Home: 1, Seq: 5,
+			Migrate: true, Rec: &core.Record{TBase: 2.5, Epoch: 3, AvgDiff: 88.25, DiffObs: 4},
+			Data: []uint64{1, 2}},
+			"0102000100070000000100030000000000000000000000000001000305000000" + // header, flags 3
+				"020000000100000000000000020000000000000000000000000000000000000000000440030000000000000000105640040000000000000000000000"},
+		{Msg{Kind: BarrierArrive, From: 3, To: 0, Barrier: 1, ReplyNode: 3, ReplySlot: 1,
+			Pairs: []Pair{{Obj: 4, Node: 3}, {Obj: 9, Node: 3}}},
+			"0703000000000000000300010000000000000000000100000000000000000000" +
+				"0000000000000000000000000000000002000000040000000300090000000300"}, // reports slot
+		{Msg{Kind: BarrierGo, From: 0, To: 2, Barrier: 1, Pairs: []Pair{{Obj: 4, Node: 3}}},
+			"0800000200000000000000000000000000000000000100000000000000000000" +
+				"0000000000000000000000000100000004000000030000000000"}, // assigns slot
+	} {
+		got := c.msg.Encode(nil)
+		if hex.EncodeToString(got) != c.want {
+			t.Fatalf("%v frame moved:\n got %x\nwant %s", c.msg.Kind, got, c.want)
+		}
+		dec, err := Decode(got)
+		if err != nil || !reflect.DeepEqual(dec, c.msg) {
+			t.Fatalf("golden %v frame decodes to %+v (err %v)", c.msg.Kind, dec, err)
+		}
+	}
+}
+
+// TestDecodeRejectsPairsOffTheirKind: the two pair counts belong to
+// BarrierGo and BarrierArrive; a frame of another kind with either
+// nonzero, or a barrier message with pairs in the other's slot, is not
+// one Encode writes, and Decode refuses it.
+func TestDecodeRejectsPairsOffTheirKind(t *testing.T) {
+	for k := Kind(0); k < numKinds; k++ {
+		for slot, carrier := range [2]Kind{BarrierGo, BarrierArrive} {
+			_, err := Decode(pairFrame(k, slot))
+			if k == carrier && err != nil {
+				t.Errorf("%v with a pair in its own slot: %v", k, err)
+			}
+			if k != carrier && err == nil {
+				t.Errorf("%v with a pair in %v's slot accepted", k, carrier)
+			}
+		}
+	}
+}
+
+// TestMsgSize: Msg is decoded in place and the engines handle it by
+// pointer, but some copies remain, each a cost of Msg's size:
+// proto.Engine's Send/ToThread take it by value (the benchmark's handler
+// probes implement them so); a live thread's mailbox holds proto.Token by
+// value and copies it once more into the Driver's receive buffer; the
+// simulator copies a sent frame into its cnet box and a thread's delivery
+// out of it; the live engine parks an unroutable frame by value. A Diff
+// must stay one slice header.
 func TestMsgSize(t *testing.T) {
-	if got := unsafe.Sizeof(Msg{}); got > 192 {
-		t.Fatalf("wire.Msg is %d bytes, want <= 192", got)
+	if got := unsafe.Sizeof(Msg{}); got > 136 {
+		t.Fatalf("wire.Msg is %d bytes, want <= 136", got)
 	}
 }
 
