@@ -3,7 +3,6 @@ package gos
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/locator"
 	"repro/internal/memory"
 	"repro/internal/migration"
@@ -16,10 +15,9 @@ import (
 // test policy for constructing precise migration timings.
 type migrateOnlyTo struct{ target memory.NodeID }
 
-func (migrateOnlyTo) Name() string        { return "migrateOnlyTo" }
-func (migrateOnlyTo) BarrierDriven() bool { return false }
-func (m migrateOnlyTo) Decide(_ *core.State, req memory.NodeID, _ int) migration.Explanation {
-	return migration.Explanation{Migrate: req == m.target}
+func (migrateOnlyTo) Name() string { return "migrateOnlyTo" }
+func (m migrateOnlyTo) Decide(f migration.Fault) migration.Explanation {
+	return migration.Explanation{Migrate: f.Requester == m.target}
 }
 
 // TestStalePiggybackForwarded exercises the subtlest protocol corner:

@@ -663,21 +663,26 @@ func (fa *frameAnalysis) condTransferVars(cond ast.Expr, st frameEnv) []types.Ob
 func (fa *frameAnalysis) directTracked(e ast.Expr, st frameEnv) []types.Object {
 	var out []types.Object
 	seen := map[types.Object]bool{}
+	var addr ast.Expr // the operand of the last & met
 	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.CallExpr); ok {
+		switch n := n.(type) {
+		case *ast.CallExpr:
 			return false // arguments are handled by exprScan's call rules
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := fa.pass.TypesInfo.Uses[id]
-		if obj == nil {
-			return true
-		}
-		if _, tracked := st[obj]; tracked && !seen[obj] {
-			seen[obj] = true
-			out = append(out, obj)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				addr = ast.Unparen(n.X)
+			}
+		case *ast.IndexExpr:
+			// An element read, frame[i], copies a byte out and aliases
+			// nothing; &frame[i] does, and so does frames[i] of a slice.
+			_, scalar := fa.pass.TypesInfo.TypeOf(n).(*types.Basic)
+			return !scalar || n == addr
+		case *ast.Ident:
+			obj := fa.pass.TypesInfo.Uses[n]
+			if _, tracked := st[obj]; obj != nil && tracked && !seen[obj] {
+				seen[obj] = true
+				out = append(out, obj)
+			}
 		}
 		return true
 	})

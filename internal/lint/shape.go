@@ -256,11 +256,17 @@ var shapeRules = []shapeRule{
 	{name: "ShouldMigrate is Adaptive's wrapper for the benchmark probe", since: "Written once",
 		in: outsideBenchmark, tests: true, what: []target{decl("method", "ShouldMigrate")},
 		only: []string{"internal/migration/policy.go"}, n: 1},
+	{name: "proto knows no policy's rule", since: "The policy owns its rule",
+		in:   pkgs("internal/proto"),
+		what: []target{use("repro/internal/migration.Jackal"), use("repro/internal/migration.Jiajia")}},
 	{name: "wire.Decode is the benchmark probe's wrapper", since: "Decode in place, handle by pointer",
 		in: outsideBenchmark, tests: true, what: []target{use("repro/internal/wire.Decode")},
 		only: []string{"internal/wire/"}},
 	{name: "Node.Handle by value is the benchmark probes' wrapper", since: "A hop pays for its message, not its plumbing",
 		in: outsideBenchmark, tests: true, what: []target{use("repro/internal/proto.Node.Handle")},
+		only: []string{"internal/proto/"}},
+	{name: "Node.Install by value is the benchmark probes' wrapper", since: "The policy owns its rule",
+		in: outsideBenchmark, tests: true, what: []target{use("repro/internal/proto.Node.Install")},
 		only: []string{"internal/proto/"}},
 	{name: "a pool is a bounded free list", since: "A hop pays for its message, not its plumbing",
 		in: outsideBenchmark, tests: true, what: []target{use("sync.Pool")}},

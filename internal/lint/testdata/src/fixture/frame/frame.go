@@ -76,3 +76,21 @@ func pinned() {
 	touch(buf)
 	//dsm:nolint framelint: fixture: frame intentionally pinned for the process lifetime
 }
+
+// readByte reads one byte of the frame, then recycles it: an element
+// read copies the byte out and aliases nothing. Clean.
+func readByte() bool {
+	buf := transport.GetFrame()
+	mine := buf[0] == 1
+	transport.PutFrame(buf)
+	return mine
+}
+
+// addrAlias takes an element's address: the pointer aliases the frame,
+// whose ownership moves with it, so the later release is a second one.
+func addrAlias() *byte {
+	buf := transport.GetFrame()
+	p := &buf[0]
+	transport.PutFrame(buf) // want `frame buf released or sent twice`
+	return p
+}

@@ -26,3 +26,10 @@ func grant() wire.Msg {
 func handle(n *proto.Node, m *wire.Msg) {
 	n.Handle(*m) // want `Node.Handle by value is the benchmark probes' wrapper: use of proto.Node.Handle outside internal/proto/`
 }
+
+// install hands a fault-in reply to the protocol core by value; the
+// space's Install, which records an end state, is another method.
+func install(n *proto.Node, sp *proto.Space, m *wire.Msg, end *proto.EndState) {
+	n.Install(*m) // want `Node.Install by value is the benchmark probes' wrapper: use of proto.Node.Install outside internal/proto/`
+	sp.Install(end)
+}

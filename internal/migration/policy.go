@@ -5,6 +5,12 @@
 // [6], Jackal's lazy flushing [15] and Jiajia's barrier-time migration
 // [9] (§2).
 //
+// A policy owns its rule; the protocol core asks and never decides. At a
+// fault-in the home asks Decide about a Fault: the object, the node that
+// faulted, the nodes holding copies and the object's migration state. A
+// BarrierPolicy is also asked, at each barrier release, about every
+// object the episode's write reports name exactly once.
+//
 // All policies share the per-object core.State bookkeeping; a policy is a
 // pure decision strategy, so runs under any policy still report the full
 // feedback counters (C, R, E) for analysis.
@@ -24,23 +30,46 @@ import (
 type Policy interface {
 	// Name is a short identifier ("AT", "FT2", "NoHM", ...).
 	Name() string
-	// Decide is consulted when node requester (≠ home) faults in the
-	// object, and returns the verdict with the clause that produced it and
-	// the pair that clause compared. sharers is the number of other nodes
-	// currently holding cached copies (used by Jackal's exclusive-owner
-	// rule). Decide only reads st.
-	Decide(st *core.State, requester memory.NodeID, sharers int) Explanation
-	// BarrierDriven reports that migration decisions are made by the
-	// barrier manager (Jiajia) rather than at fault-in time.
-	BarrierDriven() bool
+	// Decide is consulted when f.Requester (≠ home) faults in f.Obj, and
+	// returns the verdict with the clause that produced it and the pair
+	// that clause compared. Decide only reads f.
+	Decide(f Fault) Explanation
+}
+
+// Fault is what the home knows when it decides a fault-in. It is passed
+// by value: a pointer handed through the interface call would escape,
+// one allocation per fault-in.
+type Fault struct {
+	Obj       memory.ObjectID
+	Requester memory.NodeID
+	// Copyset is the home's list of nodes holding a copy, never the home
+	// itself; it may already hold the requester. Read only, and only
+	// during Decide: the home reuses it.
+	Copyset []memory.NodeID
+	// St is the object's migration state. Decide runs before a migration
+	// resets it, so the explanation carries the pair the rule compared.
+	St *core.State
+}
+
+// BarrierPolicy is a Policy that also moves homes at barriers. Under one,
+// each node reports the objects it wrote in the interval with its barrier
+// arrival, and at release the barrier's manager asks Reassign once per
+// candidate, in object order: an object exactly one report named, with
+// the node that reported it. A barrier transfer moves no data, so only
+// the episode's sole writer, whose copy is the object's current value, can
+// take the home; the protocol keeps that condition and finds the
+// candidates, the policy says which of them move. A policy that is not a
+// BarrierPolicy collects no reports.
+type BarrierPolicy interface {
+	Policy
+	Reassign(obj memory.ObjectID, writer memory.NodeID) bool
 }
 
 // NoHM never migrates: the baseline of Fig. 2 ("NoHM") and Fig. 5 ("NM").
 type NoHM struct{}
 
-func (NoHM) Name() string        { return "NoHM" }
-func (NoHM) BarrierDriven() bool { return false }
-func (NoHM) Decide(*core.State, memory.NodeID, int) Explanation {
+func (NoHM) Name() string { return "NoHM" }
+func (NoHM) Decide(Fault) Explanation {
 	return Explanation{Reason: ReasonNeverMigrates}
 }
 
@@ -49,26 +78,25 @@ func (NoHM) Decide(*core.State, memory.NodeID, int) Explanation {
 // T ≥ 1. FT1 and FT2 in Fig. 5 are Fixed{1} and Fixed{2}.
 type Fixed struct{ T int }
 
-func (f Fixed) Name() string      { return fmt.Sprintf("FT%d", f.T) }
-func (Fixed) BarrierDriven() bool { return false }
-func (f Fixed) Decide(st *core.State, req memory.NodeID, _ int) Explanation {
-	return runAgainst(st, req, float64(f.T))
+func (f Fixed) Name() string { return fmt.Sprintf("FT%d", f.T) }
+func (ft Fixed) Decide(f Fault) Explanation {
+	return runAgainst(f.St, f.Requester, float64(ft.T))
 }
 
 // Adaptive is the paper's contribution (§4): the per-object threshold of
 // Eq. (2)–(3), continuously tuned by runtime feedback.
 type Adaptive struct{ P core.Params }
 
-func (Adaptive) Name() string        { return "AT" }
-func (Adaptive) BarrierDriven() bool { return false }
-func (a Adaptive) Decide(st *core.State, req memory.NodeID, _ int) Explanation {
-	return runAgainst(st, req, st.Threshold(a.P))
+func (Adaptive) Name() string { return "AT" }
+func (a Adaptive) Decide(f Fault) Explanation {
+	return runAgainst(f.St, f.Requester, f.St.Threshold(a.P))
 }
 
 // ShouldMigrate is Decide's verdict alone: the call the benchmark's
-// decision probe (migration.decide_ns) times.
+// decision probe (migration.decide_ns) times. AT reads no sharers, so
+// the count is not passed on.
 func (a Adaptive) ShouldMigrate(st *core.State, req memory.NodeID, sharers int) bool {
-	return a.Decide(st, req, sharers).Migrate
+	return a.Decide(Fault{Requester: req, St: st}).Migrate
 }
 
 // runAgainst is the rule FT and AT share: migrate to the requester when
@@ -91,9 +119,8 @@ func runAgainst(st *core.State, req memory.NodeID, limit float64) Explanation {
 // always becomes the new home, ignoring the access pattern.
 type JUMP struct{}
 
-func (JUMP) Name() string        { return "JUMP" }
-func (JUMP) BarrierDriven() bool { return false }
-func (JUMP) Decide(*core.State, memory.NodeID, int) Explanation {
+func (JUMP) Name() string { return "JUMP" }
+func (JUMP) Decide(Fault) Explanation {
 	return Explanation{Migrate: true, Reason: ReasonAlwaysMigrates}
 }
 
@@ -102,29 +129,34 @@ func (JUMP) Decide(*core.State, memory.NodeID, int) Explanation {
 // the number of ownership transitions is capped (five in Jackal).
 type Jackal struct{ Max int }
 
-func (j Jackal) Name() string      { return fmt.Sprintf("Jackal%d", j.Max) }
-func (Jackal) BarrierDriven() bool { return false }
-func (j Jackal) Decide(st *core.State, _ memory.NodeID, sharers int) Explanation {
+func (j Jackal) Name() string { return fmt.Sprintf("Jackal%d", j.Max) }
+func (j Jackal) Decide(f Fault) Explanation {
+	sharers := 0
+	for _, nd := range f.Copyset {
+		if nd != f.Requester {
+			sharers++
+		}
+	}
 	if sharers > 0 {
 		return Explanation{Reason: ReasonSharersExist, Count: float64(sharers), Limit: float64(j.Max)}
 	}
-	if st.Epoch >= j.Max {
-		return Explanation{Reason: ReasonEpochCap, Count: float64(st.Epoch), Limit: float64(j.Max)}
+	if f.St.Epoch >= j.Max {
+		return Explanation{Reason: ReasonEpochCap, Count: float64(f.St.Epoch), Limit: float64(j.Max)}
 	}
-	return Explanation{Migrate: true, Reason: ReasonExclusiveOwner, Count: float64(st.Epoch), Limit: float64(j.Max)}
+	return Explanation{Migrate: true, Reason: ReasonExclusiveOwner, Count: float64(f.St.Epoch), Limit: float64(j.Max)}
 }
 
 // Jiajia models the barrier-time home migration of [9] (§2): the barrier
 // manager detects objects written by exactly one process between two
-// barriers and reassigns their homes in the barrier-release broadcast.
-// Fault-in requests never migrate.
+// barriers and reassigns every one of their homes to that writer in the
+// barrier-release broadcast. Fault-in requests never migrate.
 type Jiajia struct{}
 
-func (Jiajia) Name() string        { return "Jiajia" }
-func (Jiajia) BarrierDriven() bool { return true }
-func (Jiajia) Decide(*core.State, memory.NodeID, int) Explanation {
+func (Jiajia) Name() string { return "Jiajia" }
+func (Jiajia) Decide(Fault) Explanation {
 	return Explanation{Reason: ReasonNeverMigrates}
 }
+func (Jiajia) Reassign(memory.ObjectID, memory.NodeID) bool { return true }
 
 // Parse returns the policy named by s: "NoHM"/"NM", "FT<k>", "AT",
 // "JUMP", "Jackal[<k>]", "Jiajia". The AT params must be supplied because

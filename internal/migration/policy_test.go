@@ -13,6 +13,9 @@ func params() core.Params {
 	return core.Params{Lambda: 1, TInit: 1, Alpha: func(o, d int) float64 { return 2 }}
 }
 
+// fault is a fault-in of an object in state st by req, no copies held.
+func fault(st *core.State, req memory.NodeID) Fault { return Fault{Requester: req, St: st} }
+
 func stateWithRun(p core.Params, writer memory.NodeID, n int) *core.State {
 	s := core.NewState(p, 512)
 	for i := 0; i < n; i++ {
@@ -24,21 +27,21 @@ func stateWithRun(p core.Params, writer memory.NodeID, n int) *core.State {
 func TestNoHMNeverMigrates(t *testing.T) {
 	p := params()
 	s := stateWithRun(p, 3, 100)
-	if (NoHM{}).Decide(s, 3, 0).Migrate {
+	if (NoHM{}).Decide(fault(s, 3)).Migrate {
 		t.Fatal("NoHM migrated")
 	}
-	if (NoHM{}).BarrierDriven() {
-		t.Fatal("NoHM is not barrier driven")
+	if _, ok := Policy(NoHM{}).(BarrierPolicy); ok {
+		t.Fatal("NoHM reassigns at barriers")
 	}
 }
 
 func TestFixedThresholdTriggersAtT(t *testing.T) {
 	p := params()
 	ft2 := Fixed{T: 2}
-	if ft2.Decide(stateWithRun(p, 3, 1), 3, 0).Migrate {
+	if ft2.Decide(fault(stateWithRun(p, 3, 1), 3)).Migrate {
 		t.Fatal("FT2 migrated at C=1")
 	}
-	if !ft2.Decide(stateWithRun(p, 3, 2), 3, 0).Migrate {
+	if !ft2.Decide(fault(stateWithRun(p, 3, 2), 3)).Migrate {
 		t.Fatal("FT2 did not migrate at C=2")
 	}
 }
@@ -46,7 +49,7 @@ func TestFixedThresholdTriggersAtT(t *testing.T) {
 func TestFixedRequiresRequesterIsWriter(t *testing.T) {
 	p := params()
 	s := stateWithRun(p, 3, 5)
-	if (Fixed{T: 1}).Decide(s, 4, 0).Migrate {
+	if (Fixed{T: 1}).Decide(fault(s, 4)).Migrate {
 		t.Fatal("FT migrated to a non-writer requester")
 	}
 }
@@ -62,7 +65,7 @@ func TestAdaptiveMigratesAtInitialThresholdOne(t *testing.T) {
 	// write suffices initially.
 	p := params()
 	at := Adaptive{P: p}
-	if !at.Decide(stateWithRun(p, 3, 1), 3, 0).Migrate {
+	if !at.Decide(fault(stateWithRun(p, 3, 1), 3)).Migrate {
 		t.Fatal("AT did not migrate at C=1 with T=1")
 	}
 }
@@ -72,13 +75,13 @@ func TestAdaptiveRespectsRaisedThreshold(t *testing.T) {
 	at := Adaptive{P: p}
 	s := stateWithRun(p, 3, 1)
 	s.Redirected(3) // negative feedback raises T to 4
-	if at.Decide(s, 3, 0).Migrate {
+	if at.Decide(fault(s, 3)).Migrate {
 		t.Fatal("AT migrated below raised threshold")
 	}
 	for i := 0; i < 3; i++ {
 		s.RemoteWrite(3, 64)
 	}
-	if !at.Decide(s, 3, 0).Migrate {
+	if !at.Decide(fault(s, 3)).Migrate {
 		t.Fatal("AT did not migrate once C reached raised threshold")
 	}
 }
@@ -87,7 +90,7 @@ func TestAdaptiveNeverMigratesWithoutWrites(t *testing.T) {
 	p := params()
 	at := Adaptive{P: p}
 	s := core.NewState(p, 512)
-	if at.Decide(s, 3, 0).Migrate {
+	if at.Decide(fault(s, 3)).Migrate {
 		t.Fatal("AT migrated with C=0")
 	}
 }
@@ -95,7 +98,7 @@ func TestAdaptiveNeverMigratesWithoutWrites(t *testing.T) {
 func TestJUMPAlwaysMigrates(t *testing.T) {
 	p := params()
 	s := core.NewState(p, 512)
-	if !(JUMP{}).Decide(s, 9, 5).Migrate {
+	if !(JUMP{}).Decide(Fault{Requester: 9, Copyset: []memory.NodeID{1, 2, 3, 4, 5}, St: s}).Migrate {
 		t.Fatal("JUMP refused to migrate")
 	}
 }
@@ -104,10 +107,13 @@ func TestJackalExclusiveOwnerRule(t *testing.T) {
 	p := params()
 	j := Jackal{Max: 5}
 	s := core.NewState(p, 512)
-	if j.Decide(s, 3, 2).Migrate {
+	if j.Decide(Fault{Requester: 3, Copyset: []memory.NodeID{1, 2}, St: s}).Migrate {
 		t.Fatal("Jackal migrated while shared")
 	}
-	if !j.Decide(s, 3, 0).Migrate {
+	if !j.Decide(Fault{Requester: 3, Copyset: []memory.NodeID{3}, St: s}).Migrate {
+		t.Fatal("Jackal counted the requester's own copy as a sharer")
+	}
+	if !j.Decide(fault(s, 3)).Migrate {
 		t.Fatal("Jackal refused unshared migration")
 	}
 }
@@ -119,12 +125,12 @@ func TestJackalTransitionCap(t *testing.T) {
 	j := Jackal{Max: 5}
 	s := core.NewState(p, 512)
 	for e := 0; e < 5; e++ {
-		if !j.Decide(s, 3, 0).Migrate {
+		if !j.Decide(fault(s, 3)).Migrate {
 			t.Fatalf("Jackal refused at epoch %d", e)
 		}
 		s = core.FromRecord(p, 512, *s.Migrate(p))
 	}
-	if j.Decide(s, 3, 0).Migrate {
+	if j.Decide(fault(s, 3)).Migrate {
 		t.Fatal("Jackal migrated beyond its cap")
 	}
 }
@@ -132,11 +138,15 @@ func TestJackalTransitionCap(t *testing.T) {
 func TestJiajiaIsBarrierDriven(t *testing.T) {
 	p := params()
 	s := stateWithRun(p, 3, 100)
-	if (Jiajia{}).Decide(s, 3, 0).Migrate {
+	if (Jiajia{}).Decide(fault(s, 3)).Migrate {
 		t.Fatal("Jiajia migrated at fault time")
 	}
-	if !(Jiajia{}).BarrierDriven() {
-		t.Fatal("Jiajia must be barrier driven")
+	bp, ok := Policy(Jiajia{}).(BarrierPolicy)
+	if !ok {
+		t.Fatal("Jiajia must be a barrier policy")
+	}
+	if !bp.Reassign(7, 2) {
+		t.Fatal("Jiajia declined a sole writer's object")
 	}
 }
 
@@ -198,8 +208,9 @@ func TestParseRoundTrip(t *testing.T) {
 			if got.Name() != name {
 				t.Errorf("Parse(%q).Name() = %q, want %q", in, got.Name(), name)
 			}
-			if got.BarrierDriven() != pol.BarrierDriven() {
-				t.Errorf("Parse(%q).BarrierDriven() = %v, want %v", in, got.BarrierDriven(), pol.BarrierDriven())
+			_, gotBarrier := got.(BarrierPolicy)
+			if _, barrier := pol.(BarrierPolicy); gotBarrier != barrier {
+				t.Errorf("Parse(%q) is a barrier policy: %v, want %v", in, gotBarrier, barrier)
 			}
 		}
 	}
@@ -213,9 +224,9 @@ func TestFixedEagernessMonotoneProperty(t *testing.T) {
 	f := func(run uint8, req uint8) bool {
 		s := stateWithRun(p, memory.NodeID(req%4), int(run%10))
 		r := memory.NodeID(req % 4)
-		m1 := Fixed{T: 1}.Decide(s, r, 0).Migrate
-		m2 := Fixed{T: 2}.Decide(s, r, 0).Migrate
-		m3 := Fixed{T: 3}.Decide(s, r, 0).Migrate
+		m1 := Fixed{T: 1}.Decide(fault(s, r)).Migrate
+		m2 := Fixed{T: 2}.Decide(fault(s, r)).Migrate
+		m3 := Fixed{T: 3}.Decide(fault(s, r)).Migrate
 		// m3 ⇒ m2 ⇒ m1
 		return (!m3 || m2) && (!m2 || m1)
 	}
@@ -231,7 +242,7 @@ func TestAdaptiveEqualsFT1WithoutFeedbackProperty(t *testing.T) {
 	f := func(run uint8, req uint8) bool {
 		s := stateWithRun(p, memory.NodeID(req%4), int(run%10))
 		r := memory.NodeID(req % 4)
-		return Adaptive{P: p}.ShouldMigrate(s, r, 0) == Fixed{T: 1}.Decide(s, r, 0).Migrate
+		return Adaptive{P: p}.ShouldMigrate(s, r, 0) == Fixed{T: 1}.Decide(fault(s, r)).Migrate
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -23,37 +23,38 @@ func TestDecideReasons(t *testing.T) {
 		pol     Policy
 		st      *core.State
 		req     memory.NodeID
-		sharers int
+		copyset []memory.NodeID
 		want    Explanation
 	}{
-		{"nohm", NoHM{}, stateWithRun(p, 3, 100), 3, 0,
+		{"nohm", NoHM{}, stateWithRun(p, 3, 100), 3, nil,
 			Explanation{Reason: ReasonNeverMigrates}},
-		{"jiajia", Jiajia{}, stateWithRun(p, 3, 100), 3, 0,
+		{"jiajia", Jiajia{}, stateWithRun(p, 3, 100), 3, nil,
 			Explanation{Reason: ReasonNeverMigrates}},
-		{"jump", JUMP{}, core.NewState(p, 512), 9, 5,
+		{"jump", JUMP{}, core.NewState(p, 512), 9, []memory.NodeID{1, 2, 3, 4, 5},
 			Explanation{Migrate: true, Reason: ReasonAlwaysMigrates}},
-		{"ft-reached", Fixed{T: 2}, stateWithRun(p, 3, 2), 3, 0,
+		{"ft-reached", Fixed{T: 2}, stateWithRun(p, 3, 2), 3, nil,
 			Explanation{Migrate: true, Reason: ReasonThresholdReached, Count: 2, Limit: 2}},
-		{"ft-below", Fixed{T: 2}, stateWithRun(p, 3, 1), 3, 0,
+		{"ft-below", Fixed{T: 2}, stateWithRun(p, 3, 1), 3, nil,
 			Explanation{Reason: ReasonBelowThreshold, Count: 1, Limit: 2}},
-		{"ft-not-writer", Fixed{T: 1}, stateWithRun(p, 3, 5), 4, 0,
+		{"ft-not-writer", Fixed{T: 1}, stateWithRun(p, 3, 5), 4, nil,
 			Explanation{Reason: ReasonNotLastWriter, Count: 5, Limit: 1}},
-		{"at-reached", Adaptive{P: p}, stateWithRun(p, 3, 1), 3, 0,
+		{"at-reached", Adaptive{P: p}, stateWithRun(p, 3, 1), 3, nil,
 			Explanation{Migrate: true, Reason: ReasonThresholdReached, Count: 1, Limit: 1}},
-		{"at-below", Adaptive{P: p}, raised, 3, 0,
+		{"at-below", Adaptive{P: p}, raised, 3, nil,
 			Explanation{Reason: ReasonBelowThreshold, Count: 1, Limit: raised.Threshold(p)}},
-		{"at-not-writer", Adaptive{P: p}, stateWithRun(p, 3, 4), 2, 0,
+		{"at-not-writer", Adaptive{P: p}, stateWithRun(p, 3, 4), 2, nil,
 			Explanation{Reason: ReasonNotLastWriter, Count: 4, Limit: 1}},
-		{"jackal-exclusive", Jackal{Max: 5}, core.NewState(p, 512), 3, 0,
+		{"jackal-exclusive", Jackal{Max: 5}, core.NewState(p, 512), 3, []memory.NodeID{3},
 			Explanation{Migrate: true, Reason: ReasonExclusiveOwner, Count: 0, Limit: 5}},
-		{"jackal-shared", Jackal{Max: 5}, core.NewState(p, 512), 3, 2,
+		// The requester's own copy is no sharer: {3, 5, 6} asked by 3 is two.
+		{"jackal-shared", Jackal{Max: 5}, core.NewState(p, 512), 3, []memory.NodeID{3, 5, 6},
 			Explanation{Reason: ReasonSharersExist, Count: 2, Limit: 5}},
-		{"jackal-capped", Jackal{Max: 5}, capped, 3, 0,
+		{"jackal-capped", Jackal{Max: 5}, capped, 3, nil,
 			Explanation{Reason: ReasonEpochCap, Count: 5, Limit: 5}},
 	}
 	given := map[Reason]bool{}
 	for _, c := range cases {
-		got := c.pol.Decide(c.st, c.req, c.sharers)
+		got := c.pol.Decide(Fault{Obj: 4, Requester: c.req, Copyset: c.copyset, St: c.st})
 		if got != c.want {
 			t.Errorf("%s: Decide = %+v, want %+v", c.name, got, c.want)
 		}

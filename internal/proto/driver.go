@@ -260,7 +260,7 @@ func (d *Driver) Release(l LockID) {
 }
 
 // Barrier performs release-side flushing, arrives at the barrier manager
-// (carrying piggybacked diffs and Jiajia write reports), waits for the
+// (carrying piggybacked diffs and any write reports), waits for the
 // go, then applies acquire-side consistency.
 func (d *Driver) Barrier(b BarrierID) {
 	n := d.n
@@ -272,7 +272,7 @@ func (d *Driver) Barrier(b BarrierID) {
 	if n.On(flight.BarrierArrive) {
 		n.Emit(flight.Event{Kind: flight.BarrierArrive, Thread: int32(d.id), Sync: uint32(b)})
 	}
-	reports := n.JiajiaReports(uint32(b))
+	reports := n.WriteReports(uint32(b))
 	bar := &n.bars[b]
 	bar.wait = append(bar.wait, d.slot)
 	start := d.h.Now()

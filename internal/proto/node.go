@@ -47,7 +47,7 @@ type Node struct {
 	// home itself: a served fault-in adds the requester, a remote diff
 	// leaves only its writer, a demote empties it.
 	Copyset  [][]memory.NodeID
-	MyWrites []memory.ObjectID // objects this node wrote this interval (Jiajia)
+	MyWrites []memory.ObjectID // objects written this interval, under a barrier policy
 	MgrHome  []memory.NodeID   // manager-locator current-home table
 	Loc      *locator.Table
 	// homeEpoch is the newest migration epoch announced here per object
@@ -76,13 +76,13 @@ type barrier struct {
 	mgr *syncmgr.Barrier
 	// wait are the local thread slots parked on the barrier.
 	wait []int32
-	// pending are this node's reported Jiajia candidates between its
-	// arrival and the barrier's go, kept per barrier so another barrier's
-	// go cannot unpin them early. Together with MyWrites they pin local
-	// copies (see BeginInterval): a Jiajia home transfer moves no data, so
-	// the prospective new home must not drop its copy before it resolves.
+	// pending are the objects this node reported between its arrival and
+	// the barrier's go, kept per barrier so another barrier's go cannot
+	// unpin them early. Together with MyWrites they pin local copies (see
+	// BeginInterval): a barrier home transfer moves no data, so the
+	// prospective new home must not drop its copy before it resolves.
 	pending []memory.ObjectID
-	// writer is the manager's per-object tally of the episode's Jiajia
+	// writer is the manager's per-object tally of the episode's write
 	// reports: NoNode, the one node that reported the object, or
 	// severalReports. Made at the first report, cleared at every release.
 	writer []memory.NodeID
@@ -190,7 +190,7 @@ func (n *Node) growObjects(total int) {
 // locator a fault-in or diff for an object this node is neither home of
 // nor holds a pointer for has exactly one legal explanation: the home
 // transfer that will make it routable (a migrating fault reply awaiting
-// install, or a Jiajia barrier-go) is still in flight. The virtual-time
+// install, or a barrier-go) is still in flight. The virtual-time
 // engine cannot observe either window (message costs order the transfer
 // before any dependent request, and a sim thread never pins), but the
 // live engine can — it parks the message at its node until the holders
@@ -364,15 +364,9 @@ func (n *Node) serveFault(msg *wire.Msg) {
 		return
 	}
 
-	sharers := 0
-	for _, nd := range n.Copyset[obj] {
-		if nd != requester {
-			sharers++
-		}
-	}
 	// Decided before st.Migrate resets the epoch feedback: the Decision
 	// event carries the counter/threshold pair the heuristic compared.
-	ex := n.S.Policy.Decide(st, requester, sharers)
+	ex := n.S.Policy.Decide(migration.Fault{Obj: obj, Requester: requester, Copyset: n.Copyset[obj], St: st})
 	if held, _ := n.viewed(obj); ex.Migrate && held {
 		ex.Migrate, ex.Reason = false, migration.ReasonPinned
 	}
@@ -504,11 +498,11 @@ func (n *Node) applyRemoteDiff(obj memory.ObjectID, d twindiff.Diff, writer memo
 	n.Copyset[obj] = set
 }
 
-// NoteMyWrite records a first-write-of-interval for Jiajia's barrier-time
+// NoteMyWrite records a first-write-of-interval for barrier-time
 // single-writer detection: nodes self-report what they wrote, and the
-// barrier manager intersects the reports (§2 [9]).
+// barrier manager tallies the reports (§2 [9]).
 func (n *Node) NoteMyWrite(obj memory.ObjectID) {
-	if n.S.Policy.BarrierDriven() && !slices.Contains(n.MyWrites, obj) {
+	if _, ok := n.S.Policy.(migration.BarrierPolicy); ok && !slices.Contains(n.MyWrites, obj) {
 		n.MyWrites = append(n.MyWrites, obj)
 	}
 }
@@ -602,9 +596,11 @@ func (n *Node) BarrierArrive(bid uint32, w syncmgr.Waiter, diffs []wire.ObjDiff,
 	}
 }
 
-// barrierRelease broadcasts the go (with any Jiajia home reassignments:
-// each object reported exactly once this episode goes to its reporter, in
-// object order) to every node and rearms the barrier.
+// barrierRelease broadcasts the go to every node and rearms the barrier.
+// The go carries the episode's home reassignments: each object reported
+// exactly once is a candidate, since only a sole writer's copy can take
+// the home without data moving, and goes to its reporter if the barrier
+// policy says so, asked in object order.
 func (n *Node) barrierRelease(bid uint32) {
 	if n.On(flight.BarrierRelease) {
 		n.Emit(flight.Event{Kind: flight.BarrierRelease, Sync: bid})
@@ -614,8 +610,9 @@ func (n *Node) barrierRelease(bid uint32) {
 		panic("proto: barrier released with wrong arrival count")
 	}
 	var assigns []wire.Pair
+	bp, ok := n.S.Policy.(migration.BarrierPolicy)
 	for obj, w := range b.writer {
-		if w >= 0 {
+		if w >= 0 && ok && bp.Reassign(memory.ObjectID(obj), w) {
 			assigns = append(assigns, wire.Pair{Obj: memory.ObjectID(obj), Node: w})
 		}
 		b.writer[obj] = memory.NoNode
@@ -632,8 +629,8 @@ func (n *Node) barrierRelease(bid uint32) {
 	n.ApplyBarrierGo(&goMsg)
 }
 
-// ApplyBarrierGo applies Jiajia reassignments, wakes local waiters, and
-// opens a new synchronization interval.
+// ApplyBarrierGo applies barrier-time reassignments, wakes local waiters,
+// and opens a new synchronization interval.
 func (n *Node) ApplyBarrierGo(msg *wire.Msg) {
 	for _, a := range msg.Pairs {
 		n.applyAssign(a)
@@ -649,7 +646,7 @@ func (n *Node) ApplyBarrierGo(msg *wire.Msg) {
 	}
 }
 
-// applyAssign performs one Jiajia barrier-time home transfer. The new home
+// applyAssign performs one barrier-time home transfer. The new home
 // was the interval's only writer, so its copy equals the home copy and no
 // data moves (§2 [9]: new home notifications piggyback on barrier
 // messages).
@@ -688,7 +685,7 @@ func (n *Node) applyAssign(a wire.Pair) {
 		// copy with a demote-time twin so the view's subsequent writes
 		// are diffed and flushed to the new home at the holder's next
 		// synchronization instead of silently dying in a clean cached
-		// copy. Writes made before the demote follow Jiajia's own
+		// copy. Writes made before the demote follow barrier-time
 		// semantics: the reassigned home's copy is authoritative for the
 		// closing interval.
 		if held, _ := n.viewed(a.Obj); held {
@@ -705,10 +702,10 @@ func (n *Node) applyAssign(a wire.Pair) {
 	}
 }
 
-// jjProtected reports whether obj is pinned as a Jiajia reassignment
+// reportPinned reports whether obj is pinned as a barrier reassignment
 // candidate: written by this node in the current interval (MyWrites) or
 // reported and awaiting a barrier's verdict (barrier.pending).
-func (n *Node) jjProtected(obj memory.ObjectID) bool {
+func (n *Node) reportPinned(obj memory.ObjectID) bool {
 	if slices.Contains(n.MyWrites, obj) {
 		return true
 	}
@@ -720,11 +717,12 @@ func (n *Node) jjProtected(obj memory.ObjectID) bool {
 	return false
 }
 
-// JiajiaReports lists the objects this node wrote since the previous
-// barrier (self-reported; the barrier manager intersects reports from all
+// WriteReports lists the objects this node wrote since the previous
+// barrier (self-reported; the barrier manager tallies reports from all
 // nodes to find single-writer objects) and opens a fresh write interval.
-func (n *Node) JiajiaReports(bid uint32) []wire.Pair {
-	if !n.S.Policy.BarrierDriven() {
+// Without a barrier policy there is nothing to report.
+func (n *Node) WriteReports(bid uint32) []wire.Pair {
+	if _, ok := n.S.Policy.(migration.BarrierPolicy); !ok {
 		return nil
 	}
 	out := make([]wire.Pair, 0, len(n.MyWrites))
@@ -757,6 +755,7 @@ func (n *Node) EndInterval() {
 // invalidated (LRC: the acquirer must observe preceding releases), and
 // home copies are set to invalid for access monitoring (§3.3).
 func (n *Node) BeginInterval() {
+	_, reports := n.S.Policy.(migration.BarrierPolicy)
 	for obj, o := range n.Cache {
 		switch {
 		case o == nil:
@@ -764,15 +763,15 @@ func (n *Node) BeginInterval() {
 			o.State = memory.Invalid
 		case o.Dirty:
 			// Unflushed writes survive acquires.
-		case n.S.Policy.BarrierDriven() && n.jjProtected(memory.ObjectID(obj)):
+		case reports && n.reportPinned(memory.ObjectID(obj)):
 			// This node is the interval's (so far) only writer of obj and
 			// may be handed its home at the next barrier — a transfer
 			// that moves no data. Keep the copy but make it Invalid, so
 			// reads still refetch (no stale-read hazard) while the data
 			// survives for a potential promote. If the object was in fact
-			// written elsewhere too, the barrier manager's intersection
-			// never reassigns it and the copy is simply replaced on the
-			// next fault-in.
+			// written elsewhere too, or the policy declines it, the
+			// barrier reassigns nothing and the copy is simply replaced on
+			// the next fault-in.
 			o.State = memory.Invalid
 			n.Counters.InvalidatedObjs++
 		default:

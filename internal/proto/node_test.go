@@ -225,3 +225,112 @@ func TestJiajiaManagerCountsReports(t *testing.T) {
 		}
 	}
 }
+
+// evenOnly is a barrier policy that moves only even objects, and records
+// every candidate it is asked about.
+type evenOnly struct {
+	migration.NoHM
+	asked *[]wire.Pair
+}
+
+func (p evenOnly) Reassign(obj memory.ObjectID, writer memory.NodeID) bool {
+	*p.asked = append(*p.asked, wire.Pair{Obj: obj, Node: writer})
+	return obj%2 == 0
+}
+
+// Which candidates move is the barrier policy's rule: the manager asks it
+// once about each object exactly one report named, with the reporter, in
+// object order, and the go carries the ones it accepts.
+func TestBarrierPolicyPicksAmongCandidates(t *testing.T) {
+	w := newWorld(t, locator.ForwardingPointer, 3, 5, 0) // objects 0–5, homed at node 0
+	var asked []wire.Pair
+	w.sp.S.Policy = evenOnly{asked: &asked}
+	bar := w.sp.AddBarrier(0, 3)
+	mgr := w.sp.Nodes[0]
+	type arrival struct {
+		node  memory.NodeID
+		slot  int32
+		wrote []memory.ObjectID
+	}
+	for _, ep := range []struct {
+		name        string
+		arrivals    []arrival
+		asked, want []wire.Pair
+	}{
+		{"object 2 reported twice is no candidate; of the others the even ones move",
+			[]arrival{{2, 0, []memory.ObjectID{5, 1, 2}}, {1, 0, []memory.ObjectID{4, 0, 2}}, {1, 1, []memory.ObjectID{3}}},
+			[]wire.Pair{{Obj: 0, Node: 1}, {Obj: 1, Node: 2}, {Obj: 3, Node: 1}, {Obj: 4, Node: 1}, {Obj: 5, Node: 2}},
+			[]wire.Pair{{Obj: 0, Node: 1}, {Obj: 4, Node: 1}}},
+		{"the next episode asks about its own candidates only",
+			[]arrival{{2, 0, []memory.ObjectID{2}}, {1, 0, []memory.ObjectID{3}}, {1, 1, nil}},
+			[]wire.Pair{{Obj: 2, Node: 2}, {Obj: 3, Node: 1}},
+			[]wire.Pair{{Obj: 2, Node: 2}}},
+	} {
+		asked = asked[:0]
+		for _, a := range ep.arrivals {
+			var reports []wire.Pair
+			for _, obj := range a.wrote {
+				reports = append(reports, wire.Pair{Obj: obj, Node: a.node})
+			}
+			mgr.Handle(wire.Msg{Kind: wire.BarrierArrive, From: a.node, To: 0, Barrier: uint32(bar),
+				ReplyNode: a.node, ReplySlot: a.slot, Pairs: reports})
+		}
+		if !slices.Equal(asked, ep.asked) {
+			t.Fatalf("%s: the policy was asked about %+v, want %+v", ep.name, asked, ep.asked)
+		}
+		gos := w.hold(wire.BarrierGo)
+		if got := frames(gos); !slices.Equal(got, []string{"BarrierGo>1", "BarrierGo>2"}) {
+			t.Fatalf("%s: the manager sent %v", ep.name, got)
+		}
+		for _, g := range gos {
+			if !slices.Equal(g.Pairs, ep.want) {
+				t.Fatalf("%s: go to node %d assigns %+v, want %+v", ep.name, g.To, g.Pairs, ep.want)
+			}
+		}
+	}
+	for obj, home := range mgr.IsHome {
+		if moved := obj == 0 || obj == 2 || obj == 4; home == moved {
+			t.Errorf("the manager is home of object %d: %v", obj, home)
+		}
+	}
+}
+
+// Write reports are a barrier policy's: without one a write is not
+// noted, the arrival carries no pairs and the home stays; with Jiajia
+// the same run reports the write and the home moves to the writer.
+func TestOnlyABarrierPolicyCollectsReports(t *testing.T) {
+	for _, pol := range []migration.Policy{migration.NoHM{}, migration.Jiajia{}} {
+		_, barrier := pol.(migration.BarrierPolicy)
+		w := newWorld(t, locator.ForwardingPointer, 2, 0, 1)
+		w.sp.S.Policy = pol
+		bar := w.sp.AddBarrier(1, 1)
+		var noted []memory.ObjectID
+		var reports []wire.Pair
+		if barrier {
+			noted, reports = []memory.ObjectID{w.obj}, []wire.Pair{{Obj: w.obj, Node: 0}}
+		}
+
+		w.script(step{name: "fault-in for the write", on: recv,
+			sent: []string{"ObjReq>1"}, want: objState{Cache: "none", Hint: 1}})
+		w.d.Write(w.obj, 0, 7)
+		if !slices.Equal(w.n.MyWrites, noted) {
+			t.Fatalf("%s: after the write MyWrites = %v, want %v", pol.Name(), w.n.MyWrites, noted)
+		}
+		w.script(
+			step{name: "diff to the home", on: recv,
+				sent: []string{"Diff>1"}, want: objState{Cache: "RO", Hint: 1, Outstanding: true}},
+			step{name: "arrival", on: recv,
+				sent: []string{"BarrierArrive>1"}, want: objState{Cache: "RO", Hint: 1},
+				check: func(w *world) {
+					if got := w.sent[0].Pairs; !slices.Equal(got, reports) {
+						t.Fatalf("%s: the arrival reports %+v, want %+v", pol.Name(), got, reports)
+					}
+				}},
+		)
+		w.d.Barrier(bar)
+		w.done()
+		if w.n.IsHome[w.obj] != barrier {
+			t.Fatalf("%s: node 0 home %v after the barrier, want %v", pol.Name(), w.n.IsHome[w.obj], barrier)
+		}
+	}
+}

@@ -147,7 +147,7 @@ func (n *Node) install(msg *wire.Msg) *memory.Object {
 		return n.Cache[obj]
 	}
 	if old := n.Cache[obj]; old != nil {
-		// A kept Invalid copy (a Jiajia reassignment candidate the
+		// A kept Invalid copy (a barrier reassignment candidate the
 		// barrier declined) is being replaced: recycle its buffer so
 		// the refetch stays allocation-free.
 		n.Pool.PutWords(old.Data)
