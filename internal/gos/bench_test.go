@@ -109,9 +109,10 @@ func lockKernel(turns int) (*Cluster, []Worker) {
 // BenchmarkLockKernel is the virtual-time engine's own row: host time per
 // simulated counter update, with the two kernel counts that explain it.
 // ev/op is the simulated work (it moves only if the protocol or the cost
-// model does); act/op is how many of those events needed a goroutine
-// switch — the number to watch: a thread blocking is one, a daemon
-// serving a frame is none.
+// model does); act/op is how many of those events activated a proc — the
+// number to watch, since each is a coroutine switch unless it is the
+// parking proc's own: a thread blocking is one, a daemon serving a frame
+// is none.
 func BenchmarkLockKernel(b *testing.B) {
 	turns := (b.N + 23) / 24
 	c, ws := lockKernel(turns)

@@ -105,7 +105,7 @@ func TestDeadlockListsThreadsNotDaemons(t *testing.T) {
 
 // TestOnlyThreadsAndMasterAreProcs: the lock kernel on 4 nodes with 3
 // workers spawns 4 processes — no node has one — and needs at most 4
-// goroutine switches per counter update (it needed 10.25 with a daemon
+// proc activations per counter update (it needed 10.25 with a daemon
 // process per node).
 func TestOnlyThreadsAndMasterAreProcs(t *testing.T) {
 	const turns = 50

@@ -14,8 +14,8 @@ import (
 // Node is one simulated cluster node: the shared protocol state
 // (proto.Node) plus the virtual-time daemon that drives it — not a
 // process but the inbox's consumer (sim.Queue.Consume): two event
-// callbacks, begin and handle, msgProcCost apart, run by whichever
-// goroutine is dispatching events, so serving a frame switches to none.
+// callbacks, begin and handle, msgProcCost apart, run on whichever stack
+// is dispatching events, so serving a frame switches to none.
 // The Node itself is the proto.Engine: sends go through the simulated
 // interconnect with Hockney costs, local thread handoffs through pooled
 // sim queues.

@@ -203,6 +203,17 @@ var shapeRules = []shapeRule{
 	{name: "a thread's mailbox is its node's", since: "One lock per side of an in-process hop",
 		in: pkgs("internal/live"), what: []target{use("repro/internal/live/transport.NewQueue")}},
 
+	{name: "a sim proc is one coroutine", since: "A sim proc is a coroutine",
+		in: pkgs("internal/sim"), what: []target{use("iter.Pull")},
+		only: []string{"internal/sim/sim.go"}, n: 1},
+	// Member.InboxLen and the TCP backend's InboxLen exist for the
+	// benchmark's link gauge (ROADMAP item 10): nothing else grows on them.
+	{name: "InboxLen is the benchmark's link gauge", since: "A sim proc is a coroutine",
+		in: outsideBenchmark, tests: true, what: []target{use("repro/internal/live/cluster.Member.InboxLen")}},
+	{name: "the TCP InboxLen feeds only the member's gauge", since: "A sim proc is a coroutine",
+		in: outsideBenchmark, tests: true, what: []target{use("repro/internal/live/transport/tcp.Transport.InboxLen")},
+		only: []string{"internal/live/cluster/cluster.go", "internal/live/transport/tcp/tcp_test.go"}},
+
 	{name: "a member owns one node", since: "A member owns one node",
 		in: pkgs("internal/live/cluster"), tests: true, what: []target{decl("", "repair")}},
 

@@ -35,6 +35,14 @@ func (m *Member) poll() ctlKind {
 	return m.recv() // want `node 0 gathers and broadcasts only in round: use of cluster.Member.recv 3 times`
 }
 
+// InboxLen is the benchmark's gauge of the member's inbox.
+func (m *Member) InboxLen() int { return 0 }
+
+// backlog reads the gauge outside the benchmark.
+func (m *Member) backlog() int {
+	return m.InboxLen() // want `InboxLen is the benchmark's link gauge: use of cluster.Member.InboxLen`
+}
+
 // Join starts a member.
 func Join() *Member { return &Member{} }
 

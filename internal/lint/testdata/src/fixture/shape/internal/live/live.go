@@ -7,6 +7,7 @@ import (
 	_ "unsafe" // want `unsafe lives in the word view: import of unsafe outside internal/twindiff/words.go`
 
 	"repro/internal/live/transport"
+	"repro/internal/live/transport/tcp"
 	"repro/internal/wire"
 )
 
@@ -73,3 +74,8 @@ func (n *node) decode(frame []byte) (wire.Msg, error) {
 
 // frames recycles encode buffers without a bound.
 var frames sync.Pool // want `a pool is a bounded free list: use of sync.Pool in repro/internal/live`
+
+// depth reads the TCP backend's inbox gauge outside the member.
+func depth(tr *tcp.Transport) int {
+	return tr.InboxLen(0) // want `the TCP InboxLen feeds only the member's gauge: use of tcp.Transport.InboxLen outside internal/live/cluster/cluster.go, internal/live/transport/tcp/tcp_test.go`
+}

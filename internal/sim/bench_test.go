@@ -77,7 +77,7 @@ func (s *server) finish() {
 }
 
 // consumerHop is pingPong's traffic with b as a consumer instead of a
-// proc: the same sends, sleeps and events, and no goroutine for b.
+// proc: the same sends, sleeps and events, and no coroutine for b.
 func consumerHop(n int) *Env {
 	e := NewEnv()
 	a2b := e.NewQueue("a2b")
@@ -115,7 +115,7 @@ func BenchmarkKernelPingPong(b *testing.B) {
 
 // BenchmarkConsumerHop is BenchmarkKernelPingPong with the receiving side
 // run as event callbacks: what a message costs once its receiver needs no
-// goroutine switch.
+// coroutine switch.
 func BenchmarkConsumerHop(b *testing.B) {
 	b.ReportAllocs()
 	e := consumerHop(b.N)

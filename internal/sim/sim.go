@@ -4,13 +4,14 @@
 // every node daemon a queue consumer (Queue.Consume) — callbacks the
 // kernel schedules in the very (time, sequence) slot where it would have
 // woken a Proc parked on that queue, so events fire in the order a daemon
-// process produced and a goroutine switch is paid only when a thread blocks.
+// process produced and a coroutine switch is paid only when a thread blocks.
 //
 // Determinism: all execution is serialized through a single event queue
-// ordered by (time, sequence number). Procs are goroutines, but exactly one
-// runs at any instant; control is handed back and forth through unbuffered
-// channels. Two runs with the same inputs produce identical event orders,
-// identical virtual times and identical statistics.
+// ordered by (time, sequence number). A Proc is a coroutine (iter.Pull):
+// the kernel loop in Run resumes it, and it yields back to park, so
+// exactly one of them runs at any instant. Two runs with the same inputs
+// produce identical event orders, identical virtual times and identical
+// statistics.
 //
 // Performance: the kernel is allocation-free in steady state. The 4-ary
 // min-heap holds only 24-byte keys — time, sequence number and a slot
@@ -20,12 +21,12 @@
 // recycled through a free list; dispatch clears and frees the slot before
 // it runs the event, so nothing fired stays reachable. Sleep, queue
 // wakeups and message deliveries thus schedule without touching the heap
-// allocator; queues are ring buffers with O(1) receive and single-waiter
-// wakeup.
+// allocator; queues are ring buffers with O(1) receive and one receiver.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"sort"
 )
@@ -108,31 +109,30 @@ type event struct {
 // It is not safe for concurrent use from multiple OS threads; all access
 // happens from the single running Proc or from event callbacks.
 type Env struct {
-	now      Time
-	seq      uint64
-	heap     []key   // 4-ary min-heap ordered by (t, seq)
-	slab     []event // payloads, indexed by key.slot
-	free     []int32 // slab slots not holding a scheduled event
-	parked   chan struct{}
-	procs    []*Proc
-	nlive    int
-	failure  *PanicError
-	running  bool
-	draining bool // shutdown in progress: finished procs report directly
-	stats    EnvStats
+	now     Time
+	seq     uint64
+	heap    []key   // 4-ary min-heap ordered by (t, seq)
+	slab    []event // payloads, indexed by key.slot
+	free    []int32 // slab slots not holding a scheduled event
+	handed  *Proc   // the proc a parking one dispatched to, for Run to resume
+	procs   []*Proc
+	nlive   int
+	failure *PanicError
+	running bool
+	stats   EnvStats
 }
 
 // EnvStats reports kernel-level counters, useful for performance analysis
 // of the simulation itself.
 type EnvStats struct {
 	Events      uint64 // events fired
-	Activations uint64 // proc context switches
+	Activations uint64 // proc activations dispatched
 	Spawned     int    // procs ever spawned
 }
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{parked: make(chan struct{})}
+	return &Env{}
 }
 
 // Now returns the current virtual time.
@@ -247,11 +247,11 @@ func (e *Env) pop() key {
 	return top
 }
 
-// next dispatches events on the calling goroutine, in (t, seq) order, until
-// the baton has to leave it: it returns the proc whose activation came up
-// (a parking caller's own, possibly), or nil when there is nothing to
-// dispatch — the heap drained, or a failure needs shutting down. The kernel
-// loop, a parking proc and a finished one all dispatch through here.
+// next dispatches events on the caller's stack, in (t, seq) order, until a
+// proc's activation comes up, and returns that proc (a parking caller's
+// own, possibly), or nil when there is nothing to dispatch — the heap
+// drained, or a failure needs shutting down. The kernel loop and a
+// parking proc both dispatch through here.
 //
 //dsm:hotpath
 func (e *Env) next() *Proc {
@@ -283,19 +283,11 @@ func (e *Env) next() *Proc {
 	return nil
 }
 
-// pass hands the baton to q, or for nil back to the kernel loop.
-func (e *Env) pass(q *Proc) {
-	if q == nil {
-		e.parked <- struct{}{}
-		return
-	}
-	q.resume <- struct{}{}
-}
-
 // runFn runs an evFn callback, converting a panic into the run's failure.
-// Callbacks are dispatched from whichever goroutine holds the baton, so
-// without this a panic would unwind through (and be blamed on) an
-// unrelated proc; a step of a queue's consumer is blamed on its label.
+// Callbacks run on whichever stack is dispatching — a parking proc's,
+// possibly — so without this a panic would unwind through (and be blamed
+// on) an unrelated proc; a step of a queue's consumer is blamed on its
+// label.
 func (e *Env) runFn(fn func(), owner *Queue) {
 	defer func() {
 		if r := recover(); r != nil && e.failure == nil {
@@ -309,7 +301,7 @@ func (e *Env) runFn(fn func(), owner *Queue) {
 	fn()
 }
 
-// killPanic is the sentinel thrown into procs during Shutdown.
+// killPanic unwinds a parked proc that shutdown stops.
 type killPanic struct{}
 
 // PanicError wraps a panic raised inside a Proc, with the proc name and a
@@ -334,14 +326,17 @@ func (d *DeadlockError) Error() string {
 	return fmt.Sprintf("sim: deadlock, %d procs parked forever: %v", len(d.Parked), d.Parked)
 }
 
-// Proc is a simulated process. Procs run one at a time; they block only
-// through the kernel (Sleep, Queue.Recv), never through OS primitives.
+// Proc is a simulated process, run as a coroutine. Procs run one at a
+// time; they block only through the kernel (Sleep, Queue.Recv), never
+// through OS primitives.
 type Proc struct {
-	Name   string
-	id     int
-	env    *Env
-	resume chan struct{}
-	kill   bool
+	Name string
+	env  *Env
+	// resume switches into the coroutine and stop ends it; yield, inside
+	// it, switches back to the resumer and reports false once stopped.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 	done   bool
 	state  string
 }
@@ -355,15 +350,20 @@ func (p *Proc) Now() Time { return p.env.now }
 // Spawn creates a proc running fn, activated at the current virtual time
 // (after already-scheduled events at this time).
 func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{Name: name, id: len(e.procs), env: e, resume: make(chan struct{}), state: "new"}
+	p := &Proc{Name: name, env: e, state: "new"}
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.main(fn)
+	})
 	e.procs = append(e.procs, p)
 	e.nlive++
 	e.stats.Spawned++
-	go p.main(fn)
 	e.activateAt(e.now, p)
 	return p
 }
 
+// main is the coroutine's body: fn, then the proc's end. A panic becomes
+// the run's failure, unless it is the killPanic of a stopped proc.
 func (p *Proc) main(fn func(*Proc)) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -373,47 +373,33 @@ func (p *Proc) main(fn func(*Proc)) {
 		}
 		p.done = true
 		p.state = "done"
-		e := p.env
-		e.nlive--
-		if e.draining {
-			// Shutdown is collecting procs directly; don't dispatch.
-			e.parked <- struct{}{}
-			return
-		}
-		e.pass(e.next())
+		p.env.nlive--
 	}()
-	<-p.resume
-	if p.kill {
-		panic(killPanic{})
-	}
 	p.state = "running"
 	fn(p)
 }
 
 // park suspends the calling proc until its next activation.
 //
-// Baton-passing scheduler: instead of bouncing control through the kernel
-// loop on every switch (proc → kernel → next proc: four channel
-// operations), the parking proc dispatches events itself, in exactly the
-// order the kernel would, and hands the baton directly to the next proc
-// to run — or keeps it, when the next activation is its own. The kernel
-// loop only regains control when the queue drains or a failure needs
-// shutting down. Event order, virtual times and kernel counters are
-// byte-for-byte identical to central dispatch; only the goroutine
-// handoffs are halved. Exactly one goroutine executes simulation code at
-// any instant, so all kernel state stays single-threaded.
+// The parking proc dispatches events itself, on its own stack, in exactly
+// the order the kernel loop would, and keeps running when the next
+// activation is its own: a proc that sleeps or waits on a reply already
+// due pays no coroutine switch at all. Otherwise it hands the proc whose
+// activation came up (nil when there is none) to the kernel loop and
+// yields; the loop resumes that proc. Event order, virtual times and
+// kernel counters are identical to the loop dispatching everything — a
+// variant that cost two switches on every own wake-up. Exactly one stack
+// executes simulation code at any instant, so all kernel state stays
+// single-threaded.
 func (p *Proc) park(why string) {
 	e := p.env
 	p.state = why
 	q := e.next()
-	if q == p {
-		p.state = "running"
-		return // our own wakeup: keep running, no handoff at all
-	}
-	e.pass(q)
-	<-p.resume
-	if p.kill {
-		panic(killPanic{})
+	if q != p {
+		e.handed = q
+		if !p.yield(struct{}{}) {
+			panic(killPanic{}) // stopped by shutdown: unwind the proc
+		}
 	}
 	p.state = "running"
 }
@@ -438,12 +424,15 @@ func (e *Env) Run() error {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for p := e.next(); p != nil; p = e.next() {
-		p.resume <- struct{}{}
-		<-e.parked // the baton is back: the heap drained, or a failure
+	defer e.shutdown()
+	for p := e.next(); p != nil; {
+		p.resume()
+		// p parked, handing over the next proc, or ended.
+		if p, e.handed = e.handed, nil; p == nil {
+			p = e.next()
+		}
 	}
 	if f := e.failure; f != nil {
-		e.shutdown()
 		return f
 	}
 	if e.nlive > 0 {
@@ -454,48 +443,36 @@ func (e *Env) Run() error {
 			}
 		}
 		sort.Strings(parked)
-		e.shutdown()
 		return &DeadlockError{Parked: parked}
 	}
-	e.shutdown()
 	return nil
 }
 
-// shutdown kills every live proc so their goroutines exit.
+// shutdown stops every proc that has not ended, however Run returns: a
+// parked one unwinds from its park, one never activated never starts.
 func (e *Env) shutdown() {
-	e.draining = true
-	defer func() { e.draining = false }()
 	for _, p := range e.procs {
-		if p.done {
-			continue
+		if !p.done {
+			p.stop()
 		}
-		p.kill = true
-		p.resume <- struct{}{}
-		<-e.parked
 	}
 }
 
 // Queue is a FIFO message queue between procs with blocking receive.
-// Sends never block. Queues are typically single-consumer (each thread and
-// each node daemon owns one); multi-consumer use is safe but receipt order
-// across consumers follows activation order, not arrival order.
-//
-// The buffer is a power-of-two ring: receive is O(1) (the previous
-// implementation shifted the whole backlog on every receive, an O(n²)
-// drain), and each send wakes at most one parked receiver — since a send
-// adds exactly one item, waking the whole herd only to have all but one
-// waiter re-park would burn context switches for nothing.
+// Sends never block. A queue has one receiver, as each thread owns its
+// reply queue and each node daemon its inbox; any proc may poll with
+// TryRecv. The buffer is a power-of-two ring, so receive is O(1).
 //
 // A receiver that never needs a stack of its own is a consumer (Consume),
 // not a Proc: a callback scheduled where a parked receiver would be woken.
 type Queue struct {
 	env       *Env
 	name      string
-	recvState string // "recv <name>", precomputed so parking never concatenates
-	buf       []any  // ring storage, len(buf) is a power of two
-	head      int    // index of the oldest item
-	count     int    // buffered items
-	waiters   []*Proc
+	recvState string        // "recv <name>", precomputed so parking never concatenates
+	buf       []any         // ring storage, len(buf) is a power of two
+	head      int           // index of the oldest item
+	count     int           // buffered items
+	waiter    *Proc         // the proc parked in Recv, if any
 	consume   func()        // the consumer; nil on a queue procs receive from
 	label     func() string // names the consumer in a PanicError
 	armed     bool          // the consumer is idle: the next Send schedules it
@@ -549,7 +526,7 @@ func (q *Queue) After(d Time, fn func()) {
 	ev.q, ev.fn = q, fn
 }
 
-// Send enqueues v and wakes one parked receiver — or schedules the armed
+// Send enqueues v and wakes the parked receiver — or schedules the armed
 // consumer — if any. Callable from proc or event context.
 //
 //dsm:hotpath
@@ -564,14 +541,10 @@ func (q *Queue) Send(v any) {
 		q.After(0, q.consume)
 		return
 	}
-	if len(q.waiters) == 0 {
-		return
+	if w := q.waiter; w != nil {
+		q.waiter = nil
+		q.env.activateAt(q.env.now, w)
 	}
-	w := q.waiters[0]
-	copy(q.waiters, q.waiters[1:])
-	q.waiters[len(q.waiters)-1] = nil
-	q.waiters = q.waiters[:len(q.waiters)-1]
-	q.env.activateAt(q.env.now, w)
 }
 
 // dequeue removes and returns the oldest item. The queue must be
@@ -586,10 +559,14 @@ func (q *Queue) dequeue() any {
 	return v
 }
 
-// Recv blocks p until an item is available and returns it.
+// Recv blocks p until an item is available and returns it. It panics if
+// another proc is parked in Recv on q.
 func (q *Queue) Recv(p *Proc) any {
 	for q.count == 0 {
-		q.waiters = append(q.waiters, p)
+		if q.waiter != nil {
+			panic(fmt.Sprintf("sim: %s receives on queue %q, where %s is parked already", p.Name, q.name, q.waiter.Name))
+		}
+		q.waiter = p
 		p.park(q.recvState)
 	}
 	return q.dequeue()

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -151,26 +152,72 @@ func TestQueueTryRecv(t *testing.T) {
 	}
 }
 
-func TestQueueMultipleWaitersNoLostWakeup(t *testing.T) {
-	// Two consumers, two items sent in one burst: both must be delivered.
+func TestQueueSecondReceiverPanics(t *testing.T) {
+	// A queue has one receiver: a second proc parking in Recv beside the
+	// first ends the run as a PanicError that names both and the queue.
 	e := NewEnv()
 	q := e.NewQueue("q")
-	var got []int
 	for i := 0; i < 2; i++ {
-		e.Spawn(fmt.Sprintf("c%d", i), func(p *Proc) {
-			got = append(got, q.Recv(p).(int))
-		})
+		e.Spawn(fmt.Sprintf("c%d", i), func(p *Proc) { q.Recv(p) })
 	}
-	e.Spawn("prod", func(p *Proc) {
-		p.Sleep(1)
-		q.Send(1)
-		q.Send(2)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	err := e.Run()
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want PanicError", err)
 	}
-	if len(got) != 2 || got[0]+got[1] != 3 {
-		t.Fatalf("got %v, want both items delivered", got)
+	if msg := fmt.Sprint(pe.Value); pe.Proc != "c1" || !strings.Contains(msg, `"q"`) || !strings.Contains(msg, "c0") {
+		t.Fatalf("panic in %q: %s; want c1 blamed, naming queue \"q\" and c0", pe.Proc, msg)
+	}
+}
+
+// TestRunEndsEveryProc: whatever way a run ends, Run leaves no proc's
+// coroutine behind — a parked proc is stopped without running on, and one
+// spawned but never activated never starts.
+func TestRunEndsEveryProc(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(e *Env)
+		check func(error) bool
+	}{
+		{"clean", func(e *Env) {
+			q := e.NewQueue("q")
+			e.Spawn("recv", func(p *Proc) { q.Recv(p) })
+			e.Spawn("send", func(p *Proc) { p.Sleep(1); q.Send(1) })
+		}, func(err error) bool { return err == nil }},
+		{"deadlock", func(e *Env) {
+			for _, name := range []string{"a", "b"} {
+				q := e.NewQueue(name)
+				e.Spawn(name, func(p *Proc) { q.Recv(p) })
+			}
+		}, func(err error) bool {
+			var dl *DeadlockError
+			return errors.As(err, &dl) && len(dl.Parked) == 2
+		}},
+		{"panic", func(e *Env) {
+			e.Spawn("bystander", func(p *Proc) {
+				p.Sleep(10)
+				t.Error("the bystander ran on after the run failed")
+			})
+			e.Spawn("boom", func(p *Proc) {
+				p.Sleep(1)
+				e.Spawn("late", func(p *Proc) { t.Error("a proc spawned at the failing instant ran") })
+				panic("boom")
+			})
+		}, func(err error) bool {
+			var pe *PanicError
+			return errors.As(err, &pe) && pe.Proc == "boom"
+		}},
+	}
+	for _, c := range cases {
+		before := runtime.NumGoroutine()
+		e := NewEnv()
+		c.build(e)
+		if err := e.Run(); !c.check(err) {
+			t.Fatalf("%s: Run = %v", c.name, err)
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Errorf("%s: %d goroutines before the run, %d after", c.name, before, after)
+		}
 	}
 }
 
@@ -650,7 +697,7 @@ func TestConsumerKeepsTheReceiversSlot(t *testing.T) {
 	}
 	// Same events, minus the reference server's start; that activation,
 	// its 4 wake-ups from idle and its 11 ends of service are gone with
-	// the goroutine.
+	// the coroutine.
 	if gotStats.Events != refStats.Events-1 {
 		t.Errorf("events: consumer %d, proc receiver %d, want one less (the spawn)", gotStats.Events, refStats.Events)
 	}
