@@ -12,8 +12,10 @@
 // -engine live runs the same protocol on real goroutines (wall-clock
 // metrics instead of virtual time); -check verifies the protocol
 // invariants, fingerprints the final memory, and replays the run's
-// scalar accesses through the LRC coherence oracle — on either engine,
-// matching the `dsmbench -check` gate.
+// scalar accesses through the LRC coherence oracle — on either engine.
+// That is the gate of `dsmbench -scenarios` and `-cross`; `dsmbench
+// -check` runs its figures without the oracle, which costs too much
+// there.
 //
 // -flight N attaches a per-node flight recorder of N events to every
 // node; the merged HLC-ordered cluster timeline then exports as

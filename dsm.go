@@ -64,15 +64,15 @@ type (
 	// both execution engines (sim and live).
 	Thread = proto.Thread
 	// Lock names a distributed lock.
-	Lock = gos.LockID
+	Lock = proto.LockID
 	// Barrier names a distributed barrier.
-	Barrier = gos.BarrierID
+	Barrier = proto.BarrierID
 	// Metrics are the per-run statistics.
 	Metrics = stats.Metrics
 	// Time is virtual time in nanoseconds.
 	Time = sim.Time
 	// Worker pins a thread to a node.
-	Worker = gos.Worker
+	Worker = proto.Worker
 	// Trace is an ordered log of the protocol events the access-pattern
 	// classifier reads (see Config.Trace): a flight.Log of trace.Kinds.
 	Trace = flight.Log
@@ -184,8 +184,10 @@ type Config struct {
 }
 
 // Cluster is a configured DSM instance: declare shared state, then Run.
+// It holds the engine New builds as its proto.Space and its Run.
 type Cluster struct {
-	eng     proto.Cluster
+	sp      *proto.Space
+	run     func([]Worker) (Metrics, error)
 	cfg     Config
 	polName string
 	// initial holds the pre-run home-copy contents, snapshotted at Run
@@ -258,14 +260,15 @@ func New(cfg Config) *Cluster {
 	}
 	switch cfg.Engine {
 	case "", "sim":
-		c.eng = gos.New(gos.Config{
+		e := gos.New(gos.Config{
 			Shared:    sh,
 			Net:       net,
 			DebugWire: cfg.DebugWire,
 			FlightCap: cfg.FlightCap,
 		})
+		c.sp, c.run = e.Space, e.Run
 	case "live":
-		c.eng = live.New(live.Config{
+		e := live.New(live.Config{
 			Shared:      sh,
 			Transport:   cfg.Transport,
 			LocalNode:   cfg.LocalNode,
@@ -273,16 +276,17 @@ func New(cfg Config) *Cluster {
 			FlightLocal: cfg.FlightLocal,
 			Metrics:     cfg.Metrics,
 		})
+		c.sp, c.run = e.Space, e.Run
 	default:
 		panic(fmt.Sprintf("dsm: unknown engine %q (want \"sim\" or \"live\")", cfg.Engine))
 	}
 	// The one way in for observers, after the engine's own flight rings.
 	if cfg.Telemetry != nil {
-		c.eng.Subscribe(cfg.Telemetry)
+		c.sp.Subscribe(cfg.Telemetry)
 	}
-	c.eng.Subscribe(cfg.Observer)
+	c.sp.Subscribe(cfg.Observer)
 	if cfg.Trace != nil {
-		c.eng.Subscribe(cfg.Trace)
+		c.sp.Subscribe(cfg.Trace)
 	}
 	return c
 }
@@ -297,27 +301,27 @@ func (c *Cluster) PolicyName() string { return c.polName }
 // (i.e. "created by", §5) node home, and returns its id.
 func (c *Cluster) NewObject(name string, words int, home NodeID) ObjectID {
 	_ = name // names are documentation; ids are dense ints
-	return c.eng.AddObject(words, home)
+	return c.sp.AddObject(words, home)
 }
 
 // NewLock declares a distributed lock managed by node home.
-func (c *Cluster) NewLock(home NodeID) Lock { return c.eng.AddLock(home) }
+func (c *Cluster) NewLock(home NodeID) Lock { return c.sp.AddLock(home) }
 
 // NewBarrier declares a barrier of parties threads managed by node home.
 func (c *Cluster) NewBarrier(home NodeID, parties int) Barrier {
-	return c.eng.AddBarrier(home, parties)
+	return c.sp.AddBarrier(home, parties)
 }
 
 // Init seeds an object's home copy before the run at no simulated cost
 // (pre-existing input data).
-func (c *Cluster) Init(obj ObjectID, fn func(words []uint64)) { c.eng.InitObject(obj, fn) }
+func (c *Cluster) Init(obj ObjectID, fn func(words []uint64)) { c.sp.InitObject(obj, fn) }
 
 // end returns the memory as it stands and the first invariant it violates.
 func (c *Cluster) end() (*proto.EndState, error) {
 	if c.final != nil {
 		return c.final, c.finalErr
 	}
-	return c.eng.EndState()
+	return c.sp.EndState()
 }
 
 // mustEnd is end for readers with no error to return; only an aborted
@@ -365,8 +369,8 @@ func (c *Cluster) RunWorkers(ws []Worker) (Metrics, error) {
 			c.initial[obj] = append([]uint64(nil), data...)
 		}
 	}
-	m, err := c.eng.Run(ws)
-	c.final, c.finalErr = c.eng.EndState()
+	m, err := c.run(ws)
+	c.final, c.finalErr = c.sp.EndState()
 	return m, err
 }
 
@@ -396,12 +400,12 @@ func (c *Cluster) Digest() uint64 { return c.mustEnd().Digest() }
 // when recording was not enabled (Config.FlightCap/FlightLocal). Call
 // after Run; see internal/flight for exporters (WriteText,
 // WriteChromeTrace). internal/trace classifies the timeline as is.
-func (c *Cluster) FlightEvents() []flight.Event { return c.eng.FlightEvents() }
+func (c *Cluster) FlightEvents() []flight.Event { return c.sp.FlightEvents() }
 
 // FlightRecorders returns the flight recorders in node order, one per
 // recording node this process runs: empty when recording is off. Useful
 // for dump-on-abort reporting (flight.DumpLastN).
-func (c *Cluster) FlightRecorders() []*flight.Recorder { return c.eng.FlightRecorders() }
+func (c *Cluster) FlightRecorders() []*flight.Recorder { return c.sp.FlightRecorders() }
 
 // NewTrace returns an empty protocol-event trace to attach to
 // Config.Trace.

@@ -18,7 +18,7 @@ func BenchmarkFaultRoundTrip(b *testing.B) {
 	obj := c.AddObject(64, 0)
 	l := c.AddLock(1)
 	b.ResetTimer()
-	_, err := c.Run([]Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
+	_, err := c.Run([]proto.Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
 		for i := 0; i < b.N; i++ {
 			th.Acquire(l) // local lock: invalidates the cached copy
 			_ = th.Read(obj, 0)
@@ -34,7 +34,7 @@ func BenchmarkLockRoundTrip(b *testing.B) {
 	c := New(testConfig(2, migration.NoHM{}, locator.ForwardingPointer))
 	l := c.AddLock(0)
 	b.ResetTimer()
-	_, err := c.Run([]Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
+	_, err := c.Run([]proto.Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
 		for i := 0; i < b.N; i++ {
 			th.Acquire(l)
 			th.Release(l)
@@ -50,7 +50,7 @@ func BenchmarkWriteFaultAndDiffFlush(b *testing.B) {
 	obj := c.AddObject(512, 0)
 	l := c.AddLock(1)
 	b.ResetTimer()
-	_, err := c.Run([]Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
+	_, err := c.Run([]proto.Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
 		for i := 0; i < b.N; i++ {
 			th.Acquire(l)
 			th.Write(obj, i%512, uint64(i+1))
@@ -69,7 +69,7 @@ func BenchmarkLocalAccess(b *testing.B) {
 	obj := c.AddObject(64, 0)
 	b.ResetTimer()
 	var sink uint64
-	_, err := c.Run([]Worker{{Node: 0, Name: "w", Fn: func(th proto.Thread) {
+	_, err := c.Run([]proto.Worker{{Node: 0, Name: "w", Fn: func(th proto.Thread) {
 		for i := 0; i < b.N; i++ {
 			sink += th.Read(obj, i%64)
 		}
@@ -85,13 +85,13 @@ func BenchmarkLocalAccess(b *testing.B) {
 // taking lock0 for a turn of 8 counter updates, each in its own lock1
 // interval; node 0 hosts the counter's first home and both lock managers.
 // One op is one counter update.
-func lockKernel(turns int) (*Cluster, []Worker) {
+func lockKernel(turns int) (*Cluster, []proto.Worker) {
 	c := New(DefaultConfig(4)) // AT over forwarding pointers, no codec round trip
 	counter := c.AddObject(1, 0)
 	lock0, lock1 := c.AddLock(0), c.AddLock(0)
-	var ws []Worker
+	var ws []proto.Worker
 	for n := 1; n < 4; n++ {
-		ws = append(ws, Worker{Node: memory.NodeID(n), Name: "w", Fn: func(th proto.Thread) {
+		ws = append(ws, proto.Worker{Node: memory.NodeID(n), Name: "w", Fn: func(th proto.Thread) {
 			for i := 0; i < turns; i++ {
 				th.Acquire(lock0)
 				for j := 0; j < 8; j++ {
@@ -128,13 +128,13 @@ func BenchmarkLockKernel(b *testing.B) {
 
 // barrierEpisodes sets up n episodes of an 8-party barrier, one thread
 // per node.
-func barrierEpisodes(n int) (*Cluster, []Worker) {
+func barrierEpisodes(n int) (*Cluster, []proto.Worker) {
 	const nodes = 8
 	c := New(testConfig(nodes, migration.NoHM{}, locator.ForwardingPointer))
 	bar := c.AddBarrier(0, nodes)
-	var ws []Worker
+	var ws []proto.Worker
 	for i := 0; i < nodes; i++ {
-		ws = append(ws, Worker{Node: memory.NodeID(i), Name: "w", Fn: func(th proto.Thread) {
+		ws = append(ws, proto.Worker{Node: memory.NodeID(i), Name: "w", Fn: func(th proto.Thread) {
 			for i := 0; i < n; i++ {
 				th.Barrier(bar)
 			}

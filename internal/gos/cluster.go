@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"repro/internal/cnet"
-	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/hlc"
 	"repro/internal/hockney"
@@ -31,35 +30,13 @@ import (
 	"repro/internal/stats"
 )
 
-// LockID names a distributed lock.
-type LockID = proto.LockID
-
-// BarrierID names a distributed barrier.
-type BarrierID = proto.BarrierID
-
-// Worker is one application thread to run.
-type Worker = proto.Worker
-
-// Sentinel invariant violations (see proto.CheckInvariants).
-var (
-	ErrHomeCount     = proto.ErrHomeCount
-	ErrMissingState  = proto.ErrMissingState
-	ErrMissingData   = proto.ErrMissingData
-	ErrDirtyCopy     = proto.ErrDirtyCopy
-	ErrTwinLeak      = proto.ErrTwinLeak
-	ErrStaleCopyset  = proto.ErrStaleCopyset
-	ErrOwnerMismatch = proto.ErrOwnerMismatch
-	ErrForwardCycle  = proto.ErrForwardCycle
-	ErrDeadEndChain  = proto.ErrDeadEndChain
-)
-
 // Config parameterizes one DSM run: the protocol selection and layout
 // both engines share (proto.Shared, handed to proto.NewSpace as is) plus
 // what only the virtual-time engine has — the cost model and flight rings.
 // Observers attach through Subscribe (Space.Subscribe), after New.
 type Config struct {
 	proto.Shared
-	// Net is the interconnect cost model (default: Fast Ethernet class).
+	// Net is the interconnect cost model.
 	Net hockney.Model
 	// DebugWire round-trips every message through the codec.
 	DebugWire bool
@@ -99,21 +76,11 @@ type Cluster struct {
 	endTime sim.Time
 }
 
-// New builds a cluster per cfg; a zero network, nil policy or zero
-// threshold parameters select the paper's.
+// New builds a cluster per cfg, taken as given: dsm.New resolves the
+// paper defaults once, and DefaultConfig is the paper's setup.
 func New(cfg Config) *Cluster {
-	def := DefaultConfig(cfg.Nodes)
 	if cfg.Nodes <= 0 {
 		panic("gos: cluster needs at least one node")
-	}
-	if cfg.Net == (hockney.Model{}) {
-		cfg.Net = def.Net
-	}
-	if cfg.Policy == nil {
-		cfg.Policy = def.Policy
-	}
-	if cfg.Params.Alpha == nil {
-		cfg.Params = core.DefaultParams(cfg.Net.Alpha)
 	}
 	c := &Cluster{cfg: cfg, env: sim.NewEnv()}
 	c.net = cnet.New(c.env, cnet.Config{Model: cfg.Net, Jitter: jitter, DebugCheck: cfg.DebugWire}, cfg.Nodes, &c.Counters)
@@ -147,7 +114,7 @@ func (s *simStamper) stamp() hlc.Stamp {
 }
 
 // Run executes the workers to completion and returns the run metrics.
-func (c *Cluster) Run(workers []Worker) (stats.Metrics, error) {
+func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 	c.Seal()
 	doneQ := c.env.NewQueue("done")
 	for i, w := range workers {

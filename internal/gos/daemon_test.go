@@ -22,7 +22,7 @@ import (
 // about the frame it was handling.
 func TestHandlerPanicNamesDaemonKindAndPeer(t *testing.T) {
 	c := New(DefaultConfig(4)) // DebugWire off: the simulated wire carries anything
-	_, err := c.Run([]Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
+	_, err := c.Run([]proto.Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
 		c.net.Send(&wire.Msg{Kind: wire.Kind(200), From: 1, To: 2}, stats.ObjReq)
 		th.Compute(sim.Millisecond)
 	}}})
@@ -47,7 +47,7 @@ func TestHandlerPanicNamesTheFrameAsItArrived(t *testing.T) {
 	c := New(DefaultConfig(4))
 	obj := c.AddObject(2, 0)
 	c.nodes[2].Loc.SetForward(obj, 2)
-	_, err := c.Run([]Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
+	_, err := c.Run([]proto.Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
 		c.net.Send(&wire.Msg{Kind: wire.ObjReq, From: 1, To: 2, Obj: obj, ReplyNode: 1}, stats.ObjReq)
 		th.Compute(sim.Millisecond)
 	}}})
@@ -67,7 +67,7 @@ func TestDebugWireFailsAFrameAPeerRejects(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.DebugWire = true
 	c := New(cfg)
-	_, err := c.Run([]Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
+	_, err := c.Run([]proto.Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
 		c.net.Send(&wire.Msg{Kind: wire.LockRel, From: 1, To: 2, Pairs: []wire.Pair{{Obj: 0, Node: 1}}}, stats.LockMsg)
 	}}})
 	var pe *sim.PanicError
@@ -82,14 +82,14 @@ func TestDebugWireFailsAFrameAPeerRejects(t *testing.T) {
 func TestDeadlockListsThreadsNotDaemons(t *testing.T) {
 	c := New(testConfig(4, migration.NoHM{}, locator.ForwardingPointer))
 	l0, l1 := c.AddLock(0), c.AddLock(3)
-	crossed := func(first, second LockID) func(proto.Thread) {
+	crossed := func(first, second proto.LockID) func(proto.Thread) {
 		return func(th proto.Thread) {
 			th.Acquire(first)
 			th.Compute(sim.Millisecond)
 			th.Acquire(second)
 		}
 	}
-	_, err := c.Run([]Worker{
+	_, err := c.Run([]proto.Worker{
 		{Node: 1, Name: "ab", Fn: crossed(l0, l1)},
 		{Node: 2, Name: "ba", Fn: crossed(l1, l0)},
 	})
@@ -133,13 +133,13 @@ func TestQuiescenceWaitsOutABusyDaemon(t *testing.T) {
 		c := New(testConfig(2, migration.NoHM{}, locator.ForwardingPointer))
 		obj := c.AddObject(1, 0)
 		l := c.AddLock(0)
-		ws := []Worker{{Node: 1, Name: "a", Fn: func(th proto.Thread) {
+		ws := []proto.Worker{{Node: 1, Name: "a", Fn: func(th proto.Thread) {
 			th.Acquire(l)
 			th.Write(obj, 0, 7)
 			th.Release(l)
 		}}}
 		if bCompute > 0 {
-			ws = append(ws, Worker{Node: 0, Name: "b", Fn: func(th proto.Thread) { th.Compute(bCompute) }})
+			ws = append(ws, proto.Worker{Node: 0, Name: "b", Fn: func(th proto.Thread) { th.Compute(bCompute) }})
 		}
 		m := mustRun(t, c, ws)
 		return m, c.ObjectData(obj)[0]

@@ -86,10 +86,10 @@ func (p fuzzProgram) run(t *testing.T, pol migration.Policy, loc locator.Kind) [
 	}
 	bar := c.AddBarrier(0, p.nodes)
 	errs := make(chan string, p.nodes*p.phases)
-	var workers []Worker
+	var workers []proto.Worker
 	for th := 0; th < p.nodes; th++ {
 		th := th
-		workers = append(workers, Worker{Node: memory.NodeID(th), Name: fmt.Sprintf("f%d", th),
+		workers = append(workers, proto.Worker{Node: memory.NodeID(th), Name: fmt.Sprintf("f%d", th),
 			Fn: func(tt proto.Thread) {
 				for ph := 0; ph < p.phases; ph++ {
 					// Verify one value from a previous phase. Only objects
@@ -247,10 +247,10 @@ func TestLockFuzz(t *testing.T) {
 				objs = append(objs, c.AddObject(1, memory.NodeID(o%nodes)))
 			}
 			lock := c.AddLock(0)
-			var workers []Worker
+			var workers []proto.Worker
 			for th := 0; th < nodes; th++ {
 				seq := targets[th]
-				workers = append(workers, Worker{Node: memory.NodeID(th), Name: fmt.Sprintf("l%d", th),
+				workers = append(workers, proto.Worker{Node: memory.NodeID(th), Name: fmt.Sprintf("l%d", th),
 					Fn: func(tt proto.Thread) {
 						for _, obj := range seq {
 							tt.Acquire(lock)

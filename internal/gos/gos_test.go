@@ -22,7 +22,7 @@ func testConfig(nodes int, pol migration.Policy, loc locator.Kind) Config {
 	return cfg
 }
 
-func mustRun(t *testing.T, c *Cluster, workers []Worker) stats.Metrics {
+func mustRun(t *testing.T, c *Cluster, workers []proto.Worker) stats.Metrics {
 	t.Helper()
 	m, err := c.Run(workers)
 	if err != nil {
@@ -35,7 +35,7 @@ func TestLocalAccessNoMessages(t *testing.T) {
 	c := New(testConfig(1, migration.NoHM{}, locator.ForwardingPointer))
 	obj := c.AddObject(4, 0)
 	l := c.AddLock(0)
-	m := mustRun(t, c, []Worker{{Node: 0, Name: "t0", Fn: func(th proto.Thread) {
+	m := mustRun(t, c, []proto.Worker{{Node: 0, Name: "t0", Fn: func(th proto.Thread) {
 		th.Acquire(l)
 		th.Write(obj, 0, 42)
 		th.Release(l)
@@ -57,7 +57,7 @@ func TestRemoteFaultInAndDiff(t *testing.T) {
 	c := New(testConfig(2, migration.NoHM{}, locator.ForwardingPointer))
 	obj := c.AddObject(8, 0) // homed at node 0
 	l := c.AddLock(1)        // lock managed elsewhere so diffs don't piggyback
-	m := mustRun(t, c, []Worker{{Node: 1, Name: "t1", Fn: func(th proto.Thread) {
+	m := mustRun(t, c, []proto.Worker{{Node: 1, Name: "t1", Fn: func(th proto.Thread) {
 		th.Acquire(l)
 		th.Write(obj, 3, 7)
 		th.Release(l)
@@ -83,7 +83,7 @@ func TestPiggybackWhenLockAndObjectShareHome(t *testing.T) {
 	c := New(testConfig(2, migration.NoHM{}, locator.ForwardingPointer))
 	obj := c.AddObject(8, 0)
 	l := c.AddLock(0) // lock home == object home == node 0 (§5.2)
-	m := mustRun(t, c, []Worker{{Node: 1, Name: "t1", Fn: func(th proto.Thread) {
+	m := mustRun(t, c, []proto.Worker{{Node: 1, Name: "t1", Fn: func(th proto.Thread) {
 		th.Acquire(l)
 		th.Write(obj, 0, 1)
 		th.Release(l)
@@ -103,7 +103,7 @@ func TestFT1MigratesToSingleWriter(t *testing.T) {
 	c := New(testConfig(2, migration.Fixed{T: 1}, locator.ForwardingPointer))
 	obj := c.AddObject(8, 0)
 	l := c.AddLock(1)
-	m := mustRun(t, c, []Worker{{Node: 1, Name: "t1", Fn: func(th proto.Thread) {
+	m := mustRun(t, c, []proto.Worker{{Node: 1, Name: "t1", Fn: func(th proto.Thread) {
 		for i := 0; i < 4; i++ {
 			th.Acquire(l)
 			th.Write(obj, 0, uint64(i+1))
@@ -141,7 +141,7 @@ func TestForwardingChainCountsRedirections(t *testing.T) {
 		}
 	}
 	var hops3 int64
-	m := mustRun(t, c, []Worker{
+	m := mustRun(t, c, []proto.Worker{
 		{Node: 1, Name: "w1", Fn: func(th proto.Thread) {
 			step(th, 2) // drags home to node 1
 			th.Barrier(b)
@@ -202,7 +202,7 @@ func runTwoWriterPingPong(t *testing.T, pol migration.Policy, rounds int) (stats
 	// Three rotating writers: each writer's home hint goes stale across
 	// the other two's turns, so eager migration builds forwarding chains
 	// and pays redirection accumulation (§3.2).
-	m := mustRun(t, c, []Worker{
+	m := mustRun(t, c, []proto.Worker{
 		{Node: 1, Name: "a", Fn: worker},
 		{Node: 2, Name: "b", Fn: worker},
 		{Node: 3, Name: "c", Fn: worker},
@@ -235,7 +235,7 @@ func TestAdaptiveMatchesFT1OnLastingPattern(t *testing.T) {
 		c := New(testConfig(2, pol, locator.ForwardingPointer))
 		obj := c.AddObject(8, 0)
 		l := c.AddLock(1)
-		m := mustRun(t, c, []Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
+		m := mustRun(t, c, []proto.Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
 			for i := 0; i < 10; i++ {
 				th.Acquire(l)
 				th.Write(obj, 0, uint64(i+1))
@@ -258,9 +258,9 @@ func TestLockMutualExclusion(t *testing.T) {
 	c := New(testConfig(4, migration.Adaptive{P: core.DefaultParams(DefaultConfig(4).Net.Alpha)}, locator.ForwardingPointer))
 	obj := c.AddObject(1, 0)
 	l := c.AddLock(0)
-	var workers []Worker
+	var workers []proto.Worker
 	for i := 0; i < 4; i++ {
-		workers = append(workers, Worker{Node: memory.NodeID(i), Name: fmt.Sprintf("w%d", i),
+		workers = append(workers, proto.Worker{Node: memory.NodeID(i), Name: fmt.Sprintf("w%d", i),
 			Fn: func(th proto.Thread) {
 				for k := 0; k < perThread; k++ {
 					th.Acquire(l)
@@ -286,10 +286,10 @@ func TestBarrierCoherence(t *testing.T) {
 	}
 	b := c.AddBarrier(0, nodes)
 	errCh := make(chan string, nodes*nodes)
-	var workers []Worker
+	var workers []proto.Worker
 	for i := 0; i < nodes; i++ {
 		i := i
-		workers = append(workers, Worker{Node: memory.NodeID(i), Name: fmt.Sprintf("w%d", i),
+		workers = append(workers, proto.Worker{Node: memory.NodeID(i), Name: fmt.Sprintf("w%d", i),
 			Fn: func(th proto.Thread) {
 				// Write my object (homed elsewhere for i>0).
 				th.Write(objs[(i+1)%nodes], 0, uint64(100+i))
@@ -316,7 +316,7 @@ func TestManagerLocator(t *testing.T) {
 	obj := c.AddObject(8, 0)
 	l := c.AddLock(0)
 	b := c.AddBarrier(0, 2)
-	m := mustRun(t, c, []Worker{
+	m := mustRun(t, c, []proto.Worker{
 		{Node: 1, Name: "w", Fn: func(th proto.Thread) {
 			for i := 0; i < 3; i++ {
 				th.Acquire(l)
@@ -350,7 +350,7 @@ func TestBroadcastLocator(t *testing.T) {
 	obj := c.AddObject(8, 0)
 	l := c.AddLock(0)
 	b := c.AddBarrier(0, 2)
-	m := mustRun(t, c, []Worker{
+	m := mustRun(t, c, []proto.Worker{
 		{Node: 1, Name: "w", Fn: func(th proto.Thread) {
 			for i := 0; i < 3; i++ {
 				th.Acquire(l)
@@ -380,7 +380,7 @@ func TestJUMPMigratesOnEveryRemoteFetch(t *testing.T) {
 	c := New(testConfig(3, migration.JUMP{}, locator.ForwardingPointer))
 	obj := c.AddObject(8, 0)
 	l := c.AddLock(0)
-	m := mustRun(t, c, []Worker{
+	m := mustRun(t, c, []proto.Worker{
 		{Node: 1, Name: "a", Fn: func(th proto.Thread) {
 			for i := 0; i < 3; i++ {
 				th.Acquire(l)
@@ -415,7 +415,7 @@ func TestJiajiaConcurrentBarriersKeepPins(t *testing.T) {
 	barA := c.AddBarrier(0, 2)
 	barB := c.AddBarrier(1, 2)
 	l := c.AddLock(1)
-	m := mustRun(t, c, []Worker{
+	m := mustRun(t, c, []proto.Worker{
 		{Node: 0, Name: "t0", Fn: func(th proto.Thread) {
 			th.Write(obj, 0, 7) // sole writer: A's go will move the home here
 			th.Barrier(barA)
@@ -455,7 +455,7 @@ func TestJiajiaBarrierMigration(t *testing.T) {
 	c := New(testConfig(2, migration.Jiajia{}, locator.ForwardingPointer))
 	obj := c.AddObject(8, 0)
 	b := c.AddBarrier(0, 2)
-	m := mustRun(t, c, []Worker{
+	m := mustRun(t, c, []proto.Worker{
 		{Node: 0, Name: "idle", Fn: func(th proto.Thread) {
 			th.Barrier(b)
 			th.Barrier(b)
@@ -506,7 +506,7 @@ func TestExecTimeAdvances(t *testing.T) {
 
 func TestComputeAccountsTime(t *testing.T) {
 	c := New(testConfig(1, migration.NoHM{}, locator.ForwardingPointer))
-	m := mustRun(t, c, []Worker{{Node: 0, Name: "t", Fn: func(th proto.Thread) {
+	m := mustRun(t, c, []proto.Worker{{Node: 0, Name: "t", Fn: func(th proto.Thread) {
 		th.Compute(5_000_000) // 5 ms
 	}}})
 	if m.ExecTime < 5_000_000 {
@@ -520,7 +520,7 @@ func TestHomeReadMonitoring(t *testing.T) {
 	c := New(testConfig(2, migration.NoHM{}, locator.ForwardingPointer))
 	obj := c.AddObject(4, 0)
 	l := c.AddLock(1)
-	m := mustRun(t, c, []Worker{{Node: 0, Name: "t", Fn: func(th proto.Thread) {
+	m := mustRun(t, c, []proto.Worker{{Node: 0, Name: "t", Fn: func(th proto.Thread) {
 		for i := 0; i < 3; i++ {
 			th.Acquire(l)
 			_ = th.Read(obj, 0)
@@ -539,7 +539,7 @@ func TestExclusiveHomeWriteFeedback(t *testing.T) {
 	c := New(testConfig(2, migration.Fixed{T: 1}, locator.ForwardingPointer))
 	obj := c.AddObject(4, 0)
 	l := c.AddLock(1)
-	m := mustRun(t, c, []Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
+	m := mustRun(t, c, []proto.Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
 		for i := 0; i < 6; i++ {
 			th.Acquire(l)
 			th.Write(obj, 0, uint64(i+1))
@@ -580,7 +580,7 @@ func TestInitObjectSeedsHomeCopy(t *testing.T) {
 	obj := c.AddObject(4, 0)
 	c.InitObject(obj, func(w []uint64) { w[2] = 99 })
 	l := c.AddLock(0)
-	mustRun(t, c, []Worker{{Node: 1, Name: "r", Fn: func(th proto.Thread) {
+	mustRun(t, c, []proto.Worker{{Node: 1, Name: "r", Fn: func(th proto.Thread) {
 		th.Acquire(l)
 		if got := th.Read(obj, 2); got != 99 {
 			t.Errorf("read %d, want 99", got)
@@ -595,7 +595,7 @@ func TestViewAccessorsShareBacking(t *testing.T) {
 	c := New(testConfig(2, migration.NoHM{}, locator.ForwardingPointer))
 	obj := c.AddObject(4, 0)
 	l := c.AddLock(1)
-	mustRun(t, c, []Worker{{Node: 1, Name: "t", Fn: func(th proto.Thread) {
+	mustRun(t, c, []proto.Worker{{Node: 1, Name: "t", Fn: func(th proto.Thread) {
 		th.Acquire(l)
 		w := th.WriteView(obj)
 		w[2] = 9
@@ -612,7 +612,7 @@ func TestViewAccessorsShareBacking(t *testing.T) {
 
 func TestComputeNegativeIgnored(t *testing.T) {
 	c := New(testConfig(1, migration.NoHM{}, locator.ForwardingPointer))
-	m := mustRun(t, c, []Worker{{Node: 0, Name: "t", Fn: func(th proto.Thread) {
+	m := mustRun(t, c, []proto.Worker{{Node: 0, Name: "t", Fn: func(th proto.Thread) {
 		th.Compute(-5)
 		th.Compute(1000)
 	}}})
@@ -623,7 +623,7 @@ func TestComputeNegativeIgnored(t *testing.T) {
 
 func TestThreadIdentity(t *testing.T) {
 	c := New(testConfig(2, migration.NoHM{}, locator.ForwardingPointer))
-	mustRun(t, c, []Worker{{Node: 1, Name: "ident", Fn: func(th proto.Thread) {
+	mustRun(t, c, []proto.Worker{{Node: 1, Name: "ident", Fn: func(th proto.Thread) {
 		if th.ID() != 0 || th.Node() != 1 || th.Name() != "ident" {
 			t.Errorf("identity: id=%d node=%d name=%q", th.ID(), th.Node(), th.Name())
 		}
@@ -654,9 +654,9 @@ func TestMultipleThreadsPerNode(t *testing.T) {
 	obj := c.AddObject(1, 0)
 	l := c.AddLock(0)
 	const per = 10
-	var ws []Worker
+	var ws []proto.Worker
 	for i := 0; i < 4; i++ {
-		ws = append(ws, Worker{Node: memory.NodeID(i % 2), Name: fmt.Sprintf("t%d", i),
+		ws = append(ws, proto.Worker{Node: memory.NodeID(i % 2), Name: fmt.Sprintf("t%d", i),
 			Fn: func(th proto.Thread) {
 				for k := 0; k < per; k++ {
 					th.Acquire(l)
@@ -682,7 +682,7 @@ func TestComputeOrdersBeforeMessages(t *testing.T) {
 	c := New(testConfig(2, migration.NoHM{}, locator.ForwardingPointer))
 	l := c.AddLock(0)
 	var granted sim.Time
-	mustRun(t, c, []Worker{{Node: 1, Name: "t", Fn: func(th proto.Thread) {
+	mustRun(t, c, []proto.Worker{{Node: 1, Name: "t", Fn: func(th proto.Thread) {
 		th.Compute(sim.Millisecond)
 		th.Acquire(l)
 		granted = th.Now()

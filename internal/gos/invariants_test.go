@@ -20,7 +20,7 @@ func invariantCluster(t *testing.T, loc locator.Kind) (*Cluster, memory.ObjectID
 	c := New(testConfig(2, migration.NoHM{}, loc))
 	obj := c.AddObject(4, 0)
 	l := c.AddLock(0)
-	mustRun(t, c, []Worker{{Node: 1, Name: "t1", Fn: func(th proto.Thread) {
+	mustRun(t, c, []proto.Worker{{Node: 1, Name: "t1", Fn: func(th proto.Thread) {
 		th.Acquire(l)
 		th.Write(obj, 1, 99)
 		th.Release(l)
@@ -49,7 +49,7 @@ func TestCheckInvariantsViolations(t *testing.T) {
 		{
 			name:   "zero homes",
 			mutate: func(c *Cluster, obj memory.ObjectID) { c.nodes[0].IsHome[obj] = false },
-			want:   ErrHomeCount,
+			want:   proto.ErrHomeCount,
 		},
 		{
 			name: "two homes",
@@ -58,29 +58,29 @@ func TestCheckInvariantsViolations(t *testing.T) {
 				n1.IsHome[obj] = true
 				n1.HomeSt[obj] = core.NewState(c.cfg.Params, 32)
 			},
-			want: ErrHomeCount,
+			want: proto.ErrHomeCount,
 		},
 		{
 			name:   "home without migration state",
 			mutate: func(c *Cluster, obj memory.ObjectID) { c.nodes[0].HomeSt[obj] = nil },
-			want:   ErrMissingState,
+			want:   proto.ErrMissingState,
 		},
 		{
 			name:   "home without data",
 			mutate: func(c *Cluster, obj memory.ObjectID) { c.nodes[0].Cache[obj] = nil },
-			want:   ErrMissingData,
+			want:   proto.ErrMissingData,
 		},
 		{
 			name:   "dirty cached copy after quiesce",
 			mutate: func(c *Cluster, obj memory.ObjectID) { c.nodes[1].Cache[obj].Dirty = true },
-			want:   ErrDirtyCopy,
+			want:   proto.ErrDirtyCopy,
 		},
 		{
 			name: "twin leaked on a clean copy",
 			mutate: func(c *Cluster, obj memory.ObjectID) {
 				c.nodes[1].Cache[obj].Twin = make([]uint64, 4)
 			},
-			want: ErrTwinLeak,
+			want: proto.ErrTwinLeak,
 		},
 		{
 			name:   "write view open after the run",
@@ -92,28 +92,28 @@ func TestCheckInvariantsViolations(t *testing.T) {
 			mutate: func(c *Cluster, obj memory.ObjectID) {
 				c.nodes[1].Copyset[obj] = []memory.NodeID{0}
 			},
-			want: ErrStaleCopyset,
+			want: proto.ErrStaleCopyset,
 		},
 		{
 			name: "copyset naming the home itself",
 			mutate: func(c *Cluster, obj memory.ObjectID) {
 				c.nodes[0].Copyset[obj] = []memory.NodeID{0}
 			},
-			want: ErrStaleCopyset,
+			want: proto.ErrStaleCopyset,
 		},
 		{
 			name: "copyset naming a node outside the cluster",
 			mutate: func(c *Cluster, obj memory.ObjectID) {
 				c.nodes[0].Copyset[obj] = []memory.NodeID{7}
 			},
-			want: ErrStaleCopyset,
+			want: proto.ErrStaleCopyset,
 		},
 		{
 			name: "migration state on a non-home node",
 			mutate: func(c *Cluster, obj memory.ObjectID) {
 				c.nodes[1].HomeSt[obj] = core.NewState(c.cfg.Params, 32)
 			},
-			want: ErrOwnerMismatch,
+			want: proto.ErrOwnerMismatch,
 		},
 		{
 			name:    "manager table pointing at the wrong home",
@@ -122,7 +122,7 @@ func TestCheckInvariantsViolations(t *testing.T) {
 				mgr := locator.ManagerOf(obj, c.cfg.Nodes)
 				c.nodes[mgr].MgrHome[obj] = 1
 			},
-			want: ErrOwnerMismatch,
+			want: proto.ErrOwnerMismatch,
 		},
 		{
 			name: "forwarding cycle",
@@ -131,7 +131,7 @@ func TestCheckInvariantsViolations(t *testing.T) {
 				n1.Loc.Learn(obj, 1)
 				n1.Loc.SetForward(obj, 1)
 			},
-			want: ErrForwardCycle,
+			want: proto.ErrForwardCycle,
 		},
 		{
 			name: "forwarding chain dead end",
@@ -140,7 +140,7 @@ func TestCheckInvariantsViolations(t *testing.T) {
 				n1.Loc.Learn(obj, 1) // believes itself, but holds no pointer
 				n1.Loc.ClearForward(obj)
 			},
-			want: ErrDeadEndChain,
+			want: proto.ErrDeadEndChain,
 		},
 	}
 	for _, tc := range cases {

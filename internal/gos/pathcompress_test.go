@@ -30,7 +30,7 @@ func dragHomeThroughChain(t *testing.T, compress bool) (hops3, hops4 int64) {
 		}
 	}
 	var h3, h4 int64
-	_, err := c.Run([]Worker{
+	_, err := c.Run([]proto.Worker{
 		{Node: 1, Name: "w1", Fn: func(th proto.Thread) {
 			writer(2)(th)
 			th.Barrier(b)
@@ -118,7 +118,7 @@ func TestPtrUpdateIgnoredAtCurrentHome(t *testing.T) {
 	c := New(cfg)
 	obj := c.AddObject(2, 0)
 	l := c.AddLock(1)
-	_, err := c.Run([]Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
+	_, err := c.Run([]proto.Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
 		th.Acquire(l)
 		th.Write(obj, 0, 5)
 		th.Release(l)

@@ -35,7 +35,7 @@ func TestStalePiggybackForwarded(t *testing.T) {
 	obj := c.AddObject(4, 2)
 	l := c.AddLock(2)
 	l2 := c.AddLock(2)
-	m := mustRun(t, c, []Worker{
+	m := mustRun(t, c, []proto.Worker{
 		{Node: 1, Name: "A", Fn: func(th proto.Thread) {
 			th.Acquire(l)
 			th.Write(obj, 0, 77) // fault from node 2, twin, write
@@ -88,7 +88,7 @@ func TestBroadcastRetryPath(t *testing.T) {
 	c := New(testConfig(3, migration.JUMP{}, locator.Broadcast))
 	obj := c.AddObject(4, 0)
 	l := c.AddLock(0)
-	m := mustRun(t, c, []Worker{
+	m := mustRun(t, c, []proto.Worker{
 		{Node: 1, Name: "thief", Fn: func(th proto.Thread) {
 			th.Acquire(l)
 			th.Write(obj, 0, 9) // JUMP: home migrates to node 1, bcast follows
@@ -132,7 +132,7 @@ func staleDiffScenario(t *testing.T, loc locator.Kind, hold sim.Time) stats.Metr
 	obj := c.AddObject(4, 2)
 	l := c.AddLock(1) // lock home differs from object home: no piggyback
 	l2 := c.AddLock(1)
-	m := mustRun(t, c, []Worker{
+	m := mustRun(t, c, []proto.Worker{
 		{Node: 1, Name: "A", Fn: func(th proto.Thread) {
 			th.Acquire(l)
 			th.Write(obj, 0, 55)

@@ -79,17 +79,18 @@ func use(q string) target { return qualified(tUse, q) }
 func lit(q string) target { return qualified(tLit, q) }
 
 // decl takes a name declared in the row's packages: "Name" or
-// "Type.Name", "*" for any name.
+// "Type.Name". A name ending in "*" matches every name it prefixes.
 func decl(obj, name string) target {
 	t := target{kind: tDecl, obj: obj, name: name}
 	if of, n, ok := strings.Cut(name, "."); ok {
 		t.of, t.name = of, n
 	}
-	if t.name == "*" {
-		t.name = ""
-	}
 	return t
 }
+
+// declared takes a qualified package-level name, "pkg/path.Name", for a
+// row that reads several packages but bans a name in one of them.
+func declared(q string) target { return qualified(tDecl, q) }
 
 func flagName(name string) target { return target{kind: tFlag, name: name} }
 func nilCmp(name string) target   { return target{kind: tNilCmp, name: name} }
@@ -122,9 +123,6 @@ func (t target) String() string {
 		}
 		return "use of " + short + "." + member
 	case tDecl:
-		if t.name == "" {
-			member += "*"
-		}
 		return strings.TrimSpace(t.obj+" "+member) + " declared"
 	case tLit:
 		return short + "." + member + " literal"
@@ -184,10 +182,17 @@ var shapeRules = []shapeRule{
 	{name: "observers attach only through Subscribe", since: "One way in at each engine edge",
 		in:   pkgs("internal/gos", "internal/live"),
 		what: []target{decl("field", "Observer"), decl("field", "Telemetry")}},
-	// Node.Subscribe and Space.Subscribe, and proto.Cluster's contract.
+	// Node.Subscribe and Space.Subscribe.
 	{name: "one way to subscribe", since: "One lock per observed event",
 		in: outsideBenchmark, what: []target{decl("method", "Subscribe")},
-		only: []string{"internal/proto/observe.go", "internal/proto/proto.go"}},
+		only: []string{"internal/proto/observe.go"}},
+	// dsm.New keeps the engine it builds as its proto.Space and its Run:
+	// no interface between them, and proto's names spelled once.
+	{name: "the facade calls the engine directly", since: "One engine seam",
+		in: pkgs("internal/proto", "internal/gos"),
+		what: []target{declared("repro/internal/proto.Cluster"),
+			declared("repro/internal/gos.LockID"), declared("repro/internal/gos.BarrierID"),
+			declared("repro/internal/gos.Worker"), declared("repro/internal/gos.Err*")}},
 	{name: "the sketch keeps no maps", since: "One lock per observed event",
 		in: pkgs("internal/telemetry"), what: []target{{kind: tMap}}, only: []string{"internal/telemetry/prom.go"}},
 	{name: "a live backend is a Pusher at compile time", since: "One way in at each engine edge",
@@ -540,7 +545,11 @@ func (r *shapeRule) hits(pass *Pass, f *ast.File) []hit {
 
 // matches reports whether o is the object t names.
 func (t target) matches(o types.Object) bool {
-	if t.name != "" && o.Name() != t.name {
+	if prefix, ok := strings.CutSuffix(t.name, "*"); ok {
+		if !strings.HasPrefix(o.Name(), prefix) {
+			return false
+		}
+	} else if t.name != "" && o.Name() != t.name {
 		return false
 	}
 	kind, of := describe(o)

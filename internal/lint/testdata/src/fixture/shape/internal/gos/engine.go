@@ -2,9 +2,14 @@
 package gos
 
 import (
+	"errors"
+
 	"repro/internal/proto"
 	"repro/internal/wire"
 )
+
+// ErrTwinLeak spells a proto sentinel a second time.
+var ErrTwinLeak = errors.New("twin leak") // want `the facade calls the engine directly: Err\* declared in repro/internal/gos`
 
 // Config is an engine configuration that grew observation fields.
 type Config struct {

@@ -49,7 +49,7 @@ func (n *node) observe(cfg config, sub *int) {
 // Cluster wraps the space's subscription in an engine-side one.
 type Cluster struct{ subs []any }
 
-func (c *Cluster) Subscribe(sub any) { // want `one way to subscribe: method Subscribe declared outside internal/proto/observe.go, internal/proto/proto.go`
+func (c *Cluster) Subscribe(sub any) { // want `one way to subscribe: method Subscribe declared outside internal/proto/observe.go`
 	c.subs = append(c.subs, sub)
 }
 

@@ -88,8 +88,7 @@ import (
 
 // Config parameterizes one live DSM run: the protocol selection and
 // layout both engines share (proto.Shared, handed to proto.NewSpace as
-// is; nil Policy and zero Params follow the paper defaults, like
-// gos.Config) plus what only the goroutine engine has — the transport,
+// is) plus what only the goroutine engine has — the transport,
 // the one-node mode, the flight rings and the scrape registry. Observers
 // attach through Subscribe (Space.Subscribe), after New.
 type Config struct {
@@ -229,17 +228,11 @@ func (c *Cluster) abortCause() error {
 	return c.abortErr
 }
 
-// New builds a live cluster per cfg, filling zero values with defaults.
+// New builds a live cluster per cfg, taken as given (DefaultConfig is
+// the paper's setup); a nil Transport selects the in-process ChanLoop.
 func New(cfg Config) *Cluster {
-	def := DefaultConfig(cfg.Nodes)
 	if cfg.Nodes <= 0 {
 		panic("live: cluster needs at least one node")
-	}
-	if cfg.Policy == nil {
-		cfg.Policy = def.Policy
-	}
-	if cfg.Params.Alpha == nil {
-		cfg.Params = def.Params
 	}
 	c := &Cluster{cfg: cfg, tr: cfg.Transport}
 	if c.tr == nil {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/memory"
 	"repro/internal/migration"
 	"repro/internal/oracle"
+	"repro/internal/proto"
 	"repro/internal/scenario"
 )
 
@@ -314,7 +315,7 @@ func runRaw(t *testing.T, p *scenario.Program, dropDiffs bool) (violations, offM
 		data := p.Initial()[o]
 		c.InitObject(objs[o], func(ws []uint64) { copy(ws, data) })
 	}
-	locks := make([]gos.LockID, p.Locks)
+	locks := make([]proto.LockID, p.Locks)
 	for l := range locks {
 		locks[l] = c.AddLock(memory.NodeID(l % p.Nodes))
 	}

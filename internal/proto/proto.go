@@ -66,26 +66,6 @@ type Engine interface {
 	ToThread(slot int32, msg wire.Msg)
 }
 
-// Cluster is the execution-engine contract: what any engine running
-// the GOS protocol exposes to the layers above it (the dsm facade, the
-// scenario engine, sweep tooling). Both *gos.Cluster (virtual time)
-// and *live.Cluster (real goroutines) satisfy it.
-type Cluster interface {
-	AddObject(words int, home memory.NodeID) memory.ObjectID
-	AddLock(home memory.NodeID) LockID
-	AddBarrier(home memory.NodeID, parties int) BarrierID
-	InitObject(id memory.ObjectID, fn func(words []uint64))
-	// Subscribe attaches one more observer to every node, before Run.
-	Subscribe(sub flight.Subscriber)
-	Run(ws []Worker) (stats.Metrics, error)
-	// EndState is the memory the run left and the first protocol
-	// invariant it violates, if any (see Assemble).
-	EndState() (*EndState, error)
-	// The attached flight rings (Space.AttachFlight) and their merge.
-	FlightRecorders() []*flight.Recorder
-	FlightEvents() []flight.Event
-}
-
 // Shared is the engine-independent cluster configuration — the protocol
 // selection the paper's experiments vary — plus the declared layout
 // (objects, locks, barriers). It is the only declaration of the selection
@@ -95,16 +75,16 @@ type Cluster interface {
 type Shared struct {
 	// Nodes is the cluster size.
 	Nodes int
-	// Policy decides home migration (nil: the engine's default, the
-	// adaptive protocol).
+	// Policy decides home migration (required: the engines take the
+	// selection as given; dsm.New and DefaultShared fill in the paper's).
 	Policy migration.Policy
 	// Locator is the home-location mechanism (§3.2; the zero value is the
 	// forwarding pointer, the paper's choice, §3.3).
 	Locator locator.Kind
 	// Params are the adaptive-threshold constants (λ, T_init, α). The
 	// threshold formula needs a message-cost model even on a live
-	// cluster; the engines' default keeps the Fast-Ethernet calibration so
-	// policy decisions match the simulation's.
+	// cluster; dsm.New and live.DefaultConfig keep the Fast-Ethernet
+	// calibration there, so policy decisions match the simulation's.
 	Params core.Params
 	// Piggyback enables the §5.2 optimization: diffs destined to the
 	// lock's (or barrier's) home node ride on the release message. Only
@@ -148,12 +128,12 @@ func DefaultShared(nodes int, alpha func(objBytes, diffBytes int) float64) Share
 }
 
 // Space is the engine-independent cluster state: the shared
-// configuration/layout and every node's protocol state. Engines embed a
-// Space, which gives their cluster type the declaration half of the
-// Cluster contract (AddObject, InitObject, AddLock, AddBarrier) and the
-// post-run inspection half (NumObjects, EndState and its readers HomeOf,
-// ObjectData, CheckInvariants, Digest; FlightRecorders, FlightEvents); the
-// engine adds Run, which seals the layout.
+// configuration/layout and every node's protocol state. An engine is a
+// Space — declarations (AddObject, InitObject, AddLock, AddBarrier),
+// observers (Subscribe), post-run inspection (NumObjects, EndState and
+// its readers HomeOf, ObjectData, CheckInvariants, Digest;
+// FlightRecorders, FlightEvents) — plus Run, which seals the layout; the
+// dsm facade holds the two.
 type Space struct {
 	S *Shared
 	// Nodes is indexed by node id; see Release for the nil entries.

@@ -1,6 +1,10 @@
 package stats
 
-import "repro/internal/sim"
+import (
+	"time"
+
+	"repro/internal/sim"
+)
 
 // TimeAgg summarizes a virtual-time quantity over K trials.
 type TimeAgg struct {
@@ -35,9 +39,10 @@ func Aggregate(ms []Metrics) TrialAgg {
 }
 
 // MeanOf returns the field-wise integer mean of the given run metrics:
-// every message/byte counter, protocol counter, virtual time and kernel
-// statistic is summed and divided by the trial count. MeanOf of a single
-// run is that run, unchanged.
+// every field — message/byte counters, protocol counters, latency
+// histogram buckets, virtual and wall times, live frame counts and queue
+// peaks, kernel statistics — is summed (Add) and divided by the run
+// count. MeanOf of K identical runs is that run, unchanged.
 func MeanOf(ms []Metrics) Metrics {
 	if len(ms) == 0 {
 		panic("stats: MeanOf of zero runs")
@@ -45,38 +50,62 @@ func MeanOf(ms []Metrics) Metrics {
 	if len(ms) == 1 {
 		return ms[0]
 	}
-	n := int64(len(ms))
 	var sum Metrics
 	for i := range ms {
-		m := &ms[i]
-		sum.Counters.Add(&m.Counters)
-		sum.ExecTime += m.ExecTime
-		sum.FinalTime += m.FinalTime
-		sum.Kernel.Events += m.Kernel.Events
-		sum.Kernel.Activations += m.Kernel.Activations
-		sum.Kernel.Spawned += m.Kernel.Spawned
+		sum.Add(&ms[i])
 	}
-	for c := Category(0); c < NumCategories; c++ {
-		sum.Msgs[c] /= n
-		sum.Bytes[c] /= n
-	}
-	sum.Migrations /= n
-	sum.RedirectHops /= n
-	sum.HomeWrites /= n
-	sum.HomeReads /= n
-	sum.ExclHomeWrites /= n
-	sum.RemoteWrites /= n
-	sum.FaultIns /= n
-	sum.PiggybackDiffs /= n
-	sum.Retries /= n
-	sum.InvalidatedObjs /= n
-	sum.TwinsCreated /= n
-	sum.DiffsComputed /= n
-	sum.DiffWords /= n
-	sum.ExecTime /= sim.Time(n)
-	sum.FinalTime /= sim.Time(n)
-	sum.Kernel.Events /= uint64(n)
-	sum.Kernel.Activations /= uint64(n)
-	sum.Kernel.Spawned /= int(n)
+	sum.div(int64(len(ms)))
 	return sum
+}
+
+// Add accumulates o into m, field by field.
+func (m *Metrics) Add(o *Metrics) {
+	m.ExecTime += o.ExecTime
+	m.FinalTime += o.FinalTime
+	m.Kernel.Events += o.Kernel.Events
+	m.Kernel.Activations += o.Kernel.Activations
+	m.Kernel.Spawned += o.Kernel.Spawned
+	m.Wall += o.Wall
+	m.LiveMsgs += o.LiveMsgs
+	m.LiveBytes += o.LiveBytes
+	m.LivePeakInbox += o.LivePeakInbox
+	m.LivePeakMailbox += o.LivePeakMailbox
+	m.Counters.Add(&o.Counters)
+}
+
+// div divides every field of m by n (integer division).
+func (m *Metrics) div(n int64) {
+	m.ExecTime /= sim.Time(n)
+	m.FinalTime /= sim.Time(n)
+	m.Kernel.Events /= uint64(n)
+	m.Kernel.Activations /= uint64(n)
+	m.Kernel.Spawned /= int(n)
+	m.Wall /= time.Duration(n)
+	m.LiveMsgs /= n
+	m.LiveBytes /= n
+	m.LivePeakInbox /= int(n)
+	m.LivePeakMailbox /= int(n)
+	s := &m.Counters
+	for c := Category(0); c < NumCategories; c++ {
+		s.Msgs[c] /= n
+		s.Bytes[c] /= n
+	}
+	s.Migrations /= n
+	s.RedirectHops /= n
+	s.HomeWrites /= n
+	s.HomeReads /= n
+	s.ExclHomeWrites /= n
+	s.RemoteWrites /= n
+	s.FaultIns /= n
+	s.PiggybackDiffs /= n
+	s.Retries /= n
+	s.InvalidatedObjs /= n
+	s.TwinsCreated /= n
+	s.DiffsComputed /= n
+	s.DiffWords /= n
+	for _, h := range []*Hist{&s.LockHandoffNs, &s.BarrierNs, &s.RoundTripNs} {
+		for b := range h.Bucket {
+			h.Bucket[b] /= n
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -76,6 +77,84 @@ func TestMeanOfIdenticalRunsIsThatRun(t *testing.T) {
 	got := MeanOf([]Metrics{m, m, m})
 	if got != m {
 		t.Errorf("mean of identical runs differs:\n%+v\nvs\n%+v", got, m)
+	}
+}
+
+// numericFields lists every numeric field of the struct v points to,
+// depth first through nested structs and arrays, so a field added to
+// Metrics later is covered without touching the tests below.
+func numericFields(t *testing.T, v reflect.Value) []reflect.Value {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Pointer:
+		return numericFields(t, v.Elem())
+	case reflect.Struct:
+		var out []reflect.Value
+		for i := 0; i < v.NumField(); i++ {
+			out = append(out, numericFields(t, v.Field(i))...)
+		}
+		return out
+	case reflect.Array:
+		var out []reflect.Value
+		for i := 0; i < v.Len(); i++ {
+			out = append(out, numericFields(t, v.Index(i))...)
+		}
+		return out
+	case reflect.Int, reflect.Int32, reflect.Int64, reflect.Uint32, reflect.Uint64:
+		return []reflect.Value{v}
+	}
+	t.Fatalf("Metrics has a %s field: teach MeanOf, Add and this test about it", v.Type())
+	return nil
+}
+
+// fieldValue reads a numeric field as an int64.
+func fieldValue(v reflect.Value) int64 {
+	if v.CanInt() {
+		return v.Int()
+	}
+	return int64(v.Uint())
+}
+
+// distinctMetrics sets the i-th numeric field of a Metrics to i+1.
+func distinctMetrics(t *testing.T) Metrics {
+	var m Metrics
+	for i, f := range numericFields(t, reflect.ValueOf(&m)) {
+		if f.CanInt() {
+			f.SetInt(int64(i + 1))
+		} else {
+			f.SetUint(uint64(i + 1))
+		}
+	}
+	return m
+}
+
+// Every field survives the mean: wall time, live frame counts and queue
+// peaks included, and the latency histograms are averaged, not summed.
+func TestMeanOfKeepsEveryField(t *testing.T) {
+	m := distinctMetrics(t)
+	for _, k := range []int{2, 3} {
+		ms := make([]Metrics, k)
+		for i := range ms {
+			ms[i] = m
+		}
+		got := MeanOf(ms)
+		want := numericFields(t, reflect.ValueOf(&m))
+		for i, f := range numericFields(t, reflect.ValueOf(&got)) {
+			if fieldValue(f) != fieldValue(want[i]) {
+				t.Errorf("K=%d: numeric field %d (%s) = %d, want %d", k, i, f.Type(), fieldValue(f), fieldValue(want[i]))
+			}
+		}
+	}
+}
+
+func TestMetricsAddDoublesEveryField(t *testing.T) {
+	m := distinctMetrics(t)
+	d := m
+	d.Add(&m)
+	for i, f := range numericFields(t, reflect.ValueOf(&d)) {
+		if got, want := fieldValue(f), 2*int64(i+1); got != want {
+			t.Errorf("numeric field %d (%s) = %d after Add, want %d", i, f.Type(), got, want)
+		}
 	}
 }
 
