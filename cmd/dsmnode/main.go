@@ -185,6 +185,13 @@ func main() {
 	if spec.App == "synthetic" && spec.Workers == 0 {
 		spec.Workers = nn - 1
 	}
+	// A selection the library rejects is a bad flag: say so before the
+	// peers are dialled, with the cluster size and engine Run will set.
+	sel := o.Config
+	sel.Nodes, sel.Engine = nn, "live"
+	if err := sel.Validate(); err != nil {
+		fatal(err)
+	}
 
 	// The configuration digest: every member must present the same one
 	// at the handshake, since each process independently builds what

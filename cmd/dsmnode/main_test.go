@@ -426,3 +426,26 @@ func TestChaosKillAbortsCluster(t *testing.T) {
 		t.Fatalf("cluster took %v to die — the abort bound failed", elapsed)
 	}
 }
+
+// TestBadSelectionExitsBeforeBootstrap: a selection the library rejects
+// is a bad flag, exit 1 with one line naming it, before any peer is
+// dialled; it used to wait for the cluster and then print a panic.
+func TestBadSelectionExitsBeforeBootstrap(t *testing.T) {
+	bin := dsmnodeBinary(t)
+	peers := strings.Join(freeAddrs(t, 2), ",")
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	start := time.Now()
+	out, err := exec.CommandContext(ctx, bin,
+		"-id", "0", "-peers", peers, "-app", "asp", "-n", "24", "-policy", "bogus",
+		"-join-timeout", "2s").CombinedOutput()
+	if code := exitCodeOf(err); code != 1 {
+		t.Fatalf("exit code %d, want 1 (bad flags)\n%s", code, out)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("exited after %v, want well inside the 2s join timeout", elapsed)
+	}
+	if lines := strings.Split(strings.TrimSpace(string(out)), "\n"); len(lines) != 1 || !strings.Contains(lines[0], `"bogus"`) {
+		t.Errorf("stderr is not one line naming the policy:\n%s", out)
+	}
+}

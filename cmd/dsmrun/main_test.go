@@ -109,6 +109,34 @@ func TestExportWithoutFlightIsAUsageError(t *testing.T) {
 	}
 }
 
+// TestRejectedSelectionIsOneLine: a selection dsm.New rejects exits 1
+// with one dsmrun: line on stderr, not a goroutine dump; -nodes 0 still
+// runs the synthetic benchmark, whose cluster apps.Run grows.
+func TestRejectedSelectionIsOneLine(t *testing.T) {
+	bin := build(t)
+	for _, flags := range [][]string{
+		{"-policy", "bogus"}, {"-locator", "bogus"}, {"-network", "bogus"},
+		{"-engine", "bogus"}, {"-nodes", "0"}, {"-lambda", "NaN"},
+	} {
+		cmd := exec.Command(bin, append([]string{"-app", "asp", "-n", "16"}, flags...)...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%v: %v, want exit status 1", flags, err)
+		}
+		msg := stderr.String()
+		if strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "dsmrun: ") || strings.Contains(msg, "goroutine") {
+			t.Errorf("%v: stderr is not one dsmrun: line:\n%s", flags, msg)
+		}
+	}
+	out, err := exec.Command(bin, "-app", "synthetic", "-nodes", "0", "-r", "2", "-updates", "64", "-workers", "2").CombinedOutput()
+	if err != nil {
+		t.Errorf("synthetic -nodes 0: %v\n%s", err, out)
+	}
+}
+
 // TestFlightRouteWithoutRings: /flight of a run without -flight answers 404
 // and says why, on either engine (the live one used to list a ring slot per
 // node, all empty, and answer 200 with no body); with rings it renders them.

@@ -34,9 +34,11 @@
 package dsm
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"math"
 
-	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/gos"
 	"repro/internal/hockney"
@@ -98,8 +100,10 @@ const (
 )
 
 // Config selects the cluster size, protocol and network for a run.
-// Zero values mean "paper defaults": AT policy, forwarding-pointer
-// locator, Fast-Ethernet-class network, piggybacking on.
+// Zero values mean the paper's selection, proto.DefaultShared (AT at
+// λ = T_init = 1, forwarding pointers, piggybacking on), on a
+// Fast-Ethernet-class network: New applies only the fields that are set
+// over it, and Validate reports what New would reject.
 type Config struct {
 	// Nodes is the cluster size (required).
 	Nodes int
@@ -112,9 +116,11 @@ type Config struct {
 	Locator string
 	// Network: "fastethernet" (default) or "gigabit".
 	Network string
-	// Lambda is λ of Eq. (2); 0 means the paper's 1.
+	// Lambda is λ of Eq. (2); 0 means the paper's 1. It must be finite
+	// and non-negative.
 	Lambda float64
-	// TInit is the initial threshold; 0 means the paper's 1.
+	// TInit is the initial threshold; 0 means the paper's 1. It must be
+	// finite.
 	TInit float64
 	// NoPiggyback disables the §5.2 diff-piggybacking optimization.
 	NoPiggyback bool
@@ -186,10 +192,9 @@ type Config struct {
 // Cluster is a configured DSM instance: declare shared state, then Run.
 // It holds the engine New builds as its proto.Space and its Run.
 type Cluster struct {
-	sp      *proto.Space
-	run     func([]Worker) (Metrics, error)
-	cfg     Config
-	polName string
+	sp  *proto.Space
+	run func([]Worker) (Metrics, error)
+	cfg Config
 	// initial holds the pre-run home-copy contents, snapshotted at Run
 	// when an Observer is attached, so the oracle can be fed the real
 	// initial values (InitialWord) instead of assuming zeros.
@@ -199,75 +204,71 @@ type Cluster struct {
 	finalErr error
 }
 
-// New builds a cluster. It panics on invalid configuration — a config is
-// developer input, not runtime data.
-func New(cfg Config) *Cluster {
+// Validate reports the first thing in cfg that New would reject, as an
+// error naming it: New panics with this same error.
+func (cfg Config) Validate() error {
+	_, _, err := cfg.resolve()
+	return err
+}
+
+// resolve applies cfg over the paper's selection (proto.DefaultShared):
+// only what cfg names replaces a default. It returns the selection
+// either engine takes as is and the sim engine's network model.
+func (cfg Config) resolve() (sh proto.Shared, net hockney.Model, err error) {
 	if cfg.Nodes <= 0 {
-		panic("dsm: Config.Nodes must be positive")
+		return sh, net, fmt.Errorf("dsm: Config.Nodes must be positive, got %d", cfg.Nodes)
 	}
-	netName := cfg.Network
-	if netName == "" {
-		netName = "fastethernet"
+	if net, err = hockney.Parse(cmp.Or(cfg.Network, "fastethernet")); err != nil {
+		return sh, net, fmt.Errorf("dsm: %w", err)
 	}
-	net, err := hockney.Parse(netName)
-	if err != nil {
-		panic("dsm: " + err.Error())
+	// A NaN or infinite λ or T_init never lets the threshold fire, and a
+	// negative λ inverts Eq. (2)'s feedback: either would run another
+	// policy under AT's name.
+	switch {
+	case math.IsNaN(cfg.Lambda) || math.IsInf(cfg.Lambda, 0) || cfg.Lambda < 0:
+		return sh, net, fmt.Errorf("dsm: Config.Lambda must be finite and non-negative, got %v", cfg.Lambda)
+	case math.IsNaN(cfg.TInit) || math.IsInf(cfg.TInit, 0):
+		return sh, net, fmt.Errorf("dsm: Config.TInit must be finite, got %v", cfg.TInit)
 	}
-	params := core.DefaultParams(net.Alpha)
-	if cfg.Lambda != 0 {
-		params.Lambda = cfg.Lambda
+	sh = proto.DefaultShared(cfg.Nodes, net.Alpha)
+	sh.Params.Lambda = cmp.Or(cfg.Lambda, sh.Params.Lambda)
+	sh.Params.TInit = cmp.Or(cfg.TInit, sh.Params.TInit)
+	if sh.Policy, err = migration.Parse(cmp.Or(cfg.Policy, sh.Policy.Name()), sh.Params); err != nil {
+		return sh, net, fmt.Errorf("dsm: %w", err)
 	}
-	if cfg.TInit != 0 {
-		params.TInit = cfg.TInit
+	if cfg.Locator != "" {
+		if sh.Locator, err = locator.Parse(cfg.Locator); err != nil {
+			return sh, net, fmt.Errorf("dsm: %w", err)
+		}
 	}
-	polName := cfg.Policy
-	if polName == "" {
-		polName = "AT"
-	}
-	pol, err := migration.Parse(polName, params)
-	if err != nil {
-		panic("dsm: " + err.Error())
-	}
-	locName := cfg.Locator
-	if locName == "" {
-		locName = "fwdptr"
-	}
-	loc, err := locator.Parse(locName)
-	if err != nil {
-		panic("dsm: " + err.Error())
-	}
+	sh.Piggyback = !cfg.NoPiggyback
+	sh.PathCompress = cfg.PathCompress
 	// Fields that mean something on the live engine only, or only
 	// together: reject them before an engine is built.
 	switch {
+	case cfg.Engine != "" && cfg.Engine != "sim" && cfg.Engine != "live":
+		return sh, net, fmt.Errorf("dsm: unknown engine %q (want \"sim\" or \"live\")", cfg.Engine)
 	case cfg.Engine != "live" && (cfg.Transport != nil || cfg.LocalNode != nil || cfg.FlightLocal != nil || cfg.Metrics != nil):
-		panic("dsm: Transport, LocalNode, FlightLocal and Metrics require Engine \"live\"")
+		return sh, net, errors.New("dsm: Transport, LocalNode, FlightLocal and Metrics require Engine \"live\"")
 	case cfg.LocalNode != nil && (*cfg.LocalNode < 0 || int(*cfg.LocalNode) >= cfg.Nodes):
-		panic(fmt.Sprintf("dsm: LocalNode %d outside cluster of %d", *cfg.LocalNode, cfg.Nodes))
+		return sh, net, fmt.Errorf("dsm: LocalNode %d outside cluster of %d", *cfg.LocalNode, cfg.Nodes)
 	case cfg.LocalNode != nil && cfg.Transport == nil && cfg.Nodes > 1:
 		// The other nodes run in peer processes; without a transport that
 		// reaches them the first barrier would wait forever.
-		panic("dsm: LocalNode requires a Transport that reaches the peer processes")
+		return sh, net, errors.New("dsm: LocalNode requires a Transport that reaches the peer processes")
 	}
-	c := &Cluster{cfg: cfg, polName: pol.Name()}
-	// The protocol selection, parsed once; either engine takes it as is.
-	sh := proto.Shared{
-		Nodes:        cfg.Nodes,
-		Policy:       pol,
-		Locator:      loc,
-		Params:       params,
-		Piggyback:    !cfg.NoPiggyback,
-		PathCompress: cfg.PathCompress,
+	return sh, net, nil
+}
+
+// New builds a cluster. It panics with Validate's error on an invalid
+// configuration — a config is developer input, not runtime data.
+func New(cfg Config) *Cluster {
+	sh, net, err := cfg.resolve()
+	if err != nil {
+		panic(err)
 	}
-	switch cfg.Engine {
-	case "", "sim":
-		e := gos.New(gos.Config{
-			Shared:    sh,
-			Net:       net,
-			DebugWire: cfg.DebugWire,
-			FlightCap: cfg.FlightCap,
-		})
-		c.sp, c.run = e.Space, e.Run
-	case "live":
+	c := &Cluster{cfg: cfg}
+	if cfg.Engine == "live" {
 		e := live.New(live.Config{
 			Shared:      sh,
 			Transport:   cfg.Transport,
@@ -277,8 +278,14 @@ func New(cfg Config) *Cluster {
 			Metrics:     cfg.Metrics,
 		})
 		c.sp, c.run = e.Space, e.Run
-	default:
-		panic(fmt.Sprintf("dsm: unknown engine %q (want \"sim\" or \"live\")", cfg.Engine))
+	} else {
+		e := gos.New(gos.Config{
+			Shared:    sh,
+			Net:       net,
+			DebugWire: cfg.DebugWire,
+			FlightCap: cfg.FlightCap,
+		})
+		c.sp, c.run = e.Space, e.Run
 	}
 	// The one way in for observers, after the engine's own flight rings.
 	if cfg.Telemetry != nil {
@@ -295,7 +302,7 @@ func New(cfg Config) *Cluster {
 func (c *Cluster) Nodes() int { return c.cfg.Nodes }
 
 // PolicyName reports the active migration policy.
-func (c *Cluster) PolicyName() string { return c.polName }
+func (c *Cluster) PolicyName() string { return c.sp.S.Policy.Name() }
 
 // NewObject declares one shared object of words 64-bit words, homed at
 // (i.e. "created by", §5) node home, and returns its id.

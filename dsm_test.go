@@ -2,11 +2,13 @@ package dsm_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	dsm "repro"
 
+	"repro/internal/apps"
 	"repro/internal/flight"
 	"repro/internal/hlc"
 	"repro/internal/live/transport"
@@ -45,6 +47,24 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// rejection returns what New panics with on cfg ("" when it builds one),
+// having checked that Validate returns that same error.
+func rejection(t *testing.T, cfg dsm.Config) (msg string) {
+	t.Helper()
+	verr := cfg.Validate()
+	defer func() {
+		r := recover()
+		if fmt.Sprint(r) != fmt.Sprint(verr) { // "<nil>" both, when cfg is accepted
+			t.Errorf("New panicked %v, Validate returned %v", r, verr)
+		}
+		if r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	dsm.New(cfg)
+	return ""
+}
+
 func TestConfigPanicsOnBadInput(t *testing.T) {
 	cases := []dsm.Config{
 		{},                               // no nodes
@@ -53,14 +73,59 @@ func TestConfigPanicsOnBadInput(t *testing.T) {
 		{Nodes: 2, Network: "tokenring"}, // bad network
 	}
 	for i, cfg := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: no panic", i)
-				}
-			}()
-			dsm.New(cfg)
-		}()
+		if rejection(t, cfg) == "" {
+			t.Errorf("case %d: no panic", i)
+		}
+	}
+}
+
+// TestConfigRejectsParamsThatChangeThePolicy: a NaN or infinite λ or
+// T_init never lets AT's threshold fire, and a negative λ inverts Eq. (2)'s
+// feedback, so each would run another policy under AT's name; New rejects
+// them, naming the field. Zero still means the paper's 1, and a T_init at
+// or below 1 is accepted: against integer counts it acts as 1.
+func TestConfigRejectsParamsThatChangeThePolicy(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		cfg  dsm.Config
+		want string // "" = accepted
+	}{
+		{"NaN λ", dsm.Config{Lambda: nan}, "Config.Lambda"},
+		{"+Inf λ", dsm.Config{Lambda: inf}, "Config.Lambda"},
+		{"-Inf λ", dsm.Config{Lambda: -inf}, "Config.Lambda"},
+		{"negative λ", dsm.Config{Lambda: -1}, "Config.Lambda"},
+		{"NaN T_init", dsm.Config{TInit: nan}, "Config.TInit"},
+		{"+Inf T_init", dsm.Config{TInit: inf}, "Config.TInit"},
+		{"-Inf T_init", dsm.Config{TInit: -inf}, "Config.TInit"},
+		{"NaN λ under NoHM", dsm.Config{Policy: "NoHM", Lambda: nan}, "Config.Lambda"},
+		{"λ below 1", dsm.Config{Lambda: 0.5}, ""},
+		{"T_init below 1", dsm.Config{TInit: 0.5}, ""},
+		{"negative T_init", dsm.Config{TInit: -3}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Nodes = 2
+			msg := rejection(t, tc.cfg)
+			if tc.want == "" && msg != "" || !strings.Contains(msg, tc.want) {
+				t.Errorf("New panicked %q, want %q", msg, tc.want)
+			}
+		})
+	}
+	// Accepted values run the paper's AT, metric for metric.
+	run := func(cfg dsm.Config) dsm.Metrics {
+		res, err := apps.Run(apps.Spec{App: "synthetic", Rep: 8, Updates: 512, Workers: 4},
+			apps.Options{Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Metrics
+	}
+	paper := run(dsm.Config{Lambda: 1, TInit: 1})
+	for _, cfg := range []dsm.Config{{}, {TInit: 0.5}, {TInit: -3}} {
+		if got := run(cfg); got != paper {
+			t.Errorf("λ %v, T_init %v: %d msgs in %v, the paper's selection %d in %v",
+				cfg.Lambda, cfg.TInit, got.TotalMsgs(true), got.ExecTime, paper.TotalMsgs(true), paper.ExecTime)
+		}
 	}
 }
 
@@ -87,12 +152,9 @@ func TestConfigPanicsOnEngineMismatch(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.want) {
-					t.Errorf("panic %q, want one saying %q", msg, tc.want)
-				}
-			}()
-			dsm.New(tc.cfg)
+			if msg := rejection(t, tc.cfg); !strings.Contains(msg, tc.want) {
+				t.Errorf("panic %q, want one saying %q", msg, tc.want)
+			}
 		})
 	}
 	// The one-node cluster needs no peer to reach.

@@ -145,8 +145,9 @@ type oracleLog struct {
 }
 
 // cluster builds the configured DSM instance; threads is the run's thread
-// count (thread ids must be dense in [0, threads)).
-func (o Options) cluster(threads int) (*dsm.Cluster, *oracleLog) {
+// count (thread ids must be dense in [0, threads)). A configuration
+// dsm.New would reject is the run's error.
+func (o Options) cluster(threads int) (*dsm.Cluster, *oracleLog, error) {
 	var rec *oracleLog
 	cfg := o.Config
 	if o.Multi != nil {
@@ -166,11 +167,14 @@ func (o Options) cluster(threads int) (*dsm.Cluster, *oracleLog) {
 		rec = &oracleLog{flight.NewLog(oracle.Kinds, nil), threads}
 		cfg.Observer = rec.Log
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
 	c := dsm.New(cfg)
 	if o.OnCluster != nil {
 		o.OnCluster(c)
 	}
-	return c, rec
+	return c, rec, nil
 }
 
 // Result is the outcome of one application run.

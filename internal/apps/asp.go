@@ -66,7 +66,10 @@ func RunASP(n int, o Options) (Result, error) {
 		return Result{}, fmt.Errorf("asp: need n >= 2, got %d", n)
 	}
 	p := o.threads()
-	c, rec := o.cluster(p)
+	c, rec, err := o.cluster(p)
+	if err != nil {
+		return Result{}, err
+	}
 	dist := c.NewArray("dist", n, n, dsm.RoundRobin)
 	g := aspGraph(n, o.Seed)
 	for i := 0; i < n; i++ {

@@ -189,7 +189,10 @@ func RunNBody(n, steps int, o Options) (Result, error) {
 		return Result{}, fmt.Errorf("nbody: n must be a positive multiple of %d, got %d", nbodyChunk, n)
 	}
 	p := o.threads()
-	c, rec := o.cluster(p)
+	c, rec, err := o.cluster(p)
+	if err != nil {
+		return Result{}, err
+	}
 	chunks := n / nbodyChunk
 	// Double-buffered chunk arrays; the step's writers fill `next`.
 	bufs := [2]*dsm.Array{

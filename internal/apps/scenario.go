@@ -24,7 +24,10 @@ func RunScenario(p *scenario.Program, o Options) (Result, error) {
 			p.Seed, p.Nodes, o.Nodes)
 	}
 	o.Nodes = p.Nodes
-	c, rec := o.cluster(p.Threads)
+	c, rec, err := o.cluster(p.Threads)
+	if err != nil {
+		return Result{}, err
+	}
 	objs := make([]dsm.ObjectID, len(p.Words))
 	for i, words := range p.Words {
 		objs[i] = c.NewObject(fmt.Sprintf("obj%d", i), words, dsm.NodeID(p.Homes[i]))

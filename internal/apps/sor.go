@@ -62,7 +62,10 @@ func RunSOR(n, iters int, o Options) (Result, error) {
 		return Result{}, fmt.Errorf("sor: need iters >= 1, got %d", iters)
 	}
 	p := o.threads()
-	c, rec := o.cluster(p)
+	c, rec, err := o.cluster(p)
+	if err != nil {
+		return Result{}, err
+	}
 	grid := c.NewArray("grid", n, n, dsm.RoundRobin)
 	init := sorInit(n, o.Seed)
 	for i := 0; i < n; i++ {

@@ -54,7 +54,10 @@ func RunSynthetic(so SyntheticOpts, o Options) (Result, error) {
 	if compute == 0 {
 		compute = 200 * dsm.Microsecond
 	}
-	c, rec := o.cluster(so.Workers)
+	c, rec, err := o.cluster(so.Workers)
+	if err != nil {
+		return Result{}, err
+	}
 	counter := c.NewObject("counter", 1, 0) // created at the start node
 	lock0 := c.NewLock(0)
 	lock1 := c.NewLock(0)

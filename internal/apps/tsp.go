@@ -100,7 +100,10 @@ func RunTSP(cities int, o Options) (Result, error) {
 		return Result{}, fmt.Errorf("tsp: cities must be in [4,14], got %d", cities)
 	}
 	p := o.threads()
-	c, rec := o.cluster(p)
+	c, rec, err := o.cluster(p)
+	if err != nil {
+		return Result{}, err
+	}
 	d := tspDist(cities, o.Seed)
 	greedy := tspGreedy(d)
 	bestObj := c.NewObject("best", 1, 0) // created at the start node

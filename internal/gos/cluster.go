@@ -76,8 +76,8 @@ type Cluster struct {
 	endTime sim.Time
 }
 
-// New builds a cluster per cfg, taken as given: dsm.New resolves the
-// paper defaults once, and DefaultConfig is the paper's setup.
+// New builds a cluster per cfg, taken as given: the paper's selection is
+// proto.DefaultShared, which DefaultConfig and dsm.New start from.
 func New(cfg Config) *Cluster {
 	if cfg.Nodes <= 0 {
 		panic("gos: cluster needs at least one node")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/locator"
 	"repro/internal/memory"
 	"repro/internal/migration"
@@ -149,12 +148,11 @@ func (p fuzzProgram) run(t *testing.T, pol migration.Policy, loc locator.Kind) [
 // combination and demands that all of them produce exactly the reference
 // final memory state — migration must never change program semantics.
 func TestCoherenceFuzz(t *testing.T) {
-	params := core.DefaultParams(DefaultConfig(4).Net.Alpha)
 	policies := []migration.Policy{
 		migration.NoHM{},
 		migration.Fixed{T: 1},
 		migration.Fixed{T: 2},
-		migration.Adaptive{P: params},
+		DefaultConfig(4).Policy,
 		migration.JUMP{},
 		migration.Jackal{Max: 5},
 		migration.Jiajia{},
@@ -192,9 +190,8 @@ func FuzzCoherence(f *testing.F) {
 	for _, s := range []uint64{1, 5, 13, 1 << 33} {
 		f.Add(s)
 	}
-	params := core.DefaultParams(DefaultConfig(4).Net.Alpha)
 	policies := []migration.Policy{
-		migration.NoHM{}, migration.Adaptive{P: params}, migration.JUMP{}, migration.Jiajia{},
+		migration.NoHM{}, DefaultConfig(4).Policy, migration.JUMP{}, migration.Jiajia{},
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		p := genProgram(seed)
@@ -217,9 +214,8 @@ func FuzzCoherence(f *testing.F) {
 // increments) under every policy: the final sums are order-independent
 // and must match exactly.
 func TestLockFuzz(t *testing.T) {
-	params := core.DefaultParams(DefaultConfig(4).Net.Alpha)
 	policies := []migration.Policy{
-		migration.NoHM{}, migration.Fixed{T: 1}, migration.Adaptive{P: params}, migration.JUMP{},
+		migration.NoHM{}, migration.Fixed{T: 1}, DefaultConfig(4).Policy, migration.JUMP{},
 	}
 	seeds := 6
 	if testing.Short() {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/locator"
 	"repro/internal/memory"
 	"repro/internal/migration"
@@ -215,7 +214,7 @@ func TestAdaptiveInhibitsTransientPattern(t *testing.T) {
 	// threshold climbs with redirections and stops the thrash (§4's
 	// robustness claim).
 	mFT, _ := runTwoWriterPingPong(t, migration.Fixed{T: 1}, 30)
-	at := migration.Adaptive{P: core.DefaultParams(DefaultConfig(3).Net.Alpha)}
+	at := DefaultConfig(3).Policy
 	mAT, _ := runTwoWriterPingPong(t, at, 30)
 	if mAT.Migrations >= mFT.Migrations {
 		t.Fatalf("AT migrations %d !< FT1 migrations %d", mAT.Migrations, mFT.Migrations)
@@ -230,7 +229,7 @@ func TestAdaptiveMatchesFT1OnLastingPattern(t *testing.T) {
 	// (sensitivity claim) — exactly one migration, then all-local writes.
 	for _, pol := range []migration.Policy{
 		migration.Fixed{T: 1},
-		migration.Adaptive{P: core.DefaultParams(DefaultConfig(2).Net.Alpha)},
+		DefaultConfig(2).Policy,
 	} {
 		c := New(testConfig(2, pol, locator.ForwardingPointer))
 		obj := c.AddObject(8, 0)
@@ -255,7 +254,7 @@ func TestLockMutualExclusion(t *testing.T) {
 	// Classic increment race: with correct locking and coherence the
 	// counter must equal the total increment count.
 	const perThread = 20
-	c := New(testConfig(4, migration.Adaptive{P: core.DefaultParams(DefaultConfig(4).Net.Alpha)}, locator.ForwardingPointer))
+	c := New(testConfig(4, DefaultConfig(4).Policy, locator.ForwardingPointer))
 	obj := c.AddObject(1, 0)
 	l := c.AddLock(0)
 	var workers []proto.Worker
@@ -279,7 +278,7 @@ func TestBarrierCoherence(t *testing.T) {
 	// Disjoint writers fill their own objects, then everyone reads
 	// everything: post-barrier agreement (LRC).
 	const nodes = 4
-	c := New(testConfig(nodes, migration.Adaptive{P: core.DefaultParams(DefaultConfig(nodes).Net.Alpha)}, locator.ForwardingPointer))
+	c := New(testConfig(nodes, DefaultConfig(nodes).Policy, locator.ForwardingPointer))
 	var objs []memory.ObjectID
 	for i := 0; i < nodes; i++ {
 		objs = append(objs, c.AddObject(4, memory.NodeID(i%nodes)))
@@ -488,7 +487,7 @@ func TestJackalStopsAfterCap(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() stats.Metrics {
-		m, _ := runTwoWriterPingPong(t, migration.Adaptive{P: core.DefaultParams(DefaultConfig(3).Net.Alpha)}, 15)
+		m, _ := runTwoWriterPingPong(t, DefaultConfig(3).Policy, 15)
 		return m
 	}
 	a, b := run(), run()
@@ -650,7 +649,7 @@ func TestMultipleThreadsPerNode(t *testing.T) {
 	// dispatched to a free cluster node"). Two threads on each of two
 	// nodes increment a shared counter; mutual exclusion and coherence
 	// must hold across co-located threads sharing the node cache.
-	c := New(testConfig(2, migration.Adaptive{P: core.DefaultParams(DefaultConfig(2).Net.Alpha)}, locator.ForwardingPointer))
+	c := New(testConfig(2, DefaultConfig(2).Policy, locator.ForwardingPointer))
 	obj := c.AddObject(1, 0)
 	l := c.AddLock(0)
 	const per = 10

@@ -231,6 +231,11 @@ var shapeRules = []shapeRule{
 	{name: "the selection is declared once per level", since: "One run configuration",
 		in: outsideBenchmark, what: []target{decl("field", "PathCompress")},
 		only: []string{"dsm.go", "internal/proto/proto.go"}, n: 1},
+	// A row has one list of files, so the paper's constants, confined to
+	// DefaultShared, are the same rule's second row.
+	{name: "the paper's selection is built once", since: "One paper default",
+		in: outsideBenchmark, tests: true, what: []target{use("repro/internal/core.DefaultParams")},
+		only: []string{"internal/proto/proto.go"}, n: 1},
 	{name: "one verdict sweep", since: "One run configuration",
 		in: pkgs("internal/..."), tests: true, what: []target{decl("func", "CrossSweep")}},
 

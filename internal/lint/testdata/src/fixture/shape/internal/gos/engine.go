@@ -4,6 +4,7 @@ package gos
 import (
 	"errors"
 
+	"repro/internal/core"
 	"repro/internal/proto"
 	"repro/internal/wire"
 )
@@ -37,4 +38,9 @@ func handle(n *proto.Node, m *wire.Msg) {
 func install(n *proto.Node, sp *proto.Space, m *wire.Msg, end *proto.EndState) {
 	n.Install(*m) // want `Node.Install by value is the benchmark probes' wrapper: use of proto.Node.Install outside internal/proto/`
 	sp.Install(end)
+}
+
+// params builds the paper's constants a second time.
+func params() core.Params {
+	return core.DefaultParams(nil) // want `the paper's selection is built once: use of core.DefaultParams outside internal/proto/proto.go`
 }

@@ -2,8 +2,12 @@
 package proto
 
 import (
+	"repro/internal/core"
 	_ "repro/internal/telemetry" // want `proto knows no consumer: import of repro/internal/telemetry`
 )
+
+// DefaultShared builds the paper's constants, once.
+func DefaultShared() core.Params { return core.DefaultParams(nil) }
 
 // Shared declares the selection once below the facade.
 type Shared struct {

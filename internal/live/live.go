@@ -228,8 +228,9 @@ func (c *Cluster) abortCause() error {
 	return c.abortErr
 }
 
-// New builds a live cluster per cfg, taken as given (DefaultConfig is
-// the paper's setup); a nil Transport selects the in-process ChanLoop.
+// New builds a live cluster per cfg, taken as given: the paper's
+// selection is proto.DefaultShared, which DefaultConfig and dsm.New start
+// from. A nil Transport selects the in-process ChanLoop.
 func New(cfg Config) *Cluster {
 	if cfg.Nodes <= 0 {
 		panic("live: cluster needs at least one node")

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/hockney"
 	"repro/internal/locator"
 	"repro/internal/memory"
@@ -118,10 +117,9 @@ func (e engine) ToThread(slot int32, msg wire.Msg) {
 // homed at home, with the driver under test on node 0.
 func newWorld(t *testing.T, loc locator.Kind, nodes int, objID memory.ObjectID, home memory.NodeID) *world {
 	w := &world{t: t, obj: objID}
-	w.sp = NewSpace(&Shared{
-		Nodes: nodes, Policy: migration.NoHM{}, Locator: loc,
-		Params: core.DefaultParams(hockney.FastEthernet().Alpha),
-	})
+	sh := DefaultShared(nodes, hockney.FastEthernet().Alpha)
+	sh.Policy, sh.Locator, sh.Piggyback = migration.NoHM{}, loc, false
+	w.sp = NewSpace(&sh)
 	for i := 0; i < nodes; i++ {
 		n := w.sp.NewNode(memory.NodeID(i))
 		n.Eng = engine{w, n.ID}

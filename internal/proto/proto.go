@@ -70,21 +70,23 @@ type Engine interface {
 // selection the paper's experiments vary — plus the declared layout
 // (objects, locks, barriers). It is the only declaration of the selection
 // below the dsm facade: gos.Config and live.Config embed it beside their
-// engine-only fields and hand it to NewSpace as is; dsm.New parses
-// dsm.Config's strings into one.
+// engine-only fields and hand it to NewSpace as is. DefaultShared is the
+// paper's selection, built nowhere else; dsm.New applies dsm.Config over it.
 type Shared struct {
 	// Nodes is the cluster size.
 	Nodes int
 	// Policy decides home migration (required: the engines take the
-	// selection as given; dsm.New and DefaultShared fill in the paper's).
+	// selection as given). DefaultShared's is the paper's, AT over Params.
 	Policy migration.Policy
 	// Locator is the home-location mechanism (§3.2; the zero value is the
 	// forwarding pointer, the paper's choice, §3.3).
 	Locator locator.Kind
-	// Params are the adaptive-threshold constants (λ, T_init, α). The
-	// threshold formula needs a message-cost model even on a live
-	// cluster; dsm.New and live.DefaultConfig keep the Fast-Ethernet
-	// calibration there, so policy decisions match the simulation's.
+	// Params are the adaptive-threshold constants (λ, T_init, α):
+	// DefaultShared's are the paper's λ = T_init = 1 over the α of the
+	// message-cost model it is given. The threshold formula needs that
+	// model even on a live cluster; dsm.New and live.DefaultConfig pass
+	// the Fast-Ethernet calibration by default, so policy decisions match
+	// the simulation's.
 	Params core.Params
 	// Piggyback enables the §5.2 optimization: diffs destined to the
 	// lock's (or barrier's) home node ride on the release message. Only
