@@ -343,27 +343,37 @@ func TestCanonCoversComputedFlags(t *testing.T) {
 }
 
 // TestBootstrapTimeoutExitCode: a member whose peers never start must
-// give up within its join timeout and exit with the bootstrap code (4).
+// give up within its join timeout — the whole bootstrap's budget, whether
+// the member dials its peers (node 1 of 2) or only accepts them (node 0
+// of 4) — and exit with the bootstrap code (4), naming a missing peer.
 func TestBootstrapTimeoutExitCode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process smoke skipped in -short")
 	}
+	const joinTimeout = 2 * time.Second
 	bin := dsmnodeBinary(t)
-	peers := strings.Join(freeAddrs(t, 2), ",")
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	start := time.Now()
-	out, err := exec.CommandContext(ctx, bin,
-		"-id", "1", "-peers", peers, "-app", "asp", "-n", "24",
-		"-join-timeout", "2s").CombinedOutput()
-	if code := exitCodeOf(err); code != 4 {
-		t.Fatalf("exit code %d, want 4 (bootstrap timeout)\n%s", code, out)
-	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("gave up only after %v with a 2s join timeout", elapsed)
-	}
-	if !strings.Contains(string(out), "node 0") {
-		t.Fatalf("error does not name the unreachable peer:\n%s", out)
+	for _, tc := range []struct {
+		id, nodes int
+		missing   string
+	}{{1, 2, "node 0"}, {0, 4, "node 1"}} {
+		t.Run(fmt.Sprintf("id%d", tc.id), func(t *testing.T) {
+			peers := strings.Join(freeAddrs(t, tc.nodes), ",")
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			start := time.Now()
+			out, err := exec.CommandContext(ctx, bin,
+				"-id", fmt.Sprint(tc.id), "-peers", peers, "-app", "asp", "-n", "24",
+				"-join-timeout", joinTimeout.String()).CombinedOutput()
+			if code := exitCodeOf(err); code != 4 {
+				t.Fatalf("exit code %d, want 4 (bootstrap timeout)\n%s", code, out)
+			}
+			if elapsed := time.Since(start); elapsed > joinTimeout+3*time.Second {
+				t.Fatalf("gave up only after %v with a %v join timeout", elapsed, joinTimeout)
+			}
+			if !strings.Contains(string(out), tc.missing) {
+				t.Fatalf("error does not name the unreachable peer %s:\n%s", tc.missing, out)
+			}
+		})
 	}
 }
 

@@ -146,7 +146,8 @@ type Config struct {
 	// ExecTime.
 	Engine string
 	// Observer, when non-nil, subscribes to the run's events (the
-	// coherence oracle's recorder) on either engine.
+	// coherence oracle's recorder) on either engine. Under a cluster
+	// member the member's Run sets it (internal/live/cluster).
 	Observer Observer
 	// Transport injects a custom live-engine transport — e.g. a
 	// multi-process cluster member carrying frames over TCP
@@ -162,7 +163,8 @@ type Config struct {
 	// node 0 holds the assembled memory; on another member HomeOf and
 	// Digest answer, Data only for objects it homes (else it panics,
 	// naming the owner). Live engine only, and it requires a Transport
-	// that reaches the peer processes.
+	// that reaches the peer processes. The member's Run sets it, with
+	// Transport and FlightLocal (internal/live/cluster).
 	LocalNode *NodeID
 	// FlightCap, when positive, attaches a fixed-capacity flight
 	// recorder to every node (internal/flight): HLC-stamped protocol
@@ -174,7 +176,8 @@ type Config struct {
 	// FlightLocal injects an externally owned recorder for the local
 	// node — the multi-process mode, where the cluster member owns the
 	// recorder so its HLC stamps observe remote frames and the finish
-	// exchange can gather the ring. Live engine only.
+	// exchange can gather the ring; the member's Run sets it. Live engine
+	// only.
 	FlightLocal *flight.Recorder
 	// Telemetry, when non-nil, is a hot-object sink subscribed to every
 	// node's access and migration-decision events: a space-saving top-K
@@ -199,6 +202,8 @@ type Cluster struct {
 	// when an Observer is attached, so the oracle can be fed the real
 	// initial values (InitialWord) instead of assuming zeros.
 	initial [][]uint64
+	// threads is the worker count of the last Run.
+	threads int
 	// final and finalErr are the engine's end state, once the run returned.
 	final    *proto.EndState
 	finalErr error
@@ -376,6 +381,7 @@ func (c *Cluster) RunWorkers(ws []Worker) (Metrics, error) {
 			c.initial[obj] = append([]uint64(nil), data...)
 		}
 	}
+	c.threads = len(ws)
 	m, err := c.run(ws)
 	c.final, c.finalErr = c.sp.EndState()
 	return m, err
@@ -386,6 +392,10 @@ func (c *Cluster) RunWorkers(ws []Worker) (Metrics, error) {
 func (c *Cluster) InitialWord(obj ObjectID, word int) uint64 {
 	return c.initial[obj][word]
 }
+
+// Threads reports the worker count of the last Run: thread ids are dense
+// in [0, Threads) — the oracle's thread count.
+func (c *Cluster) Threads() int { return c.threads }
 
 // CheckInvariants validates global protocol invariants after a run:
 // exactly one home per object, terminating forwarding chains, no dirty

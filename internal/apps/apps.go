@@ -11,7 +11,9 @@
 // The checked run is defined here once — Options.cluster attaches the
 // oracle, finish merges the flight rings, checks invariants and oracle and
 // fingerprints the memory — for every sweep and gate of internal/bench,
-// dsmrun and each dsmnode member, which reach it through Run or a Run*.
+// dsmrun and each dsmnode member, which reach it through Run or a Run*. A
+// cluster member's Run (internal/live/cluster) wires its half of the run
+// into the Options before and finishes it cluster-wide after.
 package apps
 
 import (
@@ -30,11 +32,13 @@ import (
 // Network, NoPiggyback, PathCompress, Engine, DebugWire, Trace,
 // FlightCap, Telemetry and Metrics are set here under their own names and
 // reach dsm.New as they are) plus what only the apps layer knows: thread
-// count, input seed, the post-run gates and the multi-process member.
-// Config's Observer, LocalNode and FlightLocal are not the caller's to
-// set: cluster derives them from Oracle and Multi, as it does Transport
-// under Multi (without it a caller may wrap the in-process transport, as
-// the chaos sweep does with the fault injector).
+// count, input seed and the post-run gates. Config's Observer, LocalNode
+// and FlightLocal are not the caller's to set: cluster derives Observer
+// from Oracle, and a cluster member's Run sets all three, with Transport
+// (elsewhere a caller may wrap the in-process transport, as the chaos
+// sweep does with the fault injector). A LocalNode marks the run as one
+// member's: the app's validation runs on node 0 only, and the cluster's
+// size is the member's, never grown.
 type Options struct {
 	dsm.Config
 	// Threads is the worker count; 0 means one per node (the paper's
@@ -58,15 +62,6 @@ type Options struct {
 	// scalar traffic only — still enough to catch mis-ordered
 	// synchronization on either engine.
 	Oracle bool
-	// Multi, when non-nil, runs this process as one member of a
-	// multi-process cluster (cmd/dsmnode): only the member's local
-	// node's workers execute here, frames cross the member's transport,
-	// and the post-run gates — oracle, digest, metrics — are evaluated
-	// distributively through the member's control plane instead of
-	// locally. Requires Engine "live". The flight recorder then comes
-	// from the member (see cluster.Config.FlightCap) and FlightCap is
-	// ignored.
-	Multi Member
 	// OnCluster, when non-nil, is called with the built cluster just
 	// before the run starts — the hook cmd binaries use to point a
 	// debug listener (flight rings, metric reads) at the engine while
@@ -90,38 +85,6 @@ func (o *Options) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&o.Check, "check", false, "post-run gate: protocol invariants, memory digest, and the LRC coherence oracle")
 }
 
-// Member is one process's handle on a multi-process cluster, as the
-// apps layer needs it: it is the live engine's transport, names the
-// node whose workers run here, supplies the observer that records
-// oracle events with cluster-comparable timestamps, and finalizes a run
-// distributively. internal/live/cluster implements it; an interface
-// here keeps the dependency one-way (the cluster layer imports apps for
-// Result, not vice versa).
-type Member interface {
-	dsm.Transport
-	// LocalNode is the node this process executes.
-	LocalNode() dsm.NodeID
-	// Observer returns the member's oracle log for a run of
-	// `threads` global threads (Options.Oracle set). The recorded
-	// events carry hybrid-logical-clock stamps so node 0 can merge the
-	// per-process logs into one LRC-checkable order.
-	Observer(threads int) dsm.Observer
-	// FinishApp completes the run cluster-wide: gathers every
-	// process's status, metrics and (when enabled) oracle log to node
-	// 0, which checks the merged log, merges metrics and broadcasts the
-	// verdict. Under check res.Digest becomes the digest of the memory
-	// node 0 assembled — the one digest there is; members hold it, they
-	// do not recompute it. On node 0, res is updated to the merged
-	// cluster view. A non-nil error means the cluster-wide run failed —
-	// on every node.
-	FinishApp(c *dsm.Cluster, res *Result, check, oracle bool) error
-	// FlightRecorder is the member's ring (nil: none), which the local
-	// node records into; FlightTimeline every member's merged, on node 0
-	// after FinishApp.
-	FlightRecorder() *flight.Recorder
-	FlightTimeline() []flight.Event
-}
-
 // mixSeed combines an app's canonical input seed with a run's trial
 // seed. Trial seed 0 leaves the canonical input untouched.
 func mixSeed(canonical, seed uint64) uint64 {
@@ -138,34 +101,15 @@ func (o Options) threads() int {
 	return o.Nodes
 }
 
-// oracleLog is an in-process run's oracle log and its thread count.
-type oracleLog struct {
-	*flight.Log
-	threads int
-}
-
-// cluster builds the configured DSM instance; threads is the run's thread
-// count (thread ids must be dense in [0, threads)). A configuration
-// dsm.New would reject is the run's error.
-func (o Options) cluster(threads int) (*dsm.Cluster, *oracleLog, error) {
-	var rec *oracleLog
+// cluster builds the configured DSM instance and, under Oracle on a
+// single process, the oracle's log (a member's Run brings its own). A
+// configuration dsm.New would reject is the run's error.
+func (o Options) cluster() (*dsm.Cluster, *flight.Log, error) {
+	var rec *flight.Log
 	cfg := o.Config
-	if o.Multi != nil {
-		cfg.Transport = o.Multi
-		ln := o.Multi.LocalNode()
-		cfg.LocalNode = &ln
-		if o.Oracle {
-			cfg.Observer = o.Multi.Observer(threads)
-		}
-		// A member carrying its own flight recorder (cluster.Config.
-		// FlightCap) records with the cluster's hybrid logical clock, so
-		// its stamps merge correctly with every peer's; the local node
-		// records into it, remote nodes record nothing here.
-		cfg.FlightCap = 0
-		cfg.FlightLocal = o.Multi.FlightRecorder()
-	} else if o.Oracle {
-		rec = &oracleLog{flight.NewLog(oracle.Kinds, nil), threads}
-		cfg.Observer = rec.Log
+	if o.Oracle && o.LocalNode == nil {
+		rec = flight.NewLog(oracle.Kinds, nil)
+		cfg.Observer = rec
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -196,31 +140,23 @@ type Result struct {
 // finish applies the post-run gates shared by every app. First validate
 // compares the memory with the app's sequential reference, in the
 // process that holds it: the only one, or node 0 of a cluster (whose
-// failure reaches the members through AbortApp). Then, under
+// failure reaches the members through their Run). Then, under
 // Options.Check the protocol invariants must hold and the final memory
 // is fingerprinted for policy-independence comparison by the sweep
 // layer; under Options.Oracle the recorded event log must be LRC-legal.
-func finish(c *dsm.Cluster, o Options, rec *oracleLog, res Result, validate func() error) (Result, error) {
-	if o.Multi == nil || o.Multi.LocalNode() == 0 {
+// On a cluster member the invariants and the digest are those of the end
+// state the cluster assembled, and the oracle log is the member's, which
+// its Run hands to node 0.
+func finish(c *dsm.Cluster, o Options, rec *flight.Log, res Result, validate func() error) (Result, error) {
+	if o.LocalNode == nil || *o.LocalNode == 0 {
 		if err := validate(); err != nil {
 			return Result{}, err
 		}
 	}
-	if o.Multi != nil {
-		// Multi-process run: the local process saw only its node's
-		// share of the events and counters, so every gate runs through
-		// the cluster member's control plane (merged oracle log and the
-		// assembled memory's digest on node 0, metrics merge).
-		if err := o.Multi.FinishApp(c, &res, o.Check, o.Oracle); err != nil {
-			return Result{}, fmt.Errorf("%s: %w", res.App, err)
-		}
-		res.Flight = o.Multi.FlightTimeline()
-		return res, nil
-	}
 	res.Flight = c.FlightEvents()
 	if rec != nil {
 		res.OracleOps = len(rec.Events)
-		if viols := oracle.Check(rec.threads, rec.Events, c.InitialWord); len(viols) > 0 {
+		if viols := oracle.Check(c.Threads(), rec.Events, c.InitialWord); len(viols) > 0 {
 			return Result{}, fmt.Errorf("%s: oracle: %d violation(s), first: %s",
 				res.App, len(viols), viols[0])
 		}

@@ -66,7 +66,7 @@ func RunASP(n int, o Options) (Result, error) {
 		return Result{}, fmt.Errorf("asp: need n >= 2, got %d", n)
 	}
 	p := o.threads()
-	c, rec, err := o.cluster(p)
+	c, rec, err := o.cluster()
 	if err != nil {
 		return Result{}, err
 	}

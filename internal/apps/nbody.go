@@ -189,7 +189,7 @@ func RunNBody(n, steps int, o Options) (Result, error) {
 		return Result{}, fmt.Errorf("nbody: n must be a positive multiple of %d, got %d", nbodyChunk, n)
 	}
 	p := o.threads()
-	c, rec, err := o.cluster(p)
+	c, rec, err := o.cluster()
 	if err != nil {
 		return Result{}, err
 	}

@@ -19,12 +19,12 @@ import (
 // error on every member. A checked read that disagrees with the model
 // fails the run on the process whose thread saw it.
 func RunScenario(p *scenario.Program, o Options) (Result, error) {
-	if o.Multi != nil && o.Nodes != p.Nodes {
+	if o.LocalNode != nil && o.Nodes != p.Nodes {
 		return Result{}, fmt.Errorf("scenario: seed %d is a %d-node program, this cluster has %d members",
 			p.Seed, p.Nodes, o.Nodes)
 	}
 	o.Nodes = p.Nodes
-	c, rec, err := o.cluster(p.Threads)
+	c, rec, err := o.cluster()
 	if err != nil {
 		return Result{}, err
 	}

@@ -6,7 +6,6 @@ import (
 
 	dsm "repro"
 
-	"repro/internal/flight"
 	"repro/internal/scenario"
 )
 
@@ -89,23 +88,16 @@ func TestScenarioModelCheck(t *testing.T) {
 	}
 }
 
-// unbuilt is a cluster member nothing may touch: the size check must
-// refuse the run before a cluster is built around it.
-type unbuilt struct{ dsm.Transport }
-
-func (unbuilt) LocalNode() dsm.NodeID                             { return 1 }
-func (unbuilt) Observer(int) dsm.Observer                         { panic("observer asked of a refused run") }
-func (unbuilt) FinishApp(*dsm.Cluster, *Result, bool, bool) error { panic("refused run finished") }
-func (unbuilt) FlightRecorder() *flight.Recorder                  { panic("ring asked of a refused run") }
-func (unbuilt) FlightTimeline() []flight.Event                    { panic("timeline asked of a refused run") }
-
 // TestScenarioRefusesWrongClusterSize: a member cannot resize its
 // cluster the way a single process does, so a seed that needs another
 // size is an error naming that size — on every member alike, before
 // anything is built (internal/live/cluster runs it over real members).
 func TestScenarioRefusesWrongClusterSize(t *testing.T) {
 	p := scenario.Generate(5) // 4 nodes
-	_, err := RunScenario(p, Options{Config: dsm.Config{Nodes: 3, Engine: "live"}, Multi: unbuilt{}})
+	// Without a transport, a cluster built around node 1 would be refused
+	// for that instead.
+	one := dsm.NodeID(1)
+	_, err := RunScenario(p, Options{Config: dsm.Config{Nodes: 3, Engine: "live", LocalNode: &one}})
 	if err == nil || !strings.Contains(err.Error(), "4-node program") || !strings.Contains(err.Error(), "3 members") {
 		t.Fatalf("3-member cluster given a 4-node seed: %v", err)
 	}

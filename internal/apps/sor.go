@@ -62,7 +62,7 @@ func RunSOR(n, iters int, o Options) (Result, error) {
 		return Result{}, fmt.Errorf("sor: need iters >= 1, got %d", iters)
 	}
 	p := o.threads()
-	c, rec, err := o.cluster(p)
+	c, rec, err := o.cluster()
 	if err != nil {
 		return Result{}, err
 	}

@@ -60,7 +60,7 @@ func Run(s Spec, o Options) (Result, error) {
 		return RunTSP(s.Cities, o)
 	case "synthetic":
 		if o.Nodes < s.Workers+1 {
-			if o.Multi != nil {
+			if o.LocalNode != nil {
 				return Result{}, fmt.Errorf("synthetic with %d workers needs at least %d nodes", s.Workers, s.Workers+1)
 			}
 			o.Nodes = s.Workers + 1

@@ -54,7 +54,7 @@ func RunSynthetic(so SyntheticOpts, o Options) (Result, error) {
 	if compute == 0 {
 		compute = 200 * dsm.Microsecond
 	}
-	c, rec, err := o.cluster(so.Workers)
+	c, rec, err := o.cluster()
 	if err != nil {
 		return Result{}, err
 	}

@@ -100,7 +100,7 @@ func RunTSP(cities int, o Options) (Result, error) {
 		return Result{}, fmt.Errorf("tsp: cities must be in [4,14], got %d", cities)
 	}
 	p := o.threads()
-	c, rec, err := o.cluster(p)
+	c, rec, err := o.cluster()
 	if err != nil {
 		return Result{}, err
 	}

@@ -88,8 +88,9 @@ func decl(obj, name string) target {
 	return t
 }
 
-// declared takes a qualified package-level name, "pkg/path.Name", for a
-// row that reads several packages but bans a name in one of them.
+// declared takes a qualified name, "pkg/path.Name" or
+// "pkg/path.Type.Name", for a row that reads several packages but bans a
+// name in one of them.
 func declared(q string) target { return qualified(tDecl, q) }
 
 func flagName(name string) target { return target{kind: tFlag, name: name} }
@@ -306,6 +307,13 @@ var shapeRules = []shapeRule{
 		in: outsideBenchmark,
 		what: []target{use("repro/internal/live/cluster.Member.AbortApp"),
 			use("repro/internal/live/cluster.Member.ShipTelemetry"), use("repro/internal/telemetry.NewSampler")},
+		only: []string{"internal/live/cluster/"}},
+	// A member wires and finishes its own run (Member.Run): apps has one
+	// checked run, and no handle on a member to fork it with.
+	{name: "apps has no member mode", since: "One checked run in apps",
+		in: outsideBenchmark, tests: true,
+		what: []target{declared("repro/internal/apps.Options.Multi"), declared("repro/internal/apps.Member"),
+			use("repro/internal/live/cluster.Member.FinishApp")},
 		only: []string{"internal/live/cluster/"}},
 
 	{name: "node 0 gathers and broadcasts only in round", since: "One control-plane round",

@@ -59,6 +59,7 @@ import (
 	"io"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,8 +121,9 @@ type Config struct {
 	// Check holds the assembled end state to the protocol invariants
 	// (the multi-process analogue of dsmrun -check).
 	Check bool
-	// DialTimeout bounds how long Join waits for a peer to come up
-	// (members may start in any order). Zero means 20s.
+	// DialTimeout bounds the whole bootstrap (members may start in any
+	// order): dials, accepts and hello handshakes share one deadline this
+	// long after Join starts. Zero means 20s.
 	DialTimeout time.Duration
 	// AbortGrace bounds the abort's verdict round: a member that calls
 	// AbortApp severs its transport after this long if the round has
@@ -143,7 +145,8 @@ type Config struct {
 	// dsm.Config.FlightLocal so the engine shares it.
 	FlightCap int
 	// Listener optionally supplies a pre-bound listener for Addrs[ID]
-	// (tests bind :0 first to learn free ports). nil listens.
+	// (tests bind :0 first to learn free ports); it must take a deadline,
+	// as every listener of package net does. nil listens.
 	Listener net.Listener
 	// OnFatal handles a mid-run connection failure (a peer process
 	// died), once the engine has been aborted so that Run returns it: a
@@ -156,16 +159,16 @@ type Config struct {
 }
 
 // Member is one process's handle on the cluster: the live engine's
-// transport (with the lifecycle hooks), the apps layer's distributed
-// finish, and the member's telemetry. A member's life is Join, Run, Leave.
+// transport (with the lifecycle hooks), the wiring and the cluster-wide
+// finish of its application run, and the member's telemetry. A member's
+// life is Join, Run, Leave.
 type Member struct {
 	cfg   Config
 	n     int
 	tr    *tcp.Transport
 	clock *hlc.Clock // stamped on every frame; drives the oracle log
 
-	rec     *flight.Log // HLC-stamped oracle log, when Observer was asked
-	threads int
+	rec *flight.Log // HLC-stamped oracle log, when Run's check gate is on
 
 	flight   *flight.Recorder // per-node flight ring, when Config.FlightCap > 0
 	timeline []flight.Event   // merged cluster timeline (coordinator, after the verdict)
@@ -200,7 +203,9 @@ func (m *Member) logf(format string, args ...any) {
 // lower-id peer (with retry — members start in any order), accept every
 // higher-id peer, validate hellos both ways, then barrier on start.
 // It returns only when every member of the cluster is connected and
-// ready, or with an error naming what went wrong.
+// ready, or with an error naming what went wrong. Every dial, accept and
+// handshake ends by one deadline, Config.DialTimeout after the call; a
+// peer that has not linked by then is ErrBootstrapTimeout, named.
 func Join(cfg Config) (*Member, error) {
 	n := len(cfg.Addrs)
 	if n == 0 {
@@ -218,6 +223,7 @@ func Join(cfg Config) (*Member, error) {
 	if cfg.TelemetryInterval <= 0 {
 		cfg.TelemetryInterval = DefaultTelemetryInterval
 	}
+	deadline := time.Now().Add(cfg.DialTimeout)
 	m := &Member{cfg: cfg, n: n, clock: hlc.New(cfg.WallClock)}
 	if cfg.FlightCap > 0 {
 		m.flight = flight.NewRecorder(cfg.ID, cfg.FlightCap, m.clock.Tick)
@@ -229,6 +235,12 @@ func Join(cfg Config) (*Member, error) {
 		ln, err = net.Listen("tcp", cfg.Addrs[cfg.ID])
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %d listen: %w", cfg.ID, err)
+		}
+	}
+	if ln != nil {
+		if dl, ok := ln.(interface{ SetDeadline(time.Time) error }); !ok || dl.SetDeadline(deadline) != nil {
+			ln.Close()
+			return nil, fmt.Errorf("cluster: node %d: listener %T takes no deadline", cfg.ID, ln)
 		}
 	}
 	conns := make([]net.Conn, n)
@@ -255,30 +267,42 @@ func Join(cfg Config) (*Member, error) {
 	accepts := n - 1 - int(cfg.ID)
 	if accepts > 0 {
 		go func() {
+			linked := make([]bool, n)
 			for k := 0; k < accepts; k++ {
 				conn, err := ln.Accept()
+				if ne, ok := err.(net.Error); ok && ne.Timeout() {
+					var missing []string
+					for j := int(cfg.ID) + 1; j < n; j++ {
+						if !linked[j] {
+							missing = append(missing, fmt.Sprintf("node %d (%s)", j, cfg.Addrs[j]))
+						}
+					}
+					results <- result{err: fmt.Errorf("accept: %w: %s never connected", ErrBootstrapTimeout, strings.Join(missing, ", "))}
+					return
+				}
 				if err != nil {
 					results <- result{err: fmt.Errorf("accept: %w", err)}
 					return
 				}
-				id, err := m.handshake(conn, memory.NoNode)
+				id, err := m.handshake(conn, memory.NoNode, deadline)
 				if err != nil {
 					conn.Close()
 					results <- result{err: err}
 					return
 				}
+				linked[id] = true
 				results <- result{id: id, conn: conn}
 			}
 		}()
 	}
 	for j := 0; j < int(cfg.ID); j++ {
 		go func(j int) {
-			conn, err := dialRetry(m.cfg.Addrs[j], m.cfg.DialTimeout)
+			conn, err := dialRetry(m.cfg.Addrs[j], deadline)
 			if err != nil {
 				results <- result{err: fmt.Errorf("dial node %d (%s): %w", j, m.cfg.Addrs[j], err)}
 				return
 			}
-			if _, err := m.handshake(conn, memory.NodeID(j)); err != nil {
+			if _, err := m.handshake(conn, memory.NodeID(j), deadline); err != nil {
 				conn.Close()
 				results <- result{err: err}
 				return
@@ -286,27 +310,21 @@ func Join(cfg Config) (*Member, error) {
 			results <- result{id: memory.NodeID(j), conn: conn}
 		}(j)
 	}
-	deadline := time.NewTimer(cfg.DialTimeout + 10*time.Second)
-	defer deadline.Stop()
+	// Every dial, accept and handshake ends by the deadline, so every
+	// goroutine reports.
 	for have := 0; have < n-1; have++ {
-		select {
-		case r := <-results:
-			if r.err != nil {
-				cleanup()
-				return nil, fmt.Errorf("cluster: node %d bootstrap: %w", cfg.ID, r.err)
-			}
-			if conns[r.id] != nil {
-				r.conn.Close()
-				cleanup()
-				return nil, fmt.Errorf("cluster: node %d: duplicate connection for node %d", cfg.ID, r.id)
-			}
-			conns[r.id] = r.conn
-			m.logf("node %d: linked with node %d", cfg.ID, r.id)
-		case <-deadline.C:
+		r := <-results
+		if r.err != nil {
 			cleanup()
-			return nil, fmt.Errorf("cluster: node %d: %w waiting for peers (budget %v)",
-				cfg.ID, ErrBootstrapTimeout, cfg.DialTimeout+10*time.Second)
+			return nil, fmt.Errorf("cluster: node %d bootstrap: %w", cfg.ID, r.err)
 		}
+		if conns[r.id] != nil {
+			r.conn.Close()
+			cleanup()
+			return nil, fmt.Errorf("cluster: node %d: duplicate connection for node %d", cfg.ID, r.id)
+		}
+		conns[r.id] = r.conn
+		m.logf("node %d: linked with node %d", cfg.ID, r.id)
 	}
 	if ln != nil {
 		ln.Close() // all pairs are up; no further connections expected
@@ -341,14 +359,13 @@ func Join(cfg Config) (*Member, error) {
 	return m, nil
 }
 
-// dialRetry dials addr until it answers or the total budget runs out:
-// peers start in arbitrary order, so refusals are expected at first.
-// Retries back off exponentially from 20ms, capped at one second, and
-// the returned error (wrapping ErrBootstrapTimeout) reports how long
-// and how often the peer was tried plus the last dial failure.
-func dialRetry(addr string, budget time.Duration) (net.Conn, error) {
+// dialRetry dials addr until it answers or the deadline passes: peers
+// start in arbitrary order, so refusals are expected at first. Retries
+// back off exponentially from 20ms, capped at one second, and the
+// returned error (wrapping ErrBootstrapTimeout) reports how long and how
+// often the peer was tried plus the last dial failure.
+func dialRetry(addr string, deadline time.Time) (net.Conn, error) {
 	start := time.Now()
-	deadline := start.Add(budget)
 	backoff := 20 * time.Millisecond
 	for attempt := 1; ; attempt++ {
 		per := time.Second
@@ -369,7 +386,7 @@ func dialRetry(addr string, budget time.Duration) (net.Conn, error) {
 			return nil, fmt.Errorf("%w: unreachable after %d attempt(s) over %v (last error: %v)",
 				ErrBootstrapTimeout, attempt, time.Since(start).Round(time.Millisecond), err)
 		}
-		time.Sleep(backoff)
+		time.Sleep(min(backoff, time.Until(deadline)))
 		if backoff *= 2; backoff > time.Second {
 			backoff = time.Second
 		}
@@ -380,9 +397,10 @@ func dialRetry(addr string, budget time.Duration) (net.Conn, error) {
 // want names the expected peer (dialed connections), NoNode accepts any
 // valid higher id (accepted connections). Each side then confirms with
 // a status byte, so a rejected member learns why instead of seeing a
-// bare hangup — the config-mismatch rejection path.
-func (m *Member) handshake(conn net.Conn, want memory.NodeID) (memory.NodeID, error) {
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
+// bare hangup — the config-mismatch rejection path. The exchange ends by
+// the bootstrap's deadline.
+func (m *Member) handshake(conn net.Conn, want memory.NodeID, deadline time.Time) (memory.NodeID, error) {
+	conn.SetDeadline(deadline)
 	defer conn.SetDeadline(time.Time{})
 
 	var hello [helloSize]byte
@@ -400,7 +418,7 @@ func (m *Member) handshake(conn net.Conn, want memory.NodeID) (memory.NodeID, er
 		// A connected peer that never answers the hello is a bootstrap
 		// timeout (half-open peer, wedged process), not a mismatch.
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			return 0, fmt.Errorf("%w: peer connected but sent no hello within the handshake deadline: %v", ErrBootstrapTimeout, err)
+			return 0, fmt.Errorf("%w: peer connected but sent no hello within the bootstrap deadline: %v", ErrBootstrapTimeout, err)
 		}
 		return 0, fmt.Errorf("handshake read: %w", err)
 	}
@@ -730,8 +748,7 @@ func (m *Member) Leave() {
 	m.tr.Close()
 }
 
-// interface conformance (the apps.Member methods live in finish.go; the
-// full apps.Member check is in cmd/dsmnode, avoiding an import here).
+// interface conformance: the engine's transport and its end-of-run hook.
 var (
 	_ transport.BatchEnder = (*Member)(nil)
 	_ transport.FatalSink  = (*Member)(nil)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/flight"
 	"repro/internal/memory"
+	"repro/internal/oracle"
 	"repro/internal/proto"
 	"repro/internal/scenario"
 )
@@ -697,24 +698,33 @@ func runSkewed(t *testing.T, skewStep time.Duration) []flight.Event {
 
 // TestBootstrapTimeoutClassified: a member whose peer never comes up
 // fails within its budget, wraps ErrBootstrapTimeout, and names the
-// unreachable peer's address.
+// peer — whether it was to dial the peer (node 1, node 0 absent) or to
+// accept it (node 0, node 1 absent).
 func TestBootstrapTimeoutClassified(t *testing.T) {
-	var absent string
-	start := time.Now()
-	_, errs := runMembers(t, 2, func(cfg *Config) bool {
-		absent = cfg.Addrs[0]
-		cfg.DialTimeout = 300 * time.Millisecond
-		return cfg.ID == 1 // node 0, the peer node 1 must dial, never starts
-	}, nil)
-	err := errs[1]
-	if !errors.Is(err, ErrBootstrapTimeout) {
-		t.Fatalf("error not classified as bootstrap timeout: %v", err)
-	}
-	if !strings.Contains(err.Error(), absent) && !strings.Contains(err.Error(), "node 0") {
-		t.Fatalf("error does not name the unreachable peer: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("timeout took %v, budget was 300ms", elapsed)
+	const budget = 300 * time.Millisecond
+	for _, side := range []struct {
+		name            string
+		starts, missing memory.NodeID
+	}{{"dial", 1, 0}, {"accept", 0, 1}} {
+		t.Run(side.name, func(t *testing.T) {
+			var absent string
+			start := time.Now()
+			_, errs := runMembers(t, 2, func(cfg *Config) bool {
+				absent = cfg.Addrs[side.missing]
+				cfg.DialTimeout = budget
+				return cfg.ID == side.starts
+			}, nil)
+			err := errs[side.starts]
+			if !errors.Is(err, ErrBootstrapTimeout) {
+				t.Fatalf("error not classified as bootstrap timeout: %v", err)
+			}
+			if !strings.Contains(err.Error(), absent) || !strings.Contains(err.Error(), fmt.Sprintf("node %d", side.missing)) {
+				t.Fatalf("error does not name the missing peer, node %d at %s: %v", side.missing, absent, err)
+			}
+			if elapsed := time.Since(start); elapsed > budget+2*time.Second {
+				t.Fatalf("timeout took %v, budget was %v", elapsed, budget)
+			}
+		})
 	}
 }
 
@@ -748,6 +758,37 @@ func TestAbortGraceSeversWedgedExchange(t *testing.T) {
 	}
 	if took > 10*time.Second {
 		t.Fatalf("aborting member returned after %v, its grace bound is 500ms", took)
+	}
+}
+
+// TestMergedOracleFailsTheCluster: node 0 judges the members' oracle
+// logs merged, so a read no single log can fault fails every member. Node
+// 0's thread writes 7 under lock 0; node 1's thread, taking the lock
+// after it (the HLC stamps say so), reads the initial 0 — legal in node
+// 1's log alone, stale in the merged one.
+func TestMergedOracleFailsTheCluster(t *testing.T) {
+	ev := func(wall int64, node memory.NodeID, kind flight.Kind, val uint64) flight.Event {
+		return flight.Event{Wall: wall, Node: node, Kind: kind, Thread: int32(node), Val: val}
+	}
+	ops := [][]flight.Event{
+		{ev(1, 0, flight.Acquire, 0), ev(2, 0, flight.Write, 7), ev(3, 0, flight.Release, 0)},
+		{ev(4, 1, flight.Acquire, 0), ev(5, 1, flight.Read, 0), ev(6, 1, flight.Release, 0)},
+	}
+	_, errs := runMembers(t, 2, unchecked, func(m *Member) (apps.Result, error) {
+		// The cluster the verdict judges: one word, initially 0, and the
+		// two threads whose events the logs hold.
+		c := dsm.New(dsm.Config{Nodes: 2, Observer: flight.NewLog(oracle.Kinds, nil)})
+		c.NewObject("x", 1, 0)
+		if _, err := c.Run(2, func(dsm.Thread) {}); err != nil {
+			return apps.Result{}, err
+		}
+		var res apps.Result
+		return res, m.verdict(c, &res, appReportBody{Ops: ops[m.LocalNode()]}, true)
+	})
+	for id, err := range errs {
+		if !errors.Is(err, ErrVerification) || !strings.Contains(err.Error(), "merged oracle") {
+			t.Errorf("member %d: %v, want a verification failure naming the merged oracle", id, err)
+		}
 	}
 }
 

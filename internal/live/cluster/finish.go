@@ -116,24 +116,10 @@ type verdictBody struct {
 	OracleOps int
 }
 
-// Observer implements apps.Member: the oracle log for a run of `threads`
-// global threads, a flight.Log that stamps each event it keeps from the
-// member's hybrid logical clock — the same clock every TCP frame carries and
-// folds on receipt — so a stamp taken after a frame arrived is greater
-// than every stamp taken before that frame was sent, no matter how the
-// processes' wall clocks are skewed. Sorting the merged logs by stamp
-// therefore yields an order consistent with happens-before (what
-// oracle.Check needs) even across machines whose clocks disagree by
-// seconds, which raw wall-clock readings only manage on one machine.
-func (m *Member) Observer(threads int) dsm.Observer {
-	m.threads = threads
-	m.rec = flight.NewLog(oracle.Kinds, m.clock.Tick)
-	return m.rec
-}
-
-// FinishApp implements apps.Member: the verdict round. Node 0 gathers
-// per-process results, evaluates the cluster-wide verdict (merged-oracle
-// LRC check, per-node failures, merged metrics) and distributes it.
+// FinishApp is the verdict round of the run c ran, which Run calls once
+// its fn returned a result. Node 0 gathers per-process results, evaluates
+// the cluster-wide verdict (merged-oracle LRC check over c's threads,
+// per-node failures, merged metrics) and distributes it.
 // Every member's res receives the merged metrics and oracle count and,
 // under check, the digest of the memory node 0 assembled (the report
 // round handed it to each member; there is no second digest to compare
@@ -234,17 +220,10 @@ func (m *Member) judge(c *dsm.Cluster, reports []appReportBody, oracleOn bool) v
 		// with happens-before under any wall-clock skew: a member's clock is
 		// strictly increasing, and frames carry its stamps to the others.
 		merged := flight.Merge(ops...)
-		var init oracle.InitFn
-		if c != nil {
-			init = c.InitialWord
-		}
 		v.OracleOps = len(merged)
-		if viols := oracle.Check(m.threads, merged, init); len(viols) > 0 {
+		if viols := oracle.Check(c.Threads(), merged, c.InitialWord); len(viols) > 0 {
 			v.Err = fmt.Sprintf("merged oracle: %d violation(s), first: %s", len(viols), viols[0])
 		}
 	}
 	return v
 }
-
-// compile-time check: the member satisfies the apps layer's contract.
-var _ apps.Member = (*Member)(nil)

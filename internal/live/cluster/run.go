@@ -10,8 +10,10 @@ import (
 	dsm "repro"
 
 	"repro/internal/apps"
+	"repro/internal/flight"
 	"repro/internal/live/transport/tcp"
 	"repro/internal/memory"
+	"repro/internal/oracle"
 	"repro/internal/telemetry"
 )
 
@@ -19,24 +21,45 @@ import (
 const DefaultTelemetryInterval = 250 * time.Millisecond
 
 // Run is a member's life between Join and Leave. It makes o this member's
-// run — the cluster's size, this member as transport and distributed
-// finish, its sink and registry, the oracle wherever the check gate is on
-// — and calls fn, which runs the application (apps.Run or an apps.Run*).
-// While the engine fn builds is alive (from o.OnCluster, which is Run's: fn
-// may wrap it) the member samples its registry and ships a snapshot to node
-// 0 every Config.TelemetryInterval, and once more after the run.
+// run — the cluster's size, this member as transport, its node, flight
+// ring, sink and registry, and under the check gate the oracle with its
+// HLC-stamped log — and calls fn, which runs the application (apps.Run or
+// an apps.Run*). While the engine fn builds is alive (from o.OnCluster,
+// which is Run's: fn may wrap it) the member samples its registry and
+// ships a snapshot to node 0 every Config.TelemetryInterval, and once more
+// after the run. When fn returns a result, Run finishes the run
+// cluster-wide (FinishApp on the cluster fn built): every member's result
+// then carries the merged metrics, the oracle count and the digest, and
+// node 0's the merged flight timeline.
 //
 // An error that reaches Run without the verdict round having run — bad
 // arguments, a wrong result, an engine abort — is reported into it, so
 // every peer fails too instead of waiting; the round's answer replaces it
 // when classified, which is how a wedged round ends as ErrPeerDeath.
 func (m *Member) Run(o apps.Options, fn func(apps.Options) (apps.Result, error)) (apps.Result, error) {
-	o.Nodes, o.Engine, o.Multi = m.n, "live", m
+	id := m.cfg.ID
+	o.Nodes, o.Engine, o.Transport, o.LocalNode = m.n, "live", m, &id
 	o.Telemetry, o.Metrics, o.Oracle = m.sink, m.reg, o.Check
+	// The local node records into the member's ring, stamped by the
+	// cluster's hybrid logical clock, so node 0 can merge every member's.
+	o.FlightCap, o.FlightLocal = 0, m.flight
+	if o.Check {
+		// The oracle log stamps each event it keeps from the same clock:
+		// every TCP frame carries it and folds it on receipt, so a stamp
+		// taken after a frame arrived is greater than every stamp taken
+		// before that frame was sent, however the processes' wall clocks
+		// are skewed. Sorting the merged logs by stamp therefore yields an
+		// order consistent with happens-before (what oracle.Check needs)
+		// even across machines whose clocks disagree by seconds.
+		m.rec = flight.NewLog(oracle.Kinds, m.clock.Tick)
+		o.Observer = m.rec
+	}
 	m.reg.SetCommon(fmt.Sprintf("policy=%q", o.Policy))
 
+	var c *dsm.Cluster
 	stop, done := make(chan struct{}), make(chan struct{})
-	o.OnCluster = func(*dsm.Cluster) {
+	o.OnCluster = func(built *dsm.Cluster) {
+		c = built
 		// The sampler freezes its metric list when built: by now the
 		// engine has registered its own.
 		m.sampler = telemetry.NewSampler(m.reg, 4096)
@@ -56,6 +79,13 @@ func (m *Member) Run(o apps.Options, fn func(apps.Options) (apps.Result, error))
 		}()
 	}
 	res, err := fn(o)
+	if err == nil {
+		if err = m.FinishApp(c, &res, o.Check, o.Oracle); err != nil {
+			res, err = apps.Result{}, fmt.Errorf("%s: %w", res.App, err)
+		} else {
+			res.Flight = m.FlightTimeline()
+		}
+	}
 	if err != nil && !m.Completed() {
 		if aerr := m.AbortApp(err); errors.Is(aerr, ErrPeerDeath) || errors.Is(aerr, ErrVerification) {
 			err = aerr

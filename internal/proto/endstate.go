@@ -135,15 +135,18 @@ func (n *Node) Report() NodeReport {
 type EndState struct {
 	Homes []memory.NodeID
 	Data  [][]uint64
-	// digest stands in for Digest() where Data is partial.
-	digest  uint64
-	partial bool
+	// digest, once known, is what Digest returns: a member's view has it
+	// from node 0 (its Data is partial), an assembled state from its first
+	// Digest, which node 0 of a cluster takes twice (the report round, the
+	// application's check).
+	digest uint64
+	known  bool
 }
 
 // MemberView is the end state on a cluster member other than node 0:
 // homes and digest as node 0 sent them, data from the member's own report.
 func MemberView(homes []memory.NodeID, digest uint64, own NodeReport) *EndState {
-	e := &EndState{Homes: homes, Data: make([][]uint64, len(homes)), digest: digest, partial: true}
+	e := &EndState{Homes: homes, Data: make([][]uint64, len(homes)), digest: digest, known: true}
 	for k, obj := range own.HomeObjs {
 		e.Data[obj] = own.HomeData[k]
 	}
@@ -169,7 +172,7 @@ func (e *EndState) ObjectData(obj memory.ObjectID) []uint64 {
 // under every migration policy, locator and engine — migration changes
 // cost, never results.
 func (e *EndState) Digest() uint64 {
-	if e.partial {
+	if e.known {
 		return e.digest
 	}
 	const prime = 1099511628211
@@ -189,6 +192,7 @@ func (e *EndState) Digest() uint64 {
 			mix(w)
 		}
 	}
+	e.digest, e.known = h, true
 	return h
 }
 
