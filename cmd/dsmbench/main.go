@@ -114,7 +114,7 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress progress output")
 	par := flag.Int("par", 0, "parallel sweep workers (0 = GOMAXPROCS, 1 = sequential); output is byte-identical at any setting")
 	trials := flag.Int("trials", 1, "seeded trials per configuration; tables report mean with min..max spread")
-	check := flag.Bool("check", false, "correctness gate: verify protocol invariants after every run and demand policy-independent final memory where the sweep varies only the policy")
+	check := flag.Bool("check", false, "correctness gate: replay every run through the LRC coherence oracle, verify protocol invariants after it, and demand policy-independent final memory where the sweep varies only the policy")
 	scenarios := flag.Int("scenarios", 0, "run N seeded random scenarios through the coherence oracle under every builtin policy, then exit (combine with -seed)")
 	cross := flag.Int("cross", 0, "cross-engine gate: run N seeded scenarios under every builtin policy on BOTH the sim and live engines, demanding clean verdicts and identical final-memory digests (combine with -seed)")
 	chaos := flag.Int("chaos", 0, "chaos gate: run N seeded scenarios on the live engine over the fault-injecting transport (delays always, scheduled node kills and link cuts); every run must complete with the fault-free sim digest or abort cleanly, within a deadline (combine with -seed)")

@@ -23,10 +23,12 @@ import (
 // both files alone; regenerate them (`go run ./cmd/dsmbench -all -par 1 -q
 // -csv testdata/dsmbench_all.golden.csv > testdata/dsmbench_all.golden.txt`
 // from the repo root) only for a change that means to move the numbers or
-// the layout, and say which rows and why.
+// the layout, and say which rows and why. The sweep runs checked, as
+// `-all -check`: every run also passes the LRC oracle and the invariants,
+// and every policy axis leaves the same memory.
 func TestAllMatchesGoldenCSV(t *testing.T) {
 	var tables bytes.Buffer
-	report, err := produce(&tables, sweeps, false, bench.RunOpts{Trials: 1})
+	report, err := produce(&tables, sweeps, false, bench.RunOpts{Trials: 1, Check: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,8 @@
 // metrics instead of virtual time); -check verifies the protocol
 // invariants, fingerprints the final memory, and replays the run's
 // scalar accesses through the LRC coherence oracle — on either engine.
-// That is the gate of `dsmbench -scenarios` and `-cross`; `dsmbench
-// -check` runs its figures without the oracle, which costs too much
-// there.
+// That is the gate of every checked run: `dsmbench -check`'s figures and
+// ablations, `-scenarios`, `-cross` and each `dsmnode` member.
 //
 // -flight N attaches a per-node flight recorder of N events to every
 // node; the merged HLC-ordered cluster timeline then exports as
@@ -58,7 +57,7 @@ func main() {
 	flightAnalyze := flag.Bool("flight-analyze", false, "trace the run's access-pattern events in full and print the classifier's report (needs no -flight)")
 	flag.Parse()
 	obsFlags.Validate("dsmrun")
-	o.Oracle, o.FlightCap = o.Check, obsFlags.FlightCap
+	o.FlightCap = obsFlags.FlightCap
 	if *flightAnalyze {
 		o.Trace = dsm.NewTrace()
 	}

@@ -40,7 +40,7 @@ func TestScenarioSeedReproduces(t *testing.T) {
 	bin := build(t)
 	cell, err := apps.RunScenario(scenario.Generate(5), apps.Options{
 		Config: dsm.Config{Policy: "JUMP", Locator: "manager", DebugWire: true},
-		Check:  true, Oracle: true,
+		Check:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ import (
 // reach dsm.New as they are) plus what only the apps layer knows: thread
 // count, input seed and the post-run gates. Config's Observer, LocalNode
 // and FlightLocal are not the caller's to set: cluster derives Observer
-// from Oracle, and a cluster member's Run sets all three, with Transport
+// from Check, and a cluster member's Run sets all three, with Transport
 // (elsewhere a caller may wrap the in-process transport, as the chaos
 // sweep does with the fault injector). A LocalNode marks the run as one
 // member's: the app's validation runs on node 0 only, and the cluster's
@@ -51,17 +51,15 @@ type Options struct {
 	// The synthetic benchmark has no generated input and ignores it; a
 	// scenario is generated from it whole (scenario.Generate).
 	Seed uint64
-	// Check enables the post-run correctness gate: protocol invariants
-	// are verified (a violation fails the run) and Result.Digest carries
-	// the final shared-memory fingerprint for cross-policy comparison.
+	// Check enables the post-run correctness gate: the run's every scalar
+	// access and lock/barrier event is replayed through the LRC coherence
+	// oracle (internal/oracle), protocol invariants are verified — a
+	// violation of either fails the run — and Result.Digest carries the
+	// final shared-memory fingerprint for cross-policy comparison. Bulk
+	// view accesses bypass the oracle, which sees an app's scalar traffic
+	// only: still enough to catch mis-ordered synchronization on either
+	// engine.
 	Check bool
-	// Oracle additionally records every scalar access and lock/barrier
-	// event and replays the run through the LRC coherence oracle
-	// (internal/oracle) after it completes; any violation fails the run.
-	// Bulk view accesses bypass the hooks, so the oracle sees an app's
-	// scalar traffic only — still enough to catch mis-ordered
-	// synchronization on either engine.
-	Oracle bool
 	// OnCluster, when non-nil, is called with the built cluster just
 	// before the run starts — the hook cmd binaries use to point a
 	// debug listener (flight rings, metric reads) at the engine while
@@ -71,9 +69,8 @@ type Options struct {
 
 // Register declares the protocol-selection flags on fs, bound to o:
 // -policy, -locator, -lambda, -tinit, -nopiggyback, -threads, -seed and
-// -check (which sets Check; the binaries turn the oracle on with it). The help
-// texts are dsmrun's; a binary for which they read differently replaces
-// them (flag.Lookup(name).Usage).
+// -check (the one gate, Check). The help texts are dsmrun's; a binary
+// for which they read differently replaces them (flag.Lookup(name).Usage).
 func (o *Options) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.Policy, "policy", "AT", "migration policy: AT, FT<k>, NoHM, JUMP, Jackal[k], Jiajia")
 	fs.StringVar(&o.Locator, "locator", "fwdptr", "home locator: fwdptr, manager, broadcast")
@@ -101,13 +98,13 @@ func (o Options) threads() int {
 	return o.Nodes
 }
 
-// cluster builds the configured DSM instance and, under Oracle on a
+// cluster builds the configured DSM instance and, under Check on a
 // single process, the oracle's log (a member's Run brings its own). A
 // configuration dsm.New would reject is the run's error.
 func (o Options) cluster() (*dsm.Cluster, *flight.Log, error) {
 	var rec *flight.Log
 	cfg := o.Config
-	if o.Oracle && o.LocalNode == nil {
+	if o.Check && o.LocalNode == nil {
 		rec = flight.NewLog(oracle.Kinds, nil)
 		cfg.Observer = rec
 	}
@@ -129,7 +126,7 @@ type Result struct {
 	// Options.Check is set (zero otherwise).
 	Digest uint64
 	// OracleOps counts the events the LRC oracle validated, filled only
-	// when Options.Oracle is set.
+	// when Options.Check is set.
 	OracleOps int
 	// Flight is the merged HLC-ordered flight timeline, filled when
 	// recording was enabled (Options.FlightCap single-process; the
@@ -141,9 +138,9 @@ type Result struct {
 // compares the memory with the app's sequential reference, in the
 // process that holds it: the only one, or node 0 of a cluster (whose
 // failure reaches the members through their Run). Then, under
-// Options.Check the protocol invariants must hold and the final memory
-// is fingerprinted for policy-independence comparison by the sweep
-// layer; under Options.Oracle the recorded event log must be LRC-legal.
+// Options.Check the recorded event log must be LRC-legal, the protocol
+// invariants must hold and the final memory is fingerprinted for
+// policy-independence comparison by the sweep layer.
 // On a cluster member the invariants and the digest are those of the end
 // state the cluster assembled, and the oracle log is the member's, which
 // its Run hands to node 0.

@@ -40,7 +40,7 @@ func TestScenarioIsAnApplication(t *testing.T) {
 				res, err := RunScenario(p, Options{
 					// Nodes is the program's to set, whatever the caller holds.
 					Config: dsm.Config{Nodes: 9, Policy: pol, Engine: engine, DebugWire: true},
-					Check:  true, Oracle: true,
+					Check:  true,
 				})
 				if err != nil {
 					t.Fatalf("seed %d %s/%s: %v", fs.seed, pol, engine, err)

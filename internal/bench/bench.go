@@ -50,12 +50,12 @@ type RunOpts struct {
 	// Progress, when non-nil, receives one line per completed run with
 	// pool position, wall time and ETA.
 	Progress func(string)
-	// Check turns every sweep into a correctness gate: each run
-	// verifies the protocol invariants (a violation fails that run),
-	// and cells that declare the same input key — Fig. 2/3's policy axis
-	// and the locator, tinit and related ablations' deterministic
-	// workloads — additionally must leave byte-identical final shared
-	// memory, trial by trial (sameResults, the one comparison).
+	// Check turns every sweep into a correctness gate: each run passes
+	// the LRC oracle and the protocol invariants or fails, and cells that
+	// declare the same input key — Fig. 2/3's policy axis and the
+	// locator, tinit and related ablations' deterministic workloads —
+	// additionally must leave byte-identical final shared memory, trial
+	// by trial (sameResults, the one comparison).
 	Check bool
 }
 

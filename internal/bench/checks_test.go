@@ -326,3 +326,29 @@ func TestSweepReproducesParentCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckedFigureCellIsReplayed holds -check to its one meaning on the
+// figures: every run of a checked sweep over a Fig. 2 workload and a
+// Fig. 5 workload, under the figure's policies, went through the LRC
+// oracle.
+func TestCheckedFigureCellIsReplayed(t *testing.T) {
+	_, fig2 := fig2Grid(tinySizes(), []int{4})
+	fig5 := application("r=2", apps.Spec{App: "synthetic", Rep: 2, Updates: 256, Workers: 4}, 5)
+	for _, g := range []struct {
+		vs []variant
+		ws []workload
+	}{
+		{policies("NoHM", "AT"), fig2[:1]},
+		{policies(Fig5Protocols...), []workload{fig5}},
+	} {
+		tab, err := RunOpts{Check: true}.sweep(g.vs, g.ws, figLabel("g", g.vs, g.ws))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range tab.runs {
+			if r.result.OracleOps == 0 {
+				t.Errorf("%s: checked run not replayed through the oracle", r.label)
+			}
+		}
+	}
+}

@@ -35,7 +35,6 @@ func scenarioOpts(policy, locator, engine string) apps.Options {
 	return apps.Options{
 		Config: dsm.Config{Policy: policy, Locator: locator, Engine: engine, DebugWire: true},
 		Check:  true,
-		Oracle: true,
 	}
 }
 

@@ -315,6 +315,14 @@ var shapeRules = []shapeRule{
 		what: []target{declared("repro/internal/apps.Options.Multi"), declared("repro/internal/apps.Member"),
 			use("repro/internal/live/cluster.Member.FinishApp")},
 		only: []string{"internal/live/cluster/"}},
+	// -check is one gate — invariants, LRC oracle, digest — wherever a run
+	// is checked. A row has one list of files, so the ban on a separate
+	// oracle knob in apps.Options is the same rule's second row.
+	{name: "-check has one meaning", since: "One meaning of -check",
+		in: outsideBenchmark, what: []target{use("repro/internal/oracle.Check")},
+		only: []string{"internal/apps/apps.go", "internal/live/cluster/finish.go"}},
+	{name: "-check has one meaning", since: "One meaning of -check",
+		in: outsideBenchmark, tests: true, what: []target{declared("repro/internal/apps.Options.Oracle")}},
 
 	{name: "node 0 gathers and broadcasts only in round", since: "One control-plane round",
 		in: pkgs("internal/live/cluster"),

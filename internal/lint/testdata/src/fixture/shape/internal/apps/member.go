@@ -3,9 +3,10 @@ package apps
 
 import "repro/internal/live/cluster"
 
-// Options grew a member mode back.
+// Options grew a member mode back, and an oracle knob beside Check.
 type Options struct {
-	Multi Member // want `apps has no member mode: Options.Multi declared outside internal/live/cluster/`
+	Multi  Member // want `apps has no member mode: Options.Multi declared outside internal/live/cluster/`
+	Oracle bool   // want `-check has one meaning: Options.Oracle declared in repro/internal/apps`
 }
 
 // Member is the handle the mode ran through.

@@ -118,7 +118,7 @@ func TestCrossEngineTCPDigest(t *testing.T) {
 	for _, tc := range cases {
 		for _, loc := range locators {
 			t.Run(tc.name+"/"+loc, func(t *testing.T) {
-				base := apps.Options{Config: dsm.Config{Nodes: nodes, Locator: loc}, Check: true, Oracle: true}
+				base := apps.Options{Config: dsm.Config{Nodes: nodes, Locator: loc}, Check: true}
 
 				simOpts := base
 				simRes, err := tc.run(simOpts)
@@ -172,7 +172,7 @@ func TestCrossEngineTCPDigest(t *testing.T) {
 func TestScenarioOverTCP(t *testing.T) {
 	for _, seed := range []uint64{1, 5, 8, 13, 14} {
 		p := scenario.Generate(seed)
-		base := apps.Options{Config: dsm.Config{Policy: "JUMP", Locator: "manager"}, Check: true, Oracle: true}
+		base := apps.Options{Config: dsm.Config{Policy: "JUMP", Locator: "manager"}, Check: true}
 		simRes, err := apps.RunScenario(p, base)
 		if err != nil {
 			t.Fatalf("seed %d sim: %v", seed, err)
@@ -346,7 +346,7 @@ func TestEightMembersSurviveADeath(t *testing.T) {
 // together.
 func TestMemberOwnsOneNode(t *testing.T) {
 	const nodes, n, iters = 4, 128, 3
-	base := apps.Options{Config: dsm.Config{Nodes: nodes}, Check: true, Oracle: true}
+	base := apps.Options{Config: dsm.Config{Nodes: nodes}, Check: true}
 	var sim *dsm.Cluster
 	simOpts := base
 	simOpts.OnCluster = func(c *dsm.Cluster) { sim = c }

@@ -39,7 +39,7 @@ const DefaultTelemetryInterval = 250 * time.Millisecond
 func (m *Member) Run(o apps.Options, fn func(apps.Options) (apps.Result, error)) (apps.Result, error) {
 	id := m.cfg.ID
 	o.Nodes, o.Engine, o.Transport, o.LocalNode = m.n, "live", m, &id
-	o.Telemetry, o.Metrics, o.Oracle = m.sink, m.reg, o.Check
+	o.Telemetry, o.Metrics = m.sink, m.reg
 	// The local node records into the member's ring, stamped by the
 	// cluster's hybrid logical clock, so node 0 can merge every member's.
 	o.FlightCap, o.FlightLocal = 0, m.flight
@@ -80,7 +80,7 @@ func (m *Member) Run(o apps.Options, fn func(apps.Options) (apps.Result, error))
 	}
 	res, err := fn(o)
 	if err == nil {
-		if err = m.FinishApp(c, &res, o.Check, o.Oracle); err != nil {
+		if err = m.FinishApp(c, &res, o.Check, o.Check); err != nil {
 			res, err = apps.Result{}, fmt.Errorf("%s: %w", res.App, err)
 		} else {
 			res.Flight = m.FlightTimeline()

@@ -16,6 +16,13 @@
 //   - locks must be mutually exclusive, and barrier departures must
 //     follow a completed episode.
 //
+// Check is linear in the log. It keeps each word's writes per thread, in
+// program order, so a read costs one binary search per thread and a test
+// among the threads' last happens-before writes — O(T log W + T²) for T
+// threads and W writes of its word — plus a step for each write
+// concurrent with it, of which a data-race-free program leaves few. That
+// makes it cheap enough to attach to every checked run.
+//
 // The oracle is policy-blind on purpose: home migration, locator choice
 // and diff piggybacking change *when* data moves, never *what* a program
 // may observe. Any migration-protocol bug that leaks a stale value
@@ -26,6 +33,9 @@ package oracle
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sort"
 	"strings"
 
 	"repro/internal/flight"
@@ -95,10 +105,12 @@ type locKey struct {
 	word int
 }
 
+// writeRec is one write of a word: its position in the log, its thread's
+// clock and the value written. Check keeps a word's writes per thread.
 type writeRec struct {
-	thread int
-	clock  vclock
-	val    uint64
+	pos   int
+	clock vclock
+	val   uint64
 }
 
 type barThread struct {
@@ -140,7 +152,7 @@ func Check(threads int, events []flight.Event, init InitFn) []Violation {
 	}
 	var (
 		viols     []Violation
-		writes    = map[locKey][]writeRec{}
+		writes    = map[locKey][][]writeRec{}
 		lastRel   = map[uint32]vclock{}   // release clock per lock
 		lockOwner = map[uint32]int{}      // current holder per lock (-1 free)
 		barAccum  = map[uint32]vclock{}   // accumulating arrival join
@@ -167,9 +179,12 @@ func Check(threads int, events []flight.Event, init InitFn) []Violation {
 		switch op.Kind {
 		case flight.Write:
 			k := locKey{op.Obj, int(op.Word)}
-			writes[k] = append(writes[k], writeRec{thread: t, clock: vc[t].clone(), val: op.Val})
+			if writes[k] == nil {
+				writes[k] = make([][]writeRec, n)
+			}
+			writes[k][t] = append(writes[k][t], writeRec{pos: i, clock: vc[t].clone(), val: op.Val})
 		case flight.Read:
-			legal, ok := legalRead(writes[locKey{op.Obj, int(op.Word)}], t, vc[t], op, init)
+			legal, ok := legalRead(writes[locKey{op.Obj, int(op.Word)}], vc[t], op, init)
 			if !ok {
 				bad(i, op, legal, "stale or phantom value under lazy release consistency")
 			}
@@ -228,67 +243,54 @@ func Check(threads int, events []flight.Event, init InitFn) []Violation {
 }
 
 // legalRead decides whether a read could legally return op.Val given the
-// writes so far. The legal set is: the value of every happens-before-
-// maximal write (two hb writes unordered with each other are both
-// maximal — their diffs merge at the home in arrival order), the value
-// of every write concurrent with the read, and — when no write happened
-// before the read — the word's initial value.
-func legalRead(ws []writeRec, rt int, rc vclock, op flight.Event, init InitFn) ([]uint64, bool) {
-	want := uint64(0)
-	if init != nil {
-		want = init(op.Obj, int(op.Word))
-	}
-	legal := make([]uint64, 0, 4)
-	addLegal := func(v uint64) {
-		for _, x := range legal {
-			if x == v {
-				return
-			}
+// writes so far, ws[u] holding thread u's writes of the word in program
+// order. The legal set is: the value of every happens-before-maximal write
+// (two hb writes unordered with each other are both maximal — their diffs
+// merge at the home in arrival order), the value of every write concurrent
+// with the read, and — when no write happened before the read — the word's
+// initial value. legal lists the set in log order, and only when ok is
+// false.
+//
+// Every thread event ticks its own clock component, so along ws[u] clock[u]
+// strictly increases: u's writes that happened before the read are the
+// prefix with clock[u] ≤ rc[u], and the rest are concurrent with it (the
+// log is consistent with happens-before, so no write logged before the
+// read can follow it). Of a prefix only the last write can be hb-maximal,
+// and it is unless another thread's last hb write has seen it — clocks
+// only grow along a thread, so that write's view of u is the widest of its
+// thread's.
+func legalRead(ws [][]writeRec, rc vclock, op flight.Event, init InitFn) (legal []uint64, ok bool) {
+	last := make([]*writeRec, len(ws)) // per thread, its last hb write
+	var cands []*writeRec
+	for u, uw := range ws {
+		n := sort.Search(len(uw), func(i int) bool { return !hb(uw[i].clock, u, rc) })
+		if n > 0 {
+			last[u] = &uw[n-1]
 		}
-		if len(legal) < maxLegalValues {
-			legal = append(legal, v)
-		}
-	}
-	ok := false
-	anyHB := false
-	for wi := range ws {
-		w := &ws[wi]
-		if !hb(w.clock, w.thread, rc) {
-			// Concurrent with the read (the log is in virtual-time order,
-			// so a write recorded earlier can never be *after* the read):
-			// LRC allows observing it.
-			addLegal(w.val)
-			if w.val == op.Val {
-				ok = true
-			}
-			continue
-		}
-		anyHB = true
-		// Happened before the read: legal only if hb-maximal, i.e. no
-		// other hb write overwrote it on the way to this reader.
-		dominated := false
-		for wj := range ws {
-			w2 := &ws[wj]
-			if wi == wj || !hb(w2.clock, w2.thread, rc) {
-				continue
-			}
-			if hb(w.clock, w.thread, w2.clock) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			addLegal(w.val)
-			if w.val == op.Val {
-				ok = true
-			}
+		for i := n; i < len(uw); i++ {
+			cands = append(cands, &uw[i])
 		}
 	}
-	if !anyHB {
-		addLegal(want)
-		if op.Val == want {
-			ok = true
+	for u, w := range last {
+		if w != nil && !slices.ContainsFunc(last, func(w2 *writeRec) bool { return w2 != nil && w2 != w && hb(w.clock, u, w2.clock) }) {
+			cands = append(cands, w)
 		}
 	}
-	return legal, ok
+	if !slices.ContainsFunc(last, func(w *writeRec) bool { return w != nil }) {
+		w := &writeRec{pos: math.MaxInt} // the initial value, listed last
+		if init != nil {
+			w.val = init(op.Obj, int(op.Word))
+		}
+		cands = append(cands, w)
+	}
+	if slices.ContainsFunc(cands, func(w *writeRec) bool { return w.val == op.Val }) {
+		return nil, true
+	}
+	slices.SortFunc(cands, func(a, b *writeRec) int { return a.pos - b.pos })
+	for _, w := range cands {
+		if len(legal) < maxLegalValues && !slices.Contains(legal, w.val) {
+			legal = append(legal, w.val)
+		}
+	}
+	return legal, false
 }

@@ -34,7 +34,7 @@ import (
 func checked(policy, locator, engine string) apps.Options {
 	return apps.Options{
 		Config: dsm.Config{Policy: policy, Locator: locator, Engine: engine, DebugWire: true},
-		Check:  true, Oracle: true,
+		Check:  true,
 	}
 }
 
