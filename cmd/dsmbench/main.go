@@ -204,11 +204,10 @@ func reportSweep(summary string, failures []string, err error, pass string) {
 	fmt.Println(pass)
 }
 
-// job is one dsmbench production: where the tables go, the sizes -full
-// selected, and the report the rows accumulate in.
+// job is one dsmbench production: where the tables go, and the report
+// the rows accumulate in, which holds the sizes -full selected.
 type job struct {
 	w      io.Writer
-	full   bool
 	opts   bench.RunOpts
 	report bench.Report
 }
@@ -220,7 +219,7 @@ func produce(w io.Writer, selected []sweep, full bool, opts bench.RunOpts) (benc
 	if full {
 		sizes = bench.FullSizes()
 	}
-	j := &job{w: w, full: full, opts: opts, report: bench.Report{Sizes: sizes, Trials: opts.Trials}}
+	j := &job{w: w, opts: opts, report: bench.Report{Sizes: sizes, Trials: opts.Trials}}
 	for _, s := range selected {
 		if err := s.produce(j); err != nil {
 			return j.report, err
@@ -238,11 +237,7 @@ func (j *job) fig2() (err error) {
 }
 
 func (j *job) fig3() (err error) {
-	sizesASP := []int{64, 128, 256, 512}
-	if j.full {
-		sizesASP = []int{128, 256, 512, 1024}
-	}
-	if j.report.Fig3, err = bench.Fig3(sizesASP, []int{128, 256, 512, 1024}, j.report.Sizes.SORIters, 8, j.opts); err == nil {
+	if j.report.Fig3, err = bench.Fig3(j.report.Sizes, j.opts); err == nil {
 		bench.PrintFig3(j.w, j.report.Fig3)
 	}
 	return err

@@ -220,7 +220,6 @@ func main() {
 		ID:          memory.NodeID(*id),
 		Addrs:       addrs,
 		Digest:      h.Sum64(),
-		Check:       o.Check,
 		DialTimeout: *timeout,
 		FlightCap:   obsFlags.FlightCap,
 		// Live telemetry is always on, independent of -obs-addr: every

@@ -58,8 +58,10 @@ func main() {
 	flag.Parse()
 	obsFlags.Validate("dsmrun")
 	o.FlightCap = obsFlags.FlightCap
+	var tr *dsm.Trace
 	if *flightAnalyze {
-		o.Trace = dsm.NewTrace()
+		tr = dsm.NewTrace()
+		o.Observers = append(o.Observers, tr)
 	}
 
 	var obs *obshttp.Server
@@ -85,7 +87,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *flightAnalyze {
-		fmt.Print(dsm.TraceReport(dsm.AnalyzeTrace(o.Trace)))
+		fmt.Print(dsm.TraceReport(dsm.AnalyzeTrace(tr)))
 	}
 	if err := obs.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "dsmrun: debug listener died mid-run:", err)
@@ -101,7 +103,7 @@ func serveObs(addr string, o *apps.Options) *obshttp.Server {
 	reg := telemetry.NewRegistry(0, fmt.Sprintf("policy=%q", o.Policy))
 	sink := telemetry.NewSink(0)
 	reg.AttachSink(sink)
-	o.Telemetry = sink
+	o.Observers = append(o.Observers, sink)
 	if o.Engine == "live" {
 		o.Metrics = reg
 	}

@@ -56,7 +56,7 @@ func TestFig3SmallestConfigDeterministic(t *testing.T) {
 	run := func() string {
 		// Check exercises the policy-independence digest gate too: FT2
 		// and AT must leave identical final memory at every point.
-		rows, err := bench.Fig3([]int{128}, []int{128}, 0, 0, bench.RunOpts{Check: true})
+		rows, err := bench.Fig3(bench.Sizes{SORIters: 12, Fig3ASP: []int{128}, Fig3SOR: []int{128}}, bench.RunOpts{Check: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/flight"
 	"repro/internal/gos"
@@ -76,15 +77,16 @@ type (
 	// Worker pins a thread to a node.
 	Worker = proto.Worker
 	// Trace is an ordered log of the protocol events the access-pattern
-	// classifier reads (see Config.Trace): a flight.Log of trace.Kinds.
+	// classifier reads (NewTrace, one of Config.Observers): a flight.Log
+	// of trace.Kinds.
 	Trace = flight.Log
 	// TraceProfile is one object's classified access pattern.
 	TraceProfile = trace.Profile
-	// Observer is an event subscriber (in practice the coherence oracle's
-	// log, a flight.Log of oracle.Kinds: the thread-side events and the
-	// managers' BarrierRelease/LockGrant); identical on both engines. A subscriber must not mutate cluster state.
-	// On the live engine nodes call Record concurrently: a subscriber
-	// synchronizes itself, as flight.Log does.
+	// Observer is an event subscriber (see Config.Observers): the
+	// coherence oracle's log (oracle.Kinds), a Trace, a telemetry sink.
+	// Identical on both engines; a subscriber must not mutate cluster
+	// state. On the live engine nodes call Record concurrently: a
+	// subscriber synchronizes itself, as flight.Log does.
 	Observer = flight.Subscriber
 	// Transport carries encoded protocol frames between live-engine
 	// nodes and pushes them to the receiving node (see Config.Transport).
@@ -127,11 +129,6 @@ type Config struct {
 	// DebugWire round-trips every message through the binary codec
 	// (on in tests, off in large sweeps).
 	DebugWire bool
-	// Trace, when non-nil, records the whole run's migration-relevant
-	// protocol events for access-pattern analysis (see NewTrace,
-	// AnalyzeTrace, TraceReport). Works on both engines: it is one more
-	// subscriber of the events the flight recorder keeps.
-	Trace *Trace
 	// PathCompress enables forwarding-chain compression (extension
 	// beyond the paper): redirected requesters notify their stale entry
 	// points of the true home.
@@ -145,10 +142,13 @@ type Config struct {
 	// "sim"; a live run reports Wall and LiveMsgs instead of virtual
 	// ExecTime.
 	Engine string
-	// Observer, when non-nil, subscribes to the run's events (the
-	// coherence oracle's recorder) on either engine. Under a cluster
-	// member the member's Run sets it (internal/live/cluster).
-	Observer Observer
+	// Observers subscribe, in order, to the run's events on either
+	// engine, after the engine's flight rings: the oracle's log, a Trace
+	// (NewTrace, AnalyzeTrace), a telemetry sink. A caller adds to the
+	// list (append(slices.Clip(cfg.Observers), …): configs are shared
+	// across runs). When one asks for flight.Read — the oracle's log —
+	// Run keeps the pre-run memory for InitialWord.
+	Observers []Observer
 	// Transport injects a custom live-engine transport — e.g. a
 	// multi-process cluster member carrying frames over TCP
 	// (internal/live/cluster). nil selects the in-process chanloop
@@ -179,11 +179,9 @@ type Config struct {
 	// exchange can gather the ring; the member's Run sets it. Live engine
 	// only.
 	FlightLocal *flight.Recorder
-	// Telemetry, when non-nil, is a hot-object sink subscribed to every
-	// node's access and migration-decision events: a space-saving top-K
-	// sketch of per-object accesses plus migration-decision counts by
-	// reason. Works on both engines; pure observation, so sim digests
-	// are unchanged by attaching it.
+	// Telemetry, when non-nil, is subscribed after Observers. It is the
+	// frozen benchmark harness's way to attach its sink; everything else
+	// lists the sink in Observers.
 	Telemetry *telemetry.Sink
 	// Metrics, when non-nil, receives the engine's live scrape metrics
 	// (frame counters, protocol counters, merged latency histograms).
@@ -197,11 +195,11 @@ type Config struct {
 type Cluster struct {
 	sp  *proto.Space
 	run func([]Worker) (Metrics, error)
-	cfg Config
-	// initial holds the pre-run home-copy contents, snapshotted at Run
-	// when an Observer is attached, so the oracle can be fed the real
-	// initial values (InitialWord) instead of assuming zeros.
-	initial [][]uint64
+	// snapshot is set when an observer reads flight.Read events: Run then
+	// keeps the pre-run home-copy contents in initial, so the oracle is
+	// fed the real initial values (InitialWord) instead of zeros.
+	snapshot bool
+	initial  [][]uint64
 	// threads is the worker count of the last Run.
 	threads int
 	// final and finalErr are the engine's end state, once the run returned.
@@ -272,7 +270,7 @@ func New(cfg Config) *Cluster {
 	if err != nil {
 		panic(err)
 	}
-	c := &Cluster{cfg: cfg}
+	c := &Cluster{}
 	if cfg.Engine == "live" {
 		e := live.New(live.Config{
 			Shared:      sh,
@@ -293,18 +291,19 @@ func New(cfg Config) *Cluster {
 		c.sp, c.run = e.Space, e.Run
 	}
 	// The one way in for observers, after the engine's own flight rings.
+	obs := cfg.Observers
 	if cfg.Telemetry != nil {
-		c.sp.Subscribe(cfg.Telemetry)
+		obs = append(slices.Clip(obs), cfg.Telemetry)
 	}
-	c.sp.Subscribe(cfg.Observer)
-	if cfg.Trace != nil {
-		c.sp.Subscribe(cfg.Trace)
+	for _, o := range obs {
+		c.sp.Subscribe(o)
+		c.snapshot = c.snapshot || o != nil && o.Kinds().Has(flight.Read)
 	}
 	return c
 }
 
 // Nodes reports the cluster size.
-func (c *Cluster) Nodes() int { return c.cfg.Nodes }
+func (c *Cluster) Nodes() int { return c.sp.S.Nodes }
 
 // PolicyName reports the active migration policy.
 func (c *Cluster) PolicyName() string { return c.sp.S.Policy.Name() }
@@ -372,7 +371,7 @@ func (c *Cluster) Run(threads int, fn func(Thread)) (Metrics, error) {
 // RunWorkers executes explicitly placed workers (e.g. the synthetic
 // benchmark's "threads on all nodes other than the start node", §5.2).
 func (c *Cluster) RunWorkers(ws []Worker) (Metrics, error) {
-	if c.cfg.Observer != nil && c.initial == nil {
+	if c.snapshot && c.initial == nil {
 		// Snapshot the pre-run memory so the oracle can check reads of
 		// never-written words against the true initial values.
 		end := c.mustEnd()
@@ -388,7 +387,7 @@ func (c *Cluster) RunWorkers(ws []Worker) (Metrics, error) {
 }
 
 // InitialWord reports the pre-run value of one word, recorded at Run
-// time when an Observer is attached — the oracle.InitFn for this run.
+// time when an observer reads flight.Read — the oracle.InitFn for this run.
 func (c *Cluster) InitialWord(obj ObjectID, word int) uint64 {
 	return c.initial[obj][word]
 }
@@ -424,8 +423,8 @@ func (c *Cluster) FlightEvents() []flight.Event { return c.sp.FlightEvents() }
 // for dump-on-abort reporting (flight.DumpLastN).
 func (c *Cluster) FlightRecorders() []*flight.Recorder { return c.sp.FlightRecorders() }
 
-// NewTrace returns an empty protocol-event trace to attach to
-// Config.Trace.
+// NewTrace returns an empty protocol-event trace to list in
+// Config.Observers.
 func NewTrace() *Trace { return flight.NewLog(trace.Kinds, nil) }
 
 // AnalyzeTrace classifies every traced object's access pattern

@@ -404,7 +404,7 @@ func TestArrayBadShapePanics(t *testing.T) {
 
 func TestFacadeTracing(t *testing.T) {
 	tr := dsm.NewTrace()
-	c := dsm.New(dsm.Config{Nodes: 2, Policy: "NoHM", Trace: tr, DebugWire: true})
+	c := dsm.New(dsm.Config{Nodes: 2, Policy: "NoHM", Observers: []dsm.Observer{tr}, DebugWire: true})
 	obj := c.NewObject("o", 2, 0)
 	lock := c.NewLock(0)
 	_, err := c.RunWorkers([]dsm.Worker{{Node: 1, Name: "w", Fn: func(th dsm.Thread) {

@@ -16,7 +16,7 @@ import (
 
 func main() {
 	tr := dsm.NewTrace()
-	if _, _, _, err := run(dsm.Config{Nodes: 4, Policy: "NoHM", Trace: tr}); err != nil {
+	if _, _, _, err := run(dsm.Config{Nodes: 4, Policy: "NoHM", Observers: []dsm.Observer{tr}}); err != nil {
 		log.Fatal(err)
 	}
 	profiles := dsm.AnalyzeTrace(tr)

@@ -90,8 +90,8 @@ func TestSimFlightTimelineDeterministic(t *testing.T) {
 		attach func(*dsm.Config)
 	}{
 		{"ring", nil},
-		{"ring+sink", func(c *dsm.Config) { c.Telemetry = telemetry.NewSink(0) }},
-		{"ring+sink+trace+oracle", func(c *dsm.Config) { c.Telemetry, c.Trace, c.Observer = sink, tr, rec }},
+		{"ring+sink", func(c *dsm.Config) { c.Observers = []dsm.Observer{telemetry.NewSink(0)} }},
+		{"ring+sink+trace+oracle", func(c *dsm.Config) { c.Observers = []dsm.Observer{sink, tr, rec} }},
 	} {
 		got, d, evs := render(set.attach)
 		if !bytes.Equal(base, got) {
@@ -111,7 +111,7 @@ func TestSimFlightTimelineDeterministic(t *testing.T) {
 	sink, tr, rec = telemetry.NewSink(0), dsm.NewTrace(), flight.NewLog(oracle.Kinds, nil)
 	_, evs, _ := flightWorkload(t, func(c *dsm.Config) {
 		c.Engine = "live"
-		c.Telemetry, c.Trace, c.Observer = sink, tr, rec
+		c.Observers = []dsm.Observer{sink, tr, rec}
 	})
 	checkExactlyOnce(t, "live", evs, sink, tr, rec)
 }
@@ -321,7 +321,7 @@ func TestBroadcastLocatorAnnouncesToEveryPeer(t *testing.T) {
 	}
 }
 
-// TestLiveTraceMatchesFlightTimeline attaches Config.Trace to the live
+// TestLiveTraceMatchesFlightTimeline attaches a Trace to the live
 // engine — one more subscriber of the events the rings keep, appending
 // under its own lock — and checks the two recordings
 // of one run against each other: the classifier must build the same
@@ -333,7 +333,7 @@ func TestBroadcastLocatorAnnouncesToEveryPeer(t *testing.T) {
 func TestLiveTraceMatchesFlightTimeline(t *testing.T) {
 	for _, policy := range []string{"AT", "NoHM", "JUMP"} {
 		tr := dsm.NewTrace()
-		c := dsm.New(dsm.Config{Nodes: 4, Policy: policy, Engine: "live", Trace: tr, FlightCap: 1 << 14})
+		c := dsm.New(dsm.Config{Nodes: 4, Policy: policy, Engine: "live", Observers: []dsm.Observer{tr}, FlightCap: 1 << 14})
 		counter := c.NewObject("counter", 1, 0)
 		rows := c.NewArray("rows", 4, 8, dsm.RoundRobin)
 		lock := c.NewLock(0)
@@ -366,7 +366,7 @@ func TestLiveTraceMatchesFlightTimeline(t *testing.T) {
 			t.Fatalf("%s: the trace classified no objects (%d events)", policy, len(tr.Events))
 		}
 		if !reflect.DeepEqual(fromTrace, fromFlight) {
-			t.Errorf("%s: profiles differ between Config.Trace and the flight timeline:\n%s\nvs\n%s",
+			t.Errorf("%s: profiles differ between the Trace and the flight timeline:\n%s\nvs\n%s",
 				policy, trace.Report(fromTrace), trace.Report(fromFlight))
 		}
 	}

@@ -19,6 +19,7 @@ package apps
 import (
 	"flag"
 	"fmt"
+	"slices"
 
 	dsm "repro"
 
@@ -28,17 +29,14 @@ import (
 )
 
 // Options configures an application run: the cluster configuration
-// (dsm.Config, embedded — its Nodes, Policy, Locator, Lambda, TInit,
-// Network, NoPiggyback, PathCompress, Engine, DebugWire, Trace,
-// FlightCap, Telemetry and Metrics are set here under their own names and
-// reach dsm.New as they are) plus what only the apps layer knows: thread
-// count, input seed and the post-run gates. Config's Observer, LocalNode
-// and FlightLocal are not the caller's to set: cluster derives Observer
-// from Check, and a cluster member's Run sets all three, with Transport
-// (elsewhere a caller may wrap the in-process transport, as the chaos
-// sweep does with the fault injector). A LocalNode marks the run as one
-// member's: the app's validation runs on node 0 only, and the cluster's
-// size is the member's, never grown.
+// (dsm.Config, embedded — set here under its own names, it reaches
+// dsm.New as it is, with the oracle's log added to Observers under
+// Check) plus what only the apps layer knows: thread count, input seed
+// and the post-run gates. A cluster member's Run sets LocalNode,
+// FlightLocal and Transport (elsewhere a caller may wrap the in-process
+// transport, as the chaos sweep does with the fault injector). A
+// LocalNode marks the run as one member's: the app's validation runs on
+// node 0 only, and the cluster's size is the member's, never grown.
 type Options struct {
 	dsm.Config
 	// Threads is the worker count; 0 means one per node (the paper's
@@ -106,7 +104,7 @@ func (o Options) cluster() (*dsm.Cluster, *flight.Log, error) {
 	cfg := o.Config
 	if o.Check && o.LocalNode == nil {
 		rec = flight.NewLog(oracle.Kinds, nil)
-		cfg.Observer = rec
+		cfg.Observers = append(slices.Clip(cfg.Observers), rec)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err

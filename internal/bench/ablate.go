@@ -107,7 +107,7 @@ func AblateRelated(o RunOpts) ([]AblationRow, error) {
 func WhatIf(spec apps.Spec, nodes int) ([]AblationRow, *dsm.Trace, error) {
 	tr := dsm.NewTrace()
 	vs := policies(Policies()...)
-	vs[slices.IndexFunc(vs, func(v variant) bool { return v.name == "NoHM" })].cfg.Trace = tr
+	vs[slices.IndexFunc(vs, func(v variant) bool { return v.name == "NoHM" })].cfg.Observers = []dsm.Observer{tr}
 	rows, err := ablate(RunOpts{Check: true}, "whatif", vs, application(spec.App, spec, nodes))
 	return rows, tr, err
 }

@@ -81,25 +81,30 @@ func timeRange(min, max dsm.Time) string {
 	return fmt.Sprintf("%.3f..%.3f", min.Seconds(), max.Seconds())
 }
 
-// Sizes selects the problem sizes for the application experiments.
+// Sizes selects the problem sizes for the application experiments:
+// Fig. 2's one size per application, and Fig. 3's ASP and SOR size
+// scales (SOR at SORIters iterations).
 type Sizes struct {
 	ASPN               int
 	SORN, SORIters     int
 	NbodyN, NbodySteps int
 	TSPCities          int
+	Fig3ASP, Fig3SOR   []int
 }
 
 // DefaultSizes are scaled-down problem sizes that keep the full figure
 // sweep in CI time while preserving the paper's qualitative shapes;
 // FullSizes (dsmbench -full) are the paper's.
 func DefaultSizes() Sizes {
-	return Sizes{ASPN: 128, SORN: 256, SORIters: 12, NbodyN: 256, NbodySteps: 6, TSPCities: 9}
+	return Sizes{ASPN: 128, SORN: 256, SORIters: 12, NbodyN: 256, NbodySteps: 6, TSPCities: 9,
+		Fig3ASP: []int{64, 128, 256, 512}, Fig3SOR: []int{128, 256, 512, 1024}}
 }
 
 // FullSizes are the paper's §5.1 sizes: ASP 1024, SOR 2048², Nbody 2048,
-// TSP 12.
+// TSP 12; Fig. 3 scales ASP and SOR over {128, 256, 512, 1024}.
 func FullSizes() Sizes {
-	return Sizes{ASPN: 1024, SORN: 2048, SORIters: 20, NbodyN: 2048, NbodySteps: 8, TSPCities: 12}
+	return Sizes{ASPN: 1024, SORN: 2048, SORIters: 20, NbodyN: 2048, NbodySteps: 8, TSPCities: 12,
+		Fig3ASP: []int{128, 256, 512, 1024}, Fig3SOR: []int{128, 256, 512, 1024}}
 }
 
 // Apps is the paper's application set in presentation order.

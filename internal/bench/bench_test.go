@@ -67,7 +67,7 @@ func TestFig2ShapeASPAndSORFavorHM(t *testing.T) {
 }
 
 func TestFig3ProducesImprovements(t *testing.T) {
-	rows, err := Fig3([]int{48, 96}, []int{48, 96}, 6, 8, RunOpts{})
+	rows, err := Fig3(Sizes{SORIters: 6, Fig3ASP: []int{48, 96}, Fig3SOR: []int{48, 96}}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

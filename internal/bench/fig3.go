@@ -27,32 +27,23 @@ type Fig3Row struct {
 	TrafficPctRng [2]float64
 }
 
+// fig3Nodes is the cluster size of Fig. 3 (§5.1).
+const fig3Nodes = 8
+
 // Fig3 reproduces Figure 3: AT's improvement over FT2 against problem
-// size for ASP and SOR, on eight cluster nodes (§5.1). The paper scales
-// the ASP graph and the SOR matrix over {128, 256, 512, 1024}.
-func Fig3(sizesASP, sizesSOR []int, sorIters, nodes int, o RunOpts) ([]Fig3Row, error) {
-	if len(sizesASP) == 0 {
-		sizesASP = []int{128, 256, 512, 1024}
-	}
-	if len(sizesSOR) == 0 {
-		sizesSOR = []int{128, 256, 512, 1024}
-	}
-	if nodes == 0 {
-		nodes = 8
-	}
-	if sorIters == 0 {
-		sorIters = 12
-	}
+// size for ASP and SOR (s.Fig3ASP, s.Fig3SOR; SOR at s.SORIters
+// iterations), on eight cluster nodes (§5.1).
+func Fig3(s Sizes, o RunOpts) ([]Fig3Row, error) {
 	var rows []Fig3Row
 	var ws []workload
 	add := func(app string, sizes []int) {
 		for _, size := range sizes {
 			rows = append(rows, Fig3Row{App: app, Size: size, Trials: o.trials()})
-			ws = append(ws, application(fmt.Sprintf("%s n=%d", app, size), apps.Spec{App: strings.ToLower(app), N: size, Iters: sorIters}, nodes))
+			ws = append(ws, application(fmt.Sprintf("%s n=%d", app, size), apps.Spec{App: strings.ToLower(app), N: size, Iters: s.SORIters}, fig3Nodes))
 		}
 	}
-	add("ASP", sizesASP)
-	add("SOR", sizesSOR)
+	add("ASP", s.Fig3ASP)
+	add("SOR", s.Fig3SOR)
 	// The baseline first, then the paper's contribution.
 	vs := policies("FT2", "AT")
 	t, err := o.sweep(vs, ws, figLabel("fig3", vs, ws))
@@ -94,7 +85,7 @@ func meanRange(vs []float64) (mean float64, rng [2]float64) {
 
 // PrintFig3 renders both panels of Fig. 3.
 func PrintFig3(w io.Writer, rows []Fig3Row) {
-	fmt.Fprintf(w, "Figure 3 — improvement of AT over FT2 vs problem size (8 nodes)\n\n")
+	fmt.Fprintf(w, "Figure 3 — improvement of AT over FT2 vs problem size (%d nodes)\n\n", fig3Nodes)
 	multi := len(rows) > 0 && rows[0].Trials > 1
 	tw := tabw(w)
 	tableRow(tw, multi, "app\tsize\texec time\tmessage number\tnetwork traffic", "time range")

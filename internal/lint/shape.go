@@ -194,6 +194,14 @@ var shapeRules = []shapeRule{
 		what: []target{declared("repro/internal/proto.Cluster"),
 			declared("repro/internal/gos.LockID"), declared("repro/internal/gos.BarrierID"),
 			declared("repro/internal/gos.Worker"), declared("repro/internal/gos.Err*")}},
+	// The facade's observers are one list, dsm.Config.Observers; its
+	// Telemetry field stays only because the frozen benchmark harness
+	// sets it (ROADMAP item 10).
+	{name: "the facade has one way in", since: "One way in at the facade",
+		in: []string{module}, what: []target{decl("field", "Trace"), decl("field", "Observer")}},
+	{name: "dsm.Config.Telemetry is the benchmark's shim", since: "One way in at the facade",
+		in: outsideBenchmark, tests: true, what: []target{use("repro.Config.Telemetry")},
+		only: []string{"dsm.go"}},
 	{name: "the sketch keeps no maps", since: "One lock per observed event",
 		in: pkgs("internal/telemetry"), what: []target{{kind: tMap}}, only: []string{"internal/telemetry/prom.go"}},
 	{name: "a live backend is a Pusher at compile time", since: "One way in at each engine edge",

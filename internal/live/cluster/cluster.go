@@ -22,8 +22,8 @@
 //     with no frame delivered in between.
 //   - report: every member ships its node's proto.Node.Report; node 0
 //     runs proto.Assemble over them (the in-process engines' end state
-//     and, under Config.Check, their invariant check), keeps the memory
-//     and answers with every object's home and the digest. The
+//     and, under the run's check gate, their invariant check), keeps the
+//     memory and answers with every object's home and the digest. The
 //     applications' validators run on node 0; a member reads the objects
 //     it homes.
 //   - verdict: oracle logs, stamped with the hybrid logical clock every
@@ -119,7 +119,9 @@ type Config struct {
 	// cluster layout independently, and the layouts must be identical.
 	Digest uint64
 	// Check holds the assembled end state to the protocol invariants
-	// (the multi-process analogue of dsmrun -check).
+	// (the multi-process analogue of dsmrun -check) in a run finished by
+	// FinishApp without Run, as the benchmark harness does: Run takes the
+	// gate from its options' Check.
 	Check bool
 	// DialTimeout bounds the whole bootstrap (members may start in any
 	// order): dials, accepts and hello handshakes share one deadline this
@@ -168,7 +170,8 @@ type Member struct {
 	tr    *tcp.Transport
 	clock *hlc.Clock // stamped on every frame; drives the oracle log
 
-	rec *flight.Log // HLC-stamped oracle log, when Run's check gate is on
+	check bool        // the end-state gate: Config.Check, then Run's options'
+	rec   *flight.Log // HLC-stamped oracle log, when Run's check gate is on
 
 	flight   *flight.Recorder // per-node flight ring, when Config.FlightCap > 0
 	timeline []flight.Event   // merged cluster timeline (coordinator, after the verdict)
@@ -224,7 +227,7 @@ func Join(cfg Config) (*Member, error) {
 		cfg.TelemetryInterval = DefaultTelemetryInterval
 	}
 	deadline := time.Now().Add(cfg.DialTimeout)
-	m := &Member{cfg: cfg, n: n, clock: hlc.New(cfg.WallClock)}
+	m := &Member{cfg: cfg, n: n, clock: hlc.New(cfg.WallClock), check: cfg.Check}
 	if cfg.FlightCap > 0 {
 		m.flight = flight.NewRecorder(cfg.ID, cfg.FlightCap, m.clock.Tick)
 	}

@@ -243,6 +243,28 @@ func TestScenarioFailsOnEveryMember(t *testing.T) {
 	}
 }
 
+// TestRunTakesTheCheckGateFromItsOptions: a member joined without
+// Config.Check that runs with Check holds the assembled end state to the
+// invariants. A worker on node 1 writes an object homed on node 0 and
+// returns without a release, leaving a dirty cached copy: every member's
+// run fails, naming it.
+func TestRunTakesTheCheckGateFromItsOptions(t *testing.T) {
+	_, errs := runMembers(t, 2, unchecked, func(m *Member) (apps.Result, error) {
+		return m.Run(apps.Options{Check: true}, func(o apps.Options) (apps.Result, error) {
+			c := dsm.New(o.Config)
+			o.OnCluster(c)
+			x := c.NewObject("x", 1, 0)
+			_, err := c.RunWorkers([]dsm.Worker{{Node: 1, Name: "w", Fn: func(th dsm.Thread) { th.Write(x, 0, 1) }}})
+			return apps.Result{App: "dirty"}, err
+		})
+	})
+	for id, err := range errs {
+		if !errors.Is(err, ErrVerification) || !strings.Contains(err.Error(), "dirty cached copy") {
+			t.Errorf("member %d: %v, want a verification failure naming the dirty cached copy", id, err)
+		}
+	}
+}
+
 // Eight members in one process over real loopback sockets: what a member's
 // life being two library calls makes testable without eight processes.
 
@@ -777,7 +799,7 @@ func TestMergedOracleFailsTheCluster(t *testing.T) {
 	_, errs := runMembers(t, 2, unchecked, func(m *Member) (apps.Result, error) {
 		// The cluster the verdict judges: one word, initially 0, and the
 		// two threads whose events the logs hold.
-		c := dsm.New(dsm.Config{Nodes: 2, Observer: flight.NewLog(oracle.Kinds, nil)})
+		c := dsm.New(dsm.Config{Nodes: 2, Observers: []dsm.Observer{flight.NewLog(oracle.Kinds, nil)}})
 		c.NewObject("x", 1, 0)
 		if _, err := c.Run(2, func(dsm.Thread) {}); err != nil {
 			return apps.Result{}, err

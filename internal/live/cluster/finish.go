@@ -35,7 +35,7 @@ type assignBody struct {
 // owner sees it, called by the engine once this process's workers have
 // finished. Poll rounds run until the cluster is quiescent; then every
 // member ships its node's report to node 0, which assembles the memory
-// and checks it (proto.Assemble, with the invariants under Config.Check),
+// and checks it (proto.Assemble, with the invariants under the check gate),
 // keeps it, and answers with the homes and the digest, which with the
 // member's own home copies are its view.
 func (m *Member) FinishRun(sp *proto.Space, inflight func() int64) error {
@@ -44,7 +44,7 @@ func (m *Member) FinishRun(sp *proto.Space, inflight func() int64) error {
 	}
 	rep := sp.Nodes[m.cfg.ID].Report()
 	a, err := round(m, ctlReport, rep, func(reports []proto.NodeReport) (assignBody, error) {
-		end, err := proto.Assemble(sp.S, reports, m.cfg.Check)
+		end, err := proto.Assemble(sp.S, reports, m.check)
 		if err != nil {
 			return assignBody{}, fmt.Errorf("%w: %w", ErrVerification, err)
 		}
@@ -120,18 +120,13 @@ type verdictBody struct {
 // its fn returned a result. Node 0 gathers per-process results, evaluates
 // the cluster-wide verdict (merged-oracle LRC check over c's threads,
 // per-node failures, merged metrics) and distributes it.
-// Every member's res receives the merged metrics and oracle count and,
-// under check, the digest of the memory node 0 assembled (the report
-// round handed it to each member; there is no second digest to compare
-// it with); a non-nil error means the run failed cluster-wide.
+// Every member's res receives the merged metrics and oracle count; under
+// check a member whose report round never completed fails the run. A
+// non-nil error means the run failed cluster-wide.
 func (m *Member) FinishApp(c *dsm.Cluster, res *apps.Result, check, oracleOn bool) error {
 	rep := appReportBody{Metrics: res.Metrics}
-	if check {
-		if !m.finished {
-			rep.Err = "end-of-run reconciliation never completed"
-		} else {
-			res.Digest = m.digest
-		}
+	if check && !m.finished {
+		rep.Err = "end-of-run reconciliation never completed"
 	}
 	if oracleOn && m.rec != nil {
 		rep.Ops = m.rec.Events

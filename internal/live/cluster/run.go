@@ -5,6 +5,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	dsm "repro"
@@ -22,8 +23,9 @@ const DefaultTelemetryInterval = 250 * time.Millisecond
 
 // Run is a member's life between Join and Leave. It makes o this member's
 // run — the cluster's size, this member as transport, its node, flight
-// ring, sink and registry, and under the check gate the oracle with its
-// HLC-stamped log — and calls fn, which runs the application (apps.Run or
+// ring and registry, its sink added to o.Observers, and o.Check as the
+// end-state gate with, under it, the oracle's HLC-stamped log added too —
+// and calls fn, which runs the application (apps.Run or
 // an apps.Run*). While the engine fn builds is alive (from o.OnCluster,
 // which is Run's: fn may wrap it) the member samples its registry and
 // ships a snapshot to node 0 every Config.TelemetryInterval, and once more
@@ -39,10 +41,11 @@ const DefaultTelemetryInterval = 250 * time.Millisecond
 func (m *Member) Run(o apps.Options, fn func(apps.Options) (apps.Result, error)) (apps.Result, error) {
 	id := m.cfg.ID
 	o.Nodes, o.Engine, o.Transport, o.LocalNode = m.n, "live", m, &id
-	o.Telemetry, o.Metrics = m.sink, m.reg
+	o.Observers, o.Metrics = append(slices.Clip(o.Observers), m.sink), m.reg
 	// The local node records into the member's ring, stamped by the
 	// cluster's hybrid logical clock, so node 0 can merge every member's.
 	o.FlightCap, o.FlightLocal = 0, m.flight
+	m.check = o.Check
 	if o.Check {
 		// The oracle log stamps each event it keeps from the same clock:
 		// every TCP frame carries it and folds it on receipt, so a stamp
@@ -52,7 +55,7 @@ func (m *Member) Run(o apps.Options, fn func(apps.Options) (apps.Result, error))
 		// order consistent with happens-before (what oracle.Check needs)
 		// even across machines whose clocks disagree by seconds.
 		m.rec = flight.NewLog(oracle.Kinds, m.clock.Tick)
-		o.Observer = m.rec
+		o.Observers = append(o.Observers, m.rec)
 	}
 	m.reg.SetCommon(fmt.Sprintf("policy=%q", o.Policy))
 

@@ -47,6 +47,17 @@ func TestBrokenProtocolCaught(t *testing.T) {
 	}
 }
 
+// TestLiveEngineCatchesSabotage re-runs the self-test on the live engine:
+// a protocol that drops every diff must be flagged by the model or by the
+// oracle, proving the live wiring of both is not vacuously green.
+func TestLiveEngineCatchesSabotage(t *testing.T) {
+	p := scenario.Generate(7)
+	events, offModel := runRaw(t, p, "live", true)
+	if offModel == 0 && len(Check(p.Threads, events, initial(p))) == 0 {
+		t.Fatal("DropDiffs run passed the model and the oracle on live — their wiring is broken")
+	}
+}
+
 // rawVerdict runs p's script on the sim engine and returns the two
 // verdicts apps.RunScenario folds into one error: the oracle's
 // violations, and the checked reads plus final words that differ from

@@ -3,7 +3,7 @@
 // events the protocol driver emits (every per-thread scalar access, lock
 // acquire/release and barrier arrive/depart) plus the managers'
 // BarrierRelease and LockGrant, kept by a flight.Log subscribed to a
-// cluster (Config.Observer, either engine) or merged from a cluster's
+// cluster (dsm.Config.Observers, either engine) or merged from a cluster's
 // members' logs (flight.Merge) — reconstructs the happens-before order
 // those synchronization chains imply (vector clocks over the log's total
 // order) and verifies that every read was LRC-legal:

@@ -52,9 +52,9 @@ func (n *Node) Emit(ev flight.Event) {
 	}
 }
 
-// Subscribe adds sub to every node: the cluster-wide subscribers (the
-// oracle's log, the telemetry sketch, dsm.Config.Trace). A nil sub is
-// ignored, so an unset Config field needs no test. Must precede Run.
+// Subscribe adds sub to every node: the cluster-wide subscribers
+// (dsm.Config.Observers: the oracle's log, the telemetry sketch, a
+// trace). A nil sub is ignored. Must precede Run.
 func (sp *Space) Subscribe(sub flight.Subscriber) {
 	sp.mustBeOpen()
 	if sub == nil {

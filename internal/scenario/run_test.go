@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,10 +16,6 @@ import (
 	"repro/internal/live"
 	"repro/internal/live/transport"
 	"repro/internal/live/transport/faulty"
-	"repro/internal/memory"
-	"repro/internal/migration"
-	"repro/internal/oracle"
-	"repro/internal/proto"
 	"repro/internal/scenario"
 )
 
@@ -144,39 +139,6 @@ func TestCrossEngineEquivalence(t *testing.T) {
 	}
 	if st.ReadsChecked == 0 || st.OracleOps == 0 {
 		t.Fatalf("gate checked nothing: %d reads, %d oracle ops", st.ReadsChecked, st.OracleOps)
-	}
-}
-
-// TestLiveEngineCatchesSabotage re-runs the oracle self-test on the
-// live engine: a protocol that drops every diff must be flagged by the
-// model or by the oracle, proving the live wiring of both is not
-// vacuously green. DropDiffs is reachable from no configuration above
-// proto.Shared, so the test builds the engine itself around the script.
-func TestLiveEngineCatchesSabotage(t *testing.T) {
-	p := scenario.Generate(7)
-	cfg := live.DefaultConfig(p.Nodes)
-	cfg.Policy, cfg.DropDiffs = migration.NoHM{}, true
-	rec := flight.NewLog(oracle.Kinds, nil)
-	c := live.New(cfg)
-	c.Subscribe(rec)
-	objs := make([]memory.ObjectID, len(p.Words))
-	for o, words := range p.Words {
-		objs[o] = c.AddObject(words, memory.NodeID(p.Homes[o]))
-		data := p.Initial()[o]
-		c.InitObject(objs[o], func(ws []uint64) { copy(ws, data) })
-	}
-	locks := make([]proto.LockID, p.Locks)
-	for l := range locks {
-		locks[l] = c.AddLock(memory.NodeID(l % p.Nodes))
-	}
-	var misreads atomic.Int64
-	workers := p.Workers(objs, locks, c.AddBarrier(0, p.Threads), func(error) { misreads.Add(1) })
-	if _, err := c.Run(workers); err != nil {
-		t.Fatal(err)
-	}
-	viols := oracle.Check(p.Threads, rec.Events, func(obj memory.ObjectID, word int) uint64 { return p.Initial()[obj][word] })
-	if misreads.Load() == 0 && len(viols) == 0 {
-		t.Fatal("DropDiffs run passed the model and the oracle on live — their wiring is broken")
 	}
 }
 

@@ -17,7 +17,11 @@ import (
 // traced is a checked sim run under the policy that never migrates, with
 // rings wide enough not to wrap and, when non-nil, sink attached.
 func traced(sink *telemetry.Sink) apps.Options {
-	return apps.Options{Config: dsm.Config{Policy: "NoHM", FlightCap: 1 << 16, Telemetry: sink}, Check: true}
+	o := apps.Options{Config: dsm.Config{Policy: "NoHM", FlightCap: 1 << 16}, Check: true}
+	if sink != nil {
+		o.Observers = []dsm.Observer{sink}
+	}
+	return o
 }
 
 // seedFor scans for the first seed generating a program of the wanted

@@ -7,11 +7,12 @@
 // internal/proto like every other run.
 //
 // It has no event model of its own. Analyze reads flight.Event sequences
-// — a flight.Log of Kinds attached to a cluster (dsm.Config.Trace, either
-// engine), or a merged flight timeline — and classifies four kinds: Request (requester
-// in Peer, redirection accumulation in Hops), RemoteWrite (writer in
-// Peer, diff bytes in Bytes) and the trapped HomeWrite and HomeRead (the
-// home in Node). Every other kind is skipped.
+// — a flight.Log of Kinds attached to a cluster (dsm.NewTrace in
+// dsm.Config.Observers, either engine), or a merged flight timeline —
+// and classifies four kinds: Request (requester in Peer, redirection
+// accumulation in Hops), RemoteWrite (writer in Peer, diff bytes in
+// Bytes) and the trapped HomeWrite and HomeRead (the home in Node).
+// Every other kind is skipped.
 package trace
 
 import (
