@@ -12,8 +12,8 @@
 //
 // The threshold is re-evaluated continuously as feedback arrives; home
 // migration (Eq. 1) triggers when a fault-in request from the last writer
-// finds C ≥ T. On migration the epoch state is reset and the frozen
-// threshold ships to the new home inside a Record.
+// finds C ≥ T. On migration the frozen threshold ships to the new home
+// inside a Record, and the new home Inits its State from it.
 package core
 
 import (
@@ -74,23 +74,29 @@ type State struct {
 	est Record
 }
 
-// NewState returns the epoch-0 state for an object of objBytes payload.
-func NewState(p Params, objBytes int) *State {
-	return &State{LastWriter: memory.NoNode, objBytes: objBytes,
-		// Until a diff is observed, estimate d = o/2 (the paper only
-		// assumes o > d); the estimate self-corrects with feedback.
-		est: Record{TBase: p.TInit, AvgDiff: float64(objBytes) / 2},
+// Init makes s the state an object of objBytes payload opens its home
+// with: epoch 0 without a record, else the epoch rec ships (Migrate's
+// Record, which may be s's own). It writes s in place, so a node keeps
+// one State per object and a migration allocates none.
+func (s *State) Init(p Params, objBytes int, rec *Record) {
+	// Until a diff is observed, estimate d = o/2 (the paper only assumes
+	// o > d); the estimate self-corrects with feedback.
+	est, epoch := Record{TBase: p.TInit, AvgDiff: float64(objBytes) / 2}, 0
+	if rec != nil {
+		est.TBase, epoch = max(rec.TBase, p.TInit), int(rec.Epoch)
+		if rec.DiffObs > 0 {
+			est.AvgDiff, est.DiffObs = rec.AvgDiff, rec.DiffObs
+		}
 	}
+	*s = State{LastWriter: memory.NoNode, Epoch: epoch, objBytes: objBytes, est: est}
 }
 
-// FromRecord reconstructs state at the new home after a migration.
-func FromRecord(p Params, objBytes int, rec Record) *State {
-	s := NewState(p, objBytes)
-	s.est.TBase = max(rec.TBase, p.TInit)
-	s.Epoch = int(rec.Epoch)
-	if rec.DiffObs > 0 {
-		s.est.AvgDiff, s.est.DiffObs = rec.AvgDiff, rec.DiffObs
-	}
+// NewState returns a new epoch-0 state for an object of objBytes payload:
+// Init on a State of its own, for a caller that keeps no slot (the
+// benchmark's decision probe, tests).
+func NewState(p Params, objBytes int) *State {
+	s := new(State)
+	s.Init(p, objBytes, nil)
 	return s
 }
 
@@ -165,7 +171,7 @@ func (s *State) noteDiff(bytes int) {
 // ship to the new home. Callers invoke it only after a policy decided to
 // migrate, and then drop s: the record is s's own estimate, completed in
 // place, so a migrating reply carries it by pointer without allocating,
-// and nothing writes it once s is dropped.
+// and nothing writes it until s is Init-ed again.
 func (s *State) Migrate(p Params) *Record {
 	s.est.TBase = s.Threshold(p)
 	s.est.Epoch = int32(s.Epoch + 1)

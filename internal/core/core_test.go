@@ -167,7 +167,8 @@ func TestMigrateFreezesAndRecordRoundTrips(t *testing.T) {
 	if rec.Epoch != 1 {
 		t.Fatalf("Record.Epoch = %d, want 1", rec.Epoch)
 	}
-	ns := FromRecord(p, 512, *rec)
+	ns := new(State)
+	ns.Init(p, 512, rec)
 	if ns.C != 0 || ns.R != 0 || ns.E != 0 {
 		t.Fatalf("new epoch state not reset: %v", ns)
 	}
@@ -183,11 +184,32 @@ func TestMigrateFreezesAndRecordRoundTrips(t *testing.T) {
 	}
 }
 
-func TestFromRecordClampsTBase(t *testing.T) {
+func TestInitClampsTBase(t *testing.T) {
 	p := fixedAlpha(2)
-	ns := FromRecord(p, 64, Record{TBase: 0.2})
+	ns := new(State)
+	ns.Init(p, 64, &Record{TBase: 0.2})
 	if got := ns.Threshold(p); got != 1 {
 		t.Fatalf("threshold from sub-TInit record = %v, want 1", got)
+	}
+}
+
+// TestInitReadsItsOwnRecord: a node opens a home in the slot whose
+// record it may have shipped, so Init reads rec before it writes s.
+func TestInitReadsItsOwnRecord(t *testing.T) {
+	p := fixedAlpha(2)
+	a, b := NewState(p, 512), NewState(p, 512)
+	for _, s := range []*State{a, b} {
+		s.RemoteWrite(3, 100)
+		s.Redirected(2)
+	}
+	rec := *b.Migrate(p)
+	b.Init(p, 512, &rec)
+	a.Init(p, 512, a.Migrate(p))
+	if *a != *b {
+		t.Fatalf("Init from its own record = %v, from a copy = %v", a, b)
+	}
+	if a.Epoch != 1 || a.est.DiffObs != 1 {
+		t.Fatalf("Init from its own record lost it: %v (diff obs %d)", a, a.est.DiffObs)
 	}
 }
 
@@ -241,8 +263,7 @@ func TestThresholdFloorProperty(t *testing.T) {
 				s.Redirected(int(ev % 5))
 			case 3:
 				if s.C > 0 && float64(s.C) >= s.Threshold(p) {
-					rec := s.Migrate(p)
-					s = FromRecord(p, 256, *rec)
+					s.Init(p, 256, s.Migrate(p))
 				}
 			}
 			if s.Threshold(p) < p.TInit {

@@ -2,6 +2,7 @@ package gos
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/locator"
@@ -84,15 +85,19 @@ func BenchmarkLocalAccess(b *testing.B) {
 // the lock-sim benchmark runs it: 4 nodes, a worker on each of nodes 1–3
 // taking lock0 for a turn of 8 counter updates, each in its own lock1
 // interval; node 0 hosts the counter's first home and both lock managers.
-// One op is one counter update.
-func lockKernel(turns int) (*Cluster, []proto.Worker) {
-	c := New(DefaultConfig(4)) // AT over forwarding pointers, no codec round trip
+// One op is one counter update. onTurn, if set, is called by node 1's
+// worker before each of its turns.
+func lockKernel(turns int, onTurn func(turn int)) (*Cluster, []proto.Worker) {
+	c := New(paperConfig(4)) // AT over forwarding pointers, no codec round trip
 	counter := c.AddObject(1, 0)
 	lock0, lock1 := c.AddLock(0), c.AddLock(0)
 	var ws []proto.Worker
 	for n := 1; n < 4; n++ {
 		ws = append(ws, proto.Worker{Node: memory.NodeID(n), Name: "w", Fn: func(th proto.Thread) {
 			for i := 0; i < turns; i++ {
+				if onTurn != nil && n == 1 {
+					onTurn(i)
+				}
 				th.Acquire(lock0)
 				for j := 0; j < 8; j++ {
 					th.Acquire(lock1)
@@ -115,7 +120,7 @@ func lockKernel(turns int) (*Cluster, []proto.Worker) {
 // is none.
 func BenchmarkLockKernel(b *testing.B) {
 	turns := (b.N + 23) / 24
-	c, ws := lockKernel(turns)
+	c, ws := lockKernel(turns, nil)
 	b.ResetTimer()
 	m, err := c.Run(ws)
 	if err != nil {
@@ -124,6 +129,47 @@ func BenchmarkLockKernel(b *testing.B) {
 	ops := float64(turns * 24)
 	b.ReportMetric(float64(m.Kernel.Activations)/ops, "act/op")
 	b.ReportMetric(float64(m.Kernel.Events)/ops, "ev/op")
+}
+
+// TestLockKernelMigratesWithoutAllocating: under AT the §5.2 kernel
+// moves the counter's home on every turn, and a warm window of turns
+// allocates nothing — the window's total malloc count, not a per-op
+// figure rounded down. The new home's copy and migration state fill
+// slots its node already owns, and the migrating reply carries the old
+// home's record by pointer. Of three windows one must make no malloc at
+// all: the Go runtime allocates on its own now and then (the scavenger's
+// timer, the cleanup after a GC cycle), while a migration that allocates
+// does so in every window. The warm-up is long because the runtime fills
+// a type assertion's cache (the policy checks in proto) at a random one
+// of its first few thousand calls, once per call site.
+func TestLockKernelMigratesWithoutAllocating(t *testing.T) {
+	const warm, window = 1000, 500
+	var (
+		ms    runtime.MemStats
+		marks [4]uint64 // mallocs at the windows' bounds
+		moves [4]int64  // migrations at the windows' bounds
+		c     *Cluster
+	)
+	c, ws := lockKernel(warm+3*window+1, func(turn int) {
+		if i := turn - warm; i >= 0 && i%window == 0 {
+			moves[i/window] = c.Counters.Migrations
+			runtime.ReadMemStats(&ms)
+			marks[i/window] = ms.Mallocs
+		}
+	})
+	if _, err := c.Run(ws); err != nil {
+		t.Fatal(err)
+	}
+	var mallocs [3]uint64
+	for i := range mallocs {
+		if n := moves[i+1] - moves[i]; n < 3*window {
+			t.Fatalf("%d migrations over %d turns of each worker: the home does not move every turn", n, window)
+		}
+		mallocs[i] = marks[i+1] - marks[i]
+	}
+	if slices.Min(mallocs[:]) != 0 {
+		t.Errorf("mallocs in windows of %d turns of node 1: %v, want a window with none", window, mallocs)
+	}
 }
 
 // barrierEpisodes sets up n episodes of an 8-party barrier, one thread

@@ -48,13 +48,6 @@ type Config struct {
 	FlightCap int
 }
 
-// DefaultConfig returns the paper's setup: AT policy over forwarding
-// pointers on a Fast-Ethernet-class network.
-func DefaultConfig(nodes int) Config {
-	net := hockney.FastEthernet()
-	return Config{Shared: proto.DefaultShared(nodes, net.Alpha), Net: net}
-}
-
 // jitter is the network model's deterministic per-message delivery
 // perturbation (cnet.Config.Jitter): small, to avoid artificial lock-step
 // arrival symmetry.
@@ -77,7 +70,7 @@ type Cluster struct {
 }
 
 // New builds a cluster per cfg, taken as given: the paper's selection is
-// proto.DefaultShared, which DefaultConfig and dsm.New start from.
+// proto.DefaultShared, which dsm.New starts from.
 func New(cfg Config) *Cluster {
 	if cfg.Nodes <= 0 {
 		panic("gos: cluster needs at least one node")

@@ -21,7 +21,7 @@ import (
 // fails the run under the daemon's name, with what only the daemon knows
 // about the frame it was handling.
 func TestHandlerPanicNamesDaemonKindAndPeer(t *testing.T) {
-	c := New(DefaultConfig(4)) // DebugWire off: the simulated wire carries anything
+	c := New(paperConfig(4)) // DebugWire off: the simulated wire carries anything
 	_, err := c.Run([]proto.Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
 		c.net.Send(&wire.Msg{Kind: wire.Kind(200), From: 1, To: 2}, stats.ObjReq)
 		th.Compute(sim.Millisecond)
@@ -44,7 +44,7 @@ func TestHandlerPanicNamesDaemonKindAndPeer(t *testing.T) {
 // Node 2's forwarding pointer leads back to itself, so the forward is a
 // same-node send.
 func TestHandlerPanicNamesTheFrameAsItArrived(t *testing.T) {
-	c := New(DefaultConfig(4))
+	c := New(paperConfig(4))
 	obj := c.AddObject(2, 0)
 	c.nodes[2].Loc.SetForward(obj, 2)
 	_, err := c.Run([]proto.Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
@@ -64,7 +64,7 @@ func TestHandlerPanicNamesTheFrameAsItArrived(t *testing.T) {
 // peer would refuse — write-report pairs on a lock release, a kind that
 // carries none — fails the run at the send, under the sending thread.
 func TestDebugWireFailsAFrameAPeerRejects(t *testing.T) {
-	cfg := DefaultConfig(4)
+	cfg := paperConfig(4)
 	cfg.DebugWire = true
 	c := New(cfg)
 	_, err := c.Run([]proto.Worker{{Node: 1, Name: "w", Fn: func(th proto.Thread) {
@@ -109,7 +109,7 @@ func TestDeadlockListsThreadsNotDaemons(t *testing.T) {
 // process per node).
 func TestOnlyThreadsAndMasterAreProcs(t *testing.T) {
 	const turns = 50
-	c, ws := lockKernel(turns)
+	c, ws := lockKernel(turns, nil)
 	m := mustRun(t, c, ws)
 	if m.Kernel.Spawned != 4 {
 		t.Errorf("Kernel.Spawned = %d, want 4 (3 threads and the master)", m.Kernel.Spawned)

@@ -152,7 +152,7 @@ func TestCoherenceFuzz(t *testing.T) {
 		migration.NoHM{},
 		migration.Fixed{T: 1},
 		migration.Fixed{T: 2},
-		DefaultConfig(4).Policy,
+		paperConfig(4).Policy,
 		migration.JUMP{},
 		migration.Jackal{Max: 5},
 		migration.Jiajia{},
@@ -191,7 +191,7 @@ func FuzzCoherence(f *testing.F) {
 		f.Add(s)
 	}
 	policies := []migration.Policy{
-		migration.NoHM{}, DefaultConfig(4).Policy, migration.JUMP{}, migration.Jiajia{},
+		migration.NoHM{}, paperConfig(4).Policy, migration.JUMP{}, migration.Jiajia{},
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		p := genProgram(seed)
@@ -215,7 +215,7 @@ func FuzzCoherence(f *testing.F) {
 // and must match exactly.
 func TestLockFuzz(t *testing.T) {
 	policies := []migration.Policy{
-		migration.NoHM{}, migration.Fixed{T: 1}, DefaultConfig(4).Policy, migration.JUMP{},
+		migration.NoHM{}, migration.Fixed{T: 1}, paperConfig(4).Policy, migration.JUMP{},
 	}
 	seeds := 6
 	if testing.Short() {

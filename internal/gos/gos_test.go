@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/hockney"
 	"repro/internal/locator"
 	"repro/internal/memory"
 	"repro/internal/migration"
@@ -12,9 +13,17 @@ import (
 	"repro/internal/stats"
 )
 
+// paperConfig is the paper's setup on the sim engine:
+// proto.DefaultShared (AT over forwarding pointers, piggybacking on) on a
+// Fast-Ethernet-class network.
+func paperConfig(nodes int) Config {
+	net := hockney.FastEthernet()
+	return Config{Shared: proto.DefaultShared(nodes, net.Alpha), Net: net}
+}
+
 // testConfig builds a debug-checked cluster config.
 func testConfig(nodes int, pol migration.Policy, loc locator.Kind) Config {
-	cfg := DefaultConfig(nodes)
+	cfg := paperConfig(nodes)
 	cfg.Policy = pol
 	cfg.Locator = loc
 	cfg.DebugWire = true
@@ -214,7 +223,7 @@ func TestAdaptiveInhibitsTransientPattern(t *testing.T) {
 	// threshold climbs with redirections and stops the thrash (§4's
 	// robustness claim).
 	mFT, _ := runTwoWriterPingPong(t, migration.Fixed{T: 1}, 30)
-	at := DefaultConfig(3).Policy
+	at := paperConfig(3).Policy
 	mAT, _ := runTwoWriterPingPong(t, at, 30)
 	if mAT.Migrations >= mFT.Migrations {
 		t.Fatalf("AT migrations %d !< FT1 migrations %d", mAT.Migrations, mFT.Migrations)
@@ -229,7 +238,7 @@ func TestAdaptiveMatchesFT1OnLastingPattern(t *testing.T) {
 	// (sensitivity claim) — exactly one migration, then all-local writes.
 	for _, pol := range []migration.Policy{
 		migration.Fixed{T: 1},
-		DefaultConfig(2).Policy,
+		paperConfig(2).Policy,
 	} {
 		c := New(testConfig(2, pol, locator.ForwardingPointer))
 		obj := c.AddObject(8, 0)
@@ -254,7 +263,7 @@ func TestLockMutualExclusion(t *testing.T) {
 	// Classic increment race: with correct locking and coherence the
 	// counter must equal the total increment count.
 	const perThread = 20
-	c := New(testConfig(4, DefaultConfig(4).Policy, locator.ForwardingPointer))
+	c := New(testConfig(4, paperConfig(4).Policy, locator.ForwardingPointer))
 	obj := c.AddObject(1, 0)
 	l := c.AddLock(0)
 	var workers []proto.Worker
@@ -278,7 +287,7 @@ func TestBarrierCoherence(t *testing.T) {
 	// Disjoint writers fill their own objects, then everyone reads
 	// everything: post-barrier agreement (LRC).
 	const nodes = 4
-	c := New(testConfig(nodes, DefaultConfig(nodes).Policy, locator.ForwardingPointer))
+	c := New(testConfig(nodes, paperConfig(nodes).Policy, locator.ForwardingPointer))
 	var objs []memory.ObjectID
 	for i := 0; i < nodes; i++ {
 		objs = append(objs, c.AddObject(4, memory.NodeID(i%nodes)))
@@ -487,7 +496,7 @@ func TestJackalStopsAfterCap(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() stats.Metrics {
-		m, _ := runTwoWriterPingPong(t, DefaultConfig(3).Policy, 15)
+		m, _ := runTwoWriterPingPong(t, paperConfig(3).Policy, 15)
 		return m
 	}
 	a, b := run(), run()
@@ -649,7 +658,7 @@ func TestMultipleThreadsPerNode(t *testing.T) {
 	// dispatched to a free cluster node"). Two threads on each of two
 	// nodes increment a shared counter; mutual exclusion and coherence
 	// must hold across co-located threads sharing the node cache.
-	c := New(testConfig(2, DefaultConfig(2).Policy, locator.ForwardingPointer))
+	c := New(testConfig(2, paperConfig(2).Policy, locator.ForwardingPointer))
 	obj := c.AddObject(1, 0)
 	l := c.AddLock(0)
 	const per = 10
@@ -687,7 +696,7 @@ func TestComputeOrdersBeforeMessages(t *testing.T) {
 		granted = th.Now()
 		th.Release(l)
 	}}})
-	minRT := 2 * DefaultConfig(2).Net.Time(32)
+	minRT := 2 * paperConfig(2).Net.Time(32)
 	if granted < sim.Millisecond+minRT {
 		t.Fatalf("granted at %v, want >= %v", granted, sim.Millisecond+minRT)
 	}

@@ -15,7 +15,7 @@ import (
 // the live counterpart of the sim engine's BenchmarkBarrierEpisode.
 func BenchmarkLiveBarrierEpisode(b *testing.B) {
 	const nodes = 4
-	c := New(DefaultConfig(nodes))
+	c := New(paperConfig(nodes))
 	bar := c.AddBarrier(0, nodes)
 	var ws []proto.Worker
 	for i := 0; i < nodes; i++ {
@@ -35,7 +35,7 @@ func BenchmarkLiveBarrierEpisode(b *testing.B) {
 // BenchmarkLiveLockHandoff measures a remote lock acquire/release pair
 // ping-ponging between two nodes through the manager on a third.
 func BenchmarkLiveLockHandoff(b *testing.B) {
-	c := New(DefaultConfig(3))
+	c := New(paperConfig(3))
 	l := c.AddLock(0)
 	var ws []proto.Worker
 	for _, nd := range []memory.NodeID{1, 2} {
@@ -58,7 +58,7 @@ func BenchmarkLiveLockHandoff(b *testing.B) {
 // with one thread per node, reporting updates/sec.
 func BenchmarkLiveLockedThroughput(b *testing.B) {
 	const nodes = 4
-	c := New(DefaultConfig(nodes))
+	c := New(paperConfig(nodes))
 	obj := c.AddObject(8, 0)
 	l := c.AddLock(0)
 	per := b.N/nodes + 1
@@ -83,23 +83,42 @@ func BenchmarkLiveLockedThroughput(b *testing.B) {
 }
 
 // BenchmarkLiveLockKernel is this layer's row for the lock-inproc
-// workload, shaped like it: 4 nodes, node 0 hosts the counter and both
-// lock managers, workers on nodes 1–3 each take lock0 and then make 8
-// counter updates, each inside its own lock1 interval. One op is one
-// counter update.
+// workload, shaped like it (lockKernel). One op is one counter update.
 func BenchmarkLiveLockKernel(b *testing.B) {
-	const nodes, workers, reps = 4, 3, 8
-	c := New(DefaultConfig(nodes))
+	turns := (b.N + lockWorkers*lockReps - 1) / (lockWorkers * lockReps)
+	c, counter, ws := lockKernel(turns, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := c.Run(ws); err != nil {
+		b.Fatal(err)
+	}
+	if got, want := c.ObjectData(counter)[0], uint64(turns*lockWorkers*lockReps); got != want {
+		b.Fatalf("counter = %d, want %d", got, want)
+	}
+}
+
+// The lock kernel's shape: worker nodes and counter updates per turn.
+const lockWorkers, lockReps = 3, 8
+
+// lockKernel sets up the paper's §5.2 kernel as the lock-inproc workload
+// runs it: 4 nodes over ChanLoop, node 0 hosts the counter and both lock
+// managers, workers on nodes 1–3 each take lock0 for a turn of 8 counter
+// updates, each inside its own lock1 interval. onTurn, if set, is called
+// by every worker before each of its turns, outside the DSM.
+func lockKernel(turns int, onTurn func(node memory.NodeID, turn int)) (*Cluster, memory.ObjectID, []proto.Worker) {
+	c := New(paperConfig(1 + lockWorkers))
 	counter := c.AddObject(1, 0)
 	lock0, lock1 := c.AddLock(0), c.AddLock(0)
-	turns := (b.N + workers*reps - 1) / (workers * reps)
 	var ws []proto.Worker
-	for i := 1; i <= workers; i++ {
+	for i := 1; i <= lockWorkers; i++ {
 		ws = append(ws, proto.Worker{Node: memory.NodeID(i), Name: fmt.Sprintf("w%d", i),
 			Fn: func(th proto.Thread) {
 				for k := 0; k < turns; k++ {
+					if onTurn != nil {
+						onTurn(th.Node(), k)
+					}
 					th.Acquire(lock0)
-					for j := 0; j < reps; j++ {
+					for j := 0; j < lockReps; j++ {
 						th.Acquire(lock1)
 						th.Write(counter, 0, th.Read(counter, 0)+1)
 						th.Release(lock1)
@@ -108,13 +127,7 @@ func BenchmarkLiveLockKernel(b *testing.B) {
 				}
 			}})
 	}
-	b.ResetTimer()
-	if _, err := c.Run(ws); err != nil {
-		b.Fatal(err)
-	}
-	if got, want := c.ObjectData(counter)[0], uint64(turns*workers*reps); got != want {
-		b.Fatalf("counter = %d, want %d", got, want)
-	}
+	return c, counter, ws
 }
 
 // BenchmarkLiveViewSweep is the view path of a SOR phase once migration
@@ -131,7 +144,7 @@ func BenchmarkLiveViewSweepSink(b *testing.B) { viewSweep(b, telemetry.NewSink(0
 
 func viewSweep(b *testing.B, sub flight.Subscriber) {
 	const rows, words = 64, 256
-	c := New(DefaultConfig(1))
+	c := New(paperConfig(1))
 	c.Subscribe(sub)
 	ids := make([]memory.ObjectID, rows)
 	for i := range ids {

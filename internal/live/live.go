@@ -75,9 +75,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/hlc"
-	"repro/internal/hockney"
 	"repro/internal/live/transport"
 	"repro/internal/memory"
 	"repro/internal/proto"
@@ -117,12 +117,6 @@ type Config struct {
 	// All registered reads are race-safe: atomics, or sums taken under
 	// each node's mutex.
 	Metrics *telemetry.Registry
-}
-
-// DefaultConfig returns the paper's setup on the live engine: AT policy
-// over forwarding pointers, piggybacking on.
-func DefaultConfig(nodes int) Config {
-	return Config{Shared: proto.DefaultShared(nodes, hockney.FastEthernet().Alpha)}
 }
 
 // Finisher is the end-of-run hook of a transport that spans processes,
@@ -229,8 +223,8 @@ func (c *Cluster) abortCause() error {
 }
 
 // New builds a live cluster per cfg, taken as given: the paper's
-// selection is proto.DefaultShared, which DefaultConfig and dsm.New start
-// from. A nil Transport selects the in-process ChanLoop.
+// selection is proto.DefaultShared, which dsm.New starts from. A nil
+// Transport selects the in-process ChanLoop.
 func New(cfg Config) *Cluster {
 	if cfg.Nodes <= 0 {
 		panic("live: cluster needs at least one node")
@@ -455,6 +449,10 @@ type node struct {
 	// since the lock was last released.
 	parked []wire.Msg
 	dests  []memory.NodeID
+	// rec is where receive decodes a migrating reply's record; ToThread
+	// copies it into the thread's own (Thread.rec) before the next frame
+	// decodes.
+	rec core.Record
 }
 
 // unlock releases the node lock; every release goes through here or
@@ -531,12 +529,18 @@ func (n *node) Send(msg wire.Msg, cat stats.Category) {
 }
 
 // ToThread implements proto.Engine: local handler→thread handoff,
-// bypassing the transport (within a node there is no wire). A token put
-// by a batching reader's receive path readies the thread for that
-// reader's batch-end hook (Cluster.resumeReadied); any other rings the
-// thread's home goroutine.
+// bypassing the transport (within a node there is no wire). A migrating
+// reply's record moves into the thread's own, which nothing else writes
+// until the thread has installed the reply: it awaits one fault-in at a
+// time. A token put by a batching reader's receive path readies the
+// thread for that reader's batch-end hook (Cluster.resumeReadied); any
+// other rings the thread's home goroutine.
 func (n *node) ToThread(slot int32, msg wire.Msg) {
 	t := n.threads[slot]
+	if msg.Rec != nil {
+		t.rec = *msg.Rec
+		msg.Rec = &t.rec
+	}
 	t.mbox.put(proto.Token{Msg: msg})
 	if n.relay {
 		t.readied = true
@@ -575,14 +579,16 @@ func (c *Cluster) resumeReadied() {
 // frame, run by whoever delivers it. Under the node lock it decodes the
 // frame in place into the one Msg this call owns, its payloads copied
 // into buffers from the node's pool (the frame returns to the transport's
-// pool on the way out), checks that Msg, and handles it by pointer — or
-// parks it when CanRoute rejects it: the home transfer that makes it
-// routable is still in flight (our thread holds the migrating reply in
-// its mailbox, or the barrier-go carrying the reassignment is behind this
-// frame). Deliveries to one node may run concurrently (one TCP reader per
-// peer), and the pool is the node's, so decoding waits for the lock too.
-// A parked message stays counted as in flight, so quiescence waits for
-// it, and keeps its payloads until it is handled. A frame Decode rejects,
+// pool on the way out) and a migrating reply's record into the node's
+// (n.rec), checks that Msg, and handles it by pointer — or parks it when
+// CanRoute rejects it: the home transfer that makes it routable is still
+// in flight (our thread holds the migrating reply in its mailbox, or the
+// barrier-go carrying the reassignment is behind this frame). Deliveries
+// to one node may run concurrently (one TCP reader per peer), and the
+// pool is the node's, so decoding waits for the lock too. A parked
+// message stays counted as in flight, so quiescence waits for it, and
+// keeps its payloads, and a copy of its record, until it is handled. A
+// frame Decode rejects,
 // or one naming an object, lock, barrier, node or thread slot the layout
 // does not have (proto.Node.CheckFrame — the handlers subscript with
 // those ids), is a peer's doing, not a state a bug alone can produce: it
@@ -592,7 +598,7 @@ func (n *node) receive(frame []byte) error {
 	defer transport.PutFrame(frame)
 	var msg wire.Msg
 	n.mu.Lock()
-	if err := msg.DecodePooled(frame, &n.ps.Pool); err != nil {
+	if err := msg.DecodePooled(frame, &n.ps.Pool, &n.rec); err != nil {
 		n.unlock()
 		return fmt.Errorf("%w: node %d received a %d-byte frame, kind byte %#x, that does not decode: %v",
 			ErrProtocol, n.ps.ID, len(frame), frame[:min(len(frame), 1)], err)
@@ -605,6 +611,10 @@ func (n *node) receive(frame []byte) error {
 	if n.ps.CanRoute(&msg) {
 		n.handle(&msg)
 	} else {
+		if msg.Rec != nil {
+			rec := *msg.Rec
+			msg.Rec = &rec
+		}
 		n.parked = append(n.parked, msg)
 	}
 	n.unlock()

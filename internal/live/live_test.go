@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/flight"
+	"repro/internal/hockney"
 	"repro/internal/live/transport"
 	"repro/internal/live/transport/faulty"
 	"repro/internal/locator"
@@ -20,12 +21,19 @@ import (
 	"repro/internal/wire"
 )
 
+// paperConfig is the paper's setup on the live engine:
+// proto.DefaultShared (AT over forwarding pointers, piggybacking on) with
+// the Fast-Ethernet α, over the in-process ChanLoop.
+func paperConfig(nodes int) Config {
+	return Config{Shared: proto.DefaultShared(nodes, hockney.FastEthernet().Alpha)}
+}
+
 // TestLockedCounter hammers one lock-guarded counter from every node:
 // mutual exclusion plus release-visibility must make the final value
 // exact, whatever the real scheduler does.
 func TestLockedCounter(t *testing.T) {
 	const nodes, perThread = 4, 50
-	c := New(DefaultConfig(nodes))
+	c := New(paperConfig(nodes))
 	obj := c.AddObject(1, 0)
 	l := c.AddLock(0)
 	var ws []proto.Worker
@@ -68,7 +76,7 @@ func TestLockedCounter(t *testing.T) {
 // must make each phase's reads see the previous phase's writes exactly.
 func TestBarrierPhases(t *testing.T) {
 	const nodes, phases = 3, 8
-	c := New(DefaultConfig(nodes))
+	c := New(paperConfig(nodes))
 	a := c.AddObject(nodes, 0)
 	b := c.AddObject(nodes, 1)
 	bar := c.AddBarrier(0, nodes)
@@ -124,10 +132,10 @@ func TestEveryPolicyAndLocator(t *testing.T) {
 	locators := []locator.Kind{locator.ForwardingPointer, locator.Manager, locator.Broadcast}
 	var wantDigest uint64
 	first := true
-	for _, pol := range migration.Builtins(DefaultConfig(3).Params) {
+	for _, pol := range migration.Builtins(paperConfig(3).Params) {
 		for _, lc := range locators {
 			name := fmt.Sprintf("%s/%s", pol.Name(), lc)
-			cfg := DefaultConfig(3)
+			cfg := paperConfig(3)
 			cfg.Policy = pol
 			cfg.Locator = lc
 			rec := flight.NewLog(oracle.Kinds, nil)
@@ -175,7 +183,7 @@ func TestEveryPolicyAndLocator(t *testing.T) {
 // message that bypassed Encode (or a non-canonical encoding) fails the
 // run. This is the property that makes a TCP backend a drop-in.
 func TestWireBoundary(t *testing.T) {
-	cfg := DefaultConfig(3)
+	cfg := paperConfig(3)
 	vt := &verifyTransport{ChanLoop: transport.NewChanLoop(3), t: t}
 	cfg.Transport = vt
 	c := New(cfg)
@@ -226,7 +234,7 @@ func (v *verifyTransport) Send(to memory.NodeID, frame []byte) {
 // accesses only) to exercise the same-node lock handoff and the
 // diff-boomerang path under real concurrency.
 func TestSharedNodeThreads(t *testing.T) {
-	c := New(DefaultConfig(2))
+	c := New(paperConfig(2))
 	obj := c.AddObject(1, 1)
 	l := c.AddLock(0)
 	const per = 40
@@ -253,7 +261,7 @@ func TestSharedNodeThreads(t *testing.T) {
 
 // TestRunTwicePanics pins the single-run contract.
 func TestRunTwicePanics(t *testing.T) {
-	c := New(DefaultConfig(1))
+	c := New(paperConfig(1))
 	c.AddObject(1, 0)
 	if _, err := c.Run(nil); err != nil {
 		t.Fatal(err)
@@ -274,7 +282,7 @@ func TestRunTwicePanics(t *testing.T) {
 // writes; the sequential model pins the result.
 func TestBulkViewsUnderMigration(t *testing.T) {
 	const nodes, words, phases = 3, 24, 9
-	cfg := DefaultConfig(nodes)
+	cfg := paperConfig(nodes)
 	cfg.Policy = migration.Fixed{T: 1}
 	c := New(cfg)
 	obj := c.AddObject(words, 0)
@@ -320,7 +328,7 @@ func TestBulkViewsUnderMigration(t *testing.T) {
 // and Run must return an error wrapping ErrAborted — a dead cluster
 // presents as a bounded failure, never a hang.
 func TestAbortUnblocksParkedWorker(t *testing.T) {
-	c := New(DefaultConfig(2))
+	c := New(paperConfig(2))
 	l := c.AddLock(0)
 	hold := make(chan struct{})
 	holding := make(chan struct{})
@@ -366,7 +374,7 @@ func TestAbortUnblocksParkedWorker(t *testing.T) {
 // would deadlock without the abort — node 1's lock replies stop
 // arriving — so Run returning ErrAborted is the liveness proof.
 func TestFatalSinkAbortsRun(t *testing.T) {
-	cfg := DefaultConfig(2)
+	cfg := paperConfig(2)
 	cfg.Transport = faulty.Wrap(transport.NewChanLoop(2), 2, faulty.Options{
 		Seed:      1,
 		KillNode:  1,

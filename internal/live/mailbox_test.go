@@ -71,7 +71,7 @@ func TestMailboxFIFO(t *testing.T) {
 // then unwinds with abortPanic. Recv enters holding the node lock and
 // returns holding it.
 func TestMailboxClosedDrainsFirst(t *testing.T) {
-	c := New(DefaultConfig(1))
+	c := New(paperConfig(1))
 	th := &Thread{node: c.nodes[0]}
 	th.node.mu.Lock()
 	th.mbox.put(proto.Token{Kind: proto.TokRetry, Obj: 1})
@@ -106,7 +106,7 @@ func TestMailboxClosedDrainsFirst(t *testing.T) {
 // (which takes the node lock itself) reach the thread in order, and the
 // deepest the mailbox got is the run's LivePeakMailbox.
 func TestMailboxPeakReachesMetrics(t *testing.T) {
-	c := New(DefaultConfig(1))
+	c := New(paperConfig(1))
 	var got []memory.ObjectID
 	ws := []proto.Worker{{Node: 0, Name: "t", Fn: func(pt proto.Thread) {
 		th := pt.(*Thread)
@@ -143,7 +143,7 @@ func TestMailboxPeakReachesMetrics(t *testing.T) {
 // in-process hop, and every grant that wakes one thread is delivered on
 // the other thread's goroutine.
 func lockPingPong(t *testing.T, warm int, measure func(turn func())) {
-	c := New(DefaultConfig(2))
+	c := New(paperConfig(2))
 	l := c.AddLock(0)
 	var done atomic.Bool
 	turn := func(th proto.Thread) func() {

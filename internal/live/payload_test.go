@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/live/transport"
+	"repro/internal/memory"
 	"repro/internal/migration"
 	"repro/internal/proto"
 	"repro/internal/twindiff"
@@ -15,29 +16,28 @@ import (
 )
 
 // TestSteadyStateAllocatesNoPayload: once warm, an interval of the
-// paper's home-based write path costs no payload buffer. Node 0 homes a
+// paper's home-based write path allocates nothing. Node 0 homes a
 // 256-word row; node 1's thread takes its own lock (the acquire drops
 // the cached copy), faults the row in, writes every second word and
 // releases, shipping a red-black diff to node 0 and waiting for its ack.
 // The decoded row, the home's serve snapshot and the decoded diff are
-// each drawn from and returned to a node's pool, so a warm interval
-// allocates less than a quarter of one payload: the one allocation left
-// is the memory.Object header the install makes (not checked under the
-// race detector, where frames miss their pool). Every fault-in must also
-// read exactly the previous interval's writes: a buffer with two owners
-// shows as a wrong word (a flushed diff returned at Send lands in the
-// freelist twice, and the next flush computes its diff into its own
-// twin).
+// each drawn from and returned to a node's pool, and the install fills
+// the copy slot node 1 already owns for the row, so of three windows of
+// intervals one must make no malloc at all (mallocWindows says why not
+// every one). Every fault-in must also read exactly the previous
+// interval's writes: a buffer with two owners shows as a wrong word (a
+// flushed diff returned at Send lands in the freelist twice, and the next
+// flush computes its diff into its own twin).
 func TestSteadyStateAllocatesNoPayload(t *testing.T) {
-	const words, runs = 256, 100
-	cfg := DefaultConfig(2)
+	const words, warm, window = 256, 2000, 100
+	cfg := paperConfig(2)
 	cfg.Policy = migration.NoHM{}
 	c := New(cfg)
 	row := c.AddObject(words, 0)
 	l := c.AddLock(1)
 	var (
-		bytes float64
-		bad   []string
+		w   mallocWindows
+		bad []string
 	)
 	round := 0
 	interval := func(th proto.Thread) {
@@ -56,16 +56,17 @@ func TestSteadyStateAllocatesNoPayload(t *testing.T) {
 		th.Release(l)
 	}
 	ws := []proto.Worker{{Node: 1, Name: "writer", Fn: func(th proto.Thread) {
-		for range 5 {
+		for range warm {
 			interval(th) // warm-up: every pool holds its buffers
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range runs {
-			interval(th)
+		for i := range w.marks {
+			w.mark(i)
+			if i < len(w.marks)-1 {
+				for range window {
+					interval(th)
+				}
+			}
 		}
-		runtime.ReadMemStats(&after)
-		bytes = float64(after.TotalAlloc-before.TotalAlloc) / runs
 	}}}
 	if _, err := c.Run(ws); err != nil {
 		t.Fatal(err)
@@ -79,9 +80,86 @@ func TestSteadyStateAllocatesNoPayload(t *testing.T) {
 			t.Fatalf("home word %d = %#x after %d rounds, want %#x", i, got[i], round, want)
 		}
 	}
-	if payload := 8 * words; bytes >= float64(payload)/4 {
-		t.Fatalf("a warm interval (fault-in of a %d-word row, red-black diff, ack) allocates %.0f bytes, a payload is %d", words, bytes, payload)
+	if counts := w.counts(); slices.Min(counts) != 0 {
+		t.Fatalf("mallocs in windows of %d warm intervals (fault-in of a %d-word row, red-black diff, ack): %v, want a window with none",
+			window, words, counts)
 	}
+}
+
+// TestLockKernelMigratesWithoutAllocating is the sim engine's test of the
+// same name over ChanLoop at GOMAXPROCS=1, as the lock-inproc workload
+// runs it: under AT the §5.2 kernel moves the counter's home whenever the
+// lock passes to another worker, and a warm window of turns makes no
+// malloc on any node — the codec, the queues and the mailboxes included.
+// A migrating reply's record lands in the receiving node's, then in the
+// destination thread's own, and the new home's copy and state fill its
+// node's slots. The warm-up is long because the Go runtime fills a type
+// assertion's cache at a random one of its first few thousand calls, once
+// per call site.
+func TestLockKernelMigratesWithoutAllocating(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const warm, window = 1000, 500
+	var (
+		w     mallocWindows
+		moves [len(w.marks)]int64 // migrations at the windows' bounds
+		c     *Cluster
+	)
+	turns := warm + len(w.marks)*window
+	c, counter, ws := lockKernel(turns, func(node memory.NodeID, turn int) {
+		// One P runs a worker until it blocks, and one that finds lock0
+		// free again takes turn after turn: yield, so the lock passes on.
+		runtime.Gosched()
+		if i := turn - warm; node == 1 && i >= 0 && i%window == 0 && i/window < len(moves) {
+			for _, n := range c.nodes {
+				n.mu.Lock()
+				moves[i/window] += n.counters.Migrations
+				n.mu.Unlock()
+			}
+			w.mark(i / window)
+		}
+	})
+	if _, err := c.Run(ws); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.ObjectData(counter)[0], uint64(turns*lockWorkers*lockReps); got != want {
+		t.Fatalf("counter = %d, want %d", got, want)
+	}
+	// A turn moves the home unless the worker before it was the same one.
+	for i := range len(moves) - 1 {
+		if n := moves[i+1] - moves[i]; n < window {
+			t.Fatalf("%d migrations in a window of %d turns of node 1: the home does not move", n, window)
+		}
+	}
+	if counts := w.counts(); slices.Min(counts) != 0 {
+		t.Errorf("mallocs in windows of %d turns of node 1: %v, want a window with none", window, counts)
+	}
+}
+
+// mallocWindows counts the mallocs of consecutive windows of a run, from
+// one mark to the next, without allocating itself. A test wants one of
+// its windows to make none, not every one: the Go runtime allocates on
+// its own now and then (the scavenger's timer, the cleanup after a GC
+// cycle), and so does ChanLoop when a drain races a send and hands the
+// rest to a fresh goroutine (handOff). Code that allocates per operation
+// does so in every window.
+type mallocWindows struct {
+	ms    runtime.MemStats
+	marks [4]uint64
+}
+
+// mark records the malloc count at boundary i.
+func (w *mallocWindows) mark(i int) {
+	runtime.ReadMemStats(&w.ms)
+	w.marks[i] = w.ms.Mallocs
+}
+
+// counts returns each window's malloc count.
+func (w *mallocWindows) counts() []uint64 {
+	out := make([]uint64, len(w.marks)-1)
+	for i := range out {
+		out[i] = w.marks[i+1] - w.marks[i]
+	}
+	return out
 }
 
 // TestParkedDiffKeepsItsBuffer: a parked frame owns its decoded
@@ -92,7 +170,7 @@ func TestSteadyStateAllocatesNoPayload(t *testing.T) {
 // and gives node 0 the pointer: the diff it forwards at that unlock must
 // be the one injected, and node 1 must apply exactly it.
 func TestParkedDiffKeepsItsBuffer(t *testing.T) {
-	cfg := DefaultConfig(3)
+	cfg := paperConfig(3)
 	cfg.Policy = migration.NoHM{}
 	c := New(cfg)
 	obj := c.AddObject(8, 1)

@@ -87,7 +87,7 @@ func TestParkedFrameHandledAtUnlock(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			l := &tally{}
-			cfg := DefaultConfig(3)
+			cfg := paperConfig(3)
 			cfg.Policy = migration.NoHM{}
 			cfg.FlightCap = 256
 			tr := tc.wrap(tallyLoop{transport.NewChanLoop(3), l})
@@ -188,7 +188,7 @@ func TestParkedFrameHandledAtUnlock(t *testing.T) {
 // itself at node 1, the home). A claim that drained until the inbox
 // stayed empty never returned to the thread.
 func TestPumpYieldsToWaitingThread(t *testing.T) {
-	cfg := DefaultConfig(3)
+	cfg := paperConfig(3)
 	cfg.Policy = migration.NoHM{}
 	c := New(cfg)
 	obj := c.AddObject(1, 1)
@@ -305,7 +305,7 @@ func TestPeerGarbageAbortsRun(t *testing.T) {
 			for _, fr := range frames {
 				t.Run(fr.name, func(t *testing.T) {
 					var c *Cluster
-					cfg := DefaultConfig(2)
+					cfg := paperConfig(2)
 					cfg.FlightCap = 64
 					tr, send := tc.start(t, func(err error) { c.Abort(err) })
 					cfg.Transport = tr

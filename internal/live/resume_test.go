@@ -56,7 +56,7 @@ func newTCPPair(t *testing.T, declare func(c *Cluster)) *tcpPair {
 		pair[1-id] = conns[id]
 		p.trs[id] = tcp.New(memory.NodeID(id), pair, tcp.Options{OnFatal: func(err error) { p.cs[id].Abort(err) }})
 		local := memory.NodeID(id)
-		cfg := DefaultConfig(2)
+		cfg := paperConfig(2)
 		cfg.Transport = pairPlane{dataPlane{p.trs[id]}, p}
 		cfg.LocalNode = &local
 		p.cs[id] = New(cfg)

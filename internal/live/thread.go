@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/memory"
 	"repro/internal/proto"
 	"repro/internal/sim"
@@ -69,6 +70,9 @@ type Thread struct {
 	lentAt   time.Time
 	calls    int
 	handBack bool
+	// rec is the record of the migrating reply in the thread's mailbox
+	// (node.ToThread). Guarded by the node lock.
+	rec core.Record
 }
 
 // A thread's state word. The goroutine that moves it to running resumes

@@ -41,7 +41,7 @@ func runWithin(t *testing.T, c *Cluster, d time.Duration, ws []proto.Worker) {
 // since a fault-in waits for a holder outside the DSM, hang the first
 // fault-in); the end state must show no view open.
 func TestViewsEndWithThread(t *testing.T) {
-	cfg := DefaultConfig(2)
+	cfg := paperConfig(2)
 	cfg.Policy = migration.Fixed{T: 1}
 	c := New(cfg)
 	obj := c.AddObject(4, 1)
@@ -78,7 +78,7 @@ func TestViewsEndWithThread(t *testing.T) {
 // whose holder is parked in its own fault-in: a parked thread is inside
 // the DSM, so both are served and both complete.
 func TestMutualViewFaults(t *testing.T) {
-	c := New(DefaultConfig(2))
+	c := New(paperConfig(2))
 	objs := []memory.ObjectID{c.AddObject(4, 0), c.AddObject(4, 1)}
 	bar := c.AddBarrier(0, 2)
 	var holding sync.WaitGroup
@@ -110,7 +110,7 @@ func TestMutualViewFaults(t *testing.T) {
 // parked, and is answered within the holder's next DSM call — here a
 // ReadView of another object — before that call returns.
 func TestParkedFaultServedAtHolderCall(t *testing.T) {
-	c := New(DefaultConfig(2))
+	c := New(paperConfig(2))
 	obj, other := c.AddObject(4, 1), c.AddObject(4, 1)
 	bar := c.AddBarrier(0, 2)
 	n1 := c.nodes[1]

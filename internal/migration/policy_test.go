@@ -128,7 +128,7 @@ func TestJackalTransitionCap(t *testing.T) {
 		if !j.Decide(fault(s, 3)).Migrate {
 			t.Fatalf("Jackal refused at epoch %d", e)
 		}
-		s = core.FromRecord(p, 512, *s.Migrate(p))
+		s.Init(p, 512, s.Migrate(p))
 	}
 	if j.Decide(fault(s, 3)).Migrate {
 		t.Fatal("Jackal migrated beyond its cap")

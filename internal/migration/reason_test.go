@@ -13,7 +13,7 @@ func TestDecideReasons(t *testing.T) {
 	p := params()
 	capped := core.NewState(p, 512)
 	for e := 0; e < 5; e++ {
-		capped = core.FromRecord(p, 512, *capped.Migrate(p))
+		capped.Init(p, 512, capped.Migrate(p))
 	}
 	raised := stateWithRun(p, 3, 1)
 	raised.Redirected(3) // T rises above 1: C=1 no longer suffices

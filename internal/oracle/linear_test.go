@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/flight"
 	"repro/internal/gos"
+	"repro/internal/hockney"
 	"repro/internal/live"
 	"repro/internal/memory"
 	"repro/internal/migration"
@@ -84,15 +85,14 @@ func runRaw(t *testing.T, p *scenario.Program, engine string, dropDiffs bool) ([
 		sp  *proto.Space
 		run func([]proto.Worker) (stats.Metrics, error)
 	)
+	net := hockney.FastEthernet()
+	shared := proto.DefaultShared(p.Nodes, net.Alpha)
+	shared.Policy, shared.DropDiffs = migration.NoHM{}, dropDiffs
 	if engine == "live" {
-		cfg := live.DefaultConfig(p.Nodes)
-		cfg.Policy, cfg.DropDiffs = migration.NoHM{}, dropDiffs
-		c := live.New(cfg)
+		c := live.New(live.Config{Shared: shared})
 		sp, run = c.Space, c.Run
 	} else {
-		cfg := gos.DefaultConfig(p.Nodes)
-		cfg.Policy, cfg.DropDiffs, cfg.DebugWire = migration.NoHM{}, dropDiffs, true
-		c := gos.New(cfg)
+		c := gos.New(gos.Config{Shared: shared, Net: net, DebugWire: true})
 		sp, run = c.Space, c.Run
 	}
 	rec := flight.NewLog(Kinds, nil)

@@ -43,6 +43,21 @@ type Node struct {
 	Cache  []*memory.Object // local copy (home or cached) per object
 	IsHome []bool
 	HomeSt []*core.State // migration state, non-nil iff home
+	// objs and states are the slots a fault-in reply's copy (install) and
+	// a new home's migration state (promote) fill in place, one per
+	// object, so a home migration allocates nothing. A node makes them at
+	// its first install or promote, when the layout is complete, so a
+	// cluster member makes them for its own node only. Cache[obj] is nil,
+	// &objs[obj] or the copy AddObject declared at obj's first home;
+	// HomeSt likewise. A slot outlives its table entry: under sim, the
+	// demoted home's states[obj] holds the record its migrating reply
+	// carries by pointer (core.State.Migrate returns &s.est). Only one
+	// migration of an object is in flight at a time, and a node fills that
+	// slot again only when a later migration makes it obj's home — after
+	// the requester's promote has read the record — or at a barrier
+	// reassignment, which a policy that migrates at fault-ins never makes.
+	objs   []memory.Object
+	states []core.State
 	// Copyset lists the nodes holding a copy of a home object, never the
 	// home itself: a served fault-in adds the requester, a remote diff
 	// leaves only its writer, a demote empties it.
@@ -412,12 +427,12 @@ func (n *Node) promote(obj memory.ObjectID, rec *core.Record) {
 	if o == nil {
 		panic(fmt.Sprintf("proto: node %d promoting object %d without a copy", n.ID, obj))
 	}
-	n.IsHome[obj] = true
-	if rec != nil {
-		n.HomeSt[obj] = core.FromRecord(n.S.Params, 8*len(o.Data), *rec)
-	} else {
-		n.HomeSt[obj] = core.NewState(n.S.Params, 8*len(o.Data))
+	if n.states == nil {
+		n.states = make([]core.State, len(n.HomeSt))
 	}
+	st := &n.states[obj]
+	st.Init(n.S.Params, 8*len(o.Data), rec)
+	n.IsHome[obj], n.HomeSt[obj] = true, st
 	n.Loc.ClearForward(obj)
 	n.Loc.Learn(obj, n.ID)
 	// Home-access monitoring: the access that faulted us here must be

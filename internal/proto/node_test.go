@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/flight"
+	"repro/internal/hockney"
 	"repro/internal/locator"
 	"repro/internal/memory"
 	"repro/internal/migration"
@@ -332,5 +334,37 @@ func TestOnlyABarrierPolicyCollectsReports(t *testing.T) {
 		if w.n.IsHome[w.obj] != barrier {
 			t.Fatalf("%s: node 0 home %v after the barrier, want %v", pol.Name(), w.n.IsHome[w.obj], barrier)
 		}
+	}
+}
+
+// TestSlotsAreMadeAtTheFirstInstall: declaring objects makes no slots —
+// a cluster member declares every node and keeps one — and a node's first
+// install or promote makes them, leaving the copies and states AddObject
+// declared at first homes where they are.
+func TestSlotsAreMadeAtTheFirstInstall(t *testing.T) {
+	sh := DefaultShared(2, hockney.FastEthernet().Alpha)
+	sp := NewSpace(&sh)
+	for i := range 2 {
+		sp.NewNode(memory.NodeID(i))
+	}
+	for id := range 6 {
+		sp.AddObject(1+id, memory.NodeID(id%2))
+	}
+	n := sp.Nodes[1]
+	if n.objs != nil || n.states != nil {
+		t.Fatal("declaring objects made slots")
+	}
+	declared, declaredSt := n.Cache[1], n.HomeSt[1]
+	n.Install(wire.Msg{Kind: wire.ObjReply, Obj: 0, Home: 0, Data: []uint64{100}})
+	n.Install(wire.Msg{Kind: wire.ObjReply, Obj: 2, Home: 1, Data: []uint64{102, 0, 0},
+		Migrate: true, Rec: &core.Record{Epoch: 3, TBase: 2}})
+	if o := n.Cache[0]; o != &n.objs[0] || o.Data[0] != 100 || o.State != memory.ReadOnly {
+		t.Fatalf("copy of 0 = %+v, not its slot", *o)
+	}
+	if st := n.HomeSt[2]; n.Cache[2] != &n.objs[2] || n.Cache[2].Data[0] != 102 || st != &n.states[2] || !n.IsHome[2] || st.Epoch != 3 {
+		t.Fatalf("home of 2 = %v, not its slot", st)
+	}
+	if n.Cache[1] != declared || n.HomeSt[1] != declaredSt || len(n.objs) != 6 || len(n.states) != 6 {
+		t.Fatalf("the first install moved a declared home or sized %d/%d slots for 6 objects", len(n.objs), len(n.states))
 	}
 }

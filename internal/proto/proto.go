@@ -84,9 +84,8 @@ type Shared struct {
 	// Params are the adaptive-threshold constants (λ, T_init, α):
 	// DefaultShared's are the paper's λ = T_init = 1 over the α of the
 	// message-cost model it is given. The threshold formula needs that
-	// model even on a live cluster; dsm.New and live.DefaultConfig pass
-	// the Fast-Ethernet calibration by default, so policy decisions match
-	// the simulation's.
+	// model even on a live cluster; dsm.New passes the Fast-Ethernet
+	// calibration by default, so policy decisions match the simulation's.
 	Params core.Params
 	// Piggyback enables the §5.2 optimization: diffs destined to the
 	// lock's (or barrier's) home node ride on the release message. Only

@@ -152,7 +152,11 @@ func (n *Node) install(msg *wire.Msg) *memory.Object {
 		// the refetch stays allocation-free.
 		n.Pool.PutWords(old.Data)
 	}
-	o := &memory.Object{ID: obj, Data: msg.Data, State: memory.ReadOnly}
+	if n.objs == nil {
+		n.objs = make([]memory.Object, len(n.Cache))
+	}
+	o := &n.objs[obj]
+	*o = memory.Object{ID: obj, Data: msg.Data, State: memory.ReadOnly}
 	n.Cache[obj] = o
 	n.Loc.Learn(obj, msg.Home)
 	if msg.Migrate {

@@ -149,7 +149,7 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		var pool twindiff.Pool
 		dirtyPool(&pool)
-		if err := reused.DecodePooled(data, &pool); err != nil || !reused.Equal(&m) {
+		if err := reused.DecodePooled(data, &pool, new(core.Record)); err != nil || !reused.Equal(&m) {
 			t.Fatalf("decode through a dirty pool (%v) differs from a fresh one:\n got %+v\nwant %+v", err, reused, m)
 		}
 		if got := m.WireSize(); got != len(data) {

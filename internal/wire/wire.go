@@ -15,8 +15,9 @@
 // from its own node's pool, which it owns: it returns a handled diff, and
 // keeps a fault-in reply's Data as its cached copy. A migrating reply's
 // Rec follows the same split: the virtual-time receiver reads the record
-// core.State.Migrate filled inside the sender's demoted State, which
-// nothing writes again; the live decoder allocates the receiver its own.
+// core.State.Migrate filled inside the sender's demoted State, which the
+// sender leaves alone until the record has been read; the live decoder
+// fills a record the receiver owns.
 package wire
 
 import (
@@ -108,10 +109,10 @@ type Pair struct {
 // bytes on 64-bit): the header is ordered by field size, leaving no
 // padding, and the rare parts are a pointer and one shared slice. Rec is
 // non-nil exactly on a reply that migrates the home (flag bit 2 on the
-// wire); the sender keeps the record it points to unchanged from the send
-// on (core.State.Migrate fills one inside the demoted State, which the old
-// home drops and never writes again), and a decoded Rec is the receiver's
-// own. Pairs are BarrierArrive's write reports or BarrierGo's home
+// wire); the sender keeps the record it points to unchanged until the
+// receiver has read it (core.State.Migrate fills one inside the demoted
+// State, which the old home does not write while the record is in
+// flight), and a decoded Rec points at the record the decoder was given. Pairs are BarrierArrive's write reports or BarrierGo's home
 // reassignments; Encode writes them in the count slot of their kind, and
 // Decode rejects pairs on any other kind.
 type Msg struct {
@@ -258,20 +259,23 @@ func Decode(buf []byte) (m Msg, err error) {
 	return m, err
 }
 
-// Decode parses buf into m in place: DecodePooled without a pool, so the
-// payloads land in fresh exact-size slices.
-func (m *Msg) Decode(buf []byte) error { return m.DecodePooled(buf, nil) }
+// Decode parses buf into m in place: DecodePooled without a pool or a
+// record, so the payloads land in fresh exact-size slices and a migrating
+// reply's record in a new Record.
+func (m *Msg) Decode(buf []byte) error { return m.DecodePooled(buf, nil, nil) }
 
 // DecodePooled parses buf into m in place, so a receive path that owns
 // one Msg decodes every frame into it without copying a message out.
 // Every field of m is reset first: nothing of the previous frame
-// survives, and m drops its old slices without writing through them. The
-// payloads — Data, Diff and each piggybacked diff — are one copy each
-// into buffers drawn from pool (nil pool = plain allocation), and the
-// caller owns them: it may keep them, or return them to pool at their
-// last use. It returns an error on any truncation or a trailing-garbage
-// mismatch, leaving m partly filled.
-func (m *Msg) DecodePooled(buf []byte, pool *twindiff.Pool) error {
+// survives, and m drops its old slices and record without writing
+// through them. The payloads — Data, Diff and each piggybacked diff — are
+// one copy each into buffers drawn from pool (nil pool = plain
+// allocation), and the caller owns them: it may keep them, or return them
+// to pool at their last use. A migrating reply's record is written to
+// *rec, and m.Rec points at it (nil rec = a new Record). It returns an
+// error on any truncation or a trailing-garbage mismatch, leaving m
+// partly filled.
+func (m *Msg) DecodePooled(buf []byte, pool *twindiff.Pool, rec *core.Record) error {
 	*m = Msg{}
 	if len(buf) < headerSize {
 		return fmt.Errorf("wire: truncated header (%d bytes)", len(buf))
@@ -348,12 +352,16 @@ func (m *Msg) DecodePooled(buf []byte, pool *twindiff.Pool) error {
 		if err := need(24); err != nil {
 			return err
 		}
-		m.Rec = &core.Record{
+		if rec == nil {
+			rec = new(core.Record)
+		}
+		*rec = core.Record{
 			TBase:   math.Float64frombits(le.Uint64(buf[off:])),
 			Epoch:   int32(le.Uint32(buf[off+8:])),
 			AvgDiff: math.Float64frombits(le.Uint64(buf[off+12:])),
 			DiffObs: int32(le.Uint32(buf[off+20:])),
 		}
+		m.Rec = rec
 		off += 24
 	}
 	// The reassignments' count, then the reports'; only the slot of the

@@ -444,7 +444,7 @@ func TestDecodePooledAllocatesNothing(t *testing.T) {
 		var pool twindiff.Pool
 		var m Msg
 		decode := func() {
-			if err := m.DecodePooled(frame, &pool); err != nil {
+			if err := m.DecodePooled(frame, &pool, nil); err != nil {
 				t.Fatal(err)
 			}
 			pool.PutWords(m.Data)
@@ -454,6 +454,38 @@ func TestDecodePooledAllocatesNothing(t *testing.T) {
 		if n := testing.AllocsPerRun(100, decode); n != 0 {
 			t.Errorf("pooled Decode of the %s frame allocates %v times", s.name, n)
 		}
+	}
+}
+
+// TestDecodePooledFillsTheGivenRecord: a migrating reply decodes its
+// record into the storage the caller passes, so a warm receive path
+// decodes one without allocating, and a second decode overwrites it.
+func TestDecodePooledFillsTheGivenRecord(t *testing.T) {
+	sent := Msg{Kind: ObjReply, From: 2, To: 1, Obj: 7, ReplyNode: 1, Home: 1, Data: []uint64{1, 2},
+		Migrate: true, Rec: &core.Record{TBase: 2.5, Epoch: 3, AvgDiff: 88.25, DiffObs: 4}}
+	frame := sent.Encode(nil)
+	var (
+		pool twindiff.Pool
+		m    Msg
+		rec  core.Record
+	)
+	decode := func() {
+		if err := m.DecodePooled(frame, &pool, &rec); err != nil {
+			t.Fatal(err)
+		}
+		pool.PutWords(m.Data)
+	}
+	decode()
+	if m.Rec != &rec || !m.Equal(&sent) {
+		t.Fatalf("decoded %+v with record %+v at %p, want %+v at %p", m, *m.Rec, m.Rec, sent, &rec)
+	}
+	if n := testing.AllocsPerRun(100, decode); n != 0 {
+		t.Errorf("pooled Decode of a migrating reply into a given record allocates %v times", n)
+	}
+	rec = core.Record{}
+	small := smallFrame()
+	if err := m.DecodePooled(small, &pool, &rec); err != nil || m.Rec != nil || rec != (core.Record{}) {
+		t.Fatalf("a frame without a record: Rec %p, record %+v (err %v)", m.Rec, rec, err)
 	}
 }
 
@@ -470,7 +502,7 @@ func TestDecodePooledMatchesFresh(t *testing.T) {
 		var pool twindiff.Pool
 		dirtyPool(&pool)
 		var m Msg
-		if err := m.DecodePooled(frame, &pool); err != nil {
+		if err := m.DecodePooled(frame, &pool, nil); err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
 		if !m.Equal(&fresh) {
@@ -502,7 +534,7 @@ func BenchmarkDecodeInPlace(b *testing.B) {
 			var m Msg
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := m.DecodePooled(frame, &pool); err != nil {
+				if err := m.DecodePooled(frame, &pool, nil); err != nil {
 					b.Fatal(err)
 				}
 				pool.PutWords(m.Data)
