@@ -19,9 +19,9 @@
 //   - detlint:   no wall-clock reads, math/rand, or order-dependent
 //     map-range emission in the deterministic packages; wall-clock
 //     users opt out per file with a justified //dsm:wallclock.
-//   - framelint: every transport.GetFrame buffer reaches PutFrame or
-//     an ownership-transferring Send/Put/return on all paths, and is
-//     never touched after the handoff.
+//   - framelint: every transport.GetFrame or Frames.Get buffer reaches
+//     PutFrame or an ownership-transferring Send/Put/return on all
+//     paths, and is never touched after the handoff.
 //   - errlint:   sentinel errors flow through errors.Is, never == / !=
 //     or error-text comparison.
 //   - hotlint:   //dsm:hotpath functions reject allocating composite

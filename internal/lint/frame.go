@@ -6,8 +6,9 @@ import (
 	"go/types"
 )
 
-// Frame is framelint: transport.GetFrame hands out a pooled buffer
-// whose ownership must reach exactly one of PutFrame (recycled), an
+// Frame is framelint: transport.GetFrame, and the Get of an owner's own
+// free list (transport.Frames), hand out a pooled buffer whose ownership
+// must reach exactly one of PutFrame or the list's Put (recycled), an
 // ownership-transferring call (Send/SendCtrl/Put, or a backend's deliver
 // into the node's sink — the transport, queue or node owns it
 // afterwards), or the caller (returned). A frame that
@@ -23,7 +24,7 @@ import (
 // relaying sink re-sends the original frame).
 //
 // The analysis is function-local and branch-sensitive over the AST:
-// every variable initialized from a GetFrame call (possibly through
+// every variable initialized from either getter (possibly through
 // append/Encode chains) is tracked through if/switch/select/for
 // statements. It is a lint heuristic, not a proof — an alias the
 // analysis cannot follow transfers ownership conservatively rather
@@ -32,7 +33,7 @@ import (
 // already torn the process down.
 var Frame = &Analyzer{
 	Name: "framelint",
-	Doc: "every transport.GetFrame buffer must reach PutFrame, an " +
+	Doc: "every transport.GetFrame or Frames.Get buffer must reach PutFrame, an " +
 		"ownership-transferring Send/Put, or a return on all paths, " +
 		"and must not be used after the handoff",
 	Run: runFrame,
@@ -166,6 +167,8 @@ func mentionsGetFrame(pass *Pass, n ast.Node) bool {
 	return found
 }
 
+// isGetFrameCall reports a call of a frame source: transport.GetFrame,
+// or (*transport.Frames).Get.
 func isGetFrameCall(pass *Pass, n ast.Node) bool {
 	call, ok := n.(*ast.CallExpr)
 	if !ok {
@@ -182,8 +185,23 @@ func isGetFrameCall(pass *Pass, n ast.Node) bool {
 	}
 	obj := pass.TypesInfo.Uses[id]
 	fn, ok := obj.(*types.Func)
-	return ok && fn.Name() == "GetFrame" && fn.Pkg() != nil &&
-		fn.Pkg().Path() == "repro/internal/live/transport"
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "repro/internal/live/transport" {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return fn.Name() == "GetFrame"
+	}
+	named, _ := types.Unalias(deref(recv.Type())).(*types.Named)
+	return fn.Name() == "Get" && named != nil && named.Obj().Name() == "Frames"
+}
+
+// deref strips one pointer.
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
 }
 
 // frameEnv maps tracked variables to their ownership state.

@@ -94,3 +94,30 @@ func addrAlias() *byte {
 	transport.PutFrame(buf) // want `frame buf released or sent twice`
 	return p
 }
+
+// ownLeak draws from a node's own list and loses the frame on the error
+// path: the list's Get is a frame source like GetFrame.
+func ownLeak(own *transport.Frames, fill func([]byte) error) error {
+	buf := own.Get()
+	if err := fill(buf); err != nil {
+		return err // want `frame buf still owned at return`
+	}
+	own.Put(buf)
+	return nil
+}
+
+// ownUseAfterPut reads the frame after the list took it back, where the
+// owner's next Get hands it out again.
+func ownUseAfterPut(own *transport.Frames) {
+	buf := append(own.Get(), 1)
+	own.Put(buf)
+	touch(buf) // want `frame buf used after ownership handoff`
+}
+
+// ownRoundTrip encodes into the list's frame and sends it on: clean.
+func ownRoundTrip(own *transport.Frames, q *transport.Queue[[]byte]) {
+	buf := append(own.Get(), 1, 2)
+	if !q.Put(buf) {
+		own.Put(buf)
+	}
+}

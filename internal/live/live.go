@@ -433,13 +433,16 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 type node struct {
 	c  *Cluster
 	ps *proto.Node
-	// mu guards ps, counters, parked and dests — held by receive around
-	// Handle and by local threads around access checks and sync
+	// mu guards ps, counters, frames, parked and dests — held by receive
+	// around Handle and by local threads around access checks and sync
 	// operations, released (always through unlock or leave) while a
 	// thread waits on its mailbox.
 	mu       sync.Mutex
 	threads  []*Thread
 	counters stats.Counters
+	// frames is the node's own free list of frame buffers: Send encodes
+	// into it, receive returns what it handled to it.
+	frames transport.Frames
 	// relay is set while receive runs a frame for a batching backend
 	// (Cluster.relay): a thread it readies waits for the reader's
 	// batch-end hook instead of its home goroutine.
@@ -501,19 +504,21 @@ func (n *node) leave(slot int32) {
 }
 
 // Send implements proto.Engine: encode through the wire codec into a
-// pooled frame buffer and hand it to the transport, which owns it from
-// here (the receiving side returns a frame to the pool once handled; the
-// TCP backend returns them once packed for the socket). The frame is a
-// copy of msg's payloads, so a served fault-in's snapshot — drawn from
-// this node's pool by serveFault, kept by nobody else — goes back to the
-// pool here; a thread's flushed diff does not: it waits in the driver for
-// its ack and may be resent. Same-node sends are a protocol bug, as on
-// the simulated interconnect. The caller holds the node lock.
+// buffer from the node's own free list (n.frames, which falls back to the
+// process-wide one) and hand it to the transport, which owns it from here
+// (a receiving node returns a frame to its own list once handled; the TCP
+// backend returns them to the process-wide list once packed for the
+// socket). The frame is a copy of msg's payloads, so a served fault-in's
+// snapshot — drawn from this node's pool by serveFault, kept by nobody
+// else — goes back to the pool here; a thread's flushed diff does not: it
+// waits in the driver for its ack and may be resent. Same-node sends are
+// a protocol bug, as on the simulated interconnect. The caller holds the
+// node lock, which guards n.frames too.
 func (n *node) Send(msg wire.Msg, cat stats.Category) {
 	if msg.From == msg.To {
 		panic(fmt.Sprintf("live: same-node send of %v on node %d", msg.Kind, msg.From))
 	}
-	frame := msg.Encode(transport.GetFrame())
+	frame := msg.Encode(n.frames.Get())
 	if msg.Kind == wire.ObjReply {
 		n.ps.Pool.PutWords(msg.Data)
 	}
@@ -578,32 +583,37 @@ func (c *Cluster) resumeReadied() {
 // receive is the node's transport.Pusher sink, its receive path for one
 // frame, run by whoever delivers it. Under the node lock it decodes the
 // frame in place into the one Msg this call owns, its payloads copied
-// into buffers from the node's pool (the frame returns to the transport's
-// pool on the way out) and a migrating reply's record into the node's
-// (n.rec), checks that Msg, and handles it by pointer — or parks it when
-// CanRoute rejects it: the home transfer that makes it routable is still
-// in flight (our thread holds the migrating reply in its mailbox, or the
-// barrier-go carrying the reassignment is behind this frame). Deliveries
+// into buffers from the node's pool and a migrating reply's record into
+// the node's (n.rec), checks that Msg, and handles it by pointer — or
+// parks it when CanRoute rejects it: the home transfer that makes it
+// routable is still in flight (our thread holds the migrating reply in
+// its mailbox, or the barrier-go carrying the reassignment is behind this
+// frame). Deliveries
 // to one node may run concurrently (one TCP reader per peer), and the
 // pool is the node's, so decoding waits for the lock too. A parked
 // message stays counted as in flight, so quiescence waits for it, and
-// keeps its payloads, and a copy of its record, until it is handled. A
-// frame Decode rejects,
-// or one naming an object, lock, barrier, node or thread slot the layout
-// does not have (proto.Node.CheckFrame — the handlers subscript with
-// those ids), is a peer's doing, not a state a bug alone can produce: it
-// comes back as an ErrProtocol error, which the backend raises through
-// the engine's fatal handler, aborting the run.
+// keeps its payloads, and a copy of its record, until it is handled.
+// Either way the frame goes to the node's own free list (n.frames) before
+// the lock is released, after the handler's own sends drew theirs, for
+// the node's next Send. A frame Decode rejects, or one naming an object,
+// lock, barrier, node or thread slot the layout does not have
+// (proto.Node.CheckFrame — the handlers subscript with those ids), is a
+// peer's doing, not a state a bug alone can produce: it comes back as an
+// ErrProtocol error, formatted before the frame it quotes is released,
+// which the backend raises through the engine's fatal handler, aborting
+// the run.
 func (n *node) receive(frame []byte) error {
-	defer transport.PutFrame(frame)
 	var msg wire.Msg
 	n.mu.Lock()
 	if err := msg.DecodePooled(frame, &n.ps.Pool, &n.rec); err != nil {
-		n.unlock()
-		return fmt.Errorf("%w: node %d received a %d-byte frame, kind byte %#x, that does not decode: %v",
+		err = fmt.Errorf("%w: node %d received a %d-byte frame, kind byte %#x, that does not decode: %v",
 			ErrProtocol, n.ps.ID, len(frame), frame[:min(len(frame), 1)], err)
+		n.frames.Put(frame)
+		n.unlock()
+		return err
 	}
 	if err := n.ps.CheckFrame(&msg, len(n.threads)); err != nil {
+		n.frames.Put(frame)
 		n.unlock()
 		return fmt.Errorf("%w: node %d received %v", ErrProtocol, n.ps.ID, err)
 	}
@@ -617,6 +627,7 @@ func (n *node) receive(frame []byte) error {
 		}
 		n.parked = append(n.parked, msg)
 	}
+	n.frames.Put(frame)
 	n.unlock()
 	return nil
 }

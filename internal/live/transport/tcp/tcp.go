@@ -90,11 +90,15 @@
 // run, and a peer's read deadline does not wait for that.
 //
 // Frame buffers follow the transport ownership rule: Send transfers the
-// buffer; whoever packs it returns it to the frame pool once its bytes
-// are in the slab (or dropped, on a dead link) — exactly once either
-// way — and the reader copies each payload it delivers out of its read
-// buffer into a buffer from the same pool, which the receiver — the
-// caller of Recv, or the sink — returns or sends on.
+// buffer; whoever packs it returns it to the process-wide frame list
+// (transport.PutFrame) once its bytes are in the slab (or dropped, on a
+// dead link) — exactly once either way — and the reader copies each
+// payload it delivers out of its read buffer into a buffer from the same
+// list (transport.GetFrame), which the receiver — the caller of Recv, or
+// the sink — returns or sends on. A live node's sink returns it to the
+// node's own list (transport.Frames), and the node encodes its sends from
+// there, so a frame hop over TCP touches the process-wide list twice: the
+// reader's get and the writer's put.
 package tcp
 
 import (

@@ -218,20 +218,26 @@ func (q *Queue[T]) Close() {
 	q.cond.Broadcast()
 }
 
-// frames is the free list of encode buffers the live send path recycles.
-// The ownership rule makes it safe without reference counting: the
-// sender encodes into GetFrame and transfers the buffer to the transport
-// at Send; whoever consumes the frame last — the receiving node's sink
-// once it decoded the frame, a TCP writer once the bytes are packed for
-// the socket, a closed backend dropping a late send — returns it with
-// PutFrame. It is a LIFO stack under one mutex, so a frame hop costs one
-// lock per side and no allocation, and the warmest buffer goes out
-// first. Unlike a sync.Pool it never hands a buffer back to the GC, so it
-// is bounded twice: it keeps at most maxFreeFrames buffers, and none
-// larger than maxFreeFrame.
+// frames is the process-wide free list of encode buffers, the second of
+// two tiers: a live node draws from and returns to a Frames list of its
+// own, under the node lock it holds anyway, and comes here only when that
+// list is empty or full; every other frame owner — the TCP backend's
+// readers and writers, the fault injector, a closed backend dropping a
+// late send — uses this list alone.
+// The ownership rule makes both tiers safe without reference counting:
+// the sender encodes into a drawn buffer and transfers it to the
+// transport at Send; whoever consumes the frame last — the receiving
+// node's sink once it decoded and handled the frame, a TCP writer once
+// the bytes are packed for the socket — returns it. This list is a LIFO
+// stack under one mutex, so the warmest buffer goes out first, and gets
+// and puts count the calls that reached it (frameListOps). Unlike a
+// sync.Pool it never hands a buffer back to the GC, so it is bounded
+// twice: it keeps at most maxFreeFrames buffers, and none larger than
+// maxFreeFrame.
 var frames = struct {
-	mu   sync.Mutex
-	free [][]byte
+	mu         sync.Mutex
+	free       [][]byte
+	gets, puts int64
 }{free: make([][]byte, 0, maxFreeFrames)}
 
 const (
@@ -239,6 +245,10 @@ const (
 	// flight per peer; a deeper list only holds memory (at 1024, a SOR
 	// run without migration peaked at twice the resident memory).
 	maxFreeFrames = 64
+	// maxOwnFrames bounds a node's own list (Frames): a node keeps what
+	// its own hops need, so a hop touches the process-wide list only when
+	// a node receives more frames than it sends, or the other way round.
+	maxOwnFrames = 8
 	// maxFreeFrame bounds a kept buffer's capacity: protocol frames stay
 	// well under it (a SOR row is 2 KiB), but one-off giants (a
 	// cluster-wide state assignment carrying the whole final memory)
@@ -258,6 +268,7 @@ const (
 //dsm:hotpath
 func GetFrame() []byte {
 	frames.mu.Lock()
+	frames.gets++
 	if k := len(frames.free); k > 0 {
 		frame := frames.free[k-1]
 		frames.free[k-1] = nil
@@ -276,21 +287,94 @@ func GetFrame() []byte {
 //
 //dsm:hotpath
 func PutFrame(frame []byte) {
-	if c := cap(frame); c == 0 || c > maxFreeFrame {
-		return
+	if frame, ok := reclaim(frame); ok {
+		putShared(frame)
 	}
-	frame = frame[:0]
+}
+
+// reclaim empties a consumed frame for a free list, poisoning its bytes
+// under the race detector; ok is false for a frame no list keeps (none,
+// or larger than maxFreeFrame), which goes to the GC.
+func reclaim(frame []byte) (empty []byte, ok bool) {
+	if c := cap(frame); c == 0 || c > maxFreeFrame {
+		return nil, false
+	}
 	if poisonFrames {
 		full := frame[:cap(frame)]
 		for i := range full {
 			full[i] = poison
 		}
 	}
+	return frame[:0], true
+}
+
+// putShared pushes a reclaimed frame onto the process-wide list, or drops
+// it when the list is full.
+func putShared(frame []byte) {
 	frames.mu.Lock()
+	frames.puts++
 	if len(frames.free) < maxFreeFrames {
 		frames.free = append(frames.free, frame)
 	}
 	frames.mu.Unlock()
+}
+
+// frameListOps reports how many GetFrame and putShared calls have reached
+// the process-wide list. Nothing in the program reads it; the live
+// engine's tests do, to hold a hop off the shared lock.
+func frameListOps() (gets, puts int64) {
+	frames.mu.Lock()
+	defer frames.mu.Unlock()
+	return frames.gets, frames.puts
+}
+
+// Frames is one owner's free list of frame buffers, the first tier in
+// front of the process-wide list: Get pops the frame Put kept last, or
+// draws from GetFrame when the list is empty; Put keeps at most
+// maxOwnFrames frames and spills the rest to the process-wide list. It is
+// not safe for concurrent use: its owner guards it with a lock of its
+// own — a live node's lock, which its send and receive paths hold
+// anyway — so a frame hop that stays in process takes no process-wide
+// lock. Traffic that is not symmetric per node still reaches it: in the
+// §5.2 lock kernel the lock's manager receives two frames per lock
+// interval (the request, and the release, which gets no reply) and sends
+// one (the grant), so its full list spills one frame per interval, and
+// the worker, which sends two and receives one, draws one. The zero value
+// is an empty list.
+type Frames struct {
+	free [maxOwnFrames][]byte
+	n    int
+}
+
+// Get returns an empty frame buffer, the one Put kept last if any.
+//
+//dsm:hotpath
+func (f *Frames) Get() []byte {
+	if f.n == 0 {
+		return GetFrame()
+	}
+	f.n--
+	frame := f.free[f.n]
+	f.free[f.n] = nil
+	return frame
+}
+
+// Put takes back a consumed frame, under the same rules as PutFrame (the
+// caller must not touch it afterwards; under the race detector its bytes
+// are poisoned), and keeps it unless the list is full.
+//
+//dsm:hotpath
+func (f *Frames) Put(frame []byte) {
+	frame, ok := reclaim(frame)
+	if !ok {
+		return
+	}
+	if f.n == len(f.free) {
+		putShared(frame)
+		return
+	}
+	f.free[f.n] = frame
+	f.n++
 }
 
 // ChanLoop is the in-process loopback backend: one unbounded FIFO inbox
@@ -312,6 +396,8 @@ type ChanLoop struct {
 // queued since the last drain, the sink, the claim of the one goroutine
 // draining into it (whose batch is swapped with queued at each drain),
 // closed, the peak depth, and a cond signalled only while Recv waits.
+// relay, bound once by NewChanLoop, is the body of a goroutine handOff
+// starts to drain the inbox: a hand-off builds no closure.
 type inbox struct {
 	mu               sync.Mutex
 	queued, batch    [][]byte
@@ -319,6 +405,7 @@ type inbox struct {
 	draining, closed bool
 	peak, waiting    int
 	ready            sync.Cond
+	relay            func()
 }
 
 // NewChanLoop builds the loopback transport for a cluster of n nodes.
@@ -328,7 +415,12 @@ func NewChanLoop(n int) *ChanLoop {
 	}
 	t := &ChanLoop{inboxes: make([]inbox, n)}
 	for i := range t.inboxes {
-		t.inboxes[i].ready.L = &t.inboxes[i].mu
+		in, to := &t.inboxes[i], memory.NodeID(i)
+		in.ready.L = &in.mu
+		in.relay = func() {
+			defer t.relays.Done()
+			t.Deliver(to)
+		}
 	}
 	return t
 }
@@ -396,7 +488,7 @@ func (t *ChanLoop) handOff(to memory.NodeID, err error) {
 	t.relayMu.Lock()
 	if !t.closed.Load() {
 		t.relays.Add(1)
-		go func() { defer t.relays.Done(); t.Deliver(to) }()
+		go t.inboxes[to].relay()
 	}
 	t.relayMu.Unlock()
 }

@@ -81,6 +81,29 @@ func TestDeliverRelaysFramesSentDuringItsDrain(t *testing.T) {
 	if d := delivered(); !slices.Equal(d, []byte{0, 1, 2}) || tr.InboxLen(1) != 0 {
 		t.Fatalf("delivered %v with %d queued, want [0 1 2] once each", d, tr.InboxLen(1))
 	}
+
+	// A hand-off allocates nothing: the relay goroutine's body is bound
+	// once per inbox. Here a sink that sends into its own inbox while
+	// drained forces one every round.
+	loop := NewChanLoop(1)
+	defer loop.Close()
+	relayed := make(chan struct{})
+	loop.SetSink(0, func(frame []byte) error {
+		if frame[0] == 0 {
+			loop.Send(0, append(GetFrame(), 1))
+		} else {
+			relayed <- struct{}{}
+		}
+		PutFrame(frame)
+		return nil
+	})
+	if n := testing.AllocsPerRun(100, func() {
+		loop.Send(0, append(GetFrame(), 0))
+		loop.Deliver(0)
+		<-relayed
+	}); n != 0 {
+		t.Fatalf("a drain that hands off to a relay allocates %v times", n)
+	}
 }
 
 // TestQueueKeepsOrder: elements come out in Put order whichever way
@@ -351,6 +374,80 @@ func TestFreeListConcurrent(t *testing.T) {
 	wg.Wait()
 	if n := freeLen(); n > maxFreeFrames {
 		t.Fatalf("the list holds %d frames, past its bound %d", n, maxFreeFrames)
+	}
+}
+
+// TestOwnFramesTierOverTheSharedList: a Frames list draws from the
+// process-wide list only when empty, hands back what it kept last, keeps
+// at most maxOwnFrames frames and spills the rest to the process-wide
+// list, takes no process-wide lock otherwise, and drops a frame past
+// maxFreeFrame as PutFrame does.
+func TestOwnFramesTierOverTheSharedList(t *testing.T) {
+	emptyFreeList()
+	var own Frames
+	gets0, puts0 := frameListOps()
+	shared := func() (gets, puts int64) {
+		g, p := frameListOps()
+		return g - gets0, p - puts0
+	}
+	first := own.Get() // empty: drawn from the shared list, a new frame
+	if g, p := shared(); g != 1 || p != 0 || cap(first) != newFrame {
+		t.Fatalf("Get on an empty list: %d shared gets, %d puts, cap %d; want 1, 0, %d", g, p, cap(first), newFrame)
+	}
+	order := map[*byte]int{} // frame → its Put's index
+	order[&first[:1][0]] = 0
+	own.Put(first)
+	for i := 1; i < maxOwnFrames+3; i++ {
+		frame := make([]byte, 1, newFrame)
+		order[&frame[0]] = i
+		own.Put(frame)
+	}
+	if g, p := shared(); g != 1 || p != 3 || freeLen() != 3 {
+		t.Fatalf("%d Puts: %d shared gets, %d puts, %d frames on the shared list; want 1, 3, 3", maxOwnFrames+3, g, p, freeLen())
+	}
+	var held [maxOwnFrames][]byte
+	for i := range held {
+		frame := own.Get()
+		if got, want := order[&frame[:1][0]], maxOwnFrames-1-i; len(frame) != 0 || got != want {
+			t.Fatalf("Get %d: len %d, the frame of Put %d; want 0 and Put %d", i, len(frame), got, want)
+		}
+		held[i] = frame
+	}
+	if g, _ := shared(); g != 1 {
+		t.Fatalf("Gets of kept frames reached the shared list %d times", g-1)
+	}
+	own.Put(make([]byte, 0, maxFreeFrame+1))
+	own.Put(nil)
+	if _, p := shared(); p != 3 || own.n != 0 {
+		t.Fatalf("a giant and a nil frame: %d shared puts, %d kept; want both dropped", p-3, own.n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		own.Put(append(own.Get(), 1, 2, 3))
+	}); n != 0 {
+		t.Fatalf("own frame round trip allocates %v times", n)
+	}
+}
+
+// TestOwnFramesPoisonedUnderRace: under the race detector a frame Put to
+// a Frames list is poisoned whole, as PutFrame's are, whether the list
+// keeps it or spills it, so a reader that kept it decodes no kind.
+func TestOwnFramesPoisonedUnderRace(t *testing.T) {
+	if !poisonFrames {
+		t.Skip("frames are poisoned under the race detector only")
+	}
+	emptyFreeList()
+	var own Frames
+	for k := range maxOwnFrames + 1 { // the last one spills
+		frame := append(make([]byte, 0, 64), 1, 2, 3)
+		own.Put(frame)
+		for i, b := range frame[:cap(frame)] {
+			if b != poison {
+				t.Fatalf("Put %d: byte %d is %#x, want %#x", k, i, b, poison)
+			}
+		}
+	}
+	if freeLen() != 1 {
+		t.Fatalf("the shared list holds %d frames, want the one spilled", freeLen())
 	}
 }
 
