@@ -28,6 +28,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/twindiff"
 )
 
 // Config parameterizes one DSM run: the protocol selection and layout
@@ -60,6 +61,9 @@ type Cluster struct {
 	env      *sim.Env
 	net      *cnet.Network
 	Counters stats.Counters
+	// pool is every node's twindiff.Pool: messages move by reference, so
+	// a buffer drawn at one node is often released at another.
+	pool twindiff.Pool
 	// Space holds the declared layout and every node's protocol state;
 	// its AddObject/InitObject/AddLock/AddBarrier and post-run inspection
 	// methods are the cluster's own.

@@ -41,6 +41,7 @@ func newNode(c *Cluster, id memory.NodeID) *Node {
 	n.Node = c.NewNode(id)
 	n.Node.Eng = n
 	n.Node.Counters = &c.Counters
+	n.Node.Pool = &c.pool
 	n.handleFn = n.handle
 	n.inbox.Consume(n.who, n.begin)
 	return n

@@ -19,7 +19,7 @@
 //   - detlint:   no wall-clock reads, math/rand, or order-dependent
 //     map-range emission in the deterministic packages; wall-clock
 //     users opt out per file with a justified //dsm:wallclock.
-//   - framelint: every transport.GetFrame or Frames.Get buffer reaches
+//   - framelint: every transport.GetFrame(For) or Frames.Get(For) buffer reaches
 //     PutFrame or an ownership-transferring Send/Put/return on all
 //     paths, and is never touched after the handoff.
 //   - errlint:   sentinel errors flow through errors.Is, never == / !=

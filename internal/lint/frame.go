@@ -6,8 +6,9 @@ import (
 	"go/types"
 )
 
-// Frame is framelint: transport.GetFrame, and the Get of an owner's own
-// free list (transport.Frames), hand out a pooled buffer whose ownership
+// Frame is framelint: transport.GetFrame and GetFrameFor, and the Get and
+// GetFor of an owner's own free list (transport.Frames), hand out a pooled
+// buffer whose ownership
 // must reach exactly one of PutFrame or the list's Put (recycled), an
 // ownership-transferring call (Send/SendCtrl/Put, or a backend's deliver
 // into the node's sink — the transport, queue or node owns it
@@ -33,7 +34,7 @@ import (
 // already torn the process down.
 var Frame = &Analyzer{
 	Name: "framelint",
-	Doc: "every transport.GetFrame or Frames.Get buffer must reach PutFrame, an " +
+	Doc: "every transport.GetFrame(For) or Frames.Get(For) buffer must reach PutFrame, an " +
 		"ownership-transferring Send/Put, or a return on all paths, " +
 		"and must not be used after the handoff",
 	Run: runFrame,
@@ -167,8 +168,8 @@ func mentionsGetFrame(pass *Pass, n ast.Node) bool {
 	return found
 }
 
-// isGetFrameCall reports a call of a frame source: transport.GetFrame,
-// or (*transport.Frames).Get.
+// isGetFrameCall reports a call of a frame source: transport.GetFrame or
+// GetFrameFor, or (*transport.Frames).Get or GetFor.
 func isGetFrameCall(pass *Pass, n ast.Node) bool {
 	call, ok := n.(*ast.CallExpr)
 	if !ok {
@@ -190,10 +191,10 @@ func isGetFrameCall(pass *Pass, n ast.Node) bool {
 	}
 	recv := fn.Type().(*types.Signature).Recv()
 	if recv == nil {
-		return fn.Name() == "GetFrame"
+		return fn.Name() == "GetFrame" || fn.Name() == "GetFrameFor"
 	}
 	named, _ := types.Unalias(deref(recv.Type())).(*types.Named)
-	return fn.Name() == "Get" && named != nil && named.Obj().Name() == "Frames"
+	return (fn.Name() == "Get" || fn.Name() == "GetFor") && named != nil && named.Obj().Name() == "Frames"
 }
 
 // deref strips one pointer.

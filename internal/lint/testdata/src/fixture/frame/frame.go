@@ -121,3 +121,24 @@ func ownRoundTrip(own *transport.Frames, q *transport.Queue[[]byte]) {
 		own.Put(buf)
 	}
 }
+
+// sizedLeak draws a frame with room for n bytes and loses it on the error
+// path: GetFrameFor is a frame source like GetFrame.
+func sizedLeak(n int, fill func([]byte) error) error {
+	buf := transport.GetFrameFor(n)
+	if err := fill(buf); err != nil {
+		return err // want `frame buf still owned at return`
+	}
+	transport.PutFrame(buf)
+	return nil
+}
+
+// ownSizedLeak does the same with a node's own list's GetFor.
+func ownSizedLeak(own *transport.Frames, n int, fill func([]byte) error) error {
+	buf := own.GetFor(n)
+	if err := fill(buf); err != nil {
+		return err // want `frame buf still owned at return`
+	}
+	own.Put(buf)
+	return nil
+}

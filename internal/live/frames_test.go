@@ -5,7 +5,10 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/live/transport"
 	"repro/internal/memory"
+	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // TestLockKernelHopSkipsTheSharedFrameList: a frame hop in process takes
@@ -37,5 +40,40 @@ func TestLockKernelHopSkipsTheSharedFrameList(t *testing.T) {
 					g, p, float64(m.LiveMsgs)/ops, bound)
 			}
 		})
+	}
+}
+
+// TestSendDrawsAFrameWithRoom: a message with a payload is encoded into
+// the node's kept frame with room for it, under a smaller one, instead of
+// being grown out of the frame on top; a message without a payload takes
+// the frame on top as it is.
+func TestSendDrawsAFrameWithRoom(t *testing.T) {
+	c := New(paperConfig(2)) // ChanLoop, which queues for Recv until Run
+	n := c.nodes[0]
+	large, small := make([]byte, 0, 8<<10), make([]byte, 0, 512)
+	id := func(frame []byte) *byte { return &frame[:1][0] }
+	// send sends msg with large under small on the node's list, and
+	// returns the frame it went out in and the one left on the list.
+	send := func(msg wire.Msg) (sent, left []byte) {
+		n.mu.Lock()
+		n.frames.Put(large)
+		n.frames.Put(small)
+		n.Send(msg, stats.ObjReply)
+		left = n.frames.Get()
+		n.frames = transport.Frames{}
+		n.mu.Unlock()
+		sent, ok := c.tr.Recv(1)
+		if !ok {
+			t.Fatalf("%v: nothing received", msg.Kind)
+		}
+		return sent, left
+	}
+	reply := wire.Msg{Kind: wire.ObjReply, From: 0, To: 1, Data: make([]uint64, 512)}
+	if sent, left := send(reply); id(sent) != id(large) || id(left) != id(small) {
+		t.Fatalf("a %d-byte reply went out in a frame of cap %d, not the kept frame with room", reply.WireSize(), cap(sent))
+	}
+	grant := wire.Msg{Kind: wire.LockGrant, From: 0, To: 1}
+	if sent, left := send(grant); id(sent) != id(small) || id(left) != id(large) {
+		t.Fatalf("a lock grant went out in a frame of cap %d, not the frame on top", cap(sent))
 	}
 }

@@ -30,9 +30,10 @@
 // side: the receive path decodes into buffers from the node's
 // twindiff.Pool, returns a handled frame's diffs to it and lets a
 // fault-in reply's data become the cached copy; Send returns a served
-// fault-in's snapshot once encoded, and a thread's flushed diff stays the
-// driver's until acknowledged. (Under sim the receiver shares the
-// sender's buffers instead, and returns none.)
+// fault-in's snapshot and a sync message's piggybacked diffs once
+// encoded, and a thread's flushed diff stays the driver's until
+// acknowledged. (Under sim the receiver shares the sender's buffers
+// instead, and returns none.)
 //
 // The protocol — node-side handlers and thread-side driver alike — is
 // the same code the virtual-time simulator runs (internal/proto): this
@@ -433,10 +434,10 @@ func (c *Cluster) Run(workers []proto.Worker) (stats.Metrics, error) {
 type node struct {
 	c  *Cluster
 	ps *proto.Node
-	// mu guards ps, counters, frames, parked and dests — held by receive
-	// around Handle and by local threads around access checks and sync
-	// operations, released (always through unlock or leave) while a
-	// thread waits on its mailbox.
+	// mu guards ps, counters, frames, parked, dests, rec and diffs — held
+	// by receive around Handle and by local threads around access checks
+	// and sync operations, released (always through unlock or leave)
+	// while a thread waits on its mailbox.
 	mu       sync.Mutex
 	threads  []*Thread
 	counters stats.Counters
@@ -456,6 +457,9 @@ type node struct {
 	// copies it into the thread's own (Thread.rec) before the next frame
 	// decodes.
 	rec core.Record
+	// diffs is the array receive decodes a sync message's piggybacked
+	// diffs into; a parked message takes a copy.
+	diffs []wire.ObjDiff
 }
 
 // unlock releases the node lock; every release goes through here or
@@ -508,19 +512,31 @@ func (n *node) leave(slot int32) {
 // process-wide one) and hand it to the transport, which owns it from here
 // (a receiving node returns a frame to its own list once handled; the TCP
 // backend returns them to the process-wide list once packed for the
-// socket). The frame is a copy of msg's payloads, so a served fault-in's
-// snapshot — drawn from this node's pool by serveFault, kept by nobody
-// else — goes back to the pool here; a thread's flushed diff does not: it
-// waits in the driver for its ack and may be resent. Same-node sends are
-// a protocol bug, as on the simulated interconnect. The caller holds the
-// node lock, which guards n.frames too.
+// socket). A message with a payload is encoded into a frame with room for
+// its WireSize; a header-only one, the lock traffic, takes the frame on
+// top unsized. The frame is a copy of msg's payloads, so a served
+// fault-in's snapshot — drawn from this node's pool by serveFault, kept
+// by nobody else — goes back to the pool here, and so do the diffs a
+// lock release or barrier arrival piggybacks, which nothing acknowledges,
+// with their list (proto.Node.ReturnPiggyback); a thread's flushed diff
+// does not: it waits in the driver for its ack and may be resent.
+// Same-node sends are a protocol bug, as on the simulated interconnect.
+// The caller holds the node lock, which guards n.frames too.
 func (n *node) Send(msg wire.Msg, cat stats.Category) {
 	if msg.From == msg.To {
 		panic(fmt.Sprintf("live: same-node send of %v on node %d", msg.Kind, msg.From))
 	}
-	frame := msg.Encode(n.frames.Get())
+	var frame []byte
+	if msg.Data == nil && msg.Diff.Empty() && msg.Diffs == nil && msg.Pairs == nil {
+		frame = msg.Encode(n.frames.Get()) // a header fits any frame
+	} else {
+		frame = msg.Encode(n.frames.GetFor(msg.WireSize()))
+	}
 	if msg.Kind == wire.ObjReply {
 		n.ps.Pool.PutWords(msg.Data)
+	}
+	if msg.Diffs != nil {
+		n.ps.ReturnPiggyback(msg.Diffs)
 	}
 	n.counters.Record(cat, len(frame))
 	if n.ps.On(flight.FrameSend) {
@@ -583,8 +599,9 @@ func (c *Cluster) resumeReadied() {
 // receive is the node's transport.Pusher sink, its receive path for one
 // frame, run by whoever delivers it. Under the node lock it decodes the
 // frame in place into the one Msg this call owns, its payloads copied
-// into buffers from the node's pool and a migrating reply's record into
-// the node's (n.rec), checks that Msg, and handles it by pointer — or
+// into buffers from the node's pool, a migrating reply's record into the
+// node's (n.rec) and a piggyback list into the node's array (n.diffs),
+// checks that Msg, and handles it by pointer — or
 // parks it when CanRoute rejects it: the home transfer that makes it
 // routable is still in flight (our thread holds the migrating reply in
 // its mailbox, or the barrier-go carrying the reassignment is behind this
@@ -592,7 +609,8 @@ func (c *Cluster) resumeReadied() {
 // to one node may run concurrently (one TCP reader per peer), and the
 // pool is the node's, so decoding waits for the lock too. A parked
 // message stays counted as in flight, so quiescence waits for it, and
-// keeps its payloads, and a copy of its record, until it is handled.
+// keeps its payloads, and copies of its record and piggyback list, until
+// it is handled.
 // Either way the frame goes to the node's own free list (n.frames) before
 // the lock is released, after the handler's own sends drew theirs, for
 // the node's next Send. A frame Decode rejects, or one naming an object,
@@ -605,7 +623,8 @@ func (c *Cluster) resumeReadied() {
 func (n *node) receive(frame []byte) error {
 	var msg wire.Msg
 	n.mu.Lock()
-	if err := msg.DecodePooled(frame, &n.ps.Pool, &n.rec); err != nil {
+	msg.Diffs = n.diffs
+	if err := msg.DecodePooled(frame, n.ps.Pool, &n.rec); err != nil {
 		err = fmt.Errorf("%w: node %d received a %d-byte frame, kind byte %#x, that does not decode: %v",
 			ErrProtocol, n.ps.ID, len(frame), frame[:min(len(frame), 1)], err)
 		n.frames.Put(frame)
@@ -620,11 +639,15 @@ func (n *node) receive(frame []byte) error {
 	n.relay = n.c.relay
 	if n.ps.CanRoute(&msg) {
 		n.handle(&msg)
+		if msg.Diffs != nil {
+			n.diffs = msg.Diffs[:0]
+		}
 	} else {
 		if msg.Rec != nil {
 			rec := *msg.Rec
 			msg.Rec = &rec
 		}
+		msg.Diffs = slices.Clone(msg.Diffs)
 		n.parked = append(n.parked, msg)
 	}
 	n.frames.Put(frame)

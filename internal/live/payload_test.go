@@ -223,3 +223,152 @@ func TestParkedDiffKeepsItsBuffer(t *testing.T) {
 		t.Fatalf("home copy after the parked diff = %v, want %v", got, want)
 	}
 }
+
+// TestSORWritePathAllocatesNothing: once warm, a phase of red-black SOR
+// without migration allocates nothing, over ChanLoop at GOMAXPROCS=1 as
+// the in-process workloads run. Three nodes share 192 rows of 256 words,
+// row r homed at node r%3; the thread on node k sweeps its block of 64
+// rows, reading the rows beside each and writing every second word, then
+// meets the others at a barrier managed by node 0. So every phase
+// refetches each row a node caches, twins and diffs each row homed
+// elsewhere, sends the diffs of rows homed at node 1 or 2 on their own
+// and waits for their acks, and piggybacks those of rows homed at node 0
+// on the arrival, which nothing acknowledges: Send returns them to the
+// pool once encoded, and the arrival's frame is drawn with room for
+// them. A node's working set — about 45 cached rows and 43 twins, then
+// as many diffs — is kept whole by its pool, so of three windows of
+// phases one must make no malloc at all (mallocWindows; not asked under
+// the race detector, see raceDetector). Each phase also checks the words
+// the previous phase wrote beside it: a buffer with two owners shows as a
+// wrong word.
+func TestSORWritePathAllocatesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const nodes, rows, words, warm, window = 3, 192, 256, 60, 20
+	cfg := paperConfig(nodes)
+	cfg.Policy = migration.NoHM{}
+	c := New(cfg)
+	var objs [rows]memory.ObjectID
+	for r := range objs {
+		objs[r] = c.AddObject(words, memory.NodeID(r%nodes))
+	}
+	bar := c.AddBarrier(0, nodes)
+	value := func(phase, r, i int) uint64 { return uint64(phase)<<32 | uint64(r)<<16 | uint64(i) }
+	var (
+		w     mallocWindows
+		bad   [nodes][]string
+		piggy [nodes]int64
+	)
+	phases := warm + (len(w.marks)-1)*window
+	var ws []proto.Worker
+	for k := range nodes {
+		ws = append(ws, proto.Worker{Node: memory.NodeID(k), Name: fmt.Sprintf("sor%d", k), Fn: func(th proto.Thread) {
+			for p := 1; p <= phases; p++ {
+				if i := p - 1 - warm; k == 1 && i >= 0 && i%window == 0 {
+					w.mark(i / window)
+				}
+				for r := k * rows / nodes; r < (k+1)*rows/nodes; r++ {
+					for _, nb := range []int{r - 1, r + 1} {
+						if nb < 0 || nb >= rows || p == 1 {
+							continue
+						}
+						data := th.ReadView(objs[nb])
+						for i := p % 2; i < words; i += 2 {
+							if want := value(p-1, nb, i); data[i] != want && len(bad[k]) == 0 {
+								bad[k] = append(bad[k], fmt.Sprintf("phase %d: row %d word %d = %#x, want %#x", p, nb, i, data[i], want))
+							}
+						}
+					}
+					data := th.WriteView(objs[r])
+					for i := 1 - p%2; i < words; i += 2 {
+						data[i] = value(p, r, i)
+					}
+				}
+				th.Barrier(bar)
+			}
+			if k == 1 {
+				w.mark(len(w.marks) - 1)
+			}
+		}})
+	}
+	if _, err := c.Run(ws); err != nil {
+		t.Fatal(err)
+	}
+	for k := range bad {
+		if len(bad[k]) > 0 {
+			t.Fatalf("node %d read a buffer another owner wrote: %s", k, bad[k][0])
+		}
+	}
+	for r, obj := range objs {
+		data := c.ObjectData(obj)
+		for i := 1 - phases%2; i < words; i += 2 {
+			if want := value(phases, r, i); data[i] != want {
+				t.Fatalf("home row %d word %d = %#x after %d phases, want %#x", r, i, data[i], phases, want)
+			}
+		}
+	}
+	for k, n := range c.nodes {
+		piggy[k] = n.counters.PiggybackDiffs
+	}
+	if piggy[1] == 0 || piggy[2] == 0 {
+		t.Fatalf("piggybacked diffs per node %v: the barrier manager receives none", piggy)
+	}
+	if counts := w.counts(); slices.Min(counts) != 0 && !raceDetector {
+		t.Fatalf("mallocs in windows of %d warm phases (fault-ins, twins, diffs, acks, piggybacked diffs): %v, want a window with none",
+			window, counts)
+	}
+}
+
+// TestLockedCounterAllocatesNothing is BenchmarkLiveLockedThroughput's
+// shape at GOMAXPROCS=2 with the lock's holder and the object's home kept
+// apart: four nodes, one thread each, update one 8-word object homed at
+// node 0 under one lock managed there, without migration. A writer on
+// nodes 1–3 faults the object in, twins it and piggybacks its diff on
+// the release, which nothing acknowledges: Send returns the diff to the
+// writer's pool once encoded, so the writer's next twin and diff reuse
+// what it drew. Of three windows of node 1's updates one must make no
+// malloc (mallocWindows; not asked under the race detector, see
+// raceDetector), and the counters must be exact.
+func TestLockedCounterAllocatesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const nodes, warm, window = 4, 2000, 100
+	cfg := paperConfig(nodes)
+	cfg.Policy = migration.NoHM{}
+	c := New(cfg)
+	obj := c.AddObject(8, 0)
+	l := c.AddLock(0)
+	var w mallocWindows
+	per := warm + (len(w.marks)-1)*window
+	var ws []proto.Worker
+	for i := range nodes {
+		ws = append(ws, proto.Worker{Node: memory.NodeID(i), Name: fmt.Sprintf("w%d", i), Fn: func(th proto.Thread) {
+			for k := range per {
+				if j := k - warm; i == 1 && j >= 0 && j%window == 0 {
+					w.mark(j / window)
+				}
+				th.Acquire(l)
+				th.Write(obj, k%8, th.Read(obj, k%8)+1)
+				th.Release(l)
+			}
+			if i == 1 {
+				w.mark(len(w.marks) - 1)
+			}
+		}})
+	}
+	m, err := c.Run(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum uint64
+	for _, v := range c.ObjectData(obj) {
+		sum += v
+	}
+	if sum != nodes*uint64(per) {
+		t.Fatalf("counters sum to %d, want %d", sum, nodes*per)
+	}
+	if m.PiggybackDiffs == 0 {
+		t.Fatal("no diff was piggybacked on a release")
+	}
+	if counts := w.counts(); slices.Min(counts) != 0 && !raceDetector {
+		t.Fatalf("mallocs in windows of %d updates of node 1: %v, want a window with none", window, counts)
+	}
+}

@@ -94,11 +94,13 @@
 // (transport.PutFrame) once its bytes are in the slab (or dropped, on a
 // dead link) — exactly once either way — and the reader copies each
 // payload it delivers out of its read buffer into a buffer from the same
-// list (transport.GetFrame), which the receiver — the caller of Recv, or
-// the sink — returns or sends on. A live node's sink returns it to the
-// node's own list (transport.Frames), and the node encodes its sends from
-// there, so a frame hop over TCP touches the process-wide list twice: the
-// reader's get and the writer's put.
+// list with room for it (transport.GetFrameFor: a large frame is read
+// into a large buffer the list kept, or a new one the list then keeps),
+// which the receiver — the caller of Recv, or the sink — returns or
+// sends on. A live node's sink returns it to the node's own list
+// (transport.Frames), and the node encodes its sends from there, so a
+// frame hop over TCP touches the process-wide list twice: the reader's
+// get and the writer's put.
 package tcp
 
 import (
@@ -996,13 +998,7 @@ func (t *Transport) reader(p *peer) {
 		if t.clock != nil && !stamp.IsZero() {
 			t.clock.Observe(stamp)
 		}
-		buf := transport.GetFrame()
-		if cap(buf) < size {
-			transport.PutFrame(buf)
-			buf = make([]byte, size)
-		} else {
-			buf = buf[:size]
-		}
+		buf := transport.GetFrameFor(size)[:size]
 		if _, err := io.ReadFull(br, buf); err != nil {
 			transport.PutFrame(buf) // framelint: the early return leaked the pooled buffer
 			t.fail(p, "read", err)

@@ -435,6 +435,47 @@ func TestReaderParsesBatchedStream(t *testing.T) {
 	}
 }
 
+// TestReaderKeepsALargeFrame: a data frame larger than the frame on top
+// of the process-wide list is read into a kept frame that has room for
+// it, or into a new one that the list then keeps: the second of two
+// large frames, read with a small frame back on top, lands in the first
+// one's array.
+func TestReaderKeepsALargeFrame(t *testing.T) {
+	tr, raw := pipeTransport(t, Options{OnFatal: func(err error) { t.Errorf("fatal: %v", err) }})
+	defer func() {
+		tr.MarkShutdown()
+		raw.Close()
+		tr.Close()
+	}()
+	const size = 16 << 10
+	for range 64 { // empty the list, whatever ran before: a kept frame needs room
+		transport.PutFrame(transport.GetFrame()[:0:0])
+	}
+	small := func() { transport.PutFrame(make([]byte, 0, 64)) }
+	read := func(seed int) []byte {
+		want := fill(size, seed)
+		go raw.Write(rawFrame(nil, chanData, hlc.Stamp{}, want))
+		got, ok := tr.Recv(0)
+		if !ok || !bytes.Equal(got, want) {
+			t.Fatalf("large frame %d: got %d bytes ok=%v, want %d", seed, len(got), ok, size)
+		}
+		return got
+	}
+	small()
+	first := read(1)
+	if cap(first) < size {
+		t.Fatalf("a %d-byte frame read into a frame of cap %d", size, cap(first))
+	}
+	at := &first[0]
+	transport.PutFrame(first)
+	small()
+	second := read(2)
+	if &second[0] != at {
+		t.Fatal("the second large frame was not read into the first one's kept array")
+	}
+	transport.PutFrame(second)
+}
+
 // TestReaderRejectsBadFrames: inside a batch the reader is as strict as
 // on a frame of its own — an unknown channel, an oversize length and a
 // stream that ends inside a frame each raise the fatal handler.

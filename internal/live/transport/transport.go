@@ -230,10 +230,15 @@ func (q *Queue[T]) Close() {
 // node's sink once it decoded and handled the frame, a TCP writer once
 // the bytes are packed for the socket — returns it. This list is a LIFO
 // stack under one mutex, so the warmest buffer goes out first, and gets
-// and puts count the calls that reached it (frameListOps). Unlike a
-// sync.Pool it never hands a buffer back to the GC, so it is bounded
-// twice: it keeps at most maxFreeFrames buffers, and none larger than
-// maxFreeFrame.
+// and puts count the calls that reached it (frameListOps). A frame whose
+// size is known — a live node's message with a payload, a frame the TCP
+// reader has the header of — is drawn with room for it (GetFrameFor):
+// the topmost buffer that fits, found under smaller ones, so a large
+// frame is neither grown while it is encoded nor read into a buffer
+// made for it alone; a header-only frame fits any buffer and takes the
+// top (GetFrame). Unlike a sync.Pool it never hands a buffer back to the
+// GC, so it is bounded twice: it keeps at most maxFreeFrames buffers, and
+// none larger than maxFreeFrame.
 var frames = struct {
 	mu         sync.Mutex
 	free       [][]byte
@@ -280,6 +285,38 @@ func GetFrame() []byte {
 	return make([]byte, 0, newFrame)
 }
 
+// GetFrameFor is GetFrame for a frame of n bytes: it returns the topmost
+// buffer on the free list with room for n, or a new one, so a large
+// frame is neither grown while it is encoded nor read into a buffer made
+// for it alone. A frame with no payload fits any buffer: GetFrame.
+//
+//dsm:hotpath
+func GetFrameFor(n int) []byte {
+	frames.mu.Lock()
+	frames.gets++
+	if frame, ok := takeFit(frames.free, n); ok {
+		frames.free = frames.free[:len(frames.free)-1]
+		frames.mu.Unlock()
+		return frame
+	}
+	frames.mu.Unlock()
+	return make([]byte, 0, max(n, newFrame))
+}
+
+// takeFit removes the topmost frame with room for n from a free list,
+// shifting the frames above it down one; when ok, the caller shortens the
+// list by one.
+func takeFit(free [][]byte, n int) (frame []byte, ok bool) {
+	for i := len(free) - 1; i >= 0; i-- {
+		if frame = free[i]; cap(frame) >= n {
+			copy(free[i:], free[i+1:])
+			free[len(free)-1] = nil
+			return frame, true
+		}
+	}
+	return nil, false
+}
+
 // PutFrame returns a frame buffer whose contents are fully consumed.
 // The caller must not touch the slice afterwards: under the race
 // detector its bytes are overwritten (poisonFrames), so a late reader
@@ -319,8 +356,8 @@ func putShared(frame []byte) {
 	frames.mu.Unlock()
 }
 
-// frameListOps reports how many GetFrame and putShared calls have reached
-// the process-wide list. Nothing in the program reads it; the live
+// frameListOps reports how many GetFrame(For) and putShared calls have
+// reached the process-wide list. Nothing in the program reads it; the live
 // engine's tests do, to hold a hop off the shared lock.
 func frameListOps() (gets, puts int64) {
 	frames.mu.Lock()
@@ -330,7 +367,9 @@ func frameListOps() (gets, puts int64) {
 
 // Frames is one owner's free list of frame buffers, the first tier in
 // front of the process-wide list: Get pops the frame Put kept last, or
-// draws from GetFrame when the list is empty; Put keeps at most
+// draws from GetFrame when the list is empty, and GetFor takes the
+// topmost kept frame with room for a known size, or draws from
+// GetFrameFor when none has it; Put keeps at most
 // maxOwnFrames frames and spills the rest to the process-wide list. It is
 // not safe for concurrent use: its owner guards it with a lock of its
 // own — a live node's lock, which its send and receive paths hold
@@ -356,6 +395,19 @@ func (f *Frames) Get() []byte {
 	f.n--
 	frame := f.free[f.n]
 	f.free[f.n] = nil
+	return frame
+}
+
+// GetFor is Get for a frame of n bytes: the topmost frame on the list
+// with room for n, or GetFrameFor's when none has it.
+//
+//dsm:hotpath
+func (f *Frames) GetFor(n int) []byte {
+	frame, ok := takeFit(f.free[:f.n], n)
+	if !ok {
+		return GetFrameFor(n)
+	}
+	f.n--
 	return frame
 }
 

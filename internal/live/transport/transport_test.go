@@ -428,6 +428,67 @@ func TestOwnFramesTierOverTheSharedList(t *testing.T) {
 	}
 }
 
+// TestFramesDrawnWithRoom: GetFrameFor and Frames.GetFor hand out the
+// topmost kept frame with room for the size asked, leaving the frames
+// above it in order, and make a frame of that size when none has room; a
+// frame that fits at the top is taken as Get takes it. A large frame so
+// drawn and put back is found again under a smaller one, and the round
+// trip allocates nothing.
+func TestFramesDrawnWithRoom(t *testing.T) {
+	const big = 4 * newFrame
+	id := func(frame []byte) *byte { return &frame[:1][0] }
+	emptyFreeList()
+	large := make([]byte, 0, big)
+	small := [2][]byte{make([]byte, 0, newFrame), make([]byte, 0, newFrame)}
+	PutFrame(large)
+	PutFrame(small[0])
+	PutFrame(small[1])
+	fit := GetFrameFor(big)
+	if cap(fit) != big || id(fit) != id(large) || freeLen() != 2 {
+		t.Errorf("GetFrameFor(%d) under two small frames: cap %d, the large frame %v, %d left; want it and 2 left",
+			big, cap(fit), id(fit) == id(large), freeLen())
+	}
+	top := GetFrameFor(1)
+	if id(top) != id(small[1]) {
+		t.Error("GetFrameFor(1) did not take the top frame")
+	}
+	fresh := GetFrameFor(2 * big)
+	if cap(fresh) != 2*big || id(fresh) == id(small[0]) || freeLen() != 1 {
+		t.Errorf("GetFrameFor(%d) with no frame that fits: cap %d, %d left; want a new frame and 1 left", 2*big, cap(fresh), freeLen())
+	}
+	PutFrame(fit)
+	PutFrame(top)
+	PutFrame(fresh)
+
+	emptyFreeList()
+	var own Frames
+	own.Put(large)
+	own.Put(small[0])
+	gets0, _ := frameListOps()
+	fit = own.GetFor(big)
+	if id(fit) != id(large) || own.n != 1 {
+		t.Errorf("GetFor(%d) under a small frame: the large frame %v, %d kept; want it and 1 kept", big, id(fit) == id(large), own.n)
+	}
+	fresh = own.GetFor(big)
+	if cap(fresh) != big || own.n != 1 {
+		t.Errorf("GetFor(%d) with no own frame that fits: cap %d, %d kept; want a new frame and 1 kept", big, cap(fresh), own.n)
+	}
+	if gets, _ := frameListOps(); gets-gets0 != 1 {
+		t.Errorf("%d shared gets, want 1: only the draw no own frame fits reaches the shared list", gets-gets0)
+	}
+	sm := own.Get()
+	own.Put(fresh)
+	own.Put(fit)
+	own.Put(sm)
+	if n := testing.AllocsPerRun(100, func() { // a large frame under a small one
+		frame, sm := own.GetFor(big), own.Get()
+		own.Put(frame[:big])
+		own.Put(sm)
+	}); n != 0 {
+		t.Errorf("a large frame's round trip under a small one allocates %v times", n)
+	}
+}
+
 // TestOwnFramesPoisonedUnderRace: under the race detector a frame Put to
 // a Frames list is poisoned whole, as PutFrame's are, whether the list
 // keeps it or spills it, so a reader that kept it decodes no kind.

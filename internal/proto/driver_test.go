@@ -120,10 +120,15 @@ func newWorld(t *testing.T, loc locator.Kind, nodes int, objID memory.ObjectID, 
 	sh := DefaultShared(nodes, hockney.FastEthernet().Alpha)
 	sh.Policy, sh.Locator, sh.Piggyback = migration.NoHM{}, loc, false
 	w.sp = NewSpace(&sh)
+	// Messages move by reference, as under sim, so the nodes share one
+	// pool as sim nodes do: a buffer drawn at one node is released at
+	// another.
+	pool := new(twindiff.Pool)
 	for i := 0; i < nodes; i++ {
 		n := w.sp.NewNode(memory.NodeID(i))
 		n.Eng = engine{w, n.ID}
 		n.Counters = &stats.Counters{}
+		n.Pool = pool
 	}
 	for id := memory.ObjectID(0); id <= objID; id++ {
 		w.sp.AddObject(4, home)
@@ -253,7 +258,7 @@ func (w *world) moveHome(from, to memory.NodeID) {
 // drawnFromPool reports whether the node's pool hands buf's storage out
 // again: p points into the buffer that should have been recycled.
 func (w *world) drawnFromPool(p *uint64) bool {
-	got := twindiff.TwinInto(&w.n.Pool, make([]uint64, 4))
+	got := twindiff.TwinInto(w.n.Pool, make([]uint64, 4))
 	got = got[:cap(got)]
 	for i := range got {
 		if &got[i] == p {

@@ -75,9 +75,18 @@ type Node struct {
 	// bars is indexed by barrier id; every node has a row for each.
 	bars []barrier
 
-	// Pool recycles twin buffers, diff run storage and invalidated cached
-	// copies' data so the steady-state write/flush cycle is allocation-free.
-	Pool twindiff.Pool
+	// Pool recycles twin buffers, diff run storage, served snapshots and
+	// invalidated cached copies' data so the steady-state write/flush
+	// cycle is allocation-free. NewNode gives each node a pool of its own,
+	// which a live node keeps: it decodes into it and encodes out of it,
+	// under its lock. The sim engine points every node at one pool per
+	// cluster, as it does Counters: its messages move by reference, so a
+	// home's snapshot is released at the requester and a diff's buffer
+	// drawn at the writer may be returned by any node.
+	Pool *twindiff.Pool
+	// piggy is the array of the last piggyback list an engine returned
+	// (ReturnPiggyback), which the next FlushCollect builds its list in.
+	piggy []wire.ObjDiff
 
 	// views lists, per local thread slot, the home objects it holds bulk
 	// write views on and whether it is outside the DSM; see PinView. Live
@@ -355,7 +364,7 @@ func (n *Node) serveFault(msg *wire.Msg) {
 		n.Emit(flight.Event{Kind: flight.Request, Obj: obj, Peer: requester, Hops: int32(msg.Hops)})
 	}
 
-	data := twindiff.TwinInto(&n.Pool, n.Cache[obj].Data)
+	data := twindiff.TwinInto(n.Pool, n.Cache[obj].Data)
 	reply := wire.Msg{
 		Kind: wire.ObjReply, From: n.ID, To: requester, Obj: obj,
 		ReplyNode: requester, ReplySlot: msg.ReplySlot, Seq: msg.Seq,
@@ -705,7 +714,7 @@ func (n *Node) applyAssign(a wire.Pair) {
 		// closing interval.
 		if held, _ := n.viewed(a.Obj); held {
 			o := n.Cache[a.Obj]
-			o.Twin = twindiff.TwinInto(&n.Pool, o.Data)
+			o.Twin = twindiff.TwinInto(n.Pool, o.Data)
 			o.Dirty = true
 			o.State = memory.ReadWrite
 			n.NoteMyWrite(a.Obj)

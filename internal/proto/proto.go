@@ -41,6 +41,7 @@ import (
 	"repro/internal/migration"
 	"repro/internal/stats"
 	"repro/internal/syncmgr"
+	"repro/internal/twindiff"
 	"repro/internal/wire"
 )
 
@@ -164,13 +165,14 @@ func (sp *Space) mustBeOpen() {
 // with NewNode and wires each node's Eng and Counters.
 func NewSpace(s *Shared) *Space { return &Space{S: s} }
 
-// NewNode appends one node (the next dense id) and returns it. The
-// caller must set Eng and Counters before any protocol activity.
+// NewNode appends one node (the next dense id), with a Pool of its own,
+// and returns it. The caller must set Eng and Counters before any
+// protocol activity.
 func (sp *Space) NewNode(id memory.NodeID) *Node {
 	if int(id) != len(sp.Nodes) {
 		panic(fmt.Sprintf("proto: node %d created out of order (have %d)", id, len(sp.Nodes)))
 	}
-	n := &Node{ID: id, S: sp.S, Loc: locator.NewTable(0)}
+	n := &Node{ID: id, S: sp.S, Loc: locator.NewTable(0), Pool: new(twindiff.Pool)}
 	sp.Nodes = append(sp.Nodes, n)
 	return n
 }

@@ -111,7 +111,7 @@ func (n *Node) WriteCheck(obj memory.ObjectID) (o *memory.Object, trapped bool) 
 		return nil, false
 	}
 	if o.State == memory.ReadOnly {
-		o.Twin = twindiff.TwinInto(&n.Pool, o.Data)
+		o.Twin = twindiff.TwinInto(n.Pool, o.Data)
 		o.Dirty = true
 		o.State = memory.ReadWrite
 		n.NoteMyWrite(obj)
@@ -216,8 +216,9 @@ func (n *Node) MaybeCompressPath(entry memory.NodeID, msg *wire.Msg) {
 // sync message (forwarding-pointer locator only — under manager/
 // broadcast a stale piggyback could not be re-routed by the daemon);
 // the rest are returned in sends for individual DiffMsg transmission.
-// sends reuses scratch's backing array; piggy is freshly allocated
-// because it escapes into an in-flight message.
+// sends reuses scratch's backing array. piggy escapes into an in-flight
+// message: it is built in the array an engine handed back with
+// ReturnPiggyback, if any, and freshly allocated otherwise.
 func (n *Node) FlushCollect(syncHome memory.NodeID, scratch []wire.ObjDiff) (sends, piggy []wire.ObjDiff) {
 	canPiggy := n.S.Piggyback && n.S.Locator == locator.ForwardingPointer && syncHome != n.ID
 	sends = scratch[:0]
@@ -229,7 +230,7 @@ func (n *Node) FlushCollect(syncHome memory.NodeID, scratch []wire.ObjDiff) (sen
 		if n.IsHome[obj] {
 			panic(fmt.Sprintf("proto: home copy of %d is dirty on node %d", obj, n.ID))
 		}
-		d := twindiff.ComputeInto(&n.Pool, o.Twin, o.Data)
+		d := twindiff.ComputeInto(n.Pool, o.Twin, o.Data)
 		n.Pool.PutWords(o.Twin) // the twin's job is done; recycle it
 		o.Twin = nil
 		o.Dirty = false
@@ -246,6 +247,9 @@ func (n *Node) FlushCollect(syncHome memory.NodeID, scratch []wire.ObjDiff) (sen
 		}
 		n.Counters.DiffWords += int64(d.WordCount())
 		if canPiggy && n.Loc.Hint(obj) == syncHome {
+			if piggy == nil {
+				piggy, n.piggy = n.piggy, nil
+			}
 			piggy = append(piggy, wire.ObjDiff{Obj: obj, D: d})
 			n.Counters.PiggybackDiffs++
 			continue
@@ -253,6 +257,20 @@ func (n *Node) FlushCollect(syncHome memory.NodeID, scratch []wire.ObjDiff) (sen
 		sends = append(sends, wire.ObjDiff{Obj: obj, D: d})
 	}
 	return sends, piggy
+}
+
+// ReturnPiggyback takes back a sent sync message's piggybacked diffs once
+// the engine has copied them out (the live engine's Send encodes them).
+// Nothing acknowledges a piggybacked diff, so this is its last use: each
+// buffer goes back to the pool, and the list's array is kept for the next
+// FlushCollect. The sim engine delivers the list by reference, so its
+// receiver shares both, and it returns neither.
+func (n *Node) ReturnPiggyback(diffs []wire.ObjDiff) {
+	for _, od := range diffs {
+		n.Pool.PutDiff(od.D)
+	}
+	clear(diffs)
+	n.piggy = diffs[:0]
 }
 
 // ApplyLocalDiff folds one of this node's own flushed diffs into the

@@ -131,29 +131,60 @@ func BenchmarkTwindiffComputeMerge(b *testing.B) {
 	}
 }
 
-// TestPoolFreelistBounded: traffic that hands the pool more than it takes
-// (every fault-in's payload is released at the requester) must not grow
-// the freelist without limit, and an exact-size payload may come back as
-// a twin but never as a diff buffer.
+// TestPoolFreelistBounded: the freelist holds at most as many buffers as
+// the pool ever had out at once. A working set of any size is kept whole,
+// so a second round of it allocates nothing; traffic that hands the pool
+// more than it takes (a payload decoded without a pool, released at
+// invalidation) does not grow the list past that bound, and a pool that
+// never lent keeps nothing. An exact-size payload may come back as a twin
+// but never as a diff buffer.
 func TestPoolFreelistBounded(t *testing.T) {
+	const set = 200 // a node's rows, twins and diffs of one interval
 	var p Pool
 	data := make([]uint64, 32)
-	for i := 0; i < 100_000; i++ {
-		p.PutWords(make([]uint64, 32)) // a decoded payload, released at invalidation
-		p.PutWords(TwinInto(&p, data)) // balanced: drawn and returned
-		if len(p.free) > maxFree {
-			t.Fatalf("cycle %d: freelist holds %d buffers, bound is %d", i, len(p.free), maxFree)
+	held := make([][]uint64, set)
+	round := func() {
+		for i := range held {
+			held[i] = TwinInto(&p, data)
+		}
+		for _, b := range held {
+			p.PutWords(b)
 		}
 	}
-	if len(p.free) != maxFree {
-		t.Fatalf("freelist holds %d buffers after unbalanced traffic, want the bound %d", len(p.free), maxFree)
+	round()
+	if len(p.free) != set {
+		t.Fatalf("freelist keeps %d of a working set of %d", len(p.free), set)
+	}
+	if n := testing.AllocsPerRun(10, round); n != 0 {
+		t.Fatalf("a second round of the working set allocates %v times", n)
+	}
+	for i := 0; i < 100_000; i++ {
+		p.PutWords(make([]uint64, 32)) // never lent
+		p.PutWords(TwinInto(&p, data)) // balanced: drawn and returned
+		if len(p.free) > set {
+			t.Fatalf("cycle %d: freelist holds %d buffers, the most ever lent is %d", i, len(p.free), set)
+		}
+	}
+	var never Pool
+	if never.PutWords(make([]uint64, 32)); len(never.free) != 0 {
+		t.Fatalf("a pool that lent nothing keeps %d buffers", len(never.free))
+	}
+
+	var q Pool
+	twin := TwinInto(&q, data) // one lent: the bound is one
+	q.PutWords(make([]uint64, 32))
+	if len(q.free) != 1 {
+		t.Fatal("an exact-size payload within the bound was not kept")
 	}
 	dense := make([]uint64, 32)
 	for i := range dense {
 		dense[i] = 1
 	}
-	if ComputeInto(&p, data, dense); len(p.free) != maxFree {
-		t.Fatalf("a diff drew a payload buffer without diff slack (%d left free)", len(p.free))
+	if ComputeInto(&q, twin, dense); len(q.free) != 1 {
+		t.Fatal("a diff drew a payload buffer without diff slack")
+	}
+	if TwinInto(&q, data); len(q.free) != 0 {
+		t.Fatal("a twin did not reuse the exact-size payload buffer")
 	}
 }
 
@@ -161,7 +192,7 @@ func TestPoolFreelistBounded(t *testing.T) {
 // object (it stays for an object of its own size).
 func TestPoolKeepsSizesApart(t *testing.T) {
 	var p Pool
-	p.PutWords(Twin(make([]uint64, 256)))
+	p.PutWords(TwinInto(&p, make([]uint64, 256)))
 	if small := TwinInto(&p, make([]uint64, 1)); cap(small) > 16 {
 		t.Fatalf("1-word twin drew a %d-word buffer", cap(small))
 	}

@@ -23,8 +23,13 @@
 // reference: the diff the home applies is the sender's buffer, still in
 // the sender's outstanding set. The live engine delivers a copy: the
 // receiver decodes into buffers drawn from its own pool (DecodeInto),
-// owns them and returns a diff once it has applied or re-encoded it. A
-// buffer that is lost track of (a piggybacked diff on the sender's side
-// is never acknowledged directly), or Put to a Pool already holding its
-// bound of maxFree buffers, is left to the GC.
+// owns them and returns a diff once it has applied or re-encoded it, and
+// the sender returns a diff piggybacked on a sync message (which nothing
+// acknowledges) once Send has encoded it. The virtual-time engine's
+// piggybacked diffs are never returned: the receiver shares them, and
+// the GC collects them. A Pool keeps at most as many buffers as it ever
+// had out at once (see Pool), so a Put beyond that — a buffer born
+// elsewhere — is left to the GC too. The nodes of a virtual-time cluster
+// share one Pool, so a snapshot a home draws and its requester releases
+// comes back to the pool it came from.
 package twindiff

@@ -17,12 +17,6 @@ const (
 	// beyond n: r runs over w words leave r-1 gaps, so r+w ≤ n+1, plus
 	// the count word.
 	diffSlack = 2
-	// maxFree bounds the freelist: buffers migrate between pools (a
-	// reply drawn at the home is released at the requester), so an
-	// unbounded one grows by an entry per fault-in. A full pool leaves
-	// Puts to the GC. A node cycles a handful of buffers per object it
-	// touches in an interval; a deeper list only holds memory.
-	maxFree = 64
 	// poison fills a buffer Put under the race detector (poisonPuts): as
 	// a run header it starts and spans far past any object.
 	poison = 0xDEAD_BEEF_DEAD_BEEF
@@ -35,8 +29,17 @@ const (
 // of the object it was sized for, so twins, diffs and payloads recycle
 // into each other; a buffer born elsewhere (decoded without a pool) serves
 // where its capacity fits. The zero value is ready to use; a nil *Pool
-// falls back to plain allocation. Not safe for concurrent use — each node
-// has its own, used under the node's lock.
+// falls back to plain allocation. Not safe for concurrent use: a live
+// node has its own, used under the node's lock, and the nodes of a
+// virtual-time cluster share one on the cluster's single thread of
+// control.
+//
+// The pool keeps what it has lent, no more: it counts the buffers it has
+// out (drawn and not yet Put back), and its freelist holds at most the
+// most it ever had out at once. So an owner that returns every buffer
+// at its last use keeps exactly its working set, however large, and
+// traffic that Puts more than it draws (buffers born elsewhere) leaves
+// the surplus to the GC.
 //
 // Ownership: whoever drew a buffer owns it, and returns it at its last
 // use; after a Put the buffer may be handed out again, so its owner holds
@@ -44,20 +47,29 @@ const (
 // Send encodes, the receiver decodes into buffers drawn from its own
 // pool. On the virtual-time engine the receiver shares the sender's
 // buffer and so never Puts it (see the package comment).
-type Pool struct{ free [][]uint64 }
+type Pool struct {
+	free [][]uint64
+	// out is the number of buffers lent and not yet returned (never below
+	// zero: a buffer born elsewhere returns none), peak the most ever out
+	// at once: the freelist's bound.
+	out, peak int
+}
 
 // getWords returns a length-n buffer, contents undefined, with capacity for
 // slack more words.
 func (p *Pool) getWords(n, slack int) []uint64 {
-	if p != nil {
-		// Scan a bounded window from the top: a workload's object sizes are
-		// near-uniform. An entry over twice the size waits for its own kind.
-		for i := len(p.free) - 1; i >= 0 && i >= len(p.free)-8; i-- {
-			if c := cap(p.free[i]); c >= n+slack && c <= 2*(n+diffSlack) {
-				buf := p.free[i][:n]
-				p.free = slices.Delete(p.free, i, i+1)
-				return buf
-			}
+	if p == nil {
+		return make([]uint64, n, n+diffSlack)
+	}
+	p.out++
+	p.peak = max(p.peak, p.out)
+	// Scan a bounded window from the top: a workload's object sizes are
+	// near-uniform. An entry over twice the size waits for its own kind.
+	for i := len(p.free) - 1; i >= 0 && i >= len(p.free)-8; i-- {
+		if c := cap(p.free[i]); c >= n+slack && c <= 2*(n+diffSlack) {
+			buf := p.free[i][:n]
+			p.free = slices.Delete(p.free, i, i+1)
+			return buf
 		}
 	}
 	return make([]uint64, n, n+diffSlack)
@@ -77,9 +89,11 @@ func (p *Pool) GetWords(n int) []uint64 {
 // copy's data, a sent reply's snapshot) to the freelist.
 func (p *Pool) PutWords(buf []uint64) { p.PutDiff(Diff{buf}) }
 
-// PutDiff returns d's buffer to the freelist. The caller must own d: it
-// computed it and the home acknowledged it, or it decoded d from its
-// pool and has applied or re-encoded it.
+// PutDiff returns d's buffer to the freelist, or leaves it to the GC when
+// the freelist holds as many buffers as the pool ever had out. The caller
+// must own d: it computed it and the home acknowledged it (or, on the
+// live engine, it was piggybacked and encoded), or it decoded d from its
+// pool and has applied or re-encoded it. An empty diff returns nothing.
 func (p *Pool) PutDiff(d Diff) {
 	if poisonPuts {
 		full := d.buf[:cap(d.buf)]
@@ -87,7 +101,11 @@ func (p *Pool) PutDiff(d Diff) {
 			full[i] = poison
 		}
 	}
-	if p != nil && cap(d.buf) > 0 && len(p.free) < maxFree {
+	if p == nil || cap(d.buf) == 0 {
+		return
+	}
+	p.out = max(p.out-1, 0)
+	if len(p.free) < p.peak {
 		p.free = append(p.free, d.buf)
 	}
 }

@@ -268,14 +268,17 @@ func (m *Msg) Decode(buf []byte) error { return m.DecodePooled(buf, nil, nil) }
 // one Msg decodes every frame into it without copying a message out.
 // Every field of m is reset first: nothing of the previous frame
 // survives, and m drops its old slices and record without writing
-// through them. The payloads — Data, Diff and each piggybacked diff — are
-// one copy each into buffers drawn from pool (nil pool = plain
-// allocation), and the caller owns them: it may keep them, or return them
-// to pool at their last use. A migrating reply's record is written to
-// *rec, and m.Rec points at it (nil rec = a new Record). It returns an
-// error on any truncation or a trailing-garbage mismatch, leaving m
-// partly filled.
+// through them — except the array behind Diffs, which the piggybacked
+// diffs are decoded into, so a receive path that hands its Msg the same
+// array every frame decodes them without allocating. The payloads —
+// Data, Diff and each piggybacked diff — are one copy each into buffers
+// drawn from pool (nil pool = plain allocation), and the caller owns
+// them: it may keep them, or return them to pool at their last use. A
+// migrating reply's record is written to *rec, and m.Rec points at it
+// (nil rec = a new Record). It returns an error on any truncation or a
+// trailing-garbage mismatch, leaving m partly filled.
 func (m *Msg) DecodePooled(buf []byte, pool *twindiff.Pool, rec *core.Record) error {
+	diffs := m.Diffs[:0]
 	*m = Msg{}
 	if len(buf) < headerSize {
 		return fmt.Errorf("wire: truncated header (%d bytes)", len(buf))
@@ -335,6 +338,9 @@ func (m *Msg) DecodePooled(buf []byte, pool *twindiff.Pool, rec *core.Record) er
 	}
 	nds := int(le.Uint32(buf[off:]))
 	off += 4
+	if nds > 0 {
+		m.Diffs = diffs
+	}
 	for i := 0; i < nds; i++ {
 		if err := need(4); err != nil {
 			return err

@@ -473,13 +473,16 @@ func TestDecodePooledFillsTheGivenRecord(t *testing.T) {
 		if err := m.DecodePooled(frame, &pool, &rec); err != nil {
 			t.Fatal(err)
 		}
-		pool.PutWords(m.Data)
 	}
 	decode()
 	if m.Rec != &rec || !m.Equal(&sent) {
 		t.Fatalf("decoded %+v with record %+v at %p, want %+v at %p", m, *m.Rec, m.Rec, sent, &rec)
 	}
-	if n := testing.AllocsPerRun(100, decode); n != 0 {
+	pool.PutWords(m.Data)
+	if n := testing.AllocsPerRun(100, func() {
+		decode()
+		pool.PutWords(m.Data)
+	}); n != 0 {
 		t.Errorf("pooled Decode of a migrating reply into a given record allocates %v times", n)
 	}
 	rec = core.Record{}
@@ -512,13 +515,18 @@ func TestDecodePooledMatchesFresh(t *testing.T) {
 }
 
 // dirtyPool fills pool with buffers of assorted capacities around the
-// frame shapes' sizes, every word set.
+// frame shapes' sizes, every word set. It draws them from the pool first:
+// a pool keeps no more buffers than it has lent.
 func dirtyPool(pool *twindiff.Pool) {
-	for _, n := range []int{1, 3, 200, 255, 256, 257, 258, 300, 400, 513} {
-		buf := make([]uint64, n)
-		for i := range buf {
-			buf[i] = ^uint64(i)
+	sizes := []int{1, 3, 200, 255, 256, 257, 258, 300, 400, 513}
+	bufs := make([][]uint64, len(sizes))
+	for i, n := range sizes {
+		bufs[i] = pool.GetWords(n)[:n:n]
+		for k := range bufs[i] {
+			bufs[i][k] = ^uint64(k)
 		}
+	}
+	for _, buf := range bufs {
 		pool.PutWords(buf)
 	}
 }
