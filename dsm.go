@@ -142,12 +142,11 @@ type Config struct {
 	// "sim"; a live run reports Wall and LiveMsgs instead of virtual
 	// ExecTime.
 	Engine string
-	// Observers subscribe, in order, to the run's events on either
-	// engine, after the engine's flight rings: the oracle's log, a Trace
-	// (NewTrace, AnalyzeTrace), a telemetry sink. A caller adds to the
-	// list (append(slices.Clip(cfg.Observers), …): configs are shared
-	// across runs). When one asks for flight.Read — the oracle's log —
-	// Run keeps the pre-run memory for InitialWord.
+	// Observers subscribe, in order, to the run's events on either engine,
+	// after the engine's flight rings: the oracle's log (its initial values
+	// are the program's Init calls, see InitialWord), a Trace (NewTrace,
+	// AnalyzeTrace), a telemetry sink. A caller adds to the list
+	// (append(slices.Clip(cfg.Observers), …): configs are shared across runs).
 	Observers []Observer
 	// Transport injects a custom live-engine transport — e.g. a
 	// multi-process cluster member carrying frames over TCP
@@ -195,11 +194,10 @@ type Config struct {
 type Cluster struct {
 	sp  *proto.Space
 	run func([]Worker) (Metrics, error)
-	// snapshot is set when an observer reads flight.Read events: Run then
-	// keeps the pre-run home-copy contents in initial, so the oracle is
-	// fed the real initial values (InitialWord) instead of zeros.
-	snapshot bool
-	initial  [][]uint64
+	// inits are each object's Init calls in call order; initial holds
+	// what InitialWord replayed them into, per object.
+	inits   map[ObjectID][]func([]uint64)
+	initial map[ObjectID][]uint64
 	// threads is the worker count of the last Run.
 	threads int
 	// final and finalErr are the engine's end state, once the run returned.
@@ -270,7 +268,7 @@ func New(cfg Config) *Cluster {
 	if err != nil {
 		panic(err)
 	}
-	c := &Cluster{}
+	c := &Cluster{inits: map[ObjectID][]func([]uint64){}, initial: map[ObjectID][]uint64{}}
 	if cfg.Engine == "live" {
 		e := live.New(live.Config{
 			Shared:      sh,
@@ -291,13 +289,11 @@ func New(cfg Config) *Cluster {
 		c.sp, c.run = e.Space, e.Run
 	}
 	// The one way in for observers, after the engine's own flight rings.
-	obs := cfg.Observers
-	if cfg.Telemetry != nil {
-		obs = append(slices.Clip(obs), cfg.Telemetry)
-	}
-	for _, o := range obs {
+	for _, o := range cfg.Observers {
 		c.sp.Subscribe(o)
-		c.snapshot = c.snapshot || o != nil && o.Kinds().Has(flight.Read)
+	}
+	if cfg.Telemetry != nil {
+		c.sp.Subscribe(cfg.Telemetry)
 	}
 	return c
 }
@@ -324,8 +320,12 @@ func (c *Cluster) NewBarrier(home NodeID, parties int) Barrier {
 }
 
 // Init seeds an object's home copy before the run at no simulated cost
-// (pre-existing input data).
-func (c *Cluster) Init(obj ObjectID, fn func(words []uint64)) { c.sp.InitObject(obj, fn) }
+// (pre-existing input data); calls compose in order. InitialWord calls fn
+// again after Run, so fn must read only data that nothing mutates.
+func (c *Cluster) Init(obj ObjectID, fn func(words []uint64)) {
+	c.sp.InitObject(obj, fn)
+	c.inits[obj] = append(c.inits[obj], fn)
+}
 
 // end returns the memory as it stands and the first invariant it violates.
 func (c *Cluster) end() (*proto.EndState, error) {
@@ -358,12 +358,8 @@ func (c *Cluster) Data(obj ObjectID) []uint64 { return c.mustEnd().ObjectData(ob
 // returns the metrics.
 func (c *Cluster) Run(threads int, fn func(Thread)) (Metrics, error) {
 	var ws []Worker
-	for i := 0; i < threads; i++ {
-		ws = append(ws, Worker{
-			Node: NodeID(i % c.Nodes()),
-			Name: fmt.Sprintf("t%d", i),
-			Fn:   fn,
-		})
+	for i := range threads {
+		ws = append(ws, Worker{Node: NodeID(i % c.Nodes()), Name: fmt.Sprintf("t%d", i), Fn: fn})
 	}
 	return c.RunWorkers(ws)
 }
@@ -371,26 +367,29 @@ func (c *Cluster) Run(threads int, fn func(Thread)) (Metrics, error) {
 // RunWorkers executes explicitly placed workers (e.g. the synthetic
 // benchmark's "threads on all nodes other than the start node", §5.2).
 func (c *Cluster) RunWorkers(ws []Worker) (Metrics, error) {
-	if c.snapshot && c.initial == nil {
-		// Snapshot the pre-run memory so the oracle can check reads of
-		// never-written words against the true initial values.
-		end := c.mustEnd()
-		c.initial = make([][]uint64, len(end.Data))
-		for obj, data := range end.Data {
-			c.initial[obj] = append([]uint64(nil), data...)
-		}
-	}
 	c.threads = len(ws)
 	m, err := c.run(ws)
 	c.final, c.finalErr = c.sp.EndState()
 	return m, err
 }
 
-// InitialWord reports the pre-run value of one word, recorded at Run
-// time when an observer reads flight.Read — the oracle.InitFn for this run.
+// InitialWord reports one word's pre-run value, the run's oracle.InitFn:
+// on the first ask about obj after Run it replays obj's Init calls, in
+// order, into zeroed words, and keeps them. Call it from one goroutine.
 func (c *Cluster) InitialWord(obj ObjectID, word int) uint64 {
-	return c.initial[obj][word]
+	w, ok := c.initial[obj]
+	if !ok {
+		w = make([]uint64, c.sp.S.ObjWords[obj])
+		for _, fn := range c.inits[obj] {
+			fn(w)
+		}
+		c.initial[obj] = w
+	}
+	return w[word]
 }
+
+// ObjectWords reports each declared object's size in words, by ObjectID.
+func (c *Cluster) ObjectWords() []int { return slices.Clone(c.sp.S.ObjWords) }
 
 // Threads reports the worker count of the last Run: thread ids are dense
 // in [0, Threads) — the oracle's thread count.

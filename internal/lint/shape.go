@@ -199,6 +199,10 @@ var shapeRules = []shapeRule{
 	// sets it (ROADMAP item 10).
 	{name: "the facade has one way in", since: "One way in at the facade",
 		in: []string{module}, what: []target{decl("field", "Trace"), decl("field", "Observer")}},
+	// The oracle's initial values are the program's Init calls, replayed
+	// on first ask: a run is the same whichever observers are listed.
+	{name: "the facade reads no observer's kinds", since: "A checked run copies no heap",
+		in: []string{module}, what: []target{{kind: tUse, obj: "method", name: "Kinds"}}},
 	{name: "dsm.Config.Telemetry is the benchmark's shim", since: "One way in at the facade",
 		in: outsideBenchmark, tests: true, what: []target{use("repro.Config.Telemetry")},
 		only: []string{"dsm.go"}},

@@ -814,6 +814,43 @@ func TestMergedOracleFailsTheCluster(t *testing.T) {
 	}
 }
 
+// TestForgedOracleEventIsAttributed: a member's oracle log arrives
+// decoded off the wire, so an access naming an object or word outside the
+// layout must become node 0's attributed verdict, never an index into the
+// initial values that panics node 0.
+func TestForgedOracleEventIsAttributed(t *testing.T) {
+	c := dsm.New(dsm.Config{Nodes: 2, Observers: []dsm.Observer{flight.NewLog(oracle.Kinds, nil)}})
+	c.NewObject("x", 1, 0)
+	if _, err := c.Run(2, func(dsm.Thread) {}); err != nil {
+		t.Fatal(err)
+	}
+	ok := []flight.Event{{Node: 0, Kind: flight.Read, Thread: 0}}
+	for _, tc := range []struct {
+		forged flight.Event
+		want   string
+	}{
+		{flight.Event{Kind: flight.Read, Obj: 1}, "node 1: read of object 1 word 0 outside the declared layout"},
+		{flight.Event{Kind: flight.Read, Word: -1}, "node 1: read of object 0 word -1 outside the declared layout"},
+		{flight.Event{Kind: flight.Write, Word: 1, Val: 7}, "node 1: write of object 0 word 1 outside the declared layout"},
+	} {
+		tc.forged.Node, tc.forged.Thread = 1, 1
+		reports := []appReportBody{{Ops: ok}, {Ops: []flight.Event{tc.forged}}}
+		if v := new(Member).judge(c, reports, true); v.Err != tc.want {
+			t.Errorf("forged %v: verdict %q, want %q", tc.forged.Kind, v.Err, tc.want)
+		}
+	}
+	forged := [][]flight.Event{ok, {{Node: 1, Kind: flight.Read, Thread: 1, Obj: 9}}}
+	_, errs := runMembers(t, 2, unchecked, func(m *Member) (apps.Result, error) {
+		var res apps.Result
+		return res, m.verdict(c, &res, appReportBody{Ops: forged[m.LocalNode()]}, true)
+	})
+	for id, err := range errs {
+		if !errors.Is(err, ErrVerification) || !strings.Contains(err.Error(), "node 1: read of object 9") {
+			t.Errorf("member %d: %v, want a verification failure naming node 1's read of object 9", id, err)
+		}
+	}
+}
+
 // TestOracleCorrectUnderClockSkew: with hybrid-logical-clock stamps
 // (carried on every frame, folded on receipt) the merged cluster-wide
 // LRC check passes under multi-second wall-clock skew.

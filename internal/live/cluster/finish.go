@@ -184,10 +184,11 @@ func (m *Member) verdict(c *dsm.Cluster, res *apps.Result, rep appReportBody, or
 }
 
 // judge is node 0's verdict over every member's report: the first
-// member's error, else the merged oracle's; the merged metrics; and, when
-// recording, every member's ring merged into the cluster timeline — on
-// the success and abort paths alike, so a chaos post-mortem has the same
-// HLC-ordered evidence a clean run exports.
+// member's error, else the first logged access outside the layout, else
+// the merged oracle's; the merged metrics; and, when recording, every
+// member's ring merged into the cluster timeline — on the success and
+// abort paths alike, so a chaos post-mortem has the same HLC-ordered
+// evidence a clean run exports.
 func (m *Member) judge(c *dsm.Cluster, reports []appReportBody, oracleOn bool) verdictBody {
 	v := verdictBody{Metrics: reports[0].Metrics}
 	merged := &v.Metrics
@@ -211,6 +212,9 @@ func (m *Member) judge(c *dsm.Cluster, reports []appReportBody, oracleOn bool) v
 		m.timeline = flight.Merge(rings...)
 	}
 	if oracleOn && v.Err == "" {
+		v.Err = outsideLayout(c.ObjectWords(), ops)
+	}
+	if oracleOn && v.Err == "" {
 		// flight.Merge's order (HLC stamp, node, append order) is consistent
 		// with happens-before under any wall-clock skew: a member's clock is
 		// strictly increasing, and frames carry its stamps to the others.
@@ -221,4 +225,20 @@ func (m *Member) judge(c *dsm.Cluster, reports []appReportBody, oracleOn bool) v
 		}
 	}
 	return v
+}
+
+// outsideLayout names the first Read or Write in the members' oracle logs
+// (ops, by member) on an object or word the layout (words, by object) does
+// not declare, or returns "". Only a forged report holds one, and the
+// oracle would index the initial values with it.
+func outsideLayout(words []int, ops [][]flight.Event) string {
+	for id, evs := range ops {
+		for _, e := range evs {
+			if (e.Kind == flight.Read || e.Kind == flight.Write) &&
+				(int(e.Obj) >= len(words) || e.Word < 0 || int(e.Word) >= words[e.Obj]) {
+				return fmt.Sprintf("node %d: %s of object %d word %d outside the declared layout", id, e.Kind, e.Obj, e.Word)
+			}
+		}
+	}
+	return ""
 }
