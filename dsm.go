@@ -83,7 +83,8 @@ type (
 	// TraceProfile is one object's classified access pattern.
 	TraceProfile = trace.Profile
 	// Observer is an event subscriber (see Config.Observers): the
-	// coherence oracle's log (oracle.Kinds), a Trace, a telemetry sink.
+	// coherence oracle's checker (oracle.Checker), a Trace, a telemetry
+	// sink.
 	// Identical on both engines; a subscriber must not mutate cluster
 	// state. On the live engine nodes call Record concurrently: a
 	// subscriber synchronizes itself, as flight.Log does.
@@ -143,8 +144,8 @@ type Config struct {
 	// ExecTime.
 	Engine string
 	// Observers subscribe, in order, to the run's events on either engine,
-	// after the engine's flight rings: the oracle's log (its initial values
-	// are the program's Init calls, see InitialWord), a Trace (NewTrace,
+	// after the engine's flight rings: the oracle's checker (its initial
+	// values are the program's Init calls, see InitialWord), a Trace (NewTrace,
 	// AnalyzeTrace), a telemetry sink. A caller adds to the list
 	// (append(slices.Clip(cfg.Observers), …): configs are shared across runs).
 	Observers []Observer
@@ -321,7 +322,8 @@ func (c *Cluster) NewBarrier(home NodeID, parties int) Barrier {
 
 // Init seeds an object's home copy before the run at no simulated cost
 // (pre-existing input data); calls compose in order. InitialWord calls fn
-// again after Run, so fn must read only data that nothing mutates.
+// again during or after Run, so fn must read only data that nothing
+// mutates.
 func (c *Cluster) Init(obj ObjectID, fn func(words []uint64)) {
 	c.sp.InitObject(obj, fn)
 	c.inits[obj] = append(c.inits[obj], fn)
@@ -374,8 +376,10 @@ func (c *Cluster) RunWorkers(ws []Worker) (Metrics, error) {
 }
 
 // InitialWord reports one word's pre-run value, the run's oracle.InitFn:
-// on the first ask about obj after Run it replays obj's Init calls, in
-// order, into zeroed words, and keeps them. Call it from one goroutine.
+// on the first ask about obj, during or after Run, it replays obj's Init
+// calls, in order, into zeroed words, and keeps them. Call it one call at
+// a time: a checked run's oracle asks it during Run, under the checker's
+// lock, and a cluster's node 0 after.
 func (c *Cluster) InitialWord(obj ObjectID, word int) uint64 {
 	w, ok := c.initial[obj]
 	if !ok {

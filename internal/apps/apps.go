@@ -9,11 +9,12 @@
 // correctness check of the coherence protocol.
 //
 // The checked run is defined here once — Options.cluster attaches the
-// oracle, finish merges the flight rings, checks invariants and oracle and
-// fingerprints the memory — for every sweep and gate of internal/bench,
-// dsmrun and each dsmnode member, which reach it through Run or a Run*. A
-// cluster member's Run (internal/live/cluster) wires its half of the run
-// into the Options before and finishes it cluster-wide after.
+// oracle's checker, finish merges the flight rings, takes the checker's
+// verdict, checks invariants and fingerprints the memory — for every
+// sweep and gate of internal/bench, dsmrun and each dsmnode member, which
+// reach it through Run or a Run*. A cluster member's Run
+// (internal/live/cluster) wires its half of the run into the Options
+// before and finishes it cluster-wide after.
 package apps
 
 import (
@@ -30,7 +31,7 @@ import (
 
 // Options configures an application run: the cluster configuration
 // (dsm.Config, embedded — set here under its own names, it reaches
-// dsm.New as it is, with the oracle's log added to Observers under
+// dsm.New as it is, with the oracle's checker added to Observers under
 // Check) plus what only the apps layer knows: thread count, input seed
 // and the post-run gates. A cluster member's Run sets LocalNode,
 // FlightLocal and Transport (elsewhere a caller may wrap the in-process
@@ -49,14 +50,14 @@ type Options struct {
 	// The synthetic benchmark has no generated input and ignores it; a
 	// scenario is generated from it whole (scenario.Generate).
 	Seed uint64
-	// Check enables the post-run correctness gate: the run's every scalar
-	// access and lock/barrier event is replayed through the LRC coherence
-	// oracle (internal/oracle), protocol invariants are verified — a
-	// violation of either fails the run — and Result.Digest carries the
-	// final shared-memory fingerprint for cross-policy comparison. Bulk
-	// view accesses bypass the oracle, which sees an app's scalar traffic
-	// only: still enough to catch mis-ordered synchronization on either
-	// engine.
+	// Check enables the correctness gate: the run's every scalar access
+	// and lock/barrier event is judged by the LRC coherence oracle
+	// (internal/oracle) as it happens, protocol invariants are verified
+	// after the run — a violation of either fails the run — and
+	// Result.Digest carries the final shared-memory fingerprint for
+	// cross-policy comparison. Bulk view accesses bypass the oracle, which
+	// sees an app's scalar traffic only: still enough to catch mis-ordered
+	// synchronization on either engine.
 	Check bool
 	// OnCluster, when non-nil, is called with the built cluster just
 	// before the run starts — the hook cmd binaries use to point a
@@ -97,23 +98,28 @@ func (o Options) threads() int {
 }
 
 // cluster builds the configured DSM instance and, under Check on a
-// single process, the oracle's log (a member's Run brings its own). A
-// configuration dsm.New would reject is the run's error.
-func (o Options) cluster() (*dsm.Cluster, *flight.Log, error) {
-	var rec *flight.Log
+// single process, the oracle's checker, bound to the cluster's thread
+// count and initial values, which it asks during Run (a member's Run
+// brings its own log). A configuration dsm.New would reject is the run's
+// error.
+func (o Options) cluster() (*dsm.Cluster, *oracle.Checker, error) {
+	var chk *oracle.Checker
 	cfg := o.Config
 	if o.Check && o.LocalNode == nil {
-		rec = flight.NewLog(oracle.Kinds, nil)
-		cfg.Observers = append(slices.Clip(cfg.Observers), rec)
+		chk = oracle.NewChecker()
+		cfg.Observers = append(slices.Clip(cfg.Observers), chk)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
 	c := dsm.New(cfg)
+	if chk != nil {
+		chk.Threads, chk.Init = c.Threads, c.InitialWord
+	}
 	if o.OnCluster != nil {
 		o.OnCluster(c)
 	}
-	return c, rec, nil
+	return c, chk, nil
 }
 
 // Result is the outcome of one application run.
@@ -123,7 +129,7 @@ type Result struct {
 	// Digest is the final shared-memory fingerprint, filled only when
 	// Options.Check is set (zero otherwise).
 	Digest uint64
-	// OracleOps counts the events the LRC oracle validated, filled only
+	// OracleOps counts the events the LRC oracle received, filled only
 	// when Options.Check is set.
 	OracleOps int
 	// Flight is the merged HLC-ordered flight timeline, filled when
@@ -136,22 +142,22 @@ type Result struct {
 // compares the memory with the app's sequential reference, in the
 // process that holds it: the only one, or node 0 of a cluster (whose
 // failure reaches the members through their Run). Then, under
-// Options.Check the recorded event log must be LRC-legal, the protocol
-// invariants must hold and the final memory is fingerprinted for
+// Options.Check the checker must have found the run LRC-legal, the
+// protocol invariants must hold and the final memory is fingerprinted for
 // policy-independence comparison by the sweep layer.
 // On a cluster member the invariants and the digest are those of the end
-// state the cluster assembled, and the oracle log is the member's, which
-// its Run hands to node 0.
-func finish(c *dsm.Cluster, o Options, rec *flight.Log, res Result, validate func() error) (Result, error) {
+// state the cluster assembled, and there is no checker: the member's Run
+// hands its oracle log to node 0.
+func finish(c *dsm.Cluster, o Options, chk *oracle.Checker, res Result, validate func() error) (Result, error) {
 	if o.LocalNode == nil || *o.LocalNode == 0 {
 		if err := validate(); err != nil {
 			return Result{}, err
 		}
 	}
 	res.Flight = c.FlightEvents()
-	if rec != nil {
-		res.OracleOps = len(rec.Events)
-		if viols := oracle.Check(c.Threads(), rec.Events, c.InitialWord); len(viols) > 0 {
+	if chk != nil {
+		res.OracleOps = chk.Ops()
+		if viols := chk.Violations(); len(viols) > 0 {
 			return Result{}, fmt.Errorf("%s: oracle: %d violation(s), first: %s",
 				res.App, len(viols), viols[0])
 		}

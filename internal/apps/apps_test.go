@@ -393,6 +393,34 @@ func TestLiveViewAppsRaceFree(t *testing.T) {
 	}
 }
 
+// TestLiveCheckedRuns runs the synthetic benchmark and a generated
+// program checked on the live engine over the in-process transport. The
+// synthetic workers take turns under one lock, so their events reach the
+// oracle's checker one after another; the program's threads synchronize
+// through several locks and a barrier, so nodes deliver events to the
+// checker at once, and it folds them under its own lock — the race
+// detector's guard of that lock.
+func TestLiveCheckedRuns(t *testing.T) {
+	o := opts(5, "AT")
+	o.Engine, o.Check = "live", true
+	r, err := RunSynthetic(SyntheticOpts{Repetition: 4, TotalUpdates: 512, Workers: 4}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.OracleOps == 0 {
+		t.Fatal("synthetic: the checker received no event")
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		r, err := RunScenario(scenario.Generate(seed), o)
+		if err != nil {
+			t.Fatalf("scenario %d: %v", seed, err)
+		}
+		if r.OracleOps == 0 {
+			t.Fatalf("scenario %d: the checker received no event", seed)
+		}
+	}
+}
+
 // TestLiveFramesAreTheCounters: a live run counts each frame it sends once,
 // in its nodes' protocol counters, and reports the transport's frames and
 // bytes from them — so they equal the category totals, on every policy and

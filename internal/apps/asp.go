@@ -66,7 +66,7 @@ func RunASP(n int, o Options) (Result, error) {
 		return Result{}, fmt.Errorf("asp: need n >= 2, got %d", n)
 	}
 	p := o.threads()
-	c, rec, err := o.cluster()
+	c, chk, err := o.cluster()
 	if err != nil {
 		return Result{}, err
 	}
@@ -108,7 +108,7 @@ func RunASP(n int, o Options) (Result, error) {
 	}
 
 	res := Result{App: fmt.Sprintf("ASP(n=%d,p=%d,%s)", n, p, c.PolicyName()), Metrics: m}
-	return finish(c, o, rec, res, func() error {
+	return finish(c, o, chk, res, func() error {
 		want := aspSequential(g)
 		for i := 0; i < n; i++ {
 			got := dist.DataInt64(i)

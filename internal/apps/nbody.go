@@ -189,7 +189,7 @@ func RunNBody(n, steps int, o Options) (Result, error) {
 		return Result{}, fmt.Errorf("nbody: n must be a positive multiple of %d, got %d", nbodyChunk, n)
 	}
 	p := o.threads()
-	c, rec, err := o.cluster()
+	c, chk, err := o.cluster()
 	if err != nil {
 		return Result{}, err
 	}
@@ -276,7 +276,7 @@ func RunNBody(n, steps int, o Options) (Result, error) {
 	}
 
 	res := Result{App: fmt.Sprintf("Nbody(n=%d,steps=%d,p=%d,%s)", n, steps, p, c.PolicyName()), Metrics: m}
-	return finish(c, o, rec, res, func() error {
+	return finish(c, o, chk, res, func() error {
 		want := nbodySequential(n, steps, nbodyTheta, nbodyDt, o.Seed)
 		final := bufs[steps%2]
 		for ch := 0; ch < chunks; ch++ {

@@ -24,7 +24,7 @@ func RunScenario(p *scenario.Program, o Options) (Result, error) {
 			p.Seed, p.Nodes, o.Nodes)
 	}
 	o.Nodes = p.Nodes
-	c, rec, err := o.cluster()
+	c, chk, err := o.cluster()
 	if err != nil {
 		return Result{}, err
 	}
@@ -52,7 +52,7 @@ func RunScenario(p *scenario.Program, o Options) (Result, error) {
 		return Result{}, fmt.Errorf("scenario seed %d (%s): %w", p.Seed, p.Family, err)
 	}
 	name := fmt.Sprintf("Scenario(seed=%d,%s,p=%d,threads=%d,%s)", p.Seed, p.Family, p.Nodes, p.Threads, c.PolicyName())
-	return finish(c, o, rec, Result{App: name, Metrics: m}, func() error {
+	return finish(c, o, chk, Result{App: name, Metrics: m}, func() error {
 		for i, want := range p.Expected() {
 			got := c.Data(objs[i])
 			for w := range want {

@@ -62,7 +62,7 @@ func RunSOR(n, iters int, o Options) (Result, error) {
 		return Result{}, fmt.Errorf("sor: need iters >= 1, got %d", iters)
 	}
 	p := o.threads()
-	c, rec, err := o.cluster()
+	c, chk, err := o.cluster()
 	if err != nil {
 		return Result{}, err
 	}
@@ -114,7 +114,7 @@ func RunSOR(n, iters int, o Options) (Result, error) {
 	}
 
 	res := Result{App: fmt.Sprintf("SOR(n=%d,iters=%d,p=%d,%s)", n, iters, p, c.PolicyName()), Metrics: m}
-	return finish(c, o, rec, res, func() error {
+	return finish(c, o, chk, res, func() error {
 		want := sorSequential(init, iters)
 		for i := 0; i < n; i++ {
 			got := grid.DataFloat64(i)

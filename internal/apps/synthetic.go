@@ -54,7 +54,7 @@ func RunSynthetic(so SyntheticOpts, o Options) (Result, error) {
 	if compute == 0 {
 		compute = 200 * dsm.Microsecond
 	}
-	c, rec, err := o.cluster()
+	c, chk, err := o.cluster()
 	if err != nil {
 		return Result{}, err
 	}
@@ -92,7 +92,7 @@ func RunSynthetic(so SyntheticOpts, o Options) (Result, error) {
 		return Result{}, fmt.Errorf("synthetic: %w", err)
 	}
 	name := fmt.Sprintf("Synthetic(r=%d,n=%d,w=%d,%s)", so.Repetition, so.TotalUpdates, so.Workers, c.PolicyName())
-	return finish(c, o, rec, Result{App: name, Metrics: m}, func() error {
+	return finish(c, o, chk, Result{App: name, Metrics: m}, func() error {
 		got := int(c.Data(counter)[0])
 		if got < so.TotalUpdates || got >= so.TotalUpdates+so.Repetition*so.Workers+so.Repetition {
 			return fmt.Errorf("synthetic: counter = %d, want in [%d, %d)",

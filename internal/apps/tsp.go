@@ -100,7 +100,7 @@ func RunTSP(cities int, o Options) (Result, error) {
 		return Result{}, fmt.Errorf("tsp: cities must be in [4,14], got %d", cities)
 	}
 	p := o.threads()
-	c, rec, err := o.cluster()
+	c, chk, err := o.cluster()
 	if err != nil {
 		return Result{}, err
 	}
@@ -167,7 +167,7 @@ func RunTSP(cities int, o Options) (Result, error) {
 	}
 
 	res := Result{App: fmt.Sprintf("TSP(cities=%d,p=%d,%s)", cities, p, c.PolicyName()), Metrics: m}
-	return finish(c, o, rec, res, func() error {
+	return finish(c, o, chk, res, func() error {
 		if got, want := int64(c.Data(bestObj)[0]), tspSequential(d); got != want {
 			return fmt.Errorf("tsp: best = %d, want optimal %d", got, want)
 		}

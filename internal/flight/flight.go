@@ -6,11 +6,12 @@
 // and the thread driver in internal/proto, the frame sites of the two
 // engines) and fanned out to the node's Subscribers, each of which
 // declares the kinds it wants: the Recorder ring here, the hot-object
-// sketch (telemetry.Sink), and a Log — the coherence oracle's
-// (oracle.Kinds, read by oracle.Check), a cluster member's HLC-stamped
-// one, or the access-pattern classifier's (dsm.Trace, trace.Kinds). The
-// transports, which are not protocol sites, record heartbeats, injected
-// faults and aborts straight into a Recorder.
+// sketch (telemetry.Sink), the coherence oracle's checker
+// (oracle.Checker, which judges each event as it arrives and keeps none),
+// and a Log — a cluster member's HLC-stamped oracle log, which node 0
+// merges and checks, or the access-pattern classifier's (dsm.Trace,
+// trace.Kinds). The transports, which are not protocol sites, record
+// heartbeats, injected faults and aborts straight into a Recorder.
 //
 // Recorder is a fixed-capacity, allocation-free ring of HLC-stamped
 // events — frame traffic, migration decisions with the
@@ -167,8 +168,8 @@ func (e Event) Stamp() hlc.Stamp { return hlc.Stamp{Wall: e.Wall, Logical: e.Log
 // is zero (no node id can tell them apart: node 0 is both victim and end).
 const FaultCut uint8 = 1
 
-// Log is the one unbounded event log — the oracle's (oracle.Kinds), a
-// cluster member's HLC-stamped one, dsm.Trace (trace.Kinds): a Subscriber
+// Log is the one unbounded event log — a cluster member's HLC-stamped
+// oracle log (oracle.Kinds), dsm.Trace (trace.Kinds): a Subscriber
 // keeping every event of its kinds in delivery order, stamped as the
 // Recorder stamps when it has a stamp source. Safe for concurrent use: it
 // stamps and appends under its own mutex, so live nodes delivering at

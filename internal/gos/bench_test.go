@@ -216,3 +216,38 @@ func TestBarrierEpisodeAllocatesNothing(t *testing.T) {
 			per, after.Mallocs-before.Mallocs, n)
 	}
 }
+
+// TestPiggybackedDiffsReturnToThePool: on the sim a piggybacked diff's
+// buffer moves by reference, and the node that applies it returns it to
+// the cluster's one pool, so the buffers lent stay at the working set
+// however many releases run. Three nodes release a lock homed with the
+// object at node 0, 1,000 times each under NoHM; node 0 applies every
+// diff the other two piggyback. (A diff node 0 forwards to a moved home
+// is applied, and returned, there; the scenario sweep under the race
+// detector, which poisons what is Put, catches one returned in flight.)
+func TestPiggybackedDiffsReturnToThePool(t *testing.T) {
+	const releases = 1000
+	c := New(testConfig(3, migration.NoHM{}, locator.ForwardingPointer))
+	obj := c.AddObject(8, 0)
+	l := c.AddLock(0)
+	var ws []proto.Worker
+	for n := 0; n < 3; n++ {
+		ws = append(ws, proto.Worker{Node: memory.NodeID(n), Name: "w", Fn: func(th proto.Thread) {
+			for range releases {
+				th.Acquire(l)
+				th.Write(obj, n, th.Read(obj, n)+1)
+				th.Release(l)
+			}
+		}})
+	}
+	mustRun(t, c, ws)
+	if got := c.ObjectData(obj)[:3]; !slices.Equal(got, []uint64{releases, releases, releases}) {
+		t.Fatalf("words %v, want %d each", got, releases)
+	}
+	if c.Counters.PiggybackDiffs < 2*releases {
+		t.Fatalf("%d piggybacked diffs, want %d", c.Counters.PiggybackDiffs, 2*releases)
+	}
+	if lent := c.pool.Lent(); lent > 8 {
+		t.Errorf("%d buffers lent after %d piggybacked diffs", lent, c.Counters.PiggybackDiffs)
+	}
+}

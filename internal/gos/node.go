@@ -8,6 +8,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/twindiff"
 	"repro/internal/wire"
 )
 
@@ -34,6 +35,9 @@ type Node struct {
 	curKind  wire.Kind
 	curFrom  memory.NodeID
 	handleFn func() // n.handle, bound once: scheduling it allocates nothing
+	// applied holds, while a frame is dispatched, the diffs it carries
+	// that the handler applies here (see takeApplied).
+	applied []twindiff.Diff
 }
 
 func newNode(c *Cluster, id memory.NodeID) *Node {
@@ -80,18 +84,50 @@ func (n *Node) begin() {
 }
 
 // handle is the second step, msgProcCost later: run the protocol handler
-// on the frame's box in place, free the box, then take the next frame or
-// go idle.
+// on the frame's box in place, return the diffs it applied to the pool,
+// free the box, then take the next frame or go idle.
 //
 //dsm:hotpath
 func (n *Node) handle() {
+	n.takeApplied(n.cur)
 	n.Dispatch(n.cur)
+	for _, d := range n.applied {
+		n.Pool.PutDiff(d)
+	}
+	clear(n.applied)
+	n.applied = n.applied[:0]
 	n.c.net.FreeMsg(n.cur)
 	n.cur = nil
 	if n.inbox.Len() > 0 {
 		n.begin()
 	} else {
 		n.inbox.Arm()
+	}
+}
+
+// takeApplied lists in n.applied the diffs of m that Dispatch will apply
+// here, whose last use that is: nothing acknowledges a piggybacked diff,
+// and a diff the sync manager forwarded (a DiffMsg with ReplySlot < 0) is
+// acked to the manager, not to its buffer's owner. Messages move by
+// reference on the sim, so the receiver returns these to the cluster's
+// pool. A diff forwarded on is not done with: the DiffMsg in flight shares
+// its buffer. Nor is a thread's own DiffMsg: its driver returns it at the
+// ack. The list is taken before Dispatch, which decides by the same
+// IsHome, since a barrier's release may move homes after applying.
+//
+//dsm:hotpath
+func (n *Node) takeApplied(m *wire.Msg) {
+	switch m.Kind {
+	case wire.LockRel, wire.BarrierArrive:
+		for _, od := range m.Diffs {
+			if n.IsHome[od.Obj] {
+				n.applied = append(n.applied, od.D)
+			}
+		}
+	case wire.DiffMsg:
+		if m.ReplySlot < 0 && n.IsHome[m.Obj] {
+			n.applied = append(n.applied, m.Diff)
+		}
 	}
 }
 

@@ -328,11 +328,16 @@ var shapeRules = []shapeRule{
 			use("repro/internal/live/cluster.Member.FinishApp")},
 		only: []string{"internal/live/cluster/"}},
 	// -check is one gate — invariants, LRC oracle, digest — wherever a run
-	// is checked. A row has one list of files, so the ban on a separate
-	// oracle knob in apps.Options is the same rule's second row.
+	// is checked: a single process's checker is built in apps, and a log
+	// is judged only at node 0's merge. A row has one list of files, so
+	// each of those, and the ban on a separate oracle knob in apps.Options,
+	// is a row of the same rule.
+	{name: "-check has one meaning", since: "One meaning of -check",
+		in: outsideBenchmark, what: []target{use("repro/internal/oracle.NewChecker")},
+		only: []string{"internal/apps/apps.go", "internal/oracle/oracle.go"}},
 	{name: "-check has one meaning", since: "One meaning of -check",
 		in: outsideBenchmark, what: []target{use("repro/internal/oracle.Check")},
-		only: []string{"internal/apps/apps.go", "internal/live/cluster/finish.go"}},
+		only: []string{"internal/live/cluster/finish.go"}},
 	{name: "-check has one meaning", since: "One meaning of -check",
 		in: outsideBenchmark, tests: true, what: []target{declared("repro/internal/apps.Options.Oracle")}},
 

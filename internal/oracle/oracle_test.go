@@ -162,6 +162,18 @@ func TestHandBuiltLogs(t *testing.T) {
 			nviol: 1, match: "stale or phantom",
 		},
 		{
+			name: "a write every thread has seen stays while its successor is unseen",
+			build: func(r log) {
+				r.acquire(0, 0)
+				r.write(0, obj, 0, 1)
+				r.release(0, 0)
+				r.acquire(1, 0)
+				r.release(1, 0)
+				r.write(0, obj, 0, 2) // unsynchronized with thread 1
+				r.read(1, obj, 0, 1)  // 1 is still hb-maximal for thread 1
+			},
+		},
+		{
 			name: "double acquire without release is flagged",
 			build: func(r log) {
 				r.acquire(0, 0)

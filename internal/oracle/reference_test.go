@@ -6,6 +6,8 @@ import (
 	"repro/internal/flight"
 )
 
+func (v vclock) clone() vclock { return append(vclock(nil), v...) }
+
 type refWriteRec struct {
 	thread int
 	clock  vclock

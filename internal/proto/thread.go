@@ -264,7 +264,7 @@ func (n *Node) FlushCollect(syncHome memory.NodeID, scratch []wire.ObjDiff) (sen
 // Nothing acknowledges a piggybacked diff, so this is its last use: each
 // buffer goes back to the pool, and the list's array is kept for the next
 // FlushCollect. The sim engine delivers the list by reference, so its
-// receiver shares both, and it returns neither.
+// sender returns neither: the receiver returns each diff it applies.
 func (n *Node) ReturnPiggyback(diffs []wire.ObjDiff) {
 	for _, od := range diffs {
 		n.Pool.PutDiff(od.D)

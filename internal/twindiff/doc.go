@@ -25,9 +25,10 @@
 // receiver decodes into buffers drawn from its own pool (DecodeInto),
 // owns them and returns a diff once it has applied or re-encoded it, and
 // the sender returns a diff piggybacked on a sync message (which nothing
-// acknowledges) once Send has encoded it. The virtual-time engine's
-// piggybacked diffs are never returned: the receiver shares them, and
-// the GC collects them. A Pool keeps at most as many buffers as it ever
+// acknowledges) once Send has encoded it. On the virtual-time engine a
+// piggybacked diff's last use is at the receiver, which shares it: the
+// node that applies it returns it — the sync manager, or the home it
+// forwarded the diff to. A Pool keeps at most as many buffers as it ever
 // had out at once (see Pool), so a Put beyond that — a buffer born
 // elsewhere — is left to the GC too. The nodes of a virtual-time cluster
 // share one Pool, so a snapshot a home draws and its requester releases

@@ -46,7 +46,8 @@ const (
 // no live references. On the live engine a frame's payloads are copies:
 // Send encodes, the receiver decodes into buffers drawn from its own
 // pool. On the virtual-time engine the receiver shares the sender's
-// buffer and so never Puts it (see the package comment).
+// buffer, and Puts it only where the receiver has its last use: a
+// piggybacked diff it applied (see the package comment).
 type Pool struct {
 	free [][]uint64
 	// out is the number of buffers lent and not yet returned (never below
@@ -109,6 +110,10 @@ func (p *Pool) PutDiff(d Diff) {
 		p.free = append(p.free, d.buf)
 	}
 }
+
+// Lent reports how many buffers the pool has out: drawn and not yet Put
+// back.
+func (p *Pool) Lent() int { return p.out }
 
 // Twin returns a private snapshot of data (the "twin" of §3.1).
 func Twin(data []uint64) []uint64 { return TwinInto(nil, data) }
